@@ -1888,8 +1888,9 @@ fn kernels() {
         println!();
         return;
     }
-    bernoulli_synth::kernel_cache_stats_reset();
-    let store = KernelStore::default_store();
+    // A handle of this lane's own over the default directory: its
+    // counters start at zero whatever ran earlier in the process.
+    let store = KernelStore::at(KernelStore::default_store().dir());
     let session = Session::new();
     let mut json_inputs = Vec::new();
 
@@ -2050,27 +2051,29 @@ fn kernels() {
     ]);
 
     // Warm artifact-cache load latency: every artifact above is cached
-    // now, so each load is hash + dlopen. The acceptance bar is <1ms.
+    // now and `store` has verified and validated it, so each load is
+    // hash + dlopen. The acceptance bar is <1ms.
     let warm = time_median(32, || {
         black_box(k.load_in(&store).expect("warm load"));
     });
-    // Differential-validation overhead on the warm path (S41): the
-    // `warm` loads above ran with validation on and the artifact
-    // already in the per-process validation memo — the steady state.
-    // Re-time with validation switched off entirely; the ratio
-    // (off / on, higher is better, ~1.0) is the memoized probe's cost
-    // and must stay within a few percent of free.
-    bernoulli_synth::set_kernel_validation(false);
-    let warm_off = time_median(32, || {
-        black_box(k.load_in(&store).expect("warm load (validation off)"));
+    // What the store's per-artifact record saves (S41): the first load
+    // through a fresh handle over the same warm directory pays what a
+    // restarted process pays — checksum verification, the differential
+    // probe against the interpreter, dlopen. The ratio is that first
+    // load over the repeat load above.
+    let first = time_median(32, || {
+        let fresh = KernelStore::at(store.dir());
+        black_box(
+            k.load_in(&fresh)
+                .expect("first load through a fresh handle"),
+        );
     });
-    bernoulli_synth::set_kernel_validation(true);
-    let validation_overhead = warm_off / warm.max(1e-9);
-    let stats = bernoulli_synth::kernel_cache_stats();
+    let validation_overhead = first / warm.max(1e-9);
+    let stats = store.stats();
     println!(
-        "warm artifact load: {:.1} us (validation off: {:.1} us, overhead ratio {:.3})",
+        "warm artifact load: {:.1} us (first load through a fresh handle: {:.1} us, overhead ratio {:.3})",
         warm * 1e6,
-        warm_off * 1e6,
+        first * 1e6,
         validation_overhead
     );
     println!(

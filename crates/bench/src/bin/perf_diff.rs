@@ -35,8 +35,9 @@ use bernoulli_bench::report::{parse, Json};
 /// service report (`BENCH_service.json`). `advisor_accuracy`
 /// (picked-best fraction) and `chosen_mflops` (throughput of the
 /// advisor's chosen format) gate the S40 structure-aware selection
-/// report (`BENCH_advisor.json`). `validation_overhead` (warm load with
-/// the differential-validation memo vs validation off, ~1.0) and
+/// report (`BENCH_advisor.json`). `validation_overhead` (first load
+/// of a warm artifact through a fresh store handle — verify + probe +
+/// dlopen — over a repeat load through the same handle) and
 /// `coalesced_per_s` (16 coalesced clients on one key) gate the S41
 /// self-healing report.
 const METRICS: [&str; 28] = [

@@ -22,6 +22,9 @@
 //!   every pool job it fans out.
 //! - [`faults`] — named fault-injection sites (panic / delay / budget
 //!   starvation), compiled to no-ops unless the `faults` feature is on.
+//! - [`SingleFlight`] — keyed leader/follower coalescing of concurrent
+//!   identical work (one search per plan key, one `rustc` run per
+//!   artifact); the only such mechanism in the workspace.
 //!
 //! Checking cost: [`Budget::charge`] is one relaxed `fetch_add` plus a
 //! compare; the clock and the cancel flag are only consulted when the
@@ -32,6 +35,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod flight;
+pub use flight::{Flight, SingleFlight};
 
 /// How many charged operations may elapse between wall-clock / cancel
 /// checks. Power of two so the boundary test is cheap.

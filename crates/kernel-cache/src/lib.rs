@@ -18,9 +18,13 @@
 //! - **Typed failures.** A missing compiler, a failed build, a missing
 //!   symbol — each is a distinct [`KernelCacheError`] variant; nothing
 //!   on these paths panics.
-//! - **Observable.** Hits/misses/compiles are counted process-wide
-//!   ([`stats`]) and mirrored as `kernel.*` trace counters when the
-//!   `trace` feature is enabled.
+//! - **Observable, per store.** A [`KernelStore`] is a cheap-clone
+//!   handle that owns everything the tier remembers — its counters
+//!   ([`KernelStore::stats`]), circuit breaker, build flights and
+//!   per-artifact trust record. Clones share that state; two
+//!   [`KernelStore::at`] handles are independent, even over one
+//!   directory. Counters are mirrored as `kernel.*` trace counters when
+//!   the `trace` feature is enabled.
 //! - **Self-healing.** Every artifact is published with a checksum
 //!   sidecar and verified on warm hits: a truncated or bit-rotted
 //!   shared object is a typed [`KernelCacheError::Corrupt`], evicted,
@@ -48,11 +52,12 @@
 //! `kernel.dlopen` sites of [`bernoulli_govern::faults`] inject typed
 //! failures into the build and load paths for chaos testing.
 
-use std::collections::{HashMap, HashSet};
+use bernoulli_govern::{Flight, SingleFlight};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the `rustc` binary used for kernel
@@ -222,7 +227,7 @@ fn probe_rustc() -> Result<RustcInfo, KernelCacheError> {
     })
 }
 
-/// Hit/miss/compile totals of the process-wide artifact cache.
+/// Hit/miss/compile totals of one [`KernelStore`] (and its clones).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCacheStats {
     /// Builds served from an existing on-disk artifact.
@@ -245,71 +250,50 @@ pub struct KernelCacheStats {
     pub coalesced: u64,
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static COMPILES: AtomicU64 = AtomicU64::new(0);
-static ERRORS: AtomicU64 = AtomicU64::new(0);
-static CORRUPT: AtomicU64 = AtomicU64::new(0);
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
-static COALESCED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-lifetime artifact-cache totals (all [`KernelStore`]s).
-pub fn stats() -> KernelCacheStats {
-    KernelCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        compiles: COMPILES.load(Ordering::Relaxed),
-        errors: ERRORS.load(Ordering::Relaxed),
-        corrupt: CORRUPT.load(Ordering::Relaxed),
-        quarantined: QUARANTINED.load(Ordering::Relaxed),
-        retries: RETRIES.load(Ordering::Relaxed),
-        coalesced: COALESCED.load(Ordering::Relaxed),
-    }
+/// The live form of [`KernelCacheStats`].
+#[derive(Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    compiles: AtomicU64,
+    errors: AtomicU64,
+    corrupt: AtomicU64,
+    quarantined: AtomicU64,
+    retries: AtomicU64,
+    coalesced: AtomicU64,
 }
 
-/// Resets the process-wide totals (benchmark isolation).
-pub fn stats_reset() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    COMPILES.store(0, Ordering::Relaxed);
-    ERRORS.store(0, Ordering::Relaxed);
-    CORRUPT.store(0, Ordering::Relaxed);
-    QUARANTINED.store(0, Ordering::Relaxed);
-    RETRIES.store(0, Ordering::Relaxed);
-    COALESCED.store(0, Ordering::Relaxed);
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Artifacts whose checksum has verified clean this process (paths).
-/// Verification runs once per artifact per process; warm loads after
-/// the first skip the re-read, keeping the steady-state hit path at
-/// its original cost.
-fn verified() -> &'static Mutex<HashSet<PathBuf>> {
-    static V: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    V.get_or_init(|| Mutex::new(HashSet::new()))
+/// What a store has established about one artifact since the handle
+/// was created. Both facts are forgotten together when the artifact is
+/// evicted or quarantined.
+#[derive(Clone, Copy, Default)]
+struct ArtifactState {
+    /// The checksum sidecar matched (or this store built the artifact).
+    verified: bool,
+    /// The loaded kernel reproduced the interpreter on the probe.
+    validated: bool,
 }
 
-/// One in-flight build per artifact path (single-flight coalescing).
-struct Flight {
-    state: Mutex<Option<Result<(), KernelCacheError>>>,
-    cv: Condvar,
-}
-
-fn flights() -> &'static Mutex<HashMap<PathBuf, Arc<Flight>>> {
-    static F: OnceLock<Mutex<HashMap<PathBuf, Arc<Flight>>>> = OnceLock::new();
-    F.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Per-directory circuit-breaker state (process-wide: stores are cheap
-/// value types, so the breaker must outlive any one instance).
+/// Consecutive infrastructure failures, and until when builds are
+/// short-circuited once [`BREAKER_TRIP`] of them accumulate.
+#[derive(Default)]
 struct Breaker {
     consecutive: u32,
     open_until: Option<Instant>,
 }
 
-fn breakers() -> &'static Mutex<HashMap<PathBuf, Breaker>> {
-    static B: OnceLock<Mutex<HashMap<PathBuf, Breaker>>> = OnceLock::new();
-    B.get_or_init(|| Mutex::new(HashMap::new()))
+/// Everything a store remembers; shared by the handle's clones.
+struct StoreState {
+    dir: PathBuf,
+    counters: Counters,
+    artifacts: Mutex<HashMap<PathBuf, ArtifactState>>,
+    breaker: Mutex<Breaker>,
+    /// One in-flight build per artifact path.
+    flights: SingleFlight<PathBuf, Result<(), KernelCacheError>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -325,17 +309,33 @@ pub struct Artifact {
     pub from_cache: bool,
 }
 
-/// A directory of compiled kernel artifacts.
+/// A directory of compiled kernel artifacts, and what this process has
+/// learned about them.
 ///
 /// Artifacts are content-addressed: the file name is a 64-bit FNV-1a
 /// hash over the caller's logical key, the full kernel source, the
 /// compiler version/target triple, and the optimization flags — any
 /// change to any of them lands in a different file, so stale artifacts
 /// can never be loaded (they are merely never referenced again).
-#[derive(Clone, Debug)]
+///
+/// The handle is cheap to clone and clones share one state: counters,
+/// circuit breaker, build flights and the per-artifact trust record.
+/// Handles made by separate [`KernelStore::at`] calls share nothing but
+/// the files on disk, so a fresh handle over a warm directory behaves
+/// like a restarted process (it re-verifies and re-validates).
+#[derive(Clone)]
 pub struct KernelStore {
-    dir: PathBuf,
+    state: Arc<StoreState>,
     timeout: Duration,
+}
+
+impl std::fmt::Debug for KernelStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KernelStore")
+            .field("dir", &self.state.dir)
+            .field("timeout", &self.timeout)
+            .finish()
+    }
 }
 
 /// Optimization flags baked into every kernel build (and its cache
@@ -356,28 +356,41 @@ const RUSTC_FLAGS: &[&str] = &[
 ];
 
 impl KernelStore {
-    /// The store at the default location: `$BERNOULLI_KERNEL_CACHE`, or
-    /// `bernoulli-kernel-cache` under the system temp directory.
+    /// The process's default store: `$BERNOULLI_KERNEL_CACHE`, or
+    /// `bernoulli-kernel-cache` under the system temp directory. Every
+    /// call returns a clone of one lazily-created handle, so callers of
+    /// [`default_store`](KernelStore::default_store) share its state.
     pub fn default_store() -> KernelStore {
-        let dir = std::env::var_os(CACHE_DIR_ENV)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| std::env::temp_dir().join("bernoulli-kernel-cache"));
-        KernelStore {
-            dir,
-            timeout: env_timeout(),
-        }
+        static DEFAULT: OnceLock<KernelStore> = OnceLock::new();
+        DEFAULT
+            .get_or_init(|| {
+                KernelStore::at(
+                    std::env::var_os(CACHE_DIR_ENV)
+                        .map(PathBuf::from)
+                        .unwrap_or_else(|| std::env::temp_dir().join("bernoulli-kernel-cache")),
+                )
+            })
+            .clone()
     }
 
-    /// A store rooted at an explicit directory (created on first build).
+    /// A store rooted at an explicit directory (created on first
+    /// build), with fresh state of its own.
     pub fn at(dir: impl Into<PathBuf>) -> KernelStore {
         KernelStore {
-            dir: dir.into(),
+            state: Arc::new(StoreState {
+                dir: dir.into(),
+                counters: Counters::default(),
+                artifacts: Mutex::default(),
+                breaker: Mutex::default(),
+                flights: SingleFlight::new(),
+            }),
             timeout: env_timeout(),
         }
     }
 
-    /// Same store, with an explicit `rustc` wall-clock timeout (tests
-    /// use this instead of racing on the process environment).
+    /// This store (same shared state), with an explicit `rustc`
+    /// wall-clock timeout on builds made through the returned handle
+    /// (tests use this instead of racing on the process environment).
     pub fn with_timeout(mut self, timeout: Duration) -> KernelStore {
         self.timeout = timeout;
         self
@@ -385,7 +398,23 @@ impl KernelStore {
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.state.dir
+    }
+
+    /// Totals since this handle's state was created (clones included).
+    pub fn stats(&self) -> KernelCacheStats {
+        let c = &self.state.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        KernelCacheStats {
+            hits: load(&c.hits),
+            misses: load(&c.misses),
+            compiles: load(&c.compiles),
+            errors: load(&c.errors),
+            corrupt: load(&c.corrupt),
+            quarantined: load(&c.quarantined),
+            retries: load(&c.retries),
+            coalesced: load(&c.coalesced),
+        }
     }
 
     /// The artifact path a (key, source) pair would cache under, if the
@@ -405,12 +434,12 @@ impl KernelStore {
             h.write(f.as_bytes());
         }
         let ext = std::env::consts::DLL_EXTENSION;
-        Ok(self.dir.join(format!("k{:016x}.{ext}", h.finish())))
+        Ok(self.state.dir.join(format!("k{:016x}.{ext}", h.finish())))
     }
 
     /// Returns the cached artifact for (key, source), compiling it
     /// first when absent. Warm hits are verified against the checksum
-    /// sidecar (once per artifact per process); a corrupt artifact is
+    /// sidecar (once per artifact per store); a corrupt artifact is
     /// evicted and transparently rebuilt. Quarantined artifacts are
     /// refused outright. Concurrent builders of the same artifact are
     /// coalesced: one invokes `rustc`, the rest wait and share the
@@ -418,8 +447,9 @@ impl KernelStore {
     /// cross-process races stay benign).
     pub fn get_or_build(&self, key: &str, source: &str) -> Result<Artifact, KernelCacheError> {
         let path = self.artifact_path(key, source)?;
+        let counters = &self.state.counters;
         if self.is_quarantined(&path) {
-            QUARANTINED.fetch_add(1, Ordering::Relaxed);
+            bump(&counters.quarantined);
             bernoulli_trace::counter!("kernel.quarantine_refusals");
             return Err(KernelCacheError::Quarantined {
                 artifact: path.display().to_string(),
@@ -428,7 +458,7 @@ impl KernelStore {
         if path.is_file() {
             match self.verify(&path) {
                 Ok(()) => {
-                    HITS.fetch_add(1, Ordering::Relaxed);
+                    bump(&counters.hits);
                     bernoulli_trace::counter!("kernel.cache_hits");
                     return Ok(Artifact {
                         path,
@@ -441,9 +471,21 @@ impl KernelStore {
                 Err(e) => return Err(e),
             }
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        bump(&counters.misses);
         bernoulli_trace::counter!("kernel.cache_misses");
-        self.build_coalesced(key, source, &path)?;
+        // Concurrent builders of one artifact share one `rustc` run and
+        // its outcome, typed error included.
+        let build = || self.build(key, source, &path);
+        match self.state.flights.run(&path, None, build, |_| true) {
+            Flight::Led(built) => built?,
+            Flight::Followed(built) => {
+                bump(&counters.coalesced);
+                bernoulli_trace::counter!("kernel.builds_coalesced");
+                built?
+            }
+            // Only a follower with a deadline times out; none is set.
+            Flight::TimedOut => build()?,
+        }
         Ok(Artifact {
             path,
             from_cache: false,
@@ -452,32 +494,70 @@ impl KernelStore {
 
     /// Verifies an on-disk artifact against its checksum sidecar.
     ///
-    /// Success is memoized per path for the life of the process, so the
+    /// Success is recorded per path in this store's state, so the
     /// steady-state warm-load path pays the artifact re-read exactly
     /// once. On failure (missing sidecar, length or hash mismatch) the
     /// artifact and its sidecars are evicted and a typed
     /// [`KernelCacheError::Corrupt`] is returned.
     pub fn verify(&self, path: &Path) -> Result<(), KernelCacheError> {
-        if lock(verified()).contains(path) {
+        if self.artifact_state(path).verified {
             return Ok(());
         }
         let detail = match check_sidecar(path) {
             Ok(()) => {
-                lock(verified()).insert(path.to_path_buf());
+                self.update_artifact(path, |a| a.verified = true);
                 return Ok(());
             }
             Err(d) => d,
         };
-        CORRUPT.fetch_add(1, Ordering::Relaxed);
+        bump(&self.state.counters.corrupt);
         bernoulli_trace::counter!("kernel.corrupt_evictions");
-        evict(path);
+        self.evict(path);
         Err(KernelCacheError::Corrupt { detail })
+    }
+
+    // --- per-artifact state -----------------------------------------
+
+    fn artifact_state(&self, path: &Path) -> ArtifactState {
+        lock(&self.state.artifacts)
+            .get(path)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn update_artifact(&self, path: &Path, f: impl FnOnce(&mut ArtifactState)) {
+        f(lock(&self.state.artifacts)
+            .entry(path.to_path_buf())
+            .or_default());
+    }
+
+    /// True when a kernel loaded from this artifact already passed
+    /// differential validation through this store: later loads skip the
+    /// probe, so the steady-state load path pays it once per artifact.
+    pub fn is_validated(&self, path: &Path) -> bool {
+        self.artifact_state(path).validated
+    }
+
+    /// Records that a kernel loaded from this artifact reproduced the
+    /// reference on the caller's probe.
+    pub fn mark_validated(&self, path: &Path) {
+        self.update_artifact(path, |a| a.validated = true);
+    }
+
+    /// Removes an artifact and its sidecars from disk and forgets what
+    /// this store had established about it.
+    fn evict(&self, path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(sidecar_path(path));
+        let _ = std::fs::remove_file(path.with_extension("meta"));
+        let _ = std::fs::remove_file(path.with_extension("rs"));
+        lock(&self.state.artifacts).remove(path);
     }
 
     // --- quarantine -------------------------------------------------
 
     fn quarantine_file(&self) -> PathBuf {
-        self.dir.join("quarantine.list")
+        self.state.dir.join("quarantine.list")
     }
 
     /// The quarantine list's header line: a fingerprint of the compiler
@@ -520,9 +600,10 @@ impl KernelStore {
         self.quarantine_stems().iter().any(|s| s == stem)
     }
 
-    /// Quarantines an artifact: evicts it from disk and records it in
-    /// the store's persisted quarantine list so it is never rebuilt or
-    /// re-loaded until the compiler identity changes. Callers invoke
+    /// Quarantines an artifact: evicts it from disk, forgets its
+    /// verified and validated status, and records it in the store's
+    /// persisted quarantine list so it is never rebuilt or re-loaded
+    /// until the compiler identity changes. Callers invoke
     /// this when a *loaded* kernel misbehaves (failed differential
     /// validation, bad ABI status) — checksum corruption is handled
     /// automatically by [`KernelStore::verify`].
@@ -536,7 +617,7 @@ impl KernelStore {
         let mut stems = self.quarantine_stems();
         if !stems.iter().any(|s| s == stem) {
             stems.push(stem.to_string());
-            QUARANTINED.fetch_add(1, Ordering::Relaxed);
+            bump(&self.state.counters.quarantined);
             bernoulli_trace::counter!("kernel.quarantines");
         }
         let mut text = fp;
@@ -545,10 +626,9 @@ impl KernelStore {
             text.push_str(s);
         }
         text.push('\n');
-        let _ = std::fs::create_dir_all(&self.dir);
+        let _ = std::fs::create_dir_all(&self.state.dir);
         let _ = std::fs::write(self.quarantine_file(), text);
-        evict(path);
-        lock(verified()).remove(path);
+        self.evict(path);
     }
 
     /// Clears the store's quarantine list (test isolation).
@@ -560,29 +640,22 @@ impl KernelStore {
 
     /// True when this store's circuit breaker is currently open.
     pub fn breaker_tripped(&self) -> bool {
-        let mut map = lock(breakers());
-        match map.get_mut(&self.dir) {
-            Some(b) => match b.open_until {
-                Some(t) => Instant::now() < t,
-                None => false,
-            },
-            None => false,
-        }
+        lock(&self.state.breaker)
+            .open_until
+            .is_some_and(|t| Instant::now() < t)
     }
 
-    /// Resets this store's circuit breaker (test isolation).
+    /// Closes this store's circuit breaker and forgets past failures,
+    /// as a successful build does.
     pub fn breaker_reset(&self) {
-        lock(breakers()).remove(&self.dir);
+        *lock(&self.state.breaker) = Breaker::default();
     }
 
     /// Returns an error when the breaker is open. After the cooldown the
     /// breaker goes half-open: exactly one build is let through as a
     /// probe (the next failure re-trips, a success resets).
     fn breaker_check(&self) -> Result<(), KernelCacheError> {
-        let mut map = lock(breakers());
-        let Some(b) = map.get_mut(&self.dir) else {
-            return Ok(());
-        };
+        let mut b = lock(&self.state.breaker);
         if let Some(t) = b.open_until {
             if Instant::now() < t {
                 return Err(KernelCacheError::CircuitOpen {
@@ -595,11 +668,7 @@ impl KernelStore {
     }
 
     fn breaker_failure(&self) {
-        let mut map = lock(breakers());
-        let b = map.entry(self.dir.clone()).or_insert(Breaker {
-            consecutive: 0,
-            open_until: None,
-        });
+        let mut b = lock(&self.state.breaker);
         b.consecutive += 1;
         if b.consecutive >= BREAKER_TRIP {
             b.open_until = Some(Instant::now() + BREAKER_COOLDOWN);
@@ -607,79 +676,7 @@ impl KernelStore {
         }
     }
 
-    fn breaker_success(&self) {
-        lock(breakers()).remove(&self.dir);
-    }
-
     // --- building ---------------------------------------------------
-
-    /// Single-flight wrapper around [`KernelStore::build`]: concurrent
-    /// builders of the same artifact path share one `rustc` run. The
-    /// leader publishes its outcome (typed error included) to every
-    /// waiter; a panicking leader publishes an `Io` error rather than
-    /// wedging followers.
-    fn build_coalesced(
-        &self,
-        key: &str,
-        source: &str,
-        path: &Path,
-    ) -> Result<(), KernelCacheError> {
-        let (flight, leader) = {
-            let mut map = lock(flights());
-            match map.get(path) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight {
-                        state: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    map.insert(path.to_path_buf(), Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if !leader {
-            COALESCED.fetch_add(1, Ordering::Relaxed);
-            bernoulli_trace::counter!("kernel.builds_coalesced");
-            let mut state = lock(&flight.state);
-            while state.is_none() {
-                state = flight.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            return state.clone().expect("flight state set before notify");
-        }
-        // Leader. The guard guarantees followers are released (with an
-        // error) even if build() panics.
-        struct FlightGuard<'a> {
-            flight: &'a Flight,
-            path: &'a Path,
-            done: bool,
-        }
-        impl FlightGuard<'_> {
-            fn publish(&mut self, r: Result<(), KernelCacheError>) {
-                lock(flights()).remove(self.path);
-                *lock(&self.flight.state) = Some(r);
-                self.flight.cv.notify_all();
-                self.done = true;
-            }
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                if !self.done {
-                    self.publish(Err(KernelCacheError::Io {
-                        detail: "kernel build leader panicked".to_string(),
-                    }));
-                }
-            }
-        }
-        let mut guard = FlightGuard {
-            flight: &flight,
-            path,
-            done: false,
-        };
-        let result = self.build(key, source, path);
-        guard.publish(result.clone());
-        result
-    }
 
     /// Builds with breaker short-circuit, bounded retry with backoff
     /// for transient failures, and failure classification:
@@ -699,7 +696,7 @@ impl KernelStore {
             attempt += 1;
             let err = match self.build_once(key, source, path) {
                 Ok(()) => {
-                    self.breaker_success();
+                    self.breaker_reset();
                     return Ok(());
                 }
                 Err(e) => e,
@@ -709,12 +706,12 @@ impl KernelStore {
                 KernelCacheError::Timeout { .. } | KernelCacheError::Io { .. }
             );
             if transient && attempt < BUILD_ATTEMPTS {
-                RETRIES.fetch_add(1, Ordering::Relaxed);
+                bump(&self.state.counters.retries);
                 bernoulli_trace::counter!("kernel.build_retries");
                 std::thread::sleep(Duration::from_millis(10 * (1 << (attempt - 1))));
                 continue;
             }
-            ERRORS.fetch_add(1, Ordering::Relaxed);
+            bump(&self.state.counters.errors);
             if transient {
                 self.breaker_failure();
             }
@@ -730,16 +727,24 @@ impl KernelStore {
             });
         }
         let info = rustc_info()?;
-        std::fs::create_dir_all(&self.dir).map_err(|e| KernelCacheError::Io {
-            detail: format!("creating {:?}: {e}", self.dir),
+        let dir = &self.state.dir;
+        std::fs::create_dir_all(dir).map_err(|e| KernelCacheError::Io {
+            detail: format!("creating {dir:?}: {e}"),
         })?;
-        let pid = std::process::id();
         let stem = path
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("kernel");
-        let src_path = self.dir.join(format!("{stem}.{pid}.rs"));
-        let tmp_out = self.dir.join(format!("{stem}.{pid}.tmp"));
+        // Scratch names are unique per process and per store state: the
+        // flights keep one store from building an artifact twice at
+        // once, but not two independent handles over one directory.
+        let builder = format!(
+            "{}-{:x}",
+            std::process::id(),
+            Arc::as_ptr(&self.state) as usize
+        );
+        let src_path = dir.join(format!("{stem}.{builder}.rs"));
+        let tmp_out = dir.join(format!("{stem}.{builder}.tmp"));
         let cleanup = |p: &Path| {
             let _ = std::fs::remove_file(p);
         };
@@ -749,6 +754,14 @@ impl KernelStore {
         let mut child = match Command::new(&info.binary)
             .args(RUSTC_FLAGS)
             .arg(format!("--crate-name={stem}"))
+            // Panic locations name the source where it is kept (next to
+            // the artifact), not this build's scratch file, so the
+            // artifact's bytes do not depend on who built it.
+            .arg(format!(
+                "--remap-path-prefix={}={}",
+                src_path.display(),
+                path.with_extension("rs").display()
+            ))
             .arg("-o")
             .arg(&tmp_out)
             .arg(&src_path)
@@ -854,8 +867,8 @@ impl KernelStore {
                 detail: format!("publishing {path:?}: {e}"),
             }
         })?;
-        lock(verified()).insert(path.to_path_buf());
-        COMPILES.fetch_add(1, Ordering::Relaxed);
+        self.update_artifact(path, |a| a.verified = true);
+        bump(&self.state.counters.compiles);
         bernoulli_trace::counter!("kernel.compiles");
         Ok(())
     }
@@ -900,15 +913,6 @@ fn check_sidecar(path: &Path) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Removes an artifact and all its sidecars from disk.
-fn evict(path: &Path) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(sidecar_path(path));
-    let _ = std::fs::remove_file(path.with_extension("meta"));
-    let _ = std::fs::remove_file(path.with_extension("rs"));
-    lock(verified()).remove(path);
 }
 
 /// FNV-1a, 64-bit: tiny, stable across processes (unlike `DefaultHasher`,
@@ -1109,7 +1113,6 @@ mod tests {
         let Ok(_) = rustc_info() else { return };
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-fail-{}", std::process::id()));
         let s = KernelStore::at(&dir);
-        let before = stats().errors;
         let err = s
             .get_or_build("bad", "this is not rust")
             .expect_err("garbage source must fail");
@@ -1117,7 +1120,7 @@ mod tests {
             matches!(err, KernelCacheError::CompileFailed { .. }),
             "{err:?}"
         );
-        assert!(stats().errors > before);
+        assert_eq!(s.stats().errors, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1132,18 +1135,17 @@ mod tests {
         let s = KernelStore::at(&dir);
         let a = s.get_or_build("corrupt", ADD_SRC).unwrap();
         assert!(!a.from_cache);
-        // Truncate the artifact behind the cache's back and clear the
-        // in-process verification memo (a fresh process would start
-        // with it empty).
+        // Truncate the artifact behind the cache's back and come back
+        // through a fresh handle, which (like a restarted process) has
+        // not verified it yet.
         std::fs::write(&a.path, b"garbage").unwrap();
-        lock(verified()).remove(&a.path);
-        let before = stats().corrupt;
+        let s = KernelStore::at(&dir);
         let again = s.get_or_build("corrupt", ADD_SRC).unwrap();
         assert!(
             !again.from_cache,
             "corrupt artifact must be rebuilt, not served"
         );
-        assert!(stats().corrupt > before);
+        assert_eq!(s.stats().corrupt, 1);
         // The rebuilt artifact must verify and load.
         s.verify(&again.path).unwrap();
         let lib = Library::open(&again.path).unwrap();
@@ -1161,8 +1163,12 @@ mod tests {
         let a = s.get_or_build("verify", ADD_SRC).unwrap();
         s.verify(&a.path).unwrap();
         std::fs::write(&a.path, b"truncated").unwrap();
-        lock(verified()).remove(&a.path);
-        let err = s.verify(&a.path).expect_err("tampered artifact must fail");
+        // This handle verified the artifact already and trusts it; a
+        // fresh one re-reads it.
+        s.verify(&a.path).unwrap();
+        let err = KernelStore::at(&dir)
+            .verify(&a.path)
+            .expect_err("tampered artifact must fail");
         assert!(matches!(err, KernelCacheError::Corrupt { .. }), "{err:?}");
         assert!(!a.path.exists(), "corrupt artifact must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1202,7 +1208,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-tmo-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = KernelStore::at(&dir).with_timeout(Duration::from_millis(1));
-        s.breaker_reset();
         let err = s
             .get_or_build("tmo", ADD_SRC)
             .expect_err("1 ms is not enough to build anything");
@@ -1224,11 +1229,13 @@ mod tests {
             matches!(err, KernelCacheError::CircuitOpen { .. }),
             "{err:?}"
         );
-        // A healthy store with the same directory recovers after reset.
+        // The same store with a sane timeout recovers after reset.
         s.breaker_reset();
-        let ok = KernelStore::at(&dir).get_or_build("tmo", ADD_SRC).unwrap();
+        let ok = s
+            .with_timeout(DEFAULT_BUILD_TIMEOUT)
+            .get_or_build("tmo", ADD_SRC)
+            .unwrap();
         assert!(!ok.from_cache);
-        s.breaker_reset();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1237,7 +1244,6 @@ mod tests {
         let Ok(_) = rustc_info() else { return };
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-flight-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let compiles_before = stats().compiles;
         let s = KernelStore::at(&dir);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -1250,12 +1256,42 @@ mod tests {
                 h.join().unwrap().unwrap();
             }
         });
+        let stats = s.stats();
         assert_eq!(
-            stats().compiles - compiles_before,
-            1,
-            "8 concurrent builders must share exactly one rustc run"
+            stats.compiles, 1,
+            "8 concurrent builders must share exactly one rustc run: {stats:?}"
         );
+        assert_eq!(stats.hits + stats.misses, 8, "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_own_their_state_and_clones_share_it() {
+        let Ok(_) = rustc_info() else { return };
+        let dirs = ["a", "b"].map(|tag| {
+            let dir =
+                std::env::temp_dir().join(format!("bernoulli-kc-own-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
+        let a = KernelStore::at(&dirs[0]).with_timeout(Duration::from_millis(1));
+        let a_clone = a.clone();
+        let b = KernelStore::at(&dirs[1]);
+        for _ in 0..BREAKER_TRIP {
+            let _ = a.get_or_build("own", ADD_SRC);
+        }
+        // The clone sees the failures and the open breaker...
+        assert!(a_clone.breaker_tripped());
+        assert_eq!(a_clone.stats(), a.stats());
+        assert_eq!(a.stats().errors, u64::from(BREAKER_TRIP));
+        // ...the other store saw nothing, and builds regardless.
+        assert!(!b.breaker_tripped());
+        assert_eq!(b.stats(), KernelCacheStats::default());
+        b.get_or_build("own", ADD_SRC).unwrap();
+        assert_eq!((b.stats().compiles, a.stats().compiles), (1, 0));
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -881,8 +881,8 @@ impl LoadedKernel {
 
     /// True when the kernel passed differential validation against the
     /// interpreter (see [`KernelBackend::Validated`]). False when
-    /// validation was skipped — disabled, or the probe instance could
-    /// not be built for this signature.
+    /// validation was skipped because no probe instance could be built
+    /// for this signature.
     pub fn validated(&self) -> bool {
         self.validated
     }
@@ -993,11 +993,11 @@ impl LoadedKernel {
             }),
             c => {
                 // An unknown nonzero status means the artifact and the
-                // host disagree about the ABI: quarantine it so it is
-                // never loaded again (callers re-serve through the
-                // interpreter on their next `backend` call).
+                // host disagree about the ABI: quarantine it (which
+                // also forgets its validated status) so it is never
+                // loaded again — callers re-serve through the
+                // interpreter on their next `backend` call.
                 self.store.quarantine(self.lib.path());
-                unvalidate(self.lib.path());
                 Err(KernelCallError::Abi { code: c })
             }
         }
@@ -1122,8 +1122,8 @@ pub enum KernelBackend {
     /// validation*: before being served it reproduced the interpreter's
     /// output bitwise on a deterministic probe instance.
     Validated(LoadedKernel),
-    /// Runtime-compiled native code; validation was skipped (disabled,
-    /// or no probe instance exists for this signature).
+    /// Runtime-compiled native code; validation was skipped (no probe
+    /// instance exists for this signature).
     Compiled(LoadedKernel),
     /// Interpreter fallback; `reason` says why (no compiler on the
     /// host, unsupported view, emission failure, failed validation…).
@@ -1148,62 +1148,6 @@ impl KernelBackend {
 // ---------------------------------------------------------------------
 // Differential validation
 // ---------------------------------------------------------------------
-
-/// Whether freshly loaded kernels are differentially validated against
-/// the interpreter before being served (on by default).
-static VALIDATION_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enables/disables differential validation of loaded kernels
-/// (process-wide). Benchmarks use this to measure the validation
-/// overhead itself; everything else should leave it on.
-pub fn set_kernel_validation(enabled: bool) {
-    VALIDATION_ENABLED.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// True when differential validation of loaded kernels is enabled.
-pub fn kernel_validation_enabled() -> bool {
-    VALIDATION_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Artifacts that already passed validation this process: warm loads
-/// of a validated artifact skip the probe entirely, so the steady-state
-/// load path pays validation exactly once per artifact.
-fn validated_memo() -> &'static std::sync::Mutex<std::collections::HashSet<std::path::PathBuf>> {
-    static M: std::sync::OnceLock<std::sync::Mutex<std::collections::HashSet<std::path::PathBuf>>> =
-        std::sync::OnceLock::new();
-    M.get_or_init(|| std::sync::Mutex::new(std::collections::HashSet::new()))
-}
-
-fn memo_contains(path: &std::path::Path) -> bool {
-    validated_memo()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains(path)
-}
-
-fn memo_insert(path: &std::path::Path) {
-    validated_memo()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(path.to_path_buf());
-}
-
-/// Forgets an artifact's validated status (it misbehaved after
-/// loading, or a benchmark wants to re-measure the probe cost).
-pub(crate) fn unvalidate(path: &std::path::Path) {
-    validated_memo()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(path);
-}
-
-/// Clears the process-wide validation memo (benchmark isolation).
-pub fn clear_kernel_validation_memo() {
-    validated_memo()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-}
 
 /// One owned operand of the probe instance; `arg` borrows it as a
 /// [`KernelArg`].
@@ -1306,15 +1250,13 @@ fn probe_operands(sig: &KernelSig) -> Option<(i64, Vec<ProbeOperand>)> {
 
 /// Runs the freshly loaded kernel against the interpreter on the probe
 /// instance. `Ok(true)`: validated (bitwise-identical outputs).
-/// `Ok(false)`: validation skipped — disabled, already validated this
-/// process, no probe for this signature, or the *interpreter* could not
-/// run the probe (then there is no reference to compare against).
+/// The store remembers the verdict per artifact, so warm loads through
+/// the same store skip the probe. `Ok(false)`: validation skipped — no
+/// probe for this signature, or the *interpreter* could not run the
+/// probe (then there is no reference to compare against).
 /// `Err`: the kernel disagreed or failed — the artifact is quarantined.
 fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bool, LoadError> {
-    if !kernel_validation_enabled() {
-        return Ok(false);
-    }
-    if memo_contains(kernel.lib.path()) {
+    if kernel.store.is_validated(kernel.lib.path()) {
         return Ok(true);
     }
     let Some((n, mut interp_ops)) = probe_operands(&kernel.sig) else {
@@ -1358,14 +1300,14 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
             )));
         }
     }
-    memo_insert(kernel.lib.path());
+    kernel.store.mark_validated(kernel.lib.path());
     bernoulli_trace::counter!("kernel.validations");
     Ok(true)
 }
 
 /// Loads (building if needed) the native kernel for a compiled plan,
 /// then differentially validates it against the interpreter (unless
-/// disabled or already validated this process).
+/// the store already holds a passing verdict for the artifact).
 pub(crate) fn load_kernel(
     p: &Program,
     plan: &Plan,
@@ -1612,6 +1554,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = KernelStore::at(&dir);
         let Artifact { path, .. } = store.get_or_build("abi-breach-test", ROGUE)?;
+        // Pretend the rogue once passed its probe: the breach must
+        // revoke that too.
+        store.mark_validated(&path);
         let lib = Library::open(&path)?;
         let entry: EntryV1 = unsafe { std::mem::transmute(lib.symbol(KERNEL_SYMBOL)?) };
         let kernel = LoadedKernel {
@@ -1639,8 +1584,8 @@ mod tests {
             "a bad status must quarantine the artifact"
         );
         assert!(
-            !memo_contains(&path),
-            "quarantine must also drop the validation memo entry"
+            !store.is_validated(&path),
+            "quarantine must also revoke the validated status"
         );
         let refusal = store.get_or_build("abi-breach-test", ROGUE);
         assert!(

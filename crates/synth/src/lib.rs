@@ -60,8 +60,7 @@ pub mod zero;
 
 pub use advise::{view_for_features, Advice, AdviceEntry, DEFAULT_ADVISOR_FORMATS};
 pub use compiled::{
-    clear_kernel_validation_memo, kernel_validation_enabled, set_kernel_validation, KernelArg,
-    KernelBackend, KernelCallError, KernelSig, LoadError, LoadedKernel, RawOut,
+    KernelArg, KernelBackend, KernelCallError, KernelSig, LoadError, LoadedKernel, RawOut,
 };
 pub use config::{Config, ConfigError, RefInst, StmtCopy};
 pub use cost::{cost_floor, WorkloadStats};
@@ -69,11 +68,7 @@ pub use emit::{emit_module, emit_rust, emit_rust_ranged, range_splittable, EmitE
 pub use interp::{run_plan, ExecEnv, PlanError, RunStats};
 pub use persist::{PersistStats, PersistentPlanCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES};
 pub use plan::{Plan, Step};
-pub use search::{
-    plan_cache_clear, plan_cache_stats, synthesize, synthesize_all, synthesize_all_report,
-    synthesize_all_with_pool, Candidate, PlanCacheStats, SearchReport, SynthError, SynthOptions,
-    Synthesized,
-};
+pub use search::{Candidate, PlanCacheStats, SearchReport, SynthError, SynthOptions};
 pub use service::{
     Admission, AdmissionPermit, CacheMode, Service, ServiceConfig, ServiceError, ServiceStats,
 };
@@ -88,6 +83,5 @@ pub use bernoulli_govern::{Budget, BudgetError, CancelToken};
 // path (`CompiledKernel::load` & co.) without naming the
 // `bernoulli-kernel-cache` crate directly.
 pub use bernoulli_kernel_cache::{
-    rustc_info, stats as kernel_cache_stats, stats_reset as kernel_cache_stats_reset,
-    KernelCacheError, KernelCacheStats, KernelStore, RustcInfo,
+    rustc_info, KernelCacheError, KernelCacheStats, KernelStore, RustcInfo,
 };

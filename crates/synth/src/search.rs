@@ -44,7 +44,7 @@ use bernoulli_ir::{analyze, Program};
 use bernoulli_pool::{Pool, PoolError};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Knobs bounding the search (paper §4.3 heuristics).
 #[derive(Clone, Debug)]
@@ -61,7 +61,7 @@ pub struct SynthOptions {
     pub include_iteration_centric: bool,
     /// Workload statistics for the cost model.
     pub stats: WorkloadStats,
-    /// Keep at most this many ranked candidates in `synthesize_all`.
+    /// Keep at most this many ranked candidates.
     pub keep: usize,
     /// Fan the per-configuration work out over the shared worker pool.
     /// Candidates, `examined` and `pruned` are byte-identical to a
@@ -104,21 +104,8 @@ pub struct Candidate {
     pub safety_notes: Vec<String>,
 }
 
-/// The best plan plus search statistics.
-#[derive(Clone, Debug)]
-pub struct Synthesized {
-    pub plan: Plan,
-    pub cost: f64,
-    pub choices: Vec<(String, usize)>,
-    pub safety_notes: Vec<String>,
-    /// Total candidates that survived legality + zero checks.
-    pub legal_candidates: usize,
-    /// Total (config, order, embedding) triples examined.
-    pub examined: usize,
-}
-
-/// Everything [`synthesize_all_report`] learned: the ranked candidates
-/// plus the search accounting the benchmarks and experiments read.
+/// Everything one search learned: the ranked candidates plus the search
+/// accounting the benchmarks and experiments read.
 #[derive(Clone, Debug)]
 pub struct SearchReport {
     /// Surviving candidates, cheapest first (at most `opts.keep`).
@@ -272,70 +259,6 @@ impl From<crate::emit::EmitError> for SynthError {
     fn from(e: crate::emit::EmitError) -> SynthError {
         SynthError::Emit(e)
     }
-}
-
-/// Synthesizes the best data-centric plan for the program with the given
-/// sparse-matrix views.
-pub fn synthesize(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<Synthesized, SynthError> {
-    let mut all = synthesize_all_report(p, views, opts)?;
-    let examined = all.examined;
-    let legal = all.candidates.len();
-    let best = all
-        .candidates
-        .drain(..)
-        .next()
-        .ok_or(SynthError::NoLegalPlan {
-            reasons: all.reasons,
-        })?;
-    Ok(Synthesized {
-        plan: best.plan,
-        cost: best.cost,
-        choices: best.choices,
-        safety_notes: best.safety_notes,
-        legal_candidates: legal,
-        examined,
-    })
-}
-
-/// Runs the full search and returns all surviving candidates ranked by
-/// estimated cost (plus the examined count and rejection reasons) — the
-/// raw material of the cost-model-validation experiment.
-#[allow(clippy::type_complexity)]
-pub fn synthesize_all(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<(Vec<Candidate>, usize, Vec<String>), SynthError> {
-    let r = synthesize_all_report(p, views, opts)?;
-    Ok((r.candidates, r.examined, r.reasons))
-}
-
-/// [`synthesize_all`] with the full [`SearchReport`]. Honors
-/// `opts.parallel` by running on the process-global pool.
-pub fn synthesize_all_report(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-) -> Result<SearchReport, SynthError> {
-    let pool = opts.parallel.then(Pool::global);
-    run_search(p, views, opts, pool, global_plan_cache(), None)
-}
-
-/// [`synthesize_all_report`] on a caller-supplied pool (ignores
-/// `opts.parallel`). The result is byte-identical for every pool size,
-/// including a sequential run — the determinism contract the
-/// `synth_search_parallel` suite enforces.
-pub fn synthesize_all_with_pool(
-    p: &Program,
-    views: &[(&str, FormatView)],
-    opts: &SynthOptions,
-    pool: &Pool,
-) -> Result<SearchReport, SynthError> {
-    run_search(p, views, opts, Some(pool), global_plan_cache(), None)
 }
 
 /// Rejection reasons are deduplicated and capped at this many entries.
@@ -807,11 +730,10 @@ pub(crate) struct CachedSearch {
 /// Cached whole-search results; cleared wholesale when full.
 const PLAN_CACHE_CAP: usize = 128;
 
-/// One whole-search memo cache with hit/miss accounting. The crate
-/// keeps a process-global instance behind [`plan_cache_stats`] /
-/// [`plan_cache_clear`] for the free-function entry points; a
-/// [`Session`](crate::session::Session) owns its own, making warm/cold
-/// behavior explicit per session.
+/// One whole-search memo cache with hit/miss accounting. Every
+/// [`Session`](crate::session::Session) and
+/// [`Service`](crate::service::Service) owns its own, making warm/cold
+/// behavior explicit per owner.
 pub(crate) struct PlanCache {
     map: Mutex<HashMap<String, CachedSearch>>,
     hits: AtomicU64,
@@ -848,11 +770,6 @@ impl PlanCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
-}
-
-pub(crate) fn global_plan_cache() -> &'static PlanCache {
-    static C: OnceLock<PlanCache> = OnceLock::new();
-    C.get_or_init(PlanCache::new)
 }
 
 /// The cache key covers everything the search result depends on: the
@@ -904,8 +821,10 @@ pub(crate) fn plan_cache_key(
     )
 }
 
-/// Hit/miss totals of the whole-search plan cache (process lifetime, or
-/// since [`plan_cache_clear`]). Independent of the `trace` feature.
+/// Hit/miss totals of one whole-search plan cache
+/// ([`Session::plan_cache_stats`](crate::session::Session::plan_cache_stats),
+/// [`Service::plan_cache_stats`](crate::service::Service::plan_cache_stats)).
+/// Independent of the `trace` feature.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     pub hits: u64,
@@ -922,20 +841,6 @@ impl PlanCacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Current hit/miss totals of the *process-global* plan cache (the one
-/// the free-function entry points use; a
-/// [`Session`](crate::session::Session) owns its own cache and reports
-/// through [`Session::plan_cache_stats`](crate::session::Session::plan_cache_stats)).
-pub fn plan_cache_stats() -> PlanCacheStats {
-    global_plan_cache().stats()
-}
-
-/// Drops every cached search result of the process-global plan cache
-/// and zeroes its hit/miss counts.
-pub fn plan_cache_clear() {
-    global_plan_cache().clear();
 }
 
 /// Convenience for tests and examples: builds each candidate's

@@ -47,11 +47,11 @@ use crate::search::{
 };
 use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
-use bernoulli_govern::Budget;
+use bernoulli_govern::{Budget, Flight, SingleFlight};
 use bernoulli_ir::{analyze, parse_program, Program};
 use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -347,35 +347,21 @@ struct Counters {
     coalesced: AtomicU64,
 }
 
-/// The outcome a search leader publishes to its followers.
-#[derive(Clone)]
-enum FlightState {
-    /// The leader is still searching.
-    Pending,
-    /// The leader finished; followers take the shared (cloned) result.
-    Done(Result<SearchReport, SynthError>),
-    /// The leader's search degraded under *its own* budget — a
-    /// degraded result is never shared. Followers race to become the
-    /// next leader instead.
-    Retry,
-}
-
-/// One in-flight search per plan-cache key (single-flight coalescing):
-/// N concurrent compiles of the same key share one search.
-struct SearchFlight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
-
 /// A point-in-time snapshot of a service's request accounting
-/// ([`Service::stats`]). `submitted = admitted + shed_overloaded +
-/// shed_deadline` once the service is quiescent; `admitted =
-/// completed + failed` likewise.
+/// ([`Service::stats`]). Once the service is quiescent the counters
+/// sum: `submitted = admitted + shed_overloaded + shed_deadline`, and
+/// `admitted = completed + failed`. Each admitted request with plan
+/// caching on either consults the plan cache exactly once or is
+/// coalesced onto another request's search without consulting it, so
+/// with [`Service::plan_cache_stats`]: `hits + misses + coalesced =
+/// admitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests that entered [`Service::compile`].
     pub submitted: u64,
-    /// Requests that passed admission and ran a search.
+    /// Requests that passed admission. How each was served — a search
+    /// of its own, a plan-cache tier, or another request's in-flight
+    /// search — is what `searches` and `coalesced` say.
     pub admitted: u64,
     /// Admitted requests that returned a kernel.
     pub completed: u64,
@@ -399,10 +385,6 @@ pub struct ServiceStats {
     /// search of the same plan-cache key (single-flight coalescing)
     /// instead of searching themselves.
     pub coalesced: u64,
-    /// `rustc` kernel builds since this service was created
-    /// (process-wide kernel-cache compiles, baselined at
-    /// [`Service::new`]).
-    pub kernel_builds: u64,
 }
 
 /// A `Send + Sync` compile server: wrap in an `Arc`, share across
@@ -419,10 +401,7 @@ pub struct Service {
     admission: Admission,
     counters: Counters,
     /// In-flight searches by plan-cache key (single-flight coalescing).
-    flights: Mutex<HashMap<String, Arc<SearchFlight>>>,
-    /// Process-wide kernel-cache compile count when this service was
-    /// created; [`ServiceStats::kernel_builds`] is the delta.
-    kc_compiles_at_start: u64,
+    flights: SingleFlight<String, Result<SearchReport, SynthError>>,
 }
 
 impl Service {
@@ -442,8 +421,7 @@ impl Service {
             persist,
             admission,
             counters: Counters::default(),
-            flights: Mutex::new(HashMap::new()),
-            kc_compiles_at_start: bernoulli_kernel_cache::stats().compiles,
+            flights: SingleFlight::new(),
         }
     }
 
@@ -611,20 +589,33 @@ impl Service {
             ServicePool::Shared => opts.parallel.then(Pool::global),
         };
         let cache_key = plan_cache_key(problem.program(), &views, opts);
+        let search = || self.search_counted(problem.program(), &views, opts, pool);
         let report = if opts.cache_plans {
-            self.search_coalesced(
-                &cache_key,
-                problem.program(),
-                &views,
-                opts,
-                pool,
-                absolute_deadline,
-            )?
+            // Single-flight: concurrent requests for one plan-cache key
+            // share one search and its result — or its typed error. A
+            // result degraded under the leader's own budget stays with
+            // the leader; its followers race to lead a fresh search.
+            let share = |r: &Result<SearchReport, SynthError>| !matches!(r, Ok(r) if r.degraded);
+            match self
+                .flights
+                .run(&cache_key, absolute_deadline, search, share)
+            {
+                Flight::Led(result) => result?,
+                Flight::Followed(shared) => {
+                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    bernoulli_trace::counter!("service.searches_coalesced");
+                    shared?
+                }
+                // Waited out the deadline: search under our own
+                // (expired) budget so the typed budget error matches
+                // the sequential path.
+                Flight::TimedOut => search()?,
+            }
         } else {
             // With plan caching off, requests for the same key are
             // deliberately independent (load generators rely on this
             // to measure genuine search throughput).
-            self.search_counted(problem.program(), &views, opts, pool)?
+            search()?
         };
         if report.candidates.is_empty() {
             return Err(ServiceError::Synth(SynthError::NoLegalPlan {
@@ -662,132 +653,6 @@ impl Service {
         Ok(report)
     }
 
-    /// Single-flight search: concurrent requests for the same
-    /// plan-cache key share one search. The first request in becomes
-    /// the *leader* and searches; followers wait on the flight and
-    /// receive the leader's result — or its typed error — cloned.
-    /// A leader whose search *degraded* under its own budget keeps the
-    /// degraded result for itself but never publishes it: followers
-    /// are woken to race for leadership instead. A follower whose
-    /// deadline expires while waiting falls back to its own search, so
-    /// deadline accounting stays identical to the sequential path.
-    fn search_coalesced(
-        &self,
-        key: &str,
-        p: &Program,
-        views: &[(&str, FormatView)],
-        opts: &SynthOptions,
-        pool: Option<&Pool>,
-        deadline: Option<Instant>,
-    ) -> Result<SearchReport, SynthError> {
-        loop {
-            let (flight, leader) = {
-                let mut map = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                match map.get(key) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(SearchFlight {
-                            state: Mutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        map.insert(key.to_string(), Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
-                return self.lead_search(key, &flight, p, views, opts, pool);
-            }
-            let mut state = flight.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match &*state {
-                    FlightState::Pending => {}
-                    FlightState::Done(shared) => {
-                        self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                        bernoulli_trace::counter!("service.searches_coalesced");
-                        return shared.clone();
-                    }
-                    FlightState::Retry => break,
-                }
-                match deadline {
-                    None => {
-                        state = flight.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            // Waited out the deadline: search under our
-                            // own (expired) budget so the typed budget
-                            // error matches the sequential path.
-                            drop(state);
-                            return self.search_counted(p, views, opts, pool);
-                        }
-                        let (g, _) = flight
-                            .cv
-                            .wait_timeout(state, d - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        state = g;
-                    }
-                }
-            }
-            // Retry: the previous leader degraded. Race for leadership.
-        }
-    }
-
-    /// The leader half of [`search_coalesced`]: search, then publish.
-    /// The guard publishes `Retry` if the search panics, so followers
-    /// are never wedged on a dead flight.
-    fn lead_search(
-        &self,
-        key: &str,
-        flight: &Arc<SearchFlight>,
-        p: &Program,
-        views: &[(&str, FormatView)],
-        opts: &SynthOptions,
-        pool: Option<&Pool>,
-    ) -> Result<SearchReport, SynthError> {
-        struct Publish<'a> {
-            service: &'a Service,
-            key: &'a str,
-            flight: &'a SearchFlight,
-            done: bool,
-        }
-        impl Publish<'_> {
-            fn publish(&mut self, outcome: FlightState) {
-                self.service
-                    .flights
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(self.key);
-                *self.flight.state.lock().unwrap_or_else(|e| e.into_inner()) = outcome;
-                self.flight.cv.notify_all();
-                self.done = true;
-            }
-        }
-        impl Drop for Publish<'_> {
-            fn drop(&mut self) {
-                if !self.done {
-                    self.publish(FlightState::Retry);
-                }
-            }
-        }
-        let mut guard = Publish {
-            service: self,
-            key,
-            flight,
-            done: false,
-        };
-        let result = self.search_counted(p, views, opts, pool);
-        let outcome = match &result {
-            // A degraded result reflects *this* request's budget; it
-            // is never shared (followers re-search under their own).
-            Ok(r) if r.degraded => FlightState::Retry,
-            other => FlightState::Done(other.clone()),
-        };
-        guard.publish(outcome);
-        result
-    }
-
     /// A point-in-time snapshot of the request accounting.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
@@ -801,9 +666,6 @@ impl Service {
             peak_inflight: self.counters.peak_inflight.load(Ordering::Relaxed),
             searches: self.counters.searches.load(Ordering::Relaxed),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            kernel_builds: bernoulli_kernel_cache::stats()
-                .compiles
-                .saturating_sub(self.kc_compiles_at_start),
         }
     }
 

@@ -9,7 +9,7 @@
 
 use bernoulli_formats::{Csr, Ell, SparseView, Triplets};
 use bernoulli_synth::compiled::{KernelArg, KernelBackend};
-use bernoulli_synth::{kernel_cache_stats, KernelStore, Session};
+use bernoulli_synth::{KernelStore, Session};
 
 const MVM: &str = "
     program mvm(M, N) {
@@ -181,14 +181,13 @@ fn second_load_hits_artifact_cache() {
     let store = scratch_store("warm");
     let cold = k.load_in(&store).expect("cold load");
     assert!(!cold.from_cache(), "first load must compile");
-    let before = kernel_cache_stats();
     let warm = k.load_in(&store).expect("warm load");
     assert!(warm.from_cache(), "second load must reuse the artifact");
-    let after = kernel_cache_stats();
-    assert!(after.hits > before.hits, "warm load counts as a cache hit");
+    let stats = store.stats();
     assert_eq!(
-        after.compiles, before.compiles,
-        "warm load must not invoke rustc"
+        (stats.misses, stats.compiles, stats.hits),
+        (1, 1, 1),
+        "one build, then one hit that must not invoke rustc: {stats:?}"
     );
 }
 
@@ -211,14 +210,8 @@ fn call_arity_is_checked() {
     );
 }
 
-/// Tests below mutate or depend on the process-wide validation switch
-/// and memo; they serialize on this lock so the cargo test harness's
-/// thread pool cannot interleave them.
-static VALIDATION: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn fresh_load_passes_differential_validation() {
-    let _lock = VALIDATION.lock().unwrap_or_else(|e| e.into_inner());
     if !rustc_available() {
         eprintln!("SKIP fresh_load_passes_differential_validation: no rustc on host");
         return;
@@ -234,37 +227,14 @@ fn fresh_load_passes_differential_validation() {
         "expected Validated provenance, got {backend:?}"
     );
     assert!(backend.is_validated() && backend.is_compiled());
-    // The memo makes the second load skip the probe yet keep the
-    // provenance.
+    // The store remembers the verdict: the second load skips the probe
+    // yet keeps the provenance.
     let again = k.backend_in(&store);
     assert!(again.is_validated(), "{again:?}");
 }
 
 #[test]
-fn validation_switch_downgrades_provenance_only() {
-    let _lock = VALIDATION.lock().unwrap_or_else(|e| e.into_inner());
-    if !rustc_available() {
-        eprintln!("SKIP validation_switch_downgrades_provenance_only: no rustc on host");
-        return;
-    }
-    let a = Csr::from_triplets(&triplets(12));
-    let k = compile_mvm(a.format_view());
-    let store = scratch_store("valswitch");
-    bernoulli_synth::set_kernel_validation(false);
-    bernoulli_synth::clear_kernel_validation_memo();
-    let backend = k.backend_in(&store);
-    bernoulli_synth::set_kernel_validation(true);
-    // Still a native kernel — just without the Validated badge.
-    assert!(
-        matches!(backend, KernelBackend::Compiled(_)),
-        "expected unvalidated Compiled provenance, got {backend:?}"
-    );
-    assert!(backend.is_compiled() && !backend.is_validated());
-}
-
-#[test]
 fn quarantined_artifact_is_refused_and_reserved_by_interpreter() {
-    let _lock = VALIDATION.lock().unwrap_or_else(|e| e.into_inner());
     if !rustc_available() {
         eprintln!("SKIP quarantined_artifact_is_refused_and_reserved_by_interpreter: no rustc");
         return;

@@ -6,8 +6,24 @@
 use bernoulli_formats::convert::AnyFormat;
 use bernoulli_formats::Triplets;
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
-use bernoulli_synth::{run_plan, synthesize, ExecEnv, SynthOptions};
+use bernoulli_synth::{run_plan, ExecEnv, Plan, Session};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// The best plan for `spec` with `matrix` stored as `f`. One session
+/// serves the whole binary: format views repeat across cases, so after
+/// the first case every compile is a plan-cache hit.
+fn best_plan(spec: &Program, matrix: &str, f: &AnyFormat) -> Plan {
+    static SESSION: OnceLock<Session> = OnceLock::new();
+    let s = SESSION.get_or_init(Session::new);
+    let bound = s
+        .bind(spec, &[(matrix, f.as_view().format_view())])
+        .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+    s.compile(&bound)
+        .unwrap_or_else(|e| panic!("{}: {e}", f.name()))
+        .plan()
+        .clone()
+}
 
 fn mvm_spec() -> Program {
     parse_program(
@@ -71,20 +87,19 @@ proptest! {
 
         for fmt in ["csr", "coo", "dia", "jad", "ell"] {
             let f = AnyFormat::from_triplets(fmt, &t);
-            let s = synthesize(&spec, &[("A", f.as_view().format_view())], &SynthOptions::default())
-                .unwrap_or_else(|e| panic!("{fmt}: {e}"));
+            let plan = best_plan(&spec, "A", &f);
             let mut penv = ExecEnv::new();
             penv.set_param("M", n as i64);
             penv.set_param("N", n as i64);
             penv.bind_vec("x", x.clone());
             penv.bind_vec("y", vec![0.0; n]);
             penv.bind_sparse("A", f.as_view());
-            run_plan(&s.plan, &mut penv).unwrap();
+            run_plan(&plan, &mut penv).unwrap();
             let got = penv.take_vec("y");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan
+                    "{fmt} element {i}: {a} vs {b}\nplan:\n{plan}"
                 );
             }
         }
@@ -105,18 +120,17 @@ proptest! {
 
         for fmt in ["csr", "csc", "jad", "dia"] {
             let f = AnyFormat::from_triplets(fmt, &l);
-            let s = synthesize(&spec, &[("L", f.as_view().format_view())], &SynthOptions::default())
-                .unwrap_or_else(|e| panic!("{fmt}: {e}"));
+            let plan = best_plan(&spec, "L", &f);
             let mut penv = ExecEnv::new();
             penv.set_param("N", n as i64);
             penv.bind_vec("b", b0.clone());
             penv.bind_sparse("L", f.as_view());
-            run_plan(&s.plan, &mut penv).unwrap();
+            run_plan(&plan, &mut penv).unwrap();
             let got = penv.take_vec("b");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-8 * (1.0 + b.abs()),
-                    "{fmt} element {i}: {a} vs {b}\nplan:\n{}", s.plan
+                    "{fmt} element {i}: {a} vs {b}\nplan:\n{plan}"
                 );
             }
         }

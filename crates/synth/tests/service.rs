@@ -89,10 +89,16 @@ fn concurrent_clients_share_the_plan_cache() {
     for r in &results[1..] {
         assert_eq!(r, &results[0]);
     }
+    // Every request either consulted the plan cache once or was
+    // coalesced onto another request's search without consulting it.
     let pc = svc.plan_cache_stats();
-    assert_eq!(pc.hits + pc.misses, CLIENTS as u64);
-    assert!(pc.misses >= 1, "{pc:?}");
     let stats = svc.stats();
+    assert_eq!(
+        pc.hits + pc.misses + stats.coalesced,
+        CLIENTS as u64,
+        "{pc:?} {stats:?}"
+    );
+    assert!(pc.misses >= 1, "{pc:?}");
     assert_eq!(stats.submitted, CLIENTS as u64);
     assert_eq!(stats.completed, CLIENTS as u64);
     assert_eq!(stats.shed_overloaded + stats.shed_deadline, 0);

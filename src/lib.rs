@@ -80,9 +80,8 @@ pub use bernoulli_synth::{
 // the unified compiled-or-interpreted runner, plus the on-disk artifact
 // cache behind it.
 pub use bernoulli_synth::{
-    clear_kernel_validation_memo, kernel_cache_stats, kernel_cache_stats_reset,
-    kernel_validation_enabled, rustc_info, set_kernel_validation, KernelArg, KernelBackend,
-    KernelCacheError, KernelCacheStats, KernelCallError, KernelStore, LoadError, LoadedKernel,
+    rustc_info, KernelArg, KernelBackend, KernelCacheError, KernelCacheStats, KernelCallError,
+    KernelStore, LoadError, LoadedKernel,
 };
 
 /// The workspace-wide error type: every crate's typed error converges
@@ -207,6 +206,6 @@ pub mod prelude {
         Triplets, Vbr,
     };
     pub use bernoulli_ir::{parse_program, Program};
-    pub use bernoulli_synth::{run_plan, synthesize, ExecEnv, SearchReport, SynthOptions};
+    pub use bernoulli_synth::{run_plan, ExecEnv, SearchReport, SynthOptions};
     pub use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, LoadedKernel};
 }

@@ -12,7 +12,7 @@ use bernoulli_synth::KernelCacheError;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Fault table + kernel-cache breaker state are process-global.
+/// The fault table is process-global.
 static CHAOS: Mutex<()> = Mutex::new(());
 
 const MVM: &str = "
@@ -141,13 +141,12 @@ fn transient_rustc_fault_is_retried_to_success() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = KernelStore::at(&dir);
     store.breaker_reset();
-    let retries_before = bernoulli::kernel_cache_stats().retries;
     // Only the FIRST build attempt fails; the in-build retry loop must
     // absorb it and still come back with native code.
     faults::configure("kernel.rustc=fail#1");
     let backend = k.backend_in(&store);
     assert!(backend.is_compiled(), "retry must heal a one-shot fault");
-    assert!(bernoulli::kernel_cache_stats().retries > retries_before);
+    assert_eq!(store.stats().retries, 1, "{:?}", store.stats());
     assert_eq!(run_backend(&k, &backend, &a), reference());
     store.breaker_reset();
     let _ = std::fs::remove_dir_all(&dir);

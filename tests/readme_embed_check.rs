@@ -185,8 +185,8 @@ fn readme_advisor_snippet_runs() {
 // README "Robustness & self-healing" — identical to the documented
 // snippet. Must hold on hosts with and without a usable `rustc`: a
 // native backend carries the Validated provenance (or Compiled when
-// validation is off), and every failure mode is a typed reason plus
-// the interpreter.
+// its signature has no probe), and every failure mode is a typed
+// reason plus the interpreter.
 fn heal() -> Result<(), bernoulli::Error> {
     let session = Session::new();
     let t = Triplets::from_entries(3, 3, &[(0, 0, 2.0), (1, 2, 1.0), (2, 1, 4.0)]);
@@ -198,8 +198,8 @@ fn heal() -> Result<(), bernoulli::Error> {
     match kernel.backend_in(&store) {
         // Probed against the interpreter before being served.
         KernelBackend::Validated(k) => assert!(k.validated()),
-        // Validation switched off (`set_kernel_validation(false)`) or
-        // no probe for this signature: still native, no badge.
+        // No probe instance for this signature: still native, no
+        // badge.
         KernelBackend::Compiled(_) => {}
         // No rustc, a tripped breaker, a quarantined or corrupt
         // artifact: a typed reason and the always-correct interpreter.
