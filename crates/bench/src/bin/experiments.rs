@@ -1313,7 +1313,7 @@ fn synth_perf() {
             rep_par.candidates.len(),
             "{label}: kept diverged"
         );
-        for (a, b) in rep.candidates.iter().zip(&rep_par.candidates) {
+        for (a, b) in rep.candidates.iter().zip(rep_par.candidates.iter()) {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{label}: cost diverged");
         }
 
@@ -2051,8 +2051,11 @@ fn kernels() {
     ]);
 
     // Warm artifact-cache load latency: every artifact above is cached
-    // now and `store` has verified and validated it, so each load is
-    // hash + dlopen. The acceptance bar is <1ms.
+    // now, `store` has verified and validated it, and `k` has emitted
+    // and named its kernel crate once, so each load is a quarantine
+    // `stat`, two record lookups and `dlopen` — here of the library
+    // `loaded` above still holds open, which the loader only
+    // reference-counts. The acceptance bar is <1ms.
     let warm = time_median(32, || {
         black_box(k.load_in(&store).expect("warm load"));
     });

@@ -118,7 +118,7 @@ fn assert_identical(label: &str, a: &SearchReport, b: &SearchReport) {
         b.candidates.len(),
         "{label}: candidate count diverged"
     );
-    for (i, (x, y)) in a.candidates.iter().zip(&b.candidates).enumerate() {
+    for (i, (x, y)) in a.candidates.iter().zip(b.candidates.iter()).enumerate() {
         assert_eq!(
             x.cost.to_bits(),
             y.cost.to_bits(),
@@ -180,7 +180,7 @@ fn pruning_is_admissible_and_deterministic() {
             without.candidates.len(),
             "{label}: pruning changed the number of kept candidates"
         );
-        for (x, y) in with.candidates.iter().zip(&without.candidates) {
+        for (x, y) in with.candidates.iter().zip(without.candidates.iter()) {
             assert_eq!(
                 x.cost.to_bits(),
                 y.cost.to_bits(),

@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Environment variable overriding the `rustc` binary used for kernel
 /// builds (also the test hook for the no-compiler fallback path).
@@ -278,6 +278,19 @@ struct ArtifactState {
     validated: bool,
 }
 
+/// The parsed quarantine list and the file's (mtime, length) it was
+/// read at.
+struct QuarantineList {
+    stamp: (SystemTime, u64),
+    stems: Vec<String>,
+}
+
+/// The coarsest modification-time tick of a filesystem a store may sit
+/// on (FAT: 2 s). A quarantine list younger than this is not kept: a
+/// rewrite inside the tick can carry the same mtime, and the same
+/// length whenever one entry replaced another.
+const MTIME_TICK: Duration = Duration::from_secs(2);
+
 /// Consecutive infrastructure failures, and until when builds are
 /// short-circuited once [`BREAKER_TRIP`] of them accumulate.
 #[derive(Default)]
@@ -291,6 +304,7 @@ struct StoreState {
     dir: PathBuf,
     counters: Counters,
     artifacts: Mutex<HashMap<PathBuf, ArtifactState>>,
+    quarantine: Mutex<Option<QuarantineList>>,
     breaker: Mutex<Breaker>,
     /// One in-flight build per artifact path.
     flights: SingleFlight<PathBuf, Result<(), KernelCacheError>>,
@@ -307,6 +321,44 @@ pub struct Artifact {
     pub path: PathBuf,
     /// True when the artifact was already on disk (no `rustc` run).
     pub from_cache: bool,
+}
+
+/// What an artifact is built from, with the file name that addresses
+/// that content. Hashing the source is the expensive part of naming an
+/// artifact, so a caller that loads one kernel many times makes the
+/// spec once and hands it to [`KernelStore::get_or_build`] every time.
+#[derive(Clone, Debug)]
+pub struct ArtifactSpec {
+    key: String,
+    source: String,
+    file_name: String,
+}
+
+impl ArtifactSpec {
+    /// Names the artifact of (key, source) under the host's compiler
+    /// and [`RUSTC_FLAGS`]; errors when no compiler is usable (the name
+    /// covers its identity).
+    pub fn new(key: String, source: String) -> Result<ArtifactSpec, KernelCacheError> {
+        let info = rustc_info()?;
+        let mut h = Fnv::new();
+        h.write(key.as_bytes());
+        h.write(b"\x00");
+        h.write(source.as_bytes());
+        h.write(b"\x00");
+        h.write(info.version.as_bytes());
+        h.write(b"\x00");
+        h.write(info.triple.as_bytes());
+        for f in RUSTC_FLAGS {
+            h.write(b"\x00");
+            h.write(f.as_bytes());
+        }
+        let ext = std::env::consts::DLL_EXTENSION;
+        Ok(ArtifactSpec {
+            file_name: format!("k{:016x}.{ext}", h.finish()),
+            key,
+            source,
+        })
+    }
 }
 
 /// A directory of compiled kernel artifacts, and what this process has
@@ -381,6 +433,7 @@ impl KernelStore {
                 dir: dir.into(),
                 counters: Counters::default(),
                 artifacts: Mutex::default(),
+                quarantine: Mutex::default(),
                 breaker: Mutex::default(),
                 flights: SingleFlight::new(),
             }),
@@ -417,38 +470,26 @@ impl KernelStore {
         }
     }
 
-    /// The artifact path a (key, source) pair would cache under, if the
-    /// compiler is usable (the hash covers compiler identity).
-    pub fn artifact_path(&self, key: &str, source: &str) -> Result<PathBuf, KernelCacheError> {
-        let info = rustc_info()?;
-        let mut h = Fnv::new();
-        h.write(key.as_bytes());
-        h.write(b"\x00");
-        h.write(source.as_bytes());
-        h.write(b"\x00");
-        h.write(info.version.as_bytes());
-        h.write(b"\x00");
-        h.write(info.triple.as_bytes());
-        for f in RUSTC_FLAGS {
-            h.write(b"\x00");
-            h.write(f.as_bytes());
-        }
-        let ext = std::env::consts::DLL_EXTENSION;
-        Ok(self.state.dir.join(format!("k{:016x}.{ext}", h.finish())))
+    /// The path this store caches the spec's artifact under.
+    pub fn artifact_path(&self, spec: &ArtifactSpec) -> PathBuf {
+        self.state.dir.join(&spec.file_name)
     }
 
-    /// Returns the cached artifact for (key, source), compiling it
-    /// first when absent. Warm hits are verified against the checksum
+    /// Returns the cached artifact the spec names, compiling it first
+    /// when absent. Warm hits are verified against the checksum
     /// sidecar (once per artifact per store); a corrupt artifact is
     /// evicted and transparently rebuilt. Quarantined artifacts are
     /// refused outright. Concurrent builders of the same artifact are
     /// coalesced: one invokes `rustc`, the rest wait and share the
     /// outcome (publication itself is an atomic `rename`, so even
     /// cross-process races stay benign).
-    pub fn get_or_build(&self, key: &str, source: &str) -> Result<Artifact, KernelCacheError> {
-        let path = self.artifact_path(key, source)?;
+    pub fn get_or_build(&self, spec: &ArtifactSpec) -> Result<Artifact, KernelCacheError> {
+        let path = self.artifact_path(spec);
         let counters = &self.state.counters;
         if self.is_quarantined(&path) {
+            // Whoever listed it (this handle, another, another process)
+            // evicted the files; what this store knew of it goes too.
+            lock(&self.state.artifacts).remove(&path);
             bump(&counters.quarantined);
             bernoulli_trace::counter!("kernel.quarantine_refusals");
             return Err(KernelCacheError::Quarantined {
@@ -475,7 +516,7 @@ impl KernelStore {
         bernoulli_trace::counter!("kernel.cache_misses");
         // Concurrent builders of one artifact share one `rustc` run and
         // its outcome, typed error included.
-        let build = || self.build(key, source, &path);
+        let build = || self.build(spec, &path);
         match self.state.flights.run(&path, None, build, |_| true) {
             Flight::Led(built) => built?,
             Flight::Followed(built) => {
@@ -573,7 +614,9 @@ impl KernelStore {
         Some(format!("rustc:{:016x}", h.finish()))
     }
 
-    fn quarantine_stems(&self) -> Vec<String> {
+    /// The stems the list on disk names under the current compiler
+    /// identity.
+    fn read_quarantine(&self) -> Vec<String> {
         let Some(fp) = Self::rustc_fingerprint() else {
             return Vec::new();
         };
@@ -592,12 +635,30 @@ impl KernelStore {
     }
 
     /// True when the artifact is on this store's quarantine list under
-    /// the current compiler identity.
+    /// the current compiler identity. Costs one `stat` once the list
+    /// has settled: the parsed list is kept with the file's (mtime,
+    /// length) and re-read when either moved, which also picks up what
+    /// other handles and processes write. A list younger than
+    /// [`MTIME_TICK`] is read at every load instead of kept.
     pub fn is_quarantined(&self, path: &Path) -> bool {
         let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
             return false;
         };
-        self.quarantine_stems().iter().any(|s| s == stem)
+        let mut kept = lock(&self.state.quarantine);
+        let Ok(meta) = std::fs::metadata(self.quarantine_file()) else {
+            *kept = None;
+            return false;
+        };
+        let stamp = meta.modified().ok().map(|mtime| (mtime, meta.len()));
+        if let Some(list) = kept.as_ref().filter(|list| Some(list.stamp) == stamp) {
+            return list.stems.iter().any(|s| s == stem);
+        }
+        let stems = self.read_quarantine();
+        let listed = stems.iter().any(|s| s == stem);
+        *kept = stamp
+            .filter(|(mtime, _)| mtime.elapsed().is_ok_and(|age| age > MTIME_TICK))
+            .map(|stamp| QuarantineList { stamp, stems });
+        listed
     }
 
     /// Quarantines an artifact: evicts it from disk, forgets its
@@ -614,7 +675,10 @@ impl KernelStore {
         let Some(fp) = Self::rustc_fingerprint() else {
             return;
         };
-        let mut stems = self.quarantine_stems();
+        // Held across the read-modify-write, so this handle's own
+        // quarantines cannot lose each other's entries.
+        let mut kept = lock(&self.state.quarantine);
+        let mut stems = self.read_quarantine();
         if !stems.iter().any(|s| s == stem) {
             stems.push(stem.to_string());
             bump(&self.state.counters.quarantined);
@@ -626,14 +690,41 @@ impl KernelStore {
             text.push_str(s);
         }
         text.push('\n');
+        // Published like an artifact, by rename: a concurrent loader
+        // reads the old list or the new one, never a torn file (whose
+        // missing header would read as "stale compiler identity" and
+        // admit everything on it).
         let _ = std::fs::create_dir_all(&self.state.dir);
-        let _ = std::fs::write(self.quarantine_file(), text);
+        let tmp = self
+            .state
+            .dir
+            .join(format!("quarantine.{}.tmp", self.scratch_tag()));
+        let published =
+            std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.quarantine_file()));
+        if published.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        *kept = None;
+        drop(kept);
         self.evict(path);
     }
 
     /// Clears the store's quarantine list (test isolation).
     pub fn clear_quarantine(&self) {
+        let mut kept = lock(&self.state.quarantine);
         let _ = std::fs::remove_file(self.quarantine_file());
+        *kept = None;
+    }
+
+    /// Names this handle's scratch files: unique per process and per
+    /// store state, so neither another process nor an independent
+    /// handle over the same directory writes the same file.
+    fn scratch_tag(&self) -> String {
+        format!(
+            "{}-{:x}",
+            std::process::id(),
+            Arc::as_ptr(&self.state) as usize
+        )
     }
 
     // --- circuit breaker --------------------------------------------
@@ -689,12 +780,12 @@ impl KernelStore {
     ///   nothing to re-report — no retry, no breaker (the breaker
     ///   exists to avoid paying `rustc` latency, which this path never
     ///   does).
-    fn build(&self, key: &str, source: &str, path: &Path) -> Result<(), KernelCacheError> {
+    fn build(&self, spec: &ArtifactSpec, path: &Path) -> Result<(), KernelCacheError> {
         self.breaker_check()?;
         let mut attempt = 0;
         loop {
             attempt += 1;
-            let err = match self.build_once(key, source, path) {
+            let err = match self.build_once(spec, path) {
                 Ok(()) => {
                     self.breaker_reset();
                     return Ok(());
@@ -719,7 +810,7 @@ impl KernelStore {
         }
     }
 
-    fn build_once(&self, key: &str, source: &str, path: &Path) -> Result<(), KernelCacheError> {
+    fn build_once(&self, spec: &ArtifactSpec, path: &Path) -> Result<(), KernelCacheError> {
         bernoulli_trace::span!("kernel.compile");
         if bernoulli_govern::faults::fail("kernel.rustc") {
             return Err(KernelCacheError::Io {
@@ -735,20 +826,15 @@ impl KernelStore {
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("kernel");
-        // Scratch names are unique per process and per store state: the
-        // flights keep one store from building an artifact twice at
+        // The flights keep one store from building an artifact twice at
         // once, but not two independent handles over one directory.
-        let builder = format!(
-            "{}-{:x}",
-            std::process::id(),
-            Arc::as_ptr(&self.state) as usize
-        );
+        let builder = self.scratch_tag();
         let src_path = dir.join(format!("{stem}.{builder}.rs"));
         let tmp_out = dir.join(format!("{stem}.{builder}.tmp"));
         let cleanup = |p: &Path| {
             let _ = std::fs::remove_file(p);
         };
-        std::fs::write(&src_path, source).map_err(|e| KernelCacheError::Io {
+        std::fs::write(&src_path, &spec.source).map_err(|e| KernelCacheError::Io {
             detail: format!("writing {src_path:?}: {e}"),
         })?;
         let mut child = match Command::new(&info.binary)
@@ -859,7 +945,7 @@ impl KernelStore {
         // Keep the source next to the artifact for debuggability; the
         // rename publishes the artifact atomically.
         let _ = std::fs::rename(&src_path, path.with_extension("rs"));
-        let meta = format!("{}\n{}\n{key}\n", info.version, info.triple);
+        let meta = format!("{}\n{}\n{}\n", info.version, info.triple, spec.key);
         let _ = std::fs::write(path.with_extension("meta"), meta);
         std::fs::rename(&tmp_out, path).map_err(|e| {
             cleanup(&tmp_out);
@@ -1078,6 +1164,11 @@ impl Drop for Library {
 mod tests {
     use super::*;
 
+    /// Callers skip when the host has no compiler, so the spec exists.
+    fn spec(key: &str, source: &str) -> ArtifactSpec {
+        ArtifactSpec::new(key.to_string(), source.to_string()).unwrap()
+    }
+
     #[test]
     fn content_hash_is_stable_and_input_sensitive() {
         // FNV-1a reference value for "a".
@@ -1101,9 +1192,9 @@ mod tests {
         // its identity); skip quietly otherwise.
         let Ok(_) = rustc_info() else { return };
         let s = KernelStore::at("/tmp/bernoulli-kc-test");
-        let a = s.artifact_path("k1", "fn a() {}").unwrap();
-        let b = s.artifact_path("k1", "fn a() {}").unwrap();
-        let c = s.artifact_path("k1", "fn b() {}").unwrap();
+        let a = s.artifact_path(&spec("k1", "fn a() {}"));
+        let b = s.artifact_path(&spec("k1", "fn a() {}"));
+        let c = s.artifact_path(&spec("k1", "fn b() {}"));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -1114,7 +1205,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-fail-{}", std::process::id()));
         let s = KernelStore::at(&dir);
         let err = s
-            .get_or_build("bad", "this is not rust")
+            .get_or_build(&spec("bad", "this is not rust"))
             .expect_err("garbage source must fail");
         assert!(
             matches!(err, KernelCacheError::CompileFailed { .. }),
@@ -1133,14 +1224,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = KernelStore::at(&dir);
-        let a = s.get_or_build("corrupt", ADD_SRC).unwrap();
+        let a = s.get_or_build(&spec("corrupt", ADD_SRC)).unwrap();
         assert!(!a.from_cache);
         // Truncate the artifact behind the cache's back and come back
         // through a fresh handle, which (like a restarted process) has
         // not verified it yet.
         std::fs::write(&a.path, b"garbage").unwrap();
         let s = KernelStore::at(&dir);
-        let again = s.get_or_build("corrupt", ADD_SRC).unwrap();
+        let again = s.get_or_build(&spec("corrupt", ADD_SRC)).unwrap();
         assert!(
             !again.from_cache,
             "corrupt artifact must be rebuilt, not served"
@@ -1160,7 +1251,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-verify-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = KernelStore::at(&dir);
-        let a = s.get_or_build("verify", ADD_SRC).unwrap();
+        let a = s.get_or_build(&spec("verify", ADD_SRC)).unwrap();
         s.verify(&a.path).unwrap();
         std::fs::write(&a.path, b"truncated").unwrap();
         // This handle verified the artifact already and trusts it; a
@@ -1180,12 +1271,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-quar-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = KernelStore::at(&dir);
-        let a = s.get_or_build("quar", ADD_SRC).unwrap();
+        let a = s.get_or_build(&spec("quar", ADD_SRC)).unwrap();
         s.quarantine(&a.path);
         assert!(!a.path.exists(), "quarantined artifact must be evicted");
         assert!(s.is_quarantined(&a.path));
         let err = s
-            .get_or_build("quar", ADD_SRC)
+            .get_or_build(&spec("quar", ADD_SRC))
             .expect_err("quarantined artifact must not be rebuilt");
         assert!(
             matches!(err, KernelCacheError::Quarantined { .. }),
@@ -1197,7 +1288,7 @@ mod tests {
         let stale = listing.replacen("rustc:", "rustc:0", 1);
         std::fs::write(s.quarantine_file(), stale).unwrap();
         assert!(!s.is_quarantined(&a.path));
-        let rebuilt = s.get_or_build("quar", ADD_SRC).unwrap();
+        let rebuilt = s.get_or_build(&spec("quar", ADD_SRC)).unwrap();
         assert!(!rebuilt.from_cache);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1209,7 +1300,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let s = KernelStore::at(&dir).with_timeout(Duration::from_millis(1));
         let err = s
-            .get_or_build("tmo", ADD_SRC)
+            .get_or_build(&spec("tmo", ADD_SRC))
             .expect_err("1 ms is not enough to build anything");
         assert!(
             matches!(err, KernelCacheError::Timeout { ms: 1 }),
@@ -1219,11 +1310,11 @@ mod tests {
         // total), then counted toward the breaker, which trips after
         // BREAKER_TRIP consecutive failures.
         for _ in 1..BREAKER_TRIP {
-            let _ = s.get_or_build("tmo", ADD_SRC);
+            let _ = s.get_or_build(&spec("tmo", ADD_SRC));
         }
         assert!(s.breaker_tripped());
         let err = s
-            .get_or_build("tmo", ADD_SRC)
+            .get_or_build(&spec("tmo", ADD_SRC))
             .expect_err("open breaker must short-circuit");
         assert!(
             matches!(err, KernelCacheError::CircuitOpen { .. }),
@@ -1233,7 +1324,7 @@ mod tests {
         s.breaker_reset();
         let ok = s
             .with_timeout(DEFAULT_BUILD_TIMEOUT)
-            .get_or_build("tmo", ADD_SRC)
+            .get_or_build(&spec("tmo", ADD_SRC))
             .unwrap();
         assert!(!ok.from_cache);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1249,7 +1340,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let s = s.clone();
-                    scope.spawn(move || s.get_or_build("flight", ADD_SRC))
+                    scope.spawn(move || s.get_or_build(&spec("flight", ADD_SRC)))
                 })
                 .collect();
             for h in handles {
@@ -1278,7 +1369,7 @@ mod tests {
         let a_clone = a.clone();
         let b = KernelStore::at(&dirs[1]);
         for _ in 0..BREAKER_TRIP {
-            let _ = a.get_or_build("own", ADD_SRC);
+            let _ = a.get_or_build(&spec("own", ADD_SRC));
         }
         // The clone sees the failures and the open breaker...
         assert!(a_clone.breaker_tripped());
@@ -1287,7 +1378,7 @@ mod tests {
         // ...the other store saw nothing, and builds regardless.
         assert!(!b.breaker_tripped());
         assert_eq!(b.stats(), KernelCacheStats::default());
-        b.get_or_build("own", ADD_SRC).unwrap();
+        b.get_or_build(&spec("own", ADD_SRC)).unwrap();
         assert_eq!((b.stats().compiles, a.stats().compiles), (1, 0));
         for dir in &dirs {
             let _ = std::fs::remove_dir_all(dir);
@@ -1301,9 +1392,9 @@ mod tests {
         let s = KernelStore::at(&dir);
         let src =
             "#[no_mangle]\npub extern \"C\" fn kc_test_add(a: i64, b: i64) -> i64 { a + b }\n";
-        let a1 = s.get_or_build("roundtrip", src).unwrap();
+        let a1 = s.get_or_build(&spec("roundtrip", src)).unwrap();
         assert!(!a1.from_cache);
-        let a2 = s.get_or_build("roundtrip", src).unwrap();
+        let a2 = s.get_or_build(&spec("roundtrip", src)).unwrap();
         assert!(a2.from_cache, "second build must hit the artifact cache");
         let lib = Library::open(&a1.path).unwrap();
         let sym = lib.symbol("kc_test_add").unwrap();

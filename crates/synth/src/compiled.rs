@@ -47,9 +47,9 @@ use crate::search::SynthError;
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Vbr};
 use bernoulli_ir::{ArrayKind, Program, Role};
-use bernoulli_kernel_cache::{Artifact, KernelCacheError, KernelStore, Library};
+use bernoulli_kernel_cache::{Artifact, ArtifactSpec, KernelCacheError, KernelStore, Library};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Version of the `extern "C"` kernel ABI described in the module docs.
 /// Part of every artifact cache key: an ABI change can never load a
@@ -829,6 +829,54 @@ pub(crate) fn cdylib_source(
     Ok((out, ranged_body.is_some()))
 }
 
+/// Everything a native load derives from (program, plan, views) and the
+/// logical key alone, store and process state aside: the work of
+/// emitting the kernel crate and hashing it into an artifact name.
+#[derive(Debug)]
+pub(crate) struct NativeSource {
+    sig: KernelSig,
+    /// The cdylib source under the ABI-salted key, and the artifact
+    /// file name the two hash to. The source (3–7 kB a kernel) is read
+    /// again only on an artifact miss, and is kept for it.
+    artifact: ArtifactSpec,
+    has_ranged: bool,
+    /// Matrix whose rows the ranged entry splits, when present.
+    outer_matrix: Option<String>,
+}
+
+/// Where a [`NativeSource`] (or the typed reason there is none) is
+/// computed at most once: one cell per plan-cache entry, shared with
+/// every kernel the entry serves. Never per logical key — a degraded
+/// search has the key of the full one and possibly another plan.
+pub(crate) type NativeCell = Arc<OnceLock<Result<Arc<NativeSource>, LoadError>>>;
+
+impl NativeSource {
+    fn derive(
+        p: &Program,
+        plan: &Plan,
+        views: &HashMap<String, FormatView>,
+        logical_key: &str,
+    ) -> Result<NativeSource, LoadError> {
+        let sig = KernelSig::of(p, views)?;
+        let (source, has_ranged) = cdylib_source(p, plan, views)?;
+        let key = format!("abi{KERNEL_ABI_VERSION}|{logical_key}");
+        let outer_matrix = if has_ranged {
+            plan.steps.first().and_then(|s| match &s.kind {
+                StepKind::Level { primary, .. } => Some(primary.matrix.clone()),
+                _ => None,
+            })
+        } else {
+            None
+        };
+        Ok(NativeSource {
+            sig,
+            artifact: ArtifactSpec::new(key, source)?,
+            has_ranged,
+            outer_matrix,
+        })
+    }
+}
+
 /// The view name of the plan's outermost row enumeration, if any.
 fn outer_row_view(plan: &Plan, views: &HashMap<String, FormatView>) -> Option<String> {
     let step = plan.steps.first()?;
@@ -844,10 +892,8 @@ pub struct LoadedKernel {
     lib: Arc<Library>,
     entry: EntryV1,
     ranged: Option<RangeV1>,
-    sig: KernelSig,
+    native: Arc<NativeSource>,
     from_cache: bool,
-    /// Matrix whose rows the ranged entry splits, when present.
-    outer_matrix: Option<String>,
     /// True when the kernel passed differential validation against the
     /// interpreter on the deterministic probe instance.
     validated: bool,
@@ -870,7 +916,7 @@ impl std::fmt::Debug for LoadedKernel {
 impl LoadedKernel {
     /// The call signature (parameter names, operand kinds).
     pub fn sig(&self) -> &KernelSig {
-        &self.sig
+        &self.native.sig
     }
 
     /// True when the artifact came from the on-disk cache (no `rustc`
@@ -901,7 +947,7 @@ impl LoadedKernel {
     /// The matrix whose rows [`run_range`](LoadedKernel::run_range)
     /// splits, when the ranged entry exists.
     pub fn outer_matrix(&self) -> Option<&str> {
-        self.outer_matrix.as_deref()
+        self.native.outer_matrix.as_deref()
     }
 
     /// Runs the kernel over its full iteration space.
@@ -932,28 +978,25 @@ impl LoadedKernel {
         args: &mut [KernelArg<'_>],
         range: Option<(i64, i64)>,
     ) -> Result<(), KernelCallError> {
-        if params.len() != self.sig.params.len() {
+        let sig = self.sig();
+        if params.len() != sig.params.len() {
             return Err(KernelCallError::Mismatch {
                 detail: format!(
                     "expected {} parameters ({:?}), got {}",
-                    self.sig.params.len(),
-                    self.sig.params,
+                    sig.params.len(),
+                    sig.params,
                     params.len()
                 ),
             });
         }
-        if args.len() != self.sig.args.len() {
+        if args.len() != sig.args.len() {
             return Err(KernelCallError::Mismatch {
-                detail: format!(
-                    "expected {} operands, got {}",
-                    self.sig.args.len(),
-                    args.len()
-                ),
+                detail: format!("expected {} operands, got {}", sig.args.len(), args.len()),
             });
         }
-        let mut dims: Vec<usize> = Vec::with_capacity(self.sig.ndims);
-        let mut slices: Vec<RawSlice> = Vec::with_capacity(self.sig.nslices);
-        for ((name, spec), arg) in self.sig.args.iter().zip(args.iter_mut()) {
+        let mut dims: Vec<usize> = Vec::with_capacity(sig.ndims);
+        let mut slices: Vec<RawSlice> = Vec::with_capacity(sig.nslices);
+        for ((name, spec), arg) in sig.args.iter().zip(args.iter_mut()) {
             marshal(name, spec, arg, &mut dims, &mut slices)?;
         }
         let code = match range {
@@ -1259,10 +1302,11 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
     if kernel.store.is_validated(kernel.lib.path()) {
         return Ok(true);
     }
-    let Some((n, mut interp_ops)) = probe_operands(&kernel.sig) else {
+    let sig = kernel.sig();
+    let Some((n, mut interp_ops)) = probe_operands(sig) else {
         return Ok(false);
     };
-    let params = vec![n; kernel.sig.params.len()];
+    let params = vec![n; sig.params.len()];
     let mut interp_args: Vec<KernelArg<'_>> = interp_ops.iter_mut().map(|o| o.arg()).collect();
     if interp_positional(p, plan, &params, &mut interp_args).is_err() {
         return Ok(false);
@@ -1270,7 +1314,7 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
     drop(interp_args);
     // Deterministic, so this re-derivation cannot fail after the first
     // call succeeded — but degrade to "skipped" rather than assert.
-    let Some((_, mut kernel_ops)) = probe_operands(&kernel.sig) else {
+    let Some((_, mut kernel_ops)) = probe_operands(sig) else {
         return Ok(false);
     };
     let mut kernel_args: Vec<KernelArg<'_>> = kernel_ops.iter_mut().map(|o| o.arg()).collect();
@@ -1296,7 +1340,7 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
             return Err(reject(format!(
                 "output operand {:?} differs from the interpreter on the \
                  {n}×{n} probe (expected {expect:?}, kernel wrote {got:?})",
-                kernel.sig.args[i].0
+                sig.args[i].0
             )));
         }
     }
@@ -1307,36 +1351,32 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
 
 /// Loads (building if needed) the native kernel for a compiled plan,
 /// then differentially validates it against the interpreter (unless
-/// the store already holds a passing verdict for the artifact).
+/// the store already holds a passing verdict for the artifact). What
+/// the load derives from the plan comes from `native`, filled here on
+/// the first load of any kernel sharing the cell.
 pub(crate) fn load_kernel(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
     logical_key: &str,
+    native: &NativeCell,
     store: &KernelStore,
 ) -> Result<LoadedKernel, LoadError> {
-    let sig = KernelSig::of(p, views)?;
-    let (source, has_ranged) = cdylib_source(p, plan, views)?;
-    let key = format!("abi{KERNEL_ABI_VERSION}|{logical_key}");
-    let Artifact { path, from_cache } = store.get_or_build(&key, &source)?;
+    let native = native
+        .get_or_init(|| NativeSource::derive(p, plan, views, logical_key).map(Arc::new))
+        .clone()?;
+    let Artifact { path, from_cache } = store.get_or_build(&native.artifact)?;
     let lib = Library::open(&path)?;
     let entry_ptr = lib.symbol(KERNEL_SYMBOL)?;
-    // Safety: the artifact was built from `source`, which exports
-    // KERNEL_SYMBOL with exactly the EntryV1 signature (the cache key
-    // covers source + ABI version, so a stale artifact cannot match).
+    // Safety: the artifact was built from `native.artifact`'s source,
+    // which exports KERNEL_SYMBOL with exactly the EntryV1 signature
+    // (the cache key covers source + ABI version, so a stale artifact
+    // cannot match).
     let entry: EntryV1 = unsafe { std::mem::transmute(entry_ptr) };
-    let ranged: Option<RangeV1> = if has_ranged {
+    let ranged: Option<RangeV1> = if native.has_ranged {
         let p = lib.symbol(KERNEL_RANGE_SYMBOL)?;
         // Safety: same as above, RangeV1 signature.
         Some(unsafe { std::mem::transmute::<*const (), RangeV1>(p) })
-    } else {
-        None
-    };
-    let outer_matrix = if has_ranged {
-        plan.steps.first().and_then(|s| match &s.kind {
-            StepKind::Level { primary, .. } => Some(primary.matrix.clone()),
-            _ => None,
-        })
     } else {
         None
     };
@@ -1345,9 +1385,8 @@ pub(crate) fn load_kernel(
         lib: Arc::new(lib),
         entry,
         ranged,
-        sig,
+        native,
         from_cache,
-        outer_matrix,
         validated: false,
         store: store.clone(),
     };
@@ -1553,7 +1592,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bernoulli-abi-breach-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = KernelStore::at(&dir);
-        let Artifact { path, .. } = store.get_or_build("abi-breach-test", ROGUE)?;
+        let artifact = ArtifactSpec::new("abi-breach-test".to_string(), ROGUE.to_string())?;
+        let Artifact { path, .. } = store.get_or_build(&artifact)?;
         // Pretend the rogue once passed its probe: the breach must
         // revoke that too.
         store.mark_validated(&path);
@@ -1563,14 +1603,18 @@ mod tests {
             lib: Arc::new(lib),
             entry,
             ranged: None,
-            sig: KernelSig {
-                params: Vec::new(),
-                args: Vec::new(),
-                ndims: 0,
-                nslices: 0,
-            },
+            native: Arc::new(NativeSource {
+                sig: KernelSig {
+                    params: Vec::new(),
+                    args: Vec::new(),
+                    ndims: 0,
+                    nslices: 0,
+                },
+                artifact: artifact.clone(),
+                has_ranged: false,
+                outer_matrix: None,
+            }),
             from_cache: false,
-            outer_matrix: None,
             validated: false,
             store: store.clone(),
         };
@@ -1587,7 +1631,7 @@ mod tests {
             !store.is_validated(&path),
             "quarantine must also revoke the validated status"
         );
-        let refusal = store.get_or_build("abi-breach-test", ROGUE);
+        let refusal = store.get_or_build(&artifact);
         assert!(
             matches!(refusal, Err(KernelCacheError::Quarantined { .. })),
             "expected Quarantined refusal, got {refusal:?}"

@@ -743,10 +743,11 @@ fn enc_entry(e: &CachedSearch) -> V {
 fn dec_entry(v: &V) -> PResult<CachedSearch> {
     let [candidates, examined, pruned, reasons] = as_fixed::<4>(v)?;
     Ok(CachedSearch {
-        candidates: dec_vec(candidates, dec_candidate)?,
+        candidates: dec_vec(candidates, dec_candidate)?.into(),
         examined: as_usize(examined)?,
         pruned: as_usize(pruned)?,
         reasons: dec_vec(reasons, |r| Ok(as_str(r)?.to_string()))?,
+        native: Default::default(),
     })
 }
 

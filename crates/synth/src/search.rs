@@ -29,6 +29,7 @@
 //!   ([`bernoulli_polyhedra::cache`]), which also accelerate *cold*
 //!   searches that re-test structurally identical systems.
 
+use crate::compiled::NativeCell;
 use crate::config::{enumerate_configs, Config};
 use crate::cost::{cost_floor, estimate_cost, WorkloadStats};
 use crate::embed::embedding_variants;
@@ -36,11 +37,12 @@ use crate::groups::compute_groups;
 use crate::legal::{check_legality, relaxable_classes};
 use crate::lower::lower_plans;
 use crate::plan::Plan;
+use crate::session::BoundProblem;
 use crate::spaces::candidate_spaces_opt;
 use crate::zero::check_zero_safety;
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, BudgetError};
-use bernoulli_ir::{analyze, Program};
+use bernoulli_ir::{analyze, DepClass, Program};
 use bernoulli_pool::{Pool, PoolError};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +111,9 @@ pub struct Candidate {
 #[derive(Clone, Debug)]
 pub struct SearchReport {
     /// Surviving candidates, cheapest first (at most `opts.keep`).
-    pub candidates: Vec<Candidate>,
+    /// Shared: every report served from one plan-cache entry points at
+    /// the same slice.
+    pub candidates: Arc<[Candidate]>,
     /// Total (config, order, embedding) triples examined.
     pub examined: usize,
     /// Embeddings skipped by branch-and-bound before lowering.
@@ -327,63 +331,49 @@ fn catch_outcome(f: impl FnOnce() -> ConfigOutcome) -> Result<ConfigOutcome, Syn
     })
 }
 
+/// A search's report, and the cell its kernels share for what a native
+/// load derives from the best plan. The cell belongs to the plan-cache
+/// entry the report was stored in or served from; a degraded report,
+/// which no entry ever holds, has a cell of its own.
+#[derive(Clone)]
+pub(crate) struct SearchOutcome {
+    pub(crate) report: SearchReport,
+    pub(crate) native: NativeCell,
+}
+
+/// Searches for `problem` under `opts`. `key` is the request's
+/// [`plan_cache_key`], computed once by the caller (it also names the
+/// kernel's artifact); it is only looked up when `opts.cache_plans`.
 pub(crate) fn run_search(
-    p: &Program,
-    views: &[(&str, FormatView)],
+    problem: &BoundProblem,
     opts: &SynthOptions,
     pool: Option<&Pool>,
     cache: &PlanCache,
     persist: Option<&crate::persist::PersistentPlanCache>,
-) -> Result<SearchReport, SynthError> {
+    key: &str,
+) -> Result<SearchOutcome, SynthError> {
     bernoulli_trace::counter!("synth.searches");
     bernoulli_trace::span!("synth.search");
-    p.validate()?;
+    let p = problem.program();
 
-    let key = opts.cache_plans.then(|| plan_cache_key(p, views, opts));
-    if let Some(k) = &key {
-        if let Some(c) = cache.lock().get(k).cloned() {
+    if opts.cache_plans {
+        if let Some(entry) = cache.get(key) {
             cache.hits.fetch_add(1, Ordering::Relaxed);
             bernoulli_trace::counter!("synth.plan_cache_hits");
             // Only complete (never degraded) searches are cached, so a
             // hit is a full result even if the current budget is spent.
-            return Ok(SearchReport {
-                candidates: c.candidates,
-                examined: c.examined,
-                pruned: c.pruned,
-                reasons: c.reasons,
-                plan_cache_hit: true,
-                plan_cache_disk_hit: false,
-                degraded: false,
-                budget: None,
-                skipped_configs: 0,
-            });
+            return Ok(entry.served(false));
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         bernoulli_trace::counter!("synth.plan_cache_misses");
         // Persistent tier: a restarted service finds the previous
         // process's completed searches on disk, promotes them into the
         // in-memory cache, and skips the search entirely (warm-start).
-        if let Some(ps) = persist {
-            if let Some(c) = ps.load(k) {
-                bernoulli_trace::counter!("synth.plan_cache_disk_hits");
-                let mut g = cache.lock();
-                if g.len() >= PLAN_CACHE_CAP {
-                    g.clear();
-                }
-                g.insert(k.clone(), c.clone());
-                drop(g);
-                return Ok(SearchReport {
-                    candidates: c.candidates,
-                    examined: c.examined,
-                    pruned: c.pruned,
-                    reasons: c.reasons,
-                    plan_cache_hit: true,
-                    plan_cache_disk_hit: true,
-                    degraded: false,
-                    budget: None,
-                    skipped_configs: 0,
-                });
-            }
+        if let Some(entry) = persist.and_then(|ps| ps.load(key)) {
+            bernoulli_trace::counter!("synth.plan_cache_disk_hits");
+            let entry = Arc::new(entry);
+            cache.insert(key, Arc::clone(&entry));
+            return Ok(entry.served(true));
         }
     }
 
@@ -396,11 +386,8 @@ pub(crate) fn run_search(
     let budget = bernoulli_govern::current();
     let poly_ctx = bernoulli_polyhedra::cache_context();
 
-    let view_map: HashMap<String, FormatView> = views
-        .iter()
-        .map(|(n, v)| (n.to_string(), v.clone()))
-        .collect();
-    let deps = analyze(p);
+    let view_map: HashMap<String, FormatView> = problem.views().iter().cloned().collect();
+    let deps = cache.deps(p);
     let relaxable = relaxable_classes(p, &deps);
     let configs = enumerate_configs(p, &view_map).map_err(SynthError::Config)?;
     bernoulli_trace::counter!("synth.configs", configs.len());
@@ -684,91 +671,170 @@ pub(crate) fn run_search(
     if out.is_empty() && reasons.is_empty() {
         reasons.push("no candidate lowered successfully".to_string());
     }
-    // A degraded search is an incomplete search: caching it would serve
-    // the truncated result to future *unbudgeted* callers forever —
-    // neither tier (memory, disk) ever stores one.
-    if let (Some(k), false) = (key, degraded) {
-        let entry = CachedSearch {
-            candidates: out.clone(),
-            examined,
-            pruned,
-            reasons: reasons.clone(),
-        };
-        if let Some(ps) = persist {
-            ps.store(&k, &entry, p, &view_map);
-        }
-        let mut g = cache.lock();
-        if g.len() >= PLAN_CACHE_CAP {
-            g.clear();
-        }
-        g.insert(k, entry);
-    }
-    Ok(SearchReport {
-        candidates: out,
+    let entry = Arc::new(CachedSearch {
+        candidates: out.into(),
         examined,
         pruned,
         reasons,
-        plan_cache_hit: false,
-        plan_cache_disk_hit: false,
-        degraded,
-        budget: budget_cause,
-        skipped_configs,
+        native: NativeCell::default(),
+    });
+    // A degraded search is an incomplete search: caching it would serve
+    // the truncated result to future *unbudgeted* callers forever —
+    // neither tier (memory, disk) ever stores one.
+    if opts.cache_plans && !degraded {
+        if let Some(ps) = persist {
+            ps.store(key, &entry, p, &view_map);
+        }
+        cache.insert(key, Arc::clone(&entry));
+    }
+    Ok(SearchOutcome {
+        report: SearchReport {
+            degraded,
+            budget: budget_cause,
+            skipped_configs,
+            ..entry.report()
+        },
+        native: Arc::clone(&entry.native),
     })
 }
 
 // ---------------------------------------------------------------------
 // Whole-search plan cache.
 
-#[derive(Clone)]
+/// One completed search, as both plan-cache tiers hold it. Shared
+/// (`Arc`) between the cache and every request it serves.
 pub(crate) struct CachedSearch {
-    pub(crate) candidates: Vec<Candidate>,
+    pub(crate) candidates: Arc<[Candidate]>,
     pub(crate) examined: usize,
     pub(crate) pruned: usize,
     pub(crate) reasons: Vec<String>,
+    /// Filled by the first native load of a kernel this entry served.
+    pub(crate) native: NativeCell,
 }
 
-/// Cached whole-search results; cleared wholesale when full.
+impl CachedSearch {
+    /// The report of a search that ran to completion and found this.
+    fn report(&self) -> SearchReport {
+        SearchReport {
+            candidates: Arc::clone(&self.candidates),
+            examined: self.examined,
+            pruned: self.pruned,
+            reasons: self.reasons.clone(),
+            plan_cache_hit: false,
+            plan_cache_disk_hit: false,
+            degraded: false,
+            budget: None,
+            skipped_configs: 0,
+        }
+    }
+
+    /// The outcome of a request a plan-cache tier answers with this
+    /// entry.
+    fn served(&self, from_disk: bool) -> SearchOutcome {
+        SearchOutcome {
+            report: SearchReport {
+                plan_cache_hit: true,
+                plan_cache_disk_hit: from_disk,
+                ..self.report()
+            },
+            native: Arc::clone(&self.native),
+        }
+    }
+}
+
+/// Cached whole-search results, and analysed programs; each cleared
+/// wholesale when full.
 const PLAN_CACHE_CAP: usize = 128;
 
-/// One whole-search memo cache with hit/miss accounting. Every
-/// [`Session`](crate::session::Session) and
+/// One whole-search memo cache with hit/miss accounting, and the
+/// dependence classes of the programs searched or analysed through it.
+/// Every [`Session`](crate::session::Session) and
 /// [`Service`](crate::service::Service) owns its own, making warm/cold
 /// behavior explicit per owner.
 pub(crate) struct PlanCache {
-    map: Mutex<HashMap<String, CachedSearch>>,
+    map: Mutex<HashMap<String, Arc<CachedSearch>>>,
+    /// Dependence classes per program *value*. A scanned list, not a
+    /// map: `Program` holds `f64` constants and is `PartialEq` only.
+    deps: Mutex<Vec<(Program, Arc<[DepClass]>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    analyses: AtomicU64,
+}
+
+/// Poison-tolerant lock: a panic mid-insert leaves at worst a missing
+/// memo entry, never a wrong one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
 impl PlanCache {
     pub(crate) fn new() -> PlanCache {
         PlanCache {
             map: Mutex::new(HashMap::new()),
+            deps: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            analyses: AtomicU64::new(0),
         }
     }
 
-    /// Poison-tolerant lock: a panic mid-insert leaves at worst a
-    /// missing memo entry, never a wrong one.
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, CachedSearch>> {
-        match self.map.lock() {
-            Ok(g) => g,
-            Err(poison) => poison.into_inner(),
+    /// The entry under `key`. Entries are shared, so the lock covers
+    /// one pointer clone.
+    fn get(&self, key: &str) -> Option<Arc<CachedSearch>> {
+        lock(&self.map).get(key).cloned()
+    }
+
+    fn insert(&self, key: &str, entry: Arc<CachedSearch>) {
+        let mut g = lock(&self.map);
+        if g.len() >= PLAN_CACHE_CAP {
+            g.clear();
         }
+        g.insert(key.to_string(), entry);
+    }
+
+    /// The dependence classes of `p` (paper §3), analysed once per
+    /// program value. Racing first requests may each analyse; the
+    /// classes are the same.
+    pub(crate) fn deps(&self, p: &Program) -> Arc<[DepClass]> {
+        let known = |deps: &[(Program, Arc<[DepClass]>)]| {
+            let (_, classes) = deps.iter().find(|(q, _)| q == p)?;
+            Some(Arc::clone(classes))
+        };
+        if let Some(classes) = known(&lock(&self.deps)) {
+            return classes;
+        }
+        self.analyses.fetch_add(1, Ordering::Relaxed);
+        let classes: Arc<[DepClass]> = analyze(p).into();
+        // Under a spent budget the emptiness tests answer "possibly
+        // nonempty", so the classes may be a conservative superset:
+        // good for the degraded search that asked, never kept.
+        let conservative = bernoulli_govern::current().is_some_and(|b| b.exceeded().is_some());
+        if !conservative {
+            let mut deps = lock(&self.deps);
+            if known(&deps).is_none() {
+                if deps.len() >= PLAN_CACHE_CAP {
+                    deps.clear();
+                }
+                deps.push((p.clone(), Arc::clone(&classes)));
+            }
+        }
+        classes
     }
 
     pub(crate) fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            analyses: self.analyses.load(Ordering::Relaxed),
         }
     }
 
     pub(crate) fn clear(&self) {
-        self.lock().clear();
+        lock(&self.map).clear();
+        lock(&self.deps).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
+        self.analyses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -780,7 +846,7 @@ impl PlanCache {
 /// it changes the `examined`/`pruned` accounting.
 pub(crate) fn plan_cache_key(
     p: &Program,
-    views: &[(&str, FormatView)],
+    views: &[(String, FormatView)],
     opts: &SynthOptions,
 ) -> String {
     let mut vs: Vec<String> = views.iter().map(|(n, v)| format!("{n}={v:?}")).collect();
@@ -829,6 +895,9 @@ pub(crate) fn plan_cache_key(
 pub struct PlanCacheStats {
     pub hits: u64,
     pub misses: u64,
+    /// Dependence analyses actually run: `analyze` calls and searches
+    /// of a program the owner had already analysed add nothing.
+    pub analyses: u64,
 }
 
 impl PlanCacheStats {

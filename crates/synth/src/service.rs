@@ -43,12 +43,12 @@
 
 use crate::persist::{PersistStats, PersistentPlanCache};
 use crate::search::{
-    plan_cache_key, run_search, PlanCache, PlanCacheStats, SearchReport, SynthError, SynthOptions,
+    plan_cache_key, run_search, PlanCache, PlanCacheStats, SearchOutcome, SynthError, SynthOptions,
 };
 use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, Flight, SingleFlight};
-use bernoulli_ir::{analyze, parse_program, Program};
+use bernoulli_ir::{parse_program, Program};
 use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
 use std::collections::BTreeSet;
@@ -401,7 +401,7 @@ pub struct Service {
     admission: Admission,
     counters: Counters,
     /// In-flight searches by plan-cache key (single-flight coalescing).
-    flights: SingleFlight<String, Result<SearchReport, SynthError>>,
+    flights: SingleFlight<String, Result<SearchOutcome, SynthError>>,
 }
 
 impl Service {
@@ -444,10 +444,12 @@ impl Service {
         Ok(p)
     }
 
-    /// Stage 2 — dependence analysis (paper §3).
+    /// Stage 2 — dependence analysis (paper §3), run once per program
+    /// per service: repeats, and every search of the program, read the
+    /// kept classes.
     pub fn analyze(&self, p: &Program) -> DepReport {
         DepReport {
-            classes: analyze(p),
+            classes: self.plan_cache.deps(p),
         }
     }
 
@@ -579,23 +581,19 @@ impl Service {
                 PolyCaches::new(),
             ))),
         };
-        let views: Vec<(&str, FormatView)> = problem
-            .views()
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
-            .collect();
         let pool = match &self.pool {
             ServicePool::Owned(p) => opts.parallel.then_some(&**p),
             ServicePool::Shared => opts.parallel.then(Pool::global),
         };
-        let cache_key = plan_cache_key(problem.program(), &views, opts);
-        let search = || self.search_counted(problem.program(), &views, opts, pool);
-        let report = if opts.cache_plans {
+        let cache_key = plan_cache_key(problem.program(), problem.views(), opts);
+        let search = || self.search_counted(problem, opts, pool, &cache_key);
+        let found = if opts.cache_plans {
             // Single-flight: concurrent requests for one plan-cache key
             // share one search and its result — or its typed error. A
             // result degraded under the leader's own budget stays with
             // the leader; its followers race to lead a fresh search.
-            let share = |r: &Result<SearchReport, SynthError>| !matches!(r, Ok(r) if r.degraded);
+            let share =
+                |r: &Result<SearchOutcome, SynthError>| !matches!(r, Ok(r) if r.report.degraded);
             match self
                 .flights
                 .run(&cache_key, absolute_deadline, search, share)
@@ -617,40 +615,30 @@ impl Service {
             // to measure genuine search throughput).
             search()?
         };
-        if report.candidates.is_empty() {
-            return Err(ServiceError::Synth(SynthError::NoLegalPlan {
-                reasons: report.reasons,
-            }));
-        }
-        Ok(CompiledKernel::from_parts(
-            problem.program().clone(),
-            problem.views().iter().cloned().collect(),
-            report,
-            cache_key,
-        ))
+        Ok(CompiledKernel::from_search(problem, found, cache_key)?)
     }
 
     /// Runs a search and counts it in [`ServiceStats::searches`] when
     /// it was a genuine search (not served by a plan-cache tier).
     fn search_counted(
         &self,
-        p: &Program,
-        views: &[(&str, FormatView)],
+        problem: &BoundProblem,
         opts: &SynthOptions,
         pool: Option<&Pool>,
-    ) -> Result<SearchReport, SynthError> {
-        let report = run_search(
-            p,
-            views,
+        key: &str,
+    ) -> Result<SearchOutcome, SynthError> {
+        let found = run_search(
+            problem,
             opts,
             pool,
             &self.plan_cache,
             self.persist.as_ref(),
+            key,
         )?;
-        if !report.plan_cache_hit && !report.plan_cache_disk_hit {
+        if !found.report.plan_cache_hit && !found.report.plan_cache_disk_hit {
             self.counters.searches.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(report)
+        Ok(found)
     }
 
     /// A point-in-time snapshot of the request accounting.
@@ -669,7 +657,8 @@ impl Service {
         }
     }
 
-    /// Hit/miss totals of the service-shared whole-search plan cache.
+    /// Hit/miss totals of the service-shared whole-search plan cache,
+    /// and how many dependence analyses the service ran.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }

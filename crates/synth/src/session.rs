@@ -20,16 +20,17 @@
 //! Every failure a caller can trigger surfaces as a typed
 //! [`SynthError`]; nothing on these paths panics.
 
-use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
+use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel, NativeCell};
 use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
 use crate::plan::Plan;
 use crate::search::{
-    run_search, Candidate, PlanCache, PlanCacheStats, SearchReport, SynthError, SynthOptions,
+    plan_cache_key, run_search, Candidate, PlanCache, PlanCacheStats, SearchOutcome, SearchReport,
+    SynthError, SynthOptions,
 };
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, CancelToken};
-use bernoulli_ir::{analyze, parse_program, ArrayKind, DepClass, Program};
+use bernoulli_ir::{parse_program, ArrayKind, DepClass, Program};
 use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
 use std::collections::HashMap;
@@ -163,10 +164,12 @@ impl Session {
     /// Stage 2 — dependence analysis (paper §3): the dependence classes
     /// legality will be checked against. Infallible on a validated
     /// program; offered on the session so drivers can inspect or log
-    /// the classes between parsing and binding.
+    /// the classes between parsing and binding. Each program is
+    /// analysed once per session: repeats, and the searches of
+    /// [`compile`](Session::compile), read the kept classes.
     pub fn analyze(&self, p: &Program) -> DepReport {
         DepReport {
-            classes: analyze(p),
+            classes: self.plan_cache.deps(p),
         }
     }
 
@@ -207,32 +210,17 @@ impl Session {
         let _budget = self
             .arm_budget()
             .map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let views: Vec<(&str, FormatView)> = problem
-            .views
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
-            .collect();
         let pool = match &self.pool {
             SessionPool::Owned(p) => opts.parallel.then_some(&**p),
             SessionPool::Shared => opts.parallel.then(Pool::global),
         };
-        let report = run_search(&problem.program, &views, opts, pool, &self.plan_cache, None)?;
-        if report.candidates.is_empty() {
-            return Err(SynthError::NoLegalPlan {
-                reasons: report.reasons,
-            });
-        }
         // The same key the plan cache uses also names the kernel's
         // on-disk artifact (plus ABI/toolchain salt added by the
         // kernel store): identical compiles reload identical binaries,
         // across processes.
-        let cache_key = crate::search::plan_cache_key(&problem.program, &views, opts);
-        Ok(CompiledKernel {
-            program: problem.program.clone(),
-            view_map: problem.views.iter().cloned().collect(),
-            report,
-            cache_key,
-        })
+        let cache_key = plan_cache_key(&problem.program, &problem.views, opts);
+        let found = run_search(problem, opts, pool, &self.plan_cache, None, &cache_key)?;
+        CompiledKernel::from_search(problem, found, cache_key)
     }
 
     /// Structure-aware selection: analyze the instance bound to
@@ -259,7 +247,8 @@ impl Session {
         })
     }
 
-    /// Hit/miss totals of this session's whole-search plan cache.
+    /// Hit/miss totals of this session's whole-search plan cache, and
+    /// how many dependence analyses it ran.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
     }
@@ -322,8 +311,9 @@ pub(crate) fn bind_problem(
 #[derive(Clone, Debug)]
 pub struct DepReport {
     /// Non-empty dependence classes, one per (source, destination,
-    /// array) with a satisfiable constraint system.
-    pub classes: Vec<DepClass>,
+    /// array) with a satisfiable constraint system. Shared with the
+    /// session or service that analysed the program.
+    pub classes: Arc<[DepClass]>,
 }
 
 impl DepReport {
@@ -372,31 +362,40 @@ pub struct CompiledKernel {
     /// Logical identity of this compile (program + views + options);
     /// also keys the on-disk kernel artifact cache.
     cache_key: String,
+    /// What [`load`](CompiledKernel::load) derives from the best plan,
+    /// shared with the plan-cache entry behind `report` and every other
+    /// kernel that entry serves.
+    native: NativeCell,
 }
 
 impl CompiledKernel {
-    /// Assembles a kernel from a finished search; shared by
+    /// Assembles a kernel from a finished search, or
+    /// [`SynthError::NoLegalPlan`] when it kept no candidate; shared by
     /// [`Session::compile`] and [`crate::service::Service::compile`].
-    /// Callers must have rejected empty candidate lists already
-    /// ([`SynthError::NoLegalPlan`]).
-    pub(crate) fn from_parts(
-        program: Program,
-        view_map: HashMap<String, FormatView>,
-        report: SearchReport,
+    pub(crate) fn from_search(
+        problem: &BoundProblem,
+        found: SearchOutcome,
         cache_key: String,
-    ) -> CompiledKernel {
-        CompiledKernel {
-            program,
-            view_map,
+    ) -> Result<CompiledKernel, SynthError> {
+        let SearchOutcome { report, native } = found;
+        if report.candidates.is_empty() {
+            return Err(SynthError::NoLegalPlan {
+                reasons: report.reasons,
+            });
+        }
+        Ok(CompiledKernel {
+            program: problem.program.clone(),
+            view_map: problem.views.iter().cloned().collect(),
             report,
             cache_key,
-        }
+            native,
+        })
     }
 
     /// The cheapest legal, zero-safe candidate.
     pub fn best(&self) -> &Candidate {
-        // Internal invariant: `Session::compile` errors with
-        // `NoLegalPlan` instead of constructing an empty kernel.
+        // Internal invariant: `from_search` errors with `NoLegalPlan`
+        // instead of constructing an empty kernel.
         &self.report.candidates[0]
     }
 
@@ -483,6 +482,7 @@ impl CompiledKernel {
             self.plan(),
             &self.view_map,
             &self.cache_key,
+            &self.native,
             store,
         )
     }
@@ -623,6 +623,44 @@ mod tests {
         // The polyhedral work accrued to the sessions' own caches.
         let poly = s.poly_cache_stats();
         assert!(poly.empty_hits + poly.empty_misses > 0, "{poly:?}");
+    }
+
+    /// A budget-starved compile returns a plan of its own under the
+    /// full search's key; what a native load derives from that plan
+    /// must neither land in a plan-cache entry nor come from one.
+    #[test]
+    fn a_degraded_kernel_shares_no_native_source() -> Result<(), SynthError> {
+        let s = Session::new();
+        let p = s.parse(MVM)?;
+        let bound = s.bind(&p, &[("A", csr().format_view())])?;
+        let store = bernoulli_kernel_cache::KernelStore::at(
+            std::env::temp_dir().join(format!("bernoulli-session-degraded-{}", std::process::id())),
+        );
+        let degraded = {
+            let starved = Arc::new(Budget::unlimited().with_max_ops(40));
+            let _budget = bernoulli_govern::install_scoped(Some(starved));
+            s.compile(&bound)?
+        };
+        assert!(degraded.report().degraded);
+        // Fills the degraded kernel's cell, with the source or (on a
+        // host without rustc) the typed reason there is none.
+        let _ = degraded.load_in(&store);
+        assert!(degraded.native.get().is_some());
+
+        let full = s.compile(&bound)?;
+        assert!(!full.from_cache() && !full.report().degraded);
+        assert_eq!(full.cache_key(), degraded.cache_key());
+        assert!(!Arc::ptr_eq(&full.native, &degraded.native));
+        assert!(full.native.get().is_none(), "the entry's cell is untouched");
+
+        // Every kernel the entry serves shares the entry's one cell.
+        let hit = s.compile(&bound)?;
+        assert!(hit.from_cache());
+        assert!(Arc::ptr_eq(&hit.native, &full.native));
+        let _ = full.load_in(&store);
+        assert!(hit.native.get().is_some());
+        let _ = std::fs::remove_dir_all(store.dir());
+        Ok(())
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn plan_cache_second_identical_call_is_pure_hit() {
 
     assert_eq!(first.examined, second.examined);
     assert_eq!(first.candidates.len(), second.candidates.len());
-    for (a, b) in first.candidates.iter().zip(&second.candidates) {
+    for (a, b) in first.candidates.iter().zip(second.candidates.iter()) {
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.plan.to_string(), b.plan.to_string());
         assert_eq!(a.choices, b.choices);
