@@ -2051,19 +2051,19 @@ fn kernels() {
     ]);
 
     // Warm artifact-cache load latency: every artifact above is cached
-    // now, `store` has verified and validated it, and `k` has emitted
-    // and named its kernel crate once, so each load is a quarantine
-    // `stat`, two record lookups and `dlopen` — here of the library
-    // `loaded` above still holds open, which the loader only
-    // reference-counts. The acceptance bar is <1ms.
+    // now, `store` has verified and validated it and keeps its library
+    // open, and `k` has emitted and named its kernel crate once, so
+    // each load is a quarantine `stat`, one record lookup and `dlsym`.
+    // The acceptance bar is <1ms.
     let warm = time_median(32, || {
         black_box(k.load_in(&store).expect("warm load"));
     });
     // What the store's per-artifact record saves (S41): the first load
     // through a fresh handle over the same warm directory pays what a
-    // restarted process pays — checksum verification, the differential
-    // probe against the interpreter, dlopen. The ratio is that first
-    // load over the repeat load above.
+    // restarted process pays — checksum verification (of a ~6 kB
+    // artifact), dlopen, the differential probe against the
+    // interpreter. The ratio is that first load over the repeat load
+    // above.
     let first = time_median(32, || {
         let fresh = KernelStore::at(store.dir());
         black_box(

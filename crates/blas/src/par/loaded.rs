@@ -47,15 +47,17 @@ where
         let (lo, hi) = (bounds[chunk], bounds[chunk + 1]);
         let mut args = make_args();
         if let Err(e) = k.run_range(params, &mut args, lo as i64, hi as i64) {
-            if let Ok(mut slot) = first_err.lock() {
-                slot.get_or_insert(e);
-            }
+            slot(first_err.lock()).get_or_insert(e);
         }
     });
-    match first_err.into_inner() {
-        Ok(e) => e.map_or(Ok(()), Err),
-        Err(_) => Err(KernelCallError::Panicked),
-    }
+    slot(first_err.into_inner()).map_or(Ok(()), Err)
+}
+
+/// The first-error slot behind a lock result. A chunk that panicked
+/// while holding the lock poisons it but cannot leave the `Option` half
+/// written, so the error recorded so far is still the one to report.
+fn slot<T>(locked: std::sync::LockResult<T>) -> T {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// `y += A·x` through a loaded CSR MVM kernel over nnz-balanced row

@@ -63,14 +63,21 @@ impl Mat {
     }
 }
 
-fn workload(kernel: &str, format: &str) -> (Triplets<f64>, Vec<f64>) {
+/// The operands of a pair: a 40-row matrix, or the evaluation's
+/// `can_1072_like` (1072 rows, 12 444 entries).
+fn workload(kernel: &str, format: &str, evaluation: bool) -> (Triplets<f64>, Vec<f64>) {
+    let t = if evaluation {
+        gen::can_1072_like()
+    } else {
+        gen::structurally_symmetric(40, 240, 10, 3)
+    };
+    let n = t.nrows();
     // Skyline can only store a lower profile, so its MVM runs on the
     // triangular operand too.
-    let t = gen::structurally_symmetric(40, 240, 10, 3);
     if kernel == "ts" || format == "sky" {
-        (t.lower_triangle_full_diag(2.5), gen::dense_vector(40, 9))
+        (t.lower_triangle_full_diag(2.5), gen::dense_vector(n, 9))
     } else {
-        (t, gen::dense_vector(40, 8))
+        (t, gen::dense_vector(n, 8))
     }
 }
 
@@ -134,8 +141,9 @@ fn loaded_interpreter_and_committed_agree_bitwise_on_every_pair() {
     );
     let mut native_runs = 0usize;
 
-    for &(kernel, format) in synth::GENERATED_KERNELS {
-        let (t, vecdata) = workload(kernel, format);
+    let pairs = synth::GENERATED_KERNELS.iter();
+    for (&(kernel, format), evaluation) in pairs.flat_map(|p| [(p, false), (p, true)]) {
+        let (t, vecdata) = workload(kernel, format, evaluation);
         let m = Mat::build(format, &t);
         let (p, mat_name) = synth::spec_for(kernel);
         let view = synth::view_for(kernel, format);
@@ -224,8 +232,8 @@ fn loaded_interpreter_and_committed_agree_bitwise_on_every_pair() {
     if bernoulli_synth::rustc_info().is_ok() {
         assert_eq!(
             native_runs,
-            synth::GENERATED_KERNELS.len(),
-            "rustc is available: every pair must run natively"
+            2 * synth::GENERATED_KERNELS.len(),
+            "rustc is available: every pair must run natively on both matrices"
         );
     }
 }

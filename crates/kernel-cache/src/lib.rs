@@ -10,11 +10,20 @@
 //!
 //! Design constraints:
 //!
-//! - **No external crates.** Dynamic loading uses the `dlopen`/`dlsym`/
-//!   `dlclose` symbols the platform C runtime already links on Unix
-//!   (`std` itself depends on them); on other platforms every entry
-//!   point returns [`KernelCacheError::Unsupported`] so callers can fall
-//!   back to their interpreter.
+//! - **No external crates, on either side.** Dynamic loading uses the
+//!   `dlopen`/`dlsym`/`dlclose` symbols the platform C runtime already
+//!   links on Unix (`std` itself depends on them); on other platforms
+//!   every entry point returns [`KernelCacheError::Unsupported`] so
+//!   callers can fall back to their interpreter. What is built links
+//!   nothing either (`RUSTC_FLAGS`).
+//! - **Validated libraries stay open.** Once a caller reports the
+//!   kernel in a [`KernelStore::load`]ed library validated, the store
+//!   keeps that library in its per-artifact record and the next `load`
+//!   is a map lookup, not a `dlopen` (~20 kB resident per kernel).
+//!   Residency ends where the record does — quarantine, a quarantine
+//!   refusal, eviction, the last clone of the handle dropped — and
+//!   kernels already handed out keep the library alive on their own.
+//!   There is no capacity and no switch.
 //! - **Typed failures.** A missing compiler, a failed build, a missing
 //!   symbol — each is a distinct [`KernelCacheError`] variant; nothing
 //!   on these paths panics.
@@ -96,7 +105,10 @@ pub enum KernelCacheError {
     /// No usable `rustc` on this host (not in `PATH`, or the
     /// `BERNOULLI_RUSTC` override does not run).
     CompilerUnavailable { detail: String },
-    /// `rustc` ran and rejected the kernel source.
+    /// `rustc` ran and rejected the kernel source, or its linker did: a
+    /// kernel crate with a surviving panic path fails here, naming the
+    /// undefined `bernoulli_kernel_has_a_panic_path`. `stderr` is the
+    /// compiler's whole output; `Display` prints its first lines.
     CompileFailed { stderr: String },
     /// The `rustc` child exceeded the wall-clock build timeout and was
     /// killed (and reaped).
@@ -132,7 +144,11 @@ impl std::fmt::Display for KernelCacheError {
                 write!(f, "no usable rustc for kernel compilation: {detail}")
             }
             KernelCacheError::CompileFailed { stderr } => {
-                write!(f, "kernel compilation failed: {stderr}")
+                // What failed is in the first lines; a failed link goes
+                // on for a hundred more, which the field keeps.
+                write!(f, "kernel compilation failed:")?;
+                let mut head = stderr.lines().take(12);
+                head.try_for_each(|line| write!(f, "\n{line}"))
             }
             KernelCacheError::Timeout { ms } => {
                 write!(
@@ -248,6 +264,9 @@ pub struct KernelCacheStats {
     /// Builds served by waiting on another in-flight build of the same
     /// artifact instead of compiling (single-flight coalescing).
     pub coalesced: u64,
+    /// `dlopen` calls [`KernelStore::load`] made: loads not served by a
+    /// library the store already held open.
+    pub opens: u64,
 }
 
 /// The live form of [`KernelCacheStats`].
@@ -261,6 +280,7 @@ struct Counters {
     quarantined: AtomicU64,
     retries: AtomicU64,
     coalesced: AtomicU64,
+    opens: AtomicU64,
 }
 
 fn bump(counter: &AtomicU64) {
@@ -270,12 +290,14 @@ fn bump(counter: &AtomicU64) {
 /// What a store has established about one artifact since the handle
 /// was created. Both facts are forgotten together when the artifact is
 /// evicted or quarantined.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Default)]
 struct ArtifactState {
     /// The checksum sidecar matched (or this store built the artifact).
     verified: bool,
-    /// The loaded kernel reproduced the interpreter on the probe.
-    validated: bool,
+    /// The library whose kernel reproduced the interpreter on the
+    /// probe. Kept open from then on: the next [`KernelStore::load`] of
+    /// the artifact is this handle, not a `dlopen`.
+    validated: Option<Arc<Library>>,
 }
 
 /// The parsed quarantine list and the file's (mtime, length) it was
@@ -321,6 +343,17 @@ pub struct Artifact {
     pub path: PathBuf,
     /// True when the artifact was already on disk (no `rustc` run).
     pub from_cache: bool,
+}
+
+/// An artifact opened by [`KernelStore::load`].
+#[derive(Clone, Debug)]
+pub struct Loaded {
+    pub library: Arc<Library>,
+    /// True when no `rustc` ran for this load.
+    pub from_cache: bool,
+    /// True when `library` is the one the store keeps open since
+    /// [`KernelStore::mark_validated`].
+    pub validated: bool,
 }
 
 /// What an artifact is built from, with the file name that addresses
@@ -396,6 +429,12 @@ impl std::fmt::Debug for KernelStore {
 /// measured ~2x *slower* than generic (gather-heavy vectorization of
 /// short, variable-length rows), and generic artifacts also stay
 /// valid if the cache directory migrates between hosts.
+///
+/// `panic=abort` and the refusal of undefined symbols are the build's
+/// half of the proof that a kernel crate cannot panic (the `#![no_std]`
+/// source's half: a panic handler calling a symbol nobody defines). An
+/// artifact links no `std`, unwinder or allocator and is a few kB; one
+/// with a surviving panic path does not link at all.
 const RUSTC_FLAGS: &[&str] = &[
     "--edition=2021",
     "--crate-type=cdylib",
@@ -405,7 +444,18 @@ const RUSTC_FLAGS: &[&str] = &[
     "codegen-units=1",
     "-C",
     "debuginfo=0",
+    "-C",
+    "panic=abort",
+    "-C",
+    NO_UNDEFINED_SYMBOLS,
 ];
+
+/// Apple's linker does not know `-z`; GNU-style linkers (which let a
+/// shared object leave symbols for load time by default) do.
+#[cfg(not(target_vendor = "apple"))]
+const NO_UNDEFINED_SYMBOLS: &str = "link-arg=-Wl,-z,defs";
+#[cfg(target_vendor = "apple")]
+const NO_UNDEFINED_SYMBOLS: &str = "link-arg=-Wl,-undefined,error";
 
 impl KernelStore {
     /// The process's default store: `$BERNOULLI_KERNEL_CACHE`, or
@@ -467,6 +517,7 @@ impl KernelStore {
             quarantined: load(&c.quarantined),
             retries: load(&c.retries),
             coalesced: load(&c.coalesced),
+            opens: load(&c.opens),
         }
     }
 
@@ -485,17 +536,54 @@ impl KernelStore {
     /// cross-process races stay benign).
     pub fn get_or_build(&self, spec: &ArtifactSpec) -> Result<Artifact, KernelCacheError> {
         let path = self.artifact_path(spec);
-        let counters = &self.state.counters;
-        if self.is_quarantined(&path) {
-            // Whoever listed it (this handle, another, another process)
-            // evicted the files; what this store knew of it goes too.
-            lock(&self.state.artifacts).remove(&path);
-            bump(&counters.quarantined);
-            bernoulli_trace::counter!("kernel.quarantine_refusals");
-            return Err(KernelCacheError::Quarantined {
-                artifact: path.display().to_string(),
+        self.admit(&path)?;
+        self.fetch(spec, path)
+    }
+
+    /// [`get_or_build`](KernelStore::get_or_build) plus `dlopen`. An
+    /// artifact marked validated stays open in the store until evicted
+    /// or quarantined, so loading it again is a map lookup: the
+    /// quarantine list is still consulted, nothing else on disk is.
+    pub fn load(&self, spec: &ArtifactSpec) -> Result<Loaded, KernelCacheError> {
+        let path = self.artifact_path(spec);
+        self.admit(&path)?;
+        if let Some(library) = self.artifact_state(&path).validated {
+            bump(&self.state.counters.hits);
+            bernoulli_trace::counter!("kernel.cache_hits");
+            return Ok(Loaded {
+                library,
+                from_cache: true,
+                validated: true,
             });
         }
+        let Artifact { path, from_cache } = self.fetch(spec, path)?;
+        let library = Arc::new(Library::open(&path)?);
+        bump(&self.state.counters.opens);
+        Ok(Loaded {
+            library,
+            from_cache,
+            validated: false,
+        })
+    }
+
+    /// Refuses a quarantined artifact.
+    fn admit(&self, path: &Path) -> Result<(), KernelCacheError> {
+        if !self.is_quarantined(path) {
+            return Ok(());
+        }
+        // Whoever listed it (this handle, another, another process)
+        // evicted the files; what this store knew of it goes too.
+        lock(&self.state.artifacts).remove(path);
+        bump(&self.state.counters.quarantined);
+        bernoulli_trace::counter!("kernel.quarantine_refusals");
+        Err(KernelCacheError::Quarantined {
+            artifact: path.display().to_string(),
+        })
+    }
+
+    /// The artifact at `path`: verified if on disk, built if not.
+    fn fetch(&self, spec: &ArtifactSpec, path: PathBuf) -> Result<Artifact, KernelCacheError> {
+        let counters = &self.state.counters;
         if path.is_file() {
             match self.verify(&path) {
                 Ok(()) => {
@@ -562,7 +650,7 @@ impl KernelStore {
     fn artifact_state(&self, path: &Path) -> ArtifactState {
         lock(&self.state.artifacts)
             .get(path)
-            .copied()
+            .cloned()
             .unwrap_or_default()
     }
 
@@ -576,17 +664,18 @@ impl KernelStore {
     /// differential validation through this store: later loads skip the
     /// probe, so the steady-state load path pays it once per artifact.
     pub fn is_validated(&self, path: &Path) -> bool {
-        self.artifact_state(path).validated
+        self.artifact_state(path).validated.is_some()
     }
 
-    /// Records that a kernel loaded from this artifact reproduced the
-    /// reference on the caller's probe.
-    pub fn mark_validated(&self, path: &Path) {
-        self.update_artifact(path, |a| a.validated = true);
+    /// Records that the kernel in this library reproduced the reference
+    /// on the caller's probe, and keeps the library open for the loads
+    /// to come.
+    pub fn mark_validated(&self, library: &Arc<Library>) {
+        self.update_artifact(library.path(), |a| a.validated = Some(library.clone()));
     }
 
     /// Removes an artifact and its sidecars from disk and forgets what
-    /// this store had established about it.
+    /// this store had established about it, its open library included.
     fn evict(&self, path: &Path) {
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(sidecar_path(path));
@@ -840,14 +929,6 @@ impl KernelStore {
         let mut child = match Command::new(&info.binary)
             .args(RUSTC_FLAGS)
             .arg(format!("--crate-name={stem}"))
-            // Panic locations name the source where it is kept (next to
-            // the artifact), not this build's scratch file, so the
-            // artifact's bytes do not depend on who built it.
-            .arg(format!(
-                "--remap-path-prefix={}={}",
-                src_path.display(),
-                path.with_extension("rs").display()
-            ))
             .arg("-o")
             .arg(&tmp_out)
             .arg(&src_path)
@@ -912,16 +993,7 @@ impl KernelStore {
             cleanup(&src_path);
             cleanup(&tmp_out);
             bernoulli_trace::counter!("kernel.compile_errors");
-            let mut stderr = String::from_utf8_lossy(&stderr_bytes).to_string();
-            const MAX: usize = 4000;
-            if stderr.len() > MAX {
-                let mut cut = MAX;
-                while !stderr.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                stderr.truncate(cut);
-                stderr.push_str(" …[truncated]");
-            }
+            let stderr = String::from_utf8_lossy(&stderr_bytes).into_owned();
             return Err(KernelCacheError::CompileFailed { stderr });
         }
         // Checksum the built bytes and publish the sidecar *before* the

@@ -18,12 +18,23 @@
 //! and [`run_with`](crate::session::CompiledKernel::run_with) executes
 //! identically through either backend.
 //!
-//! # ABI (version 1)
+//! # The kernel crate
+//!
+//! The generated crate is `#![no_std]`, built with `-C panic=abort`,
+//! and has no panic path: every checked index is `*a.get(i)?` (see
+//! [`crate::emit`]). The linker proves it: the crate's panic handler
+//! calls `bernoulli_kernel_has_a_panic_path`, a symbol defined nowhere,
+//! and the build refuses undefined symbols, so a kernel in which a
+//! panic survives optimisation fails to *link* — a typed
+//! `CompileFailed` naming the symbol — and is served by the
+//! interpreter. What links is ~6 kB: no `std`, unwinder or allocator.
+//!
+//! # ABI (version 2)
 //!
 //! One exported entry point per kernel:
 //!
 //! ```c
-//! int32_t bernoulli_kernel_v1(const int64_t *params, size_t nparams,
+//! int32_t bernoulli_kernel_v2(const int64_t *params, size_t nparams,
 //!                             const size_t *dims,   size_t ndims,
 //!                             const RawSlice *slices, size_t nslices);
 //! ```
@@ -31,14 +42,18 @@
 //! `params` are the program's symbolic parameters in declaration order;
 //! `dims` and `slices` are the flattened scalar fields and array fields
 //! of every operand in declaration order, using the fixed per-format
-//! field order of `view_marshal`. Returns 0 on success, 1 when the
-//! kernel body panicked (caught inside the library — panics never cross
-//! the FFI boundary), 2 on an arity mismatch. Plans whose outermost
-//! step enumerates the rows of a row-major format additionally export
-//! `bernoulli_kernel_range_v1` with trailing `(int64_t row_lo, int64_t
-//! row_hi)` — the entry the parallel lane dispatches nnz-balanced row
-//! chunks through, and which the full-range entry itself uses to walk
-//! CSR rows in cache-sized blocks.
+//! field order of `view_marshal`. Returns 0 on success, 1 when an
+//! operand index was out of bounds (the body returned early; outputs
+//! may be partly written — version 1 returned 1 for a caught panic), 2
+//! on an arity mismatch. Status 1 does not cover a format's own arrays
+//! read at positions its own index arrays produced: those go through
+//! the emitter's unchecked `ix`, so a kernel is memory-safe on valid
+//! instances of its formats (validating operands: ROADMAP item 4,
+//! open). Plans whose outermost step enumerates the rows of a row-major
+//! format additionally export `bernoulli_kernel_range_v2` with trailing
+//! `(int64_t row_lo, int64_t row_hi)` — the entry the parallel lane
+//! dispatches nnz-balanced row chunks through, and which the full-range
+//! entry itself uses to walk CSR rows in cache-sized blocks.
 
 use crate::emit::{emit_rust, emit_rust_ranged, EmitError};
 use crate::interp::{run_plan, ExecEnv, PlanError};
@@ -47,21 +62,21 @@ use crate::search::SynthError;
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Vbr};
 use bernoulli_ir::{ArrayKind, Program, Role};
-use bernoulli_kernel_cache::{Artifact, ArtifactSpec, KernelCacheError, KernelStore, Library};
+use bernoulli_kernel_cache::{ArtifactSpec, KernelCacheError, KernelStore, Library};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Version of the `extern "C"` kernel ABI described in the module docs.
 /// Part of every artifact cache key: an ABI change can never load a
 /// stale artifact.
-pub const KERNEL_ABI_VERSION: u32 = 1;
+pub const KERNEL_ABI_VERSION: u32 = 2;
 
 /// Exported symbol of the full-range entry point.
-pub const KERNEL_SYMBOL: &str = "bernoulli_kernel_v1";
+pub const KERNEL_SYMBOL: &str = "bernoulli_kernel_v2";
 
 /// Exported symbol of the row-ranged entry point (present only for
 /// range-splittable plans).
-pub const KERNEL_RANGE_SYMBOL: &str = "bernoulli_kernel_range_v1";
+pub const KERNEL_RANGE_SYMBOL: &str = "bernoulli_kernel_range_v2";
 
 /// Rows per block of the cache-blocked CSR traversal the full-range
 /// entry performs (bounds the live band of `y`/`rowptr` per call while
@@ -77,9 +92,9 @@ pub struct RawSlice {
     pub len: usize,
 }
 
-type EntryV1 =
+type EntryV2 =
     unsafe extern "C" fn(*const i64, usize, *const usize, usize, *const RawSlice, usize) -> i32;
-type RangeV1 = unsafe extern "C" fn(
+type RangeV2 = unsafe extern "C" fn(
     *const i64,
     usize,
     *const usize,
@@ -159,9 +174,10 @@ pub enum KernelCallError {
     /// Wrong number or kind of parameters/operands for the kernel's
     /// signature.
     Mismatch { detail: String },
-    /// The kernel body panicked (caught inside the library; the panic
-    /// does not cross the FFI boundary).
-    Panicked,
+    /// An operand index was out of bounds (a column past the end of
+    /// `x`, a pointer array or an output vector too short). The kernel
+    /// returned early; outputs may be partly written.
+    OutOfBounds,
     /// The plan has no row-ranged entry point.
     NoRangedEntry,
     /// The library returned an unknown status code.
@@ -172,7 +188,7 @@ impl std::fmt::Display for KernelCallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KernelCallError::Mismatch { detail } => write!(f, "kernel call mismatch: {detail}"),
-            KernelCallError::Panicked => write!(f, "loaded kernel panicked (caught in-library)"),
+            KernelCallError::OutOfBounds => write!(f, "an operand index was out of bounds"),
             KernelCallError::NoRangedEntry => {
                 write!(f, "this kernel's plan is not row-range splittable")
             }
@@ -358,7 +374,9 @@ fn view_marshal(view: &str) -> Option<ViewMarshal> {
 
 /// The mirror struct (plus `find` helpers replicating the real formats'
 /// search semantics) emitted into the self-contained kernel source for
-/// a view, so the generated body compiles without this workspace.
+/// a view, so the generated body compiles without this workspace. Like
+/// the body, the helpers have no panic path: on arrays that are not a
+/// valid instance of the format a search finds nothing.
 fn mirror_decl(view: &str) -> Option<&'static str> {
     Some(match view_base(view) {
         "csr" => {
@@ -372,8 +390,8 @@ fn mirror_decl(view: &str) -> Option<&'static str> {
 impl<T> Csr<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (self.rowptr[r], self.rowptr[r + 1]);
-        self.colind[lo..hi].binary_search(&c).ok().map(|k| lo + k)
+        let (lo, hi) = (*self.rowptr.get(r)?, *self.rowptr.get(r + 1)?);
+        self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
     }
 }
 "#
@@ -389,8 +407,8 @@ impl<T> Csr<T> {
 impl<T> Csc<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (self.colptr[c], self.colptr[c + 1]);
-        self.rowind[lo..hi].binary_search(&r).ok().map(|k| lo + k)
+        let (lo, hi) = (*self.colptr.get(c)?, *self.colptr.get(c + 1)?);
+        self.rowind.get(lo..hi)?.binary_search(&r).ok().map(|k| lo + k)
     }
 }
 "#
@@ -406,7 +424,7 @@ impl<T> Csc<T> {
 impl<T> Coo<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        (0..self.values.len()).find(|&i| self.rows[i] == r && self.cols[i] == c)
+        (0..self.values.len()).find(|&i| self.rows.get(i) == Some(&r) && self.cols.get(i) == Some(&c))
     }
 }
 "#
@@ -426,9 +444,9 @@ impl<T> Dia<T> {
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
         let d = r as i64 - c as i64;
         let k = self.diags.binary_search(&d).ok()?;
-        let o = c as i64;
-        if o >= self.lo[k] && o < self.hi[k] {
-            Some(self.ptr[k] + (o - self.lo[k]) as usize)
+        let (o, lo) = (c as i64, *self.lo.get(k)?);
+        if o >= lo && o < *self.hi.get(k)? {
+            Some(*self.ptr.get(k)? + (o - lo) as usize)
         } else {
             None
         }
@@ -449,7 +467,7 @@ impl<T> Ell<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
         let base = r * self.width;
-        let row = &self.colind[base..base + self.rowlen[r]];
+        let row = self.colind.get(base..base + *self.rowlen.get(r)?)?;
         row.binary_search(&(c as i64)).ok().map(|s| base + s)
     }
 }
@@ -469,21 +487,21 @@ impl<T> Ell<T> {
 impl<T> Jad<T> {
     #[inline]
     pub fn find_in_row(&self, rr: usize, c: usize) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.rowlen[rr]);
+        let (mut lo, mut hi) = (0usize, *self.rowlen.get(rr)?);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let jj = self.dptr[mid] + rr;
-            match self.colind[jj].cmp(&c) {
-                std::cmp::Ordering::Equal => return Some(jj),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
+            let jj = *self.dptr.get(mid)? + rr;
+            match self.colind.get(jj)?.cmp(&c) {
+                core::cmp::Ordering::Equal => return Some(jj),
+                core::cmp::Ordering::Less => lo = mid + 1,
+                core::cmp::Ordering::Greater => hi = mid,
             }
         }
         None
     }
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(self.iperm_inv[r], c)
+        self.find_in_row(*self.iperm_inv.get(r)?, c)
     }
 }
 "#
@@ -498,8 +516,9 @@ impl<T> Jad<T> {
 impl<T> Sky<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        if c >= self.lo[r] && c <= r {
-            Some(self.ptr[r] + (c - self.lo[r]))
+        let lo = *self.lo.get(r)?;
+        if c >= lo && c <= r {
+            Some(*self.ptr.get(r)? + (c - lo))
         } else {
             None
         }
@@ -520,12 +539,11 @@ impl<T> Sky<T> {
 impl<T> Bsr<T> {
     #[inline]
     pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = row / self.r;
-        let (lo, hi) = (self.browptr[br], self.browptr[br + 1]);
-        self.bcolind[lo..hi]
-            .binary_search(&(col / self.c))
-            .ok()
-            .map(|k| ((lo + k) * self.r + row % self.r) * self.c + col % self.c)
+        let (br, rr) = (row.checked_div(self.r)?, row.checked_rem(self.r)?);
+        let (bc, cc) = (col.checked_div(self.c)?, col.checked_rem(self.c)?);
+        let (lo, hi) = (*self.browptr.get(br)?, *self.browptr.get(br + 1)?);
+        let k = self.bcolind.get(lo..hi)?.binary_search(&bc).ok()?;
+        Some(((lo + k) * self.r + rr) * self.c + cc)
     }
 }
 "#
@@ -546,16 +564,16 @@ impl<T> Bsr<T> {
 impl<T> Vbr<T> {
     #[inline]
     pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = self.rowblk[row];
-        let rr = row - self.rpntr[br];
-        for b in self.bpntrb[br]..self.bpntre[br] {
-            let bc = self.bindx[b];
-            if col < self.cpntr[bc] {
+        let br = *self.rowblk.get(row)?;
+        let rr = row - *self.rpntr.get(br)?;
+        for b in *self.bpntrb.get(br)?..*self.bpntre.get(br)? {
+            let bc = *self.bindx.get(b)?;
+            let (c0, c1) = (*self.cpntr.get(bc)?, *self.cpntr.get(bc + 1)?);
+            if col < c0 {
                 return None;
             }
-            if col < self.cpntr[bc + 1] {
-                let w = self.cpntr[bc + 1] - self.cpntr[bc];
-                return Some(self.indx[b] + rr * w + (col - self.cpntr[bc]));
+            if col < c1 {
+                return Some(*self.indx.get(b)? + rr * (c1 - c0) + (col - c0));
             }
         }
         None
@@ -633,6 +651,11 @@ impl KernelSig {
     }
 }
 
+/// The kernel crate's panic handler. The symbol it calls is defined
+/// nowhere, and the build refuses undefined symbols: the crate links
+/// only if the optimiser removed every path that reaches the handler.
+const PANIC_PROOF: &str = "extern \"C\" {\n    fn bernoulli_kernel_has_a_panic_path() -> !;\n}\n\n#[panic_handler]\nfn panic(_: &core::panic::PanicInfo) -> ! {\n    unsafe { bernoulli_kernel_has_a_panic_path() }\n}\n\n";
+
 /// Generates the complete, self-contained cdylib source for a plan:
 /// mirror structs, the specialized kernel body, and the `extern "C"`
 /// wrapper(s). Returns the source and whether a ranged entry exists.
@@ -670,7 +693,8 @@ pub(crate) fn cdylib_source(
     out.push_str(&format!(
         "// ABI v{KERNEL_ABI_VERSION}: see bernoulli_synth::compiled module docs.\n"
     ));
-    out.push_str("#![allow(unused_parens, unused_variables, clippy::all)]\n\n");
+    out.push_str("#![no_std]\n#![allow(unused_parens, unused_variables, clippy::all)]\n\n");
+    out.push_str(PANIC_PROOF);
 
     // Mirror structs for every distinct view used.
     let mut seen: Vec<&str> = Vec::new();
@@ -692,10 +716,10 @@ pub(crate) fn cdylib_source(
         "#[repr(C)]\npub struct RawSlice {\n    pub ptr: *const u8,\n    pub len: usize,\n}\n\n",
     );
     out.push_str(
-        "unsafe fn sl<T>(s: &RawSlice) -> &'static [T] {\n    if s.len == 0 {\n        &[]\n    } else {\n        std::slice::from_raw_parts(s.ptr as *const T, s.len)\n    }\n}\n\n",
+        "unsafe fn sl<T>(s: &RawSlice) -> &'static [T] {\n    if s.len == 0 {\n        &[]\n    } else {\n        core::slice::from_raw_parts(s.ptr as *const T, s.len)\n    }\n}\n\n",
     );
     out.push_str(
-        "unsafe fn sl_mut(s: &RawSlice) -> &'static mut [f64] {\n    if s.len == 0 {\n        &mut []\n    } else {\n        std::slice::from_raw_parts_mut(s.ptr as *mut f64, s.len)\n    }\n}\n\n",
+        "unsafe fn sl_mut(s: &RawSlice) -> &'static mut [f64] {\n    if s.len == 0 {\n        &mut []\n    } else {\n        core::slice::from_raw_parts_mut(s.ptr as *mut f64, s.len)\n    }\n}\n\n",
     );
 
     if let Some(body) = &plain_body {
@@ -712,7 +736,7 @@ pub(crate) fn cdylib_source(
     let (mut di, mut si) = (0usize, 0usize);
     let mut call_args: Vec<String> = Vec::new();
     for i in 0..sig.params.len() {
-        call_args.push(format!("params[{i}]"));
+        call_args.push(format!("*params.get({i})?"));
     }
     let mut outer_nrows: Option<String> = None;
     for (name, spec) in &sig.args {
@@ -742,11 +766,11 @@ pub(crate) fn cdylib_source(
                 };
                 let mut fields: Vec<String> = Vec::new();
                 for d in m.dims {
-                    fields.push(format!("{d}: dims[{di}]"));
+                    fields.push(format!("{d}: *dims.get({di})?"));
                     di += 1;
                 }
                 for (f, t) in m.slices {
-                    fields.push(format!("{f}: sl::<{}>(&slices[{si}])", t.rust()));
+                    fields.push(format!("{f}: sl::<{}>(slices.get({si})?)", t.rust()));
                     si += 1;
                 }
                 unpack.push_str(&format!(
@@ -759,25 +783,29 @@ pub(crate) fn cdylib_source(
                 call_args.push(format!("&{var}"));
             }
             ArgSpec::VecIn => {
-                unpack.push_str(&format!("        let {var} = sl::<f64>(&slices[{si}]);\n"));
+                unpack.push_str(&format!(
+                    "        let {var} = sl::<f64>(slices.get({si})?);\n"
+                ));
                 si += 1;
                 call_args.push(var);
             }
             ArgSpec::VecOut => {
-                unpack.push_str(&format!("        let {var} = sl_mut(&slices[{si}]);\n"));
+                unpack.push_str(&format!("        let {var} = sl_mut(slices.get({si})?);\n"));
                 si += 1;
                 call_args.push(var);
             }
         }
     }
 
+    // The arity check makes every `get` below succeed; they are `get`s
+    // so that no index expression in the crate can panic.
     let preamble = format!(
-        "    if nparams != {np} || ndims != {nd} || nslices != {ns} {{\n        return 2;\n    }}\n    let params = if nparams == 0 {{ &[][..] }} else {{ unsafe {{ std::slice::from_raw_parts(params, nparams) }} }};\n    let dims = if ndims == 0 {{ &[][..] }} else {{ unsafe {{ std::slice::from_raw_parts(dims, ndims) }} }};\n    let slices = if nslices == 0 {{ &[][..] }} else {{ unsafe {{ std::slice::from_raw_parts(slices, nslices) }} }};\n    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {{\n",
+        "    if nparams != {np} || ndims != {nd} || nslices != {ns} {{\n        return 2;\n    }}\n    let params: &[i64] = if nparams == 0 {{ &[] }} else {{ unsafe {{ core::slice::from_raw_parts(params, nparams) }} }};\n    let dims: &[usize] = if ndims == 0 {{ &[] }} else {{ unsafe {{ core::slice::from_raw_parts(dims, ndims) }} }};\n    let slices: &[RawSlice] = if nslices == 0 {{ &[] }} else {{ unsafe {{ core::slice::from_raw_parts(slices, nslices) }} }};\n    let run = || -> Option<()> {{ unsafe {{\n",
         np = sig.params.len(),
         nd = sig.ndims,
         ns = sig.nslices,
     );
-    let postamble = "    }));\n    if r.is_ok() { 0 } else { 1 }\n";
+    let postamble = "    } };\n    if run().is_some() { 0 } else { 1 }\n";
 
     // Full-range entry.
     out.push_str(&format!(
@@ -792,18 +820,18 @@ pub(crate) fn cdylib_source(
             // Cache-blocked CSR row traversal: walk the rows in fixed
             // blocks through the ranged body.
             out.push_str(&format!(
-                "        let nrows__ = {nrows} as i64;\n        let mut r0__ = 0i64;\n        while r0__ < nrows__ {{\n            let r1__ = if r0__ + {CSR_ROW_BLOCK} < nrows__ {{ r0__ + {CSR_ROW_BLOCK} }} else {{ nrows__ }};\n            kernel_impl_range({args}, r0__, r1__);\n            r0__ = r1__;\n        }}\n",
+                "        let nrows__ = {nrows} as i64;\n        let mut r0__ = 0i64;\n        while r0__ < nrows__ {{\n            let r1__ = if r0__ + {CSR_ROW_BLOCK} < nrows__ {{ r0__ + {CSR_ROW_BLOCK} }} else {{ nrows__ }};\n            kernel_impl_range({args}, r0__, r1__)?;\n            r0__ = r1__;\n        }}\n        Some(())\n",
                 args = call_args.join(", ")
             ));
         } else {
             out.push_str(&format!(
-                "        kernel_impl_range({args}, 0, {nrows} as i64);\n",
+                "        kernel_impl_range({args}, 0, {nrows} as i64)\n",
                 args = call_args.join(", ")
             ));
         }
     } else {
         out.push_str(&format!(
-            "        kernel_impl({args});\n",
+            "        kernel_impl({args})\n",
             args = call_args.join(", ")
         ));
     }
@@ -819,7 +847,7 @@ pub(crate) fn cdylib_source(
         out.push_str(&preamble);
         out.push_str(&unpack);
         out.push_str(&format!(
-            "        kernel_impl_range({args}, row_lo, row_hi);\n",
+            "        kernel_impl_range({args}, row_lo, row_hi)\n",
             args = call_args.join(", ")
         ));
         out.push_str(postamble);
@@ -890,8 +918,8 @@ fn outer_row_view(plan: &Plan, views: &HashMap<String, FormatView>) -> Option<St
 /// (program, views, plan) triple behind the stable `extern "C"` ABI.
 pub struct LoadedKernel {
     lib: Arc<Library>,
-    entry: EntryV1,
-    ranged: Option<RangeV1>,
+    entry: EntryV2,
+    ranged: Option<RangeV2>,
     native: Arc<NativeSource>,
     from_cache: bool,
     /// True when the kernel passed differential validation against the
@@ -1030,7 +1058,7 @@ impl LoadedKernel {
         };
         match code {
             0 => Ok(()),
-            1 => Err(KernelCallError::Panicked),
+            1 => Err(KernelCallError::OutOfBounds),
             2 => Err(KernelCallError::Mismatch {
                 detail: "library rejected the operand arity (ABI drift?)".to_string(),
             }),
@@ -1292,16 +1320,14 @@ fn probe_operands(sig: &KernelSig) -> Option<(i64, Vec<ProbeOperand>)> {
 }
 
 /// Runs the freshly loaded kernel against the interpreter on the probe
-/// instance. `Ok(true)`: validated (bitwise-identical outputs).
-/// The store remembers the verdict per artifact, so warm loads through
-/// the same store skip the probe. `Ok(false)`: validation skipped — no
+/// instance. `Ok(true)`: validated (bitwise-identical outputs); the
+/// store remembers the verdict and keeps the library open, so warm
+/// loads through the same store skip the probe and the `dlopen`.
+/// `Ok(false)`: validation skipped — no
 /// probe for this signature, or the *interpreter* could not run the
 /// probe (then there is no reference to compare against).
 /// `Err`: the kernel disagreed or failed — the artifact is quarantined.
 fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bool, LoadError> {
-    if kernel.store.is_validated(kernel.lib.path()) {
-        return Ok(true);
-    }
     let sig = kernel.sig();
     let Some((n, mut interp_ops)) = probe_operands(sig) else {
         return Ok(false);
@@ -1344,7 +1370,7 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
             )));
         }
     }
-    kernel.store.mark_validated(kernel.lib.path());
+    kernel.store.mark_validated(&kernel.lib);
     bernoulli_trace::counter!("kernel.validations");
     Ok(true)
 }
@@ -1365,32 +1391,34 @@ pub(crate) fn load_kernel(
     let native = native
         .get_or_init(|| NativeSource::derive(p, plan, views, logical_key).map(Arc::new))
         .clone()?;
-    let Artifact { path, from_cache } = store.get_or_build(&native.artifact)?;
-    let lib = Library::open(&path)?;
+    let opened = store.load(&native.artifact)?;
+    let lib = opened.library;
     let entry_ptr = lib.symbol(KERNEL_SYMBOL)?;
     // Safety: the artifact was built from `native.artifact`'s source,
-    // which exports KERNEL_SYMBOL with exactly the EntryV1 signature
+    // which exports KERNEL_SYMBOL with exactly the EntryV2 signature
     // (the cache key covers source + ABI version, so a stale artifact
     // cannot match).
-    let entry: EntryV1 = unsafe { std::mem::transmute(entry_ptr) };
-    let ranged: Option<RangeV1> = if native.has_ranged {
+    let entry: EntryV2 = unsafe { std::mem::transmute(entry_ptr) };
+    let ranged: Option<RangeV2> = if native.has_ranged {
         let p = lib.symbol(KERNEL_RANGE_SYMBOL)?;
-        // Safety: same as above, RangeV1 signature.
-        Some(unsafe { std::mem::transmute::<*const (), RangeV1>(p) })
+        // Safety: same as above, RangeV2 signature.
+        Some(unsafe { std::mem::transmute::<*const (), RangeV2>(p) })
     } else {
         None
     };
     bernoulli_trace::counter!("kernel.loads");
     let mut kernel = LoadedKernel {
-        lib: Arc::new(lib),
+        lib,
         entry,
         ranged,
         native,
-        from_cache,
-        validated: false,
+        from_cache: opened.from_cache,
+        validated: opened.validated,
         store: store.clone(),
     };
-    kernel.validated = validate_kernel(p, plan, &kernel)?;
+    if !kernel.validated {
+        kernel.validated = validate_kernel(p, plan, &kernel)?;
+    }
     Ok(kernel)
 }
 
@@ -1517,11 +1545,50 @@ mod tests {
             "mirror struct missing:\n{src}"
         );
         assert!(
-            !src.contains("bernoulli_formats"),
-            "kernel crate must not depend on the workspace:\n{src}"
+            !src.contains("bernoulli_formats") && src.contains("#![no_std]"),
+            "kernel crate must depend on neither the workspace nor std:\n{src}"
         );
         // Cache-blocked CSR traversal in the full entry.
         assert!(src.contains("r0__"), "blocked row walk missing:\n{src}");
+    }
+
+    /// A kernel crate in which a panic path survives does not link: the
+    /// load fails with the linker's words as the typed reason and the
+    /// kernel is served by the interpreter, never as native code.
+    #[test]
+    fn a_kernel_that_could_panic_is_served_by_the_interpreter(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        if bernoulli_kernel_cache::rustc_info().is_err() {
+            return Ok(());
+        }
+        let a = csr3();
+        let k = compile(&a);
+        let mut native = NativeSource::derive(k.program(), k.plan(), k.views(), k.cache_key())?;
+        let (source, _) = cdylib_source(k.program(), k.plan(), k.views())?;
+        let planted = source.replace("*x_.get((j_) as usize)?", "x_[(j_) as usize]");
+        assert_ne!(planted, source, "nothing was planted in:\n{source}");
+        native.artifact = ArtifactSpec::new("planted-panic".to_string(), planted)?;
+        let cell: NativeCell = Arc::new(OnceLock::from(Ok(Arc::new(native))));
+        let store = KernelStore::at(
+            std::env::temp_dir().join(format!("bernoulli-planted-{}", std::process::id())),
+        );
+        let reason = load_kernel(k.program(), k.plan(), k.views(), "planted", &cell, &store)
+            .expect_err("a panic path must not load as native code");
+        assert!(
+            matches!(&reason, LoadError::Cache(KernelCacheError::CompileFailed { stderr })
+                if stderr.contains("bernoulli_kernel_has_a_panic_path")),
+            "expected CompileFailed naming the undefined symbol, got {reason:?}"
+        );
+        let (x, mut y) = (vec![1.0, 2.0, 3.0], vec![0.0; 3]);
+        let mut args = [
+            KernelArg::Csr(&a),
+            KernelArg::In(&x),
+            KernelArg::Out(&mut y),
+        ];
+        k.run_with(&KernelBackend::Interpreted { reason }, &[3, 3], &mut args)?;
+        assert_eq!(y, vec![2.0, 3.0, 8.0]);
+        let _ = std::fs::remove_dir_all(store.dir());
+        Ok(())
     }
 
     #[test]
@@ -1579,11 +1646,11 @@ mod tests {
         if bernoulli_kernel_cache::rustc_info().is_err() {
             return Ok(());
         }
-        // A well-formed cdylib that honours the EntryV1 signature but
+        // A well-formed cdylib that honours the EntryV2 signature but
         // reports a status code no host version understands.
         const ROGUE: &str = "
             #[no_mangle]
-            pub extern \"C\" fn bernoulli_kernel_v1(
+            pub extern \"C\" fn bernoulli_kernel_v2(
                 _params: *const i64, _nparams: usize,
                 _dims: *const usize, _ndims: usize,
                 _slices: *const u8, _nslices: usize,
@@ -1593,14 +1660,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = KernelStore::at(&dir);
         let artifact = ArtifactSpec::new("abi-breach-test".to_string(), ROGUE.to_string())?;
-        let Artifact { path, .. } = store.get_or_build(&artifact)?;
+        let lib = store.load(&artifact)?.library;
+        let path = lib.path().to_path_buf();
         // Pretend the rogue once passed its probe: the breach must
         // revoke that too.
-        store.mark_validated(&path);
-        let lib = Library::open(&path)?;
-        let entry: EntryV1 = unsafe { std::mem::transmute(lib.symbol(KERNEL_SYMBOL)?) };
+        store.mark_validated(&lib);
+        let entry: EntryV2 = unsafe { std::mem::transmute(lib.symbol(KERNEL_SYMBOL)?) };
         let kernel = LoadedKernel {
-            lib: Arc::new(lib),
+            lib,
             entry,
             ranged: None,
             native: Arc::new(NativeSource {

@@ -8,6 +8,12 @@
 //! equivalent of the paper's Barton–Nackman compile-time dispatch — and
 //! are what the benchmark harness measures.
 //!
+//! The one emitted dialect has no panic path: a function returns
+//! `Option<()>` and every checked index is `*a.get(i)?`, so an operand
+//! whose index arrays point outside another operand makes it return
+//! `None` early — which is what lets the kernel crate of
+//! [`crate::compiled`] be `#![no_std]` and link no panic runtime.
+//!
 //! The emitted text depends only on the plan and the program, so
 //! generated kernels can be committed (see `bernoulli-blas`'s `synth`
 //! module) and checked against regeneration in CI.
@@ -99,6 +105,13 @@ struct Emitter<'a> {
 /// format-owned arrays on the hot path: the indices are in bounds by
 /// format validity (checked in debug builds), and removing the release
 /// bounds checks is what lets LLVM vectorize the ELL/DIA inner loops.
+///
+/// It is the one read the `?` dialect does not check, so a kernel is
+/// memory-safe only on valid instances of its formats (`values` as long
+/// as `colind`, …); reads and writes of the other operands (`x`, `y`)
+/// are checked. Checking these too was measured on `stream_small`:
+/// +2–38 % per call (mvm/csc 12.1 → 16.7 µs). Validating operands once,
+/// where they enter, is ROADMAP item 4 and still open.
 const IX_HELPER: &str = "    /// Read of a format-owned array: in bounds by format validity\n    /// (debug-checked), branch-free in release so inner loops vectorize.\n    #[inline(always)]\n    fn ix<T: Copy>(s: &[T], i: usize) -> T {\n        debug_assert!(i < s.len());\n        unsafe { *s.get_unchecked(i) }\n    }\n";
 
 /// A proved-safe register promotion of `vec[idx]` across the innermost
@@ -551,7 +564,7 @@ impl Emitter<'_> {
             }
             sig.push_str(", row_lo__: i64, row_hi__: i64");
         }
-        sig.push_str(") {");
+        sig.push_str(") -> Option<()> {");
         self.line(&sig);
         self.indent += 1;
         let helper_at = self.out.len();
@@ -564,6 +577,7 @@ impl Emitter<'_> {
             self.nest(0)?;
         }
 
+        self.line("Some(())");
         self.indent -= 1;
         self.line("}");
         if self.uses_ix.get() {
@@ -630,7 +644,6 @@ impl Emitter<'_> {
         }
 
         let m = self.mat(&p0.matrix).to_string();
-        let arr = self.mat(&pr.array).to_string();
         let v0 = slot_var(s0.first_slot);
         let v1 = slot_var(s1.first_slot);
         let pv0 = pos_var(p0.ref_id, 0);
@@ -672,7 +685,8 @@ impl Emitter<'_> {
         for k in 0..rb {
             self.line(&format!("let {v0} = r0__ + {k};"));
             let idx = self.pexpr(&pr.idx);
-            self.line(&format!("let mut acc{k}t__ = {arr}[({idx}) as usize];"));
+            let y = self.elem("get", &pr.array, &idx);
+            self.line(&format!("let mut acc{k}t__ = {y};"));
         }
         self.line(&format!("for b__ in {blo}..{bhi} {{"));
         self.indent += 1;
@@ -700,7 +714,8 @@ impl Emitter<'_> {
         for k in 0..rb {
             self.line(&format!("let {v0} = r0__ + {k};"));
             let idx = self.pexpr(&pr.idx);
-            self.line(&format!("{arr}[({idx}) as usize] = acc{k}t__;"));
+            let y = self.elem("get_mut", &pr.array, &idx);
+            self.line(&format!("{y} = acc{k}t__;"));
         }
         self.line(&format!("r0__ += {rb};"));
         self.indent -= 1;
@@ -721,9 +736,10 @@ impl Emitter<'_> {
     /// strip extents are runtime data (`rpntr`/`cpntr`), so the tile
     /// height is the strip height read at run time instead of a
     /// compile-time literal. Each full strip walks its stored blocks
-    /// once with one accumulator per strip row — spilled to a reused
-    /// buffer between blocks, held in a register inside each block —
-    /// where the generic nest walks the strip's blocks once per row.
+    /// once with one accumulator per strip row — the row's output
+    /// element itself between blocks (the emitted code allocates
+    /// nothing), a register inside each block — where the generic nest
+    /// walks the strip's blocks once per row.
     /// Each row's reduction order (blocks ascending, then within-block
     /// columns ascending) is unchanged, so results stay bitwise
     /// identical to the generic nest and the interpreter. Rows whose
@@ -770,7 +786,6 @@ impl Emitter<'_> {
         }
 
         let m = self.mat(&p0.matrix).to_string();
-        let arr = self.mat(&pr.array).to_string();
         let v0 = slot_var(s0.first_slot);
         let v1 = slot_var(s1.first_slot);
         let pv0 = pos_var(p0.ref_id, 0);
@@ -783,7 +798,6 @@ impl Emitter<'_> {
             self.line("let mut r0__ = 0i64;");
             self.line(&format!("let rend__ = {m}.nrows as i64;"));
         }
-        self.line("let mut accv__: Vec<f64> = Vec::new();");
         let rowblk = self.ix(&format!("{m}.rowblk"), "r0__ as usize");
         let (rp0, rp1) = (
             self.ix(&format!("{m}.rpntr"), "br__"),
@@ -796,16 +810,9 @@ impl Emitter<'_> {
         self.line(&format!("let s1__ = {rp1} as i64;"));
         self.line("if r0__ == s0__ && s1__ <= rend__ {");
         self.indent += 1;
-        // Full strip: one block walk, one accumulator per strip row.
+        // Full strip: one block walk, each row's partial sum carried
+        // from block to block in its output element.
         self.line("let h__ = (s1__ - s0__) as usize;");
-        self.line("accv__.clear();");
-        self.line("for k__ in 0..h__ {");
-        self.indent += 1;
-        self.line(&format!("let {v0} = s0__ + k__ as i64;"));
-        let idx = self.pexpr(&pr.idx);
-        self.line(&format!("accv__.push({arr}[({idx}) as usize]);"));
-        self.indent -= 1;
-        self.line("}");
         let (blo, bhi) = (
             self.ix(&format!("{m}.bpntrb"), "br__"),
             self.ix(&format!("{m}.bpntre"), "br__"),
@@ -824,9 +831,10 @@ impl Emitter<'_> {
         self.line(&format!("let bbase__ = {base};"));
         self.line("for k__ in 0..h__ {");
         self.indent += 1;
-        self.line("let mut acct__ = accv__[k__];");
         self.line(&format!("let {v0} = s0__ + k__ as i64;"));
-        self.line(&format!("let _ = {v0};"));
+        let idx = self.pexpr(&pr.idx);
+        let y = self.elem("get", &pr.array, &idx);
+        self.line(&format!("let mut acct__ = {y};"));
         self.line("for s__ in 0..w__ {");
         self.indent += 1;
         self.line(&format!("let {v1} = (cj0__ + s__) as i64;"));
@@ -840,16 +848,10 @@ impl Emitter<'_> {
         self.promotion = Some(pr.clone());
         self.indent -= 1;
         self.line("}");
-        self.line("accv__[k__] = acct__;");
+        let y = self.elem("get_mut", &pr.array, &idx);
+        self.line(&format!("{y} = acct__;"));
         self.indent -= 1;
         self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        self.line("for k__ in 0..h__ {");
-        self.indent += 1;
-        self.line(&format!("let {v0} = s0__ + k__ as i64;"));
-        let idx = self.pexpr(&pr.idx);
-        self.line(&format!("{arr}[({idx}) as usize] = accv__[k__];"));
         self.indent -= 1;
         self.line("}");
         self.line("r0__ = s1__;");
@@ -873,6 +875,12 @@ impl Emitter<'_> {
     fn ix(&self, arr: &str, i: &str) -> String {
         self.uses_ix.set(true);
         format!("ix(&{arr}, {i})")
+    }
+
+    /// A dense-vector element as a place: `get` to read it, `get_mut`
+    /// to assign it.
+    fn elem(&self, get: &str, array: &str, idx: &str) -> String {
+        format!("*{}.{get}(({idx}) as usize)?", self.mat(array))
     }
 
     /// Emits step `si`'s loop and its subtree.
@@ -929,9 +937,8 @@ impl Emitter<'_> {
             None
         };
         if let Some(pr) = &promotion_here {
-            let idx = self.pexpr(&pr.idx);
-            let arr = self.mat(&pr.array).to_string();
-            self.line(&format!("let mut {} = {arr}[({idx}) as usize];", pr.reg));
+            let y = self.elem("get", &pr.array, &self.pexpr(&pr.idx));
+            self.line(&format!("let mut {} = {y};", pr.reg));
             if pr.deferred_div.is_some() {
                 self.line("let mut pivot__ = 0.0f64;");
                 self.line("let mut has_pivot__ = false;");
@@ -966,9 +973,8 @@ impl Emitter<'_> {
                     pr.reg, pr.reg
                 ));
             }
-            let idx = self.pexpr(&pr.idx);
-            let arr = self.mat(&pr.array).to_string();
-            self.line(&format!("{arr}[({idx}) as usize] = {};", pr.reg));
+            let y = self.elem("get_mut", &pr.array, &self.pexpr(&pr.idx));
+            self.line(&format!("{y} = {};", pr.reg));
         }
         // Hoisted-after statements.
         for e in &self.plan.execs.clone() {
@@ -1095,10 +1101,10 @@ impl Emitter<'_> {
             }
             ("csr", 0, 1) => {
                 self.line(&format!(
-                    "for {pv} in {m}.rowptr[{parent}]..{m}.rowptr[{parent} + 1] {{"
+                    "for {pv} in *{m}.rowptr.get({parent})?..*{m}.rowptr.get({parent} + 1)? {{"
                 ));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.colind[{pv}] as i64;"));
+                self.line(&format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
             }
             ("csc", 0, 0) => {
                 self.line(&format!("for {v0} in 0..{m}.ncols as i64 {{"));
@@ -1107,22 +1113,22 @@ impl Emitter<'_> {
             }
             ("csc", 0, 1) => {
                 self.line(&format!(
-                    "for {pv} in {m}.colptr[{parent}]..{m}.colptr[{parent} + 1] {{"
+                    "for {pv} in *{m}.colptr.get({parent})?..*{m}.colptr.get({parent} + 1)? {{"
                 ));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.rowind[{pv}] as i64;"));
+                self.line(&format!("let {v0} = *{m}.rowind.get({pv})? as i64;"));
             }
             ("coo", 0, 0) => {
                 let v1 = slot_var(step.first_slot + 1);
                 self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.rows[{pv}] as i64;"));
-                self.line(&format!("let {v1} = {m}.cols[{pv}] as i64;"));
+                self.line(&format!("let {v0} = *{m}.rows.get({pv})? as i64;"));
+                self.line(&format!("let {v1} = *{m}.cols.get({pv})? as i64;"));
             }
             ("dia", 0, 0) => {
                 self.line(&format!("for {pv} in 0..{m}.diags.len() {{"));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.diags[{pv}];"));
+                self.line(&format!("let {v0} = *{m}.diags.get({pv})?;"));
             }
             ("dia", 0, 1) => {
                 // Hoist the per-diagonal bounds and strip base out of the
@@ -1159,26 +1165,28 @@ impl Emitter<'_> {
                 self.line("let mut d__ = 0usize;");
                 self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
                 self.indent += 1;
-                self.line(&format!("while {pv} >= {m}.dptr[d__ + 1] {{ d__ += 1; }}"));
-                self.line(&format!("let rr__ = {pv} - {m}.dptr[d__];"));
-                self.line(&format!("let {v0} = {m}.iperm[rr__] as i64;"));
-                self.line(&format!("let {v1} = {m}.colind[{pv}] as i64;"));
+                self.line(&format!(
+                    "while {pv} >= *{m}.dptr.get(d__ + 1)? {{ d__ += 1; }}"
+                ));
+                self.line(&format!("let rr__ = {pv} - *{m}.dptr.get(d__)?;"));
+                self.line(&format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
+                self.line(&format!("let {v1} = *{m}.colind.get({pv})? as i64;"));
             }
             ("jad", 1, 0) => {
                 self.line(&format!("for rr__ in 0..{m}.nrows {{"));
                 self.indent += 1;
                 self.line(&format!("let {pv} = rr__;"));
                 if perms[0].is_some() {
-                    self.line(&format!("let {v0} = {m}.iperm[rr__] as i64;"));
+                    self.line(&format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
                 } else {
                     self.line(&format!("let {v0} = rr__ as i64;"));
                 }
             }
             ("jad", 1, 1) => {
-                self.line(&format!("for d__ in 0..{m}.rowlen[{parent}] {{"));
+                self.line(&format!("for d__ in 0..*{m}.rowlen.get({parent})? {{"));
                 self.indent += 1;
-                self.line(&format!("let {pv} = {m}.dptr[d__] + {parent};"));
-                self.line(&format!("let {v0} = {m}.colind[{pv}] as i64;"));
+                self.line(&format!("let {pv} = *{m}.dptr.get(d__)? + {parent};"));
+                self.line(&format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
             }
             ("dense", 0, 0) => {
                 self.line(&format!("for {v0} in {row_range} {{"));
@@ -1202,15 +1210,15 @@ impl Emitter<'_> {
             }
             ("diagsplit", 1, 1) => {
                 self.line(&format!(
-                    "for {pv} in {m}.off.rowptr[{parent}]..{m}.off.rowptr[{parent} + 1] {{"
+                    "for {pv} in *{m}.off.rowptr.get({parent})?..*{m}.off.rowptr.get({parent} + 1)? {{"
                 ));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.off.colind[{pv}] as i64;"));
+                self.line(&format!("let {v0} = *{m}.off.colind.get({pv})? as i64;"));
             }
             ("spvec", 0, 0) | ("hashvec", 0, 0) => {
                 self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
                 self.indent += 1;
-                self.line(&format!("let {v0} = {m}.ind[{pv}] as i64;"));
+                self.line(&format!("let {v0} = *{m}.ind.get({pv})? as i64;"));
             }
             ("sky", 0, 0) => {
                 self.line(&format!("for {v0} in 0..{m}.n as i64 {{"));
@@ -1219,11 +1227,11 @@ impl Emitter<'_> {
             }
             ("sky", 0, 1) => {
                 self.line(&format!(
-                    "for {v0} in {m}.lo[{parent}] as i64..{parent} as i64 + 1 {{"
+                    "for {v0} in *{m}.lo.get({parent})? as i64..{parent} as i64 + 1 {{"
                 ));
                 self.indent += 1;
                 self.line(&format!(
-                    "let {pv} = {m}.ptr[{parent}] + ({v0} as usize - {m}.lo[{parent}]);"
+                    "let {pv} = *{m}.ptr.get({parent})? + ({v0} as usize - *{m}.lo.get({parent})?);"
                 ));
             }
             other => {
@@ -1264,8 +1272,8 @@ impl Emitter<'_> {
             "while {pa} < {ma}.ind.len() && {pb} < {mb}.ind.len() {{"
         ));
         self.indent += 1;
-        self.line(&format!("let ka__ = {ma}.ind[{pa}];"));
-        self.line(&format!("let kb__ = {mb}.ind[{pb}];"));
+        self.line(&format!("let ka__ = *{ma}.ind.get({pa})?;"));
+        self.line(&format!("let kb__ = *{mb}.ind.get({pb})?;"));
         self.line("if ka__ < kb__ {");
         self.indent += 1;
         self.line(&format!("{pa} += 1;"));
@@ -1313,7 +1321,7 @@ impl Emitter<'_> {
             match perm {
                 Some(_t) => {
                     keys.push(format!(
-                        "(if ({raw}) >= 0 && (({raw}) as usize) < {m}.iperm_inv.len() {{ {m}.iperm_inv[({raw}) as usize] as i64 }} else {{ -1 }})"
+                        "(if ({raw}) >= 0 {{ {m}.iperm_inv.get(({raw}) as usize).map_or(-1, |&r__| r__ as i64) }} else {{ -1 }})"
                     ));
                 }
                 None => keys.push(raw),
@@ -1348,7 +1356,7 @@ impl Emitter<'_> {
             }
             ("dia", 0, 0) => format!("{m}.diags.binary_search(&({k0})).ok()"),
             ("dia", 0, 1) => format!(
-                "if ({k0}) >= {m}.lo[{parent}] && ({k0}) < {m}.hi[{parent}] {{ Some({m}.ptr[{parent}] + (({k0}) - {m}.lo[{parent}]) as usize) }} else {{ None }}"
+                "if ({k0}) >= *{m}.lo.get({parent})? && ({k0}) < *{m}.hi.get({parent})? {{ Some(*{m}.ptr.get({parent})? + (({k0}) - *{m}.lo.get({parent})?) as usize) }} else {{ None }}"
             ),
             ("ell", 0, 1) => format!(
                 "if ({k0}) >= 0 {{ {m}.find({parent}, ({k0}) as usize) }} else {{ None }}"
@@ -1604,8 +1612,7 @@ impl Emitter<'_> {
                 if let Some(reg) = self.promoted_elem(e, r) {
                     return Ok(reg);
                 }
-                let idx = self.affine(&r.idxs[0]);
-                Ok(format!("{}[({idx}) as usize]", self.mat(&r.array)))
+                Ok(self.elem("get_mut", &r.array, &self.affine(&r.idxs[0])))
             }
             Some(_) => Err(EmitError(
                 "sparse writes are not supported by the emitter".into(),
@@ -1662,8 +1669,7 @@ impl Emitter<'_> {
                         if let Some(reg) = self.promoted_elem(e, r) {
                             reg
                         } else {
-                            let idx = self.affine(&r.idxs[0]);
-                            format!("{}[({idx}) as usize]", self.mat(&r.array))
+                            self.elem("get", &r.array, &self.affine(&r.idxs[0]))
                         }
                     }
                 }

@@ -212,10 +212,14 @@ fn dlopen_fault_is_typed_with_identical_interpreter_fallback() {
     let native = k.backend_in(&store);
     assert!(native.is_compiled());
     let fault_free = run_backend(&k, &native, &a);
-    // The warm load now fails at dlopen: typed LoadFailed reason,
+    // The store that validated the kernel keeps its library open and
+    // never reaches the fault; a restarted process (a fresh handle over
+    // the warm directory) fails at dlopen: typed LoadFailed reason,
     // interpreter fallback, identical bits.
     faults::configure("kernel.dlopen=fail#1");
-    let degraded = k.backend_in(&store);
+    assert!(k.backend_in(&store).is_compiled());
+    let restarted = KernelStore::at(&dir);
+    let degraded = k.backend_in(&restarted);
     match &degraded {
         KernelBackend::Interpreted {
             reason: LoadError::Cache(KernelCacheError::LoadFailed { detail }),
@@ -228,7 +232,7 @@ fn dlopen_fault_is_typed_with_identical_interpreter_fallback() {
         fault_free.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
     );
     // Fault spent: the very next load succeeds from the warm artifact.
-    let healed = k.backend_in(&store);
+    let healed = k.backend_in(&restarted);
     assert!(healed.is_compiled(), "{healed:?}");
     assert_eq!(run_backend(&k, &healed, &a), fault_free);
     store.breaker_reset();

@@ -129,7 +129,7 @@ fn blocked() -> Result<(), bernoulli::Error> {
     let (rp, cp) = discover_strips(&t);
     let v = Vbr::from_triplets(&t, &rp, &cp);
     let kv = session.compile(&session.bind(&kernels::mvm(), &[("A", v.format_view())])?)?;
-    assert!(kv.emit("mvm_vbr")?.contains("accv__")); // strip accumulators
+    assert!(kv.emit("mvm_vbr")?.contains("acct__")); // one walk per strip
     Ok(())
 }
 
