@@ -4,6 +4,9 @@
 //!
 //! Usage: `cargo run --release -p bernoulli-bench --bin experiments -- [all|fig12|mvm|join|order|costmodel|advisor|parallel|trace|synth|kernels|service|blocked]`
 //!
+//! `show <kernel> <format>` prints the plan chosen for one of the
+//! committed pairs and the Rust emitted from it, and measures nothing.
+//!
 //! `trace` exercises the synthesis pipeline and the parallel runtime
 //! under the observability layer and writes `BENCH_trace.json`. It
 //! always emits workload-derived series; compiling with
@@ -74,6 +77,7 @@ fn main() {
         "kernels" => kernels(),
         "service" => service_perf(),
         "blocked" => blocked(),
+        "show" => show(),
         "all" => {
             fig12();
             mvm();
@@ -91,10 +95,30 @@ fn main() {
         other => {
             eprintln!("unknown experiment {other:?}");
             eprintln!(
-                "usage: experiments [all|fig12|mvm|join|order|costmodel|advisor|parallel|trace|synth|kernels|service|blocked]"
+                "usage: experiments [all|fig12|mvm|join|order|costmodel|advisor|parallel|trace|synth|kernels|service|blocked|show <kernel> <format>]"
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// `show <kernel> <format>`: the chosen plan and its emitted text.
+fn show() {
+    let args: Vec<String> = std::env::args().skip(2).collect();
+    let [kernel, format] = args.as_slice() else {
+        eprintln!("usage: experiments show <mvm|mvmt|ts> <format>");
+        std::process::exit(1);
+    };
+    let (program, matrix) = synth::spec_for(kernel);
+    let session = Session::new();
+    let k = session
+        .bind(&program, &[(matrix, synth::view_for(kernel, format))])
+        .and_then(|b| session.compile(&b))
+        .unwrap_or_else(|e| panic!("{kernel}/{format}: {e}"));
+    println!("{}", k.plan());
+    match k.emit(&format!("{kernel}_{format}")) {
+        Ok(text) => println!("{text}"),
+        Err(e) => println!("not emitted: {e}"),
     }
 }
 

@@ -26,26 +26,32 @@ pub struct Csc<T: Scalar = f64> {
 impl<T: Scalar> Csc<T> {
     /// Builds from triplets.
     pub fn from_triplets(t: &Triplets<T>) -> Csc<T> {
-        // Sort column-major via the transpose ordering.
-        let mut entries: Vec<(usize, usize, T)> = {
-            let mut tt = t.clone();
-            tt.normalize();
-            tt.entries().to_vec()
-        };
-        entries.sort_by_key(|&(r, c, _)| (c, r));
+        let mut t = t.clone();
+        t.normalize();
         let mut colptr = vec![0usize; t.ncols() + 1];
-        for &(_, c, _) in &entries {
+        for &(_, c, _) in t.entries() {
             colptr[c + 1] += 1;
         }
         for c in 0..t.ncols() {
             colptr[c + 1] += colptr[c];
         }
+        // Normalized entries are row-major and duplicate-free, so a
+        // stable counting scatter by column leaves every column's rows
+        // strictly increasing: no second sort.
+        let mut next = colptr.clone();
+        let mut rowind = vec![0usize; t.nnz()];
+        let mut values = vec![T::ZERO; t.nnz()];
+        for &(r, c, v) in t.entries() {
+            rowind[next[c]] = r;
+            values[next[c]] = v;
+            next[c] += 1;
+        }
         Csc {
             nrows: t.nrows(),
             ncols: t.ncols(),
             colptr,
-            rowind: entries.iter().map(|&(r, _, _)| r).collect(),
-            values: entries.iter().map(|&(_, _, v)| v).collect(),
+            rowind,
+            values,
         }
     }
 
@@ -278,6 +284,65 @@ mod tests {
         let a = Csc::from_triplets(&sample_triplets());
         assert_eq!(a.colptr, vec![0, 2, 4, 6, 7]);
         assert_eq!(a.rowind, vec![0, 3, 1, 2, 0, 2, 3]);
+    }
+
+    /// The arrays a comparison sort of the normalized entries by
+    /// `(column, row)` yields: what `from_triplets` did before it
+    /// scattered.
+    fn by_sorting(t: &Triplets<f64>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let mut t = t.clone();
+        t.normalize();
+        let mut entries = t.entries().to_vec();
+        entries.sort_by_key(|&(r, c, _)| (c, r));
+        let mut colptr = vec![0usize; t.ncols() + 1];
+        for &(_, c, _) in &entries {
+            colptr[c + 1] += 1;
+        }
+        for c in 0..t.ncols() {
+            colptr[c + 1] += colptr[c];
+        }
+        (
+            colptr,
+            entries.iter().map(|e| e.0).collect(),
+            entries.iter().map(|e| e.2).collect(),
+        )
+    }
+
+    #[test]
+    fn scatter_builds_what_sorting_built() {
+        let mut cases = vec![
+            sample_triplets(),
+            Triplets::new(3, 5),
+            crate::gen::structurally_symmetric(40, 240, 10, 3),
+        ];
+        // Duplicates (summed by `normalize`), pushed out of order, with
+        // columns 1 and 4 and the last row left empty.
+        let mut dup = Triplets::new(5, 6);
+        for k in 0..40usize {
+            dup.push((k * 7) % 4, [0, 2, 3, 5][(k * 5) % 4], 0.5 + k as f64);
+        }
+        cases.push(dup);
+        // Pseudo-random rectangular patterns.
+        for seed in 1..6usize {
+            let (nr, nc) = (3 + seed * 4, 2 + seed * 5);
+            let mut t = Triplets::new(nr, nc);
+            let mut x = seed * 2654435761;
+            for _ in 0..nr * 3 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                t.push((x >> 33) % nr, (x >> 13) % nc, (x % 17) as f64 - 8.0);
+            }
+            cases.push(t);
+        }
+        for t in &cases {
+            let a = Csc::from_triplets(t);
+            assert_eq!(
+                (a.colptr.clone(), a.rowind.clone(), a.values.clone()),
+                by_sorting(t)
+            );
+            assert!(a.validate().is_ok());
+        }
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! generated kernels can be committed (see `bernoulli-blas`'s `synth`
 //! module) and checked against regeneration in CI.
 
-use crate::plan::{Atom, Dir, ExecStmt, Guard, LevelRef, PExpr, Plan, StepKind, ValueSource};
+use crate::plan::{
+    Atom, Dir, Edge, ExecStmt, Guard, LevelRef, OffEdge, PExpr, Plan, StepKind, ValueSource,
+};
 use bernoulli_formats::view::FormatView;
 use bernoulli_ir::{ArrayKind, LhsRef, Program, Role, ValueExpr};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Emission failure: the plan uses a runtime feature with no static
 /// template (fall back to the interpreter).
@@ -92,6 +95,10 @@ struct Emitter<'a> {
     /// Scalar replacement: a dense-vector element promoted to a register
     /// across the innermost step (array, index expr, register name).
     promotion: Option<Promotion>,
+    /// Edge splitting of the innermost enumeration, when proved.
+    split: Option<Rc<EdgeSplit>>,
+    /// Set while the split's main loop body is being emitted.
+    in_main: bool,
     /// Set when the body used the `ix` unchecked-read helper, so the
     /// helper definition is spliced into the function prologue.
     uses_ix: std::cell::Cell<bool>,
@@ -157,25 +164,6 @@ fn subst_index(e: &ExecStmt, idx: &bernoulli_ir::AffineExpr, params: &[String]) 
     Some(out)
 }
 
-fn pexpr_eq(a: &PExpr, b: &PExpr) -> bool {
-    if a.cst != b.cst || a.terms.len() != b.terms.len() {
-        return false;
-    }
-    a.terms
-        .iter()
-        .all(|(at, ac)| b.terms.iter().any(|(bt, bc)| at == bt && ac == bc))
-}
-
-/// `a - b` over PExprs.
-fn pexpr_sub(a: &PExpr, b: &PExpr) -> PExpr {
-    let mut out = a.clone();
-    for (t, c) in &b.terms {
-        out.add_term(t.clone(), -c);
-    }
-    out.cst -= b.cst;
-    out
-}
-
 /// Does one of the exec's guards prove `diff != 0`? True when a `Ge`
 /// guard states `diff - k >= 0` with `k >= 1`, or `-diff - k >= 0` with
 /// `k >= 1` (i.e. `diff <= -1` or `diff >= 1`).
@@ -183,15 +171,12 @@ fn guards_prove_nonzero(e: &ExecStmt, diff: &PExpr) -> bool {
     e.guards.iter().any(|g| {
         let Guard::Ge(x) = g else { return false };
         // x == diff + c with c <= -1  (diff >= -c >= 1)
-        let mut d1 = pexpr_sub(x, diff);
+        let mut d1 = x.minus(diff);
         d1.cst = 0;
         let matches_pos = d1.terms.is_empty() && (x.cst - diff.cst) <= -1;
         // x == -diff + c with c <= -1 (diff <= c <= -1)
-        let mut nd = PExpr::constant(-diff.cst);
-        for (t, c) in &diff.terms {
-            nd.add_term(t.clone(), -c);
-        }
-        let mut d2 = pexpr_sub(x, &nd);
+        let nd = diff.negated();
+        let mut d2 = x.minus(&nd);
         d2.cst = 0;
         let matches_neg = d2.terms.is_empty() && (x.cst - nd.cst) <= -1;
         matches_pos || matches_neg
@@ -203,10 +188,8 @@ fn guards_prove_nonzero(e: &ExecStmt, diff: &PExpr) -> bool {
 /// `Ge(a)` vs `Ge(-a-1)` pattern produced by complementary regions.
 fn guards_disjoint(g1: &Guard, g2: &Guard) -> bool {
     let neg_minus1 = |x: &PExpr| {
-        let mut n = PExpr::constant(-x.cst - 1);
-        for (t, c) in &x.terms {
-            n.add_term(t.clone(), -c);
-        }
+        let mut n = x.negated();
+        n.cst -= 1;
         n
     };
     let minus1 = |x: &PExpr| {
@@ -216,9 +199,9 @@ fn guards_disjoint(g1: &Guard, g2: &Guard) -> bool {
     };
     match (g1, g2) {
         (Guard::Eq(a), Guard::Ge(b)) | (Guard::Ge(b), Guard::Eq(a)) => {
-            pexpr_eq(b, &neg_minus1(a)) || pexpr_eq(b, &minus1(a))
+            b.same_as(&neg_minus1(a)) || b.same_as(&minus1(a))
         }
-        (Guard::Ge(a), Guard::Ge(b)) => pexpr_eq(b, &neg_minus1(a)),
+        (Guard::Ge(a), Guard::Ge(b)) => b.same_as(&neg_minus1(a)),
         _ => false,
     }
 }
@@ -262,7 +245,7 @@ fn find_promotion(p: &Program, plan: &Plan) -> Option<Promotion> {
         match &target {
             None => target = Some((e.body.lhs.array.clone(), idx)),
             Some((arr, prev)) => {
-                if *arr != e.body.lhs.array || !pexpr_eq(prev, &idx) {
+                if *arr != e.body.lhs.array || !prev.same_as(&idx) {
                     return None;
                 }
             }
@@ -277,10 +260,10 @@ fn find_promotion(p: &Program, plan: &Plan) -> Option<Promotion> {
                 continue;
             }
             let ridx = subst_index(e, &r.idxs[0], &p.params)?;
-            if pexpr_eq(&ridx, &idx) {
+            if ridx.same_as(&idx) {
                 continue;
             }
-            let diff = pexpr_sub(&ridx, &idx);
+            let diff = ridx.minus(&idx);
             if !guards_prove_nonzero(e, &diff) {
                 return None;
             }
@@ -325,7 +308,7 @@ fn find_deferred_div(
         let is_div = matches!(&e.body.rhs, ValueExpr::Div(a, _)
             if matches!(a.as_ref(), ValueExpr::Read(r)
                 if r.array == array
-                   && subst_index(e, &r.idxs[0], &p.params).is_some_and(|ri| pexpr_eq(&ri, idx))));
+                   && subst_index(e, &r.idxs[0], &p.params).is_some_and(|ri| ri.same_as(idx))));
         if !is_div {
             continue;
         }
@@ -340,7 +323,7 @@ fn find_deferred_div(
             for r in b.reads() {
                 if r.array == array {
                     if let Some(ri) = subst_index(e, &r.idxs[0], &p.params) {
-                        if pexpr_eq(&ri, idx) {
+                        if ri.same_as(idx) {
                             return None;
                         }
                     } else {
@@ -359,14 +342,11 @@ fn find_deferred_div(
         if inner_terms.len() != 1 || inner_terms[0].1.abs() != 1 {
             return None;
         }
-        let mut gn = g.clone();
-        if inner_terms[0].1 == -1 {
-            let mut neg = PExpr::constant(-gn.cst);
-            for (t, c) in &gn.terms {
-                neg.add_term(t.clone(), -c);
-            }
-            gn = neg;
-        }
+        let gn = if inner_terms[0].1 == -1 {
+            g.negated()
+        } else {
+            g.clone()
+        };
         if div_at.is_some() {
             return None; // at most one division statement
         }
@@ -382,10 +362,8 @@ fn find_deferred_div(
     // Every other inner exec fires strictly before the division's point:
     // it must carry the guard `-g - 1 >= 0` (value < firing point).
     let before = {
-        let mut b = PExpr::constant(-gn.cst - 1);
-        for (t, c) in &gn.terms {
-            b.add_term(t.clone(), -c);
-        }
+        let mut b = gn.negated();
+        b.cst -= 1;
         b
     };
     for (k, e) in plan.execs.iter().enumerate() {
@@ -395,12 +373,142 @@ fn find_deferred_div(
         if !e
             .guards
             .iter()
-            .any(|g| matches!(g, Guard::Ge(h) if pexpr_eq(h, &before)))
+            .any(|g| matches!(g, Guard::Ge(h) if h.same_as(&before)))
         {
             return None;
         }
     }
     Some(div_idx)
+}
+
+/// Edge splitting of an ordered innermost enumeration under a proved
+/// [`EdgeBound`](crate::plan::EdgeBound): every position but the edge
+/// one lies strictly beyond the pivot, so there the guards the bound
+/// decides need no evaluation. The enumeration is emitted as a *main*
+/// loop over all positions but the edge one — `slot == pivot` statements
+/// absent, strict guards dropped — plus the edge position with the
+/// unsplit body. Same statements on the same entries in the same order,
+/// so results are bitwise those of the unsplit loop (which the
+/// interpreter keeps executing).
+#[derive(Clone, Debug)]
+struct EdgeSplit {
+    edge: Edge,
+    /// The full-depth statements of the main loop, decided guards
+    /// removed.
+    main: Vec<ExecStmt>,
+    /// Reads of a vector the main loop writes, at an index the inner
+    /// slot does not move and the dropped guards prove different from
+    /// every write: bound once before the main loop.
+    invariants: Vec<InvariantRead>,
+}
+
+#[derive(Clone, Debug)]
+struct InvariantRead {
+    stmt: usize,
+    /// Access index of the read within its statement.
+    access: usize,
+    array: String,
+    idx: PExpr,
+}
+
+/// Was (ref, level) positioned by a search (may miss) rather than an
+/// enumeration?
+fn level_searched(plan: &Plan, rid: usize, lev: usize) -> bool {
+    plan.steps.iter().flat_map(|s| &s.searches).any(|sp| {
+        (sp.target.ref_id == rid && sp.target.level == lev) || sp.sharers.contains(&(rid, lev))
+    })
+}
+
+/// The searched levels of a statement's required refs: it executes only
+/// where all of them were found (enumerated levels cannot miss).
+fn presence_levels(plan: &Plan, e: &ExecStmt) -> Vec<(usize, usize)> {
+    e.required_refs
+        .iter()
+        .flat_map(|&rid| (0..plan.refs[rid].levels).map(move |lev| (rid, lev)))
+        .filter(|&(rid, lev)| level_searched(plan, rid, lev))
+        .collect()
+}
+
+/// Looks for an edge split of the innermost step: lowering proved the
+/// step's bound (`edge_bound`), and every full-depth statement carries a
+/// guard the bound decides.
+fn find_edge_split(p: &Program, plan: &Plan) -> Option<EdgeSplit> {
+    let nsteps = plan.steps.len();
+    let last = plan.steps.last()?;
+    let bound = last.edge_bound.as_ref()?;
+    let slot = last.first_slot;
+    // The main loop's statements: as emitted there, and as lowered.
+    let (mut main, mut lowered): (Vec<ExecStmt>, Vec<&ExecStmt>) = (Vec::new(), Vec::new());
+    for e in plan.execs.iter().filter(|e| e.depth == nsteps) {
+        let decided = |g: &Guard| bound.off_edge(slot, g);
+        if e.guards.iter().any(|g| decided(g) == Some(OffEdge::Fails)) {
+            continue;
+        }
+        let mut kept = e.clone();
+        kept.guards.retain(|g| decided(g).is_none());
+        if kept.guards.len() == e.guards.len() {
+            return None;
+        }
+        main.push(kept);
+        lowered.push(e);
+    }
+    if main.is_empty() {
+        return None;
+    }
+
+    // Invariant reads. Only in a statement the main loop runs at every
+    // position (no presence condition, no guard left, no divisor
+    // binding), so that the hoisted checked read fails exactly when the
+    // loop's first iteration would.
+    let write_idx = |e: &ExecStmt| subst_index(e, e.body.lhs.idxs.first()?, &p.params);
+    let mut invariants = Vec::new();
+    for e in &main {
+        if !e.guards.is_empty()
+            || e.bindings.iter().any(|(_, _, d)| *d != 1)
+            || !presence_levels(plan, e).is_empty()
+        {
+            continue;
+        }
+        for (k, r) in e.body.rhs.reads().into_iter().enumerate() {
+            let access = k + 1;
+            if e.sources.get(access).is_some_and(|s| s.is_some()) || r.idxs.len() != 1 {
+                continue;
+            }
+            let Some(idx) = subst_index(e, &r.idxs[0], &p.params) else {
+                continue;
+            };
+            if idx.terms.iter().any(|(a, _)| *a == Atom::Slot(slot)) {
+                continue;
+            }
+            // Every main-loop write to the array must be provably
+            // elsewhere — by the writer's guards as lowered, the dropped
+            // one included: it holds at every main position. (An array
+            // the loop does not write is the optimizer's to hoist.)
+            let mut writers = lowered
+                .iter()
+                .filter(|w| w.body.lhs.array == r.array)
+                .peekable();
+            let disjoint = writers.peek().is_some()
+                && writers.all(|w| {
+                    w.sources[0].is_none()
+                        && write_idx(w)
+                            .is_some_and(|widx| guards_prove_nonzero(w, &idx.minus(&widx)))
+                });
+            if disjoint {
+                invariants.push(InvariantRead {
+                    stmt: e.stmt,
+                    access,
+                    array: r.array.clone(),
+                    idx,
+                });
+            }
+        }
+    }
+    Some(EdgeSplit {
+        edge: bound.edge,
+        main,
+        invariants,
+    })
 }
 
 /// Emits a standalone Rust function implementing the plan.
@@ -501,11 +609,46 @@ fn emit_rust_inner(
         out: String::new(),
         indent: 0,
         promotion,
+        split: find_edge_split(p, plan).map(Rc::new),
+        in_main: false,
         uses_ix: std::cell::Cell::new(false),
         ranged,
     };
     e.function(fn_name)?;
     Ok(e.out)
+}
+
+/// A level enumeration's loop head as its template yields it, in
+/// order: the loops, and the lines around and inside them.
+#[derive(Default)]
+struct LoopHead(Vec<HeadItem>);
+
+enum HeadItem {
+    Line(String),
+    /// `for {var} in {range} {`
+    For {
+        var: String,
+        range: String,
+    },
+}
+
+impl LoopHead {
+    fn open(&mut self, var: &str, range: String) {
+        self.0.push(HeadItem::For {
+            var: var.to_string(),
+            range,
+        });
+    }
+
+    fn line(&mut self, line: String) {
+        self.0.push(HeadItem::Line(line));
+    }
+
+    /// The index of the head's loop, when it opens exactly one.
+    fn only_loop(&self) -> Option<usize> {
+        let mut loops = (0..self.0.len()).filter(|&i| matches!(self.0[i], HeadItem::For { .. }));
+        loops.next().filter(|_| loops.next().is_none())
+    }
 }
 
 impl Emitter<'_> {
@@ -885,14 +1028,13 @@ impl Emitter<'_> {
 
     /// Emits step `si`'s loop and its subtree.
     fn nest(&mut self, si: usize) -> Result<(), EmitError> {
-        if si == self.plan.steps.len() {
-            let inner: Vec<ExecStmt> = self
-                .plan
-                .execs
-                .iter()
-                .filter(|e| e.depth == si)
-                .cloned()
-                .collect();
+        let plan = self.plan;
+        if si == plan.steps.len() {
+            let split = self.split.clone().filter(|_| self.in_main);
+            let inner: Vec<&ExecStmt> = match &split {
+                Some(split) => split.main.iter().collect(),
+                None => plan.execs.iter().filter(|e| e.depth == si).collect(),
+            };
             // Provably-disjoint single guards fuse into an if/else-if
             // chain (one comparison on the hot path), matching the
             // hand-written kernels' structure. Put the Ge-guarded (dense)
@@ -913,25 +1055,25 @@ impl Emitter<'_> {
                 && guards_disjoint(&inner[0].guards[0], &inner[1].guards[0])
             {
                 let (first, second) = if matches!(inner[0].guards[0], Guard::Ge(_)) {
-                    (&inner[0], &inner[1])
+                    (inner[0], inner[1])
                 } else {
-                    (&inner[1], &inner[0])
+                    (inner[1], inner[0])
                 };
                 self.exec_chained(first, second)?;
                 return Ok(());
             }
-            for e in &inner {
+            for e in inner {
                 self.exec(e)?;
             }
             return Ok(());
         }
         // Hoisted-before statements.
-        for e in &self.plan.execs.clone() {
+        for e in &plan.execs {
             if e.depth == si && !e.after {
                 self.exec(e)?;
             }
         }
-        let promotion_here = if si + 1 == self.plan.steps.len() {
+        let promotion_here = if si + 1 == plan.steps.len() {
             self.promotion.clone()
         } else {
             None
@@ -944,7 +1086,7 @@ impl Emitter<'_> {
                 self.line("let mut has_pivot__ = false;");
             }
         }
-        let step = self.plan.steps[si].clone();
+        let step = &plan.steps[si];
         match &step.kind {
             StepKind::Interval { lo, hi } => {
                 let lo = self.pexpr(lo);
@@ -955,15 +1097,15 @@ impl Emitter<'_> {
                     Dir::Rev => self.line(&format!("for {v} in (({lo})..({hi})).rev() {{")),
                 }
                 self.indent += 1;
-                self.step_tail(si, &step)?;
+                self.step_tail(si, step)?;
                 self.indent -= 1;
                 self.line("}");
             }
             StepKind::Level { primary, perms } => {
-                self.level_loop(si, &step, primary, perms)?;
+                self.level_loop(si, step, primary, perms)?;
             }
             StepKind::MergeJoin { a, b } => {
-                self.merge_join(si, &step, a, b)?;
+                self.merge_join(si, step, a, b)?;
             }
         }
         if let Some(pr) = &promotion_here {
@@ -977,7 +1119,7 @@ impl Emitter<'_> {
             self.line(&format!("{y} = {};", pr.reg));
         }
         // Hoisted-after statements.
-        for e in &self.plan.execs.clone() {
+        for e in &plan.execs {
             if e.depth == si && e.after {
                 self.exec(e)?;
             }
@@ -987,7 +1129,7 @@ impl Emitter<'_> {
 
     /// Sharer aliases, searches, then the deeper subtree.
     fn step_tail(&mut self, si: usize, step: &crate::plan::Step) -> Result<(), EmitError> {
-        for &(rid, lev) in &step.sharers.clone() {
+        for &(rid, lev) in &step.sharers {
             let primary = match &step.kind {
                 StepKind::Level { primary, .. } => primary,
                 _ => return Err(EmitError("sharers on a non-level step".into())),
@@ -999,19 +1141,20 @@ impl Emitter<'_> {
             ));
             self.line(&format!("let _ = {};", pos_var(rid, lev)));
         }
-        for sp in &step.searches.clone() {
+        for sp in &step.searches {
             self.search(sp)?;
         }
         self.nest(si + 1)
     }
 
-    fn level_loop(
-        &mut self,
+    /// The loop head of a level enumeration, from its format's template.
+    fn level_head(
+        &self,
         si: usize,
         step: &crate::plan::Step,
         primary: &LevelRef,
         perms: &[Option<String>],
-    ) -> Result<(), EmitError> {
+    ) -> Result<LoopHead, EmitError> {
         let m = self.mat(&primary.matrix).to_string();
         let view_name = self.views[&primary.matrix].name.clone();
         let pv = pos_var(primary.ref_id, primary.level);
@@ -1033,12 +1176,11 @@ impl Emitter<'_> {
         };
         // Most templates open a single loop; the two-level blocked
         // formats open a block loop plus a within-block loop.
-        let mut opened = 1usize;
+        let mut head = LoopHead::default();
         match (template_name(&view_name), primary.chain, primary.level) {
             ("csr", 0, 0) | ("ell", 0, 0) | ("bsr", 0, 0) | ("vbr", 0, 0) => {
-                self.line(&format!("for {v0} in {row_range} {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, row_range.clone());
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("bsr", 0, 1) => {
                 // Blocked row walk: the outer loop runs over the stored
@@ -1056,17 +1198,14 @@ impl Emitter<'_> {
                     self.ix(&format!("{m}.browptr"), "br__ + 1"),
                     self.ix(&format!("{m}.bcolind"), "b__"),
                 );
-                self.line(&format!("let br__ = {parent} / {rb};"));
-                self.line(&format!("let rr__ = {parent} % {rb};"));
-                self.line(&format!("for b__ in {blo}..{bhi} {{"));
-                self.indent += 1;
-                self.line(&format!("let base__ = (b__ * {rb} + rr__) * {cb};"));
-                self.line(&format!("let c0__ = {bcol} * {cb};"));
-                self.line(&format!("for s__ in 0..{cb} {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = base__ + s__;"));
-                self.line(&format!("let {v0} = (c0__ + s__) as i64;"));
-                opened = 2;
+                head.line(format!("let br__ = {parent} / {rb};"));
+                head.line(format!("let rr__ = {parent} % {rb};"));
+                head.open("b__", format!("{blo}..{bhi}"));
+                head.line(format!("let base__ = (b__ * {rb} + rr__) * {cb};"));
+                head.line(format!("let c0__ = {bcol} * {cb};"));
+                head.open("s__", format!("0..{cb}"));
+                head.line(format!("let {pv} = base__ + s__;"));
+                head.line(format!("let {v0} = (c0__ + s__) as i64;"));
             }
             ("vbr", 0, 1) => {
                 // Variable block strips: block extents are runtime data
@@ -1085,50 +1224,44 @@ impl Emitter<'_> {
                     self.ix(&format!("{m}.cpntr"), "bc__ + 1"),
                 );
                 let base = self.ix(&format!("{m}.indx"), "b__");
-                self.line(&format!("let br__ = {rowblk};"));
-                self.line(&format!("let rr__ = {parent} - {rp};"));
-                self.line(&format!("for b__ in {blo}..{bhi} {{"));
-                self.indent += 1;
-                self.line(&format!("let bc__ = {bcol};"));
-                self.line(&format!("let cj0__ = {cj0};"));
-                self.line(&format!("let w__ = {cj1} - cj0__;"));
-                self.line(&format!("let base__ = {base} + rr__ * w__;"));
-                self.line("for s__ in 0..w__ {");
-                self.indent += 1;
-                self.line(&format!("let {pv} = base__ + s__;"));
-                self.line(&format!("let {v0} = (cj0__ + s__) as i64;"));
-                opened = 2;
+                head.line(format!("let br__ = {rowblk};"));
+                head.line(format!("let rr__ = {parent} - {rp};"));
+                head.open("b__", format!("{blo}..{bhi}"));
+                head.line(format!("let bc__ = {bcol};"));
+                head.line(format!("let cj0__ = {cj0};"));
+                head.line(format!("let w__ = {cj1} - cj0__;"));
+                head.line(format!("let base__ = {base} + rr__ * w__;"));
+                head.open("s__", "0..w__".to_string());
+                head.line(format!("let {pv} = base__ + s__;"));
+                head.line(format!("let {v0} = (cj0__ + s__) as i64;"));
             }
             ("csr", 0, 1) => {
-                self.line(&format!(
-                    "for {pv} in *{m}.rowptr.get({parent})?..*{m}.rowptr.get({parent} + 1)? {{"
-                ));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
+                head.open(
+                    &pv,
+                    format!("*{m}.rowptr.get({parent})?..*{m}.rowptr.get({parent} + 1)?"),
+                );
+                head.line(format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
             }
             ("csc", 0, 0) => {
-                self.line(&format!("for {v0} in 0..{m}.ncols as i64 {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, format!("0..{m}.ncols as i64"));
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("csc", 0, 1) => {
-                self.line(&format!(
-                    "for {pv} in *{m}.colptr.get({parent})?..*{m}.colptr.get({parent} + 1)? {{"
-                ));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.rowind.get({pv})? as i64;"));
+                head.open(
+                    &pv,
+                    format!("*{m}.colptr.get({parent})?..*{m}.colptr.get({parent} + 1)?"),
+                );
+                head.line(format!("let {v0} = *{m}.rowind.get({pv})? as i64;"));
             }
             ("coo", 0, 0) => {
                 let v1 = slot_var(step.first_slot + 1);
-                self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.rows.get({pv})? as i64;"));
-                self.line(&format!("let {v1} = *{m}.cols.get({pv})? as i64;"));
+                head.open(&pv, format!("0..{m}.values.len()"));
+                head.line(format!("let {v0} = *{m}.rows.get({pv})? as i64;"));
+                head.line(format!("let {v1} = *{m}.cols.get({pv})? as i64;"));
             }
             ("dia", 0, 0) => {
-                self.line(&format!("for {pv} in 0..{m}.diags.len() {{"));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.diags.get({pv})?;"));
+                head.open(&pv, format!("0..{m}.diags.len()"));
+                head.line(format!("let {v0} = *{m}.diags.get({pv})?;"));
             }
             ("dia", 0, 1) => {
                 // Hoist the per-diagonal bounds and strip base out of the
@@ -1140,12 +1273,11 @@ impl Emitter<'_> {
                     self.ix(&format!("{m}.hi"), &parent),
                     self.ix(&format!("{m}.ptr"), &parent),
                 );
-                self.line(&format!("let lo__ = {lo};"));
-                self.line(&format!("let hi__ = {hi};"));
-                self.line(&format!("let base__ = {base};"));
-                self.line(&format!("for {v0} in lo__..hi__ {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = base__ + ({v0} - lo__) as usize;"));
+                head.line(format!("let lo__ = {lo};"));
+                head.line(format!("let hi__ = {hi};"));
+                head.line(format!("let base__ = {base};"));
+                head.open(&v0, "lo__..hi__".to_string());
+                head.line(format!("let {pv} = base__ + ({v0} - lo__) as usize;"));
             }
             ("ell", 0, 1) => {
                 // Fixed-stride slot walk: the row base is hoisted and the
@@ -1153,84 +1285,74 @@ impl Emitter<'_> {
                 // autovectorizes over the row's slots.
                 let len = self.ix(&format!("{m}.rowlen"), &parent);
                 let col = self.ix(&format!("{m}.colind"), &pv);
-                self.line(&format!("let base__ = {parent} * {m}.width;"));
-                self.line(&format!("for s__ in 0..{len} {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = base__ + s__;"));
-                self.line(&format!("let {v0} = {col};"));
+                head.line(format!("let base__ = {parent} * {m}.width;"));
+                head.open("s__", format!("0..{len}"));
+                head.line(format!("let {pv} = base__ + s__;"));
+                head.line(format!("let {v0} = {col};"));
             }
             ("jad", 0, 0) => {
                 // Flat perspective: walk the jagged diagonals.
                 let v1 = slot_var(step.first_slot + 1);
-                self.line("let mut d__ = 0usize;");
-                self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
-                self.indent += 1;
-                self.line(&format!(
+                head.line("let mut d__ = 0usize;".to_string());
+                head.open(&pv, format!("0..{m}.values.len()"));
+                head.line(format!(
                     "while {pv} >= *{m}.dptr.get(d__ + 1)? {{ d__ += 1; }}"
                 ));
-                self.line(&format!("let rr__ = {pv} - *{m}.dptr.get(d__)?;"));
-                self.line(&format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
-                self.line(&format!("let {v1} = *{m}.colind.get({pv})? as i64;"));
+                head.line(format!("let rr__ = {pv} - *{m}.dptr.get(d__)?;"));
+                head.line(format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
+                head.line(format!("let {v1} = *{m}.colind.get({pv})? as i64;"));
             }
             ("jad", 1, 0) => {
-                self.line(&format!("for rr__ in 0..{m}.nrows {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = rr__;"));
+                head.open("rr__", format!("0..{m}.nrows"));
+                head.line(format!("let {pv} = rr__;"));
                 if perms[0].is_some() {
-                    self.line(&format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
+                    head.line(format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
                 } else {
-                    self.line(&format!("let {v0} = rr__ as i64;"));
+                    head.line(format!("let {v0} = rr__ as i64;"));
                 }
             }
             ("jad", 1, 1) => {
-                self.line(&format!("for d__ in 0..*{m}.rowlen.get({parent})? {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = *{m}.dptr.get(d__)? + {parent};"));
-                self.line(&format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
+                head.open("d__", format!("0..*{m}.rowlen.get({parent})?"));
+                head.line(format!("let {pv} = *{m}.dptr.get(d__)? + {parent};"));
+                head.line(format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
             }
             ("dense", 0, 0) => {
-                self.line(&format!("for {v0} in {row_range} {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, row_range.clone());
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("dense", 0, 1) => {
-                self.line(&format!("for {v0} in 0..{m}.ncols as i64 {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {parent} * {m}.ncols + {v0} as usize;"));
+                head.open(&v0, format!("0..{m}.ncols as i64"));
+                head.line(format!("let {pv} = {parent} * {m}.ncols + {v0} as usize;"));
             }
             ("diagsplit", 0, 0) => {
-                self.line(&format!("for {v0} in 0..{m}.n as i64 {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, format!("0..{m}.n as i64"));
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("diagsplit", 1, 0) => {
-                self.line(&format!("for {v0} in 0..{m}.off.nrows as i64 {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, format!("0..{m}.off.nrows as i64"));
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("diagsplit", 1, 1) => {
-                self.line(&format!(
-                    "for {pv} in *{m}.off.rowptr.get({parent})?..*{m}.off.rowptr.get({parent} + 1)? {{"
-                ));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.off.colind.get({pv})? as i64;"));
+                head.open(
+                    &pv,
+                    format!("*{m}.off.rowptr.get({parent})?..*{m}.off.rowptr.get({parent} + 1)?"),
+                );
+                head.line(format!("let {v0} = *{m}.off.colind.get({pv})? as i64;"));
             }
             ("spvec", 0, 0) | ("hashvec", 0, 0) => {
-                self.line(&format!("for {pv} in 0..{m}.values.len() {{"));
-                self.indent += 1;
-                self.line(&format!("let {v0} = *{m}.ind.get({pv})? as i64;"));
+                head.open(&pv, format!("0..{m}.values.len()"));
+                head.line(format!("let {v0} = *{m}.ind.get({pv})? as i64;"));
             }
             ("sky", 0, 0) => {
-                self.line(&format!("for {v0} in 0..{m}.n as i64 {{"));
-                self.indent += 1;
-                self.line(&format!("let {pv} = {v0} as usize;"));
+                head.open(&v0, format!("0..{m}.n as i64"));
+                head.line(format!("let {pv} = {v0} as usize;"));
             }
             ("sky", 0, 1) => {
-                self.line(&format!(
-                    "for {v0} in *{m}.lo.get({parent})? as i64..{parent} as i64 + 1 {{"
-                ));
-                self.indent += 1;
-                self.line(&format!(
+                head.open(
+                    &v0,
+                    format!("*{m}.lo.get({parent})? as i64..{parent} as i64 + 1"),
+                );
+                head.line(format!(
                     "let {pv} = *{m}.ptr.get({parent})? + ({v0} as usize - *{m}.lo.get({parent})?);"
                 ));
             }
@@ -1238,11 +1360,119 @@ impl Emitter<'_> {
                 return Err(EmitError(format!("no level template for {other:?}")));
             }
         }
+        Ok(head)
+    }
+
+    fn level_loop(
+        &mut self,
+        si: usize,
+        step: &crate::plan::Step,
+        primary: &LevelRef,
+        perms: &[Option<String>],
+    ) -> Result<(), EmitError> {
+        let head = self.level_head(si, step, primary, perms)?;
+        if si + 1 == self.plan.steps.len() {
+            if let (Some(split), Some(at)) = (self.split.clone(), head.only_loop()) {
+                return self.split_loop(si, step, &head, at, &split);
+            }
+        }
+        let mut opened = 0usize;
+        for item in &head.0 {
+            match item {
+                HeadItem::Line(l) => self.line(l),
+                HeadItem::For { var, range } => {
+                    self.line(&format!("for {var} in {range} {{"));
+                    self.indent += 1;
+                    opened += 1;
+                }
+            }
+        }
         self.step_tail(si, step)?;
         for _ in 0..opened {
             self.indent -= 1;
             self.line("}");
         }
+        Ok(())
+    }
+
+    /// The innermost enumeration under an [`EdgeSplit`]: the main loop
+    /// over every position but the edge one, and the edge position with
+    /// the unsplit body, in enumeration order. `at` indexes the head's
+    /// one loop; the lines before it run once, those after it per
+    /// position.
+    fn split_loop(
+        &mut self,
+        si: usize,
+        step: &crate::plan::Step,
+        head: &LoopHead,
+        at: usize,
+        split: &EdgeSplit,
+    ) -> Result<(), EmitError> {
+        let HeadItem::For { var, range } = &head.0[at] else {
+            return Err(EmitError("split of a loop head without a loop".into()));
+        };
+        let lines = |this: &mut Self, items: &[HeadItem]| {
+            for item in items {
+                if let HeadItem::Line(l) = item {
+                    this.line(l);
+                }
+            }
+        };
+        lines(self, &head.0[..at]);
+        self.line(&format!("let span__ = {range};"));
+        self.line("if span__.start < span__.end {");
+        self.indent += 1;
+        let (edge_at, main_range) = match split.edge {
+            Edge::First => ("span__.start", "span__.start + 1..span__.end"),
+            Edge::Last => ("span__.end - 1", "span__.start..span__.end - 1"),
+        };
+        let edge = |this: &mut Self| -> Result<(), EmitError> {
+            this.line("{");
+            this.indent += 1;
+            this.line(&format!("let {var} = {edge_at};"));
+            lines(this, &head.0[at + 1..]);
+            this.step_tail(si, step)?;
+            this.indent -= 1;
+            this.line("}");
+            Ok(())
+        };
+        let main = |this: &mut Self| -> Result<(), EmitError> {
+            // Invariant reads are bound only when the main loop runs, so
+            // a checked read fails where its first iteration would.
+            let hoisting = !split.invariants.is_empty();
+            if hoisting {
+                this.line("if span__.end - span__.start > 1 {");
+                this.indent += 1;
+                for (k, inv) in split.invariants.iter().enumerate() {
+                    let read = this.elem("get", &inv.array, &this.pexpr(&inv.idx));
+                    this.line(&format!("let {} = {read};", invariant_var(k)));
+                }
+            }
+            this.line(&format!("for {var} in {main_range} {{"));
+            this.indent += 1;
+            lines(this, &head.0[at + 1..]);
+            this.in_main = true;
+            let tail = this.step_tail(si, step);
+            this.in_main = false;
+            tail?;
+            for _ in 0..1 + usize::from(hoisting) {
+                this.indent -= 1;
+                this.line("}");
+            }
+            Ok(())
+        };
+        match split.edge {
+            Edge::First => {
+                edge(self)?;
+                main(self)?;
+            }
+            Edge::Last => {
+                main(self)?;
+                edge(self)?;
+            }
+        }
+        self.indent -= 1;
+        self.line("}");
         Ok(())
     }
 
@@ -1303,7 +1533,7 @@ impl Emitter<'_> {
         let lev = sp.target.level;
         let pv = pos_var(rid, lev);
         let ok = ok_var(rid, lev);
-        let parent_ok = if lev == 0 || !self.ref_level_searched(rid, lev - 1) {
+        let parent_ok = if lev == 0 || !level_searched(self.plan, rid, lev - 1) {
             "true".to_string()
         } else {
             ok_var(rid, lev - 1)
@@ -1315,14 +1545,21 @@ impl Emitter<'_> {
         };
 
         // Key expressions (apply inverse perms).
+        // A permuted key is a lookup: bound once, used by name.
         let mut keys = Vec::new();
-        for (e, perm) in &sp.keys {
+        for (i, (e, perm)) in sp.keys.iter().enumerate() {
             let raw = self.pexpr(e);
             match perm {
                 Some(_t) => {
-                    keys.push(format!(
-                        "(if ({raw}) >= 0 {{ {m}.iperm_inv.get(({raw}) as usize).map_or(-1, |&r__| r__ as i64) }} else {{ -1 }})"
+                    let key = if sp.keys.len() == 1 {
+                        "key__".to_string()
+                    } else {
+                        format!("key{i}__")
+                    };
+                    self.line(&format!(
+                        "let {key} = if ({raw}) >= 0 {{ {m}.iperm_inv.get(({raw}) as usize).map_or(-1, |&r__| r__ as i64) }} else {{ -1 }};"
                     ));
+                    keys.push(key);
                 }
                 None => keys.push(raw),
             }
@@ -1428,23 +1665,14 @@ impl Emitter<'_> {
         }
         self.line("{");
         self.indent += 1;
-        // Required-refs presence: conjunction of the ok flags of every
-        // searched level of the ref (enumerated levels cannot miss).
-        let mut conds: Vec<String> = Vec::new();
-        for &rid in &e.required_refs {
-            for lev in 0..self.plan.refs[rid].levels {
-                if self.ref_level_searched(rid, lev) {
-                    conds.push(ok_var(rid, lev));
-                }
-            }
-        }
+        let conds = self.presence_conds(e);
         let mut opened = 0usize;
         if !conds.is_empty() {
             self.line(&format!("if {} {{", conds.join(" && ")));
             self.indent += 1;
             opened += 1;
         }
-        for (v, expr, div) in &e.bindings.clone() {
+        for (v, expr, div) in &e.bindings {
             let ex = self.pexpr(expr);
             if *div == 1 {
                 self.line(&format!("let {}_ = {ex};", v.to_lowercase()));
@@ -1497,20 +1725,13 @@ impl Emitter<'_> {
     fn exec_one(&mut self, e: &ExecStmt, open_chain: bool) -> Result<(), EmitError> {
         // Guard first (single guard, no divisor bindings assumed checked
         // by the caller via guards_disjoint preconditions).
-        let mut conds: Vec<String> = Vec::new();
-        for &rid in &e.required_refs {
-            for lev in 0..self.plan.refs[rid].levels {
-                if self.ref_level_searched(rid, lev) {
-                    conds.push(ok_var(rid, lev));
-                }
-            }
-        }
+        let mut conds = self.presence_conds(e);
         for g in &e.guards {
             conds.push(self.guard_cond(g));
         }
         self.line(&format!("if {} {{", conds.join(" && ")));
         self.indent += 1;
-        for (v, expr, div) in &e.bindings.clone() {
+        for (v, expr, div) in &e.bindings {
             let ex = self.pexpr(expr);
             if *div != 1 {
                 return Err(EmitError("divisor binding in chained exec".into()));
@@ -1551,21 +1772,14 @@ impl Emitter<'_> {
     fn exec_capture_pivot(&mut self, e: &ExecStmt) -> Result<(), EmitError> {
         self.line("{");
         self.indent += 1;
-        let mut conds: Vec<String> = Vec::new();
-        for &rid in &e.required_refs {
-            for lev in 0..self.plan.refs[rid].levels {
-                if self.ref_level_searched(rid, lev) {
-                    conds.push(ok_var(rid, lev));
-                }
-            }
-        }
+        let conds = self.presence_conds(e);
         let mut opened = 0usize;
         if !conds.is_empty() {
             self.line(&format!("if {} {{", conds.join(" && ")));
             self.indent += 1;
             opened += 1;
         }
-        for (v, expr, div) in &e.bindings.clone() {
+        for (v, expr, div) in &e.bindings {
             let ex = self.pexpr(expr);
             debug_assert_eq!(*div, 1);
             self.line(&format!("let {}_ = {ex};", v.to_lowercase()));
@@ -1595,15 +1809,13 @@ impl Emitter<'_> {
         Ok(())
     }
 
-    /// Was (ref, level) positioned by a search (may miss) rather than an
-    /// enumeration?
-    fn ref_level_searched(&self, rid: usize, lev: usize) -> bool {
-        self.plan.steps.iter().any(|s| {
-            s.searches.iter().any(|sp| {
-                (sp.target.ref_id == rid && sp.target.level == lev)
-                    || sp.sharers.contains(&(rid, lev))
-            })
-        })
+    /// Required-refs presence: the ok flags of every searched level of
+    /// the statement's required refs.
+    fn presence_conds(&self, e: &ExecStmt) -> Vec<String> {
+        presence_levels(self.plan, e)
+            .into_iter()
+            .map(|(rid, lev)| ok_var(rid, lev))
+            .collect()
     }
 
     fn lhs(&mut self, e: &ExecStmt, r: &LhsRef) -> Result<String, EmitError> {
@@ -1628,7 +1840,17 @@ impl Emitter<'_> {
             return None;
         }
         let ridx = subst_index(e, &r.idxs[0], &self.p.params)?;
-        pexpr_eq(&ridx, &pr.idx).then(|| pr.reg.clone())
+        ridx.same_as(&pr.idx).then(|| pr.reg.clone())
+    }
+
+    /// In the split's main loop: is access `access` of `e` one of the
+    /// reads bound before the loop, and which?
+    fn invariant_read(&self, e: &ExecStmt, access: usize) -> Option<usize> {
+        let split = self.split.as_ref().filter(|_| self.in_main)?;
+        split
+            .invariants
+            .iter()
+            .position(|inv| inv.stmt == e.stmt && inv.access == access)
     }
 
     fn value_expr(
@@ -1668,6 +1890,8 @@ impl Emitter<'_> {
                     None => {
                         if let Some(reg) = self.promoted_elem(e, r) {
                             reg
+                        } else if let Some(k) = self.invariant_read(e, access) {
+                            invariant_var(k)
                         } else {
                             self.elem("get", &r.array, &self.affine(&r.idxs[0]))
                         }
@@ -1810,6 +2034,10 @@ fn ok_var(rid: usize, lev: usize) -> String {
     format!("ok{rid}_{lev}")
 }
 
+fn invariant_var(k: usize) -> String {
+    format!("inv{k}__")
+}
+
 /// Emits a complete module: header comment, imports, and one function.
 pub fn emit_module(
     p: &Program,
@@ -1845,4 +2073,217 @@ pub fn emit_module(
     out.push('\n');
     out.push_str(&body);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Session;
+    use bernoulli_formats::formats::{bsr, coo, csc, csr, dia, ell, jad, sky, vbr};
+    use bernoulli_formats::view::{Bound, StoredGuarantee};
+    use bernoulli_ir::parse_program;
+
+    const TS: &str = "program ts(N) { in matrix L[N][N]; inout vector b[N];
+        for j in 0..N { b[j] = b[j] / L[j][j];
+          for i in j+1..N { b[i] = b[i] - L[i][j] * b[j]; } } }";
+    const MVM: &str = "program mvm(M, N) { in matrix A[M][N]; in vector x[N]; inout vector y[M];
+        for i in 0..M { for j in 0..N { y[i] = y[i] + A[i][j] * x[j]; } } }";
+    /// `y += strictly-lower(A)·x`: one statement, guarded `j < i`.
+    const STRICT_LOWER: &str =
+        "program sl(N) { in matrix A[N][N]; in vector x[N]; inout vector y[N];
+        for i in 0..N { for j in 0..i { y[i] = y[i] + A[i][j] * x[j]; } } }";
+
+    type Outcome<T> = Result<T, Box<dyn std::error::Error>>;
+
+    fn lower_triangular(mut v: FormatView) -> FormatView {
+        v.bounds.push(Bound::attr_ge("r", "c"));
+        v.guarantees.push(StoredGuarantee::FullDiagonal);
+        v
+    }
+
+    /// A program, its best plan with `matrix` stored as `view`, and the
+    /// view map `emit_rust` takes.
+    struct Case {
+        p: Program,
+        plan: Plan,
+        views: HashMap<String, FormatView>,
+    }
+
+    impl Case {
+        fn of(src: &str, matrix: &str, view: FormatView) -> Outcome<Case> {
+            let p = parse_program(src)?;
+            let session = Session::new();
+            let bound = session.bind(&p, &[(matrix, view.clone())])?;
+            let plan = session.compile(&bound)?.plan().clone();
+            let views = HashMap::from([(matrix.to_string(), view)]);
+            Ok(Case { p, plan, views })
+        }
+
+        fn emit(&self, plan: &Plan) -> Outcome<String> {
+            Ok(emit_rust(&self.p, plan, &self.views, "k")?)
+        }
+
+        fn split(&self) -> Option<EdgeSplit> {
+            find_edge_split(&self.p, &self.plan)
+        }
+
+        /// No split, and the text of the same plan without a proof.
+        fn assert_unsplit(&self, what: &str) -> Outcome<()> {
+            assert!(self.split().is_none(), "{what}");
+            let text = self.emit(&self.plan)?;
+            assert!(!text.contains("span__"), "{what}:\n{text}");
+            assert_eq!(text, self.emit(&unproved(&self.plan))?, "{what}");
+            Ok(())
+        }
+    }
+
+    /// The same plan as lowering leaves it without a proof.
+    fn unproved(plan: &Plan) -> Plan {
+        let mut plan = plan.clone();
+        for s in &mut plan.steps {
+            s.edge_bound = None;
+        }
+        plan
+    }
+
+    #[test]
+    fn edge_split_fires_on_the_triangular_solves() -> Outcome<()> {
+        for (name, view, edge, main_loop) in [
+            (
+                "csr",
+                csr::csr_format_view(),
+                Edge::Last,
+                "for p0_1 in span__.start..span__.end - 1 {",
+            ),
+            (
+                "csc",
+                csc::csc_format_view(),
+                Edge::First,
+                "for p0_1 in span__.start + 1..span__.end {",
+            ),
+            (
+                "jad",
+                jad::jad_format_view(),
+                Edge::Last,
+                "for d__ in span__.start..span__.end - 1 {",
+            ),
+            (
+                "sky",
+                sky::sky_format_view(),
+                Edge::Last,
+                "for v1 in span__.start..span__.end - 1 {",
+            ),
+        ] {
+            let case = Case::of(TS, "L", lower_triangular(view))?;
+            let bound = case.plan.steps.last().and_then(|s| s.edge_bound.as_ref());
+            assert_eq!(
+                bound.map(|b| b.edge),
+                Some(edge),
+                "ts/{name}:\n{}",
+                case.plan
+            );
+            let split = case.split().ok_or_else(|| format!("ts/{name}: no split"))?;
+            // The pivot statement stays at the edge; the other loses
+            // its guard.
+            assert_eq!(split.main.len(), 1, "ts/{name}");
+            assert!(split.main[0].guards.is_empty(), "ts/{name}");
+            assert_eq!(
+                split.invariants.len(),
+                usize::from(name == "csc"),
+                "ts/{name}"
+            );
+            let text = case.emit(&case.plan)?;
+            assert!(text.contains(main_loop), "ts/{name}:\n{text}");
+            // Both guards appear once: at the edge position.
+            let strict = if edge == Edge::First {
+                "v1 > v0"
+            } else {
+                "v0 > v1"
+            };
+            for guard in ["if v1 == v0 {", strict] {
+                assert_eq!(
+                    text.matches(guard).count(),
+                    1,
+                    "ts/{name}, {guard}:\n{text}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn edge_split_fires_on_a_strictly_lower_product() -> Outcome<()> {
+        let case = Case::of(STRICT_LOWER, "A", lower_triangular(csr::csr_format_view()))?;
+        let split = case.split().ok_or("no split")?;
+        assert_eq!(split.edge, Edge::Last);
+        let text = case.emit(&case.plan)?;
+        assert!(
+            text.contains("for p0_1 in span__.start..span__.end - 1 {"),
+            "{text}"
+        );
+        assert_eq!(text.matches("if v0 > v1 {").count(), 1, "{text}");
+        // Without the view's bound nothing proves where the diagonal is.
+        Case::of(STRICT_LOWER, "A", csr::csr_format_view())?.assert_unsplit("no bound")
+    }
+
+    #[test]
+    fn edge_split_refuses_what_it_cannot_prove() -> Outcome<()> {
+        for (name, view) in [
+            ("csr", csr::csr_format_view()),
+            ("csc", csc::csc_format_view()),
+            ("coo", coo::coo_format_view()),
+            ("dia", dia::dia_format_view()),
+            ("ell", ell::ell_format_view()),
+            ("jad", jad::jad_format_view()),
+            ("sky", sky::sky_format_view()),
+            ("bsr2x2", bsr::bsr_format_view(2, 2)),
+            ("vbr", vbr::vbr_format_view()),
+        ] {
+            let case = Case::of(MVM, "A", view)?;
+            assert!(
+                case.plan.steps.iter().all(|s| s.edge_bound.is_none()),
+                "mvm/{name}"
+            );
+            case.assert_unsplit(&format!("mvm/{name}"))?;
+        }
+
+        // An unordered level.
+        Case::of(TS, "L", lower_triangular(coo::coo_format_view()))?.assert_unsplit("ts/coo")?;
+
+        // No bound on the view: same plan, same text as ever.
+        let mut diagonal_only = csr::csr_format_view();
+        diagonal_only.guarantees.push(StoredGuarantee::FullDiagonal);
+        let stripped = Case::of(TS, "L", diagonal_only)?;
+        stripped.assert_unsplit("ts/csr without its bound")?;
+        let proved = Case::of(TS, "L", lower_triangular(csr::csr_format_view()))?;
+        assert_eq!(
+            stripped.emit(&stripped.plan)?,
+            proved.emit(&unproved(&proved.plan))?
+        );
+
+        // A recorded bound does not decide a guard with another
+        // coefficient on the slot.
+        let mut doubled = proved;
+        for e in &mut doubled.plan.execs {
+            for g in &mut e.guards {
+                if let Guard::Ge(x) = g {
+                    for (_, c) in &mut x.terms {
+                        *c *= 2;
+                    }
+                }
+            }
+        }
+        assert!(doubled
+            .plan
+            .steps
+            .last()
+            .is_some_and(|s| s.edge_bound.is_some()));
+        doubled.assert_unsplit("coefficient 2")?;
+
+        // Nor does lowering record one where the strict guard is over
+        // a divisor-bound variable (`2j == c`), not the slot.
+        let strided = STRICT_LOWER.replace("y[i] + A[i][j] * x[j]", "y[i] + A[i][2*j] * x[j]");
+        Case::of(&strided, "A", lower_triangular(csr::csr_format_view()))?
+            .assert_unsplit("a strided column")
+    }
 }

@@ -22,8 +22,8 @@ use crate::config::Config;
 use crate::embed::Embedding;
 use crate::groups::GroupInfo;
 use crate::plan::{
-    Atom, Dir, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef, SearchPart, Step, StepKind,
-    ValueSource,
+    Atom, Dir, Edge, EdgeBound, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef, SearchPart, Step,
+    StepKind, ValueSource,
 };
 use crate::spaces::{DimKind, Space};
 use bernoulli_formats::view::{FormatView, Order, SearchKind};
@@ -619,7 +619,8 @@ fn try_level_source(
             perms,
         },
         dir: Dir::Fwd,
-        ordered: false, // set by finish_plan
+        ordered: false,   // set by finish_plan
+        edge_bound: None, // set by finish_plan
         first_slot,
         nslots: consumed,
         sharers,
@@ -715,7 +716,8 @@ fn try_merge_source(
     flush_pending(cfg, &mut next);
 
     next.steps.push(Step {
-        ordered: false, // set by finish_plan
+        ordered: false,   // set by finish_plan
+        edge_bound: None, // set by finish_plan
         kind: StepKind::MergeJoin {
             a: LevelRef {
                 matrix: a.matrix.clone(),
@@ -821,7 +823,8 @@ fn try_interval_source(
     next.steps.push(Step {
         kind: StepKind::Interval { lo, hi },
         dir: Dir::Fwd,
-        ordered: false, // set by finish_plan
+        ordered: false,   // set by finish_plan
+        edge_bound: None, // set by finish_plan
 
         first_slot,
         nslots: 1,
@@ -1217,6 +1220,8 @@ fn finish_plan(
 
     let nsteps = st.steps.len();
     let mut execs = Vec::new();
+    // Each exec's knowledge context, kept for the edge-bound proof.
+    let mut exec_contexts: Vec<KnownSys> = Vec::new();
     'stmt: for (k, scopy) in cfg.stmts.iter().enumerate() {
         // Prune copies whose domain (loop bounds ∧ chain constraints) is
         // empty — e.g. the diagonal-chain copy of a strictly-lower-
@@ -1410,6 +1415,7 @@ fn finish_plan(
             depth,
             after: true,
         });
+        exec_contexts.push(exec_known);
     }
 
     // Placement search + authoritative execution-order verification.
@@ -1457,6 +1463,18 @@ fn finish_plan(
             if execs[ei].after { "after" } else { "before" }
         ));
     }
+    let edge_bound = prove_edge_bound(&st.steps, &execs, &exec_contexts);
+    if let (Some(bound), Some(last)) = (edge_bound, st.steps.last_mut()) {
+        st.notes.push(format!(
+            "innermost step: {} >= 0 at every position, > 0 at all but the {}",
+            bound.margin(last.first_slot),
+            match bound.edge {
+                Edge::First => "first",
+                Edge::Last => "last",
+            }
+        ));
+        last.edge_bound = Some(bound);
+    }
 
     if execs.is_empty() {
         return None;
@@ -1491,6 +1509,68 @@ fn finish_plan(
         nslots: st.nslots,
         notes: st.notes,
     })
+}
+
+/// The [`EdgeBound`] of the innermost step, when there is one to prove.
+///
+/// Asked only of an ordered, forward, single-slot level enumeration
+/// whose full-depth statements are all guarded against one pivot — by
+/// `slot` strictly beyond it, all on one side, or by `slot == pivot`.
+/// The proof is one implication per such statement, in that statement's
+/// own context (facts of a fallible reference hold only where the
+/// reference is present) — which is loop-invariant because the step
+/// locates nothing by search, so the bound holds at the edge position
+/// whenever the statement runs at any other.
+fn prove_edge_bound(
+    steps: &[Step],
+    execs: &[ExecStmt],
+    contexts: &[KnownSys],
+) -> Option<EdgeBound> {
+    let last = steps.last()?;
+    if !last.ordered
+        || last.dir != Dir::Fwd
+        || last.nslots != 1
+        || !last.searches.is_empty()
+        || !matches!(last.kind, StepKind::Level { .. })
+    {
+        return None;
+    }
+    let slot = last.first_slot;
+    let inner = || {
+        execs
+            .iter()
+            .zip(contexts)
+            .filter(|(e, _)| e.depth == steps.len())
+    };
+    // Candidates: a strict guard `margin - 1 >= 0` with a unit
+    // coefficient on the slot names its side and, solved for the slot,
+    // its pivot.
+    let candidate = |g: &Guard| {
+        let Guard::Ge(x) = g else { return None };
+        let (_, c) = x.terms.iter().find(|(a, _)| *a == Atom::Slot(slot))?;
+        let mut margin = x.clone();
+        margin.cst += 1;
+        match c {
+            1 => Some(EdgeBound {
+                edge: Edge::First,
+                pivot: PExpr::slot(slot).minus(&margin),
+            }),
+            -1 => {
+                margin.add_term(Atom::Slot(slot), 1);
+                Some(EdgeBound {
+                    edge: Edge::Last,
+                    pivot: margin,
+                })
+            }
+            _ => None,
+        }
+    };
+    inner()
+        .flat_map(|(e, _)| e.guards.iter().filter_map(candidate))
+        .find(|bound| {
+            inner().all(|(e, _)| e.guards.iter().any(|g| bound.off_edge(slot, g).is_some()))
+                && inner().all(|(_, known)| known.implies(&Guard::Ge(bound.margin(slot))))
+        })
 }
 
 fn bound_guard(

@@ -34,7 +34,7 @@
 //! into place, so concurrent services sharing one directory only ever
 //! observe complete entries.
 
-use crate::plan::{Atom, Dir, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef};
+use crate::plan::{Atom, Dir, Edge, EdgeBound, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef};
 use crate::plan::{SearchPart, Step, StepKind, ValueSource};
 use crate::search::{CachedSearch, Candidate};
 use bernoulli_formats::view::FormatView;
@@ -44,9 +44,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Bumped whenever the on-disk layout changes; older files are treated
-/// as misses and eventually overwritten.
-const FORMAT_VERSION: i64 = 1;
+/// Bumped whenever the on-disk layout changes *or the emitter's output
+/// for a stored plan does* (entries carry emitted source); older files
+/// are treated as misses and eventually overwritten.
+const FORMAT_VERSION: i64 = 2;
 
 /// Parser recursion guard: a corrupted file must fail cleanly, not
 /// overflow the stack. Real plans nest a few levels deep at most.
@@ -483,6 +484,12 @@ fn enc_step(s: &Step) -> V {
             Dir::Rev => 1,
         }),
         V::I(s.ordered as i64),
+        enc_opt(&s.edge_bound, |b| {
+            V::L(vec![
+                V::I((b.edge == Edge::Last) as i64),
+                enc_pexpr(&b.pivot),
+            ])
+        }),
         V::I(s.first_slot as i64),
         V::I(s.nslots as i64),
         enc_pairs(&s.sharers),
@@ -492,7 +499,8 @@ fn enc_step(s: &Step) -> V {
 }
 
 fn dec_step(v: &V) -> PResult<Step> {
-    let [kind, dir, ordered, first_slot, nslots, sharers, searches, binds] = as_fixed::<8>(v)?;
+    let [kind, dir, ordered, edge_bound, first_slot, nslots, sharers, searches, binds] =
+        as_fixed::<9>(v)?;
     Ok(Step {
         kind: dec_stepkind(kind)?,
         dir: match as_i64(dir)? {
@@ -501,6 +509,17 @@ fn dec_step(v: &V) -> PResult<Step> {
             other => return fail(format!("bad dir {other}")),
         },
         ordered: as_bool(ordered)?,
+        edge_bound: dec_opt(edge_bound, |b| {
+            let [last, pivot] = as_fixed::<2>(b)?;
+            Ok(EdgeBound {
+                edge: if as_bool(last)? {
+                    Edge::Last
+                } else {
+                    Edge::First
+                },
+                pivot: dec_pexpr(pivot)?,
+            })
+        })?,
         first_slot: as_usize(first_slot)?,
         nslots: as_usize(nslots)?,
         sharers: dec_pairs(sharers)?,

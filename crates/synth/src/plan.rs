@@ -94,6 +94,28 @@ impl PExpr {
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
     }
+
+    /// Equality up to term order.
+    pub fn same_as(&self, other: &PExpr) -> bool {
+        self.cst == other.cst
+            && self.terms.len() == other.terms.len()
+            && self.terms.iter().all(|t| other.terms.contains(t))
+    }
+
+    /// `self - other`.
+    pub fn minus(&self, other: &PExpr) -> PExpr {
+        let mut out = self.clone();
+        for (t, c) in &other.terms {
+            out.add_term(t.clone(), -c);
+        }
+        out.cst -= other.cst;
+        out
+    }
+
+    /// `-self`.
+    pub fn negated(&self) -> PExpr {
+        PExpr::constant(0).minus(self)
+    }
 }
 
 impl fmt::Display for PExpr {
@@ -188,6 +210,63 @@ pub enum StepKind {
     MergeJoin { a: LevelRef, b: LevelRef },
 }
 
+/// Which end of an ordered enumeration touches its [`EdgeBound`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Edge {
+    /// `slot >= pivot` everywhere: only the first position can equal it.
+    First,
+    /// `slot <= pivot` everywhere: only the last position can equal it.
+    Last,
+}
+
+/// A proved one-sided bound on every value an ordered step enumerates:
+/// `slot >= pivot` ([`Edge::First`]) or `slot <= pivot` ([`Edge::Last`]),
+/// `pivot` affine over outer slots and parameters. Because the values
+/// strictly increase, every position but the edge one is *strictly*
+/// beyond `pivot`, which decides guards of the shapes `slot == pivot`
+/// and `slot < pivot` / `slot > pivot` without evaluating them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct EdgeBound {
+    pub edge: Edge,
+    pub pivot: PExpr,
+}
+
+/// What an [`EdgeBound`] decides about a guard at every position but
+/// the edge one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OffEdge {
+    /// `slot == pivot`: fails.
+    Fails,
+    /// `slot` strictly beyond `pivot`, on the bound's side: holds.
+    Holds,
+}
+
+impl EdgeBound {
+    /// The quantity the bound keeps non-negative at every position of
+    /// `slot`'s enumeration, and positive at every position but the
+    /// edge one.
+    pub fn margin(&self, slot: usize) -> PExpr {
+        let s = PExpr::slot(slot);
+        match self.edge {
+            Edge::First => s.minus(&self.pivot),
+            Edge::Last => self.pivot.minus(&s),
+        }
+    }
+
+    /// Classifies a guard over `slot` against the bound, or `None` when
+    /// the bound does not decide it.
+    pub fn off_edge(&self, slot: usize, g: &Guard) -> Option<OffEdge> {
+        let margin = self.margin(slot);
+        match g {
+            Guard::Eq(e) if e.same_as(&margin) || e.same_as(&margin.negated()) => {
+                Some(OffEdge::Fails)
+            }
+            Guard::Ge(e) if e.same_as(&margin.minus(&PExpr::constant(1))) => Some(OffEdge::Holds),
+            _ => None,
+        }
+    }
+}
+
 /// One enumeration step.
 #[derive(Clone, Debug)]
 pub struct Step {
@@ -197,6 +276,11 @@ pub struct Step {
     /// by lowering; used by emitter transformations that need firing-
     /// order proofs (e.g. deferred pivot division).
     pub ordered: bool,
+    /// Set by lowering on an ordered innermost step whose full-depth
+    /// statements are all guarded against one pivot, when the known
+    /// context (view bounds included) proves the bound at every
+    /// enumerated position; used by the emitter's edge splitting.
+    pub edge_bound: Option<EdgeBound>,
     /// First value slot bound by this step (slots are consecutive).
     pub first_slot: usize,
     /// Number of slots bound.
@@ -446,6 +530,7 @@ mod tests {
                 },
                 dir: Dir::Fwd,
                 ordered: true,
+                edge_bound: None,
                 first_slot: 0,
                 nslots: 1,
                 sharers: vec![],

@@ -210,12 +210,26 @@ fn malformed_operands_are_a_status_not_a_crash() {
     let tri = Csr::from_triplets(&t.lower_triangle_full_diag(2.5));
     let mut tri_ptr = tri.clone();
     tri_ptr.rowptr.pop();
+    // Before the row's last entry: where the split loop reads `b`
+    // without asking where the diagonal is.
+    let last_row = tri.rowptr[n - 1]..tri.rowptr[n];
+    assert!(
+        last_row.len() >= 2,
+        "the last row needs an off-diagonal entry"
+    );
+    let mut tri_col = tri.clone();
+    tri_col.colind[last_row.start] = n;
 
     let jad = Jad::from_triplets(&t);
     let mut jad_col = jad.clone();
     jad_col.colind[0] = n;
     let mut jad_len = jad.clone();
     jad_len.rowlen.pop();
+    // Entry 0 is the first of the longest row.
+    let tri_jad = Jad::from_triplets(&t.lower_triangle_full_diag(2.5));
+    assert!(tri_jad.rowlen[0] >= 2);
+    let mut tri_jad_col = tri_jad.clone();
+    tri_jad_col.colind[0] = n;
 
     // BSR's own pointer arrays are read through the unchecked `ix`
     // helper (ROADMAP item 4, open): what is checked, and tested, is
@@ -266,6 +280,22 @@ fn malformed_operands_are_a_status_not_a_crash() {
             "b one short",
             Mat::Csr(&tri),
             1,
+        ),
+        (
+            "ts",
+            "csr",
+            Mat::Csr(&tri),
+            "a column past b, before the diagonal",
+            Mat::Csr(&tri_col),
+            0,
+        ),
+        (
+            "ts",
+            "jad",
+            Mat::Jad(&tri_jad),
+            "a column past b, before the diagonal",
+            Mat::Jad(&tri_jad_col),
+            0,
         ),
         (
             "mvm",

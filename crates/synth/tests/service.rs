@@ -303,3 +303,67 @@ fn corrupt_persistent_entries_degrade_to_cold_compiles() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn split_plans_round_trip_and_entries_of_the_old_format_are_misses() {
+    use bernoulli_formats::view::{Bound, StoredGuarantee};
+
+    const TS: &str = "program ts(N) { in matrix L[N][N]; inout vector b[N];
+        for j in 0..N { b[j] = b[j] / L[j][j];
+          for i in j+1..N { b[i] = b[i] - L[i][j] * b[j]; } } }";
+    let mut view = csr().format_view();
+    view.bounds.push(Bound::attr_ge("r", "c"));
+    view.guarantees.push(StoredGuarantee::FullDiagonal);
+
+    let dir = scratch_dir("split");
+    let cfg = || ServiceConfig {
+        persist_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let cold = Service::new(cfg());
+    let p = cold.parse(TS).unwrap();
+    let bound = cold.bind(&p, &[("L", view.clone())]).unwrap();
+    let k_cold = cold.compile(&bound).unwrap();
+    let split = k_cold.emit("f").unwrap();
+    assert!(split.contains("span__.end - 1"), "{split}");
+
+    // The proved bound is part of the stored plan: a restarted service
+    // re-emits the split text byte for byte.
+    let warm = Service::new(cfg());
+    let k_warm = warm
+        .compile(&warm.bind(&p, &[("L", view.clone())]).unwrap())
+        .unwrap();
+    assert!(k_warm.report().plan_cache_disk_hit);
+    assert_eq!(k_warm.plan().to_string(), k_cold.plan().to_string());
+    assert_eq!(k_warm.emit("f").unwrap(), split);
+    let store = PersistentPlanCache::new(&dir);
+    let (_, emitted) = store.load_with_source(k_cold.cache_key()).unwrap();
+    assert_eq!(emitted, k_cold.emit("kernel").unwrap());
+
+    // An entry from before the format changed (its emitted source is
+    // the unsplit loop) is a counted rejection and a cold compile.
+    for f in std::fs::read_dir(&dir).unwrap() {
+        let path = f.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = text.replacen(
+            "(\"bernoulli-plan-cache\" 2 ",
+            "(\"bernoulli-plan-cache\" 1 ",
+            1,
+        );
+        assert_ne!(
+            old, text,
+            "{path:?} does not start with the current version"
+        );
+        std::fs::write(&path, old).unwrap();
+    }
+    let restarted = Service::new(cfg());
+    let k = restarted
+        .compile(&restarted.bind(&p, &[("L", view)]).unwrap())
+        .unwrap();
+    assert!(!k.report().plan_cache_hit);
+    assert_eq!(k.emit("f").unwrap(), split);
+    let ps = restarted.persist_stats().unwrap();
+    assert_eq!((ps.hits, ps.errors, ps.writes), (0, 1, 1), "{ps:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
