@@ -142,11 +142,16 @@ impl<T: Scalar> AnyFormat<T> {
                 AnyFormat::DiagSplit(DiagSplit::from_triplets(t))
             }
             // Blocked formats pick their structure by discovery: the
-            // dominant near-dense block size for BSR, the natural
+            // dominant near-dense block size for BSR (the shape
+            // `StructureFeatures` reports for the same matrix), the natural
             // identical-support strips for VBR. Both fall back to 1x1
             // blocking, so any matrix converts.
             "bsr" => {
-                let rep = crate::blocks::discover_block_size(t, 8, 0.9);
+                let rep = crate::blocks::discover_block_size(
+                    t,
+                    crate::features::BLOCK_PROBE_MAX,
+                    crate::features::BLOCK_PROBE_MIN_FILL,
+                );
                 AnyFormat::Bsr(Bsr::from_triplets(t, rep.r, rep.c))
             }
             "vbr" => {

@@ -8,6 +8,7 @@
 //! each block, so one logical row of a block is contiguous — the shape
 //! the register-tiled kernels and the emitted loops both exploit.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -168,17 +169,6 @@ impl<T: Scalar> Bsr<T> {
         Ok(())
     }
 
-    /// Storage index of `(row, col)`, if its block is stored.
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = row / self.r;
-        let lo = self.browptr[br];
-        let hi = self.browptr[br + 1];
-        self.bcolind[lo..hi]
-            .binary_search(&(col / self.c))
-            .ok()
-            .map(|k| ((lo + k) * self.r + row % self.r) * self.c + col % self.c)
-    }
-
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -208,6 +198,32 @@ impl<T: Scalar> Bsr<T> {
             .map(|b| b * self.r)
             .collect()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Bsr<T> {
+    /// Storage index of `(row, col)`, if its block is stored.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
+        let (br, rr) = (row.checked_div(self.r)?, row.checked_rem(self.r)?);
+        let (bc, cc) = (col.checked_div(self.c)?, col.checked_rem(self.c)?);
+        let (lo, hi) = (*self.browptr.get(br)?, *self.browptr.get(br + 1)?);
+        let k = self.bcolind.get(lo..hi)?.binary_search(&bc).ok()?;
+        Some(((lo + k) * self.r + rr) * self.c + cc)
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Bsr, "bsr", include_str!("bsr.rs");
+    dims: nrows, ncols, r, c;
+    arrays: browptr: usize, bcolind: usize, values: f64;
+    block: r x c;
+    view: |(r, c)| bsr_format_view(r, c);
+    from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 }
 
 impl SparseMatrix for Bsr<f64> {

@@ -5,6 +5,7 @@
 //! *coupled* level binding both coordinates at once, with no order
 //! guarantee and only linear search.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -71,15 +72,31 @@ impl<T: Scalar> Coo<T> {
         t
     }
 
-    /// Linear search for `(r, c)`.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        (0..self.values.len()).find(|&i| self.rows[i] == r && self.cols[i] == c)
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Coo<T> {
+    /// Linear search for `(r, c)`.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        (0..self.values.len()).find(|&i| self.rows.get(i) == Some(&r) && self.cols.get(i) == Some(&c))
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Coo, "coo", include_str!("coo.rs");
+    dims: nrows, ncols;
+    arrays: rows: usize, cols: usize, values: f64;
+    view: |_| coo_format_view();
+    from_triplets: |t, _| Coo::from_triplets(t);
 }
 
 impl SparseMatrix for Coo<f64> {

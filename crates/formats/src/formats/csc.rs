@@ -3,6 +3,7 @@
 //! CSC is the transpose of CSR: indexed access to columns, ordered
 //! enumeration of the rows within each column.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -122,15 +123,6 @@ impl<T: Scalar> Csc<T> {
         self.colptr[c]..self.colptr[c + 1]
     }
 
-    /// Binary-searches column `c` for row `r`.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let rng = self.col_range(c);
-        self.rowind[rng.clone()]
-            .binary_search(&r)
-            .ok()
-            .map(|k| rng.start + k)
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -143,6 +135,29 @@ impl<T: Scalar> Csc<T> {
     pub fn partition_cols(&self, nblocks: usize) -> Vec<usize> {
         crate::partition::split_ptr_by_cost(&self.colptr, nblocks)
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Csc<T> {
+    /// Binary-searches column `c` for row `r`; `None` also for a
+    /// coordinate outside the matrix.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let (lo, hi) = (*self.colptr.get(c)?, *self.colptr.get(c + 1)?);
+        self.rowind.get(lo..hi)?.binary_search(&r).ok().map(|k| lo + k)
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Csc, "csc", include_str!("csc.rs");
+    dims: nrows, ncols;
+    arrays: colptr: usize, rowind: usize, values: f64;
+    view: |_| csc_format_view();
+    from_triplets: |t, _| Csc::from_triplets(t);
 }
 
 impl SparseMatrix for Csc<f64> {

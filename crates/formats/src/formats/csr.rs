@@ -5,6 +5,7 @@
 //! row; columns of the whole matrix cannot be accessed directly (paper
 //! §1, Fig. 1).
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -117,15 +118,6 @@ impl<T: Scalar> Csr<T> {
         self.rowptr[r]..self.rowptr[r + 1]
     }
 
-    /// Binary-searches row `r` for column `c`; returns the storage index.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let rng = self.row_range(r);
-        self.colind[rng.clone()]
-            .binary_search(&c)
-            .ok()
-            .map(|k| rng.start + k)
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -138,6 +130,29 @@ impl<T: Scalar> Csr<T> {
     pub fn partition_rows(&self, nblocks: usize) -> Vec<usize> {
         crate::partition::split_ptr_by_cost(&self.rowptr, nblocks)
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Csr<T> {
+    /// Binary-searches row `r` for column `c`; returns the storage
+    /// index, `None` also for a coordinate outside the matrix.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let (lo, hi) = (*self.rowptr.get(r)?, *self.rowptr.get(r + 1)?);
+        self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Csr, "csr", include_str!("csr.rs");
+    dims: nrows, ncols;
+    arrays: rowptr: usize, colind: usize, values: f64;
+    view: |_| csr_format_view();
+    from_triplets: |t, _| Csr::from_triplets(t);
 }
 
 impl SparseMatrix for Csr<f64> {

@@ -5,6 +5,7 @@
 //! position along a stored diagonal that lies inside the matrix is
 //! structural — the padding zeros of a banded format are stored entries.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, Transform, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -143,14 +144,6 @@ impl<T: Scalar> Dia<T> {
         Ok(())
     }
 
-    /// Storage index of `(r, c)` if its diagonal is stored.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let d = r as i64 - c as i64;
-        let k = self.diags.binary_search(&d).ok()?;
-        let o = c as i64;
-        (o >= self.lo[k] && o < self.hi[k]).then(|| self.ptr[k] + (o - self.lo[k]) as usize)
-    }
-
     /// Number of stored entries (including in-band padding zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -160,6 +153,35 @@ impl<T: Scalar> Dia<T> {
     pub fn ndiags(&self) -> usize {
         self.diags.len()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Dia<T> {
+    /// Storage index of `(r, c)` if its diagonal is stored and reaches
+    /// the position.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let d = r as i64 - c as i64;
+        let k = self.diags.binary_search(&d).ok()?;
+        let (o, lo) = (c as i64, *self.lo.get(k)?);
+        if o >= lo && o < *self.hi.get(k)? {
+            Some(*self.ptr.get(k)? + (o - lo) as usize)
+        } else {
+            None
+        }
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Dia, "dia", include_str!("dia.rs");
+    dims: nrows, ncols;
+    arrays: diags: i64, lo: i64, hi: i64, ptr: usize, values: f64;
+    view: |_| dia_format_view();
+    from_triplets: |t, _| Dia::from_triplets(t);
 }
 
 impl SparseMatrix for Dia<f64> {

@@ -5,6 +5,7 @@
 //! within each row, and the per-row fill `rowlen` makes binary search
 //! possible despite the padding.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -120,18 +121,35 @@ impl<T: Scalar> Ell<T> {
         t
     }
 
-    /// Binary search for `(r, c)` within the sorted, filled prefix of the
-    /// row.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let base = r * self.width;
-        let row = &self.colind[base..base + self.rowlen[r]];
-        row.binary_search(&(c as i64)).ok().map(|s| base + s)
-    }
-
     /// Number of stored entries (padding excluded).
     pub fn nnz(&self) -> usize {
         self.rowlen.iter().sum()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Ell<T> {
+    /// Binary search for `(r, c)` within the sorted, filled prefix of
+    /// the row; `None` also for a row outside the matrix (a build that
+    /// checks arithmetic overflow panics on `r > usize::MAX / width`).
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let base = r * self.width;
+        let row = self.colind.get(base..base + *self.rowlen.get(r)?)?;
+        row.binary_search(&(c as i64)).ok().map(|s| base + s)
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Ell, "ell", include_str!("ell.rs");
+    dims: nrows, ncols, width;
+    arrays: colind: i64, values: f64, rowlen: usize;
+    view: |_| ell_format_view();
+    from_triplets: |t, _| Ell::from_triplets(t);
 }
 
 impl SparseMatrix for Ell<f64> {

@@ -7,6 +7,7 @@
 //! interval level with *runtime* per-row bounds (like DIA's offset
 //! level).
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{
     detect_properties, Bound, FormatView, Order, SearchKind, StoredGuarantee, ViewExpr,
@@ -67,15 +68,36 @@ impl<T: Scalar> Sky<T> {
         t
     }
 
-    /// Storage index of `(r, c)`, if within the row's strip.
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        (c >= self.lo[r] && c <= r).then(|| self.ptr[r] + (c - self.lo[r]))
-    }
-
     /// Number of stored entries (strip cells, including in-strip zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Sky<T> {
+    /// Storage index of `(r, c)`, if within the row's strip.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let lo = *self.lo.get(r)?;
+        if c >= lo && c <= r {
+            Some(*self.ptr.get(r)? + (c - lo))
+        } else {
+            None
+        }
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Sky, "sky", include_str!("sky.rs");
+    dims: n;
+    arrays: lo: usize, ptr: usize, values: f64;
+    view: |_| sky_format_view();
+    from_triplets: |t, _| Sky::from_triplets(t);
 }
 
 impl SparseMatrix for Sky<f64> {

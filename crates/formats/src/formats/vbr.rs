@@ -12,6 +12,7 @@
 //! logical row's slice of a block is contiguous, matching the emitted
 //! loops and the register-tiled kernels.
 
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
 use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
@@ -243,23 +244,6 @@ impl<T: Scalar> Vbr<T> {
         Ok(())
     }
 
-    /// Storage index of `(row, col)`, if its block is stored.
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = self.rowblk[row];
-        let rr = row - self.rpntr[br];
-        for b in self.bpntrb[br]..self.bpntre[br] {
-            let bc = self.bindx[b];
-            if col < self.cpntr[bc] {
-                return None;
-            }
-            if col < self.cpntr[bc + 1] {
-                let w = self.cpntr[bc + 1] - self.cpntr[bc];
-                return Some(self.indx[b] + rr * w + (col - self.cpntr[bc]));
-            }
-        }
-        None
-    }
-
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.val.len()
@@ -297,6 +281,43 @@ impl<T: Scalar> Vbr<T> {
             .map(|b| self.rpntr[b])
             .collect()
     }
+}
+
+// This text is also the kernel crates' (`Layout::find`): its bytes are
+// part of every artifact name, so rustfmt keeps out.
+#[rustfmt::skip]
+impl<T: Scalar> Vbr<T> {
+    /// Storage index of `(row, col)`, if its block is stored.
+    // layout-find-begin
+    #[inline]
+    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
+        let br = *self.rowblk.get(row)?;
+        let rr = row - *self.rpntr.get(br)?;
+        for b in *self.bpntrb.get(br)?..*self.bpntre.get(br)? {
+            let bc = *self.bindx.get(b)?;
+            let (c0, c1) = (*self.cpntr.get(bc)?, *self.cpntr.get(bc + 1)?);
+            if col < c0 {
+                return None;
+            }
+            if col < c1 {
+                return Some(*self.indx.get(b)? + rr * (c1 - c0) + (col - c0));
+            }
+        }
+        None
+    }
+    // layout-find-end
+}
+
+stored_layout! {
+    Vbr, "vbr", include_str!("vbr.rs");
+    dims: nrows, ncols;
+    arrays: val: f64, indx: usize, bindx: usize, rpntr: usize, cpntr: usize, bpntrb: usize,
+        bpntre: usize, rowblk: usize;
+    view: |_| vbr_format_view();
+    from_triplets: |t, (r, c)| {
+        let strips = |n: usize, size: usize| crate::partition::split_even(n, n.div_ceil(size));
+        Vbr::from_triplets(t, &strips(t.nrows(), r), &strips(t.ncols(), c))
+    };
 }
 
 impl SparseMatrix for Vbr<f64> {

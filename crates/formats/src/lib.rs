@@ -33,6 +33,7 @@ pub mod features;
 pub mod formats;
 pub mod gen;
 pub mod io;
+pub mod layout;
 pub mod partition;
 pub mod scalar;
 pub mod triplet;
@@ -54,6 +55,7 @@ pub use formats::jad::Jad;
 pub use formats::sky::Sky;
 pub use formats::sparsevec::{HashVec, SparseVec};
 pub use formats::vbr::Vbr;
+pub use layout::{format_name, view_by_name, Elem, Layout, Stored, LAYOUTS};
 pub use scalar::Scalar;
 pub use triplet::Triplets;
 pub use view::{

@@ -39,8 +39,7 @@
 //!   [`shared_tier`], so concurrent compiles of structurally similar
 //!   programs amortize each other's polyhedral work.
 //! - A compile that wants isolation installs its own [`PolyCaches`] on
-//!   its thread — fully isolated ([`install_scoped`]) or as a tiered
-//!   overlay over the shared tier ([`install_overlay_scoped`]).
+//!   its thread ([`install_scoped`]), as every `Session` does.
 //!   Installation is **thread-local**; concurrent compiles on other
 //!   threads are unaffected. Pool fan-out captures the submitting
 //!   thread's view with [`cache_context`] and re-installs it inside
@@ -262,10 +261,8 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
 ///   reads and writes by default — this is what lets a multi-tenant
 ///   compile service amortize polyhedral work across structurally
 ///   similar requests, and
-/// - an optional **per-thread installed instance**: fully isolated
-///   ([`install_scoped`], the historical per-session behavior) or a
-///   tiered *overlay* ([`install_overlay_scoped`]) whose misses fall
-///   through to the shared tier and whose stores write through to both.
+/// - an optional **per-thread installed instance** ([`install_scoped`],
+///   the per-session behavior), consulted instead of the shared tier.
 ///
 /// Memoization is pure — whichever instances are consulted, results are
 /// identical; only hit rates differ.
@@ -321,26 +318,16 @@ impl Default for PolyCaches {
 }
 
 /// The process-wide shared cache tier: what every thread consults when
-/// nothing is installed, and the fall-through/write-through target of
-/// tiered overlays. Concurrently readable by design — lookups take one
-/// shard mutex plus an uncontended read gate.
+/// nothing is installed. Concurrently readable by design — lookups take
+/// one shard mutex plus an uncontended read gate.
 pub fn shared_tier() -> &'static Arc<PolyCaches> {
     static TIER: OnceLock<Arc<PolyCaches>> = OnceLock::new();
     TIER.get_or_init(|| Arc::new(PolyCaches::new()))
 }
 
-/// What the current thread has installed, if anything.
-#[derive(Clone)]
-enum Installed {
-    /// All lookups and stores go to this instance only.
-    Isolated(Arc<PolyCaches>),
-    /// Overlay-first lookup falling through to the shared tier;
-    /// stores write through to both.
-    Tiered(Arc<PolyCaches>),
-}
-
 thread_local! {
-    static CURRENT: RefCell<Option<Installed>> = const { RefCell::new(None) };
+    /// What the current thread has installed, if anything.
+    static CURRENT: RefCell<Option<Arc<PolyCaches>>> = const { RefCell::new(None) };
 }
 
 /// A capture of the current thread's cache installation, for handing
@@ -350,7 +337,7 @@ thread_local! {
 /// their polyhedral work to the submitting compile's caches.
 #[derive(Clone)]
 pub struct CacheContext {
-    installed: Option<Installed>,
+    installed: Option<Arc<PolyCaches>>,
 }
 
 /// Snapshot the current thread's installation (possibly "nothing
@@ -364,7 +351,7 @@ pub fn cache_context() -> CacheContext {
 /// Guard restoring the current thread's previous installation on drop
 /// (panic-safe — the restore runs during unwinding too).
 pub struct ScopedCaches {
-    prev: Option<Installed>,
+    prev: Option<Arc<PolyCaches>>,
 }
 
 impl Drop for ScopedCaches {
@@ -374,87 +361,49 @@ impl Drop for ScopedCaches {
     }
 }
 
-fn install_mode(mode: Option<Installed>) -> ScopedCaches {
+fn install(caches: Option<Arc<PolyCaches>>) -> ScopedCaches {
     ScopedCaches {
-        prev: CURRENT.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), mode)),
+        prev: CURRENT.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), caches)),
     }
 }
 
-/// Installs `caches` as the current thread's *isolated* instance for
-/// the lifetime of the returned guard: every lookup and store on this
-/// thread goes to `caches` alone, never the shared tier. This is the
-/// historical per-session scoping, kept for cold-cache measurement and
-/// tenant isolation.
+/// Installs `caches` as the current thread's instance for the lifetime
+/// of the returned guard: every lookup and store on this thread goes
+/// to `caches` alone, never the shared tier. This is the per-session
+/// scoping, used for cold-cache measurement and tenant isolation.
 pub fn install_scoped(caches: Arc<PolyCaches>) -> ScopedCaches {
-    install_mode(Some(Installed::Isolated(caches)))
-}
-
-/// Installs `overlay` as a *tiered* overlay for the lifetime of the
-/// returned guard: lookups try the overlay first and fall through to
-/// the process-wide shared tier (back-filling the overlay on a tier
-/// hit); stores write through to both. A compile gets the isolation of
-/// its own stats/ownership while still profiting from — and feeding —
-/// the shared tier.
-pub fn install_overlay_scoped(overlay: Arc<PolyCaches>) -> ScopedCaches {
-    install_mode(Some(Installed::Tiered(overlay)))
+    install(Some(caches))
 }
 
 /// Re-installs a captured [`CacheContext`] on the current thread for
 /// the lifetime of the returned guard (see [`cache_context`]).
 pub fn install_context_scoped(ctx: &CacheContext) -> ScopedCaches {
-    install_mode(ctx.installed.clone())
+    install(ctx.installed.clone())
+}
+
+/// Runs `f` on the caches the current thread is using: its installed
+/// instance, otherwise the process-wide shared tier.
+fn with_current<R>(f: impl FnOnce(&PolyCaches) -> R) -> R {
+    CURRENT.with(|slot| match &*slot.borrow() {
+        Some(caches) => f(caches),
+        None => f(shared_tier()),
+    })
 }
 
 pub(crate) fn empty_lookup(k: &CanonicalKey) -> Option<bool> {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().empty.lookup(k),
-        Some(Installed::Isolated(c)) => c.empty.lookup(k),
-        Some(Installed::Tiered(o)) => match o.empty.lookup(k) {
-            Some(v) => Some(v),
-            None => {
-                let v = shared_tier().empty.lookup(k)?;
-                o.empty.store(k.clone(), v);
-                Some(v)
-            }
-        },
-    })
+    with_current(|c| c.empty.lookup(k))
 }
 
 pub(crate) fn empty_store(k: CanonicalKey, v: bool) {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().empty.store(k, v),
-        Some(Installed::Isolated(c)) => c.empty.store(k, v),
-        Some(Installed::Tiered(o)) => {
-            o.empty.store(k.clone(), v);
-            shared_tier().empty.store(k, v);
-        }
-    });
+    with_current(|c| c.empty.store(k, v));
 }
 
 pub(crate) fn fm_lookup(k: &FmKey) -> Option<Vec<Constraint>> {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().fm.lookup(k),
-        Some(Installed::Isolated(c)) => c.fm.lookup(k),
-        Some(Installed::Tiered(o)) => match o.fm.lookup(k) {
-            Some(v) => Some(v),
-            None => {
-                let v = shared_tier().fm.lookup(k)?;
-                o.fm.store(k.clone(), v.clone());
-                Some(v)
-            }
-        },
-    })
+    with_current(|c| c.fm.lookup(k))
 }
 
 pub(crate) fn fm_store(k: FmKey, v: Vec<Constraint>) {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().fm.store(k, v),
-        Some(Installed::Isolated(c)) => c.fm.store(k, v),
-        Some(Installed::Tiered(o)) => {
-            o.fm.store(k.clone(), v.clone());
-            shared_tier().fm.store(k, v);
-        }
-    });
+    with_current(|c| c.fm.store(k, v));
 }
 
 /// Hit/miss totals of the polyhedral memo caches since process start
@@ -491,17 +440,14 @@ impl CacheStats {
 }
 
 /// Hit/miss totals of the caches the *current thread* is using: its
-/// installed instance (isolated) or overlay (tiered) if one is
-/// installed, otherwise the process-wide shared tier. Snapshots are
+/// installed instance if one is installed, otherwise the process-wide
+/// shared tier. Snapshots are
 /// coherent per cache — a concurrent clear or compile on another thread
 /// never yields a half-counted lookup (see the per-shard gating) —
 /// but note that with no installation this reads the shared tier, which
 /// other threads may be feeding concurrently.
 pub fn cache_stats() -> CacheStats {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().stats(),
-        Some(Installed::Isolated(c)) | Some(Installed::Tiered(c)) => c.stats(),
-    })
+    with_current(PolyCaches::stats)
 }
 
 /// Drops every memoized result of the caches the current thread is
@@ -513,10 +459,7 @@ pub fn cache_stats() -> CacheStats {
 /// never split. Benchmarks call this to measure cold-cache behavior;
 /// correctness never depends on it.
 pub fn clear_caches() -> CacheStats {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        None => shared_tier().clear(),
-        Some(Installed::Isolated(c)) | Some(Installed::Tiered(c)) => c.clear(),
-    })
+    with_current(PolyCaches::clear)
 }
 
 #[cfg(test)]
@@ -715,56 +658,6 @@ mod tests {
         });
         assert!(other.join().is_ok(), "helper thread failed");
         assert_eq!(mine.stats(), before, "other thread must not touch mine");
-    }
-
-    #[test]
-    fn overlay_falls_through_to_shared_tier_and_backfills() {
-        let _g = stats_lock();
-        // Warm the shared tier with this system's emptiness verdict.
-        let s = box_sys(&[0, 1, 2]);
-        assert!(!s.is_empty());
-
-        let overlay = Arc::new(PolyCaches::new());
-        let _scope = install_overlay_scoped(Arc::clone(&overlay));
-        let tier_before = shared_tier().stats();
-        // Cold overlay: the lookup misses the overlay, falls through to
-        // the warm tier, and back-fills the overlay.
-        assert!(!s.is_empty());
-        let st = overlay.stats();
-        assert!(st.empty_misses >= 1, "{st:?}");
-        let tier_after = shared_tier().stats();
-        assert!(
-            tier_after.empty_hits > tier_before.empty_hits,
-            "fall-through must hit the tier: {tier_before:?} -> {tier_after:?}"
-        );
-        // Back-filled: the identical query now hits the overlay.
-        assert!(!s.is_empty());
-        let st2 = overlay.stats();
-        assert!(st2.empty_hits > st.empty_hits, "{st:?} -> {st2:?}");
-    }
-
-    #[test]
-    fn overlay_stores_write_through_to_shared_tier() {
-        let _g = stats_lock();
-        // A system unique to this test (distinctive constant) so the
-        // tier cannot already hold its verdict.
-        let mut s = System::new(names(&["i"]));
-        s.add(Constraint::ge0(
-            &LinExpr::var(1, 0) - &LinExpr::constant(1, 7717),
-        ));
-        let overlay = Arc::new(PolyCaches::new());
-        {
-            let _scope = install_overlay_scoped(Arc::clone(&overlay));
-            assert!(!s.is_empty()); // decides + stores through to both
-        }
-        // Overlay gone: the verdict must have reached the shared tier.
-        let tier_before = shared_tier().stats();
-        assert!(!s.is_empty());
-        let tier_after = shared_tier().stats();
-        assert!(
-            tier_after.empty_hits > tier_before.empty_hits,
-            "write-through entry must serve the tier: {tier_before:?} -> {tier_after:?}"
-        );
     }
 
     #[test]

@@ -32,8 +32,8 @@ mod fm;
 mod system;
 
 pub use cache::{
-    cache_context, cache_stats, clear_caches, install_context_scoped, install_overlay_scoped,
-    install_scoped, shared_tier, CacheContext, CacheStats, PolyCaches, ScopedCaches,
+    cache_context, cache_stats, clear_caches, install_context_scoped, install_scoped, shared_tier,
+    CacheContext, CacheStats, PolyCaches, ScopedCaches,
 };
 pub use expr::LinExpr;
 pub use farkas::{farkas_nonneg_conditions, try_farkas_nonneg_conditions};

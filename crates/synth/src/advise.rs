@@ -19,17 +19,9 @@ use crate::cost::WorkloadStats;
 use crate::search::SynthError;
 use crate::session::{bind_problem, BoundProblem, CompiledKernel};
 use bernoulli_formats::formats::bsr::bsr_format_view;
-use bernoulli_formats::formats::coo::coo_format_view;
-use bernoulli_formats::formats::csc::csc_format_view;
-use bernoulli_formats::formats::csr::csr_format_view;
-use bernoulli_formats::formats::dia::dia_format_view;
 use bernoulli_formats::formats::diagsplit::diagsplit_format_view;
-use bernoulli_formats::formats::ell::ell_format_view;
-use bernoulli_formats::formats::jad::jad_format_view;
-use bernoulli_formats::formats::sky::sky_format_view;
-use bernoulli_formats::formats::vbr::vbr_format_view;
 use bernoulli_formats::view::{Bound, FormatView, StoredGuarantee};
-use bernoulli_formats::{StructureFeatures, Triplets};
+use bernoulli_formats::{view_by_name, StructureFeatures, Triplets};
 use bernoulli_ir::Program;
 
 /// Candidate formats `advise` scores when the caller passes none:
@@ -87,22 +79,17 @@ impl Advice {
 /// the whole diagonal is stored — the annotations a hand binding would
 /// add, now measured instead of asserted.
 pub fn view_for_features(format: &str, f: &StructureFeatures) -> Result<FormatView, SynthError> {
-    let mut v = match format {
-        "coo" => coo_format_view(),
-        "csr" => csr_format_view(),
-        "csc" => csc_format_view(),
-        "dia" => dia_format_view(),
-        "ell" => ell_format_view(),
-        "jad" => jad_format_view(),
-        "sky" => sky_format_view(),
-        "diagsplit" => diagsplit_format_view(),
-        "bsr" => bsr_format_view(f.block.r.max(1), f.block.c.max(1)),
-        "vbr" => vbr_format_view(),
-        other => {
-            return Err(SynthError::Config(crate::config::ConfigError(format!(
-                "unknown advisor candidate format {other:?}"
-            ))))
-        }
+    // A blocked candidate is advised at the instance's dominant block
+    // shape; `diagsplit` is a view without a storage layout of its own.
+    let view = match format {
+        "bsr" => Some(bsr_format_view(f.block.r.max(1), f.block.c.max(1))),
+        "diagsplit" => Some(diagsplit_format_view()),
+        named => view_by_name(named),
+    };
+    let Some(mut v) = view else {
+        return Err(SynthError::Config(crate::config::ConfigError(format!(
+            "unknown advisor candidate format {format:?}"
+        ))));
     };
     if f.lower_triangular && f.nrows == f.ncols {
         v.bounds.push(Bound::attr_ge("r", "c"));

@@ -5,7 +5,8 @@
 //! closes the paper's emit → run loop at runtime: the best plan is
 //! specialized into a **self-contained** kernel crate (no dependency on
 //! this workspace — the format structs are mirrored into the generated
-//! source as borrowed-slice views), `rustc` builds it to a `cdylib`
+//! source as borrowed-slice views, with the formats' own `find` text),
+//! `rustc` builds it to a `cdylib`
 //! through the on-disk artifact cache of `bernoulli-kernel-cache`, and
 //! the resulting shared object is loaded behind a stable `extern "C"`
 //! ABI. A warm cache — including a restarted process — skips the
@@ -41,8 +42,11 @@
 //!
 //! `params` are the program's symbolic parameters in declaration order;
 //! `dims` and `slices` are the flattened scalar fields and array fields
-//! of every operand in declaration order, using the fixed per-format
-//! field order of `view_marshal`. Returns 0 on success, 1 when an
+//! of every operand in declaration order, each format's in the order of
+//! its [`Layout`] — the one description, declared beside the format
+//! struct in `bernoulli-formats`, from which the mirror struct, its
+//! unpacking in the entry points, the host-side marshalling and the
+//! probe instance are all derived. Returns 0 on success, 1 when an
 //! operand index was out of bounds (the body returned early; outputs
 //! may be partly written — version 1 returned 1 for a caught panic), 2
 //! on an arity mismatch. Status 1 does not cover a format's own arrays
@@ -59,6 +63,7 @@ use crate::emit::{emit_rust, emit_rust_ranged, EmitError};
 use crate::interp::{run_plan, ExecEnv, PlanError};
 use crate::plan::{Plan, StepKind, ValueSource};
 use crate::search::SynthError;
+use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored};
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Vbr};
 use bernoulli_ir::{ArrayKind, Program, Role};
@@ -79,27 +84,21 @@ pub const KERNEL_SYMBOL: &str = "bernoulli_kernel_v2";
 pub const KERNEL_RANGE_SYMBOL: &str = "bernoulli_kernel_range_v2";
 
 /// Rows per block of the cache-blocked CSR traversal the full-range
-/// entry performs (bounds the live band of `y`/`rowptr` per call while
+/// entry performs (bounds the live band of `y` and of the row pointers per call while
 /// keeping the per-block dispatch overhead negligible).
 const CSR_ROW_BLOCK: i64 = 2048;
 
-/// The host-side mirror of the ABI's array argument: one base pointer
-/// plus a length, in elements of the field's declared type.
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub struct RawSlice {
-    pub ptr: *const u8,
-    pub len: usize,
-}
-
+// The ABI's array argument (`RawSlice` in the kernel crate: one base
+// pointer plus a length, in elements of the field's declared type) is
+// `RawArray` on the host side, as `Stored::parts` yields it.
 type EntryV2 =
-    unsafe extern "C" fn(*const i64, usize, *const usize, usize, *const RawSlice, usize) -> i32;
+    unsafe extern "C" fn(*const i64, usize, *const usize, usize, *const RawArray, usize) -> i32;
 type RangeV2 = unsafe extern "C" fn(
     *const i64,
     usize,
     *const usize,
     usize,
-    *const RawSlice,
+    *const RawArray,
     usize,
     i64,
     i64,
@@ -254,346 +253,91 @@ pub enum KernelArg<'a> {
 }
 
 impl KernelArg<'_> {
+    /// The operand with its format erased — the one place the formats
+    /// of the ABI are told apart; everything past it reads the
+    /// operand's [`Layout`].
+    pub(crate) fn operand(&mut self) -> Operand<'_> {
+        match self {
+            KernelArg::Csr(m) => Operand::Matrix(*m),
+            KernelArg::Csc(m) => Operand::Matrix(*m),
+            KernelArg::Coo(m) => Operand::Matrix(*m),
+            KernelArg::Dia(m) => Operand::Matrix(*m),
+            KernelArg::Ell(m) => Operand::Matrix(*m),
+            KernelArg::Jad(m) => Operand::Matrix(*m),
+            KernelArg::Sky(m) => Operand::Matrix(*m),
+            KernelArg::Bsr(m) => Operand::Matrix(*m),
+            KernelArg::Vbr(m) => Operand::Matrix(*m),
+            KernelArg::In(x) => Operand::In(x),
+            KernelArg::Out(y) => Operand::Out(y),
+            KernelArg::OutShared(r) => Operand::OutShared(*r),
+        }
+    }
+}
+
+/// One operand as either backend takes it.
+pub(crate) enum Operand<'a> {
+    Matrix(&'a dyn Stored),
+    In(&'a [f64]),
+    Out(&'a mut [f64]),
+    OutShared(RawOut),
+}
+
+impl Operand<'_> {
     fn kind(&self) -> &'static str {
         match self {
-            KernelArg::Csr(_) => "csr",
-            KernelArg::Csc(_) => "csc",
-            KernelArg::Coo(_) => "coo",
-            KernelArg::Dia(_) => "dia",
-            KernelArg::Ell(_) => "ell",
-            KernelArg::Jad(_) => "jad",
-            KernelArg::Sky(_) => "sky",
-            KernelArg::Bsr(_) => "bsr",
-            KernelArg::Vbr(_) => "vbr",
-            KernelArg::In(_) => "vec-in",
-            KernelArg::Out(_) | KernelArg::OutShared(_) => "vec-out",
+            Operand::Matrix(m) => m.layout().name,
+            Operand::In(_) => "vec-in",
+            Operand::Out(_) | Operand::OutShared(_) => "vec-out",
         }
     }
 }
 
-/// Fixed marshalling layout of a format view: scalar fields (in
-/// `dims`), then array fields (in `slices`), in this exact order on
-/// both sides of the ABI.
-struct ViewMarshal {
-    dims: &'static [&'static str],
-    slices: &'static [(&'static str, SliceTy)],
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SliceTy {
-    Usize,
-    I64,
-    F64,
-}
-
-impl SliceTy {
-    fn rust(self) -> &'static str {
-        match self {
-            SliceTy::Usize => "usize",
-            SliceTy::I64 => "i64",
-            SliceTy::F64 => "f64",
-        }
+/// The mirror struct emitted into the self-contained kernel source for
+/// a layout, so the generated body compiles without this workspace:
+/// the format's fields as borrowed slices, and the format's own `find`
+/// text. Like the body, that text has no panic path: on arrays that are
+/// not a valid instance of the format a search finds nothing.
+fn mirror_decl(layout: &Layout) -> String {
+    let ty = layout.type_name;
+    let mut out = format!("pub struct {ty}<T: 'static = f64> {{\n");
+    for dim in layout.dims {
+        out.push_str(&format!("    pub {dim}: usize,\n"));
     }
-}
-
-/// The marshalling/mirror identity of a view name: every `bsr{R}x{C}`
-/// view shares the `"bsr"` layout and mirror struct (the block shape is
-/// carried in `dims`, specialized as literals in the body).
-fn view_base(view: &str) -> &str {
-    if crate::emit::parse_bsr(view).is_some() {
-        "bsr"
-    } else {
-        view
+    for (array, elem) in layout.arrays {
+        let elem = match elem {
+            Elem::F64 => "T",
+            index => index.rust(),
+        };
+        out.push_str(&format!("    pub {array}: &'static [{elem}],\n"));
     }
-}
-
-fn view_marshal(view: &str) -> Option<ViewMarshal> {
-    use SliceTy::*;
-    Some(match view_base(view) {
-        "csr" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[("rowptr", Usize), ("colind", Usize), ("values", F64)],
-        },
-        "csc" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[("colptr", Usize), ("rowind", Usize), ("values", F64)],
-        },
-        "coo" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[("rows", Usize), ("cols", Usize), ("values", F64)],
-        },
-        "dia" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[
-                ("diags", I64),
-                ("lo", I64),
-                ("hi", I64),
-                ("ptr", Usize),
-                ("values", F64),
-            ],
-        },
-        "ell" => ViewMarshal {
-            dims: &["nrows", "ncols", "width"],
-            slices: &[("colind", I64), ("values", F64), ("rowlen", Usize)],
-        },
-        "jad" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[
-                ("iperm", Usize),
-                ("iperm_inv", Usize),
-                ("dptr", Usize),
-                ("colind", Usize),
-                ("values", F64),
-                ("rowlen", Usize),
-            ],
-        },
-        "sky" => ViewMarshal {
-            dims: &["n"],
-            slices: &[("lo", Usize), ("ptr", Usize), ("values", F64)],
-        },
-        "bsr" => ViewMarshal {
-            dims: &["nrows", "ncols", "r", "c"],
-            slices: &[("browptr", Usize), ("bcolind", Usize), ("values", F64)],
-        },
-        "vbr" => ViewMarshal {
-            dims: &["nrows", "ncols"],
-            slices: &[
-                ("val", F64),
-                ("indx", Usize),
-                ("bindx", Usize),
-                ("rpntr", Usize),
-                ("cpntr", Usize),
-                ("bpntrb", Usize),
-                ("bpntre", Usize),
-                ("rowblk", Usize),
-            ],
-        },
-        _ => return None,
-    })
-}
-
-/// The mirror struct (plus `find` helpers replicating the real formats'
-/// search semantics) emitted into the self-contained kernel source for
-/// a view, so the generated body compiles without this workspace. Like
-/// the body, the helpers have no panic path: on arrays that are not a
-/// valid instance of the format a search finds nothing.
-fn mirror_decl(view: &str) -> Option<&'static str> {
-    Some(match view_base(view) {
-        "csr" => {
-            r#"pub struct Csr<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub rowptr: &'static [usize],
-    pub colind: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Csr<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.rowptr.get(r)?, *self.rowptr.get(r + 1)?);
-        self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
-    }
-}
-"#
-        }
-        "csc" => {
-            r#"pub struct Csc<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub colptr: &'static [usize],
-    pub rowind: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Csc<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.colptr.get(c)?, *self.colptr.get(c + 1)?);
-        self.rowind.get(lo..hi)?.binary_search(&r).ok().map(|k| lo + k)
-    }
-}
-"#
-        }
-        "coo" => {
-            r#"pub struct Coo<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub rows: &'static [usize],
-    pub cols: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Coo<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        (0..self.values.len()).find(|&i| self.rows.get(i) == Some(&r) && self.cols.get(i) == Some(&c))
-    }
-}
-"#
-        }
-        "dia" => {
-            r#"pub struct Dia<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub diags: &'static [i64],
-    pub lo: &'static [i64],
-    pub hi: &'static [i64],
-    pub ptr: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Dia<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let d = r as i64 - c as i64;
-        let k = self.diags.binary_search(&d).ok()?;
-        let (o, lo) = (c as i64, *self.lo.get(k)?);
-        if o >= lo && o < *self.hi.get(k)? {
-            Some(*self.ptr.get(k)? + (o - lo) as usize)
-        } else {
-            None
-        }
-    }
-}
-"#
-        }
-        "ell" => {
-            r#"pub struct Ell<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub width: usize,
-    pub colind: &'static [i64],
-    pub values: &'static [T],
-    pub rowlen: &'static [usize],
-}
-impl<T> Ell<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let base = r * self.width;
-        let row = self.colind.get(base..base + *self.rowlen.get(r)?)?;
-        row.binary_search(&(c as i64)).ok().map(|s| base + s)
-    }
-}
-"#
-        }
-        "jad" => {
-            r#"pub struct Jad<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub iperm: &'static [usize],
-    pub iperm_inv: &'static [usize],
-    pub dptr: &'static [usize],
-    pub colind: &'static [usize],
-    pub values: &'static [T],
-    pub rowlen: &'static [usize],
-}
-impl<T> Jad<T> {
-    #[inline]
-    pub fn find_in_row(&self, rr: usize, c: usize) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, *self.rowlen.get(rr)?);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let jj = *self.dptr.get(mid)? + rr;
-            match self.colind.get(jj)?.cmp(&c) {
-                core::cmp::Ordering::Equal => return Some(jj),
-                core::cmp::Ordering::Less => lo = mid + 1,
-                core::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
-    }
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(*self.iperm_inv.get(r)?, c)
-    }
-}
-"#
-        }
-        "sky" => {
-            r#"pub struct Sky<T: 'static = f64> {
-    pub n: usize,
-    pub lo: &'static [usize],
-    pub ptr: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Sky<T> {
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let lo = *self.lo.get(r)?;
-        if c >= lo && c <= r {
-            Some(*self.ptr.get(r)? + (c - lo))
-        } else {
-            None
-        }
-    }
-}
-"#
-        }
-        "bsr" => {
-            r#"pub struct Bsr<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub r: usize,
-    pub c: usize,
-    pub browptr: &'static [usize],
-    pub bcolind: &'static [usize],
-    pub values: &'static [T],
-}
-impl<T> Bsr<T> {
-    #[inline]
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let (br, rr) = (row.checked_div(self.r)?, row.checked_rem(self.r)?);
-        let (bc, cc) = (col.checked_div(self.c)?, col.checked_rem(self.c)?);
-        let (lo, hi) = (*self.browptr.get(br)?, *self.browptr.get(br + 1)?);
-        let k = self.bcolind.get(lo..hi)?.binary_search(&bc).ok()?;
-        Some(((lo + k) * self.r + rr) * self.c + cc)
-    }
-}
-"#
-        }
-        "vbr" => {
-            r#"pub struct Vbr<T: 'static = f64> {
-    pub nrows: usize,
-    pub ncols: usize,
-    pub val: &'static [T],
-    pub indx: &'static [usize],
-    pub bindx: &'static [usize],
-    pub rpntr: &'static [usize],
-    pub cpntr: &'static [usize],
-    pub bpntrb: &'static [usize],
-    pub bpntre: &'static [usize],
-    pub rowblk: &'static [usize],
-}
-impl<T> Vbr<T> {
-    #[inline]
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = *self.rowblk.get(row)?;
-        let rr = row - *self.rpntr.get(br)?;
-        for b in *self.bpntrb.get(br)?..*self.bpntre.get(br)? {
-            let bc = *self.bindx.get(b)?;
-            let (c0, c1) = (*self.cpntr.get(bc)?, *self.cpntr.get(bc + 1)?);
-            if col < c0 {
-                return None;
-            }
-            if col < c1 {
-                return Some(*self.indx.get(b)? + rr * (c1 - c0) + (col - c0));
-            }
-        }
-        None
-    }
-}
-"#
-        }
-        _ => return None,
-    })
+    out.push_str(&format!("}}\nimpl<T> {ty}<T> {{\n{}}}\n", layout.find));
+    out
 }
 
 /// One operand slot of the kernel signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub enum ArgSpec {
-    /// A sparse matrix marshalled per its view's fixed layout.
-    View(String),
+    /// A sparse matrix: its view's name, and the [`Layout`] it is
+    /// marshalled by and the block shape that name resolves to.
+    View {
+        name: String,
+        layout: &'static Layout,
+        block: Option<Block>,
+    },
     /// A read-only dense vector.
     VecIn,
     /// A writable dense vector.
     VecOut,
+}
+
+impl ArgSpec {
+    fn kind(&self) -> &str {
+        match self {
+            ArgSpec::View { name, .. } => name,
+            ArgSpec::VecIn => "vec-in",
+            ArgSpec::VecOut => "vec-out",
+        }
+    }
 }
 
 /// The call signature a loaded kernel expects: parameter names and one
@@ -618,13 +362,19 @@ impl KernelSig {
         for a in &p.arrays {
             let spec = match (views.get(&a.name), a.kind) {
                 (Some(v), _) => {
-                    let m = view_marshal(&v.name).ok_or_else(|| LoadError::UnsupportedView {
-                        array: a.name.clone(),
-                        view: v.name.clone(),
-                    })?;
-                    ndims += m.dims.len();
-                    nslices += m.slices.len();
-                    ArgSpec::View(v.name.clone())
+                    let Some((layout, block)) = Layout::of_view(&v.name) else {
+                        return Err(LoadError::UnsupportedView {
+                            array: a.name.clone(),
+                            view: v.name.clone(),
+                        });
+                    };
+                    ndims += layout.dims.len();
+                    nslices += layout.arrays.len();
+                    ArgSpec::View {
+                        name: v.name.clone(),
+                        layout,
+                        block,
+                    }
                 }
                 (None, ArrayKind::Matrix) => {
                     return Err(LoadError::Emit(EmitError(format!(
@@ -651,6 +401,19 @@ impl KernelSig {
     }
 }
 
+/// The kernel crate's local for an operand.
+fn operand_var(array: &str) -> String {
+    format!("{}_", array.to_lowercase())
+}
+
+/// The matrix whose level the plan's outermost step enumerates, if any.
+fn outer_matrix(plan: &Plan) -> Option<&str> {
+    match &plan.steps.first()?.kind {
+        StepKind::Level { primary, .. } => Some(&primary.matrix),
+        _ => None,
+    }
+}
+
 /// The kernel crate's panic handler. The symbol it calls is defined
 /// nowhere, and the build refuses undefined symbols: the crate links
 /// only if the optimiser removed every path that reaches the handler.
@@ -658,13 +421,14 @@ const PANIC_PROOF: &str = "extern \"C\" {\n    fn bernoulli_kernel_has_a_panic_p
 
 /// Generates the complete, self-contained cdylib source for a plan:
 /// mirror structs, the specialized kernel body, and the `extern "C"`
-/// wrapper(s). Returns the source and whether a ranged entry exists.
+/// wrapper(s), for the signature `sig` of `(p, views)`. Returns the
+/// source and whether a ranged entry exists.
 pub(crate) fn cdylib_source(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
+    sig: &KernelSig,
 ) -> Result<(String, bool), LoadError> {
-    let sig = KernelSig::of(p, views)?;
     // Random-access reads lower to the `SparseMatrix::get` trait, which
     // the mirror structs deliberately do not replicate (it would defeat
     // the data-centric ABI); such plans stay on the interpreter.
@@ -696,18 +460,52 @@ pub(crate) fn cdylib_source(
     out.push_str("#![no_std]\n#![allow(unused_parens, unused_variables, clippy::all)]\n\n");
     out.push_str(PANIC_PROOF);
 
-    // Mirror structs for every distinct view used.
-    let mut seen: Vec<&str> = Vec::new();
-    for (_, spec) in &sig.args {
-        if let ArgSpec::View(v) = spec {
-            // Dedup on the marshalling base so two block shapes of the
-            // same format share one mirror struct.
-            if !seen.contains(&view_base(v)) {
-                seen.push(view_base(v));
-                if let Some(decl) = mirror_decl(v) {
-                    out.push_str(decl);
+    // One mirror struct per distinct layout used: two block shapes of
+    // the same format share theirs.
+    let mut mirrored: Vec<&str> = Vec::new();
+    // Shared operand-unpacking text (used by every entry point).
+    let mut unpack = String::new();
+    let (mut di, mut si) = (0usize, 0usize);
+    let mut call_args: Vec<String> = Vec::new();
+    for i in 0..sig.params.len() {
+        call_args.push(format!("*params.get({i})?"));
+    }
+    for (name, spec) in &sig.args {
+        let var = operand_var(name);
+        match spec {
+            ArgSpec::View { layout, .. } => {
+                if !mirrored.contains(&layout.name) {
+                    mirrored.push(layout.name);
+                    out.push_str(&mirror_decl(layout));
                     out.push('\n');
                 }
+                let mut fields: Vec<String> = Vec::new();
+                for d in layout.dims {
+                    fields.push(format!("{d}: *dims.get({di})?"));
+                    di += 1;
+                }
+                for (f, t) in layout.arrays {
+                    fields.push(format!("{f}: sl::<{}>(slices.get({si})?)", t.rust()));
+                    si += 1;
+                }
+                unpack.push_str(&format!(
+                    "        let {var} = {}::<f64> {{ {} }};\n",
+                    layout.type_name,
+                    fields.join(", ")
+                ));
+                call_args.push(format!("&{var}"));
+            }
+            ArgSpec::VecIn => {
+                unpack.push_str(&format!(
+                    "        let {var} = sl::<f64>(slices.get({si})?);\n"
+                ));
+                si += 1;
+                call_args.push(var);
+            }
+            ArgSpec::VecOut => {
+                unpack.push_str(&format!("        let {var} = sl_mut(slices.get({si})?);\n"));
+                si += 1;
+                call_args.push(var);
             }
         }
     }
@@ -731,72 +529,6 @@ pub(crate) fn cdylib_source(
         out.push('\n');
     }
 
-    // Shared operand-unpacking text (used by every entry point).
-    let mut unpack = String::new();
-    let (mut di, mut si) = (0usize, 0usize);
-    let mut call_args: Vec<String> = Vec::new();
-    for i in 0..sig.params.len() {
-        call_args.push(format!("*params.get({i})?"));
-    }
-    let mut outer_nrows: Option<String> = None;
-    for (name, spec) in &sig.args {
-        let var = format!("{}_", name.to_lowercase());
-        match spec {
-            ArgSpec::View(v) => {
-                let m = view_marshal(v).ok_or_else(|| LoadError::UnsupportedView {
-                    array: name.clone(),
-                    view: v.clone(),
-                })?;
-                let ty = match view_base(v) {
-                    "csr" => "Csr",
-                    "csc" => "Csc",
-                    "coo" => "Coo",
-                    "dia" => "Dia",
-                    "ell" => "Ell",
-                    "jad" => "Jad",
-                    "sky" => "Sky",
-                    "bsr" => "Bsr",
-                    "vbr" => "Vbr",
-                    _ => {
-                        return Err(LoadError::UnsupportedView {
-                            array: name.clone(),
-                            view: v.clone(),
-                        })
-                    }
-                };
-                let mut fields: Vec<String> = Vec::new();
-                for d in m.dims {
-                    fields.push(format!("{d}: *dims.get({di})?"));
-                    di += 1;
-                }
-                for (f, t) in m.slices {
-                    fields.push(format!("{f}: sl::<{}>(slices.get({si})?)", t.rust()));
-                    si += 1;
-                }
-                unpack.push_str(&format!(
-                    "        let {var} = {ty}::<f64> {{ {} }};\n",
-                    fields.join(", ")
-                ));
-                if outer_nrows.is_none() && matches!(view_base(v), "csr" | "ell" | "bsr" | "vbr") {
-                    outer_nrows = Some(format!("{var}.nrows"));
-                }
-                call_args.push(format!("&{var}"));
-            }
-            ArgSpec::VecIn => {
-                unpack.push_str(&format!(
-                    "        let {var} = sl::<f64>(slices.get({si})?);\n"
-                ));
-                si += 1;
-                call_args.push(var);
-            }
-            ArgSpec::VecOut => {
-                unpack.push_str(&format!("        let {var} = sl_mut(slices.get({si})?);\n"));
-                si += 1;
-                call_args.push(var);
-            }
-        }
-    }
-
     // The arity check makes every `get` below succeed; they are `get`s
     // so that no index expression in the crate can panic.
     let preamble = format!(
@@ -813,10 +545,11 @@ pub(crate) fn cdylib_source(
     ));
     out.push_str(&preamble);
     out.push_str(&unpack);
-    if ranged_body.is_some() {
-        let nrows = outer_nrows.as_deref().unwrap_or("0");
-        let is_csr_outer = outer_row_view(plan, views).as_deref() == Some("csr");
-        if is_csr_outer {
+    // A ranged body exists only for a plan whose outermost step
+    // enumerates the rows of a matrix: the full range is its row count.
+    if let Some(outer) = ranged_body.as_ref().and(outer_matrix(plan)) {
+        let nrows = format!("{}.nrows", operand_var(outer));
+        if views.get(outer).is_some_and(|v| v.name == "csr") {
             // Cache-blocked CSR row traversal: walk the rows in fixed
             // blocks through the ranged body.
             out.push_str(&format!(
@@ -886,32 +619,16 @@ impl NativeSource {
         logical_key: &str,
     ) -> Result<NativeSource, LoadError> {
         let sig = KernelSig::of(p, views)?;
-        let (source, has_ranged) = cdylib_source(p, plan, views)?;
+        let (source, has_ranged) = cdylib_source(p, plan, views, &sig)?;
         let key = format!("abi{KERNEL_ABI_VERSION}|{logical_key}");
-        let outer_matrix = if has_ranged {
-            plan.steps.first().and_then(|s| match &s.kind {
-                StepKind::Level { primary, .. } => Some(primary.matrix.clone()),
-                _ => None,
-            })
-        } else {
-            None
-        };
+        let outer_matrix = outer_matrix(plan).filter(|_| has_ranged);
         Ok(NativeSource {
             sig,
             artifact: ArtifactSpec::new(key, source)?,
             has_ranged,
-            outer_matrix,
+            outer_matrix: outer_matrix.map(str::to_string),
         })
     }
-}
-
-/// The view name of the plan's outermost row enumeration, if any.
-fn outer_row_view(plan: &Plan, views: &HashMap<String, FormatView>) -> Option<String> {
-    let step = plan.steps.first()?;
-    let StepKind::Level { primary, .. } = &step.kind else {
-        return None;
-    };
-    views.get(&primary.matrix).map(|v| v.name.clone())
 }
 
 /// A runtime-compiled, dynamically loaded kernel: native code for one
@@ -955,8 +672,8 @@ impl LoadedKernel {
 
     /// True when the kernel passed differential validation against the
     /// interpreter (see [`KernelBackend::Validated`]). False when
-    /// validation was skipped because no probe instance could be built
-    /// for this signature.
+    /// validation was skipped because the interpreter could not run
+    /// the probe instance.
     pub fn validated(&self) -> bool {
         self.validated
     }
@@ -980,7 +697,7 @@ impl LoadedKernel {
 
     /// Runs the kernel over its full iteration space.
     pub fn run(&self, params: &[i64], args: &mut [KernelArg<'_>]) -> Result<(), KernelCallError> {
-        self.call(params, args, None)
+        self.call(params, args.iter_mut().map(KernelArg::operand), None)
     }
 
     /// Runs the kernel restricted to outer rows `row_lo..row_hi`
@@ -994,17 +711,18 @@ impl LoadedKernel {
         row_lo: i64,
         row_hi: i64,
     ) -> Result<(), KernelCallError> {
-        if self.ranged.is_none() {
+        let Some(ranged) = self.ranged else {
             return Err(KernelCallError::NoRangedEntry);
-        }
-        self.call(params, args, Some((row_lo, row_hi)))
+        };
+        let operands = args.iter_mut().map(KernelArg::operand);
+        self.call(params, operands, Some((ranged, row_lo, row_hi)))
     }
 
-    fn call(
+    fn call<'a>(
         &self,
         params: &[i64],
-        args: &mut [KernelArg<'_>],
-        range: Option<(i64, i64)>,
+        operands: impl ExactSizeIterator<Item = Operand<'a>>,
+        range: Option<(RangeV2, i64, i64)>,
     ) -> Result<(), KernelCallError> {
         let sig = self.sig();
         if params.len() != sig.params.len() {
@@ -1017,15 +735,19 @@ impl LoadedKernel {
                 ),
             });
         }
-        if args.len() != sig.args.len() {
+        if operands.len() != sig.args.len() {
             return Err(KernelCallError::Mismatch {
-                detail: format!("expected {} operands, got {}", sig.args.len(), args.len()),
+                detail: format!(
+                    "expected {} operands, got {}",
+                    sig.args.len(),
+                    operands.len()
+                ),
             });
         }
         let mut dims: Vec<usize> = Vec::with_capacity(sig.ndims);
-        let mut slices: Vec<RawSlice> = Vec::with_capacity(sig.nslices);
-        for ((name, spec), arg) in sig.args.iter().zip(args.iter_mut()) {
-            marshal(name, spec, arg, &mut dims, &mut slices)?;
+        let mut slices: Vec<RawArray> = Vec::with_capacity(sig.nslices);
+        for ((name, spec), operand) in sig.args.iter().zip(operands) {
+            marshal(name, spec, operand, &mut dims, &mut slices)?;
         }
         let code = match range {
             None => unsafe {
@@ -1038,23 +760,18 @@ impl LoadedKernel {
                     slices.len(),
                 )
             },
-            Some((lo, hi)) => {
-                let Some(f) = self.ranged else {
-                    return Err(KernelCallError::NoRangedEntry);
-                };
-                unsafe {
-                    f(
-                        params.as_ptr(),
-                        params.len(),
-                        dims.as_ptr(),
-                        dims.len(),
-                        slices.as_ptr(),
-                        slices.len(),
-                        lo,
-                        hi,
-                    )
-                }
-            }
+            Some((ranged, lo, hi)) => unsafe {
+                ranged(
+                    params.as_ptr(),
+                    params.len(),
+                    dims.as_ptr(),
+                    dims.len(),
+                    slices.as_ptr(),
+                    slices.len(),
+                    lo,
+                    hi,
+                )
+            },
         };
         match code {
             0 => Ok(()),
@@ -1075,110 +792,39 @@ impl LoadedKernel {
     }
 }
 
-fn raw(ptr: *const u8, len: usize) -> RawSlice {
-    RawSlice { ptr, len }
-}
-
+/// Appends one operand to the flattened call arguments, in the order
+/// the kernel crate unpacks them.
 fn marshal(
     name: &str,
     spec: &ArgSpec,
-    arg: &mut KernelArg<'_>,
+    operand: Operand<'_>,
     dims: &mut Vec<usize>,
-    slices: &mut Vec<RawSlice>,
+    slices: &mut Vec<RawArray>,
 ) -> Result<(), KernelCallError> {
-    let mismatch = |want: &str, got: &str| KernelCallError::Mismatch {
-        detail: format!("operand {name:?}: expected {want}, got {got}"),
+    let vector = |ptr: *const f64, len: usize| RawArray {
+        ptr: ptr.cast(),
+        len,
     };
-    let matches_spec = match (spec, &*arg) {
-        // A BSR view name carries the block shape the kernel was
-        // specialized for; the operand must match it exactly.
-        (ArgSpec::View(v), KernelArg::Bsr(m)) => crate::emit::parse_bsr(v) == Some((m.r, m.c)),
-        (ArgSpec::View(v), a) => v == a.kind(),
-        (ArgSpec::VecIn, KernelArg::In(_)) => true,
-        (ArgSpec::VecOut, KernelArg::Out(_) | KernelArg::OutShared(_)) => true,
-        _ => false,
-    };
-    if !matches_spec {
-        let want = match spec {
-            ArgSpec::View(v) => v.as_str(),
-            ArgSpec::VecIn => "vec-in",
-            ArgSpec::VecOut => "vec-out",
-        };
-        return Err(mismatch(want, arg.kind()));
-    }
-    match arg {
-        KernelArg::Csr(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.rowptr.as_ptr() as *const u8, m.rowptr.len()));
-            slices.push(raw(m.colind.as_ptr() as *const u8, m.colind.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
+    match (spec, operand) {
+        // The instance must be of the view's layout and, where the view
+        // name carries the block shape the kernel was specialized for,
+        // of exactly that shape.
+        (ArgSpec::View { layout, block, .. }, Operand::Matrix(m))
+            if layout.name == m.layout().name && *block == m.block() =>
+        {
+            m.parts(dims, slices)
         }
-        KernelArg::Csc(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.colptr.as_ptr() as *const u8, m.colptr.len()));
-            slices.push(raw(m.rowind.as_ptr() as *const u8, m.rowind.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-        }
-        KernelArg::Coo(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.rows.as_ptr() as *const u8, m.rows.len()));
-            slices.push(raw(m.cols.as_ptr() as *const u8, m.cols.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-        }
-        KernelArg::Dia(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.diags.as_ptr() as *const u8, m.diags.len()));
-            slices.push(raw(m.lo.as_ptr() as *const u8, m.lo.len()));
-            slices.push(raw(m.hi.as_ptr() as *const u8, m.hi.len()));
-            slices.push(raw(m.ptr.as_ptr() as *const u8, m.ptr.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-        }
-        KernelArg::Ell(m) => {
-            dims.extend([m.nrows, m.ncols, m.width]);
-            slices.push(raw(m.colind.as_ptr() as *const u8, m.colind.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-            slices.push(raw(m.rowlen.as_ptr() as *const u8, m.rowlen.len()));
-        }
-        KernelArg::Jad(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.iperm.as_ptr() as *const u8, m.iperm.len()));
-            slices.push(raw(m.iperm_inv.as_ptr() as *const u8, m.iperm_inv.len()));
-            slices.push(raw(m.dptr.as_ptr() as *const u8, m.dptr.len()));
-            slices.push(raw(m.colind.as_ptr() as *const u8, m.colind.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-            slices.push(raw(m.rowlen.as_ptr() as *const u8, m.rowlen.len()));
-        }
-        KernelArg::Sky(m) => {
-            dims.push(m.n);
-            slices.push(raw(m.lo.as_ptr() as *const u8, m.lo.len()));
-            slices.push(raw(m.ptr.as_ptr() as *const u8, m.ptr.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-        }
-        KernelArg::Bsr(m) => {
-            dims.extend([m.nrows, m.ncols, m.r, m.c]);
-            slices.push(raw(m.browptr.as_ptr() as *const u8, m.browptr.len()));
-            slices.push(raw(m.bcolind.as_ptr() as *const u8, m.bcolind.len()));
-            slices.push(raw(m.values.as_ptr() as *const u8, m.values.len()));
-        }
-        KernelArg::Vbr(m) => {
-            dims.extend([m.nrows, m.ncols]);
-            slices.push(raw(m.val.as_ptr() as *const u8, m.val.len()));
-            slices.push(raw(m.indx.as_ptr() as *const u8, m.indx.len()));
-            slices.push(raw(m.bindx.as_ptr() as *const u8, m.bindx.len()));
-            slices.push(raw(m.rpntr.as_ptr() as *const u8, m.rpntr.len()));
-            slices.push(raw(m.cpntr.as_ptr() as *const u8, m.cpntr.len()));
-            slices.push(raw(m.bpntrb.as_ptr() as *const u8, m.bpntrb.len()));
-            slices.push(raw(m.bpntre.as_ptr() as *const u8, m.bpntre.len()));
-            slices.push(raw(m.rowblk.as_ptr() as *const u8, m.rowblk.len()));
-        }
-        KernelArg::In(x) => {
-            slices.push(raw(x.as_ptr() as *const u8, x.len()));
-        }
-        KernelArg::Out(y) => {
-            slices.push(raw(y.as_mut_ptr() as *const u8, y.len()));
-        }
-        KernelArg::OutShared(r) => {
-            slices.push(raw(r.ptr as *const u8, r.len));
+        (ArgSpec::VecIn, Operand::In(x)) => slices.push(vector(x.as_ptr(), x.len())),
+        (ArgSpec::VecOut, Operand::Out(y)) => slices.push(vector(y.as_mut_ptr(), y.len())),
+        (ArgSpec::VecOut, Operand::OutShared(r)) => slices.push(vector(r.ptr, r.len)),
+        (spec, operand) => {
+            return Err(KernelCallError::Mismatch {
+                detail: format!(
+                    "operand {name:?}: expected {}, got {}",
+                    spec.kind(),
+                    operand.kind()
+                ),
+            })
         }
     }
     Ok(())
@@ -1193,8 +839,8 @@ pub enum KernelBackend {
     /// validation*: before being served it reproduced the interpreter's
     /// output bitwise on a deterministic probe instance.
     Validated(LoadedKernel),
-    /// Runtime-compiled native code; validation was skipped (no probe
-    /// instance exists for this signature).
+    /// Runtime-compiled native code; validation was skipped (the
+    /// interpreter could not run the probe instance).
     Compiled(LoadedKernel),
     /// Interpreter fallback; `reason` says why (no compiler on the
     /// host, unsupported view, emission failure, failed validation…).
@@ -1220,36 +866,19 @@ impl KernelBackend {
 // Differential validation
 // ---------------------------------------------------------------------
 
-/// One owned operand of the probe instance; `arg` borrows it as a
-/// [`KernelArg`].
+/// One owned operand of the probe instance.
 enum ProbeOperand {
-    Csr(Csr<f64>),
-    Csc(Csc<f64>),
-    Coo(Coo<f64>),
-    Dia(Dia<f64>),
-    Ell(Ell<f64>),
-    Jad(Jad<f64>),
-    Sky(Sky<f64>),
-    Bsr(Bsr<f64>),
-    Vbr(Vbr<f64>),
+    Matrix(Box<dyn Stored>),
     In(Vec<f64>),
     Out(Vec<f64>),
 }
 
 impl ProbeOperand {
-    fn arg(&mut self) -> KernelArg<'_> {
+    fn operand(&mut self) -> Operand<'_> {
         match self {
-            ProbeOperand::Csr(m) => KernelArg::Csr(m),
-            ProbeOperand::Csc(m) => KernelArg::Csc(m),
-            ProbeOperand::Coo(m) => KernelArg::Coo(m),
-            ProbeOperand::Dia(m) => KernelArg::Dia(m),
-            ProbeOperand::Ell(m) => KernelArg::Ell(m),
-            ProbeOperand::Jad(m) => KernelArg::Jad(m),
-            ProbeOperand::Sky(m) => KernelArg::Sky(m),
-            ProbeOperand::Bsr(m) => KernelArg::Bsr(m),
-            ProbeOperand::Vbr(m) => KernelArg::Vbr(m),
-            ProbeOperand::In(x) => KernelArg::In(x),
-            ProbeOperand::Out(y) => KernelArg::Out(y),
+            ProbeOperand::Matrix(m) => Operand::Matrix(&**m),
+            ProbeOperand::In(x) => Operand::In(x),
+            ProbeOperand::Out(y) => Operand::Out(y),
         }
     }
 }
@@ -1264,22 +893,19 @@ fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// Builds the deterministic probe operands for a kernel signature, or
-/// `None` when some view has no probe construction (validation is then
-/// skipped, not failed). The matrix is n×n lower-triangular with a
-/// full nonzero diagonal — legal for every format including skyline —
-/// with n sized to divide evenly into any BSR block shape in the
-/// signature.
-fn probe_operands(sig: &KernelSig) -> Option<(i64, Vec<ProbeOperand>)> {
+/// Builds the deterministic probe operands for a kernel signature. The
+/// matrix is n×n lower-triangular with a full nonzero diagonal — legal
+/// for every format including skyline — with n sized to divide evenly
+/// into every block shape the signature's view names carry; a format
+/// that is cut into blocks but names no shape in its view (VBR) is cut
+/// in halves.
+fn probe_operands(sig: &KernelSig) -> (i64, Vec<ProbeOperand>) {
     use bernoulli_formats::Triplets;
-    let mut n = 4usize;
-    for (_, spec) in &sig.args {
-        if let ArgSpec::View(v) = spec {
-            if let Some((r, c)) = crate::emit::parse_bsr(v) {
-                n = lcm(n, lcm(r, c));
-            }
-        }
-    }
+    let blocks = sig.args.iter().filter_map(|(_, spec)| match spec {
+        ArgSpec::View { block, .. } => *block,
+        ArgSpec::VecIn | ArgSpec::VecOut => None,
+    });
+    let n = blocks.fold(4usize, |n, (r, c)| lcm(n, lcm(r, c)));
     let mut entries: Vec<(usize, usize, f64)> = Vec::with_capacity(2 * n);
     for i in 0..n {
         entries.push((i, i, 1.0 + 0.125 * i as f64));
@@ -1288,71 +914,41 @@ fn probe_operands(sig: &KernelSig) -> Option<(i64, Vec<ProbeOperand>)> {
         }
     }
     let t = Triplets::<f64>::from_entries(n, n, &entries);
-    let mut ops = Vec::with_capacity(sig.args.len());
-    for (_, spec) in &sig.args {
-        let op = match spec {
-            ArgSpec::VecIn => ProbeOperand::In((0..n).map(|k| 1.0 + 0.25 * k as f64).collect()),
-            ArgSpec::VecOut => ProbeOperand::Out((0..n).map(|k| 0.5 * k as f64).collect()),
-            ArgSpec::View(v) => {
-                if let Some((r, c)) = crate::emit::parse_bsr(v) {
-                    ProbeOperand::Bsr(Bsr::from_triplets(&t, r, c))
-                } else {
-                    match v.as_str() {
-                        "csr" => ProbeOperand::Csr(Csr::from_triplets(&t)),
-                        "csc" => ProbeOperand::Csc(Csc::from_triplets(&t)),
-                        "coo" => ProbeOperand::Coo(Coo::from_triplets(&t)),
-                        "dia" => ProbeOperand::Dia(Dia::from_triplets(&t)),
-                        "ell" => ProbeOperand::Ell(Ell::from_triplets(&t)),
-                        "jad" => ProbeOperand::Jad(Jad::from_triplets(&t)),
-                        "sky" => ProbeOperand::Sky(Sky::from_triplets(&t)),
-                        "vbr" => {
-                            let pntr = [0, n / 2, n];
-                            ProbeOperand::Vbr(Vbr::from_triplets(&t, &pntr, &pntr))
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-        };
-        ops.push(op);
-    }
-    Some((n as i64, ops))
+    let ops = sig.args.iter().map(|(_, spec)| match spec {
+        ArgSpec::VecIn => ProbeOperand::In((0..n).map(|k| 1.0 + 0.25 * k as f64).collect()),
+        ArgSpec::VecOut => ProbeOperand::Out((0..n).map(|k| 0.5 * k as f64).collect()),
+        ArgSpec::View { layout, block, .. } => {
+            ProbeOperand::Matrix((layout.from_triplets)(&t, block.unwrap_or((n / 2, n / 2))))
+        }
+    });
+    (n as i64, ops.collect())
 }
 
 /// Runs the freshly loaded kernel against the interpreter on the probe
 /// instance. `Ok(true)`: validated (bitwise-identical outputs); the
 /// store remembers the verdict and keeps the library open, so warm
 /// loads through the same store skip the probe and the `dlopen`.
-/// `Ok(false)`: validation skipped — no
-/// probe for this signature, or the *interpreter* could not run the
-/// probe (then there is no reference to compare against).
+/// `Ok(false)`: validation skipped — the *interpreter* could not run
+/// the probe, so there is no reference to compare against.
 /// `Err`: the kernel disagreed or failed — the artifact is quarantined.
 fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bool, LoadError> {
     let sig = kernel.sig();
-    let Some((n, mut interp_ops)) = probe_operands(sig) else {
-        return Ok(false);
-    };
+    let (n, mut interp_ops) = probe_operands(sig);
     let params = vec![n; sig.params.len()];
-    let mut interp_args: Vec<KernelArg<'_>> = interp_ops.iter_mut().map(|o| o.arg()).collect();
-    if interp_positional(p, plan, &params, &mut interp_args).is_err() {
+    let operands = interp_ops.iter_mut().map(ProbeOperand::operand);
+    if interp_positional(p, plan, &params, operands).is_err() {
         return Ok(false);
     }
-    drop(interp_args);
-    // Deterministic, so this re-derivation cannot fail after the first
-    // call succeeded — but degrade to "skipped" rather than assert.
-    let Some((_, mut kernel_ops)) = probe_operands(sig) else {
-        return Ok(false);
-    };
-    let mut kernel_args: Vec<KernelArg<'_>> = kernel_ops.iter_mut().map(|o| o.arg()).collect();
+    let (_, mut kernel_ops) = probe_operands(sig);
     let reject = |detail: String| {
         kernel.store.quarantine(kernel.lib.path());
         bernoulli_trace::counter!("kernel.validation_failures");
         LoadError::ValidationFailed { detail }
     };
-    if let Err(e) = kernel.run(&params, &mut kernel_args) {
+    let operands = kernel_ops.iter_mut().map(ProbeOperand::operand);
+    if let Err(e) = kernel.call(&params, operands, None) {
         return Err(reject(format!("probe call failed: {e}")));
     }
-    drop(kernel_args);
     for (i, (expect, got)) in interp_ops.iter().zip(kernel_ops.iter()).enumerate() {
         let (ProbeOperand::Out(expect), ProbeOperand::Out(got)) = (expect, got) else {
             continue;
@@ -1424,13 +1020,13 @@ pub(crate) fn load_kernel(
 
 /// Runs a plan through the interpreter with the *same positional
 /// call convention* as a loaded kernel, so the two backends are
-/// interchangeable: parameters in program order, one [`KernelArg`] per
+/// interchangeable: parameters in program order, one operand per
 /// array. Output vectors are copied in and back out around the run.
-pub(crate) fn interp_positional(
+pub(crate) fn interp_positional<'a>(
     p: &Program,
     plan: &Plan,
     params: &[i64],
-    args: &mut [KernelArg<'_>],
+    operands: impl Iterator<Item = Operand<'a>>,
 ) -> Result<(), SynthError> {
     if params.len() != p.params.len() {
         return Err(SynthError::Plan(PlanError(format!(
@@ -1440,31 +1036,24 @@ pub(crate) fn interp_positional(
             params.len()
         ))));
     }
-    if args.len() != p.arrays.len() {
+    let operands: Vec<Operand<'a>> = operands.collect();
+    if operands.len() != p.arrays.len() {
         return Err(SynthError::Plan(PlanError(format!(
             "expected {} operands, got {}",
             p.arrays.len(),
-            args.len()
+            operands.len()
         ))));
     }
     let mut env = ExecEnv::new();
     for (name, v) in p.params.iter().zip(params) {
         env.set_param(name, *v);
     }
-    for (decl, arg) in p.arrays.iter().zip(args.iter()) {
-        match arg {
-            KernelArg::Csr(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Csc(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Coo(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Dia(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Ell(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Jad(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Sky(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Bsr(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::Vbr(m) => env.bind_sparse(&decl.name, *m),
-            KernelArg::In(x) => env.bind_vec(&decl.name, x.to_vec()),
-            KernelArg::Out(y) => env.bind_vec(&decl.name, y.to_vec()),
-            KernelArg::OutShared(_) => {
+    for (decl, operand) in p.arrays.iter().zip(&operands) {
+        match operand {
+            Operand::Matrix(m) => env.bind_sparse(&decl.name, *m),
+            Operand::In(x) => env.bind_vec(&decl.name, x.to_vec()),
+            Operand::Out(y) => env.bind_vec(&decl.name, y.to_vec()),
+            Operand::OutShared(_) => {
                 return Err(SynthError::Plan(PlanError(format!(
                     "operand {:?}: raw shared outputs are only usable on the \
                      compiled backend",
@@ -1474,19 +1063,13 @@ pub(crate) fn interp_positional(
         };
     }
     run_plan(plan, &mut env)?;
-    let mut outs: Vec<(usize, Vec<f64>)> = Vec::new();
-    for (i, decl) in p.arrays.iter().enumerate() {
-        if matches!(args[i], KernelArg::Out(_)) {
-            outs.push((i, env.try_take_vec(&decl.name)?));
-        }
-    }
-    drop(env);
-    for (i, v) in outs {
-        if let KernelArg::Out(y) = &mut args[i] {
+    for (decl, operand) in p.arrays.iter().zip(operands) {
+        if let Operand::Out(y) = operand {
+            let v = env.try_take_vec(&decl.name)?;
             if y.len() != v.len() {
                 return Err(SynthError::Plan(PlanError(format!(
                     "output {:?} length changed across the run ({} -> {})",
-                    p.arrays[i].name,
+                    decl.name,
                     y.len(),
                     v.len()
                 ))));
@@ -1532,10 +1115,11 @@ mod tests {
     }
 
     #[test]
-    fn cdylib_source_is_self_contained_with_ranged_entry() {
+    fn cdylib_source_is_self_contained_with_ranged_entry() -> Result<(), LoadError> {
         let a = csr3();
         let k = compile(&a);
-        let (src, ranged) = cdylib_source(k.program(), k.plan(), k.views()).expect("source");
+        let sig = KernelSig::of(k.program(), k.views())?;
+        let (src, ranged) = cdylib_source(k.program(), k.plan(), k.views(), &sig)?;
         assert!(ranged, "csr mvm outer row loop must be range-splittable");
         assert!(src.contains("#[no_mangle]"), "{src}");
         assert!(src.contains(KERNEL_SYMBOL));
@@ -1550,6 +1134,7 @@ mod tests {
         );
         // Cache-blocked CSR traversal in the full entry.
         assert!(src.contains("r0__"), "blocked row walk missing:\n{src}");
+        Ok(())
     }
 
     /// A kernel crate in which a panic path survives does not link: the
@@ -1564,7 +1149,7 @@ mod tests {
         let a = csr3();
         let k = compile(&a);
         let mut native = NativeSource::derive(k.program(), k.plan(), k.views(), k.cache_key())?;
-        let (source, _) = cdylib_source(k.program(), k.plan(), k.views())?;
+        let (source, _) = cdylib_source(k.program(), k.plan(), k.views(), &native.sig)?;
         let planted = source.replace("*x_.get((j_) as usize)?", "x_[(j_) as usize]");
         assert_ne!(planted, source, "nothing was planted in:\n{source}");
         native.artifact = ArtifactSpec::new("planted-panic".to_string(), planted)?;
@@ -1622,7 +1207,8 @@ mod tests {
             KernelArg::In(&x),
             KernelArg::Out(&mut y),
         ];
-        interp_positional(k.program(), k.plan(), &[3, 3], &mut args).expect("runs");
+        let operands = args.iter_mut().map(KernelArg::operand);
+        interp_positional(k.program(), k.plan(), &[3, 3], operands).expect("runs");
         assert_eq!(y, vec![2.0, 3.0, 8.0]);
     }
 
@@ -1632,7 +1218,8 @@ mod tests {
         let k = compile(&a);
         let x = vec![1.0, 2.0, 3.0];
         let mut args = [KernelArg::Csr(&a), KernelArg::In(&x)];
-        let err = interp_positional(k.program(), k.plan(), &[3, 3], &mut args)
+        let operands = args.iter_mut().map(KernelArg::operand);
+        let err = interp_positional(k.program(), k.plan(), &[3, 3], operands)
             .expect_err("missing output operand");
         assert!(matches!(err, SynthError::Plan(_)), "{err:?}");
     }

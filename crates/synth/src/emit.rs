@@ -21,6 +21,7 @@
 use crate::plan::{
     Atom, Dir, Edge, ExecStmt, Guard, LevelRef, OffEdge, PExpr, Plan, StepKind, ValueSource,
 };
+use bernoulli_formats::layout::{format_name, Layout};
 use bernoulli_formats::view::FormatView;
 use bernoulli_ir::{ArrayKind, LhsRef, Program, Role, ValueExpr};
 use std::collections::HashMap;
@@ -40,48 +41,25 @@ impl std::fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
-/// Parses a BSR view name (`bsr{r}x{c}`) into its block shape. The
-/// shape rides in the name so the emitter can unroll the within-block
-/// loop with literal bounds (and so plans for distinct shapes never
-/// collide in the plan cache).
-pub(crate) fn parse_bsr(view_name: &str) -> Option<(usize, usize)> {
-    let (r, c) = view_name.strip_prefix("bsr")?.split_once('x')?;
-    match (r.parse(), c.parse()) {
-        (Ok(r), Ok(c)) if r > 0 && c > 0 => Some((r, c)),
-        _ => None,
-    }
+/// The block shape a view name carries (`bsr2x2`), if any.
+fn view_block(view_name: &str) -> Option<(usize, usize)> {
+    Layout::of_view(view_name)?.1
 }
 
-/// The per-(chain, level) template name for a view: BSR's shape-carrying
-/// names all share the `bsr` templates.
-fn template_name(view_name: &str) -> &str {
-    if parse_bsr(view_name).is_some() {
-        "bsr"
-    } else {
-        view_name
-    }
-}
-
-/// The Rust type for a view name.
-fn rust_type(view_name: &str) -> Result<&'static str, EmitError> {
-    if parse_bsr(view_name).is_some() {
-        return Ok("Bsr<f64>");
-    }
-    Ok(match view_name {
-        "dense" => "Dense<f64>",
-        "coo" => "Coo<f64>",
-        "csr" => "Csr<f64>",
-        "csc" => "Csc<f64>",
-        "dia" => "Dia<f64>",
-        "ell" => "Ell<f64>",
-        "jad" => "Jad<f64>",
-        "diagsplit" => "DiagSplit<f64>",
-        "sky" => "Sky<f64>",
-        "vbr" => "Vbr<f64>",
-        "spvec" => "SparseVec<f64>",
-        "hashvec" => "HashVec<f64>",
-        other => return Err(EmitError(format!("no Rust type for view {other:?}"))),
-    })
+/// The Rust type for a view name: the layout's for a format that has
+/// one, plus the view types that exist only on the host.
+fn rust_type(view_name: &str) -> Result<String, EmitError> {
+    let ty = match Layout::of_view(view_name) {
+        Some((layout, _)) => layout.type_name,
+        None => match view_name {
+            "dense" => "Dense",
+            "diagsplit" => "DiagSplit",
+            "spvec" => "SparseVec",
+            "hashvec" => "HashVec",
+            other => return Err(EmitError(format!("no Rust type for view {other:?}"))),
+        },
+    };
+    Ok(format!("{ty}<f64>"))
 }
 
 struct Emitter<'a> {
@@ -568,7 +546,7 @@ pub fn range_splittable(p: &Program, plan: &Plan, views: &HashMap<String, Format
         || primary.level != 0
         || primary.chain != 0
         || !matches!(
-            template_name(&view.name),
+            format_name(&view.name),
             "csr" | "ell" | "dense" | "bsr" | "vbr"
         )
     {
@@ -765,7 +743,7 @@ impl Emitter<'_> {
             Some(v) => v.name.clone(),
             None => return Ok(false),
         };
-        let Some((rb, cb)) = parse_bsr(&view_name) else {
+        let Some((rb, cb)) = view_block(&view_name) else {
             return Ok(false);
         };
         if rb < 2
@@ -910,7 +888,7 @@ impl Emitter<'_> {
             Some(v) => v.name.clone(),
             None => return Ok(false),
         };
-        if template_name(&view_name) != "vbr"
+        if format_name(&view_name) != "vbr"
             || s0.dir != Dir::Fwd
             || s1.dir != Dir::Fwd
             || (p0.chain, p0.level) != (0, 0)
@@ -1177,7 +1155,7 @@ impl Emitter<'_> {
         // Most templates open a single loop; the two-level blocked
         // formats open a block loop plus a within-block loop.
         let mut head = LoopHead::default();
-        match (template_name(&view_name), primary.chain, primary.level) {
+        match (format_name(&view_name), primary.chain, primary.level) {
             ("csr", 0, 0) | ("ell", 0, 0) | ("bsr", 0, 0) | ("vbr", 0, 0) => {
                 head.open(&v0, row_range.clone());
                 head.line(format!("let {pv} = {v0} as usize;"));
@@ -1188,7 +1166,7 @@ impl Emitter<'_> {
                 // the row's contiguous slice of each block. The block
                 // shape is a compile-time literal (from the view name),
                 // so LLVM fully unrolls the inner loop.
-                let Some((rb, cb)) = parse_bsr(&view_name) else {
+                let Some((rb, cb)) = view_block(&view_name) else {
                     return Err(EmitError(format!(
                         "bsr template on non-bsr view {view_name}"
                     )));
@@ -1566,7 +1544,7 @@ impl Emitter<'_> {
         }
         let k0 = keys[0].clone();
 
-        let find = match (template_name(&view_name), sp.target.chain, lev) {
+        let find = match (format_name(&view_name), sp.target.chain, lev) {
             ("bsr", 0, 0) | ("vbr", 0, 0) => format!(
                 "if ({k0}) >= 0 && ({k0}) < {m}.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
             ),
@@ -2055,7 +2033,7 @@ pub fn emit_module(
     for a in &p.arrays {
         if let Some(v) = views.get(&a.name) {
             let ty = rust_type(&v.name)?;
-            let base = ty.split('<').next().unwrap_or(ty).to_string();
+            let base = ty.split('<').next().unwrap_or(&ty).to_string();
             if !used_types.contains(&base) {
                 used_types.push(base);
             }

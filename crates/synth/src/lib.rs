@@ -69,9 +69,7 @@ pub use interp::{run_plan, ExecEnv, PlanError, RunStats};
 pub use persist::{PersistStats, PersistentPlanCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES};
 pub use plan::{Plan, Step};
 pub use search::{Candidate, PlanCacheStats, SearchReport, SynthError, SynthOptions};
-pub use service::{
-    Admission, AdmissionPermit, CacheMode, Service, ServiceConfig, ServiceError, ServiceStats,
-};
+pub use service::{Admission, AdmissionPermit, Service, ServiceConfig, ServiceError, ServiceStats};
 pub use session::{BoundProblem, CompiledKernel, DepReport, Session};
 
 // Resource-governance vocabulary (budgets, deadlines, cancellation) so

@@ -9,10 +9,11 @@
 //! you like. Three concerns separate it from a session:
 //!
 //! 1. **Shared cache tiers.** All requests share the service's
-//!    whole-search plan cache and (by default) read through to the
-//!    process-wide polyhedral memo tier
-//!    ([`bernoulli_polyhedra::shared_tier`]); per-request
-//!    [`CacheMode`] selects overlay or full isolation instead.
+//!    whole-search plan cache and the process-wide polyhedral memo
+//!    tier ([`bernoulli_polyhedra::shared_tier`]) — safe because the
+//!    cached decisions are keyed by canonicalized constraint systems
+//!    and are input-deterministic; a tenant that wants private
+//!    polyhedral memos uses a [`Session`](crate::session::Session).
 //!    Optionally a *persistent* plan cache
 //!    ([`PersistentPlanCache`])
 //!    warm-starts searches across process restarts.
@@ -49,36 +50,12 @@ use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, Flight, SingleFlight};
 use bernoulli_ir::{parse_program, Program};
-use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// How a request's polyhedral decision-procedure lookups relate to the
-/// process-wide memo tier. (The whole-search *plan* cache is always
-/// service-shared; this mode governs the fine-grained polyhedral memos
-/// only.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Read and write the process-wide shared tier directly (the
-    /// default). Maximum reuse across tenants; safe because cached
-    /// decisions are keyed by canonicalized constraint systems and are
-    /// input-deterministic.
-    #[default]
-    Shared,
-    /// Look in the service's private overlay first, fall through to
-    /// the shared tier on miss (backfilling the overlay), and write
-    /// new results through to both. Keeps a hot working set local
-    /// while still profiting from — and contributing to — the tier.
-    Overlay,
-    /// A fresh, fully private cache instance for this request alone;
-    /// nothing read from or written to the shared tier. For tenants
-    /// that must not observe cross-tenant cache effects at all.
-    Isolated,
-}
 
 /// Configuration for a [`Service`].
 #[derive(Clone, Debug)]
@@ -100,8 +77,6 @@ pub struct ServiceConfig {
     /// Directory for the persistent plan cache; `None` disables
     /// persistence.
     pub persist_dir: Option<PathBuf>,
-    /// Polyhedral-memo sharing mode for requests (see [`CacheMode`]).
-    pub cache_mode: CacheMode,
     /// Search options used by [`Service::compile`].
     pub opts: SynthOptions,
 }
@@ -117,7 +92,6 @@ impl Default for ServiceConfig {
             op_budget: None,
             threads: None,
             persist_dir: None,
-            cache_mode: CacheMode::Shared,
             opts: SynthOptions::default(),
         }
     }
@@ -394,9 +368,6 @@ pub struct Service {
     cfg: ServiceConfig,
     pool: ServicePool,
     plan_cache: PlanCache,
-    /// Service-private polyhedral overlay used by
-    /// [`CacheMode::Overlay`] requests.
-    overlay: Arc<PolyCaches>,
     persist: Option<PersistentPlanCache>,
     admission: Admission,
     counters: Counters,
@@ -417,7 +388,6 @@ impl Service {
             cfg,
             pool,
             plan_cache: PlanCache::new(),
-            overlay: Arc::new(PolyCaches::new()),
             persist,
             admission,
             counters: Counters::default(),
@@ -570,17 +540,6 @@ impl Service {
             None
         };
         let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let _poly = match self.cfg.cache_mode {
-            // No install: lookups on this thread (and, propagated, on
-            // the pool workers) go straight to the process-wide tier.
-            CacheMode::Shared => None,
-            CacheMode::Overlay => Some(bernoulli_polyhedra::install_overlay_scoped(Arc::clone(
-                &self.overlay,
-            ))),
-            CacheMode::Isolated => Some(bernoulli_polyhedra::install_scoped(Arc::new(
-                PolyCaches::new(),
-            ))),
-        };
         let pool = match &self.pool {
             ServicePool::Owned(p) => opts.parallel.then_some(&**p),
             ServicePool::Shared => opts.parallel.then(Pool::global),
@@ -667,12 +626,6 @@ impl Service {
     /// configured.
     pub fn persist_stats(&self) -> Option<PersistStats> {
         self.persist.as_ref().map(|p| p.stats())
-    }
-
-    /// Hit/miss totals of the service's private polyhedral overlay
-    /// (only populated by [`CacheMode::Overlay`] requests).
-    pub fn overlay_stats(&self) -> bernoulli_polyhedra::CacheStats {
-        self.overlay.stats()
     }
 
     /// The service's admission gate. Exposed so operators (and the

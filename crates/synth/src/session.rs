@@ -519,7 +519,8 @@ impl CompiledKernel {
         match backend {
             KernelBackend::Validated(k) | KernelBackend::Compiled(k) => Ok(k.run(params, args)?),
             KernelBackend::Interpreted { .. } => {
-                crate::compiled::interp_positional(&self.program, self.plan(), params, args)
+                let operands = args.iter_mut().map(KernelArg::operand);
+                crate::compiled::interp_positional(&self.program, self.plan(), params, operands)
             }
         }
     }

@@ -7,7 +7,7 @@
 //! on a host without one.
 
 use bernoulli_blas::synth::{spec_for, view_for, GENERATED_KERNELS};
-use bernoulli_formats::{gen, Bsr, Csr, Jad, Triplets};
+use bernoulli_formats::{gen, Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Triplets, Vbr, LAYOUTS};
 use bernoulli_kernel_cache::ArtifactSpec;
 use bernoulli_synth::{
     CompiledKernel, KernelArg, KernelBackend, KernelCacheError, KernelCallError, KernelStore,
@@ -367,6 +367,98 @@ fn malformed_operands_are_a_status_not_a_crash() {
         k.run_with(&interp, &params, &mut operands(good, x, &mut reference))
             .unwrap_or_else(|e| panic!("{case}: {e}"));
         assert_eq!(native, reference, "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a format needs to be a native kernel's operand is derived from
+/// its layout, so every registered layout must have all of it: a mirror
+/// that links with no panic path and a probe instance (the load
+/// validates), and a `KernelArg` variant that marshals — exactly one
+/// of them, every other refused by name before the library is entered
+/// (`operand "A": expected csr, got csc`; `expected bsr2x2, got bsr`
+/// for the other block shape).
+#[test]
+fn every_layout_is_a_native_kernel_operand() {
+    if no_rustc("every_layout_is_a_native_kernel_operand") {
+        return;
+    }
+    let session = Session::new();
+    let dir = scratch_dir("layouts");
+    let store = KernelStore::at(&dir);
+    // Lower triangular with a full diagonal: legal for every format.
+    let t = matrix().lower_triangle_full_diag(2.5);
+    let n = t.nrows();
+    let x = gen::dense_vector(n, 8);
+    let params = [n as i64; 2];
+
+    // One instance per `KernelArg` variant (an enum cannot be iterated),
+    // under the name a refusal gives it.
+    let strips: Vec<usize> = (0..=n).step_by(2).collect();
+    let csr = Csr::from_triplets(&t);
+    let csc = Csc::from_triplets(&t);
+    let coo = Coo::from_triplets(&t);
+    let dia = Dia::from_triplets(&t);
+    let ell = Ell::from_triplets(&t);
+    let jad = Jad::from_triplets(&t);
+    let sky = Sky::from_triplets(&t);
+    let bsr = Bsr::from_triplets(&t, 2, 2);
+    let bsr4 = Bsr::from_triplets(&t, 4, 4);
+    let vbr = Vbr::from_triplets(&t, &strips, &strips);
+    let candidates = || {
+        [
+            ("csr", KernelArg::Csr(&csr)),
+            ("csc", KernelArg::Csc(&csc)),
+            ("coo", KernelArg::Coo(&coo)),
+            ("dia", KernelArg::Dia(&dia)),
+            ("ell", KernelArg::Ell(&ell)),
+            ("jad", KernelArg::Jad(&jad)),
+            ("sky", KernelArg::Sky(&sky)),
+            ("bsr", KernelArg::Bsr(&bsr)),
+            ("bsr", KernelArg::Bsr(&bsr4)),
+            ("vbr", KernelArg::Vbr(&vbr)),
+        ]
+    };
+
+    let (p, matrix_name) = spec_for("mvm");
+    let interp = KernelBackend::Interpreted {
+        reason: LoadError::Emit(bernoulli_synth::EmitError("reference".into())),
+    };
+    for layout in LAYOUTS {
+        let view = (layout.view)((2, 2));
+        let case = view.name.clone();
+        let bound = session
+            .bind(&p, &[(matrix_name, view)])
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let k = session
+            .compile(&bound)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let loaded = match k.backend_in(&store) {
+            KernelBackend::Validated(loaded) => loaded,
+            other => panic!("{case}: must load natively and validate, got {other:?}"),
+        };
+        let mut accepted = Vec::new();
+        for (got, matrix) in candidates() {
+            let mut y = vec![0.0; n];
+            let mut args = [matrix, KernelArg::In(&x), KernelArg::Out(&mut y)];
+            let outcome = loaded.run(&params, &mut args);
+            let [matrix, ..] = args;
+            match outcome {
+                Ok(()) => {
+                    let mut reference = vec![0.0; n];
+                    let mut args = [matrix, KernelArg::In(&x), KernelArg::Out(&mut reference)];
+                    k.run_with(&interp, &params, &mut args)
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(y, reference, "{case}");
+                    accepted.push(got);
+                }
+                Err(KernelCallError::Mismatch { detail }) => {
+                    assert_eq!(detail, format!("operand \"A\": expected {case}, got {got}"))
+                }
+                Err(e) => panic!("{case} given {got}: {e}"),
+            }
+        }
+        assert_eq!(accepted, [layout.name], "{case}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 
 use bernoulli_formats::{Csr, SparseView, Triplets};
 use bernoulli_synth::{
-    CacheMode, ExecEnv, PersistentPlanCache, Service, ServiceConfig, ServiceError,
+    ExecEnv, PersistentPlanCache, Service, ServiceConfig, ServiceError, Session,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,23 +104,28 @@ fn concurrent_clients_share_the_plan_cache() {
     assert_eq!(stats.shed_overloaded + stats.shed_deadline, 0);
 }
 
+/// The service decides over the process-wide polyhedral tier, a session
+/// over memos of its own: where a decision was cached never shows in
+/// the result.
 #[test]
-fn isolated_and_overlay_modes_match_shared_mode_output() {
-    let mut reference = None;
-    for mode in [CacheMode::Shared, CacheMode::Overlay, CacheMode::Isolated] {
-        let svc = Service::new(ServiceConfig {
-            cache_mode: mode,
-            ..ServiceConfig::default()
-        });
-        let p = svc.parse(MVM).unwrap();
-        let bound = svc.bind(&p, &[("A", csr().format_view())]).unwrap();
-        let k = svc.compile(&bound).unwrap();
-        let out = (k.plan().to_string(), k.emit("kernel").unwrap());
-        match &reference {
-            None => reference = Some(out),
-            Some(r) => assert_eq!(&out, r, "cache mode {mode:?} changed the result"),
-        }
-    }
+fn shared_tier_output_matches_a_session_with_private_memos() {
+    let svc = Service::with_defaults();
+    let p = svc.parse(MVM).unwrap();
+    let bound = svc.bind(&p, &[("A", csr().format_view())]).unwrap();
+    let k = svc.compile(&bound).unwrap();
+
+    let session = Session::new();
+    let p = session.parse(MVM).unwrap();
+    let bound = session.bind(&p, &[("A", csr().format_view())]).unwrap();
+    let reference = session.compile(&bound).unwrap();
+    assert_eq!(
+        (k.plan().to_string(), k.emit("kernel").unwrap()),
+        (
+            reference.plan().to_string(),
+            reference.emit("kernel").unwrap()
+        ),
+        "the shared tier changed the result"
+    );
 }
 
 #[test]

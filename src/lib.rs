@@ -72,8 +72,7 @@ pub use bernoulli_synth::{Advice, AdviceEntry, WorkloadStats, DEFAULT_ADVISOR_FO
 // over shared cache tiers, with admission control and an optional
 // persistent plan cache for warm-start across restarts.
 pub use bernoulli_synth::{
-    CacheMode, PersistStats, PersistentPlanCache, Service, ServiceConfig, ServiceError,
-    ServiceStats,
+    PersistStats, PersistentPlanCache, Service, ServiceConfig, ServiceError, ServiceStats,
 };
 
 // The compiled-kernel execution path (S37): `CompiledKernel::load` and
@@ -198,7 +197,7 @@ pub mod prelude {
     pub use crate::{
         BoundProblem, Budget, BudgetError, CancelToken, CompiledKernel, DepReport, Error, Session,
     };
-    pub use crate::{CacheMode, Service, ServiceConfig, ServiceError, ServiceStats};
+    pub use crate::{Service, ServiceConfig, ServiceError, ServiceStats};
     pub use bernoulli_blas::kernels;
     pub use bernoulli_formats::{
         block_fill, discover_block_size, discover_strips, AnyFormat, BlockReport, Bsr, Coo, Csc,

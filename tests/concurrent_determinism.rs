@@ -94,16 +94,13 @@ fn concurrent_compiles_match_sequential_baseline_at_every_pool_size() {
 }
 
 #[test]
-fn concurrent_compiles_deterministic_under_every_cache_mode() {
+fn three_clients_on_a_two_thread_pool_are_deterministic() {
     let baseline = sequential_baseline();
-    for mode in [CacheMode::Shared, CacheMode::Overlay, CacheMode::Isolated] {
-        let svc = Service::new(ServiceConfig {
-            threads: Some(2),
-            cache_mode: mode,
-            ..ServiceConfig::default()
-        });
-        check_concurrent(svc, 3, &baseline);
-    }
+    let svc = Service::new(ServiceConfig {
+        threads: Some(2),
+        ..ServiceConfig::default()
+    });
+    check_concurrent(svc, 3, &baseline);
 }
 
 #[test]
