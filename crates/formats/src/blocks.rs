@@ -28,26 +28,51 @@ pub struct BlockReport {
     pub fill: f64,
 }
 
-/// Computes the fill report for one block shape.
-///
-/// # Panics
-/// Panics if `r`/`c` are zero or do not divide the matrix shape.
-pub fn block_fill<T: Scalar>(t: &Triplets<T>, r: usize, c: usize) -> BlockReport {
-    assert!(r > 0 && c > 0, "block shape must be nonzero");
-    assert!(
-        t.nrows().is_multiple_of(r) && t.ncols().is_multiple_of(c),
-        "block shape {r}x{c} must divide the matrix shape {}x{}",
-        t.nrows(),
-        t.ncols()
-    );
-    let mut t = t.clone();
-    t.normalize();
-    let mut blocks: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for &(row, col, _) in t.entries() {
-        blocks.insert((row / r, col / c));
+/// The stored blocks of a blocked layout, CSR-style: block row `br`
+/// holds block columns `bcol[ptr[br]..ptr[br + 1]]`, increasing. `entries`
+/// are in normal form and `rowblk` is monotone, so the block rows arrive
+/// in order, and `seen[bc] == br` says block `(br, bc)` is listed.
+pub(crate) fn block_pattern<T>(
+    entries: &[(usize, usize, T)],
+    (nbr, nbc): (usize, usize),
+    rowblk: impl Fn(usize) -> usize,
+    colblk: impl Fn(usize) -> usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut ptr = vec![0usize; nbr + 1];
+    let mut bcol = Vec::new();
+    let mut seen = vec![usize::MAX; nbc];
+    for &(row, col, _) in entries {
+        let (br, bc) = (rowblk(row), colblk(col));
+        if seen[bc] != br {
+            seen[bc] = br;
+            bcol.push(bc);
+            ptr[br + 1] += 1;
+        }
     }
-    let stored_cells = blocks.len() * r * c;
-    let source_nnz = t.nnz();
+    for br in 0..nbr {
+        ptr[br + 1] += ptr[br];
+        bcol[ptr[br]..ptr[br + 1]].sort_unstable();
+    }
+    (ptr, bcol)
+}
+
+/// Number of `r x c` blocks the normal-form `entries` touch; `seen` is
+/// [`block_pattern`]'s, all `usize::MAX` and at least `ncols / c` long.
+fn count_blocks<T>(entries: &[(usize, usize, T)], r: usize, c: usize, seen: &mut [usize]) -> usize {
+    let mut blocks = 0;
+    for &(row, col, _) in entries {
+        let (br, bc) = (row / r, col / c);
+        if seen[bc] != br {
+            seen[bc] = br;
+            blocks += 1;
+        }
+    }
+    seen.fill(usize::MAX);
+    blocks
+}
+
+fn report(source_nnz: usize, blocks: usize, r: usize, c: usize) -> BlockReport {
+    let stored_cells = blocks * r * c;
     BlockReport {
         r,
         c,
@@ -61,23 +86,50 @@ pub fn block_fill<T: Scalar>(t: &Triplets<T>, r: usize, c: usize) -> BlockReport
     }
 }
 
+/// Computes the fill report for one block shape.
+///
+/// # Panics
+/// Panics if `r`/`c` are zero or do not divide the matrix shape.
+pub fn block_fill<T: Scalar>(t: &Triplets<T>, r: usize, c: usize) -> BlockReport {
+    assert!(r > 0 && c > 0, "block shape must be nonzero");
+    assert!(
+        t.nrows().is_multiple_of(r) && t.ncols().is_multiple_of(c),
+        "block shape {r}x{c} must divide the matrix shape {}x{}",
+        t.nrows(),
+        t.ncols()
+    );
+    let t = t.normalized();
+    let mut seen = vec![usize::MAX; t.ncols() / c];
+    report(t.nnz(), count_blocks(t.entries(), r, c, &mut seen), r, c)
+}
+
 /// Finds the dominant block size: the largest-area `r x c` (with
 /// `r, c <= max`, both dividing the matrix shape) whose fill is at least
 /// `min_fill`. Ties on area prefer the squarer (then taller) shape. The
 /// `1 x 1` blocking has fill 1.0 by construction, so a result always
 /// exists when `min_fill <= 1.0`.
 pub fn discover_block_size<T: Scalar>(t: &Triplets<T>, max: usize, min_fill: f64) -> BlockReport {
+    let pushed = t.nnz();
+    let t = t.normalized();
+    let mut seen = vec![usize::MAX; t.ncols()];
     let mut best: Option<BlockReport> = None;
+    // Shapes that fell short. A block of a multiple of such a shape is
+    // made of blocks of that shape, so it stores no fewer cells and
+    // falls short too: most shapes of a scattered matrix are never
+    // counted.
+    let mut short: Vec<(usize, usize)> = Vec::new();
     for r in 1..=max.min(t.nrows().max(1)) {
         if !t.nrows().is_multiple_of(r) {
             continue;
         }
         for c in 1..=max.min(t.ncols().max(1)) {
-            if !t.ncols().is_multiple_of(c) {
+            let of_short = |&(r0, c0): &(usize, usize)| r % r0 == 0 && c % c0 == 0;
+            if !t.ncols().is_multiple_of(c) || short.iter().any(of_short) {
                 continue;
             }
-            let rep = block_fill(t, r, c);
+            let rep = report(t.nnz(), count_blocks(t.entries(), r, c, &mut seen), r, c);
             if rep.fill + 1e-12 < min_fill {
+                short.push((r, c));
                 continue;
             }
             let area = |b: &BlockReport| b.r * b.c;
@@ -92,8 +144,8 @@ pub fn discover_block_size<T: Scalar>(t: &Triplets<T>, max: usize, min_fill: f64
     best.unwrap_or(BlockReport {
         r: 1,
         c: 1,
-        stored_cells: t.nnz(),
-        source_nnz: t.nnz(),
+        stored_cells: pushed,
+        source_nnz: pushed,
         fill: 1.0,
     })
 }
@@ -105,37 +157,20 @@ pub fn discover_block_size<T: Scalar>(t: &Triplets<T>, max: usize, min_fill: f64
 /// assembled from dense variable-size blocks this recovers the planted
 /// strips exactly.
 pub fn discover_strips<T: Scalar>(t: &Triplets<T>) -> (Vec<usize>, Vec<usize>) {
-    let mut t = t.clone();
-    t.normalize();
-    let mut row_support: Vec<Vec<usize>> = vec![Vec::new(); t.nrows()];
-    let mut col_support: Vec<Vec<usize>> = vec![Vec::new(); t.ncols()];
-    for &(r, c, _) in t.entries() {
-        row_support[r].push(c);
-        col_support[c].push(r);
-    }
-    // Entries are row-major sorted, so row supports are sorted already;
-    // column supports need a sort.
-    for s in &mut col_support {
-        s.sort_unstable();
-    }
-    let strips = |support: &[Vec<usize>]| {
-        let n = support.len();
+    // A row's support is the columns of its slice of the normal form;
+    // the column supports are the row supports of the transpose.
+    let strips = |t: &Triplets<T>| {
+        let (n, rowptr) = (t.nrows(), t.rowptr());
+        let support = |r: usize| t.entries()[rowptr[r]..rowptr[r + 1]].iter().map(|e| e.1);
         let mut p = vec![0usize];
-        for i in 1..n {
-            if support[i] != support[i - 1] {
-                p.push(i);
-            }
-        }
-        if n > 0 {
-            p.push(n);
-        } else {
-            p.push(0);
-            // Degenerate empty dimension still needs a 2-entry partition
-            // shape; callers with 0-sized matrices should not build VBR.
-        }
+        p.extend((1..n).filter(|&i| !support(i).eq(support(i - 1))));
+        // An empty dimension still gets a 2-entry partition shape;
+        // callers with 0-sized matrices should not build VBR.
+        p.push(n);
         p
     };
-    (strips(&row_support), strips(&col_support))
+    let t = t.normalized();
+    (strips(&t), strips(&t.transposed()))
 }
 
 #[cfg(test)]
@@ -198,10 +233,6 @@ mod tests {
         let v = crate::Vbr::from_triplets(&t, &rp, &cp);
         let r = v.validate();
         assert!(r.is_ok(), "{r:?}");
-        assert_eq!(v.to_triplets().entries(), {
-            let mut s = t.clone();
-            s.normalize();
-            s.entries().to_vec()
-        });
+        assert_eq!(v.to_triplets().entries(), t.normalized().entries());
     }
 }

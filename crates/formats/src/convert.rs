@@ -123,6 +123,9 @@ impl<T: Scalar> AnyFormat<T> {
     /// [`AnyFormat::from_triplets`] with unknown names and violated
     /// format constraints reported as a [`FormatError`].
     pub fn try_from_triplets(name: &str, t: &Triplets<T>) -> Result<AnyFormat<T>, FormatError> {
+        // Sorted here at most once, for discovery and assembly both; not
+        // at all when `t` is another format's `to_triplets`.
+        let t = &*t.normalized();
         Ok(match name {
             "dense" => AnyFormat::Dense(Dense::from_triplets(t)),
             "coo" => AnyFormat::Coo(Coo::from_triplets(t)),
@@ -166,7 +169,10 @@ impl<T: Scalar> AnyFormat<T> {
         })
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets, in normal form. Only `coo` (arbitrary
+    /// storage order) sorts to get there; the others enumerate
+    /// row-major, `csc` by a counting transposition and `diagsplit` by
+    /// merging its diagonal into its rows.
     pub fn to_triplets(&self) -> Triplets<T> {
         match self {
             AnyFormat::Dense(m) => m.to_triplets(),

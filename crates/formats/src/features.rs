@@ -14,7 +14,6 @@ use crate::blocks::{discover_block_size, BlockReport};
 use crate::convert::AnyFormat;
 use crate::scalar::Scalar;
 use crate::Triplets;
-use std::collections::HashSet;
 
 /// Largest block edge probed by [`StructureFeatures::block`] discovery.
 pub const BLOCK_PROBE_MAX: usize = 8;
@@ -23,8 +22,9 @@ pub const BLOCK_PROBE_MIN_FILL: f64 = 0.9;
 
 /// Structural summary of one sparse instance.
 ///
-/// Computed in a single pass over the (normalized) entries, plus the
-/// block-shape probe. All scores are in `[0, 1]` unless noted.
+/// Computed in two passes over the normal-form entries (count the
+/// rows, then everything else), plus the block-shape probe. All scores
+/// are in `[0, 1]` unless noted.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StructureFeatures {
     /// Rows of the enveloping dense matrix.
@@ -68,22 +68,17 @@ pub struct StructureFeatures {
 impl StructureFeatures {
     /// Analyzes a triplet instance.
     pub fn of_triplets<T: Scalar>(t: &Triplets<T>) -> StructureFeatures {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let (nrows, ncols, nnz) = (t.nrows(), t.ncols(), t.nnz());
         let cells = nrows as f64 * ncols as f64;
         let min_dim = nrows.min(ncols);
 
-        let positions: HashSet<(usize, usize)> =
-            t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+        let (e, rowptr) = (t.entries(), t.rowptr());
+        let row = |r: usize| &e[rowptr[r]..rowptr[r + 1]];
 
-        let mut row_nnz = vec![0usize; nrows];
-        let mut row_first = vec![usize::MAX; nrows];
-        let mut row_last = vec![0usize; nrows];
         // Level of each row in the strictly-lower dependence DAG. Entries
-        // are row-major sorted after normalize, so when row `r` is
-        // processed every dependency row `c < r` already has its final
-        // level — one pass suffices.
+        // are row-major, so when row `r` is processed every dependency
+        // row `c < r` already has its final level — one pass suffices.
         let mut level = vec![0usize; nrows];
         let mut bandwidth = 0usize;
         let mut diag = 0usize;
@@ -91,16 +86,13 @@ impl StructureFeatures {
         let mut mirrored = 0usize;
         let mut lower = true;
         let mut upper = true;
-        for &(r, c, _) in t.entries() {
-            row_nnz[r] += 1;
-            row_first[r] = row_first[r].min(c);
-            row_last[r] = row_last[r].max(c);
+        for &(r, c, _) in e {
             bandwidth = bandwidth.max(r.abs_diff(c));
             if r == c {
                 diag += 1;
             } else {
                 off_diag += 1;
-                if positions.contains(&(c, r)) {
+                if c < nrows && row(c).binary_search_by_key(&r, |m| m.1).is_ok() {
                     mirrored += 1;
                 }
                 if r < c {
@@ -119,9 +111,9 @@ impl StructureFeatures {
         let mut profile_sum = 0.0;
         let mut nonempty = 0usize;
         for r in 0..nrows {
-            if row_nnz[r] > 0 {
+            if let (Some(first), Some(last)) = (row(r).first(), row(r).last()) {
                 nonempty += 1;
-                profile_sum += (row_last[r] - row_first[r] + 1) as f64;
+                profile_sum += (last.1 - first.1 + 1) as f64;
             }
         }
 
@@ -131,7 +123,7 @@ impl StructureFeatures {
             nnz,
             density: if cells > 0.0 { nnz as f64 / cells } else { 0.0 },
             avg_row_nnz: nnz as f64 / nrows.max(1) as f64,
-            max_row_nnz: row_nnz.iter().copied().max().unwrap_or(0),
+            max_row_nnz: (0..nrows).map(|r| row(r).len()).max().unwrap_or(0),
             bandwidth,
             profile: if nonempty > 0 {
                 profile_sum / nonempty as f64

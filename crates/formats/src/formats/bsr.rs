@@ -48,24 +48,11 @@ impl<T: Scalar> Bsr<T> {
             t.nrows(),
             t.ncols()
         );
-        let mut t = t.clone();
-        t.normalize();
-        let nbr = t.nrows() / r;
-        let mut blocks: std::collections::BTreeSet<(usize, usize)> =
-            std::collections::BTreeSet::new();
-        for &(row, col, _) in t.entries() {
-            blocks.insert((row / r, col / c));
-        }
-        let mut browptr = vec![0usize; nbr + 1];
-        let mut bcolind = Vec::with_capacity(blocks.len());
-        for &(br, bc) in &blocks {
-            browptr[br + 1] += 1;
-            bcolind.push(bc);
-        }
-        for br in 0..nbr {
-            browptr[br + 1] += browptr[br];
-        }
-        let mut values = vec![T::ZERO; blocks.len() * r * c];
+        let t = t.normalized();
+        let shape = (t.nrows() / r, t.ncols() / c);
+        let (browptr, bcolind) =
+            crate::blocks::block_pattern(t.entries(), shape, |row| row / r, |col| col / c);
+        let mut values = vec![T::ZERO; bcolind.len() * r * c];
         let mut out = Bsr {
             nrows: t.nrows(),
             ncols: t.ncols(),
@@ -85,13 +72,15 @@ impl<T: Scalar> Bsr<T> {
         out
     }
 
-    /// Converts back to triplets (in-block zeros are kept: structural).
+    /// Converts back to triplets (in-block zeros are kept: structural),
+    /// one logical row across its block row's blocks at a time:
+    /// row-major, so in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for br in 0..self.nrows / self.r {
-            for b in self.browptr[br]..self.browptr[br + 1] {
-                let c0 = self.bcolind[b] * self.c;
-                for rr in 0..self.r {
+            for rr in 0..self.r {
+                for b in self.browptr[br]..self.browptr[br + 1] {
+                    let c0 = self.bcolind[b] * self.c;
                     for cc in 0..self.c {
                         t.push(
                             br * self.r + rr,
@@ -102,7 +91,6 @@ impl<T: Scalar> Bsr<T> {
                 }
             }
         }
-        t.normalize();
         t
     }
 

@@ -28,8 +28,7 @@ pub struct Coo<T: Scalar = f64> {
 impl<T: Scalar> Coo<T> {
     /// Builds from triplets, preserving the (row-major) normalized order.
     pub fn from_triplets(t: &Triplets<T>) -> Coo<T> {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         Coo {
             nrows: t.nrows(),
             ncols: t.ncols(),
@@ -62,7 +61,8 @@ impl<T: Scalar> Coo<T> {
         coo
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets. Storage order is arbitrary: sorted
+    /// unless it happens to be row-major.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for i in 0..self.values.len() {

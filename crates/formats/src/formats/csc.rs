@@ -25,10 +25,9 @@ pub struct Csc<T: Scalar = f64> {
 }
 
 impl<T: Scalar> Csc<T> {
-    /// Builds from triplets.
+    /// Builds from triplets: count the columns, then scatter.
     pub fn from_triplets(t: &Triplets<T>) -> Csc<T> {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let mut colptr = vec![0usize; t.ncols() + 1];
         for &(_, c, _) in t.entries() {
             colptr[c + 1] += 1;
@@ -36,9 +35,9 @@ impl<T: Scalar> Csc<T> {
         for c in 0..t.ncols() {
             colptr[c + 1] += colptr[c];
         }
-        // Normalized entries are row-major and duplicate-free, so a
-        // stable counting scatter by column leaves every column's rows
-        // strictly increasing: no second sort.
+        // Normal form is row-major and duplicate-free, so a stable
+        // counting scatter by column leaves every column's rows strictly
+        // increasing: no sort.
         let mut next = colptr.clone();
         let mut rowind = vec![0usize; t.nnz()];
         let mut values = vec![T::ZERO; t.nnz()];
@@ -56,16 +55,17 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets. Storage order is column-major, which
+    /// is the normal form of the transpose: transposing that back is a
+    /// counting scatter, where sorting these entries row-major is a sort.
     pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
+        let mut t = Triplets::new(self.ncols, self.nrows);
         for c in 0..self.ncols {
             for i in self.col_range(c) {
-                t.push(self.rowind[i], c, self.values[i]);
+                t.push(c, self.rowind[i], self.values[i]);
             }
         }
-        t.normalize();
-        t
+        t.transposed()
     }
 
     /// Checks the structural invariants of an *untrusted* CSC instance:
@@ -305,8 +305,7 @@ mod tests {
     /// `(column, row)` yields: what `from_triplets` did before it
     /// scattered.
     fn by_sorting(t: &Triplets<f64>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let mut entries = t.entries().to_vec();
         entries.sort_by_key(|&(r, c, _)| (c, r));
         let mut colptr = vec![0usize; t.ncols() + 1];

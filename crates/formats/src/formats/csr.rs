@@ -27,19 +27,22 @@ pub struct Csr<T: Scalar = f64> {
 }
 
 impl<T: Scalar> Csr<T> {
-    /// Builds from (normalized or not) triplets.
+    /// Builds from (normalized or not) triplets: the normal form is the
+    /// CSR order, so one pass counts the rows and splits the columns
+    /// from the values.
     pub fn from_triplets(t: &Triplets<T>) -> Csr<T> {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let mut rowptr = vec![0usize; t.nrows() + 1];
-        for &(r, _, _) in t.entries() {
+        let mut colind = vec![0usize; t.nnz()];
+        let mut values = vec![T::ZERO; t.nnz()];
+        for ((&(r, c, v), ci), vi) in t.entries().iter().zip(&mut colind).zip(&mut values) {
             rowptr[r + 1] += 1;
+            *ci = c;
+            *vi = v;
         }
         for r in 0..t.nrows() {
             rowptr[r + 1] += rowptr[r];
         }
-        let colind = t.entries().iter().map(|&(_, c, _)| c).collect();
-        let values = t.entries().iter().map(|&(_, _, v)| v).collect();
         Csr {
             nrows: t.nrows(),
             ncols: t.ncols(),
@@ -49,7 +52,8 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets. Storage order is row-major: the result
+    /// is in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for r in 0..self.nrows {
@@ -57,7 +61,6 @@ impl<T: Scalar> Csr<T> {
                 t.push(r, self.colind[i], self.values[i]);
             }
         }
-        t.normalize();
         t
     }
 

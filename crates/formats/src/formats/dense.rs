@@ -41,7 +41,8 @@ impl<T: Scalar> Dense<T> {
 
     /// Converts to triplets (every position, including zeros, is stored in
     /// a dense matrix; but triplets keep only the nonzero pattern to stay
-    /// useful as an interchange form).
+    /// useful as an interchange form). Row-major: in normal form as
+    /// pushed.
     pub fn to_triplets(&self) -> crate::Triplets<T> {
         let mut t = crate::Triplets::new(self.nrows, self.ncols);
         for r in 0..self.nrows {
@@ -52,7 +53,6 @@ impl<T: Scalar> Dense<T> {
                 }
             }
         }
-        t.normalize();
         t
     }
 

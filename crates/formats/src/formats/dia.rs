@@ -34,16 +34,19 @@ impl<T: Scalar> Dia<T> {
     /// Builds from triplets: every diagonal containing at least one entry
     /// is stored in full (its in-matrix extent), padded with zeros.
     pub fn from_triplets(t: &Triplets<T>) -> Dia<T> {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let (m, n) = (t.nrows(), t.ncols());
-        let mut diags: Vec<i64> = t
-            .entries()
-            .iter()
-            .map(|&(r, c, _)| r as i64 - c as i64)
-            .collect();
-        diags.sort_unstable();
-        diags.dedup();
+        // slot[r + n - 1 - c]: is diagonal `r - c` stored, then which
+        // stored diagonal it is.
+        let mut slot = vec![0usize; (m + n).saturating_sub(1)];
+        for &(r, c, _) in t.entries() {
+            slot[r + n - 1 - c] = 1;
+        }
+        let mut diags = Vec::with_capacity(slot.iter().sum());
+        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s == 1) {
+            *s = diags.len();
+            diags.push(i as i64 - (n as i64 - 1));
+        }
         let mut lo = Vec::with_capacity(diags.len());
         let mut hi = Vec::with_capacity(diags.len());
         let mut ptr = Vec::with_capacity(diags.len() + 1);
@@ -58,8 +61,7 @@ impl<T: Scalar> Dia<T> {
         }
         let mut values = vec![T::ZERO; ptr[ptr.len() - 1]];
         for &(r, c, v) in t.entries() {
-            let d = r as i64 - c as i64;
-            let k = diags.binary_search(&d).unwrap();
+            let k = slot[r + n - 1 - c];
             values[ptr[k] + (c as i64 - lo[k]) as usize] = v;
         }
         Dia {
@@ -75,17 +77,20 @@ impl<T: Scalar> Dia<T> {
 
     /// Converts back to triplets. Padding zeros are *kept* as structural
     /// entries so that `nnz` round-trips; use
-    /// [`Triplets::retain_positions`] to drop them if undesired.
+    /// [`Triplets::retain_positions`] to drop them if undesired. Row by
+    /// row, the diagonals from last to first cross it at increasing
+    /// columns: row-major, so in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
-        for k in 0..self.diags.len() {
-            let d = self.diags[k];
-            for o in self.lo[k]..self.hi[k] {
-                let v = self.values[self.ptr[k] + (o - self.lo[k]) as usize];
-                t.push((d + o) as usize, o as usize, v);
+        for r in 0..self.nrows as i64 {
+            for k in (0..self.diags.len()).rev() {
+                let o = r - self.diags[k];
+                if (self.lo[k]..self.hi[k]).contains(&o) {
+                    let v = self.values[self.ptr[k] + (o - self.lo[k]) as usize];
+                    t.push(r as usize, o as usize, v);
+                }
             }
         }
-        t.normalize();
         t
     }
 

@@ -34,18 +34,16 @@ impl<T: Scalar> DiagSplit<T> {
     pub fn from_triplets(t: &Triplets<T>) -> DiagSplit<T> {
         assert_eq!(t.nrows(), t.ncols(), "diagsplit requires a square matrix");
         let n = t.nrows();
-        let mut t = t.clone();
-        t.normalize();
         let mut diag = vec![T::ZERO; n];
+        // What is left of a normal form is one: `off` is pushed in order.
         let mut off = Triplets::new(n, n);
-        for &(r, c, v) in t.entries() {
+        for &(r, c, v) in t.normalized().entries() {
             if r == c {
                 diag[r] = v;
             } else {
                 off.push(r, c, v);
             }
         }
-        off.normalize();
         DiagSplit {
             n,
             diag,
@@ -53,7 +51,8 @@ impl<T: Scalar> DiagSplit<T> {
         }
     }
 
-    /// Converts back to triplets (diagonal positions always present).
+    /// Converts back to triplets (diagonal positions always present):
+    /// the row-major off-diagonal part, then the diagonal merged into it.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = self.off.to_triplets();
         for (i, &v) in self.diag.iter().enumerate() {

@@ -32,10 +32,9 @@ pub struct Ell<T: Scalar = f64> {
 }
 
 impl<T: Scalar> Ell<T> {
-    /// Builds from triplets.
+    /// Builds from triplets: count the rows, then fill the slots.
     pub fn from_triplets(t: &Triplets<T>) -> Ell<T> {
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let rowlen = t.row_counts();
         let width = rowlen.iter().copied().max().unwrap_or(0);
         let mut colind = vec![ELL_PAD; t.nrows() * width];
@@ -105,7 +104,8 @@ impl<T: Scalar> Ell<T> {
         Ok(())
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets. Storage order is row-major: the result
+    /// is in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for r in 0..self.nrows {
@@ -117,7 +117,6 @@ impl<T: Scalar> Ell<T> {
                 );
             }
         }
-        t.normalize();
         t
     }
 

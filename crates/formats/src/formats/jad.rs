@@ -48,41 +48,54 @@ pub struct Jad<T: Scalar = f64> {
 }
 
 impl<T: Scalar> Jad<T> {
-    /// Builds from triplets.
+    /// Builds from triplets: the compressed rows are the row slices of
+    /// the normal form, and ordering them by fill is a counting sort.
     pub fn from_triplets(t: &Triplets<T>) -> Jad<T> {
-        let mut t = t.clone();
-        t.normalize();
-        let m = t.nrows();
-        // Compress rows: per-row (col, value) lists, already column-sorted.
-        let mut rows: Vec<Vec<(usize, T)>> = vec![Vec::new(); m];
-        for &(r, c, v) in t.entries() {
-            rows[r].push((c, v));
+        let t = t.normalized();
+        let (m, e) = (t.nrows(), t.entries());
+        // rowptr[r + 1] is the fill of row r until the prefix sum below.
+        let mut rowptr = vec![0usize; m + 1];
+        for &(r, _, _) in e {
+            rowptr[r + 1] += 1;
         }
-        // Sort rows by decreasing fill; stable so equal-fill rows keep
-        // their original relative order (deterministic layout).
-        let mut iperm: Vec<usize> = (0..m).collect();
-        iperm.sort_by_key(|&r| std::cmp::Reverse(rows[r].len()));
-        let mut iperm_inv = vec![0usize; m];
-        for (rr, &r) in iperm.iter().enumerate() {
-            iperm_inv[r] = rr;
+        let nd = rowptr.iter().copied().max().unwrap_or(0);
+        // first[l]: how many rows are longer than l, which is where the
+        // rows of fill l start in the order of decreasing fill.
+        let mut first = vec![0usize; nd + 1];
+        for &l in &rowptr[1..] {
+            first[l] += 1;
         }
-        let rowlen: Vec<usize> = iperm.iter().map(|&r| rows[r].len()).collect();
-        let nd = rowlen.first().copied().unwrap_or(0);
+        let mut longer = 0;
+        for f in first.iter_mut().rev() {
+            longer += std::mem::replace(f, longer);
+        }
         // dptr[d+1] - dptr[d] = number of rows with fill > d.
         let mut dptr = Vec::with_capacity(nd + 1);
         dptr.push(0usize);
         for d in 0..nd {
-            let cnt = rowlen.partition_point(|&len| len > d);
-            dptr.push(dptr[dptr.len() - 1] + cnt);
+            dptr.push(dptr[d] + first[d]);
         }
-        let nnz = dptr[dptr.len() - 1];
-        let mut colind = vec![0usize; nnz];
-        let mut values = vec![T::ZERO; nnz];
-        for rr in 0..m {
-            let r = iperm[rr];
-            for (d, &(c, v)) in rows[r].iter().enumerate() {
-                colind[dptr[d] + rr] = c;
-                values[dptr[d] + rr] = v;
+        // Rows of equal fill keep their relative order (deterministic
+        // layout): rows are placed in increasing `r`.
+        let mut iperm = vec![0usize; m];
+        let mut iperm_inv = vec![0usize; m];
+        for (r, &l) in rowptr[1..].iter().enumerate() {
+            iperm[first[l]] = r;
+            iperm_inv[r] = first[l];
+            first[l] += 1;
+        }
+        let rowlen: Vec<usize> = iperm.iter().map(|&r| rowptr[r + 1]).collect();
+        for r in 0..m {
+            rowptr[r + 1] += rowptr[r];
+        }
+        // In permuted row order every diagonal is written front to back.
+        let mut colind = vec![0usize; e.len()];
+        let mut values = vec![T::ZERO; e.len()];
+        for (rr, &r) in iperm.iter().enumerate() {
+            let row = &e[rowptr[r]..rowptr[r + 1]];
+            for (&(_, c, v), &start) in row.iter().zip(&dptr) {
+                colind[start + rr] = c;
+                values[start + rr] = v;
             }
         }
         Jad {
@@ -97,17 +110,16 @@ impl<T: Scalar> Jad<T> {
         }
     }
 
-    /// Converts back to triplets.
+    /// Converts back to triplets, visiting the rows in original order
+    /// (through `iperm_inv`): row-major, so in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
-        for rr in 0..self.nrows {
-            let r = self.iperm[rr];
+        for (r, &rr) in self.iperm_inv.iter().enumerate() {
             for d in 0..self.rowlen[rr] {
                 let jj = self.dptr[d] + rr;
                 t.push(r, self.colind[jj], self.values[jj]);
             }
         }
-        t.normalize();
         t
     }
 

@@ -37,8 +37,7 @@ impl<T: Scalar> Sky<T> {
     pub fn from_triplets(t: &Triplets<T>) -> Sky<T> {
         assert_eq!(t.nrows(), t.ncols(), "skyline requires a square matrix");
         let n = t.nrows();
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let mut lo: Vec<usize> = (0..n).collect();
         for &(r, c, _) in t.entries() {
             assert!(c <= r, "skyline requires a lower-triangular matrix");
@@ -57,6 +56,7 @@ impl<T: Scalar> Sky<T> {
     }
 
     /// Converts back to triplets (in-strip zeros are kept: structural).
+    /// Storage order is row-major: the result is in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.n, self.n);
         for r in 0..self.n {
@@ -64,7 +64,6 @@ impl<T: Scalar> Sky<T> {
                 t.push(r, c, self.values[self.ptr[r] + (c - self.lo[r])]);
             }
         }
-        t.normalize();
         t
     }
 

@@ -65,8 +65,7 @@ impl<T: Scalar> Vbr<T> {
         };
         check(rpntr, t.nrows(), "rpntr");
         check(cpntr, t.ncols(), "cpntr");
-        let mut t = t.clone();
-        t.normalize();
+        let t = t.normalized();
         let nbr = rpntr.len() - 1;
         let strip_map = |p: &[usize], n: usize| {
             let mut m = vec![0usize; n];
@@ -77,30 +76,23 @@ impl<T: Scalar> Vbr<T> {
         };
         let rowblk = strip_map(rpntr, t.nrows());
         let colblk = strip_map(cpntr, t.ncols());
-        let mut blocks: std::collections::BTreeSet<(usize, usize)> =
-            std::collections::BTreeSet::new();
-        for &(row, col, _) in t.entries() {
-            blocks.insert((rowblk[row], colblk[col]));
-        }
-        let mut indx = vec![0usize];
-        let mut bindx = Vec::with_capacity(blocks.len());
-        let mut bpntrb = vec![0usize; nbr];
-        let mut bpntre = vec![0usize; nbr];
+        let (bptr, bindx) = crate::blocks::block_pattern(
+            t.entries(),
+            (nbr, cpntr.len() - 1),
+            |row| rowblk[row],
+            |col| colblk[col],
+        );
+        let mut indx = Vec::with_capacity(bindx.len() + 1);
         let mut next = 0usize;
-        let blocks: Vec<(usize, usize)> = blocks.into_iter().collect();
-        let mut i = 0;
-        for (br, (b0, e0)) in bpntrb.iter_mut().zip(bpntre.iter_mut()).enumerate() {
-            *b0 = i;
+        indx.push(next);
+        for br in 0..nbr {
             let h = rpntr[br + 1] - rpntr[br];
-            while i < blocks.len() && blocks[i].0 == br {
-                let bc = blocks[i].1;
-                bindx.push(bc);
+            for &bc in &bindx[bptr[br]..bptr[br + 1]] {
                 next += h * (cpntr[bc + 1] - cpntr[bc]);
                 indx.push(next);
-                i += 1;
             }
-            *e0 = i;
         }
+        let (bpntrb, bpntre) = (bptr[..nbr].to_vec(), bptr[1..].to_vec());
         let mut out = Vbr {
             nrows: t.nrows(),
             ncols: t.ncols(),
@@ -124,15 +116,16 @@ impl<T: Scalar> Vbr<T> {
         out
     }
 
-    /// Converts back to triplets (in-block zeros are kept: structural).
+    /// Converts back to triplets (in-block zeros are kept: structural),
+    /// one logical row across its block row's blocks at a time:
+    /// row-major, so in normal form as pushed.
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for br in 0..self.rpntr.len() - 1 {
-            let h = self.rpntr[br + 1] - self.rpntr[br];
-            for b in self.bpntrb[br]..self.bpntre[br] {
-                let bc = self.bindx[b];
-                let (cj0, w) = (self.cpntr[bc], self.cpntr[bc + 1] - self.cpntr[bc]);
-                for rr in 0..h {
+            for rr in 0..self.rpntr[br + 1] - self.rpntr[br] {
+                for b in self.bpntrb[br]..self.bpntre[br] {
+                    let bc = self.bindx[b];
+                    let (cj0, w) = (self.cpntr[bc], self.cpntr[bc + 1] - self.cpntr[bc]);
                     for cc in 0..w {
                         t.push(
                             self.rpntr[br] + rr,
@@ -143,7 +136,6 @@ impl<T: Scalar> Vbr<T> {
                 }
             }
         }
-        t.normalize();
         t
     }
 

@@ -35,7 +35,8 @@ pub fn random_sparse(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Tripl
 }
 
 /// Dense band: all entries with `|r - c| <= bandwidth` stored, random
-/// values, diagonally dominant. The natural DIA workload.
+/// values, diagonally dominant. The natural DIA workload. Pushed
+/// row-major, so in normal form as it stands.
 pub fn banded(n: usize, bandwidth: usize, seed: u64) -> Triplets<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Triplets::new(n, n);
@@ -51,7 +52,6 @@ pub fn banded(n: usize, bandwidth: usize, seed: u64) -> Triplets<f64> {
             t.push(r, c, v);
         }
     }
-    t.normalize();
     t
 }
 
@@ -214,54 +214,53 @@ pub fn fem_blocked(n: usize, block: usize, coupling: usize, fill: f64, seed: u64
 /// a fixed seed value.
 pub fn scale(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64> {
     assert!(factor >= 1, "scale factor must be at least 1");
+    let t = t.normalized();
     let (nr, nc) = (t.nrows(), t.ncols());
-    let mut out = Triplets::new(nr * factor, nc * factor);
-    for k in 0..factor {
-        for &(r, c, v) in t.entries() {
-            out.push(k * nr + r, k * nc + c, v);
-        }
-    }
+    // Tile by tile the seed's entries are in normal form already; the
+    // coupling entries are few, so they are sorted on their own and
+    // merged in (after a tile entry at the same position, in the order
+    // they were made: the order a stable sort of both would sum them in).
+    let mut coupling: Vec<(usize, usize, f64)> = Vec::new();
     if factor > 1 && nr == nc && nr > 0 {
-        let positions: std::collections::HashSet<(usize, usize)> =
-            t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+        let on_diagonal = |p: usize| {
+            let at = (p % nr, p % nr);
+            t.entries()
+                .binary_search_by_key(&at, |e| (e.0, e.1))
+                .is_ok()
+        };
         // The seed's own strictly-lower / strictly-upper offsets: the
         // coupling band reuses exactly these, so `max |r - c|` of the
         // result equals the seed's bandwidth.
-        let mut lower_offsets: Vec<usize> = Vec::new();
-        let mut upper_offsets: Vec<usize> = Vec::new();
-        {
-            let mut lo = std::collections::HashSet::new();
-            let mut up = std::collections::HashSet::new();
-            for &(r, c, _) in t.entries() {
-                if r > c {
-                    lo.insert(r - c);
-                } else if c > r {
-                    up.insert(c - r);
-                }
-            }
-            lower_offsets.extend(lo);
-            upper_offsets.extend(up);
-            lower_offsets.sort_unstable();
-            upper_offsets.sort_unstable();
-        }
+        let offsets = |lower: bool| {
+            let mut d: Vec<usize> = t
+                .entries()
+                .iter()
+                .filter(|&&(r, c, _)| if lower { r > c } else { c > r })
+                .map(|&(r, c, _)| r.abs_diff(c))
+                .collect();
+            d.sort_unstable();
+            d.dedup();
+            d
+        };
+        let (lower_offsets, upper_offsets) = (offsets(true), offsets(false));
         let mut rng = StdRng::seed_from_u64(seed);
         for k in 1..factor {
             let b = k * nr; // first row/col of tile k
             for &d in &lower_offsets {
                 let (r, c) = (b, b - d);
                 let v = rng.gen_range(-1.0..-0.05);
-                out.push(r, c, v);
+                coupling.push((r, c, v));
                 // Keep diagonal dominance where the seed stores the
-                // affected diagonal positions (duplicates sum away in
-                // normalize, so structure is untouched).
+                // affected diagonal positions (summed into them, so
+                // structure is untouched).
                 for p in [r, c] {
-                    if positions.contains(&(p % nr, p % nr)) {
-                        out.push(p, p, -v);
+                    if on_diagonal(p) {
+                        coupling.push((p, p, -v));
                     }
                 }
                 // Mirror exactly when the seed's pattern does.
                 if upper_offsets.binary_search(&d).is_ok() {
-                    out.push(c, r, v);
+                    coupling.push((c, r, v));
                 }
             }
             for &d in &upper_offsets {
@@ -270,16 +269,30 @@ pub fn scale(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64> {
                 }
                 let (r, c) = (b - d, b);
                 let v = rng.gen_range(-1.0..-0.05);
-                out.push(r, c, v);
+                coupling.push((r, c, v));
                 for p in [r, c] {
-                    if positions.contains(&(p % nr, p % nr)) {
-                        out.push(p, p, -v);
+                    if on_diagonal(p) {
+                        coupling.push((p, p, -v));
                     }
                 }
             }
         }
     }
-    out.normalize();
+    coupling.sort_by_key(|&(r, c, _)| (r, c));
+    let mut coupling = coupling.into_iter().peekable();
+    let mut out = Triplets::new(nr * factor, nc * factor);
+    for k in 0..factor {
+        for &(r, c, v) in t.entries() {
+            let at = (k * nr + r, k * nc + c);
+            while let Some((r, c, v)) = coupling.next_if(|e| (e.0, e.1) < at) {
+                out.push_or_sum(r, c, v);
+            }
+            out.push(at.0, at.1, v);
+        }
+    }
+    for (r, c, v) in coupling {
+        out.push_or_sum(r, c, v);
+    }
     out
 }
 
