@@ -72,6 +72,25 @@ impl ValueExpr {
             ValueExpr::Neg(a) => a.collect_reads(out),
         }
     }
+
+    /// Evaluates the tree, left operand first, asking `read` for the
+    /// value of each array read as it is reached — the order of
+    /// [`ValueExpr::reads`], so an executor can keep its resolved reads
+    /// in a table beside the statement.
+    pub fn eval_with<E, F>(&self, read: &mut F) -> Result<f64, E>
+    where
+        F: FnMut(&LhsRef) -> Result<f64, E>,
+    {
+        Ok(match self {
+            ValueExpr::Const(c) => *c,
+            ValueExpr::Read(r) => read(r)?,
+            ValueExpr::Add(a, b) => a.eval_with(read)? + b.eval_with(read)?,
+            ValueExpr::Sub(a, b) => a.eval_with(read)? - b.eval_with(read)?,
+            ValueExpr::Mul(a, b) => a.eval_with(read)? * b.eval_with(read)?,
+            ValueExpr::Div(a, b) => a.eval_with(read)? / b.eval_with(read)?,
+            ValueExpr::Neg(a) => -a.eval_with(read)?,
+        })
+    }
 }
 
 /// An assignment statement `lhs = rhs`.

@@ -6,7 +6,7 @@
 //! output against this executor.
 
 use crate::ast::*;
-use crate::expr::AffineExpr;
+use crate::expr::{AffineExpr, SlotExpr};
 use bernoulli_formats::SparseMatrix;
 use std::collections::HashMap;
 
@@ -81,32 +81,50 @@ impl std::error::Error for ExecError {}
 ///
 /// Matrix writes are not supported (the BLAS kernels of the paper never
 /// write into a sparse operand; results land in dense vectors).
+///
+/// Names are resolved once, before anything runs: parameters and loop
+/// variables become slots of one integer frame, every reference knows
+/// its matrix or its vector's index in a table of the bound ones. So
+/// an unbound name, a reference of the wrong arity or a write to a
+/// matrix is an error even when the statement would never execute; an
+/// index out of range is an error from the iteration that computes it,
+/// and what earlier iterations wrote stays written.
 pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
+    let (scope, mut frame): (Vec<&str>, Vec<i64>) =
+        env.params.iter().map(|(n, v)| (n.as_str(), *v)).unzip();
+    let (vector_names, vectors): (Vec<&str>, Vec<&mut [f64]>) = env
+        .vectors
+        .iter_mut()
+        .map(|(n, v)| (n.as_str(), v.as_mut_slice()))
+        .unzip();
+    let mut names = Names {
+        depth: scope.len(),
+        scope,
+        vectors: vector_names,
+        matrices: &env.matrices,
+    };
+
     // Check all declared arrays are bound and sized consistently.
-    let mut ivars: HashMap<String, i64> = env.params.clone();
     for a in &p.arrays {
+        let extent = |k: usize| Ok(names.expr(&a.dims[k])?.eval(&frame));
         match a.kind {
             ArrayKind::Vector => {
-                let v = env
-                    .vectors
-                    .get(&a.name)
+                let k = position(&names.vectors, &a.name)
                     .ok_or_else(|| ExecError(format!("vector {:?} not bound", a.name)))?;
-                let want = a.dims[0].eval(&ivars);
-                if v.len() as i64 != want {
+                let (have, want) = (vectors[k].len(), extent(0)?);
+                if have as i64 != want {
                     return Err(ExecError(format!(
-                        "vector {:?} has length {}, declared {}",
-                        a.name,
-                        v.len(),
-                        want
+                        "vector {:?} has length {have}, declared {want}",
+                        a.name
                     )));
                 }
             }
             ArrayKind::Matrix => {
-                let m = env
+                let m = names
                     .matrices
                     .get(&a.name)
                     .ok_or_else(|| ExecError(format!("matrix {:?} not bound", a.name)))?;
-                let (wr, wc) = (a.dims[0].eval(&ivars), a.dims[1].eval(&ivars));
+                let (wr, wc) = (extent(0)?, extent(1)?);
                 if (m.nrows() as i64, m.ncols() as i64) != (wr, wc) {
                     return Err(ExecError(format!(
                         "matrix {:?} is {}x{}, declared {}x{}",
@@ -120,102 +138,166 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
             }
         }
     }
-    run_nodes(&p.body, &mut ivars, env)
+
+    let ops = names.nodes(&p.body)?;
+    frame.resize(names.depth, 0);
+    Machine { frame, vectors }.run(&ops)
 }
 
-fn run_nodes(
-    nodes: &[Node],
-    ivars: &mut HashMap<String, i64>,
-    env: &mut DenseEnv,
-) -> Result<(), ExecError> {
-    for n in nodes {
-        match n {
+/// The last binding of a name wins.
+fn position(names: &[&str], name: &str) -> Option<usize> {
+    names.iter().rposition(|n| *n == name)
+}
+
+/// A loop or a statement with every name in it resolved.
+enum Op<'a> {
+    Loop {
+        slot: usize,
+        lo: SlotExpr,
+        hi: SlotExpr,
+        body: Vec<Op<'a>>,
+    },
+    /// `vectors[to][at] = stmt.rhs`, the reads of `stmt.rhs` being
+    /// `reads` in evaluation order; `stmt` words the error messages.
+    Assign {
+        stmt: &'a Statement,
+        to: usize,
+        at: SlotExpr,
+        reads: Vec<Access<'a>>,
+    },
+}
+
+/// An array reference that knows its operand and, by its shape, its
+/// arity.
+enum Access<'a> {
+    Vector(usize, SlotExpr),
+    Matrix(&'a dyn SparseMatrix, SlotExpr, SlotExpr),
+}
+
+/// What names mean while a program is being resolved.
+struct Names<'a> {
+    /// Frame slot → name: the parameters, then the loop variables in
+    /// scope.
+    scope: Vec<&'a str>,
+    /// The deepest the scope got: the frame's length.
+    depth: usize,
+    vectors: Vec<&'a str>,
+    matrices: &'a HashMap<String, &'a dyn SparseMatrix>,
+}
+
+impl<'a> Names<'a> {
+    fn expr(&self, e: &AffineExpr) -> Result<SlotExpr, ExecError> {
+        e.resolve(|v| {
+            position(&self.scope, v).ok_or_else(|| ExecError(format!("variable {v:?} not bound")))
+        })
+    }
+
+    /// A vector shadows a matrix of the same name.
+    fn access(&self, r: &LhsRef) -> Result<Access<'a>, ExecError> {
+        match (position(&self.vectors, &r.array), r.idxs.as_slice()) {
+            (Some(k), [i]) => Ok(Access::Vector(k, self.expr(i)?)),
+            (Some(_), _) => Err(ExecError(format!("vector {r} needs 1 index"))),
+            (None, idxs) => match (self.matrices.get(&r.array), idxs) {
+                (Some(m), [i, j]) => Ok(Access::Matrix(*m, self.expr(i)?, self.expr(j)?)),
+                (Some(_), _) => Err(ExecError(format!("matrix {r} needs 2 indices"))),
+                (None, _) => Err(ExecError(format!("array {:?} not bound", r.array))),
+            },
+        }
+    }
+
+    fn nodes(&mut self, nodes: &'a [Node]) -> Result<Vec<Op<'a>>, ExecError> {
+        nodes.iter().map(|n| self.node(n)).collect()
+    }
+
+    fn node(&mut self, node: &'a Node) -> Result<Op<'a>, ExecError> {
+        match node {
             Node::Loop(l) => {
-                let lo = l.lo.eval(ivars);
-                let hi = l.hi.eval(ivars);
-                for v in lo..hi {
-                    ivars.insert(l.var.clone(), v);
-                    run_nodes(&l.body, ivars, env)?;
+                let (slot, lo, hi) = (self.scope.len(), self.expr(&l.lo)?, self.expr(&l.hi)?);
+                self.scope.push(&l.var);
+                self.depth = self.depth.max(self.scope.len());
+                let body = self.nodes(&l.body)?;
+                self.scope.pop();
+                Ok(Op::Loop { slot, lo, hi, body })
+            }
+            Node::Stmt(stmt) => {
+                let reads = stmt.rhs.reads().into_iter().map(|r| self.access(r));
+                let reads = reads.collect::<Result<_, _>>()?;
+                match self.access(&stmt.lhs)? {
+                    Access::Vector(to, at) => Ok(Op::Assign {
+                        stmt,
+                        to,
+                        at,
+                        reads,
+                    }),
+                    Access::Matrix(..) => Err(ExecError(format!(
+                        "matrix {:?} is read-only in the reference executor",
+                        stmt.lhs.array
+                    ))),
                 }
-                ivars.remove(&l.var);
-            }
-            Node::Stmt(s) => {
-                let value = eval_value(&s.rhs, ivars, env)?;
-                write_ref(&s.lhs, value, ivars, env)?;
             }
         }
     }
-    Ok(())
 }
 
-fn read_ref(r: &LhsRef, ivars: &HashMap<String, i64>, env: &DenseEnv) -> Result<f64, ExecError> {
-    let idxs: Vec<i64> = r.idxs.iter().map(|e| e.eval(ivars)).collect();
-    if let Some(v) = env.vectors.get(&r.array) {
-        let i = idxs[0];
-        if idxs.len() != 1 || i < 0 || i as usize >= v.len() {
-            return Err(ExecError(format!("bad vector access {r} at {idxs:?}")));
-        }
-        return Ok(v[i as usize]);
-    }
-    if let Some(m) = env.matrices.get(&r.array) {
-        if idxs.len() != 2 {
-            return Err(ExecError(format!("matrix {r} needs 2 indices")));
-        }
-        let (i, j) = (idxs[0], idxs[1]);
-        if i < 0 || j < 0 || i as usize >= m.nrows() || j as usize >= m.ncols() {
-            return Err(ExecError(format!(
-                "matrix access {r} out of range at ({i},{j})"
-            )));
-        }
-        return Ok(m.get(i as usize, j as usize));
-    }
-    Err(ExecError(format!("array {:?} not bound", r.array)))
+/// The state of a run: the frame, and the vectors by table index.
+struct Machine<'a> {
+    frame: Vec<i64>,
+    vectors: Vec<&'a mut [f64]>,
 }
 
-fn write_ref(
-    r: &LhsRef,
-    value: f64,
-    ivars: &HashMap<String, i64>,
-    env: &mut DenseEnv,
-) -> Result<(), ExecError> {
-    let idxs: Vec<i64> = r.idxs.iter().map(|e| e.eval(ivars)).collect();
-    if let Some(v) = env.vectors.get_mut(&r.array) {
-        let i = idxs[0];
-        if idxs.len() != 1 || i < 0 || i as usize >= v.len() {
-            return Err(ExecError(format!("bad vector write {r} at {idxs:?}")));
+impl Machine<'_> {
+    fn run(&mut self, ops: &[Op]) -> Result<(), ExecError> {
+        for op in ops {
+            match op {
+                Op::Loop { slot, lo, hi, body } => {
+                    for v in lo.eval(&self.frame)..hi.eval(&self.frame) {
+                        self.frame[*slot] = v;
+                        self.run(body)?;
+                    }
+                }
+                Op::Assign {
+                    stmt,
+                    to,
+                    at,
+                    reads,
+                } => {
+                    let mut next = 0;
+                    let value = stmt.rhs.eval_with(&mut |r| {
+                        next += 1;
+                        self.read(r, &reads[next - 1])
+                    })?;
+                    let (i, v) = (at.eval(&self.frame), &mut self.vectors[*to]);
+                    if i < 0 || i as usize >= v.len() {
+                        let lhs = &stmt.lhs;
+                        return Err(ExecError(format!("bad vector write {lhs} at [{i}]")));
+                    }
+                    v[i as usize] = value;
+                }
+            }
         }
-        v[i as usize] = value;
-        return Ok(());
+        Ok(())
     }
-    if env.matrices.contains_key(&r.array) {
-        return Err(ExecError(format!(
-            "matrix {:?} is read-only in the reference executor",
-            r.array
-        )));
+
+    fn read(&self, r: &LhsRef, read: &Access) -> Result<f64, ExecError> {
+        match read {
+            Access::Vector(k, i) => {
+                let (i, v) = (i.eval(&self.frame), &self.vectors[*k]);
+                if i < 0 || i as usize >= v.len() {
+                    return Err(ExecError(format!("bad vector access {r} at [{i}]")));
+                }
+                Ok(v[i as usize])
+            }
+            Access::Matrix(m, i, j) => {
+                let (i, j) = (i.eval(&self.frame), j.eval(&self.frame));
+                if i < 0 || j < 0 || i as usize >= m.nrows() || j as usize >= m.ncols() {
+                    return Err(ExecError(format!(
+                        "matrix access {r} out of range at ({i},{j})"
+                    )));
+                }
+                Ok(m.get(i as usize, j as usize))
+            }
+        }
     }
-    Err(ExecError(format!("array {:?} not bound", r.array)))
-}
-
-fn eval_value(
-    e: &ValueExpr,
-    ivars: &HashMap<String, i64>,
-    env: &DenseEnv,
-) -> Result<f64, ExecError> {
-    Ok(match e {
-        ValueExpr::Const(c) => *c,
-        ValueExpr::Read(r) => read_ref(r, ivars, env)?,
-        ValueExpr::Add(a, b) => eval_value(a, ivars, env)? + eval_value(b, ivars, env)?,
-        ValueExpr::Sub(a, b) => eval_value(a, ivars, env)? - eval_value(b, ivars, env)?,
-        ValueExpr::Mul(a, b) => eval_value(a, ivars, env)? * eval_value(b, ivars, env)?,
-        ValueExpr::Div(a, b) => eval_value(a, ivars, env)? / eval_value(b, ivars, env)?,
-        ValueExpr::Neg(a) => -eval_value(a, ivars, env)?,
-    })
-}
-
-/// Evaluates an [`AffineExpr`] in a plain parameter map — a convenience
-/// re-export for harness code.
-pub fn eval_affine(e: &AffineExpr, env: &HashMap<String, i64>) -> i64 {
-    e.eval(env)
 }
 
 #[cfg(test)]

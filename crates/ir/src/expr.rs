@@ -89,19 +89,10 @@ impl AffineExpr {
         self.cst == 0 && self.terms.len() == 1 && self.coeff(v) == 1
     }
 
-    /// Evaluates under a variable binding.
-    ///
-    /// # Panics
-    /// Panics if a variable is unbound.
-    pub fn eval(&self, env: &HashMap<String, i64>) -> i64 {
-        let mut acc = self.cst;
-        for (v, c) in &self.terms {
-            let x = env
-                .get(v)
-                .unwrap_or_else(|| panic!("unbound variable {v:?} in affine expression"));
-            acc += c * x;
-        }
-        acc
+    /// Resolves every variable to a frame slot through `slot_of`, whose
+    /// error (an unbound name) is returned as is.
+    pub fn resolve<E>(&self, slot_of: impl FnMut(&str) -> Result<usize, E>) -> Result<SlotExpr, E> {
+        SlotExpr::resolve(self.cst, self.terms(), slot_of)
     }
 
     /// Substitutes `var := repl`, returning the new expression.
@@ -148,6 +139,44 @@ impl AffineExpr {
         }
         e.cst = Rational::int(self.cst as i128);
         e
+    }
+}
+
+/// An affine expression resolved against a frame of integers:
+/// `cst + Σ coeff · frame[slot]`. The executors resolve each expression
+/// once, before they run, and evaluate this in their loops — no name is
+/// looked up per iteration, and an unbound one is the resolver's error
+/// instead of a panic.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct SlotExpr {
+    cst: i64,
+    terms: Vec<(usize, i64)>,
+}
+
+impl SlotExpr {
+    /// Resolves `cst + Σ coeff · atom`: `slot_of` gives an atom's frame
+    /// slot, or the error for one that has none.
+    pub fn resolve<A, E>(
+        cst: i64,
+        terms: impl IntoIterator<Item = (A, i64)>,
+        mut slot_of: impl FnMut(A) -> Result<usize, E>,
+    ) -> Result<SlotExpr, E> {
+        let terms = terms
+            .into_iter()
+            .map(|(a, c)| Ok((slot_of(a)?, c)))
+            .collect::<Result<_, E>>()?;
+        Ok(SlotExpr { cst, terms })
+    }
+
+    /// Evaluates against the frame the expression was resolved for.
+    ///
+    /// # Panics
+    /// Panics if `frame` is shorter than that one.
+    #[inline]
+    pub fn eval(&self, frame: &[i64]) -> i64 {
+        self.terms
+            .iter()
+            .fold(self.cst, |acc, &(slot, c)| acc + c * frame[slot])
     }
 }
 
@@ -261,17 +290,17 @@ mod tests {
     #[test]
     fn eval() {
         let e = AffineExpr::from_terms(&[("i", 2), ("N", 1)], -1);
-        let mut env = HashMap::new();
-        env.insert("i".to_string(), 3);
-        env.insert("N".to_string(), 10);
-        assert_eq!(e.eval(&env), 15);
+        let slot_of = |v: &str| ["N", "i"].iter().position(|n| *n == v).ok_or(());
+        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[10, 3])), Ok(15));
+        let seven = AffineExpr::constant(7).resolve(slot_of);
+        assert_eq!(seven.map(|e| e.eval(&[])), Ok(7));
     }
 
     #[test]
-    #[should_panic(expected = "unbound variable")]
-    fn eval_unbound_panics() {
-        let e = AffineExpr::var("x");
-        e.eval(&HashMap::new());
+    fn resolve_names_the_unbound_variable() {
+        let e = AffineExpr::from_terms(&[("i", 1), ("x", 1)], 0);
+        let only_i = |v: &str| if v == "i" { Ok(0) } else { Err(v.to_string()) };
+        assert_eq!(e.resolve(only_i), Err("x".to_string()));
     }
 
     #[test]

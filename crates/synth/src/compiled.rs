@@ -844,6 +844,13 @@ pub enum KernelBackend {
     Compiled(LoadedKernel),
     /// Interpreter fallback; `reason` says why (no compiler on the
     /// host, unsupported view, emission failure, failed validation…).
+    ///
+    /// A service level, not an outage: same answers bit for bit, at a
+    /// measured 57 ns (mvm/csr) and 71 ns (ts/csr) per stored entry
+    /// on the 1072-row evaluation matrix — 64× and 75× the native
+    /// kernels' 0.90 and 0.95 ns, 3.5–4× the 16.5–18.7 ns a bare walk of the
+    /// same `dyn SparseView` cursors costs (EXPERIMENTS.md, PR 20; CI
+    /// fails above 150× native).
     Interpreted { reason: LoadError },
 }
 

@@ -6,9 +6,12 @@
 //! the dense reference executor. The statically-specialized equivalent is
 //! what [`crate::emit`] produces.
 
-use crate::plan::{Dir, Guard, Plan, StepKind, ValueSource};
+use crate::plan::{
+    Atom, Dir, ExecStmt, Guard, LevelRef, PExpr, Plan, SearchPart, Step, StepKind, ValueSource,
+};
 use bernoulli_formats::{Position, SparseView};
-use bernoulli_ir::ValueExpr;
+use bernoulli_ir::expr::SlotExpr;
+use bernoulli_ir::{AffineExpr, LhsRef};
 use std::collections::HashMap;
 
 /// Runtime error during plan execution.
@@ -77,21 +80,6 @@ impl<'m> ExecEnv<'m> {
     }
 }
 
-struct Runtime<'p, 'm, 'e> {
-    plan: &'p Plan,
-    env: &'e mut ExecEnv<'m>,
-    slots: Vec<i64>,
-    /// (ref, level) -> position
-    pos: HashMap<(usize, usize), Position>,
-    /// per ref: the step index at which its position went missing, if any
-    /// (scoped: re-running a step's searches clears misses recorded at
-    /// that step or deeper).
-    missing_at: Vec<Option<usize>>,
-    /// cached param map for PExpr evaluation
-    params: HashMap<String, i64>,
-    stats: RunStats,
-}
-
 /// Counters accumulated during interpretation (used by the cost-model
 /// validation experiment).
 #[derive(Default, Debug, Clone, PartialEq, Eq)]
@@ -107,34 +95,305 @@ pub struct RunStats {
 }
 
 /// Runs a plan to completion against the environment.
+///
+/// Names are resolved once, before the first iteration: step slots,
+/// parameters and statement bindings are slots of one integer frame,
+/// vectors are indices into a table of the bound ones, every reference
+/// has its view at hand, tracked positions live in a table indexed by
+/// (reference, level). So an unbound name, a reference of the wrong
+/// arity or a write to a sparse operand is an error even when the
+/// statement would never execute; an index out of range is an error
+/// from the statement instance that computes it.
 pub fn run_plan(plan: &Plan, env: &mut ExecEnv) -> Result<RunStats, PlanError> {
-    let params = env.params.clone();
+    let (params, values): (Vec<&str>, Vec<i64>) =
+        env.params.iter().map(|(n, v)| (n.as_str(), *v)).unzip();
+    let (vector_names, vectors): (Vec<&str>, Vec<&mut [f64]>) = env
+        .vectors
+        .iter_mut()
+        .map(|(n, v)| (n.as_str(), v.as_mut_slice()))
+        .unzip();
+    let names = Names {
+        plan,
+        params,
+        vectors: vector_names,
+        sparse: &env.sparse,
+        stride: plan.refs.iter().map(|r| r.levels).max().unwrap_or(0),
+    };
+    let views = plan.refs.iter().map(|r| names.view(&r.matrix));
+    let views = views.collect::<Result<_, _>>()?;
+    let code = names.code()?;
+
+    // The frame: the plan's slots, the parameters, then the bindings of
+    // whichever statement is executing.
+    let mut frame = vec![0; plan.nslots];
+    frame.extend(values);
+    let bindings = frame.len();
+    let most = plan.execs.iter().map(|e| e.bindings.len()).max();
+    frame.resize(bindings + most.unwrap_or(0), 0);
+    let most = code.steps.iter().flat_map(|s| &s.keys).map(Vec::len).max();
     let mut rt = Runtime {
         plan,
-        env,
-        slots: vec![0; plan.nslots],
-        pos: HashMap::new(),
+        frame,
+        bindings,
+        vectors,
+        views,
+        pos: vec![None; plan.refs.len() * names.stride],
+        stride: names.stride,
         missing_at: vec![None; plan.refs.len()],
-        params,
+        keys: Vec::with_capacity(most.unwrap_or(0)),
         stats: RunStats::default(),
     };
-    rt.run_step(0)?;
+    rt.run_step(&code, 0)?;
     Ok(rt.stats)
 }
 
-impl Runtime<'_, '_, '_> {
-    fn view(&self, matrix: &str) -> Result<&dyn SparseView, PlanError> {
-        self.env
-            .sparse
-            .get(matrix)
-            .copied()
-            .ok_or_else(|| PlanError(format!("matrix {matrix:?} not bound")))
+/// The last binding of a name wins.
+fn position(names: &[&str], name: &str) -> Option<usize> {
+    names.iter().rposition(|n| *n == name)
+}
+
+/// The expressions of a plan, resolved against the frame.
+struct Code<'a> {
+    /// Per step.
+    steps: Vec<StepCode>,
+    /// Per statement.
+    execs: Vec<ExecCode<'a>>,
+}
+
+struct StepCode {
+    /// `lo` and `hi` of an interval step (0 and 0 of any other).
+    bounds: (SlotExpr, SlotExpr),
+    /// The key expressions of each of the step's searches.
+    keys: Vec<Vec<SlotExpr>>,
+}
+
+struct ExecCode<'a> {
+    /// The expression of each of the statement's bindings; binding `k`
+    /// lands in frame slot `bindings + k`.
+    bindings: Vec<SlotExpr>,
+    /// The expression of each of its guards.
+    guards: Vec<SlotExpr>,
+    /// `vectors[to][at] = rhs`, the reads of `rhs` being `reads` in
+    /// evaluation order.
+    to: usize,
+    at: SlotExpr,
+    reads: Vec<Read<'a>>,
+}
+
+/// A read that knows its source and, by its shape, its arity.
+enum Read<'a> {
+    /// The stored value at the position tracked in cell `cell`.
+    Position {
+        view: &'a dyn SparseView,
+        chain: usize,
+        cell: usize,
+    },
+    /// Access through the high-level API at (row, column), and what an
+    /// error calls it: the "random access" of a sparse reference the
+    /// plan does not enumerate, or the "matrix read" of a matrix the
+    /// statement reads densely. One index reads column 0.
+    Matrix(&'a dyn SparseView, SlotExpr, SlotExpr, &'static str),
+    Vector(usize, SlotExpr),
+}
+
+/// What names mean while a plan is being resolved.
+struct Names<'a> {
+    plan: &'a Plan,
+    /// Frame slot `plan.nslots + k` holds parameter `k`.
+    params: Vec<&'a str>,
+    vectors: Vec<&'a str>,
+    sparse: &'a HashMap<String, &'a dyn SparseView>,
+    /// Cells per reference in the position table: the deepest chain.
+    stride: usize,
+}
+
+impl<'a> Names<'a> {
+    /// `scope` is the parameters, then the statement's bindings so far.
+    fn pexpr(&self, scope: &[&str], e: &PExpr) -> Result<SlotExpr, PlanError> {
+        e.resolve(|a| match a {
+            Atom::Slot(i) if *i < self.plan.nslots => Ok(*i),
+            Atom::Slot(i) => Err(PlanError(format!("slot v{i} is not one of the plan's"))),
+            Atom::Var(v) => self.var(scope, v),
+        })
     }
 
-    fn run_step(&mut self, si: usize) -> Result<(), PlanError> {
-        if si == self.plan.steps.len() {
-            return self.run_execs_at(si, true);
+    fn affine(&self, scope: &[&str], e: &AffineExpr) -> Result<SlotExpr, PlanError> {
+        e.resolve(|v| self.var(scope, v))
+    }
+
+    fn var(&self, scope: &[&str], v: &str) -> Result<usize, PlanError> {
+        position(scope, v)
+            .map(|k| self.plan.nslots + k)
+            .ok_or_else(|| PlanError(format!("variable {v:?} not bound")))
+    }
+
+    fn view(&self, matrix: &str) -> Result<&'a dyn SparseView, PlanError> {
+        let view = self.sparse.get(matrix).copied();
+        view.ok_or_else(|| PlanError(format!("matrix {matrix:?} not bound")))
+    }
+
+    fn code(&self) -> Result<Code<'a>, PlanError> {
+        let step = |s: &Step| {
+            let key = |(e, _): &(PExpr, _)| self.pexpr(&self.params, e);
+            let keys = |sp: &SearchPart| sp.keys.iter().map(key).collect();
+            let bounds = match &s.kind {
+                StepKind::Interval { lo, hi } => {
+                    (self.pexpr(&self.params, lo)?, self.pexpr(&self.params, hi)?)
+                }
+                _ => Default::default(),
+            };
+            Ok(StepCode {
+                bounds,
+                keys: s.searches.iter().map(keys).collect::<Result<_, _>>()?,
+            })
+        };
+        Ok(Code {
+            steps: self.plan.steps.iter().map(step).collect::<Result<_, _>>()?,
+            execs: (self.plan.execs.iter().map(|e| self.exec(e))).collect::<Result<_, _>>()?,
+        })
+    }
+
+    fn exec(&self, exec: &'a ExecStmt) -> Result<ExecCode<'a>, PlanError> {
+        let mut scope = self.params.clone();
+        let mut bindings = Vec::with_capacity(exec.bindings.len());
+        for (v, e, _) in &exec.bindings {
+            bindings.push(self.pexpr(&scope, e)?);
+            scope.push(v);
         }
+        let guard = |g: &Guard| match g {
+            Guard::Eq(e) | Guard::Ge(e) | Guard::Divides(e, _) => self.pexpr(&scope, e),
+        };
+        let lhs = &exec.body.lhs;
+        let (to, at) = match (exec.sources.first(), lhs.idxs.as_slice()) {
+            (Some(Some(_)), _) => {
+                return Err(PlanError(
+                    "writes to sparse matrices are not supported by the interpreter".to_string(),
+                ))
+            }
+            (_, [i]) => {
+                let to = position(&self.vectors, &lhs.array)
+                    .ok_or_else(|| PlanError(format!("vector {:?} not bound", lhs.array)))?;
+                (to, self.affine(&scope, i)?)
+            }
+            _ => return Err(PlanError(format!("lhs write {lhs} needs 1 index"))),
+        };
+        // Accesses are numbered in evaluation order, the write first.
+        let reads = exec.body.rhs.reads().into_iter().zip(1..);
+        let read = |(r, k): (&LhsRef, usize)| {
+            self.read(&scope, r, exec.sources.get(k).and_then(|s| s.as_ref()))
+        };
+        Ok(ExecCode {
+            bindings,
+            guards: exec.guards.iter().map(guard).collect::<Result<_, _>>()?,
+            to,
+            at,
+            reads: reads.map(read).collect::<Result<_, _>>()?,
+        })
+    }
+
+    fn read(
+        &self,
+        scope: &[&str],
+        r: &LhsRef,
+        source: Option<&ValueSource>,
+    ) -> Result<Read<'a>, PlanError> {
+        let matrix = |view, what| match r.idxs.as_slice() {
+            [i] => Ok(Read::Matrix(
+                view,
+                self.affine(scope, i)?,
+                SlotExpr::default(),
+                what,
+            )),
+            [i, j] => Ok(Read::Matrix(
+                view,
+                self.affine(scope, i)?,
+                self.affine(scope, j)?,
+                what,
+            )),
+            _ => Err(PlanError(format!("matrix read {r} needs 1 or 2 indices"))),
+        };
+        let meta = |rid: &usize| {
+            let meta = self.plan.refs.get(*rid);
+            meta.ok_or_else(|| PlanError(format!("reference {rid} is not one of the plan's")))
+        };
+        match source {
+            Some(ValueSource::Position { ref_id }) => {
+                let meta = meta(ref_id)?;
+                let Some(innermost) = meta.levels.checked_sub(1) else {
+                    return Err(PlanError(format!("reference {ref_id} has no levels")));
+                };
+                Ok(Read::Position {
+                    view: self.view(&meta.matrix)?,
+                    chain: meta.chain,
+                    cell: ref_id * self.stride + innermost,
+                })
+            }
+            Some(ValueSource::Random { ref_id }) => {
+                matrix(self.view(&meta(ref_id)?.matrix)?, "random access")
+            }
+            // Dense access: a vector, or a matrix no view was bound to.
+            None => match (position(&self.vectors, &r.array), r.idxs.as_slice()) {
+                (Some(k), [i]) => Ok(Read::Vector(k, self.affine(scope, i)?)),
+                (Some(_), _) => Err(PlanError(format!("vector read {r} needs 1 index"))),
+                (None, _) => match self.sparse.get(&r.array) {
+                    Some(view) => matrix(*view, "matrix read"),
+                    None => Err(PlanError(format!("array {:?} not bound", r.array))),
+                },
+            },
+        }
+    }
+}
+
+struct Runtime<'a> {
+    plan: &'a Plan,
+    frame: Vec<i64>,
+    /// Frame slot of an executing statement's first binding.
+    bindings: usize,
+    vectors: Vec<&'a mut [f64]>,
+    /// The view of each of the plan's references (a `LevelRef` names
+    /// the matrix of the reference it is a level of).
+    views: Vec<&'a dyn SparseView>,
+    /// Cell `ref * stride + level`: the position tracked there.
+    pos: Vec<Option<Position>>,
+    stride: usize,
+    /// per ref: the step index at which its position went missing, if any
+    /// (scoped: re-running a step's searches clears misses recorded at
+    /// that step or deeper).
+    missing_at: Vec<Option<usize>>,
+    /// The keys of the search under way (sized for the longest).
+    keys: Vec<i64>,
+    stats: RunStats,
+}
+
+impl Runtime<'_> {
+    fn cell(&self, rid: usize, level: usize) -> usize {
+        assert!(level < self.stride, "reference {rid} has no level {level}");
+        rid * self.stride + level
+    }
+
+    /// The position `l` is enumerated or searched beneath.
+    fn parent(&self, l: &LevelRef) -> Option<Position> {
+        match l.level {
+            0 => Some(0),
+            _ => self.pos[self.cell(l.ref_id, l.level - 1)],
+        }
+    }
+
+    fn track(&mut self, (rid, level): (usize, usize), pos: Position) {
+        let cell = self.cell(rid, level);
+        self.pos[cell] = Some(pos);
+    }
+
+    /// Binds a step's slot (never a parameter's or a binding's).
+    fn bind(&mut self, slot: usize, v: i64) {
+        self.frame[..self.plan.nslots][slot] = v;
+    }
+
+    fn run_step(&mut self, code: &Code, si: usize) -> Result<(), PlanError> {
+        let plan = self.plan;
+        let Some(step) = plan.steps.get(si) else {
+            return self.run_execs_at(code, si, true);
+        };
         // Misses recorded at this step or deeper are stale leftovers from
         // a previous sibling subtree; only outer-scope misses persist.
         for m in self.missing_at.iter_mut() {
@@ -143,122 +402,86 @@ impl Runtime<'_, '_, '_> {
             }
         }
         // Hoisted statements placed *before* the deeper enumeration.
-        self.run_execs_at(si, false)?;
-        let step = &self.plan.steps[si];
+        self.run_execs_at(code, si, false)?;
+        let rev = step.dir == Dir::Rev;
         match &step.kind {
-            StepKind::Interval { lo, hi } => {
-                let lo = lo.eval(&self.slots, &self.params);
-                let hi = hi.eval(&self.slots, &self.params);
-                let range: Vec<i64> = match step.dir {
-                    Dir::Fwd => (lo..hi).collect(),
-                    Dir::Rev => (lo..hi).rev().collect(),
-                };
-                for v in range {
+            StepKind::Interval { .. } => {
+                let (lo, hi) = &code.steps[si].bounds;
+                let mut range = lo.eval(&self.frame)..hi.eval(&self.frame);
+                while let Some(v) = if rev { range.next_back() } else { range.next() } {
                     self.stats.iterations += 1;
-                    self.slots[step.first_slot] = v;
-                    self.do_searches(si)?;
-                    self.run_step(si + 1)?;
+                    self.bind(step.first_slot, v);
+                    self.do_searches(code, si);
+                    self.run_step(code, si + 1)?;
                 }
             }
             StepKind::Level { primary, perms } => {
-                let parent = if primary.level == 0 {
-                    0
-                } else {
-                    match self.pos.get(&(primary.ref_id, primary.level - 1)) {
-                        Some(&p) => p,
-                        None => {
-                            return Err(PlanError(format!(
-                                "primary {primary} has no parent position"
-                            )))
-                        }
-                    }
+                let Some(parent) = self.parent(primary) else {
+                    return Err(PlanError(format!(
+                        "primary {primary} has no parent position"
+                    )));
                 };
                 if self.missing_at[primary.ref_id].is_some() {
                     // Lowering guarantees this is only reachable when every
                     // statement requires the primary; skipping is sound.
                     return Ok(());
                 }
-                let view = self.view(&primary.matrix)?;
-                let mut cur =
-                    view.cursor(primary.chain, primary.level, parent, step.dir == Dir::Rev);
-                // We cannot hold `view` across the mutable recursion;
-                // re-fetch inside the loop.
-                loop {
-                    let view = self.view(&primary.matrix)?;
-                    if !view.advance(&mut cur) {
-                        break;
-                    }
+                let view = self.views[primary.ref_id];
+                let mut cur = view.cursor(primary.chain, primary.level, parent, rev);
+                while view.advance(&mut cur) {
                     self.stats.iterations += 1;
                     for (s, perm) in perms.iter().enumerate() {
                         let raw = cur.keys[s];
                         let value = match perm {
-                            Some(t) => self.view(&primary.matrix)?.perm_apply(t, raw),
+                            Some(t) => view.perm_apply(t, raw),
                             None => raw,
                         };
-                        self.slots[step.first_slot + s] = value;
+                        self.bind(step.first_slot + s, value);
                     }
-                    self.pos.insert((primary.ref_id, primary.level), cur.pos);
-                    for &(rid, lev) in &step.sharers {
-                        self.pos.insert((rid, lev), cur.pos);
+                    self.track((primary.ref_id, primary.level), cur.pos);
+                    for &sharer in &step.sharers {
+                        self.track(sharer, cur.pos);
                     }
-                    self.do_searches(si)?;
-                    self.run_step(si + 1)?;
+                    self.do_searches(code, si);
+                    self.run_step(code, si + 1)?;
                 }
             }
             StepKind::MergeJoin { a, b } => {
-                let pa = if a.level == 0 {
-                    0
-                } else {
-                    *self
-                        .pos
-                        .get(&(a.ref_id, a.level - 1))
-                        .ok_or_else(|| PlanError(format!("{a} has no parent position")))?
-                };
-                let pb = if b.level == 0 {
-                    0
-                } else {
-                    *self
-                        .pos
-                        .get(&(b.ref_id, b.level - 1))
-                        .ok_or_else(|| PlanError(format!("{b} has no parent position")))?
-                };
-                let va = self.view(&a.matrix)?;
+                let orphan = |l: &LevelRef| PlanError(format!("{l} has no parent position"));
+                let pa = self.parent(a).ok_or_else(|| orphan(a))?;
+                let pb = self.parent(b).ok_or_else(|| orphan(b))?;
+                let (va, vb) = (self.views[a.ref_id], self.views[b.ref_id]);
                 let mut ca = va.cursor(a.chain, a.level, pa, false);
-                let mut cb = self.view(&b.matrix)?.cursor(b.chain, b.level, pb, false);
-                let mut have_a = self.view(&a.matrix)?.advance(&mut ca);
-                let mut have_b = self.view(&b.matrix)?.advance(&mut cb);
+                let mut cb = vb.cursor(b.chain, b.level, pb, false);
+                let mut have_a = va.advance(&mut ca);
+                let mut have_b = vb.advance(&mut cb);
                 while have_a && have_b {
                     self.stats.iterations += 1;
                     let ka = ca.keys[0];
                     let kb = cb.keys[0];
                     match ka.cmp(&kb) {
-                        std::cmp::Ordering::Less => {
-                            have_a = self.view(&a.matrix)?.advance(&mut ca);
-                        }
-                        std::cmp::Ordering::Greater => {
-                            have_b = self.view(&b.matrix)?.advance(&mut cb);
-                        }
+                        std::cmp::Ordering::Less => have_a = va.advance(&mut ca),
+                        std::cmp::Ordering::Greater => have_b = vb.advance(&mut cb),
                         std::cmp::Ordering::Equal => {
-                            self.slots[step.first_slot] = ka;
-                            self.pos.insert((a.ref_id, a.level), ca.pos);
-                            self.pos.insert((b.ref_id, b.level), cb.pos);
-                            self.do_searches(si)?;
-                            self.run_step(si + 1)?;
-                            have_a = self.view(&a.matrix)?.advance(&mut ca);
-                            have_b = self.view(&b.matrix)?.advance(&mut cb);
+                            self.bind(step.first_slot, ka);
+                            self.track((a.ref_id, a.level), ca.pos);
+                            self.track((b.ref_id, b.level), cb.pos);
+                            self.do_searches(code, si);
+                            self.run_step(code, si + 1)?;
+                            have_a = va.advance(&mut ca);
+                            have_b = vb.advance(&mut cb);
                         }
                     }
                 }
             }
         }
         // Hoisted statements placed *after* the deeper enumeration.
-        self.run_execs_at(si, true)?;
-        Ok(())
+        self.run_execs_at(code, si, true)
     }
 
-    fn do_searches(&mut self, si: usize) -> Result<(), PlanError> {
-        let step = &self.plan.steps[si];
-        for sp in &step.searches {
+    fn do_searches(&mut self, code: &Code, si: usize) {
+        let plan = self.plan;
+        for (sp, keys) in plan.steps[si].searches.iter().zip(&code.steps[si].keys) {
             let rid = sp.target.ref_id;
             // Clear misses recorded at this step or deeper (stale from the
             // previous iteration); keep outer-scope misses.
@@ -273,23 +496,16 @@ impl Runtime<'_, '_, '_> {
                 }
                 continue; // missing at an outer step: stays missing
             }
-            let parent = if sp.target.level == 0 {
-                0
-            } else {
-                match self.pos.get(&(rid, sp.target.level - 1)) {
-                    Some(&p) => p,
-                    None => {
-                        self.missing_at[rid] = Some(si);
-                        continue;
-                    }
-                }
+            let Some(parent) = self.parent(&sp.target) else {
+                self.missing_at[rid] = Some(si);
+                continue;
             };
-            let mut keys = Vec::with_capacity(sp.keys.len());
-            for (e, perm) in &sp.keys {
-                let v = e.eval(&self.slots, &self.params);
-                let key = match perm {
+            let view = self.views[rid];
+            self.keys.clear();
+            for (e, (_, perm)) in keys.iter().zip(&sp.keys) {
+                let v = e.eval(&self.frame);
+                self.keys.push(match perm {
                     Some(t) => {
-                        let view = self.view(&sp.target.matrix)?;
                         if v < 0 || v >= view.nrows() as i64 {
                             self.missing_at[rid] = Some(si);
                             break;
@@ -297,19 +513,17 @@ impl Runtime<'_, '_, '_> {
                         view.perm_unapply(t, v)
                     }
                     None => v,
-                };
-                keys.push(key);
+                });
             }
-            if keys.len() != sp.keys.len() {
+            if self.keys.len() != sp.keys.len() {
                 continue; // perm range miss already flagged
             }
             self.stats.searches += 1;
-            let view = self.view(&sp.target.matrix)?;
-            match view.search(sp.target.chain, sp.target.level, parent, &keys) {
+            match view.search(sp.target.chain, sp.target.level, parent, &self.keys) {
                 Some(p) => {
-                    self.pos.insert((rid, sp.target.level), p);
+                    self.track((rid, sp.target.level), p);
                     for &(r2, l2) in &sp.sharers {
-                        self.pos.insert((r2, l2), p);
+                        self.track((r2, l2), p);
                         if matches!(self.missing_at[r2], Some(m) if m >= si) {
                             self.missing_at[r2] = None;
                         }
@@ -323,24 +537,22 @@ impl Runtime<'_, '_, '_> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Runs the statements placed at `depth` with the given after-flag
     /// (full-depth statements run with `after == true` at the innermost
     /// point, where the flag is meaningless).
-    fn run_execs_at(&mut self, depth: usize, after: bool) -> Result<(), PlanError> {
-        for ei in 0..self.plan.execs.len() {
-            let e = &self.plan.execs[ei];
-            if e.depth == depth && (e.after == after || depth == self.plan.steps.len()) {
-                self.run_exec(ei)?;
+    fn run_execs_at(&mut self, code: &Code, depth: usize, after: bool) -> Result<(), PlanError> {
+        let plan = self.plan;
+        for (e, resolved) in plan.execs.iter().zip(&code.execs) {
+            if e.depth == depth && (e.after == after || depth == plan.steps.len()) {
+                self.run_exec(e, resolved)?;
             }
         }
         Ok(())
     }
 
-    fn run_exec(&mut self, ei: usize) -> Result<(), PlanError> {
-        let e = &self.plan.execs[ei];
+    fn run_exec(&mut self, e: &ExecStmt, code: &ExecCode) -> Result<(), PlanError> {
         // Required refs present?
         if e.required_refs
             .iter()
@@ -349,24 +561,20 @@ impl Runtime<'_, '_, '_> {
             return Ok(());
         }
         // Bindings.
-        let mut vars = self.params.clone();
-        for (v, expr, div) in &e.bindings {
-            let raw = expr.eval(&self.slots, &vars);
-            if *div != 1 {
-                if raw % *div != 0 {
-                    return Ok(());
-                }
-                vars.insert(v.clone(), raw / *div);
-            } else {
-                vars.insert(v.clone(), raw);
+        for (k, ((_, _, div), expr)) in e.bindings.iter().zip(&code.bindings).enumerate() {
+            let raw = expr.eval(&self.frame);
+            if raw % div != 0 {
+                return Ok(());
             }
+            self.frame[self.bindings + k] = raw / div;
         }
         // Guards.
-        for g in &e.guards {
+        for (g, x) in e.guards.iter().zip(&code.guards) {
+            let x = x.eval(&self.frame);
             let pass = match g {
-                Guard::Eq(x) => x.eval(&self.slots, &vars) == 0,
-                Guard::Ge(x) => x.eval(&self.slots, &vars) >= 0,
-                Guard::Divides(x, d) => x.eval(&self.slots, &vars) % d == 0,
+                Guard::Eq(_) => x == 0,
+                Guard::Ge(_) => x >= 0,
+                Guard::Divides(_, d) => x % d == 0,
             };
             if !pass {
                 self.stats.guard_misses += 1;
@@ -375,122 +583,43 @@ impl Runtime<'_, '_, '_> {
         }
         self.stats.executions += 1;
 
-        // Evaluate rhs; reads are numbered 1.. in evaluation order.
-        let mut next_access = 1usize;
-        let value = self.eval_value(ei, &e.body.rhs, &vars, &mut next_access)?;
-
-        // Write lhs (access 0).
-        let e = &self.plan.execs[ei];
-        match &e.sources[0] {
-            None => {
-                let idx: Vec<i64> = e.body.lhs.idxs.iter().map(|x| x.eval(&vars)).collect();
-                let vec =
-                    self.env.vectors.get_mut(&e.body.lhs.array).ok_or_else(|| {
-                        PlanError(format!("vector {:?} not bound", e.body.lhs.array))
-                    })?;
-                let i = idx[0];
-                if idx.len() != 1 || i < 0 || i as usize >= vec.len() {
-                    return Err(PlanError(format!(
-                        "lhs write {} out of range at {idx:?}",
-                        e.body.lhs
-                    )));
-                }
-                vec[i as usize] = value;
-            }
-            Some(_) => {
-                return Err(PlanError(
-                    "writes to sparse matrices are not supported by the interpreter".to_string(),
-                ));
-            }
+        let mut next = 0;
+        let value = e.body.rhs.eval_with(&mut |r| {
+            next += 1;
+            self.read(r, &code.reads[next - 1])
+        })?;
+        let (i, v) = (code.at.eval(&self.frame), &mut self.vectors[code.to]);
+        if i < 0 || i as usize >= v.len() {
+            let lhs = &e.body.lhs;
+            return Err(PlanError(format!("lhs write {lhs} out of range at [{i}]")));
         }
+        v[i as usize] = value;
         Ok(())
     }
 
-    fn eval_value(
-        &self,
-        ei: usize,
-        e: &ValueExpr,
-        vars: &HashMap<String, i64>,
-        next_access: &mut usize,
-    ) -> Result<f64, PlanError> {
-        Ok(match e {
-            ValueExpr::Const(c) => *c,
-            ValueExpr::Read(r) => {
-                let access = *next_access;
-                *next_access += 1;
-                let exec = &self.plan.execs[ei];
-                match exec.sources.get(access).and_then(|s| s.as_ref()) {
-                    Some(ValueSource::Position { ref_id }) => {
-                        let meta = &self.plan.refs[*ref_id];
-                        let pos = *self.pos.get(&(*ref_id, meta.levels - 1)).ok_or_else(|| {
-                            PlanError(format!(
-                                "reference {ref_id} has no innermost position (read {r})"
-                            ))
-                        })?;
-                        self.view(&meta.matrix)?.value_at(meta.chain, pos)
-                    }
-                    Some(ValueSource::Random { ref_id }) => {
-                        let meta = &self.plan.refs[*ref_id];
-                        let view = self.view(&meta.matrix)?;
-                        let idx: Vec<i64> = r.idxs.iter().map(|x| x.eval(vars)).collect();
-                        let (rr, cc) = (idx[0], *idx.get(1).unwrap_or(&0));
-                        if rr < 0
-                            || cc < 0
-                            || rr as usize >= view.nrows()
-                            || cc as usize >= view.ncols()
-                        {
-                            return Err(PlanError(format!(
-                                "random access {r} out of range at ({rr},{cc})"
-                            )));
-                        }
-                        view.get(rr as usize, cc as usize)
-                    }
-                    None => {
-                        // Dense access: vector or unbound-sparse matrix.
-                        let idx: Vec<i64> = r.idxs.iter().map(|x| x.eval(vars)).collect();
-                        if let Some(v) = self.env.vectors.get(&r.array) {
-                            let i = idx[0];
-                            if idx.len() != 1 || i < 0 || i as usize >= v.len() {
-                                return Err(PlanError(format!(
-                                    "vector read {r} out of range at {idx:?}"
-                                )));
-                            }
-                            v[i as usize]
-                        } else if let Some(m) = self.env.sparse.get(&r.array) {
-                            let (rr, cc) = (idx[0], *idx.get(1).unwrap_or(&0));
-                            if rr < 0
-                                || cc < 0
-                                || rr as usize >= m.nrows()
-                                || cc as usize >= m.ncols()
-                            {
-                                return Err(PlanError(format!(
-                                    "matrix read {r} out of range at ({rr},{cc})"
-                                )));
-                            }
-                            m.get(rr as usize, cc as usize)
-                        } else {
-                            return Err(PlanError(format!("array {:?} not bound", r.array)));
-                        }
-                    }
+    fn read(&self, r: &LhsRef, read: &Read) -> Result<f64, PlanError> {
+        match read {
+            Read::Position { view, chain, cell } => match self.pos[*cell] {
+                Some(pos) => Ok(view.value_at(*chain, pos)),
+                None => Err(PlanError(format!(
+                    "reference {} has no innermost position (read {r})",
+                    cell / self.stride
+                ))),
+            },
+            Read::Matrix(m, row, col, what) => {
+                let (rr, cc) = (row.eval(&self.frame), col.eval(&self.frame));
+                if rr < 0 || cc < 0 || rr as usize >= m.nrows() || cc as usize >= m.ncols() {
+                    return Err(PlanError(format!("{what} {r} out of range at ({rr},{cc})")));
                 }
+                Ok(m.get(rr as usize, cc as usize))
             }
-            ValueExpr::Add(a, b) => {
-                self.eval_value(ei, a, vars, next_access)?
-                    + self.eval_value(ei, b, vars, next_access)?
+            Read::Vector(k, i) => {
+                let (i, v) = (i.eval(&self.frame), &self.vectors[*k]);
+                if i < 0 || i as usize >= v.len() {
+                    return Err(PlanError(format!("vector read {r} out of range at [{i}]")));
+                }
+                Ok(v[i as usize])
             }
-            ValueExpr::Sub(a, b) => {
-                self.eval_value(ei, a, vars, next_access)?
-                    - self.eval_value(ei, b, vars, next_access)?
-            }
-            ValueExpr::Mul(a, b) => {
-                self.eval_value(ei, a, vars, next_access)?
-                    * self.eval_value(ei, b, vars, next_access)?
-            }
-            ValueExpr::Div(a, b) => {
-                self.eval_value(ei, a, vars, next_access)?
-                    / self.eval_value(ei, b, vars, next_access)?
-            }
-            ValueExpr::Neg(a) => -self.eval_value(ei, a, vars, next_access)?,
-        })
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! are both *interpreted* against real formats ([`crate::interp`]) and
 //! *emitted* as specialized Rust ([`crate::emit`]).
 
+use bernoulli_ir::expr::SlotExpr;
 use bernoulli_ir::Statement;
 use std::fmt;
 
@@ -72,22 +73,14 @@ impl PExpr {
         }
     }
 
-    /// Evaluates against slot values and a variable environment.
-    ///
-    /// # Panics
-    /// Panics on an unbound variable or out-of-range slot.
-    pub fn eval(&self, slots: &[i64], vars: &std::collections::HashMap<String, i64>) -> i64 {
-        let mut acc = self.cst;
-        for (a, c) in &self.terms {
-            let v = match a {
-                Atom::Slot(i) => slots[*i],
-                Atom::Var(n) => *vars
-                    .get(n)
-                    .unwrap_or_else(|| panic!("unbound plan variable {n:?}")),
-            };
-            acc += c * v;
-        }
-        acc
+    /// Resolves every atom to a frame slot through `slot_of`, whose
+    /// error (an unbound variable, a slot the plan does not have) is
+    /// returned as is.
+    pub fn resolve<E>(
+        &self,
+        slot_of: impl FnMut(&Atom) -> Result<usize, E>,
+    ) -> Result<SlotExpr, E> {
+        SlotExpr::resolve(self.cst, self.terms.iter().map(|(a, c)| (a, *c)), slot_of)
     }
 
     /// True if the expression references no slots or variables.
@@ -488,16 +481,20 @@ impl fmt::Display for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn pexpr_eval_and_display() {
         let mut e = PExpr::slot(0);
         e.add_term(Atom::Var("N".into()), -1);
         e.cst = 3;
-        let mut vars = HashMap::new();
-        vars.insert("N".to_string(), 10);
-        assert_eq!(e.eval(&[7], &vars), 0);
+        // One frame: the slot, then `N`.
+        let slot_of = |a: &Atom| match a {
+            Atom::Slot(i) => Ok(*i),
+            Atom::Var(v) if v == "N" => Ok(1),
+            Atom::Var(v) => Err(v.clone()),
+        };
+        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[7, 10])), Ok(0));
+        assert_eq!(PExpr::var("K").resolve(slot_of), Err("K".to_string()));
         assert_eq!(e.to_string(), "v0 - N + 3");
         assert!(!e.is_constant());
         assert!(PExpr::constant(4).is_constant());
