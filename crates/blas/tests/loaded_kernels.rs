@@ -12,9 +12,11 @@
 
 use bernoulli_blas::handwritten as hw;
 use bernoulli_blas::synth;
+use bernoulli_formats::formats::dcsr::dcsr_format_view;
 use bernoulli_formats::{
-    discover_strips, gen, Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Triplets, Vbr,
+    discover_strips, gen, Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, Ell, Jad, Sky, Triplets, Vbr,
 };
+use bernoulli_ir::{run_dense, DenseEnv};
 use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
 
 enum Mat {
@@ -249,4 +251,87 @@ fn build_args<'a>(
     } else {
         vec![m.arg(), KernelArg::In(x), KernelArg::Out(out)]
     }
+}
+
+/// A format that came after the nineteen pairs and has no committed
+/// kernel: DCSR reaches the emitter, the kernel ABI and the interpreter
+/// through its one `stored_layout!` alone, so the three paths it does
+/// have must agree bitwise — loaded ≡ interpreter ≡ the dense reference
+/// executor, which visits the same entries in the same order (rows, then
+/// columns, ascending) and otherwise adds zeros.
+#[test]
+fn dcsr_three_paths_agree_bitwise() {
+    let session = Session::new();
+    // A store of its own: the other test's is compared file by file
+    // across commits (`.claude/skills/verify/SKILL.md`, item 13).
+    let dir = std::env::temp_dir().join(format!("bernoulli-kc-dcsr-{}", std::process::id()));
+    let store = KernelStore::at(&dir);
+    // Nine rows in ten empty: what the format is for.
+    let mut hypersparse = gen::random_sparse(200, 150, 900, 5);
+    hypersparse.retain_positions(|r, _| r % 10 == 3);
+    let matrices = [
+        ("40 rows", gen::structurally_symmetric(40, 240, 10, 3)),
+        ("can_1072_like", gen::can_1072_like()),
+        ("90 % empty rows", hypersparse),
+    ];
+    let mut native_runs = 0usize;
+    for (what, t) in &matrices {
+        let a = Dcsr::from_triplets(t);
+        assert_eq!(a.validate(), Ok(()), "{what}");
+        let dense = Dense::from_triplets(t);
+        let (mm, nn) = (t.nrows(), t.ncols());
+        for kernel in ["mvm", "mvmt"] {
+            let case = format!("{kernel}/dcsr on {what}");
+            let (p, matrix) = synth::spec_for(kernel);
+            let bound = session
+                .bind(&p, &[(matrix, dcsr_format_view())])
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            let k = session
+                .compile(&bound)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            let (in_len, out_len) = if kernel == "mvm" { (nn, mm) } else { (mm, nn) };
+            let x = gen::dense_vector(in_len, 8);
+            let params = [mm as i64, nn as i64];
+
+            let mut denv = DenseEnv::new()
+                .matrix(matrix, &dense)
+                .param("M", params[0])
+                .param("N", params[1])
+                .vector("x", x.clone())
+                .vector("y", vec![0.0; out_len]);
+            run_dense(&p, &mut denv).unwrap_or_else(|e| panic!("{case}: {e}"));
+            let reference = denv.take_vector("y");
+
+            let run = |backend: &KernelBackend| {
+                let mut y = vec![0.0; out_len];
+                let mut args = [
+                    KernelArg::Matrix(&a),
+                    KernelArg::In(&x),
+                    KernelArg::Out(&mut y),
+                ];
+                k.run_with(backend, &params, &mut args)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                y
+            };
+            let interpreted = run(&KernelBackend::Interpreted {
+                reason: LoadError::Emit(bernoulli_synth::EmitError("forced for test".into())),
+            });
+            assert_eq!(interpreted, reference, "{case}: interpreter vs run_dense");
+            match k.backend_in(&store) {
+                KernelBackend::Interpreted { reason } => {
+                    assert!(bernoulli_synth::rustc_info().is_err(), "{case}: {reason}");
+                    eprintln!("SKIP native path for {case}: {reason}");
+                }
+                native => {
+                    assert!(native.is_validated(), "{case}: {native:?}");
+                    assert_eq!(run(&native), interpreted, "{case}: loaded vs interpreter");
+                    native_runs += 1;
+                }
+            }
+        }
+    }
+    if bernoulli_synth::rustc_info().is_ok() {
+        assert_eq!(native_runs, 2 * matrices.len());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Any-to-any format conversion through [`Triplets`].
 
 use crate::scalar::Scalar;
-use crate::{Bsr, Coo, Csc, Csr, Dense, Dia, DiagSplit, Ell, Jad, Triplets, Vbr};
+use crate::{Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, DiagSplit, Ell, Jad, Triplets, Vbr};
 
 /// Errors a caller can trigger through the format layer: asking for a
 /// format this build doesn't know, converting into a format whose
@@ -88,6 +88,7 @@ pub const FORMAT_NAMES: &[&str] = &[
     "diagsplit",
     "bsr",
     "vbr",
+    "dcsr",
 ];
 
 /// A dynamically-chosen matrix format (conversion and experiment-harness
@@ -104,6 +105,7 @@ pub enum AnyFormat<T: Scalar = f64> {
     DiagSplit(DiagSplit<T>),
     Bsr(Bsr<T>),
     Vbr(Vbr<T>),
+    Dcsr(Dcsr<T>),
 }
 
 impl<T: Scalar> AnyFormat<T> {
@@ -161,6 +163,7 @@ impl<T: Scalar> AnyFormat<T> {
                 let (rp, cp) = crate::blocks::discover_strips(t);
                 AnyFormat::Vbr(Vbr::from_triplets(t, &rp, &cp))
             }
+            "dcsr" => AnyFormat::Dcsr(Dcsr::from_triplets(t)),
             other => {
                 return Err(FormatError::UnknownFormat {
                     name: other.to_string(),
@@ -185,6 +188,7 @@ impl<T: Scalar> AnyFormat<T> {
             AnyFormat::DiagSplit(m) => m.to_triplets(),
             AnyFormat::Bsr(m) => m.to_triplets(),
             AnyFormat::Vbr(m) => m.to_triplets(),
+            AnyFormat::Dcsr(m) => m.to_triplets(),
         }
     }
 
@@ -202,6 +206,7 @@ impl<T: Scalar> AnyFormat<T> {
             AnyFormat::Jad(m) => m.validate(),
             AnyFormat::Bsr(m) => m.validate(),
             AnyFormat::Vbr(m) => m.validate(),
+            AnyFormat::Dcsr(m) => m.validate(),
             AnyFormat::Dense(_) | AnyFormat::Coo(_) | AnyFormat::DiagSplit(_) => Ok(()),
         }
     }
@@ -219,6 +224,7 @@ impl<T: Scalar> AnyFormat<T> {
             AnyFormat::DiagSplit(_) => "diagsplit",
             AnyFormat::Bsr(_) => "bsr",
             AnyFormat::Vbr(_) => "vbr",
+            AnyFormat::Dcsr(_) => "dcsr",
         }
     }
 }
@@ -237,6 +243,7 @@ impl AnyFormat<f64> {
             AnyFormat::DiagSplit(m) => m,
             AnyFormat::Bsr(m) => m,
             AnyFormat::Vbr(m) => m,
+            AnyFormat::Dcsr(m) => m,
         }
     }
 
@@ -253,6 +260,7 @@ impl AnyFormat<f64> {
             AnyFormat::DiagSplit(m) => m,
             AnyFormat::Bsr(m) => m,
             AnyFormat::Vbr(m) => m,
+            AnyFormat::Dcsr(m) => m,
         }
     }
 }

@@ -2,11 +2,16 @@
 //!
 //! The paper implements enumeration through a C++ class hierarchy
 //! (`term_nesting`, `increasing_iterator`, `interval_iterator`, …) whose
-//! methods are resolved statically via the Barton–Nackman trick. The plan
-//! *interpreter* in `bernoulli-synth` instead needs a dynamic interface,
-//! provided here; the statically-dispatched equivalent is what the code
-//! *emitter* produces (specialized Rust per format, like the paper's
-//! Fig. 9).
+//! methods are resolved statically via the Barton–Nackman trick: one
+//! description of a format, instantiated by the compiler. Here the
+//! description is data — the [`Levels`](crate::level::Levels) declared
+//! beside each format struct — and both halves of the low-level API are
+//! renderings of it: the code *emitter* of `bernoulli-synth` prints a
+//! level as a specialized loop head (the static instantiation, like the
+//! paper's Fig. 9), and the plan *interpreter* walks the same level
+//! through the one generic cursor of this module (the dynamic
+//! interface). No format implements a cursor of its own, so the two
+//! cannot disagree about a level.
 //!
 //! A format exposes one or more [`Chain`](crate::view::Chain)s (linearized
 //! access paths). Within a chain, every nesting level supports:
@@ -22,97 +27,316 @@
 //! (e.g. for CSR, the level-0 position is a row number and the level-1
 //! position is an index into `colind`/`values`).
 
-use crate::view::FormatView;
+use crate::level::{Args, Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
+use crate::view::{detect_properties, FormatView, Transform};
 use crate::SparseMatrix;
 
 /// Opaque per-format position token.
 pub type Position = usize;
 
-/// Keys bound by one cursor step (one per attribute of the level).
-pub type KeyTuple = Vec<i64>;
+/// The keys bound by one cursor step, one per attribute of the level,
+/// held inline (two at most, and how many): reads as a `[i64]`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Keys([i64; 2], usize);
+
+impl std::ops::Deref for Keys {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        &self.0[..self.1]
+    }
+}
 
 /// Enumeration state for one level of one chain.
 ///
 /// The generic walk is: `let mut cur = view.cursor(chain, level, pos, rev);`
 /// then `while view.advance(&mut cur) { use cur.keys / cur.pos }`.
 #[derive(Clone, Debug)]
-pub struct ChainCursor {
+pub struct ChainCursor<'a> {
     /// Chain id (as assigned by [`FormatView::alternatives`]).
     pub chain: usize,
     /// Level within the chain.
     pub level: usize,
     /// Parent position this cursor enumerates under.
     pub parent: Position,
-    /// Raw iteration index (format-private meaning).
-    pub idx: i64,
-    /// Exclusive end of the raw index range (for forward traversal).
-    pub end: i64,
     /// Traverse in decreasing key order (supported on interval levels).
     pub reverse: bool,
     /// Keys of the current entry (valid after a successful `advance`).
-    pub keys: KeyTuple,
+    pub keys: Keys,
     /// Child position of the current entry (valid after `advance`).
     pub pos: Position,
-    /// Whether `advance` has been called at least once.
-    pub started: bool,
+    /// The raw index steps over `lo..hi`, by `walk`'s meaning of it.
+    idx: i64,
+    lo: i64,
+    hi: i64,
+    walk: Walk<'a>,
 }
 
-impl ChainCursor {
-    /// Creates a cursor over the raw index range `lo..hi`.
-    pub fn over_range(
-        chain: usize,
-        level: usize,
-        parent: Position,
-        lo: i64,
-        hi: i64,
-        reverse: bool,
-    ) -> ChainCursor {
-        ChainCursor {
-            chain,
-            level,
-            parent,
-            idx: if reverse { hi } else { lo - 1 },
-            end: if reverse { lo } else { hi },
-            reverse,
-            keys: Vec::new(),
-            pos: 0,
-            started: false,
-        }
-    }
+/// What a raw index means, with the level's arrays at hand.
+#[derive(Clone, Debug)]
+enum Walk<'a> {
+    /// The key itself; `pos = base + (key - lo)`.
+    Interval { base: usize },
+    /// A position; its keys are `crd[pos]` and, coupled, `more[pos]`.
+    Stored(Slice<'a>, Option<Slice<'a>>),
+    /// A slot; `pos = table[slot] + parent`.
+    Table(&'a [usize], Slice<'a>),
+    /// A position of run `d` of `ptr`.
+    Jagged(&'a [usize], Slice<'a>, usize),
+    /// A block; `s` counts the columns taken of it, `rr` is the row.
+    Blocks(&'a [usize], Shape<'a>, usize, usize),
+}
 
-    /// Steps the raw index; returns `false` when the range is exhausted.
-    /// Format `advance` implementations call this and then fill
-    /// `keys`/`pos` from `idx`.
-    pub fn step(&mut self) -> bool {
-        self.started = true;
-        if self.reverse {
-            self.idx -= 1;
-            self.idx >= self.end
-        } else {
-            self.idx += 1;
-            self.idx < self.end
+/// The extents of a level's blocks: one shape for all, or cut by `cuts`
+/// with each block's values at its `base`.
+#[derive(Clone, Copy, Debug)]
+enum Shape<'a> {
+    Fixed(usize, usize),
+    Cut(&'a [usize], &'a [usize]),
+}
+
+impl Shape<'_> {
+    /// Block `b` in block column `bc`, for row `rr` of its rows: the
+    /// first column, how many, and the position of the first.
+    fn block(&self, b: usize, bc: usize, rr: usize) -> (usize, usize, usize) {
+        match *self {
+            Shape::Fixed(r, c) => (bc * c, c, (b * r + rr) * c),
+            Shape::Cut(cuts, base) => {
+                let width = cuts[bc + 1] - cuts[bc];
+                (cuts[bc], width, base[b] + rr * width)
+            }
         }
     }
 }
 
-/// The dynamic low-level API implemented by every format (at `f64`).
+/// The description of `(chain, level)`: the one place a chain or level
+/// the view does not have is refused.
+fn level_of<V: Leveled + ?Sized>(view: &V, chain: usize, level: usize) -> &'static Level {
+    let levels = view.levels();
+    levels
+        .level(chain, level)
+        .unwrap_or_else(|| panic!("{} has no level {level} of chain {chain}", levels.name))
+}
+
+fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -> i64 {
+    match b {
+        Bound::Zero => 0,
+        Bound::Extent(d) => view.dim(d) as i64,
+        Bound::At(a) => view.array(a).key(parent),
+        Bound::Next => parent as i64 + 1,
+    }
+}
+
+/// The position of key `lo`.
+fn base<V: Leveled + ?Sized>(view: &V, b: Base, parent: Position, lo: i64) -> usize {
+    match b {
+        Base::Identity => lo as usize,
+        Base::Stride(d) => parent * view.dim(d),
+        Base::Ptr(a) => view.array(a).usizes()[parent],
+    }
+}
+
+fn open<V: Leveled + ?Sized>(
+    view: &V,
+    chain: usize,
+    level: usize,
+    parent: Position,
+    reverse: bool,
+) -> ChainCursor<'_> {
+    let lv = level_of(view, chain, level);
+    assert!(
+        !reverse || lv.is_interval(),
+        "{}: level {level} of chain {chain} enumerates forward only",
+        view.levels().name
+    );
+    let at = |a, i: usize| view.array(a).usizes()[i] as i64;
+    let (lo, hi, walk) = match lv.kind {
+        Kind::Interval { lo, hi, base: b } => {
+            let lo = bound(view, lo, parent);
+            let base = base(view, b, parent, lo);
+            (lo, bound(view, hi, parent), Walk::Interval { base })
+        }
+        Kind::Compressed { ptr, crd } => {
+            let walk = Walk::Stored(view.array(crd), None);
+            (at(ptr, parent), at(ptr, parent + 1), walk)
+        }
+        Kind::Coords { len, crd } => {
+            let walk = Walk::Stored(view.array(crd[0]), crd.get(1).map(|&a| view.array(a)));
+            (0, view.array(len).len() as i64, walk)
+        }
+        Kind::Slots {
+            count,
+            at: slot,
+            crd,
+        } => match slot {
+            SlotAt::RowMajor(width) => {
+                let first = (parent * view.dim(width)) as i64;
+                let walk = Walk::Stored(view.array(crd), None);
+                (first, first + at(count, parent), walk)
+            }
+            SlotAt::Table(table) => {
+                let walk = Walk::Table(view.array(table).usizes(), view.array(crd));
+                (0, at(count, parent), walk)
+            }
+        },
+        Kind::Jagged { ptr, crd } => {
+            let len = view.array(view.levels().chains[chain].values).len();
+            let walk = Walk::Jagged(view.array(ptr).usizes(), view.array(crd), 0);
+            (0, len as i64, walk)
+        }
+        Kind::Blocks { ptr, crd, r, c } => {
+            let (r, c) = (view.dim(r), view.dim(c));
+            let walk = Walk::Blocks(view.array(crd).usizes(), Shape::Fixed(r, c), 0, parent % r);
+            (at(ptr, parent / r), at(ptr, parent / r + 1), walk)
+        }
+        Kind::Strips(s) => {
+            let br = at(s.strip_of, parent) as usize;
+            let shape = Shape::Cut(view.array(s.cuts).usizes(), view.array(s.base).usizes());
+            let rr = parent - at(s.start, br) as usize;
+            let walk = Walk::Blocks(view.array(s.crd).usizes(), shape, 0, rr);
+            (at(s.begin, br), at(s.end, br), walk)
+        }
+    };
+    ChainCursor {
+        chain,
+        level,
+        parent,
+        reverse,
+        keys: Keys::default(),
+        pos: 0,
+        idx: if reverse { hi } else { lo - 1 },
+        lo,
+        hi,
+        walk,
+    }
+}
+
+impl ChainCursor<'_> {
+    fn advance(&mut self) -> bool {
+        // Blocks step within a block first; every other walk steps the
+        // raw index.
+        if !matches!(self.walk, Walk::Blocks(..)) {
+            self.idx += if self.reverse { -1 } else { 1 };
+            if !(self.lo..self.hi).contains(&self.idx) {
+                return false;
+            }
+        }
+        let i = self.idx as usize;
+        (self.keys, self.pos) = match &mut self.walk {
+            Walk::Interval { base } => {
+                let pos = *base + (self.idx - self.lo) as usize;
+                (Keys([self.idx, 0], 1), pos)
+            }
+            Walk::Stored(crd, None) => (Keys([crd.key(i), 0], 1), i),
+            Walk::Stored(crd, Some(more)) => (Keys([crd.key(i), more.key(i)], 2), i),
+            Walk::Table(table, crd) => {
+                let pos = table[i] + self.parent;
+                (Keys([crd.key(pos), 0], 1), pos)
+            }
+            Walk::Jagged(ptr, crd, d) => {
+                while i >= ptr[*d + 1] {
+                    *d += 1;
+                }
+                (Keys([(i - ptr[*d]) as i64, crd.key(i)], 2), i)
+            }
+            // The next column of block `idx`, or else the first of the
+            // next block that has any.
+            Walk::Blocks(crd, shape, s, rr) => loop {
+                *s += 1;
+                if self.idx >= self.hi {
+                    return false;
+                }
+                if self.idx >= self.lo {
+                    let b = self.idx as usize;
+                    let (first, width, at) = shape.block(b, crd[b], *rr);
+                    if *s <= width {
+                        break (Keys([(first + *s - 1) as i64, 0], 1), at + *s - 1);
+                    }
+                }
+                (self.idx, *s) = (self.idx + 1, 0);
+            },
+        };
+        true
+    }
+}
+
+fn locate<V: Leveled + ?Sized>(
+    view: &V,
+    chain: usize,
+    level: usize,
+    parent: Position,
+    keys: &[i64],
+) -> Option<Position> {
+    let lv = level_of(view, chain, level);
+    let k = keys[0];
+    match (lv.locate, lv.kind) {
+        (Locate::Bounds, Kind::Interval { lo, hi, base: b }) => {
+            let lo = bound(view, lo, parent);
+            (k >= lo && k < bound(view, hi, parent))
+                .then(|| base(view, b, parent, lo) + (k - lo) as usize)
+        }
+        (Locate::BinarySearch, Kind::Coords { crd, .. }) => match view.array(crd[0]) {
+            Slice::I64(a) => a.binary_search(&k).ok(),
+            a => a.usizes().binary_search(&usize::try_from(k).ok()?).ok(),
+        },
+        (Locate::Find(args), _) => {
+            let (a, b) = match args {
+                Args::ParentKey => (parent as i64, k),
+                Args::KeyParent => (k, parent as i64),
+                Args::Keys => (k, keys[1]),
+                Args::Key => (k, 0),
+            };
+            view.find_at(usize::try_from(a).ok()?, usize::try_from(b).ok()?)
+        }
+        (Locate::Hash(_), _) => view.find_at(usize::try_from(k).ok()?, 0),
+        (Locate::None | Locate::Bounds | Locate::BinarySearch, _) => panic!(
+            "{}: level {level} of chain {chain} does not support search",
+            view.levels().name
+        ),
+    }
+}
+
+/// The dynamic low-level API of every format (at `f64`): the generic
+/// walk of the format's [`Levels`](crate::level::Levels) over the fields
+/// it hands out as a [`Leveled`]. A format implements none of it.
 ///
-/// Chain and level numbering must agree with the format's
-/// [`FormatView::alternatives`] output.
-pub trait SparseView: SparseMatrix {
-    /// The index-structure description of this format instance.
-    fn format_view(&self) -> FormatView;
+/// Chain and level numbering is that of [`FormatView::alternatives`].
+pub trait SparseView: SparseMatrix + Leveled {
+    /// The index-structure description of this format instance: the
+    /// format's view with the enumeration bounds and storage guarantees
+    /// its stored pattern supports.
+    fn format_view(&self) -> FormatView {
+        let mut view = self.static_view();
+        let (bounds, detected) = detect_properties(&self.entries(), self.nrows(), self.ncols());
+        view.bounds = bounds;
+        for guarantee in detected {
+            if !view.guarantees.contains(&guarantee) {
+                view.guarantees.push(guarantee);
+            }
+        }
+        view
+    }
 
     /// Opens a cursor over `level` of `chain` beneath `parent`.
     ///
     /// # Panics
     /// Panics if `reverse` is requested on a level that does not support
     /// it (non-interval levels), or on invalid chain/level.
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor;
+    fn cursor(
+        &self,
+        chain: usize,
+        level: usize,
+        parent: Position,
+        reverse: bool,
+    ) -> ChainCursor<'_> {
+        open(self, chain, level, parent, reverse)
+    }
 
     /// Advances the cursor, filling `keys` and `pos`. Returns `false` at
     /// the end of the level.
-    fn advance(&self, cur: &mut ChainCursor) -> bool;
+    fn advance(&self, cur: &mut ChainCursor<'_>) -> bool {
+        cur.advance()
+    }
 
     /// Searches `level` of `chain` beneath `parent` for `keys`; returns
     /// the child position if the keys are stored.
@@ -125,26 +349,38 @@ pub trait SparseView: SparseMatrix {
         level: usize,
         parent: Position,
         keys: &[i64],
-    ) -> Option<Position>;
+    ) -> Option<Position> {
+        locate(self, chain, level, parent, keys)
+    }
 
     /// Reads the stored value at a leaf position of `chain`.
-    fn value_at(&self, chain: usize, pos: Position) -> f64;
+    fn value_at(&self, chain: usize, pos: Position) -> f64 {
+        self.array(self.levels().chains[chain].values).values()[pos]
+    }
 
     /// Writes the stored value at a leaf position of `chain`.
-    fn set_value_at(&mut self, chain: usize, pos: Position, v: f64);
+    fn set_value_at(&mut self, chain: usize, pos: Position, v: f64) {
+        self.values_mut(self.levels().chains[chain].values)[pos] = v;
+    }
 
-    /// Applies a named permutation table: `table[x]`.
+    /// Applies the view's permutation table: `table[x]`.
     ///
-    /// Only formats whose view contains a `perm` production implement
-    /// this; others panic.
-    fn perm_apply(&self, table: &str, x: i64) -> i64 {
-        panic!("format has no permutation table named {table:?} (apply {x})");
+    /// # Panics
+    /// Panics on a format whose view contains no `perm` production.
+    fn perm_apply(&self, x: i64) -> i64 {
+        self.array(permutation(self.levels()).apply).usizes()[x as usize] as i64
     }
 
-    /// Applies the inverse of a named permutation table.
-    fn perm_unapply(&self, table: &str, x: i64) -> i64 {
-        panic!("format has no permutation table named {table:?} (unapply {x})");
+    /// Applies the inverse of the view's permutation table.
+    fn perm_unapply(&self, x: i64) -> i64 {
+        self.array(permutation(self.levels()).unapply).usizes()[x as usize] as i64
     }
+}
+
+fn permutation(levels: &crate::level::Levels) -> crate::level::Perm {
+    levels
+        .perm
+        .unwrap_or_else(|| panic!("{} has no permutation table", levels.name))
 }
 
 /// Walks an entire chain recursively, invoking `f` with the stored
@@ -152,18 +388,11 @@ pub trait SparseView: SparseMatrix {
 /// tests and for the view-conformance checker. A chain id the view
 /// does not declare has no entries, so the walk visits nothing.
 pub fn walk_chain(view: &dyn SparseView, chain: usize, f: &mut dyn FnMut(&[i64], f64)) {
-    let fv = view.format_view();
-    let Some(nlevels) = fv
-        .alternatives()
-        .into_iter()
-        .flatten()
-        .find(|c| c.id == chain)
-        .map(|c| c.levels.len())
-    else {
+    let Some(described) = view.levels().chains.get(chain) else {
         return;
     };
     let mut keys: Vec<i64> = Vec::new();
-    walk_rec(view, chain, 0, nlevels, 0, &mut keys, f);
+    walk_rec(view, chain, 0, described.levels.len(), 0, &mut keys, f);
 }
 
 fn walk_rec(
@@ -198,7 +427,9 @@ fn walk_rec(
 /// compiler (property P2 of DESIGN.md).
 pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Result<(), String> {
     use std::collections::HashMap;
-    let fv = view.format_view();
+    // Chains and transforms are the format's; nothing here reads what
+    // only the instance knows.
+    let fv = view.static_view();
     let alts = fv.alternatives();
     let alt = alts
         .get(alternative)
@@ -219,7 +450,7 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
             }
             for t in &chain.fwd {
                 let val = match t {
-                    crate::view::Transform::Affine { terms, cst, .. } => {
+                    Transform::Affine { terms, cst, .. } => {
                         let mut acc = *cst;
                         for (a, c) in terms {
                             let Some(&x) = env.get(a.as_str()) else {
@@ -230,29 +461,18 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
                         }
                         acc
                     }
-                    crate::view::Transform::PermApply { table, input, .. } => {
+                    Transform::PermApply { input, .. } | Transform::PermUnapply { input, .. } => {
                         let Some(&x) = env.get(input.as_str()) else {
                             err = Some(format!("perm input {input} unbound"));
                             return;
                         };
-                        view.perm_apply(table, x)
-                    }
-                    crate::view::Transform::PermUnapply { table, input, .. } => {
-                        let Some(&x) = env.get(input.as_str()) else {
-                            err = Some(format!("perm input {input} unbound"));
-                            return;
-                        };
-                        view.perm_unapply(table, x)
+                        match t {
+                            Transform::PermApply { .. } => view.perm_apply(x),
+                            _ => view.perm_unapply(x),
+                        }
                     }
                 };
-                env.insert(
-                    match t {
-                        crate::view::Transform::Affine { out, .. }
-                        | crate::view::Transform::PermApply { out, .. }
-                        | crate::view::Transform::PermUnapply { out, .. } => out.as_str(),
-                    },
-                    val,
-                );
+                env.insert(t.out(), val);
             }
             let dense: Vec<i64> = fv
                 .dense_attrs

@@ -10,8 +10,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Block Sparse Row matrix with fixed `r x c` blocks.
 #[derive(Clone, Debug, PartialEq)]
@@ -210,6 +210,13 @@ stored_layout! {
     dims: nrows, ncols, r, c;
     arrays: browptr: usize, bcolind: usize, values: f64;
     block: r x c;
+    chains: [
+        Level::interval(nrows),
+        Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c })
+            .unchecked()
+            .find(Args::ParentKey)
+    ] -> values;
+    find: find;
     view: |(r, c)| bsr_format_view(r, c);
     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 }
@@ -272,89 +279,11 @@ pub fn bsr_format_view(r: usize, c: usize) -> FormatView {
     }
 }
 
-impl SparseView for Bsr<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = bsr_format_view(self.r, self.c);
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => ChainCursor::over_range(chain, 0, parent, 0, self.nrows as i64, reverse),
-            1 => {
-                assert!(!reverse, "bsr column level enumerates forward only");
-                // The raw index ranges over (block ordinal * c + in-block
-                // column) for the parent row's block row.
-                let br = parent / self.r;
-                ChainCursor::over_range(
-                    chain,
-                    1,
-                    parent,
-                    (self.browptr[br] * self.c) as i64,
-                    (self.browptr[br + 1] * self.c) as i64,
-                    false,
-                )
-            }
-            _ => unreachable!("bsr has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match cur.level {
-            0 => {
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-            }
-            1 => {
-                let b = cur.idx as usize / self.c;
-                let s = cur.idx as usize % self.c;
-                cur.keys = vec![(self.bcolind[b] * self.c + s) as i64];
-                cur.pos = (b * self.r + cur.parent % self.r) * self.c + s;
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        let k = keys[0];
-        if k < 0 {
-            return None;
-        }
-        match level {
-            0 => (k < self.nrows as i64).then_some(k as usize),
-            1 => self.find(parent, k as usize),
-            _ => unreachable!("bsr has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Triplets<f64> {
         // 4x4 with 2x2 blocks at (0,0), (0,1) and (1,1); block (0,1) is

@@ -7,8 +7,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Co-ordinate (triplet-array) matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,6 +95,9 @@ stored_layout! {
     Coo, "coo", include_str!("coo.rs");
     dims: nrows, ncols;
     arrays: rows: usize, cols: usize, values: f64;
+    chains:
+        [Level::of(Kind::Coords { len: values, crd: &[rows, cols] }).find(Args::Keys)] -> values;
+    find: find;
     view: |_| coo_format_view();
     from_triplets: |t, _| Coo::from_triplets(t);
 }
@@ -141,60 +144,11 @@ pub fn coo_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Coo<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = coo_format_view();
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        assert_eq!(level, 0, "coo has a single coupled level");
-        assert!(!reverse, "coo enumerates in storage order only");
-        ChainCursor::over_range(chain, 0, parent, 0, self.values.len() as i64, false)
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        let i = cur.idx as usize;
-        cur.keys = vec![self.rows[i] as i64, self.cols[i] as i64];
-        cur.pos = i;
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        _parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        assert_eq!(level, 0);
-        if keys[0] < 0 || keys[1] < 0 {
-            return None;
-        }
-        self.find(keys[0] as usize, keys[1] as usize)
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 4.0)])

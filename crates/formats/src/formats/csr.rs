@@ -7,8 +7,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Compressed Sparse Row matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -154,6 +154,11 @@ stored_layout! {
     Csr, "csr", include_str!("csr.rs");
     dims: nrows, ncols;
     arrays: rowptr: usize, colind: usize, values: f64;
+    chains: [
+        Level::interval(nrows),
+        Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
+    ] -> values;
+    find: find;
     view: |_| csr_format_view();
     from_triplets: |t, _| Csr::from_triplets(t);
 }
@@ -203,78 +208,11 @@ pub fn csr_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Csr<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = csr_format_view();
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => ChainCursor::over_range(chain, 0, parent, 0, self.nrows as i64, reverse),
-            1 => {
-                assert!(!reverse, "csr column level enumerates forward only");
-                let rng = self.row_range(parent);
-                ChainCursor::over_range(chain, 1, parent, rng.start as i64, rng.end as i64, false)
-            }
-            _ => panic!("csr has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match cur.level {
-            0 => {
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-            }
-            1 => {
-                cur.keys = vec![self.colind[cur.idx as usize] as i64];
-                cur.pos = cur.idx as usize;
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        let k = keys[0];
-        if k < 0 {
-            return None;
-        }
-        match level {
-            0 => (k < self.nrows as i64).then_some(k as usize),
-            1 => self.find(parent, k as usize),
-            _ => panic!("csr has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Csr<f64> {
         // The paper's Fig. 1 example matrix:

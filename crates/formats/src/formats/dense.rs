@@ -5,9 +5,10 @@
 //! stored, and there are no enumeration-order restrictions. The compiler
 //! treats a reference to a dense matrix as freely enumerable.
 
+use crate::level::leveled;
 use crate::scalar::Scalar;
 use crate::view::{FormatView, StoredGuarantee, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView};
+use crate::SparseMatrix;
 
 /// Dense row-major matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,71 +95,42 @@ impl SparseMatrix for Dense<f64> {
     }
 }
 
-impl SparseView for Dense<f64> {
-    fn format_view(&self) -> FormatView {
-        FormatView {
-            name: "dense".into(),
-            dense_attrs: vec!["r".into(), "c".into()],
-            expr: ViewExpr::interval("r", ViewExpr::interval("c", ViewExpr::Value)),
-            bounds: vec![],
-            guarantees: vec![StoredGuarantee::AllPositions],
-        }
+/// The dense index structure: `r -> c -> v`, both levels intervals and
+/// every position stored.
+pub fn dense_format_view() -> FormatView {
+    FormatView {
+        name: "dense".into(),
+        dense_attrs: vec!["r".into(), "c".into()],
+        expr: ViewExpr::interval("r", ViewExpr::interval("c", ViewExpr::Value)),
+        bounds: vec![],
+        guarantees: vec![StoredGuarantee::AllPositions],
     }
+}
 
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => ChainCursor::over_range(chain, 0, parent, 0, self.nrows as i64, reverse),
-            1 => ChainCursor::over_range(chain, 1, parent, 0, self.ncols as i64, reverse),
-            _ => panic!("dense has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        cur.keys = vec![cur.idx];
-        cur.pos = match cur.level {
-            0 => cur.idx as usize,
-            1 => cur.parent * self.ncols + cur.idx as usize,
-            _ => unreachable!(),
-        };
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        let k = keys[0];
-        if k < 0 {
-            return None;
-        }
-        match level {
-            0 => (k < self.nrows as i64).then_some(k as usize),
-            1 => (k < self.ncols as i64).then_some(parent * self.ncols + k as usize),
-            _ => panic!("dense has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.data[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.data[pos] = v;
-    }
+leveled! {
+    Dense, "dense";
+    dims: nrows = nrows, ncols = ncols;
+    arrays: data = data: f64;
+    chains: [
+        Level::interval(nrows),
+        Level::of(Kind::Interval {
+            lo: Bound::Zero,
+            hi: Bound::Extent(ncols),
+            base: Base::Stride(ncols),
+        })
+    ] -> data;
+    perm: ;
+    find: "" => |_, _, _| None;
+    view: |_| dense_format_view();
+    // Nothing to detect: every position is stored.
+    format_view: |_| dense_format_view();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
     use crate::Triplets;
 
     #[test]

@@ -7,8 +7,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, Transform, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, Transform, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Diagonal (banded) matrix storage.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,6 +185,12 @@ stored_layout! {
     Dia, "dia", include_str!("dia.rs");
     dims: nrows, ncols;
     arrays: diags: i64, lo: i64, hi: i64, ptr: usize, values: f64;
+    chains: [
+        Level::of(Kind::Coords { len: diags, crd: &[diags] }).binary_search(),
+        Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::At(hi), base: Base::Ptr(ptr) })
+            .unchecked()
+    ] -> values;
+    find: find;
     view: |_| dia_format_view();
     from_triplets: |t, _| Dia::from_triplets(t);
 }
@@ -273,80 +279,11 @@ pub fn dia_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Dia<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = dia_format_view();
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => {
-                assert!(!reverse, "dia diagonal level enumerates forward only");
-                ChainCursor::over_range(chain, 0, parent, 0, self.diags.len() as i64, false)
-            }
-            1 => {
-                ChainCursor::over_range(chain, 1, parent, self.lo[parent], self.hi[parent], reverse)
-            }
-            _ => panic!("dia has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match cur.level {
-            0 => {
-                cur.keys = vec![self.diags[cur.idx as usize]];
-                cur.pos = cur.idx as usize;
-            }
-            1 => {
-                let k = cur.parent;
-                cur.keys = vec![cur.idx];
-                cur.pos = self.ptr[k] + (cur.idx - self.lo[k]) as usize;
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        match level {
-            0 => self.diags.binary_search(&keys[0]).ok(),
-            1 => {
-                let o = keys[0];
-                (o >= self.lo[parent] && o < self.hi[parent])
-                    .then(|| self.ptr[parent] + (o - self.lo[parent]) as usize)
-            }
-            _ => panic!("dia has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     /// Tridiagonal 4x4.
     fn tri() -> Triplets<f64> {

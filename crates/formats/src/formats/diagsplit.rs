@@ -9,11 +9,10 @@
 //! (paper §4).
 
 use crate::formats::csr::Csr;
+use crate::level::leveled;
 use crate::scalar::Scalar;
-use crate::view::{
-    detect_properties, FormatView, Order, SearchKind, StoredGuarantee, Transform, ViewExpr,
-};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, StoredGuarantee, Transform, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Square matrix with dense diagonal + CSR off-diagonals.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,91 +134,30 @@ pub fn diagsplit_format_view() -> FormatView {
     }
 }
 
-impl SparseView for DiagSplit<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = diagsplit_format_view();
-        let (b, _) = detect_properties(&self.entries(), self.n, self.n);
-        v.bounds = b;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        match (chain, level) {
-            // Chain 0: the diagonal, a single interval level.
-            (0, 0) => ChainCursor::over_range(0, 0, parent, 0, self.n as i64, reverse),
-            // Chain 1: the off-diagonal CSR.
-            (1, l) => {
-                let mut cur = self.off.cursor(0, l, parent, reverse);
-                cur.chain = 1;
-                cur
-            }
-            _ => panic!("diagsplit chain/level out of range"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        match cur.chain {
-            0 => {
-                if !cur.step() {
-                    return false;
-                }
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-                true
-            }
-            1 => {
-                cur.chain = 0; // borrow the csr implementation
-                let ok = {
-                    let mut inner = cur.clone();
-                    let ok = self.off.advance(&mut inner);
-                    *cur = inner;
-                    ok
-                };
-                cur.chain = 1;
-                ok
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        match chain {
-            0 => {
-                let k = keys[0];
-                (k >= 0 && k < self.n as i64).then_some(k as usize)
-            }
-            1 => self.off.search(0, level, parent, keys),
-            _ => panic!("diagsplit chain out of range"),
-        }
-    }
-
-    fn value_at(&self, chain: usize, pos: Position) -> f64 {
-        match chain {
-            0 => self.diag[pos],
-            1 => self.off.values[pos],
-            _ => panic!("diagsplit chain out of range"),
-        }
-    }
-
-    fn set_value_at(&mut self, chain: usize, pos: Position, v: f64) {
-        match chain {
-            0 => self.diag[pos] = v,
-            1 => self.off.values[pos] = v,
-            _ => panic!("diagsplit chain out of range"),
-        }
-    }
+leveled! {
+    DiagSplit, "diagsplit";
+    dims: n = n, off_nrows = off.nrows;
+    arrays: diag = diag: f64, off_rowptr = off.rowptr: usize, off_colind = off.colind: usize,
+        off_values = off.values: f64;
+    chains:
+        // Chain 0: the diagonal, a single interval level.
+        [Level::interval(n)] -> diag,
+        // Chain 1: the off-diagonal CSR.
+        [
+            Level::interval(off_nrows),
+            Level::of(Kind::Compressed { ptr: off_rowptr, crd: off_colind })
+                .find(Args::ParentKey)
+        ] -> off_values;
+    perm: ;
+    find: "off.find" => |m, r, c| m.off.find(r, c);
+    view: |_| diagsplit_format_view();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(

@@ -21,8 +21,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Jagged Diagonal matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -199,13 +199,6 @@ impl<T: Scalar> Jad<T> {
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
-
-    /// The diagonal `d` containing flat index `jj` (binary search over
-    /// `dptr`).
-    fn diag_of(&self, jj: usize) -> usize {
-        debug_assert!(jj < self.nnz());
-        self.dptr.partition_point(|&p| p <= jj) - 1
-    }
 }
 
 // This text is also the kernel crates' (`Layout::find`): its bytes are
@@ -243,6 +236,17 @@ stored_layout! {
     dims: nrows, ncols;
     arrays: iperm: usize, iperm_inv: usize, dptr: usize, colind: usize, values: f64,
         rowlen: usize;
+    chains:
+        // Flat: one coupled level over all entries in diagonal order.
+        [Level::of(Kind::Jagged { ptr: dptr, crd: colind }).permuted()] -> values,
+        // Hier: permuted rows, then the row's diagonals.
+        [
+            Level::interval(nrows).permuted(),
+            Level::of(Kind::Slots { count: rowlen, at: SlotAt::Table(dptr), crd: colind })
+                .find(Args::ParentKey)
+        ] -> values;
+    perm: iperm, iperm_inv;
+    find: find_in_row;
     view: |_| jad_format_view();
     from_triplets: |t, _| Jad::from_triplets(t);
 }
@@ -309,102 +313,11 @@ pub fn jad_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Jad<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = jad_format_view();
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert!(
-            !reverse || (chain == 1 && level == 0),
-            "only the jad row level reverses"
-        );
-        match (chain, level) {
-            // Flat: one coupled level over all entries in diagonal order.
-            (0, 0) => ChainCursor::over_range(0, 0, parent, 0, self.nnz() as i64, false),
-            // Hier: permuted rows, then the row's diagonals.
-            (1, 0) => ChainCursor::over_range(1, 0, parent, 0, self.nrows as i64, reverse),
-            (1, 1) => ChainCursor::over_range(1, 1, parent, 0, self.rowlen[parent] as i64, false),
-            _ => panic!("jad chain/level out of range: ({chain},{level})"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match (cur.chain, cur.level) {
-            (0, 0) => {
-                let jj = cur.idx as usize;
-                let d = self.diag_of(jj);
-                cur.keys = vec![(jj - self.dptr[d]) as i64, self.colind[jj] as i64];
-                cur.pos = jj;
-            }
-            (1, 0) => {
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-            }
-            (1, 1) => {
-                let jj = self.dptr[cur.idx as usize] + cur.parent;
-                cur.keys = vec![self.colind[jj] as i64];
-                cur.pos = jj;
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        match (chain, level) {
-            (1, 0) => {
-                let k = keys[0];
-                (k >= 0 && k < self.nrows as i64).then_some(k as usize)
-            }
-            (1, 1) => {
-                let c = keys[0];
-                if c < 0 {
-                    return None;
-                }
-                self.find_in_row(parent, c as usize)
-            }
-            (0, 0) => panic!("jad flat perspective does not support search"),
-            _ => panic!("jad chain/level out of range"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-
-    fn perm_apply(&self, table: &str, x: i64) -> i64 {
-        assert_eq!(table, "iperm", "jad has a single permutation table");
-        self.iperm[x as usize] as i64
-    }
-
-    fn perm_unapply(&self, table: &str, x: i64) -> i64 {
-        assert_eq!(table, "iperm", "jad has a single permutation table");
-        self.iperm_inv[x as usize] as i64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     /// The matrix of the paper's Fig. 14(a):
     /// ```text
@@ -502,7 +415,7 @@ mod tests {
     fn hier_row_access() {
         let a = Jad::from_triplets(&fig14());
         // Original row 3 is permuted row 0.
-        let rr = a.perm_unapply("iperm", 3) as usize;
+        let rr = a.perm_unapply(3) as usize;
         assert_eq!(rr, 0);
         let mut cur = a.cursor(1, 1, rr, false);
         let mut row = Vec::new();
@@ -534,8 +447,8 @@ mod tests {
     fn perm_tables() {
         let a = Jad::from_triplets(&fig14());
         for rr in 0..4 {
-            let r = a.perm_apply("iperm", rr);
-            assert_eq!(a.perm_unapply("iperm", r), rr);
+            let r = a.perm_apply(rr);
+            assert_eq!(a.perm_unapply(r), rr);
         }
     }
 }

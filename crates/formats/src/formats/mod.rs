@@ -5,13 +5,18 @@
 //!   indexes them directly, like the paper's Fig. 9 instantiated code);
 //! - `from_triplets` / `to_triplets` conversions;
 //! - the high-level API ([`crate::SparseMatrix`]);
-//! - the low-level API ([`crate::SparseView`]) with a
-//!   [`crate::view::FormatView`] index-structure description.
+//! - its description: the [`crate::view::FormatView`] index structure,
+//!   and one `stored_layout!` (`leveled!` for a view that exists only
+//!   on the host) naming its fields and how each level is walked over
+//!   them ([`crate::level`]). The low-level API ([`crate::SparseView`])
+//!   is derived from that; no format implements it. [`dcsr`] is the
+//!   worked example of a format added this way.
 
 pub mod bsr;
 pub mod coo;
 pub mod csc;
 pub mod csr;
+pub mod dcsr;
 pub mod dense;
 pub mod dia;
 pub mod diagsplit;

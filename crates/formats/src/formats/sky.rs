@@ -9,10 +9,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{
-    detect_properties, Bound, FormatView, Order, SearchKind, StoredGuarantee, ViewExpr,
-};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{Bound, FormatView, Order, SearchKind, StoredGuarantee, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Lower skyline matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,6 +93,12 @@ stored_layout! {
     Sky, "sky", include_str!("sky.rs");
     dims: n;
     arrays: lo: usize, ptr: usize, values: f64;
+    chains: [
+        Level::interval(n),
+        Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::Next, base: Base::Ptr(ptr) })
+            .find(Args::ParentKey)
+    ] -> values;
+    find: find;
     view: |_| sky_format_view();
     from_triplets: |t, _| Sky::from_triplets(t);
 }
@@ -151,84 +155,11 @@ pub fn sky_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Sky<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = sky_format_view();
-        let (b, mut g) = detect_properties(&self.entries(), self.n, self.n);
-        v.bounds = b;
-        if !g.iter().any(|x| matches!(x, StoredGuarantee::FullDiagonal)) {
-            g.push(StoredGuarantee::FullDiagonal);
-        }
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => ChainCursor::over_range(chain, 0, parent, 0, self.n as i64, reverse),
-            1 => ChainCursor::over_range(
-                chain,
-                1,
-                parent,
-                self.lo[parent] as i64,
-                parent as i64 + 1,
-                reverse,
-            ),
-            _ => panic!("sky has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match cur.level {
-            0 => {
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-            }
-            1 => {
-                cur.keys = vec![cur.idx];
-                cur.pos = self.ptr[cur.parent] + (cur.idx as usize - self.lo[cur.parent]);
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        let k = keys[0];
-        if k < 0 {
-            return None;
-        }
-        match level {
-            0 => (k < self.n as i64).then_some(k as usize),
-            1 => self.find(parent, k as usize),
-            _ => panic!("sky has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(

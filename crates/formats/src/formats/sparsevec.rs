@@ -11,11 +11,13 @@
 //!   search; the natural partner of a **hash join**.
 //!
 //! Vectors are modelled as `n × 1` matrices so they share the
-//! [`SparseMatrix`]/[`SparseView`] machinery (dense attribute `i`).
+//! [`SparseMatrix`]/[`SparseView`](crate::SparseView) machinery (dense
+//! attribute `i`).
 
+use crate::level::leveled;
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::{SparseMatrix, Triplets};
 use std::collections::HashMap;
 
 /// Sorted sparse vector.
@@ -110,47 +112,16 @@ pub fn sparsevec_format_view() -> FormatView {
     }
 }
 
-impl SparseView for SparseVec<f64> {
-    fn format_view(&self) -> FormatView {
-        sparsevec_format_view()
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!((chain, level), (0, 0), "sparse vector has one level");
-        assert!(!reverse, "sparse vector enumerates forward only");
-        ChainCursor::over_range(0, 0, parent, 0, self.nnz() as i64, false)
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        cur.keys = vec![self.ind[cur.idx as usize] as i64];
-        cur.pos = cur.idx as usize;
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        _parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!((chain, level), (0, 0));
-        if keys[0] < 0 {
-            return None;
-        }
-        self.find(keys[0] as usize)
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
-    }
+leveled! {
+    SparseVec, "spvec";
+    dims: n = n;
+    arrays: ind = ind: usize, values = values: f64;
+    chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).find(Args::Key)] -> values;
+    perm: ;
+    find: "find" => |m, i, _| m.find(i);
+    view: |_| sparsevec_format_view();
+    // A vector's view has no matrix properties to detect.
+    format_view: |_| sparsevec_format_view();
 }
 
 /// Hash-indexed sparse vector: unordered enumeration, O(1) search.
@@ -237,46 +208,22 @@ pub fn hashvec_format_view() -> FormatView {
     }
 }
 
-impl SparseView for HashVec<f64> {
-    fn format_view(&self) -> FormatView {
-        hashvec_format_view()
-    }
+/// How the hashed vector is walked; its `locate` is the one thing no
+/// array holds: the `index` map.
+pub use hashed::LEVELS as HASH_LEVELS;
 
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!((chain, level), (0, 0), "hash vector has one level");
-        assert!(!reverse, "hash vector enumerates in storage order only");
-        ChainCursor::over_range(0, 0, parent, 0, self.nnz() as i64, false)
-    }
+mod hashed {
+    use super::*;
 
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        cur.keys = vec![self.ind[cur.idx as usize] as i64];
-        cur.pos = cur.idx as usize;
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        _parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!((chain, level), (0, 0));
-        if keys[0] < 0 {
-            return None;
-        }
-        self.index.get(&(keys[0] as usize)).copied()
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.values[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.values[pos] = v;
+    leveled! {
+        HashVec, "hashvec";
+        dims: n = n;
+        arrays: ind = ind: usize, values = values: f64;
+        chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).hash("index")] -> values;
+        perm: ;
+        find: "" => |m, i, _| m.index.get(&i).copied();
+        view: |_| hashvec_format_view();
+        format_view: |_| hashvec_format_view();
     }
 }
 
@@ -284,6 +231,7 @@ impl SparseView for HashVec<f64> {
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     #[test]
     fn sorted_vector() {

@@ -14,8 +14,8 @@
 
 use crate::layout::stored_layout;
 use crate::scalar::Scalar;
-use crate::view::{detect_properties, FormatView, Order, SearchKind, ViewExpr};
-use crate::{ChainCursor, Position, SparseMatrix, SparseView, Triplets};
+use crate::view::{FormatView, Order, SearchKind, ViewExpr};
+use crate::{SparseMatrix, Triplets};
 
 /// Variable Block Row matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -305,6 +305,21 @@ stored_layout! {
     dims: nrows, ncols;
     arrays: val: f64, indx: usize, bindx: usize, rpntr: usize, cpntr: usize, bpntrb: usize,
         bpntre: usize, rowblk: usize;
+    chains: [
+        Level::interval(nrows),
+        Level::of(Kind::Strips(Strips {
+            strip_of: rowblk,
+            start: rpntr,
+            begin: bpntrb,
+            end: bpntre,
+            crd: bindx,
+            cuts: cpntr,
+            base: indx,
+        }))
+        .unchecked()
+        .find(Args::ParentKey)
+    ] -> val;
+    find: find;
     view: |_| vbr_format_view();
     from_triplets: |t, (r, c)| {
         let strips = |n: usize, size: usize| crate::partition::split_even(n, n.div_ceil(size));
@@ -371,99 +386,11 @@ pub fn vbr_format_view() -> FormatView {
     }
 }
 
-impl SparseView for Vbr<f64> {
-    fn format_view(&self) -> FormatView {
-        let mut v = vbr_format_view();
-        let (b, g) = detect_properties(&self.entries(), self.nrows, self.ncols);
-        v.bounds = b;
-        v.guarantees = g;
-        v
-    }
-
-    fn cursor(&self, chain: usize, level: usize, parent: Position, reverse: bool) -> ChainCursor {
-        assert_eq!(chain, 0);
-        match level {
-            0 => ChainCursor::over_range(chain, 0, parent, 0, self.nrows as i64, reverse),
-            1 => {
-                assert!(!reverse, "vbr column level enumerates forward only");
-                // The raw index is the ordinal of the stored cell within
-                // the parent row's block strip.
-                let br = self.rowblk[parent];
-                let width: usize = (self.bpntrb[br]..self.bpntre[br])
-                    .map(|b| {
-                        let bc = self.bindx[b];
-                        self.cpntr[bc + 1] - self.cpntr[bc]
-                    })
-                    .sum();
-                ChainCursor::over_range(chain, 1, parent, 0, width as i64, false)
-            }
-            _ => unreachable!("vbr has 2 levels"),
-        }
-    }
-
-    fn advance(&self, cur: &mut ChainCursor) -> bool {
-        if !cur.step() {
-            return false;
-        }
-        match cur.level {
-            0 => {
-                cur.keys = vec![cur.idx];
-                cur.pos = cur.idx as usize;
-            }
-            1 => {
-                let br = self.rowblk[cur.parent];
-                let rr = cur.parent - self.rpntr[br];
-                let mut o = cur.idx as usize;
-                let mut b = self.bpntrb[br];
-                loop {
-                    let bc = self.bindx[b];
-                    let w = self.cpntr[bc + 1] - self.cpntr[bc];
-                    if o < w {
-                        cur.keys = vec![(self.cpntr[bc] + o) as i64];
-                        cur.pos = self.indx[b] + rr * w + o;
-                        break;
-                    }
-                    o -= w;
-                    b += 1;
-                }
-            }
-            _ => unreachable!(),
-        }
-        true
-    }
-
-    fn search(
-        &self,
-        chain: usize,
-        level: usize,
-        parent: Position,
-        keys: &[i64],
-    ) -> Option<Position> {
-        assert_eq!(chain, 0);
-        let k = keys[0];
-        if k < 0 {
-            return None;
-        }
-        match level {
-            0 => (k < self.nrows as i64).then_some(k as usize),
-            1 => self.find(parent, k as usize),
-            _ => unreachable!("vbr has 2 levels"),
-        }
-    }
-
-    fn value_at(&self, _chain: usize, pos: Position) -> f64 {
-        self.val[pos]
-    }
-
-    fn set_value_at(&mut self, _chain: usize, pos: Position, v: f64) {
-        self.val[pos] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::SparseView;
 
     fn sample() -> Triplets<f64> {
         // 5x5 with strips {0..2, 2..5} x {0..2, 2..4, 4..5}: blocks of

@@ -10,12 +10,17 @@
 //! renamed, retyped or forgotten field fails to compile here, not in
 //! whoever reads the layout.
 //!
+//! The same invocation declares how the format's levels are *walked*
+//! (its [`Levels`], see [`crate::level`]): a `Layout` is that
+//! description plus what marshalling an instance into a kernel needs.
+//!
 //! [`LAYOUTS`] is the registry: the formats whose instances can be taken
 //! apart into [`Stored::parts`] and put back together elsewhere (the
 //! loaded-kernel ABI of `bernoulli-synth` is derived from it), and the
 //! one table from view names to formats ([`Layout::of_view`],
-//! [`view_by_name`], [`format_name`]).
+//! [`levels_of_view`], [`view_by_name`], [`format_name`]).
 
+use crate::level::{Levels, Slice};
 use crate::view::FormatView;
 use crate::{formats, SparseView, Triplets};
 
@@ -40,20 +45,44 @@ impl Elem {
 
 /// The Rust types an array of a layout can hold: what ties the element
 /// a layout declares to the type of the field it names.
-pub trait ElemType {
+pub trait ElemType: Sized {
     const ELEM: Elem;
+
+    /// An array of this type, as a level description reads it.
+    fn slice(array: &[Self]) -> Slice<'_>;
+
+    /// The array for writing, when it is one of values.
+    fn values_mut(_array: &mut [Self]) -> Option<&mut [f64]> {
+        None
+    }
 }
 
 impl ElemType for usize {
     const ELEM: Elem = Elem::Usize;
+
+    fn slice(array: &[usize]) -> Slice<'_> {
+        Slice::Usize(array)
+    }
 }
 
 impl ElemType for i64 {
     const ELEM: Elem = Elem::I64;
+
+    fn slice(array: &[i64]) -> Slice<'_> {
+        Slice::I64(array)
+    }
 }
 
 impl ElemType for f64 {
     const ELEM: Elem = Elem::F64;
+
+    fn slice(array: &[f64]) -> Slice<'_> {
+        Slice::F64(array)
+    }
+
+    fn values_mut(array: &mut [f64]) -> Option<&mut [f64]> {
+        Some(array)
+    }
 }
 
 /// A block shape, rows × columns.
@@ -70,18 +99,12 @@ pub struct RawArray {
 }
 
 /// The physical storage of a format, and how to obtain its other half.
+/// Reads as its [`Levels`]: `layout.name`, `layout.dims` (the `usize`
+/// scalar fields) and `layout.arrays`, both in [`Stored::parts`] order.
 #[derive(Debug)]
 pub struct Layout {
-    /// Format name (`"csr"`): the view name, or its prefix when
-    /// [`blocked`](Layout::blocked).
-    pub name: &'static str,
-    /// Name of the Rust struct (`"Csr"`).
-    pub type_name: &'static str,
-    /// The `usize` scalar fields, in [`Stored::parts`] order.
-    pub dims: &'static [&'static str],
-    /// The array fields with their element types, in
-    /// [`Stored::parts`] order.
-    pub arrays: &'static [(&'static str, Elem)],
+    /// The format's fields, and how its levels are walked over them.
+    pub levels: &'static Levels,
     /// Source text of the struct's `find` method(s): the lines of the
     /// format's own file between the two `layout-find` marker comments,
     /// which use nothing but the fields above, `core`, and `?` on
@@ -100,6 +123,14 @@ pub struct Layout {
     pub from_triplets: fn(&Triplets<f64>, Block) -> Box<dyn Stored>,
 }
 
+impl std::ops::Deref for Layout {
+    type Target = Levels;
+
+    fn deref(&self) -> &Levels {
+        self.levels
+    }
+}
+
 /// A format instance that can be taken apart into the fields its
 /// [`Layout`] declares.
 pub trait Stored: SparseView {
@@ -116,7 +147,7 @@ pub trait Stored: SparseView {
 }
 
 /// Every format with a layout.
-pub static LAYOUTS: [&Layout; 9] = [
+pub static LAYOUTS: [&Layout; 10] = [
     &formats::csr::LAYOUT,
     &formats::csc::LAYOUT,
     &formats::coo::LAYOUT,
@@ -126,6 +157,7 @@ pub static LAYOUTS: [&Layout; 9] = [
     &formats::sky::LAYOUT,
     &formats::bsr::LAYOUT,
     &formats::vbr::LAYOUT,
+    &formats::dcsr::LAYOUT,
 ];
 
 /// Parses the `{r}x{c}` a blocked view name ends in.
@@ -152,6 +184,27 @@ impl Layout {
                 shape.is_empty().then_some((l, None))
             }
         })
+    }
+}
+
+/// The views that exist only on the host: walked like any other, never
+/// marshalled into a kernel.
+pub static HOST_LEVELS: [&Levels; 4] = [
+    &formats::dense::LEVELS,
+    &formats::diagsplit::LEVELS,
+    &formats::sparsevec::LEVELS,
+    &formats::sparsevec::HASH_LEVELS,
+];
+
+/// How the view of this name is walked, and the block shape the name
+/// carries: a registered layout's [`Levels`] or a host view's.
+pub fn levels_of_view(view: &str) -> Option<(&'static Levels, Option<Block>)> {
+    match Layout::of_view(view) {
+        Some((layout, block)) => Some((layout.levels, block)),
+        None => {
+            let host = HOST_LEVELS.iter().find(|l| l.name == view)?;
+            Some((host, None))
+        }
     }
 }
 
@@ -214,8 +267,9 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 }
 
 /// Declares the [`Layout`] of a format struct, as the static `LAYOUT` of
-/// the struct's module, and implements [`Stored`] for the struct at
-/// `f64`:
+/// the struct's module, and implements [`Stored`],
+/// [`Leveled`](crate::level::Leveled) and [`SparseView`] for the struct
+/// at `f64`:
 ///
 /// ```ignore
 /// stored_layout! {
@@ -223,28 +277,39 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///     dims: nrows, ncols, r, c;
 ///     arrays: browptr: usize, bcolind: usize, values: f64;
 ///     block: r x c;                       // blocked layouts only
+///     chains: [
+///         Level::interval(nrows),
+///         Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c })
+///             .unchecked()
+///             .find(Args::ParentKey)
+///     ] -> values;
+///     perm: iperm, iperm_inv;             // views with a `perm` only
+///     find: find;
 ///     view: |(r, c)| bsr_format_view(r, c);
 ///     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 /// }
 /// ```
 ///
 /// `dims` and `arrays` must name every field of the struct, each with
-/// its type; their order here is the order of [`Stored::parts`].
+/// its type; their order here is the order of [`Stored::parts`]. Each
+/// chain lists its levels outermost first and then its value array (see
+/// [`crate::level`]); `find` names the method the levels' `.find(..)`
+/// call, which is one of those between the `layout-find` markers.
 macro_rules! stored_layout {
     (
         $ty:ident, $name:literal, $src:expr;
         dims: $($dim:ident),+;
         arrays: $($arr:ident: $elem:ty),+;
         $(block: $br:ident x $bc:ident;)?
+        chains: $([$($level:expr),+] -> $values:ident),+;
+        $(perm: $apply:ident, $unapply:ident;)?
+        find: $finder:ident;
         view: $view:expr;
         from_triplets: $build:expr;
     ) => {
         /// The storage description of this module's format.
         pub static LAYOUT: $crate::layout::Layout = $crate::layout::Layout {
-            name: $name,
-            type_name: stringify!($ty),
-            dims: &[$(stringify!($dim)),+],
-            arrays: &[$((stringify!($arr), <$elem as $crate::layout::ElemType>::ELEM)),+],
+            levels: &LEVELS,
             find: {
                 // Copied out, so that the binary keeps these lines and
                 // not the whole source file around them.
@@ -284,6 +349,19 @@ macro_rules! stored_layout {
                     });
                 )+
             }
+        }
+
+        $crate::level::leveled! {
+            $ty, $name;
+            dims: $($dim = $dim),+;
+            arrays: $($arr = $arr: $elem),+;
+            chains: $([$($level),+] -> $values),+;
+            perm: $(($apply, $unapply))?;
+            find: stringify!($finder) => |m, a, b| m.$finder(a, b);
+            view: |m| {
+                let block = $crate::layout::Stored::block(m);
+                (LAYOUT.view)(block.unwrap_or((1, 1)))
+            };
         }
     };
     (@blocked) => { false };

@@ -17,8 +17,10 @@
 //!   nesting, `map`, `perm`, aggregation `∪`, perspective `⊕` — together
 //!   with runtime *level cursors* that enumerate and search each level.
 //!   Corresponds to the paper's `term_nesting`/`term_perm2`/iterator class
-//!   hierarchy.
-//! - **Concrete formats**: [`Dense`], [`Coo`], [`Csr`], [`Csc`], [`Dia`],
+//!   hierarchy. How a level is walked is declared once per format
+//!   ([`level::Levels`], beside its [`layout::Layout`]); the one generic
+//!   cursor and the code emitter's loops are both read off it.
+//! - **Concrete formats**: [`Dense`], [`Coo`], [`Csr`], [`Csc`], [`Dcsr`], [`Dia`],
 //!   [`Ell`], [`Jad`], [`DiagSplit`] (a `∪` format storing the diagonal
 //!   separately), and sorted/hashed sparse vectors ([`SparseVec`],
 //!   [`HashVec`]) used by the join-strategy experiments.
@@ -34,6 +36,7 @@ pub mod formats;
 pub mod gen;
 pub mod io;
 pub mod layout;
+pub mod level;
 pub mod partition;
 pub mod scalar;
 pub mod triplet;
@@ -41,12 +44,13 @@ pub mod view;
 
 pub use blocks::{block_fill, discover_block_size, discover_strips, BlockReport};
 pub use convert::{AnyFormat, FormatError, FORMAT_NAMES};
-pub use cursor::{ChainCursor, KeyTuple, Position, SparseView};
+pub use cursor::{ChainCursor, Keys, Position, SparseView};
 pub use features::{vector_features, StructureFeatures};
 pub use formats::bsr::Bsr;
 pub use formats::coo::Coo;
 pub use formats::csc::Csc;
 pub use formats::csr::Csr;
+pub use formats::dcsr::Dcsr;
 pub use formats::dense::Dense;
 pub use formats::dia::Dia;
 pub use formats::diagsplit::DiagSplit;
@@ -55,7 +59,9 @@ pub use formats::jad::Jad;
 pub use formats::sky::Sky;
 pub use formats::sparsevec::{HashVec, SparseVec};
 pub use formats::vbr::Vbr;
-pub use layout::{format_name, view_by_name, Elem, Layout, Stored, LAYOUTS};
+pub use layout::{
+    format_name, levels_of_view, view_by_name, Elem, Layout, Stored, HOST_LEVELS, LAYOUTS,
+};
 pub use scalar::Scalar;
 pub use triplet::Triplets;
 pub use view::{

@@ -4,13 +4,15 @@
 //! The reference kept here is that older algorithm: copy the entries,
 //! sort them stably by position, sum duplicates in push order
 //! ([`normal_form`]); then its CSR and JAD constructions verbatim
-//! ([`reference_csr`], [`reference_jad`]), compared with `==`. The other
+//! ([`reference_csr`], [`reference_jad`]; DCSR's is CSR's with the empty
+//! rows taken out), compared with `==`. The other
 //! layouts must validate and convert back to exactly the normal form
 //! (plus structural zeros, for the layouts that fill in).
 
 use bernoulli_formats::layout::Block;
 use bernoulli_formats::{
-    discover_strips, Bsr, Coo, Csc, Csr, Dia, Ell, FormatError, Jad, Sky, Triplets, Vbr, LAYOUTS,
+    discover_strips, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, FormatError, Jad, Sky, Triplets, Vbr,
+    LAYOUTS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,6 +89,25 @@ fn reference_jad(m: usize, ncols: usize, normal: &[Entry]) -> Jad<f64> {
         colind,
         values,
         rowlen,
+    }
+}
+
+/// The rows of the normal form that store something, over
+/// [`reference_csr`]'s arrays.
+fn reference_dcsr(nrows: usize, ncols: usize, normal: &[Entry]) -> Dcsr<f64> {
+    let csr = reference_csr(nrows, ncols, normal);
+    let rows: Vec<usize> = (0..nrows)
+        .filter(|&r| csr.rowptr[r] < csr.rowptr[r + 1])
+        .collect();
+    let mut rowptr: Vec<usize> = rows.iter().map(|&r| csr.rowptr[r]).collect();
+    rowptr.push(normal.len());
+    Dcsr {
+        nrows,
+        ncols,
+        rows,
+        rowptr,
+        colind: csr.colind,
+        values: csr.values,
     }
 }
 
@@ -236,6 +257,7 @@ enum Built {
     /// Under the layout's even strips, one strip per dimension, and the
     /// strips `discover_strips` finds.
     Vbr(Vec<Vbr<f64>>),
+    Dcsr(Dcsr<f64>),
 }
 
 impl Built {
@@ -260,6 +282,7 @@ impl Built {
                     Vbr::from_triplets(t, &rp, &cp),
                 ])
             }
+            "dcsr" => Built::Dcsr(Dcsr::from_triplets(t)),
             other => panic!("assembly.rs has no case for the layout {other:?}: add one"),
         })
         .ok()
@@ -279,6 +302,7 @@ impl Built {
                 .iter()
                 .map(|a| (a.to_triplets(), a.validate()))
                 .collect(),
+            Built::Dcsr(a) => vec![(a.to_triplets(), a.validate())],
         }
     }
 }
@@ -333,6 +357,7 @@ fn check(name: &str, case: &Case, t: &Triplets<f64>, normal: &[Entry]) {
     match &built {
         Built::Csr(a) => assert_eq!(*a, reference_csr(case.nrows, case.ncols, normal), "{what}"),
         Built::Jad(a) => assert_eq!(*a, reference_jad(case.nrows, case.ncols, normal), "{what}"),
+        Built::Dcsr(a) => assert_eq!(*a, reference_dcsr(case.nrows, case.ncols, normal), "{what}"),
         _ => {}
     }
     // The same matrix already in normal form builds the same instance.

@@ -5,7 +5,7 @@
 
 use bernoulli_formats::layout::{Block, RawArray};
 use bernoulli_formats::{
-    gen, Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Layout, Sky, Stored, Triplets, Vbr, LAYOUTS,
+    gen, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, Jad, Layout, Sky, Stored, Triplets, Vbr, LAYOUTS,
 };
 
 const BLOCK: Block = (2, 2);
@@ -140,6 +140,7 @@ fn parts_alias_the_structs_own_vectors_in_abi_order() {
         case!(Bsr::from_triplets(&t, 2, 2); nrows, ncols, r, c; browptr, bcolind, values),
         case!(Vbr::from_triplets(&t, &strips, &strips); nrows, ncols;
             val, indx, bindx, rpntr, cpntr, bpntrb, bpntre, rowblk),
+        case!(Dcsr::from_triplets(&t); nrows, ncols; rows, rowptr, colind, values),
     ];
     let registered: Vec<&str> = LAYOUTS.iter().map(|l| l.name).collect();
     assert_eq!(covered.to_vec(), registered);

@@ -3,7 +3,7 @@
 //! could produce is caught with a typed [`FormatError`] instead of an
 //! out-of-bounds panic later.
 
-use bernoulli_formats::{AnyFormat, Csc, Csr, Dia, Ell, FormatError, Jad, Triplets};
+use bernoulli_formats::{AnyFormat, Csc, Csr, Dcsr, Dia, Ell, FormatError, Jad, Triplets};
 
 fn sample() -> Triplets<f64> {
     Triplets::from_entries(
@@ -67,6 +67,40 @@ fn csr_corruptions_are_caught() {
     let mut m = good;
     m.colind.swap(0, 1); // row 0 columns out of order
     assert_invalid(m.validate(), "csr", "increasing");
+}
+
+#[test]
+fn dcsr_corruptions_are_caught() {
+    // Row 2 of five emptied: the list skips it.
+    let mut t = sample();
+    t.retain_positions(|r, _| r != 2);
+    let good = Dcsr::from_triplets(&t);
+    assert_eq!(good.rows, vec![0, 1, 3]);
+    good.validate().unwrap();
+
+    let mut m = good.clone();
+    m.rows.swap(0, 1); // unsorted row list
+    assert_invalid(m.validate(), "dcsr", "strictly increasing");
+
+    let mut m = good.clone();
+    m.rows[1] = m.rows[0]; // a row listed twice
+    assert_invalid(m.validate(), "dcsr", "strictly increasing");
+
+    let mut m = good.clone();
+    m.rows[2] = 4; // a row outside the matrix
+    assert_invalid(m.validate(), "dcsr", ">= nrows");
+
+    let mut m = good.clone();
+    m.rowptr.pop(); // one pointer per listed row, and one
+    assert_invalid(m.validate(), "dcsr", "one more than");
+
+    let mut m = good.clone();
+    m.rowptr[1] = m.rowptr[0]; // a listed row without entries
+    assert_invalid(m.validate(), "dcsr", "stores no entry");
+
+    let mut m = good;
+    m.colind[0] = 99;
+    assert_invalid(m.validate(), "dcsr", ">= ncols");
 }
 
 #[test]

@@ -63,7 +63,8 @@ use crate::emit::{emit_rust, emit_rust_ranged, EmitError};
 use crate::interp::{run_plan, ExecEnv, PlanError};
 use crate::plan::{Plan, StepKind, ValueSource};
 use crate::search::SynthError;
-use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored};
+use bernoulli_formats::layout::{levels_of_view, Block, Elem, Layout, RawArray, Stored};
+use bernoulli_formats::level::Kind;
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Vbr};
 use bernoulli_ir::{ArrayKind, Program, Role};
@@ -234,6 +235,9 @@ impl RawOut {
 
 /// One operand of a loaded-kernel call, in program declaration order.
 pub enum KernelArg<'a> {
+    /// A matrix of any registered layout. (The typed variants below say
+    /// no more than this one: they predate it.)
+    Matrix(&'a dyn Stored),
     Csr(&'a Csr<f64>),
     Csc(&'a Csc<f64>),
     Coo(&'a Coo<f64>),
@@ -258,6 +262,7 @@ impl KernelArg<'_> {
     /// operand's [`Layout`].
     pub(crate) fn operand(&mut self) -> Operand<'_> {
         match self {
+            KernelArg::Matrix(m) => Operand::Matrix(*m),
             KernelArg::Csr(m) => Operand::Matrix(*m),
             KernelArg::Csc(m) => Operand::Matrix(*m),
             KernelArg::Coo(m) => Operand::Matrix(*m),
@@ -549,9 +554,13 @@ pub(crate) fn cdylib_source(
     // enumerates the rows of a matrix: the full range is its row count.
     if let Some(outer) = ranged_body.as_ref().and(outer_matrix(plan)) {
         let nrows = format!("{}.nrows", operand_var(outer));
-        if views.get(outer).is_some_and(|v| v.name == "csr") {
-            // Cache-blocked CSR row traversal: walk the rows in fixed
-            // blocks through the ranged body.
+        let compressed_rows = views.get(outer).is_some_and(|v| {
+            let below = levels_of_view(&v.name).and_then(|(levels, _)| levels.level(0, 1));
+            below.is_some_and(|level| matches!(level.kind, Kind::Compressed { .. }))
+        });
+        if compressed_rows {
+            // Cache-blocked traversal of compressed rows (CSR): walk
+            // the rows in fixed blocks through the ranged body.
             out.push_str(&format!(
                 "        let nrows__ = {nrows} as i64;\n        let mut r0__ = 0i64;\n        while r0__ < nrows__ {{\n            let r1__ = if r0__ + {CSR_ROW_BLOCK} < nrows__ {{ r0__ + {CSR_ROW_BLOCK} }} else {{ nrows__ }};\n            kernel_impl_range({args}, r0__, r1__)?;\n            r0__ = r1__;\n        }}\n        Some(())\n",
                 args = call_args.join(", ")

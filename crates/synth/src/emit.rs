@@ -21,8 +21,9 @@
 use crate::plan::{
     Atom, Dir, Edge, ExecStmt, Guard, LevelRef, OffEdge, PExpr, Plan, StepKind, ValueSource,
 };
-use bernoulli_formats::layout::{format_name, Layout};
-use bernoulli_formats::view::FormatView;
+use bernoulli_formats::layout::{levels_of_view, Block, Elem};
+use bernoulli_formats::level::{Args, Arr, Base, Bound, Dim, Kind, Level, Levels, Locate, SlotAt};
+use bernoulli_formats::view::{FormatView, Order};
 use bernoulli_ir::{ArrayKind, LhsRef, Program, Role, ValueExpr};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -41,25 +42,87 @@ impl std::fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
-/// The block shape a view name carries (`bsr2x2`), if any.
-fn view_block(view_name: &str) -> Option<(usize, usize)> {
-    Layout::of_view(view_name)?.1
+/// How the view of this name is walked (`bernoulli_formats::level`),
+/// and the block shape the name carries: everything the emitter knows
+/// about a format.
+fn described(view_name: &str) -> Result<(&'static Levels, Option<Block>), EmitError> {
+    levels_of_view(view_name)
+        .ok_or_else(|| EmitError(format!("no level description for view {view_name:?}")))
 }
 
-/// The Rust type for a view name: the layout's for a format that has
-/// one, plus the view types that exist only on the host.
+/// The Rust type of a view's operand.
 fn rust_type(view_name: &str) -> Result<String, EmitError> {
-    let ty = match Layout::of_view(view_name) {
-        Some((layout, _)) => layout.type_name,
-        None => match view_name {
-            "dense" => "Dense",
-            "diagsplit" => "DiagSplit",
-            "spvec" => "SparseVec",
-            "hashvec" => "HashVec",
-            other => return Err(EmitError(format!("no Rust type for view {other:?}"))),
-        },
-    };
-    Ok(format!("{ty}<f64>"))
+    Ok(format!("{}<f64>", described(view_name)?.0.type_name))
+}
+
+/// One level of a bound operand, as the templates read it: the
+/// operand's local, its description, and the position above.
+struct Site {
+    m: String,
+    levels: &'static Levels,
+    block: Option<Block>,
+    level: &'static Level,
+    parent: String,
+}
+
+impl Site {
+    fn dim(&self, d: Dim) -> String {
+        format!("{}.{}", self.m, self.levels.dim(d))
+    }
+
+    fn array(&self, a: Arr) -> String {
+        format!("{}.{}", self.m, self.levels.array(a))
+    }
+
+    /// The checked read of entry `i` of an array.
+    fn get(&self, a: Arr, i: &str) -> String {
+        format!("*{}.get({i})?", self.array(a))
+    }
+
+    /// A read of an index array as a key: `usize` arrays are cast.
+    fn key(&self, a: Arr, read: String) -> String {
+        match self.levels.elem(a) {
+            Elem::Usize => format!("{read} as i64"),
+            Elem::I64 | Elem::F64 => read,
+        }
+    }
+
+    /// An interval level's two ends as `i64` expressions, and the
+    /// position of `key` within it; `at(name, array)` is the array's
+    /// entry at the parent, however the caller reads it. `None` for
+    /// ends no format has.
+    fn interval(
+        &self,
+        (lo, hi, base): (Bound, Bound, Base),
+        key: &str,
+        mut at: impl FnMut(&str, Arr) -> String,
+    ) -> Option<(String, String, String)> {
+        let parent = &self.parent;
+        let (lo, offset) = match lo {
+            Bound::Zero => ("0".to_string(), format!("{key} as usize")),
+            Bound::At(a) => {
+                let lo = at("lo__", a);
+                let offset = match self.levels.elem(a) {
+                    Elem::I64 => format!("({key} - {lo}) as usize"),
+                    _ => format!("({key} as usize - {lo})"),
+                };
+                (self.key(a, lo), offset)
+            }
+            Bound::Extent(_) | Bound::Next => return None,
+        };
+        let hi = match hi {
+            Bound::Extent(d) => format!("{} as i64", self.dim(d)),
+            Bound::At(a) => self.key(a, at("hi__", a)),
+            Bound::Next => format!("{parent} as i64 + 1"),
+            Bound::Zero => return None,
+        };
+        let pos = match base {
+            Base::Identity => offset,
+            Base::Stride(d) => format!("{parent} * {} + {offset}", self.dim(d)),
+            Base::Ptr(a) => format!("{} + {offset}", at("base__", a)),
+        };
+        Some((lo, hi, pos))
+    }
 }
 
 struct Emitter<'a> {
@@ -525,8 +588,9 @@ pub fn emit_rust_ranged(
 /// band's instances *and* bands are independent, so disjoint bands may
 /// run concurrently (the parallel lane's contract). Two conditions:
 ///
-/// 1. the outermost step enumerates the rows of a row-major format
-///    (level 0 of csr/ell/dense) forward, and
+/// 1. the outermost step enumerates, forward, the outermost level of a
+///    view that opens with the dense interval over its rows
+///    ([`Levels::rows_outermost`]), and
 /// 2. no statement reads an output (`out`/`inout`) array anywhere but
 ///    at the element its own write touches — a cross-row read (e.g. the
 ///    triangular solve's `b[j]` with `j < i`) makes later rows depend
@@ -545,10 +609,7 @@ pub fn range_splittable(p: &Program, plan: &Plan, views: &HashMap<String, Format
     if step.dir != Dir::Fwd
         || primary.level != 0
         || primary.chain != 0
-        || !matches!(
-            format_name(&view.name),
-            "csr" | "ell" | "dense" | "bsr" | "vbr"
-        )
+        || !levels_of_view(&view.name).is_some_and(|(levels, _)| levels.rows_outermost())
     {
         return false;
     }
@@ -726,49 +787,15 @@ impl Emitter<'_> {
     /// Returns `Ok(false)` — emit nothing — when the plan is not this
     /// shape.
     fn bsr_tiled_nest(&mut self) -> Result<bool, EmitError> {
-        if self.plan.steps.len() != 2 || self.plan.execs.len() != 1 {
+        let Some((m, [v0, v1, pv0, pv1], e, pr, site)) = self.blocked_gather() else {
+            return Ok(false);
+        };
+        let (Kind::Blocks { ptr, crd, .. }, Some((rb, cb))) = (site.level.kind, site.block) else {
+            return Ok(false);
+        };
+        if rb < 2 {
             return Ok(false);
         }
-        let (s0, s1) = (self.plan.steps[0].clone(), self.plan.steps[1].clone());
-        let (StepKind::Level { primary: p0, .. }, StepKind::Level { primary: p1, .. }) =
-            (&s0.kind, &s1.kind)
-        else {
-            return Ok(false);
-        };
-        let e = self.plan.execs[0].clone();
-        let Some(pr) = self.promotion.clone() else {
-            return Ok(false);
-        };
-        let view_name = match self.views.get(&p0.matrix) {
-            Some(v) => v.name.clone(),
-            None => return Ok(false),
-        };
-        let Some((rb, cb)) = view_block(&view_name) else {
-            return Ok(false);
-        };
-        if rb < 2
-            || s0.dir != Dir::Fwd
-            || s1.dir != Dir::Fwd
-            || (p0.chain, p0.level) != (0, 0)
-            || (p1.chain, p1.level) != (0, 1)
-            || p0.ref_id != p1.ref_id
-            || s0.nslots != 1
-            || s1.nslots != 1
-            || !s0.searches.is_empty()
-            || !s1.searches.is_empty()
-            || !s0.sharers.is_empty()
-            || !s1.sharers.is_empty()
-            || e.depth != 2
-            || pr.deferred_div.is_some()
-        {
-            return Ok(false);
-        }
-
-        let m = self.mat(&p0.matrix).to_string();
-        let v0 = slot_var(s0.first_slot);
-        let v1 = slot_var(s1.first_slot);
-        let pv0 = pos_var(p0.ref_id, 0);
-        let pv1 = pos_var(p1.ref_id, 1);
 
         if self.ranged {
             self.line("let mut r0__ = row_lo__;");
@@ -796,9 +823,9 @@ impl Emitter<'_> {
 
         // Full block rows, one walk, R register accumulators.
         let (blo, bhi, bcol) = (
-            self.ix(&format!("{m}.browptr"), "br__"),
-            self.ix(&format!("{m}.browptr"), "br__ + 1"),
-            self.ix(&format!("{m}.bcolind"), "b__"),
+            self.read(&site, ptr, "br__"),
+            self.read(&site, ptr, "br__ + 1"),
+            self.read(&site, crd, "b__"),
         );
         self.line(&format!("while r0__ + {rb} <= rend__ {{"));
         self.indent += 1;
@@ -871,46 +898,12 @@ impl Emitter<'_> {
     /// Returns `Ok(false)` — emit nothing — when the plan is not this
     /// shape.
     fn vbr_tiled_nest(&mut self) -> Result<bool, EmitError> {
-        if self.plan.steps.len() != 2 || self.plan.execs.len() != 1 {
-            return Ok(false);
-        }
-        let (s0, s1) = (self.plan.steps[0].clone(), self.plan.steps[1].clone());
-        let (StepKind::Level { primary: p0, .. }, StepKind::Level { primary: p1, .. }) =
-            (&s0.kind, &s1.kind)
-        else {
+        let Some((m, [v0, v1, pv0, pv1], e, pr, site)) = self.blocked_gather() else {
             return Ok(false);
         };
-        let e = self.plan.execs[0].clone();
-        let Some(pr) = self.promotion.clone() else {
+        let Kind::Strips(t) = site.level.kind else {
             return Ok(false);
         };
-        let view_name = match self.views.get(&p0.matrix) {
-            Some(v) => v.name.clone(),
-            None => return Ok(false),
-        };
-        if format_name(&view_name) != "vbr"
-            || s0.dir != Dir::Fwd
-            || s1.dir != Dir::Fwd
-            || (p0.chain, p0.level) != (0, 0)
-            || (p1.chain, p1.level) != (0, 1)
-            || p0.ref_id != p1.ref_id
-            || s0.nslots != 1
-            || s1.nslots != 1
-            || !s0.searches.is_empty()
-            || !s1.searches.is_empty()
-            || !s0.sharers.is_empty()
-            || !s1.sharers.is_empty()
-            || e.depth != 2
-            || pr.deferred_div.is_some()
-        {
-            return Ok(false);
-        }
-
-        let m = self.mat(&p0.matrix).to_string();
-        let v0 = slot_var(s0.first_slot);
-        let v1 = slot_var(s1.first_slot);
-        let pv0 = pos_var(p0.ref_id, 0);
-        let pv1 = pos_var(p1.ref_id, 1);
 
         if self.ranged {
             self.line("let mut r0__ = row_lo__;");
@@ -919,10 +912,10 @@ impl Emitter<'_> {
             self.line("let mut r0__ = 0i64;");
             self.line(&format!("let rend__ = {m}.nrows as i64;"));
         }
-        let rowblk = self.ix(&format!("{m}.rowblk"), "r0__ as usize");
+        let rowblk = self.read(&site, t.strip_of, "r0__ as usize");
         let (rp0, rp1) = (
-            self.ix(&format!("{m}.rpntr"), "br__"),
-            self.ix(&format!("{m}.rpntr"), "br__ + 1"),
+            self.read(&site, t.start, "br__"),
+            self.read(&site, t.start, "br__ + 1"),
         );
         self.line("while r0__ < rend__ {");
         self.indent += 1;
@@ -935,15 +928,15 @@ impl Emitter<'_> {
         // from block to block in its output element.
         self.line("let h__ = (s1__ - s0__) as usize;");
         let (blo, bhi) = (
-            self.ix(&format!("{m}.bpntrb"), "br__"),
-            self.ix(&format!("{m}.bpntre"), "br__"),
+            self.read(&site, t.begin, "br__"),
+            self.read(&site, t.end, "br__"),
         );
-        let bcol = self.ix(&format!("{m}.bindx"), "b__");
+        let bcol = self.read(&site, t.crd, "b__");
         let (cj0, cj1) = (
-            self.ix(&format!("{m}.cpntr"), "bc__"),
-            self.ix(&format!("{m}.cpntr"), "bc__ + 1"),
+            self.read(&site, t.cuts, "bc__"),
+            self.read(&site, t.cuts, "bc__ + 1"),
         );
-        let base = self.ix(&format!("{m}.indx"), "b__");
+        let base = self.read(&site, t.base, "b__");
         self.line(&format!("for b__ in {blo}..{bhi} {{"));
         self.indent += 1;
         self.line(&format!("let bc__ = {bcol};"));
@@ -989,6 +982,85 @@ impl Emitter<'_> {
         self.indent -= 1;
         self.line("}");
         Ok(true)
+    }
+
+    /// The shape both tiled nests specialize: a two-step plan `rows
+    /// (level 0) → row's entries (level 1)` of one reference's chain 0,
+    /// forward, without searches or sharers, whose single full-depth
+    /// statement reduces into a promoted row-invariant element (the MVM
+    /// shape). Yields the operand's local, the two slot and the two
+    /// position variables, the statement, the promotion, and the
+    /// description of level 1.
+    fn blocked_gather(&self) -> Option<(String, [String; 4], ExecStmt, Promotion, Site)> {
+        let [s0, s1] = self.plan.steps.as_slice() else {
+            return None;
+        };
+        let (StepKind::Level { primary: p0, .. }, StepKind::Level { primary: p1, .. }) =
+            (&s0.kind, &s1.kind)
+        else {
+            return None;
+        };
+        let [e] = self.plan.execs.as_slice() else {
+            return None;
+        };
+        let pr = self.promotion.clone()?;
+        let plain = |s: &crate::plan::Step| {
+            s.dir == Dir::Fwd && s.nslots == 1 && s.searches.is_empty() && s.sharers.is_empty()
+        };
+        if !plain(s0)
+            || !plain(s1)
+            || (p0.chain, p0.level) != (0, 0)
+            || (p1.chain, p1.level) != (0, 1)
+            || p0.ref_id != p1.ref_id
+            || e.depth != 2
+            || pr.deferred_div.is_some()
+        {
+            return None;
+        }
+        let site = self.site(p1).ok()?;
+        let names = [
+            slot_var(s0.first_slot),
+            slot_var(s1.first_slot),
+            pos_var(p0.ref_id, 0),
+            pos_var(p1.ref_id, 1),
+        ];
+        Some((site.m.clone(), names, e.clone(), pr, site))
+    }
+
+    /// The description of the level `l` names, as the templates read it.
+    fn site(&self, l: &LevelRef) -> Result<Site, EmitError> {
+        let view = self.views.get(&l.matrix);
+        let view = &view
+            .ok_or_else(|| EmitError(format!("no view bound for {:?}", l.matrix)))?
+            .name;
+        let (levels, block) = described(view)?;
+        let level = levels.level(l.chain, l.level).ok_or_else(|| {
+            EmitError(format!(
+                "view {view} has no level {} of chain {}",
+                l.level, l.chain
+            ))
+        })?;
+        let parent = match l.level {
+            0 => "0usize".to_string(),
+            _ => pos_var(l.ref_id, l.level - 1),
+        };
+        Ok(Site {
+            m: self.mat(&l.matrix).to_string(),
+            levels,
+            block,
+            level,
+            parent,
+        })
+    }
+
+    /// A read of one of the format's own arrays in a level's loop head:
+    /// `ix` where the level says unchecked, `*a.get(i)?` otherwise.
+    fn read(&self, site: &Site, a: Arr, i: &str) -> String {
+        if site.level.unchecked {
+            self.ix(&site.array(a), i)
+        } else {
+            site.get(a, i)
+        }
     }
 
     /// `ix(&arr, i)` — the unchecked-in-release read of a format-owned
@@ -1125,7 +1197,8 @@ impl Emitter<'_> {
         self.nest(si + 1)
     }
 
-    /// The loop head of a level enumeration, from its format's template.
+    /// The loop head of a level enumeration: the rendering of the level's
+    /// description (`bernoulli_formats::level`) as Rust text.
     fn level_head(
         &self,
         si: usize,
@@ -1133,49 +1206,112 @@ impl Emitter<'_> {
         primary: &LevelRef,
         perms: &[Option<String>],
     ) -> Result<LoopHead, EmitError> {
-        let m = self.mat(&primary.matrix).to_string();
-        let view_name = self.views[&primary.matrix].name.clone();
+        let site = self.site(primary)?;
+        let parent = &site.parent;
         let pv = pos_var(primary.ref_id, primary.level);
-        let parent = if primary.level == 0 {
-            "0usize".to_string()
-        } else {
-            pos_var(primary.ref_id, primary.level - 1)
-        };
         let v0 = slot_var(step.first_slot);
         if step.dir == Dir::Rev {
             return Err(EmitError("reverse level enumeration not templated".into()));
         }
-        // The range-splittable entry replaces the outermost row
-        // enumeration's bounds with the `row_lo__..row_hi__` parameters.
-        let row_range = if self.ranged && si == 0 {
-            "row_lo__..row_hi__".to_string()
-        } else {
-            format!("0..{m}.nrows as i64")
-        };
-        // Most templates open a single loop; the two-level blocked
-        // formats open a block loop plus a within-block loop.
-        let mut head = LoopHead::default();
-        match (format_name(&view_name), primary.chain, primary.level) {
-            ("csr", 0, 0) | ("ell", 0, 0) | ("bsr", 0, 0) | ("vbr", 0, 0) => {
-                head.open(&v0, row_range.clone());
-                head.line(format!("let {pv} = {v0} as usize;"));
+        let unsupported = || EmitError(format!("no loop head for {:?}", site.level.kind));
+        // Entry `i` of one of the level's arrays, and the same as a key.
+        let rd = |a: Arr, i: &str| self.read(&site, a, i);
+        let key = |a: Arr, i: &str| site.key(a, rd(a, i));
+        // A key the view's permutation maps is stored as `rr__`.
+        let permuted_key = |v: &str| match (&perms[0], site.levels.perm) {
+            (Some(_), Some(perm)) => {
+                let mapped = site.key(perm.apply, site.get(perm.apply, "rr__"));
+                Ok(format!("let {v} = {mapped};"))
             }
-            ("bsr", 0, 1) => {
+            (Some(_), None) => Err(unsupported()),
+            (None, _) => Ok(format!("let {v} = rr__ as i64;")),
+        };
+        // Most levels open a single loop; the two-level blocked formats
+        // open a block loop plus a within-block loop.
+        let mut head = LoopHead::default();
+        match site.level.kind {
+            Kind::Interval {
+                lo: Bound::Zero,
+                hi: Bound::Extent(d),
+                base: Base::Identity,
+            } if site.level.permuted => {
+                head.open("rr__", format!("0..{}", site.dim(d)));
+                head.line(format!("let {pv} = rr__;"));
+                head.line(permuted_key(&v0)?);
+            }
+            Kind::Interval { lo, hi, base } => {
+                // Unchecked: the per-parent bounds and base are bound
+                // once, so that the body runs at a fixed stride with no
+                // structure reads in it (which is what lets it
+                // autovectorize). Checked: read in place.
+                let bind = |name: &str, a: Arr| {
+                    if site.level.unchecked {
+                        head.line(format!("let {name} = {};", rd(a, parent)));
+                        name.to_string()
+                    } else {
+                        site.get(a, parent)
+                    }
+                };
+                let ends = site.interval((lo, hi, base), &v0, bind);
+                let (lo, hi, pos) = ends.ok_or_else(unsupported)?;
+                // The range-splittable entry replaces the outermost row
+                // enumeration's bounds with its two parameters.
+                let range = if self.ranged && si == 0 {
+                    "row_lo__..row_hi__".to_string()
+                } else {
+                    format!("{lo}..{hi}")
+                };
+                head.open(&v0, range);
+                head.line(format!("let {pv} = {pos};"));
+            }
+            Kind::Compressed { ptr, crd } => {
+                let next = format!("{parent} + 1");
+                head.open(&pv, format!("{}..{}", rd(ptr, parent), rd(ptr, &next)));
+                head.line(format!("let {v0} = {};", key(crd, &pv)));
+            }
+            Kind::Coords { len, crd } => {
+                head.open(&pv, format!("0..{}.len()", site.array(len)));
+                for (k, &a) in crd.iter().enumerate() {
+                    let v = slot_var(step.first_slot + k);
+                    head.line(format!("let {v} = {};", key(a, &pv)));
+                }
+            }
+            Kind::Slots { count, at, crd } => {
+                let count = rd(count, parent);
+                match at {
+                    // Fixed-stride slot walk: the row base is hoisted.
+                    SlotAt::RowMajor(width) => {
+                        head.line(format!("let base__ = {parent} * {};", site.dim(width)));
+                        head.open("s__", format!("0..{count}"));
+                        head.line(format!("let {pv} = base__ + s__;"));
+                    }
+                    SlotAt::Table(table) => {
+                        head.open("d__", format!("0..{count}"));
+                        head.line(format!("let {pv} = {} + {parent};", rd(table, "d__")));
+                    }
+                }
+                head.line(format!("let {v0} = {};", key(crd, &pv)));
+            }
+            Kind::Jagged { ptr, crd } => {
+                // Flat perspective: walk the jagged diagonals.
+                let values = site.array(site.levels.chains[primary.chain].values);
+                head.line("let mut d__ = 0usize;".to_string());
+                head.open(&pv, format!("0..{values}.len()"));
+                let next = rd(ptr, "d__ + 1");
+                head.line(format!("while {pv} >= {next} {{ d__ += 1; }}"));
+                head.line(format!("let rr__ = {pv} - {};", rd(ptr, "d__")));
+                head.line(permuted_key(&v0)?);
+                let v1 = slot_var(step.first_slot + 1);
+                head.line(format!("let {v1} = {};", key(crd, &pv)));
+            }
+            Kind::Blocks { ptr, crd, .. } => {
                 // Blocked row walk: the outer loop runs over the stored
                 // blocks of the parent row's block row, the inner over
                 // the row's contiguous slice of each block. The block
                 // shape is a compile-time literal (from the view name),
                 // so LLVM fully unrolls the inner loop.
-                let Some((rb, cb)) = view_block(&view_name) else {
-                    return Err(EmitError(format!(
-                        "bsr template on non-bsr view {view_name}"
-                    )));
-                };
-                let (blo, bhi, bcol) = (
-                    self.ix(&format!("{m}.browptr"), "br__"),
-                    self.ix(&format!("{m}.browptr"), "br__ + 1"),
-                    self.ix(&format!("{m}.bcolind"), "b__"),
-                );
+                let (rb, cb) = site.block.ok_or_else(unsupported)?;
+                let (blo, bhi, bcol) = (rd(ptr, "br__"), rd(ptr, "br__ + 1"), rd(crd, "b__"));
                 head.line(format!("let br__ = {parent} / {rb};"));
                 head.line(format!("let rr__ = {parent} % {rb};"));
                 head.open("b__", format!("{blo}..{bhi}"));
@@ -1185,23 +1321,15 @@ impl Emitter<'_> {
                 head.line(format!("let {pv} = base__ + s__;"));
                 head.line(format!("let {v0} = (c0__ + s__) as i64;"));
             }
-            ("vbr", 0, 1) => {
-                // Variable block strips: block extents are runtime data
-                // (`cpntr`), so the within-block trip count is hoisted
-                // per block; the inner loop is a fixed-stride slice walk
-                // that autovectorizes.
-                let rowblk = self.ix(&format!("{m}.rowblk"), &parent);
-                let rp = self.ix(&format!("{m}.rpntr"), "br__");
-                let (blo, bhi) = (
-                    self.ix(&format!("{m}.bpntrb"), "br__"),
-                    self.ix(&format!("{m}.bpntre"), "br__"),
-                );
-                let bcol = self.ix(&format!("{m}.bindx"), "b__");
-                let (cj0, cj1) = (
-                    self.ix(&format!("{m}.cpntr"), "bc__"),
-                    self.ix(&format!("{m}.cpntr"), "bc__ + 1"),
-                );
-                let base = self.ix(&format!("{m}.indx"), "b__");
+            Kind::Strips(t) => {
+                // Variable block strips: block extents are runtime data,
+                // so the within-block trip count is hoisted per block;
+                // the inner loop is a fixed-stride slice walk that
+                // autovectorizes.
+                let (rowblk, rp) = (rd(t.strip_of, parent), rd(t.start, "br__"));
+                let (blo, bhi, bcol) = (rd(t.begin, "br__"), rd(t.end, "br__"), rd(t.crd, "b__"));
+                let (cj0, cj1) = (rd(t.cuts, "bc__"), rd(t.cuts, "bc__ + 1"));
+                let base = rd(t.base, "b__");
                 head.line(format!("let br__ = {rowblk};"));
                 head.line(format!("let rr__ = {parent} - {rp};"));
                 head.open("b__", format!("{blo}..{bhi}"));
@@ -1212,130 +1340,6 @@ impl Emitter<'_> {
                 head.open("s__", "0..w__".to_string());
                 head.line(format!("let {pv} = base__ + s__;"));
                 head.line(format!("let {v0} = (cj0__ + s__) as i64;"));
-            }
-            ("csr", 0, 1) => {
-                head.open(
-                    &pv,
-                    format!("*{m}.rowptr.get({parent})?..*{m}.rowptr.get({parent} + 1)?"),
-                );
-                head.line(format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
-            }
-            ("csc", 0, 0) => {
-                head.open(&v0, format!("0..{m}.ncols as i64"));
-                head.line(format!("let {pv} = {v0} as usize;"));
-            }
-            ("csc", 0, 1) => {
-                head.open(
-                    &pv,
-                    format!("*{m}.colptr.get({parent})?..*{m}.colptr.get({parent} + 1)?"),
-                );
-                head.line(format!("let {v0} = *{m}.rowind.get({pv})? as i64;"));
-            }
-            ("coo", 0, 0) => {
-                let v1 = slot_var(step.first_slot + 1);
-                head.open(&pv, format!("0..{m}.values.len()"));
-                head.line(format!("let {v0} = *{m}.rows.get({pv})? as i64;"));
-                head.line(format!("let {v1} = *{m}.cols.get({pv})? as i64;"));
-            }
-            ("dia", 0, 0) => {
-                head.open(&pv, format!("0..{m}.diags.len()"));
-                head.line(format!("let {v0} = *{m}.diags.get({pv})?;"));
-            }
-            ("dia", 0, 1) => {
-                // Hoist the per-diagonal bounds and strip base out of the
-                // loop: the body then runs at a fixed stride over the
-                // strip with no per-iteration structure reads, which is
-                // what lets it autovectorize.
-                let (lo, hi, base) = (
-                    self.ix(&format!("{m}.lo"), &parent),
-                    self.ix(&format!("{m}.hi"), &parent),
-                    self.ix(&format!("{m}.ptr"), &parent),
-                );
-                head.line(format!("let lo__ = {lo};"));
-                head.line(format!("let hi__ = {hi};"));
-                head.line(format!("let base__ = {base};"));
-                head.open(&v0, "lo__..hi__".to_string());
-                head.line(format!("let {pv} = base__ + ({v0} - lo__) as usize;"));
-            }
-            ("ell", 0, 1) => {
-                // Fixed-stride slot walk: the row base is hoisted and the
-                // column read is bounds-check-free, so the body
-                // autovectorizes over the row's slots.
-                let len = self.ix(&format!("{m}.rowlen"), &parent);
-                let col = self.ix(&format!("{m}.colind"), &pv);
-                head.line(format!("let base__ = {parent} * {m}.width;"));
-                head.open("s__", format!("0..{len}"));
-                head.line(format!("let {pv} = base__ + s__;"));
-                head.line(format!("let {v0} = {col};"));
-            }
-            ("jad", 0, 0) => {
-                // Flat perspective: walk the jagged diagonals.
-                let v1 = slot_var(step.first_slot + 1);
-                head.line("let mut d__ = 0usize;".to_string());
-                head.open(&pv, format!("0..{m}.values.len()"));
-                head.line(format!(
-                    "while {pv} >= *{m}.dptr.get(d__ + 1)? {{ d__ += 1; }}"
-                ));
-                head.line(format!("let rr__ = {pv} - *{m}.dptr.get(d__)?;"));
-                head.line(format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
-                head.line(format!("let {v1} = *{m}.colind.get({pv})? as i64;"));
-            }
-            ("jad", 1, 0) => {
-                head.open("rr__", format!("0..{m}.nrows"));
-                head.line(format!("let {pv} = rr__;"));
-                if perms[0].is_some() {
-                    head.line(format!("let {v0} = *{m}.iperm.get(rr__)? as i64;"));
-                } else {
-                    head.line(format!("let {v0} = rr__ as i64;"));
-                }
-            }
-            ("jad", 1, 1) => {
-                head.open("d__", format!("0..*{m}.rowlen.get({parent})?"));
-                head.line(format!("let {pv} = *{m}.dptr.get(d__)? + {parent};"));
-                head.line(format!("let {v0} = *{m}.colind.get({pv})? as i64;"));
-            }
-            ("dense", 0, 0) => {
-                head.open(&v0, row_range.clone());
-                head.line(format!("let {pv} = {v0} as usize;"));
-            }
-            ("dense", 0, 1) => {
-                head.open(&v0, format!("0..{m}.ncols as i64"));
-                head.line(format!("let {pv} = {parent} * {m}.ncols + {v0} as usize;"));
-            }
-            ("diagsplit", 0, 0) => {
-                head.open(&v0, format!("0..{m}.n as i64"));
-                head.line(format!("let {pv} = {v0} as usize;"));
-            }
-            ("diagsplit", 1, 0) => {
-                head.open(&v0, format!("0..{m}.off.nrows as i64"));
-                head.line(format!("let {pv} = {v0} as usize;"));
-            }
-            ("diagsplit", 1, 1) => {
-                head.open(
-                    &pv,
-                    format!("*{m}.off.rowptr.get({parent})?..*{m}.off.rowptr.get({parent} + 1)?"),
-                );
-                head.line(format!("let {v0} = *{m}.off.colind.get({pv})? as i64;"));
-            }
-            ("spvec", 0, 0) | ("hashvec", 0, 0) => {
-                head.open(&pv, format!("0..{m}.values.len()"));
-                head.line(format!("let {v0} = *{m}.ind.get({pv})? as i64;"));
-            }
-            ("sky", 0, 0) => {
-                head.open(&v0, format!("0..{m}.n as i64"));
-                head.line(format!("let {pv} = {v0} as usize;"));
-            }
-            ("sky", 0, 1) => {
-                head.open(
-                    &v0,
-                    format!("*{m}.lo.get({parent})? as i64..{parent} as i64 + 1"),
-                );
-                head.line(format!(
-                    "let {pv} = *{m}.ptr.get({parent})? + ({v0} as usize - *{m}.lo.get({parent})?);"
-                ));
-            }
-            other => {
-                return Err(EmitError(format!("no level template for {other:?}")));
             }
         }
         Ok(head)
@@ -1461,27 +1465,33 @@ impl Emitter<'_> {
         a: &LevelRef,
         b: &LevelRef,
     ) -> Result<(), EmitError> {
-        let (ma, mb) = (
-            self.mat(&a.matrix).to_string(),
-            self.mat(&b.matrix).to_string(),
-        );
-        let na = self.views[&a.matrix].name.clone();
-        let nb = self.views[&b.matrix].name.clone();
-        if (na.as_str(), a.level) != ("spvec", 0) || (nb.as_str(), b.level) != ("spvec", 0) {
-            return Err(EmitError(format!(
-                "merge join templated only for sorted vectors, got {na}/{nb}"
-            )));
-        }
+        // Templated for two ordered coordinate lists: one key array each,
+        // walked in step.
+        let list = |l: &LevelRef| -> Result<String, EmitError> {
+            let site = self.site(l)?;
+            let ordered = self.views[&l.matrix]
+                .alternatives()
+                .iter()
+                .flatten()
+                .find(|c| c.id == l.chain)
+                .and_then(|c| c.levels.get(l.level))
+                .is_some_and(|flat| flat.order == Order::Increasing);
+            match site.level.kind {
+                Kind::Coords { crd: &[ind], .. } if ordered && l.level == 0 => Ok(site.array(ind)),
+                _ => Err(EmitError(format!(
+                    "merge join templated only for sorted vectors, got {l}"
+                ))),
+            }
+        };
+        let (ia, ib) = (list(a)?, list(b)?);
         let (pa, pb) = (pos_var(a.ref_id, 0), pos_var(b.ref_id, 0));
         let v0 = slot_var(step.first_slot);
         self.line(&format!("let mut {pa} = 0usize;"));
         self.line(&format!("let mut {pb} = 0usize;"));
-        self.line(&format!(
-            "while {pa} < {ma}.ind.len() && {pb} < {mb}.ind.len() {{"
-        ));
+        self.line(&format!("while {pa} < {ia}.len() && {pb} < {ib}.len() {{"));
         self.indent += 1;
-        self.line(&format!("let ka__ = *{ma}.ind.get({pa})?;"));
-        self.line(&format!("let kb__ = *{mb}.ind.get({pb})?;"));
+        self.line(&format!("let ka__ = *{ia}.get({pa})?;"));
+        self.line(&format!("let kb__ = *{ib}.get({pb})?;"));
         self.line("if ka__ < kb__ {");
         self.indent += 1;
         self.line(&format!("{pa} += 1;"));
@@ -1505,8 +1515,8 @@ impl Emitter<'_> {
     }
 
     fn search(&mut self, sp: &crate::plan::SearchPart) -> Result<(), EmitError> {
-        let m = self.mat(&sp.target.matrix).to_string();
-        let view_name = self.views[&sp.target.matrix].name.clone();
+        let site = self.site(&sp.target)?;
+        let (m, parent) = (&site.m, &site.parent);
         let rid = sp.target.ref_id;
         let lev = sp.target.level;
         let pv = pos_var(rid, lev);
@@ -1516,26 +1526,24 @@ impl Emitter<'_> {
         } else {
             ok_var(rid, lev - 1)
         };
-        let parent = if lev == 0 {
-            "0usize".to_string()
-        } else {
-            pos_var(rid, lev - 1)
-        };
-
         // Key expressions (apply inverse perms).
         // A permuted key is a lookup: bound once, used by name.
         let mut keys = Vec::new();
         for (i, (e, perm)) in sp.keys.iter().enumerate() {
             let raw = self.pexpr(e);
             match perm {
-                Some(_t) => {
+                Some(_) => {
+                    let Some(perm) = site.levels.perm else {
+                        return Err(EmitError(format!("{} has no permutation", sp.target)));
+                    };
+                    let inverse = site.array(perm.unapply);
                     let key = if sp.keys.len() == 1 {
                         "key__".to_string()
                     } else {
                         format!("key{i}__")
                     };
                     self.line(&format!(
-                        "let {key} = if ({raw}) >= 0 {{ {m}.iperm_inv.get(({raw}) as usize).map_or(-1, |&r__| r__ as i64) }} else {{ -1 }};"
+                        "let {key} = if ({raw}) >= 0 {{ {inverse}.get(({raw}) as usize).map_or(-1, |&r__| r__ as i64) }} else {{ -1 }};"
                     ));
                     keys.push(key);
                 }
@@ -1544,72 +1552,44 @@ impl Emitter<'_> {
         }
         let k0 = keys[0].clone();
 
-        let find = match (format_name(&view_name), sp.target.chain, lev) {
-            ("bsr", 0, 0) | ("vbr", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("bsr", 0, 1) | ("vbr", 0, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("csr", 0, 0) | ("ell", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("csr", 0, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("csc", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.ncols as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("csc", 0, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find(({k0}) as usize, {parent}) }} else {{ None }}"
-            ),
-            ("coo", 0, 0) => {
-                let k1 = keys[1].clone();
+        // The rendering of the level's `locate`.
+        let unsupported = || EmitError(format!("no search template for {}", sp.target));
+        let method = format!("{m}.{}", site.levels.finder);
+        let find = match (site.level.locate, site.level.kind) {
+            (Locate::Bounds, Kind::Interval { lo, hi, base }) => {
+                let key = format!("({k0})");
+                let ends = site.interval((lo, hi, base), &key, |_, a| site.get(a, parent));
+                let (lo, hi, pos) = ends.ok_or_else(unsupported)?;
+                format!("if {key} >= {lo} && {key} < {hi} {{ Some({pos}) }} else {{ None }}")
+            }
+            (Locate::BinarySearch, Kind::Coords { crd: &[a], .. }) => {
+                let sorted = site.array(a);
+                match site.levels.elem(a) {
+                    Elem::I64 => format!("{sorted}.binary_search(&({k0})).ok()"),
+                    _ => format!(
+                        "if ({k0}) >= 0 {{ {sorted}.binary_search(&(({k0}) as usize)).ok() }} else {{ None }}"
+                    ),
+                }
+            }
+            (Locate::Find(Args::ParentKey), _) => {
+                format!("if ({k0}) >= 0 {{ {method}({parent}, ({k0}) as usize) }} else {{ None }}")
+            }
+            (Locate::Find(Args::KeyParent), _) => {
+                format!("if ({k0}) >= 0 {{ {method}(({k0}) as usize, {parent}) }} else {{ None }}")
+            }
+            (Locate::Find(Args::Keys), _) => {
+                let k1 = keys.get(1).ok_or_else(unsupported)?;
                 format!(
-                    "if ({k0}) >= 0 && ({k1}) >= 0 {{ {m}.find(({k0}) as usize, ({k1}) as usize) }} else {{ None }}"
+                    "if ({k0}) >= 0 && ({k1}) >= 0 {{ {method}(({k0}) as usize, ({k1}) as usize) }} else {{ None }}"
                 )
             }
-            ("dia", 0, 0) => format!("{m}.diags.binary_search(&({k0})).ok()"),
-            ("dia", 0, 1) => format!(
-                "if ({k0}) >= *{m}.lo.get({parent})? && ({k0}) < *{m}.hi.get({parent})? {{ Some(*{m}.ptr.get({parent})? + (({k0}) - *{m}.lo.get({parent})?) as usize) }} else {{ None }}"
+            (Locate::Find(Args::Key), _) => {
+                format!("if ({k0}) >= 0 {{ {method}(({k0}) as usize) }} else {{ None }}")
+            }
+            (Locate::Hash(map), _) => format!(
+                "if ({k0}) >= 0 {{ {m}.{map}.get(&(({k0}) as usize)).copied() }} else {{ None }}"
             ),
-            ("ell", 0, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("jad", 1, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("jad", 1, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find_in_row({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("dense", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("dense", 0, 1) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.ncols as i64 {{ Some({parent} * {m}.ncols + ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("diagsplit", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.n as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("diagsplit", 1, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.off.nrows as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("diagsplit", 1, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.off.find({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            ("spvec", 0, 0) => format!(
-                "if ({k0}) >= 0 {{ {m}.find(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("hashvec", 0, 0) => format!(
-                "if ({k0}) >= 0 {{ {m}.index.get(&(({k0}) as usize)).copied() }} else {{ None }}"
-            ),
-            ("sky", 0, 0) => format!(
-                "if ({k0}) >= 0 && ({k0}) < {m}.n as i64 {{ Some(({k0}) as usize) }} else {{ None }}"
-            ),
-            ("sky", 0, 1) => format!(
-                "if ({k0}) >= 0 {{ {m}.find({parent}, ({k0}) as usize) }} else {{ None }}"
-            ),
-            other => return Err(EmitError(format!("no search template for {other:?}"))),
+            (Locate::None | Locate::Bounds | Locate::BinarySearch, _) => return Err(unsupported()),
         };
 
         self.line(&format!(
@@ -1902,16 +1882,11 @@ impl Emitter<'_> {
 
     /// The value expression at a position of a ref's chain.
     fn value_at(&self, matrix: &str, rid: usize, pv: &str) -> Result<String, EmitError> {
-        let m = self.mat(matrix);
-        let view_name = &self.views[matrix].name;
-        let chain = self.plan.refs[rid].chain;
-        Ok(match (view_name.as_str(), chain) {
-            ("dense", _) => self.ix(&format!("{m}.data"), pv),
-            ("diagsplit", 0) => self.ix(&format!("{m}.diag"), pv),
-            ("diagsplit", 1) => self.ix(&format!("{m}.off.values"), pv),
-            ("vbr", _) => self.ix(&format!("{m}.val"), pv),
-            _ => self.ix(&format!("{m}.values"), pv),
-        })
+        let (levels, _) = described(&self.views[matrix].name)?;
+        let chain = levels.chains.get(self.plan.refs[rid].chain);
+        let chain = chain.ok_or_else(|| EmitError(format!("reference {rid} is of no chain")))?;
+        let values = format!("{}.{}", self.mat(matrix), levels.array(chain.values));
+        Ok(self.ix(&values, pv))
     }
 
     /// PExpr → Rust i64 expression.

@@ -3,8 +3,9 @@
 //!
 //! This gives every synthesized plan an executable semantics without
 //! compiling generated source — the integration tests compare it against
-//! the dense reference executor. The statically-specialized equivalent is
-//! what [`crate::emit`] produces.
+//! the dense reference executor. [`crate::emit`] produces the
+//! statically-specialized rendering of the same level descriptions the
+//! cursors walk (`bernoulli_formats::level`).
 
 use crate::plan::{
     Atom, Dir, ExecStmt, Guard, LevelRef, PExpr, Plan, SearchPart, Step, StepKind, ValueSource,
@@ -433,7 +434,7 @@ impl Runtime<'_> {
                     for (s, perm) in perms.iter().enumerate() {
                         let raw = cur.keys[s];
                         let value = match perm {
-                            Some(t) => view.perm_apply(t, raw),
+                            Some(_) => view.perm_apply(raw),
                             None => raw,
                         };
                         self.bind(step.first_slot + s, value);
@@ -505,12 +506,12 @@ impl Runtime<'_> {
             for (e, (_, perm)) in keys.iter().zip(&sp.keys) {
                 let v = e.eval(&self.frame);
                 self.keys.push(match perm {
-                    Some(t) => {
+                    Some(_) => {
                         if v < 0 || v >= view.nrows() as i64 {
                             self.missing_at[rid] = Some(si);
                             break;
                         }
-                        view.perm_unapply(t, v)
+                        view.perm_unapply(v)
                     }
                     None => v,
                 });

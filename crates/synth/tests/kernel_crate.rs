@@ -7,7 +7,9 @@
 //! on a host without one.
 
 use bernoulli_blas::synth::{spec_for, view_for, GENERATED_KERNELS};
-use bernoulli_formats::{gen, Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Triplets, Vbr, LAYOUTS};
+use bernoulli_formats::{
+    gen, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, Jad, Sky, Triplets, Vbr, LAYOUTS,
+};
 use bernoulli_kernel_cache::ArtifactSpec;
 use bernoulli_synth::{
     CompiledKernel, KernelArg, KernelBackend, KernelCacheError, KernelCallError, KernelStore,
@@ -374,8 +376,9 @@ fn malformed_operands_are_a_status_not_a_crash() {
 /// What a format needs to be a native kernel's operand is derived from
 /// its layout, so every registered layout must have all of it: a mirror
 /// that links with no panic path and a probe instance (the load
-/// validates), and a `KernelArg` variant that marshals — exactly one
-/// of them, every other refused by name before the library is entered
+/// validates), and a `KernelArg` that marshals (a typed variant, or
+/// `Matrix` for any `Stored`) — exactly one of the candidates, every
+/// other refused by name before the library is entered
 /// (`operand "A": expected csr, got csc`; `expected bsr2x2, got bsr`
 /// for the other block shape).
 #[test]
@@ -405,6 +408,8 @@ fn every_layout_is_a_native_kernel_operand() {
     let bsr = Bsr::from_triplets(&t, 2, 2);
     let bsr4 = Bsr::from_triplets(&t, 4, 4);
     let vbr = Vbr::from_triplets(&t, &strips, &strips);
+    // A format without a typed variant enters through the erased one.
+    let dcsr = Dcsr::from_triplets(&t);
     let candidates = || {
         [
             ("csr", KernelArg::Csr(&csr)),
@@ -417,6 +422,7 @@ fn every_layout_is_a_native_kernel_operand() {
             ("bsr", KernelArg::Bsr(&bsr)),
             ("bsr", KernelArg::Bsr(&bsr4)),
             ("vbr", KernelArg::Vbr(&vbr)),
+            ("dcsr", KernelArg::Matrix(&dcsr)),
         ]
     };
 
