@@ -53,7 +53,7 @@ pub enum SearchKind {
 }
 
 /// A coordinate translation attached to a chain.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum Transform {
     /// `out = Σ coeff·attr + cst` — from the `map` production.
     Affine {
@@ -97,7 +97,7 @@ impl Transform {
 }
 
 /// One linearized nesting level of a chain.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct FlatLevel {
     /// Attributes bound by this level (len > 1 ⇒ coupled `<a,b>` index).
     pub attrs: Vec<String>,
@@ -115,7 +115,7 @@ pub struct FlatLevel {
 /// its positions `levels[1]`, …, reaching stored values below the last
 /// level. `fwd` computes dense coordinates from stored attributes, `inv`
 /// the reverse.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Chain {
     /// Runtime dispatch index (canonical DFS order over the view).
     pub id: usize,
@@ -145,7 +145,7 @@ impl Chain {
 
 /// An affine inequality `Σ coeff·attr + cst ≥ 0` over dense attributes,
 /// used for the *enumeration bounds* annotation of the paper §2.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct Bound {
     pub terms: Vec<(String, i64)>,
     pub cst: i64,
@@ -165,7 +165,7 @@ impl Bound {
 /// *certainly* stored (whatever their value), needed for statements that
 /// are not annihilated by zeros (e.g. the diagonal division of triangular
 /// solve).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum StoredGuarantee {
     /// Every `(i, i)` with `0 ≤ i < min(nrows, ncols)` is stored.
     FullDiagonal,
@@ -174,7 +174,7 @@ pub enum StoredGuarantee {
 }
 
 /// The index-structure term (paper Fig. 6).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum ViewExpr {
     /// `Index -> E` with enumeration properties.
     Level {
@@ -242,7 +242,7 @@ impl ViewExpr {
 
 /// A complete format description: the view term plus bounds, guarantees
 /// and the dense attributes of the enveloping array.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct FormatView {
     /// Human-readable format name (`"csr"`, `"jad"`, …).
     pub name: String,

@@ -2,9 +2,10 @@
 
 use crate::expr::AffineExpr;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Shape of a declared array.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum ArrayKind {
     /// Two-dimensional matrix (candidate for sparse storage).
     Matrix,
@@ -13,7 +14,7 @@ pub enum ArrayKind {
 }
 
 /// Dataflow role of a declared array.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Role {
     In,
     Out,
@@ -21,7 +22,7 @@ pub enum Role {
 }
 
 /// An array declaration.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ArrayDecl {
     pub name: String,
     pub kind: ArrayKind,
@@ -31,7 +32,7 @@ pub struct ArrayDecl {
 }
 
 /// A reference `array[idx...]` (1 index for vectors, 2 for matrices).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct LhsRef {
     pub array: String,
     pub idxs: Vec<AffineExpr>,
@@ -48,6 +49,26 @@ pub enum ValueExpr {
     Mul(Box<ValueExpr>, Box<ValueExpr>),
     Div(Box<ValueExpr>, Box<ValueExpr>),
     Neg(Box<ValueExpr>),
+}
+
+/// Constants hash by bit pattern: a `NaN` hashes like any other value,
+/// and `0.0` and `-0.0`, which print apart, hash apart.
+impl Hash for ValueExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            ValueExpr::Const(c) => c.to_bits().hash(state),
+            ValueExpr::Read(r) => r.hash(state),
+            ValueExpr::Add(a, b)
+            | ValueExpr::Sub(a, b)
+            | ValueExpr::Mul(a, b)
+            | ValueExpr::Div(a, b) => {
+                a.hash(state);
+                b.hash(state);
+            }
+            ValueExpr::Neg(a) => a.hash(state),
+        }
+    }
 }
 
 impl ValueExpr {
@@ -94,14 +115,14 @@ impl ValueExpr {
 }
 
 /// An assignment statement `lhs = rhs`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Statement {
     pub lhs: LhsRef,
     pub rhs: ValueExpr,
 }
 
 /// A `for var in lo..hi` loop (half-open, stride 1, affine bounds).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Loop {
     pub var: String,
     pub lo: AffineExpr,
@@ -111,14 +132,17 @@ pub struct Loop {
 }
 
 /// A node of the loop tree.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Node {
     Loop(Loop),
     Stmt(Statement),
 }
 
 /// A complete dense-matrix program.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// `Hash` is the structural fingerprint the synthesis caches look
+/// programs up by; `==` confirms a match.
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Program {
     pub name: String,
     /// Symbolic size parameters (e.g. `N`).
@@ -204,20 +228,22 @@ impl Program {
     }
 
     fn validate_inner(&self) -> Result<(), String> {
+        // `what` is only formatted into the error: a valid program is
+        // walked without allocating.
         fn check_expr(
             p: &Program,
-            scope: &[String],
+            scope: &[&str],
             e: &AffineExpr,
-            what: &str,
+            what: fmt::Arguments<'_>,
         ) -> Result<(), String> {
-            for v in e.vars() {
-                if !scope.iter().any(|s| s == v) && !p.params.iter().any(|q| q == v) {
+            for (v, _) in e.terms() {
+                if !scope.contains(&v) && !p.params.iter().any(|q| q == v) {
                     return Err(format!("{what}: variable {v:?} is not in scope"));
                 }
             }
             Ok(())
         }
-        fn check_ref(p: &Program, scope: &[String], r: &LhsRef) -> Result<(), String> {
+        fn check_ref(p: &Program, scope: &[&str], r: &LhsRef) -> Result<(), String> {
             let decl = p
                 .array(&r.array)
                 .ok_or_else(|| format!("array {:?} is not declared", r.array))?;
@@ -233,23 +259,27 @@ impl Program {
                 ));
             }
             for e in &r.idxs {
-                check_expr(p, scope, e, &format!("index of {:?}", r.array))?;
+                check_expr(p, scope, e, format_args!("index of {:?}", r.array))?;
             }
             Ok(())
         }
-        fn walk(p: &Program, scope: &mut Vec<String>, nodes: &[Node]) -> Result<(), String> {
+        fn walk<'p>(
+            p: &'p Program,
+            scope: &mut Vec<&'p str>,
+            nodes: &'p [Node],
+        ) -> Result<(), String> {
             for n in nodes {
                 match n {
                     Node::Loop(l) => {
                         if p.params.iter().any(|q| q == &l.var) {
                             return Err(format!("loop variable {:?} shadows a parameter", l.var));
                         }
-                        if scope.iter().any(|s| s == &l.var) {
+                        if scope.contains(&l.var.as_str()) {
                             return Err(format!("loop variable {:?} shadows an outer loop", l.var));
                         }
-                        check_expr(p, scope, &l.lo, "loop lower bound")?;
-                        check_expr(p, scope, &l.hi, "loop upper bound")?;
-                        scope.push(l.var.clone());
+                        check_expr(p, scope, &l.lo, format_args!("loop lower bound"))?;
+                        check_expr(p, scope, &l.hi, format_args!("loop upper bound"))?;
+                        scope.push(&l.var);
                         walk(p, scope, &l.body)?;
                         scope.pop();
                     }
@@ -265,7 +295,12 @@ impl Program {
         }
         for a in &self.arrays {
             for d in &a.dims {
-                check_expr(self, &[], d, &format!("declared extent of {:?}", a.name))?;
+                check_expr(
+                    self,
+                    &[],
+                    d,
+                    format_args!("declared extent of {:?}", a.name),
+                )?;
             }
         }
         walk(self, &mut Vec::new(), &self.body)

@@ -77,15 +77,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers borrow the source text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
     Sym(&'static str),
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier {s:?}"),
@@ -97,14 +98,16 @@ impl fmt::Display for Tok {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Lexer<'a> {
+    fn new(text: &'a str) -> Lexer<'a> {
         Lexer {
-            src: src.as_bytes(),
+            text,
+            src: text.as_bytes(),
             pos: 0,
         }
     }
@@ -129,7 +132,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<Option<(Tok, usize)>, ParseError> {
+    fn next(&mut self) -> Result<Option<(Tok<'a>, usize)>, ParseError> {
         self.skip_ws();
         if self.pos >= self.src.len() {
             return Ok(None);
@@ -142,10 +145,9 @@ impl<'a> Lexer<'a> {
             {
                 self.pos += 1;
             }
-            // The matched bytes are ASCII by construction, so the lossy
-            // conversion is exact.
-            let s = String::from_utf8_lossy(&self.src[start..self.pos]);
-            return Ok(Some((Tok::Ident(s.into_owned()), start)));
+            // The matched bytes are ASCII, so both ends of the slice
+            // are character boundaries.
+            return Ok(Some((Tok::Ident(&self.text[start..self.pos]), start)));
         }
         if b.is_ascii_digit() {
             while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
@@ -161,11 +163,11 @@ impl<'a> Lexer<'a> {
                 while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
                     self.pos += 1;
                 }
-                let s = String::from_utf8_lossy(&self.src[start..self.pos]);
+                let s = &self.text[start..self.pos];
                 let v: f64 = s.parse().map_err(|_| self.error("bad float literal"))?;
                 return Ok(Some((Tok::Float(v), start)));
             }
-            let s = String::from_utf8_lossy(&self.src[start..self.pos]);
+            let s = &self.text[start..self.pos];
             let v: i64 = s.parse().map_err(|_| self.error("bad integer literal"))?;
             return Ok(Some((Tok::Int(v), start)));
         }
@@ -197,14 +199,14 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     i: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.i).map(|&(t, _)| t)
     }
 
     fn offset(&self) -> usize {
@@ -225,11 +227,9 @@ impl Parser {
         ParseError::at(msg, off)
     }
 
-    fn bump(&mut self) -> Result<Tok, ParseError> {
+    fn bump(&mut self) -> Result<Tok<'a>, ParseError> {
         let t = self
-            .toks
-            .get(self.i)
-            .map(|(t, _)| t.clone())
+            .peek()
             .ok_or_else(|| self.error("unexpected end of input"))?;
         self.i += 1;
         Ok(t)
@@ -242,7 +242,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump()? {
             Tok::Ident(s) => Ok(s),
             other => Err(self.error_at_last(format!("expected identifier, found {other}"))),
@@ -259,7 +259,7 @@ impl Parser {
     }
 
     fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(x)) if *x == s) {
+        if matches!(self.peek(), Some(Tok::Sym(x)) if x == s) {
             self.i += 1;
             true
         } else {
@@ -275,8 +275,8 @@ impl Parser {
             if self.eat_sym("+") {
                 let t = self.affine_term()?;
                 acc = &acc + &t;
-            } else if self.peek() == Some(&Tok::Sym("-"))
-                && self.toks.get(self.i + 1).map(|(t, _)| t) != Some(&Tok::Sym("-"))
+            } else if self.peek() == Some(Tok::Sym("-"))
+                && self.toks.get(self.i + 1).map(|&(t, _)| t) != Some(Tok::Sym("-"))
             {
                 self.i += 1;
                 let t = self.affine_term()?;
@@ -293,7 +293,7 @@ impl Parser {
             Tok::Int(v) => {
                 if self.eat_sym("*") {
                     let id = self.expect_ident()?;
-                    Ok(AffineExpr::from_terms(&[(&id, v)], 0))
+                    Ok(AffineExpr::from_terms(&[(id, v)], 0))
                 } else {
                     Ok(AffineExpr::constant(v))
                 }
@@ -301,13 +301,13 @@ impl Parser {
             Tok::Ident(id) => {
                 if self.eat_sym("*") {
                     match self.bump()? {
-                        Tok::Int(v) => Ok(AffineExpr::from_terms(&[(&id, v)], 0)),
+                        Tok::Int(v) => Ok(AffineExpr::from_terms(&[(id, v)], 0)),
                         other => Err(self.error_at_last(format!(
                             "affine multiplier must be an integer, found {other}"
                         ))),
                     }
                 } else {
-                    Ok(AffineExpr::var(&id))
+                    Ok(AffineExpr::var(id))
                 }
             }
             Tok::Sym("-") => {
@@ -323,7 +323,7 @@ impl Parser {
         }
     }
 
-    fn array_ref(&mut self, name: String) -> Result<LhsRef, ParseError> {
+    fn array_ref(&mut self, name: &str) -> Result<LhsRef, ParseError> {
         let mut idxs = Vec::new();
         while self.eat_sym("[") {
             idxs.push(self.affine()?);
@@ -332,7 +332,10 @@ impl Parser {
         if idxs.is_empty() {
             return Err(self.error(format!("array reference {name:?} needs at least one index")));
         }
-        Ok(LhsRef { array: name, idxs })
+        Ok(LhsRef {
+            array: name.to_string(),
+            idxs,
+        })
     }
 
     // value expression with precedence: unary - > * / > + -
@@ -390,16 +393,16 @@ impl Parser {
     }
 
     fn node(&mut self) -> Result<Node, ParseError> {
-        if self.peek() == Some(&Tok::Ident("for".to_string())) {
+        if self.peek() == Some(Tok::Ident("for")) {
             self.i += 1;
-            let var = self.expect_ident()?;
+            let var = self.expect_ident()?.to_string();
             self.expect_keyword("in")?;
             let lo = self.affine()?;
             self.expect_sym("..")?;
             let hi = self.affine()?;
             self.expect_sym("{")?;
             let mut body = Vec::new();
-            while self.peek() != Some(&Tok::Sym("}")) {
+            while self.peek() != Some(Tok::Sym("}")) {
                 body.push(self.node()?);
             }
             self.expect_sym("}")?;
@@ -416,13 +419,13 @@ impl Parser {
 
     fn decl(&mut self) -> Result<ArrayDecl, ParseError> {
         let first = self.expect_ident()?;
-        let (role, kind_word) = match first.as_str() {
+        let (role, kind_word) = match first {
             "in" => (Role::In, self.expect_ident()?),
             "out" => (Role::Out, self.expect_ident()?),
             "inout" => (Role::InOut, self.expect_ident()?),
-            other => (Role::InOut, other.to_string()),
+            other => (Role::InOut, other),
         };
-        let kind = match kind_word.as_str() {
+        let kind = match kind_word {
             "matrix" => ArrayKind::Matrix,
             "vector" => ArrayKind::Vector,
             other => {
@@ -447,7 +450,7 @@ impl Parser {
         }
         self.expect_sym(";")?;
         Ok(ArrayDecl {
-            name,
+            name: name.to_string(),
             kind,
             role,
             dims,
@@ -459,9 +462,9 @@ impl Parser {
         let name = self.expect_ident()?;
         self.expect_sym("(")?;
         let mut params = Vec::new();
-        if self.peek() != Some(&Tok::Sym(")")) {
+        if self.peek() != Some(Tok::Sym(")")) {
             loop {
-                params.push(self.expect_ident()?);
+                params.push(self.expect_ident()?.to_string());
                 if !self.eat_sym(",") {
                     break;
                 }
@@ -472,14 +475,14 @@ impl Parser {
         let mut arrays = Vec::new();
         // declarations until a `for` or statement shows up
         while let Some(Tok::Ident(w)) = self.peek() {
-            if matches!(w.as_str(), "in" | "out" | "inout" | "matrix" | "vector") {
+            if matches!(w, "in" | "out" | "inout" | "matrix" | "vector") {
                 arrays.push(self.decl()?);
             } else {
                 break;
             }
         }
         let mut body = Vec::new();
-        while self.peek() != Some(&Tok::Sym("}")) {
+        while self.peek() != Some(Tok::Sym("}")) {
             body.push(self.node()?);
         }
         self.expect_sym("}")?;
@@ -487,7 +490,7 @@ impl Parser {
             return Err(self.error("trailing input after program"));
         }
         Ok(Program {
-            name,
+            name: name.to_string(),
             params,
             arrays,
             body,

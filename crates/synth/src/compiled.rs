@@ -618,7 +618,7 @@ pub(crate) struct NativeSource {
 /// computed at most once: one cell per plan-cache entry, shared with
 /// every kernel the entry serves. Never per logical key — a degraded
 /// search has the key of the full one and possibly another plan.
-pub(crate) type NativeCell = Arc<OnceLock<Result<Arc<NativeSource>, LoadError>>>;
+pub(crate) type NativeCell = OnceLock<Result<Arc<NativeSource>, LoadError>>;
 
 impl NativeSource {
     fn derive(
@@ -1169,7 +1169,7 @@ mod tests {
         let planted = source.replace("*x_.get((j_) as usize)?", "x_[(j_) as usize]");
         assert_ne!(planted, source, "nothing was planted in:\n{source}");
         native.artifact = ArtifactSpec::new("planted-panic".to_string(), planted)?;
-        let cell: NativeCell = Arc::new(OnceLock::from(Ok(Arc::new(native))));
+        let cell: NativeCell = OnceLock::from(Ok(Arc::new(native)));
         let store = KernelStore::at(
             std::env::temp_dir().join(format!("bernoulli-planted-{}", std::process::id())),
         );

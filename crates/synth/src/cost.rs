@@ -14,7 +14,7 @@ use bernoulli_ir::Program;
 use std::collections::HashMap;
 
 /// Workload statistics driving the cost model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadStats {
     /// Estimated value of each symbolic parameter.
     pub params: HashMap<String, f64>,

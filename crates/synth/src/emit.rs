@@ -705,7 +705,7 @@ impl Emitter<'_> {
 
     fn function(&mut self, fn_name: &str) -> Result<(), EmitError> {
         // Header.
-        let mut sig = format!("pub fn {fn_name}(");
+        let mut sig = format!("{FN_OPEN}{fn_name}(");
         let mut first = true;
         for q in &self.p.params {
             if !first {
@@ -1991,6 +1991,29 @@ fn invariant_var(k: usize) -> String {
     format!("inv{k}__")
 }
 
+/// How every emitted function opens; its name follows, and occurs
+/// nowhere else in the text.
+const FN_OPEN: &str = "pub fn ";
+
+/// An emitted module with the function's name left open: the text up to
+/// the name and the text after it.
+#[derive(Clone, Debug)]
+pub(crate) struct ModuleText {
+    head: String,
+    tail: String,
+}
+
+impl ModuleText {
+    /// The module with its function called `fn_name`.
+    pub(crate) fn named(&self, fn_name: &str) -> String {
+        let mut out = String::with_capacity(self.head.len() + fn_name.len() + self.tail.len());
+        out.push_str(&self.head);
+        out.push_str(fn_name);
+        out.push_str(&self.tail);
+        out
+    }
+}
+
 /// Emits a complete module: header comment, imports, and one function.
 pub fn emit_module(
     p: &Program,
@@ -1998,7 +2021,19 @@ pub fn emit_module(
     views: &HashMap<String, FormatView>,
     fn_name: &str,
 ) -> Result<String, EmitError> {
-    let body = emit_rust(p, plan, views, fn_name)?;
+    Ok(emit_module_open(p, plan, views)?.named(fn_name))
+}
+
+/// [`emit_module`] for every name at once.
+pub(crate) fn emit_module_open(
+    p: &Program,
+    plan: &Plan,
+    views: &HashMap<String, FormatView>,
+) -> Result<ModuleText, EmitError> {
+    let body = emit_rust(p, plan, views, "")?;
+    let tail = body
+        .strip_prefix(FN_OPEN)
+        .ok_or_else(|| EmitError(format!("an emitted function opens with {FN_OPEN:?}")))?;
     let needs_random = plan.execs.iter().any(|e| {
         e.sources
             .iter()
@@ -2014,18 +2049,25 @@ pub fn emit_module(
             }
         }
     }
-    let mut out = String::new();
-    out.push_str("// GENERATED by bernoulli-synth — do not edit by hand.\n");
-    out.push_str("// Regenerated and checked by the kernel fidelity tests in bernoulli-blas.\n");
+    let mut head = String::new();
+    head.push_str("// GENERATED by bernoulli-synth — do not edit by hand.\n");
+    head.push_str("// Regenerated and checked by the kernel fidelity tests in bernoulli-blas.\n");
     if !used_types.is_empty() {
-        let _ = writeln!(out, "use bernoulli_formats::{{{}}};", used_types.join(", "));
+        let _ = writeln!(
+            head,
+            "use bernoulli_formats::{{{}}};",
+            used_types.join(", ")
+        );
     }
     if needs_random {
-        out.push_str("#[allow(unused_imports)]\nuse bernoulli_formats::SparseMatrix as _;\n");
+        head.push_str("#[allow(unused_imports)]\nuse bernoulli_formats::SparseMatrix as _;\n");
     }
-    out.push('\n');
-    out.push_str(&body);
-    Ok(out)
+    head.push('\n');
+    head.push_str(FN_OPEN);
+    Ok(ModuleText {
+        head,
+        tail: tail.to_string(),
+    })
 }
 
 #[cfg(test)]

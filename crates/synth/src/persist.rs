@@ -36,10 +36,8 @@
 
 use crate::plan::{Atom, Dir, Edge, EdgeBound, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef};
 use crate::plan::{SearchPart, Step, StepKind, ValueSource};
-use crate::search::{CachedSearch, Candidate};
-use bernoulli_formats::view::FormatView;
-use bernoulli_ir::{AffineExpr, LhsRef, Program, Statement, ValueExpr};
-use std::collections::HashMap;
+use crate::search::{CachedSearch, Candidate, SearchReport};
+use bernoulli_ir::{AffineExpr, LhsRef, Statement, ValueExpr};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -750,7 +748,8 @@ fn dec_candidate(v: &V) -> PResult<Candidate> {
     })
 }
 
-fn enc_entry(e: &CachedSearch) -> V {
+/// What is stored of a search: only ones that ran to completion are.
+fn enc_entry(e: &SearchReport) -> V {
     V::L(vec![
         V::L(e.candidates.iter().map(enc_candidate).collect()),
         V::I(e.examined as i64),
@@ -759,14 +758,18 @@ fn enc_entry(e: &CachedSearch) -> V {
     ])
 }
 
-fn dec_entry(v: &V) -> PResult<CachedSearch> {
+fn dec_entry(v: &V) -> PResult<SearchReport> {
     let [candidates, examined, pruned, reasons] = as_fixed::<4>(v)?;
-    Ok(CachedSearch {
+    Ok(SearchReport {
         candidates: dec_vec(candidates, dec_candidate)?.into(),
         examined: as_usize(examined)?,
         pruned: as_usize(pruned)?,
-        reasons: dec_vec(reasons, |r| Ok(as_str(r)?.to_string()))?,
-        native: Default::default(),
+        reasons: dec_vec(reasons, |r| Ok(as_str(r)?.to_string()))?.into(),
+        plan_cache_hit: false,
+        plan_cache_disk_hit: false,
+        degraded: false,
+        budget: None,
+        skipped_configs: 0,
     })
 }
 
@@ -876,10 +879,10 @@ impl PersistentPlanCache {
         self.dir.join(format!("plan-{h:016x}.bsp"))
     }
 
-    /// Loads the entry stored under `key`, or `None` — on a genuine
+    /// Loads the search stored under `key`, or `None` — on a genuine
     /// miss, a version mismatch, a key (hash) collision, or any parse
     /// failure. Never errors out: the persistent tier is advisory.
-    pub(crate) fn load(&self, key: &str) -> Option<CachedSearch> {
+    pub(crate) fn load(&self, key: &str) -> Option<SearchReport> {
         if bernoulli_govern::faults::fail("persist.read") {
             self.errors.fetch_add(1, Ordering::Relaxed);
             *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) =
@@ -921,21 +924,16 @@ impl PersistentPlanCache {
         Some((plans, emit))
     }
 
-    /// Persists a completed (never degraded) search under `key`,
-    /// including the best candidate's emitted module when emission
-    /// succeeds. Failures are swallowed — a read-only or full disk
-    /// degrades the warm-start, never the compile.
-    pub(crate) fn store(
-        &self,
-        key: &str,
-        entry: &CachedSearch,
-        p: &Program,
-        views: &HashMap<String, FormatView>,
-    ) {
+    /// Persists a completed (never degraded) search under its key,
+    /// including the best candidate's emitted module (the entry's own
+    /// rendering, named `kernel`) when emission succeeds. Failures are
+    /// swallowed — a read-only or full disk degrades the warm-start,
+    /// never the compile.
+    pub(crate) fn store(&self, entry: &CachedSearch) {
+        let key = &entry.key;
         let emit = entry
-            .candidates
-            .first()
-            .and_then(|best| crate::emit::emit_module(p, &best.plan, views, "kernel").ok())
+            .module()
+            .map(|module| module.named("kernel"))
             .unwrap_or_default();
         let mut out = String::with_capacity(4096);
         write_v(
@@ -943,8 +941,8 @@ impl PersistentPlanCache {
             &V::L(vec![
                 V::S("bernoulli-plan-cache".into()),
                 V::I(FORMAT_VERSION),
-                V::S(key.to_string()),
-                enc_entry(entry),
+                V::S(key.clone()),
+                enc_entry(&entry.report),
                 V::S(emit),
             ]),
         );
@@ -1033,7 +1031,7 @@ impl PersistentPlanCache {
     }
 }
 
-fn decode_file(text: &str, want_key: &str) -> PResult<(CachedSearch, String)> {
+fn decode_file(text: &str, want_key: &str) -> PResult<(SearchReport, String)> {
     let top = parse_top(text)?;
     let [magic, version, key, entry, emit] = as_fixed::<5>(&top)?;
     if as_str(magic)? != "bernoulli-plan-cache" {

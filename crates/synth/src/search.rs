@@ -33,6 +33,7 @@ use crate::compiled::NativeCell;
 use crate::config::{enumerate_configs, Config};
 use crate::cost::{cost_floor, estimate_cost, WorkloadStats};
 use crate::embed::embedding_variants;
+use crate::emit::{emit_module_open, EmitError, ModuleText};
 use crate::groups::compute_groups;
 use crate::legal::{check_legality, relaxable_classes};
 use crate::lower::lower_plans;
@@ -45,8 +46,9 @@ use bernoulli_govern::{Budget, BudgetError};
 use bernoulli_ir::{analyze, DepClass, Program};
 use bernoulli_pool::{Pool, PoolError};
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Knobs bounding the search (paper §4.3 heuristics).
 #[derive(Clone, Debug)]
@@ -118,8 +120,9 @@ pub struct SearchReport {
     pub examined: usize,
     /// Embeddings skipped by branch-and-bound before lowering.
     pub pruned: usize,
-    /// Deduplicated rejection reasons (capped).
-    pub reasons: Vec<String>,
+    /// Deduplicated rejection reasons (capped). Shared like
+    /// `candidates`.
+    pub reasons: Arc<[String]>,
     /// True iff the whole result came from the plan cache.
     pub plan_cache_hit: bool,
     /// True iff the plan-cache hit was served from the *persistent*
@@ -331,51 +334,128 @@ fn catch_outcome(f: impl FnOnce() -> ConfigOutcome) -> Result<ConfigOutcome, Syn
     })
 }
 
-/// A search's report, and the cell its kernels share for what a native
-/// load derives from the best plan. The cell belongs to the plan-cache
-/// entry the report was stored in or served from; a degraded report,
-/// which no entry ever holds, has a cell of its own.
-#[derive(Clone)]
-pub(crate) struct SearchOutcome {
-    pub(crate) report: SearchReport,
-    pub(crate) native: NativeCell,
+/// Which tier answered a request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// A search of the request's own (or of the flight it followed).
+    Search,
+    /// The in-memory plan cache.
+    Memory,
+    /// The persistent plan cache.
+    Disk,
 }
 
-/// Searches for `problem` under `opts`. `key` is the request's
-/// [`plan_cache_key`], computed once by the caller (it also names the
-/// kernel's artifact); it is only looked up when `opts.cache_plans`.
+/// How a request was answered: the entry that holds the answer, and the
+/// tier it came from. A degraded search answers with an entry of its
+/// own, which no cache tier ever holds.
+#[derive(Clone)]
+pub(crate) struct SearchOutcome {
+    pub(crate) entry: Arc<CachedSearch>,
+    pub(crate) tier: Tier,
+}
+
+impl SearchOutcome {
+    /// The report the request's kernel carries.
+    pub(crate) fn report(&self) -> SearchReport {
+        SearchReport {
+            plan_cache_hit: self.tier != Tier::Search,
+            plan_cache_disk_hit: self.tier == Tier::Disk,
+            ..self.entry.report.clone()
+        }
+    }
+}
+
+/// One compile request: a problem, the options it is searched under, and
+/// the structural fingerprint of the two that the in-memory plan cache
+/// is looked up by.
+pub(crate) struct Request<'a> {
+    pub(crate) problem: &'a BoundProblem,
+    pub(crate) opts: &'a SynthOptions,
+    fingerprint: u64,
+}
+
+impl<'a> Request<'a> {
+    pub(crate) fn new(problem: &'a BoundProblem, opts: &'a SynthOptions) -> Request<'a> {
+        Request {
+            problem,
+            opts,
+            fingerprint: fingerprint(problem, opts),
+        }
+    }
+
+    /// A request under another problem's fingerprint.
+    #[cfg(test)]
+    pub(crate) fn colliding_with(
+        problem: &'a BoundProblem,
+        opts: &'a SynthOptions,
+        other: &Request<'_>,
+    ) -> Request<'a> {
+        Request {
+            problem,
+            opts,
+            fingerprint: other.fingerprint,
+        }
+    }
+}
+
+/// Answers `req` from `cache`'s memory tier when plan caching is on and
+/// the tier holds it; otherwise formats the request's durable key (the
+/// only place that does) and hands it to `miss`, which is to end in
+/// [`run_search`].
+pub(crate) fn serve(
+    cache: &PlanCache,
+    req: &Request<'_>,
+    miss: impl FnOnce(String) -> Result<SearchOutcome, SynthError>,
+) -> Result<SearchOutcome, SynthError> {
+    if req.opts.cache_plans {
+        if let Some(hit) = cache.lookup(req) {
+            return Ok(hit);
+        }
+    }
+    miss(plan_cache_key(
+        req.problem.program(),
+        req.problem.views(),
+        req.opts,
+    ))
+}
+
+/// Searches for `req` on a miss of the memory tier. `key` is the
+/// request's [`plan_cache_key`]: it names the entry in the persistent
+/// tier and the kernel's artifact, and the entry this returns owns it.
+/// The memory tier is looked up once more here — a request that waited
+/// to lead a single-flight finds what the previous leader stored — and
+/// this lookup is the one that counts a miss.
 pub(crate) fn run_search(
-    problem: &BoundProblem,
-    opts: &SynthOptions,
+    req: &Request<'_>,
+    key: String,
     pool: Option<&Pool>,
     cache: &PlanCache,
     persist: Option<&crate::persist::PersistentPlanCache>,
-    key: &str,
 ) -> Result<SearchOutcome, SynthError> {
-    bernoulli_trace::counter!("synth.searches");
-    bernoulli_trace::span!("synth.search");
+    let (problem, opts) = (req.problem, req.opts);
     let p = problem.program();
 
     if opts.cache_plans {
-        if let Some(entry) = cache.get(key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            bernoulli_trace::counter!("synth.plan_cache_hits");
-            // Only complete (never degraded) searches are cached, so a
-            // hit is a full result even if the current budget is spent.
-            return Ok(entry.served(false));
+        if let Some(hit) = cache.lookup(req) {
+            return Ok(hit);
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         bernoulli_trace::counter!("synth.plan_cache_misses");
         // Persistent tier: a restarted service finds the previous
         // process's completed searches on disk, promotes them into the
         // in-memory cache, and skips the search entirely (warm-start).
-        if let Some(entry) = persist.and_then(|ps| ps.load(key)) {
+        if let Some(found) = persist.and_then(|ps| ps.load(&key)) {
             bernoulli_trace::counter!("synth.plan_cache_disk_hits");
-            let entry = Arc::new(entry);
-            cache.insert(key, Arc::clone(&entry));
-            return Ok(entry.served(true));
+            let entry = Arc::new(cache.entry(req, key, found));
+            cache.insert(req.fingerprint, Arc::clone(&entry));
+            return Ok(SearchOutcome {
+                entry,
+                tier: Tier::Disk,
+            });
         }
     }
+    bernoulli_trace::counter!("synth.searches");
+    bernoulli_trace::span!("synth.search");
 
     // The active budget, read once per search from the *calling*
     // thread's slot, and the calling thread's polyhedral cache view.
@@ -386,10 +466,10 @@ pub(crate) fn run_search(
     let budget = bernoulli_govern::current();
     let poly_ctx = bernoulli_polyhedra::cache_context();
 
-    let view_map: HashMap<String, FormatView> = problem.views().iter().cloned().collect();
+    let view_map = problem.views();
     let deps = cache.deps(p);
     let relaxable = relaxable_classes(p, &deps);
-    let configs = enumerate_configs(p, &view_map).map_err(SynthError::Config)?;
+    let configs = enumerate_configs(p, view_map).map_err(SynthError::Config)?;
     bernoulli_trace::counter!("synth.configs", configs.len());
 
     // One configuration's search, shared verbatim by the sequential and
@@ -468,12 +548,12 @@ pub(crate) fn run_search(
                     &emb,
                     &groups,
                     &leg.must_increase,
-                    &view_map,
+                    view_map,
                     &deps,
                     &relaxable,
                     opts.relax_reductions,
                 ) {
-                    match check_zero_safety(p, cfg, &plan, &view_map) {
+                    match check_zero_safety(p, cfg, &plan, view_map) {
                         Ok(notes) => {
                             bernoulli_trace::counter!("synth.plans_lowered");
                             let cost = estimate_cost(p, cfg, &plan, &opts.stats);
@@ -671,74 +751,92 @@ pub(crate) fn run_search(
     if out.is_empty() && reasons.is_empty() {
         reasons.push("no candidate lowered successfully".to_string());
     }
-    let entry = Arc::new(CachedSearch {
+    let report = SearchReport {
         candidates: out.into(),
         examined,
         pruned,
-        reasons,
-        native: NativeCell::default(),
-    });
+        reasons: reasons.into(),
+        plan_cache_hit: false,
+        plan_cache_disk_hit: false,
+        degraded,
+        budget: budget_cause,
+        skipped_configs,
+    };
+    let entry = Arc::new(cache.entry(req, key, report));
     // A degraded search is an incomplete search: caching it would serve
     // the truncated result to future *unbudgeted* callers forever —
     // neither tier (memory, disk) ever stores one.
     if opts.cache_plans && !degraded {
         if let Some(ps) = persist {
-            ps.store(key, &entry, p, &view_map);
+            ps.store(&entry);
         }
-        cache.insert(key, Arc::clone(&entry));
+        cache.insert(req.fingerprint, Arc::clone(&entry));
     }
     Ok(SearchOutcome {
-        report: SearchReport {
-            degraded,
-            budget: budget_cause,
-            skipped_configs,
-            ..entry.report()
-        },
-        native: Arc::clone(&entry.native),
+        entry,
+        tier: Tier::Search,
     })
 }
 
 // ---------------------------------------------------------------------
 // Whole-search plan cache.
 
-/// One completed search, as both plan-cache tiers hold it. Shared
-/// (`Arc`) between the cache and every request it serves.
+/// One finished search and everything derived from it, owned in one
+/// place: what a plan-cache tier holds, and what every kernel the entry
+/// serves is a handle onto. Shared (`Arc`) between the cache and those
+/// kernels.
 pub(crate) struct CachedSearch {
-    pub(crate) candidates: Arc<[Candidate]>,
-    pub(crate) examined: usize,
-    pub(crate) pruned: usize,
-    pub(crate) reasons: Vec<String>,
+    /// As the search that found it reports it (served by no tier).
+    pub(crate) report: SearchReport,
+    /// The durable identity of the problem ([`plan_cache_key`]): names
+    /// the entry in the persistent tier and salts the artifact name.
+    pub(crate) key: String,
+    /// The problem searched. A fingerprint match is confirmed against
+    /// it, and the emitter and the native load read it.
+    pub(crate) problem: BoundProblem,
+    /// The options searched under; a request's must be the
+    /// [`same_search`].
+    opts: SynthOptions,
     /// Filled by the first native load of a kernel this entry served.
     pub(crate) native: NativeCell,
+    /// The best plan's module, rendered at most once.
+    module: OnceLock<Result<ModuleText, EmitError>>,
+    /// The owning cache's count of such renderings.
+    emissions: Arc<AtomicU64>,
+}
+
+impl std::fmt::Debug for CachedSearch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CachedSearch")
+            .field("key", &self.key)
+            .field("report", &self.report)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CachedSearch {
-    /// The report of a search that ran to completion and found this.
-    fn report(&self) -> SearchReport {
-        SearchReport {
-            candidates: Arc::clone(&self.candidates),
-            examined: self.examined,
-            pruned: self.pruned,
-            reasons: self.reasons.clone(),
-            plan_cache_hit: false,
-            plan_cache_disk_hit: false,
-            degraded: false,
-            budget: None,
-            skipped_configs: 0,
-        }
+    /// True iff this entry is the answer to `req`: `==` on everything
+    /// the fingerprint hashes. (A `NaN` anywhere equals nothing, so such
+    /// a problem is searched every time.)
+    fn answers(&self, req: &Request<'_>) -> bool {
+        self.problem == *req.problem && same_search(&self.opts, req.opts)
     }
 
-    /// The outcome of a request a plan-cache tier answers with this
-    /// entry.
-    fn served(&self, from_disk: bool) -> SearchOutcome {
-        SearchOutcome {
-            report: SearchReport {
-                plan_cache_hit: true,
-                plan_cache_disk_hit: from_disk,
-                ..self.report()
-            },
-            native: Arc::clone(&self.native),
-        }
+    /// The best plan's emitted module with the function name left
+    /// open, rendered on first use.
+    pub(crate) fn module(&self) -> Result<&ModuleText, EmitError> {
+        self.module
+            .get_or_init(|| {
+                self.emissions.fetch_add(1, Ordering::Relaxed);
+                let best = self
+                    .report
+                    .candidates
+                    .first()
+                    .ok_or_else(|| EmitError("the search kept no plan to emit".to_string()))?;
+                emit_module_open(self.problem.program(), &best.plan, self.problem.views())
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -750,15 +848,17 @@ const PLAN_CACHE_CAP: usize = 128;
 /// dependence classes of the programs searched or analysed through it.
 /// Every [`Session`](crate::session::Session) and
 /// [`Service`](crate::service::Service) owns its own, making warm/cold
-/// behavior explicit per owner.
+/// behavior explicit per owner. Both maps are keyed by a structural
+/// fingerprint and hold the value it was taken of, so that `==`
+/// confirms a match: two values under one fingerprint displace each
+/// other, and neither is ever served for the other.
 pub(crate) struct PlanCache {
-    map: Mutex<HashMap<String, Arc<CachedSearch>>>,
-    /// Dependence classes per program *value*. A scanned list, not a
-    /// map: `Program` holds `f64` constants and is `PartialEq` only.
-    deps: Mutex<Vec<(Program, Arc<[DepClass]>)>>,
+    map: Mutex<HashMap<u64, Arc<CachedSearch>>>,
+    deps: Mutex<HashMap<u64, (Program, Arc<[DepClass]>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     analyses: AtomicU64,
+    emissions: Arc<AtomicU64>,
 }
 
 /// Poison-tolerant lock: a panic mid-insert leaves at worst a missing
@@ -771,34 +871,62 @@ impl PlanCache {
     pub(crate) fn new() -> PlanCache {
         PlanCache {
             map: Mutex::new(HashMap::new()),
-            deps: Mutex::new(Vec::new()),
+            deps: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             analyses: AtomicU64::new(0),
+            emissions: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The entry under `key`. Entries are shared, so the lock covers
-    /// one pointer clone.
-    fn get(&self, key: &str) -> Option<Arc<CachedSearch>> {
-        lock(&self.map).get(key).cloned()
+    /// The memory tier's answer to `req`, counted as a hit. Entries are
+    /// shared, so the lock covers one pointer clone; the comparison
+    /// runs outside it. Only complete (never degraded) searches are
+    /// cached, so a hit is a full result even if the current budget is
+    /// spent.
+    fn lookup(&self, req: &Request<'_>) -> Option<SearchOutcome> {
+        let entry = lock(&self.map).get(&req.fingerprint).cloned()?;
+        if !entry.answers(req) {
+            return None;
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        bernoulli_trace::counter!("synth.plan_cache_hits");
+        Some(SearchOutcome {
+            entry,
+            tier: Tier::Memory,
+        })
     }
 
-    fn insert(&self, key: &str, entry: Arc<CachedSearch>) {
+    /// An entry of this cache for what a search of `req`, or the
+    /// persistent tier under `key`, found.
+    fn entry(&self, req: &Request<'_>, key: String, report: SearchReport) -> CachedSearch {
+        CachedSearch {
+            report,
+            key,
+            problem: req.problem.clone(),
+            opts: req.opts.clone(),
+            native: NativeCell::default(),
+            module: OnceLock::new(),
+            emissions: Arc::clone(&self.emissions),
+        }
+    }
+
+    fn insert(&self, fingerprint: u64, entry: Arc<CachedSearch>) {
         let mut g = lock(&self.map);
         if g.len() >= PLAN_CACHE_CAP {
             g.clear();
         }
-        g.insert(key.to_string(), entry);
+        g.insert(fingerprint, entry);
     }
 
     /// The dependence classes of `p` (paper §3), analysed once per
     /// program value. Racing first requests may each analyse; the
     /// classes are the same.
     pub(crate) fn deps(&self, p: &Program) -> Arc<[DepClass]> {
-        let known = |deps: &[(Program, Arc<[DepClass]>)]| {
-            let (_, classes) = deps.iter().find(|(q, _)| q == p)?;
-            Some(Arc::clone(classes))
+        let fingerprint = fingerprint_of(p);
+        let known = |deps: &HashMap<u64, (Program, Arc<[DepClass]>)>| {
+            let (q, classes) = deps.get(&fingerprint)?;
+            (q == p).then(|| Arc::clone(classes))
         };
         if let Some(classes) = known(&lock(&self.deps)) {
             return classes;
@@ -815,7 +943,7 @@ impl PlanCache {
                 if deps.len() >= PLAN_CACHE_CAP {
                     deps.clear();
                 }
-                deps.push((p.clone(), Arc::clone(&classes)));
+                deps.insert(fingerprint, (p.clone(), Arc::clone(&classes)));
             }
         }
         classes
@@ -826,6 +954,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             analyses: self.analyses.load(Ordering::Relaxed),
+            emissions: self.emissions.load(Ordering::Relaxed),
         }
     }
 
@@ -835,18 +964,120 @@ impl PlanCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.analyses.store(0, Ordering::Relaxed);
+        self.emissions.store(0, Ordering::Relaxed);
     }
 }
 
-/// The cache key covers everything the search result depends on: the
-/// program, the views (sorted by name — map order is irrelevant), the
-/// workload statistics (f64s by bit pattern, maps sorted) and every
-/// result-affecting knob. `parallel` and `cache_plans` are deliberately
-/// excluded: they never change the result. `prune` is included because
-/// it changes the `examined`/`pruned` accounting.
+/// The fingerprints' hasher: a multiply and a rotate per word, where
+/// SipHash spends more on a request the cache holds than everything
+/// else the lookup does. Nothing rests on its strength — `==` confirms
+/// every match, and values crafted to collide cost their sender the
+/// searches that values it never sent before cost as well.
+#[derive(Default)]
+struct Fingerprinter(u64);
+
+impl Hasher for Fingerprinter {
+    fn write(&mut self, bytes: &[u8]) {
+        // Names are a letter or two: no `memcpy` into a word for them.
+        for chunk in bytes.chunks(8) {
+            let word = chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.write_u64(word);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_i64(&mut self, i: i64) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+fn fingerprint_of(value: &impl Hash) -> u64 {
+    let mut h = Fingerprinter::default();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// A map's entries by name: map order is no part of a problem.
+fn by_name<V>(map: &HashMap<String, V>) -> Vec<(&String, &V)> {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort_unstable_by_key(|&(name, _)| name);
+    entries
+}
+
+/// The knobs a search result depends on, in the order
+/// [`plan_cache_key`] writes them. `parallel` and `cache_plans` are
+/// deliberately excluded: they never change the result. `prune` is
+/// included because it changes the `examined`/`pruned` accounting.
+fn knobs(opts: &SynthOptions) -> (usize, usize, bool, bool, usize, bool) {
+    (
+        opts.max_orders,
+        opts.max_embeddings,
+        opts.relax_reductions,
+        opts.include_iteration_centric,
+        opts.keep,
+        opts.prune,
+    )
+}
+
+/// True iff a search under `a` and one under `b` give the same result.
+fn same_search(a: &SynthOptions, b: &SynthOptions) -> bool {
+    knobs(a) == knobs(b) && a.stats == b.stats
+}
+
+/// The structural fingerprint of a request: a hash over the values
+/// [`plan_cache_key`] prints, in the order it prints them, `f64`s by
+/// bit pattern. It is the identity the memory tier is looked up by; the
+/// string stays the identity on disk, in artifact names and for users.
+fn fingerprint(problem: &BoundProblem, opts: &SynthOptions) -> u64 {
+    let mut h = Fingerprinter::default();
+    problem.program().hash(&mut h);
+    let views = by_name(problem.views());
+    views.hash(&mut h);
+    let s = &opts.stats;
+    let params = by_name(&s.params);
+    params.len().hash(&mut h);
+    for (name, v) in params {
+        name.hash(&mut h);
+        v.to_bits().hash(&mut h);
+    }
+    let matrices = by_name(&s.matrices);
+    matrices.len().hash(&mut h);
+    for (name, &(r, c, n)) in matrices {
+        name.hash(&mut h);
+        [r.to_bits(), c.to_bits(), n.to_bits()].hash(&mut h);
+    }
+    [s.default_n.to_bits(), s.default_nnz_per_row.to_bits()].hash(&mut h);
+    knobs(opts).hash(&mut h);
+    h.finish()
+}
+
+/// The durable identity of a problem, a kilobyte of text formatted once
+/// per plan-cache entry: it covers everything the search result depends
+/// on — the program, the views (sorted — map order is irrelevant), the
+/// workload statistics (f64s by bit pattern, maps sorted) and the
+/// [`knobs`].
 pub(crate) fn plan_cache_key(
     p: &Program,
-    views: &[(String, FormatView)],
+    views: &HashMap<String, FormatView>,
     opts: &SynthOptions,
 ) -> String {
     let mut vs: Vec<String> = views.iter().map(|(n, v)| format!("{n}={v:?}")).collect();
@@ -871,19 +1102,14 @@ pub(crate) fn plan_cache_key(
         })
         .collect();
     mats.sort();
+    let (max_orders, max_embeddings, relax, iteration_centric, keep, prune) = knobs(opts);
     format!(
-        "prog{{{p:?}}}|views[{}]|params[{}]|mats[{}]|dn{:016x}|dz{:016x}|mo{}|me{}|rr{}|ic{}|keep{}|prune{}",
+        "prog{{{p:?}}}|views[{}]|params[{}]|mats[{}]|dn{:016x}|dz{:016x}|mo{max_orders}|me{max_embeddings}|rr{relax}|ic{iteration_centric}|keep{keep}|prune{prune}",
         vs.join(";"),
         params.join(","),
         mats.join(","),
         s.default_n.to_bits(),
         s.default_nnz_per_row.to_bits(),
-        opts.max_orders,
-        opts.max_embeddings,
-        opts.relax_reductions,
-        opts.include_iteration_centric,
-        opts.keep,
-        opts.prune,
     )
 }
 
@@ -898,6 +1124,9 @@ pub struct PlanCacheStats {
     /// Dependence analyses actually run: `analyze` calls and searches
     /// of a program the owner had already analysed add nothing.
     pub analyses: u64,
+    /// Modules actually rendered: every `emit` of every kernel an entry
+    /// serves after the first, under whatever name, adds nothing.
+    pub emissions: u64,
 }
 
 impl PlanCacheStats {
@@ -922,3 +1151,7 @@ pub fn describe_candidate(c: &Candidate) -> String {
         .collect();
     format!("cost {:.1} [{}]\n{}", c.cost, choices.join(", "), c.plan)
 }
+
+#[cfg(test)]
+#[path = "fingerprint_tests.rs"]
+mod fingerprint_tests;

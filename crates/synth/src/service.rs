@@ -35,7 +35,9 @@
 //!    downstream): the first request leads, the rest wait and receive
 //!    the leader's result — or its typed error — without re-searching.
 //!    Degraded results are never shared (each request's budget is its
-//!    own), and requests with plan caching disabled never coalesce.
+//!    own), requests with plan caching disabled never coalesce, and a
+//!    request the plan cache already holds is answered before any
+//!    flight is entered.
 //!
 //! Determinism is preserved under concurrency: compiles taken through
 //! the service produce byte-identical plans and emitted source to the
@@ -44,7 +46,8 @@
 
 use crate::persist::{PersistStats, PersistentPlanCache};
 use crate::search::{
-    plan_cache_key, run_search, PlanCache, PlanCacheStats, SearchOutcome, SynthError, SynthOptions,
+    run_search, serve, PlanCache, PlanCacheStats, Request, SearchOutcome, SynthError, SynthOptions,
+    Tier,
 };
 use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
@@ -186,8 +189,14 @@ impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
         let mut st = self.adm.lock();
         st.inflight = st.inflight.saturating_sub(1);
+        // A waiter counts itself in `queued` under this lock before it
+        // waits, so with none counted there is nobody to wake — and a
+        // wake-up is a system call, on every request.
+        let waiting = st.queued > 0;
         drop(st);
-        self.adm.cv.notify_all();
+        if waiting {
+            self.adm.cv.notify_all();
+        }
     }
 }
 
@@ -325,10 +334,10 @@ struct Counters {
 /// ([`Service::stats`]). Once the service is quiescent the counters
 /// sum: `submitted = admitted + shed_overloaded + shed_deadline`, and
 /// `admitted = completed + failed`. Each admitted request with plan
-/// caching on either consults the plan cache exactly once or is
-/// coalesced onto another request's search without consulting it, so
-/// with [`Service::plan_cache_stats`]: `hits + misses + coalesced =
-/// admitted`.
+/// caching on is counted by the plan cache exactly once, as a hit or as
+/// a miss, or is coalesced onto another request's search and counted by
+/// neither, so with [`Service::plan_cache_stats`]: `hits + misses +
+/// coalesced = admitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests that entered [`Service::compile`].
@@ -461,7 +470,7 @@ impl Service {
     /// deadline, and cache mode. Safe to call from many threads at
     /// once; admission control applies (see the module docs).
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, ServiceError> {
-        self.compile_with(problem, &self.cfg.opts.clone(), self.cfg.default_deadline)
+        self.compile_with(problem, &self.cfg.opts, self.cfg.default_deadline)
     }
 
     /// [`compile`](Service::compile) with per-request option overrides
@@ -514,15 +523,31 @@ impl Service {
         result
     }
 
-    /// The admitted portion of a compile: arm the per-request budget,
-    /// install the request's cache view on this thread (the search
-    /// layer re-installs both on every pool worker), and search.
+    /// The admitted portion of a compile: a request the plan cache
+    /// holds is answered from it; any other arms the per-request
+    /// budget, installs the request's cache view on this thread (the
+    /// search layer re-installs both on every pool worker), and
+    /// searches.
     fn run_admitted(
         &self,
         problem: &BoundProblem,
         opts: &SynthOptions,
         absolute_deadline: Option<Instant>,
     ) -> Result<CompiledKernel, ServiceError> {
+        let req = Request::new(problem, opts);
+        let found = serve(&self.plan_cache, &req, |key| {
+            self.search_admitted(&req, key, absolute_deadline)
+        })?;
+        Ok(CompiledKernel::from_search(found)?)
+    }
+
+    /// A request the plan cache's memory tier did not answer.
+    fn search_admitted(
+        &self,
+        req: &Request<'_>,
+        key: String,
+        absolute_deadline: Option<Instant>,
+    ) -> Result<SearchOutcome, SynthError> {
         // Budget from whatever deadline remains after queueing, plus
         // the configured op ceiling. No limits configured: install
         // nothing and pay zero governance overhead.
@@ -541,60 +566,49 @@ impl Service {
         };
         let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
         let pool = match &self.pool {
-            ServicePool::Owned(p) => opts.parallel.then_some(&**p),
-            ServicePool::Shared => opts.parallel.then(Pool::global),
+            ServicePool::Owned(p) => req.opts.parallel.then_some(&**p),
+            ServicePool::Shared => req.opts.parallel.then(Pool::global),
         };
-        let cache_key = plan_cache_key(problem.program(), problem.views(), opts);
-        let search = || self.search_counted(problem, opts, pool, &cache_key);
-        let found = if opts.cache_plans {
-            // Single-flight: concurrent requests for one plan-cache key
-            // share one search and its result — or its typed error. A
-            // result degraded under the leader's own budget stays with
-            // the leader; its followers race to lead a fresh search.
-            let share =
-                |r: &Result<SearchOutcome, SynthError>| !matches!(r, Ok(r) if r.report.degraded);
-            match self
-                .flights
-                .run(&cache_key, absolute_deadline, search, share)
-            {
-                Flight::Led(result) => result?,
-                Flight::Followed(shared) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    bernoulli_trace::counter!("service.searches_coalesced");
-                    shared?
-                }
-                // Waited out the deadline: search under our own
-                // (expired) budget so the typed budget error matches
-                // the sequential path.
-                Flight::TimedOut => search()?,
-            }
-        } else {
+        let search = |key: String| self.search_counted(req, key, pool);
+        if !req.opts.cache_plans {
             // With plan caching off, requests for the same key are
             // deliberately independent (load generators rely on this
             // to measure genuine search throughput).
-            search()?
-        };
-        Ok(CompiledKernel::from_search(problem, found, cache_key)?)
+            return search(key);
+        }
+        // Single-flight: concurrent requests for one plan-cache key
+        // share one search and its result — or its typed error. A
+        // result degraded under the leader's own budget stays with
+        // the leader; its followers race to lead a fresh search.
+        let share =
+            |r: &Result<SearchOutcome, SynthError>| !matches!(r, Ok(r) if r.entry.report.degraded);
+        match self
+            .flights
+            .run(&key, absolute_deadline, || search(key.clone()), share)
+        {
+            Flight::Led(result) => result,
+            Flight::Followed(shared) => {
+                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                bernoulli_trace::counter!("service.searches_coalesced");
+                shared
+            }
+            // Waited out the deadline: search under our own
+            // (expired) budget so the typed budget error matches
+            // the sequential path.
+            Flight::TimedOut => search(key),
+        }
     }
 
     /// Runs a search and counts it in [`ServiceStats::searches`] when
     /// it was a genuine search (not served by a plan-cache tier).
     fn search_counted(
         &self,
-        problem: &BoundProblem,
-        opts: &SynthOptions,
+        req: &Request<'_>,
+        key: String,
         pool: Option<&Pool>,
-        key: &str,
     ) -> Result<SearchOutcome, SynthError> {
-        let found = run_search(
-            problem,
-            opts,
-            pool,
-            &self.plan_cache,
-            self.persist.as_ref(),
-            key,
-        )?;
-        if !found.report.plan_cache_hit && !found.report.plan_cache_disk_hit {
+        let found = run_search(req, key, pool, &self.plan_cache, self.persist.as_ref())?;
+        if found.tier == Tier::Search {
             self.counters.searches.fetch_add(1, Ordering::Relaxed);
         }
         Ok(found)

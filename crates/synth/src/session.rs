@@ -20,13 +20,13 @@
 //! Every failure a caller can trigger surfaces as a typed
 //! [`SynthError`]; nothing on these paths panics.
 
-use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel, NativeCell};
+use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
 use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
 use crate::plan::Plan;
 use crate::search::{
-    plan_cache_key, run_search, Candidate, PlanCache, PlanCacheStats, SearchOutcome, SearchReport,
-    SynthError, SynthOptions,
+    run_search, serve, CachedSearch, Candidate, PlanCache, PlanCacheStats, Request, SearchOutcome,
+    SearchReport, SynthError, SynthOptions,
 };
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, CancelToken};
@@ -189,7 +189,7 @@ impl Session {
     /// pool and caches, returning the ranked candidates as an
     /// executable/emit-able [`CompiledKernel`].
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, SynthError> {
-        self.compile_with(problem, &self.opts.clone())
+        self.compile_with(problem, &self.opts)
     }
 
     /// [`compile`](Session::compile) with per-call option overrides
@@ -200,27 +200,25 @@ impl Session {
         problem: &BoundProblem,
         opts: &SynthOptions,
     ) -> Result<CompiledKernel, SynthError> {
-        // Route the polyhedral decision procedures through this
-        // session's memo caches for the duration of the search (the
-        // guard restores the previous instance even on panic).
-        let _poly = bernoulli_polyhedra::install_scoped(Arc::clone(&self.poly_caches));
-        // Arm a fresh budget for this compile when any limit is
-        // configured; an unlimited session installs nothing and pays
-        // zero governance overhead.
-        let _budget = self
-            .arm_budget()
-            .map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let pool = match &self.pool {
-            SessionPool::Owned(p) => opts.parallel.then_some(&**p),
-            SessionPool::Shared => opts.parallel.then(Pool::global),
-        };
-        // The same key the plan cache uses also names the kernel's
-        // on-disk artifact (plus ABI/toolchain salt added by the
-        // kernel store): identical compiles reload identical binaries,
-        // across processes.
-        let cache_key = plan_cache_key(&problem.program, &problem.views, opts);
-        let found = run_search(problem, opts, pool, &self.plan_cache, None, &cache_key)?;
-        CompiledKernel::from_search(problem, found, cache_key)
+        let req = Request::new(problem, opts);
+        let found = serve(&self.plan_cache, &req, |key| {
+            // Route the polyhedral decision procedures through this
+            // session's memo caches for the duration of the search (the
+            // guard restores the previous instance even on panic).
+            let _poly = bernoulli_polyhedra::install_scoped(Arc::clone(&self.poly_caches));
+            // Arm a fresh budget for this compile when any limit is
+            // configured; an unlimited session installs nothing and pays
+            // zero governance overhead.
+            let _budget = self
+                .arm_budget()
+                .map(|b| bernoulli_govern::install_scoped(Some(b)));
+            let pool = match &self.pool {
+                SessionPool::Owned(p) => opts.parallel.then_some(&**p),
+                SessionPool::Shared => opts.parallel.then(Pool::global),
+            };
+            run_search(&req, key, pool, &self.plan_cache, None)
+        })?;
+        CompiledKernel::from_search(found)
     }
 
     /// Structure-aware selection: analyze the instance bound to
@@ -299,11 +297,13 @@ pub(crate) fn bind_problem(
         }
     }
     Ok(BoundProblem {
-        program: p.clone(),
-        views: views
-            .iter()
-            .map(|(n, v)| (n.to_string(), v.clone()))
-            .collect(),
+        program: Arc::new(p.clone()),
+        views: Arc::new(
+            views
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect(),
+        ),
     })
 }
 
@@ -333,11 +333,13 @@ impl DepReport {
 
 /// A validated (program, format views) pair ready to compile (stage 3
 /// output). Binding is cheap; the expensive search happens in
-/// [`Session::compile`].
-#[derive(Clone, Debug)]
+/// [`Session::compile`]. Binding makes the one copy of the program and
+/// the views a request ever makes: the plan-cache entry of a search and
+/// every kernel it serves share them.
+#[derive(Clone, Debug, PartialEq)]
 pub struct BoundProblem {
-    program: Program,
-    views: Vec<(String, FormatView)>,
+    program: Arc<Program>,
+    views: Arc<HashMap<String, FormatView>>,
 }
 
 impl BoundProblem {
@@ -345,50 +347,40 @@ impl BoundProblem {
         &self.program
     }
 
-    pub fn views(&self) -> &[(String, FormatView)] {
+    /// The bound views by array name.
+    pub fn views(&self) -> &HashMap<String, FormatView> {
         &self.views
     }
 }
 
-/// The outcome of a successful search: ranked candidates plus the
-/// search accounting, tied to the program and views they were compiled
-/// for so the kernel can run or emit itself without re-supplying
-/// context.
+/// The outcome of a successful search: a handle onto the plan-cache
+/// entry that owns the ranked candidates, the problem they were compiled
+/// for, the durable key and everything derived from the best plan (the
+/// emitted module, the native source) — so the kernel can run or emit
+/// itself without re-supplying context, and a thousand kernels of one
+/// entry share one of each. The handle's own is the report: the entry's,
+/// marked with the tier that served this request.
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
-    program: Program,
-    view_map: HashMap<String, FormatView>,
+    entry: Arc<CachedSearch>,
     report: SearchReport,
-    /// Logical identity of this compile (program + views + options);
-    /// also keys the on-disk kernel artifact cache.
-    cache_key: String,
-    /// What [`load`](CompiledKernel::load) derives from the best plan,
-    /// shared with the plan-cache entry behind `report` and every other
-    /// kernel that entry serves.
-    native: NativeCell,
 }
 
 impl CompiledKernel {
-    /// Assembles a kernel from a finished search, or
-    /// [`SynthError::NoLegalPlan`] when it kept no candidate; shared by
-    /// [`Session::compile`] and [`crate::service::Service::compile`].
-    pub(crate) fn from_search(
-        problem: &BoundProblem,
-        found: SearchOutcome,
-        cache_key: String,
-    ) -> Result<CompiledKernel, SynthError> {
-        let SearchOutcome { report, native } = found;
+    /// A kernel onto what answered a request, or
+    /// [`SynthError::NoLegalPlan`] when the search kept no candidate;
+    /// shared by [`Session::compile`] and
+    /// [`crate::service::Service::compile`].
+    pub(crate) fn from_search(found: SearchOutcome) -> Result<CompiledKernel, SynthError> {
+        let report = found.report();
         if report.candidates.is_empty() {
             return Err(SynthError::NoLegalPlan {
-                reasons: report.reasons,
+                reasons: report.reasons.to_vec(),
             });
         }
         Ok(CompiledKernel {
-            program: problem.program.clone(),
-            view_map: problem.views.iter().cloned().collect(),
+            entry: found.entry,
             report,
-            cache_key,
-            native,
         })
     }
 
@@ -428,12 +420,12 @@ impl CompiledKernel {
 
     /// The program this kernel was compiled from.
     pub fn program(&self) -> &Program {
-        &self.program
+        self.entry.problem.program()
     }
 
     /// The format views the kernel was compiled against.
     pub fn views(&self) -> &HashMap<String, FormatView> {
-        &self.view_map
+        self.entry.problem.views()
     }
 
     /// Executes the best plan against the environment (dynamic cursor
@@ -459,7 +451,7 @@ impl CompiledKernel {
     /// options). The kernel store salts it with ABI version, generated
     /// source, and toolchain identity to name on-disk artifacts.
     pub fn cache_key(&self) -> &str {
-        &self.cache_key
+        &self.entry.key
     }
 
     /// Compiles the best plan to native code at runtime and loads it:
@@ -478,11 +470,11 @@ impl CompiledKernel {
         store: &bernoulli_kernel_cache::KernelStore,
     ) -> Result<LoadedKernel, LoadError> {
         crate::compiled::load_kernel(
-            &self.program,
+            self.program(),
             self.plan(),
-            &self.view_map,
-            &self.cache_key,
-            &self.native,
+            self.views(),
+            &self.entry.key,
+            &self.entry.native,
             store,
         )
     }
@@ -520,20 +512,17 @@ impl CompiledKernel {
             KernelBackend::Validated(k) | KernelBackend::Compiled(k) => Ok(k.run(params, args)?),
             KernelBackend::Interpreted { .. } => {
                 let operands = args.iter_mut().map(KernelArg::operand);
-                crate::compiled::interp_positional(&self.program, self.plan(), params, operands)
+                crate::compiled::interp_positional(self.program(), self.plan(), params, operands)
             }
         }
     }
 
     /// Specializes the best plan to a self-contained Rust module
-    /// (the paper's compiler-instantiated code, Fig. 9).
+    /// (the paper's compiler-instantiated code, Fig. 9). The entry
+    /// behind the kernel renders the module once; this writes
+    /// `fn_name` into a copy of it.
     pub fn emit(&self, fn_name: &str) -> Result<String, SynthError> {
-        Ok(crate::emit::emit_module(
-            &self.program,
-            self.plan(),
-            &self.view_map,
-            fn_name,
-        )?)
+        Ok(self.entry.module()?.named(fn_name))
     }
 
     /// Specializes the `i`-th ranked candidate's plan to a bare Rust
@@ -546,9 +535,9 @@ impl CompiledKernel {
             )))
         })?;
         Ok(crate::emit::emit_rust(
-            &self.program,
+            self.program(),
             &c.plan,
-            &self.view_map,
+            self.views(),
             fn_name,
         )?)
     }
@@ -646,20 +635,23 @@ mod tests {
         // Fills the degraded kernel's cell, with the source or (on a
         // host without rustc) the typed reason there is none.
         let _ = degraded.load_in(&store);
-        assert!(degraded.native.get().is_some());
+        assert!(degraded.entry.native.get().is_some());
 
         let full = s.compile(&bound)?;
         assert!(!full.from_cache() && !full.report().degraded);
         assert_eq!(full.cache_key(), degraded.cache_key());
-        assert!(!Arc::ptr_eq(&full.native, &degraded.native));
-        assert!(full.native.get().is_none(), "the entry's cell is untouched");
+        assert!(!Arc::ptr_eq(&full.entry, &degraded.entry));
+        assert!(
+            full.entry.native.get().is_none(),
+            "the entry's cell is untouched"
+        );
 
-        // Every kernel the entry serves shares the entry's one cell.
+        // Every kernel the entry serves is a handle onto the one entry.
         let hit = s.compile(&bound)?;
         assert!(hit.from_cache());
-        assert!(Arc::ptr_eq(&hit.native, &full.native));
+        assert!(Arc::ptr_eq(&hit.entry, &full.entry));
         let _ = full.load_in(&store);
-        assert!(hit.native.get().is_some());
+        assert!(hit.entry.native.get().is_some());
         let _ = std::fs::remove_dir_all(store.dir());
         Ok(())
     }
