@@ -4,7 +4,7 @@
 # picks must run within CEILING x the measured-best pair on every row
 # (`small_max_regret` in BENCH_advisor.json). The large tier is
 # reported but not gated here — wall-clock noise on 10^5+-row inputs
-# makes a hard ceiling flaky; perf_diff tracks it non-blockingly.
+# makes a hard ceiling flaky.
 #
 # Usage: ci/advisor_gate.sh [path-to-BENCH_advisor.json]
 set -eu

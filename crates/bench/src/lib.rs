@@ -1,9 +1,7 @@
-//! Benchmark harness: workloads, timing, and paper-style reporting
-//! (paper §5).
-//!
-//! The Criterion benches under `benches/` regenerate the paper's figures;
-//! the `experiments` binary prints the same data as compact MFLOP/s
-//! tables for EXPERIMENTS.md.
+//! Workloads, timing, and paper-style reporting (paper §5) for the
+//! `experiments` binary, which prints the paper's tables as compact
+//! MFLOP/s tables for EXPERIMENTS.md. Everything that is not one of the
+//! paper's tables is measured by the `benchmark/` package.
 
 #![allow(clippy::needless_range_loop)]
 use bernoulli_formats::{gen, Triplets};
@@ -209,227 +207,6 @@ pub mod report {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-
-    impl Json {
-        /// Field lookup on an object (first match; `None` otherwise).
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The numeric value, if this is a number.
-        pub fn as_num(&self) -> Option<f64> {
-            match self {
-                Json::Num(v) => Some(*v),
-                _ => None,
-            }
-        }
-
-        /// The string value, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The items, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a JSON document (the full grammar, not just what
-    /// [`Json::render`] emits, minus `\u` surrogate pairs — enough for
-    /// the perf gate to read committed and freshly generated
-    /// `BENCH_*.json` files back).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn eat(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("expected '{word}' at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'n') => self.lit("null", Json::Null),
-                Some(b't') => self.lit("true", Json::Bool(true)),
-                Some(b'f') => self.lit("false", Json::Bool(false)),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                match b {
-                    b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9' => self.pos += 1,
-                    _ => break,
-                }
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| format!("bad \\u at byte {}", self.pos))?;
-                                self.pos += 4;
-                                out.push(
-                                    char::from_u32(hex)
-                                        .ok_or_else(|| format!("bad codepoint {hex:#x}"))?,
-                                );
-                            }
-                            other => return Err(format!("bad escape '\\{}'", other as char)),
-                        }
-                    }
-                    Some(_) => {
-                        // Copy one UTF-8 scalar (multi-byte sequences pass
-                        // through unmodified).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|e| format!("invalid UTF-8: {e}"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let k = self.string()?;
-                self.skip_ws();
-                self.eat(b':')?;
-                self.skip_ws();
-                fields.push((k, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -466,58 +243,6 @@ mod tests {
         // Balanced brackets, comma-separated items.
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn report_parse_round_trips() {
-        use report::{obj, parse, Json};
-        let j = obj(vec![
-            ("name", Json::str("mvm \"csr\"\n\ttab")),
-            ("mflops", Json::num(123.5)),
-            ("neg", Json::num(-0.25)),
-            ("exp", Json::Num(1.5e-3)),
-            ("ok", Json::Bool(true)),
-            ("nothing", Json::Null),
-            ("rows", Json::Arr(vec![Json::num(1u32), Json::str("x")])),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::Obj(vec![])),
-            ("unicode", Json::str("µ—λ")),
-        ]);
-        let round = parse(&j.render()).expect("parses");
-        assert_eq!(round, j);
-        // Accessors navigate the parsed tree.
-        assert_eq!(round.get("mflops").and_then(Json::as_num), Some(123.5));
-        assert_eq!(
-            round.get("name").and_then(Json::as_str),
-            Some("mvm \"csr\"\n\ttab")
-        );
-        assert_eq!(
-            round.get("rows").and_then(Json::as_arr).map(<[_]>::len),
-            Some(2)
-        );
-        assert_eq!(round.get("missing"), None);
-    }
-
-    #[test]
-    fn report_parse_rejects_malformed() {
-        use report::parse;
-        for bad in [
-            "",
-            "{",
-            "[1, 2",
-            "{\"a\" 1}",
-            "{\"a\": 1} trailing",
-            "\"unterminated",
-            "nul",
-            "{\"a\": 1,}",
-            "[--3]",
-        ] {
-            assert!(parse(bad).is_err(), "accepted: {bad:?}");
-        }
-        // Whitespace-tolerant and standalone scalars are fine.
-        assert!(parse("  [ 1 , 2 ]\n").is_ok());
-        assert!(parse("null").is_ok());
-        assert!(parse("\"\\u00e9\"").is_ok());
     }
 
     #[test]

@@ -5,10 +5,8 @@
 
 use bernoulli_ir::{parse_program, Program};
 
-/// Parses a spec source, counting each instantiation under
-/// `blas.spec_parses` (one series across all kernels; `max` stays 1).
+/// Parses a spec source.
 fn spec(src: &str, what: &str) -> Program {
-    bernoulli_trace::counter!("blas.spec_parses");
     parse_program(src).unwrap_or_else(|e| panic!("{what} spec parses: {e}"))
 }
 

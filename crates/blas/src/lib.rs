@@ -32,6 +32,3 @@ pub mod kernels;
 pub mod par;
 pub mod solvers;
 pub mod synth;
-
-/// Former name of the [`par`] subsystem, kept for source compatibility.
-pub use par as parallel;

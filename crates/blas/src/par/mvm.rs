@@ -20,20 +20,6 @@ use bernoulli_formats::partition::split_even;
 use bernoulli_formats::{Bsr, Csc, Csr, Dia, Ell, Jad, Scalar, Vbr};
 use bernoulli_pool::Pool;
 
-/// Per-kernel call/nnz/flop counters (`par.<kernel>.{calls,nnz,flops}`);
-/// one multiply-add per stored entry, so flops = 2·nnz. Compiled out
-/// with tracing disabled, like every `bernoulli_trace` macro.
-macro_rules! mvm_trace {
-    ($kernel:literal, $nnz:expr) => {
-        if bernoulli_trace::ENABLED {
-            let nnz = $nnz;
-            bernoulli_trace::counter!(concat!("par.", $kernel, ".calls"));
-            bernoulli_trace::counter!(concat!("par.", $kernel, ".nnz"), nnz);
-            bernoulli_trace::counter!(concat!("par.", $kernel, ".flops"), 2 * nnz);
-        }
-    };
-}
-
 /// `y[i] += vals[i] * x[i]` over three equal-length slices.
 ///
 /// The DIA kernels stream whole diagonal segments through this; taking
@@ -55,7 +41,6 @@ fn fma_stream<T: Scalar>(y: &mut [T], vals: &[T], x: &[T]) {
 pub fn par_mvm_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_csr", a.values.len());
     let bounds = a.partition_rows(nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -78,7 +63,6 @@ pub fn par_mvm_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvmt_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_csc", a.values.len());
     let bounds = a.partition_cols(nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -100,7 +84,6 @@ pub fn par_mvmt_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], n
 pub fn par_mvm_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_ell", a.rowlen.iter().sum::<usize>());
     let bounds = partition::ell_row_blocks(a, nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -130,7 +113,6 @@ pub fn par_mvm_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvm_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_jad", a.values.len());
     let bounds = partition::jad_row_blocks(a, nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -155,7 +137,6 @@ pub fn par_mvm_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvm_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_dia", a.values.len());
     let bounds = partition::dia_row_blocks(a, nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -190,7 +171,6 @@ pub fn par_mvm_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvmt_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_dia", a.values.len());
     let bounds = partition::dia_col_blocks(a, nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -223,7 +203,6 @@ pub fn par_mvmt_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], n
 pub fn par_mvm_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_csc", a.values.len());
     let bounds = a.partition_cols(nthreads.max(1));
     scatter_reduce(&bounds, a.nrows, y, nthreads, &|chunk, buf| {
         for j in bounds[chunk]..bounds[chunk + 1] {
@@ -240,7 +219,6 @@ pub fn par_mvm_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvmt_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_csr", a.values.len());
     let bounds = a.partition_rows(nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         for i in bounds[chunk]..bounds[chunk + 1] {
@@ -257,7 +235,6 @@ pub fn par_mvmt_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], n
 pub fn par_mvmt_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_ell", a.rowlen.iter().sum::<usize>());
     let bounds = partition::ell_row_blocks(a, nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         for i in bounds[chunk]..bounds[chunk + 1] {
@@ -276,7 +253,6 @@ pub fn par_mvmt_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], n
 pub fn par_mvmt_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_jad", a.values.len());
     let bounds = partition::jad_row_blocks(a, nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         for rr in bounds[chunk]..bounds[chunk + 1] {
@@ -299,7 +275,6 @@ pub fn par_mvmt_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], n
 pub fn par_mvm_bsr<T: Scalar + Send + Sync>(a: &Bsr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_bsr", a.values.len());
     let bounds = a.partition_rows(nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -317,7 +292,6 @@ pub fn par_mvm_bsr<T: Scalar + Send + Sync>(a: &Bsr<T>, x: &[T], y: &mut [T], nt
 pub fn par_mvm_vbr<T: Scalar + Send + Sync>(a: &Vbr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_trace!("mvm_vbr", a.val.len());
     let bounds = a.partition_rows(nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -342,7 +316,6 @@ fn vbr_strip<T: Scalar>(a: &Vbr<T>, row: usize) -> usize {
 pub fn par_mvmt_bsr<T: Scalar + Send + Sync>(a: &Bsr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_bsr", a.values.len());
     let bounds = a.partition_rows(nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         crate::handwritten::bsr::mvmt_bsr_rows(
@@ -360,7 +333,6 @@ pub fn par_mvmt_bsr<T: Scalar + Send + Sync>(a: &Bsr<T>, x: &[T], y: &mut [T], n
 pub fn par_mvmt_vbr<T: Scalar + Send + Sync>(a: &Vbr<T>, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvm_trace!("mvmt_vbr", a.val.len());
     let bounds = a.partition_rows(nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         crate::handwritten::vbr::mvmt_vbr_strips(

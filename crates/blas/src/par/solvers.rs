@@ -58,10 +58,7 @@ pub fn cg(
     max_iter: usize,
     nthreads: usize,
 ) -> SolveStats {
-    let stats = cg_with(&ParOps::new(nthreads), matvec, b, x, tol, max_iter);
-    bernoulli_trace::counter!("par.cg.solves");
-    bernoulli_trace::counter!("par.cg.iters", stats.iterations);
-    stats
+    cg_with(&ParOps::new(nthreads), matvec, b, x, tol, max_iter)
 }
 
 /// Parallel Jacobi iteration with a caller-supplied matrix product.
@@ -75,10 +72,7 @@ pub fn jacobi(
     max_iter: usize,
     nthreads: usize,
 ) -> SolveStats {
-    let stats = jacobi_with(&ParOps::new(nthreads), matvec, diag, b, x, tol, max_iter);
-    bernoulli_trace::counter!("par.jacobi.solves");
-    bernoulli_trace::counter!("par.jacobi.iters", stats.iterations);
-    stats
+    jacobi_with(&ParOps::new(nthreads), matvec, diag, b, x, tol, max_iter)
 }
 
 /// Fully parallel CG over a CSR matrix: [`par_mvm_csr`] plus

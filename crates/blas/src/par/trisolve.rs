@@ -50,9 +50,6 @@ impl LevelSchedule {
             level[i] = lv;
             nlevels = nlevels.max(lv + 1);
         }
-        bernoulli_trace::counter!("par.ts.schedules");
-        bernoulli_trace::counter!("par.ts.levels", nlevels);
-        bernoulli_trace::counter!("par.ts.rows", n);
         if n == 0 {
             return LevelSchedule {
                 rows: vec![],
@@ -113,10 +110,6 @@ pub fn par_ts_csr_scheduled<T: Scalar + Send + Sync>(
 ) {
     assert_eq!(l.nrows, l.ncols, "square");
     assert_eq!(b.len(), l.nrows, "b length");
-    bernoulli_trace::counter!("par.ts.solves");
-    bernoulli_trace::counter!("par.ts.nnz", l.values.len());
-    bernoulli_trace::counter!("par.ts.solve_levels", sched.nlevels());
-    bernoulli_trace::span!("par.ts.solve");
     let nthreads = nthreads.max(1);
     let bp = SlicePtr::new(b);
     for lv in 0..sched.nlevels() {

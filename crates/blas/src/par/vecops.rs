@@ -13,20 +13,10 @@ use bernoulli_formats::partition::split_even;
 use bernoulli_formats::Scalar;
 use bernoulli_pool::Pool;
 
-/// Per-op call/element counters (`par.<op>.{calls,elems}`); compiled
-/// out with tracing disabled.
-macro_rules! vec_trace {
-    ($op:literal, $elems:expr) => {
-        bernoulli_trace::counter!(concat!("par.", $op, ".calls"));
-        bernoulli_trace::counter!(concat!("par.", $op, ".elems"), $elems);
-    };
-}
-
 /// `y += alpha·x` over disjoint even blocks; bitwise equal to
 /// [`crate::handwritten::axpy`] at every thread count.
 pub fn par_axpy<T: Scalar + Send + Sync>(alpha: T, x: &[T], y: &mut [T], nthreads: usize) {
     assert_eq!(x.len(), y.len());
-    vec_trace!("axpy", y.len());
     let bounds = split_even(y.len(), nthreads.max(1));
     let yp = SlicePtr::new(y);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -43,7 +33,6 @@ pub fn par_axpy<T: Scalar + Send + Sync>(alpha: T, x: &[T], y: &mut [T], nthread
 /// order.
 pub fn par_dot<T: Scalar + Send + Sync>(x: &[T], y: &[T], nthreads: usize) -> T {
     assert_eq!(x.len(), y.len());
-    vec_trace!("dot", x.len());
     block_reduce(x.len(), nthreads, &|lo, hi| {
         let mut acc = T::ZERO;
         for (&a, &b) in x[lo..hi].iter().zip(&y[lo..hi]) {
@@ -62,7 +51,6 @@ pub fn par_nrm2(x: &[f64], nthreads: usize) -> f64 {
 /// accumulation of the Jacobi sweep, block-reduced like [`par_dot`].
 pub fn par_diff_norm_sq(b: &[f64], ax: &[f64], nthreads: usize) -> f64 {
     assert_eq!(b.len(), ax.len());
-    vec_trace!("diff_norm_sq", b.len());
     block_reduce(b.len(), nthreads, &|lo, hi| {
         let mut acc = 0.0;
         for (bi, axi) in b[lo..hi].iter().zip(&ax[lo..hi]) {
@@ -77,7 +65,6 @@ pub fn par_diff_norm_sq(b: &[f64], ax: &[f64], nthreads: usize) -> f64 {
 /// direction update).
 pub fn par_scal_add(beta: f64, p: &mut [f64], r: &[f64], nthreads: usize) {
     assert_eq!(p.len(), r.len());
-    vec_trace!("scal_add", p.len());
     let bounds = split_even(p.len(), nthreads.max(1));
     let pp = SlicePtr::new(p);
     Pool::global().run(bounds.len() - 1, &|chunk| {
@@ -96,7 +83,6 @@ pub fn par_diag_correct(x: &mut [f64], b: &[f64], ax: &[f64], diag: &[f64], nthr
     assert_eq!(x.len(), b.len());
     assert_eq!(x.len(), ax.len());
     assert_eq!(x.len(), diag.len());
-    vec_trace!("diag_correct", x.len());
     let bounds = split_even(x.len(), nthreads.max(1));
     let xp = SlicePtr::new(x);
     Pool::global().run(bounds.len() - 1, &|chunk| {

@@ -42,9 +42,8 @@ type Workload = (
     SynthOptions,
 );
 
-/// The five trace workloads, mirroring `experiments -- synth`: the
-/// statistics are derived from the same instances the experiment
-/// driver generates, not hand-written.
+/// Five searches (three matrix kernels, both sparse-dot joins): the
+/// statistics are derived from generated instances, not hand-written.
 fn workloads() -> Vec<Workload> {
     use bernoulli_formats::{gen, vector_features, StructureFeatures};
     let can = gen::can_1072_like();

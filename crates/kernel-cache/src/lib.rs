@@ -32,8 +32,7 @@
 //!   ([`KernelStore::stats`]), circuit breaker, build flights and
 //!   per-artifact trust record. Clones share that state; two
 //!   [`KernelStore::at`] handles are independent, even over one
-//!   directory. Counters are mirrored as `kernel.*` trace counters when
-//!   the `trace` feature is enabled.
+//!   directory.
 //! - **Self-healing.** Every artifact is published with a checksum
 //!   sidecar and verified on warm hits: a truncated or bit-rotted
 //!   shared object is a typed [`KernelCacheError::Corrupt`], evicted,
@@ -549,7 +548,6 @@ impl KernelStore {
         self.admit(&path)?;
         if let Some(library) = self.artifact_state(&path).validated {
             bump(&self.state.counters.hits);
-            bernoulli_trace::counter!("kernel.cache_hits");
             return Ok(Loaded {
                 library,
                 from_cache: true,
@@ -575,7 +573,6 @@ impl KernelStore {
         // evicted the files; what this store knew of it goes too.
         lock(&self.state.artifacts).remove(path);
         bump(&self.state.counters.quarantined);
-        bernoulli_trace::counter!("kernel.quarantine_refusals");
         Err(KernelCacheError::Quarantined {
             artifact: path.display().to_string(),
         })
@@ -588,7 +585,6 @@ impl KernelStore {
             match self.verify(&path) {
                 Ok(()) => {
                     bump(&counters.hits);
-                    bernoulli_trace::counter!("kernel.cache_hits");
                     return Ok(Artifact {
                         path,
                         from_cache: true,
@@ -601,7 +597,6 @@ impl KernelStore {
             }
         }
         bump(&counters.misses);
-        bernoulli_trace::counter!("kernel.cache_misses");
         // Concurrent builders of one artifact share one `rustc` run and
         // its outcome, typed error included.
         let build = || self.build(spec, &path);
@@ -609,7 +604,6 @@ impl KernelStore {
             Flight::Led(built) => built?,
             Flight::Followed(built) => {
                 bump(&counters.coalesced);
-                bernoulli_trace::counter!("kernel.builds_coalesced");
                 built?
             }
             // Only a follower with a deadline times out; none is set.
@@ -640,7 +634,6 @@ impl KernelStore {
             Err(d) => d,
         };
         bump(&self.state.counters.corrupt);
-        bernoulli_trace::counter!("kernel.corrupt_evictions");
         self.evict(path);
         Err(KernelCacheError::Corrupt { detail })
     }
@@ -771,7 +764,6 @@ impl KernelStore {
         if !stems.iter().any(|s| s == stem) {
             stems.push(stem.to_string());
             bump(&self.state.counters.quarantined);
-            bernoulli_trace::counter!("kernel.quarantines");
         }
         let mut text = fp;
         for s in &stems {
@@ -852,7 +844,6 @@ impl KernelStore {
         b.consecutive += 1;
         if b.consecutive >= BREAKER_TRIP {
             b.open_until = Some(Instant::now() + BREAKER_COOLDOWN);
-            bernoulli_trace::counter!("kernel.breaker_trips");
         }
     }
 
@@ -887,7 +878,6 @@ impl KernelStore {
             );
             if transient && attempt < BUILD_ATTEMPTS {
                 bump(&self.state.counters.retries);
-                bernoulli_trace::counter!("kernel.build_retries");
                 std::thread::sleep(Duration::from_millis(10 * (1 << (attempt - 1))));
                 continue;
             }
@@ -900,7 +890,6 @@ impl KernelStore {
     }
 
     fn build_once(&self, spec: &ArtifactSpec, path: &Path) -> Result<(), KernelCacheError> {
-        bernoulli_trace::span!("kernel.compile");
         if bernoulli_govern::faults::fail("kernel.rustc") {
             return Err(KernelCacheError::Io {
                 detail: "injected fault at kernel.rustc (chaos test)".to_string(),
@@ -969,7 +958,6 @@ impl KernelStore {
                         let _ = drain.join();
                         cleanup(&src_path);
                         cleanup(&tmp_out);
-                        bernoulli_trace::counter!("kernel.build_timeouts");
                         return Err(KernelCacheError::Timeout {
                             ms: self.timeout.as_millis() as u64,
                         });
@@ -992,7 +980,6 @@ impl KernelStore {
         if !status.success() {
             cleanup(&src_path);
             cleanup(&tmp_out);
-            bernoulli_trace::counter!("kernel.compile_errors");
             let stderr = String::from_utf8_lossy(&stderr_bytes).into_owned();
             return Err(KernelCacheError::CompileFailed { stderr });
         }
@@ -1027,7 +1014,6 @@ impl KernelStore {
         })?;
         self.update_artifact(path, |a| a.verified = true);
         bump(&self.state.counters.compiles);
-        bernoulli_trace::counter!("kernel.compiles");
         Ok(())
     }
 }

@@ -26,10 +26,9 @@
 //! Both caches are sharded 16 ways to keep the parallel search's
 //! threads off each other's locks, capped per shard (a full shard is
 //! simply cleared — memoization is an optimization, never a correctness
-//! dependency), and instrumented twice over: `counter!` series
-//! (`polyhedra.cache.{empty,fm}_{hits,misses}`) for trace builds, and
-//! always-on atomics surfaced through [`cache_stats`] so the benchmark
-//! harness can report hit rates without the `trace` feature.
+//! dependency), and counted by always-on atomics surfaced through
+//! [`cache_stats`], which is where the benchmark harness reads its hit
+//! rates.
 //!
 //! ## Cache tiers (S38)
 //!
@@ -407,8 +406,7 @@ pub(crate) fn fm_store(k: FmKey, v: Vec<Constraint>) {
 }
 
 /// Hit/miss totals of the polyhedral memo caches since process start
-/// (or the last [`clear_caches`]). Always available — the counts do not
-/// depend on the `trace` feature.
+/// (or the last [`clear_caches`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub empty_hits: u64,

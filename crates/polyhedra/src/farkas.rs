@@ -67,8 +67,6 @@ pub fn try_farkas_nonneg_conditions(
     cst_in_u: &LinExpr,
     u_names: &[String],
 ) -> Result<System, crate::PolyError> {
-    bernoulli_trace::counter!("polyhedra.farkas_calls");
-    bernoulli_trace::span!("polyhedra.farkas");
     bernoulli_govern::faults::hit("polyhedra.farkas");
     let nx = p.num_vars();
     assert_eq!(coeff_in_u.len(), nx, "one ψ coefficient per x variable");

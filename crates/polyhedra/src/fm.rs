@@ -54,16 +54,13 @@ pub(crate) fn eliminate_core(
     j: usize,
     budget: Option<&Budget>,
 ) -> Result<System, BudgetError> {
-    bernoulli_trace::counter!("polyhedra.fm_eliminations");
     bernoulli_govern::faults::hit("polyhedra.fm");
     let key = crate::cache::fm_key(sys, j);
     if let Some(rows) = crate::cache::fm_lookup(&key) {
-        bernoulli_trace::counter!("polyhedra.cache.fm_hits");
         let mut vars = sys.vars().to_vec();
         vars.remove(j);
         return Ok(System::from_parts(vars, rows));
     }
-    bernoulli_trace::counter!("polyhedra.cache.fm_misses");
     let out = eliminate_var_uncached(sys, j, budget)?;
     crate::cache::fm_store(key, out.constraints().to_vec());
     Ok(out)

@@ -79,7 +79,6 @@ impl std::error::Error for PolyError {}
 
 impl From<BudgetError> for PolyError {
     fn from(e: BudgetError) -> PolyError {
-        bernoulli_trace::counter!("polyhedra.budget_exhausted");
         PolyError::BudgetExhausted(e)
     }
 }

@@ -201,8 +201,6 @@ impl System {
     /// fallback. Memoized answers are still served for free after a
     /// budget has tripped; budget-truncated decisions are never stored.
     pub fn try_is_empty(&self) -> Result<bool, PolyError> {
-        bernoulli_trace::counter!("polyhedra.emptiness_tests");
-        bernoulli_trace::span!("polyhedra.emptiness");
         if self.has_contradiction() {
             return Ok(true);
         }
@@ -211,10 +209,8 @@ impl System {
         }
         let key = crate::cache::canonical_key(self);
         if let Some(v) = crate::cache::empty_lookup(&key) {
-            bernoulli_trace::counter!("polyhedra.cache.empty_hits");
             return Ok(v);
         }
-        bernoulli_trace::counter!("polyhedra.cache.empty_misses");
         let budget = bernoulli_govern::current();
         let v = self.is_empty_uncached(budget.as_deref())?;
         crate::cache::empty_store(key, v);
@@ -281,7 +277,6 @@ impl System {
     /// [`Self::implies`] with budget exhaustion reported as
     /// [`PolyError::BudgetExhausted`].
     pub fn try_implies(&self, c: &Constraint) -> Result<bool, PolyError> {
-        bernoulli_trace::counter!("polyhedra.implication_tests");
         match c.kind {
             ConstraintKind::Ge => {
                 let mut neg = self.clone();

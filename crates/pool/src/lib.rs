@@ -175,35 +175,17 @@ unsafe impl Send for Job {}
 
 impl Job {
     /// Claims and runs chunks until the shared counter is exhausted.
-    /// `is_worker` distinguishes pool workers from the submitting lane
-    /// for the steal accounting: the submitter owns the job, so every
-    /// chunk a worker claims counts as stolen.
-    fn run_chunks(&self, is_worker: bool) {
+    fn run_chunks(&self) {
         let func = unsafe { &*self.func };
-        let busy = bernoulli_trace::timer!("par.pool.busy");
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut executed = 0u64;
-            loop {
-                let chunk = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-                if chunk >= self.nchunks {
-                    break;
-                }
-                func(chunk);
-                executed += 1;
+        let result = catch_unwind(AssertUnwindSafe(|| loop {
+            let chunk = self.next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= self.nchunks {
+                break;
             }
-            executed
+            func(chunk);
         }));
-        drop(busy);
-        match result {
-            Ok(executed) => {
-                if is_worker {
-                    bernoulli_trace::counter!("par.pool.chunks_stolen", executed);
-                    if executed > 0 {
-                        bernoulli_trace::counter!("par.pool.workers_engaged");
-                    }
-                }
-            }
-            Err(p) => self.latch.record_panic(p),
+        if let Err(p) = result {
+            self.latch.record_panic(p);
         }
     }
 }
@@ -228,11 +210,7 @@ fn spawn_worker(k: usize) -> Sender<Job> {
                 // lanes drain the chunk counter; the next submission
                 // respawns us.
                 bernoulli_govern::faults::hit("pool.worker");
-                job.run_chunks(true);
-                // Fold this job's trace events in *before* the job drop
-                // releases the latch, so a snapshot taken right after
-                // `run` returns sees them.
-                bernoulli_trace::flush_local();
+                job.run_chunks();
             }
         })
         .expect("spawning pool worker");
@@ -289,12 +267,10 @@ impl Pool {
     /// [`Pool::run`] with a chunk panic reported as
     /// [`PoolError::JobPanicked`] instead of resuming the unwind.
     pub fn try_run(&self, nchunks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), PoolError> {
-        self.run_inner(nchunks, f).map_err(|p| {
-            bernoulli_trace::counter!("par.pool.jobs_panicked");
-            PoolError::JobPanicked {
+        self.run_inner(nchunks, f)
+            .map_err(|p| PoolError::JobPanicked {
                 message: panic_message(p.as_ref()),
-            }
-        })
+            })
     }
 
     /// The shared execution core: runs the job to completion and
@@ -307,11 +283,7 @@ impl Pool {
         if nchunks == 0 {
             return Ok(());
         }
-        bernoulli_trace::counter!("par.pool.jobs");
-        bernoulli_trace::counter!("par.pool.chunks", nchunks);
-        bernoulli_trace::span!("par.pool.wall");
         if nchunks == 1 || self.workers.is_empty() {
-            bernoulli_trace::counter!("par.pool.jobs_inline");
             return catch_unwind(AssertUnwindSafe(|| {
                 for chunk in 0..nchunks {
                     f(chunk);
@@ -341,7 +313,6 @@ impl Pool {
                 // The worker died (its receiver is gone) — this only
                 // happens when a fault killed the thread mid-loop.
                 // Respawn it in place and hand it the job.
-                bernoulli_trace::counter!("par.pool.workers_respawned");
                 *tx = spawn_worker(slot.id);
                 tx.send(job).expect("freshly spawned pool worker");
             }
@@ -354,7 +325,7 @@ impl Pool {
             latch: Arc::clone(&latch),
             counts_down: false,
         };
-        own.run_chunks(false);
+        own.run_chunks();
         latch.wait();
         match latch.take_panic() {
             Some(p) => Err(p),
@@ -405,12 +376,10 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_inner(items, f).map_err(|p| {
-            bernoulli_trace::counter!("par.pool.jobs_panicked");
-            PoolError::JobPanicked {
+        self.par_map_inner(items, f)
+            .map_err(|p| PoolError::JobPanicked {
                 message: panic_message(p.as_ref()),
-            }
-        })
+            })
     }
 
     fn par_map_inner<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, Box<dyn Any + Send>>

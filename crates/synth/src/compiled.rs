@@ -958,7 +958,6 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
     let (_, mut kernel_ops) = probe_operands(sig);
     let reject = |detail: String| {
         kernel.store.quarantine(kernel.lib.path());
-        bernoulli_trace::counter!("kernel.validation_failures");
         LoadError::ValidationFailed { detail }
     };
     let operands = kernel_ops.iter_mut().map(ProbeOperand::operand);
@@ -983,7 +982,6 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
         }
     }
     kernel.store.mark_validated(&kernel.lib);
-    bernoulli_trace::counter!("kernel.validations");
     Ok(true)
 }
 
@@ -1018,7 +1016,6 @@ pub(crate) fn load_kernel(
     } else {
         None
     };
-    bernoulli_trace::counter!("kernel.loads");
     let mut kernel = LoadedKernel {
         lib,
         entry,

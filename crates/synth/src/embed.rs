@@ -173,7 +173,6 @@ pub fn embedding_variants(cfg: &Config, space: &Space, max: usize) -> Vec<Embedd
             }
         }
     }
-    bernoulli_trace::counter!("synth.embedding_variants", out.len());
     out
 }
 

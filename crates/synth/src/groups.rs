@@ -80,11 +80,6 @@ pub fn compute_groups(cfg: &Config, space: &Space, emb: &Embedding) -> GroupInfo
     for p in 0..ndims {
         redundant[p] = !rs.insert(&row_of(p));
     }
-    bernoulli_trace::counter!("synth.dims_examined", ndims);
-    bernoulli_trace::counter!(
-        "synth.dims_eliminated",
-        redundant.iter().filter(|&&r| r).count()
-    );
 
     // Same-value groups: maximal consecutive runs with identical
     // embedding expressions across all statements.
@@ -104,14 +99,11 @@ pub fn compute_groups(cfg: &Config, space: &Space, emb: &Embedding) -> GroupInfo
         }
     }
 
-    let info = GroupInfo {
+    GroupInfo {
         redundant,
         groups,
         group_of,
-    };
-    bernoulli_trace::counter!("synth.enum_groups", info.groups.len());
-    bernoulli_trace::counter!("synth.enum_groups_stepped", info.stepped_groups().len());
-    info
+    }
 }
 
 fn collect_params(cfg: &Config) -> Vec<String> {

@@ -630,7 +630,6 @@ fn try_level_source(
     next.steps.push(step);
     // Attach searches scheduled during this step to it.
     attach_scheduled_searches(cfg, &mut next);
-    bernoulli_trace::counter!("synth.join.level");
     Some(next)
 }
 
@@ -740,7 +739,6 @@ fn try_merge_source(
         binds,
     });
     attach_scheduled_searches(cfg, &mut next);
-    bernoulli_trace::counter!("synth.join.merge");
     Some(next)
 }
 
@@ -833,7 +831,6 @@ fn try_interval_source(
         binds,
     });
     attach_scheduled_searches(cfg, &mut next);
-    bernoulli_trace::counter!("synth.join.interval");
     Some(next)
 }
 
@@ -968,7 +965,6 @@ fn attach_scheduled_searches(cfg: &Config, st: &mut LState) {
     let _ = cfg;
     let sched = std::mem::take(&mut st.sched);
     if let Some(last) = st.steps.last_mut() {
-        bernoulli_trace::counter!("synth.join.searches", sched.len());
         last.searches.extend(sched);
     }
 }

@@ -440,12 +440,10 @@ pub(crate) fn run_search(
             return Ok(hit);
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
-        bernoulli_trace::counter!("synth.plan_cache_misses");
         // Persistent tier: a restarted service finds the previous
         // process's completed searches on disk, promotes them into the
         // in-memory cache, and skips the search entirely (warm-start).
         if let Some(found) = persist.and_then(|ps| ps.load(&key)) {
-            bernoulli_trace::counter!("synth.plan_cache_disk_hits");
             let entry = Arc::new(cache.entry(req, key, found));
             cache.insert(req.fingerprint, Arc::clone(&entry));
             return Ok(SearchOutcome {
@@ -454,8 +452,6 @@ pub(crate) fn run_search(
             });
         }
     }
-    bernoulli_trace::counter!("synth.searches");
-    bernoulli_trace::span!("synth.search");
 
     // The active budget, read once per search from the *calling*
     // thread's slot, and the calling thread's polyhedral cache view.
@@ -470,7 +466,6 @@ pub(crate) fn run_search(
     let deps = cache.deps(p);
     let relaxable = relaxable_classes(p, &deps);
     let configs = enumerate_configs(p, view_map).map_err(SynthError::Config)?;
-    bernoulli_trace::counter!("synth.configs", configs.len());
 
     // One configuration's search, shared verbatim by the sequential and
     // parallel paths (and, with `max_emb == 1`, by the probe round).
@@ -504,7 +499,6 @@ pub(crate) fn run_search(
             opts.include_iteration_centric || iteration_centric,
             unconstrained,
         );
-        bernoulli_trace::counter!("synth.spaces", spaces.len());
         for space in &spaces {
             // Coarse-grained budget gate: the fine-grained op accounting
             // lives inside the polyhedral layer; here we only bail out
@@ -517,14 +511,12 @@ pub(crate) fn run_search(
             let mut got_plan = false;
             for emb in embedding_variants(cfg, space, max_emb) {
                 o.examined += 1;
-                bernoulli_trace::counter!("synth.embeddings_examined");
                 // The dimension walk is a direction-inference pre-pass;
                 // the lowered plan is re-verified authoritatively, so a
                 // "violation" here only means directions are partial.
                 let leg =
                     check_legality(cfg, space, &emb, &deps, &relaxable, opts.relax_reductions);
                 if let Some(v) = &leg.violation {
-                    bernoulli_trace::counter!("synth.embeddings_rejected");
                     push_reason(&mut o.reasons, v);
                 }
                 let groups = compute_groups(cfg, space, &emb);
@@ -536,7 +528,6 @@ pub(crate) fn run_search(
                     if let Some(worst) = bound.peek() {
                         if floor > worst.0 {
                             o.pruned += 1;
-                            bernoulli_trace::counter!("synth.plans_pruned");
                             continue;
                         }
                     }
@@ -555,7 +546,6 @@ pub(crate) fn run_search(
                 ) {
                     match check_zero_safety(p, cfg, &plan, view_map) {
                         Ok(notes) => {
-                            bernoulli_trace::counter!("synth.plans_lowered");
                             let cost = estimate_cost(p, cfg, &plan, &opts.stats);
                             got_plan = true;
                             if opts.keep > 0 {
@@ -572,7 +562,6 @@ pub(crate) fn run_search(
                             });
                         }
                         Err(e) => {
-                            bernoulli_trace::counter!("synth.plans_zero_unsafe");
                             push_reason(&mut o.reasons, &e.to_string());
                         }
                     }
@@ -715,14 +704,12 @@ pub(crate) fn run_search(
     let budget_cause = budget.as_deref().and_then(|b| b.exceeded());
     let degraded = budget_cause.is_some();
     if let Some(cause) = budget_cause {
-        bernoulli_trace::counter!("synth.searches_degraded");
         if out.is_empty() {
             if matches!(cause, BudgetError::Cancelled) {
                 return Err(SynthError::Deadline { cause, examined });
             }
             let fb = Arc::new(Budget::unlimited().with_max_ops(FALLBACK_MAX_OPS));
             let _fallback = bernoulli_govern::install_scoped(Some(Arc::clone(&fb)));
-            bernoulli_trace::counter!("synth.baseline_fallbacks");
             for cfg in &configs {
                 let o = catch_outcome(|| search_config(cfg, true, true, 1, &[], Some(&fb)))?;
                 examined += o.examined;
@@ -747,7 +734,6 @@ pub(crate) fn run_search(
     // and `total_cmp` ranks NaN costs last instead of panicking.
     out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     out.truncate(opts.keep);
-    bernoulli_trace::counter!("synth.candidates_kept", out.len());
     if out.is_empty() && reasons.is_empty() {
         reasons.push("no candidate lowered successfully".to_string());
     }
@@ -890,7 +876,6 @@ impl PlanCache {
             return None;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        bernoulli_trace::counter!("synth.plan_cache_hits");
         Some(SearchOutcome {
             entry,
             tier: Tier::Memory,
@@ -1116,7 +1101,6 @@ pub(crate) fn plan_cache_key(
 /// Hit/miss totals of one whole-search plan cache
 /// ([`Session::plan_cache_stats`](crate::session::Session::plan_cache_stats),
 /// [`Service::plan_cache_stats`](crate::service::Service::plan_cache_stats)).
-/// Independent of the `trace` feature.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     pub hits: u64,

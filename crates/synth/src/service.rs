@@ -248,7 +248,6 @@ impl Admission {
             return Ok(AdmissionPermit { adm: self });
         }
         if st.queued >= self.max_queue {
-            bernoulli_trace::counter!("service.shed_overloaded");
             return Err(ServiceError::Overloaded {
                 inflight: st.inflight,
                 queued: st.queued,
@@ -283,7 +282,6 @@ impl Admission {
                         Self::advance(&mut st);
                         drop(st);
                         self.cv.notify_all();
-                        bernoulli_trace::counter!("service.shed_deadline");
                         return Err(ServiceError::QueueDeadline {
                             waited_ms: enqueued_at.elapsed().as_millis() as u64,
                         });
@@ -466,9 +464,9 @@ impl Service {
         })
     }
 
-    /// Stage 4 — compile under the service's configured options,
-    /// deadline, and cache mode. Safe to call from many threads at
-    /// once; admission control applies (see the module docs).
+    /// Stage 4 — compile under the service's configured options and
+    /// deadline. Safe to call from many threads at once; admission
+    /// control applies (see the module docs).
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, ServiceError> {
         self.compile_with(problem, &self.cfg.opts, self.cfg.default_deadline)
     }
@@ -589,7 +587,6 @@ impl Service {
             Flight::Led(result) => result,
             Flight::Followed(shared) => {
                 self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                bernoulli_trace::counter!("service.searches_coalesced");
                 shared
             }
             // Waited out the deadline: search under our own

@@ -6,7 +6,7 @@
 
 use bernoulli_formats::{Csr, SparseView, Triplets};
 use bernoulli_synth::{
-    ExecEnv, PersistentPlanCache, Service, ServiceConfig, ServiceError, Session,
+    ExecEnv, PersistentPlanCache, Service, ServiceConfig, ServiceError, Session, SynthOptions,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,6 +191,49 @@ fn overload_and_queue_deadline_shed_with_exact_accounting() {
         s2.admitted + s2.shed_overloaded + s2.shed_deadline,
         s2.submitted
     );
+
+    // A burst: more clients than slots + queue, each with a deadline,
+    // every admitted one a real search. Whatever the interleaving, each
+    // request is counted exactly once on each side of admission.
+    let burst = 16;
+    let svc3 = Service::new(ServiceConfig {
+        max_inflight: 2,
+        max_queue: 2,
+        default_deadline: Some(Duration::from_millis(200)),
+        opts: SynthOptions {
+            parallel: false,
+            cache_plans: false,
+            ..opts
+        },
+        ..ServiceConfig::default()
+    });
+    let bound3 = svc3.bind(&p, &[("A", csr().format_view())]).unwrap();
+    let gate = std::sync::Barrier::new(burst);
+    let served = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..burst)
+            .map(|_| {
+                s.spawn(|| {
+                    gate.wait();
+                    svc3.compile(&bound3).is_ok()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("burst client panicked"))
+            .filter(|&ok| ok)
+            .count()
+    });
+    let s3 = svc3.stats();
+    assert_eq!(s3.submitted, burst as u64, "{s3:?}");
+    assert_eq!(
+        s3.admitted + s3.shed_overloaded + s3.shed_deadline,
+        s3.submitted,
+        "{s3:?}"
+    );
+    assert_eq!(s3.completed + s3.failed, s3.admitted, "{s3:?}");
+    assert_eq!(s3.completed, served as u64, "{s3:?}");
+    assert!(s3.peak_inflight <= 2, "{s3:?}");
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn main() -> Result<(), Error> {
         synth::mvm_dia(n as i64, n as i64, &dia, v, out)
     });
     let x5 = run("parallel CSR (4 threads)", &mut |v, out| {
-        bernoulli::blas::parallel::par_mvm_csr(&csr, v, out, 4)
+        bernoulli::blas::par::par_mvm_csr(&csr, v, out, 4)
     });
 
     // The same kernel again, but compiled *now* by an embedded compiler
