@@ -5,7 +5,7 @@
 //! [`Layout`] is the storage half of that description — the struct's
 //! scalar fields, its arrays with their element types, and the source
 //! of its `find` — next to the index-structure half it already had (the
-//! [`FormatView`]). It is declared by one [`stored_layout!`] invocation
+//! [`FormatView`]). It is declared by one `stored_layout!` invocation
 //! beside each format struct, which names the struct's own fields: a
 //! renamed, retyped or forgotten field fails to compile here, not in
 //! whoever reads the layout.

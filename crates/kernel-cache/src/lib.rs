@@ -368,7 +368,7 @@ pub struct ArtifactSpec {
 
 impl ArtifactSpec {
     /// Names the artifact of (key, source) under the host's compiler
-    /// and [`RUSTC_FLAGS`]; errors when no compiler is usable (the name
+    /// and `RUSTC_FLAGS`; errors when no compiler is usable (the name
     /// covers its identity).
     pub fn new(key: String, source: String) -> Result<ArtifactSpec, KernelCacheError> {
         let info = rustc_info()?;
@@ -721,7 +721,7 @@ impl KernelStore {
     /// has settled: the parsed list is kept with the file's (mtime,
     /// length) and re-read when either moved, which also picks up what
     /// other handles and processes write. A list younger than
-    /// [`MTIME_TICK`] is read at every load instead of kept.
+    /// `MTIME_TICK` is read at every load instead of kept.
     pub fn is_quarantined(&self, path: &Path) -> bool {
         let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
             return false;

@@ -13,14 +13,15 @@
 //! ## Format
 //!
 //! One file per key, named `plan-<fnv64(key)>.bsp`, containing a single
-//! S-expression: `(bernoulli-plan-cache <version> <key> <entry> <emit>)`.
+//! S-expression: `("bernoulli-plan-cache" <version> <key> <entry>)`.
 //! The serializer is hand-rolled (the workspace builds offline, no
 //! serde): integers are decimal, `f64`s are written as `f`+16 hex
 //! digits of their bit pattern (exact round-trip, NaN-safe), strings
 //! are quoted with `\`-escapes, and every struct/enum is a positional
-//! (sometimes tagged) list. `<emit>` is the best candidate's emitted
-//! kernel module, stored so a warm-start can hand out source without
-//! re-running the emitter and so tests can verify round-trip fidelity.
+//! (sometimes tagged) list. Each type's place in the text is described
+//! once, by its `Wire` implementation below, and both directions are
+//! read off that description. Nothing derived from the plans is stored:
+//! a warm-started service emits from the plans it read.
 //!
 //! ## Integrity
 //!
@@ -42,60 +43,90 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Bumped whenever the on-disk layout changes *or the emitter's output
-/// for a stored plan does* (entries carry emitted source); older files
-/// are treated as misses and eventually overwritten.
-const FORMAT_VERSION: i64 = 2;
+const MAGIC: &str = "bernoulli-plan-cache";
 
-/// Parser recursion guard: a corrupted file must fail cleanly, not
-/// overflow the stack. Real plans nest a few levels deep at most.
+/// Bumped whenever the on-disk layout changes, or what lowering
+/// produces for a key does (a restarted service would keep serving the
+/// old plans); older files are treated as misses and eventually
+/// overwritten. 3: the entry no longer ends with the emitted module.
+const FORMAT_VERSION: i64 = 3;
+
+/// Nesting guard: a corrupted file must fail cleanly, not overflow the
+/// stack, so the reader refuses a value inside more lists than this —
+/// and the writer, which counts the same way, reports when it wrote
+/// one. Real plans nest a few levels deep at most.
 const MAX_DEPTH: usize = 96;
 
 // ---------------------------------------------------------------------
-// Value model + writer + parser
+// The text layer: tokens of the S-expression, written and read in place
 // ---------------------------------------------------------------------
 
-/// The serialization value model: everything a plan contains lowers to
-/// integers, bit-exact floats, strings and lists.
-#[derive(Clone, Debug, PartialEq)]
-enum V {
-    I(i64),
-    F(u64),
-    S(String),
-    L(Vec<V>),
+/// Writes the tokens of one S-expression: items of a list are separated
+/// by one space.
+struct Writer {
+    out: String,
+    /// Lists open around the next value.
+    depth: usize,
+    /// Some value sat deeper than [`MAX_DEPTH`]: the reader would
+    /// refuse the text.
+    too_deep: bool,
 }
 
-fn write_v(out: &mut String, v: &V) {
-    match v {
-        V::I(i) => {
-            out.push_str(&i.to_string());
+impl Writer {
+    fn new() -> Writer {
+        Writer {
+            out: String::with_capacity(4096),
+            depth: 0,
+            too_deep: false,
         }
-        V::F(bits) => {
-            out.push('f');
-            out.push_str(&format!("{bits:016x}"));
+    }
+
+    /// Before every value: the separator, and the reader's depth check.
+    fn token(&mut self) {
+        if !(self.out.is_empty() || self.out.ends_with('(')) {
+            self.out.push(' ');
         }
-        V::S(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    _ => out.push(c),
-                }
+        self.too_deep |= self.depth > MAX_DEPTH;
+    }
+
+    /// `(`, what `items` writes, `)`.
+    fn list(&mut self, items: impl FnOnce(&mut Writer)) {
+        self.token();
+        self.out.push('(');
+        self.depth += 1;
+        items(self);
+        self.depth -= 1;
+        self.out.push(')');
+    }
+
+    fn int(&mut self, i: i64) {
+        self.token();
+        self.out.push_str(&i.to_string());
+    }
+
+    /// By bit pattern: exact, and a `NaN` survives.
+    fn float(&mut self, x: f64) {
+        self.token();
+        self.out.push_str(&format!("f{:016x}", x.to_bits()));
+    }
+
+    fn string(&mut self, s: &str) {
+        self.token();
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                _ => self.out.push(c),
             }
-            out.push('"');
         }
-        V::L(items) => {
-            out.push('(');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                write_v(out, item);
-            }
-            out.push(')');
-        }
+        self.out.push('"');
+    }
+
+    /// The text, unless the reader would refuse it for its nesting.
+    fn finish(self) -> Option<String> {
+        (!self.too_deep).then_some(self.out)
     }
 }
 
@@ -118,659 +149,417 @@ fn fail<T>(msg: impl Into<String>) -> PResult<T> {
     Err(ParseFail(msg.into()))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Reads the tokens [`Writer`] writes; the first failure ends the read.
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Lists open around the next value.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
             pos: 0,
+            depth: 0,
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+    /// The next byte that is not white space.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
             self.pos += 1;
         }
+        bytes.get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self, depth: usize) -> PResult<V> {
-        if depth > MAX_DEPTH {
+    /// The first byte of the next value, once it is known to sit no
+    /// deeper than [`MAX_DEPTH`].
+    fn token(&mut self) -> PResult<Option<u8>> {
+        if self.depth > MAX_DEPTH {
             return fail("nesting too deep");
         }
-        self.skip_ws();
+        Ok(self.peek())
+    }
+
+    fn expected<T>(&self, what: &str, got: Option<u8>) -> PResult<T> {
+        match got {
+            Some(b')') => fail(format!("expected {what}, got the end of the list")),
+            Some(c) => fail(format!("expected {what} at byte {}, got {c:#x}", self.pos)),
+            None => fail(format!("expected {what}, got the end of the input")),
+        }
+    }
+
+    /// `(`, what `items` reads, `)` — and nothing left over before it.
+    fn list<T>(&mut self, items: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        match self.token()? {
+            Some(b'(') => self.pos += 1,
+            other => return self.expected("list", other),
+        }
+        self.depth += 1;
+        let value = items(self)?;
+        if self.more()? {
+            return fail(format!("surplus item in a list at byte {}", self.pos));
+        }
+        self.depth -= 1;
+        self.pos += 1;
+        Ok(value)
+    }
+
+    /// Inside a list: is there another item before its `)`?
+    fn more(&mut self) -> PResult<bool> {
         match self.peek() {
-            Some(b'(') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b')') => {
-                            self.pos += 1;
-                            return Ok(V::L(items));
-                        }
-                        Some(_) => items.push(self.value(depth + 1)?),
-                        None => return fail("unterminated list"),
+            Some(b')') => Ok(false),
+            Some(_) => Ok(true),
+            None => fail("unterminated list"),
+        }
+    }
+
+    fn int(&mut self) -> PResult<i64> {
+        let bytes = self.text.as_bytes();
+        match self.token()? {
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let mut end = self.pos + 1;
+                while bytes.get(end).is_some_and(u8::is_ascii_digit) {
+                    end += 1;
+                }
+                match self.text[self.pos..end].parse::<i64>() {
+                    Ok(i) => {
+                        self.pos = end;
+                        Ok(i)
                     }
+                    Err(_) => fail("bad integer"),
                 }
             }
-            Some(b'"') => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.peek() {
-                        Some(b'"') => {
-                            self.pos += 1;
-                            return Ok(V::S(s));
-                        }
-                        Some(b'\\') => {
-                            self.pos += 1;
-                            match self.peek() {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'n') => s.push('\n'),
-                                _ => return fail("bad escape"),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(_) => {
-                            // Consume one full UTF-8 scalar.
-                            let start = self.pos;
-                            let mut end = start + 1;
-                            while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                                end += 1;
-                            }
-                            match std::str::from_utf8(&self.bytes[start..end]) {
-                                Ok(frag) => s.push_str(frag),
-                                Err(_) => return fail("invalid utf-8 in string"),
-                            }
-                            self.pos = end;
-                        }
-                        None => return fail("unterminated string"),
-                    }
-                }
-            }
+            other => self.expected("int", other),
+        }
+    }
+
+    /// `f` and the sixteen hex digits of the bit pattern.
+    fn float(&mut self) -> PResult<f64> {
+        match self.token()? {
             Some(b'f') => {
-                let start = self.pos + 1;
-                let end = start + 16;
-                if end > self.bytes.len() {
-                    return fail("truncated float");
-                }
-                let hex = match std::str::from_utf8(&self.bytes[start..end]) {
-                    Ok(h) => h,
-                    Err(_) => return fail("bad float bytes"),
+                let hex = match self.text.get(self.pos + 1..self.pos + 17) {
+                    Some(hex) => hex,
+                    None => return fail("truncated float"),
                 };
                 match u64::from_str_radix(hex, 16) {
                     Ok(bits) => {
-                        self.pos = end;
-                        Ok(V::F(bits))
+                        self.pos += 17;
+                        Ok(f64::from_bits(bits))
                     }
                     Err(_) => fail("bad float hex"),
                 }
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
-                    self.pos += 1;
-                }
-                let txt = match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                    Ok(t) => t,
-                    Err(_) => return fail("bad integer bytes"),
-                };
-                match txt.parse::<i64>() {
-                    Ok(i) => Ok(V::I(i)),
-                    Err(_) => fail("bad integer"),
+            other => self.expected("float", other),
+        }
+    }
+
+    fn string(&mut self) -> PResult<String> {
+        match self.token()? {
+            Some(b'"') => {}
+            other => return self.expected("string", other),
+        }
+        let mut s = String::new();
+        let mut at = self.pos + 1;
+        loop {
+            // `"` and `\` are ASCII: every cut is on a char boundary.
+            let rest = &self.text[at..];
+            let run = match rest.find(['"', '\\']) {
+                Some(run) => run,
+                None => return fail("unterminated string"),
+            };
+            s.push_str(&rest[..run]);
+            at += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                self.pos = at;
+                return Ok(s);
+            }
+            match self.text.as_bytes().get(at) {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'n') => s.push('\n'),
+                _ => return fail("bad escape"),
+            }
+            at += 1;
+        }
+    }
+
+    /// The end of the input, once the top-level value has been read.
+    fn finish(mut self) -> PResult<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => fail("trailing garbage after top-level value"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One description per type: what `put` writes, `get` reads
+// ---------------------------------------------------------------------
+
+/// A type with a place in the entry text. `get` accepts exactly what
+/// `put` writes: a list with an item missing or left over, a number out
+/// of the type's range, a tag no variant has — each is an error.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> PResult<Self>;
+}
+
+impl Wire for i64 {
+    fn put(&self, w: &mut Writer) {
+        w.int(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<i64> {
+        r.int()
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        w.int(*self as i64);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<usize> {
+        let i = r.int()?;
+        usize::try_from(i).map_err(|_| ParseFail(format!("expected usize, got {i}")))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.int(i64::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<bool> {
+        match r.int()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => fail(format!("expected bool 0/1, got {other}")),
+        }
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.float(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<f64> {
+        r.float()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.string(self);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<String> {
+        r.string()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Box<T>> {
+        T::get(r).map(Box::new)
+    }
+}
+
+fn put_list<T: Wire>(items: &[T], w: &mut Writer) {
+    w.list(|w| items.iter().for_each(|item| item.put(w)));
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        put_list(self, w);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Vec<T>> {
+        r.list(|r| {
+            let mut items = Vec::new();
+            while r.more()? {
+                items.push(T::get(r)?);
+            }
+            Ok(items)
+        })
+    }
+}
+
+/// `()` or `(x)`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        put_list(self.as_slice(), w);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Option<T>> {
+        r.list(|r| Ok(if r.more()? { Some(T::get(r)?) } else { None }))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        w.list(|w| {
+            self.0.put(w);
+            self.1.put(w);
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<(A, B)> {
+        r.list(|r| Ok((A::get(r)?, B::get(r)?)))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut Writer) {
+        w.list(|w| {
+            self.0.put(w);
+            self.1.put(w);
+            self.2.put(w);
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<(A, B, C)> {
+        r.list(|r| Ok((A::get(r)?, B::get(r)?, C::get(r)?)))
+    }
+}
+
+/// A struct is the list of its fields, in the order given here. `put`
+/// destructures without `..`: a field this list does not name, or names
+/// wrongly, does not compile.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                let $ty { $($field),* } = self;
+                w.list(|w| { $($field.put(w);)* });
+            }
+            fn get(r: &mut Reader<'_>) -> PResult<$ty> {
+                r.list(|r| Ok($ty { $($field: Wire::get(r)?),* }))
+            }
+        }
+    };
+}
+
+/// An enum is `("tag" field ..)`: one row per variant, its fields named
+/// in the variant's own syntax (`V(a, b)` or `V { a, b }`), which is
+/// both the pattern `put` matches and the expression `get` builds.
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $variant:ident $fields:tt),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.list(|w| match self {
+                    $($ty::$variant $fields => {
+                        w.string($tag);
+                        wire_enum!(@put w $fields);
+                    })*
+                });
+            }
+            fn get(r: &mut Reader<'_>) -> PResult<$ty> {
+                r.list(|r| match r.string()?.as_str() {
+                    $($tag => {
+                        wire_enum!(@get r $fields);
+                        Ok($ty::$variant $fields)
+                    })*
+                    other => fail(format!("unknown {} tag {other:?}", stringify!($ty))),
+                })
+            }
+        }
+    };
+    (@put $w:ident ($($field:ident),*)) => { $($field.put($w);)* };
+    (@put $w:ident {$($field:ident),*}) => { $($field.put($w);)* };
+    (@get $r:ident ($($field:ident),*)) => { $(let $field = Wire::get($r)?;)* };
+    (@get $r:ident {$($field:ident),*}) => { $(let $field = Wire::get($r)?;)* };
+}
+
+/// A field-less enum is the number given to each variant.
+macro_rules! wire_flags {
+    ($ty:ident { $($variant:ident = $n:literal),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.int(match self { $($ty::$variant => $n),* });
+            }
+            fn get(r: &mut Reader<'_>) -> PResult<$ty> {
+                match r.int()? {
+                    $($n => Ok($ty::$variant),)*
+                    other => fail(format!("bad {} {other}", stringify!($ty))),
                 }
             }
-            Some(c) => fail(format!("unexpected byte {c:#x}")),
-            None => fail("unexpected end of input"),
         }
-    }
-}
-
-fn parse_top(s: &str) -> PResult<V> {
-    let mut p = Parser::new(s);
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return fail("trailing garbage after top-level value");
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------
-// Accessor helpers for decoding
-// ---------------------------------------------------------------------
-
-fn as_list(v: &V) -> PResult<&[V]> {
-    match v {
-        V::L(items) => Ok(items),
-        other => fail(format!("expected list, got {other:?}")),
-    }
-}
-
-fn as_fixed<const N: usize>(v: &V) -> PResult<&[V; N]> {
-    let items = as_list(v)?;
-    match <&[V; N]>::try_from(items) {
-        Ok(arr) => Ok(arr),
-        Err(_) => fail(format!("expected {N}-list, got {}-list", items.len())),
-    }
-}
-
-fn as_i64(v: &V) -> PResult<i64> {
-    match v {
-        V::I(i) => Ok(*i),
-        other => fail(format!("expected int, got {other:?}")),
-    }
-}
-
-fn as_usize(v: &V) -> PResult<usize> {
-    let i = as_i64(v)?;
-    usize::try_from(i).map_err(|_| ParseFail(format!("expected usize, got {i}")))
-}
-
-fn as_bool(v: &V) -> PResult<bool> {
-    match as_i64(v)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => fail(format!("expected bool 0/1, got {other}")),
-    }
-}
-
-fn as_f64(v: &V) -> PResult<f64> {
-    match v {
-        V::F(bits) => Ok(f64::from_bits(*bits)),
-        other => fail(format!("expected float, got {other:?}")),
-    }
-}
-
-fn as_str(v: &V) -> PResult<&str> {
-    match v {
-        V::S(s) => Ok(s),
-        other => fail(format!("expected string, got {other:?}")),
-    }
-}
-
-fn dec_vec<T>(v: &V, f: impl Fn(&V) -> PResult<T>) -> PResult<Vec<T>> {
-    as_list(v)?.iter().map(f).collect()
-}
-
-fn enc_opt<T>(o: &Option<T>, f: impl Fn(&T) -> V) -> V {
-    match o {
-        None => V::L(vec![]),
-        Some(x) => V::L(vec![f(x)]),
-    }
-}
-
-fn dec_opt<T>(v: &V, f: impl Fn(&V) -> PResult<T>) -> PResult<Option<T>> {
-    let items = as_list(v)?;
-    match items {
-        [] => Ok(None),
-        [x] => Ok(Some(f(x)?)),
-        _ => fail("expected 0- or 1-list for option"),
-    }
-}
-
-fn enc_string(s: &str) -> V {
-    V::S(s.to_string())
-}
-
-// ---------------------------------------------------------------------
-// Plan-tree encoders/decoders (positional lists, tags where variants)
-// ---------------------------------------------------------------------
-
-fn enc_atom(a: &Atom) -> V {
-    match a {
-        Atom::Slot(i) => V::L(vec![V::S("s".into()), V::I(*i as i64)]),
-        Atom::Var(n) => V::L(vec![V::S("v".into()), enc_string(n)]),
-    }
-}
-
-fn dec_atom(v: &V) -> PResult<Atom> {
-    let [tag, payload] = as_fixed::<2>(v)?;
-    match as_str(tag)? {
-        "s" => Ok(Atom::Slot(as_usize(payload)?)),
-        "v" => Ok(Atom::Var(as_str(payload)?.to_string())),
-        other => fail(format!("unknown atom tag {other:?}")),
-    }
-}
-
-fn enc_pexpr(e: &PExpr) -> V {
-    V::L(vec![
-        V::L(
-            e.terms
-                .iter()
-                .map(|(a, c)| V::L(vec![enc_atom(a), V::I(*c)]))
-                .collect(),
-        ),
-        V::I(e.cst),
-    ])
-}
-
-fn dec_pexpr(v: &V) -> PResult<PExpr> {
-    let [terms, cst] = as_fixed::<2>(v)?;
-    Ok(PExpr {
-        terms: dec_vec(terms, |t| {
-            let [a, c] = as_fixed::<2>(t)?;
-            Ok((dec_atom(a)?, as_i64(c)?))
-        })?,
-        cst: as_i64(cst)?,
-    })
-}
-
-fn enc_levelref(r: &LevelRef) -> V {
-    V::L(vec![
-        enc_string(&r.matrix),
-        V::I(r.ref_id as i64),
-        V::I(r.chain as i64),
-        V::I(r.level as i64),
-    ])
-}
-
-fn dec_levelref(v: &V) -> PResult<LevelRef> {
-    let [matrix, ref_id, chain, level] = as_fixed::<4>(v)?;
-    Ok(LevelRef {
-        matrix: as_str(matrix)?.to_string(),
-        ref_id: as_usize(ref_id)?,
-        chain: as_usize(chain)?,
-        level: as_usize(level)?,
-    })
-}
-
-fn enc_pairs(pairs: &[(usize, usize)]) -> V {
-    V::L(
-        pairs
-            .iter()
-            .map(|(a, b)| V::L(vec![V::I(*a as i64), V::I(*b as i64)]))
-            .collect(),
-    )
-}
-
-fn dec_pairs(v: &V) -> PResult<Vec<(usize, usize)>> {
-    dec_vec(v, |p| {
-        let [a, b] = as_fixed::<2>(p)?;
-        Ok((as_usize(a)?, as_usize(b)?))
-    })
-}
-
-fn enc_searchpart(s: &SearchPart) -> V {
-    V::L(vec![
-        enc_levelref(&s.target),
-        V::L(
-            s.keys
-                .iter()
-                .map(|(e, perm)| V::L(vec![enc_pexpr(e), enc_opt(perm, |p| enc_string(p))]))
-                .collect(),
-        ),
-        enc_pairs(&s.sharers),
-    ])
-}
-
-fn dec_searchpart(v: &V) -> PResult<SearchPart> {
-    let [target, keys, sharers] = as_fixed::<3>(v)?;
-    Ok(SearchPart {
-        target: dec_levelref(target)?,
-        keys: dec_vec(keys, |k| {
-            let [e, perm] = as_fixed::<2>(k)?;
-            Ok((
-                dec_pexpr(e)?,
-                dec_opt(perm, |p| Ok(as_str(p)?.to_string()))?,
-            ))
-        })?,
-        sharers: dec_pairs(sharers)?,
-    })
-}
-
-fn enc_stepkind(k: &StepKind) -> V {
-    match k {
-        StepKind::Interval { lo, hi } => {
-            V::L(vec![V::S("iv".into()), enc_pexpr(lo), enc_pexpr(hi)])
-        }
-        StepKind::Level { primary, perms } => V::L(vec![
-            V::S("lv".into()),
-            enc_levelref(primary),
-            V::L(
-                perms
-                    .iter()
-                    .map(|p| enc_opt(p, |s| enc_string(s)))
-                    .collect(),
-            ),
-        ]),
-        StepKind::MergeJoin { a, b } => {
-            V::L(vec![V::S("mj".into()), enc_levelref(a), enc_levelref(b)])
-        }
-    }
-}
-
-fn dec_stepkind(v: &V) -> PResult<StepKind> {
-    let items = as_list(v)?;
-    let tag = match items.first() {
-        Some(t) => as_str(t)?,
-        None => return fail("empty step kind"),
     };
-    match (tag, items) {
-        ("iv", [_, lo, hi]) => Ok(StepKind::Interval {
-            lo: dec_pexpr(lo)?,
-            hi: dec_pexpr(hi)?,
-        }),
-        ("lv", [_, primary, perms]) => Ok(StepKind::Level {
-            primary: dec_levelref(primary)?,
-            perms: dec_vec(perms, |p| dec_opt(p, |s| Ok(as_str(s)?.to_string())))?,
-        }),
-        ("mj", [_, a, b]) => Ok(StepKind::MergeJoin {
-            a: dec_levelref(a)?,
-            b: dec_levelref(b)?,
-        }),
-        _ => fail(format!("unknown step kind {tag:?}")),
+}
+
+wire_enum! { Atom { "s" => Slot(i), "v" => Var(name) } }
+wire_struct! { PExpr { terms, cst } }
+wire_struct! { LevelRef { matrix, ref_id, chain, level } }
+wire_struct! { SearchPart { target, keys, sharers } }
+wire_enum! { StepKind {
+    "iv" => Interval { lo, hi },
+    "lv" => Level { primary, perms },
+    "mj" => MergeJoin { a, b },
+} }
+wire_flags! { Dir { Fwd = 0, Rev = 1 } }
+wire_flags! { Edge { First = 0, Last = 1 } }
+wire_struct! { EdgeBound { edge, pivot } }
+wire_struct! { Step {
+    kind, dir, ordered, edge_bound, first_slot, nslots, sharers, searches, binds
+} }
+wire_enum! { Guard { "eq" => Eq(e), "ge" => Ge(e), "dv" => Divides(e, d) } }
+wire_enum! { ValueSource { "pos" => Position { ref_id }, "rnd" => Random { ref_id } } }
+wire_struct! { LhsRef { array, idxs } }
+wire_enum! { ValueExpr {
+    "c" => Const(c),
+    "r" => Read(l),
+    "+" => Add(a, b),
+    "-" => Sub(a, b),
+    "*" => Mul(a, b),
+    "/" => Div(a, b),
+    "n" => Neg(a),
+} }
+wire_struct! { Statement { lhs, rhs } }
+wire_struct! { ExecStmt {
+    stmt, orig, body, bindings, guards, sources, required_refs, depth, after
+} }
+wire_struct! { PlanRef { matrix, chain, levels, access } }
+wire_struct! { Plan { steps, execs, refs, space_desc, nslots, notes } }
+wire_struct! { Candidate { plan, cost, choices, safety_notes } }
+
+/// `(((name coefficient) ..) constant)`; the terms are private to `ir`.
+impl Wire for AffineExpr {
+    fn put(&self, w: &mut Writer) {
+        let terms: Vec<(String, i64)> = self.terms().map(|(n, c)| (n.to_string(), c)).collect();
+        (terms, self.cst()).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<AffineExpr> {
+        let (terms, cst) = <(Vec<(String, i64)>, i64)>::get(r)?;
+        let terms: Vec<(&str, i64)> = terms.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+        Ok(AffineExpr::from_terms(&terms, cst))
     }
 }
 
-fn enc_step(s: &Step) -> V {
-    V::L(vec![
-        enc_stepkind(&s.kind),
-        V::I(match s.dir {
-            Dir::Fwd => 0,
-            Dir::Rev => 1,
-        }),
-        V::I(s.ordered as i64),
-        enc_opt(&s.edge_bound, |b| {
-            V::L(vec![
-                V::I((b.edge == Edge::Last) as i64),
-                enc_pexpr(&b.pivot),
-            ])
-        }),
-        V::I(s.first_slot as i64),
-        V::I(s.nslots as i64),
-        enc_pairs(&s.sharers),
-        V::L(s.searches.iter().map(enc_searchpart).collect()),
-        V::L(s.binds.iter().map(|b| enc_string(b)).collect()),
-    ])
-}
-
-fn dec_step(v: &V) -> PResult<Step> {
-    let [kind, dir, ordered, edge_bound, first_slot, nslots, sharers, searches, binds] =
-        as_fixed::<9>(v)?;
-    Ok(Step {
-        kind: dec_stepkind(kind)?,
-        dir: match as_i64(dir)? {
-            0 => Dir::Fwd,
-            1 => Dir::Rev,
-            other => return fail(format!("bad dir {other}")),
-        },
-        ordered: as_bool(ordered)?,
-        edge_bound: dec_opt(edge_bound, |b| {
-            let [last, pivot] = as_fixed::<2>(b)?;
-            Ok(EdgeBound {
-                edge: if as_bool(last)? {
-                    Edge::Last
-                } else {
-                    Edge::First
-                },
-                pivot: dec_pexpr(pivot)?,
+/// What is stored of a search — only ones that ran to completion are,
+/// so the rest of the report is what a complete search leaves it at.
+impl Wire for SearchReport {
+    fn put(&self, w: &mut Writer) {
+        w.list(|w| {
+            put_list(&self.candidates, w);
+            self.examined.put(w);
+            self.pruned.put(w);
+            put_list(&self.reasons, w);
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<SearchReport> {
+        r.list(|r| {
+            Ok(SearchReport {
+                candidates: Vec::get(r)?.into(),
+                examined: Wire::get(r)?,
+                pruned: Wire::get(r)?,
+                reasons: Vec::get(r)?.into(),
+                plan_cache_hit: false,
+                plan_cache_disk_hit: false,
+                degraded: false,
+                budget: None,
+                skipped_configs: 0,
             })
-        })?,
-        first_slot: as_usize(first_slot)?,
-        nslots: as_usize(nslots)?,
-        sharers: dec_pairs(sharers)?,
-        searches: dec_vec(searches, dec_searchpart)?,
-        binds: dec_vec(binds, |b| Ok(as_str(b)?.to_string()))?,
-    })
-}
-
-fn enc_guard(g: &Guard) -> V {
-    match g {
-        Guard::Eq(e) => V::L(vec![V::S("eq".into()), enc_pexpr(e)]),
-        Guard::Ge(e) => V::L(vec![V::S("ge".into()), enc_pexpr(e)]),
-        Guard::Divides(e, d) => V::L(vec![V::S("dv".into()), enc_pexpr(e), V::I(*d)]),
+        })
     }
-}
-
-fn dec_guard(v: &V) -> PResult<Guard> {
-    let items = as_list(v)?;
-    let tag = match items.first() {
-        Some(t) => as_str(t)?,
-        None => return fail("empty guard"),
-    };
-    match (tag, items) {
-        ("eq", [_, e]) => Ok(Guard::Eq(dec_pexpr(e)?)),
-        ("ge", [_, e]) => Ok(Guard::Ge(dec_pexpr(e)?)),
-        ("dv", [_, e, d]) => Ok(Guard::Divides(dec_pexpr(e)?, as_i64(d)?)),
-        _ => fail(format!("unknown guard {tag:?}")),
-    }
-}
-
-fn enc_source(s: &ValueSource) -> V {
-    match s {
-        ValueSource::Position { ref_id } => V::L(vec![V::S("pos".into()), V::I(*ref_id as i64)]),
-        ValueSource::Random { ref_id } => V::L(vec![V::S("rnd".into()), V::I(*ref_id as i64)]),
-    }
-}
-
-fn dec_source(v: &V) -> PResult<ValueSource> {
-    let [tag, rid] = as_fixed::<2>(v)?;
-    match as_str(tag)? {
-        "pos" => Ok(ValueSource::Position {
-            ref_id: as_usize(rid)?,
-        }),
-        "rnd" => Ok(ValueSource::Random {
-            ref_id: as_usize(rid)?,
-        }),
-        other => fail(format!("unknown source {other:?}")),
-    }
-}
-
-fn enc_affine(e: &AffineExpr) -> V {
-    V::L(vec![
-        V::L(
-            e.terms()
-                .map(|(n, c)| V::L(vec![enc_string(n), V::I(c)]))
-                .collect(),
-        ),
-        V::I(e.cst()),
-    ])
-}
-
-fn dec_affine(v: &V) -> PResult<AffineExpr> {
-    let [terms, cst] = as_fixed::<2>(v)?;
-    let pairs: Vec<(String, i64)> = dec_vec(terms, |t| {
-        let [n, c] = as_fixed::<2>(t)?;
-        Ok((as_str(n)?.to_string(), as_i64(c)?))
-    })?;
-    let borrowed: Vec<(&str, i64)> = pairs.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-    Ok(AffineExpr::from_terms(&borrowed, as_i64(cst)?))
-}
-
-fn enc_lhsref(l: &LhsRef) -> V {
-    V::L(vec![
-        enc_string(&l.array),
-        V::L(l.idxs.iter().map(enc_affine).collect()),
-    ])
-}
-
-fn dec_lhsref(v: &V) -> PResult<LhsRef> {
-    let [array, idxs] = as_fixed::<2>(v)?;
-    Ok(LhsRef {
-        array: as_str(array)?.to_string(),
-        idxs: dec_vec(idxs, dec_affine)?,
-    })
-}
-
-fn enc_vexpr(e: &ValueExpr) -> V {
-    match e {
-        ValueExpr::Const(c) => V::L(vec![V::S("c".into()), V::F(c.to_bits())]),
-        ValueExpr::Read(l) => V::L(vec![V::S("r".into()), enc_lhsref(l)]),
-        ValueExpr::Add(a, b) => V::L(vec![V::S("+".into()), enc_vexpr(a), enc_vexpr(b)]),
-        ValueExpr::Sub(a, b) => V::L(vec![V::S("-".into()), enc_vexpr(a), enc_vexpr(b)]),
-        ValueExpr::Mul(a, b) => V::L(vec![V::S("*".into()), enc_vexpr(a), enc_vexpr(b)]),
-        ValueExpr::Div(a, b) => V::L(vec![V::S("/".into()), enc_vexpr(a), enc_vexpr(b)]),
-        ValueExpr::Neg(a) => V::L(vec![V::S("n".into()), enc_vexpr(a)]),
-    }
-}
-
-fn dec_vexpr(v: &V) -> PResult<ValueExpr> {
-    let items = as_list(v)?;
-    let tag = match items.first() {
-        Some(t) => as_str(t)?,
-        None => return fail("empty value expr"),
-    };
-    let bin = |a: &V, b: &V| -> PResult<(Box<ValueExpr>, Box<ValueExpr>)> {
-        Ok((Box::new(dec_vexpr(a)?), Box::new(dec_vexpr(b)?)))
-    };
-    match (tag, items) {
-        ("c", [_, bits]) => Ok(ValueExpr::Const(as_f64(bits)?)),
-        ("r", [_, l]) => Ok(ValueExpr::Read(dec_lhsref(l)?)),
-        ("+", [_, a, b]) => bin(a, b).map(|(a, b)| ValueExpr::Add(a, b)),
-        ("-", [_, a, b]) => bin(a, b).map(|(a, b)| ValueExpr::Sub(a, b)),
-        ("*", [_, a, b]) => bin(a, b).map(|(a, b)| ValueExpr::Mul(a, b)),
-        ("/", [_, a, b]) => bin(a, b).map(|(a, b)| ValueExpr::Div(a, b)),
-        ("n", [_, a]) => Ok(ValueExpr::Neg(Box::new(dec_vexpr(a)?))),
-        _ => fail(format!("unknown value expr {tag:?}")),
-    }
-}
-
-fn enc_exec(e: &ExecStmt) -> V {
-    V::L(vec![
-        V::I(e.stmt as i64),
-        V::I(e.orig as i64),
-        V::L(vec![enc_lhsref(&e.body.lhs), enc_vexpr(&e.body.rhs)]),
-        V::L(
-            e.bindings
-                .iter()
-                .map(|(n, x, d)| V::L(vec![enc_string(n), enc_pexpr(x), V::I(*d)]))
-                .collect(),
-        ),
-        V::L(e.guards.iter().map(enc_guard).collect()),
-        V::L(e.sources.iter().map(|s| enc_opt(s, enc_source)).collect()),
-        V::L(e.required_refs.iter().map(|r| V::I(*r as i64)).collect()),
-        V::I(e.depth as i64),
-        V::I(e.after as i64),
-    ])
-}
-
-fn dec_exec(v: &V) -> PResult<ExecStmt> {
-    let [stmt, orig, body, bindings, guards, sources, required_refs, depth, after] =
-        as_fixed::<9>(v)?;
-    let [lhs, rhs] = as_fixed::<2>(body)?;
-    Ok(ExecStmt {
-        stmt: as_usize(stmt)?,
-        orig: as_usize(orig)?,
-        body: Statement {
-            lhs: dec_lhsref(lhs)?,
-            rhs: dec_vexpr(rhs)?,
-        },
-        bindings: dec_vec(bindings, |b| {
-            let [n, x, d] = as_fixed::<3>(b)?;
-            Ok((as_str(n)?.to_string(), dec_pexpr(x)?, as_i64(d)?))
-        })?,
-        guards: dec_vec(guards, dec_guard)?,
-        sources: dec_vec(sources, |s| dec_opt(s, dec_source))?,
-        required_refs: dec_vec(required_refs, as_usize)?,
-        depth: as_usize(depth)?,
-        after: as_bool(after)?,
-    })
-}
-
-fn enc_planref(r: &PlanRef) -> V {
-    V::L(vec![
-        enc_string(&r.matrix),
-        V::I(r.chain as i64),
-        V::I(r.levels as i64),
-        V::L(r.access.iter().map(enc_pexpr).collect()),
-    ])
-}
-
-fn dec_planref(v: &V) -> PResult<PlanRef> {
-    let [matrix, chain, levels, access] = as_fixed::<4>(v)?;
-    Ok(PlanRef {
-        matrix: as_str(matrix)?.to_string(),
-        chain: as_usize(chain)?,
-        levels: as_usize(levels)?,
-        access: dec_vec(access, dec_pexpr)?,
-    })
-}
-
-fn enc_plan(p: &Plan) -> V {
-    V::L(vec![
-        V::L(p.steps.iter().map(enc_step).collect()),
-        V::L(p.execs.iter().map(enc_exec).collect()),
-        V::L(p.refs.iter().map(enc_planref).collect()),
-        enc_string(&p.space_desc),
-        V::I(p.nslots as i64),
-        V::L(p.notes.iter().map(|n| enc_string(n)).collect()),
-    ])
-}
-
-fn dec_plan(v: &V) -> PResult<Plan> {
-    let [steps, execs, refs, space_desc, nslots, notes] = as_fixed::<6>(v)?;
-    Ok(Plan {
-        steps: dec_vec(steps, dec_step)?,
-        execs: dec_vec(execs, dec_exec)?,
-        refs: dec_vec(refs, dec_planref)?,
-        space_desc: as_str(space_desc)?.to_string(),
-        nslots: as_usize(nslots)?,
-        notes: dec_vec(notes, |n| Ok(as_str(n)?.to_string()))?,
-    })
-}
-
-fn enc_candidate(c: &Candidate) -> V {
-    V::L(vec![
-        enc_plan(&c.plan),
-        V::F(c.cost.to_bits()),
-        V::L(
-            c.choices
-                .iter()
-                .map(|(m, a)| V::L(vec![enc_string(m), V::I(*a as i64)]))
-                .collect(),
-        ),
-        V::L(c.safety_notes.iter().map(|n| enc_string(n)).collect()),
-    ])
-}
-
-fn dec_candidate(v: &V) -> PResult<Candidate> {
-    let [plan, cost, choices, safety_notes] = as_fixed::<4>(v)?;
-    Ok(Candidate {
-        plan: dec_plan(plan)?,
-        cost: as_f64(cost)?,
-        choices: dec_vec(choices, |c| {
-            let [m, a] = as_fixed::<2>(c)?;
-            Ok((as_str(m)?.to_string(), as_usize(a)?))
-        })?,
-        safety_notes: dec_vec(safety_notes, |n| Ok(as_str(n)?.to_string()))?,
-    })
-}
-
-/// What is stored of a search: only ones that ran to completion are.
-fn enc_entry(e: &SearchReport) -> V {
-    V::L(vec![
-        V::L(e.candidates.iter().map(enc_candidate).collect()),
-        V::I(e.examined as i64),
-        V::I(e.pruned as i64),
-        V::L(e.reasons.iter().map(|r| enc_string(r)).collect()),
-    ])
-}
-
-fn dec_entry(v: &V) -> PResult<SearchReport> {
-    let [candidates, examined, pruned, reasons] = as_fixed::<4>(v)?;
-    Ok(SearchReport {
-        candidates: dec_vec(candidates, dec_candidate)?.into(),
-        examined: as_usize(examined)?,
-        pruned: as_usize(pruned)?,
-        reasons: dec_vec(reasons, |r| Ok(as_str(r)?.to_string()))?.into(),
-        plan_cache_hit: false,
-        plan_cache_disk_hit: false,
-        degraded: false,
-        budget: None,
-        skipped_configs: 0,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -884,10 +673,7 @@ impl PersistentPlanCache {
     /// failure. Never errors out: the persistent tier is advisory.
     pub(crate) fn load(&self, key: &str) -> Option<SearchReport> {
         if bernoulli_govern::faults::fail("persist.read") {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) =
-                Some("injected fault at persist.read (chaos test)".to_string());
-            return None;
+            return self.rejected("injected fault at persist.read (chaos test)");
         }
         let text = match std::fs::read_to_string(self.path_for(key)) {
             Ok(t) => t,
@@ -897,55 +683,32 @@ impl PersistentPlanCache {
             }
         };
         match decode_file(&text, key) {
-            Ok((entry, _emit)) => {
+            Ok(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry)
             }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) =
-                    Some(e.message().to_string());
-                None
-            }
+            Err(e) => self.rejected(e.message()),
         }
     }
 
-    /// Like `load`, but also returns the stored emitted kernel source
-    /// (tests use it to verify round-trip fidelity; the search path
-    /// only needs the entry).
-    pub fn load_with_source(&self, key: &str) -> Option<(Vec<String>, String)> {
-        let text = std::fs::read_to_string(self.path_for(key)).ok()?;
-        let (entry, emit) = decode_file(&text, key).ok()?;
-        let plans = entry
-            .candidates
-            .iter()
-            .map(|c| c.plan.to_string())
-            .collect();
-        Some((plans, emit))
+    /// A load that found something and refused it: counted, explained,
+    /// and a miss.
+    fn rejected(&self, why: &str) -> Option<SearchReport> {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(why.to_string());
+        None
     }
 
-    /// Persists a completed (never degraded) search under its key,
-    /// including the best candidate's emitted module (the entry's own
-    /// rendering, named `kernel`) when emission succeeds. Failures are
-    /// swallowed — a read-only or full disk degrades the warm-start,
-    /// never the compile.
+    /// Persists a completed (never degraded) search under its key.
+    /// Failures are swallowed — a read-only or full disk degrades the
+    /// warm-start, never the compile.
     pub(crate) fn store(&self, entry: &CachedSearch) {
         let key = &entry.key;
-        let emit = entry
-            .module()
-            .map(|module| module.named("kernel"))
-            .unwrap_or_default();
-        let mut out = String::with_capacity(4096);
-        write_v(
-            &mut out,
-            &V::L(vec![
-                V::S("bernoulli-plan-cache".into()),
-                V::I(FORMAT_VERSION),
-                V::S(key.clone()),
-                enc_entry(&entry.report),
-                V::S(emit),
-            ]),
-        );
+        // An entry the reader would refuse is not written: every later
+        // process would count an error, search, and write it again.
+        let Some(out) = encode_file(key, &entry.report) else {
+            return;
+        };
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
@@ -976,17 +739,8 @@ impl PersistentPlanCache {
     /// a concurrently re-stored entry simply reappears (newest mtime)
     /// on the next write.
     pub fn gc(&self) -> usize {
-        let rd = match std::fs::read_dir(&self.dir) {
-            Ok(rd) => rd,
-            Err(_) => return 0,
-        };
-        let mut entries: Vec<(std::time::SystemTime, u64, PathBuf)> = rd
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("plan-") && n.ends_with(".bsp"))
-            })
+        let mut entries: Vec<(std::time::SystemTime, u64, PathBuf)> = self
+            .entries()
             .filter_map(|e| {
                 let md = e.metadata().ok()?;
                 let mtime = md.modified().ok()?;
@@ -1017,53 +771,142 @@ impl PersistentPlanCache {
 
     /// How many entries the directory currently holds (bench reporting).
     pub fn entry_count(&self) -> usize {
-        match std::fs::read_dir(&self.dir) {
-            Ok(rd) => rd
-                .filter_map(|e| e.ok())
-                .filter(|e| {
-                    e.file_name()
-                        .to_str()
-                        .is_some_and(|n| n.starts_with("plan-") && n.ends_with(".bsp"))
-                })
-                .count(),
-            Err(_) => 0,
-        }
+        self.entries().count()
+    }
+
+    /// The directory's `plan-*.bsp` files (none if it cannot be read).
+    fn entries(&self) -> impl Iterator<Item = std::fs::DirEntry> {
+        let is_entry = |name: &str| name.starts_with("plan-") && name.ends_with(".bsp");
+        std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|e| e.ok())
+            .filter(move |e| e.file_name().to_str().is_some_and(is_entry))
     }
 }
 
-fn decode_file(text: &str, want_key: &str) -> PResult<(SearchReport, String)> {
-    let top = parse_top(text)?;
-    let [magic, version, key, entry, emit] = as_fixed::<5>(&top)?;
-    if as_str(magic)? != "bernoulli-plan-cache" {
-        return fail("bad magic");
-    }
-    if as_i64(version)? != FORMAT_VERSION {
-        return fail("format version mismatch");
-    }
-    if as_str(key)? != want_key {
-        return fail("key mismatch (hash collision or stale entry)");
-    }
-    Ok((dec_entry(entry)?, as_str(emit)?.to_string()))
+/// The file of one entry, unless the reader would refuse it for its
+/// nesting.
+fn encode_file(key: &str, report: &SearchReport) -> Option<String> {
+    let mut w = Writer::new();
+    w.list(|w| {
+        w.string(MAGIC);
+        w.int(FORMAT_VERSION);
+        w.string(key);
+        report.put(w);
+    });
+    w.finish()
+}
+
+fn decode_file(text: &str, want_key: &str) -> PResult<SearchReport> {
+    let mut r = Reader::new(text);
+    let entry = r.list(|r| {
+        if r.string()? != MAGIC {
+            return fail("bad magic");
+        }
+        if r.int()? != FORMAT_VERSION {
+            return fail("format version mismatch");
+        }
+        if r.string()? != want_key {
+            return fail("key mismatch (hash collision or stale entry)");
+        }
+        SearchReport::get(r)
+    })?;
+    r.finish()?;
+    Ok(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Round-trip of the raw value model; the full entry round-trip is
-    // exercised end-to-end in `tests/service.rs` with real plans.
+    fn text_of(value: &impl Wire) -> Option<String> {
+        let mut w = Writer::new();
+        value.put(&mut w);
+        w.finish()
+    }
+
+    fn parse<T: Wire>(text: &str) -> PResult<T> {
+        let mut r = Reader::new(text);
+        let value = T::get(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+
+    /// Lists of lists around a number or an empty list, as deep as a
+    /// test likes.
+    #[derive(Debug, PartialEq)]
+    enum Nest {
+        Leaf(i64),
+        List(Vec<Nest>),
+    }
+
+    impl Wire for Nest {
+        fn put(&self, w: &mut Writer) {
+            match self {
+                Nest::Leaf(i) => i.put(w),
+                Nest::List(items) => items.put(w),
+            }
+        }
+        fn get(r: &mut Reader<'_>) -> PResult<Nest> {
+            match r.token()? {
+                Some(b'(') => Vec::get(r).map(Nest::List),
+                _ => i64::get(r).map(Nest::Leaf),
+            }
+        }
+    }
+
+    fn nest(depth: usize, core: Nest) -> Nest {
+        (0..depth).fold(core, |inner, _| Nest::List(vec![inner]))
+    }
+
+    // Round trip of the text layer; the full entry round trip runs in
+    // `persist_tests.rs` and `tests/service.rs` with real plans.
     #[test]
     fn value_model_round_trips() {
-        let v = V::L(vec![
-            V::I(-42),
-            V::F((1.5f64).to_bits()),
-            V::S("a \"quoted\"\nline with \\ slash — and unicode ∀".into()),
-            V::L(vec![V::L(vec![]), V::I(7)]),
-        ]);
-        let mut s = String::new();
-        write_v(&mut s, &v);
-        let back = parse_top(&s);
-        assert_eq!(back.ok().as_ref(), Some(&v));
+        type Value = (
+            (i64, f64, String),
+            Vec<(Option<usize>, bool)>,
+            Box<Vec<Nest>>,
+        );
+        let value: Value = (
+            (
+                -42,
+                1.5,
+                "a \"quoted\"\nline with \\ slash — and unicode ∀".into(),
+            ),
+            vec![(None, false), (Some(7), true)],
+            Box::new(vec![
+                nest(0, Nest::Leaf(3)),
+                nest(2, Nest::List(Vec::new())),
+            ]),
+        );
+        let text = text_of(&value).unwrap_or_default();
+        assert_eq!(
+            text,
+            "((-42 f3ff8000000000000 \"a \\\"quoted\\\"\\nline with \\\\ slash — and unicode ∀\") \
+             ((() 0) ((7) 1)) (3 ((()))))"
+        );
+        assert_eq!(parse::<Value>(&text).ok(), Some(value));
+        let nan = parse::<f64>(&text_of(&f64::NAN).unwrap_or_default());
+        assert_eq!(nan.ok().map(f64::to_bits), Some(f64::NAN.to_bits()));
+    }
+
+    /// The writer and the reader draw the line at the same nesting: a
+    /// value, list or not, may sit inside [`MAX_DEPTH`] lists.
+    #[test]
+    fn the_writer_refuses_what_the_reader_would() {
+        let cores: [(fn() -> Nest, &str); 2] =
+            [(|| Nest::Leaf(7), "7"), (|| Nest::List(Vec::new()), "()")];
+        for (core, core_text) in cores {
+            for depth in [0, 1, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 500] {
+                let text = "(".repeat(depth) + core_text + &")".repeat(depth);
+                let read = parse::<Nest>(&text).ok();
+                assert_eq!(read.is_some(), depth <= MAX_DEPTH, "{core_text} in {depth}");
+                let written = text_of(&nest(depth, core()));
+                assert_eq!(written, read.map(|_| text), "{core_text} in {depth}");
+            }
+        }
     }
 
     fn fake_entry(dir: &Path, name: &str, bytes: usize) {
@@ -1125,22 +968,39 @@ mod tests {
 
     #[test]
     fn corrupted_input_fails_cleanly() {
+        fn fails<T: Wire + std::fmt::Debug>(bad: &str) {
+            match parse::<T>(bad) {
+                Err(e) => assert!(!e.message().is_empty(), "input {bad:?}"),
+                Ok(v) => unreachable!("input {bad:?} must fail, parsed {v:?}"),
+            }
+        }
+        fails::<Nest>("");
+        fails::<Nest>("(");
+        fails::<Vec<String>>("(\"unterminated");
+        fails::<Vec<i64>>("(1 2) trailing");
+        fails::<f64>("fdeadbeef"); // truncated float
+        fails::<Vec<i64>>("(999999999999999999999999)"); // integer overflow
+        fails::<i64>("\u{1}");
+        // Each in every other type's place, too.
         for bad in [
             "",
             "(",
             "(\"unterminated",
             "(1 2) trailing",
-            "fdeadbeef",                  // truncated float
-            "(999999999999999999999999)", // integer overflow
+            "fdeadbeef",
             "\u{1}",
         ] {
-            match parse_top(bad) {
-                Err(e) => assert!(!e.message().is_empty(), "input {bad:?}"),
-                Ok(v) => unreachable!("input {bad:?} must fail, parsed {v:?}"),
-            }
+            fails::<(i64, f64, String)>(bad);
+            fails::<Vec<(Option<usize>, bool)>>(bad);
+            assert!(decode_file(bad, "key").is_err(), "input {bad:?}");
         }
         // Deep nesting is rejected, not a stack overflow.
         let deep = "(".repeat(500) + &")".repeat(500);
-        assert!(parse_top(&deep).is_err());
+        fails::<Nest>(&deep);
+        assert!(decode_file(&deep, "key").is_err());
     }
 }
+
+#[cfg(test)]
+#[path = "persist_tests.rs"]
+mod persist_tests;

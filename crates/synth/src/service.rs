@@ -26,10 +26,10 @@
 //!    FIFO tickets make admission fair: no request can starve behind
 //!    later arrivals.
 //! 3. **Per-request budgets.** Each admitted compile arms a fresh
-//!    [`Budget`] from the *remaining* deadline (queue wait is charged
-//!    against the request, not forgiven) plus the configured op
-//!    ceiling, so one adversarial program degrades itself instead of
-//!    the tenancy.
+//!    [`Budget`](bernoulli_govern::Budget) from the *remaining*
+//!    deadline (queue wait is charged against the request, not
+//!    forgiven) plus the configured op ceiling, so one adversarial
+//!    program degrades itself instead of the tenancy.
 //! 4. **Single-flight coalescing.** Concurrent compiles of the same
 //!    plan-cache key share one search (and hence one kernel build
 //!    downstream): the first request leads, the rest wait and receive
@@ -49,10 +49,10 @@ use crate::search::{
     run_search, serve, PlanCache, PlanCacheStats, Request, SearchOutcome, SynthError, SynthOptions,
     Tier,
 };
-use crate::session::{bind_problem, BoundProblem, CompiledKernel, DepReport};
+use crate::session::{self, bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
-use bernoulli_govern::{Budget, Flight, SingleFlight};
-use bernoulli_ir::{parse_program, Program};
+use bernoulli_govern::{Flight, SingleFlight};
+use bernoulli_ir::Program;
 use bernoulli_pool::Pool;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -72,7 +72,7 @@ pub struct ServiceConfig {
     /// included). `None`: wait and search without time limit.
     pub default_deadline: Option<Duration>,
     /// Per-compile ceiling on abstract polyhedral operations (see
-    /// [`Budget::with_max_ops`]).
+    /// [`bernoulli_govern::Budget::with_max_ops`]).
     pub op_budget: Option<u64>,
     /// `Some(n)`: the service owns a private `n`-thread worker pool.
     /// `None`: searches fan out on the process-global pool.
@@ -307,12 +307,6 @@ impl Admission {
     }
 }
 
-/// Which worker pool the service fans searches out over.
-enum ServicePool {
-    Shared,
-    Owned(Arc<Pool>),
-}
-
 /// Monotonic request accounting, all updated lock-free.
 #[derive(Default)]
 struct Counters {
@@ -373,7 +367,8 @@ pub struct ServiceStats {
 /// module docs for the tenancy model.
 pub struct Service {
     cfg: ServiceConfig,
-    pool: ServicePool,
+    /// The service's own worker pool ([`ServiceConfig::threads`]).
+    pool: Option<Arc<Pool>>,
     plan_cache: PlanCache,
     persist: Option<PersistentPlanCache>,
     admission: Admission,
@@ -385,10 +380,7 @@ pub struct Service {
 impl Service {
     /// A service with the given configuration.
     pub fn new(cfg: ServiceConfig) -> Service {
-        let pool = match cfg.threads {
-            Some(n) => ServicePool::Owned(Arc::new(Pool::new(n))),
-            None => ServicePool::Shared,
-        };
+        let pool = cfg.threads.map(|n| Arc::new(Pool::new(n)));
         let persist = cfg.persist_dir.as_ref().map(PersistentPlanCache::new);
         let admission = Admission::new(cfg.max_inflight, cfg.max_queue);
         Service {
@@ -416,9 +408,7 @@ impl Service {
     /// (identical to [`Session::parse`](crate::session::Session::parse);
     /// offered here so service clients need no session).
     pub fn parse(&self, text: &str) -> Result<Program, SynthError> {
-        let p = parse_program(text)?;
-        p.validate()?;
-        Ok(p)
+        session::parse(text)
     }
 
     /// Stage 2 — dependence analysis (paper §3), run once per program
@@ -547,26 +537,11 @@ impl Service {
         absolute_deadline: Option<Instant>,
     ) -> Result<SearchOutcome, SynthError> {
         // Budget from whatever deadline remains after queueing, plus
-        // the configured op ceiling. No limits configured: install
-        // nothing and pay zero governance overhead.
+        // the configured op ceiling.
         let remaining = absolute_deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let budget = if remaining.is_some() || self.cfg.op_budget.is_some() {
-            let mut b = Budget::unlimited();
-            if let Some(r) = remaining {
-                b = b.with_deadline(r);
-            }
-            if let Some(ops) = self.cfg.op_budget {
-                b = b.with_max_ops(ops);
-            }
-            Some(Arc::new(b))
-        } else {
-            None
-        };
+        let budget = session::armed(remaining, self.cfg.op_budget, None);
         let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let pool = match &self.pool {
-            ServicePool::Owned(p) => req.opts.parallel.then_some(&**p),
-            ServicePool::Shared => req.opts.parallel.then(Pool::global),
-        };
+        let pool = session::search_pool(&self.pool, req.opts);
         let search = |key: String| self.search_counted(req, key, pool);
         if !req.opts.cache_plans {
             // With plan caching off, requests for the same key are

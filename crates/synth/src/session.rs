@@ -37,12 +37,46 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Which worker pool a session fans its searches out over.
-enum SessionPool {
-    /// The process-global pool (sized by `BERNOULLI_THREADS`).
-    Shared,
-    /// A pool this session owns.
-    Owned(Arc<Pool>),
+/// The pool a search of `opts` fans out over, if it is to run in
+/// parallel: the owner's own, or else the process-global one (sized by
+/// `BERNOULLI_THREADS`).
+pub(crate) fn search_pool<'a>(own: &'a Option<Arc<Pool>>, opts: &SynthOptions) -> Option<&'a Pool> {
+    opts.parallel.then(|| match own {
+        Some(pool) => pool,
+        None => Pool::global(),
+    })
+}
+
+/// A fresh [`Budget`] for one compile: deadlines re-arm, op counts
+/// reset. With no limit configured there is none — nothing is installed
+/// and the compile pays zero governance overhead.
+pub(crate) fn armed(
+    deadline: Option<Duration>,
+    max_ops: Option<u64>,
+    cancel: Option<&CancelToken>,
+) -> Option<Arc<Budget>> {
+    if deadline.is_none() && max_ops.is_none() && cancel.is_none() {
+        return None;
+    }
+    let mut b = Budget::unlimited();
+    if let Some(limit) = deadline {
+        b = b.with_deadline(limit);
+    }
+    if let Some(ops) = max_ops {
+        b = b.with_max_ops(ops);
+    }
+    if let Some(tok) = cancel {
+        b = b.with_cancel(tok.clone());
+    }
+    Some(Arc::new(b))
+}
+
+/// Stage 1 of [`Session`] and [`crate::service::Service`]: parse *and
+/// semantically validate* program text.
+pub(crate) fn parse(text: &str) -> Result<Program, SynthError> {
+    let p = parse_program(text)?;
+    p.validate()?;
+    Ok(p)
 }
 
 /// A long-lived compiler object: create once, compile many kernels.
@@ -54,7 +88,8 @@ enum SessionPool {
 /// drops all of that state.
 pub struct Session {
     opts: SynthOptions,
-    pool: SessionPool,
+    /// The session's own worker pool; `None`: the process-global one.
+    pool: Option<Arc<Pool>>,
     plan_cache: PlanCache,
     poly_caches: Arc<PolyCaches>,
     /// Per-compile wall-clock limit (armed afresh at each `compile`).
@@ -77,7 +112,7 @@ impl Session {
     pub fn with_options(opts: SynthOptions) -> Session {
         Session {
             opts,
-            pool: SessionPool::Shared,
+            pool: None,
             plan_cache: PlanCache::new(),
             poly_caches: Arc::new(PolyCaches::new()),
             budget_deadline: None,
@@ -89,7 +124,7 @@ impl Session {
     /// Gives the session its own worker pool of `nthreads` threads
     /// instead of the shared one.
     pub fn with_threads(mut self, nthreads: usize) -> Session {
-        self.pool = SessionPool::Owned(Arc::new(Pool::new(nthreads)));
+        self.pool = Some(Arc::new(Pool::new(nthreads)));
         self
     }
 
@@ -123,26 +158,6 @@ impl Session {
         self.cancel.get_or_init(CancelToken::new).clone()
     }
 
-    /// The budget a compile runs under, if any limit is configured. A
-    /// fresh [`Budget`] per compile: deadlines re-arm, op counts reset.
-    fn arm_budget(&self) -> Option<Arc<Budget>> {
-        let cancel = self.cancel.get();
-        if self.budget_deadline.is_none() && self.budget_ops.is_none() && cancel.is_none() {
-            return None;
-        }
-        let mut b = Budget::unlimited();
-        if let Some(limit) = self.budget_deadline {
-            b = b.with_deadline(limit);
-        }
-        if let Some(ops) = self.budget_ops {
-            b = b.with_max_ops(ops);
-        }
-        if let Some(tok) = cancel {
-            b = b.with_cancel(tok.clone());
-        }
-        Some(Arc::new(b))
-    }
-
     /// The session's search options.
     pub fn options(&self) -> &SynthOptions {
         &self.opts
@@ -156,9 +171,7 @@ impl Session {
 
     /// Stage 1 — parse *and semantically validate* program text.
     pub fn parse(&self, text: &str) -> Result<Program, SynthError> {
-        let p = parse_program(text)?;
-        p.validate()?;
-        Ok(p)
+        parse(text)
     }
 
     /// Stage 2 — dependence analysis (paper §3): the dependence classes
@@ -206,16 +219,9 @@ impl Session {
             // session's memo caches for the duration of the search (the
             // guard restores the previous instance even on panic).
             let _poly = bernoulli_polyhedra::install_scoped(Arc::clone(&self.poly_caches));
-            // Arm a fresh budget for this compile when any limit is
-            // configured; an unlimited session installs nothing and pays
-            // zero governance overhead.
-            let _budget = self
-                .arm_budget()
-                .map(|b| bernoulli_govern::install_scoped(Some(b)));
-            let pool = match &self.pool {
-                SessionPool::Owned(p) => opts.parallel.then_some(&**p),
-                SessionPool::Shared => opts.parallel.then(Pool::global),
-            };
+            let budget = armed(self.budget_deadline, self.budget_ops, self.cancel.get());
+            let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
+            let pool = search_pool(&self.pool, opts);
             run_search(&req, key, pool, &self.plan_cache, None)
         })?;
         CompiledKernel::from_search(found)
