@@ -8,9 +8,15 @@
 #
 # Usage: ci/advisor_gate.sh [path-to-BENCH_advisor.json]
 set -eu
+# A report named on the command line is relative to where this ran
+# from; the default one is the repository's.
+report="${1:-}"
+case "$report" in
+"" | /*) ;;
+*) report="$PWD/$report" ;;
+esac
 cd "$(dirname "$0")/.."
-
-report="${1:-BENCH_advisor.json}"
+report="${report:-BENCH_advisor.json}"
 ceiling="1.25"
 
 if [ ! -f "$report" ]; then

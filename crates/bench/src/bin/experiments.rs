@@ -368,7 +368,7 @@ fn join() {
         let tsearch = timeit(|| {
             let mut acc = 0.0;
             for (k, &i) in x.ind.iter().enumerate() {
-                if let Some(p) = ys.find(i) {
+                if let Some(p) = ys.find(i as usize) {
                     acc += x.values[k] * ys.values[p];
                 }
             }

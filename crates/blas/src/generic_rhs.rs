@@ -16,8 +16,8 @@ pub fn mvm_csr_multi<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
     assert_eq!(x.len(), a.ncols * k, "x size");
     assert_eq!(y.len(), a.nrows * k, "y size");
     for i in 0..a.nrows {
-        for p in a.rowptr[i]..a.rowptr[i + 1] {
-            let c = a.colind[p];
+        for p in a.row_range(i) {
+            let c = a.colind[p] as usize;
             let v = a.values[p];
             for rhs in 0..k {
                 y[i + rhs * a.nrows] += v * x[c + rhs * a.ncols];
@@ -31,8 +31,8 @@ pub fn mvm_csc_multi<T: Scalar>(a: &Csc<T>, x: &[T], y: &mut [T], k: usize) {
     assert_eq!(x.len(), a.ncols * k, "x size");
     assert_eq!(y.len(), a.nrows * k, "y size");
     for j in 0..a.ncols {
-        for p in a.colptr[j]..a.colptr[j + 1] {
-            let r = a.rowind[p];
+        for p in a.col_range(j) {
+            let r = a.rowind[p] as usize;
             let v = a.values[p];
             for rhs in 0..k {
                 y[r + rhs * a.nrows] += v * x[j + rhs * a.ncols];
@@ -46,11 +46,11 @@ pub fn mvm_jad_multi<T: Scalar>(a: &Jad<T>, x: &[T], y: &mut [T], k: usize) {
     assert_eq!(x.len(), a.ncols * k, "x size");
     assert_eq!(y.len(), a.nrows * k, "y size");
     for d in 0..a.ndiags() {
-        let lo = a.dptr[d];
-        for jj in lo..a.dptr[d + 1] {
+        let lo = a.dptr[d] as usize;
+        for jj in lo..a.dptr[d + 1] as usize {
             let rr = jj - lo;
-            let r = a.iperm[rr];
-            let c = a.colind[jj];
+            let r = a.iperm[rr] as usize;
+            let c = a.colind[jj] as usize;
             let v = a.values[jj];
             for rhs in 0..k {
                 y[r + rhs * a.nrows] += v * x[c + rhs * a.ncols];
@@ -68,8 +68,8 @@ pub fn ts_csr_multi<T: Scalar>(l: &Csr<T>, b: &mut [T], k: usize) {
         for rhs in 0..k {
             let mut acc = b[i + rhs * n];
             let mut diag = T::ZERO;
-            for p in l.rowptr[i]..l.rowptr[i + 1] {
-                let c = l.colind[p];
+            for p in l.row_range(i) {
+                let c = l.colind[p] as usize;
                 if c < i {
                     acc -= l.values[p] * b[c + rhs * n];
                 } else if c == i {
@@ -87,10 +87,10 @@ pub fn ts_csc_multi<T: Scalar>(l: &Csc<T>, b: &mut [T], k: usize) {
     assert_eq!(l.nrows, l.ncols, "square");
     assert_eq!(b.len(), n * k, "b size");
     for j in 0..n {
-        let rng = l.colptr[j]..l.colptr[j + 1];
+        let rng = l.col_range(j);
         let mut diag = T::ZERO;
         for p in rng.clone() {
-            if l.rowind[p] == j {
+            if l.rowind[p] as usize == j {
                 diag = l.values[p];
             }
         }
@@ -98,7 +98,7 @@ pub fn ts_csc_multi<T: Scalar>(l: &Csc<T>, b: &mut [T], k: usize) {
             b[j + rhs * n] = b[j + rhs * n] / diag;
             let bj = b[j + rhs * n];
             for p in rng.clone() {
-                let r = l.rowind[p];
+                let r = l.rowind[p] as usize;
                 if r > j {
                     b[r + rhs * n] -= l.values[p] * bj;
                 }
@@ -113,13 +113,13 @@ pub fn ts_jad_multi<T: Scalar>(l: &Jad<T>, b: &mut [T], k: usize) {
     assert_eq!(l.nrows, l.ncols, "square");
     assert_eq!(b.len(), n * k, "b size");
     for r in 0..n {
-        let rr = l.iperm_inv[r];
+        let rr = l.iperm_inv[r] as usize;
         for rhs in 0..k {
             let mut acc = b[r + rhs * n];
             let mut diag = T::ZERO;
-            for d in 0..l.rowlen[rr] {
-                let jj = l.dptr[d] + rr;
-                let c = l.colind[jj];
+            for d in 0..l.rowlen[rr] as usize {
+                let jj = l.dptr[d] as usize + rr;
+                let c = l.colind[jj] as usize;
                 if c < r {
                     acc -= l.values[jj] * b[c + rhs * n];
                 } else if c == r {

@@ -57,8 +57,8 @@ fn mvm_micro<T: Scalar, const R: usize, const C: usize>(
         let y0 = (br - br_lo) * R;
         let mut acc = [T::ZERO; R];
         acc.copy_from_slice(&yb[y0..y0 + R]);
-        for b in a.browptr[br]..a.browptr[br + 1] {
-            let j0 = a.bcolind[b] * C;
+        for b in a.blocks(br) {
+            let j0 = a.bcolind[b] as usize * C;
             let blk = &a.values[b * R * C..(b + 1) * R * C];
             let xs = &x[j0..j0 + C];
             for rr in 0..R {
@@ -79,8 +79,8 @@ fn mvm_generic<T: Scalar>(a: &Bsr<T>, x: &[T], yb: &mut [T], br_lo: usize, br_hi
     for br in br_lo..br_hi {
         for rr in 0..r {
             let mut acc = yb[(br - br_lo) * r + rr];
-            for b in a.browptr[br]..a.browptr[br + 1] {
-                let j0 = a.bcolind[b] * c;
+            for b in a.blocks(br) {
+                let j0 = a.bcolind[b] as usize * c;
                 let base = (b * r + rr) * c;
                 for cc in 0..c {
                     acc += a.values[base + cc] * x[j0 + cc];
@@ -128,8 +128,8 @@ fn mvmt_micro<T: Scalar, const R: usize, const C: usize>(
     debug_assert!(a.r == R && a.c == C);
     for br in br_lo..br_hi {
         let xs = &x[br * R..br * R + R];
-        for b in a.browptr[br]..a.browptr[br + 1] {
-            let j0 = a.bcolind[b] * C;
+        for b in a.blocks(br) {
+            let j0 = a.bcolind[b] as usize * C;
             let blk = &a.values[b * R * C..(b + 1) * R * C];
             for cc in 0..C {
                 // Each term scatters individually, rows ascending: for
@@ -146,8 +146,8 @@ fn mvmt_micro<T: Scalar, const R: usize, const C: usize>(
 fn mvmt_generic<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T], br_lo: usize, br_hi: usize) {
     let (r, c) = (a.r, a.c);
     for br in br_lo..br_hi {
-        for b in a.browptr[br]..a.browptr[br + 1] {
-            let j0 = a.bcolind[b] * c;
+        for b in a.blocks(br) {
+            let j0 = a.bcolind[b] as usize * c;
             for cc in 0..c {
                 for rr in 0..r {
                     y[j0 + cc] += a.values[(b * r + rr) * c + cc] * x[br * r + rr];

@@ -7,7 +7,7 @@ pub fn mvm_coo<T: Scalar>(a: &Coo<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
     for k in 0..a.values.len() {
-        y[a.rows[k]] += a.values[k] * x[a.cols[k]];
+        y[a.rows[k] as usize] += a.values[k] * x[a.cols[k] as usize];
     }
 }
 
@@ -16,7 +16,7 @@ pub fn mvmt_coo<T: Scalar>(a: &Coo<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
     for k in 0..a.values.len() {
-        y[a.cols[k]] += a.values[k] * x[a.rows[k]];
+        y[a.cols[k] as usize] += a.values[k] * x[a.rows[k] as usize];
     }
 }
 

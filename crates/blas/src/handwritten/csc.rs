@@ -8,8 +8,8 @@ pub fn mvm_csc<T: Scalar>(a: &Csc<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.nrows, "y length");
     for j in 0..a.ncols {
         let xj = x[j];
-        for p in a.colptr[j]..a.colptr[j + 1] {
-            y[a.rowind[p]] += a.values[p] * xj;
+        for p in a.col_range(j) {
+            y[a.rowind[p] as usize] += a.values[p] * xj;
         }
     }
 }
@@ -20,8 +20,8 @@ pub fn mvmt_csc<T: Scalar>(a: &Csc<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.ncols, "y length");
     for j in 0..a.ncols {
         let mut acc = T::ZERO;
-        for p in a.colptr[j]..a.colptr[j + 1] {
-            acc += a.values[p] * x[a.rowind[p]];
+        for p in a.col_range(j) {
+            acc += a.values[p] * x[a.rowind[p] as usize];
         }
         y[j] += acc;
     }
@@ -34,10 +34,10 @@ pub fn ts_csc<T: Scalar>(l: &Csc<T>, b: &mut [T]) {
     assert_eq!(b.len(), l.nrows, "b length");
     for j in 0..l.ncols {
         // Diagonal first (rows sorted: the first entry at or after row j).
-        let rng = l.colptr[j]..l.colptr[j + 1];
+        let rng = l.col_range(j);
         let mut diag = T::ZERO;
         for p in rng.clone() {
-            if l.rowind[p] == j {
+            if l.rowind[p] as usize == j {
                 diag = l.values[p];
                 break;
             }
@@ -45,7 +45,7 @@ pub fn ts_csc<T: Scalar>(l: &Csc<T>, b: &mut [T]) {
         b[j] = b[j] / diag;
         let bj = b[j];
         for p in rng {
-            let r = l.rowind[p];
+            let r = l.rowind[p] as usize;
             if r > j {
                 b[r] -= l.values[p] * bj;
             }

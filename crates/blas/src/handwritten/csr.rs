@@ -8,8 +8,8 @@ pub fn mvm_csr<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.nrows, "y length");
     for i in 0..a.nrows {
         let mut acc = T::ZERO;
-        for p in a.rowptr[i]..a.rowptr[i + 1] {
-            acc += a.values[p] * x[a.colind[p]];
+        for p in a.row_range(i) {
+            acc += a.values[p] * x[a.colind[p] as usize];
         }
         y[i] += acc;
     }
@@ -21,8 +21,8 @@ pub fn mvmt_csr<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.ncols, "y length");
     for i in 0..a.nrows {
         let xi = x[i];
-        for p in a.rowptr[i]..a.rowptr[i + 1] {
-            y[a.colind[p]] += a.values[p] * xi;
+        for p in a.row_range(i) {
+            y[a.colind[p] as usize] += a.values[p] * xi;
         }
     }
 }
@@ -35,8 +35,8 @@ pub fn ts_csr<T: Scalar>(l: &Csr<T>, b: &mut [T]) {
     for i in 0..l.nrows {
         let mut acc = b[i];
         let mut diag = T::ZERO;
-        for p in l.rowptr[i]..l.rowptr[i + 1] {
-            let c = l.colind[p];
+        for p in l.row_range(i) {
+            let c = l.colind[p] as usize;
             if c < i {
                 acc -= l.values[p] * b[c];
             } else if c == i {

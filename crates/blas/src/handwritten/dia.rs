@@ -8,7 +8,7 @@ pub fn mvm_dia<T: Scalar>(a: &Dia<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.nrows, "y length");
     for k in 0..a.diags.len() {
         let d = a.diags[k];
-        let base = a.ptr[k];
+        let base = a.ptr[k] as usize;
         let lo = a.lo[k];
         for o in lo..a.hi[k] {
             let v = a.values[base + (o - lo) as usize];
@@ -25,7 +25,7 @@ pub fn mvmt_dia<T: Scalar>(a: &Dia<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.ncols, "y length");
     for k in 0..a.diags.len() {
         let d = a.diags[k];
-        let base = a.ptr[k];
+        let base = a.ptr[k] as usize;
         let lo = a.lo[k];
         for o in lo..a.hi[k] {
             let v = a.values[base + (o - lo) as usize];
@@ -46,7 +46,7 @@ pub fn ts_dia<T: Scalar>(l: &Dia<T>, b: &mut [T]) {
         .expect("triangular solve needs the main diagonal stored");
     let n = l.nrows as i64;
     for j in 0..n {
-        let diag = l.values[l.ptr[k0] + (j - l.lo[k0]) as usize];
+        let diag = l.values[l.ptr[k0] as usize + (j - l.lo[k0]) as usize];
         b[j as usize] = b[j as usize] / diag;
         let bj = b[j as usize];
         // Scatter down every stored sub-diagonal that covers column j.
@@ -56,7 +56,7 @@ pub fn ts_dia<T: Scalar>(l: &Dia<T>, b: &mut [T]) {
                 continue;
             }
             if j >= l.lo[k] && j < l.hi[k] {
-                let v = l.values[l.ptr[k] + (j - l.lo[k]) as usize];
+                let v = l.values[l.ptr[k] as usize + (j - l.lo[k]) as usize];
                 b[(d + j) as usize] -= v * bj;
             }
         }

@@ -9,7 +9,7 @@ pub fn mvm_ell<T: Scalar>(a: &Ell<T>, x: &[T], y: &mut [T]) {
     for i in 0..a.nrows {
         let mut acc = T::ZERO;
         let base = i * a.width;
-        for s in 0..a.rowlen[i] {
+        for s in 0..a.rowlen[i] as usize {
             acc += a.values[base + s] * x[a.colind[base + s] as usize];
         }
         y[i] += acc;
@@ -23,7 +23,7 @@ pub fn mvmt_ell<T: Scalar>(a: &Ell<T>, x: &[T], y: &mut [T]) {
     for i in 0..a.nrows {
         let xi = x[i];
         let base = i * a.width;
-        for s in 0..a.rowlen[i] {
+        for s in 0..a.rowlen[i] as usize {
             y[a.colind[base + s] as usize] += a.values[base + s] * xi;
         }
     }
@@ -37,7 +37,7 @@ pub fn ts_ell<T: Scalar>(l: &Ell<T>, b: &mut [T]) {
         let base = i * l.width;
         let mut acc = b[i];
         let mut diag = T::ZERO;
-        for s in 0..l.rowlen[i] {
+        for s in 0..l.rowlen[i] as usize {
             let c = l.colind[base + s] as usize;
             if c < i {
                 acc -= l.values[base + s] * b[c];

@@ -8,11 +8,11 @@ pub fn mvm_jad<T: Scalar>(a: &Jad<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
     for d in 0..a.ndiags() {
-        let lo = a.dptr[d];
-        let hi = a.dptr[d + 1];
+        let lo = a.dptr[d] as usize;
+        let hi = a.dptr[d + 1] as usize;
         for jj in lo..hi {
             let rr = jj - lo;
-            y[a.iperm[rr]] += a.values[jj] * x[a.colind[jj]];
+            y[a.iperm[rr] as usize] += a.values[jj] * x[a.colind[jj] as usize];
         }
     }
 }
@@ -23,11 +23,11 @@ pub fn mvmt_jad<T: Scalar>(a: &Jad<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
     for d in 0..a.ndiags() {
-        let lo = a.dptr[d];
-        let hi = a.dptr[d + 1];
+        let lo = a.dptr[d] as usize;
+        let hi = a.dptr[d + 1] as usize;
         for jj in lo..hi {
             let rr = jj - lo;
-            y[a.colind[jj]] += a.values[jj] * x[a.iperm[rr]];
+            y[a.colind[jj] as usize] += a.values[jj] * x[a.iperm[rr] as usize];
         }
     }
 }
@@ -39,12 +39,12 @@ pub fn ts_jad<T: Scalar>(l: &Jad<T>, b: &mut [T]) {
     assert_eq!(l.nrows, l.ncols, "square");
     assert_eq!(b.len(), l.nrows, "b length");
     for r in 0..l.nrows {
-        let rr = l.iperm_inv[r];
+        let rr = l.iperm_inv[r] as usize;
         let mut acc = b[r];
         let mut diag = T::ZERO;
-        for d in 0..l.rowlen[rr] {
-            let jj = l.dptr[d] + rr;
-            let c = l.colind[jj];
+        for d in 0..l.rowlen[rr] as usize {
+            let jj = l.dptr[d] as usize + rr;
+            let c = l.colind[jj] as usize;
             if c < r {
                 acc -= l.values[jj] * b[c];
             } else if c == r {

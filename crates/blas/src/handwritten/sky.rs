@@ -9,8 +9,8 @@ pub fn mvm_sky<T: Scalar>(a: &Sky<T>, x: &[T], y: &mut [T]) {
     assert_eq!(y.len(), a.n, "y length");
     for r in 0..a.n {
         let mut acc = T::ZERO;
-        let base = a.ptr[r];
-        let lo = a.lo[r];
+        let base = a.ptr[r] as usize;
+        let lo = a.lo[r] as usize;
         for c in lo..=r {
             acc += a.values[base + (c - lo)] * x[c];
         }
@@ -23,8 +23,8 @@ pub fn mvm_sky<T: Scalar>(a: &Sky<T>, x: &[T], y: &mut [T]) {
 pub fn ts_sky<T: Scalar>(l: &Sky<T>, b: &mut [T]) {
     assert_eq!(b.len(), l.n, "b length");
     for r in 0..l.n {
-        let base = l.ptr[r];
-        let lo = l.lo[r];
+        let base = l.ptr[r] as usize;
+        let lo = l.lo[r] as usize;
         let mut acc = b[r];
         for c in lo..r {
             acc -= l.values[base + (c - lo)] * b[c];

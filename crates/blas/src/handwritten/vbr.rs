@@ -29,23 +29,21 @@ pub(crate) fn mvm_vbr_strips<T: Scalar>(
     br_hi: usize,
 ) {
     let mut acc: Vec<T> = Vec::new();
-    let y0 = a.rpntr[br_lo];
+    let y0 = a.rpntr[br_lo] as usize;
     for br in br_lo..br_hi {
-        let h = a.rpntr[br + 1] - a.rpntr[br];
-        let base = a.rpntr[br] - y0;
+        let h = (a.rpntr[br + 1] - a.rpntr[br]) as usize;
+        let base = a.rpntr[br] as usize - y0;
         acc.clear();
         acc.extend_from_slice(&yb[base..base + h]);
-        for b in a.bpntrb[br]..a.bpntre[br] {
-            let bc = a.bindx[b];
-            let j0 = a.cpntr[bc];
-            let w = a.cpntr[bc + 1] - j0;
+        for b in a.blocks(br) {
+            let (j0, w, at) = a.block(b);
             let xs = &x[j0..j0 + w];
             for (rr, a_rr) in acc.iter_mut().enumerate() {
                 // Terms fold directly into the row accumulator (no
                 // per-block partial sum): blocks ascending then columns
                 // ascending is exactly the synthesized kernels' order,
                 // so results agree bitwise.
-                let row = &a.val[a.indx[b] + rr * w..a.indx[b] + (rr + 1) * w];
+                let row = &a.val[at + rr * w..at + (rr + 1) * w];
                 for (v, xv) in row.iter().zip(xs) {
                     *a_rr += *v * *xv;
                 }
@@ -75,14 +73,12 @@ pub(crate) fn mvmt_vbr_strips<T: Scalar>(
     br_hi: usize,
 ) {
     for br in br_lo..br_hi {
-        let r0 = a.rpntr[br];
-        let h = a.rpntr[br + 1] - r0;
+        let r0 = a.rpntr[br] as usize;
+        let h = a.rpntr[br + 1] as usize - r0;
         let xs = &x[r0..r0 + h];
-        for b in a.bpntrb[br]..a.bpntre[br] {
-            let bc = a.bindx[b];
-            let j0 = a.cpntr[bc];
-            let w = a.cpntr[bc + 1] - j0;
-            let blk = &a.val[a.indx[b]..a.indx[b] + h * w];
+        for b in a.blocks(br) {
+            let (j0, w, at) = a.block(b);
+            let blk = &a.val[at..at + h * w];
             for cc in 0..w {
                 // Rows scatter individually (ascending), matching the
                 // synthesized row-major kernels' per-element order.

@@ -50,7 +50,7 @@ pub fn spdot_merge<T: Scalar>(x: &SparseVec<T>, y: &SparseVec<T>) -> T {
 pub fn spdot_hash<T: Scalar>(x: &SparseVec<T>, y: &HashVec<T>) -> T {
     let mut acc = T::ZERO;
     for (k, &i) in x.ind.iter().enumerate() {
-        if let Some(&slot) = y.index.get(&i) {
+        if let Some(&slot) = y.index.get(&(i as usize)) {
             acc += x.values[k] * y.values[slot];
         }
     }

@@ -49,8 +49,8 @@ pub fn par_mvm_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], nt
         let yb = unsafe { yp.range_mut(lo, hi) };
         for i in lo..hi {
             let mut acc = T::ZERO;
-            for p in a.rowptr[i]..a.rowptr[i + 1] {
-                acc += a.values[p] * x[a.colind[p]];
+            for p in a.row_range(i) {
+                acc += a.values[p] * x[a.colind[p] as usize];
             }
             yb[i - lo] += acc;
         }
@@ -71,8 +71,8 @@ pub fn par_mvmt_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], n
         let yb = unsafe { yp.range_mut(lo, hi) };
         for j in lo..hi {
             let mut acc = T::ZERO;
-            for p in a.colptr[j]..a.colptr[j + 1] {
-                acc += a.values[p] * x[a.rowind[p]];
+            for p in a.col_range(j) {
+                acc += a.values[p] * x[a.rowind[p] as usize];
             }
             yb[j - lo] += acc;
         }
@@ -93,7 +93,7 @@ pub fn par_mvm_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], nt
         for i in lo..hi {
             let mut acc = T::ZERO;
             let base = i * a.width;
-            for s in 0..a.rowlen[i] {
+            for s in 0..a.rowlen[i] as usize {
                 acc += a.values[base + s] * x[a.colind[base + s] as usize];
             }
             yb[i - lo] += acc;
@@ -118,13 +118,13 @@ pub fn par_mvm_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], nt
     Pool::global().run(bounds.len() - 1, &|chunk| {
         for rr in bounds[chunk]..bounds[chunk + 1] {
             let mut acc = T::ZERO;
-            for d in 0..a.rowlen[rr] {
-                let jj = a.dptr[d] + rr;
-                acc += a.values[jj] * x[a.colind[jj]];
+            for d in 0..a.rowlen[rr] as usize {
+                let jj = a.dptr[d] as usize + rr;
+                acc += a.values[jj] * x[a.colind[jj] as usize];
             }
             // SAFETY: `iperm` is a permutation and the `rr` blocks are
             // disjoint, so each `y` element has exactly one writer.
-            unsafe { *yp.at_mut(a.iperm[rr]) += acc };
+            unsafe { *yp.at_mut(a.iperm[rr] as usize) += acc };
         }
     });
 }
@@ -145,7 +145,7 @@ pub fn par_mvm_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], nt
         let yb = unsafe { yp.range_mut(lo_r as usize, hi_r as usize) };
         for k in 0..a.diags.len() {
             let d = a.diags[k];
-            let base = a.ptr[k];
+            let base = a.ptr[k] as usize;
             let lo = a.lo[k];
             // Diagonal k covers rows d + lo .. d + hi, i.e. column
             // offsets lo .. hi; restrict to this chunk's rows.
@@ -179,7 +179,7 @@ pub fn par_mvmt_dia<T: Scalar + Send + Sync>(a: &Dia<T>, x: &[T], y: &mut [T], n
         let yb = unsafe { yp.range_mut(lo_c as usize, hi_c as usize) };
         for k in 0..a.diags.len() {
             let d = a.diags[k];
-            let base = a.ptr[k];
+            let base = a.ptr[k] as usize;
             let lo = a.lo[k];
             let o0 = lo.max(lo_c);
             let o1 = a.hi[k].min(hi_c);
@@ -207,8 +207,8 @@ pub fn par_mvm_csc<T: Scalar + Send + Sync>(a: &Csc<T>, x: &[T], y: &mut [T], nt
     scatter_reduce(&bounds, a.nrows, y, nthreads, &|chunk, buf| {
         for j in bounds[chunk]..bounds[chunk + 1] {
             let xj = x[j];
-            for p in a.colptr[j]..a.colptr[j + 1] {
-                buf[a.rowind[p]] += a.values[p] * xj;
+            for p in a.col_range(j) {
+                buf[a.rowind[p] as usize] += a.values[p] * xj;
             }
         }
     });
@@ -223,8 +223,8 @@ pub fn par_mvmt_csr<T: Scalar + Send + Sync>(a: &Csr<T>, x: &[T], y: &mut [T], n
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         for i in bounds[chunk]..bounds[chunk + 1] {
             let xi = x[i];
-            for p in a.rowptr[i]..a.rowptr[i + 1] {
-                buf[a.colind[p]] += a.values[p] * xi;
+            for p in a.row_range(i) {
+                buf[a.colind[p] as usize] += a.values[p] * xi;
             }
         }
     });
@@ -240,7 +240,7 @@ pub fn par_mvmt_ell<T: Scalar + Send + Sync>(a: &Ell<T>, x: &[T], y: &mut [T], n
         for i in bounds[chunk]..bounds[chunk + 1] {
             let xi = x[i];
             let base = i * a.width;
-            for s in 0..a.rowlen[i] {
+            for s in 0..a.rowlen[i] as usize {
                 buf[a.colind[base + s] as usize] += a.values[base + s] * xi;
             }
         }
@@ -256,10 +256,10 @@ pub fn par_mvmt_jad<T: Scalar + Send + Sync>(a: &Jad<T>, x: &[T], y: &mut [T], n
     let bounds = partition::jad_row_blocks(a, nthreads.max(1));
     scatter_reduce(&bounds, a.ncols, y, nthreads, &|chunk, buf| {
         for rr in bounds[chunk]..bounds[chunk + 1] {
-            let xi = x[a.iperm[rr]];
-            for d in 0..a.rowlen[rr] {
-                let jj = a.dptr[d] + rr;
-                buf[a.colind[jj]] += a.values[jj] * xi;
+            let xi = x[a.iperm[rr] as usize];
+            for d in 0..a.rowlen[rr] as usize {
+                let jj = a.dptr[d] as usize + rr;
+                buf[a.colind[jj] as usize] += a.values[jj] * xi;
             }
         }
     });
@@ -307,7 +307,7 @@ fn vbr_strip<T: Scalar>(a: &Vbr<T>, row: usize) -> usize {
     if row == a.nrows {
         a.rpntr.len() - 1
     } else {
-        a.rowblk[row]
+        a.rowblk[row] as usize
     }
 }
 

@@ -40,7 +40,7 @@ pub fn dia_col_blocks<T: Scalar>(a: &Dia<T>, nblocks: usize) -> Vec<usize> {
 /// per column, computed with a difference array in
 /// O(n + ndiags) — diagonal `k` covers rows `d+lo[k]..d+hi[k]` and
 /// columns `lo[k]..hi[k]`.
-fn dia_coverage<T: Scalar>(n: usize, a: &Dia<T>, by_row: bool) -> Vec<usize> {
+fn dia_coverage<T: Scalar>(n: usize, a: &Dia<T>, by_row: bool) -> Vec<u32> {
     let mut diff = vec![0i64; n + 1];
     for k in 0..a.diags.len() {
         let (start, end) = if by_row {
@@ -52,17 +52,17 @@ fn dia_coverage<T: Scalar>(n: usize, a: &Dia<T>, by_row: bool) -> Vec<usize> {
         diff[end as usize] -= 1;
     }
     let mut ptr = Vec::with_capacity(n + 1);
-    ptr.push(0usize);
+    ptr.push(0u32);
     let mut cover = 0i64;
     for d in diff.iter().take(n) {
         cover += d;
-        ptr.push(ptr.last().unwrap() + cover as usize);
+        ptr.push(ptr.last().unwrap() + cover as u32);
     }
     ptr
 }
 
-fn prefix(costs: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut ptr = vec![0usize];
+fn prefix(costs: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut ptr = vec![0u32];
     for c in costs {
         ptr.push(ptr.last().unwrap() + c);
     }
@@ -110,8 +110,8 @@ mod tests {
         let rows = dia_coverage(a.nrows, &a, true);
         let cols = dia_coverage(a.ncols, &a, false);
         // Total coverage equals stored entries either way.
-        assert_eq!(*rows.last().unwrap(), a.values.len());
-        assert_eq!(*cols.last().unwrap(), a.values.len());
+        assert_eq!(*rows.last().unwrap() as usize, a.values.len());
+        assert_eq!(*cols.last().unwrap() as usize, a.values.len());
         let b = dia_row_blocks(&a, 4);
         assert_eq!(b[0], 0);
         assert_eq!(*b.last().unwrap(), 25);

@@ -41,8 +41,8 @@ impl LevelSchedule {
         let mut nlevels = 0usize;
         for i in 0..n {
             let mut lv = 0usize;
-            for p in l.rowptr[i]..l.rowptr[i + 1] {
-                let c = l.colind[p];
+            for p in l.row_range(i) {
+                let c = l.colind[p] as usize;
                 if c < i {
                     lv = lv.max(level[c] + 1);
                 }
@@ -116,7 +116,7 @@ pub fn par_ts_csr_scheduled<T: Scalar + Send + Sync>(
         let rows = sched.level_rows(lv);
         // nnz-balance the level's rows.
         let mut cost = Vec::with_capacity(rows.len() + 1);
-        cost.push(0usize);
+        cost.push(0u32);
         for &i in rows {
             cost.push(cost.last().unwrap() + (l.rowptr[i + 1] - l.rowptr[i]));
         }
@@ -131,8 +131,8 @@ pub fn par_ts_csr_scheduled<T: Scalar + Send + Sync>(
                 unsafe {
                     let mut acc = bp.read(i);
                     let mut diag = T::ZERO;
-                    for p in l.rowptr[i]..l.rowptr[i + 1] {
-                        let c = l.colind[p];
+                    for p in l.row_range(i) {
+                        let c = l.colind[p] as usize;
                         if c < i {
                             acc -= l.values[p] * bp.read(c);
                         } else if c == i {

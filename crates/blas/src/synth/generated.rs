@@ -19,7 +19,7 @@ pub mod mvm_csr_mod {
         for v0 in 0..a_.nrows as i64 {
             let p0_0 = v0 as usize;
             let mut acc__ = *y_.get((v0) as usize)?;
-            for p0_1 in *a_.rowptr.get(p0_0)?..*a_.rowptr.get(p0_0 + 1)? {
+            for p0_1 in *a_.rowptr.get(p0_0)? as usize..*a_.rowptr.get(p0_0 + 1)? as usize {
                 let v1 = *a_.colind.get(p0_1)? as i64;
                 {
                     let i_ = v0;
@@ -54,7 +54,7 @@ pub mod mvm_csc_mod {
         let _ = n_;
         for v0 in 0..a_.ncols as i64 {
             let p0_0 = v0 as usize;
-            for p0_1 in *a_.colptr.get(p0_0)?..*a_.colptr.get(p0_0 + 1)? {
+            for p0_1 in *a_.colptr.get(p0_0)? as usize..*a_.colptr.get(p0_0 + 1)? as usize {
                 let v1 = *a_.rowind.get(p0_1)? as i64;
                 {
                     let i_ = v1;
@@ -124,7 +124,7 @@ pub mod mvm_dia_mod {
             let hi__ = ix(&a_.hi, p0_0);
             let base__ = ix(&a_.ptr, p0_0);
             for v1 in lo__..hi__ {
-                let p0_1 = base__ + (v1 - lo__) as usize;
+                let p0_1 = base__ as usize + (v1 - lo__) as usize;
                 {
                     let i_ = v0 + v1;
                     let _ = i_;
@@ -159,7 +159,7 @@ pub mod mvm_ell_mod {
             let p0_0 = v0 as usize;
             let mut acc__ = *y_.get((v0) as usize)?;
             let base__ = p0_0 * a_.width;
-            for s__ in 0..ix(&a_.rowlen, p0_0) {
+            for s__ in 0..ix(&a_.rowlen, p0_0) as usize {
                 let p0_1 = base__ + s__;
                 let v1 = ix(&a_.colind, p0_1);
                 {
@@ -197,8 +197,8 @@ pub mod mvm_jad_mod {
             let p0_0 = rr__;
             let v0 = *a_.iperm.get(rr__)? as i64;
             let mut acc__ = *y_.get((v0) as usize)?;
-            for d__ in 0..*a_.rowlen.get(p0_0)? {
-                let p0_1 = *a_.dptr.get(d__)? + p0_0;
+            for d__ in 0..*a_.rowlen.get(p0_0)? as usize {
+                let p0_1 = *a_.dptr.get(d__)? as usize + p0_0;
                 let v1 = *a_.colind.get(p0_1)? as i64;
                 {
                     let i_ = v0;
@@ -237,7 +237,7 @@ pub mod ts_csr_mod {
             let mut acc__ = *b_.get((v0) as usize)?;
             let mut pivot__ = 0.0f64;
             let mut has_pivot__ = false;
-            let span__ = *l_.rowptr.get(p0_0)?..*l_.rowptr.get(p0_0 + 1)?;
+            let span__ = *l_.rowptr.get(p0_0)? as usize..*l_.rowptr.get(p0_0 + 1)? as usize;
             if span__.start < span__.end {
                 for p0_1 in span__.start..span__.end - 1 {
                     let v1 = *l_.colind.get(p0_1)? as i64;
@@ -302,7 +302,7 @@ pub mod ts_csc_mod {
             let p0_0 = v0 as usize;
             let p1_0 = p0_0;
             let _ = p1_0;
-            let span__ = *l_.colptr.get(p0_0)?..*l_.colptr.get(p0_0 + 1)?;
+            let span__ = *l_.colptr.get(p0_0)? as usize..*l_.colptr.get(p0_0 + 1)? as usize;
             if span__.start < span__.end {
                 {
                     let p0_1 = span__.start;
@@ -372,10 +372,10 @@ pub mod ts_jad_mod {
             let mut acc__ = *b_.get((v0) as usize)?;
             let mut pivot__ = 0.0f64;
             let mut has_pivot__ = false;
-            let span__ = 0..*l_.rowlen.get(p0_0)?;
+            let span__ = 0..*l_.rowlen.get(p0_0)? as usize;
             if span__.start < span__.end {
                 for d__ in span__.start..span__.end - 1 {
-                    let p0_1 = *l_.dptr.get(d__)? + p0_0;
+                    let p0_1 = *l_.dptr.get(d__)? as usize + p0_0;
                     let v1 = *l_.colind.get(p0_1)? as i64;
                     let p1_1 = p0_1;
                     let _ = p1_1;
@@ -391,7 +391,7 @@ pub mod ts_jad_mod {
                 }
                 {
                     let d__ = span__.end - 1;
-                    let p0_1 = *l_.dptr.get(d__)? + p0_0;
+                    let p0_1 = *l_.dptr.get(d__)? as usize + p0_0;
                     let v1 = *l_.colind.get(p0_1)? as i64;
                     let p1_1 = p0_1;
                     let _ = p1_1;
@@ -444,7 +444,7 @@ pub mod ts_dia_mod {
                 let v1 = *l_.diags.get(p0_0)?;
                 let p1_0 = p0_0;
                 let _ = p1_0;
-                let (ok0_1, p0_1) = if true { match if (v0) >= *l_.lo.get(p0_0)? && (v0) < *l_.hi.get(p0_0)? { Some(*l_.ptr.get(p0_0)? + ((v0) - *l_.lo.get(p0_0)?) as usize) } else { None } { Some(p__) => (true, p__), None => (false, 0usize) } } else { (false, 0usize) };
+                let (ok0_1, p0_1) = if true { match if (v0) >= *l_.lo.get(p0_0)? && (v0) < *l_.hi.get(p0_0)? { Some(*l_.ptr.get(p0_0)? as usize + ((v0) - *l_.lo.get(p0_0)?) as usize) } else { None } { Some(p__) => (true, p__), None => (false, 0usize) } } else { (false, 0usize) };
                 let _ = (ok0_1, p0_1);
                 let (ok1_1, p1_1) = (ok0_1, p0_1);
                 let _ = (ok1_1, p1_1);
@@ -500,7 +500,7 @@ pub mod ts_sky_mod {
             let span__ = *l_.lo.get(p0_0)? as i64..p0_0 as i64 + 1;
             if span__.start < span__.end {
                 for v1 in span__.start..span__.end - 1 {
-                    let p0_1 = *l_.ptr.get(p0_0)? + (v1 as usize - *l_.lo.get(p0_0)?);
+                    let p0_1 = *l_.ptr.get(p0_0)? as usize + (v1 as usize - *l_.lo.get(p0_0)? as usize);
                     let p1_1 = p0_1;
                     let _ = p1_1;
                     {
@@ -513,7 +513,7 @@ pub mod ts_sky_mod {
                 }
                 {
                     let v1 = span__.end - 1;
-                    let p0_1 = *l_.ptr.get(p0_0)? + (v1 as usize - *l_.lo.get(p0_0)?);
+                    let p0_1 = *l_.ptr.get(p0_0)? as usize + (v1 as usize - *l_.lo.get(p0_0)? as usize);
                     let p1_1 = p0_1;
                     let _ = p1_1;
                     if v0 > v1 {
@@ -563,7 +563,7 @@ pub mod mvm_sky_mod {
             let p0_0 = v0 as usize;
             let mut acc__ = *y_.get((v0) as usize)?;
             for v1 in *a_.lo.get(p0_0)? as i64..p0_0 as i64 + 1 {
-                let p0_1 = *a_.ptr.get(p0_0)? + (v1 as usize - *a_.lo.get(p0_0)?);
+                let p0_1 = *a_.ptr.get(p0_0)? as usize + (v1 as usize - *a_.lo.get(p0_0)? as usize);
                 {
                     let i_ = v0;
                     let _ = i_;
@@ -597,7 +597,7 @@ pub mod mvmt_csr_mod {
         let _ = n_;
         for v0 in 0..a_.nrows as i64 {
             let p0_0 = v0 as usize;
-            for p0_1 in *a_.rowptr.get(p0_0)?..*a_.rowptr.get(p0_0 + 1)? {
+            for p0_1 in *a_.rowptr.get(p0_0)? as usize..*a_.rowptr.get(p0_0 + 1)? as usize {
                 let v1 = *a_.colind.get(p0_1)? as i64;
                 {
                     let i_ = v0;
@@ -632,7 +632,7 @@ pub mod mvmt_csc_mod {
         for v0 in 0..a_.ncols as i64 {
             let p0_0 = v0 as usize;
             let mut acc__ = *y_.get((v0) as usize)?;
-            for p0_1 in *a_.colptr.get(p0_0)?..*a_.colptr.get(p0_0 + 1)? {
+            for p0_1 in *a_.colptr.get(p0_0)? as usize..*a_.colptr.get(p0_0 + 1)? as usize {
                 let v1 = *a_.rowind.get(p0_1)? as i64;
                 {
                     let i_ = v1;
@@ -705,9 +705,9 @@ pub mod mvm_bsr2x2_mod {
             let mut acc__ = *y_.get((v0) as usize)?;
             let br__ = p0_0 / 2;
             let rr__ = p0_0 % 2;
-            for b__ in ix(&a_.browptr, br__)..ix(&a_.browptr, br__ + 1) {
+            for b__ in ix(&a_.browptr, br__) as usize..ix(&a_.browptr, br__ + 1) as usize {
                 let base__ = (b__ * 2 + rr__) * 2;
-                let c0__ = ix(&a_.bcolind, b__) * 2;
+                let c0__ = ix(&a_.bcolind, b__) as usize * 2;
                 for s__ in 0..2 {
                     let p0_1 = base__ + s__;
                     let v1 = (c0__ + s__) as i64;
@@ -729,9 +729,9 @@ pub mod mvm_bsr2x2_mod {
             let mut acc0t__ = *y_.get((v0) as usize)?;
             let v0 = r0__ + 1;
             let mut acc1t__ = *y_.get((v0) as usize)?;
-            for b__ in ix(&a_.browptr, br__)..ix(&a_.browptr, br__ + 1) {
+            for b__ in ix(&a_.browptr, br__) as usize..ix(&a_.browptr, br__ + 1) as usize {
                 let base__ = b__ * 4;
-                let c0__ = ix(&a_.bcolind, b__) * 2;
+                let c0__ = ix(&a_.bcolind, b__) as usize * 2;
                 for s__ in 0..2 {
                     let v1 = (c0__ + s__) as i64;
                     let _ = v1;
@@ -771,9 +771,9 @@ pub mod mvm_bsr2x2_mod {
             let mut acc__ = *y_.get((v0) as usize)?;
             let br__ = p0_0 / 2;
             let rr__ = p0_0 % 2;
-            for b__ in ix(&a_.browptr, br__)..ix(&a_.browptr, br__ + 1) {
+            for b__ in ix(&a_.browptr, br__) as usize..ix(&a_.browptr, br__ + 1) as usize {
                 let base__ = (b__ * 2 + rr__) * 2;
-                let c0__ = ix(&a_.bcolind, b__) * 2;
+                let c0__ = ix(&a_.bcolind, b__) as usize * 2;
                 for s__ in 0..2 {
                     let p0_1 = base__ + s__;
                     let v1 = (c0__ + s__) as i64;
@@ -814,9 +814,9 @@ pub mod mvmt_bsr2x2_mod {
             let p0_0 = v0 as usize;
             let br__ = p0_0 / 2;
             let rr__ = p0_0 % 2;
-            for b__ in ix(&a_.browptr, br__)..ix(&a_.browptr, br__ + 1) {
+            for b__ in ix(&a_.browptr, br__) as usize..ix(&a_.browptr, br__ + 1) as usize {
                 let base__ = (b__ * 2 + rr__) * 2;
-                let c0__ = ix(&a_.bcolind, b__) * 2;
+                let c0__ = ix(&a_.bcolind, b__) as usize * 2;
                 for s__ in 0..2 {
                     let p0_1 = base__ + s__;
                     let v1 = (c0__ + s__) as i64;
@@ -854,16 +854,16 @@ pub mod mvm_vbr_mod {
         let mut r0__ = 0i64;
         let rend__ = a_.nrows as i64;
         while r0__ < rend__ {
-            let br__ = ix(&a_.rowblk, r0__ as usize);
+            let br__ = ix(&a_.rowblk, r0__ as usize) as usize;
             let s0__ = ix(&a_.rpntr, br__) as i64;
             let s1__ = ix(&a_.rpntr, br__ + 1) as i64;
             if r0__ == s0__ && s1__ <= rend__ {
                 let h__ = (s1__ - s0__) as usize;
-                for b__ in ix(&a_.bpntrb, br__)..ix(&a_.bpntre, br__) {
-                    let bc__ = ix(&a_.bindx, b__);
-                    let cj0__ = ix(&a_.cpntr, bc__);
-                    let w__ = ix(&a_.cpntr, bc__ + 1) - cj0__;
-                    let bbase__ = ix(&a_.indx, b__);
+                for b__ in ix(&a_.bpntrb, br__) as usize..ix(&a_.bpntre, br__) as usize {
+                    let bc__ = ix(&a_.bindx, b__) as usize;
+                    let cj0__ = ix(&a_.cpntr, bc__) as usize;
+                    let w__ = ix(&a_.cpntr, bc__ + 1) as usize - cj0__;
+                    let bbase__ = ix(&a_.indx, b__) as usize;
                     for k__ in 0..h__ {
                         let v0 = s0__ + k__ as i64;
                         let mut acct__ = *y_.get((v0) as usize)?;
@@ -888,13 +888,13 @@ pub mod mvm_vbr_mod {
                 let v0 = r0__;
                 let p0_0 = v0 as usize;
                 let mut acc__ = *y_.get((v0) as usize)?;
-                let br__ = ix(&a_.rowblk, p0_0);
-                let rr__ = p0_0 - ix(&a_.rpntr, br__);
-                for b__ in ix(&a_.bpntrb, br__)..ix(&a_.bpntre, br__) {
-                    let bc__ = ix(&a_.bindx, b__);
-                    let cj0__ = ix(&a_.cpntr, bc__);
-                    let w__ = ix(&a_.cpntr, bc__ + 1) - cj0__;
-                    let base__ = ix(&a_.indx, b__) + rr__ * w__;
+                let br__ = ix(&a_.rowblk, p0_0) as usize;
+                let rr__ = p0_0 - ix(&a_.rpntr, br__) as usize;
+                for b__ in ix(&a_.bpntrb, br__) as usize..ix(&a_.bpntre, br__) as usize {
+                    let bc__ = ix(&a_.bindx, b__) as usize;
+                    let cj0__ = ix(&a_.cpntr, bc__) as usize;
+                    let w__ = ix(&a_.cpntr, bc__ + 1) as usize - cj0__;
+                    let base__ = ix(&a_.indx, b__) as usize + rr__ * w__;
                     for s__ in 0..w__ {
                         let p0_1 = base__ + s__;
                         let v1 = (cj0__ + s__) as i64;
@@ -934,13 +934,13 @@ pub mod mvmt_vbr_mod {
         let _ = n_;
         for v0 in 0..a_.nrows as i64 {
             let p0_0 = v0 as usize;
-            let br__ = ix(&a_.rowblk, p0_0);
-            let rr__ = p0_0 - ix(&a_.rpntr, br__);
-            for b__ in ix(&a_.bpntrb, br__)..ix(&a_.bpntre, br__) {
-                let bc__ = ix(&a_.bindx, b__);
-                let cj0__ = ix(&a_.cpntr, bc__);
-                let w__ = ix(&a_.cpntr, bc__ + 1) - cj0__;
-                let base__ = ix(&a_.indx, b__) + rr__ * w__;
+            let br__ = ix(&a_.rowblk, p0_0) as usize;
+            let rr__ = p0_0 - ix(&a_.rpntr, br__) as usize;
+            for b__ in ix(&a_.bpntrb, br__) as usize..ix(&a_.bpntre, br__) as usize {
+                let bc__ = ix(&a_.bindx, b__) as usize;
+                let cj0__ = ix(&a_.cpntr, bc__) as usize;
+                let w__ = ix(&a_.cpntr, bc__ + 1) as usize - cj0__;
+                let base__ = ix(&a_.indx, b__) as usize + rr__ * w__;
                 for s__ in 0..w__ {
                     let p0_1 = base__ + s__;
                     let v1 = (cj0__ + s__) as i64;

@@ -178,7 +178,10 @@ mod structure_tests {
             ("fn ts_jad", &["0..*l_.rowlen.get(", "iperm_inv.get("]),
             (
                 "fn ts_csr",
-                &["rowptr.get(p0_0)?..*l_.rowptr.get(p0_0 + 1)?", "acc__"],
+                &[
+                    "rowptr.get(p0_0)? as usize..*l_.rowptr.get(p0_0 + 1)? as usize",
+                    "acc__",
+                ],
             ),
             (
                 "fn ts_sky",
@@ -186,14 +189,20 @@ mod structure_tests {
             ),
             (
                 "fn mvm_csr",
-                &["rowptr.get(p0_0)?..*a_.rowptr.get(p0_0 + 1)?", "acc__"],
+                &[
+                    "rowptr.get(p0_0)? as usize..*a_.rowptr.get(p0_0 + 1)? as usize",
+                    "acc__",
+                ],
             ),
             // The DIA/ELL inner loops hoist their per-row/diagonal
             // bounds and run bounds-check-free (the `ix` helper), so the
             // bodies vectorize — pin that shape too.
             (
                 "fn mvm_dia",
-                &["for v1 in lo__..hi__", "base__ + (v1 - lo__) as usize"],
+                &[
+                    "for v1 in lo__..hi__",
+                    "base__ as usize + (v1 - lo__) as usize",
+                ],
             ),
             (
                 "fn mvm_ell",

@@ -10,6 +10,7 @@
 //! threshold — the shape a FEM assembly with that element size would
 //! produce scores exactly 1.0.
 
+use crate::layout::narrow;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -28,30 +29,33 @@ pub struct BlockReport {
     pub fill: f64,
 }
 
-/// The stored blocks of a blocked layout, CSR-style: block row `br`
-/// holds block columns `bcol[ptr[br]..ptr[br + 1]]`, increasing. `entries`
-/// are in normal form and `rowblk` is monotone, so the block rows arrive
-/// in order, and `seen[bc] == br` says block `(br, bc)` is listed.
+/// The stored blocks of a blocked layout, CSR-style, as the `u32` index
+/// arrays of the format: block row `br` holds block columns
+/// `bcol[ptr[br]..ptr[br + 1]]`, increasing. `entries` are in normal
+/// form and `rowblk` is monotone, so the block rows arrive in order, and
+/// `seen[bc] == br` says block `(br, bc)` is listed. The caller has
+/// checked the matrix against the index limit; there are no more blocks
+/// than entries.
 pub(crate) fn block_pattern<T>(
     entries: &[(usize, usize, T)],
     (nbr, nbc): (usize, usize),
     rowblk: impl Fn(usize) -> usize,
     colblk: impl Fn(usize) -> usize,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut ptr = vec![0usize; nbr + 1];
+) -> (Vec<u32>, Vec<u32>) {
+    let mut ptr = vec![0u32; nbr + 1];
     let mut bcol = Vec::new();
     let mut seen = vec![usize::MAX; nbc];
     for &(row, col, _) in entries {
         let (br, bc) = (rowblk(row), colblk(col));
         if seen[bc] != br {
             seen[bc] = br;
-            bcol.push(bc);
+            bcol.push(narrow(bc));
             ptr[br + 1] += 1;
         }
     }
     for br in 0..nbr {
         ptr[br + 1] += ptr[br];
-        bcol[ptr[br]..ptr[br + 1]].sort_unstable();
+        bcol[ptr[br] as usize..ptr[br + 1] as usize].sort_unstable();
     }
     (ptr, bcol)
 }

@@ -35,6 +35,14 @@ pub enum FormatError {
         format: &'static str,
         reason: String,
     },
+    /// A dimension or stored count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT): more than the `u32`
+    /// index arrays of a format can address.
+    IndexLimit {
+        nrows: usize,
+        ncols: usize,
+        stored: usize,
+    },
 }
 
 /// Shorthand constructor for [`FormatError::Invalid`].
@@ -70,6 +78,15 @@ impl std::fmt::Display for FormatError {
             FormatError::Invalid { format, reason } => {
                 write!(f, "invalid {format} matrix: {reason}")
             }
+            FormatError::IndexLimit {
+                nrows,
+                ncols,
+                stored,
+            } => write!(
+                f,
+                "a {nrows}x{ncols} matrix storing {stored} entries exceeds the u32 index limit {}",
+                crate::layout::INDEX_LIMIT
+            ),
         }
     }
 }
@@ -122,9 +139,13 @@ impl<T: Scalar> AnyFormat<T> {
         }
     }
 
-    /// [`AnyFormat::from_triplets`] with unknown names and violated
-    /// format constraints reported as a [`FormatError`].
+    /// [`AnyFormat::from_triplets`] with unknown names, violated format
+    /// constraints and a matrix above the index limit reported as a
+    /// [`FormatError`]. The limit is checked on the dimensions and the
+    /// entries; a format that stores fill (DIA's diagonals, VBR's
+    /// blocks) panics if the fill alone passes it.
     pub fn try_from_triplets(name: &str, t: &Triplets<T>) -> Result<AnyFormat<T>, FormatError> {
+        crate::layout::check_index_limit(t.nrows(), t.ncols(), t.nnz())?;
         // Sorted here at most once, for discovery and assembly both; not
         // at all when `t` is another format's `to_triplets`.
         let t = &*t.normalized();

@@ -80,11 +80,11 @@ enum Walk<'a> {
     /// A position; its keys are `crd[pos]` and, coupled, `more[pos]`.
     Stored(Slice<'a>, Option<Slice<'a>>),
     /// A slot; `pos = table[slot] + parent`.
-    Table(&'a [usize], Slice<'a>),
+    Table(&'a [u32], Slice<'a>),
     /// A position of run `d` of `ptr`.
-    Jagged(&'a [usize], Slice<'a>, usize),
+    Jagged(&'a [u32], Slice<'a>, usize),
     /// A block; `s` counts the columns taken of it, `rr` is the row.
-    Blocks(&'a [usize], Shape<'a>, usize, usize),
+    Blocks(&'a [u32], Shape<'a>, usize, usize),
 }
 
 /// The extents of a level's blocks: one shape for all, or cut by `cuts`
@@ -92,7 +92,7 @@ enum Walk<'a> {
 #[derive(Clone, Copy, Debug)]
 enum Shape<'a> {
     Fixed(usize, usize),
-    Cut(&'a [usize], &'a [usize]),
+    Cut(&'a [u32], &'a [u32]),
 }
 
 impl Shape<'_> {
@@ -102,8 +102,8 @@ impl Shape<'_> {
         match *self {
             Shape::Fixed(r, c) => (bc * c, c, (b * r + rr) * c),
             Shape::Cut(cuts, base) => {
-                let width = cuts[bc + 1] - cuts[bc];
-                (cuts[bc], width, base[b] + rr * width)
+                let (first, width) = (cuts[bc] as usize, (cuts[bc + 1] - cuts[bc]) as usize);
+                (first, width, base[b] as usize + rr * width)
             }
         }
     }
@@ -132,7 +132,7 @@ fn base<V: Leveled + ?Sized>(view: &V, b: Base, parent: Position, lo: i64) -> us
     match b {
         Base::Identity => lo as usize,
         Base::Stride(d) => parent * view.dim(d),
-        Base::Ptr(a) => view.array(a).usizes()[parent],
+        Base::Ptr(a) => view.array(a).u32s()[parent] as usize,
     }
 }
 
@@ -149,7 +149,7 @@ fn open<V: Leveled + ?Sized>(
         "{}: level {level} of chain {chain} enumerates forward only",
         view.levels().name
     );
-    let at = |a, i: usize| view.array(a).usizes()[i] as i64;
+    let at = |a, i: usize| i64::from(view.array(a).u32s()[i]);
     let (lo, hi, walk) = match lv.kind {
         Kind::Interval { lo, hi, base: b } => {
             let lo = bound(view, lo, parent);
@@ -175,25 +175,25 @@ fn open<V: Leveled + ?Sized>(
                 (first, first + at(count, parent), walk)
             }
             SlotAt::Table(table) => {
-                let walk = Walk::Table(view.array(table).usizes(), view.array(crd));
+                let walk = Walk::Table(view.array(table).u32s(), view.array(crd));
                 (0, at(count, parent), walk)
             }
         },
         Kind::Jagged { ptr, crd } => {
             let len = view.array(view.levels().chains[chain].values).len();
-            let walk = Walk::Jagged(view.array(ptr).usizes(), view.array(crd), 0);
+            let walk = Walk::Jagged(view.array(ptr).u32s(), view.array(crd), 0);
             (0, len as i64, walk)
         }
         Kind::Blocks { ptr, crd, r, c } => {
             let (r, c) = (view.dim(r), view.dim(c));
-            let walk = Walk::Blocks(view.array(crd).usizes(), Shape::Fixed(r, c), 0, parent % r);
+            let walk = Walk::Blocks(view.array(crd).u32s(), Shape::Fixed(r, c), 0, parent % r);
             (at(ptr, parent / r), at(ptr, parent / r + 1), walk)
         }
         Kind::Strips(s) => {
             let br = at(s.strip_of, parent) as usize;
-            let shape = Shape::Cut(view.array(s.cuts).usizes(), view.array(s.base).usizes());
+            let shape = Shape::Cut(view.array(s.cuts).u32s(), view.array(s.base).u32s());
             let rr = parent - at(s.start, br) as usize;
-            let walk = Walk::Blocks(view.array(s.crd).usizes(), shape, 0, rr);
+            let walk = Walk::Blocks(view.array(s.crd).u32s(), shape, 0, rr);
             (at(s.begin, br), at(s.end, br), walk)
         }
     };
@@ -230,14 +230,14 @@ impl ChainCursor<'_> {
             Walk::Stored(crd, None) => (Keys([crd.key(i), 0], 1), i),
             Walk::Stored(crd, Some(more)) => (Keys([crd.key(i), more.key(i)], 2), i),
             Walk::Table(table, crd) => {
-                let pos = table[i] + self.parent;
+                let pos = table[i] as usize + self.parent;
                 (Keys([crd.key(pos), 0], 1), pos)
             }
             Walk::Jagged(ptr, crd, d) => {
-                while i >= ptr[*d + 1] {
+                while i >= ptr[*d + 1] as usize {
                     *d += 1;
                 }
-                (Keys([(i - ptr[*d]) as i64, crd.key(i)], 2), i)
+                (Keys([(i - ptr[*d] as usize) as i64, crd.key(i)], 2), i)
             }
             // The next column of block `idx`, or else the first of the
             // next block that has any.
@@ -248,7 +248,7 @@ impl ChainCursor<'_> {
                 }
                 if self.idx >= self.lo {
                     let b = self.idx as usize;
-                    let (first, width, at) = shape.block(b, crd[b], *rr);
+                    let (first, width, at) = shape.block(b, crd[b] as usize, *rr);
                     if *s <= width {
                         break (Keys([(first + *s - 1) as i64, 0], 1), at + *s - 1);
                     }
@@ -277,7 +277,7 @@ fn locate<V: Leveled + ?Sized>(
         }
         (Locate::BinarySearch, Kind::Coords { crd, .. }) => match view.array(crd[0]) {
             Slice::I64(a) => a.binary_search(&k).ok(),
-            a => a.usizes().binary_search(&usize::try_from(k).ok()?).ok(),
+            a => a.u32s().binary_search(&u32::try_from(k).ok()?).ok(),
         },
         (Locate::Find(args), _) => {
             let (a, b) = match args {
@@ -368,12 +368,12 @@ pub trait SparseView: SparseMatrix + Leveled {
     /// # Panics
     /// Panics on a format whose view contains no `perm` production.
     fn perm_apply(&self, x: i64) -> i64 {
-        self.array(permutation(self.levels()).apply).usizes()[x as usize] as i64
+        i64::from(self.array(permutation(self.levels()).apply).u32s()[x as usize])
     }
 
     /// Applies the inverse of the view's permutation table.
     fn perm_unapply(&self, x: i64) -> i64 {
-        self.array(permutation(self.levels()).unapply).usizes()[x as usize] as i64
+        i64::from(self.array(permutation(self.levels()).unapply).u32s()[x as usize])
     }
 }
 

@@ -8,7 +8,7 @@
 //! each block, so one logical row of a block is contiguous — the shape
 //! the register-tiled kernels and the emitted loops both exploit.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -26,9 +26,9 @@ pub struct Bsr<T: Scalar = f64> {
     pub c: usize,
     /// `browptr[br]..browptr[br+1]` indexes the blocks of block row `br`
     /// (`len == nrows / r + 1`).
-    pub browptr: Vec<usize>,
+    pub browptr: Vec<u32>,
     /// Block column of each stored block, sorted within each block row.
-    pub bcolind: Vec<usize>,
+    pub bcolind: Vec<u32>,
     /// Dense block storage, row-major within each block:
     /// `A[br*r + rr][bcolind[b]*c + cc] = values[(b*r + rr)*c + cc]`.
     pub values: Vec<T>,
@@ -39,7 +39,9 @@ impl<T: Scalar> Bsr<T> {
     /// contains at least one entry is stored dense (fill-in).
     ///
     /// # Panics
-    /// Panics if `r`/`c` are zero or do not divide the matrix shape.
+    /// Panics if `r`/`c` are zero or do not divide the matrix shape, and
+    /// before allocating on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>, r: usize, c: usize) -> Bsr<T> {
         assert!(r > 0 && c > 0, "bsr block shape must be nonzero");
         assert!(
@@ -48,6 +50,7 @@ impl<T: Scalar> Bsr<T> {
             t.nrows(),
             t.ncols()
         );
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         let shape = (t.nrows() / r, t.ncols() / c);
         let (browptr, bcolind) =
@@ -79,8 +82,8 @@ impl<T: Scalar> Bsr<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for br in 0..self.nrows / self.r {
             for rr in 0..self.r {
-                for b in self.browptr[br]..self.browptr[br + 1] {
-                    let c0 = self.bcolind[b] * self.c;
+                for b in self.blocks(br) {
+                    let c0 = self.bcolind[b] as usize * self.c;
                     for cc in 0..self.c {
                         t.push(
                             br * self.r + rr,
@@ -120,7 +123,7 @@ impl<T: Scalar> Bsr<T> {
         if self.browptr[0] != 0 {
             return fail(format!("browptr[0] = {}, want 0", self.browptr[0]));
         }
-        if self.browptr[nbr] != self.bcolind.len() {
+        if self.browptr[nbr] as usize != self.bcolind.len() {
             return fail(format!(
                 "browptr ends at {}, want the block count {}",
                 self.browptr[nbr],
@@ -136,12 +139,12 @@ impl<T: Scalar> Bsr<T> {
         }
         let nbc = self.ncols / self.c;
         for br in 0..nbr {
-            let (lo, hi) = (self.browptr[br], self.browptr[br + 1]);
+            let (lo, hi) = (self.browptr[br] as usize, self.browptr[br + 1] as usize);
             if lo > hi {
                 return fail(format!("browptr decreases at block row {br} ({lo} > {hi})"));
             }
             for b in lo..hi {
-                if self.bcolind[b] >= nbc {
+                if self.bcolind[b] as usize >= nbc {
                     return fail(format!(
                         "block row {br} stores block column {} >= {nbc}",
                         self.bcolind[b]
@@ -165,6 +168,11 @@ impl<T: Scalar> Bsr<T> {
     /// Number of stored blocks.
     pub fn nblocks(&self) -> usize {
         self.bcolind.len()
+    }
+
+    /// The stored blocks of block row `br`.
+    pub fn blocks(&self, br: usize) -> std::ops::Range<usize> {
+        self.browptr[br] as usize..self.browptr[br + 1] as usize
     }
 
     /// Fill-in ratio: stored cells / cells that came from actual entries.
@@ -198,8 +206,8 @@ impl<T: Scalar> Bsr<T> {
     pub fn find(&self, row: usize, col: usize) -> Option<usize> {
         let (br, rr) = (row.checked_div(self.r)?, row.checked_rem(self.r)?);
         let (bc, cc) = (col.checked_div(self.c)?, col.checked_rem(self.c)?);
-        let (lo, hi) = (*self.browptr.get(br)?, *self.browptr.get(br + 1)?);
-        let k = self.bcolind.get(lo..hi)?.binary_search(&bc).ok()?;
+        let (lo, hi) = (*self.browptr.get(br)? as usize, *self.browptr.get(br + 1)? as usize);
+        let k = self.bcolind.get(lo..hi)?.binary_search(&u32::try_from(bc).ok()?).ok()?;
         Some(((lo + k) * self.r + rr) * self.c + cc)
     }
     // layout-find-end
@@ -208,7 +216,7 @@ impl<T: Scalar> Bsr<T> {
 stored_layout! {
     Bsr, "bsr", include_str!("bsr.rs");
     dims: nrows, ncols, r, c;
-    arrays: browptr: usize, bcolind: usize, values: f64;
+    arrays: browptr: u32, bcolind: u32, values: f64;
     block: r x c;
     chains: [
         Level::interval(nrows),
@@ -243,8 +251,8 @@ impl SparseMatrix for Bsr<f64> {
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for br in 0..self.nrows / self.r {
-            for b in self.browptr[br]..self.browptr[br + 1] {
-                let c0 = self.bcolind[b] * self.c;
+            for b in self.blocks(br) {
+                let c0 = self.bcolind[b] as usize * self.c;
                 for rr in 0..self.r {
                     for cc in 0..self.c {
                         out.push((

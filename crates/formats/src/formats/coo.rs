@@ -5,7 +5,7 @@
 //! *coupled* level binding both coordinates at once, with no order
 //! guarantee and only linear search.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -18,22 +18,27 @@ pub struct Coo<T: Scalar = f64> {
     /// Number of columns.
     pub ncols: usize,
     /// Row position of each stored entry.
-    pub rows: Vec<usize>,
+    pub rows: Vec<u32>,
     /// Column position of each stored entry.
-    pub cols: Vec<usize>,
+    pub cols: Vec<u32>,
     /// Value of each stored entry.
     pub values: Vec<T>,
 }
 
 impl<T: Scalar> Coo<T> {
     /// Builds from triplets, preserving the (row-major) normalized order.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Coo<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         Coo {
             nrows: t.nrows(),
             ncols: t.ncols(),
-            rows: t.entries().iter().map(|&(r, _, _)| r).collect(),
-            cols: t.entries().iter().map(|&(_, c, _)| c).collect(),
+            rows: t.entries().iter().map(|&(r, _, _)| narrow(r)).collect(),
+            cols: t.entries().iter().map(|&(_, c, _)| narrow(c)).collect(),
             values: t.entries().iter().map(|&(_, _, v)| v).collect(),
         }
     }
@@ -66,7 +71,7 @@ impl<T: Scalar> Coo<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for i in 0..self.values.len() {
-            t.push(self.rows[i], self.cols[i], self.values[i]);
+            t.push(self.rows[i] as usize, self.cols[i] as usize, self.values[i]);
         }
         t.normalize();
         t
@@ -82,10 +87,12 @@ impl<T: Scalar> Coo<T> {
 // part of every artifact name, so rustfmt keeps out.
 #[rustfmt::skip]
 impl<T: Scalar> Coo<T> {
-    /// Linear search for `(r, c)`.
+    /// Linear search for `(r, c)`; `None` also for a coordinate past
+    /// `u32::MAX`.
     // layout-find-begin
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
+        let (r, c) = (u32::try_from(r).ok()?, u32::try_from(c).ok()?);
         (0..self.values.len()).find(|&i| self.rows.get(i) == Some(&r) && self.cols.get(i) == Some(&c))
     }
     // layout-find-end
@@ -94,7 +101,7 @@ impl<T: Scalar> Coo<T> {
 stored_layout! {
     Coo, "coo", include_str!("coo.rs");
     dims: nrows, ncols;
-    arrays: rows: usize, cols: usize, values: f64;
+    arrays: rows: u32, cols: u32, values: f64;
     chains:
         [Level::of(Kind::Coords { len: values, crd: &[rows, cols] }).find(Args::Keys)] -> values;
     find: find;
@@ -123,7 +130,7 @@ impl SparseMatrix for Coo<f64> {
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         (0..self.nnz())
-            .map(|i| (self.rows[i], self.cols[i], self.values[i]))
+            .map(|i| (self.rows[i] as usize, self.cols[i] as usize, self.values[i]))
             .collect()
     }
 }

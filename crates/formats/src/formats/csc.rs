@@ -3,7 +3,7 @@
 //! CSC is the transpose of CSR: indexed access to columns, ordered
 //! enumeration of the rows within each column.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -17,18 +17,23 @@ pub struct Csc<T: Scalar = f64> {
     pub ncols: usize,
     /// `colptr[c]..colptr[c+1]` indexes the entries of column `c`
     /// (`len == ncols + 1`).
-    pub colptr: Vec<usize>,
+    pub colptr: Vec<u32>,
     /// Row index of each stored entry, sorted within each column.
-    pub rowind: Vec<usize>,
+    pub rowind: Vec<u32>,
     /// Value of each stored entry.
     pub values: Vec<T>,
 }
 
 impl<T: Scalar> Csc<T> {
     /// Builds from triplets: count the columns, then scatter.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Csc<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
-        let mut colptr = vec![0usize; t.ncols() + 1];
+        let mut colptr = vec![0u32; t.ncols() + 1];
         for &(_, c, _) in t.entries() {
             colptr[c + 1] += 1;
         }
@@ -39,11 +44,12 @@ impl<T: Scalar> Csc<T> {
         // counting scatter by column leaves every column's rows strictly
         // increasing: no sort.
         let mut next = colptr.clone();
-        let mut rowind = vec![0usize; t.nnz()];
+        let mut rowind = vec![0u32; t.nnz()];
         let mut values = vec![T::ZERO; t.nnz()];
         for &(r, c, v) in t.entries() {
-            rowind[next[c]] = r;
-            values[next[c]] = v;
+            let at = next[c] as usize;
+            rowind[at] = narrow(r);
+            values[at] = v;
             next[c] += 1;
         }
         Csc {
@@ -62,7 +68,7 @@ impl<T: Scalar> Csc<T> {
         let mut t = Triplets::new(self.ncols, self.nrows);
         for c in 0..self.ncols {
             for i in self.col_range(c) {
-                t.push(c, self.rowind[i], self.values[i]);
+                t.push(c, self.rowind[i] as usize, self.values[i]);
             }
         }
         t.transposed()
@@ -91,7 +97,7 @@ impl<T: Scalar> Csc<T> {
                 self.rowind.len()
             ));
         }
-        if self.colptr[self.ncols] != self.rowind.len() {
+        if self.colptr[self.ncols] as usize != self.rowind.len() {
             return fail(format!(
                 "colptr ends at {}, want the storage length {}",
                 self.colptr[self.ncols],
@@ -99,12 +105,12 @@ impl<T: Scalar> Csc<T> {
             ));
         }
         for c in 0..self.ncols {
-            let (lo, hi) = (self.colptr[c], self.colptr[c + 1]);
+            let (lo, hi) = (self.colptr[c] as usize, self.colptr[c + 1] as usize);
             if lo > hi {
                 return fail(format!("colptr decreases at column {c} ({lo} > {hi})"));
             }
             for i in lo..hi {
-                if self.rowind[i] >= self.nrows {
+                if self.rowind[i] as usize >= self.nrows {
                     return fail(format!(
                         "column {c} stores row {} >= nrows {}",
                         self.rowind[i], self.nrows
@@ -120,7 +126,7 @@ impl<T: Scalar> Csc<T> {
 
     /// The half-open storage range of column `c`.
     pub fn col_range(&self, c: usize) -> std::ops::Range<usize> {
-        self.colptr[c]..self.colptr[c + 1]
+        self.colptr[c] as usize..self.colptr[c + 1] as usize
     }
 
     /// Number of stored entries.
@@ -142,11 +148,12 @@ impl<T: Scalar> Csc<T> {
 #[rustfmt::skip]
 impl<T: Scalar> Csc<T> {
     /// Binary-searches column `c` for row `r`; `None` also for a
-    /// coordinate outside the matrix.
+    /// coordinate outside the matrix (a row past `u32::MAX` included).
     // layout-find-begin
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.colptr.get(c)?, *self.colptr.get(c + 1)?);
+        let (lo, hi) = (*self.colptr.get(c)? as usize, *self.colptr.get(c + 1)? as usize);
+        let r = u32::try_from(r).ok()?;
         self.rowind.get(lo..hi)?.binary_search(&r).ok().map(|k| lo + k)
     }
     // layout-find-end
@@ -155,7 +162,7 @@ impl<T: Scalar> Csc<T> {
 stored_layout! {
     Csc, "csc", include_str!("csc.rs");
     dims: nrows, ncols;
-    arrays: colptr: usize, rowind: usize, values: f64;
+    arrays: colptr: u32, rowind: u32, values: f64;
     chains: [
         Level::interval(ncols),
         Level::of(Kind::Compressed { ptr: colptr, crd: rowind }).find(Args::KeyParent)
@@ -188,7 +195,7 @@ impl SparseMatrix for Csc<f64> {
         let mut out = Vec::with_capacity(self.nnz());
         for c in 0..self.ncols {
             for i in self.col_range(c) {
-                out.push((self.rowind[i], c, self.values[i]));
+                out.push((self.rowind[i] as usize, c, self.values[i]));
             }
         }
         out
@@ -242,11 +249,11 @@ mod tests {
     /// The arrays a comparison sort of the normalized entries by
     /// `(column, row)` yields: what `from_triplets` did before it
     /// scattered.
-    fn by_sorting(t: &Triplets<f64>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    fn by_sorting(t: &Triplets<f64>) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
         let t = t.normalized();
         let mut entries = t.entries().to_vec();
         entries.sort_by_key(|&(r, c, _)| (c, r));
-        let mut colptr = vec![0usize; t.ncols() + 1];
+        let mut colptr = vec![0u32; t.ncols() + 1];
         for &(_, c, _) in &entries {
             colptr[c + 1] += 1;
         }
@@ -255,7 +262,7 @@ mod tests {
         }
         (
             colptr,
-            entries.iter().map(|e| e.0).collect(),
+            entries.iter().map(|e| e.0 as u32).collect(),
             entries.iter().map(|e| e.2).collect(),
         )
     }

@@ -5,7 +5,7 @@
 //! row; columns of the whole matrix cannot be accessed directly (paper
 //! §1, Fig. 1).
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -19,9 +19,9 @@ pub struct Csr<T: Scalar = f64> {
     pub ncols: usize,
     /// `rowptr[r]..rowptr[r+1]` indexes the entries of row `r`
     /// (`len == nrows + 1`).
-    pub rowptr: Vec<usize>,
+    pub rowptr: Vec<u32>,
     /// Column index of each stored entry, sorted within each row.
-    pub colind: Vec<usize>,
+    pub colind: Vec<u32>,
     /// Value of each stored entry.
     pub values: Vec<T>,
 }
@@ -30,14 +30,19 @@ impl<T: Scalar> Csr<T> {
     /// Builds from (normalized or not) triplets: the normal form is the
     /// CSR order, so one pass counts the rows and splits the columns
     /// from the values.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Csr<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
-        let mut rowptr = vec![0usize; t.nrows() + 1];
-        let mut colind = vec![0usize; t.nnz()];
+        let mut rowptr = vec![0u32; t.nrows() + 1];
+        let mut colind = vec![0u32; t.nnz()];
         let mut values = vec![T::ZERO; t.nnz()];
         for ((&(r, c, v), ci), vi) in t.entries().iter().zip(&mut colind).zip(&mut values) {
             rowptr[r + 1] += 1;
-            *ci = c;
+            *ci = narrow(c);
             *vi = v;
         }
         for r in 0..t.nrows() {
@@ -57,8 +62,8 @@ impl<T: Scalar> Csr<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for r in 0..self.nrows {
-            for i in self.rowptr[r]..self.rowptr[r + 1] {
-                t.push(r, self.colind[i], self.values[i]);
+            for i in self.row_range(r) {
+                t.push(r, self.colind[i] as usize, self.values[i]);
             }
         }
         t
@@ -89,7 +94,7 @@ impl<T: Scalar> Csr<T> {
                 self.colind.len()
             ));
         }
-        if self.rowptr[self.nrows] != self.colind.len() {
+        if self.rowptr[self.nrows] as usize != self.colind.len() {
             return fail(format!(
                 "rowptr ends at {}, want the storage length {}",
                 self.rowptr[self.nrows],
@@ -97,12 +102,12 @@ impl<T: Scalar> Csr<T> {
             ));
         }
         for r in 0..self.nrows {
-            let (lo, hi) = (self.rowptr[r], self.rowptr[r + 1]);
+            let (lo, hi) = (self.rowptr[r] as usize, self.rowptr[r + 1] as usize);
             if lo > hi {
                 return fail(format!("rowptr decreases at row {r} ({lo} > {hi})"));
             }
             for i in lo..hi {
-                if self.colind[i] >= self.ncols {
+                if self.colind[i] as usize >= self.ncols {
                     return fail(format!(
                         "row {r} stores column {} >= ncols {}",
                         self.colind[i], self.ncols
@@ -118,7 +123,7 @@ impl<T: Scalar> Csr<T> {
 
     /// The half-open storage range of row `r`.
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
-        self.rowptr[r]..self.rowptr[r + 1]
+        self.rowptr[r] as usize..self.rowptr[r + 1] as usize
     }
 
     /// Number of stored entries.
@@ -140,11 +145,13 @@ impl<T: Scalar> Csr<T> {
 #[rustfmt::skip]
 impl<T: Scalar> Csr<T> {
     /// Binary-searches row `r` for column `c`; returns the storage
-    /// index, `None` also for a coordinate outside the matrix.
+    /// index, `None` also for a coordinate outside the matrix (a column
+    /// past `u32::MAX` included: it is no stored column).
     // layout-find-begin
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.rowptr.get(r)?, *self.rowptr.get(r + 1)?);
+        let (lo, hi) = (*self.rowptr.get(r)? as usize, *self.rowptr.get(r + 1)? as usize);
+        let c = u32::try_from(c).ok()?;
         self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
     }
     // layout-find-end
@@ -153,7 +160,7 @@ impl<T: Scalar> Csr<T> {
 stored_layout! {
     Csr, "csr", include_str!("csr.rs");
     dims: nrows, ncols;
-    arrays: rowptr: usize, colind: usize, values: f64;
+    arrays: rowptr: u32, colind: u32, values: f64;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
@@ -186,7 +193,7 @@ impl SparseMatrix for Csr<f64> {
         let mut out = Vec::with_capacity(self.nnz());
         for r in 0..self.nrows {
             for i in self.row_range(r) {
-                out.push((r, self.colind[i], self.values[i]));
+                out.push((r, self.colind[i] as usize, self.values[i]));
             }
         }
         out

@@ -16,7 +16,7 @@
 //! and searches the emitter prints, and the cursors the interpreter
 //! walks are derived from that description (README, "Adding a format").
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -29,12 +29,12 @@ pub struct Dcsr<T: Scalar = f64> {
     /// Number of columns.
     pub ncols: usize,
     /// The rows that store an entry, strictly increasing.
-    pub rows: Vec<usize>,
+    pub rows: Vec<u32>,
     /// `rowptr[p]..rowptr[p+1]` indexes the entries of row `rows[p]`
     /// (`len == rows.len() + 1`).
-    pub rowptr: Vec<usize>,
+    pub rowptr: Vec<u32>,
     /// Column index of each stored entry, sorted within each row.
-    pub colind: Vec<usize>,
+    pub colind: Vec<u32>,
     /// Value of each stored entry.
     pub values: Vec<T>,
 }
@@ -42,21 +42,27 @@ pub struct Dcsr<T: Scalar = f64> {
 impl<T: Scalar> Dcsr<T> {
     /// Builds from (normalized or not) triplets: the normal form is the
     /// storage order, so one pass notes where each new row starts.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Dcsr<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         let mut rows = Vec::new();
         let mut rowptr = Vec::new();
-        let mut colind = vec![0usize; t.nnz()];
+        let mut colind = vec![0u32; t.nnz()];
         let mut values = vec![T::ZERO; t.nnz()];
         for (i, &(r, c, v)) in t.entries().iter().enumerate() {
+            let r = narrow(r);
             if rows.last() != Some(&r) {
                 rows.push(r);
-                rowptr.push(i);
+                rowptr.push(narrow(i));
             }
-            colind[i] = c;
+            colind[i] = narrow(c);
             values[i] = v;
         }
-        rowptr.push(t.nnz());
+        rowptr.push(narrow(t.nnz()));
         Dcsr {
             nrows: t.nrows(),
             ncols: t.ncols(),
@@ -72,8 +78,8 @@ impl<T: Scalar> Dcsr<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for (p, &r) in self.rows.iter().enumerate() {
-            for i in self.rowptr[p]..self.rowptr[p + 1] {
-                t.push(r, self.colind[i], self.values[i]);
+            for i in self.rowptr[p] as usize..self.rowptr[p + 1] as usize {
+                t.push(r as usize, self.colind[i] as usize, self.values[i]);
             }
         }
         t
@@ -103,7 +109,7 @@ impl<T: Scalar> Dcsr<T> {
                 self.colind.len()
             ));
         }
-        if self.rowptr[self.rows.len()] != self.colind.len() {
+        if self.rowptr[self.rows.len()] as usize != self.colind.len() {
             return fail(format!(
                 "rowptr ends at {}, want the storage length {}",
                 self.rowptr[self.rows.len()],
@@ -111,18 +117,18 @@ impl<T: Scalar> Dcsr<T> {
             ));
         }
         for (p, &r) in self.rows.iter().enumerate() {
-            if r >= self.nrows {
+            if r as usize >= self.nrows {
                 return fail(format!("row list names row {r} >= nrows {}", self.nrows));
             }
             if p > 0 && r <= self.rows[p - 1] {
                 return fail(format!("row list not strictly increasing at {r}"));
             }
-            let (lo, hi) = (self.rowptr[p], self.rowptr[p + 1]);
+            let (lo, hi) = (self.rowptr[p] as usize, self.rowptr[p + 1] as usize);
             if lo >= hi {
                 return fail(format!("listed row {r} stores no entry ({lo}..{hi})"));
             }
             for i in lo..hi {
-                if self.colind[i] >= self.ncols {
+                if self.colind[i] as usize >= self.ncols {
                     return fail(format!(
                         "row {r} stores column {} >= ncols {}",
                         self.colind[i], self.ncols
@@ -148,16 +154,17 @@ impl<T: Scalar> Dcsr<T> {
 impl<T: Scalar> Dcsr<T> {
     /// Binary-searches the `p`-th listed row for column `c`; and the
     /// row list for row `r` first. `None` also for a coordinate outside
-    /// the matrix.
+    /// the matrix (one past `u32::MAX` included).
     // layout-find-begin
     #[inline]
     pub fn find_in_row(&self, p: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.rowptr.get(p)?, *self.rowptr.get(p + 1)?);
+        let (lo, hi) = (*self.rowptr.get(p)? as usize, *self.rowptr.get(p + 1)? as usize);
+        let c = u32::try_from(c).ok()?;
         self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
     }
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(self.rows.binary_search(&r).ok()?, c)
+        self.find_in_row(self.rows.binary_search(&u32::try_from(r).ok()?).ok()?, c)
     }
     // layout-find-end
 }
@@ -165,7 +172,7 @@ impl<T: Scalar> Dcsr<T> {
 stored_layout! {
     Dcsr, "dcsr", include_str!("dcsr.rs");
     dims: nrows, ncols;
-    arrays: rows: usize, rowptr: usize, colind: usize, values: f64;
+    arrays: rows: u32, rowptr: u32, colind: u32, values: f64;
     chains: [
         Level::of(Kind::Coords { len: rows, crd: &[rows] }).binary_search(),
         Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)

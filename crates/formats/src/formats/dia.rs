@@ -5,7 +5,7 @@
 //! position along a stored diagonal that lies inside the matrix is
 //! structural — the padding zeros of a banded format are stored entries.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, Transform, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -24,7 +24,7 @@ pub struct Dia<T: Scalar = f64> {
     /// Per diagonal: last stored offset `o` (exclusive).
     pub hi: Vec<i64>,
     /// Per diagonal: start of its strip in `values` (`len == diags.len()+1`).
-    pub ptr: Vec<usize>,
+    pub ptr: Vec<u32>,
     /// Strip storage: the value of element `(d+o, o)` of diagonal `k` is
     /// `values[ptr[k] + (o - lo[k])]`.
     pub values: Vec<T>,
@@ -33,7 +33,13 @@ pub struct Dia<T: Scalar = f64> {
 impl<T: Scalar> Dia<T> {
     /// Builds from triplets: every diagonal containing at least one entry
     /// is stored in full (its in-matrix extent), padded with zeros.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT), and before allocating
+    /// its strips if their cells exceed it.
     pub fn from_triplets(t: &Triplets<T>) -> Dia<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         let (m, n) = (t.nrows(), t.ncols());
         // slot[r + n - 1 - c]: is diagonal `r - c` stored, then which
@@ -49,20 +55,25 @@ impl<T: Scalar> Dia<T> {
         }
         let mut lo = Vec::with_capacity(diags.len());
         let mut hi = Vec::with_capacity(diags.len());
-        let mut ptr = Vec::with_capacity(diags.len() + 1);
-        ptr.push(0usize);
         for &d in &diags {
             let l = 0i64.max(-d);
             let h = (n as i64).min(m as i64 - d);
             debug_assert!(l < h, "diagonal {d} has empty extent");
             lo.push(l);
             hi.push(h);
-            ptr.push(ptr[ptr.len() - 1] + (h - l) as usize);
         }
-        let mut values = vec![T::ZERO; ptr[ptr.len() - 1]];
+        let extent = |k: usize| (hi[k] - lo[k]) as usize;
+        let cells = (0..diags.len()).map(extent).sum();
+        index_limit(m, n, cells);
+        let mut ptr = Vec::with_capacity(diags.len() + 1);
+        ptr.push(0u32);
+        for k in 0..diags.len() {
+            ptr.push(ptr[k] + narrow(extent(k)));
+        }
+        let mut values = vec![T::ZERO; cells];
         for &(r, c, v) in t.entries() {
             let k = slot[r + n - 1 - c];
-            values[ptr[k] + (c as i64 - lo[k]) as usize] = v;
+            values[ptr[k] as usize + (c as i64 - lo[k]) as usize] = v;
         }
         Dia {
             nrows: m,
@@ -86,7 +97,7 @@ impl<T: Scalar> Dia<T> {
             for k in (0..self.diags.len()).rev() {
                 let o = r - self.diags[k];
                 if (self.lo[k]..self.hi[k]).contains(&o) {
-                    let v = self.values[self.ptr[k] + (o - self.lo[k]) as usize];
+                    let v = self.values[self.ptr[k] as usize + (o - self.lo[k]) as usize];
                     t.push(r as usize, o as usize, v);
                 }
             }
@@ -130,8 +141,8 @@ impl<T: Scalar> Dia<T> {
                     self.lo[i], self.hi[i]
                 ));
             }
-            let want = self.ptr[i] + (hi - lo) as usize;
-            if self.ptr[i + 1] != want {
+            let want = self.ptr[i] as usize + (hi - lo) as usize;
+            if self.ptr[i + 1] as usize != want {
                 return fail(format!(
                     "ptr[{}] = {} disagrees with diagonal {d}'s extent (want {want})",
                     i + 1,
@@ -139,7 +150,7 @@ impl<T: Scalar> Dia<T> {
                 ));
             }
         }
-        if self.values.len() != self.ptr[self.diags.len()] {
+        if self.values.len() != self.ptr[self.diags.len()] as usize {
             return fail(format!(
                 "values has {} entries, want ptr total {}",
                 self.values.len(),
@@ -173,7 +184,7 @@ impl<T: Scalar> Dia<T> {
         let k = self.diags.binary_search(&d).ok()?;
         let (o, lo) = (c as i64, *self.lo.get(k)?);
         if o >= lo && o < *self.hi.get(k)? {
-            Some(*self.ptr.get(k)? + (o - lo) as usize)
+            Some(*self.ptr.get(k)? as usize + (o - lo) as usize)
         } else {
             None
         }
@@ -184,7 +195,7 @@ impl<T: Scalar> Dia<T> {
 stored_layout! {
     Dia, "dia", include_str!("dia.rs");
     dims: nrows, ncols;
-    arrays: diags: i64, lo: i64, hi: i64, ptr: usize, values: f64;
+    arrays: diags: i64, lo: i64, hi: i64, ptr: u32, values: f64;
     chains: [
         Level::of(Kind::Coords { len: diags, crd: &[diags] }).binary_search(),
         Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::At(hi), base: Base::Ptr(ptr) })
@@ -222,7 +233,7 @@ impl SparseMatrix for Dia<f64> {
                 out.push((
                     (d + o) as usize,
                     o as usize,
-                    self.values[self.ptr[k] + (o - self.lo[k]) as usize],
+                    self.values[self.ptr[k] as usize + (o - self.lo[k]) as usize],
                 ));
             }
         }

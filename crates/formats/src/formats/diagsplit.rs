@@ -137,7 +137,7 @@ pub fn diagsplit_format_view() -> FormatView {
 leveled! {
     DiagSplit, "diagsplit";
     dims: n = n, off_nrows = off.nrows;
-    arrays: diag = diag: f64, off_rowptr = off.rowptr: usize, off_colind = off.colind: usize,
+    arrays: diag = diag: f64, off_rowptr = off.rowptr: u32, off_colind = off.colind: u32,
         off_values = off.values: f64;
     chains:
         // Chain 0: the diagonal, a single interval level.

@@ -5,7 +5,7 @@
 //! within each row, and the per-row fill `rowlen` makes binary search
 //! possible despite the padding.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -28,15 +28,20 @@ pub struct Ell<T: Scalar = f64> {
     /// Value per slot (zero in padding slots).
     pub values: Vec<T>,
     /// Stored entries in each row (`rowlen[r] <= width`).
-    pub rowlen: Vec<usize>,
+    pub rowlen: Vec<u32>,
 }
 
 impl<T: Scalar> Ell<T> {
     /// Builds from triplets: count the rows, then fill the slots.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Ell<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
-        let rowlen = t.row_counts();
-        let width = rowlen.iter().copied().max().unwrap_or(0);
+        let counts = t.row_counts();
+        let width = counts.iter().copied().max().unwrap_or(0);
         let mut colind = vec![ELL_PAD; t.nrows() * width];
         let mut values = vec![T::ZERO; t.nrows() * width];
         let mut fill = vec![0usize; t.nrows()];
@@ -52,7 +57,7 @@ impl<T: Scalar> Ell<T> {
             width,
             colind,
             values,
-            rowlen,
+            rowlen: counts.into_iter().map(narrow).collect(),
         }
     }
 
@@ -78,7 +83,7 @@ impl<T: Scalar> Ell<T> {
             ));
         }
         for r in 0..self.nrows {
-            let len = self.rowlen[r];
+            let len = self.rowlen[r] as usize;
             if len > self.width {
                 return fail(format!("rowlen[{r}] = {len} exceeds width {}", self.width));
             }
@@ -109,7 +114,7 @@ impl<T: Scalar> Ell<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for r in 0..self.nrows {
-            for s in 0..self.rowlen[r] {
+            for s in 0..self.rowlen[r] as usize {
                 t.push(
                     r,
                     self.colind[r * self.width + s] as usize,
@@ -122,7 +127,7 @@ impl<T: Scalar> Ell<T> {
 
     /// Number of stored entries (padding excluded).
     pub fn nnz(&self) -> usize {
-        self.rowlen.iter().sum()
+        self.rowlen.iter().map(|&l| l as usize).sum()
     }
 }
 
@@ -137,7 +142,7 @@ impl<T: Scalar> Ell<T> {
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
         let base = r * self.width;
-        let row = self.colind.get(base..base + *self.rowlen.get(r)?)?;
+        let row = self.colind.get(base..base + *self.rowlen.get(r)? as usize)?;
         row.binary_search(&(c as i64)).ok().map(|s| base + s)
     }
     // layout-find-end
@@ -146,7 +151,7 @@ impl<T: Scalar> Ell<T> {
 stored_layout! {
     Ell, "ell", include_str!("ell.rs");
     dims: nrows, ncols, width;
-    arrays: colind: i64, values: f64, rowlen: usize;
+    arrays: colind: i64, values: f64, rowlen: u32;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Slots { count: rowlen, at: SlotAt::RowMajor(width), crd: colind })
@@ -166,7 +171,7 @@ impl SparseMatrix for Ell<f64> {
         self.ncols
     }
     fn nnz(&self) -> usize {
-        self.rowlen.iter().sum()
+        self.rowlen.iter().map(|&l| l as usize).sum()
     }
     fn get(&self, r: usize, c: usize) -> f64 {
         self.find(r, c).map_or(0.0, |i| self.values[i])
@@ -180,7 +185,7 @@ impl SparseMatrix for Ell<f64> {
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for r in 0..self.nrows {
-            for s in 0..self.rowlen[r] {
+            for s in 0..self.rowlen[r] as usize {
                 out.push((
                     r,
                     self.colind[r * self.width + s] as usize,

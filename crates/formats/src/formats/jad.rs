@@ -19,7 +19,7 @@
 //! inverse permutation (`iperm_inv`) for O(1) un-mapping, which is what a
 //! production implementation would do.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -32,25 +32,30 @@ pub struct Jad<T: Scalar = f64> {
     /// Number of columns.
     pub ncols: usize,
     /// `iperm[rr]` = original row index of permuted row `rr`.
-    pub iperm: Vec<usize>,
+    pub iperm: Vec<u32>,
     /// `iperm_inv[r]` = permuted index of original row `r`.
-    pub iperm_inv: Vec<usize>,
+    pub iperm_inv: Vec<u32>,
     /// Start of each jagged diagonal in `colind`/`values`
     /// (`len == ndiags + 1`).
-    pub dptr: Vec<usize>,
+    pub dptr: Vec<u32>,
     /// Column index of each stored entry, diagonal-major: the `d`-th
     /// element of permuted row `rr` is at `dptr[d] + rr`.
-    pub colind: Vec<usize>,
+    pub colind: Vec<u32>,
     /// Values, same layout as `colind`.
     pub values: Vec<T>,
     /// Stored entries in each *permuted* row (non-increasing in `rr`).
-    pub rowlen: Vec<usize>,
+    pub rowlen: Vec<u32>,
 }
 
 impl<T: Scalar> Jad<T> {
     /// Builds from triplets: the compressed rows are the row slices of
     /// the normal form, and ordering them by fill is a counting sort.
+    ///
+    /// # Panics
+    /// Panics, before allocating, on a dimension or entry count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Jad<T> {
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         let (m, e) = (t.nrows(), t.entries());
         // rowptr[r + 1] is the fill of row r until the prefix sum below.
@@ -71,31 +76,34 @@ impl<T: Scalar> Jad<T> {
         }
         // dptr[d+1] - dptr[d] = number of rows with fill > d.
         let mut dptr = Vec::with_capacity(nd + 1);
-        dptr.push(0usize);
+        dptr.push(0u32);
         for d in 0..nd {
-            dptr.push(dptr[d] + first[d]);
+            dptr.push(dptr[d] + narrow(first[d]));
         }
         // Rows of equal fill keep their relative order (deterministic
         // layout): rows are placed in increasing `r`.
-        let mut iperm = vec![0usize; m];
-        let mut iperm_inv = vec![0usize; m];
+        let mut iperm = vec![0u32; m];
+        let mut iperm_inv = vec![0u32; m];
         for (r, &l) in rowptr[1..].iter().enumerate() {
-            iperm[first[l]] = r;
-            iperm_inv[r] = first[l];
+            iperm[first[l]] = narrow(r);
+            iperm_inv[r] = narrow(first[l]);
             first[l] += 1;
         }
-        let rowlen: Vec<usize> = iperm.iter().map(|&r| rowptr[r + 1]).collect();
+        let rowlen: Vec<u32> = iperm
+            .iter()
+            .map(|&r| narrow(rowptr[r as usize + 1]))
+            .collect();
         for r in 0..m {
             rowptr[r + 1] += rowptr[r];
         }
         // In permuted row order every diagonal is written front to back.
-        let mut colind = vec![0usize; e.len()];
+        let mut colind = vec![0u32; e.len()];
         let mut values = vec![T::ZERO; e.len()];
         for (rr, &r) in iperm.iter().enumerate() {
-            let row = &e[rowptr[r]..rowptr[r + 1]];
+            let row = &e[rowptr[r as usize]..rowptr[r as usize + 1]];
             for (&(_, c, v), &start) in row.iter().zip(&dptr) {
-                colind[start + rr] = c;
-                values[start + rr] = v;
+                colind[start as usize + rr] = narrow(c);
+                values[start as usize + rr] = v;
             }
         }
         Jad {
@@ -115,9 +123,10 @@ impl<T: Scalar> Jad<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for (r, &rr) in self.iperm_inv.iter().enumerate() {
-            for d in 0..self.rowlen[rr] {
-                let jj = self.dptr[d] + rr;
-                t.push(r, self.colind[jj], self.values[jj]);
+            let rr = rr as usize;
+            for &start in &self.dptr[..self.rowlen[rr] as usize] {
+                let jj = start as usize + rr;
+                t.push(r, self.colind[jj] as usize, self.values[jj]);
             }
         }
         t
@@ -140,10 +149,11 @@ impl<T: Scalar> Jad<T> {
             ));
         }
         for (rr, &r) in self.iperm.iter().enumerate() {
+            let r = r as usize;
             if r >= m {
                 return fail(format!("iperm[{rr}] = {r} >= nrows {m}"));
             }
-            if self.iperm_inv[r] != rr {
+            if self.iperm_inv[r] as usize != rr {
                 return fail(format!(
                     "iperm_inv[{r}] = {} but iperm[{rr}] = {r}: not inverse permutations",
                     self.iperm_inv[r]
@@ -155,7 +165,7 @@ impl<T: Scalar> Jad<T> {
                 return fail(format!("rowlen increases at permuted row {rr}"));
             }
         }
-        let nd = self.rowlen.first().copied().unwrap_or(0);
+        let nd = self.rowlen.first().map_or(0, |&l| l as usize);
         if self.dptr.len() != nd + 1 {
             return fail(format!(
                 "dptr has {} entries, want max rowlen + 1 = {}",
@@ -167,8 +177,10 @@ impl<T: Scalar> Jad<T> {
             return fail(format!("dptr[0] = {}, want 0", self.dptr[0]));
         }
         for d in 0..nd {
-            let want = self.rowlen.partition_point(|&len| len > d);
-            let got = self.dptr[d + 1].checked_sub(self.dptr[d]);
+            let want = self.rowlen.partition_point(|&len| len as usize > d);
+            let got = self.dptr[d + 1]
+                .checked_sub(self.dptr[d])
+                .map(|n| n as usize);
             if got != Some(want) {
                 return fail(format!(
                     "diagonal {d} strip length {:?} disagrees with rowlen (want {want})",
@@ -176,7 +188,7 @@ impl<T: Scalar> Jad<T> {
                 ));
             }
         }
-        let nnz = *self.dptr.last().unwrap_or(&0);
+        let nnz = self.dptr.last().map_or(0, |&n| n as usize);
         if self.colind.len() != nnz || self.values.len() != nnz {
             return fail(format!(
                 "colind/values have {}/{} entries, want dptr total {nnz}",
@@ -184,7 +196,7 @@ impl<T: Scalar> Jad<T> {
                 self.values.len()
             ));
         }
-        if let Some(&c) = self.colind.iter().find(|&&c| c >= self.ncols) {
+        if let Some(&c) = self.colind.iter().find(|&&c| c as usize >= self.ncols) {
             return fail(format!("stored column {c} >= ncols {}", self.ncols));
         }
         Ok(())
@@ -212,10 +224,11 @@ impl<T: Scalar> Jad<T> {
     // layout-find-begin
     #[inline]
     pub fn find_in_row(&self, rr: usize, c: usize) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, *self.rowlen.get(rr)?);
+        let c = u32::try_from(c).ok()?;
+        let (mut lo, mut hi) = (0usize, *self.rowlen.get(rr)? as usize);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let jj = *self.dptr.get(mid)? + rr;
+            let jj = *self.dptr.get(mid)? as usize + rr;
             match self.colind.get(jj)?.cmp(&c) {
                 core::cmp::Ordering::Equal => return Some(jj),
                 core::cmp::Ordering::Less => lo = mid + 1,
@@ -226,7 +239,7 @@ impl<T: Scalar> Jad<T> {
     }
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(*self.iperm_inv.get(r)?, c)
+        self.find_in_row(*self.iperm_inv.get(r)? as usize, c)
     }
     // layout-find-end
 }
@@ -234,8 +247,7 @@ impl<T: Scalar> Jad<T> {
 stored_layout! {
     Jad, "jad", include_str!("jad.rs");
     dims: nrows, ncols;
-    arrays: iperm: usize, iperm_inv: usize, dptr: usize, colind: usize, values: f64,
-        rowlen: usize;
+    arrays: iperm: u32, iperm_inv: u32, dptr: u32, colind: u32, values: f64, rowlen: u32;
     chains:
         // Flat: one coupled level over all entries in diagonal order.
         [Level::of(Kind::Jagged { ptr: dptr, crd: colind }).permuted()] -> values,
@@ -273,10 +285,10 @@ impl SparseMatrix for Jad<f64> {
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for rr in 0..self.nrows {
-            let r = self.iperm[rr];
-            for d in 0..self.rowlen[rr] {
-                let jj = self.dptr[d] + rr;
-                out.push((r, self.colind[jj], self.values[jj]));
+            let r = self.iperm[rr] as usize;
+            for &start in &self.dptr[..self.rowlen[rr] as usize] {
+                let jj = start as usize + rr;
+                out.push((r, self.colind[jj] as usize, self.values[jj]));
             }
         }
         out
@@ -428,7 +440,7 @@ mod tests {
     #[test]
     fn hier_search_by_column() {
         let a = Jad::from_triplets(&fig14());
-        let rr = a.iperm_inv[3];
+        let rr = a.iperm_inv[3] as usize;
         let p = a.search(1, 1, rr, &[3]).unwrap();
         assert_eq!(a.value_at(1, p), 8.0);
         assert!(a.search(1, 1, rr, &[1]).is_none());

@@ -7,7 +7,7 @@
 //! interval level with *runtime* per-row bounds (like DIA's offset
 //! level).
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{Bound, FormatView, Order, SearchKind, StoredGuarantee, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -18,9 +18,9 @@ pub struct Sky<T: Scalar = f64> {
     /// Matrix order (square, lower triangular).
     pub n: usize,
     /// First stored column of each row (`lo[r] <= r`).
-    pub lo: Vec<usize>,
+    pub lo: Vec<u32>,
     /// Strip start in `values` (`len == n + 1`).
-    pub ptr: Vec<usize>,
+    pub ptr: Vec<u32>,
     /// Strip storage: `A[r][c] = values[ptr[r] + (c - lo[r])]` for
     /// `lo[r] <= c <= r`; in-strip zeros are structural.
     pub values: Vec<T>,
@@ -31,24 +31,29 @@ impl<T: Scalar> Sky<T> {
     ///
     /// # Panics
     /// Panics if the matrix is not square or has entries above the
-    /// diagonal.
+    /// diagonal, and before allocating its strips if their cells, or
+    /// before anything if its order, exceed
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_triplets(t: &Triplets<T>) -> Sky<T> {
         assert_eq!(t.nrows(), t.ncols(), "skyline requires a square matrix");
         let n = t.nrows();
+        index_limit(n, n, t.nnz());
         let t = t.normalized();
-        let mut lo: Vec<usize> = (0..n).collect();
+        let mut lo: Vec<u32> = (0..n).map(narrow).collect();
         for &(r, c, _) in t.entries() {
             assert!(c <= r, "skyline requires a lower-triangular matrix");
-            lo[r] = lo[r].min(c);
+            lo[r] = lo[r].min(narrow(c));
         }
+        let cells = (0..n).map(|r| r - lo[r] as usize + 1).sum();
+        index_limit(n, n, cells);
         let mut ptr = Vec::with_capacity(n + 1);
-        ptr.push(0usize);
+        ptr.push(0u32);
         for r in 0..n {
-            ptr.push(ptr[r] + (r - lo[r] + 1));
+            ptr.push(ptr[r] + (narrow(r + 1) - lo[r]));
         }
-        let mut values = vec![T::ZERO; ptr[ptr.len() - 1]];
+        let mut values = vec![T::ZERO; cells];
         for &(r, c, v) in t.entries() {
-            values[ptr[r] + (c - lo[r])] = v;
+            values[ptr[r] as usize + (c - lo[r] as usize)] = v;
         }
         Sky { n, lo, ptr, values }
     }
@@ -58,8 +63,9 @@ impl<T: Scalar> Sky<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.n, self.n);
         for r in 0..self.n {
-            for c in self.lo[r]..=r {
-                t.push(r, c, self.values[self.ptr[r] + (c - self.lo[r])]);
+            let (lo, at) = (self.lo[r] as usize, self.ptr[r] as usize);
+            for c in lo..=r {
+                t.push(r, c, self.values[at + (c - lo)]);
             }
         }
         t
@@ -79,9 +85,9 @@ impl<T: Scalar> Sky<T> {
     // layout-find-begin
     #[inline]
     pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let lo = *self.lo.get(r)?;
+        let lo = *self.lo.get(r)? as usize;
         if c >= lo && c <= r {
-            Some(*self.ptr.get(r)? + (c - lo))
+            Some(*self.ptr.get(r)? as usize + (c - lo))
         } else {
             None
         }
@@ -92,7 +98,7 @@ impl<T: Scalar> Sky<T> {
 stored_layout! {
     Sky, "sky", include_str!("sky.rs");
     dims: n;
-    arrays: lo: usize, ptr: usize, values: f64;
+    arrays: lo: u32, ptr: u32, values: f64;
     chains: [
         Level::interval(n),
         Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::Next, base: Base::Ptr(ptr) })
@@ -125,8 +131,9 @@ impl SparseMatrix for Sky<f64> {
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for r in 0..self.n {
-            for c in self.lo[r]..=r {
-                out.push((r, c, self.values[self.ptr[r] + (c - self.lo[r])]));
+            let (lo, at) = (self.lo[r] as usize, self.ptr[r] as usize);
+            for c in lo..=r {
+                out.push((r, c, self.values[at + (c - lo)]));
             }
         }
         out

@@ -14,6 +14,7 @@
 //! [`SparseMatrix`]/[`SparseView`](crate::SparseView) machinery (dense
 //! attribute `i`).
 
+use crate::layout::{index_limit, narrow};
 use crate::level::leveled;
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
@@ -26,20 +27,27 @@ pub struct SparseVec<T: Scalar = f64> {
     /// Logical length.
     pub n: usize,
     /// Stored indices, strictly increasing.
-    pub ind: Vec<usize>,
+    pub ind: Vec<u32>,
     /// Stored values.
     pub values: Vec<T>,
 }
 
 impl<T: Scalar> SparseVec<T> {
     /// Builds from (index, value) pairs; duplicates are summed.
+    ///
+    /// # Panics
+    /// Panics on an index out of range, and before allocating on a
+    /// length or pair count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_pairs(n: usize, pairs: &[(usize, T)]) -> SparseVec<T> {
+        index_limit(n, 1, pairs.len());
         let mut sorted: Vec<(usize, T)> = pairs.to_vec();
         sorted.sort_by_key(|&(i, _)| i);
         let mut ind = Vec::with_capacity(sorted.len());
         let mut values: Vec<T> = Vec::with_capacity(sorted.len());
         for (i, v) in sorted {
             assert!(i < n, "index {i} out of range");
+            let i = narrow(i);
             // `ind` and `values` grow in lock-step, so a duplicate
             // index always has a value to accumulate into.
             if let (Some(&last), Some(acc)) = (ind.last(), values.last_mut()) {
@@ -65,9 +73,9 @@ impl<T: Scalar> SparseVec<T> {
         self.values.len()
     }
 
-    /// Binary search for index `i`.
+    /// Binary search for index `i`; `None` also for one past `u32::MAX`.
     pub fn find(&self, i: usize) -> Option<usize> {
-        self.ind.binary_search(&i).ok()
+        self.ind.binary_search(&u32::try_from(i).ok()?).ok()
     }
 }
 
@@ -96,7 +104,7 @@ impl SparseMatrix for SparseVec<f64> {
         self.ind
             .iter()
             .zip(&self.values)
-            .map(|(&i, &v)| (i, 0, v))
+            .map(|(&i, &v)| (i as usize, 0, v))
             .collect()
     }
 }
@@ -115,7 +123,7 @@ pub fn sparsevec_format_view() -> FormatView {
 leveled! {
     SparseVec, "spvec";
     dims: n = n;
-    arrays: ind = ind: usize, values = values: f64;
+    arrays: ind = ind: u32, values = values: f64;
     chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).find(Args::Key)] -> values;
     perm: ;
     find: "find" => |m, i, _| m.find(i);
@@ -130,7 +138,7 @@ pub struct HashVec<T: Scalar = f64> {
     /// Logical length.
     pub n: usize,
     /// Stored indices, in insertion order (no order guarantee).
-    pub ind: Vec<usize>,
+    pub ind: Vec<u32>,
     /// Stored values.
     pub values: Vec<T>,
     /// Index → storage-slot map.
@@ -139,7 +147,13 @@ pub struct HashVec<T: Scalar = f64> {
 
 impl<T: Scalar> HashVec<T> {
     /// Builds from (index, value) pairs; duplicates are summed.
+    ///
+    /// # Panics
+    /// Panics on an index out of range, and before allocating on a
+    /// length or pair count above
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_pairs(n: usize, pairs: &[(usize, T)]) -> HashVec<T> {
+        index_limit(n, 1, pairs.len());
         let mut hv = HashVec {
             n,
             ind: Vec::new(),
@@ -152,7 +166,7 @@ impl<T: Scalar> HashVec<T> {
                 Some(&slot) => hv.values[slot] += v,
                 None => {
                     hv.index.insert(i, hv.ind.len());
-                    hv.ind.push(i);
+                    hv.ind.push(narrow(i));
                     hv.values.push(v);
                 }
             }
@@ -192,7 +206,7 @@ impl SparseMatrix for HashVec<f64> {
         self.ind
             .iter()
             .zip(&self.values)
-            .map(|(&i, &v)| (i, 0, v))
+            .map(|(&i, &v)| (i as usize, 0, v))
             .collect()
     }
 }
@@ -218,7 +232,7 @@ mod hashed {
     leveled! {
         HashVec, "hashvec";
         dims: n = n;
-        arrays: ind = ind: usize, values = values: f64;
+        arrays: ind = ind: u32, values = values: f64;
         chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).hash("index")] -> values;
         perm: ;
         find: "" => |m, i, _| m.index.get(&i).copied();

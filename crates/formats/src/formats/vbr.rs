@@ -12,7 +12,7 @@
 //! logical row's slice of a block is contiguous, matching the emitted
 //! loops and the register-tiled kernels.
 
-use crate::layout::stored_layout;
+use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
 use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
@@ -29,21 +29,21 @@ pub struct Vbr<T: Scalar = f64> {
     /// with `w = cpntr[bindx[b]+1] - cpntr[bindx[b]]`.
     pub val: Vec<T>,
     /// Start of each block in `val` (`len == nblocks + 1`).
-    pub indx: Vec<usize>,
+    pub indx: Vec<u32>,
     /// Block column (index into `cpntr`) of each stored block, sorted
     /// within each block row.
-    pub bindx: Vec<usize>,
+    pub bindx: Vec<u32>,
     /// Row-strip boundaries (`len == nbr + 1`, `rpntr[0] == 0`,
     /// `rpntr[nbr] == nrows`).
-    pub rpntr: Vec<usize>,
+    pub rpntr: Vec<u32>,
     /// Column-strip boundaries (`len == nbc + 1`).
-    pub cpntr: Vec<usize>,
+    pub cpntr: Vec<u32>,
     /// First block of each block row in `bindx` (`len == nbr`).
-    pub bpntrb: Vec<usize>,
+    pub bpntrb: Vec<u32>,
     /// One past the last block of each block row (`len == nbr`).
-    pub bpntre: Vec<usize>,
+    pub bpntre: Vec<u32>,
     /// Derived: block row of each logical row (`len == nrows`).
-    pub rowblk: Vec<usize>,
+    pub rowblk: Vec<u32>,
 }
 
 impl<T: Scalar> Vbr<T> {
@@ -52,7 +52,9 @@ impl<T: Scalar> Vbr<T> {
     ///
     /// # Panics
     /// Panics if `rpntr`/`cpntr` are not strictly-increasing partitions
-    /// of `0..=nrows` / `0..=ncols`.
+    /// of `0..=nrows` / `0..=ncols`, before allocating on a dimension or
+    /// entry count above [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT),
+    /// and before allocating its blocks if their cells exceed it.
     pub fn from_triplets(t: &Triplets<T>, rpntr: &[usize], cpntr: &[usize]) -> Vbr<T> {
         let check = |p: &[usize], n: usize, what: &str| {
             assert!(
@@ -65,12 +67,13 @@ impl<T: Scalar> Vbr<T> {
         };
         check(rpntr, t.nrows(), "rpntr");
         check(cpntr, t.ncols(), "cpntr");
+        index_limit(t.nrows(), t.ncols(), t.nnz());
         let t = t.normalized();
         let nbr = rpntr.len() - 1;
         let strip_map = |p: &[usize], n: usize| {
-            let mut m = vec![0usize; n];
+            let mut m = vec![0u32; n];
             for (b, w) in p.windows(2).enumerate() {
-                m[w[0]..w[1]].fill(b);
+                m[w[0]..w[1]].fill(narrow(b));
             }
             m
         };
@@ -79,16 +82,23 @@ impl<T: Scalar> Vbr<T> {
         let (bptr, bindx) = crate::blocks::block_pattern(
             t.entries(),
             (nbr, cpntr.len() - 1),
-            |row| rowblk[row],
-            |col| colblk[col],
+            |row| rowblk[row] as usize,
+            |col| colblk[col] as usize,
         );
+        let area = |br: usize, bc: u32| {
+            let bc = bc as usize;
+            (rpntr[br + 1] - rpntr[br]) * (cpntr[bc + 1] - cpntr[bc])
+        };
+        let blocks = |br: usize| &bindx[bptr[br] as usize..bptr[br + 1] as usize];
+        let cells = (0..nbr).map(|br| blocks(br).iter().map(|&bc| area(br, bc)).sum::<usize>());
+        let cells = cells.sum();
+        index_limit(t.nrows(), t.ncols(), cells);
         let mut indx = Vec::with_capacity(bindx.len() + 1);
-        let mut next = 0usize;
+        let mut next = 0u32;
         indx.push(next);
         for br in 0..nbr {
-            let h = rpntr[br + 1] - rpntr[br];
-            for &bc in &bindx[bptr[br]..bptr[br + 1]] {
-                next += h * (cpntr[bc + 1] - cpntr[bc]);
+            for &bc in blocks(br) {
+                next += narrow(area(br, bc));
                 indx.push(next);
             }
         }
@@ -99,13 +109,13 @@ impl<T: Scalar> Vbr<T> {
             val: Vec::new(),
             indx,
             bindx,
-            rpntr: rpntr.to_vec(),
-            cpntr: cpntr.to_vec(),
+            rpntr: rpntr.iter().map(|&p| narrow(p)).collect(),
+            cpntr: cpntr.iter().map(|&p| narrow(p)).collect(),
             bpntrb,
             bpntre,
             rowblk,
         };
-        let mut val = vec![T::ZERO; next];
+        let mut val = vec![T::ZERO; cells];
         for &(row, col, v) in t.entries() {
             let Some(i) = out.find(row, col) else {
                 unreachable!("entry block is stored by construction");
@@ -122,16 +132,12 @@ impl<T: Scalar> Vbr<T> {
     pub fn to_triplets(&self) -> Triplets<T> {
         let mut t = Triplets::new(self.nrows, self.ncols);
         for br in 0..self.rpntr.len() - 1 {
-            for rr in 0..self.rpntr[br + 1] - self.rpntr[br] {
-                for b in self.bpntrb[br]..self.bpntre[br] {
-                    let bc = self.bindx[b];
-                    let (cj0, w) = (self.cpntr[bc], self.cpntr[bc + 1] - self.cpntr[bc]);
+            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
+            for rr in 0..r1 - r0 {
+                for b in self.blocks(br) {
+                    let (cj0, w, at) = self.block(b);
                     for cc in 0..w {
-                        t.push(
-                            self.rpntr[br] + rr,
-                            cj0 + cc,
-                            self.val[self.indx[b] + rr * w + cc],
-                        );
+                        t.push(r0 + rr, cj0 + cc, self.val[at + rr * w + cc]);
                     }
                 }
             }
@@ -146,8 +152,11 @@ impl<T: Scalar> Vbr<T> {
     /// and `rowblk` agrees with `rpntr`.
     pub fn validate(&self) -> Result<(), crate::FormatError> {
         let fail = |reason: String| Err(crate::convert::invalid("vbr", reason));
-        let part_ok = |p: &[usize], n: usize| {
-            p.len() >= 2 && p[0] == 0 && p[p.len() - 1] == n && p.windows(2).all(|w| w[0] < w[1])
+        let part_ok = |p: &[u32], n: usize| {
+            p.len() >= 2
+                && p[0] == 0
+                && p[p.len() - 1] as usize == n
+                && p.windows(2).all(|w| w[0] < w[1])
         };
         if !part_ok(&self.rpntr, self.nrows) {
             return fail(format!(
@@ -178,7 +187,7 @@ impl<T: Scalar> Vbr<T> {
                 self.bindx.len() + 1
             ));
         }
-        if self.indx[self.indx.len() - 1] != self.val.len() {
+        if self.indx[self.indx.len() - 1] as usize != self.val.len() {
             return fail(format!(
                 "indx ends at {}, want the storage length {}",
                 self.indx[self.indx.len() - 1],
@@ -194,31 +203,31 @@ impl<T: Scalar> Vbr<T> {
         }
         let mut covered = 0usize;
         for br in 0..nbr {
-            let (lo, hi) = (self.bpntrb[br], self.bpntre[br]);
+            let (lo, hi) = (self.bpntrb[br] as usize, self.bpntre[br] as usize);
             if lo > hi || hi > self.bindx.len() || lo != covered {
                 return fail(format!(
                     "block row {br} pointers {lo}..{hi} are not a contiguous monotone cover"
                 ));
             }
             covered = hi;
-            let h = self.rpntr[br + 1] - self.rpntr[br];
-            for row in self.rpntr[br]..self.rpntr[br + 1] {
-                if self.rowblk[row] != br {
+            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
+            for row in r0..r1 {
+                if self.rowblk[row] as usize != br {
                     return fail(format!("rowblk[{row}] = {}, want {br}", self.rowblk[row]));
                 }
             }
             for b in lo..hi {
-                let bc = self.bindx[b];
+                let bc = self.bindx[b] as usize;
                 if bc >= nbc {
                     return fail(format!("block row {br} stores block column {bc} >= {nbc}"));
                 }
-                if b > lo && bc <= self.bindx[b - 1] {
+                if b > lo && bc <= self.bindx[b - 1] as usize {
                     return fail(format!(
                         "block row {br} block columns not strictly increasing"
                     ));
                 }
-                let area = h * (self.cpntr[bc + 1] - self.cpntr[bc]);
-                if self.indx[b + 1] != self.indx[b] + area {
+                let area = (r1 - r0) * (self.cpntr[bc + 1] - self.cpntr[bc]) as usize;
+                if self.indx[b + 1] as usize != self.indx[b] as usize + area {
                     return fail(format!(
                         "block {b} spans indx {}..{}, want area {area}",
                         self.indx[b],
@@ -246,6 +255,19 @@ impl<T: Scalar> Vbr<T> {
         self.bindx.len()
     }
 
+    /// The stored blocks of block row `br`.
+    pub fn blocks(&self, br: usize) -> std::ops::Range<usize> {
+        self.bpntrb[br] as usize..self.bpntre[br] as usize
+    }
+
+    /// Block `b`: its first column, its width, and where its values
+    /// start in `val`.
+    pub fn block(&self, b: usize) -> (usize, usize, usize) {
+        let bc = self.bindx[b] as usize;
+        let (c0, c1) = (self.cpntr[bc] as usize, self.cpntr[bc + 1] as usize);
+        (c0, c1 - c0, self.indx[b] as usize)
+    }
+
     /// Fill-in ratio: stored cells / cells that came from actual entries.
     pub fn fill_ratio(&self, source_nnz: usize) -> f64 {
         if source_nnz == 0 {
@@ -261,16 +283,16 @@ impl<T: Scalar> Vbr<T> {
     pub fn partition_rows(&self, nblocks: usize) -> Vec<usize> {
         let nbr = self.rpntr.len() - 1;
         let mut ptr = Vec::with_capacity(nbr + 1);
-        ptr.push(0usize);
+        ptr.push(0u32);
         for br in 0..nbr {
             // Blocks of a block row are contiguous in `val`, so the
             // cumulative cell count through block row `br` is the end of
             // its last block.
-            ptr.push(self.indx[self.bpntre[br]]);
+            ptr.push(self.indx[self.bpntre[br] as usize]);
         }
         crate::partition::split_ptr_by_cost(&ptr, nblocks)
             .into_iter()
-            .map(|b| self.rpntr[b])
+            .map(|b| self.rpntr[b] as usize)
             .collect()
     }
 }
@@ -283,16 +305,16 @@ impl<T: Scalar> Vbr<T> {
     // layout-find-begin
     #[inline]
     pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = *self.rowblk.get(row)?;
-        let rr = row - *self.rpntr.get(br)?;
-        for b in *self.bpntrb.get(br)?..*self.bpntre.get(br)? {
-            let bc = *self.bindx.get(b)?;
-            let (c0, c1) = (*self.cpntr.get(bc)?, *self.cpntr.get(bc + 1)?);
+        let br = *self.rowblk.get(row)? as usize;
+        let rr = row - *self.rpntr.get(br)? as usize;
+        for b in *self.bpntrb.get(br)? as usize..*self.bpntre.get(br)? as usize {
+            let bc = *self.bindx.get(b)? as usize;
+            let (c0, c1) = (*self.cpntr.get(bc)? as usize, *self.cpntr.get(bc + 1)? as usize);
             if col < c0 {
                 return None;
             }
             if col < c1 {
-                return Some(*self.indx.get(b)? + rr * (c1 - c0) + (col - c0));
+                return Some(*self.indx.get(b)? as usize + rr * (c1 - c0) + (col - c0));
             }
         }
         None
@@ -303,8 +325,8 @@ impl<T: Scalar> Vbr<T> {
 stored_layout! {
     Vbr, "vbr", include_str!("vbr.rs");
     dims: nrows, ncols;
-    arrays: val: f64, indx: usize, bindx: usize, rpntr: usize, cpntr: usize, bpntrb: usize,
-        bpntre: usize, rowblk: usize;
+    arrays: val: f64, indx: u32, bindx: u32, rpntr: u32, cpntr: u32, bpntrb: u32, bpntre: u32,
+        rowblk: u32;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Strips(Strips {
@@ -349,17 +371,12 @@ impl SparseMatrix for Vbr<f64> {
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for br in 0..self.rpntr.len() - 1 {
-            let h = self.rpntr[br + 1] - self.rpntr[br];
-            for b in self.bpntrb[br]..self.bpntre[br] {
-                let bc = self.bindx[b];
-                let (cj0, w) = (self.cpntr[bc], self.cpntr[bc + 1] - self.cpntr[bc]);
-                for rr in 0..h {
+            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
+            for b in self.blocks(br) {
+                let (cj0, w, at) = self.block(b);
+                for rr in 0..r1 - r0 {
                     for cc in 0..w {
-                        out.push((
-                            self.rpntr[br] + rr,
-                            cj0 + cc,
-                            self.val[self.indx[b] + rr * w + cc],
-                        ));
+                        out.push((r0 + rr, cj0 + cc, self.val[at + rr * w + cc]));
                     }
                 }
             }

@@ -7,30 +7,40 @@
 //! synthetic [`crate::gen::can_1072_like`] generator otherwise (see
 //! DESIGN.md, substitution 1).
 
-use crate::Triplets;
+use crate::{FormatError, Triplets};
 use std::io::{BufRead, Write};
 
 /// Error type for Matrix Market parsing.
 #[derive(Debug, PartialEq, Eq)]
-pub struct MmError(pub String);
+pub enum MmError {
+    /// The stream is not the coordinate Matrix Market this reader takes.
+    Syntax(String),
+    /// The size line declares a matrix no format can index
+    /// ([`FormatError::IndexLimit`]).
+    Format(FormatError),
+}
 
 impl std::fmt::Display for MmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "matrix market error: {}", self.0)
+        match self {
+            MmError::Syntax(msg) => write!(f, "matrix market error: {msg}"),
+            MmError::Format(e) => write!(f, "matrix market error: {e}"),
+        }
     }
 }
 
 impl std::error::Error for MmError {}
 
 fn err(msg: impl Into<String>) -> MmError {
-    MmError(msg.into())
+    MmError::Syntax(msg.into())
 }
 
 /// Reads a coordinate-format Matrix Market stream.
 ///
 /// Supports `%%MatrixMarket matrix coordinate real|integer|pattern
 /// general|symmetric`. Pattern entries get value 1.0; symmetric matrices
-/// are expanded to full storage.
+/// are expanded to full storage. A size line above the index limit of
+/// the formats is refused before any entry is read.
 pub fn read_matrix_market(reader: impl BufRead) -> Result<Triplets<f64>, MmError> {
     let mut lines = reader.lines();
     let header = lines
@@ -80,6 +90,7 @@ pub fn read_matrix_market(reader: impl BufRead) -> Result<Triplets<f64>, MmError
         return Err(err(format!("bad size line: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    crate::layout::check_index_limit(nrows, ncols, nnz).map_err(MmError::Format)?;
 
     let mut t = Triplets::new(nrows, ncols);
     let mut count = 0usize;
@@ -187,7 +198,7 @@ mod tests {
     fn rejects_count_mismatch() {
         let src = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let e = read_matrix_market(Cursor::new(src)).unwrap_err();
-        assert!(e.0.contains("expected 2"));
+        assert!(e.to_string().contains("expected 2"));
     }
 
     #[test]

@@ -22,12 +22,16 @@
 
 use crate::level::{Levels, Slice};
 use crate::view::FormatView;
-use crate::{formats, SparseView, Triplets};
+use crate::{formats, FormatError, SparseView, Triplets};
 
-/// Element type of a stored array.
+/// Element type of a stored array. Every unsigned index array — row
+/// pointers, column indices, permutations, block and strip tables — is
+/// `u32`, four bytes, as the NIST Sparse BLAS stores its `int` indices;
+/// the signed arrays (DIA's diagonal numbers and bounds, ELL's padded
+/// columns) are `i64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Elem {
-    Usize,
+    U32,
     I64,
     F64,
 }
@@ -36,11 +40,54 @@ impl Elem {
     /// The Rust name of the element type.
     pub fn rust(self) -> &'static str {
         match self {
-            Elem::Usize => "usize",
+            Elem::U32 => "u32",
             Elem::I64 => "i64",
             Elem::F64 => "f64",
         }
     }
+
+    /// Bytes one element occupies.
+    pub fn width(self) -> usize {
+        match self {
+            Elem::U32 => 4,
+            Elem::I64 | Elem::F64 => 8,
+        }
+    }
+}
+
+/// The largest dimension, and the largest count of stored entries or
+/// cells, an instance of a format holds: what a `u32` index array can
+/// address.
+pub const INDEX_LIMIT: usize = u32::MAX as usize;
+
+/// Refuses a matrix whose dimensions or stored count exceed
+/// [`INDEX_LIMIT`]: the one check between a caller's sizes and the `u32`
+/// index arrays, made before anything is allocated.
+pub fn check_index_limit(nrows: usize, ncols: usize, stored: usize) -> Result<(), FormatError> {
+    if nrows.max(ncols).max(stored) > INDEX_LIMIT {
+        return Err(FormatError::IndexLimit {
+            nrows,
+            ncols,
+            stored,
+        });
+    }
+    Ok(())
+}
+
+/// [`check_index_limit`] as the panic of a `from_triplets` given a
+/// matrix the format cannot hold.
+pub(crate) fn index_limit(nrows: usize, ncols: usize, stored: usize) {
+    if let Err(e) = check_index_limit(nrows, ncols, stored) {
+        panic!("{e}");
+    }
+}
+
+/// `n` as an element of an index array. Exact: every caller stores a
+/// key or count of an instance that passed [`index_limit`].
+#[inline]
+pub(crate) fn narrow(n: usize) -> u32 {
+    debug_assert!(n <= INDEX_LIMIT, "{n} exceeds the u32 index limit");
+    n as u32
 }
 
 /// The Rust types an array of a layout can hold: what ties the element
@@ -57,11 +104,11 @@ pub trait ElemType: Sized {
     }
 }
 
-impl ElemType for usize {
-    const ELEM: Elem = Elem::Usize;
+impl ElemType for u32 {
+    const ELEM: Elem = Elem::U32;
 
-    fn slice(array: &[usize]) -> Slice<'_> {
-        Slice::Usize(array)
+    fn slice(array: &[u32]) -> Slice<'_> {
+        Slice::U32(array)
     }
 }
 
@@ -144,6 +191,19 @@ pub trait Stored: SparseView {
     /// Appends the scalar fields to `dims` and the arrays — borrowed,
     /// not copied — to `arrays`, both in the layout's order.
     fn parts(&self, dims: &mut Vec<usize>, arrays: &mut Vec<RawArray>);
+
+    /// Bytes of the stored image: each array's length times the width
+    /// of the element its layout declares.
+    fn image_bytes(&self) -> usize {
+        let mut arrays = Vec::new();
+        self.parts(&mut Vec::new(), &mut arrays);
+        let elems = self.layout().arrays.iter().map(|&(_, elem)| elem.width());
+        arrays
+            .iter()
+            .zip(elems)
+            .map(|(a, width)| a.len * width)
+            .sum()
+    }
 }
 
 /// Every format with a layout.
@@ -275,7 +335,7 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// stored_layout! {
 ///     Bsr, "bsr", include_str!("bsr.rs");
 ///     dims: nrows, ncols, r, c;
-///     arrays: browptr: usize, bcolind: usize, values: f64;
+///     arrays: browptr: u32, bcolind: u32, values: f64;
 ///     block: r x c;                       // blocked layouts only
 ///     chains: [
 ///         Level::interval(nrows),

@@ -277,6 +277,25 @@ impl Levels {
         self.chains.get(chain)?.levels.get(level)
     }
 
+    /// Bytes a walk of chain 0 reads per stored entry: the entry's value
+    /// and the keys its innermost level stores per position, at the
+    /// widths the description declares. Arrays read once per row, block
+    /// or strip are not counted.
+    pub fn bytes_per_entry(&self) -> usize {
+        let Some(chain) = self.chains.first() else {
+            return 0;
+        };
+        let width = |a: Arr| self.elem(a).width();
+        let keys = match chain.levels.last().map(|l| l.kind) {
+            Some(
+                Kind::Compressed { crd, .. } | Kind::Slots { crd, .. } | Kind::Jagged { crd, .. },
+            ) => width(crd),
+            Some(Kind::Coords { crd, .. }) => crd.iter().map(|&a| width(a)).sum(),
+            Some(Kind::Interval { .. } | Kind::Blocks { .. } | Kind::Strips(_)) | None => 0,
+        };
+        keys + width(chain.values)
+    }
+
     /// True when chain 0 opens with the dense interval over the
     /// [`ROW_DIM`], keys being rows as they are: what a row band cuts.
     pub fn rows_outermost(&self) -> bool {
@@ -296,7 +315,7 @@ impl Levels {
 /// is no walk to fall back to: the readers below panic.
 #[derive(Clone, Copy, Debug)]
 pub enum Slice<'a> {
-    Usize(&'a [usize]),
+    U32(&'a [u32]),
     I64(&'a [i64]),
     F64(&'a [f64]),
 }
@@ -306,17 +325,17 @@ impl<'a> Slice<'a> {
     #[inline]
     pub fn key(self, i: usize) -> i64 {
         match self {
-            Slice::Usize(a) => a[i] as i64,
+            Slice::U32(a) => i64::from(a[i]),
             Slice::I64(a) => a[i],
             Slice::F64(_) => panic!("a level description reads keys from a value array"),
         }
     }
 
     /// The array as positions or counts.
-    pub fn usizes(self) -> &'a [usize] {
+    pub fn u32s(self) -> &'a [u32] {
         match self {
-            Slice::Usize(a) => a,
-            _ => panic!("a level description reads positions from an array that is not `usize`"),
+            Slice::U32(a) => a,
+            _ => panic!("a level description reads positions from an array that is not `u32`"),
         }
     }
 
@@ -330,7 +349,7 @@ impl<'a> Slice<'a> {
 
     pub(crate) fn len(self) -> usize {
         match self {
-            Slice::Usize(a) => a.len(),
+            Slice::U32(a) => a.len(),
             Slice::I64(a) => a.len(),
             Slice::F64(a) => a.len(),
         }
@@ -372,7 +391,7 @@ pub trait Leveled {
 /// leveled! {
 ///     DiagSplit, "diagsplit";
 ///     dims: n = n, off_nrows = off.nrows;
-///     arrays: diag = diag: f64, off_rowptr = off.rowptr: usize, …;
+///     arrays: diag = diag: f64, off_rowptr = off.rowptr: u32, …;
 ///     chains: [Level::interval(n)] -> diag, [ … ] -> off_values;
 ///     perm: ;                           // or: (iperm, iperm_inv)
 ///     find: "off.find" = |m, r, c| m.off.find(r, c);

@@ -22,7 +22,7 @@
 /// Boundaries are a pure function of `ptr` and `nblocks` — two calls
 /// with equal inputs produce equal partitions, which the parallel
 /// kernels rely on for run-to-run determinism.
-pub fn split_ptr_by_cost(ptr: &[usize], nblocks: usize) -> Vec<usize> {
+pub fn split_ptr_by_cost(ptr: &[u32], nblocks: usize) -> Vec<usize> {
     assert!(!ptr.is_empty(), "ptr must have at least one element");
     let n = ptr.len() - 1;
     let nblocks = nblocks.max(1);
@@ -36,13 +36,15 @@ pub fn split_ptr_by_cost(ptr: &[usize], nblocks: usize) -> Vec<usize> {
             break;
         }
         let blocks_left = nblocks - k;
-        let cost_left = ptr[n] - ptr[start];
+        let cost_left = (ptr[n] - ptr[start]) as usize;
         if blocks_left == 1 || cost_left == 0 {
             bounds.push(n);
             break;
         }
-        let target = ptr[start] + cost_left.div_ceil(blocks_left);
-        let cut = ptr.partition_point(|&p| p < target).clamp(start + 1, n);
+        let target = ptr[start] as usize + cost_left.div_ceil(blocks_left);
+        let cut = ptr
+            .partition_point(|&p| (p as usize) < target)
+            .clamp(start + 1, n);
         bounds.push(cut);
         start = cut;
     }
@@ -78,13 +80,13 @@ pub fn split_even(n: usize, nblocks: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn block_costs(ptr: &[usize], bounds: &[usize]) -> Vec<usize> {
+    fn block_costs(ptr: &[u32], bounds: &[usize]) -> Vec<u32> {
         bounds.windows(2).map(|w| ptr[w[1]] - ptr[w[0]]).collect()
     }
 
     #[test]
     fn covers_all_rows_exactly_once() {
-        let ptr = [0usize, 3, 3, 10, 11, 20, 20, 21];
+        let ptr = [0u32, 3, 3, 10, 11, 20, 20, 21];
         for nb in 1..10 {
             let b = split_ptr_by_cost(&ptr, nb);
             assert_eq!(b[0], 0);
@@ -98,7 +100,7 @@ mod tests {
     fn balances_skewed_costs() {
         // One heavy item among many light ones: the heavy one gets its
         // own block instead of dragging half the light ones with it.
-        let mut ptr = vec![0usize];
+        let mut ptr = vec![0u32];
         for i in 0..100 {
             let cost = if i == 0 { 1000 } else { 1 };
             ptr.push(ptr[ptr.len() - 1] + cost);
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn uniform_costs_split_evenly() {
-        let ptr: Vec<usize> = (0..=64).map(|i| 5 * i).collect();
+        let ptr: Vec<u32> = (0..=64).map(|i| 5 * i).collect();
         let b = split_ptr_by_cost(&ptr, 4);
         assert_eq!(b, vec![0, 16, 32, 48, 64]);
     }
@@ -133,13 +135,13 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let ptr: Vec<usize> = (0..=1000).map(|i| i * i / 7).collect();
+        let ptr: Vec<u32> = (0..=1000).map(|i| i * i / 7).collect();
         assert_eq!(split_ptr_by_cost(&ptr, 7), split_ptr_by_cost(&ptr, 7));
     }
 
     #[test]
     fn more_blocks_than_items() {
-        let ptr = [0usize, 2, 5, 9];
+        let ptr = [0u32, 2, 5, 9];
         let b = split_ptr_by_cost(&ptr, 64);
         assert_eq!(b, vec![0, 1, 2, 3]);
     }

@@ -34,6 +34,11 @@ fn normal_form(pushed: &[Entry]) -> Vec<Entry> {
     out
 }
 
+/// An index array as the formats store it.
+fn idx(v: Vec<usize>) -> Vec<u32> {
+    v.into_iter().map(|i| u32::try_from(i).unwrap()).collect()
+}
+
 fn reference_csr(nrows: usize, ncols: usize, normal: &[Entry]) -> Csr<f64> {
     let mut rowptr = vec![0usize; nrows + 1];
     for &(r, _, _) in normal {
@@ -45,8 +50,8 @@ fn reference_csr(nrows: usize, ncols: usize, normal: &[Entry]) -> Csr<f64> {
     Csr {
         nrows,
         ncols,
-        rowptr,
-        colind: normal.iter().map(|&(_, c, _)| c).collect(),
+        rowptr: idx(rowptr),
+        colind: idx(normal.iter().map(|&(_, c, _)| c).collect()),
         values: normal.iter().map(|&(_, _, v)| v).collect(),
     }
 }
@@ -83,12 +88,12 @@ fn reference_jad(m: usize, ncols: usize, normal: &[Entry]) -> Jad<f64> {
     Jad {
         nrows: m,
         ncols,
-        iperm,
-        iperm_inv,
-        dptr,
-        colind,
+        iperm: idx(iperm),
+        iperm_inv: idx(iperm_inv),
+        dptr: idx(dptr),
+        colind: idx(colind),
         values,
-        rowlen,
+        rowlen: idx(rowlen),
     }
 }
 
@@ -99,13 +104,13 @@ fn reference_dcsr(nrows: usize, ncols: usize, normal: &[Entry]) -> Dcsr<f64> {
     let rows: Vec<usize> = (0..nrows)
         .filter(|&r| csr.rowptr[r] < csr.rowptr[r + 1])
         .collect();
-    let mut rowptr: Vec<usize> = rows.iter().map(|&r| csr.rowptr[r]).collect();
+    let mut rowptr: Vec<usize> = rows.iter().map(|&r| csr.rowptr[r] as usize).collect();
     rowptr.push(normal.len());
     Dcsr {
         nrows,
         ncols,
-        rows,
-        rowptr,
+        rows: idx(rows),
+        rowptr: idx(rowptr),
         colind: csr.colind,
         values: csr.values,
     }

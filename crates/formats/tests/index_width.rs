@@ -1,0 +1,152 @@
+//! Every index array is `u32`, declared once per layout: what a layout
+//! weighs is read off that declaration, and the limit it sets is refused
+//! where a matrix comes in — before anything is allocated — never
+//! wrapped past.
+
+use bernoulli_formats::io::{read_matrix_market, MmError};
+use bernoulli_formats::layout::{Elem, INDEX_LIMIT};
+use bernoulli_formats::{
+    gen, AnyFormat, Csr, FormatError, SparseMatrix, Stored, Triplets, FORMAT_NAMES, HOST_LEVELS,
+    LAYOUTS,
+};
+use std::io::Cursor;
+
+const PAST: usize = u32::MAX as usize + 1;
+
+#[test]
+fn every_unsigned_index_array_is_u32() {
+    assert_eq!(INDEX_LIMIT, u32::MAX as usize);
+    let signed = ["dia.diags", "dia.lo", "dia.hi", "ell.colind"];
+    for levels in LAYOUTS.iter().map(|l| l.levels).chain(HOST_LEVELS) {
+        for &(array, elem) in levels.arrays {
+            let name = format!("{}.{array}", levels.name);
+            match elem {
+                Elem::U32 => assert!(!signed.contains(&name.as_str()), "{name}"),
+                Elem::I64 => assert!(signed.contains(&name.as_str()), "{name}"),
+                Elem::F64 => {}
+            }
+        }
+    }
+}
+
+/// Bytes per stored entry of the walk of chain 0, and of the stored
+/// image: the gate against an index array widened by accident.
+#[test]
+fn a_layout_says_what_it_weighs() {
+    let weights: Vec<(&str, usize)> = LAYOUTS
+        .iter()
+        .map(|l| l.levels)
+        .chain(HOST_LEVELS)
+        .map(|l| (l.name, l.bytes_per_entry()))
+        .collect();
+    assert_eq!(
+        weights,
+        [
+            // A value and a four-byte key: the 12 B of the NIST C kernels.
+            ("csr", 12),
+            ("csc", 12),
+            ("coo", 16),
+            // Positions follow from the diagonal, strip or block: no key
+            // per entry.
+            ("dia", 8),
+            // Padded columns stay signed.
+            ("ell", 16),
+            ("jad", 12),
+            ("sky", 8),
+            ("bsr", 8),
+            ("vbr", 8),
+            ("dcsr", 12),
+            ("dense", 8),
+            ("diagsplit", 8),
+            ("spvec", 12),
+            ("hashvec", 12),
+        ]
+    );
+
+    let t = gen::can_1072_like();
+    let (rows, nnz) = (t.nrows(), t.nnz());
+    let csr = Csr::from_triplets(&t);
+    assert_eq!(csr.image_bytes(), 8 * nnz + 4 * (nnz + rows + 1));
+    let jad = bernoulli_formats::Jad::from_triplets(&t);
+    assert_eq!(
+        jad.image_bytes(),
+        8 * nnz + 4 * (3 * rows + jad.ndiags() + 1 + nnz)
+    );
+    // The sum over the parts, whatever the layout.
+    let lower = t.lower_triangle_full_diag(1.0);
+    for layout in LAYOUTS {
+        let m = (layout.from_triplets)(&lower, (2, 2));
+        let (mut dims, mut arrays) = (Vec::new(), Vec::new());
+        m.parts(&mut dims, &mut arrays);
+        let widths = layout.arrays.iter().map(|&(_, e)| e.width());
+        let bytes: usize = arrays.iter().zip(widths).map(|(a, w)| a.len * w).sum();
+        assert_eq!(m.image_bytes(), bytes, "{}", layout.name);
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds the u32 index limit")]
+fn a_matrix_past_the_limit_is_refused_before_it_is_allocated() {
+    // 16 GiB of row pointers, were they allocated.
+    let _ = Csr::from_triplets(&Triplets::<f64>::new(PAST, 1));
+}
+
+#[test]
+fn every_format_refuses_it_typed() {
+    for (nrows, ncols) in [(PAST, 1), (1, PAST)] {
+        let t = Triplets::<f64>::new(nrows, ncols);
+        for &name in FORMAT_NAMES {
+            let e = AnyFormat::try_from_triplets(name, &t).map(|_| ());
+            let want = FormatError::IndexLimit {
+                nrows,
+                ncols,
+                stored: 0,
+            };
+            assert_eq!(e, Err(want), "{name} at {nrows}x{ncols}");
+        }
+    }
+}
+
+#[test]
+fn a_matrix_market_header_past_the_limit_is_a_typed_error() {
+    let huge = PAST;
+    for (nrows, ncols, entries) in [(huge, 3, 0), (3, huge, 0), (3, 3, huge)] {
+        // The size line alone: the reader refuses before any entry.
+        let src =
+            format!("%%MatrixMarket matrix coordinate real general\n{nrows} {ncols} {entries}\n");
+        let e = read_matrix_market(Cursor::new(src));
+        let want = FormatError::IndexLimit {
+            nrows,
+            ncols,
+            stored: entries,
+        };
+        assert_eq!(e, Err(MmError::Format(want)));
+    }
+    // At the limit, the header is read.
+    let src = format!(
+        "%%MatrixMarket matrix coordinate real general\n{} 1 0\n",
+        u32::MAX
+    );
+    let t = read_matrix_market(Cursor::new(src)).expect("a header at the limit");
+    assert_eq!(t.nrows(), u32::MAX as usize);
+}
+
+#[test]
+fn a_key_past_u32_max_finds_nothing() {
+    // Column 0 of every row: `c as u32` would map 2^32 onto it.
+    let t = Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 0, 2.0), (2, 0, 3.0)]);
+    let a = Csr::from_triplets(&t);
+    for r in 0..3 {
+        assert_eq!(a.find(r, 0), Some(r));
+        assert_eq!(a.find(r, PAST), None, "row {r}");
+        assert_eq!(a.get(r, PAST), 0.0, "row {r}");
+    }
+    for layout in LAYOUTS {
+        let m = (layout.from_triplets)(&t, (1, 1));
+        for r in 0..3 {
+            assert_eq!(m.get(r, 0), 1.0 + r as f64, "{}", layout.name);
+            assert_eq!(m.get(r, PAST), 0.0, "{} ({r}, 2^32)", layout.name);
+            assert_eq!(m.get(PAST + r, 0), 0.0, "{} (2^32 + {r}, 0)", layout.name);
+        }
+    }
+}

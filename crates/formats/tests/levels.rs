@@ -209,7 +209,12 @@ fn observed() -> Vec<(String, &'static str, u64)> {
         // The row sums as a vector; the hashed one stores it back to front.
         let m = SparseVec::from_triplets(&t);
         out.push(("spvec".to_string(), matrix, hash_of("spvec", &m)));
-        let mut pairs: Vec<(usize, f64)> = m.ind.iter().copied().zip(m.values.clone()).collect();
+        let mut pairs: Vec<(usize, f64)> = m
+            .ind
+            .iter()
+            .map(|&i| i as usize)
+            .zip(m.values.clone())
+            .collect();
         pairs.reverse();
         let m = HashVec::from_pairs(t.nrows(), &pairs);
         out.push(("hashvec".to_string(), matrix, hash_of("hashvec", &m)));

@@ -127,7 +127,7 @@ fn ell_corruptions_are_caught() {
     good.validate().unwrap();
 
     let mut m = good.clone();
-    m.rowlen[0] = m.width + 1;
+    m.rowlen[0] = m.width as u32 + 1;
     assert_invalid(m.validate(), "ell", "exceeds width");
 
     let mut m = good.clone();

@@ -65,6 +65,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -934,49 +935,50 @@ impl KernelStore {
                 });
             }
         };
-        // Drain stderr on a helper thread so a chatty compiler can
-        // never deadlock against a full pipe while we poll for exit.
+        // Drain stderr on a helper thread, so that a chatty compiler can
+        // never deadlock against a full pipe. `rustc` holds the only copy
+        // of the pipe (it captures its linker's output), so the drain
+        // ends when `rustc` exits: waiting for the drain, up to the
+        // deadline, is waiting for the build, with no polling.
         let stderr_pipe = child.stderr.take();
+        let (done, drained) = std::sync::mpsc::channel();
         let drain = std::thread::spawn(move || {
             let mut buf = Vec::new();
             if let Some(mut pipe) = stderr_pipe {
                 use std::io::Read;
                 let _ = pipe.read_to_end(&mut buf);
             }
+            let _ = done.send(());
             buf
         });
-        let deadline = Instant::now() + self.timeout;
-        let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        // Kill and reap: wait() after kill() collects
-                        // the zombie even when the kill races exit.
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        let _ = drain.join();
-                        cleanup(&src_path);
-                        cleanup(&tmp_out);
-                        return Err(KernelCacheError::Timeout {
-                            ms: self.timeout.as_millis() as u64,
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = drain.join();
-                    cleanup(&src_path);
-                    cleanup(&tmp_out);
-                    return Err(KernelCacheError::Io {
-                        detail: format!("waiting on rustc: {e}"),
-                    });
-                }
+        let stderr_bytes = match drained.recv_timeout(self.timeout) {
+            // Drained, or the drain died: either way it is over.
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => drain.join().unwrap_or_default(),
+            Err(RecvTimeoutError::Timeout) => {
+                // Kill and reap: wait() after kill() collects the
+                // zombie even when the kill races exit.
+                let _ = child.kill();
+                let _ = child.wait();
+                let _ = drain.join();
+                cleanup(&src_path);
+                cleanup(&tmp_out);
+                return Err(KernelCacheError::Timeout {
+                    ms: self.timeout.as_millis() as u64,
+                });
             }
         };
-        let stderr_bytes = drain.join().unwrap_or_default();
+        let status = match child.wait() {
+            Ok(status) => status,
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                cleanup(&src_path);
+                cleanup(&tmp_out);
+                return Err(KernelCacheError::Io {
+                    detail: format!("waiting on rustc: {e}"),
+                });
+            }
+        };
         if !status.success() {
             cleanup(&src_path);
             cleanup(&tmp_out);

@@ -1150,6 +1150,43 @@ mod tests {
         Ok(())
     }
 
+    /// Every emitted crate declares each array of a layout's mirror at
+    /// the element type the layout declares, and unpacks it as one: no
+    /// array is `usize` (the dims are, and are no array). Every layout,
+    /// the blocked one at two shapes.
+    #[test]
+    fn mirror_arrays_have_their_layouts_element_types() -> Result<(), Box<dyn std::error::Error>> {
+        let s = Session::new();
+        let p = s.parse(MVM)?;
+        for layout in bernoulli_formats::LAYOUTS {
+            let shapes: &[Block] = if layout.blocked {
+                &[(2, 2), (4, 2)]
+            } else {
+                &[(1, 1)]
+            };
+            for &shape in shapes {
+                let k = s.compile(&s.bind(&p, &[("A", (layout.view)(shape))])?)?;
+                let sig = KernelSig::of(k.program(), k.views())?;
+                let (src, _) = cdylib_source(k.program(), k.plan(), k.views(), &sig)?;
+                let what = format!("{} at {shape:?}", layout.name);
+                for &(array, elem) in layout.arrays {
+                    let mirrored = match elem {
+                        Elem::F64 => "T",
+                        index => index.rust(),
+                    };
+                    let decl = format!("    pub {array}: &'static [{mirrored}],\n");
+                    assert!(src.contains(&decl), "{what}: no {decl:?} in\n{src}");
+                    let unpacked = format!("{array}: sl::<{}>(", elem.rust());
+                    assert!(src.contains(&unpacked), "{what}: no {unpacked:?} in\n{src}");
+                }
+                for usize_array in ["'static [usize]", "sl::<usize>"] {
+                    assert!(!src.contains(usize_array), "{what}:\n{src}");
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// A kernel crate in which a panic path survives does not link: the
     /// load fails with the linker's words as the typed reason and the
     /// kernel is served by the interpreter, never as native code.

@@ -79,10 +79,19 @@ impl Site {
         format!("*{}.get({i})?", self.array(a))
     }
 
-    /// A read of an index array as a key: `usize` arrays are cast.
+    /// A read of an index array as a key: `u32` arrays are widened.
     fn key(&self, a: Arr, read: String) -> String {
         match self.levels.elem(a) {
-            Elem::Usize => format!("{read} as i64"),
+            Elem::U32 => format!("{read} as i64"),
+            Elem::I64 | Elem::F64 => read,
+        }
+    }
+
+    /// A read of an index array as a position or count: `u32` arrays
+    /// are widened.
+    fn pos(&self, a: Arr, read: String) -> String {
+        match self.levels.elem(a) {
+            Elem::U32 => format!("{read} as usize"),
             Elem::I64 | Elem::F64 => read,
         }
     }
@@ -104,7 +113,7 @@ impl Site {
                 let lo = at("lo__", a);
                 let offset = match self.levels.elem(a) {
                     Elem::I64 => format!("({key} - {lo}) as usize"),
-                    _ => format!("({key} as usize - {lo})"),
+                    _ => format!("({key} as usize - {})", self.pos(a, lo.clone())),
                 };
                 (self.key(a, lo), offset)
             }
@@ -119,7 +128,7 @@ impl Site {
         let pos = match base {
             Base::Identity => offset,
             Base::Stride(d) => format!("{parent} * {} + {offset}", self.dim(d)),
-            Base::Ptr(a) => format!("{} + {offset}", at("base__", a)),
+            Base::Ptr(a) => format!("{} + {offset}", self.pos(a, at("base__", a))),
         };
         Some((lo, hi, pos))
     }
@@ -823,9 +832,9 @@ impl Emitter<'_> {
 
         // Full block rows, one walk, R register accumulators.
         let (blo, bhi, bcol) = (
-            self.read(&site, ptr, "br__"),
-            self.read(&site, ptr, "br__ + 1"),
-            self.read(&site, crd, "b__"),
+            self.at(&site, ptr, "br__"),
+            self.at(&site, ptr, "br__ + 1"),
+            self.at(&site, crd, "b__"),
         );
         self.line(&format!("while r0__ + {rb} <= rend__ {{"));
         self.indent += 1;
@@ -912,7 +921,7 @@ impl Emitter<'_> {
             self.line("let mut r0__ = 0i64;");
             self.line(&format!("let rend__ = {m}.nrows as i64;"));
         }
-        let rowblk = self.read(&site, t.strip_of, "r0__ as usize");
+        let rowblk = self.at(&site, t.strip_of, "r0__ as usize");
         let (rp0, rp1) = (
             self.read(&site, t.start, "br__"),
             self.read(&site, t.start, "br__ + 1"),
@@ -928,15 +937,15 @@ impl Emitter<'_> {
         // from block to block in its output element.
         self.line("let h__ = (s1__ - s0__) as usize;");
         let (blo, bhi) = (
-            self.read(&site, t.begin, "br__"),
-            self.read(&site, t.end, "br__"),
+            self.at(&site, t.begin, "br__"),
+            self.at(&site, t.end, "br__"),
         );
-        let bcol = self.read(&site, t.crd, "b__");
+        let bcol = self.at(&site, t.crd, "b__");
         let (cj0, cj1) = (
-            self.read(&site, t.cuts, "bc__"),
-            self.read(&site, t.cuts, "bc__ + 1"),
+            self.at(&site, t.cuts, "bc__"),
+            self.at(&site, t.cuts, "bc__ + 1"),
         );
-        let base = self.read(&site, t.base, "b__");
+        let base = self.at(&site, t.base, "b__");
         self.line(&format!("for b__ in {blo}..{bhi} {{"));
         self.indent += 1;
         self.line(&format!("let bc__ = {bcol};"));
@@ -1061,6 +1070,11 @@ impl Emitter<'_> {
         } else {
             site.get(a, i)
         }
+    }
+
+    /// [`Self::read`] of an entry used as a position or count.
+    fn at(&self, site: &Site, a: Arr, i: &str) -> String {
+        site.pos(a, self.read(site, a, i))
     }
 
     /// `ix(&arr, i)` — the unchecked-in-release read of a format-owned
@@ -1214,8 +1228,10 @@ impl Emitter<'_> {
             return Err(EmitError("reverse level enumeration not templated".into()));
         }
         let unsupported = || EmitError(format!("no loop head for {:?}", site.level.kind));
-        // Entry `i` of one of the level's arrays, and the same as a key.
+        // Entry `i` of one of the level's arrays, as a position and as a
+        // key.
         let rd = |a: Arr, i: &str| self.read(&site, a, i);
+        let at = |a: Arr, i: &str| self.at(&site, a, i);
         let key = |a: Arr, i: &str| site.key(a, rd(a, i));
         // A key the view's permutation maps is stored as `rr__`.
         let permuted_key = |v: &str| match (&perms[0], site.levels.perm) {
@@ -1266,7 +1282,7 @@ impl Emitter<'_> {
             }
             Kind::Compressed { ptr, crd } => {
                 let next = format!("{parent} + 1");
-                head.open(&pv, format!("{}..{}", rd(ptr, parent), rd(ptr, &next)));
+                head.open(&pv, format!("{}..{}", at(ptr, parent), at(ptr, &next)));
                 head.line(format!("let {v0} = {};", key(crd, &pv)));
             }
             Kind::Coords { len, crd } => {
@@ -1276,9 +1292,13 @@ impl Emitter<'_> {
                     head.line(format!("let {v} = {};", key(a, &pv)));
                 }
             }
-            Kind::Slots { count, at, crd } => {
-                let count = rd(count, parent);
-                match at {
+            Kind::Slots {
+                count,
+                at: slot,
+                crd,
+            } => {
+                let count = at(count, parent);
+                match slot {
                     // Fixed-stride slot walk: the row base is hoisted.
                     SlotAt::RowMajor(width) => {
                         head.line(format!("let base__ = {parent} * {};", site.dim(width)));
@@ -1287,7 +1307,7 @@ impl Emitter<'_> {
                     }
                     SlotAt::Table(table) => {
                         head.open("d__", format!("0..{count}"));
-                        head.line(format!("let {pv} = {} + {parent};", rd(table, "d__")));
+                        head.line(format!("let {pv} = {} + {parent};", at(table, "d__")));
                     }
                 }
                 head.line(format!("let {v0} = {};", key(crd, &pv)));
@@ -1297,9 +1317,9 @@ impl Emitter<'_> {
                 let values = site.array(site.levels.chains[primary.chain].values);
                 head.line("let mut d__ = 0usize;".to_string());
                 head.open(&pv, format!("0..{values}.len()"));
-                let next = rd(ptr, "d__ + 1");
+                let next = at(ptr, "d__ + 1");
                 head.line(format!("while {pv} >= {next} {{ d__ += 1; }}"));
-                head.line(format!("let rr__ = {pv} - {};", rd(ptr, "d__")));
+                head.line(format!("let rr__ = {pv} - {};", at(ptr, "d__")));
                 head.line(permuted_key(&v0)?);
                 let v1 = slot_var(step.first_slot + 1);
                 head.line(format!("let {v1} = {};", key(crd, &pv)));
@@ -1311,7 +1331,7 @@ impl Emitter<'_> {
                 // shape is a compile-time literal (from the view name),
                 // so LLVM fully unrolls the inner loop.
                 let (rb, cb) = site.block.ok_or_else(unsupported)?;
-                let (blo, bhi, bcol) = (rd(ptr, "br__"), rd(ptr, "br__ + 1"), rd(crd, "b__"));
+                let (blo, bhi, bcol) = (at(ptr, "br__"), at(ptr, "br__ + 1"), at(crd, "b__"));
                 head.line(format!("let br__ = {parent} / {rb};"));
                 head.line(format!("let rr__ = {parent} % {rb};"));
                 head.open("b__", format!("{blo}..{bhi}"));
@@ -1326,10 +1346,10 @@ impl Emitter<'_> {
                 // so the within-block trip count is hoisted per block;
                 // the inner loop is a fixed-stride slice walk that
                 // autovectorizes.
-                let (rowblk, rp) = (rd(t.strip_of, parent), rd(t.start, "br__"));
-                let (blo, bhi, bcol) = (rd(t.begin, "br__"), rd(t.end, "br__"), rd(t.crd, "b__"));
-                let (cj0, cj1) = (rd(t.cuts, "bc__"), rd(t.cuts, "bc__ + 1"));
-                let base = rd(t.base, "b__");
+                let (rowblk, rp) = (at(t.strip_of, parent), at(t.start, "br__"));
+                let (blo, bhi, bcol) = (at(t.begin, "br__"), at(t.end, "br__"), at(t.crd, "b__"));
+                let (cj0, cj1) = (at(t.cuts, "bc__"), at(t.cuts, "bc__ + 1"));
+                let base = at(t.base, "b__");
                 head.line(format!("let br__ = {rowblk};"));
                 head.line(format!("let rr__ = {parent} - {rp};"));
                 head.open("b__", format!("{blo}..{bhi}"));
@@ -1564,10 +1584,12 @@ impl Emitter<'_> {
             }
             (Locate::BinarySearch, Kind::Coords { crd: &[a], .. }) => {
                 let sorted = site.array(a);
+                // A key that does not fit the array's type is in no row.
                 match site.levels.elem(a) {
                     Elem::I64 => format!("{sorted}.binary_search(&({k0})).ok()"),
-                    _ => format!(
-                        "if ({k0}) >= 0 {{ {sorted}.binary_search(&(({k0}) as usize)).ok() }} else {{ None }}"
+                    elem => format!(
+                        "if let Ok(k__) = {}::try_from({k0}) {{ {sorted}.binary_search(&k__).ok() }} else {{ None }}",
+                        elem.rust()
                     ),
                 }
             }

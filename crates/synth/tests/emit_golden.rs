@@ -17,7 +17,11 @@
 //! descriptions of `bernoulli_formats::level` (this file, copied into a
 //! checkout of that parent, passes there), so it is the proof that the
 //! renderer prints the parent's bytes. [`TABLE_DCSR`] holds the rows of
-//! the format that PR added.
+//! the format that PR added. 43 rows were re-recorded when every
+//! unsigned index array became `u32`: the texts differ from the ones
+//! recorded before only by `as usize` on a read of such an array (or on
+//! the local it is bound to) used as a position, and by the checked
+//! `u32::try_from` of the key DCSR's row list is searched for.
 //!
 //! To re-record after a *deliberate* change to the emitted text:
 //! `cargo test -p bernoulli-synth --test emit_golden -- --nocapture`
@@ -160,44 +164,45 @@ fn emitted_text_is_the_recorded_text() {
     assert_eq!(observed.len(), recorded.len(), "rows");
 }
 
-/// Recorded at the parent of the level-description PR.
+/// Recorded at the parent of the level-description PR; 43 rows
+/// re-recorded with the `u32` index arrays.
 #[rustfmt::skip]
 const TABLE: &[(&str, usize, u64)] = &[
-    ("mvm/csr", 947, 0xf6b881cb049f0f27),
-    ("mvm/csr ranged", 977, 0x136ddc5f92e5c5c3),
-    ("mvm/csc", 893, 0x07611f330b261585),
+    ("mvm/csr", 965, 0x20e9524ada22bf69),
+    ("mvm/csr ranged", 995, 0xf6abef324fb4eb65),
+    ("mvm/csc", 911, 0x8f7bbce2151c442f),
     ("mvm/coo", 793, 0x11627f516575e77c),
-    ("mvm/dia", 983, 0x44d61c0383cebf3a),
-    ("mvm/ell", 988, 0xc6d0fcb55559bb53),
-    ("mvm/ell ranged", 1018, 0x101f6dcb0ac2846b),
-    ("mvm/jad", 1006, 0x70569459fdf3f65f),
-    ("ts/csr", 2067, 0x3135d189a6e4dc6e),
-    ("ts/csc", 2074, 0x32eebf41ec936257),
-    ("ts/jad", 2657, 0xe11b9be572453d7c),
-    ("ts/dia", 1657, 0x0c5aefe17f59d45c),
-    ("ts/sky", 2108, 0x4a2bf20be674ae3a),
-    ("mvm/sky", 962, 0x75a9b1b660c87985),
-    ("mvmt/csr", 893, 0x2db1f739c28386f7),
-    ("mvmt/csr ranged", 923, 0xa62a832adf4b6e33),
-    ("mvmt/csc", 947, 0xb44d762bb4f3d24d),
+    ("mvm/dia", 992, 0x873a8643896dd55a),
+    ("mvm/ell", 997, 0xaea1fec30256041d),
+    ("mvm/ell ranged", 1027, 0x89c99279e256fbc5),
+    ("mvm/jad", 1024, 0x7706096427c2873d),
+    ("ts/csr", 2085, 0x0092bacc46dbaf16),
+    ("ts/csc", 2092, 0xd91ee9d282b841c3),
+    ("ts/jad", 2684, 0xf47accc23b7e4c8e),
+    ("ts/dia", 1666, 0xc0748518d84c7ad4),
+    ("ts/sky", 2144, 0x2795a144a5e17ec6),
+    ("mvm/sky", 980, 0xc535b88ef63ce803),
+    ("mvmt/csr", 911, 0x4020642e2e0d05e1),
+    ("mvmt/csr ranged", 941, 0x2be7d1360ad5bbed),
+    ("mvmt/csc", 965, 0xd3837059725e9e2b),
     ("mvmt/coo", 793, 0xc218b7a1b4981b9f),
-    ("mvm/bsr2x2", 3630, 0x915e30e2e1321e60),
-    ("mvm/bsr2x2 ranged", 3657, 0x36d1fc9a8a22bea9),
-    ("mvmt/bsr2x2", 1154, 0x60880c09d4215cb9),
-    ("mvmt/bsr2x2 ranged", 1184, 0xbaf468ed09439a71),
-    ("mvm/vbr", 2884, 0x319742ef44473c45),
-    ("mvm/vbr ranged", 2911, 0x33d5fd9a676b8562),
-    ("mvmt/vbr", 1282, 0x7e15d0f1066fbfc6),
-    ("mvmt/vbr ranged", 1312, 0x6d7627f73b245f2e),
+    ("mvm/bsr2x2", 3711, 0x88f817f3c00c205a),
+    ("mvm/bsr2x2 ranged", 3738, 0x9cccaa832660e1cd),
+    ("mvmt/bsr2x2", 1181, 0xc25cb7e85fc21f53),
+    ("mvmt/bsr2x2 ranged", 1211, 0x2a762ea22d09f53b),
+    ("mvm/vbr", 3019, 0xd770f46d52deae57),
+    ("mvm/vbr ranged", 3046, 0x288e4bdd4a0878de),
+    ("mvmt/vbr", 1354, 0xfbd8aed529ff5a64),
+    ("mvmt/vbr ranged", 1384, 0x507b042e788d782c),
     ("spdot_merge", 1154, 0x47a2dc7cadf5b2cb),
     ("spdot_hash", 1169, 0x4ff1bf1e5159626e),
-    ("ra/csr #0", 947, 0xf6b881cb049f0f27),
-    ("ra/csr #0 ranged", 977, 0x136ddc5f92e5c5c3),
+    ("ra/csr #0", 965, 0x20e9524ada22bf69),
+    ("ra/csr #0 ranged", 995, 0xf6abef324fb4eb65),
     ("ra/csr #1", 541, 0x43c0c4270c18c197),
     ("ra/csr #2", 1145, 0x800256d69b400d70),
     ("ra/csr #2 ranged", 1175, 0x2fd44021de906cf4),
     ("ra/csr #3", 1348, 0x10c46204933a6e15),
-    ("ra/csc #0", 893, 0x07611f330b261585),
+    ("ra/csc #0", 911, 0x8f7bbce2151c442f),
     ("ra/csc #1", 586, 0x88a19cb555224b4e),
     ("ra/csc #2", 848, 0x1b6f8d4cb953ebe4),
     ("ra/csc #3", 1091, 0x866c0100af93a1c9),
@@ -205,35 +210,35 @@ const TABLE: &[(&str, usize, u64)] = &[
     ("ra/coo #0", 793, 0x11627f516575e77c),
     ("ra/coo #1", 541, 0x25a296aa6611c70c),
     ("ra/coo #2", 1126, 0x2241569f206a8d15),
-    ("ra/dia #0", 983, 0x44d61c0383cebf3a),
-    ("ra/dia #1", 1262, 0x1ef8e61c3599caa2),
+    ("ra/dia #0", 992, 0x873a8643896dd55a),
+    ("ra/dia #1", 1271, 0x210983ac04f70b08),
     ("ra/dia #2", 541, 0x52a05977ba13ef9d),
-    ("ra/dia #3", 1421, 0x9e6a3b3b19be5dee),
-    ("ra/ell #0", 988, 0xc6d0fcb55559bb53),
-    ("ra/ell #0 ranged", 1018, 0x101f6dcb0ac2846b),
+    ("ra/dia #3", 1430, 0x9a138527cb886e8e),
+    ("ra/ell #0", 997, 0xaea1fec30256041d),
+    ("ra/ell #0 ranged", 1027, 0x89c99279e256fbc5),
     ("ra/ell #1", 541, 0x1f053cc73df4f1b4),
     ("ra/ell #2", 1145, 0xc2fd37832f18b6e3),
     ("ra/ell #2 ranged", 1175, 0x8406cd41849b2f0b),
     ("ra/ell #3", 1348, 0x53d32dfe3b07b840),
-    ("ra/jad #0", 1006, 0x70569459fdf3f65f),
-    ("ra/jad #1", 1351, 0x382d7ccc2f13f8a6),
-    ("ra/jad #2", 927, 0x6a67bb0c22c42c04),
+    ("ra/jad #0", 1024, 0x7706096427c2873d),
+    ("ra/jad #1", 1369, 0xe09d61b4f3ba5fb4),
+    ("ra/jad #2", 945, 0x99d2f46e1e18e63c),
     ("ra/jad #3", 541, 0x79fea4c397a39a18),
     ("ra/jad #4", 541, 0x79fea4c397a39a18),
     ("ra/jad #5", 1186, 0x190f8c33b56d81ae),
     ("ra/jad #6", 1476, 0x386c77b012b406cb),
-    ("ra/sky #0", 962, 0x75a9b1b660c87985),
+    ("ra/sky #0", 980, 0xc535b88ef63ce803),
     ("ra/sky #1", 541, 0xb3ed9c755571f1a2),
     ("ra/sky #2", 1141, 0x3c2be3a88dc75c82),
     ("ra/sky #3", 1344, 0xaf806b1aca530f4f),
-    ("ra/bsr2x2 #0", 3630, 0x915e30e2e1321e60),
-    ("ra/bsr2x2 #0 ranged", 3657, 0x36d1fc9a8a22bea9),
+    ("ra/bsr2x2 #0", 3711, 0x88f817f3c00c205a),
+    ("ra/bsr2x2 #0 ranged", 3738, 0x9cccaa832660e1cd),
     ("ra/bsr2x2 #1", 541, 0xf2a1c5619403ad1c),
     ("ra/bsr2x2 #2", 1145, 0x8f0e8c4b1f9921cb),
     ("ra/bsr2x2 #2 ranged", 1175, 0xcc6065f0cdb3cba3),
     ("ra/bsr2x2 #3", 1348, 0xc016bcd970e6a768),
-    ("ra/vbr #0", 2884, 0x319742ef44473c45),
-    ("ra/vbr #0 ranged", 2911, 0x33d5fd9a676b8562),
+    ("ra/vbr #0", 3019, 0xd770f46d52deae57),
+    ("ra/vbr #0 ranged", 3046, 0x288e4bdd4a0878de),
     ("ra/vbr #1", 541, 0x0f092b3d485e4141),
     ("ra/vbr #2", 1142, 0x916604a48dcfe53f),
     ("ra/vbr #2 ranged", 1172, 0x72c6a318aa293967),
@@ -244,7 +249,7 @@ const TABLE: &[(&str, usize, u64)] = &[
     ("ra/dense #2", 1180, 0xa8849a813748ed50),
     ("ra/dense #2 ranged", 1210, 0xfb29fc03e52d9c00),
     ("ra/dense #3", 1383, 0x7bb3aded3efe6bb9),
-    ("ra/diagsplit #0", 1493, 0xa916ba7af655d2e5),
+    ("ra/diagsplit #0", 1511, 0xeadbb5c4453f3c43),
     ("ra/diagsplit #1", 1679, 0xef8bb24b104c650e),
     ("ra/diagsplit #2", 1742, 0x44aa7d57704d6ae9),
     ("ra/diagsplit #3", 1945, 0xd2c2332fdababd5f),
@@ -274,8 +279,8 @@ const TABLE: &[(&str, usize, u64)] = &[
 /// The format the level-description PR added: its random-access rows.
 #[rustfmt::skip]
 const TABLE_DCSR: &[(&str, usize, u64)] = &[
-    ("ra/dcsr #0", 961, 0x98fdcf88720f5bff),
+    ("ra/dcsr #0", 979, 0xb4c657d6a07965a1),
     ("ra/dcsr #1", 542, 0xca176bb5145925c3),
-    ("ra/dcsr #2", 1355, 0xc297c3801410c72c),
+    ("ra/dcsr #2", 1365, 0xcba7d5ffb4b8b1c8),
     ("ra/dcsr #3", 1166, 0x32a7508a7aea5865),
 ];

@@ -205,7 +205,7 @@ fn malformed_operands_are_a_status_not_a_crash() {
 
     let csr = Csr::from_triplets(&t);
     let mut csr_col = csr.clone();
-    *csr_col.colind.last_mut().expect("entries") = n;
+    *csr_col.colind.last_mut().expect("entries") = n as u32;
     let mut csr_ptr = csr.clone();
     csr_ptr.rowptr.pop();
 
@@ -214,31 +214,31 @@ fn malformed_operands_are_a_status_not_a_crash() {
     tri_ptr.rowptr.pop();
     // Before the row's last entry: where the split loop reads `b`
     // without asking where the diagonal is.
-    let last_row = tri.rowptr[n - 1]..tri.rowptr[n];
+    let last_row = tri.rowptr[n - 1] as usize..tri.rowptr[n] as usize;
     assert!(
         last_row.len() >= 2,
         "the last row needs an off-diagonal entry"
     );
     let mut tri_col = tri.clone();
-    tri_col.colind[last_row.start] = n;
+    tri_col.colind[last_row.start] = n as u32;
 
     let jad = Jad::from_triplets(&t);
     let mut jad_col = jad.clone();
-    jad_col.colind[0] = n;
+    jad_col.colind[0] = n as u32;
     let mut jad_len = jad.clone();
     jad_len.rowlen.pop();
     // Entry 0 is the first of the longest row.
     let tri_jad = Jad::from_triplets(&t.lower_triangle_full_diag(2.5));
     assert!(tri_jad.rowlen[0] >= 2);
     let mut tri_jad_col = tri_jad.clone();
-    tri_jad_col.colind[0] = n;
+    tri_jad_col.colind[0] = n as u32;
 
     // BSR's own pointer arrays are read through the unchecked `ix`
     // helper (ROADMAP item 4, open): what is checked, and tested, is
     // what they say about the other operands.
     let bsr = Bsr::from_triplets(&t, 2, 2);
     let mut bsr_col = bsr.clone();
-    *bsr_col.bcolind.last_mut().expect("blocks") = n / 2;
+    *bsr_col.bcolind.last_mut().expect("blocks") = (n / 2) as u32;
 
     // (kernel, format, well-formed matrix, what is wrong, the matrix
     // passed, how much shorter than `n` the output vector passed is)
