@@ -15,7 +15,7 @@
 //!   links on Unix (`std` itself depends on them); on other platforms
 //!   every entry point returns [`KernelCacheError::Unsupported`] so
 //!   callers can fall back to their interpreter. What is built links
-//!   nothing either (`RUSTC_FLAGS`).
+//!   nothing either (`RUSTC_FLAGS`, `LINK_FLAGS`).
 //! - **Validated libraries stay open.** Once a caller reports the
 //!   kernel in a [`KernelStore::load`]ed library validated, the store
 //!   keeps that library in its per-artifact record and the next `load`
@@ -52,18 +52,43 @@
 //! The cache directory defaults to `bernoulli-kernel-cache` under the
 //! system temp dir and is overridable with `BERNOULLI_KERNEL_CACHE`
 //! (CI lanes point this at a persisted directory to carry artifacts
-//! across runs). `BERNOULLI_RUSTC` overrides the compiler binary, which
-//! doubles as the fallback-path test hook: pointing it at a nonexistent
-//! file makes every build report [`KernelCacheError::CompilerUnavailable`].
-//! `BERNOULLI_RUSTC_TIMEOUT_MS` overrides the default 60 s build
-//! timeout. With the `faults` feature, the `kernel.rustc` and
-//! `kernel.dlopen` sites of [`bernoulli_govern::faults`] inject typed
-//! failures into the build and load paths for chaos testing.
+//! across runs). `BERNOULLI_RUSTC_TIMEOUT_MS` overrides the default 60 s
+//! timeout of every compiler child, the probe's included. With the
+//! `faults` feature, the `kernel.rustc` and `kernel.dlopen` sites of
+//! [`bernoulli_govern::faults`] inject typed failures into the build and
+//! load paths for chaos testing.
+//!
+//! # One compiler process per build
+//!
+//! A cold kernel costs one `rustc` run, which links with `rust-lld`
+//! itself, plus one `rustc -vV` probe per process that overlaps the
+//! caller's own work:
+//!
+//! - **The compiler is resolved, not asked.** The binary is
+//!   `$BERNOULLI_RUSTC` when set (also the fallback-path test hook: a
+//!   nonexistent file makes every build report
+//!   [`KernelCacheError::CompilerUnavailable`]); else
+//!   `$RUSTUP_HOME/toolchains/$RUSTUP_TOOLCHAIN/bin/rustc` when both are
+//!   set and the file exists — rustup exports both to every process it
+//!   launches, so this is the binary its proxy would exec, without the
+//!   proxy's 4–7 ms a call; else `rustc` from `PATH`. Nothing runs to
+//!   find it: which binary answered never enters an artifact's name
+//!   (version, triple and flags do).
+//! - **The probe starts with the first store.** [`KernelStore::at`]
+//!   spawns the `-vV` child and [`rustc_info`] collects it, so on a cold
+//!   request the ≈ 8 ms probe runs while the caller parses and searches.
+//! - **Linux links with `rust-lld` directly** (`LINK_FLAGS`), not through
+//!   `cc` → `collect2` → `ld.lld` → `rust-lld`; rustc finds the linker in
+//!   the sysroot of whichever binary was resolved. Without the crt
+//!   objects `cc` adds, an artifact is ≈ 3 kB instead of ≈ 6 and
+//!   imports nothing at all.
 
 use bernoulli_govern::{Flight, SingleFlight};
 use std::collections::HashMap;
+use std::ffi::OsString;
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -80,9 +105,9 @@ pub const CACHE_DIR_ENV: &str = "BERNOULLI_KERNEL_CACHE";
 /// milliseconds ([`DEFAULT_BUILD_TIMEOUT`] otherwise).
 pub const RUSTC_TIMEOUT_ENV: &str = "BERNOULLI_RUSTC_TIMEOUT_MS";
 
-/// Default wall-clock ceiling on one `rustc` child. Generous — kernel
-/// crates build in well under a second — so only a wedged compiler or
-/// a saturated host ever trips it.
+/// Default wall-clock ceiling on one `rustc` child, build or probe.
+/// Generous — kernel crates build in well under a second — so only a
+/// wedged compiler or a saturated host ever trips it.
 pub const DEFAULT_BUILD_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Build attempts per [`KernelStore::get_or_build`] call: transient
@@ -102,8 +127,9 @@ const BREAKER_COOLDOWN: Duration = Duration::from_secs(10);
 /// Why a kernel could not be compiled, cached, or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KernelCacheError {
-    /// No usable `rustc` on this host (not in `PATH`, or the
-    /// `BERNOULLI_RUSTC` override does not run).
+    /// No usable `rustc` on this host (not in `PATH`, the
+    /// `BERNOULLI_RUSTC` override does not run, or its `-vV` probe
+    /// timed out).
     CompilerUnavailable { detail: String },
     /// `rustc` ran and rejected the kernel source, or its linker did: a
     /// kernel crate with a surviving panic path fails here, naming the
@@ -192,9 +218,9 @@ impl std::error::Error for KernelCacheError {}
 /// The compiler identity every cached artifact is keyed under.
 #[derive(Clone, Debug)]
 pub struct RustcInfo {
-    /// The binary that was probed (`rustc` or the `BERNOULLI_RUSTC`
-    /// override).
-    pub binary: String,
+    /// The binary that was probed and builds run (see the module docs
+    /// for how it is resolved). Not part of the identity.
+    pub binary: PathBuf,
     /// Full `rustc -vV` version line, e.g. `rustc 1.75.0 (…)`.
     pub version: String,
     /// Host target triple reported by `rustc -vV`.
@@ -202,26 +228,83 @@ pub struct RustcInfo {
 }
 
 /// Probes the kernel compiler once per process (memoized, including the
-/// failure). The binary is `$BERNOULLI_RUSTC` when set, else `rustc`
-/// from `PATH`.
+/// failure): collects the `-vV` child the first [`KernelStore`] started,
+/// or starts it now, and waits for it at most the build timeout.
 pub fn rustc_info() -> Result<&'static RustcInfo, KernelCacheError> {
     static INFO: OnceLock<Result<RustcInfo, KernelCacheError>> = OnceLock::new();
-    INFO.get_or_init(probe_rustc).as_ref().map_err(Clone::clone)
+    INFO.get_or_init(|| collect_probe(&mut lock(start_probe())))
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
-fn probe_rustc() -> Result<RustcInfo, KernelCacheError> {
-    let binary = std::env::var(RUSTC_ENV).unwrap_or_else(|_| "rustc".to_string());
-    let out = Command::new(&binary).arg("-vV").output().map_err(|e| {
-        KernelCacheError::CompilerUnavailable {
-            detail: format!("running {binary:?} -vV: {e}"),
-        }
-    })?;
-    if !out.status.success() {
-        return Err(KernelCacheError::CompilerUnavailable {
-            detail: format!("{binary:?} -vV exited with {}", out.status),
-        });
+/// The resolved compiler and its `-vV` child (or why it did not spawn).
+struct Probe {
+    binary: PathBuf,
+    child: std::io::Result<Child>,
+}
+
+/// Starts the process's one compiler probe, unless it already started.
+/// [`rustc_info`] goes through here before it collects, so the child it
+/// waits for is the only one there ever is.
+fn start_probe() -> &'static Mutex<Probe> {
+    static PROBE: OnceLock<Mutex<Probe>> = OnceLock::new();
+    PROBE.get_or_init(|| {
+        let binary = resolve_rustc(|name| std::env::var_os(name), Path::is_file);
+        let child = Command::new(&binary)
+            .arg("-vV")
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn();
+        Mutex::new(Probe { binary, child })
+    })
+}
+
+/// The compiler binary, found without running anything: `$BERNOULLI_RUSTC`;
+/// else `$RUSTUP_HOME/toolchains/$RUSTUP_TOOLCHAIN/bin/rustc` when both
+/// are set and `is_file` finds it (a toolchain given as a path names its
+/// directory, which `join` keeps); else `rustc`, looked up on `PATH`.
+fn resolve_rustc(
+    var: impl Fn(&str) -> Option<OsString>,
+    is_file: impl Fn(&Path) -> bool,
+) -> PathBuf {
+    if let Some(binary) = var(RUSTC_ENV) {
+        return binary.into();
     }
-    let text = String::from_utf8_lossy(&out.stdout);
+    if let (Some(home), Some(toolchain)) = (var("RUSTUP_HOME"), var("RUSTUP_TOOLCHAIN")) {
+        let binary = Path::new(&home)
+            .join("toolchains")
+            .join(toolchain)
+            .join("bin")
+            .join(format!("rustc{}", std::env::consts::EXE_SUFFIX));
+        if is_file(&binary) {
+            return binary;
+        }
+    }
+    PathBuf::from("rustc")
+}
+
+fn collect_probe(probe: &mut Probe) -> Result<RustcInfo, KernelCacheError> {
+    let binary = probe.binary.clone();
+    let unavailable = |detail: String| KernelCacheError::CompilerUnavailable { detail };
+    let child = probe
+        .child
+        .as_mut()
+        .map_err(|e| unavailable(format!("running {binary:?} -vV: {e}")))?;
+    let stdout = child.stdout.take();
+    let timeout = env_timeout();
+    let (status, out) = wait_bounded(child, stdout, timeout).map_err(|e| {
+        unavailable(match e {
+            Abandoned::Deadline => {
+                format!("{binary:?} -vV timed out after {} ms", timeout.as_millis())
+            }
+            Abandoned::Wait(e) => format!("waiting on {binary:?} -vV: {e}"),
+        })
+    })?;
+    if !status.success() {
+        return Err(unavailable(format!("{binary:?} -vV exited with {status}")));
+    }
+    let text = String::from_utf8_lossy(&out);
     let mut version = String::new();
     let mut triple = String::new();
     for line in text.lines() {
@@ -360,6 +443,10 @@ pub struct Loaded {
 /// that content. Hashing the source is the expensive part of naming an
 /// artifact, so a caller that loads one kernel many times makes the
 /// spec once and hands it to [`KernelStore::get_or_build`] every time.
+///
+/// The source is a `#![no_std]` crate: on Linux nothing but `rust-lld`
+/// links it, with no C library or start files, so a crate that needs
+/// `std` does not link.
 #[derive(Clone, Debug)]
 pub struct ArtifactSpec {
     key: String,
@@ -369,29 +456,38 @@ pub struct ArtifactSpec {
 
 impl ArtifactSpec {
     /// Names the artifact of (key, source) under the host's compiler
-    /// and `RUSTC_FLAGS`; errors when no compiler is usable (the name
+    /// and build flags; errors when no compiler is usable (the name
     /// covers its identity).
     pub fn new(key: String, source: String) -> Result<ArtifactSpec, KernelCacheError> {
-        let info = rustc_info()?;
-        let mut h = Fnv::new();
-        h.write(key.as_bytes());
-        h.write(b"\x00");
-        h.write(source.as_bytes());
-        h.write(b"\x00");
-        h.write(info.version.as_bytes());
-        h.write(b"\x00");
-        h.write(info.triple.as_bytes());
-        for f in RUSTC_FLAGS {
-            h.write(b"\x00");
-            h.write(f.as_bytes());
-        }
-        let ext = std::env::consts::DLL_EXTENSION;
         Ok(ArtifactSpec {
-            file_name: format!("k{:016x}.{ext}", h.finish()),
+            file_name: artifact_file_name(&key, &source, rustc_info()?, rustc_flags()),
             key,
             source,
         })
     }
+}
+
+/// The content address of (key, source) built under `info` with
+/// `flags`: everything the bytes depend on, and not which binary ran.
+fn artifact_file_name<'a>(
+    key: &str,
+    source: &str,
+    info: &RustcInfo,
+    flags: impl Iterator<Item = &'a str>,
+) -> String {
+    let mut h = Fnv::new();
+    h.write(key.as_bytes());
+    h.write(b"\x00");
+    h.write(source.as_bytes());
+    h.write(b"\x00");
+    h.write(info.version.as_bytes());
+    h.write(b"\x00");
+    h.write(info.triple.as_bytes());
+    for f in flags {
+        h.write(b"\x00");
+        h.write(f.as_bytes());
+    }
+    format!("k{:016x}.{}", h.finish(), std::env::consts::DLL_EXTENSION)
 }
 
 /// A directory of compiled kernel artifacts, and what this process has
@@ -430,11 +526,19 @@ impl std::fmt::Debug for KernelStore {
 /// short, variable-length rows), and generic artifacts also stay
 /// valid if the cache directory migrates between hosts.
 ///
-/// `panic=abort` and the refusal of undefined symbols are the build's
-/// half of the proof that a kernel crate cannot panic (the `#![no_std]`
-/// source's half: a panic handler calling a symbol nobody defines). An
-/// artifact links no `std`, unwinder or allocator and is a few kB; one
-/// with a surviving panic path does not link at all.
+/// `panic=abort` and the refusal of undefined symbols (`LINK_FLAGS`) are
+/// the build's half of the proof that a kernel crate cannot panic (the
+/// `#![no_std]` source's half: a panic handler calling a symbol nobody
+/// defines). An artifact links no `std`, unwinder or allocator and is a
+/// few kB; one with a surviving panic path does not link at all.
+///
+/// Loop heads are aligned to 64 bytes. Where a loop starts otherwise
+/// depends on what precedes it in the image, and the 3 kB `rust-lld`
+/// image moved them: without the alignment `stream_small` lost what the
+/// shorter build gave (`steady_us` 1.000 of the `cc`-linked build, 5
+/// pairs; per call `mvm_csr` +3 %, `mvm_csc` +4 %, `ts_csr` +10 %),
+/// with it `steady_us` reads 0.971 (10 of 10 pairs). 32 bytes was
+/// worse than 64 on the MVM lanes.
 const RUSTC_FLAGS: &[&str] = &[
     "--edition=2021",
     "--crate-type=cdylib",
@@ -447,15 +551,34 @@ const RUSTC_FLAGS: &[&str] = &[
     "-C",
     "panic=abort",
     "-C",
-    NO_UNDEFINED_SYMBOLS,
+    "llvm-args=-align-loops=64",
 ];
 
-/// Apple's linker does not know `-z`; GNU-style linkers (which let a
-/// shared object leave symbols for load time by default) do.
-#[cfg(not(target_vendor = "apple"))]
-const NO_UNDEFINED_SYMBOLS: &str = "link-arg=-Wl,-z,defs";
+/// How a kernel links, with undefined symbols refused. On Linux, by the
+/// toolchain's own `rust-lld` and nothing else: going through `cc` cost
+/// three more processes (`cc`, `collect2`, `ld.lld`) in front of the
+/// same `rust-lld`, ≈ 3 ms a build, and crt objects that added ≈ 2.8 kB
+/// and four weak imports to every artifact. Elsewhere through the platform's `cc`; Apple's
+/// linker does not know `-z`, GNU-style linkers (which let a shared
+/// object leave symbols for load time by default) do.
+#[cfg(target_os = "linux")]
+const LINK_FLAGS: &[&str] = &[
+    "-C",
+    "linker=rust-lld",
+    "-C",
+    "linker-flavor=ld.lld",
+    "-C",
+    "link-arg=-zdefs",
+];
+#[cfg(not(any(target_os = "linux", target_vendor = "apple")))]
+const LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-z,defs"];
 #[cfg(target_vendor = "apple")]
-const NO_UNDEFINED_SYMBOLS: &str = "link-arg=-Wl,-undefined,error";
+const LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-undefined,error"];
+
+/// Every flag of a kernel build, in order; all of them name the artifact.
+fn rustc_flags() -> impl Iterator<Item = &'static str> {
+    RUSTC_FLAGS.iter().chain(LINK_FLAGS).copied()
+}
 
 impl KernelStore {
     /// The process's default store: `$BERNOULLI_KERNEL_CACHE`, or
@@ -477,7 +600,11 @@ impl KernelStore {
 
     /// A store rooted at an explicit directory (created on first
     /// build), with fresh state of its own.
+    ///
+    /// The first store a process opens starts its compiler probe, which
+    /// then runs while the caller gets to its first build.
     pub fn at(dir: impl Into<PathBuf>) -> KernelStore {
+        start_probe();
         KernelStore {
             state: Arc::new(StoreState {
                 dir: dir.into(),
@@ -917,7 +1044,7 @@ impl KernelStore {
             detail: format!("writing {src_path:?}: {e}"),
         })?;
         let mut child = match Command::new(&info.binary)
-            .args(RUSTC_FLAGS)
+            .args(rustc_flags())
             .arg(format!("--crate-name={stem}"))
             .arg("-o")
             .arg(&tmp_out)
@@ -935,47 +1062,19 @@ impl KernelStore {
                 });
             }
         };
-        // Drain stderr on a helper thread, so that a chatty compiler can
-        // never deadlock against a full pipe. `rustc` holds the only copy
-        // of the pipe (it captures its linker's output), so the drain
-        // ends when `rustc` exits: waiting for the drain, up to the
-        // deadline, is waiting for the build, with no polling.
-        let stderr_pipe = child.stderr.take();
-        let (done, drained) = std::sync::mpsc::channel();
-        let drain = std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            if let Some(mut pipe) = stderr_pipe {
-                use std::io::Read;
-                let _ = pipe.read_to_end(&mut buf);
-            }
-            let _ = done.send(());
-            buf
-        });
-        let stderr_bytes = match drained.recv_timeout(self.timeout) {
-            // Drained, or the drain died: either way it is over.
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => drain.join().unwrap_or_default(),
-            Err(RecvTimeoutError::Timeout) => {
-                // Kill and reap: wait() after kill() collects the
-                // zombie even when the kill races exit.
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = drain.join();
+        let stderr = child.stderr.take();
+        let (status, stderr_bytes) = match wait_bounded(&mut child, stderr, self.timeout) {
+            Ok(ran) => ran,
+            Err(abandoned) => {
                 cleanup(&src_path);
                 cleanup(&tmp_out);
-                return Err(KernelCacheError::Timeout {
-                    ms: self.timeout.as_millis() as u64,
-                });
-            }
-        };
-        let status = match child.wait() {
-            Ok(status) => status,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                cleanup(&src_path);
-                cleanup(&tmp_out);
-                return Err(KernelCacheError::Io {
-                    detail: format!("waiting on rustc: {e}"),
+                return Err(match abandoned {
+                    Abandoned::Deadline => KernelCacheError::Timeout {
+                        ms: self.timeout.as_millis() as u64,
+                    },
+                    Abandoned::Wait(e) => KernelCacheError::Io {
+                        detail: format!("waiting on rustc: {e}"),
+                    },
                 });
             }
         };
@@ -1020,8 +1119,58 @@ impl KernelStore {
     }
 }
 
-/// The `rustc` wall-clock timeout from `BERNOULLI_RUSTC_TIMEOUT_MS`, or
-/// [`DEFAULT_BUILD_TIMEOUT`].
+/// Why [`wait_bounded`] gave up on a child it then killed and reaped.
+enum Abandoned {
+    /// The timeout passed first.
+    Deadline,
+    /// Waiting for the exit status failed.
+    Wait(std::io::Error),
+}
+
+/// Waits at most `timeout` for a compiler child and returns its exit
+/// status with everything it wrote to `pipe`, the one output stream it
+/// was spawned with piped (the probe's stdout, a build's stderr).
+///
+/// The pipe is drained on a helper thread, so a chatty child never
+/// deadlocks against a full pipe, and the drain ends when the last
+/// holder of the write end exits: waiting for it, up to the deadline,
+/// is waiting for the child, with no polling. On expiry the child is
+/// killed and reaped (`wait` after `kill` collects the zombie even when
+/// the kill races exit); the drain is left to finish on its own, since
+/// a grandchild may still hold the pipe open.
+fn wait_bounded(
+    child: &mut Child,
+    pipe: Option<impl Read + Send + 'static>,
+    timeout: Duration,
+) -> Result<(ExitStatus, Vec<u8>), Abandoned> {
+    let (done, drained) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        if let Some(mut pipe) = pipe {
+            let _ = pipe.read_to_end(&mut buf);
+        }
+        let _ = done.send(());
+        buf
+    });
+    let stop = |child: &mut Child, why| {
+        let _ = child.kill();
+        let _ = child.wait();
+        Err(why)
+    };
+    match drained.recv_timeout(timeout) {
+        // Drained, or the drain died: either way it is over.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {}
+        Err(RecvTimeoutError::Timeout) => return stop(child, Abandoned::Deadline),
+    }
+    let out = drain.join().unwrap_or_default();
+    match child.wait() {
+        Ok(status) => Ok((status, out)),
+        Err(e) => stop(child, Abandoned::Wait(e)),
+    }
+}
+
+/// The wall-clock timeout of a compiler child from
+/// `BERNOULLI_RUSTC_TIMEOUT_MS`, or [`DEFAULT_BUILD_TIMEOUT`].
 fn env_timeout() -> Duration {
     std::env::var(RUSTC_TIMEOUT_ENV)
         .ok()
@@ -1236,6 +1385,75 @@ mod tests {
         assert_ne!(content_hash(b"kernel-1"), content_hash(b"kernel-2"));
     }
 
+    /// `resolve_rustc` over the given variables, with `present` the only
+    /// file on disk.
+    fn resolve(vars: &[(&str, &str)], present: &str) -> PathBuf {
+        let var = |name: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| OsString::from(v))
+        };
+        resolve_rustc(var, |p| p == Path::new(present))
+    }
+
+    #[test]
+    fn the_compiler_is_the_override_then_the_toolchain_binary_then_path() {
+        let exe = std::env::consts::EXE_SUFFIX;
+        let toolchain = format!("/rh/toolchains/stable-x86_64/bin/rustc{exe}");
+        let both = [
+            ("RUSTUP_HOME", "/rh"),
+            ("RUSTUP_TOOLCHAIN", "stable-x86_64"),
+        ];
+        assert_eq!(resolve(&both, &toolchain), PathBuf::from(&toolchain));
+        // The override wins, run or not.
+        let overridden = [both[0], both[1], (RUSTC_ENV, "/opt/my-rustc")];
+        assert_eq!(
+            resolve(&overridden, &toolchain),
+            PathBuf::from("/opt/my-rustc")
+        );
+        // No such file, or either variable unset: `PATH`'s `rustc`.
+        assert_eq!(resolve(&both, "/elsewhere/rustc"), PathBuf::from("rustc"));
+        assert_eq!(resolve(&both[..1], &toolchain), PathBuf::from("rustc"));
+        assert_eq!(resolve(&both[1..], &toolchain), PathBuf::from("rustc"));
+        assert_eq!(resolve(&[], &toolchain), PathBuf::from("rustc"));
+        // A toolchain given as a path is that directory.
+        let custom = format!("/src/rust/build/stage1/bin/rustc{exe}");
+        let linked = [both[0], ("RUSTUP_TOOLCHAIN", "/src/rust/build/stage1")];
+        assert_eq!(resolve(&linked, &custom), PathBuf::from(&custom));
+    }
+
+    #[test]
+    fn artifact_names_cover_the_compiler_identity_not_its_path() {
+        let info = |binary: &str, version: &str, triple: &str| RustcInfo {
+            binary: binary.into(),
+            version: version.into(),
+            triple: triple.into(),
+        };
+        let name = |info: &RustcInfo, flags: &[&str]| {
+            artifact_file_name("key", "fn a() {}", info, flags.iter().copied())
+        };
+        let base = info("rustc", "rustc 1.95.0", "x86_64-unknown-linux-gnu");
+        let flags = ["-C", "opt-level=3"];
+        let named = name(&base, &flags);
+        let toolchain = info(
+            "/rh/toolchains/stable/bin/rustc",
+            &base.version,
+            &base.triple,
+        );
+        assert_eq!(name(&toolchain, &flags), named);
+        for other in [
+            name(&info("rustc", "rustc 1.96.0", &base.triple), &flags),
+            name(
+                &info("rustc", &base.version, "aarch64-apple-darwin"),
+                &flags,
+            ),
+            name(&base, &["-C", "opt-level=2"]),
+            name(&base, &flags[..1]),
+        ] {
+            assert_ne!(other, named);
+        }
+    }
+
     #[test]
     fn open_missing_artifact_is_a_typed_error() {
         let err = Library::open(Path::new("/nonexistent/bernoulli-kernel.so"))
@@ -1275,8 +1493,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    const ADD_SRC: &str =
-        "#[no_mangle]\npub extern \"C\" fn kc_test_add2(a: i64, b: i64) -> i64 { a + b }\n";
+    /// A crate of the kind the store builds: `#![no_std]`, needing no
+    /// library at link time.
+    const ADD_SRC: &str = "#![no_std]\n#[panic_handler]\nfn panic(_: &core::panic::PanicInfo) -> ! {\n    loop {}\n}\n#[no_mangle]\npub extern \"C\" fn kc_test_add2(a: i64, b: i64) -> i64 { a + b }\n";
 
     #[test]
     fn corrupt_artifact_is_evicted_and_rebuilt() {
@@ -1450,14 +1669,12 @@ mod tests {
         let Ok(_) = rustc_info() else { return };
         let dir = std::env::temp_dir().join(format!("bernoulli-kc-ok-{}", std::process::id()));
         let s = KernelStore::at(&dir);
-        let src =
-            "#[no_mangle]\npub extern \"C\" fn kc_test_add(a: i64, b: i64) -> i64 { a + b }\n";
-        let a1 = s.get_or_build(&spec("roundtrip", src)).unwrap();
+        let a1 = s.get_or_build(&spec("roundtrip", ADD_SRC)).unwrap();
         assert!(!a1.from_cache);
-        let a2 = s.get_or_build(&spec("roundtrip", src)).unwrap();
+        let a2 = s.get_or_build(&spec("roundtrip", ADD_SRC)).unwrap();
         assert!(a2.from_cache, "second build must hit the artifact cache");
         let lib = Library::open(&a1.path).unwrap();
-        let sym = lib.symbol("kc_test_add").unwrap();
+        let sym = lib.symbol("kc_test_add2").unwrap();
         // Safety: the symbol was just built with exactly this signature,
         // and `lib` outlives the call.
         let f: extern "C" fn(i64, i64) -> i64 = unsafe { std::mem::transmute(sym) };

@@ -1286,6 +1286,9 @@ mod tests {
         // A well-formed cdylib that honours the EntryV2 signature but
         // reports a status code no host version understands.
         const ROGUE: &str = "
+            #![no_std]
+            #[panic_handler]
+            fn panic(_: &core::panic::PanicInfo) -> ! { loop {} }
             #[no_mangle]
             pub extern \"C\" fn bernoulli_kernel_v2(
                 _params: *const i64, _nparams: usize,
