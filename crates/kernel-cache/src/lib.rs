@@ -15,7 +15,7 @@
 //!   links on Unix (`std` itself depends on them); on other platforms
 //!   every entry point returns [`KernelCacheError::Unsupported`] so
 //!   callers can fall back to their interpreter. What is built links
-//!   nothing either (`RUSTC_FLAGS`, `LINK_FLAGS`).
+//!   nothing either (`RUSTC_FLAGS`, `RUST_LLD_LINK_FLAGS`).
 //! - **Validated libraries stay open.** Once a caller reports the
 //!   kernel in a [`KernelStore::load`]ed library validated, the store
 //!   keeps that library in its per-artifact record and the next `load`
@@ -61,8 +61,8 @@
 //! # One compiler process per build
 //!
 //! A cold kernel costs one `rustc` run, which links with `rust-lld`
-//! itself, plus one `rustc -vV` probe per process that overlaps the
-//! caller's own work:
+//! itself, plus one `rustc -vV` probe per process, made by the first
+//! [`rustc_info`] call:
 //!
 //! - **The compiler is resolved, not asked.** The binary is
 //!   `$BERNOULLI_RUSTC` when set (also the fallback-path test hook: a
@@ -74,14 +74,16 @@
 //!   proxy's 4–7 ms a call; else `rustc` from `PATH`. Nothing runs to
 //!   find it: which binary answered never enters an artifact's name
 //!   (version, triple and flags do).
-//! - **The probe starts with the first store.** [`KernelStore::at`]
-//!   spawns the `-vV` child and [`rustc_info`] collects it, so on a cold
-//!   request the ≈ 8 ms probe runs while the caller parses and searches.
-//! - **Linux links with `rust-lld` directly** (`LINK_FLAGS`), not through
-//!   `cc` → `collect2` → `ld.lld` → `rust-lld`; rustc finds the linker in
-//!   the sysroot of whichever binary was resolved. Without the crt
-//!   objects `cc` adds, an artifact is ≈ 3 kB instead of ≈ 6 and
-//!   imports nothing at all.
+//! - **Linux links with `rust-lld` directly** (`RUST_LLD_LINK_FLAGS`),
+//!   not through `cc` → `collect2` → `ld.lld` → `rust-lld`, when the
+//!   compiler's sysroot has `rust-lld` ([`RustcInfo::rust_lld`]). Without
+//!   the crt objects `cc` adds, an artifact is ≈ 3 kB instead of ≈ 6 and
+//!   imports nothing at all. The sysroot of a toolchain binary is the
+//!   directory above its `bin`, looked at without running anything; a
+//!   compiler elsewhere (`rustc` from `PATH`, a wrapper) is asked once
+//!   (`--print sysroot`). A compiler without `rust-lld` — a distribution
+//!   package, a custom build — links through `cc` (`CC_LINK_FLAGS`), as
+//!   every platform but Linux does.
 
 use bernoulli_govern::{Flight, SingleFlight};
 use std::collections::HashMap;
@@ -225,39 +227,22 @@ pub struct RustcInfo {
     pub version: String,
     /// Host target triple reported by `rustc -vV`.
     pub triple: String,
+    /// True when builds link with the sysroot's `rust-lld` alone (Linux,
+    /// when the compiler has one), false when through the platform's
+    /// `cc`. The link flags differ, so artifact names do too.
+    pub rust_lld: bool,
 }
 
 /// Probes the kernel compiler once per process (memoized, including the
-/// failure): collects the `-vV` child the first [`KernelStore`] started,
-/// or starts it now, and waits for it at most the build timeout.
+/// failure), waiting for it at most the build timeout.
 pub fn rustc_info() -> Result<&'static RustcInfo, KernelCacheError> {
     static INFO: OnceLock<Result<RustcInfo, KernelCacheError>> = OnceLock::new();
-    INFO.get_or_init(|| collect_probe(&mut lock(start_probe())))
-        .as_ref()
-        .map_err(Clone::clone)
-}
-
-/// The resolved compiler and its `-vV` child (or why it did not spawn).
-struct Probe {
-    binary: PathBuf,
-    child: std::io::Result<Child>,
-}
-
-/// Starts the process's one compiler probe, unless it already started.
-/// [`rustc_info`] goes through here before it collects, so the child it
-/// waits for is the only one there ever is.
-fn start_probe() -> &'static Mutex<Probe> {
-    static PROBE: OnceLock<Mutex<Probe>> = OnceLock::new();
-    PROBE.get_or_init(|| {
+    INFO.get_or_init(|| {
         let binary = resolve_rustc(|name| std::env::var_os(name), Path::is_file);
-        let child = Command::new(&binary)
-            .arg("-vV")
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn();
-        Mutex::new(Probe { binary, child })
+        probe(binary, env_timeout())
     })
+    .as_ref()
+    .map_err(Clone::clone)
 }
 
 /// The compiler binary, found without running anything: `$BERNOULLI_RUSTC`;
@@ -284,27 +269,10 @@ fn resolve_rustc(
     PathBuf::from("rustc")
 }
 
-fn collect_probe(probe: &mut Probe) -> Result<RustcInfo, KernelCacheError> {
-    let binary = probe.binary.clone();
-    let unavailable = |detail: String| KernelCacheError::CompilerUnavailable { detail };
-    let child = probe
-        .child
-        .as_mut()
-        .map_err(|e| unavailable(format!("running {binary:?} -vV: {e}")))?;
-    let stdout = child.stdout.take();
-    let timeout = env_timeout();
-    let (status, out) = wait_bounded(child, stdout, timeout).map_err(|e| {
-        unavailable(match e {
-            Abandoned::Deadline => {
-                format!("{binary:?} -vV timed out after {} ms", timeout.as_millis())
-            }
-            Abandoned::Wait(e) => format!("waiting on {binary:?} -vV: {e}"),
-        })
-    })?;
-    if !status.success() {
-        return Err(unavailable(format!("{binary:?} -vV exited with {status}")));
-    }
-    let text = String::from_utf8_lossy(&out);
+/// Asks `binary` who it is (`-vV`) and, on Linux, where its sysroot is.
+fn probe(binary: PathBuf, timeout: Duration) -> Result<RustcInfo, KernelCacheError> {
+    let text = ask(&binary, &["-vV"], timeout)
+        .map_err(|detail| KernelCacheError::CompilerUnavailable { detail })?;
     let mut version = String::new();
     let mut triple = String::new();
     for line in text.lines() {
@@ -319,11 +287,63 @@ fn collect_probe(probe: &mut Probe) -> Result<RustcInfo, KernelCacheError> {
             detail: format!("unparseable {binary:?} -vV output: {text:?}"),
         });
     }
+    let rust_lld = cfg!(target_os = "linux") && has_rust_lld(&binary, &triple, timeout);
     Ok(RustcInfo {
         binary,
         version,
         triple,
+        rust_lld,
     })
+}
+
+/// Whether the compiler's sysroot has `rust-lld`
+/// (`lib/rustlib/<triple>/bin`, where rustc looks for it). A binary that
+/// sits in its sysroot's `bin` (symlinks followed) is looked at, not
+/// run; any other — `rustc` from `PATH`, a proxy, a wrapper — is asked
+/// for `--print sysroot`, a second child that only such a compiler pays.
+/// A compiler that cannot say has none.
+fn has_rust_lld(binary: &Path, triple: &str, timeout: Duration) -> bool {
+    let rustlib = |sysroot: &Path| sysroot.join("lib").join("rustlib");
+    let beside = Some(binary)
+        .filter(|b| b.parent().is_some_and(|dir| !dir.as_os_str().is_empty()))
+        .and_then(|b| std::fs::canonicalize(b).ok())
+        .and_then(|b| Some(b.parent()?.parent()?.to_path_buf()))
+        .filter(|sysroot| rustlib(sysroot).is_dir());
+    let sysroot = match beside {
+        Some(sysroot) => sysroot,
+        None => match ask(binary, &["--print", "sysroot"], timeout) {
+            Ok(out) => PathBuf::from(out.trim()),
+            Err(_) => return false,
+        },
+    };
+    let lld = format!("rust-lld{}", std::env::consts::EXE_SUFFIX);
+    rustlib(&sysroot)
+        .join(triple)
+        .join("bin")
+        .join(lld)
+        .is_file()
+}
+
+/// Runs `binary args` for at most `timeout` and returns what it printed,
+/// or why it could not.
+fn ask(binary: &Path, args: &[&str], timeout: Duration) -> Result<String, String> {
+    let call = format!("{binary:?} {}", args.join(" "));
+    let mut child = Command::new(binary)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .map_err(|e| format!("running {call}: {e}"))?;
+    let stdout = child.stdout.take();
+    let (status, out) = wait_bounded(&mut child, stdout, timeout).map_err(|e| match e {
+        Abandoned::Deadline => format!("{call} timed out after {} ms", timeout.as_millis()),
+        Abandoned::Wait(e) => format!("waiting on {call}: {e}"),
+    })?;
+    if !status.success() {
+        return Err(format!("{call} exited with {status}"));
+    }
+    Ok(String::from_utf8_lossy(&out).into_owned())
 }
 
 /// Hit/miss/compile totals of one [`KernelStore`] (and its clones).
@@ -444,9 +464,9 @@ pub struct Loaded {
 /// artifact, so a caller that loads one kernel many times makes the
 /// spec once and hands it to [`KernelStore::get_or_build`] every time.
 ///
-/// The source is a `#![no_std]` crate: on Linux nothing but `rust-lld`
-/// links it, with no C library or start files, so a crate that needs
-/// `std` does not link.
+/// The source is a `#![no_std]` crate: where the compiler links with
+/// `rust-lld` alone ([`RustcInfo::rust_lld`], Linux) it gets no C
+/// library or start files, so a crate that needs `std` does not link.
 #[derive(Clone, Debug)]
 pub struct ArtifactSpec {
     key: String,
@@ -459,8 +479,9 @@ impl ArtifactSpec {
     /// and build flags; errors when no compiler is usable (the name
     /// covers its identity).
     pub fn new(key: String, source: String) -> Result<ArtifactSpec, KernelCacheError> {
+        let info = rustc_info()?;
         Ok(ArtifactSpec {
-            file_name: artifact_file_name(&key, &source, rustc_info()?, rustc_flags()),
+            file_name: artifact_file_name(&key, &source, info, rustc_flags(info)),
             key,
             source,
         })
@@ -526,11 +547,12 @@ impl std::fmt::Debug for KernelStore {
 /// short, variable-length rows), and generic artifacts also stay
 /// valid if the cache directory migrates between hosts.
 ///
-/// `panic=abort` and the refusal of undefined symbols (`LINK_FLAGS`) are
-/// the build's half of the proof that a kernel crate cannot panic (the
-/// `#![no_std]` source's half: a panic handler calling a symbol nobody
-/// defines). An artifact links no `std`, unwinder or allocator and is a
-/// few kB; one with a surviving panic path does not link at all.
+/// `panic=abort` and the refusal of undefined symbols (either set of
+/// link flags below) are the build's half of the proof that a kernel
+/// crate cannot panic (the `#![no_std]` source's half: a panic handler
+/// calling a symbol nobody defines). An artifact links no `std`,
+/// unwinder or allocator and is a few kB; one with a surviving panic
+/// path does not link at all.
 ///
 /// Loop heads are aligned to 64 bytes. Where a loop starts otherwise
 /// depends on what precedes it in the image, and the 3 kB `rust-lld`
@@ -554,15 +576,12 @@ const RUSTC_FLAGS: &[&str] = &[
     "llvm-args=-align-loops=64",
 ];
 
-/// How a kernel links, with undefined symbols refused. On Linux, by the
-/// toolchain's own `rust-lld` and nothing else: going through `cc` cost
-/// three more processes (`cc`, `collect2`, `ld.lld`) in front of the
-/// same `rust-lld`, ≈ 3 ms a build, and crt objects that added ≈ 2.8 kB
-/// and four weak imports to every artifact. Elsewhere through the platform's `cc`; Apple's
-/// linker does not know `-z`, GNU-style linkers (which let a shared
-/// object leave symbols for load time by default) do.
-#[cfg(target_os = "linux")]
-const LINK_FLAGS: &[&str] = &[
+/// How a kernel links on Linux when the compiler's sysroot has
+/// `rust-lld`: by it and nothing else, undefined symbols refused. Going
+/// through `cc` cost three more processes (`cc`, `collect2`, `ld.lld`)
+/// in front of the same `rust-lld`, ≈ 3 ms a build, and crt objects
+/// that added ≈ 2.8 kB and four weak imports to every artifact.
+const RUST_LLD_LINK_FLAGS: &[&str] = &[
     "-C",
     "linker=rust-lld",
     "-C",
@@ -570,14 +589,25 @@ const LINK_FLAGS: &[&str] = &[
     "-C",
     "link-arg=-zdefs",
 ];
-#[cfg(not(any(target_os = "linux", target_vendor = "apple")))]
-const LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-z,defs"];
-#[cfg(target_vendor = "apple")]
-const LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-undefined,error"];
 
-/// Every flag of a kernel build, in order; all of them name the artifact.
-fn rustc_flags() -> impl Iterator<Item = &'static str> {
-    RUSTC_FLAGS.iter().chain(LINK_FLAGS).copied()
+/// How a kernel links everywhere else: through the platform's `cc`,
+/// undefined symbols refused. Apple's linker does not know `-z`;
+/// GNU-style linkers (which let a shared object leave symbols for load
+/// time by default) do.
+#[cfg(not(target_vendor = "apple"))]
+const CC_LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-z,defs"];
+#[cfg(target_vendor = "apple")]
+const CC_LINK_FLAGS: &[&str] = &["-C", "link-arg=-Wl,-undefined,error"];
+
+/// Every flag of a kernel build under `info`, in order; all of them
+/// name the artifact.
+fn rustc_flags(info: &RustcInfo) -> impl Iterator<Item = &'static str> {
+    let link = if info.rust_lld {
+        RUST_LLD_LINK_FLAGS
+    } else {
+        CC_LINK_FLAGS
+    };
+    RUSTC_FLAGS.iter().chain(link).copied()
 }
 
 impl KernelStore {
@@ -600,11 +630,7 @@ impl KernelStore {
 
     /// A store rooted at an explicit directory (created on first
     /// build), with fresh state of its own.
-    ///
-    /// The first store a process opens starts its compiler probe, which
-    /// then runs while the caller gets to its first build.
     pub fn at(dir: impl Into<PathBuf>) -> KernelStore {
-        start_probe();
         KernelStore {
             state: Arc::new(StoreState {
                 dir: dir.into(),
@@ -661,6 +687,12 @@ impl KernelStore {
     /// coalesced: one invokes `rustc`, the rest wait and share the
     /// outcome (publication itself is an atomic `rename`, so even
     /// cross-process races stay benign).
+    ///
+    /// The spec's source must be a `#![no_std]` crate wherever the
+    /// compiler links with `rust-lld` alone ([`RustcInfo::rust_lld`]:
+    /// Linux with a toolchain that ships it), which gives it no C
+    /// library; a crate that needs `std` is a
+    /// [`KernelCacheError::CompileFailed`] there.
     pub fn get_or_build(&self, spec: &ArtifactSpec) -> Result<Artifact, KernelCacheError> {
         let path = self.artifact_path(spec);
         self.admit(&path)?;
@@ -1044,7 +1076,7 @@ impl KernelStore {
             detail: format!("writing {src_path:?}: {e}"),
         })?;
         let mut child = match Command::new(&info.binary)
-            .args(rustc_flags())
+            .args(rustc_flags(info))
             .arg(format!("--crate-name={stem}"))
             .arg("-o")
             .arg(&tmp_out)
@@ -1423,11 +1455,35 @@ mod tests {
     }
 
     #[test]
+    fn a_toolchain_binary_is_looked_at_for_rust_lld_not_run() {
+        let root =
+            std::env::temp_dir().join(format!("bernoulli-kc-sysroot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let triple = "x86_64-unknown-linux-gnu";
+        let tools = root.join("lib").join("rustlib").join(triple).join("bin");
+        std::fs::create_dir_all(&tools).unwrap();
+        std::fs::create_dir_all(root.join("bin")).unwrap();
+        // Not a program: running it would fail, and so would a wait of 0.
+        let rustc = root.join("bin").join("rustc");
+        std::fs::write(&rustc, "not a program").unwrap();
+        assert!(!has_rust_lld(&rustc, triple, Duration::ZERO));
+        let lld = format!("rust-lld{}", std::env::consts::EXE_SUFFIX);
+        std::fs::write(tools.join(lld), "").unwrap();
+        assert!(has_rust_lld(&rustc, triple, Duration::ZERO));
+        // Outside a sysroot it is asked, and one that does not run has
+        // no `rust-lld`.
+        let elsewhere = root.join("elsewhere").join("rustc");
+        assert!(!has_rust_lld(&elsewhere, triple, Duration::ZERO));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn artifact_names_cover_the_compiler_identity_not_its_path() {
         let info = |binary: &str, version: &str, triple: &str| RustcInfo {
             binary: binary.into(),
             version: version.into(),
             triple: triple.into(),
+            rust_lld: true,
         };
         let name = |info: &RustcInfo, flags: &[&str]| {
             artifact_file_name("key", "fn a() {}", info, flags.iter().copied())
@@ -1452,6 +1508,13 @@ mod tests {
         ] {
             assert_ne!(other, named);
         }
+        // How the build links is in its flags.
+        let through_cc = RustcInfo {
+            rust_lld: false,
+            ..base.clone()
+        };
+        let by_flags = |info: &RustcInfo| artifact_file_name("key", "", info, rustc_flags(info));
+        assert_ne!(by_flags(&through_cc), by_flags(&base));
     }
 
     #[test]

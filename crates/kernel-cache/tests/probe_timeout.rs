@@ -4,8 +4,8 @@
 //!
 //! This lives in its own integration-test binary (= its own process):
 //! the probe runs once per process, so `BERNOULLI_RUSTC` and
-//! `BERNOULLI_RUSTC_TIMEOUT_MS` must be set before anything opens a store
-//! or asks for the compiler — which only a dedicated process guarantees.
+//! `BERNOULLI_RUSTC_TIMEOUT_MS` must be set before anything asks for the
+//! compiler — which only a dedicated process guarantees.
 
 #![cfg(unix)]
 
@@ -28,8 +28,8 @@ fn a_wedged_probe_times_out_and_stays_failed() {
     std::env::set_var(RUSTC_ENV, &script);
     std::env::set_var(RUSTC_TIMEOUT_ENV, "300");
 
-    // Opening the store starts the probe; asking for the compiler waits
-    // for it, up to the timeout.
+    // Asking for the compiler runs the probe and waits for it, up to the
+    // timeout.
     let t0 = Instant::now();
     let store = KernelStore::at(dir.join("store"));
     let err = rustc_info().expect_err("a compiler that never answers is not usable");

@@ -18,13 +18,15 @@ use bernoulli_synth::{
 use std::path::{Path, PathBuf};
 
 /// Built artifacts must stay under this. Linked by `rust-lld` alone
-/// (Linux) they are 2.6–4.4 kB; through `cc`, which adds its start
-/// files, 5.4–7 kB; with `std` linked in, 4.3 MB.
-const MAX_ARTIFACT_BYTES: u64 = if cfg!(target_os = "linux") {
-    5 * 1024
-} else {
-    8 * 1024
-};
+/// they are 2.6–4.4 kB; through `cc`, which adds its start files,
+/// 5.4–7 kB; with `std` linked in, 4.3 MB.
+fn max_artifact_bytes(rust_lld: bool) -> u64 {
+    if rust_lld {
+        5 * 1024
+    } else {
+        8 * 1024
+    }
+}
 
 /// The symbol a kernel crate's panic handler calls and nobody defines.
 const PANIC_PROOF_SYMBOL: &str = "bernoulli_kernel_has_a_panic_path";
@@ -88,6 +90,12 @@ fn every_pair_is_a_small_native_kernel_without_a_runtime() {
     if no_rustc("every_pair_is_a_small_native_kernel_without_a_runtime") {
         return;
     }
+    let rust_lld = bernoulli_kernel_cache::rustc_info().is_ok_and(|info| info.rust_lld);
+    // A rustup toolchain ships `rust-lld`, through its proxy or not, so
+    // the proof below cannot quietly become the weaker `cc` one there.
+    if cfg!(target_os = "linux") && std::env::var_os("RUSTUP_TOOLCHAIN").is_some() {
+        assert!(rust_lld, "{:?}", bernoulli_kernel_cache::rustc_info());
+    }
     let session = Session::new();
     let dir = scratch_dir("pairs");
     let store = KernelStore::at(&dir);
@@ -101,7 +109,7 @@ fn every_pair_is_a_small_native_kernel_without_a_runtime() {
         };
         let artifact = loaded.artifact_path();
         let bytes = std::fs::metadata(artifact).expect("artifact").len();
-        assert!(bytes <= MAX_ARTIFACT_BYTES, "{pair}: {bytes} B");
+        assert!(bytes <= max_artifact_bytes(rust_lld), "{pair}: {bytes} B");
 
         let source = kept_source(artifact);
         assert!(source.contains("#![no_std]"), "{pair}:\n{source}");
@@ -126,7 +134,7 @@ fn every_pair_is_a_small_native_kernel_without_a_runtime() {
         }
         if let Some(undefined) = undefined_symbols(artifact) {
             nm_ran = true;
-            if cfg!(target_os = "linux") {
+            if rust_lld {
                 // No start files, so not even their weak references
                 // (`__cxa_finalize`, `_ITM_*`, `__gmon_start__`).
                 assert!(undefined.trim().is_empty(), "{pair}: {undefined}");
