@@ -21,7 +21,9 @@
 # - `view_for_features`' two constructors: `bsr` is advised at the
 #   instance's dominant block shape, `diagsplit` is a view without a
 #   layout.
-# `emit.rs`, `compiled.rs` and `interp.rs` must read 0. Not counted,
+# `emit.rs`, `compiled.rs` and `interp.rs` must read 0, and so must the
+# grammar of a view (crates/formats/src/view.rs) and its reader
+# (crates/formats/src/view_text.rs): the notation names no format. Not counted,
 # because it is in `formats` itself: `AnyFormat::try_from_triplets`,
 # which builds the typed instance for any scalar `T` (a layout's
 # constructor is a plain fn pointer at `f64`).
@@ -33,7 +35,8 @@ cd "$(dirname "$0")/.."
 budget_file="ci/format_sites.txt"
 names='csr|csc|coo|dia|ell|jad|sky|bsr|vbr|dcsr|dense|diagsplit|spvec|hashvec'
 count=0
-for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort); do
+for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
+    crates/formats/src/view.rs crates/formats/src/view_text.rs; do
     sites=$(awk -v names="\"($names)\"" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
@@ -45,9 +48,9 @@ for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src
         count=$((count + n))
     fi
     case "$file" in
-    */emit.rs | */compiled.rs | */interp.rs)
+    */emit.rs | */compiled.rs | */interp.rs | */view.rs | */view_text.rs)
         if [ "$n" -gt 0 ]; then
-            echo "error: $file names a format ($n lines); it must read the level descriptions." >&2
+            echo "error: $file names a format ($n lines); it must name none." >&2
             exit 1
         fi
         ;;

@@ -43,6 +43,13 @@ pub enum FormatError {
         ncols: usize,
         stored: usize,
     },
+    /// A view's text that does not read
+    /// ([`FormatView::read`](crate::view::FormatView::read)): the byte
+    /// at which the reader stopped, and what it expected there.
+    ViewText {
+        offset: usize,
+        expected: &'static str,
+    },
 }
 
 /// Shorthand constructor for [`FormatError::Invalid`].
@@ -87,6 +94,9 @@ impl std::fmt::Display for FormatError {
                 "a {nrows}x{ncols} matrix storing {stored} entries exceeds the u32 index limit {}",
                 crate::layout::INDEX_LIMIT
             ),
+            FormatError::ViewText { offset, expected } => {
+                write!(f, "view text, byte {offset}: expected {expected}")
+            }
         }
     }
 }
@@ -107,6 +117,26 @@ pub const FORMAT_NAMES: &[&str] = &[
     "vbr",
     "dcsr",
 ];
+
+/// `$body` with `$m` bound to the instance `$any` wraps, whichever
+/// format it is.
+macro_rules! each_format {
+    ($any:expr, $m:ident => $body:expr) => {
+        match $any {
+            AnyFormat::Dense($m) => $body,
+            AnyFormat::Coo($m) => $body,
+            AnyFormat::Csr($m) => $body,
+            AnyFormat::Csc($m) => $body,
+            AnyFormat::Dia($m) => $body,
+            AnyFormat::Ell($m) => $body,
+            AnyFormat::Jad($m) => $body,
+            AnyFormat::DiagSplit($m) => $body,
+            AnyFormat::Bsr($m) => $body,
+            AnyFormat::Vbr($m) => $body,
+            AnyFormat::Dcsr($m) => $body,
+        }
+    };
+}
 
 /// A dynamically-chosen matrix format (conversion and experiment-harness
 /// convenience; kernels always work with the concrete types).
@@ -198,19 +228,7 @@ impl<T: Scalar> AnyFormat<T> {
     /// row-major, `csc` by a counting transposition and `diagsplit` by
     /// merging its diagonal into its rows.
     pub fn to_triplets(&self) -> Triplets<T> {
-        match self {
-            AnyFormat::Dense(m) => m.to_triplets(),
-            AnyFormat::Coo(m) => m.to_triplets(),
-            AnyFormat::Csr(m) => m.to_triplets(),
-            AnyFormat::Csc(m) => m.to_triplets(),
-            AnyFormat::Dia(m) => m.to_triplets(),
-            AnyFormat::Ell(m) => m.to_triplets(),
-            AnyFormat::Jad(m) => m.to_triplets(),
-            AnyFormat::DiagSplit(m) => m.to_triplets(),
-            AnyFormat::Bsr(m) => m.to_triplets(),
-            AnyFormat::Vbr(m) => m.to_triplets(),
-            AnyFormat::Dcsr(m) => m.to_triplets(),
-        }
+        each_format!(self, m => m.to_triplets())
     }
 
     /// Checks the structural invariants of the wrapped instance (see
@@ -253,36 +271,12 @@ impl<T: Scalar> AnyFormat<T> {
 impl AnyFormat<f64> {
     /// Borrows the dynamic low-level API.
     pub fn as_view(&self) -> &dyn crate::SparseView {
-        match self {
-            AnyFormat::Dense(m) => m,
-            AnyFormat::Coo(m) => m,
-            AnyFormat::Csr(m) => m,
-            AnyFormat::Csc(m) => m,
-            AnyFormat::Dia(m) => m,
-            AnyFormat::Ell(m) => m,
-            AnyFormat::Jad(m) => m,
-            AnyFormat::DiagSplit(m) => m,
-            AnyFormat::Bsr(m) => m,
-            AnyFormat::Vbr(m) => m,
-            AnyFormat::Dcsr(m) => m,
-        }
+        each_format!(self, m => m)
     }
 
     /// Mutably borrows the dynamic low-level API.
     pub fn as_view_mut(&mut self) -> &mut dyn crate::SparseView {
-        match self {
-            AnyFormat::Dense(m) => m,
-            AnyFormat::Coo(m) => m,
-            AnyFormat::Csr(m) => m,
-            AnyFormat::Csc(m) => m,
-            AnyFormat::Dia(m) => m,
-            AnyFormat::Ell(m) => m,
-            AnyFormat::Jad(m) => m,
-            AnyFormat::DiagSplit(m) => m,
-            AnyFormat::Bsr(m) => m,
-            AnyFormat::Vbr(m) => m,
-            AnyFormat::Dcsr(m) => m,
-        }
+        each_format!(self, m => m)
     }
 }
 

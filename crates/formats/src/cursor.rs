@@ -13,8 +13,8 @@
 //! interface). No format implements a cursor of its own, so the two
 //! cannot disagree about a level.
 //!
-//! A format exposes one or more [`Chain`](crate::view::Chain)s (linearized
-//! access paths). Within a chain, every nesting level supports:
+//! A format exposes one or more [`Chain`]s (linearized access paths).
+//! Within a chain, every nesting level supports:
 //!
 //! - `cursor`/`advance`: enumerate the keys stored at this level beneath a
 //!   parent position, forward or (for interval levels) backward;
@@ -28,8 +28,9 @@
 //! position is an index into `colind`/`values`).
 
 use crate::level::{Args, Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
-use crate::view::{detect_properties, FormatView, Transform};
+use crate::view::{detect_properties, Chain, FormatView, StoredGuarantee, Transform};
 use crate::SparseMatrix;
+use std::collections::HashMap;
 
 /// Opaque per-format position token.
 pub type Position = usize;
@@ -304,9 +305,14 @@ fn locate<V: Leveled + ?Sized>(
 pub trait SparseView: SparseMatrix + Leveled {
     /// The index-structure description of this format instance: the
     /// format's view with the enumeration bounds and storage guarantees
-    /// its stored pattern supports.
+    /// its stored pattern supports. A vector (one dense attribute) has
+    /// none to detect, nor does a view that stores every position.
     fn format_view(&self) -> FormatView {
         let mut view = self.static_view();
+        let all = view.guarantees.contains(&StoredGuarantee::AllPositions);
+        if view.dense_attrs.len() == 1 || all {
+            return view;
+        }
         let (bounds, detected) = detect_properties(&self.entries(), self.nrows(), self.ncols());
         view.bounds = bounds;
         for guarantee in detected {
@@ -426,7 +432,6 @@ fn walk_rec(
 /// This is the executable contract between the format implementor and the
 /// compiler (property P2 of DESIGN.md).
 pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Result<(), String> {
-    use std::collections::HashMap;
     // Chains and transforms are the format's; nothing here reads what
     // only the instance knows.
     let fv = view.static_view();
@@ -434,74 +439,15 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
     let alt = alts
         .get(alternative)
         .ok_or_else(|| format!("alternative {alternative} out of range"))?;
-
-    let mut seen: HashMap<(i64, i64), f64> = HashMap::new();
+    let mut seen = HashMap::new();
     for chain in alt {
-        let stored: Vec<String> = chain.stored_attrs().iter().map(|s| s.to_string()).collect();
-        let mut err: Option<String> = None;
+        let mut result = Ok(());
         walk_chain(view, chain.id, &mut |keys, v| {
-            if err.is_some() {
-                return;
-            }
-            // Bind stored attrs, then run fwd transforms to dense coords.
-            let mut env: HashMap<&str, i64> = HashMap::new();
-            for (a, &k) in stored.iter().zip(keys) {
-                env.insert(a.as_str(), k);
-            }
-            for t in &chain.fwd {
-                let val = match t {
-                    Transform::Affine { terms, cst, .. } => {
-                        let mut acc = *cst;
-                        for (a, c) in terms {
-                            let Some(&x) = env.get(a.as_str()) else {
-                                err = Some(format!("transform input {a} unbound"));
-                                return;
-                            };
-                            acc += c * x;
-                        }
-                        acc
-                    }
-                    Transform::PermApply { input, .. } | Transform::PermUnapply { input, .. } => {
-                        let Some(&x) = env.get(input.as_str()) else {
-                            err = Some(format!("perm input {input} unbound"));
-                            return;
-                        };
-                        match t {
-                            Transform::PermApply { .. } => view.perm_apply(x),
-                            _ => view.perm_unapply(x),
-                        }
-                    }
-                };
-                env.insert(t.out(), val);
-            }
-            let dense: Vec<i64> = fv
-                .dense_attrs
-                .iter()
-                .map(|a| *env.get(a.as_str()).unwrap_or(&i64::MIN))
-                .collect();
-            if dense.contains(&i64::MIN) {
-                err = Some(format!("dense attrs unbound after transforms: {env:?}"));
-                return;
-            }
-            let (r, c) = (dense[0], *dense.get(1).unwrap_or(&0));
-            if r < 0 || c < 0 || r as usize >= view.nrows() || c as usize >= view.ncols() {
-                err = Some(format!("coordinates out of range: ({r}, {c})"));
-                return;
-            }
-            let expect = view.get(r as usize, c as usize);
-            if expect != v {
-                err = Some(format!(
-                    "value mismatch at ({r}, {c}): random access {expect}, enumeration {v}"
-                ));
-                return;
-            }
-            if seen.insert((r, c), v).is_some() {
-                err = Some(format!("entry ({r}, {c}) enumerated twice"));
+            if result.is_ok() {
+                result = conforms(view, &fv, chain, keys, v, &mut seen);
             }
         });
-        if let Some(e) = err {
-            return Err(format!("chain {}: {e}", chain.id));
-        }
+        result.map_err(|e| format!("chain {}: {e}", chain.id))?;
     }
     let nnz = view.nnz();
     if seen.len() != nnz {
@@ -511,4 +457,48 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
         ));
     }
     Ok(())
+}
+
+/// One entry a chain's walk reached: its stored keys, through the
+/// chain's `fwd` transforms, name a position inside the matrix, seen
+/// once, that random access reads as the same value.
+fn conforms(
+    view: &dyn SparseView,
+    fv: &FormatView,
+    chain: &Chain,
+    keys: &[i64],
+    v: f64,
+    seen: &mut HashMap<(i64, i64), f64>,
+) -> Result<(), String> {
+    let stored = chain.stored_attrs().into_iter().zip(keys.to_vec());
+    let mut env: HashMap<&str, i64> = stored.collect();
+    let get = |env: &HashMap<&str, i64>, a: &str| env.get(a).copied().ok_or(format!("{a} unbound"));
+    for t in &chain.fwd {
+        let (out, value) = match t {
+            Transform::Affine { out, terms, cst } => {
+                let terms = terms.iter().map(|(a, k)| Ok(k * get(&env, a)?));
+                (out, terms.sum::<Result<i64, String>>()? + cst)
+            }
+            Transform::PermApply { input, out, .. } => (out, view.perm_apply(get(&env, input)?)),
+            Transform::PermUnapply { input, out, .. } => {
+                (out, view.perm_unapply(get(&env, input)?))
+            }
+        };
+        env.insert(out, value);
+    }
+    let r = get(&env, &fv.dense_attrs[0])?;
+    let c = fv.dense_attrs.get(1).map_or(Ok(0), |a| get(&env, a))?;
+    if r < 0 || c < 0 || r as usize >= view.nrows() || c as usize >= view.ncols() {
+        return Err(format!("coordinates out of range: ({r}, {c})"));
+    }
+    let expect = view.get(r as usize, c as usize);
+    if expect != v {
+        return Err(format!(
+            "value mismatch at ({r}, {c}): random access {expect}, enumeration {v}"
+        ));
+    }
+    match seen.insert((r, c), v) {
+        Some(_) => Err(format!("entry ({r}, {c}) enumerated twice")),
+        None => Ok(()),
+    }
 }

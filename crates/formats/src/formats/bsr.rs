@@ -10,7 +10,6 @@
 
 use crate::layout::{index_limit, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Block Sparse Row matrix with fixed `r x c` blocks.
@@ -225,7 +224,11 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
-    view: |(r, c)| bsr_format_view(r, c);
+    /// The BSR index structure seen *per logical row* (block columns are
+    /// sorted, and columns within a block ascend). The block shape is
+    /// carried in the view name (`bsr{r}x{c}`), not in the text, so the
+    /// emitter can unroll the within-block loop with literal bounds.
+    view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 }
 
@@ -266,24 +269,6 @@ impl SparseMatrix for Bsr<f64> {
         }
         out.sort_by_key(|&(r, c, _)| (r, c));
         out
-    }
-}
-
-/// The BSR index structure seen *per logical row*: `r -> c -> v`, `r` an
-/// interval with direct access, `c` increasing with binary search (block
-/// columns are sorted, and columns within a block ascend). The block
-/// shape is carried in the view name (`bsr{r}x{c}`) so the emitter can
-/// unroll the within-block loop with literal bounds.
-pub fn bsr_format_view(r: usize, c: usize) -> FormatView {
-    FormatView {
-        name: format!("bsr{r}x{c}"),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "r",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

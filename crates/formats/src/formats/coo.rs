@@ -7,7 +7,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Co-ordinate (triplet-array) matrix.
@@ -105,7 +104,9 @@ stored_layout! {
     chains:
         [Level::of(Kind::Coords { len: values, crd: &[rows, cols] }).find(Args::Keys)] -> values;
     find: find;
-    view: |_| coo_format_view();
+    /// The COO index structure: one coupled level, unordered, searched
+    /// linearly.
+    view: coo_format_view = "(r, c): <r, c>[linear] -> v";
     from_triplets: |t, _| Coo::from_triplets(t);
 }
 
@@ -132,22 +133,6 @@ impl SparseMatrix for Coo<f64> {
         (0..self.nnz())
             .map(|i| (self.rows[i] as usize, self.cols[i] as usize, self.values[i]))
             .collect()
-    }
-}
-
-/// The COO index structure: `<r, c> -> v`, unordered, linear search.
-pub fn coo_format_view() -> FormatView {
-    FormatView {
-        name: "coo".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::coupled(
-            &["r", "c"],
-            Order::Unordered,
-            SearchKind::Linear,
-            ViewExpr::Value,
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

@@ -5,7 +5,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Compressed Sparse Column matrix.
@@ -168,7 +167,8 @@ stored_layout! {
         Level::of(Kind::Compressed { ptr: colptr, crd: rowind }).find(Args::KeyParent)
     ] -> values;
     find: find;
-    view: |_| csc_format_view();
+    /// The CSC index structure: the columns, then the rows each stores.
+    view: csc_format_view = "(r, c): c[interval] -> r[sorted] -> v";
     from_triplets: |t, _| Csc::from_triplets(t);
 }
 
@@ -199,20 +199,6 @@ impl SparseMatrix for Csc<f64> {
             }
         }
         out
-    }
-}
-
-/// The CSC index structure: `c -> r -> v`.
-pub fn csc_format_view() -> FormatView {
-    FormatView {
-        name: "csc".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "c",
-            ViewExpr::level("r", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

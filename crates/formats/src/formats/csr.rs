@@ -7,7 +7,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Compressed Sparse Row matrix.
@@ -166,7 +165,9 @@ stored_layout! {
         Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
     ] -> values;
     find: find;
-    view: |_| csr_format_view();
+    /// The CSR index structure: the rows, by direct access, then the
+    /// columns each stores, in order, by binary search.
+    view: csr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
     from_triplets: |t, _| Csr::from_triplets(t);
 }
 
@@ -197,21 +198,6 @@ impl SparseMatrix for Csr<f64> {
             }
         }
         out
-    }
-}
-
-/// The CSR index structure: `r -> c -> v`, `r` an interval with direct
-/// access, `c` increasing with binary search.
-pub fn csr_format_view() -> FormatView {
-    FormatView {
-        name: "csr".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "r",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

@@ -18,7 +18,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Doubly compressed sparse row matrix.
@@ -178,7 +177,9 @@ stored_layout! {
         Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
     ] -> values;
     find: find_in_row;
-    view: |_| dcsr_format_view();
+    /// The DCSR index structure: like CSR's, but only the rows that store
+    /// something are enumerated, and found by binary search.
+    view: dcsr_format_view = "(r, c): r[sorted] -> c[sorted] -> v";
     from_triplets: |t, _| Dcsr::from_triplets(t);
 }
 
@@ -203,19 +204,6 @@ impl SparseMatrix for Dcsr<f64> {
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         self.to_triplets().entries().to_vec()
-    }
-}
-
-/// The DCSR index structure: `r -> c -> v`, both levels increasing with
-/// binary search; only the rows that store something are enumerated.
-pub fn dcsr_format_view() -> FormatView {
-    let columns = ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value);
-    FormatView {
-        name: "dcsr".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::level("r", Order::Increasing, SearchKind::Sorted, columns),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

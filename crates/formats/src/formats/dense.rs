@@ -7,7 +7,6 @@
 
 use crate::level::leveled;
 use crate::scalar::Scalar;
-use crate::view::{FormatView, StoredGuarantee, ViewExpr};
 use crate::SparseMatrix;
 
 /// Dense row-major matrix.
@@ -95,18 +94,6 @@ impl SparseMatrix for Dense<f64> {
     }
 }
 
-/// The dense index structure: `r -> c -> v`, both levels intervals and
-/// every position stored.
-pub fn dense_format_view() -> FormatView {
-    FormatView {
-        name: "dense".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval("r", ViewExpr::interval("c", ViewExpr::Value)),
-        bounds: vec![],
-        guarantees: vec![StoredGuarantee::AllPositions],
-    }
-}
-
 leveled! {
     Dense, "dense";
     dims: nrows = nrows, ncols = ncols;
@@ -121,9 +108,9 @@ leveled! {
     ] -> data;
     perm: ;
     find: "" => |_, _, _| None;
-    view: |_| dense_format_view();
-    // Nothing to detect: every position is stored.
-    format_view: |_| dense_format_view();
+    /// The dense index structure: both levels intervals, every position
+    /// stored.
+    view: dense_format_view = "(r, c | stored all): r[interval] -> c[interval] -> v";
 }
 
 #[cfg(test)]

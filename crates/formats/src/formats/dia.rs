@@ -7,7 +7,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, Transform, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Diagonal (banded) matrix storage.
@@ -202,7 +201,9 @@ stored_layout! {
             .unchecked()
     ] -> values;
     find: find;
-    view: |_| dia_format_view();
+    /// The DIA index structure (paper §2): diagonals `d = r - c`, then
+    /// offsets `o = c` along each.
+    view: dia_format_view = "(r, c): map{d + o |-> r, o |-> c ; r - c |-> d, c |-> o : d[sorted] -> o[interval] -> v}";
     from_triplets: |t, _| Dia::from_triplets(t);
 }
 
@@ -238,55 +239,6 @@ impl SparseMatrix for Dia<f64> {
             }
         }
         out
-    }
-}
-
-/// The DIA index structure (paper §2):
-/// `map{d + o |-> r, o |-> c : d -> o -> v}`.
-pub fn dia_format_view() -> FormatView {
-    FormatView {
-        name: "dia".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::Map {
-            fwd: vec![
-                Transform::Affine {
-                    out: "r".into(),
-                    terms: vec![("d".into(), 1), ("o".into(), 1)],
-                    cst: 0,
-                },
-                Transform::Affine {
-                    out: "c".into(),
-                    terms: vec![("o".into(), 1)],
-                    cst: 0,
-                },
-            ],
-            inv: vec![
-                Transform::Affine {
-                    out: "d".into(),
-                    terms: vec![("r".into(), 1), ("c".into(), -1)],
-                    cst: 0,
-                },
-                Transform::Affine {
-                    out: "o".into(),
-                    terms: vec![("c".into(), 1)],
-                    cst: 0,
-                },
-            ],
-            child: Box::new(ViewExpr::level(
-                "d",
-                Order::Increasing,
-                SearchKind::Sorted,
-                ViewExpr::Level {
-                    attrs: vec!["o".into()],
-                    order: Order::Increasing,
-                    search: SearchKind::Direct,
-                    interval: true,
-                    child: Box::new(ViewExpr::Value),
-                },
-            )),
-        },
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

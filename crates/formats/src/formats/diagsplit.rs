@@ -11,7 +11,6 @@
 use crate::formats::csr::Csr;
 use crate::level::leveled;
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, StoredGuarantee, Transform, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Square matrix with dense diagonal + CSR off-diagonals.
@@ -98,42 +97,6 @@ impl SparseMatrix for DiagSplit<f64> {
     }
 }
 
-/// The diag-split index structure:
-/// `(map{i |-> r, i |-> c : i -> v}) ∪ (r -> c -> v)`.
-pub fn diagsplit_format_view() -> FormatView {
-    let diag = ViewExpr::Map {
-        fwd: vec![
-            Transform::Affine {
-                out: "r".into(),
-                terms: vec![("i".into(), 1)],
-                cst: 0,
-            },
-            Transform::Affine {
-                out: "c".into(),
-                terms: vec![("i".into(), 1)],
-                cst: 0,
-            },
-        ],
-        inv: vec![Transform::Affine {
-            out: "i".into(),
-            terms: vec![("r".into(), 1)],
-            cst: 0,
-        }],
-        child: Box::new(ViewExpr::interval("i", ViewExpr::Value)),
-    };
-    let off = ViewExpr::interval(
-        "r",
-        ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-    );
-    FormatView {
-        name: "diagsplit".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::Union(Box::new(diag), Box::new(off)),
-        bounds: vec![],
-        guarantees: vec![StoredGuarantee::FullDiagonal],
-    }
-}
-
 leveled! {
     DiagSplit, "diagsplit";
     dims: n = n, off_nrows = off.nrows;
@@ -150,7 +113,9 @@ leveled! {
         ] -> off_values;
     perm: ;
     find: "off.find" => |m, r, c| m.off.find(r, c);
-    view: |_| diagsplit_format_view();
+    /// The diag-split index structure: the diagonal `i` (`r = c = i`)
+    /// aggregated with the off-diagonal CSR.
+    view: diagsplit_format_view = "(r, c | stored diagonal): (map{i |-> r, i |-> c ; r |-> i : i[interval] -> v} ∪ r[interval] -> c[sorted] -> v)";
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Sentinel column index marking a padding slot.
@@ -159,7 +158,9 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
-    view: |_| ell_format_view();
+    /// The ELL index structure: CSR's, but the column level enumerates a
+    /// fixed-width padded slot array.
+    view: ell_format_view = "(r, c): r[interval] -> c[sorted] -> v";
     from_triplets: |t, _| Ell::from_triplets(t);
 }
 
@@ -194,21 +195,6 @@ impl SparseMatrix for Ell<f64> {
             }
         }
         out
-    }
-}
-
-/// The ELL index structure: `r -> c -> v` like CSR, but the column level
-/// enumerates a fixed-width padded slot array.
-pub fn ell_format_view() -> FormatView {
-    FormatView {
-        name: "ell".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "r",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

@@ -21,7 +21,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Jagged Diagonal matrix.
@@ -259,7 +258,12 @@ stored_layout! {
         ] -> values;
     perm: iperm, iperm_inv;
     find: find_in_row;
-    view: |_| jad_format_view();
+    /// The JAD index structure (paper §2 / Appendix A.2): permuted rows
+    /// `rr`, seen two ways.
+    ///
+    /// Chain 0 is the flat (diagonal-walking) perspective; chain 1 is the
+    /// hierarchical (row-indexed) perspective.
+    view: jad_format_view = "(r, c): perm{iperm[rr] |-> r : (<rr, c> -> v ⊕ rr[interval] -> c[sorted] -> v)}";
     from_triplets: |t, _| Jad::from_triplets(t);
 }
 
@@ -292,36 +296,6 @@ impl SparseMatrix for Jad<f64> {
             }
         }
         out
-    }
-}
-
-/// The JAD index structure (paper §2 / Appendix A.2):
-/// `perm{iperm[rr] |-> r : (<rr, c> -> v) ⊕ (rr -> c -> v)}`.
-///
-/// Chain 0 is the flat (diagonal-walking) perspective; chain 1 is the
-/// hierarchical (row-indexed) perspective.
-pub fn jad_format_view() -> FormatView {
-    let flat = ViewExpr::coupled(
-        &["rr", "c"],
-        Order::Unordered,
-        SearchKind::None,
-        ViewExpr::Value,
-    );
-    let hier = ViewExpr::interval(
-        "rr",
-        ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-    );
-    FormatView {
-        name: "jad".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::Perm {
-            table: "iperm".into(),
-            input: "rr".into(),
-            out: "r".into(),
-            child: Box::new(ViewExpr::Persp(Box::new(flat), Box::new(hier))),
-        },
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

@@ -5,12 +5,13 @@
 //!   indexes them directly, like the paper's Fig. 9 instantiated code);
 //! - `from_triplets` / `to_triplets` conversions;
 //! - the high-level API ([`crate::SparseMatrix`]);
-//! - its description: the [`crate::view::FormatView`] index structure,
-//!   and one `stored_layout!` (`leveled!` for a view that exists only
-//!   on the host) naming its fields and how each level is walked over
-//!   them ([`crate::level`]). The low-level API ([`crate::SparseView`])
-//!   is derived from that; no format implements it. [`dcsr`] is the
-//!   worked example of a format added this way.
+//! - its description: one `stored_layout!` (`leveled!` for a view that
+//!   exists only on the host) naming its fields, how each level is
+//!   walked over them ([`crate::level`]), and the index structure they
+//!   walk, one line of [`crate::view`]'s notation read into the
+//!   [`crate::view::FormatView`] the planner uses. The low-level API
+//!   ([`crate::SparseView`]) is derived from that; no format implements
+//!   it. [`dcsr`] is the worked example of a format added this way.
 
 pub mod bsr;
 pub mod coo;

@@ -9,7 +9,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{Bound, FormatView, Order, SearchKind, StoredGuarantee, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Lower skyline matrix.
@@ -105,7 +104,10 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
-    view: |_| sky_format_view();
+    /// The skyline index structure: an interval column level with
+    /// run-time per-row bounds, on and below the diagonal, which is
+    /// stored.
+    view: sky_format_view = "(r, c | r - c >= 0, stored diagonal): r[interval] -> c[interval] -> v";
     from_triplets: |t, _| Sky::from_triplets(t);
 }
 
@@ -137,28 +139,6 @@ impl SparseMatrix for Sky<f64> {
             }
         }
         out
-    }
-}
-
-/// The skyline index structure: `r -> c -> v` with an interval column
-/// level (runtime per-row bounds), lower-triangular bound, structural
-/// diagonal.
-pub fn sky_format_view() -> FormatView {
-    FormatView {
-        name: "sky".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "r",
-            ViewExpr::Level {
-                attrs: vec!["c".into()],
-                order: Order::Increasing,
-                search: SearchKind::Direct,
-                interval: true,
-                child: Box::new(ViewExpr::Value),
-            },
-        ),
-        bounds: vec![Bound::attr_ge("r", "c")],
-        guarantees: vec![StoredGuarantee::FullDiagonal],
     }
 }
 

@@ -17,7 +17,6 @@
 use crate::layout::{index_limit, narrow};
 use crate::level::leveled;
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 use std::collections::HashMap;
 
@@ -109,17 +108,6 @@ impl SparseMatrix for SparseVec<f64> {
     }
 }
 
-/// The sorted sparse-vector view: `i -> v`, increasing, binary search.
-pub fn sparsevec_format_view() -> FormatView {
-    FormatView {
-        name: "spvec".into(),
-        dense_attrs: vec!["i".into()],
-        expr: ViewExpr::level("i", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        bounds: vec![],
-        guarantees: vec![],
-    }
-}
-
 leveled! {
     SparseVec, "spvec";
     dims: n = n;
@@ -127,9 +115,8 @@ leveled! {
     chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).find(Args::Key)] -> values;
     perm: ;
     find: "find" => |m, i, _| m.find(i);
-    view: |_| sparsevec_format_view();
-    // A vector's view has no matrix properties to detect.
-    format_view: |_| sparsevec_format_view();
+    /// The sorted sparse-vector view: increasing, binary search.
+    view: sparsevec_format_view = "(i): i[sorted] -> v";
 }
 
 /// Hash-indexed sparse vector: unordered enumeration, O(1) search.
@@ -211,20 +198,9 @@ impl SparseMatrix for HashVec<f64> {
     }
 }
 
-/// The hashed sparse-vector view: `i -> v`, unordered, hash search.
-pub fn hashvec_format_view() -> FormatView {
-    FormatView {
-        name: "hashvec".into(),
-        dense_attrs: vec!["i".into()],
-        expr: ViewExpr::level("i", Order::Unordered, SearchKind::Hash, ViewExpr::Value),
-        bounds: vec![],
-        guarantees: vec![],
-    }
-}
-
 /// How the hashed vector is walked; its `locate` is the one thing no
 /// array holds: the `index` map.
-pub use hashed::LEVELS as HASH_LEVELS;
+pub use hashed::{hashvec_format_view, LEVELS as HASH_LEVELS};
 
 mod hashed {
     use super::*;
@@ -236,8 +212,8 @@ mod hashed {
         chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).hash("index")] -> values;
         perm: ;
         find: "" => |m, i, _| m.index.get(&i).copied();
-        view: |_| hashvec_format_view();
-        format_view: |_| hashvec_format_view();
+        /// The hashed sparse-vector view: unordered, hash search.
+        view: hashvec_format_view = "(i): i[hash] -> v";
     }
 }
 
@@ -245,6 +221,7 @@ mod hashed {
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
+    use crate::view::SearchKind;
     use crate::SparseView;
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::view::{FormatView, Order, SearchKind, ViewExpr};
 use crate::{SparseMatrix, Triplets};
 
 /// Variable Block Row matrix.
@@ -342,7 +341,10 @@ stored_layout! {
         .find(Args::ParentKey)
     ] -> val;
     find: find;
-    view: |_| vbr_format_view();
+    /// The VBR index structure seen *per logical row* (block columns are
+    /// sorted and columns within a block ascend). Block extents are
+    /// run-time data (`rpntr`/`cpntr`), so nothing is encoded in the name.
+    view: vbr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
     from_triplets: |t, (r, c)| {
         let strips = |n: usize, size: usize| crate::partition::split_even(n, n.div_ceil(size));
         Vbr::from_triplets(t, &strips(t.nrows(), r), &strips(t.ncols(), c))
@@ -383,23 +385,6 @@ impl SparseMatrix for Vbr<f64> {
         }
         out.sort_by_key(|&(r, c, _)| (r, c));
         out
-    }
-}
-
-/// The VBR index structure seen *per logical row*: `r -> c -> v`, `r` an
-/// interval with direct access, `c` increasing with search (block
-/// columns are sorted and columns within a block ascend). Block extents
-/// are runtime data (`rpntr`/`cpntr`), so nothing is encoded in the name.
-pub fn vbr_format_view() -> FormatView {
-    FormatView {
-        name: "vbr".into(),
-        dense_attrs: vec!["r".into(), "c".into()],
-        expr: ViewExpr::interval(
-            "r",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        ),
-        bounds: vec![],
-        guarantees: vec![],
     }
 }
 

@@ -4,15 +4,16 @@
 //! once, as a description, and everything else is derived from it. A
 //! [`Layout`] is the storage half of that description — the struct's
 //! scalar fields, its arrays with their element types, and the source
-//! of its `find` — next to the index-structure half it already had (the
-//! [`FormatView`]). It is declared by one `stored_layout!` invocation
-//! beside each format struct, which names the struct's own fields: a
-//! renamed, retyped or forgotten field fails to compile here, not in
-//! whoever reads the layout.
+//! of its `find` — next to the index-structure half (the [`FormatView`],
+//! one line of text in it). It is declared by one `stored_layout!`
+//! invocation beside each format struct, which names the struct's own
+//! fields: a renamed, retyped or forgotten field fails to compile here,
+//! not in whoever reads the layout.
 //!
 //! The same invocation declares how the format's levels are *walked*
-//! (its [`Levels`], see [`crate::level`]): a `Layout` is that
-//! description plus what marshalling an instance into a kernel needs.
+//! (its [`Levels`], see [`crate::level`]) and the view they walk: a
+//! `Layout` is that description plus what marshalling an instance into
+//! a kernel needs.
 //!
 //! [`LAYOUTS`] is the registry: the formats whose instances can be taken
 //! apart into [`Stored::parts`] and put back together elsewhere (the
@@ -161,8 +162,8 @@ pub struct Layout {
     /// True when view names carry a block shape after the format name
     /// (`bsr2x2`): instances of different shapes are different views.
     pub blocked: bool,
-    /// The format's index structure. The block shape is ignored by
-    /// formats that have none.
+    /// The format's index structure ([`Levels::view`]). The block shape
+    /// is ignored by formats that have none.
     pub view: fn(Block) -> FormatView,
     /// Builds an instance cut to the given block shape (ignored by
     /// formats that have none), panicking as the struct's own
@@ -183,10 +184,6 @@ impl std::ops::Deref for Layout {
 pub trait Stored: SparseView {
     /// The storage description of this format.
     fn layout(&self) -> &'static Layout;
-
-    /// The instance's block shape, for a [`blocked`](Layout::blocked)
-    /// layout.
-    fn block(&self) -> Option<Block>;
 
     /// Appends the scalar fields to `dims` and the arrays — borrowed,
     /// not copied — to `arrays`, both in the layout's order.
@@ -220,13 +217,16 @@ pub static LAYOUTS: [&Layout; 10] = [
     &formats::dcsr::LAYOUT,
 ];
 
-/// Parses the `{r}x{c}` a blocked view name ends in.
+/// Parses the `{r}x{c}` a blocked view name ends in, spelt as
+/// `format!("{r}x{c}")` spells it and nothing else (`usize::from_str`
+/// also takes `+2` and `02`): one name per view.
 fn parse_block(shape: &str) -> Option<Block> {
-    let (r, c) = shape.split_once('x')?;
-    match (r.parse(), c.parse()) {
-        (Ok(r), Ok(c)) if r > 0 && c > 0 => Some((r, c)),
+    let extent = |s: &str| match s.as_bytes() {
+        [b'1'..=b'9', rest @ ..] if rest.iter().all(u8::is_ascii_digit) => s.parse().ok(),
         _ => None,
-    }
+    };
+    let (r, c) = shape.split_once('x')?;
+    Some((extent(r)?, extent(c)?))
 }
 
 impl Layout {
@@ -273,7 +273,7 @@ pub fn levels_of_view(view: &str) -> Option<(&'static Levels, Option<Block>)> {
 /// or guarantees.
 pub fn view_by_name(view: &str) -> Option<FormatView> {
     let (layout, block) = Layout::of_view(view)?;
-    Some((layout.view)(block.unwrap_or((1, 1))))
+    Some(layout.levels.view(block))
 }
 
 /// The format a view name belongs to: the layout's name for a view of
@@ -345,7 +345,8 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///     ] -> values;
 ///     perm: iperm, iperm_inv;             // views with a `perm` only
 ///     find: find;
-///     view: |(r, c)| bsr_format_view(r, c);
+///     /// The BSR index structure, per logical row.
+///     view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
 ///     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 /// }
 /// ```
@@ -354,7 +355,11 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// its type; their order here is the order of [`Stored::parts`]. Each
 /// chain lists its levels outermost first and then its value array (see
 /// [`crate::level`]); `find` names the method the levels' `.find(..)`
-/// call, which is one of those between the `layout-find` markers.
+/// call, which is one of those between the `layout-find` markers; `view`
+/// is the index structure those chains walk, one line in the notation of
+/// [`crate::view`] (a blocked view's name, not its text, carries the
+/// shape: `bsr2x2`), and the function that reads it
+/// ([`leveled!`](crate::level::leveled)).
 macro_rules! stored_layout {
     (
         $ty:ident, $name:literal, $src:expr;
@@ -364,7 +369,8 @@ macro_rules! stored_layout {
         chains: $([$($level:expr),+] -> $values:ident),+;
         $(perm: $apply:ident, $unapply:ident;)?
         find: $finder:ident;
-        view: $view:expr;
+        $(#[$doc:meta])*
+        view: $view_fn:ident = $view:literal;
         from_triplets: $build:expr;
     ) => {
         /// The storage description of this module's format.
@@ -381,7 +387,7 @@ macro_rules! stored_layout {
                 }
             },
             blocked: $crate::layout::stored_layout!(@blocked $($br)?),
-            view: $view,
+            view: |block| LEVELS.view(LEVELS.block.map(|_| block)),
             from_triplets: |t, block| {
                 let build: fn(&$crate::Triplets<f64>, $crate::layout::Block) -> $ty<f64> = $build;
                 Box::new(build(t, block))
@@ -391,10 +397,6 @@ macro_rules! stored_layout {
         impl $crate::layout::Stored for $ty<f64> {
             fn layout(&self) -> &'static $crate::layout::Layout {
                 &LAYOUT
-            }
-
-            fn block(&self) -> Option<$crate::layout::Block> {
-                $crate::layout::stored_layout!(@block self $($br $bc)?)
             }
 
             fn parts(&self, dims: &mut Vec<usize>, arrays: &mut Vec<$crate::layout::RawArray>) {
@@ -415,19 +417,16 @@ macro_rules! stored_layout {
             $ty, $name;
             dims: $($dim = $dim),+;
             arrays: $($arr = $arr: $elem),+;
+            $(block: $br x $bc;)?
             chains: $([$($level),+] -> $values),+;
             perm: $(($apply, $unapply))?;
             find: stringify!($finder) => |m, a, b| m.$finder(a, b);
-            view: |m| {
-                let block = $crate::layout::Stored::block(m);
-                (LAYOUT.view)(block.unwrap_or((1, 1)))
-            };
+            $(#[$doc])*
+            view: $view_fn = $view;
         }
     };
     (@blocked) => { false };
     (@blocked $br:ident) => { true };
-    (@block $s:ident) => { None };
-    (@block $s:ident $br:ident $bc:ident) => { Some(($s.$br, $s.$bc)) };
 }
 pub(crate) use stored_layout;
 
@@ -435,6 +434,7 @@ pub(crate) use stored_layout;
 mod tests {
     use super::*;
     use crate::formats::bsr::bsr_format_view;
+    use crate::level::check_view;
 
     #[test]
     fn view_names_resolve_to_their_layouts() {
@@ -448,11 +448,33 @@ mod tests {
             assert_eq!(named.as_ref(), Some(&view.name));
         }
         assert_eq!(bsr_format_view(4, 2).name, "bsr4x2");
-        // A blocked name needs its shape, an unblocked one takes none.
-        for name in ["bsr", "bsr0x2", "bsr2", "bsr2x", "csr2x2", "dense", ""] {
+        // A blocked name needs its shape, spelt one way; an unblocked one
+        // takes none.
+        let refused = ["bsr", "bsr0x2", "bsr2", "bsr2x", "csr2x2", "dense", ""];
+        let respelt = ["bsr02x2", "bsr+2x2", "bsr2x02", "bsr2x+2", "bsr 2x2"];
+        for name in refused.into_iter().chain(respelt) {
             assert!(Layout::of_view(name).is_none(), "{name:?}");
             assert_eq!(format_name(name), name);
         }
+    }
+
+    /// Every registered description reads, agrees with its levels, and
+    /// is written as `Display` prints it. A description that does not is
+    /// refused here, not at the first request that plans over it.
+    #[test]
+    fn every_registered_view_reads_and_agrees() -> Result<(), FormatError> {
+        let layouts = LAYOUTS.iter().map(|l| l.levels);
+        for levels in layouts.chain(HOST_LEVELS) {
+            let view = FormatView::read(levels.name, levels.view)?;
+            assert_eq!(check_view(&view, levels), Ok(()));
+            assert_eq!(view.to_string(), levels.view, "{}", levels.name);
+            assert_eq!(levels.view(None), view, "{}", levels.name);
+            let named = levels.view(levels.block.map(|_| (2, 2))).name;
+            let resolved = levels_of_view(&named).map(|(l, _)| l.name);
+            assert_eq!(resolved, Some(levels.name));
+        }
+        assert_eq!(LAYOUTS.len() + HOST_LEVELS.len(), 14);
+        Ok(())
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! bind each field name to its index, so a level naming a field the
 //! struct does not have fails to compile.
 
-use crate::layout::Elem;
-use crate::view::FormatView;
+use crate::layout::{Block, Elem};
+use crate::view::{FormatView, SearchKind};
+use std::sync::OnceLock;
 
 /// A scalar field, by its index in [`Levels::dims`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,6 +62,14 @@ pub struct Levels {
     /// The method [`Locate::Find`] levels call (`"find"`,
     /// `"find_in_row"`, `"off.find"`).
     pub finder: &'static str,
+    /// The dims of the block shape, for a format whose instances are cut
+    /// into blocks of a shape their view name carries (`bsr2x2`).
+    pub block: Option<(Dim, Dim)>,
+    /// The view, in the notation of [`crate::view`]: what the planner
+    /// reasons about. Read and checked against the chains above once, at
+    /// the first [`Levels::view`].
+    pub view: &'static str,
+    pub(crate) read: OnceLock<FormatView>,
 }
 
 /// One chain: its levels outermost first, and where its values live.
@@ -296,6 +305,28 @@ impl Levels {
         keys + width(chain.values)
     }
 
+    /// The view of this description, without what only an instance
+    /// knows (bounds and guarantees detected from the stored pattern),
+    /// named after its block shape if it is cut into blocks.
+    ///
+    /// # Panics
+    /// Panics, at the first call, if the text does not read or does not
+    /// agree with the levels ([`check_view`]): a built-in description
+    /// that is wrong is a bug, refused before anything plans over it.
+    pub fn view(&self, block: Option<Block>) -> FormatView {
+        let read = self.read.get_or_init(|| {
+            let view = FormatView::read(self.name, self.view);
+            let view = view.map_err(|e| format!("{}: {e}", self.name));
+            let checked = view.and_then(|v| check_view(&v, self).map(|()| v));
+            checked.unwrap_or_else(|e| panic!("a built-in view does not read: {e}"))
+        });
+        let mut view = read.clone();
+        if let Some((r, c)) = block {
+            view.name = format!("{}{r}x{c}", self.name);
+        }
+        view
+    }
+
     /// True when chain 0 opens with the dense interval over the
     /// [`ROW_DIM`], keys being rows as they are: what a row band cuts.
     pub fn rows_outermost(&self) -> bool {
@@ -308,6 +339,52 @@ impl Levels {
             _ => false,
         })
     }
+}
+
+/// Checks a view against the levels that walk it: as many chains, in
+/// [`FormatView::alternatives`] order, as many levels in each, and at
+/// each level as many keys, an interval exactly where the level is
+/// [`Kind::Interval`] and a search exactly where it has a [`Locate`];
+/// [`Locate::Bounds`] only on an interval, [`Locate::BinarySearch`] only
+/// in one coordinate list that the view searches sorted. The message
+/// names the format, the chain and the level.
+pub fn check_view(view: &FormatView, levels: &Levels) -> Result<(), String> {
+    let name = levels.name;
+    let chains: Vec<_> = view.alternatives().into_iter().flatten().collect();
+    let seen: Vec<usize> = chains.iter().map(|c| c.levels.len()).collect();
+    let want: Vec<usize> = levels.chains.iter().map(|c| c.levels.len()).collect();
+    if seen != want {
+        // The first chain that differs, and its first level either lacks.
+        let c = seen.iter().zip(&want).take_while(|(a, b)| a == b).count();
+        let l = seen.get(c).min(want.get(c)).map_or(0, |&l| l);
+        let counts = format!("levels per chain {seen:?} in the view, {want:?} described");
+        return Err(format!("{name}, chain {c}, level {l}: {counts}"));
+    }
+    for (c, (chain, described)) in chains.iter().zip(levels.chains).enumerate() {
+        for (l, (flat, level)) in chain.levels.iter().zip(described.levels).enumerate() {
+            let locate = level.locate;
+            let one_list = matches!(level.kind, Kind::Coords { crd: &[_], .. });
+            let wrong = if flat.attrs.len() != level.nkeys() {
+                "a key per attribute"
+            } else if flat.interval != level.is_interval() {
+                "an interval exactly where the level is one"
+            } else if (flat.search == SearchKind::None) != (locate == Locate::None) {
+                "a search exactly where the level locates"
+            } else if locate == Locate::Bounds && !level.is_interval() {
+                "bounds only on an interval"
+            } else if locate == Locate::BinarySearch
+                && !(one_list && flat.search == SearchKind::Sorted)
+            {
+                "binary search only in one list searched sorted"
+            } else {
+                continue;
+            };
+            return Err(format!(
+                "{name}, chain {c}, level {l}: want {wrong}; the view has {flat:?}, the level {level:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// A stored array, typed. A description that reads an array as what it
@@ -373,9 +450,17 @@ pub trait Leveled {
     /// The [`Levels::finder`] method.
     fn find_at(&self, a: usize, b: usize) -> Option<usize>;
 
-    /// The view of this format, without what only an instance knows
-    /// (bounds and guarantees detected from the stored pattern).
-    fn static_view(&self) -> FormatView;
+    /// The instance's block shape, for a blocked description.
+    fn block(&self) -> Option<Block> {
+        let block = self.levels().block;
+        block.map(|(r, c)| (self.dim(r), self.dim(c)))
+    }
+
+    /// The view of this format ([`Levels::view`]) at the instance's
+    /// block shape.
+    fn static_view(&self) -> FormatView {
+        self.levels().view(self.block())
+    }
 }
 
 /// Declares how a struct's levels are walked, as the static `LEVELS` of
@@ -384,31 +469,40 @@ pub trait Leveled {
 /// `stored_layout!` ends in this; a view that exists only on the host
 /// (no [`Layout`](crate::layout::Layout): it is never marshalled into a
 /// kernel) invokes it directly. Every field is listed as `alias =
-/// path`, so that a field of a field can be one; inside `chains` an
-/// alias stands for the field's [`Dim`] / [`Arr`]:
+/// path`, so that a field of a field can be one; inside `chains` and
+/// `block` an alias stands for the field's [`Dim`] / [`Arr`]:
 ///
 /// ```ignore
 /// leveled! {
 ///     DiagSplit, "diagsplit";
 ///     dims: n = n, off_nrows = off.nrows;
 ///     arrays: diag = diag: f64, off_rowptr = off.rowptr: u32, …;
+///     block: r x c;                     // blocked views only
 ///     chains: [Level::interval(n)] -> diag, [ … ] -> off_values;
 ///     perm: ;                           // or: (iperm, iperm_inv)
-///     find: "off.find" = |m, r, c| m.off.find(r, c);
-///     view: |_| diagsplit_format_view();
-///     format_view: |m| …;               // only to replace the provided one
+///     find: "off.find" => |m, r, c| m.off.find(r, c);
+///     /// The diag-split index structure.
+///     view: diagsplit_format_view = "(r, c | stored diagonal): (map{…} ∪ …)";
 /// }
 /// ```
+///
+/// `view` is the format's view in the notation of [`crate::view`], one
+/// line: its chains, in [`FormatView::alternatives`] order, are the ones
+/// `chains` walks ([`check_view`] holds them to that at the first read).
+/// It is read by the function it names ([`Levels::view`], at the block
+/// shape `(r, c)` it takes for a blocked view), documented as the
+/// attributes before it say.
 macro_rules! leveled {
     (
         $ty:ident, $name:literal;
         dims: $($dim:ident = $($dpath:ident).+),+;
         arrays: $($arr:ident = $($apath:ident).+: $elem:ty),+;
+        $(block: $br:ident x $bc:ident;)?
         chains: $([$($level:expr),+] -> $values:ident),+;
         perm: $(($apply:ident, $unapply:ident))?;
         find: $finder:expr => $find:expr;
-        view: $view:expr;
-        $(format_view: $instance_view:expr;)?
+        $(#[$doc:meta])*
+        view: $view_fn:ident = $view:literal;
     ) => {
         /// How this module's format is walked.
         pub static LEVELS: $crate::level::Levels = {
@@ -440,6 +534,9 @@ macro_rules! leveled {
                 }),+],
                 perm: $crate::level::leveled!(@perm $($apply $unapply)?),
                 finder: $finder,
+                block: $crate::level::leveled!(@block $($br $bc)?),
+                view: $view,
+                read: std::sync::OnceLock::new(),
             }
         };
 
@@ -468,25 +565,121 @@ macro_rules! leveled {
                 let find: fn(&Self, usize, usize) -> Option<usize> = $find;
                 find(self, a, b)
             }
-
-            fn static_view(&self) -> $crate::view::FormatView {
-                let view: fn(&Self) -> $crate::view::FormatView = $view;
-                view(self)
-            }
         }
 
-        impl $crate::SparseView for $ty<f64> {
-            $(
-                fn format_view(&self) -> $crate::view::FormatView {
-                    let view: fn(&Self) -> $crate::view::FormatView = $instance_view;
-                    view(self)
-                }
-            )?
+        impl $crate::SparseView for $ty<f64> {}
+
+        $(#[$doc])*
+        pub fn $view_fn($($br: usize, $bc: usize)?) -> $crate::view::FormatView {
+            LEVELS.view($crate::level::leveled!(@block $($br $bc)?))
         }
     };
+    (@block) => { None };
+    (@block $br:ident $bc:ident) => { Some(($br, $bc)) };
     (@perm) => { None };
     (@perm $apply:ident $unapply:ident) => {
         Some($crate::level::Perm { apply: $apply, unapply: $unapply })
     };
 }
 pub(crate) use leveled;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::formats::{coo, csr, dcsr, diagsplit};
+    use crate::FormatError;
+
+    /// What the check says of `text` as the view of `levels`.
+    fn check(text: &str, levels: &Levels) -> Result<Result<(), String>, FormatError> {
+        Ok(check_view(&FormatView::read(levels.name, text)?, levels))
+    }
+
+    /// The message names the format, the chain and the level, and says
+    /// what the level wants.
+    fn refused(text: &str, levels: &Levels, at: &str, want: &str) -> Result<(), FormatError> {
+        let message = check(text, levels)?.err().unwrap_or_default();
+        assert!(message.starts_with(at), "{message}");
+        assert!(message.contains(want), "{message}");
+        Ok(())
+    }
+
+    #[test]
+    fn a_view_that_disagrees_with_its_levels_is_named() -> Result<(), FormatError> {
+        let (csr, coo, dcsr) = (&csr::LEVELS, &coo::LEVELS, &dcsr::LEVELS);
+        let split = &diagsplit::LEVELS;
+        assert_eq!(check("(r, c): r[interval] -> c[sorted] -> v", csr)?, Ok(()));
+        let cases = [
+            // An interval where the level is compressed, a level missing.
+            (
+                "(r, c): r[interval] -> c[interval] -> v",
+                csr,
+                "csr, chain 0, level 1:",
+                "an interval exactly",
+            ),
+            (
+                "(r, c): r[interval] -> v",
+                csr,
+                "csr, chain 0, level 1:",
+                "[1] in the view, [2]",
+            ),
+            // One key where the level is coupled.
+            (
+                "(r, c): r[linear] -> v",
+                coo,
+                "coo, chain 0, level 0:",
+                "a key per attribute",
+            ),
+            // No search where the level has one, one not sorted where it
+            // searches a sorted list.
+            (
+                "(r, c): r -> c[sorted] -> v",
+                dcsr,
+                "dcsr, chain 0, level 0:",
+                "a search exactly",
+            ),
+            (
+                "(r, c): r[linear] -> c[sorted] -> v",
+                dcsr,
+                "dcsr, chain 0, level 0:",
+                "binary search",
+            ),
+            // A chain missing: the diagonal of the diagonal split alone.
+            (
+                "(r, c): map{i |-> r, i |-> c ; r |-> i : i[interval] -> v}",
+                split,
+                "diagsplit, chain 1, level 0:",
+                "[1] in the view, [1, 2]",
+            ),
+        ];
+        for (text, levels, at, want) in cases {
+            refused(text, levels, at, want)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn bounds_locate_only_on_an_interval() -> Result<(), FormatError> {
+        const CHAINS: &[ChainLevels] = &[ChainLevels {
+            levels: &[Level {
+                locate: Locate::Bounds,
+                ..Level::of(Kind::Compressed {
+                    ptr: Arr(0),
+                    crd: Arr(1),
+                })
+            }],
+            values: Arr(2),
+        }];
+        let levels = Levels {
+            chains: CHAINS,
+            view: "",
+            read: OnceLock::new(),
+            ..csr::LEVELS
+        };
+        refused(
+            "(r): r[sorted] -> v",
+            &levels,
+            "csr, chain 0, level 0:",
+            "bounds only",
+        )
+    }
+}

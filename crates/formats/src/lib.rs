@@ -41,6 +41,7 @@ pub mod partition;
 pub mod scalar;
 pub mod triplet;
 pub mod view;
+mod view_text;
 
 pub use blocks::{block_fill, discover_block_size, discover_strips, BlockReport};
 pub use convert::{AnyFormat, FormatError, FORMAT_NAMES};

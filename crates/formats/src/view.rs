@@ -1,21 +1,51 @@
 //! The format-description language: index structures in the grammar of the
 //! paper's Fig. 6, plus enumeration properties.
 //!
+//! A format's view is written once, as one line of this notation, in the
+//! `stored_layout!` (or `leveled!`) beside its struct, and read by
+//! [`FormatView::read`]; `Display` prints a [`FormatView`] back in it.
+//!
 //! ```text
-//!   E     := Index -> E                    (nesting)
-//!          | map{F(in) |-> out : E}        (affine index transformation)
-//!          | perm{P(in) |-> out : E}       (permutation)
-//!          | E ∪ E                         (aggregation: both must be enumerated)
-//!          | E ⊕ E                         (perspective: either may be used)
-//!          | v                             (stored values)
-//!   Index := attribute | <a, b, ...> | (a × b × ...)
+//!   view   := '(' a (',' a)* facts? ')' ':' E
+//!   facts  := '|' fact (',' fact)*
+//!   fact   := affine '>=' '0'                    (enumeration bound)
+//!           | 'stored' ('diagonal' | 'all')      (storage guarantee)
+//!   E      := Index annot? '->' E                (nesting)
+//!           | 'map' '{' maps ';' maps ':' E '}'  (index translation; its inverse)
+//!           | 'perm' '{' t '[' a ']' '|->' a ':' E '}'
+//!                                                (permutation by table t)
+//!           | '(' E '∪' E ')'                    (aggregation: both must be enumerated)
+//!           | '(' E '⊕' E ')'                    (perspective: either may be used)
+//!           | 'v'                                (stored values)
+//!   Index  := a | '<' a (',' a)* '>'             (one attribute, or coupled ones)
+//!   annot  := '[' word (',' word)* ']'
+//!   maps   := (map (',' map)*)?
+//!   map    := affine '|->' a                     (a := affine)
+//!           | t '[' a ']' '|->' a                (through table t)
+//!           | t '^-1' '[' a ']' '|->' a          (through its inverse)
+//!   affine := '-'? item (('+' | '-') item)*      (a constant, if any, last)
+//!   item   := int | int '*' a | a
+//! ```
+//!
+//! The view opens with the dense attributes of the enveloping array, and
+//! the bounds and guarantees that hold of every instance. A level's
+//! annotation words give its enumeration order (`inc`, `dec`,
+//! `unordered`), its search (`none`, `linear`, `sorted`, `direct`,
+//! `hash`) and `interval` for a dense level. A bare index claims
+//! nothing: unordered, no search. `interval` implies `direct`, and
+//! `interval` or `sorted` imply `inc`, unless a word says otherwise;
+//! each of the three is said at most once. `v`, `map`, `perm` and
+//! `stored` are not attribute names. DIA, for example:
+//!
+//! ```text
+//!   (r, c): map{d + o |-> r, o |-> c ; r - c |-> d, c |-> o : d[sorted] -> o[interval] -> v}
 //! ```
 //!
 //! Each nesting level is annotated with its *enumeration order* and the
 //! kind of *search* (indexed access) it supports; the whole view carries
-//! *enumeration bounds* (e.g. `c ≤ r` for a lower-triangular format) and
-//! *storage guarantees* (e.g. "every diagonal position is stored"), which
-//! the compiler uses for legality, guard simplification and the
+//! *enumeration bounds* (e.g. `r - c >= 0` for a lower-triangular
+//! format) and *storage guarantees* (e.g. `stored diagonal`), which the
+//! compiler uses for legality, guard simplification and the
 //! zero-annihilation check.
 //!
 //! A [`FormatView`] is compiled (by [`FormatView::alternatives`]) into
@@ -23,8 +53,6 @@
 //! cursor API share. A `⊕` contributes alternative chain-sets (choose
 //! one); a `∪` contributes multiple chains within one alternative (must
 //! enumerate all).
-
-use std::fmt;
 
 /// Order in which a level's `enumerate` cursor yields keys.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -75,27 +103,6 @@ pub enum Transform {
     },
 }
 
-impl Transform {
-    /// The attribute this transform defines.
-    pub fn out(&self) -> &str {
-        match self {
-            Transform::Affine { out, .. }
-            | Transform::PermApply { out, .. }
-            | Transform::PermUnapply { out, .. } => out,
-        }
-    }
-
-    /// The attributes this transform reads.
-    pub fn inputs(&self) -> Vec<&str> {
-        match self {
-            Transform::Affine { terms, .. } => terms.iter().map(|(a, _)| a.as_str()).collect(),
-            Transform::PermApply { input, .. } | Transform::PermUnapply { input, .. } => {
-                vec![input.as_str()]
-            }
-        }
-    }
-}
-
 /// One linearized nesting level of a chain.
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub struct FlatLevel {
@@ -134,13 +141,6 @@ impl Chain {
             .flat_map(|l| l.attrs.iter().map(|s| s.as_str()))
             .collect()
     }
-
-    /// The level index that binds `attr`, if any.
-    pub fn level_of(&self, attr: &str) -> Option<usize> {
-        self.levels
-            .iter()
-            .position(|l| l.attrs.iter().any(|a| a == attr))
-    }
 }
 
 /// An affine inequality `Σ coeff·attr + cst ≥ 0` over dense attributes,
@@ -165,7 +165,7 @@ impl Bound {
 /// *certainly* stored (whatever their value), needed for statements that
 /// are not annihilated by zeros (e.g. the diagonal division of triangular
 /// solve).
-#[derive(Clone, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum StoredGuarantee {
     /// Every `(i, i)` with `0 ≤ i < min(nrows, ncols)` is stored.
     FullDiagonal,
@@ -205,41 +205,6 @@ pub enum ViewExpr {
     Value,
 }
 
-impl ViewExpr {
-    /// Convenience constructor for a single-attribute level.
-    pub fn level(attr: &str, order: Order, search: SearchKind, child: ViewExpr) -> ViewExpr {
-        ViewExpr::Level {
-            attrs: vec![attr.to_string()],
-            order,
-            search,
-            interval: false,
-            child: Box::new(child),
-        }
-    }
-
-    /// Convenience constructor for an interval (dense) level.
-    pub fn interval(attr: &str, child: ViewExpr) -> ViewExpr {
-        ViewExpr::Level {
-            attrs: vec![attr.to_string()],
-            order: Order::Increasing,
-            search: SearchKind::Direct,
-            interval: true,
-            child: Box::new(child),
-        }
-    }
-
-    /// Convenience constructor for a coupled `<a, b>` level.
-    pub fn coupled(attrs: &[&str], order: Order, search: SearchKind, child: ViewExpr) -> ViewExpr {
-        ViewExpr::Level {
-            attrs: attrs.iter().map(|s| s.to_string()).collect(),
-            order,
-            search,
-            interval: false,
-            child: Box::new(child),
-        }
-    }
-}
-
 /// A complete format description: the view term plus bounds, guarantees
 /// and the dense attributes of the enveloping array.
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
@@ -265,38 +230,20 @@ impl FormatView {
     /// globally unique across all alternatives and match the runtime
     /// cursor dispatch of [`crate::SparseView`].
     pub fn alternatives(&self) -> Vec<Vec<Chain>> {
-        let mut next_id = 0usize;
-        let alts = flatten(&self.expr);
+        let mut alts = flatten(&self.expr);
         // Assign ids in canonical (DFS) order: alternatives in order, chains
         // within an alternative in order — but chains shared textually
         // between alternatives are distinct runtime chains.
-        alts.into_iter()
-            .map(|alt| {
-                alt.into_iter()
-                    .map(|mut ch| {
-                        ch.id = next_id;
-                        next_id += 1;
-                        ch
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Total number of chains across all alternatives (the runtime
-    /// dispatch range).
-    pub fn num_chains(&self) -> usize {
-        self.alternatives().iter().map(|a| a.len()).sum()
+        for (id, chain) in alts.iter_mut().flatten().enumerate() {
+            chain.id = id;
+        }
+        alts
     }
 
     /// True if the format guarantees storage of the whole diagonal.
     pub fn has_full_diagonal(&self) -> bool {
-        self.guarantees.iter().any(|g| {
-            matches!(
-                g,
-                StoredGuarantee::FullDiagonal | StoredGuarantee::AllPositions
-            )
-        })
+        let diagonal = [StoredGuarantee::FullDiagonal, StoredGuarantee::AllPositions];
+        self.guarantees.iter().any(|g| diagonal.contains(g))
     }
 }
 
@@ -336,6 +283,12 @@ pub fn detect_properties(
 }
 
 fn flatten(e: &ViewExpr) -> Vec<Vec<Chain>> {
+    // Every chain below `child`, with `f` applied to each.
+    let below = |child: &ViewExpr, f: &dyn Fn(&mut Chain)| {
+        let mut alts = flatten(child);
+        alts.iter_mut().flatten().for_each(f);
+        alts
+    };
     match e {
         ViewExpr::Value => vec![vec![Chain {
             id: 0,
@@ -350,193 +303,76 @@ fn flatten(e: &ViewExpr) -> Vec<Vec<Chain>> {
             interval,
             child,
         } => {
-            let lvl = FlatLevel {
+            let level = FlatLevel {
                 attrs: attrs.clone(),
                 order: *order,
                 search: *search,
                 interval: *interval,
             };
-            map_chains(flatten(child), |ch| ch.levels.insert(0, lvl.clone()))
+            below(child, &|ch| ch.levels.insert(0, level.clone()))
         }
-        ViewExpr::Map { fwd, inv, child } => map_chains(flatten(child), |ch| {
-            let mut f = fwd.clone();
-            f.append(&mut ch.fwd);
-            ch.fwd = f;
-            let mut i = inv.clone();
-            i.append(&mut ch.inv);
-            ch.inv = i;
+        ViewExpr::Map { fwd, inv, child } => below(child, &|ch| {
+            ch.fwd.splice(0..0, fwd.iter().cloned());
+            ch.inv.splice(0..0, inv.iter().cloned());
         }),
         ViewExpr::Perm {
             table,
             input,
             out,
             child,
-        } => map_chains(flatten(child), |ch| {
-            ch.fwd.insert(
-                0,
-                Transform::PermApply {
-                    table: table.clone(),
-                    input: input.clone(),
-                    out: out.clone(),
-                },
-            );
-            ch.inv.insert(
-                0,
-                Transform::PermUnapply {
-                    table: table.clone(),
-                    input: out.clone(),
-                    out: input.clone(),
-                },
-            );
+        } => below(child, &|ch| {
+            let (table, input, out) = (table.clone(), input.clone(), out.clone());
+            let apply = Transform::PermApply {
+                table: table.clone(),
+                input: input.clone(),
+                out: out.clone(),
+            };
+            ch.fwd.insert(0, apply);
+            let (input, out) = (out, input);
+            ch.inv
+                .insert(0, Transform::PermUnapply { table, input, out });
         }),
+        // Under `∪` the chains of one alternative of each side together;
+        // under `⊕` the alternatives of either side.
         ViewExpr::Union(a, b) => {
-            // Cross product of alternatives; chains concatenate.
-            let fa = flatten(a);
-            let fb = flatten(b);
-            let mut out = Vec::new();
-            for alt_a in &fa {
-                for alt_b in &fb {
-                    let mut chains = alt_a.clone();
-                    chains.extend(alt_b.iter().cloned());
-                    out.push(chains);
-                }
-            }
-            out
+            let b = flatten(b);
+            let pairs = flatten(a)
+                .into_iter()
+                .flat_map(|a| b.iter().map(move |b| [&a[..], b].concat()));
+            pairs.collect()
         }
-        ViewExpr::Persp(a, b) => {
-            let mut out = flatten(a);
-            out.extend(flatten(b));
-            out
-        }
-    }
-}
-
-fn map_chains(alts: Vec<Vec<Chain>>, f: impl Fn(&mut Chain) + Copy) -> Vec<Vec<Chain>> {
-    alts.into_iter()
-        .map(|alt| {
-            alt.into_iter()
-                .map(|mut ch| {
-                    f(&mut ch);
-                    ch
-                })
-                .collect()
-        })
-        .collect()
-}
-
-impl fmt::Display for ViewExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ViewExpr::Value => write!(f, "v"),
-            ViewExpr::Level { attrs, child, .. } => {
-                if attrs.len() == 1 {
-                    write!(f, "{} -> {}", attrs[0], child)
-                } else {
-                    write!(f, "<{}> -> {}", attrs.join(","), child)
-                }
-            }
-            ViewExpr::Map { fwd, child, .. } => {
-                write!(f, "map{{")?;
-                for (i, t) in fwd.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    match t {
-                        Transform::Affine { out, terms, cst } => {
-                            let mut s = String::new();
-                            for (k, (a, c)) in terms.iter().enumerate() {
-                                if k > 0 {
-                                    s.push_str(" + ");
-                                }
-                                if *c == 1 {
-                                    s.push_str(a);
-                                } else {
-                                    s.push_str(&format!("{c}*{a}"));
-                                }
-                            }
-                            if *cst != 0 {
-                                s.push_str(&format!(" + {cst}"));
-                            }
-                            write!(f, "{s} |-> {out}")?;
-                        }
-                        Transform::PermApply { table, input, out } => {
-                            write!(f, "{table}[{input}] |-> {out}")?;
-                        }
-                        Transform::PermUnapply { table, input, out } => {
-                            write!(f, "{table}^-1[{input}] |-> {out}")?;
-                        }
-                    }
-                }
-                write!(f, " : {}}}", child)
-            }
-            ViewExpr::Perm {
-                table,
-                input,
-                out,
-                child,
-            } => write!(f, "perm{{{table}[{input}] |-> {out} : {}}}", child),
-            ViewExpr::Union(a, b) => write!(f, "({a}) ∪ ({b})"),
-            ViewExpr::Persp(a, b) => write!(f, "({a}) ⊕ ({b})"),
-        }
+        ViewExpr::Persp(a, b) => [flatten(a), flatten(b)].concat(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FormatError;
 
-    fn csr_view() -> FormatView {
-        FormatView {
-            name: "csr".into(),
-            dense_attrs: vec!["r".into(), "c".into()],
-            expr: ViewExpr::interval(
-                "r",
-                ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-            ),
-            bounds: vec![],
-            guarantees: vec![],
-        }
+    fn read(text: &str) -> Result<FormatView, FormatError> {
+        FormatView::read("t", text)
     }
 
     #[test]
-    fn csr_single_chain() {
-        let v = csr_view();
+    fn csr_single_chain() -> Result<(), FormatError> {
+        let v = read("(r, c): r[interval] -> c[sorted] -> v")?;
         let alts = v.alternatives();
         assert_eq!(alts.len(), 1);
         assert_eq!(alts[0].len(), 1);
         let ch = &alts[0][0];
         assert_eq!(ch.stored_attrs(), vec!["r", "c"]);
-        assert_eq!(ch.level_of("c"), Some(1));
         assert!(ch.levels[0].interval);
         assert!(!ch.levels[1].interval);
-        assert_eq!(v.num_chains(), 1);
+        Ok(())
     }
 
     #[test]
-    fn jad_two_alternatives() {
-        // perm{iperm[rr] |-> r : (<rr,c> -> v) ⊕ (rr -> c -> v)}
-        let flat = ViewExpr::coupled(
-            &["rr", "c"],
-            Order::Unordered,
-            SearchKind::None,
-            ViewExpr::Value,
-        );
-        let hier = ViewExpr::interval(
-            "rr",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Linear, ViewExpr::Value),
-        );
-        let v = FormatView {
-            name: "jad".into(),
-            dense_attrs: vec!["r".into(), "c".into()],
-            expr: ViewExpr::Perm {
-                table: "iperm".into(),
-                input: "rr".into(),
-                out: "r".into(),
-                child: Box::new(ViewExpr::Persp(Box::new(flat), Box::new(hier))),
-            },
-            bounds: vec![Bound::attr_ge("r", "c")],
-            guarantees: vec![StoredGuarantee::FullDiagonal],
-        };
+    fn jad_two_alternatives() -> Result<(), FormatError> {
+        let v = read(
+            "(r, c | r - c >= 0, stored diagonal): \
+             perm{iperm[rr] |-> r : (<rr, c> -> v ⊕ rr[interval] -> c[linear] -> v)}",
+        )?;
         let alts = v.alternatives();
         assert_eq!(alts.len(), 2);
         assert_eq!(alts[0][0].id, 0);
@@ -549,44 +385,19 @@ mod tests {
         assert_eq!(alts[0][0].levels.len(), 1); // coupled flat level
         assert_eq!(alts[0][0].levels[0].attrs.len(), 2);
         assert_eq!(alts[1][0].levels.len(), 2); // hierarchical
+        assert_eq!(v.bounds, [Bound::attr_ge("r", "c")]);
         assert!(v.has_full_diagonal());
+        Ok(())
     }
 
     #[test]
-    fn union_produces_multi_chain_alternative() {
-        // (i -> v)  ∪  (r -> c -> v) : diagonal + offdiag, one alternative
-        // with two chains.
-        let diag = ViewExpr::Map {
-            fwd: vec![
-                Transform::Affine {
-                    out: "r".into(),
-                    terms: vec![("i".into(), 1)],
-                    cst: 0,
-                },
-                Transform::Affine {
-                    out: "c".into(),
-                    terms: vec![("i".into(), 1)],
-                    cst: 0,
-                },
-            ],
-            inv: vec![Transform::Affine {
-                out: "i".into(),
-                terms: vec![("r".into(), 1)],
-                cst: 0,
-            }],
-            child: Box::new(ViewExpr::interval("i", ViewExpr::Value)),
-        };
-        let off = ViewExpr::interval(
-            "r",
-            ViewExpr::level("c", Order::Increasing, SearchKind::Sorted, ViewExpr::Value),
-        );
-        let v = FormatView {
-            name: "diagsplit".into(),
-            dense_attrs: vec!["r".into(), "c".into()],
-            expr: ViewExpr::Union(Box::new(diag), Box::new(off)),
-            bounds: vec![],
-            guarantees: vec![StoredGuarantee::FullDiagonal],
-        };
+    fn union_produces_multi_chain_alternative() -> Result<(), FormatError> {
+        // The diagonal and the off-diagonal part: one alternative with two
+        // chains.
+        let v = read(
+            "(r, c): (map{i |-> r, i |-> c ; r |-> i : i[interval] -> v} \
+             ∪ r[interval] -> c[sorted] -> v)",
+        )?;
         let alts = v.alternatives();
         assert_eq!(alts.len(), 1);
         assert_eq!(alts[0].len(), 2);
@@ -594,71 +405,42 @@ mod tests {
         assert_eq!(alts[0][1].id, 1);
         assert_eq!(alts[0][0].stored_attrs(), vec!["i"]);
         assert_eq!(alts[0][1].stored_attrs(), vec!["r", "c"]);
+        Ok(())
     }
 
     #[test]
-    fn dia_map_transforms() {
-        // map{d + o |-> r, o |-> c : d -> o -> v}
-        let v = FormatView {
-            name: "dia".into(),
-            dense_attrs: vec!["r".into(), "c".into()],
-            expr: ViewExpr::Map {
-                fwd: vec![
-                    Transform::Affine {
-                        out: "r".into(),
-                        terms: vec![("d".into(), 1), ("o".into(), 1)],
-                        cst: 0,
-                    },
-                    Transform::Affine {
-                        out: "c".into(),
-                        terms: vec![("o".into(), 1)],
-                        cst: 0,
-                    },
-                ],
-                inv: vec![
-                    Transform::Affine {
-                        out: "d".into(),
-                        terms: vec![("r".into(), 1), ("c".into(), -1)],
-                        cst: 0,
-                    },
-                    Transform::Affine {
-                        out: "o".into(),
-                        terms: vec![("c".into(), 1)],
-                        cst: 0,
-                    },
-                ],
-                child: Box::new(ViewExpr::level(
-                    "d",
-                    Order::Increasing,
-                    SearchKind::Sorted,
-                    ViewExpr::level("o", Order::Increasing, SearchKind::Direct, ViewExpr::Value),
-                )),
-            },
-            bounds: vec![],
-            guarantees: vec![],
-        };
+    fn dia_map_transforms() -> Result<(), FormatError> {
+        let text = "(r, c): map{d + o |-> r, o |-> c ; r - c |-> d, c |-> o : \
+                    d[sorted] -> o[interval] -> v}";
+        let v = read(text)?;
         let alts = v.alternatives();
         let ch = &alts[0][0];
         assert_eq!(ch.fwd.len(), 2);
         assert_eq!(ch.inv.len(), 2);
-        assert_eq!(ch.fwd[0].out(), "r");
-        assert_eq!(ch.fwd[0].inputs(), vec!["d", "o"]);
-        let shown = format!("{}", v.expr);
-        assert!(shown.contains("|-> r"), "{shown}");
-        assert!(shown.contains("d -> o -> v"), "{shown}");
+        assert!(matches!(&ch.fwd[0], Transform::Affine { out, .. } if out == "r"));
+        let inverse = Transform::Affine {
+            out: "d".into(),
+            terms: vec![("r".into(), 1), ("c".into(), -1)],
+            cst: 0,
+        };
+        assert_eq!(ch.inv[0], inverse);
+        assert_eq!(
+            v.to_string(),
+            text.split_whitespace().collect::<Vec<_>>().join(" ")
+        );
+        Ok(())
     }
 
     #[test]
-    fn display_coupled_and_persp() {
-        let e = ViewExpr::Persp(
-            Box::new(ViewExpr::coupled(
-                &["r", "c"],
-                Order::Unordered,
-                SearchKind::None,
-                ViewExpr::Value,
-            )),
-            Box::new(ViewExpr::interval("r", ViewExpr::Value)),
+    fn display_coupled_and_persp() -> Result<(), FormatError> {
+        let v = read("(r, c): (<r, c> -> v ⊕ r[interval] -> v)")?;
+        assert_eq!(v.expr.to_string(), "(<r, c> -> v ⊕ r[interval] -> v)");
+        let flat = &v.alternatives()[0][0].levels[0];
+        assert_eq!(flat.attrs, ["r", "c"]);
+        assert_eq!(
+            (flat.order, flat.search),
+            (Order::Unordered, SearchKind::None)
         );
-        assert_eq!(format!("{e}"), "(<r,c> -> v) ⊕ (r -> v)");
+        Ok(())
     }
 }

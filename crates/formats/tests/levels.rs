@@ -378,62 +378,7 @@ const TABLE_DCSR: &[(&str, &str, u64)] = &[
 // ---- Below: what exists only since the level descriptions do. The ----
 // ---- file up to this line is what was recorded at the parent.      ----
 
-mod description {
-    use bernoulli_formats::formats::dense::dense_format_view;
-    use bernoulli_formats::formats::diagsplit::diagsplit_format_view;
-    use bernoulli_formats::formats::sparsevec::{hashvec_format_view, sparsevec_format_view};
-    use bernoulli_formats::level::{Kind, Levels, Locate};
-    use bernoulli_formats::view::{FormatView, SearchKind};
-    use bernoulli_formats::{levels_of_view, HOST_LEVELS, LAYOUTS};
-
-    /// Every registered view beside the description of how it is walked.
-    fn described() -> Vec<(FormatView, &'static Levels)> {
-        let hosts = [
-            dense_format_view(),
-            diagsplit_format_view(),
-            sparsevec_format_view(),
-            hashvec_format_view(),
-        ];
-        assert_eq!(hosts.len(), HOST_LEVELS.len());
-        let layouts = LAYOUTS.iter().map(|l| ((l.view)((2, 2)), l.levels));
-        layouts.chain(hosts.into_iter().zip(HOST_LEVELS)).collect()
-    }
-
-    /// The two halves of a format's description — the index structure the
-    /// compiler plans over and the levels the emitter and the cursor walk
-    /// — say the same: as many chains and levels, as many keys per level
-    /// (coupled ⇔ two coordinates), interval ⇔ the interval kind, no
-    /// search ⇔ no `locate`.
-    #[test]
-    fn every_view_agrees_with_its_level_description() {
-        for (view, levels) in described() {
-            let name = &view.name;
-            let resolved = levels_of_view(name).map(|(l, _)| l.name);
-            assert_eq!(resolved, Some(levels.name), "{name}");
-            let chains: Vec<_> = view.alternatives().into_iter().flatten().collect();
-            assert_eq!(chains.len(), levels.chains.len(), "{name}: chains");
-            for (id, (chain, described)) in chains.iter().zip(levels.chains).enumerate() {
-                assert_eq!(chain.id, id, "{name}");
-                assert_eq!(
-                    chain.levels.len(),
-                    described.levels.len(),
-                    "{name}/{id}: levels"
-                );
-                for (l, (flat, level)) in chain.levels.iter().zip(described.levels).enumerate() {
-                    let at = format!("{name}, chain {id}, level {l}: {flat:?} vs {level:?}");
-                    assert_eq!(flat.attrs.len(), level.nkeys(), "{at}");
-                    assert_eq!(flat.interval, level.is_interval(), "{at}");
-                    assert_eq!(
-                        flat.search == SearchKind::None,
-                        level.locate == Locate::None,
-                        "{at}"
-                    );
-                    let bounds = level.locate == Locate::Bounds;
-                    assert!(!bounds || level.is_interval(), "{at}");
-                    let sorted_list = matches!(level.kind, Kind::Coords { crd: &[_], .. });
-                    assert!(level.locate != Locate::BinarySearch || sorted_list, "{at}");
-                }
-            }
-        }
-    }
-}
+// The `description` module that stood here, holding each view to its
+// level description, is now the check every view passes at its first
+// read (`bernoulli_formats::level::check_view`); the unit tests of
+// `layout` run it over every registered description.
