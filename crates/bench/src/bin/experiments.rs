@@ -17,8 +17,8 @@
 //!
 //! `blocked` measures the blocked performance tier (S39): BSR and VBR
 //! vs CSR on synthetic FEM matrices across a dense-block fill sweep,
-//! sequential hand-written vs loaded vs parallel, with each blocking's
-//! fill-in overhead, writing `BENCH_blocked.json`.
+//! sequential hand-written vs loaded vs parallel loaded, with each
+//! blocking's fill-in overhead, writing `BENCH_blocked.json`.
 //!
 //! `advisor` measures structure-aware selection (S40): `Session::advise`
 //! picks a (format, plan) pair per instance from measured structure,
@@ -26,8 +26,8 @@
 //! times over every candidate, on a small (~1k-row) and a large
 //! (≥10^5-row, via `gen::scale`) tier, writing `BENCH_advisor.json`.
 //!
-//! Parallel columns (`mvm`'s `csr_parallel_4`, `blocked`'s `par_*`) are
-//! written only when the host has more than one core.
+//! `blocked`'s parallel column (`par_loaded_mflops`) is written only
+//! when the host has more than one core.
 
 #![allow(clippy::needless_range_loop)]
 use bernoulli_bench::report::{obj, Json};
@@ -251,7 +251,6 @@ fn fig12() {
 /// E3 — MVM across formats on several inputs.
 fn mvm() {
     println!("== E3: MVM across formats, MFLOP/s (synth | nist_c) ==");
-    let parallel = host_is_parallel("mvm");
     let mut inputs = vec![("can1072", can1072())];
     inputs.extend(extra_inputs());
     let mut json_inputs = Vec::new();
@@ -291,21 +290,10 @@ fn mvm() {
         let (s4, h4) = cell!(synth::mvm_dia, hw::mvm_dia, dia);
         let (s5, h5) = cell!(synth::mvm_ell, hw::mvm_ell, ell);
         let (s6, h6) = cell!(synth::mvm_jad, hw::mvm_jad, jad);
-        let par4 = parallel.then(|| {
-            let tp = timeit(|| {
-                let mut y = vec![0.0; m];
-                par::par_mvm_csr(black_box(&csr), &x, &mut y, 4);
-                black_box(y);
-            });
-            mflops(flops, tp)
-        });
 
         println!(
             "{label:<14} nnz={nnz} (dia stores {dia_nnz})\n  csr {s1:8.1} | {h1:8.1}   csc {s2:8.1} | {h2:8.1}   coo {s3:8.1} | {h3:8.1}\n  dia {s4:8.1} | {h4:8.1}   ell {s5:8.1} | {h5:8.1}   jad {s6:8.1} | {h6:8.1}"
         );
-        if let Some(p) = par4 {
-            println!("  csr-parallel(4): {p:8.1}");
-        }
         let fmt_cell = |fmt: &str, s: f64, h: f64| {
             obj(vec![
                 ("format", Json::str(fmt)),
@@ -313,7 +301,7 @@ fn mvm() {
                 ("nist_c", Json::num(h)),
             ])
         };
-        let mut fields = vec![
+        json_inputs.push(obj(vec![
             ("input", Json::str(label)),
             ("nrows", Json::num(m as f64)),
             ("ncols", Json::num(n as f64)),
@@ -330,11 +318,7 @@ fn mvm() {
                     fmt_cell("jad", s6, h6),
                 ]),
             ),
-        ];
-        if let Some(p) = par4 {
-            fields.push(("csr_parallel_4", Json::num(p)));
-        }
-        json_inputs.push(obj(fields));
+        ]));
     }
     report::write(
         "BENCH_mvm.json",
@@ -712,11 +696,11 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
 /// FEM matrices across a dense-block fill sweep. For each input and
 /// format the lane times the sequential hand-written kernel, the
 /// runtime-loaded synthesized kernel, and (on a host with more than one
-/// core) both parallel drivers (hand and loaded, 8 threads), and
-/// records the blocking's fill-in overhead (stored cells vs source
-/// nnz). Writes `BENCH_blocked.json`.
+/// core) the same loaded kernel through `par_run_rows` over the format's
+/// `partition_rows(8)` bands, and records the blocking's fill-in
+/// overhead (stored cells vs source nnz). Writes `BENCH_blocked.json`.
 fn blocked() {
-    use bernoulli_synth::{KernelArg, KernelStore};
+    use bernoulli_synth::{KernelArg, KernelStore, RawOut};
     println!("== S39: blocked formats (BSR | VBR | CSR), MFLOP/s ==");
     if let Err(e) = bernoulli_synth::rustc_info() {
         println!("  NOTICE: skipping blocked lane: {e}");
@@ -775,16 +759,18 @@ fn blocked() {
         let mut csr_tl = 0.0;
 
         macro_rules! lane {
-            ($fmt:literal, $mat:ident, $view:expr, $argctor:path, $hand:path, $parh:path, $parl:path) => {{
+            ($fmt:literal, $mat:ident, $hand:path) => {{
                 let (p, mat_name) = synth::spec_for("mvm");
-                let bound = session.bind(&p, &[(mat_name, $view)]).expect("bind");
+                let bound = session
+                    .bind(&p, &[(mat_name, $mat.format_view())])
+                    .expect("bind");
                 let k = session.compile(&bound).expect("compile");
                 let loaded = k.load_in(&store).expect("load");
                 let params = [n as i64, n as i64];
                 let tl = timeit(|| {
                     let mut y = vec![0.0; n];
                     let mut args = [
-                        $argctor(black_box(&$mat)),
+                        KernelArg::Matrix(black_box(&$mat)),
                         KernelArg::In(&x),
                         KernelArg::Out(&mut y),
                     ];
@@ -797,17 +783,23 @@ fn blocked() {
                     black_box(y);
                 });
                 let par8 = parallel.then(|| {
-                    let tph = timeit(|| {
-                        let mut y = vec![0.0; n];
-                        $parh(black_box(&$mat), &x, &mut y, 8);
-                        black_box(y);
-                    });
                     let tpl = timeit(|| {
                         let mut y = vec![0.0; n];
-                        $parl(&loaded, black_box(&$mat), &x, &mut y, 8).expect("par");
+                        let bounds = $mat.partition_rows(8);
+                        // SAFETY: the bands are disjoint and each ranged
+                        // call writes only its own rows of y.
+                        let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
+                        par::par_run_rows(&loaded, &params, &bounds, &|| {
+                            vec![
+                                KernelArg::Matrix(black_box(&$mat)),
+                                KernelArg::In(&x),
+                                KernelArg::OutShared(yo),
+                            ]
+                        })
+                        .expect("par");
                         black_box(y);
                     });
-                    (mflops(flops, tph), mflops(flops, tpl))
+                    mflops(flops, tpl)
                 });
                 // `csr_tl` is still 0.0 while the csr lane itself runs.
                 let vs_csr = if csr_tl > 0.0 { csr_tl / tl } else { 1.0 };
@@ -817,8 +809,8 @@ fn blocked() {
                     mflops(flops, th),
                     mflops(flops, tl),
                 );
-                if let Some((ph, pl)) = par8 {
-                    print!(" | par-hand(8) {ph:8.1} | par-loaded(8) {pl:8.1}");
+                if let Some(pl) = par8 {
+                    print!(" | par-loaded(8) {pl:8.1}");
                 }
                 println!(" | vs csr loaded {vs_csr:5.2}x");
                 if $fmt != "csr" {
@@ -832,8 +824,7 @@ fn blocked() {
                     ("hand_mflops", Json::num(mflops(flops, th))),
                     ("loaded_mflops", Json::num(mflops(flops, tl))),
                 ];
-                if let Some((ph, pl)) = par8 {
-                    fields.push(("par_hand_mflops", Json::num(ph)));
+                if let Some(pl) = par8 {
                     fields.push(("par_loaded_mflops", Json::num(pl)));
                 }
                 fields.push(("loaded_vs_hand", Json::num(th / tl)));
@@ -842,34 +833,10 @@ fn blocked() {
                 tl
             }};
         }
-        csr_tl = lane!(
-            "csr",
-            csr,
-            csr.format_view(),
-            KernelArg::Csr,
-            hw::mvm_csr,
-            par::par_mvm_csr,
-            par::par_loaded_mvm_csr
-        );
+        csr_tl = lane!("csr", csr, hw::mvm_csr);
         let _ = csr_tl;
-        let _ = lane!(
-            "bsr",
-            bsr,
-            bsr.format_view(),
-            KernelArg::Bsr,
-            hw::mvm_bsr,
-            par::par_mvm_bsr,
-            par::par_loaded_mvm_bsr
-        );
-        let _ = lane!(
-            "vbr",
-            vbr,
-            vbr.format_view(),
-            KernelArg::Vbr,
-            hw::mvm_vbr,
-            par::par_mvm_vbr,
-            par::par_loaded_mvm_vbr
-        );
+        let _ = lane!("bsr", bsr, hw::mvm_bsr);
+        let _ = lane!("vbr", vbr, hw::mvm_vbr);
 
         json_inputs.push(obj(vec![
             ("input", Json::str(label)),

@@ -10,53 +10,33 @@
 
 use bernoulli_formats::{Bsr, Scalar};
 
-/// `y += A·x`, register-tiled over block rows.
+/// `y += A·x`, register-tiled over block rows. Per-row accumulation
+/// order is blocks ascending, columns ascending within each block.
 pub fn mvm_bsr<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_bsr_rows(a, x, y, 0, a.browptr.len() - 1);
-}
-
-/// `y += A·x` restricted to block rows `br_lo..br_hi`; `yb` holds the
-/// output rows `br_lo*r..br_hi*r`. The parallel lane calls this per
-/// chunk; per-row accumulation order (blocks ascending, columns
-/// ascending within each block) is independent of the chunking, so
-/// chunked runs are bitwise equal to the full sweep.
-pub(crate) fn mvm_bsr_rows<T: Scalar>(
-    a: &Bsr<T>,
-    x: &[T],
-    yb: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
     match (a.r, a.c) {
-        (1, 1) => mvm_micro::<T, 1, 1>(a, x, yb, br_lo, br_hi),
-        (2, 2) => mvm_micro::<T, 2, 2>(a, x, yb, br_lo, br_hi),
-        (3, 3) => mvm_micro::<T, 3, 3>(a, x, yb, br_lo, br_hi),
-        (4, 4) => mvm_micro::<T, 4, 4>(a, x, yb, br_lo, br_hi),
-        (2, 1) => mvm_micro::<T, 2, 1>(a, x, yb, br_lo, br_hi),
-        (1, 2) => mvm_micro::<T, 1, 2>(a, x, yb, br_lo, br_hi),
-        (4, 2) => mvm_micro::<T, 4, 2>(a, x, yb, br_lo, br_hi),
-        (2, 4) => mvm_micro::<T, 2, 4>(a, x, yb, br_lo, br_hi),
-        _ => mvm_generic(a, x, yb, br_lo, br_hi),
+        (1, 1) => mvm_micro::<T, 1, 1>(a, x, y),
+        (2, 2) => mvm_micro::<T, 2, 2>(a, x, y),
+        (3, 3) => mvm_micro::<T, 3, 3>(a, x, y),
+        (4, 4) => mvm_micro::<T, 4, 4>(a, x, y),
+        (2, 1) => mvm_micro::<T, 2, 1>(a, x, y),
+        (1, 2) => mvm_micro::<T, 1, 2>(a, x, y),
+        (4, 2) => mvm_micro::<T, 4, 2>(a, x, y),
+        (2, 4) => mvm_micro::<T, 2, 4>(a, x, y),
+        _ => mvm_generic(a, x, y),
     }
 }
 
 /// The unrolled micro-kernel: `R` accumulators live in registers across
 /// the whole block row; each stored block contributes an `R x C`
 /// multiply-add whose trip counts are compile-time constants.
-fn mvm_micro<T: Scalar, const R: usize, const C: usize>(
-    a: &Bsr<T>,
-    x: &[T],
-    yb: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
+fn mvm_micro<T: Scalar, const R: usize, const C: usize>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     debug_assert!(a.r == R && a.c == C);
-    for br in br_lo..br_hi {
-        let y0 = (br - br_lo) * R;
+    for br in 0..a.browptr.len() - 1 {
+        let y0 = br * R;
         let mut acc = [T::ZERO; R];
-        acc.copy_from_slice(&yb[y0..y0 + R]);
+        acc.copy_from_slice(&y[y0..y0 + R]);
         for b in a.blocks(br) {
             let j0 = a.bcolind[b] as usize * C;
             let blk = &a.values[b * R * C..(b + 1) * R * C];
@@ -67,18 +47,18 @@ fn mvm_micro<T: Scalar, const R: usize, const C: usize>(
                 }
             }
         }
-        yb[y0..y0 + R].copy_from_slice(&acc);
+        y[y0..y0 + R].copy_from_slice(&acc);
     }
 }
 
 /// Generic fallback for uncommon block shapes — same per-row order as
 /// the micro-kernels (blocks ascending, then columns), so dispatch is
 /// invisible in the results.
-fn mvm_generic<T: Scalar>(a: &Bsr<T>, x: &[T], yb: &mut [T], br_lo: usize, br_hi: usize) {
+fn mvm_generic<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     let (r, c) = (a.r, a.c);
-    for br in br_lo..br_hi {
+    for br in 0..a.browptr.len() - 1 {
         for rr in 0..r {
-            let mut acc = yb[(br - br_lo) * r + rr];
+            let mut acc = y[br * r + rr];
             for b in a.blocks(br) {
                 let j0 = a.bcolind[b] as usize * c;
                 let base = (b * r + rr) * c;
@@ -86,7 +66,7 @@ fn mvm_generic<T: Scalar>(a: &Bsr<T>, x: &[T], yb: &mut [T], br_lo: usize, br_hi
                     acc += a.values[base + cc] * x[j0 + cc];
                 }
             }
-            yb[(br - br_lo) * r + rr] = acc;
+            y[br * r + rr] = acc;
         }
     }
 }
@@ -97,36 +77,18 @@ fn mvm_generic<T: Scalar>(a: &Bsr<T>, x: &[T], yb: &mut [T], br_lo: usize, br_hi
 pub fn mvmt_bsr<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvmt_bsr_rows(a, x, y, 0, a.browptr.len() - 1);
-}
-
-/// `y += Aᵀ·x` restricted to block rows `br_lo..br_hi`, scattering into
-/// the full-length `y` (the parallel lane passes per-chunk buffers).
-pub(crate) fn mvmt_bsr_rows<T: Scalar>(
-    a: &Bsr<T>,
-    x: &[T],
-    y: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
     match (a.r, a.c) {
-        (1, 1) => mvmt_micro::<T, 1, 1>(a, x, y, br_lo, br_hi),
-        (2, 2) => mvmt_micro::<T, 2, 2>(a, x, y, br_lo, br_hi),
-        (3, 3) => mvmt_micro::<T, 3, 3>(a, x, y, br_lo, br_hi),
-        (4, 4) => mvmt_micro::<T, 4, 4>(a, x, y, br_lo, br_hi),
-        _ => mvmt_generic(a, x, y, br_lo, br_hi),
+        (1, 1) => mvmt_micro::<T, 1, 1>(a, x, y),
+        (2, 2) => mvmt_micro::<T, 2, 2>(a, x, y),
+        (3, 3) => mvmt_micro::<T, 3, 3>(a, x, y),
+        (4, 4) => mvmt_micro::<T, 4, 4>(a, x, y),
+        _ => mvmt_generic(a, x, y),
     }
 }
 
-fn mvmt_micro<T: Scalar, const R: usize, const C: usize>(
-    a: &Bsr<T>,
-    x: &[T],
-    y: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
+fn mvmt_micro<T: Scalar, const R: usize, const C: usize>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     debug_assert!(a.r == R && a.c == C);
-    for br in br_lo..br_hi {
+    for br in 0..a.browptr.len() - 1 {
         let xs = &x[br * R..br * R + R];
         for b in a.blocks(br) {
             let j0 = a.bcolind[b] as usize * C;
@@ -143,9 +105,9 @@ fn mvmt_micro<T: Scalar, const R: usize, const C: usize>(
     }
 }
 
-fn mvmt_generic<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T], br_lo: usize, br_hi: usize) {
+fn mvmt_generic<T: Scalar>(a: &Bsr<T>, x: &[T], y: &mut [T]) {
     let (r, c) = (a.r, a.c);
-    for br in br_lo..br_hi {
+    for br in 0..a.browptr.len() - 1 {
         for b in a.blocks(br) {
             let j0 = a.bcolind[b] as usize * c;
             for cc in 0..c {
@@ -209,9 +171,9 @@ mod tests {
         let x = gen::dense_vector(40, 2);
         let a = Bsr::from_triplets(&t, 2, 2);
         let mut y1 = vec![0.5; 40];
-        mvm_micro::<f64, 2, 2>(&a, &x, &mut y1, 0, a.browptr.len() - 1);
+        mvm_micro::<f64, 2, 2>(&a, &x, &mut y1);
         let mut y2 = vec![0.5; 40];
-        mvm_generic(&a, &x, &mut y2, 0, a.browptr.len() - 1);
+        mvm_generic(&a, &x, &mut y2);
         assert_eq!(y1, y2);
     }
 }

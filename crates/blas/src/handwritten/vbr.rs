@@ -13,28 +13,12 @@ use bernoulli_formats::{Scalar, Vbr};
 pub fn mvm_vbr<T: Scalar>(a: &Vbr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.ncols, "x length");
     assert_eq!(y.len(), a.nrows, "y length");
-    mvm_vbr_strips(a, x, y, 0, a.rpntr.len() - 1);
-}
-
-/// `y += A·x` restricted to block strips `br_lo..br_hi`; `yb` holds the
-/// output rows `rpntr[br_lo]..rpntr[br_hi]`. Per-row accumulation order
-/// (blocks ascending, columns ascending within each block) is
-/// independent of the chunking, so the parallel lane's chunked runs are
-/// bitwise equal to the full sweep.
-pub(crate) fn mvm_vbr_strips<T: Scalar>(
-    a: &Vbr<T>,
-    x: &[T],
-    yb: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
     let mut acc: Vec<T> = Vec::new();
-    let y0 = a.rpntr[br_lo] as usize;
-    for br in br_lo..br_hi {
+    for br in 0..a.rpntr.len() - 1 {
         let h = (a.rpntr[br + 1] - a.rpntr[br]) as usize;
-        let base = a.rpntr[br] as usize - y0;
+        let base = a.rpntr[br] as usize;
         acc.clear();
-        acc.extend_from_slice(&yb[base..base + h]);
+        acc.extend_from_slice(&y[base..base + h]);
         for b in a.blocks(br) {
             let (j0, w, at) = a.block(b);
             let xs = &x[j0..j0 + w];
@@ -49,7 +33,7 @@ pub(crate) fn mvm_vbr_strips<T: Scalar>(
                 }
             }
         }
-        yb[base..base + h].copy_from_slice(&acc);
+        y[base..base + h].copy_from_slice(&acc);
     }
 }
 
@@ -59,20 +43,7 @@ pub(crate) fn mvm_vbr_strips<T: Scalar>(
 pub fn mvmt_vbr<T: Scalar>(a: &Vbr<T>, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), a.nrows, "x length");
     assert_eq!(y.len(), a.ncols, "y length");
-    mvmt_vbr_strips(a, x, y, 0, a.rpntr.len() - 1);
-}
-
-/// `y += Aᵀ·x` restricted to block strips `br_lo..br_hi`, scattering
-/// into the full-length `y` (the parallel lane passes per-chunk
-/// buffers).
-pub(crate) fn mvmt_vbr_strips<T: Scalar>(
-    a: &Vbr<T>,
-    x: &[T],
-    y: &mut [T],
-    br_lo: usize,
-    br_hi: usize,
-) {
-    for br in br_lo..br_hi {
+    for br in 0..a.rpntr.len() - 1 {
         let r0 = a.rpntr[br] as usize;
         let h = a.rpntr[br + 1] as usize - r0;
         let xs = &x[r0..r0 + h];

@@ -2,27 +2,25 @@
 //! execution path meets the nnz-balanced parallel lane.
 //!
 //! A [`LoadedKernel`] whose plan is row-range splittable exports a
-//! ranged `extern "C"` entry; these drivers cut the matrix into the
-//! same nnz-balanced row blocks the hand-written parallel kernels use
-//! and dispatch each block through that entry on the global [`Pool`].
-//! Outputs are shared across chunks via [`RawOut`] — sound because the
-//! ranged entry writes exactly the rows of its band.
+//! ranged `extern "C"` entry; [`par_run_rows`] cuts the rows into the
+//! bands a format's `partition_rows` gives and dispatches each band
+//! through that entry on the global [`Pool`]. Outputs are shared across
+//! chunks via [`RawOut`] — sound because the ranged entry writes exactly
+//! the rows of its band.
 //!
-//! Determinism matches [`crate::par::mvm`]: one writer per output row
-//! and the same per-row accumulation order as the sequential kernel,
-//! so results are bitwise equal to a full-range `run` at every
-//! `nthreads`.
+//! One writer per output row and the same per-row accumulation order as
+//! the full-range entry make the result bitwise equal to a sequential
+//! `run` at every `nthreads`.
 
-use super::partition;
-use bernoulli_formats::{Bsr, Csr, Ell, Vbr};
+use bernoulli_formats::Csr;
 use bernoulli_pool::Pool;
 use bernoulli_synth::{KernelArg, KernelCallError, LoadedKernel, RawOut};
 use std::sync::Mutex;
 
-/// Runs a row-ranged loaded kernel over nnz-balanced row `bounds`
-/// (as produced by `partition_rows`/`ell_row_blocks`: `bounds[c]..
-/// bounds[c+1]` is chunk `c`), building each chunk's operand list with
-/// `make_args`. The first chunk error (if any) is returned.
+/// Runs a row-ranged loaded kernel over row `bounds` (as produced by
+/// `partition_rows`: `bounds[c]..bounds[c+1]` is chunk `c`), building
+/// each chunk's operand list with `make_args`. The first chunk error
+/// (if any) is returned.
 ///
 /// `make_args` runs once per chunk on a pool worker; shared outputs
 /// must be passed as [`KernelArg::OutShared`] so chunks do not alias
@@ -61,8 +59,10 @@ fn slot<T>(locked: std::sync::LockResult<T>) -> T {
 }
 
 /// `y += A·x` through a loaded CSR MVM kernel over nnz-balanced row
-/// blocks — the loaded-kernel analogue of [`super::par_mvm_csr`],
-/// bitwise equal to a sequential `run` of the same kernel.
+/// blocks: [`par_run_rows`] over `a.partition_rows(nthreads)`, bitwise
+/// equal to a sequential `run` of the same kernel. An `x` or `y` whose
+/// length does not match `a` is a [`KernelCallError::Mismatch`], and
+/// nothing runs.
 pub fn par_loaded_mvm_csr(
     k: &LoadedKernel,
     a: &Csr<f64>,
@@ -70,8 +70,16 @@ pub fn par_loaded_mvm_csr(
     y: &mut [f64],
     nthreads: usize,
 ) -> Result<(), KernelCallError> {
-    assert_eq!(x.len(), a.ncols, "x length");
-    assert_eq!(y.len(), a.nrows, "y length");
+    for (name, len, want) in [("x", x.len(), a.ncols), ("y", y.len(), a.nrows)] {
+        if len != want {
+            return Err(KernelCallError::Mismatch {
+                detail: format!(
+                    "{name} has {len} elements, the {}x{} matrix needs {want}",
+                    a.nrows, a.ncols
+                ),
+            });
+        }
+    }
     let bounds = a.partition_rows(nthreads.max(1));
     // SAFETY: each ranged call writes only rows lo..hi of y, and the
     // row blocks are disjoint across chunks.
@@ -85,84 +93,12 @@ pub fn par_loaded_mvm_csr(
     })
 }
 
-/// `y += A·x` through a loaded ELL MVM kernel over nnz-balanced row
-/// blocks — the loaded-kernel analogue of [`super::par_mvm_ell`].
-pub fn par_loaded_mvm_ell(
-    k: &LoadedKernel,
-    a: &Ell<f64>,
-    x: &[f64],
-    y: &mut [f64],
-    nthreads: usize,
-) -> Result<(), KernelCallError> {
-    assert_eq!(x.len(), a.ncols, "x length");
-    assert_eq!(y.len(), a.nrows, "y length");
-    let bounds = partition::ell_row_blocks(a, nthreads.max(1));
-    // SAFETY: disjoint row blocks, as above.
-    let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
-    par_run_rows(k, &[a.nrows as i64, a.ncols as i64], &bounds, &|| {
-        vec![
-            KernelArg::Ell(a),
-            KernelArg::In(x),
-            KernelArg::OutShared(yo),
-        ]
-    })
-}
-
-/// `y += A·x` through a loaded BSR MVM kernel over cell-balanced,
-/// block-aligned row blocks — the loaded-kernel analogue of
-/// [`super::par_mvm_bsr`], bitwise equal to a sequential `run` of the
-/// same kernel (the ranged body derives the block row from each logical
-/// row, so block-aligned bands partition the block walk exactly).
-pub fn par_loaded_mvm_bsr(
-    k: &LoadedKernel,
-    a: &Bsr<f64>,
-    x: &[f64],
-    y: &mut [f64],
-    nthreads: usize,
-) -> Result<(), KernelCallError> {
-    assert_eq!(x.len(), a.ncols, "x length");
-    assert_eq!(y.len(), a.nrows, "y length");
-    let bounds = a.partition_rows(nthreads.max(1));
-    // SAFETY: each ranged call writes only rows lo..hi of y, and the
-    // row blocks are disjoint across chunks.
-    let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
-    par_run_rows(k, &[a.nrows as i64, a.ncols as i64], &bounds, &|| {
-        vec![
-            KernelArg::Bsr(a),
-            KernelArg::In(x),
-            KernelArg::OutShared(yo),
-        ]
-    })
-}
-
-/// `y += A·x` through a loaded VBR MVM kernel over cell-balanced,
-/// strip-aligned row blocks — the loaded-kernel analogue of
-/// [`super::par_mvm_vbr`].
-pub fn par_loaded_mvm_vbr(
-    k: &LoadedKernel,
-    a: &Vbr<f64>,
-    x: &[f64],
-    y: &mut [f64],
-    nthreads: usize,
-) -> Result<(), KernelCallError> {
-    assert_eq!(x.len(), a.ncols, "x length");
-    assert_eq!(y.len(), a.nrows, "y length");
-    let bounds = a.partition_rows(nthreads.max(1));
-    // SAFETY: disjoint row blocks, as above.
-    let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
-    par_run_rows(k, &[a.nrows as i64, a.ncols as i64], &bounds, &|| {
-        vec![
-            KernelArg::Vbr(a),
-            KernelArg::In(x),
-            KernelArg::OutShared(yo),
-        ]
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bernoulli_formats::{gen, SparseView, Triplets};
+    use bernoulli_formats::layout::Stored;
+    use bernoulli_formats::partition::split_even;
+    use bernoulli_formats::{gen, Bsr, Ell, SparseView, Triplets, Vbr};
     use bernoulli_synth::{KernelStore, Session};
 
     fn try_load(a_view: bernoulli_formats::FormatView) -> Option<LoadedKernel> {
@@ -179,6 +115,49 @@ mod tests {
         Some(k.load_in(&KernelStore::at(dir)).expect("loads"))
     }
 
+    /// `y0 + A·x` through one sequential full-range `run`.
+    fn sequential(
+        k: &LoadedKernel,
+        a: &dyn Stored,
+        dims: (usize, usize),
+        x: &[f64],
+        y0: &[f64],
+    ) -> Vec<f64> {
+        let mut y = y0.to_vec();
+        let mut args = [
+            KernelArg::Matrix(a),
+            KernelArg::In(x),
+            KernelArg::Out(&mut y),
+        ];
+        k.run(&[dims.0 as i64, dims.1 as i64], &mut args)
+            .expect("sequential run");
+        y
+    }
+
+    /// `y0 + A·x` through [`par_run_rows`] over `bounds`.
+    fn banded(
+        k: &LoadedKernel,
+        a: &(dyn Stored + Sync),
+        dims: (usize, usize),
+        bounds: &[usize],
+        x: &[f64],
+        y0: &[f64],
+    ) -> Vec<f64> {
+        let mut y = y0.to_vec();
+        // SAFETY: the bands are disjoint and each ranged call writes
+        // only its own rows of y.
+        let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
+        par_run_rows(k, &[dims.0 as i64, dims.1 as i64], bounds, &|| {
+            vec![
+                KernelArg::Matrix(a),
+                KernelArg::In(x),
+                KernelArg::OutShared(yo),
+            ]
+        })
+        .expect("parallel run");
+        y
+    }
+
     #[test]
     fn par_loaded_csr_matches_sequential_run() {
         let t = gen::banded(257, 3, 11);
@@ -187,17 +166,10 @@ mod tests {
             return;
         };
         let x: Vec<f64> = (0..a.ncols).map(|i| (i as f64).cos()).collect();
-        let mut y_seq = vec![0.5; a.nrows];
-        let y_par = y_seq.clone();
-        let mut args = [
-            KernelArg::Csr(&a),
-            KernelArg::In(&x),
-            KernelArg::Out(&mut y_seq),
-        ];
-        k.run(&[a.nrows as i64, a.ncols as i64], &mut args)
-            .expect("sequential run");
+        let y0 = vec![0.5; a.nrows];
+        let y_seq = sequential(&k, &a, (a.nrows, a.ncols), &x, &y0);
         for threads in [1, 2, 3, 8] {
-            let mut y = y_par.clone();
+            let mut y = y0.clone();
             par_loaded_mvm_csr(&k, &a, &x, &mut y, threads).expect("parallel run");
             assert_eq!(y_seq, y, "threads = {threads}");
         }
@@ -207,22 +179,16 @@ mod tests {
     fn par_loaded_blocked_match_sequential_run() {
         let t = gen::fem_blocked(192, 2, 2, 0.85, 29);
         let x = gen::dense_vector(192, 4);
+        let y0 = vec![0.25; 192];
 
         let a = Bsr::from_triplets(&t, 2, 2);
         let Some(k) = try_load(a.format_view()) else {
             return;
         };
-        let mut y_seq = vec![0.25; a.nrows];
-        let mut args = [
-            KernelArg::Bsr(&a),
-            KernelArg::In(&x),
-            KernelArg::Out(&mut y_seq),
-        ];
-        k.run(&[a.nrows as i64, a.ncols as i64], &mut args)
-            .expect("sequential run");
+        let dims = (a.nrows, a.ncols);
+        let y_seq = sequential(&k, &a, dims, &x, &y0);
         for threads in [1, 2, 8] {
-            let mut y = vec![0.25; a.nrows];
-            par_loaded_mvm_bsr(&k, &a, &x, &mut y, threads).expect("parallel run");
+            let y = banded(&k, &a, dims, &a.partition_rows(threads), &x, &y0);
             assert_eq!(y_seq, y, "bsr threads = {threads}");
         }
 
@@ -231,17 +197,10 @@ mod tests {
         let Some(k) = try_load(v.format_view()) else {
             return;
         };
-        let mut y_seq = vec![0.25; v.nrows];
-        let mut args = [
-            KernelArg::Vbr(&v),
-            KernelArg::In(&x),
-            KernelArg::Out(&mut y_seq),
-        ];
-        k.run(&[v.nrows as i64, v.ncols as i64], &mut args)
-            .expect("sequential run");
+        let dims = (v.nrows, v.ncols);
+        let y_seq = sequential(&k, &v, dims, &x, &y0);
         for threads in [1, 2, 8] {
-            let mut y = vec![0.25; v.nrows];
-            par_loaded_mvm_vbr(&k, &v, &x, &mut y, threads).expect("parallel run");
+            let y = banded(&k, &v, dims, &v.partition_rows(threads), &x, &y0);
             assert_eq!(y_seq, y, "vbr threads = {threads}");
         }
     }
@@ -260,18 +219,72 @@ mod tests {
             return;
         };
         let x: Vec<f64> = (0..a.ncols).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut y_seq = vec![0.0; a.nrows];
-        let mut args = [
-            KernelArg::Ell(&a),
-            KernelArg::In(&x),
-            KernelArg::Out(&mut y_seq),
+        let y0 = vec![0.0; a.nrows];
+        let dims = (a.nrows, a.ncols);
+        let y_seq = sequential(&k, &a, dims, &x, &y0);
+        for threads in [1, 4] {
+            let y = banded(&k, &a, dims, &split_even(a.nrows, threads), &x, &y0);
+            assert_eq!(y_seq, y, "threads = {threads}");
+        }
+    }
+
+    /// 0×0, 1×1, one dense row, one dense column, no entries, and
+    /// three rows cut into up to 64 bands: bitwise the sequential `run`
+    /// of the kernel loaded for each shape's view.
+    #[test]
+    fn degenerate_shapes() {
+        let cases: Vec<Triplets<f64>> = vec![
+            Triplets::new(0, 0),
+            Triplets::from_entries(1, 1, &[(0, 0, 2.0)]),
+            Triplets::from_entries(
+                1,
+                30,
+                &(0..30).map(|c| (0, c, c as f64 + 1.0)).collect::<Vec<_>>(),
+            ),
+            Triplets::from_entries(
+                30,
+                1,
+                &(0..30).map(|r| (r, 0, r as f64 + 1.0)).collect::<Vec<_>>(),
+            ),
+            Triplets::new(5, 7),
+            gen::tridiagonal(3),
         ];
-        k.run(&[a.nrows as i64, a.ncols as i64], &mut args)
-            .expect("sequential run");
+        for t in &cases {
+            let a = Csr::from_triplets(t);
+            let Some(k) = try_load(a.format_view()) else {
+                return;
+            };
+            let x = gen::dense_vector(a.ncols, 3);
+            let y0 = gen::dense_vector(a.nrows, 4);
+            let y_seq = sequential(&k, &a, (a.nrows, a.ncols), &x, &y0);
+            for threads in [1, 2, 3, 7, 16, 64] {
+                let mut y = y0.clone();
+                par_loaded_mvm_csr(&k, &a, &x, &mut y, threads).expect("parallel run");
+                assert_eq!(y_seq, y, "{}x{}, threads = {threads}", a.nrows, a.ncols);
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_lengths_are_a_mismatch_not_a_panic() {
+        let a = Csr::from_triplets(&gen::random_sparse(6, 9, 20, 5));
+        let Some(k) = try_load(a.format_view()) else {
+            return;
+        };
         for threads in [1, 4] {
             let mut y = vec![0.0; a.nrows];
-            par_loaded_mvm_ell(&k, &a, &x, &mut y, threads).expect("parallel run");
-            assert_eq!(y_seq, y, "threads = {threads}");
+            let err = par_loaded_mvm_csr(&k, &a, &[1.0; 8], &mut y, threads).unwrap_err();
+            assert!(
+                matches!(&err, KernelCallError::Mismatch { detail } if detail.starts_with("x has 8")),
+                "{err}"
+            );
+            let mut y = vec![0.0; a.nrows + 1];
+            let err = par_loaded_mvm_csr(&k, &a, &[1.0; 9], &mut y, threads).unwrap_err();
+            assert!(
+                matches!(&err, KernelCallError::Mismatch { detail } if detail.starts_with("y has 7")),
+                "{err}"
+            );
+            assert_eq!(y, vec![0.0; a.nrows + 1], "nothing ran");
         }
     }
 }

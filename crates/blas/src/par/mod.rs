@@ -1,110 +1,24 @@
-//! Parallel execution subsystem (S32): worker pool, nnz-balanced
-//! partitioning, parallel kernels for every stored format, a
-//! level-scheduled triangular solve and parallel vector operations.
+//! Parallel execution (S32): a loaded kernel run over row bands on the
+//! worker pool.
 //!
-//! This replaces the seed's `parallel.rs` (a single CSR MVM over
-//! per-call scoped threads) with a layered subsystem:
-//!
-//! - [`Pool`] (re-exported from `bernoulli-pool`, shared with the
-//!   synthesis search) — a persistent, lazily-initialized worker pool
-//!   (`BERNOULLI_THREADS` overrides its size) executing chunked jobs
-//!   with dynamic chunk stealing;
-//! - [`partition`] — nnz-balanced chunk boundaries derived from each
-//!   format's compressed pointer structure;
-//! - [`mvm`] — `y += A·x` and `y += Aᵀ·x` for CSR, CSC, ELL, JAD and
-//!   DIA;
-//! - [`trisolve`] — wavefront (level-scheduled) lower triangular solve
-//!   for CSR;
-//! - [`vecops`] — axpy/dot/norm and the fused vector updates the
-//!   iterative solvers need;
-//! - [`solvers`] — parallel-capable conjugate gradients and Jacobi,
-//!   sharing the sequential solver bodies through
-//!   [`crate::solvers::VectorOps`].
+//! There is one parallel path, and it runs generated code: a
+//! [`LoadedKernel`](bernoulli_synth::LoadedKernel) whose plan is
+//! row-range splittable exports a ranged entry, and [`par_run_rows`]
+//! dispatches one call of that entry per band of rows on the
+//! [`Pool`] (re-exported from `bernoulli-pool`, shared with the
+//! synthesis search; `BERNOULLI_THREADS` sets its size). The bands come
+//! from the format: `Csr`, `Bsr` and `Vbr` cut theirs with
+//! `partition_rows` (nnz-balanced, block- or strip-aligned).
+//! [`par_loaded_mvm_csr`] is that call spelled out for CSR MVM.
 //!
 //! # Determinism
 //!
-//! Every kernel here is **deterministic**: its result is a pure
-//! function of its inputs and the `nthreads` argument, independent of
-//! the pool size and of scheduling. Gather-shaped kernels (one writer
-//! per output element, accumulation order identical to the sequential
-//! kernel) are additionally **bitwise equal** to their sequential
-//! counterparts at every thread count: `par_mvm_csr`, `par_mvm_ell`,
-//! `par_mvm_dia`, `par_mvm_bsr`, `par_mvm_vbr`, `par_mvmt_csc`,
-//! `par_mvmt_dia`, `par_ts_csr` and `par_axpy` (and `par_mvm_jad` when
-//! `y` starts zeroed). Scatter-shaped kernels (`par_mvm_csc`,
-//! `par_mvmt_csr`, `par_mvmt_ell`, `par_mvmt_jad`, `par_mvmt_bsr`,
-//! `par_mvmt_vbr`) and reductions (`par_dot`) combine per-chunk partial
-//! results in fixed chunk order — run-to-run reproducible, equal to
-//! sequential up to floating-point reassociation.
+//! Each output row has one writer, and the ranged entry accumulates a
+//! row in the same order as the full-range entry, so a parallel run is
+//! **bitwise equal** to a sequential `run` of the same kernel at every
+//! `nthreads`, whatever the pool's size or scheduling.
 
 pub mod loaded;
-pub mod mvm;
-pub mod partition;
-pub mod solvers;
-pub mod trisolve;
-pub mod vecops;
 
-pub use bernoulli_pool::{default_threads, Pool, THREADS_ENV};
-pub use loaded::{
-    par_loaded_mvm_bsr, par_loaded_mvm_csr, par_loaded_mvm_ell, par_loaded_mvm_vbr, par_run_rows,
-};
-pub use mvm::{
-    par_mvm_bsr, par_mvm_csc, par_mvm_csr, par_mvm_dia, par_mvm_ell, par_mvm_jad, par_mvm_vbr,
-    par_mvmt_bsr, par_mvmt_csc, par_mvmt_csr, par_mvmt_dia, par_mvmt_ell, par_mvmt_jad,
-    par_mvmt_vbr,
-};
-pub use solvers::{cg, cg_csr, jacobi, jacobi_csr, ParOps};
-pub use trisolve::{par_ts_csr, par_ts_csr_scheduled, LevelSchedule};
-pub use vecops::{par_axpy, par_dot, par_nrm2};
-
-/// Shared mutable handle to a slice whose elements are written by at
-/// most one pool chunk each.
-///
-/// The pool broadcasts one `Fn(usize)` to all workers, so a kernel
-/// cannot hand each chunk an exclusive `&mut` sub-slice through the
-/// type system; instead the kernels guarantee disjointness structurally
-/// (contiguous row blocks, permutations, per-chunk buffers) and go
-/// through this pointer. Every `unsafe` use in this module tree is one
-/// of these access patterns.
-pub(crate) struct SlicePtr<T>(*mut T);
-
-// SAFETY: access is restricted to disjoint elements per chunk (writes)
-// or elements no chunk writes (reads); see each call site.
-unsafe impl<T: Send> Send for SlicePtr<T> {}
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
-impl<T> SlicePtr<T> {
-    pub(crate) fn new(s: &mut [T]) -> SlicePtr<T> {
-        SlicePtr(s.as_mut_ptr())
-    }
-
-    /// Exclusive view of `lo..hi`.
-    ///
-    /// # Safety
-    /// `lo..hi` must be in bounds and not overlap any range another
-    /// chunk touches while this view is alive.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(lo), hi - lo)
-    }
-
-    /// Exclusive reference to element `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds and written by no other chunk while this
-    /// reference is alive.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn at_mut(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
-}
-
-impl<T: Copy> SlicePtr<T> {
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds and not concurrently written.
-    pub(crate) unsafe fn read(&self, i: usize) -> T {
-        *self.0.add(i)
-    }
-}
+pub use bernoulli_pool::Pool;
+pub use loaded::{par_loaded_mvm_csr, par_run_rows};

@@ -7,51 +7,6 @@
 
 use crate::handwritten::vecops::{axpy, dot, nrm2};
 
-/// The vector primitives an iterative solver consumes, abstracted so
-/// one solver body runs sequential or parallel: the defaults are the
-/// sequential [`crate::handwritten::vecops`] loops, and
-/// [`crate::par::ParOps`] overrides each with a pool-parallel version.
-pub trait VectorOps: Sync {
-    /// `y += alpha·x`.
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        axpy(alpha, x, y);
-    }
-    /// Dot product.
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        dot(x, y)
-    }
-    /// Euclidean norm.
-    fn nrm2(&self, x: &[f64]) -> f64 {
-        nrm2(x)
-    }
-    /// `p = r + beta·p` (the CG direction update).
-    fn scal_add(&self, beta: f64, p: &mut [f64], r: &[f64]) {
-        for (pi, &ri) in p.iter_mut().zip(r) {
-            *pi = ri + beta * *pi;
-        }
-    }
-    /// `Σ (b[i] − ax[i])²` (the Jacobi residual accumulation).
-    fn diff_norm_sq(&self, b: &[f64], ax: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (bi, axi) in b.iter().zip(ax) {
-            let r = bi - axi;
-            acc += r * r;
-        }
-        acc
-    }
-    /// `x[i] += (b[i] − ax[i]) / diag[i]` (the Jacobi correction).
-    fn diag_correct(&self, x: &mut [f64], b: &[f64], ax: &[f64], diag: &[f64]) {
-        for i in 0..x.len() {
-            x[i] += (b[i] - ax[i]) / diag[i];
-        }
-    }
-}
-
-/// Sequential vector operations (the trait defaults).
-pub struct SeqOps;
-
-impl VectorOps for SeqOps {}
-
 /// Outcome of an iterative solve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveStats {
@@ -72,18 +27,6 @@ pub fn cg(
     tol: f64,
     max_iter: usize,
 ) -> SolveStats {
-    cg_with(&SeqOps, matvec, b, x, tol, max_iter)
-}
-
-/// [`cg`] parameterized over the vector primitives.
-pub fn cg_with(
-    ops: &dyn VectorOps,
-    matvec: &mut dyn FnMut(&[f64], &mut [f64]),
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-) -> SolveStats {
     let n = b.len();
     assert_eq!(x.len(), n);
     let mut r = vec![0.0; n];
@@ -93,8 +36,8 @@ pub fn cg_with(
         r[i] = b[i] - ax[i];
     }
     let mut p = r.clone();
-    let mut rs_old = ops.dot(&r, &r);
-    let bnorm = ops.nrm2(b).max(1e-300);
+    let mut rs_old = dot(&r, &r);
+    let bnorm = nrm2(b).max(1e-300);
 
     for it in 0..max_iter {
         if rs_old.sqrt() / bnorm <= tol {
@@ -106,12 +49,14 @@ pub fn cg_with(
         }
         let mut ap = vec![0.0; n];
         matvec(&p, &mut ap);
-        let alpha = rs_old / ops.dot(&p, &ap);
-        ops.axpy(alpha, &p, x);
-        ops.axpy(-alpha, &ap, &mut r);
-        let rs_new = ops.dot(&r, &r);
+        let alpha = rs_old / dot(&p, &ap);
+        axpy(alpha, &p, x);
+        axpy(-alpha, &ap, &mut r);
+        let rs_new = dot(&r, &r);
         let beta = rs_new / rs_old;
-        ops.scal_add(beta, &mut p, &r);
+        for (pi, &ri) in p.iter_mut().zip(&r) {
+            *pi = ri + beta * *pi;
+        }
         rs_old = rs_new;
     }
     SolveStats {
@@ -131,26 +76,13 @@ pub fn jacobi(
     tol: f64,
     max_iter: usize,
 ) -> SolveStats {
-    jacobi_with(&SeqOps, matvec, diag, b, x, tol, max_iter)
-}
-
-/// [`jacobi`] parameterized over the vector primitives.
-pub fn jacobi_with(
-    ops: &dyn VectorOps,
-    matvec: &mut dyn FnMut(&[f64], &mut [f64]),
-    diag: &[f64],
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-) -> SolveStats {
     let n = b.len();
-    let bnorm = ops.nrm2(b).max(1e-300);
+    let bnorm = nrm2(b).max(1e-300);
     let mut ax = vec![0.0; n];
     for it in 0..max_iter {
         ax.iter_mut().for_each(|v| *v = 0.0);
         matvec(x, &mut ax);
-        let res = ops.diff_norm_sq(b, &ax).sqrt();
+        let res = residual(b, &ax);
         if res / bnorm <= tol {
             return SolveStats {
                 iterations: it,
@@ -159,16 +91,28 @@ pub fn jacobi_with(
             };
         }
         // x_new = x + (b - Ax) / d
-        ops.diag_correct(x, b, &ax, diag);
+        for i in 0..x.len() {
+            x[i] += (b[i] - ax[i]) / diag[i];
+        }
     }
     ax.iter_mut().for_each(|v| *v = 0.0);
     matvec(x, &mut ax);
-    let res = ops.diff_norm_sq(b, &ax).sqrt();
+    let res = residual(b, &ax);
     SolveStats {
         iterations: max_iter,
         residual: res,
         converged: res / bnorm <= tol,
     }
+}
+
+/// `‖b − ax‖₂`, the Jacobi residual.
+fn residual(b: &[f64], ax: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (bi, axi) in b.iter().zip(ax) {
+        let r = bi - axi;
+        acc += r * r;
+    }
+    acc.sqrt()
 }
 
 /// Power iteration for the dominant eigenpair — the paper's introduction

@@ -13,6 +13,7 @@
 use bernoulli_blas::handwritten as hw;
 use bernoulli_blas::synth;
 use bernoulli_formats::formats::dcsr::dcsr_format_view;
+use bernoulli_formats::layout::Stored;
 use bernoulli_formats::{
     discover_strips, gen, Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, Ell, Jad, Sky, Triplets, Vbr,
 };
@@ -51,17 +52,18 @@ impl Mat {
     }
 
     fn arg(&self) -> KernelArg<'_> {
-        match self {
-            Mat::Csr(m) => KernelArg::Csr(m),
-            Mat::Csc(m) => KernelArg::Csc(m),
-            Mat::Coo(m) => KernelArg::Coo(m),
-            Mat::Dia(m) => KernelArg::Dia(m),
-            Mat::Ell(m) => KernelArg::Ell(m),
-            Mat::Jad(m) => KernelArg::Jad(m),
-            Mat::Sky(m) => KernelArg::Sky(m),
-            Mat::Bsr(m) => KernelArg::Bsr(m),
-            Mat::Vbr(m) => KernelArg::Vbr(m),
-        }
+        let m: &dyn Stored = match self {
+            Mat::Csr(m) => m,
+            Mat::Csc(m) => m,
+            Mat::Coo(m) => m,
+            Mat::Dia(m) => m,
+            Mat::Ell(m) => m,
+            Mat::Jad(m) => m,
+            Mat::Sky(m) => m,
+            Mat::Bsr(m) => m,
+            Mat::Vbr(m) => m,
+        };
+        KernelArg::Matrix(m)
     }
 }
 

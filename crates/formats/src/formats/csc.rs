@@ -132,14 +132,6 @@ impl<T: Scalar> Csc<T> {
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
-
-    /// Splits the columns into at most `nblocks` contiguous blocks of
-    /// approximately equal stored-entry count (see
-    /// [`crate::partition::split_ptr_by_cost`]); the boundaries are a
-    /// deterministic function of the pattern.
-    pub fn partition_cols(&self, nblocks: usize) -> Vec<usize> {
-        crate::partition::split_ptr_by_cost(&self.colptr, nblocks)
-    }
 }
 
 // This text is also the kernel crates' (`Layout::find`): its bytes are

@@ -66,7 +66,7 @@ use crate::search::SynthError;
 use bernoulli_formats::layout::{levels_of_view, Block, Elem, Layout, RawArray, Stored};
 use bernoulli_formats::level::Kind;
 use bernoulli_formats::view::FormatView;
-use bernoulli_formats::{Bsr, Coo, Csc, Csr, Dia, Ell, Jad, Sky, Vbr};
+use bernoulli_formats::{Bsr, Csc, Csr, Jad};
 use bernoulli_ir::{ArrayKind, Program, Role};
 use bernoulli_kernel_cache::{ArtifactSpec, KernelCacheError, KernelStore, Library};
 use std::collections::HashMap;
@@ -234,19 +234,18 @@ impl RawOut {
 }
 
 /// One operand of a loaded-kernel call, in program declaration order.
+///
+/// A matrix of any layout is a [`KernelArg::Matrix`]. The four typed
+/// matrix variants say no more than it does: they predate it, and stay
+/// only because the benchmark harness names them (`benchmark/src/`
+/// `inputs.rs` and `stream.rs`).
 pub enum KernelArg<'a> {
-    /// A matrix of any registered layout. (The typed variants below say
-    /// no more than this one: they predate it.)
+    /// A matrix of any registered layout.
     Matrix(&'a dyn Stored),
     Csr(&'a Csr<f64>),
     Csc(&'a Csc<f64>),
-    Coo(&'a Coo<f64>),
-    Dia(&'a Dia<f64>),
-    Ell(&'a Ell<f64>),
     Jad(&'a Jad<f64>),
-    Sky(&'a Sky<f64>),
     Bsr(&'a Bsr<f64>),
-    Vbr(&'a Vbr<f64>),
     /// Read-only dense vector.
     In(&'a [f64]),
     /// Writable dense vector.
@@ -265,13 +264,8 @@ impl KernelArg<'_> {
             KernelArg::Matrix(m) => Operand::Matrix(*m),
             KernelArg::Csr(m) => Operand::Matrix(*m),
             KernelArg::Csc(m) => Operand::Matrix(*m),
-            KernelArg::Coo(m) => Operand::Matrix(*m),
-            KernelArg::Dia(m) => Operand::Matrix(*m),
-            KernelArg::Ell(m) => Operand::Matrix(*m),
             KernelArg::Jad(m) => Operand::Matrix(*m),
-            KernelArg::Sky(m) => Operand::Matrix(*m),
             KernelArg::Bsr(m) => Operand::Matrix(*m),
-            KernelArg::Vbr(m) => Operand::Matrix(*m),
             KernelArg::In(x) => Operand::In(x),
             KernelArg::Out(y) => Operand::Out(y),
             KernelArg::OutShared(r) => Operand::OutShared(*r),

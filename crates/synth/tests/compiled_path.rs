@@ -151,7 +151,7 @@ fn loaded_ell_mvm_matches_interpreter() {
     let mut y_interp = vec![0.0; n];
 
     let mut args = [
-        KernelArg::Ell(&a),
+        KernelArg::Matrix(&a),
         KernelArg::In(&x),
         KernelArg::Out(&mut y_native),
     ];
