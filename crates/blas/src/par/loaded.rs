@@ -94,14 +94,22 @@ pub fn par_loaded_mvm_csr(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use bernoulli_formats::layout::Stored;
     use bernoulli_formats::partition::split_even;
     use bernoulli_formats::{gen, Bsr, Ell, SparseView, Triplets, Vbr};
     use bernoulli_synth::{KernelStore, Session};
 
-    fn try_load(a_view: bernoulli_formats::FormatView) -> Option<LoadedKernel> {
+    /// The MVM kernel loaded for `a_view`, or `None` (after saying so)
+    /// on a host without `rustc`.
+    ///
+    /// Every test loads through one store handle: its build flights let
+    /// concurrent tests that want the same kernel share one `rustc` run,
+    /// where independent handles over one directory would run two
+    /// builds of one crate side by side.
+    pub(crate) fn try_load(a_view: bernoulli_formats::FormatView) -> Option<LoadedKernel> {
+        static STORE: std::sync::OnceLock<KernelStore> = std::sync::OnceLock::new();
         if bernoulli_synth::rustc_info().is_err() {
             eprintln!("SKIP par loaded test: no rustc on host");
             return None;
@@ -110,13 +118,16 @@ mod tests {
         let (p, mat) = crate::synth::spec_for("mvm");
         let bound = s.bind(&p, &[(mat, a_view)]).expect("binds");
         let k = s.compile(&bound).expect("compiles");
-        let dir =
-            std::env::temp_dir().join(format!("bernoulli-kc-parloaded-{}", std::process::id()));
-        Some(k.load_in(&KernelStore::at(dir)).expect("loads"))
+        let store = STORE.get_or_init(|| {
+            KernelStore::at(
+                std::env::temp_dir().join(format!("bernoulli-kc-parloaded-{}", std::process::id())),
+            )
+        });
+        Some(k.load_in(store).expect("loads"))
     }
 
     /// `y0 + A·x` through one sequential full-range `run`.
-    fn sequential(
+    pub(crate) fn sequential(
         k: &LoadedKernel,
         a: &dyn Stored,
         dims: (usize, usize),
@@ -225,66 +236,6 @@ mod tests {
         for threads in [1, 4] {
             let y = banded(&k, &a, dims, &split_even(a.nrows, threads), &x, &y0);
             assert_eq!(y_seq, y, "threads = {threads}");
-        }
-    }
-
-    /// 0×0, 1×1, one dense row, one dense column, no entries, and
-    /// three rows cut into up to 64 bands: bitwise the sequential `run`
-    /// of the kernel loaded for each shape's view.
-    #[test]
-    fn degenerate_shapes() {
-        let cases: Vec<Triplets<f64>> = vec![
-            Triplets::new(0, 0),
-            Triplets::from_entries(1, 1, &[(0, 0, 2.0)]),
-            Triplets::from_entries(
-                1,
-                30,
-                &(0..30).map(|c| (0, c, c as f64 + 1.0)).collect::<Vec<_>>(),
-            ),
-            Triplets::from_entries(
-                30,
-                1,
-                &(0..30).map(|r| (r, 0, r as f64 + 1.0)).collect::<Vec<_>>(),
-            ),
-            Triplets::new(5, 7),
-            gen::tridiagonal(3),
-        ];
-        for t in &cases {
-            let a = Csr::from_triplets(t);
-            let Some(k) = try_load(a.format_view()) else {
-                return;
-            };
-            let x = gen::dense_vector(a.ncols, 3);
-            let y0 = gen::dense_vector(a.nrows, 4);
-            let y_seq = sequential(&k, &a, (a.nrows, a.ncols), &x, &y0);
-            for threads in [1, 2, 3, 7, 16, 64] {
-                let mut y = y0.clone();
-                par_loaded_mvm_csr(&k, &a, &x, &mut y, threads).expect("parallel run");
-                assert_eq!(y_seq, y, "{}x{}, threads = {threads}", a.nrows, a.ncols);
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_lengths_are_a_mismatch_not_a_panic() {
-        let a = Csr::from_triplets(&gen::random_sparse(6, 9, 20, 5));
-        let Some(k) = try_load(a.format_view()) else {
-            return;
-        };
-        for threads in [1, 4] {
-            let mut y = vec![0.0; a.nrows];
-            let err = par_loaded_mvm_csr(&k, &a, &[1.0; 8], &mut y, threads).unwrap_err();
-            assert!(
-                matches!(&err, KernelCallError::Mismatch { detail } if detail.starts_with("x has 8")),
-                "{err}"
-            );
-            let mut y = vec![0.0; a.nrows + 1];
-            let err = par_loaded_mvm_csr(&k, &a, &[1.0; 9], &mut y, threads).unwrap_err();
-            assert!(
-                matches!(&err, KernelCallError::Mismatch { detail } if detail.starts_with("y has 7")),
-                "{err}"
-            );
-            assert_eq!(y, vec![0.0; a.nrows + 1], "nothing ran");
         }
     }
 }

@@ -19,6 +19,8 @@
 //! `nthreads`, whatever the pool's size or scheduling.
 
 pub mod loaded;
+#[cfg(test)]
+mod mvm;
 
 pub use bernoulli_pool::Pool;
 pub use loaded::{par_loaded_mvm_csr, par_run_rows};

@@ -1,175 +1,34 @@
-//! Property tests for the parallel execution subsystem: every parallel
-//! kernel against its sequential counterpart, across random matrices,
-//! partition granularities (1, 2, 3, 7, 16) and degenerate shapes,
-//! plus run-to-run determinism.
+//! The parallel driver against a sequential run of the same loaded
+//! kernel, on shapes at the edges: `par_loaded_mvm_csr` must be
+//! **bitwise** equal to one full-range `run` at every thread count.
 //!
-//! Equality levels follow the taxonomy of `bernoulli_blas::par`:
-//! gather-shaped kernels must match the sequential kernels **bitwise**
-//! at every thread count; scatter-shaped kernels (fixed-order partial
-//! reduction) must match up to floating-point reassociation and be
-//! bitwise-reproducible between runs.
+//! Skips (with a message) on a host without `rustc`, where no kernel
+//! can be loaded.
 
-use bernoulli_blas::{handwritten as hw, par};
-use bernoulli_formats::{gen, Csc, Csr, Dia, Ell, Jad, Triplets};
-use proptest::prelude::*;
-
-const THREADS: [usize; 5] = [1, 2, 3, 7, 16];
-
-fn assert_close(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!(
-            (x - y).abs() <= 1e-12 * (1.0 + x.abs().max(y.abs())),
-            "{what}[{i}]: {x} vs {y}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn mvm_matches_sequential(m in 0..40usize, n in 1..40usize,
-                              fill in 0..160usize, seed in 0..10_000u64) {
-        let nnz = fill.min(m * n);
-        let t = gen::random_sparse(m, n, nnz, seed);
-        let x = gen::dense_vector(n, seed ^ 0x5eed);
-        let xt = gen::dense_vector(m, seed ^ 0xfeed);
-
-        let csr = Csr::from_triplets(&t);
-        let csc = Csc::from_triplets(&t);
-        let ell = Ell::from_triplets(&t);
-        let jad = Jad::from_triplets(&t);
-        let dia = Dia::from_triplets(&t);
-
-        let mut mvm_ref = vec![0.0; m];
-        hw::mvm_csr(&csr, &x, &mut mvm_ref);
-        let mut mvmt_ref = vec![0.0; n];
-        hw::mvmt_csr(&csr, &xt, &mut mvmt_ref);
-        let mut dia_mvm_ref = vec![0.0; m];
-        hw::mvm_dia(&dia, &x, &mut dia_mvm_ref);
-        let mut dia_mvmt_ref = vec![0.0; n];
-        hw::mvmt_dia(&dia, &xt, &mut dia_mvmt_ref);
-        let mut jad_mvm_ref = vec![0.0; m];
-        hw::mvm_jad(&jad, &x, &mut jad_mvm_ref);
-        let mut csc_mvmt_ref = vec![0.0; n];
-        hw::mvmt_csc(&csc, &xt, &mut csc_mvmt_ref);
-
-        for &th in &THREADS {
-            // Gather kernels: bitwise.
-            let mut y = vec![0.0; m];
-            par::par_mvm_csr(&csr, &x, &mut y, th);
-            prop_assert_eq!(&y, &mvm_ref);
-
-            let mut y = vec![0.0; m];
-            par::par_mvm_ell(&ell, &x, &mut y, th);
-            prop_assert_eq!(&y, &mvm_ref);
-
-            let mut y = vec![0.0; m];
-            par::par_mvm_jad(&jad, &x, &mut y, th);
-            prop_assert_eq!(&y, &jad_mvm_ref);
-
-            let mut y = vec![0.0; m];
-            par::par_mvm_dia(&dia, &x, &mut y, th);
-            prop_assert_eq!(&y, &dia_mvm_ref);
-
-            let mut y = vec![0.0; n];
-            par::par_mvmt_csc(&csc, &xt, &mut y, th);
-            prop_assert_eq!(&y, &csc_mvmt_ref);
-
-            let mut y = vec![0.0; n];
-            par::par_mvmt_dia(&dia, &xt, &mut y, th);
-            prop_assert_eq!(&y, &dia_mvmt_ref);
-
-            // Scatter kernels: equal up to reassociation.
-            let mut y = vec![0.0; m];
-            par::par_mvm_csc(&csc, &x, &mut y, th);
-            assert_close(&y, &mvm_ref, "par_mvm_csc");
-
-            let mut y = vec![0.0; n];
-            par::par_mvmt_csr(&csr, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "par_mvmt_csr");
-
-            let mut y = vec![0.0; n];
-            par::par_mvmt_ell(&ell, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "par_mvmt_ell");
-
-            let mut y = vec![0.0; n];
-            par::par_mvmt_jad(&jad, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "par_mvmt_jad");
-        }
-    }
-
-    #[test]
-    fn trisolve_matches_sequential_bitwise(n in 1..80usize, bw in 0..5usize,
-                                           seed in 0..10_000u64) {
-        let t = gen::banded(n, bw, seed).lower_triangle_full_diag(3.0);
-        let l = Csr::from_triplets(&t);
-        let b0 = gen::dense_vector(n, seed ^ 0xb0);
-        let mut b_ref = b0.clone();
-        hw::ts_csr(&l, &mut b_ref);
-        for &th in &THREADS {
-            let mut b = b0.clone();
-            par::par_ts_csr(&l, &mut b, th);
-            prop_assert_eq!(&b, &b_ref, "threads = {}", th);
-        }
-    }
-
-    #[test]
-    fn vecops_match_sequential(n in 0..700usize, seed in 0..10_000u64) {
-        let x = gen::dense_vector(n, seed);
-        let y0 = gen::dense_vector(n, seed ^ 1);
-        let mut y_ref = y0.clone();
-        hw::axpy(-0.75, &x, &mut y_ref);
-        let dot_ref = hw::dot(&x, &y0);
-        for &th in &THREADS {
-            let mut y = y0.clone();
-            par::par_axpy(-0.75, &x, &mut y, th);
-            prop_assert_eq!(&y, &y_ref);
-            let d = par::par_dot(&x, &y0, th);
-            prop_assert!((d - dot_ref).abs() <= 1e-12 * (1.0 + dot_ref.abs()));
-        }
-        prop_assert_eq!(par::par_dot(&x, &y0, 1), dot_ref);
-    }
-}
-
-/// Two runs with identical inputs and thread counts must agree bitwise
-/// — including the scatter kernels, whose partial-buffer reduction
-/// order is fixed.
-#[test]
-fn two_runs_are_bitwise_identical() {
-    let t = gen::structurally_symmetric(300, 2400, 31, 42);
-    let x = gen::dense_vector(300, 7);
-    let csr = Csr::from_triplets(&t);
-    let csc = Csc::from_triplets(&t);
-    let ell = Ell::from_triplets(&t);
-    let jad = Jad::from_triplets(&t);
-    let run = |th: usize| {
-        let mut outs = Vec::new();
-        let mut y = vec![0.0; 300];
-        par::par_mvm_csc(&csc, &x, &mut y, th);
-        outs.push(y);
-        let mut y = vec![0.0; 300];
-        par::par_mvmt_csr(&csr, &x, &mut y, th);
-        outs.push(y);
-        let mut y = vec![0.0; 300];
-        par::par_mvmt_ell(&ell, &x, &mut y, th);
-        outs.push(y);
-        let mut y = vec![0.0; 300];
-        par::par_mvmt_jad(&jad, &x, &mut y, th);
-        outs.push(y);
-        outs.push(vec![par::par_dot(&x, &x, th)]);
-        outs
-    };
-    for th in THREADS {
-        assert_eq!(run(th), run(th), "threads = {th}");
-    }
-}
+use bernoulli_blas::{par, synth};
+use bernoulli_formats::{gen, Csr, Triplets};
+use bernoulli_synth::{KernelArg, KernelStore, Session};
 
 #[test]
 fn degenerate_shapes() {
+    if bernoulli_synth::rustc_info().is_err() {
+        eprintln!("SKIP degenerate_shapes: no rustc on host");
+        return;
+    }
+    let s = Session::new();
+    let (p, mat) = synth::spec_for("mvm");
+    let bound = s
+        .bind(&p, &[(mat, synth::view_for("mvm", "csr"))])
+        .expect("binds");
+    let dir = std::env::temp_dir().join(format!("bernoulli-kc-pareq-{}", std::process::id()));
+    let k = s
+        .compile(&bound)
+        .expect("compiles")
+        .load_in(&KernelStore::at(dir))
+        .expect("loads");
+
     // 0×0, 1×1, a single dense row, a single dense column, all-empty
-    // rows — every kernel must handle them at every thread count.
+    // rows, and three rows cut into up to 64 bands.
     let cases: Vec<Triplets<f64>> = vec![
         Triplets::new(0, 0),
         Triplets::from_entries(1, 1, &[(0, 0, 2.0)]),
@@ -184,68 +43,25 @@ fn degenerate_shapes() {
             &(0..30).map(|r| (r, 0, r as f64 + 1.0)).collect::<Vec<_>>(),
         ),
         Triplets::new(5, 7),
+        gen::tridiagonal(3),
     ];
     for t in &cases {
-        let (m, n) = (t.nrows(), t.ncols());
+        let a = Csr::from_triplets(t);
+        let (m, n) = (a.nrows, a.ncols);
         let x = gen::dense_vector(n, 3);
-        let xt = gen::dense_vector(m, 4);
-        let csr = Csr::from_triplets(t);
-        let csc = Csc::from_triplets(t);
-        let ell = Ell::from_triplets(t);
-        let jad = Jad::from_triplets(t);
-        let dia = Dia::from_triplets(t);
-        let mut mvm_ref = vec![0.0; m];
-        hw::mvm_csr(&csr, &x, &mut mvm_ref);
-        let mut mvmt_ref = vec![0.0; n];
-        hw::mvmt_csr(&csr, &xt, &mut mvmt_ref);
-        for th in THREADS {
-            let mut y = vec![0.0; m];
-            par::par_mvm_csr(&csr, &x, &mut y, th);
-            assert_eq!(y, mvm_ref);
-            let mut y = vec![0.0; m];
-            par::par_mvm_ell(&ell, &x, &mut y, th);
-            assert_eq!(y, mvm_ref);
-            let mut y = vec![0.0; m];
-            par::par_mvm_jad(&jad, &x, &mut y, th);
-            assert_eq!(y, mvm_ref);
-            let mut y = vec![0.0; m];
-            par::par_mvm_dia(&dia, &x, &mut y, th);
-            assert_close(&y, &mvm_ref, "dia mvm degenerate");
-            let mut y = vec![0.0; m];
-            par::par_mvm_csc(&csc, &x, &mut y, th);
-            assert_close(&y, &mvm_ref, "csc mvm degenerate");
-            let mut y = vec![0.0; n];
-            par::par_mvmt_csr(&csr, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "csr mvmt degenerate");
-            let mut y = vec![0.0; n];
-            par::par_mvmt_csc(&csc, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "csc mvmt degenerate");
-            let mut y = vec![0.0; n];
-            par::par_mvmt_ell(&ell, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "ell mvmt degenerate");
-            let mut y = vec![0.0; n];
-            par::par_mvmt_jad(&jad, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "jad mvmt degenerate");
-            let mut y = vec![0.0; n];
-            par::par_mvmt_dia(&dia, &xt, &mut y, th);
-            assert_close(&y, &mvmt_ref, "dia mvmt degenerate");
+        let y0 = gen::dense_vector(m, 4);
+        let mut y_seq = y0.clone();
+        let mut args = [
+            KernelArg::Csr(&a),
+            KernelArg::In(&x),
+            KernelArg::Out(&mut y_seq),
+        ];
+        k.run(&[m as i64, n as i64], &mut args)
+            .expect("sequential run");
+        for threads in [1, 2, 3, 7, 16, 64] {
+            let mut y = y0.clone();
+            par::par_loaded_mvm_csr(&k, &a, &x, &mut y, threads).expect("parallel run");
+            assert_eq!(y_seq, y, "{m}x{n}, threads = {threads}");
         }
     }
-}
-
-/// The solvers built on the subsystem converge and are deterministic
-/// end-to-end.
-#[test]
-fn parallel_solver_end_to_end() {
-    let t = gen::poisson2d(14);
-    let n = t.nrows();
-    let a = Csr::from_triplets(&t);
-    let b = gen::dense_vector(n, 17);
-    let mut x1 = vec![0.0; n];
-    let mut x2 = vec![0.0; n];
-    let s1 = par::cg_csr(&a, &b, &mut x1, 1e-10, 3000, 4);
-    let s2 = par::cg_csr(&a, &b, &mut x2, 1e-10, 3000, 4);
-    assert!(s1.converged, "residual {}", s1.residual);
-    assert_eq!(x1, x2);
-    assert_eq!(s1, s2);
 }
