@@ -273,11 +273,6 @@ impl AnyFormat<f64> {
     pub fn as_view(&self) -> &dyn crate::SparseView {
         each_format!(self, m => m)
     }
-
-    /// Mutably borrows the dynamic low-level API.
-    pub fn as_view_mut(&mut self) -> &mut dyn crate::SparseView {
-        each_format!(self, m => m)
-    }
 }
 
 #[cfg(test)]

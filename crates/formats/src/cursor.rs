@@ -20,8 +20,8 @@
 //!   parent position, forward or (for interval levels) backward;
 //! - `search`: find the child position for a given key, per the level's
 //!   [`SearchKind`](crate::view::SearchKind);
-//! - at the innermost level, `value_at`/`set_value_at` read and write the
-//!   stored scalar.
+//! - at the innermost level, `value_at` reads the stored scalar (sparse
+//!   operands are read-only).
 //!
 //! Positions are opaque `usize` tokens whose meaning is format-private
 //! (e.g. for CSR, the level-0 position is a row number and the level-1
@@ -362,11 +362,6 @@ pub trait SparseView: SparseMatrix + Leveled {
     /// Reads the stored value at a leaf position of `chain`.
     fn value_at(&self, chain: usize, pos: Position) -> f64 {
         self.array(self.levels().chains[chain].values).values()[pos]
-    }
-
-    /// Writes the stored value at a leaf position of `chain`.
-    fn set_value_at(&mut self, chain: usize, pos: Position, v: f64) {
-        self.values_mut(self.levels().chains[chain].values)[pos] = v;
     }
 
     /// Applies the view's permutation table: `table[x]`.

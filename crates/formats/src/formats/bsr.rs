@@ -10,7 +10,7 @@
 
 use crate::layout::{index_limit, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Block Sparse Row matrix with fixed `r x c` blocks.
 #[derive(Clone, Debug, PartialEq)]
@@ -232,51 +232,11 @@ stored_layout! {
     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 }
 
-impl SparseMatrix for Bsr<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not inside a stored block"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for br in 0..self.nrows / self.r {
-            for b in self.blocks(br) {
-                let c0 = self.bcolind[b] as usize * self.c;
-                for rr in 0..self.r {
-                    for cc in 0..self.c {
-                        out.push((
-                            br * self.r + rr,
-                            c0 + cc,
-                            self.values[(b * self.r + rr) * self.c + cc],
-                        ));
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|&(r, c, _)| (r, c));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Triplets<f64> {
         // 4x4 with 2x2 blocks at (0,0), (0,1) and (1,1); block (0,1) is

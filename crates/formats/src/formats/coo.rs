@@ -7,7 +7,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Co-ordinate (triplet-array) matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,37 +110,11 @@ stored_layout! {
     from_triplets: |t, _| Coo::from_triplets(t);
 }
 
-impl SparseMatrix for Coo<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not a stored position"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        (0..self.nnz())
-            .map(|i| (self.rows[i] as usize, self.cols[i] as usize, self.values[i]))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 4.0)])

@@ -5,7 +5,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Compressed Sparse Column matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,42 +164,12 @@ stored_layout! {
     from_triplets: |t, _| Csc::from_triplets(t);
 }
 
-impl SparseMatrix for Csc<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not a stored position"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for c in 0..self.ncols {
-            for i in self.col_range(c) {
-                out.push((self.rowind[i] as usize, c, self.values[i]));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
     use crate::Csr;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample_triplets() -> Triplets<f64> {
         Triplets::from_entries(
@@ -306,12 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn search_and_set() {
-        let mut a = Csc::from_triplets(&sample_triplets());
+    fn search() {
+        let a = Csc::from_triplets(&sample_triplets());
         let p = a.search(0, 1, 2, &[2]).unwrap(); // column 2, row 2
         assert_eq!(a.value_at(0, p), 5.0);
-        a.set(2, 2, 50.0);
-        assert_eq!(a.value_at(0, p), 50.0);
         assert_eq!(a.search(0, 1, 2, &[3]), None);
     }
 

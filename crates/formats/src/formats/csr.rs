@@ -7,7 +7,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Compressed Sparse Row matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,41 +171,11 @@ stored_layout! {
     from_triplets: |t, _| Csr::from_triplets(t);
 }
 
-impl SparseMatrix for Csr<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not a stored position"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.nrows {
-            for i in self.row_range(r) {
-                out.push((r, self.colind[i] as usize, self.values[i]));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Csr<f64> {
         // The paper's Fig. 1 example matrix:
@@ -242,20 +212,6 @@ mod tests {
         assert_eq!(a.get(0, 2), 2.0);
         assert_eq!(a.get(0, 1), 0.0);
         assert_eq!(a.get(3, 3), 7.0);
-    }
-
-    #[test]
-    fn set_stored() {
-        let mut a = sample();
-        a.set(2, 1, 9.0);
-        assert_eq!(a.get(2, 1), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a stored position")]
-    fn set_unstored_panics() {
-        let mut a = sample();
-        a.set(0, 1, 9.0);
     }
 
     #[test]

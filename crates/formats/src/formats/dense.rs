@@ -80,9 +80,6 @@ impl SparseMatrix for Dense<f64> {
     fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.ncols + c]
     }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.ncols + c] = v;
-    }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for r in 0..self.nrows {
@@ -123,7 +120,7 @@ mod tests {
     #[test]
     fn basic_access() {
         let mut d = Dense::<f64>::zeros(2, 3);
-        d.set(1, 2, 5.0);
+        *d.at_mut(1, 2) = 5.0;
         assert_eq!(d.get(1, 2), 5.0);
         assert_eq!(d.get(0, 0), 0.0);
         assert_eq!(d.nnz(), 6);

@@ -7,7 +7,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Sentinel column index marking a padding slot.
 pub const ELL_PAD: i64 = -1;
@@ -164,45 +164,11 @@ stored_layout! {
     from_triplets: |t, _| Ell::from_triplets(t);
 }
 
-impl SparseMatrix for Ell<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.rowlen.iter().map(|&l| l as usize).sum()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not a stored position"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.nrows {
-            for s in 0..self.rowlen[r] as usize {
-                out.push((
-                    r,
-                    self.colind[r * self.width + s] as usize,
-                    self.values[r * self.width + s],
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(

@@ -21,7 +21,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Jagged Diagonal matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -267,43 +267,11 @@ stored_layout! {
     from_triplets: |t, _| Jad::from_triplets(t);
 }
 
-impl SparseMatrix for Jad<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not a stored position"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for rr in 0..self.nrows {
-            let r = self.iperm[rr] as usize;
-            for &start in &self.dptr[..self.rowlen[rr] as usize] {
-                let jj = start as usize + rr;
-                out.push((r, self.colind[jj] as usize, self.values[jj]));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     /// The matrix of the paper's Fig. 14(a):
     /// ```text

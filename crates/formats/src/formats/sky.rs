@@ -9,7 +9,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Lower skyline matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,6 +97,7 @@ impl<T: Scalar> Sky<T> {
 stored_layout! {
     Sky, "sky", include_str!("sky.rs");
     dims: n;
+    shape: n, n;
     arrays: lo: u32, ptr: u32, values: f64;
     chains: [
         Level::interval(n),
@@ -111,42 +112,11 @@ stored_layout! {
     from_triplets: |t, _| Sky::from_triplets(t);
 }
 
-impl SparseMatrix for Sky<f64> {
-    fn nrows(&self) -> usize {
-        self.n
-    }
-    fn ncols(&self) -> usize {
-        self.n
-    }
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.values[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is outside the skyline profile"));
-        self.values[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.n {
-            let (lo, at) = (self.lo[r] as usize, self.ptr[r] as usize);
-            for c in lo..=r {
-                out.push((r, c, self.values[at + (c - lo)]));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Triplets<f64> {
         Triplets::from_entries(

@@ -92,13 +92,6 @@ impl SparseMatrix for SparseVec<f64> {
         assert_eq!(c, 0);
         self.find(r).map_or(0.0, |k| self.values[k])
     }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        assert_eq!(c, 0);
-        let k = self
-            .find(r)
-            .unwrap_or_else(|| panic!("index {r} is not stored"));
-        self.values[k] = v;
-    }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         self.ind
             .iter()
@@ -181,14 +174,6 @@ impl SparseMatrix for HashVec<f64> {
         assert_eq!(c, 0);
         self.index.get(&r).map_or(0.0, |&k| self.values[k])
     }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        assert_eq!(c, 0);
-        let k = *self
-            .index
-            .get(&r)
-            .unwrap_or_else(|| panic!("index {r} is not stored"));
-        self.values[k] = v;
-    }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         self.ind
             .iter()
@@ -265,16 +250,6 @@ mod tests {
             hv.format_view().alternatives()[0][0].levels[0].search,
             SearchKind::Hash
         );
-    }
-
-    #[test]
-    fn set_values() {
-        let mut sv = SparseVec::from_pairs(4, &[(2, 1.0)]);
-        sv.set(2, 0, 9.0);
-        assert_eq!(sv.get(2, 0), 9.0);
-        let mut hv = HashVec::from_pairs(4, &[(2, 1.0)]);
-        hv.set(2, 0, 9.0);
-        assert_eq!(hv.get(2, 0), 9.0);
     }
 
     #[test]

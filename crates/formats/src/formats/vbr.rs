@@ -14,7 +14,7 @@
 
 use crate::layout::{index_limit, narrow, stored_layout};
 use crate::scalar::Scalar;
-use crate::{SparseMatrix, Triplets};
+use crate::Triplets;
 
 /// Variable Block Row matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -351,48 +351,11 @@ stored_layout! {
     };
 }
 
-impl SparseMatrix for Vbr<f64> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn nnz(&self) -> usize {
-        self.val.len()
-    }
-    fn get(&self, r: usize, c: usize) -> f64 {
-        self.find(r, c).map_or(0.0, |i| self.val[i])
-    }
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self
-            .find(r, c)
-            .unwrap_or_else(|| panic!("({r},{c}) is not inside a stored block"));
-        self.val[i] = v;
-    }
-    fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for br in 0..self.rpntr.len() - 1 {
-            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
-            for b in self.blocks(br) {
-                let (cj0, w, at) = self.block(b);
-                for rr in 0..r1 - r0 {
-                    for cc in 0..w {
-                        out.push((r0 + rr, cj0 + cc, self.val[at + rr * w + cc]));
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|&(r, c, _)| (r, c));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::check_view_conformance;
-    use crate::SparseView;
+    use crate::{SparseMatrix, SparseView};
 
     fn sample() -> Triplets<f64> {
         // 5x5 with strips {0..2, 2..5} x {0..2, 2..4, 4..5}: blocks of

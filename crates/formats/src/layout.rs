@@ -98,11 +98,6 @@ pub trait ElemType: Sized {
 
     /// An array of this type, as a level description reads it.
     fn slice(array: &[Self]) -> Slice<'_>;
-
-    /// The array for writing, when it is one of values.
-    fn values_mut(_array: &mut [Self]) -> Option<&mut [f64]> {
-        None
-    }
 }
 
 impl ElemType for u32 {
@@ -126,10 +121,6 @@ impl ElemType for f64 {
 
     fn slice(array: &[f64]) -> Slice<'_> {
         Slice::F64(array)
-    }
-
-    fn values_mut(array: &mut [f64]) -> Option<&mut [f64]> {
-        Some(array)
     }
 }
 
@@ -328,13 +319,14 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 
 /// Declares the [`Layout`] of a format struct, as the static `LAYOUT` of
 /// the struct's module, and implements [`Stored`],
-/// [`Leveled`](crate::level::Leveled) and [`SparseView`] for the struct
-/// at `f64`:
+/// [`Leveled`](crate::level::Leveled), [`SparseView`] and
+/// [`SparseMatrix`](crate::SparseMatrix) for the struct at `f64`:
 ///
 /// ```ignore
 /// stored_layout! {
 ///     Bsr, "bsr", include_str!("bsr.rs");
 ///     dims: nrows, ncols, r, c;
+///     shape: n, n;                        // when not `nrows, ncols`
 ///     arrays: browptr: u32, bcolind: u32, values: f64;
 ///     block: r x c;                       // blocked layouts only
 ///     chains: [
@@ -352,7 +344,8 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// ```
 ///
 /// `dims` and `arrays` must name every field of the struct, each with
-/// its type; their order here is the order of [`Stored::parts`]. Each
+/// its type; their order here is the order of [`Stored::parts`]. `shape`
+/// names the dims that are the matrix's rows and columns. Each
 /// chain lists its levels outermost first and then its value array (see
 /// [`crate::level`]); `find` names the method the levels' `.find(..)`
 /// call, which is one of those between the `layout-find` markers; `view`
@@ -360,10 +353,16 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// [`crate::view`] (a blocked view's name, not its text, carries the
 /// shape: `bsr2x2`), and the function that reads it
 /// ([`leveled!`](crate::level::leveled)).
+///
+/// The dense API is read off the same lines: `get(r, c)` is the
+/// struct's `find(r, c)` — the dense lookup every format has between its
+/// `layout-find` markers — over the first chain's value array, `nnz` the
+/// struct's own, and `entries` its `to_triplets`.
 macro_rules! stored_layout {
     (
         $ty:ident, $name:literal, $src:expr;
         dims: $($dim:ident),+;
+        $(shape: $nr:ident, $nc:ident;)?
         arrays: $($arr:ident: $elem:ty),+;
         $(block: $br:ident x $bc:ident;)?
         chains: $([$($level:expr),+] -> $values:ident),+;
@@ -413,6 +412,20 @@ macro_rules! stored_layout {
             }
         }
 
+        impl $crate::SparseMatrix for $ty<f64> {
+            $crate::layout::stored_layout!(@shape $($nr $nc)?);
+            $crate::layout::stored_layout!(@get $($values),+);
+
+            fn nnz(&self) -> usize {
+                // The inherent method: ELL's leaves its padding out.
+                self.nnz()
+            }
+
+            fn entries(&self) -> Vec<(usize, usize, f64)> {
+                self.to_triplets().into_entries()
+            }
+        }
+
         $crate::level::leveled! {
             $ty, $name;
             dims: $($dim = $dim),+;
@@ -427,6 +440,21 @@ macro_rules! stored_layout {
     };
     (@blocked) => { false };
     (@blocked $br:ident) => { true };
+    (@shape) => { $crate::layout::stored_layout!(@shape nrows ncols); };
+    (@shape $nr:ident $nc:ident) => {
+        fn nrows(&self) -> usize {
+            self.$nr
+        }
+
+        fn ncols(&self) -> usize {
+            self.$nc
+        }
+    };
+    (@get $values:ident $(, $more:ident)*) => {
+        fn get(&self, r: usize, c: usize) -> f64 {
+            self.find(r, c).map_or(0.0, |i| self.$values[i])
+        }
+    };
 }
 pub(crate) use stored_layout;
 

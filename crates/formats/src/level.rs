@@ -444,9 +444,6 @@ pub trait Leveled {
 
     fn array(&self, a: Arr) -> Slice<'_>;
 
-    /// A value array, for writing.
-    fn values_mut(&mut self, a: Arr) -> &mut [f64];
-
     /// The [`Levels::finder`] method.
     fn find_at(&self, a: usize, b: usize) -> Option<usize>;
 
@@ -551,14 +548,6 @@ macro_rules! leveled {
 
             fn array(&self, a: $crate::level::Arr) -> $crate::level::Slice<'_> {
                 [$(<$elem as $crate::layout::ElemType>::slice(&self.$($apath).+)),+][a.0]
-            }
-
-            fn values_mut(&mut self, a: $crate::level::Arr) -> &mut [f64] {
-                let arrays = [$(<$elem as $crate::layout::ElemType>::values_mut(
-                    &mut self.$($apath).+
-                )),+];
-                let values = arrays.into_iter().nth(a.0).flatten();
-                values.unwrap_or_else(|| panic!("{} has no value array {}", $name, a.0))
             }
 
             fn find_at(&self, a: usize, b: usize) -> Option<usize> {

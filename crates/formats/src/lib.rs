@@ -8,8 +8,8 @@
 //! stored coordinates relate to the dense row/column coordinates. This
 //! crate provides:
 //!
-//! - **The high-level API** ([`SparseMatrix`]): a dense-matrix view
-//!   (dimensions + random `get`/`set`) used by algorithm designers and by
+//! - **The high-level API** ([`SparseMatrix`]): a read-only dense-matrix
+//!   view (dimensions + random `get`) used by algorithm designers and by
 //!   the reference executor. Corresponds to the paper's `matrix<BASE>`
 //!   abstract class (`JadRandom` etc.).
 //! - **The low-level API** ([`view::FormatView`] + [`cursor::SparseView`]):
@@ -71,7 +71,9 @@ pub use view::{
 
 /// The high-level (dense) API: what the algorithm designer programs
 /// against. Everything is addressed by dense row/column coordinates;
-/// unstored positions read as zero.
+/// unstored positions read as zero. Sparse operands are read-only: no
+/// executor writes a matrix. A registered format gets this from its
+/// `stored_layout!` ([`layout`]); only the host views implement it.
 pub trait SparseMatrix {
     /// Number of rows of the enveloping dense matrix.
     fn nrows(&self) -> usize;
@@ -81,12 +83,6 @@ pub trait SparseMatrix {
     fn nnz(&self) -> usize;
     /// Random access read; zero for unstored positions.
     fn get(&self, r: usize, c: usize) -> f64;
-    /// Random access write to a *stored* position.
-    ///
-    /// # Panics
-    /// Panics if `(r, c)` is not a stored position (sparse formats without
-    /// fill cannot materialize new entries).
-    fn set(&mut self, r: usize, c: usize, v: f64);
     /// All stored entries as `(row, col, value)` triplets, in an
     /// unspecified order.
     fn entries(&self) -> Vec<(usize, usize, f64)>;

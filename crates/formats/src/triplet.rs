@@ -160,6 +160,11 @@ impl<T: Scalar> Triplets<T> {
         &self.entries
     }
 
+    /// The entries, moved out, in the order of [`entries`](Self::entries).
+    pub fn into_entries(self) -> Vec<(usize, usize, T)> {
+        self.entries
+    }
+
     /// Random-access read of the first entry pushed at `(r, c)`: a binary
     /// search in normal form, a linear scan otherwise.
     pub fn get(&self, r: usize, c: usize) -> T {

@@ -1,11 +1,14 @@
 //! Property tests: every format round-trips through triplets, agrees with
 //! every other format on random access, and enumerates exactly its stored
-//! entries via its declared view (DESIGN.md property P2).
+//! entries via its declared view (DESIGN.md property P2). Random access is
+//! held for every format `AnyFormat` names and for every registered
+//! layout, whose dense API `stored_layout!` derives.
 
 use bernoulli_formats::convert::{AnyFormat, FORMAT_NAMES};
 use bernoulli_formats::cursor::check_view_conformance;
-use bernoulli_formats::Triplets;
+use bernoulli_formats::{SparseView, Stored, Triplets, LAYOUTS};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Random square matrix as a set of distinct entries.
 fn arb_matrix(n: usize, max_nnz: usize) -> impl Strategy<Value = Triplets<f64>> {
@@ -19,36 +22,74 @@ fn arb_matrix(n: usize, max_nnz: usize) -> impl Strategy<Value = Triplets<f64>> 
     })
 }
 
+/// Every registered layout's instance of `t` at block shape 2×2, with
+/// the matrix it holds: `t`, or for Sky, which holds a lower triangle,
+/// `t`'s with its diagonal filled.
+fn layouts(t: &Triplets<f64>) -> Vec<(&'static str, Triplets<f64>, Box<dyn Stored>)> {
+    LAYOUTS
+        .iter()
+        .map(|layout| {
+            let held = match layout.name {
+                "sky" => t.lower_triangle_full_diag(1.0),
+                _ => t.clone(),
+            };
+            let m = (layout.from_triplets)(&held, (2, 2));
+            (layout.name, held, m)
+        })
+        .collect()
+}
+
+/// The dense API of `m` against the matrix it holds: `get` reads `t` at
+/// every position, `nnz` counts the entries, and every entry's value is
+/// what `get` reads there; a position no entry names reads 0.
+fn dense_api_agrees(name: &str, m: &dyn SparseView, t: &Triplets<f64>) {
+    let entries = m.entries();
+    assert_eq!(m.nnz(), entries.len(), "{}", name);
+    let named: HashMap<(usize, usize), f64> =
+        entries.iter().map(|&(r, c, v)| ((r, c), v)).collect();
+    for &(r, c, v) in &entries {
+        assert_eq!(m.get(r, c), v, "{} entry ({},{})", name, r, c);
+    }
+    for r in 0..t.nrows() {
+        for c in 0..t.ncols() {
+            let get = m.get(r, c);
+            assert_eq!(get, t.get(r, c), "{} at ({},{})", name, r, c);
+            if !named.contains_key(&(r, c)) {
+                assert_eq!(get, 0.0, "{} unnamed ({},{})", name, r, c);
+            }
+        }
+    }
+}
+
+/// Every alternative of `m`'s view enumerates exactly its stored entries.
+fn conforms(name: &str, m: &dyn SparseView) {
+    for alt in 0..m.format_view().alternatives().len() {
+        let conformance = check_view_conformance(m, alt);
+        assert_eq!(conformance, Ok(()), "{name} alternative {alt}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn formats_agree_on_random_access(t in arb_matrix(8, 24)) {
-        let views: Vec<AnyFormat<f64>> = FORMAT_NAMES
-            .iter()
-            .map(|&n| AnyFormat::from_triplets(n, &t))
-            .collect();
-        for r in 0..8 {
-            for c in 0..8 {
-                let expect = t.get(r, c);
-                for f in &views {
-                    prop_assert_eq!(f.as_view().get(r, c), expect, "{} at ({},{})", f.name(), r, c);
-                }
-            }
+        for &name in FORMAT_NAMES {
+            dense_api_agrees(name, AnyFormat::from_triplets(name, &t).as_view(), &t);
+        }
+        for (name, held, m) in layouts(&t) {
+            dense_api_agrees(name, &*m, &held);
         }
     }
 
+    // 8 × 8, so that 2 × 2 blocks cut it.
     #[test]
-    fn all_views_conform(t in arb_matrix(7, 20)) {
+    fn all_views_conform(t in arb_matrix(8, 20)) {
         for &name in FORMAT_NAMES {
-            let f = AnyFormat::from_triplets(name, &t);
-            let v = f.as_view();
-            let nalts = v.format_view().alternatives().len();
-            for alt in 0..nalts {
-                if let Err(e) = check_view_conformance(v, alt) {
-                    prop_assert!(false, "{name} alternative {alt}: {e}");
-                }
-            }
+            conforms(name, AnyFormat::from_triplets(name, &t).as_view());
+        }
+        for (name, _, m) in layouts(&t) {
+            conforms(name, &*m);
         }
     }
 
@@ -61,22 +102,6 @@ proptest! {
                 for c in 0..6 {
                     prop_assert_eq!(back.get(r, c), t.get(r, c), "{}", name);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn set_then_get_through_any_format(t in arb_matrix(6, 18)) {
-        // Overwrite each stored entry via the high-level API and read it back.
-        for &name in FORMAT_NAMES {
-            let mut f = AnyFormat::from_triplets(name, &t);
-            let entries = f.as_view().entries();
-            let view = f.as_view_mut();
-            for (k, (r, c, _)) in entries.iter().enumerate() {
-                view.set(*r, *c, 1000.0 + k as f64);
-            }
-            for (k, (r, c, _)) in entries.iter().enumerate() {
-                prop_assert_eq!(view.get(*r, *c), 1000.0 + k as f64, "{}", name);
             }
         }
     }

@@ -94,7 +94,7 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Environment variable overriding the `rustc` binary used for kernel
 /// builds (also the test hook for the no-compiler fallback path).
@@ -403,19 +403,6 @@ struct ArtifactState {
     validated: Option<Arc<Library>>,
 }
 
-/// The parsed quarantine list and the file's (mtime, length) it was
-/// read at.
-struct QuarantineList {
-    stamp: (SystemTime, u64),
-    stems: Vec<String>,
-}
-
-/// The coarsest modification-time tick of a filesystem a store may sit
-/// on (FAT: 2 s). A quarantine list younger than this is not kept: a
-/// rewrite inside the tick can carry the same mtime, and the same
-/// length whenever one entry replaced another.
-const MTIME_TICK: Duration = Duration::from_secs(2);
-
 /// Consecutive infrastructure failures, and until when builds are
 /// short-circuited once [`BREAKER_TRIP`] of them accumulate.
 #[derive(Default)]
@@ -429,7 +416,8 @@ struct StoreState {
     dir: PathBuf,
     counters: Counters,
     artifacts: Mutex<HashMap<PathBuf, ArtifactState>>,
-    quarantine: Mutex<Option<QuarantineList>>,
+    /// Held across a read-modify-write of the quarantine list.
+    quarantine: Mutex<()>,
     breaker: Mutex<Breaker>,
     /// One in-flight build per artifact path.
     flights: SingleFlight<PathBuf, Result<(), KernelCacheError>>,
@@ -857,12 +845,12 @@ impl KernelStore {
     }
 
     /// The stems the list on disk names under the current compiler
-    /// identity.
+    /// identity. Without a list, one failed `open` and nothing else.
     fn read_quarantine(&self) -> Vec<String> {
-        let Some(fp) = Self::rustc_fingerprint() else {
+        let Ok(text) = std::fs::read_to_string(self.quarantine_file()) else {
             return Vec::new();
         };
-        let Ok(text) = std::fs::read_to_string(self.quarantine_file()) else {
+        let Some(fp) = Self::rustc_fingerprint() else {
             return Vec::new();
         };
         let mut lines = text.lines();
@@ -877,30 +865,13 @@ impl KernelStore {
     }
 
     /// True when the artifact is on this store's quarantine list under
-    /// the current compiler identity. Costs one `stat` once the list
-    /// has settled: the parsed list is kept with the file's (mtime,
-    /// length) and re-read when either moved, which also picks up what
-    /// other handles and processes write. A list younger than
-    /// `MTIME_TICK` is read at every load instead of kept.
+    /// the current compiler identity. The list is read at every call, so
+    /// what other handles and processes write is seen at the next load.
     pub fn is_quarantined(&self, path: &Path) -> bool {
         let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
             return false;
         };
-        let mut kept = lock(&self.state.quarantine);
-        let Ok(meta) = std::fs::metadata(self.quarantine_file()) else {
-            *kept = None;
-            return false;
-        };
-        let stamp = meta.modified().ok().map(|mtime| (mtime, meta.len()));
-        if let Some(list) = kept.as_ref().filter(|list| Some(list.stamp) == stamp) {
-            return list.stems.iter().any(|s| s == stem);
-        }
-        let stems = self.read_quarantine();
-        let listed = stems.iter().any(|s| s == stem);
-        *kept = stamp
-            .filter(|(mtime, _)| mtime.elapsed().is_ok_and(|age| age > MTIME_TICK))
-            .map(|stamp| QuarantineList { stamp, stems });
-        listed
+        self.read_quarantine().iter().any(|s| s == stem)
     }
 
     /// Quarantines an artifact: evicts it from disk, forgets its
@@ -919,7 +890,7 @@ impl KernelStore {
         };
         // Held across the read-modify-write, so this handle's own
         // quarantines cannot lose each other's entries.
-        let mut kept = lock(&self.state.quarantine);
+        let held = lock(&self.state.quarantine);
         let mut stems = self.read_quarantine();
         if !stems.iter().any(|s| s == stem) {
             stems.push(stem.to_string());
@@ -945,16 +916,14 @@ impl KernelStore {
         if published.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        *kept = None;
-        drop(kept);
+        drop(held);
         self.evict(path);
     }
 
     /// Clears the store's quarantine list (test isolation).
     pub fn clear_quarantine(&self) {
-        let mut kept = lock(&self.state.quarantine);
+        let _held = lock(&self.state.quarantine);
         let _ = std::fs::remove_file(self.quarantine_file());
-        *kept = None;
     }
 
     /// Names this handle's scratch files: unique per process and per
@@ -1056,26 +1025,46 @@ impl KernelStore {
             });
         }
         let info = rustc_info()?;
-        let dir = &self.state.dir;
-        std::fs::create_dir_all(dir).map_err(|e| KernelCacheError::Io {
-            detail: format!("creating {dir:?}: {e}"),
-        })?;
         let stem = path
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("kernel");
         // The flights keep one store from building an artifact twice at
-        // once, but not two independent handles over one directory.
-        let builder = self.scratch_tag();
-        let src_path = dir.join(format!("{stem}.{builder}.rs"));
-        let tmp_out = dir.join(format!("{stem}.{builder}.tmp"));
-        let cleanup = |p: &Path| {
-            let _ = std::fs::remove_file(p);
-        };
+        // once, but not two independent handles over one directory; and
+        // rustc writes its intermediate objects beside `-o`, named after
+        // the crate. So each handle builds each artifact in a directory
+        // of its own, and only what `rename` publishes reaches the store.
+        let scratch = self
+            .state
+            .dir
+            .join(format!("{stem}.{}", self.scratch_tag()));
+        std::fs::create_dir_all(&scratch).map_err(|e| KernelCacheError::Io {
+            detail: format!("creating {scratch:?}: {e}"),
+        })?;
+        let built = self.compile(info, spec, &scratch, stem, path);
+        let _ = std::fs::remove_dir_all(&scratch);
+        built?;
+        self.update_artifact(path, |a| a.verified = true);
+        bump(&self.state.counters.compiles);
+        Ok(())
+    }
+
+    /// Compiles the spec as crate `stem` in `scratch` and publishes the
+    /// result at `path`.
+    fn compile(
+        &self,
+        info: &RustcInfo,
+        spec: &ArtifactSpec,
+        scratch: &Path,
+        stem: &str,
+        path: &Path,
+    ) -> Result<(), KernelCacheError> {
+        let src_path = scratch.join(format!("{stem}.rs"));
+        let tmp_out = scratch.join(format!("{stem}.tmp"));
         std::fs::write(&src_path, &spec.source).map_err(|e| KernelCacheError::Io {
             detail: format!("writing {src_path:?}: {e}"),
         })?;
-        let mut child = match Command::new(&info.binary)
+        let mut child = Command::new(&info.binary)
             .args(rustc_flags(info))
             .arg(format!("--crate-name={stem}"))
             .arg("-o")
@@ -1085,69 +1074,44 @@ impl KernelStore {
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-        {
-            Ok(c) => c,
-            Err(e) => {
-                cleanup(&src_path);
-                return Err(KernelCacheError::CompilerUnavailable {
-                    detail: format!("running {:?}: {e}", info.binary),
-                });
-            }
-        };
+            .map_err(|e| KernelCacheError::CompilerUnavailable {
+                detail: format!("running {:?}: {e}", info.binary),
+            })?;
         let stderr = child.stderr.take();
-        let (status, stderr_bytes) = match wait_bounded(&mut child, stderr, self.timeout) {
-            Ok(ran) => ran,
-            Err(abandoned) => {
-                cleanup(&src_path);
-                cleanup(&tmp_out);
-                return Err(match abandoned {
-                    Abandoned::Deadline => KernelCacheError::Timeout {
-                        ms: self.timeout.as_millis() as u64,
-                    },
-                    Abandoned::Wait(e) => KernelCacheError::Io {
-                        detail: format!("waiting on rustc: {e}"),
-                    },
-                });
-            }
-        };
+        let (status, stderr_bytes) = wait_bounded(&mut child, stderr, self.timeout).map_err(
+            |abandoned| match abandoned {
+                Abandoned::Deadline => KernelCacheError::Timeout {
+                    ms: self.timeout.as_millis() as u64,
+                },
+                Abandoned::Wait(e) => KernelCacheError::Io {
+                    detail: format!("waiting on rustc: {e}"),
+                },
+            },
+        )?;
         if !status.success() {
-            cleanup(&src_path);
-            cleanup(&tmp_out);
             let stderr = String::from_utf8_lossy(&stderr_bytes).into_owned();
             return Err(KernelCacheError::CompileFailed { stderr });
         }
         // Checksum the built bytes and publish the sidecar *before* the
-        // artifact itself: a loader that sees the artifact always sees
-        // its sidecar too.
-        let bytes = std::fs::read(&tmp_out).map_err(|e| {
-            cleanup(&src_path);
-            cleanup(&tmp_out);
-            KernelCacheError::Io {
-                detail: format!("reading built artifact {tmp_out:?}: {e}"),
-            }
+        // artifact itself, each by `rename`: a loader that sees the
+        // artifact always sees its sidecar too, and neither torn.
+        let bytes = std::fs::read(&tmp_out).map_err(|e| KernelCacheError::Io {
+            detail: format!("reading built artifact {tmp_out:?}: {e}"),
         })?;
         let sum = format!("{:016x} {}\n", content_hash(&bytes), bytes.len());
-        std::fs::write(sidecar_path(path), sum).map_err(|e| {
-            cleanup(&src_path);
-            cleanup(&tmp_out);
-            KernelCacheError::Io {
-                detail: format!("writing checksum sidecar for {path:?}: {e}"),
-            }
-        })?;
-        // Keep the source next to the artifact for debuggability; the
-        // rename publishes the artifact atomically.
+        let tmp_sum = sidecar_path(&tmp_out);
+        std::fs::write(&tmp_sum, sum)
+            .and_then(|()| std::fs::rename(&tmp_sum, sidecar_path(path)))
+            .map_err(|e| KernelCacheError::Io {
+                detail: format!("publishing the checksum sidecar for {path:?}: {e}"),
+            })?;
+        // Keep the source next to the artifact for debuggability.
         let _ = std::fs::rename(&src_path, path.with_extension("rs"));
         let meta = format!("{}\n{}\n{}\n", info.version, info.triple, spec.key);
         let _ = std::fs::write(path.with_extension("meta"), meta);
-        std::fs::rename(&tmp_out, path).map_err(|e| {
-            cleanup(&tmp_out);
-            KernelCacheError::Io {
-                detail: format!("publishing {path:?}: {e}"),
-            }
-        })?;
-        self.update_artifact(path, |a| a.verified = true);
-        bump(&self.state.counters.compiles);
-        Ok(())
+        std::fs::rename(&tmp_out, path).map_err(|e| KernelCacheError::Io {
+            detail: format!("publishing {path:?}: {e}"),
+        })
     }
 }
 
@@ -1695,6 +1659,50 @@ mod tests {
             "8 concurrent builders must share exactly one rustc run: {stats:?}"
         );
         assert_eq!(stats.hits + stats.misses, 8, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two independent handles over one directory build one artifact at
+    /// once, each unaware of the other's flight. Both succeed, and the
+    /// store ends with the one artifact, its sidecar, its kept source and
+    /// its meta: no scratch file of either build is left.
+    #[test]
+    fn independent_handles_build_one_artifact_at_once() {
+        let Ok(_) = rustc_info() else { return };
+        let dir = std::env::temp_dir().join(format!("bernoulli-kc-race-{}", std::process::id()));
+        for round in 0..32 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let stores = [KernelStore::at(&dir), KernelStore::at(&dir)];
+            let start = std::sync::Barrier::new(stores.len());
+            std::thread::scope(|scope| {
+                let builds: Vec<_> = stores
+                    .iter()
+                    .map(|s| {
+                        let start = &start;
+                        scope.spawn(move || {
+                            start.wait();
+                            s.get_or_build(&spec("race", ADD_SRC))
+                        })
+                    })
+                    .collect();
+                for b in builds {
+                    let built = b.join().unwrap();
+                    assert!(built.is_ok(), "round {round}: {built:?}");
+                }
+            });
+            let path = stores[0].artifact_path(&spec("race", ADD_SRC));
+            let mut want: Vec<PathBuf> = ["meta", "rs", "sum"]
+                .map(|ext| path.with_extension(ext))
+                .into();
+            want.push(path);
+            want.sort();
+            let mut left: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            left.sort();
+            assert_eq!(left, want, "round {round}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,16 +31,6 @@ use bernoulli_ir::{AffineExpr, ArrayKind, Program};
 use bernoulli_polyhedra::{Constraint, LinExpr, System};
 use std::collections::HashMap;
 
-/// Lowering failure (the candidate is infeasible, not a user error).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LowerError(pub String);
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lowering failed: {}", self.0)
-    }
-}
-
 /// How many source combinations to explore per candidate.
 const MAX_SOURCE_COMBOS: usize = 24;
 
