@@ -22,8 +22,9 @@
 #   instance's dominant block shape, `diagsplit` is a view without a
 #   layout.
 # `emit.rs`, `compiled.rs` and `interp.rs` must read 0, and so must the
-# grammar of a view (crates/formats/src/view.rs) and its reader
-# (crates/formats/src/view_text.rs): the notation names no format. Not counted,
+# grammar of a view (crates/formats/src/view.rs), its reader
+# (crates/formats/src/view_text.rs) and the checker and walk derived from
+# a format's levels (crates/formats/src/walk.rs): none names a format. Not counted,
 # because it is in `formats` itself: `AnyFormat::try_from_triplets`,
 # which builds the typed instance for any scalar `T` (a layout's
 # constructor is a plain fn pointer at `f64`).
@@ -36,7 +37,7 @@ budget_file="ci/format_sites.txt"
 names='csr|csc|coo|dia|ell|jad|sky|bsr|vbr|dcsr|dense|diagsplit|spvec|hashvec'
 count=0
 for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
-    crates/formats/src/view.rs crates/formats/src/view_text.rs; do
+    crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs; do
     sites=$(awk -v names="\"($names)\"" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
@@ -48,7 +49,7 @@ for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src
         count=$((count + n))
     fi
     case "$file" in
-    */emit.rs | */compiled.rs | */interp.rs | */view.rs | */view_text.rs)
+    */emit.rs | */compiled.rs | */interp.rs | */view.rs | */view_text.rs | */walk.rs)
         if [ "$n" -gt 0 ]; then
             echo "error: $file names a format ($n lines); it must name none." >&2
             exit 1

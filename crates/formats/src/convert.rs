@@ -27,8 +27,8 @@ pub enum FormatError {
         nrows: usize,
         ncols: usize,
     },
-    /// A format instance whose arrays violate the format's structural
-    /// invariants (see the per-format `validate` methods) — the typed
+    /// A format instance whose arrays are not what its levels and view
+    /// describe (each format's `validate`, derived from them) — the typed
     /// verdict for untrusted data that would otherwise surface as an
     /// out-of-bounds panic deep inside a kernel.
     Invalid {
@@ -50,14 +50,6 @@ pub enum FormatError {
         offset: usize,
         expected: &'static str,
     },
-}
-
-/// Shorthand constructor for [`FormatError::Invalid`].
-pub(crate) fn invalid(format: &'static str, reason: impl Into<String>) -> FormatError {
-    FormatError::Invalid {
-        format,
-        reason: reason.into(),
-    }
 }
 
 impl std::fmt::Display for FormatError {
@@ -222,53 +214,26 @@ impl<T: Scalar> AnyFormat<T> {
             }
         })
     }
-
-    /// Converts back to triplets, in normal form. Only `coo` (arbitrary
-    /// storage order) sorts to get there; the others enumerate
-    /// row-major, `csc` by a counting transposition and `diagsplit` by
-    /// merging its diagonal into its rows.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        each_format!(self, m => m.to_triplets())
-    }
-
-    /// Checks the structural invariants of the wrapped instance (see
-    /// the per-format `validate` methods). Formats whose construction
-    /// cannot produce out-of-bounds storage (`dense`, `coo` builders
-    /// range-check on the way in; `diagsplit` wraps validated parts)
-    /// report `Ok` unconditionally.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        match self {
-            AnyFormat::Csr(m) => m.validate(),
-            AnyFormat::Csc(m) => m.validate(),
-            AnyFormat::Dia(m) => m.validate(),
-            AnyFormat::Ell(m) => m.validate(),
-            AnyFormat::Jad(m) => m.validate(),
-            AnyFormat::Bsr(m) => m.validate(),
-            AnyFormat::Vbr(m) => m.validate(),
-            AnyFormat::Dcsr(m) => m.validate(),
-            AnyFormat::Dense(_) | AnyFormat::Coo(_) | AnyFormat::DiagSplit(_) => Ok(()),
-        }
-    }
-
-    /// The format name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AnyFormat::Dense(_) => "dense",
-            AnyFormat::Coo(_) => "coo",
-            AnyFormat::Csr(_) => "csr",
-            AnyFormat::Csc(_) => "csc",
-            AnyFormat::Dia(_) => "dia",
-            AnyFormat::Ell(_) => "ell",
-            AnyFormat::Jad(_) => "jad",
-            AnyFormat::DiagSplit(_) => "diagsplit",
-            AnyFormat::Bsr(_) => "bsr",
-            AnyFormat::Vbr(_) => "vbr",
-            AnyFormat::Dcsr(_) => "dcsr",
-        }
-    }
 }
 
 impl AnyFormat<f64> {
+    /// Converts back to triplets, in normal form: the wrapped format's
+    /// `to_triplets`, the walk of its view's first alternative.
+    pub fn to_triplets(&self) -> Triplets<f64> {
+        each_format!(self, m => m.to_triplets())
+    }
+
+    /// Checks the structural invariants of the wrapped instance: the
+    /// wrapped format's `validate`, read off its levels and view.
+    pub fn validate(&self) -> Result<(), FormatError> {
+        each_format!(self, m => m.validate())
+    }
+
+    /// The format name: its levels'.
+    pub fn name(&self) -> &'static str {
+        self.as_view().levels().name
+    }
+
     /// Borrows the dynamic low-level API.
     pub fn as_view(&self) -> &dyn crate::SparseView {
         each_format!(self, m => m)

@@ -28,9 +28,10 @@
 //! position is an index into `colind`/`values`).
 
 use crate::level::{Args, Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
-use crate::view::{detect_properties, Chain, FormatView, StoredGuarantee, Transform};
+use crate::view::{detect_properties, Chain, FormatView, Order, StoredGuarantee};
+use crate::walk::{inside, Fwd};
 use crate::SparseMatrix;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Opaque per-format position token.
 pub type Position = usize;
@@ -119,7 +120,7 @@ fn level_of<V: Leveled + ?Sized>(view: &V, chain: usize, level: usize) -> &'stat
         .unwrap_or_else(|| panic!("{} has no level {level} of chain {chain}", levels.name))
 }
 
-fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -> i64 {
+pub(crate) fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -> i64 {
     match b {
         Bound::Zero => 0,
         Bound::Extent(d) => view.dim(d) as i64,
@@ -386,36 +387,61 @@ fn permutation(levels: &crate::level::Levels) -> crate::level::Perm {
 
 /// Walks an entire chain recursively, invoking `f` with the stored
 /// attribute keys (outermost-level first) and the value. Utility for
-/// tests and for the view-conformance checker. A chain id the view
-/// does not declare has no entries, so the walk visits nothing.
+/// tests, for the view-conformance checker and for `to_triplets`. A
+/// chain id the view does not declare has no entries, so the walk visits
+/// nothing.
 pub fn walk_chain(view: &dyn SparseView, chain: usize, f: &mut dyn FnMut(&[i64], f64)) {
-    let Some(described) = view.levels().chains.get(chain) else {
-        return;
-    };
-    let mut keys: Vec<i64> = Vec::new();
-    walk_rec(view, chain, 0, described.levels.len(), 0, &mut keys, f);
+    if let Some(described) = view.levels().chains.get(chain) {
+        let values = view.array(described.values).values();
+        let mut leaf = |keys: &[i64], pos: Position| {
+            f(keys, values[pos]);
+            Ok(())
+        };
+        let _ = walk(view, (chain, 0, 0), &mut Vec::new(), None, &mut leaf);
+    }
 }
 
-fn walk_rec(
+/// What a [`walk`] does at an entry, given its keys and its position.
+pub(crate) type Leaf<'a> = dyn FnMut(&[i64], Position) -> Result<(), String> + 'a;
+
+/// Walks `level` of `chain` and the levels below it beneath `parent`,
+/// with the keys of the levels above in `keys`, calling `leaf` with the
+/// keys and the position of every entry. Held to `view`, the chain as
+/// its view says it, keys strictly increase beneath one parent where it
+/// says `sorted`, and a hashed level finds every key where it lists it.
+/// The first error of `leaf` or of a check ends the walk.
+pub(crate) fn walk(
     view: &dyn SparseView,
-    chain: usize,
-    level: usize,
-    nlevels: usize,
-    parent: Position,
+    (chain, level, parent): (usize, usize, Position),
     keys: &mut Vec<i64>,
-    f: &mut dyn FnMut(&[i64], f64),
-) {
-    if level == nlevels {
-        f(keys, view.value_at(chain, parent));
-        return;
-    }
-    let mut cur = view.cursor(chain, level, parent, false);
-    while view.advance(&mut cur) {
+    checks: Option<&Chain>,
+    leaf: &mut Leaf<'_>,
+) -> Result<(), String> {
+    let Some(lv) = view.levels().level(chain, level) else {
+        return leaf(keys, parent);
+    };
+    let flat = checks.and_then(|c| c.levels.get(level));
+    let sorted = flat.is_some_and(|l| l.order == Order::Increasing);
+    let hashed = flat.is_some() && matches!(lv.locate, Locate::Hash(_));
+    let (mut cur, mut prev) = (open(view, chain, level, parent, false), None);
+    while cur.advance() {
+        let (k, pos) = (cur.keys, cur.pos);
+        if let Some(p) = prev.filter(|p: &Keys| sorted && **p >= *k) {
+            let (p, k) = (&*p, &*k);
+            let e = format!("keys not strictly increasing beneath {parent} ({p:?}, {k:?})");
+            return Err(format!("level {level}: {e}"));
+        }
+        if hashed && locate(view, chain, level, parent, &k) != Some(pos) {
+            let e = format!("does not find key {} at {pos}, where it is listed", k[0]);
+            return Err(format!("the map {e}"));
+        }
+        prev = Some(k);
         let depth = keys.len();
-        keys.extend_from_slice(&cur.keys);
-        walk_rec(view, chain, level + 1, nlevels, cur.pos, keys, f);
+        keys.extend_from_slice(&k);
+        walk(view, (chain, level + 1, pos), keys, checks, leaf)?;
         keys.truncate(depth);
     }
+    Ok(())
 }
 
 /// Checks that a format's view description is *faithful*: enumerating
@@ -430,70 +456,35 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
     // Chains and transforms are the format's; nothing here reads what
     // only the instance knows.
     let fv = view.static_view();
-    let alts = fv.alternatives();
-    let alt = alts
-        .get(alternative)
-        .ok_or_else(|| format!("alternative {alternative} out of range"))?;
-    let mut seen = HashMap::new();
-    for chain in alt {
-        let mut result = Ok(());
-        walk_chain(view, chain.id, &mut |keys, v| {
-            if result.is_ok() {
-                result = conforms(view, &fv, chain, keys, v, &mut seen);
+    let alt = fv.alternatives().into_iter().nth(alternative);
+    let alt = alt.ok_or_else(|| format!("alternative {alternative} out of range"))?;
+    let mut seen = HashSet::new();
+    for chain in &alt {
+        let fwd = Fwd::new(view.levels(), &fv, chain)?;
+        // Each entry, through the chain's `fwd` transforms, names a
+        // position inside the matrix, seen once, that random access reads
+        // as the same value.
+        let mut entry = |keys: &[i64], pos| {
+            let ((r, c), v) = (fwd.eval(view, keys)?, view.value_at(chain.id, pos));
+            inside(r, c, view.nrows(), view.ncols())?;
+            let expect = view.get(r as usize, c as usize);
+            if expect != v {
+                let e = format!("random access {expect}, enumeration {v}");
+                return Err(format!("value mismatch at ({r}, {c}): {e}"));
             }
-        });
-        result.map_err(|e| format!("chain {}: {e}", chain.id))?;
+            match seen.insert((r, c)) {
+                false => Err(format!("entry ({r}, {c}) enumerated twice")),
+                true => Ok(()),
+            }
+        };
+        let walked = walk(view, (chain.id, 0, 0), &mut vec![], None, &mut entry);
+        walked.map_err(|e| format!("chain {}: {e}", chain.id))?;
     }
-    let nnz = view.nnz();
-    if seen.len() != nnz {
+    let (n, nnz) = (seen.len(), view.nnz());
+    if n != nnz {
         return Err(format!(
-            "alternative {alternative} enumerated {} entries, nnz is {nnz}",
-            seen.len()
+            "alternative {alternative} enumerated {n} entries, nnz is {nnz}"
         ));
     }
     Ok(())
-}
-
-/// One entry a chain's walk reached: its stored keys, through the
-/// chain's `fwd` transforms, name a position inside the matrix, seen
-/// once, that random access reads as the same value.
-fn conforms(
-    view: &dyn SparseView,
-    fv: &FormatView,
-    chain: &Chain,
-    keys: &[i64],
-    v: f64,
-    seen: &mut HashMap<(i64, i64), f64>,
-) -> Result<(), String> {
-    let stored = chain.stored_attrs().into_iter().zip(keys.to_vec());
-    let mut env: HashMap<&str, i64> = stored.collect();
-    let get = |env: &HashMap<&str, i64>, a: &str| env.get(a).copied().ok_or(format!("{a} unbound"));
-    for t in &chain.fwd {
-        let (out, value) = match t {
-            Transform::Affine { out, terms, cst } => {
-                let terms = terms.iter().map(|(a, k)| Ok(k * get(&env, a)?));
-                (out, terms.sum::<Result<i64, String>>()? + cst)
-            }
-            Transform::PermApply { input, out, .. } => (out, view.perm_apply(get(&env, input)?)),
-            Transform::PermUnapply { input, out, .. } => {
-                (out, view.perm_unapply(get(&env, input)?))
-            }
-        };
-        env.insert(out, value);
-    }
-    let r = get(&env, &fv.dense_attrs[0])?;
-    let c = fv.dense_attrs.get(1).map_or(Ok(0), |a| get(&env, a))?;
-    if r < 0 || c < 0 || r as usize >= view.nrows() || c as usize >= view.ncols() {
-        return Err(format!("coordinates out of range: ({r}, {c})"));
-    }
-    let expect = view.get(r as usize, c as usize);
-    if expect != v {
-        return Err(format!(
-            "value mismatch at ({r}, {c}): random access {expect}, enumeration {v}"
-        ));
-    }
-    match seen.insert((r, c), v) {
-        Some(_) => Err(format!("entry ({r}, {c}) enumerated twice")),
-        None => Ok(()),
-    }
 }

@@ -148,7 +148,7 @@ impl StructureFeatures {
     }
 
     /// Analyzes any concrete format by way of its triplet image.
-    pub fn of_format<T: Scalar>(f: &AnyFormat<T>) -> StructureFeatures {
+    pub fn of_format(f: &AnyFormat) -> StructureFeatures {
         StructureFeatures::of_triplets(&f.to_triplets())
     }
 

@@ -74,91 +74,6 @@ impl<T: Scalar> Bsr<T> {
         out
     }
 
-    /// Converts back to triplets (in-block zeros are kept: structural),
-    /// one logical row across its block row's blocks at a time:
-    /// row-major, so in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for br in 0..self.nrows / self.r {
-            for rr in 0..self.r {
-                for b in self.blocks(br) {
-                    let c0 = self.bcolind[b] as usize * self.c;
-                    for cc in 0..self.c {
-                        t.push(
-                            br * self.r + rr,
-                            c0 + cc,
-                            self.values[(b * self.r + rr) * self.c + cc],
-                        );
-                    }
-                }
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* BSR instance:
-    /// block shape divides the matrix shape, `browptr` is monotone from 0
-    /// to the block count, block columns are in range and strictly
-    /// increasing per block row, and storage covers every stored block.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("bsr", reason));
-        if self.r == 0 || self.c == 0 {
-            return fail(format!("zero block shape {}x{}", self.r, self.c));
-        }
-        if !self.nrows.is_multiple_of(self.r) || !self.ncols.is_multiple_of(self.c) {
-            return fail(format!(
-                "block shape {}x{} does not divide matrix shape {}x{}",
-                self.r, self.c, self.nrows, self.ncols
-            ));
-        }
-        let nbr = self.nrows / self.r;
-        if self.browptr.len() != nbr + 1 {
-            return fail(format!(
-                "browptr has {} entries, want nbr + 1 = {}",
-                self.browptr.len(),
-                nbr + 1
-            ));
-        }
-        if self.browptr[0] != 0 {
-            return fail(format!("browptr[0] = {}, want 0", self.browptr[0]));
-        }
-        if self.browptr[nbr] as usize != self.bcolind.len() {
-            return fail(format!(
-                "browptr ends at {}, want the block count {}",
-                self.browptr[nbr],
-                self.bcolind.len()
-            ));
-        }
-        if self.values.len() != self.bcolind.len() * self.r * self.c {
-            return fail(format!(
-                "values has {} entries, want nblocks * r * c = {}",
-                self.values.len(),
-                self.bcolind.len() * self.r * self.c
-            ));
-        }
-        let nbc = self.ncols / self.c;
-        for br in 0..nbr {
-            let (lo, hi) = (self.browptr[br] as usize, self.browptr[br + 1] as usize);
-            if lo > hi {
-                return fail(format!("browptr decreases at block row {br} ({lo} > {hi})"));
-            }
-            for b in lo..hi {
-                if self.bcolind[b] as usize >= nbc {
-                    return fail(format!(
-                        "block row {br} stores block column {} >= {nbc}",
-                        self.bcolind[b]
-                    ));
-                }
-                if b > lo && self.bcolind[b] <= self.bcolind[b - 1] {
-                    return fail(format!(
-                        "block row {br} block columns not strictly increasing"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()

@@ -65,17 +65,6 @@ impl<T: Scalar> Coo<T> {
         coo
     }
 
-    /// Converts back to triplets. Storage order is arbitrary: sorted
-    /// unless it happens to be row-major.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for i in 0..self.values.len() {
-            t.push(self.rows[i] as usize, self.cols[i] as usize, self.values[i]);
-        }
-        t.normalize();
-        t
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()

@@ -60,69 +60,6 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
-    /// Converts back to triplets. Storage order is column-major, which
-    /// is the normal form of the transpose: transposing that back is a
-    /// counting scatter, where sorting these entries row-major is a sort.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.ncols, self.nrows);
-        for c in 0..self.ncols {
-            for i in self.col_range(c) {
-                t.push(c, self.rowind[i] as usize, self.values[i]);
-            }
-        }
-        t.transposed()
-    }
-
-    /// Checks the structural invariants of an *untrusted* CSC instance:
-    /// the transpose of [`Csr::validate`](crate::Csr::validate) —
-    /// monotone `colptr` covering the storage, in-range strictly
-    /// increasing row indices within each column.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("csc", reason));
-        if self.colptr.len() != self.ncols + 1 {
-            return fail(format!(
-                "colptr has {} entries, want ncols + 1 = {}",
-                self.colptr.len(),
-                self.ncols + 1
-            ));
-        }
-        if self.colptr[0] != 0 {
-            return fail(format!("colptr[0] = {}, want 0", self.colptr[0]));
-        }
-        if self.values.len() != self.rowind.len() {
-            return fail(format!(
-                "values/rowind length mismatch ({} vs {})",
-                self.values.len(),
-                self.rowind.len()
-            ));
-        }
-        if self.colptr[self.ncols] as usize != self.rowind.len() {
-            return fail(format!(
-                "colptr ends at {}, want the storage length {}",
-                self.colptr[self.ncols],
-                self.rowind.len()
-            ));
-        }
-        for c in 0..self.ncols {
-            let (lo, hi) = (self.colptr[c] as usize, self.colptr[c + 1] as usize);
-            if lo > hi {
-                return fail(format!("colptr decreases at column {c} ({lo} > {hi})"));
-            }
-            for i in lo..hi {
-                if self.rowind[i] as usize >= self.nrows {
-                    return fail(format!(
-                        "column {c} stores row {} >= nrows {}",
-                        self.rowind[i], self.nrows
-                    ));
-                }
-                if i > lo && self.rowind[i] <= self.rowind[i - 1] {
-                    return fail(format!("column {c} rows not strictly increasing"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The half-open storage range of column `c`.
     pub fn col_range(&self, c: usize) -> std::ops::Range<usize> {
         self.colptr[c] as usize..self.colptr[c + 1] as usize

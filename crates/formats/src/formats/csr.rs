@@ -56,70 +56,6 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Converts back to triplets. Storage order is row-major: the result
-    /// is in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for r in 0..self.nrows {
-            for i in self.row_range(r) {
-                t.push(r, self.colind[i] as usize, self.values[i]);
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* CSR instance
-    /// (one deserialized or assembled outside this crate): `rowptr` has
-    /// `nrows + 1` monotone entries starting at 0 and ending at the
-    /// storage length, and every row's column indices are in range and
-    /// strictly increasing. Data passing this check cannot drive any
-    /// accessor or kernel out of bounds.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("csr", reason));
-        if self.rowptr.len() != self.nrows + 1 {
-            return fail(format!(
-                "rowptr has {} entries, want nrows + 1 = {}",
-                self.rowptr.len(),
-                self.nrows + 1
-            ));
-        }
-        if self.rowptr[0] != 0 {
-            return fail(format!("rowptr[0] = {}, want 0", self.rowptr[0]));
-        }
-        if self.values.len() != self.colind.len() {
-            return fail(format!(
-                "values/colind length mismatch ({} vs {})",
-                self.values.len(),
-                self.colind.len()
-            ));
-        }
-        if self.rowptr[self.nrows] as usize != self.colind.len() {
-            return fail(format!(
-                "rowptr ends at {}, want the storage length {}",
-                self.rowptr[self.nrows],
-                self.colind.len()
-            ));
-        }
-        for r in 0..self.nrows {
-            let (lo, hi) = (self.rowptr[r] as usize, self.rowptr[r + 1] as usize);
-            if lo > hi {
-                return fail(format!("rowptr decreases at row {r} ({lo} > {hi})"));
-            }
-            for i in lo..hi {
-                if self.colind[i] as usize >= self.ncols {
-                    return fail(format!(
-                        "row {r} stores column {} >= ncols {}",
-                        self.colind[i], self.ncols
-                    ));
-                }
-                if i > lo && self.colind[i] <= self.colind[i - 1] {
-                    return fail(format!("row {r} columns not strictly increasing"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The half-open storage range of row `r`.
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.rowptr[r] as usize..self.rowptr[r + 1] as usize

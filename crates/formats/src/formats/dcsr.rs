@@ -72,75 +72,6 @@ impl<T: Scalar> Dcsr<T> {
         }
     }
 
-    /// Converts back to triplets. Storage order is row-major: the result
-    /// is in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for (p, &r) in self.rows.iter().enumerate() {
-            for i in self.rowptr[p] as usize..self.rowptr[p + 1] as usize {
-                t.push(r as usize, self.colind[i] as usize, self.values[i]);
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* instance: the
-    /// row list is strictly increasing and in range, `rowptr` has one
-    /// more entry than it, starts at 0, ends at the storage length and
-    /// gives every listed row at least one entry, and every row's column
-    /// indices are in range and strictly increasing.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("dcsr", reason));
-        if self.rowptr.len() != self.rows.len() + 1 {
-            return fail(format!(
-                "rowptr has {} entries, want one more than the {} listed rows",
-                self.rowptr.len(),
-                self.rows.len()
-            ));
-        }
-        if self.rowptr[0] != 0 {
-            return fail(format!("rowptr[0] = {}, want 0", self.rowptr[0]));
-        }
-        if self.values.len() != self.colind.len() {
-            return fail(format!(
-                "values/colind length mismatch ({} vs {})",
-                self.values.len(),
-                self.colind.len()
-            ));
-        }
-        if self.rowptr[self.rows.len()] as usize != self.colind.len() {
-            return fail(format!(
-                "rowptr ends at {}, want the storage length {}",
-                self.rowptr[self.rows.len()],
-                self.colind.len()
-            ));
-        }
-        for (p, &r) in self.rows.iter().enumerate() {
-            if r as usize >= self.nrows {
-                return fail(format!("row list names row {r} >= nrows {}", self.nrows));
-            }
-            if p > 0 && r <= self.rows[p - 1] {
-                return fail(format!("row list not strictly increasing at {r}"));
-            }
-            let (lo, hi) = (self.rowptr[p] as usize, self.rowptr[p + 1] as usize);
-            if lo >= hi {
-                return fail(format!("listed row {r} stores no entry ({lo}..{hi})"));
-            }
-            for i in lo..hi {
-                if self.colind[i] as usize >= self.ncols {
-                    return fail(format!(
-                        "row {r} stores column {} >= ncols {}",
-                        self.colind[i], self.ncols
-                    ));
-                }
-                if i > lo && self.colind[i] <= self.colind[i - 1] {
-                    return fail(format!("row {r} columns not strictly increasing"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()

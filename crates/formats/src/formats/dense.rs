@@ -5,6 +5,7 @@
 //! stored, and there are no enumeration-order restrictions. The compiler
 //! treats a reference to a dense matrix as freely enumerable.
 
+use crate::cursor::walk_chain;
 use crate::level::leveled;
 use crate::scalar::Scalar;
 use crate::SparseMatrix;
@@ -39,23 +40,6 @@ impl<T: Scalar> Dense<T> {
         d
     }
 
-    /// Converts to triplets (every position, including zeros, is stored in
-    /// a dense matrix; but triplets keep only the nonzero pattern to stay
-    /// useful as an interchange form). Row-major: in normal form as
-    /// pushed.
-    pub fn to_triplets(&self) -> crate::Triplets<T> {
-        let mut t = crate::Triplets::new(self.nrows, self.ncols);
-        for r in 0..self.nrows {
-            for c in 0..self.ncols {
-                let v = self.data[r * self.ncols + c];
-                if v != T::ZERO {
-                    t.push(r, c, v);
-                }
-            }
-        }
-        t
-    }
-
     /// Element reference.
     pub fn at(&self, r: usize, c: usize) -> &T {
         &self.data[r * self.ncols + c]
@@ -82,11 +66,9 @@ impl SparseMatrix for Dense<f64> {
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.nrows {
-            for c in 0..self.ncols {
-                out.push((r, c, self.data[r * self.ncols + c]));
-            }
-        }
+        walk_chain(self, 0, &mut |k, v| {
+            out.push((k[0] as usize, k[1] as usize, v))
+        });
         out
     }
 }

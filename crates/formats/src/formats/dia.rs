@@ -85,80 +85,6 @@ impl<T: Scalar> Dia<T> {
         }
     }
 
-    /// Converts back to triplets. Padding zeros are *kept* as structural
-    /// entries so that `nnz` round-trips; use
-    /// [`Triplets::retain_positions`] to drop them if undesired. Row by
-    /// row, the diagonals from last to first cross it at increasing
-    /// columns: row-major, so in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for r in 0..self.nrows as i64 {
-            for k in (0..self.diags.len()).rev() {
-                let o = r - self.diags[k];
-                if (self.lo[k]..self.hi[k]).contains(&o) {
-                    let v = self.values[self.ptr[k] as usize + (o - self.lo[k]) as usize];
-                    t.push(r as usize, o as usize, v);
-                }
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* DIA instance:
-    /// strictly increasing diagonal numbers, per-diagonal extents that
-    /// match the matrix shape exactly (this format always stores a
-    /// diagonal's full in-matrix extent), and a `ptr` array consistent
-    /// with those extents and the value storage.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("dia", reason));
-        let k = self.diags.len();
-        if self.lo.len() != k || self.hi.len() != k || self.ptr.len() != k + 1 {
-            return fail(format!(
-                "lo/hi/ptr have {}/{}/{} entries, want {k}/{k}/{}",
-                self.lo.len(),
-                self.hi.len(),
-                self.ptr.len(),
-                k + 1
-            ));
-        }
-        if self.ptr.first() != Some(&0) {
-            return fail(format!("ptr[0] = {:?}, want 0", self.ptr.first()));
-        }
-        let (m, n) = (self.nrows as i64, self.ncols as i64);
-        for i in 0..k {
-            let d = self.diags[i];
-            if i > 0 && d <= self.diags[i - 1] {
-                return fail(format!("diagonals not strictly increasing at {d}"));
-            }
-            let (lo, hi) = (0i64.max(-d), n.min(m - d));
-            if lo >= hi {
-                return fail(format!("diagonal {d} lies outside a {m}x{n} matrix"));
-            }
-            if self.lo[i] != lo || self.hi[i] != hi {
-                return fail(format!(
-                    "diagonal {d} extent [{}, {}) disagrees with shape (want [{lo}, {hi}))",
-                    self.lo[i], self.hi[i]
-                ));
-            }
-            let want = self.ptr[i] as usize + (hi - lo) as usize;
-            if self.ptr[i + 1] as usize != want {
-                return fail(format!(
-                    "ptr[{}] = {} disagrees with diagonal {d}'s extent (want {want})",
-                    i + 1,
-                    self.ptr[i + 1]
-                ));
-            }
-        }
-        if self.values.len() != self.ptr[self.diags.len()] as usize {
-            return fail(format!(
-                "values has {} entries, want ptr total {}",
-                self.values.len(),
-                self.ptr[self.diags.len()]
-            ));
-        }
-        Ok(())
-    }
-
     /// Number of stored entries (including in-band padding zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -191,6 +117,27 @@ impl<T: Scalar> Dia<T> {
     // layout-find-end
 }
 
+impl Dia<f64> {
+    /// What no level says: a stored diagonal is stored in full, every
+    /// position of it inside the matrix.
+    fn full_diagonals(&self) -> Result<(), String> {
+        let (m, n) = (self.nrows as i64, self.ncols as i64);
+        for (k, &d) in self.diags.iter().enumerate() {
+            let (lo, hi) = (0i64.max(d.saturating_neg()), n.min(m.saturating_sub(d)));
+            if lo >= hi {
+                return Err(format!("diagonal {d} lies outside a {m}x{n} matrix"));
+            }
+            let stored = (self.lo.get(k), self.hi.get(k));
+            if stored != (Some(&lo), Some(&hi)) {
+                return Err(format!(
+                    "diagonal {d} extent {stored:?} disagrees with the shape's [{lo}, {hi})"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 stored_layout! {
     Dia, "dia", include_str!("dia.rs");
     dims: nrows, ncols;
@@ -201,6 +148,7 @@ stored_layout! {
             .unchecked()
     ] -> values;
     find: find;
+    residue: full_diagonals;
     /// The DIA index structure (paper §2): diagonals `d = r - c`, then
     /// offsets `o = c` along each.
     view: dia_format_view = "(r, c): map{d + o |-> r, o |-> c ; r - c |-> d, c |-> o : d[sorted] -> o[interval] -> v}";

@@ -49,17 +49,6 @@ impl<T: Scalar> DiagSplit<T> {
         }
     }
 
-    /// Converts back to triplets (diagonal positions always present):
-    /// the row-major off-diagonal part, then the diagonal merged into it.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = self.off.to_triplets();
-        for (i, &v) in self.diag.iter().enumerate() {
-            t.push(i, i, v);
-        }
-        t.normalize();
-        t
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.n + self.off.nnz()
@@ -84,9 +73,7 @@ impl SparseMatrix for DiagSplit<f64> {
         }
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = self.off.entries();
-        out.extend(self.diag.iter().enumerate().map(|(i, &v)| (i, i, v)));
-        out
+        self.to_triplets().into_entries()
     }
 }
 

@@ -60,70 +60,6 @@ impl<T: Scalar> Ell<T> {
         }
     }
 
-    /// Checks the structural invariants of an *untrusted* ELL instance:
-    /// slot arrays sized `nrows * width`, per-row fill `rowlen[r] <=
-    /// width`, filled slots holding in-range strictly increasing
-    /// columns, and padding slots holding [`ELL_PAD`].
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("ell", reason));
-        if self.rowlen.len() != self.nrows {
-            return fail(format!(
-                "rowlen has {} entries, want nrows = {}",
-                self.rowlen.len(),
-                self.nrows
-            ));
-        }
-        let slots = self.nrows * self.width;
-        if self.colind.len() != slots || self.values.len() != slots {
-            return fail(format!(
-                "colind/values have {}/{} slots, want nrows * width = {slots}",
-                self.colind.len(),
-                self.values.len()
-            ));
-        }
-        for r in 0..self.nrows {
-            let len = self.rowlen[r] as usize;
-            if len > self.width {
-                return fail(format!("rowlen[{r}] = {len} exceeds width {}", self.width));
-            }
-            let base = r * self.width;
-            for s in 0..len {
-                let c = self.colind[base + s];
-                if c < 0 || c >= self.ncols as i64 {
-                    return fail(format!("row {r} slot {s} stores column {c}, out of range"));
-                }
-                if s > 0 && c <= self.colind[base + s - 1] {
-                    return fail(format!("row {r} columns not strictly increasing"));
-                }
-            }
-            for s in len..self.width {
-                if self.colind[base + s] != ELL_PAD {
-                    return fail(format!(
-                        "row {r} padding slot {s} holds {} instead of the pad sentinel",
-                        self.colind[base + s]
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Converts back to triplets. Storage order is row-major: the result
-    /// is in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for r in 0..self.nrows {
-            for s in 0..self.rowlen[r] as usize {
-                t.push(
-                    r,
-                    self.colind[r * self.width + s] as usize,
-                    self.values[r * self.width + s],
-                );
-            }
-        }
-        t
-    }
-
     /// Number of stored entries (padding excluded).
     pub fn nnz(&self) -> usize {
         self.rowlen.iter().map(|&l| l as usize).sum()
@@ -147,6 +83,22 @@ impl<T: Scalar> Ell<T> {
     // layout-find-end
 }
 
+impl Ell<f64> {
+    /// What no level says: every slot past a row's fill holds [`ELL_PAD`].
+    fn padding(&self) -> Result<(), String> {
+        let rows = self.colind.chunks(self.width.max(1)).zip(&self.rowlen);
+        for (r, (row, &len)) in rows.enumerate() {
+            let mut pads = row.iter().enumerate().skip(len as usize);
+            if let Some((s, c)) = pads.find(|&(_, &c)| c != ELL_PAD) {
+                return Err(format!(
+                    "row {r} padding slot {s} holds {c} instead of the pad sentinel"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 stored_layout! {
     Ell, "ell", include_str!("ell.rs");
     dims: nrows, ncols, width;
@@ -158,6 +110,7 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
+    residue: padding;
     /// The ELL index structure: CSR's, but the column level enumerates a
     /// fixed-width padded slot array.
     view: ell_format_view = "(r, c): r[interval] -> c[sorted] -> v";

@@ -117,90 +117,6 @@ impl<T: Scalar> Jad<T> {
         }
     }
 
-    /// Converts back to triplets, visiting the rows in original order
-    /// (through `iperm_inv`): row-major, so in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for (r, &rr) in self.iperm_inv.iter().enumerate() {
-            let rr = rr as usize;
-            for &start in &self.dptr[..self.rowlen[rr] as usize] {
-                let jj = start as usize + rr;
-                t.push(r, self.colind[jj] as usize, self.values[jj]);
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* JAD instance:
-    /// `iperm`/`iperm_inv` are mutually inverse permutations of the
-    /// rows, `rowlen` is non-increasing (the defining jagged property),
-    /// each `dptr` strip is exactly as long as the number of rows
-    /// reaching that diagonal, and all stored columns are in range.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("jad", reason));
-        let m = self.nrows;
-        if self.iperm.len() != m || self.iperm_inv.len() != m || self.rowlen.len() != m {
-            return fail(format!(
-                "iperm/iperm_inv/rowlen have {}/{}/{} entries, want nrows = {m}",
-                self.iperm.len(),
-                self.iperm_inv.len(),
-                self.rowlen.len()
-            ));
-        }
-        for (rr, &r) in self.iperm.iter().enumerate() {
-            let r = r as usize;
-            if r >= m {
-                return fail(format!("iperm[{rr}] = {r} >= nrows {m}"));
-            }
-            if self.iperm_inv[r] as usize != rr {
-                return fail(format!(
-                    "iperm_inv[{r}] = {} but iperm[{rr}] = {r}: not inverse permutations",
-                    self.iperm_inv[r]
-                ));
-            }
-        }
-        for rr in 1..m {
-            if self.rowlen[rr] > self.rowlen[rr - 1] {
-                return fail(format!("rowlen increases at permuted row {rr}"));
-            }
-        }
-        let nd = self.rowlen.first().map_or(0, |&l| l as usize);
-        if self.dptr.len() != nd + 1 {
-            return fail(format!(
-                "dptr has {} entries, want max rowlen + 1 = {}",
-                self.dptr.len(),
-                nd + 1
-            ));
-        }
-        if self.dptr[0] != 0 {
-            return fail(format!("dptr[0] = {}, want 0", self.dptr[0]));
-        }
-        for d in 0..nd {
-            let want = self.rowlen.partition_point(|&len| len as usize > d);
-            let got = self.dptr[d + 1]
-                .checked_sub(self.dptr[d])
-                .map(|n| n as usize);
-            if got != Some(want) {
-                return fail(format!(
-                    "diagonal {d} strip length {:?} disagrees with rowlen (want {want})",
-                    got
-                ));
-            }
-        }
-        let nnz = self.dptr.last().map_or(0, |&n| n as usize);
-        if self.colind.len() != nnz || self.values.len() != nnz {
-            return fail(format!(
-                "colind/values have {}/{} entries, want dptr total {nnz}",
-                self.colind.len(),
-                self.values.len()
-            ));
-        }
-        if let Some(&c) = self.colind.iter().find(|&&c| c as usize >= self.ncols) {
-            return fail(format!("stored column {c} >= ncols {}", self.ncols));
-        }
-        Ok(())
-    }
-
     /// Number of jagged diagonals.
     pub fn ndiags(&self) -> usize {
         self.dptr.len() - 1

@@ -3,8 +3,8 @@
 //! Every format provides:
 //! - storage with **public fields** (the code emitter generates Rust that
 //!   indexes them directly, like the paper's Fig. 9 instantiated code);
-//! - `from_triplets` / `to_triplets` conversions, `nnz`, and a dense
-//!   `find(r, c)` between its `layout-find` markers;
+//! - `from_triplets`, `nnz`, and a dense `find(r, c)` between its
+//!   `layout-find` markers;
 //! - its description: one `stored_layout!` (`leveled!` for a view that
 //!   exists only on the host) naming its fields, how each level is
 //!   walked over them ([`crate::level`]), and the index structure they
@@ -13,8 +13,9 @@
 //!   from that: the low-level one ([`crate::SparseView`]) for every
 //!   format, the high-level one ([`crate::SparseMatrix`]) for every
 //!   registered layout — only the four host views, whose `get` is not
-//!   one `find`, write it by hand. [`dcsr`] is the worked example of a
-//!   format added this way.
+//!   one `find`, write it by hand — and `to_triplets` and `validate` for
+//!   every format. [`dcsr`] is the worked example of a format added this
+//!   way.
 
 pub mod bsr;
 pub mod coo;

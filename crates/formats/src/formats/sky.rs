@@ -57,19 +57,6 @@ impl<T: Scalar> Sky<T> {
         Sky { n, lo, ptr, values }
     }
 
-    /// Converts back to triplets (in-strip zeros are kept: structural).
-    /// Storage order is row-major: the result is in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.n, self.n);
-        for r in 0..self.n {
-            let (lo, at) = (self.lo[r] as usize, self.ptr[r] as usize);
-            for c in lo..=r {
-                t.push(r, c, self.values[at + (c - lo)]);
-            }
-        }
-        t
-    }
-
     /// Number of stored entries (strip cells, including in-strip zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()

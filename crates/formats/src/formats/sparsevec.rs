@@ -93,11 +93,7 @@ impl SparseMatrix for SparseVec<f64> {
         self.find(r).map_or(0.0, |k| self.values[k])
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        self.ind
-            .iter()
-            .zip(&self.values)
-            .map(|(&i, &v)| (i as usize, 0, v))
-            .collect()
+        self.to_triplets().into_entries()
     }
 }
 
@@ -175,11 +171,7 @@ impl SparseMatrix for HashVec<f64> {
         self.index.get(&r).map_or(0.0, |&k| self.values[k])
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        self.ind
-            .iter()
-            .zip(&self.values)
-            .map(|(&i, &v)| (i as usize, 0, v))
-            .collect()
+        self.to_triplets().into_entries()
     }
 }
 

@@ -125,125 +125,6 @@ impl<T: Scalar> Vbr<T> {
         out
     }
 
-    /// Converts back to triplets (in-block zeros are kept: structural),
-    /// one logical row across its block row's blocks at a time:
-    /// row-major, so in normal form as pushed.
-    pub fn to_triplets(&self) -> Triplets<T> {
-        let mut t = Triplets::new(self.nrows, self.ncols);
-        for br in 0..self.rpntr.len() - 1 {
-            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
-            for rr in 0..r1 - r0 {
-                for b in self.blocks(br) {
-                    let (cj0, w, at) = self.block(b);
-                    for cc in 0..w {
-                        t.push(r0 + rr, cj0 + cc, self.val[at + rr * w + cc]);
-                    }
-                }
-            }
-        }
-        t
-    }
-
-    /// Checks the structural invariants of an *untrusted* VBR instance:
-    /// `rpntr`/`cpntr` are partitions, the block-row pointer pairs are
-    /// in range and monotone, block columns are in range and strictly
-    /// increasing per block row, `indx` matches the block areas exactly,
-    /// and `rowblk` agrees with `rpntr`.
-    pub fn validate(&self) -> Result<(), crate::FormatError> {
-        let fail = |reason: String| Err(crate::convert::invalid("vbr", reason));
-        let part_ok = |p: &[u32], n: usize| {
-            p.len() >= 2
-                && p[0] == 0
-                && p[p.len() - 1] as usize == n
-                && p.windows(2).all(|w| w[0] < w[1])
-        };
-        if !part_ok(&self.rpntr, self.nrows) {
-            return fail(format!(
-                "rpntr {:?} is not a partition of 0..={}",
-                self.rpntr, self.nrows
-            ));
-        }
-        if !part_ok(&self.cpntr, self.ncols) {
-            return fail(format!(
-                "cpntr {:?} is not a partition of 0..={}",
-                self.cpntr, self.ncols
-            ));
-        }
-        let nbr = self.rpntr.len() - 1;
-        let nbc = self.cpntr.len() - 1;
-        if self.bpntrb.len() != nbr || self.bpntre.len() != nbr {
-            return fail(format!(
-                "bpntrb/bpntre have {}/{} entries, want nbr = {nbr}",
-                self.bpntrb.len(),
-                self.bpntre.len()
-            ));
-        }
-        if self.indx.len() != self.bindx.len() + 1 || self.indx[0] != 0 {
-            return fail(format!(
-                "indx has {} entries starting at {}, want nblocks + 1 = {} starting at 0",
-                self.indx.len(),
-                self.indx.first().copied().unwrap_or(1),
-                self.bindx.len() + 1
-            ));
-        }
-        if self.indx[self.indx.len() - 1] as usize != self.val.len() {
-            return fail(format!(
-                "indx ends at {}, want the storage length {}",
-                self.indx[self.indx.len() - 1],
-                self.val.len()
-            ));
-        }
-        if self.rowblk.len() != self.nrows {
-            return fail(format!(
-                "rowblk has {} entries, want nrows = {}",
-                self.rowblk.len(),
-                self.nrows
-            ));
-        }
-        let mut covered = 0usize;
-        for br in 0..nbr {
-            let (lo, hi) = (self.bpntrb[br] as usize, self.bpntre[br] as usize);
-            if lo > hi || hi > self.bindx.len() || lo != covered {
-                return fail(format!(
-                    "block row {br} pointers {lo}..{hi} are not a contiguous monotone cover"
-                ));
-            }
-            covered = hi;
-            let (r0, r1) = (self.rpntr[br] as usize, self.rpntr[br + 1] as usize);
-            for row in r0..r1 {
-                if self.rowblk[row] as usize != br {
-                    return fail(format!("rowblk[{row}] = {}, want {br}", self.rowblk[row]));
-                }
-            }
-            for b in lo..hi {
-                let bc = self.bindx[b] as usize;
-                if bc >= nbc {
-                    return fail(format!("block row {br} stores block column {bc} >= {nbc}"));
-                }
-                if b > lo && bc <= self.bindx[b - 1] as usize {
-                    return fail(format!(
-                        "block row {br} block columns not strictly increasing"
-                    ));
-                }
-                let area = (r1 - r0) * (self.cpntr[bc + 1] - self.cpntr[bc]) as usize;
-                if self.indx[b + 1] as usize != self.indx[b] as usize + area {
-                    return fail(format!(
-                        "block {b} spans indx {}..{}, want area {area}",
-                        self.indx[b],
-                        self.indx[b + 1]
-                    ));
-                }
-            }
-        }
-        if covered != self.bindx.len() {
-            return fail(format!(
-                "block rows cover {covered} blocks, want {}",
-                self.bindx.len()
-            ));
-        }
-        Ok(())
-    }
-
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.val.len()

@@ -337,6 +337,7 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///     ] -> values;
 ///     perm: iperm, iperm_inv;             // views with a `perm` only
 ///     find: find;
+///     residue: padding;                   // what no level says, if any
 ///     /// The BSR index structure, per logical row.
 ///     view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
 ///     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
@@ -368,6 +369,7 @@ macro_rules! stored_layout {
         chains: $([$($level:expr),+] -> $values:ident),+;
         $(perm: $apply:ident, $unapply:ident;)?
         find: $finder:ident;
+        $(residue: $residue:ident;)?
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
         from_triplets: $build:expr;
@@ -434,6 +436,7 @@ macro_rules! stored_layout {
             chains: $([$($level),+] -> $values),+;
             perm: $(($apply, $unapply))?;
             find: stringify!($finder) => |m, a, b| m.$finder(a, b);
+            $(residue: $residue;)?
             $(#[$doc])*
             view: $view_fn = $view;
         }

@@ -42,6 +42,7 @@ pub mod scalar;
 pub mod triplet;
 pub mod view;
 mod view_text;
+mod walk;
 
 pub use blocks::{block_fill, discover_block_size, discover_strips, BlockReport};
 pub use convert::{AnyFormat, FormatError, FORMAT_NAMES};

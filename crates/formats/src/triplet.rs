@@ -8,8 +8,9 @@ use std::borrow::Cow;
 /// A matrix under construction: explicit `(row, col, value)` entries.
 ///
 /// `Triplets` is the hub of all format conversions: every concrete format
-/// implements `from_triplets` and `to_triplets`, making any-to-any
-/// conversion a two-step round trip.
+/// writes its `from_triplets`, and its `to_triplets` is derived from its
+/// levels (the walk of its view, then [`normalize`](Self::normalize)),
+/// making any-to-any conversion a two-step round trip.
 ///
 /// **Normal form** is entries strictly increasing in `(row, col)`: sorted
 /// row-major, no position twice. A `Triplets` knows whether it is in

@@ -2,11 +2,16 @@
 //! every other format on random access, and enumerates exactly its stored
 //! entries via its declared view (DESIGN.md property P2). Random access is
 //! held for every format `AnyFormat` names and for every registered
-//! layout, whose dense API `stored_layout!` derives.
+//! layout, whose dense API `stored_layout!` derives; so are the derived
+//! `validate` (it accepts what `from_triplets` built) and `to_triplets`
+//! (`from_triplets` builds from it what it came from).
 
 use bernoulli_formats::convert::{AnyFormat, FORMAT_NAMES};
 use bernoulli_formats::cursor::check_view_conformance;
-use bernoulli_formats::{SparseView, Stored, Triplets, LAYOUTS};
+use bernoulli_formats::{
+    Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, FormatError, Jad, Sky, SparseView, Stored, Triplets, Vbr,
+    LAYOUTS,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -61,6 +66,37 @@ fn dense_api_agrees(name: &str, m: &dyn SparseView, t: &Triplets<f64>) {
     }
 }
 
+/// Every registered layout, built from `t` at block shape 2×2 (Sky from
+/// `t`'s lower triangle with its diagonal filled): what its `validate`
+/// says, and whether `from_triplets` of its `to_triplets` is the same
+/// instance.
+fn derived(t: &Triplets<f64>) -> Vec<(&'static str, Result<(), FormatError>, bool)> {
+    macro_rules! each {
+        ($($name:literal: $m:expr, |$u:ident| $build:expr;)+) => {
+            vec![$({
+                let m = $m;
+                let $u = &m.to_triplets();
+                ($name, m.validate(), $build == m)
+            }),+]
+        };
+    }
+    let (even, lower) = ([0, 2, 4, 6, 8], t.lower_triangle_full_diag(1.0));
+    let rows = each! {
+        "csr": Csr::from_triplets(t), |u| Csr::from_triplets(u);
+        "csc": Csc::from_triplets(t), |u| Csc::from_triplets(u);
+        "coo": Coo::from_triplets(t), |u| Coo::from_triplets(u);
+        "dia": Dia::from_triplets(t), |u| Dia::from_triplets(u);
+        "ell": Ell::from_triplets(t), |u| Ell::from_triplets(u);
+        "jad": Jad::from_triplets(t), |u| Jad::from_triplets(u);
+        "sky": Sky::from_triplets(&lower), |u| Sky::from_triplets(u);
+        "bsr": Bsr::from_triplets(t, 2, 2), |u| Bsr::from_triplets(u, 2, 2);
+        "vbr": Vbr::from_triplets(t, &even, &even), |u| Vbr::from_triplets(u, &even, &even);
+        "dcsr": Dcsr::from_triplets(t), |u| Dcsr::from_triplets(u);
+    };
+    assert_eq!(rows.len(), LAYOUTS.len());
+    rows
+}
+
 /// Every alternative of `m`'s view enumerates exactly its stored entries.
 fn conforms(name: &str, m: &dyn SparseView) {
     for alt in 0..m.format_view().alternatives().len() {
@@ -86,7 +122,13 @@ proptest! {
     #[test]
     fn all_views_conform(t in arb_matrix(8, 20)) {
         for &name in FORMAT_NAMES {
-            conforms(name, AnyFormat::from_triplets(name, &t).as_view());
+            let f = AnyFormat::from_triplets(name, &t);
+            conforms(name, f.as_view());
+            prop_assert_eq!(f.validate(), Ok(()), "{}", name);
+        }
+        for (name, valid, same) in derived(&t) {
+            prop_assert_eq!(valid, Ok(()), "{}", name);
+            prop_assert!(same, "{}: from_triplets(to_triplets(m)) != m", name);
         }
         for (name, _, m) in layouts(&t) {
             conforms(name, &*m);
