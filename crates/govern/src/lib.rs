@@ -13,13 +13,10 @@
 //!   deadline, and a [`CancelToken`], all checked cooperatively via
 //!   [`Budget::charge`] / [`Budget::check`]. Exhaustion is *sticky*: once
 //!   a budget trips, every later check reports the same typed cause.
-//! - a per-thread **installed budget** slot ([`install_scoped`],
-//!   [`current`]) so deeply-nested library code can observe the active
-//!   budget without threading it through every signature — the same
-//!   pattern as `bernoulli-polyhedra`'s cache slot. The slot is
-//!   thread-local so concurrent compiles never govern each other; the
-//!   search layer re-installs the submitting thread's budget inside
-//!   every pool job it fans out.
+//!   A budget is a value: the code it governs is handed a reference to
+//!   it (the polyhedral layer through its `Cx`), so concurrent compiles
+//!   never govern each other and pool jobs charge the budget of the
+//!   compile that submitted them.
 //! - [`faults`] — named fault-injection sites (panic / delay / budget
 //!   starvation), compiled to no-ops unless the `faults` feature is on.
 //! - [`SingleFlight`] — keyed leader/follower coalescing of concurrent
@@ -241,81 +238,15 @@ impl Budget {
     }
 }
 
-// Per-thread installed budget, observed by library code that has no
-// budget parameter (polyhedra, search inner loops, pool workers). This
-// slot is deliberately thread-local rather than process-wide: the
-// compile service runs many sessions concurrently, and a process-wide
-// slot would let one request's budget govern (or cancel) another's
-// work. The search layer captures the submitting thread's budget and
-// re-installs it inside every pool job, so worker threads still observe
-// the budget of the compile they are working for.
-thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Arc<Budget>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The budget installed on the current thread, if any.
-pub fn current() -> Option<Arc<Budget>> {
-    CURRENT.with(|slot| slot.borrow().clone())
-}
-
-/// Installs `budget` on the current thread (replacing any previous one)
-/// and returns the previous occupant. Prefer [`install_scoped`].
-pub fn install(budget: Option<Arc<Budget>>) -> Option<Arc<Budget>> {
-    CURRENT.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), budget))
-}
-
-/// Installs `budget` for the lifetime of the returned guard; the
-/// previous budget (possibly none) is restored on drop. The
-/// installation is per-thread, so concurrent compiles on different
-/// threads are fully isolated from each other's budgets. Code that
-/// fans work out to a pool must capture [`current`] before submitting
-/// and re-install it inside each job (the synthesis search does this)
-/// — a bare pool worker thread has no installed budget of its own.
-pub fn install_scoped(budget: Option<Arc<Budget>>) -> ScopedBudget {
-    ScopedBudget {
-        prev: install(budget),
-    }
-}
-
-/// Guard restoring the previously installed budget (see
-/// [`install_scoped`]).
-pub struct ScopedBudget {
-    prev: Option<Arc<Budget>>,
-}
-
-impl Drop for ScopedBudget {
-    fn drop(&mut self) {
-        install(self.prev.take());
-    }
-}
-
-/// Charges `n` operations against the installed budget; a no-op `Ok`
-/// when no budget is installed.
-pub fn charge(n: u64) -> Result<(), BudgetError> {
-    match current() {
-        Some(b) => b.charge(n),
-        None => Ok(()),
-    }
-}
-
-/// Checks the installed budget's deadline/cancel state; a no-op `Ok`
-/// when no budget is installed.
-pub fn check() -> Result<(), BudgetError> {
-    match current() {
-        Some(b) => b.check(),
-        None => Ok(()),
-    }
-}
-
 /// Fault injection for chaos testing: named sites scattered through the
 /// pool, the polyhedral layer, and the search call [`faults::hit`]; a
 /// fault table (configured programmatically or via the
 /// `BERNOULLI_FAULTS` environment variable) decides whether the site
-/// panics, sleeps, or starves the installed budget. Without the
+/// panics, sleeps, or starves the budget the site is handed. Without the
 /// `faults` feature every site compiles to an empty inline function.
 #[cfg(feature = "faults")]
 pub mod faults {
+    use super::Budget;
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
     use std::time::Duration;
@@ -327,7 +258,7 @@ pub mod faults {
         Panic,
         /// Sleep for the given number of milliseconds.
         DelayMs(u64),
-        /// Force the installed budget into the exhausted state.
+        /// Force the site's budget into the exhausted state.
         Starve,
         /// Make the site report an injected failure as its own *typed*
         /// error (observed through [`fail`]; sites that only call
@@ -405,17 +336,22 @@ pub mod faults {
         }
     }
 
-    /// A named fault-injection site. Panics, sleeps, or starves the
-    /// installed budget if the site is armed; otherwise does nothing.
-    /// A `fail` arming is ignored here — only sites that observe
-    /// [`fail`] can surface it as a typed error.
-    pub fn hit(site: &str) {
-        match take(site) {
+    /// A named fault-injection site. Panics, sleeps, or starves
+    /// `budget` (the one the site's computation charges, if any) if the
+    /// site is armed; otherwise does nothing. A `fail` arming is ignored
+    /// here — only sites that observe [`fail`] can surface it as a typed
+    /// error.
+    pub fn hit(site: &str, budget: Option<&Budget>) {
+        act(site, take(site), budget);
+    }
+
+    fn act(site: &str, action: Option<Action>, budget: Option<&Budget>) {
+        match action {
             None | Some(Action::Fail) => {}
             Some(Action::Panic) => panic!("injected fault at {site}"),
             Some(Action::DelayMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(Action::Starve) => {
-                if let Some(b) = super::current() {
+                if let Some(b) = budget {
                     b.starve();
                 }
             }
@@ -426,21 +362,13 @@ pub mod faults {
     /// faults as their own *typed* errors instead of panicking: returns
     /// `true` when the site is armed with the `fail` action (the caller
     /// must then take its documented failure path). Other armings
-    /// (panic/delay/starve) behave exactly as [`hit`] and return
-    /// `false`.
+    /// behave as [`hit`] with no budget (a `starve` has nothing to act
+    /// on) and return `false`.
     pub fn fail(site: &str) -> bool {
         match take(site) {
-            None => false,
             Some(Action::Fail) => true,
-            Some(Action::Panic) => panic!("injected fault at {site}"),
-            Some(Action::DelayMs(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                false
-            }
-            Some(Action::Starve) => {
-                if let Some(b) = super::current() {
-                    b.starve();
-                }
+            other => {
+                act(site, other, None);
                 false
             }
         }
@@ -452,7 +380,7 @@ pub mod faults {
 pub mod faults {
     /// Disabled fault site: compiles to nothing.
     #[inline(always)]
-    pub fn hit(_site: &str) {}
+    pub fn hit(_site: &str, _budget: Option<&super::Budget>) {}
 
     /// Disabled typed-error fault site: compiles to `false`.
     #[inline(always)]
@@ -464,12 +392,6 @@ pub mod faults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The budget slot is thread-local, so tests that install budgets
-    /// no longer interfere across threads; the lock is kept only to
-    /// document the historical hazard and guard same-thread reentry.
-    static SLOT: Mutex<()> = Mutex::new(());
 
     #[test]
     fn unlimited_budget_never_trips() {
@@ -535,44 +457,6 @@ mod tests {
         let b = Budget::unlimited();
         b.starve();
         assert!(matches!(b.exceeded(), Some(BudgetError::Ops { .. })));
-    }
-
-    #[test]
-    fn scoped_install_restores_previous() {
-        let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-        let outer = Arc::new(Budget::unlimited().with_max_ops(7));
-        let _g = install_scoped(Some(Arc::clone(&outer)));
-        {
-            let inner = Arc::new(Budget::unlimited().with_max_ops(9));
-            let _g2 = install_scoped(Some(Arc::clone(&inner)));
-            assert!(Arc::ptr_eq(&current().unwrap(), &inner));
-        }
-        assert!(Arc::ptr_eq(&current().unwrap(), &outer));
-    }
-
-    #[test]
-    fn installs_are_thread_local() {
-        let mine = Arc::new(Budget::unlimited().with_max_ops(5));
-        let _g = install_scoped(Some(Arc::clone(&mine)));
-        // A freshly spawned thread sees no budget, and installing one
-        // there does not disturb this thread's installation.
-        std::thread::spawn(|| {
-            assert!(current().is_none());
-            let theirs = Arc::new(Budget::unlimited().with_max_ops(11));
-            let _h = install_scoped(Some(Arc::clone(&theirs)));
-            assert!(Arc::ptr_eq(&current().unwrap(), &theirs));
-        })
-        .join()
-        .unwrap();
-        assert!(Arc::ptr_eq(&current().unwrap(), &mine));
-    }
-
-    #[test]
-    fn free_functions_are_noops_without_budget() {
-        let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-        let _g = install_scoped(None);
-        charge(1_000_000).unwrap();
-        check().unwrap();
     }
 
     #[test]

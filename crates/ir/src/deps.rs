@@ -10,7 +10,7 @@
 
 use crate::ast::{Program, StmtInfo};
 use crate::expr::AffineExpr;
-use bernoulli_polyhedra::{Constraint, LinExpr, System};
+use bernoulli_polyhedra::{Constraint, Cx, LinExpr, System};
 use std::collections::HashMap;
 
 /// The kind of a dependence (by the access pair that causes it).
@@ -70,8 +70,9 @@ impl DepClass {
     }
 }
 
-/// Computes all (non-empty) dependence classes of the program.
-pub fn analyze(p: &Program) -> Vec<DepClass> {
+/// Computes all (non-empty) dependence classes of the program, deciding
+/// emptiness under `cx`.
+pub fn analyze(p: &Program, cx: Cx) -> Vec<DepClass> {
     let stmts = p.statements();
     let mut out = Vec::new();
     for s in &stmts {
@@ -88,7 +89,7 @@ pub fn analyze(p: &Program) -> Vec<DepClass> {
                         (false, false) => unreachable!(),
                     };
                     out.extend(classes_for_pair(
-                        p, s, d, &sa.idxs, &da.idxs, kind, &sa.array, sai, dai,
+                        p, cx, s, d, &sa.idxs, &da.idxs, kind, &sa.array, sai, dai,
                     ));
                 }
             }
@@ -101,6 +102,7 @@ pub fn analyze(p: &Program) -> Vec<DepClass> {
 #[allow(clippy::too_many_arguments)]
 fn classes_for_pair(
     p: &Program,
+    cx: Cx,
     s: &StmtInfo,
     d: &StmtInfo,
     s_idx: &[AffineExpr],
@@ -115,14 +117,14 @@ fn classes_for_pair(
     // One class per carrying level, plus the loop-independent case when
     // the source precedes the destination textually.
     for level in 0..shared {
-        if let Some(mut c) = build_class(p, s, d, s_idx, d_idx, kind, array, Some(level)) {
+        if let Some(mut c) = build_class(p, cx, s, d, s_idx, d_idx, kind, array, Some(level)) {
             c.src_access = src_access;
             c.dst_access = dst_access;
             out.push(c);
         }
     }
     if s.before(d) {
-        if let Some(mut c) = build_class(p, s, d, s_idx, d_idx, kind, array, None) {
+        if let Some(mut c) = build_class(p, cx, s, d, s_idx, d_idx, kind, array, None) {
             c.src_access = src_access;
             c.dst_access = dst_access;
             out.push(c);
@@ -134,6 +136,7 @@ fn classes_for_pair(
 #[allow(clippy::too_many_arguments)]
 fn build_class(
     p: &Program,
+    cx: Cx,
     s: &StmtInfo,
     d: &StmtInfo,
     s_idx: &[AffineExpr],
@@ -224,7 +227,7 @@ fn build_class(
         }
     }
 
-    if sys.is_empty() {
+    if sys.is_empty(cx) {
         return None;
     }
     Some(DepClass {
@@ -262,6 +265,7 @@ fn rename_instance(e: &AffineExpr, p: &Program, stmt: &StmtInfo, suffix: &str) -
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use bernoulli_polyhedra::PolyCaches;
 
     const TS: &str = r#"
         program ts(N) {
@@ -279,7 +283,7 @@ mod tests {
     #[test]
     fn ts_has_the_papers_dependences() {
         let p = parse_program(TS).unwrap();
-        let classes = analyze(&p);
+        let classes = analyze(&p, Cx::new(&PolyCaches::new()));
         assert!(!classes.is_empty());
 
         // D1 (paper): S1 writes b[j], S2 reads b[j]: flow S1 -> S2 with
@@ -318,7 +322,7 @@ mod tests {
             "program scale(N) { inout vector x[N]; for i in 0..N { x[i] = x[i] * 2; } }",
         )
         .unwrap();
-        let classes = analyze(&p);
+        let classes = analyze(&p, Cx::new(&PolyCaches::new()));
         // Flow/anti/output within the same instance require src before dst
         // or a carrying level; x[i] accesses in different iterations touch
         // different elements, so nothing survives.
@@ -331,7 +335,7 @@ mod tests {
             "program acc(N) { inout vector s[1]; for i in 0..N { s[0] = s[0] + 1; } }",
         )
         .unwrap();
-        let classes = analyze(&p);
+        let classes = analyze(&p, Cx::new(&PolyCaches::new()));
         // s[0] written and read every iteration: flow, anti and output all
         // carried at level 0.
         assert!(classes
@@ -358,7 +362,7 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let classes = analyze(&p);
+        let classes = analyze(&p, Cx::new(&PolyCaches::new()));
         assert!(classes.iter().all(|c| c.array == "y"));
         // Carried at the inner level only (same i, different j).
         assert!(classes.iter().any(|c| c.level == Some(1)));
@@ -370,7 +374,7 @@ mod tests {
     #[test]
     fn descriptions_render() {
         let p = parse_program(TS).unwrap();
-        let classes = analyze(&p);
+        let classes = analyze(&p, Cx::new(&PolyCaches::new()));
         for c in &classes {
             let s = c.describe();
             assert!(s.contains("->"));

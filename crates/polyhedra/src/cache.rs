@@ -5,8 +5,9 @@
 //! every (configuration, order, embedding) triple it examines — 37
 //! triples for TS-on-JAD alone — and again for every repeated synthesis
 //! request. This module gives [`System::is_empty`] and
-//! [`eliminate_var`](crate::eliminate_var) a process-wide, sharded memo
-//! cache:
+//! [`eliminate_var`](crate::eliminate_var) a sharded memo cache,
+//! [`PolyCaches`], which they read and fill through the [`Cx`](crate::Cx)
+//! their caller hands them:
 //!
 //! - **Emptiness** is keyed by the [`CanonicalKey`] of the system —
 //!   constraints gcd-normalized to primitive integer rows,
@@ -27,28 +28,19 @@
 //! threads off each other's locks, capped per shard (a full shard is
 //! simply cleared — memoization is an optimization, never a correctness
 //! dependency), and counted by always-on atomics surfaced through
-//! [`cache_stats`], which is where the benchmark harness reads its hit
-//! rates.
+//! [`PolyCaches::stats`]; snapshots and clears are coherent against
+//! concurrent compiles (no lookup is ever half-counted or split across
+//! a clear).
 //!
-//! ## Cache tiers (S38)
+//! ## Who owns a memo (S38)
 //!
-//! The caches are organized for a *multi-tenant* compile service:
-//!
-//! - By default every thread reads and writes one process-wide
-//!   [`shared_tier`], so concurrent compiles of structurally similar
-//!   programs amortize each other's polyhedral work.
-//! - A compile that wants isolation installs its own [`PolyCaches`] on
-//!   its thread ([`install_scoped`]), as every `Session` does.
-//!   Installation is **thread-local**; concurrent compiles on other
-//!   threads are unaffected. Pool fan-out captures the submitting
-//!   thread's view with [`cache_context`] and re-installs it inside
-//!   each job with [`install_context_scoped`].
-//! - [`cache_stats`] / [`clear_caches`] act on the current thread's
-//!   view; snapshots and clears are coherent against concurrent
-//!   compiles (no lookup is ever half-counted or split across a clear).
+//! A memo belongs to whoever constructs it: every `Session` owns a
+//! private one, and every `Service` consults the process-wide
+//! [`shared_tier`], so that concurrent compiles of structurally similar
+//! programs amortize each other's polyhedral work. Pool fan-out needs no
+//! help: the search hands the same `Cx` to every job.
 
 use crate::system::{Constraint, ConstraintKind, System};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,19 +244,9 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
 
 /// One compile's (or the whole process's) worth of polyhedral memo
 /// state: the emptiness cache and the FM-elimination cache, with their
-/// hit/miss accounting.
-///
-/// The decision procedures consult a two-tier arrangement:
-///
-/// - a **process-wide shared tier** ([`shared_tier`]) that every thread
-///   reads and writes by default — this is what lets a multi-tenant
-///   compile service amortize polyhedral work across structurally
-///   similar requests, and
-/// - an optional **per-thread installed instance** ([`install_scoped`],
-///   the per-session behavior), consulted instead of the shared tier.
-///
-/// Memoization is pure — whichever instances are consulted, results are
-/// identical; only hit rates differ.
+/// hit/miss accounting. The decision procedures consult the one their
+/// [`Cx`](crate::Cx) names. Memoization is pure — whichever instance is
+/// consulted, results are identical; only hit rates differ.
 pub struct PolyCaches {
     empty: ShardedCache<CanonicalKey, bool>,
     fm: ShardedCache<FmKey, Vec<Constraint>>,
@@ -308,6 +290,22 @@ impl PolyCaches {
             fm_misses: fm,
         }
     }
+
+    pub(crate) fn empty_lookup(&self, k: &CanonicalKey) -> Option<bool> {
+        self.empty.lookup(k)
+    }
+
+    pub(crate) fn empty_store(&self, k: CanonicalKey, v: bool) {
+        self.empty.store(k, v);
+    }
+
+    pub(crate) fn fm_lookup(&self, k: &FmKey) -> Option<Vec<Constraint>> {
+        self.fm.lookup(k)
+    }
+
+    pub(crate) fn fm_store(&self, k: FmKey, v: Vec<Constraint>) {
+        self.fm.store(k, v);
+    }
 }
 
 impl Default for PolyCaches {
@@ -316,97 +314,21 @@ impl Default for PolyCaches {
     }
 }
 
-/// The process-wide shared cache tier: what every thread consults when
-/// nothing is installed. Concurrently readable by design — lookups take
-/// one shard mutex plus an uncontended read gate.
+/// The process-wide memo every `Service` consults. Concurrently
+/// readable by design — lookups take one shard mutex plus an
+/// uncontended read gate.
 pub fn shared_tier() -> &'static Arc<PolyCaches> {
     static TIER: OnceLock<Arc<PolyCaches>> = OnceLock::new();
     TIER.get_or_init(|| Arc::new(PolyCaches::new()))
 }
 
-thread_local! {
-    /// What the current thread has installed, if anything.
-    static CURRENT: RefCell<Option<Arc<PolyCaches>>> = const { RefCell::new(None) };
+/// Clears the [`shared_tier`]: [`PolyCaches::clear`] on it.
+pub fn clear_caches() -> CacheStats {
+    shared_tier().clear()
 }
 
-/// A capture of the current thread's cache installation, for handing
-/// the same view to pool worker threads: the search layer snapshots a
-/// [`cache_context`] before fanning out and re-installs it (via
-/// [`install_context_scoped`]) inside every job, so workers attribute
-/// their polyhedral work to the submitting compile's caches.
-#[derive(Clone)]
-pub struct CacheContext {
-    installed: Option<Arc<PolyCaches>>,
-}
-
-/// Snapshot the current thread's installation (possibly "nothing
-/// installed", meaning the shared tier).
-pub fn cache_context() -> CacheContext {
-    CacheContext {
-        installed: CURRENT.with(|slot| slot.borrow().clone()),
-    }
-}
-
-/// Guard restoring the current thread's previous installation on drop
-/// (panic-safe — the restore runs during unwinding too).
-pub struct ScopedCaches {
-    prev: Option<Arc<PolyCaches>>,
-}
-
-impl Drop for ScopedCaches {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        CURRENT.with(|slot| *slot.borrow_mut() = prev);
-    }
-}
-
-fn install(caches: Option<Arc<PolyCaches>>) -> ScopedCaches {
-    ScopedCaches {
-        prev: CURRENT.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), caches)),
-    }
-}
-
-/// Installs `caches` as the current thread's instance for the lifetime
-/// of the returned guard: every lookup and store on this thread goes
-/// to `caches` alone, never the shared tier. This is the per-session
-/// scoping, used for cold-cache measurement and tenant isolation.
-pub fn install_scoped(caches: Arc<PolyCaches>) -> ScopedCaches {
-    install(Some(caches))
-}
-
-/// Re-installs a captured [`CacheContext`] on the current thread for
-/// the lifetime of the returned guard (see [`cache_context`]).
-pub fn install_context_scoped(ctx: &CacheContext) -> ScopedCaches {
-    install(ctx.installed.clone())
-}
-
-/// Runs `f` on the caches the current thread is using: its installed
-/// instance, otherwise the process-wide shared tier.
-fn with_current<R>(f: impl FnOnce(&PolyCaches) -> R) -> R {
-    CURRENT.with(|slot| match &*slot.borrow() {
-        Some(caches) => f(caches),
-        None => f(shared_tier()),
-    })
-}
-
-pub(crate) fn empty_lookup(k: &CanonicalKey) -> Option<bool> {
-    with_current(|c| c.empty.lookup(k))
-}
-
-pub(crate) fn empty_store(k: CanonicalKey, v: bool) {
-    with_current(|c| c.empty.store(k, v));
-}
-
-pub(crate) fn fm_lookup(k: &FmKey) -> Option<Vec<Constraint>> {
-    with_current(|c| c.fm.lookup(k))
-}
-
-pub(crate) fn fm_store(k: FmKey, v: Vec<Constraint>) {
-    with_current(|c| c.fm.store(k, v));
-}
-
-/// Hit/miss totals of the polyhedral memo caches since process start
-/// (or the last [`clear_caches`]).
+/// Hit/miss totals of one [`PolyCaches`] since it was made (or last
+/// cleared).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub empty_hits: u64,
@@ -437,51 +359,14 @@ impl CacheStats {
     }
 }
 
-/// Hit/miss totals of the caches the *current thread* is using: its
-/// installed instance if one is installed, otherwise the process-wide
-/// shared tier. Snapshots are
-/// coherent per cache — a concurrent clear or compile on another thread
-/// never yields a half-counted lookup (see the per-shard gating) —
-/// but note that with no installation this reads the shared tier, which
-/// other threads may be feeding concurrently.
-pub fn cache_stats() -> CacheStats {
-    with_current(PolyCaches::stats)
-}
-
-/// Drops every memoized result of the caches the current thread is
-/// using (same resolution as [`cache_stats`]) and zeroes their hit/miss
-/// counts, returning the counts accumulated up to the clear. Safe while
-/// other threads compile: each racing lookup lands entirely before the
-/// clear (counted in the returned snapshot, possibly served from the
-/// dropped entries) or entirely after (counted in the fresh epoch) —
-/// never split. Benchmarks call this to measure cold-cache behavior;
-/// correctness never depends on it.
-pub fn clear_caches() -> CacheStats {
-    with_current(PolyCaches::clear)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinExpr;
+    use crate::{Cx, LinExpr};
     use bernoulli_numeric::Rational;
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// The shared tier is process-global and sibling tests in this crate
-    /// run `is_empty` concurrently, so stats-sensitive tests serialize on
-    /// this lock and only assert monotone (>=) properties — concurrent
-    /// activity can add hits/misses but, with no other caller of
-    /// `clear_caches`, never remove them. (Tests that install their own
-    /// instance are immune: installation is thread-local.)
-    fn stats_lock() -> std::sync::MutexGuard<'static, ()> {
-        static L: Mutex<()> = Mutex::new(());
-        match L.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
     }
 
     /// 0 <= i <= 9, i <= j, built with `add` calls in the given order.
@@ -562,10 +447,12 @@ mod tests {
 
     #[test]
     fn memoized_emptiness_matches_fresh_and_counts_hits() {
-        let _g = stats_lock();
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut nonempty = box_sys(&[0, 1, 2]);
-        assert!(!nonempty.is_empty());
-        let base = cache_stats();
+        assert!(!nonempty.is_empty(cx));
+        let base = memo.stats();
+        assert_eq!((base.empty_hits, base.empty_misses), (0, 1), "{base:?}");
         // Same constraints, different insertion order and names: the
         // second query must hit the entry the first one populated.
         let mut renamed = System::new(names(&["a", "b"]));
@@ -574,101 +461,51 @@ mod tests {
         renamed.add(Constraint::ge0(&b - &a));
         renamed.add(Constraint::ge0(a.clone()));
         renamed.add(Constraint::ge0(&LinExpr::constant(2, 9) - &a));
-        assert!(!renamed.is_empty());
-        let after = cache_stats();
-        assert!(after.empty_hits > base.empty_hits, "{base:?} -> {after:?}");
+        assert!(!renamed.is_empty(cx));
+        let after = memo.stats();
+        assert_eq!((after.empty_hits, after.empty_misses), (1, 1), "{after:?}");
 
         // A genuinely different (empty) system misses, then hits, and the
         // memoized verdict matches the fresh one.
         nonempty.add(Constraint::ge0(
             &LinExpr::var(2, 0) - &LinExpr::constant(2, 50),
         ));
-        assert!(nonempty.is_empty());
-        assert!(nonempty.is_empty());
-        let fin = cache_stats();
-        assert!(
-            fin.empty_misses > after.empty_misses,
-            "{after:?} -> {fin:?}"
-        );
-        assert!(fin.empty_hits > after.empty_hits, "{after:?} -> {fin:?}");
-        assert!(fin.empty_hit_rate() > 0.0);
+        assert!(nonempty.is_empty(cx));
+        assert!(nonempty.is_empty(cx));
+        let fin = memo.stats();
+        assert_eq!((fin.empty_hits, fin.empty_misses), (2, 2), "{fin:?}");
+        assert_eq!(fin.empty_hit_rate(), 0.5);
     }
 
     #[test]
     fn clear_resets_stats() {
-        let _g = stats_lock();
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let s = box_sys(&[0, 1, 2]);
-        assert!(!s.is_empty());
-        assert!(!s.is_empty());
-        clear_caches();
+        assert!(!s.is_empty(cx));
+        assert!(!s.is_empty(cx));
+        memo.clear();
+        assert_eq!(memo.stats(), CacheStats::default());
         // Rebuilding from zero: the identical query misses again.
-        let before = cache_stats();
-        assert!(!s.is_empty());
-        let after = cache_stats();
-        assert!(after.empty_misses > before.empty_misses);
-    }
-
-    #[test]
-    fn scoped_install_isolates_stats_and_restores() {
-        let _g = stats_lock();
-        let s = box_sys(&[0, 1, 2]);
-        assert!(!s.is_empty()); // warm the default instance
-        let mine = Arc::new(PolyCaches::new());
-        {
-            let _scope = install_scoped(Arc::clone(&mine));
-            // Fresh instance: the identical query misses (cold), then hits.
-            assert!(!s.is_empty());
-            assert!(!s.is_empty());
-            let st = mine.stats();
-            assert!(st.empty_misses >= 1, "{st:?}");
-            assert!(st.empty_hits >= 1, "{st:?}");
-            // The process-wide view reports the installed instance
-            // (monotone — sibling tests may be querying concurrently).
-            let global = cache_stats();
-            assert!(global.empty_hits >= st.empty_hits);
-            assert!(global.empty_misses >= st.empty_misses);
-        }
-        // Guard dropped: queries accrue to the default instance again
-        // (monotone assert — sibling tests may also be querying).
-        let before = cache_stats();
-        assert!(!s.is_empty());
-        let after = cache_stats();
-        assert!(
-            after.empty_hits + after.empty_misses > before.empty_hits + before.empty_misses,
-            "{before:?} -> {after:?}"
-        );
-    }
-
-    #[test]
-    fn installs_are_thread_local() {
-        let mine = Arc::new(PolyCaches::new());
-        let _scope = install_scoped(Arc::clone(&mine));
-        let s = box_sys(&[0, 1, 2]);
-        assert!(!s.is_empty());
-        let st = mine.stats();
-        assert!(st.empty_hits + st.empty_misses >= 1);
-        // Another thread sees no installation: its queries go to the
-        // shared tier, not to `mine`.
-        let before = mine.stats();
-        let other = std::thread::spawn(move || {
-            let s = box_sys(&[2, 0, 1]);
-            assert!(!s.is_empty());
-        });
-        assert!(other.join().is_ok(), "helper thread failed");
-        assert_eq!(mine.stats(), before, "other thread must not touch mine");
+        assert!(!s.is_empty(cx));
+        let after = memo.stats();
+        assert_eq!((after.empty_hits, after.empty_misses), (0, 1), "{after:?}");
     }
 
     #[test]
     fn clear_returns_dropped_counts() {
-        let caches = Arc::new(PolyCaches::new());
-        let _scope = install_scoped(Arc::clone(&caches));
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let s = box_sys(&[0, 1, 2]);
-        assert!(!s.is_empty()); // miss + store
-        assert!(!s.is_empty()); // hit
-        let dropped = clear_caches();
-        assert!(dropped.empty_hits >= 1, "{dropped:?}");
-        assert!(dropped.empty_misses >= 1, "{dropped:?}");
-        let now = caches.stats();
+        assert!(!s.is_empty(cx)); // miss + store
+        assert!(!s.is_empty(cx)); // hit
+        let dropped = memo.clear();
+        assert_eq!(
+            (dropped.empty_hits, dropped.empty_misses),
+            (1, 1),
+            "{dropped:?}"
+        );
+        let now = memo.stats();
         assert_eq!(now, CacheStats::default(), "{now:?}");
     }
 
@@ -689,14 +526,13 @@ mod tests {
             .map(|t| {
                 let caches = Arc::clone(&caches);
                 std::thread::spawn(move || {
-                    let _scope = install_scoped(Arc::clone(&caches));
                     for i in 0..ITERS {
                         let key = CanonicalKey {
                             nvars: 1,
                             rows: vec![(0, vec![(1, 1)], ((t * ITERS + i % 64) as i128, 1))],
                         };
-                        empty_store(key.clone(), true);
-                        let _ = empty_lookup(&key);
+                        caches.empty_store(key.clone(), true);
+                        let _ = caches.empty_lookup(&key);
                     }
                     ITERS as u64 // completed lookups on this thread
                 })
@@ -728,18 +564,21 @@ mod tests {
 
     #[test]
     fn fm_cache_returns_byte_identical_systems() {
-        let _g = stats_lock();
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let s = box_sys(&[0, 1, 2]);
-        let cold = crate::eliminate_var(&s, 0);
-        let base = cache_stats();
-        let warm = crate::eliminate_var(&s, 0);
+        let cold = crate::eliminate_var(cx, &s, 0);
+        let base = memo.stats();
+        assert_eq!((base.fm_hits, base.fm_misses), (0, 1), "{base:?}");
+        let warm = crate::eliminate_var(cx, &s, 0);
         assert_eq!(cold, warm);
         assert_eq!(cold.vars(), warm.vars());
-        let stats = cache_stats();
-        assert!(
-            stats.fm_hits > base.fm_hits,
+        let stats = memo.stats();
+        assert_eq!(
+            (stats.fm_hits, stats.fm_misses),
+            (1, 1),
             "second elimination must hit: {base:?} -> {stats:?}"
         );
-        assert!(stats.fm_hit_rate() > 0.0);
+        assert_eq!(stats.fm_hit_rate(), 0.5);
     }
 }

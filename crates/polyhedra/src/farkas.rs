@@ -18,7 +18,7 @@
 //! and eliminating the `λ`s with Fourier–Motzkin — a plain linear system
 //! over `u`.
 
-use crate::{Constraint, ConstraintKind, LinExpr, System};
+use crate::{Constraint, ConstraintKind, Cx, LinExpr, System};
 use bernoulli_numeric::Rational;
 
 /// Computes the conditions on unknowns `u` under which the symbolic affine
@@ -38,19 +38,20 @@ use bernoulli_numeric::Rational;
 /// Equalities of `p` are handled by splitting into two inequalities, which
 /// corresponds to an unconstrained-sign multiplier.
 ///
-/// If the installed compute budget runs out during multiplier
+/// If `cx.budget` runs out during multiplier
 /// elimination this degrades **conservatively**, returning a
 /// contradictory system over `u` (no embedding accepted — the caller
 /// rejects the candidate rather than accepting an unproven one); use
 /// [`try_farkas_nonneg_conditions`] to observe the exhaustion as a
 /// typed error instead.
 pub fn farkas_nonneg_conditions(
+    cx: Cx,
     p: &System,
     coeff_in_u: &[LinExpr],
     cst_in_u: &LinExpr,
     u_names: &[String],
 ) -> System {
-    try_farkas_nonneg_conditions(p, coeff_in_u, cst_in_u, u_names).unwrap_or_else(|_| {
+    try_farkas_nonneg_conditions(cx, p, coeff_in_u, cst_in_u, u_names).unwrap_or_else(|_| {
         // Conservative: a single false row over u — empty condition set.
         let mut none = System::new(u_names.to_vec());
         none.add(Constraint::ge0(LinExpr::constant(u_names.len(), -1)));
@@ -62,12 +63,13 @@ pub fn farkas_nonneg_conditions(
 /// [`PolyError`](crate::PolyError) instead of the conservative
 /// contradiction fallback.
 pub fn try_farkas_nonneg_conditions(
+    cx: Cx,
     p: &System,
     coeff_in_u: &[LinExpr],
     cst_in_u: &LinExpr,
     u_names: &[String],
 ) -> Result<System, crate::PolyError> {
-    bernoulli_govern::faults::hit("polyhedra.farkas");
+    bernoulli_govern::faults::hit("polyhedra.farkas", cx.budget);
     let nx = p.num_vars();
     assert_eq!(coeff_in_u.len(), nx, "one ψ coefficient per x variable");
     let nu = u_names.len();
@@ -133,12 +135,13 @@ pub fn try_farkas_nonneg_conditions(
     // Eliminate all multipliers, leaving conditions over u alone — the
     // budget-heavy step: one projection per multiplier.
     let drop: Vec<usize> = (nu..total).collect();
-    sys.try_project_out(&drop)
+    sys.try_project_out(cx, &drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolyCaches;
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -148,12 +151,14 @@ mod tests {
     /// u1 ≥ 0 and 10·u0 + u1 ≥ 0 (non-negativity at both vertices).
     #[test]
     fn interval_conditions() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut p = System::new(names(&["x"]));
         p.add_bounds(0, 0, 10);
         let u = names(&["u0", "u1"]);
         let coeff = vec![LinExpr::var(2, 0)];
         let cst = LinExpr::var(2, 1);
-        let cond = farkas_nonneg_conditions(&p, &coeff, &cst, &u);
+        let cond = farkas_nonneg_conditions(cx, &p, &coeff, &cst, &u);
         // Check a few points of u-space against ground truth.
         let truth = |u0: i128, u1: i128| (0..=10).all(|x| u0 * x + u1 >= 0);
         for u0 in -3..=3 {
@@ -168,12 +173,14 @@ mod tests {
     /// non-negative for every u0.
     #[test]
     fn equality_polyhedron() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut p = System::new(names(&["x", "y"]));
         p.add_eq(&LinExpr::var(2, 0), &LinExpr::var(2, 1));
         let u = names(&["u0"]);
         let coeff = vec![LinExpr::var(1, 0), -&LinExpr::var(1, 0)];
         let cst = LinExpr::zero(1);
-        let cond = farkas_nonneg_conditions(&p, &coeff, &cst, &u);
+        let cond = farkas_nonneg_conditions(cx, &p, &coeff, &cst, &u);
         for u0 in -5..=5 {
             assert!(cond.contains_int(&[u0]), "u0={u0}");
         }
@@ -185,6 +192,8 @@ mod tests {
     /// strictly violated function is excluded.
     #[test]
     fn violation_excluded() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         // P = {x >= 1}; ψ(x) = u0 - x can never be >= 0 on all of P for any
         // finite u0... but Farkas over rationals with unbounded P: there is
         // no λ with -1 = λ·1 and λ >= 0, so the condition system is empty.
@@ -193,20 +202,24 @@ mod tests {
         let u = names(&["u0"]);
         let coeff = vec![LinExpr::constant(1, -1)]; // coefficient of x is -1
         let cst = LinExpr::var(1, 0); // constant is u0
-        let cond = farkas_nonneg_conditions(&p, &coeff, &cst, &u);
-        assert!(cond.is_empty(), "{cond:?}");
+        let cond = farkas_nonneg_conditions(cx, &p, &coeff, &cst, &u);
+        assert!(cond.is_empty(cx), "{cond:?}");
     }
 
     /// ψ independent of u: constant 1 over any P is accepted; constant -1
     /// is rejected.
     #[test]
     fn constant_functions() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut p = System::new(names(&["x"]));
         p.add_bounds(0, 0, 3);
         let u: Vec<String> = vec![];
-        let ok = farkas_nonneg_conditions(&p, &[LinExpr::zero(0)], &LinExpr::constant(0, 1), &u);
-        assert!(!ok.is_empty());
-        let bad = farkas_nonneg_conditions(&p, &[LinExpr::zero(0)], &LinExpr::constant(0, -1), &u);
-        assert!(bad.is_empty());
+        let ok =
+            farkas_nonneg_conditions(cx, &p, &[LinExpr::zero(0)], &LinExpr::constant(0, 1), &u);
+        assert!(!ok.is_empty(cx));
+        let bad =
+            farkas_nonneg_conditions(cx, &p, &[LinExpr::zero(0)], &LinExpr::constant(0, -1), &u);
+        assert!(bad.is_empty(cx));
     }
 }

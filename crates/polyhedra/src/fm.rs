@@ -1,6 +1,6 @@
 //! Fourier–Motzkin elimination.
 
-use crate::{Constraint, ConstraintKind, LinExpr, System};
+use crate::{Constraint, ConstraintKind, Cx, LinExpr, System};
 use bernoulli_govern::{Budget, BudgetError};
 
 /// Eliminates variable `j` from the system, returning a system over the
@@ -10,15 +10,15 @@ use bernoulli_govern::{Budget, BudgetError};
 /// is used for exact Gaussian substitution when available, which both
 /// avoids the quadratic lower×upper combination and keeps the result
 /// tight for integers whenever the equality has a ±1 coefficient on `j`.
-/// Memoized wrapper over the raw elimination: results are cached
-/// process-wide under an *exact* `(rows-in-order, column)` key — not the
+/// Memoized wrapper over the raw elimination: results are cached in
+/// `cx.memo` under an *exact* `(rows-in-order, column)` key — not the
 /// canonical one — because the row order of the projection feeds
 /// downstream guard simplification and must be byte-identical to an
 /// uncached run. Rows carry no variable names, so structurally identical
 /// systems over different index names share one entry; the survivor
 /// names are re-attached from `sys` on a hit.
-pub fn eliminate_var(sys: &System, j: usize) -> System {
-    match try_eliminate_var(sys, j) {
+pub fn eliminate_var(cx: Cx, sys: &System, j: usize) -> System {
+    match try_eliminate_var(cx, sys, j) {
         Ok(s) => s,
         // Internal invariant: synthesis-built systems only ever eliminate
         // columns they created; a caller-supplied index goes through
@@ -30,18 +30,16 @@ pub fn eliminate_var(sys: &System, j: usize) -> System {
 /// [`eliminate_var`] with the out-of-range column reported as a
 /// [`PolyError`](crate::PolyError) instead of a panic — the entry point
 /// for callers whose column index is not statically known to be valid.
-/// Also observes the installed compute budget
-/// ([`bernoulli_govern::current`]), reporting exhaustion as
+/// Also charges `cx.budget`, reporting exhaustion as
 /// [`PolyError::BudgetExhausted`](crate::PolyError::BudgetExhausted).
-pub fn try_eliminate_var(sys: &System, j: usize) -> Result<System, crate::PolyError> {
+pub fn try_eliminate_var(cx: Cx, sys: &System, j: usize) -> Result<System, crate::PolyError> {
     if j >= sys.num_vars() {
         return Err(crate::PolyError::VarOutOfRange {
             index: j,
             nvars: sys.num_vars(),
         });
     }
-    let budget = bernoulli_govern::current();
-    Ok(eliminate_core(sys, j, budget.as_deref())?)
+    Ok(eliminate_core(cx, sys, j)?)
 }
 
 /// The memoized elimination step: cache hits are free (and still served
@@ -49,20 +47,16 @@ pub fn try_eliminate_var(sys: &System, j: usize) -> Result<System, crate::PolyEr
 /// charge the budget in proportion to the combination work. Results are
 /// stored only on fully-completed eliminations, so a budget-truncated
 /// run never pollutes the memo.
-pub(crate) fn eliminate_core(
-    sys: &System,
-    j: usize,
-    budget: Option<&Budget>,
-) -> Result<System, BudgetError> {
-    bernoulli_govern::faults::hit("polyhedra.fm");
+pub(crate) fn eliminate_core(cx: Cx, sys: &System, j: usize) -> Result<System, BudgetError> {
+    bernoulli_govern::faults::hit("polyhedra.fm", cx.budget);
     let key = crate::cache::fm_key(sys, j);
-    if let Some(rows) = crate::cache::fm_lookup(&key) {
+    if let Some(rows) = cx.memo.fm_lookup(&key) {
         let mut vars = sys.vars().to_vec();
         vars.remove(j);
         return Ok(System::from_parts(vars, rows));
     }
-    let out = eliminate_var_uncached(sys, j, budget)?;
-    crate::cache::fm_store(key, out.constraints().to_vec());
+    let out = eliminate_var_uncached(sys, j, cx.budget)?;
+    cx.memo.fm_store(key, out.constraints().to_vec());
     Ok(out)
 }
 
@@ -194,12 +188,12 @@ fn prune_dominated(sys: &mut System) {
 /// projecting away every other variable. Returns `(lo, hi)` where either
 /// side is `None` when unbounded. Returns `None` overall when the system
 /// is empty.
-pub fn variable_bounds(sys: &System, j: usize) -> Option<(Option<i128>, Option<i128>)> {
-    if sys.is_empty() {
+pub fn variable_bounds(cx: Cx, sys: &System, j: usize) -> Option<(Option<i128>, Option<i128>)> {
+    if sys.is_empty(cx) {
         return None;
     }
     let drop: Vec<usize> = (0..sys.num_vars()).filter(|&k| k != j).collect();
-    let proj = sys.project_out(&drop);
+    let proj = sys.project_out(cx, &drop);
     debug_assert_eq!(proj.num_vars(), 1);
     let mut lo: Option<i128> = None;
     let mut hi: Option<i128> = None;
@@ -234,6 +228,7 @@ pub fn variable_bounds(sys: &System, j: usize) -> Option<(Option<i128>, Option<i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolyCaches;
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -241,6 +236,8 @@ mod tests {
 
     #[test]
     fn eliminate_middle_var() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         // 0 <= i <= 4, i <= k <= i + 2, k == j  — eliminate k.
         let mut s = System::new(names(&["i", "k", "j"]));
         let (i, k, j) = (LinExpr::var(3, 0), LinExpr::var(3, 1), LinExpr::var(3, 2));
@@ -248,7 +245,7 @@ mod tests {
         s.add_ge(&k, &i);
         s.add_ge(&(&i + &LinExpr::constant(3, 2)), &k);
         s.add_eq(&k, &j);
-        let p = eliminate_var(&s, 1);
+        let p = eliminate_var(cx, &s, 1);
         assert_eq!(p.vars(), &["i".to_string(), "j".to_string()]);
         assert!(p.contains_int(&[0, 0]));
         assert!(p.contains_int(&[0, 2]));
@@ -258,43 +255,51 @@ mod tests {
 
     #[test]
     fn elimination_with_inequalities_only() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         // x <= y, y <= z; eliminating y gives x <= z.
         let mut s = System::new(names(&["x", "y", "z"]));
         let (x, y, z) = (LinExpr::var(3, 0), LinExpr::var(3, 1), LinExpr::var(3, 2));
         s.add_ge(&y, &x);
         s.add_ge(&z, &y);
-        let p = eliminate_var(&s, 1);
+        let p = eliminate_var(cx, &s, 1);
         assert!(p.contains_int(&[1, 5]));
         assert!(!p.contains_int(&[5, 1]));
     }
 
     #[test]
     fn bounds_extraction() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i", "j"]));
         s.add_bounds(0, 2, 9);
         let (i, j) = (LinExpr::var(2, 0), LinExpr::var(2, 1));
         s.add_ge(&j, &i); // j >= i >= 2
         s.add_ge(&LinExpr::constant(2, 20), &j);
-        let (lo, hi) = variable_bounds(&s, 1).unwrap();
+        let (lo, hi) = variable_bounds(cx, &s, 1).unwrap();
         assert_eq!(lo, Some(2));
         assert_eq!(hi, Some(20));
-        let (lo_i, hi_i) = variable_bounds(&s, 0).unwrap();
+        let (lo_i, hi_i) = variable_bounds(cx, &s, 0).unwrap();
         assert_eq!((lo_i, hi_i), (Some(2), Some(9)));
     }
 
     #[test]
     fn bounds_of_empty_system() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i"]));
         s.add_bounds(0, 5, 3);
-        assert!(variable_bounds(&s, 0).is_none());
+        assert!(variable_bounds(cx, &s, 0).is_none());
     }
 
     #[test]
     fn unbounded_side() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i"]));
         let i = LinExpr::var(1, 0);
         s.add_ge(&i, &LinExpr::constant(1, 3));
-        let (lo, hi) = variable_bounds(&s, 0).unwrap();
+        let (lo, hi) = variable_bounds(cx, &s, 0).unwrap();
         assert_eq!(lo, Some(3));
         assert_eq!(hi, None);
     }

@@ -31,10 +31,7 @@ mod farkas;
 mod fm;
 mod system;
 
-pub use cache::{
-    cache_context, cache_stats, clear_caches, install_context_scoped, install_scoped, shared_tier,
-    CacheContext, CacheStats, PolyCaches, ScopedCaches,
-};
+pub use cache::{clear_caches, shared_tier, CacheStats, PolyCaches};
 pub use expr::LinExpr;
 pub use farkas::{farkas_nonneg_conditions, try_farkas_nonneg_conditions};
 pub use fm::{eliminate_var, try_eliminate_var, variable_bounds};
@@ -45,6 +42,29 @@ pub use system::{Constraint, ConstraintKind, System};
 // callers need not depend on `bernoulli-govern` directly.
 pub use bernoulli_govern::{Budget, BudgetError, CancelToken};
 
+/// What a decision procedure runs under, handed to it as an argument:
+/// the memo it consults and fills, and the budget it charges (`None`:
+/// unbounded). `Copy`, so a caller passes one value down every call
+/// it makes; two compiles with two contexts never touch each other's
+/// memo or budget, whichever threads they run on.
+#[derive(Clone, Copy)]
+pub struct Cx<'a> {
+    pub memo: &'a PolyCaches,
+    pub budget: Option<&'a Budget>,
+}
+
+impl<'a> Cx<'a> {
+    /// An unbudgeted context over `memo`.
+    pub fn new(memo: &'a PolyCaches) -> Cx<'a> {
+        Cx { memo, budget: None }
+    }
+
+    /// The same memo under `budget`.
+    pub fn with_budget(self, budget: Option<&'a Budget>) -> Cx<'a> {
+        Cx { budget, ..self }
+    }
+}
+
 /// Errors a caller can trigger through the polyhedral API (as opposed
 /// to internal invariants, which still panic with a message naming the
 /// invariant).
@@ -52,7 +72,7 @@ pub use bernoulli_govern::{Budget, BudgetError, CancelToken};
 pub enum PolyError {
     /// A variable (column) index beyond the system's variable count.
     VarOutOfRange { index: usize, nvars: usize },
-    /// The installed compute [`Budget`] ran out mid-decision. The
+    /// The context's compute [`Budget`] ran out mid-decision. The
     /// infallible query wrappers ([`System::is_empty`],
     /// [`System::implies`], [`farkas_nonneg_conditions`]) degrade
     /// conservatively instead of surfacing this — see their docs.

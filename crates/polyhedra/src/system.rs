@@ -1,8 +1,8 @@
 //! Systems of affine constraints (polyhedra) over named integer variables.
 
 use crate::fm::eliminate_core;
-use crate::{LinExpr, PolyError};
-use bernoulli_govern::{Budget, BudgetError};
+use crate::{Cx, LinExpr, PolyError};
+use bernoulli_govern::BudgetError;
 use bernoulli_numeric::Rational;
 use std::fmt;
 
@@ -182,25 +182,25 @@ impl System {
     /// makes it exact for the integer polyhedra produced by the loop nests
     /// we handle. `true` means *definitely empty*.
     ///
-    /// Results are memoized process-wide by [`Self::canonical_key`] (see
+    /// Results are memoized in `cx.memo` by [`Self::canonical_key`] (see
     /// [`crate::cache`]): repeated queries on structurally identical
     /// systems — regardless of constraint order, scaling, or variable
     /// names — skip the elimination entirely.
     ///
-    /// If the installed compute budget runs out mid-decision this
+    /// If `cx.budget` runs out mid-decision this
     /// degrades **conservatively** to `false` ("possibly nonempty"),
     /// which only ever makes a client reject a legal candidate, never
     /// accept an illegal one; use [`Self::try_is_empty`] to observe the
     /// exhaustion as a typed error instead.
-    pub fn is_empty(&self) -> bool {
-        self.try_is_empty().unwrap_or(false)
+    pub fn is_empty(&self, cx: Cx) -> bool {
+        self.try_is_empty(cx).unwrap_or(false)
     }
 
     /// [`Self::is_empty`] with budget exhaustion reported as
     /// [`PolyError::BudgetExhausted`] instead of the conservative
     /// fallback. Memoized answers are still served for free after a
     /// budget has tripped; budget-truncated decisions are never stored.
-    pub fn try_is_empty(&self) -> Result<bool, PolyError> {
+    pub fn try_is_empty(&self, cx: Cx) -> Result<bool, PolyError> {
         if self.has_contradiction() {
             return Ok(true);
         }
@@ -208,19 +208,18 @@ impl System {
             return Ok(false); // the universe; not worth a cache entry
         }
         let key = crate::cache::canonical_key(self);
-        if let Some(v) = crate::cache::empty_lookup(&key) {
+        if let Some(v) = cx.memo.empty_lookup(&key) {
             return Ok(v);
         }
-        let budget = bernoulli_govern::current();
-        let v = self.is_empty_uncached(budget.as_deref())?;
-        crate::cache::empty_store(key, v);
+        let v = self.is_empty_uncached(cx)?;
+        cx.memo.empty_store(key, v);
         Ok(v)
     }
 
     /// The full Fourier–Motzkin emptiness decision, bypassing the memo
     /// cache (the per-step [`eliminate_core`] calls still use the FM
     /// memo, which is keyed exactly and reproduces identical rows).
-    fn is_empty_uncached(&self, budget: Option<&Budget>) -> Result<bool, BudgetError> {
+    fn is_empty_uncached(&self, cx: Cx) -> Result<bool, BudgetError> {
         let mut cur = self.clone();
         // Eliminate variables one at a time, preferring variables that
         // appear in few constraints (cheap heuristic against FM blowup).
@@ -228,7 +227,7 @@ impl System {
             if cur.has_contradiction() {
                 return Ok(true);
             }
-            if let Some(b) = budget {
+            if let Some(b) = cx.budget {
                 b.charge(cur.cons.len() as u64 + 1)?;
             }
             let n = cur.num_vars();
@@ -248,7 +247,7 @@ impl System {
                 // `num_vars() > 0` keeps the range nonempty; column 0
                 // is an arbitrary (unreachable) fallback, not a panic.
                 .unwrap_or(0);
-            cur = eliminate_core(&cur, best, budget)?;
+            cur = eliminate_core(cx, &cur, best)?;
         }
         Ok(cur.has_contradiction())
     }
@@ -270,61 +269,52 @@ impl System {
     /// On budget exhaustion this degrades conservatively to `false`
     /// ("not provably implied"); see [`Self::is_empty`] and use
     /// [`Self::try_implies`] for the typed error.
-    pub fn implies(&self, c: &Constraint) -> bool {
-        self.try_implies(c).unwrap_or(false)
+    pub fn implies(&self, cx: Cx, c: &Constraint) -> bool {
+        self.try_implies(cx, c).unwrap_or(false)
     }
 
     /// [`Self::implies`] with budget exhaustion reported as
     /// [`PolyError::BudgetExhausted`].
-    pub fn try_implies(&self, c: &Constraint) -> Result<bool, PolyError> {
+    pub fn try_implies(&self, cx: Cx, c: &Constraint) -> Result<bool, PolyError> {
         match c.kind {
             ConstraintKind::Ge => {
                 let mut neg = self.clone();
                 let e = &(-&c.expr) - &LinExpr::constant(self.num_vars(), 1);
                 neg.add(Constraint::ge0(e));
-                neg.try_is_empty()
+                neg.try_is_empty(cx)
             }
-            ConstraintKind::Eq => Ok(self.try_implies(&Constraint::ge0(c.expr.clone()))?
-                && self.try_implies(&Constraint::ge0(-&c.expr))?),
+            ConstraintKind::Eq => Ok(self.try_implies(cx, &Constraint::ge0(c.expr.clone()))?
+                && self.try_implies(cx, &Constraint::ge0(-&c.expr))?),
         }
     }
 
     /// True iff `expr` is identically zero over the system (i.e. the system
     /// implies `expr = 0`).
-    pub fn forces_zero(&self, expr: &LinExpr) -> bool {
-        self.implies(&Constraint::eq0(expr.clone()))
+    pub fn forces_zero(&self, cx: Cx, expr: &LinExpr) -> bool {
+        self.implies(cx, &Constraint::eq0(expr.clone()))
     }
 
     /// Projects the system onto the variables *not* listed in `drop`
     /// (eliminating the listed ones), renumbering the survivors in order.
-    /// Runs to completion regardless of any installed budget; use
+    /// Runs to completion whatever `cx.budget` says; use
     /// [`Self::try_project_out`] for the budgeted variant.
-    pub fn project_out(&self, drop: &[usize]) -> System {
-        match self.project_out_inner(drop, None) {
+    pub fn project_out(&self, cx: Cx, drop: &[usize]) -> System {
+        match self.try_project_out(cx.with_budget(None), drop) {
             Ok(s) => s,
             Err(_) => unreachable!("unbudgeted projection cannot be cut short"),
         }
     }
 
-    /// [`Self::project_out`] observing the installed compute budget,
-    /// with exhaustion reported as [`PolyError::BudgetExhausted`].
-    pub fn try_project_out(&self, drop: &[usize]) -> Result<System, PolyError> {
-        let budget = bernoulli_govern::current();
-        Ok(self.project_out_inner(drop, budget.as_deref())?)
-    }
-
-    fn project_out_inner(
-        &self,
-        drop: &[usize],
-        budget: Option<&Budget>,
-    ) -> Result<System, BudgetError> {
+    /// [`Self::project_out`] charging `cx.budget`, with exhaustion
+    /// reported as [`PolyError::BudgetExhausted`].
+    pub fn try_project_out(&self, cx: Cx, drop: &[usize]) -> Result<System, PolyError> {
         let mut cur = self.clone();
         // Eliminate from the highest index down so indices stay valid.
         let mut sorted: Vec<usize> = drop.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         for &j in sorted.iter().rev() {
-            cur = eliminate_core(&cur, j, budget)?;
+            cur = eliminate_core(cx, &cur, j)?;
         }
         Ok(cur)
     }
@@ -366,6 +356,7 @@ impl fmt::Debug for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolyCaches;
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -373,6 +364,8 @@ mod tests {
 
     #[test]
     fn contains_and_bounds() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i", "j"]));
         s.add_bounds(0, 0, 10);
         s.add_bounds(1, 0, 10);
@@ -382,69 +375,81 @@ mod tests {
         assert!(s.contains_int(&[2, 5]));
         assert!(!s.contains_int(&[5, 2]));
         assert!(!s.contains_int(&[5, 5]));
-        assert!(!s.is_empty());
+        assert!(!s.is_empty(cx));
     }
 
     #[test]
     fn empty_by_contradiction() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i"]));
         s.add_bounds(0, 0, 10);
         s.add_bounds(0, 20, 30);
-        assert!(s.is_empty());
+        assert!(s.is_empty(cx));
     }
 
     #[test]
     fn empty_via_equalities() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i", "j"]));
         // i = j, i >= j + 1 : empty
         s.add(Constraint::eq0(&LinExpr::var(2, 0) - &LinExpr::var(2, 1)));
         let e = &(&LinExpr::var(2, 0) - &LinExpr::var(2, 1)) + &LinExpr::constant(2, -1);
         s.add(Constraint::ge0(e));
-        assert!(s.is_empty());
+        assert!(s.is_empty(cx));
     }
 
     #[test]
     fn integer_tightening() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         // 2i >= 1 and 2i <= 1 has the rational point i = 1/2 but no integer
         // point; tightening must detect emptiness.
         let mut s = System::new(names(&["i"]));
         let two_i = &LinExpr::var(1, 0) * bernoulli_numeric::Rational::int(2);
         s.add(Constraint::ge0(&two_i - &LinExpr::constant(1, 1)));
         s.add(Constraint::ge0(&LinExpr::constant(1, 1) - &two_i));
-        assert!(s.is_empty());
+        assert!(s.is_empty(cx));
     }
 
     #[test]
     fn implies_simple() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i"]));
         s.add_bounds(0, 5, 10);
         // i >= 5 implies i >= 3
         let c = Constraint::ge0(&LinExpr::var(1, 0) - &LinExpr::constant(1, 3));
-        assert!(s.implies(&c));
+        assert!(s.implies(cx, &c));
         // but not i >= 7
         let c2 = Constraint::ge0(&LinExpr::var(1, 0) - &LinExpr::constant(1, 7));
-        assert!(!s.implies(&c2));
+        assert!(!s.implies(cx, &c2));
     }
 
     #[test]
     fn forces_zero() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let mut s = System::new(names(&["i", "j"]));
         s.add(Constraint::eq0(&LinExpr::var(2, 0) - &LinExpr::var(2, 1)));
         s.add_bounds(0, 0, 100);
         let diff = &LinExpr::var(2, 0) - &LinExpr::var(2, 1);
-        assert!(s.forces_zero(&diff));
-        assert!(!s.forces_zero(&LinExpr::var(2, 0)));
+        assert!(s.forces_zero(cx, &diff));
+        assert!(!s.forces_zero(cx, &LinExpr::var(2, 0)));
     }
 
     #[test]
     fn project_out_keeps_shadow() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         // {(i,j) : 0<=i<=3, i<=j<=i+1} projected onto j gives 0<=j<=4.
         let mut s = System::new(names(&["i", "j"]));
         s.add_bounds(0, 0, 3);
         let (i, j) = (LinExpr::var(2, 0), LinExpr::var(2, 1));
         s.add_ge(&j, &i);
         s.add_ge(&(&i + &LinExpr::constant(2, 1)), &j);
-        let p = s.project_out(&[0]);
+        let p = s.project_out(cx, &[0]);
         assert_eq!(p.num_vars(), 1);
         for jv in 0..=4 {
             assert!(p.contains_int(&[jv]), "j={jv} should be in projection");
@@ -475,7 +480,9 @@ mod tests {
 
     #[test]
     fn universe_nonempty() {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let s = System::new(names(&["a", "b", "c"]));
-        assert!(!s.is_empty());
+        assert!(!s.is_empty(cx));
     }
 }

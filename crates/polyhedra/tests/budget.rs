@@ -1,17 +1,12 @@
-//! Budgeted polyhedral decisions: an installed [`Budget`] bounds the
+//! Budgeted polyhedral decisions: the [`Budget`] of a [`Cx`] bounds the
 //! worst-case blowup of Fourier–Motzkin elimination, exhaustion
 //! surfaces as a typed [`PolyError::BudgetExhausted`], and the
 //! infallible entry points degrade *conservatively* (reject, never
 //! accept) when the budget is spent.
 
 use bernoulli_polyhedra::{
-    install_scoped, Budget, BudgetError, CancelToken, LinExpr, PolyCaches, PolyError, System,
+    Budget, BudgetError, CancelToken, Cx, LinExpr, PolyCaches, PolyError, System,
 };
-use std::sync::{Arc, Mutex};
-
-/// The installed budget and the memo caches are process-wide; these
-/// tests must not interleave with each other.
-static SLOT: Mutex<()> = Mutex::new(());
 
 fn names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("x{i}")).collect()
@@ -40,13 +35,12 @@ fn adversarial(nvars: usize) -> System {
 
 #[test]
 fn tiny_op_budget_trips_with_typed_error() {
-    let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-    let _caches = install_scoped(Arc::new(PolyCaches::new()));
+    let memo = PolyCaches::new();
     let sys = adversarial(8);
 
-    let budget = Arc::new(Budget::unlimited().with_max_ops(200));
-    let _b = bernoulli_govern::install_scoped(Some(Arc::clone(&budget)));
-    match sys.try_is_empty() {
+    let budget = Budget::unlimited().with_max_ops(200);
+    let cx = Cx::new(&memo).with_budget(Some(&budget));
+    match sys.try_is_empty(cx) {
         Err(PolyError::BudgetExhausted(BudgetError::Ops { used, limit })) => {
             assert_eq!(limit, 200);
             assert!(used > limit, "used {used} must exceed limit {limit}");
@@ -56,49 +50,48 @@ fn tiny_op_budget_trips_with_typed_error() {
     // Sticky: later decisions under the same budget fail immediately
     // without burning more work.
     let before = budget.ops_used();
-    assert!(sys.try_is_empty().is_err());
+    assert!(sys.try_is_empty(cx).is_err());
     assert!(budget.ops_used() <= before + 1);
 }
 
 #[test]
 fn infallible_entry_points_degrade_conservatively() {
-    let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-    let _caches = install_scoped(Arc::new(PolyCaches::new()));
+    let memo = PolyCaches::new();
     // This system is *contradictory* (x0 in [5,3]), but the budget is
     // far too small to prove it. The conservative answers must all be
     // the rejecting ones: "not known empty", "implication not proven".
     let mut sys = adversarial(8);
     sys.add_bounds(0, 5, 3);
 
-    let budget = Arc::new(Budget::unlimited().with_max_ops(50));
-    let _b = bernoulli_govern::install_scoped(Some(Arc::clone(&budget)));
-    assert!(!sys.is_empty(), "spent budget must degrade to non-empty");
+    let budget = Budget::unlimited().with_max_ops(50);
+    let cx = Cx::new(&memo).with_budget(Some(&budget));
+    assert!(!sys.is_empty(cx), "spent budget must degrade to non-empty");
     let c = bernoulli_polyhedra::Constraint::ge0(LinExpr::var(8, 0));
-    assert!(!sys.implies(&c), "spent budget must degrade to not-implied");
+    assert!(
+        !sys.implies(cx, &c),
+        "spent budget must degrade to not-implied"
+    );
 }
 
 #[test]
 fn unbudgeted_decision_is_unaffected() {
-    let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-    let _caches = install_scoped(Arc::new(PolyCaches::new()));
-    let _b = bernoulli_govern::install_scoped(None);
+    let memo = PolyCaches::new();
+    let cx = Cx::new(&memo);
     let sys = adversarial(8);
-    assert!(!sys.try_is_empty().unwrap());
+    assert!(!sys.try_is_empty(cx).unwrap());
     let mut contra = adversarial(6);
     contra.add_bounds(0, 5, 3);
-    assert!(contra.try_is_empty().unwrap());
+    assert!(contra.try_is_empty(cx).unwrap());
 }
 
 #[test]
 fn cancellation_aborts_elimination() {
-    let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-    let _caches = install_scoped(Arc::new(PolyCaches::new()));
+    let memo = PolyCaches::new();
     let tok = CancelToken::new();
     tok.cancel(); // cancelled before the work even starts
-    let budget = Arc::new(Budget::unlimited().with_cancel(tok));
-    let _b = bernoulli_govern::install_scoped(Some(Arc::clone(&budget)));
+    let budget = Budget::unlimited().with_cancel(tok);
     let sys = adversarial(8);
-    match sys.try_is_empty() {
+    match sys.try_is_empty(Cx::new(&memo).with_budget(Some(&budget))) {
         Err(PolyError::BudgetExhausted(BudgetError::Cancelled)) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
@@ -106,18 +99,15 @@ fn cancellation_aborts_elimination() {
 
 #[test]
 fn memo_hits_are_served_after_exhaustion() {
-    let _lock = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-    let _caches = install_scoped(Arc::new(PolyCaches::new()));
+    let memo = PolyCaches::new();
     let sys = adversarial(6);
-    // Warm the memo without any budget installed...
-    {
-        let _b = bernoulli_govern::install_scoped(None);
-        assert!(!sys.try_is_empty().unwrap());
-    }
+    // Warm the memo without any budget...
+    assert!(!sys.try_is_empty(Cx::new(&memo)).unwrap());
     // ...then ask again under an already-exhausted budget: the cached
     // proof costs nothing and must still be served.
-    let budget = Arc::new(Budget::unlimited().with_max_ops(1));
+    let budget = Budget::unlimited().with_max_ops(1);
     budget.starve();
-    let _b = bernoulli_govern::install_scoped(Some(Arc::clone(&budget)));
-    assert!(!sys.try_is_empty().unwrap());
+    assert!(!sys
+        .try_is_empty(Cx::new(&memo).with_budget(Some(&budget)))
+        .unwrap());
 }

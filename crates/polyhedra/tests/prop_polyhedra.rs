@@ -1,7 +1,7 @@
 //! Property-based tests: Fourier–Motzkin elimination and emptiness against
 //! brute-force integer enumeration on bounded random systems.
 
-use bernoulli_polyhedra::{enumerate_box_points, Constraint, LinExpr, System};
+use bernoulli_polyhedra::{enumerate_box_points, Constraint, Cx, LinExpr, PolyCaches, System};
 use proptest::prelude::*;
 
 const LO: i128 = -3;
@@ -38,18 +38,20 @@ proptest! {
     /// Emptiness decided by FM agrees with brute force on boxed systems.
     #[test]
     fn emptiness_matches_brute_force(s in boxed_system(3, 4)) {
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
         let points = enumerate_box_points(&s, LO, HI);
         let brute_empty = points.is_empty();
-        // is_empty() is exact on these systems: all rows have integer
+        // is_empty(cx) is exact on these systems: all rows have integer
         // coefficients and the box bounds make the rational relaxation of
         // an integer-empty set detectable after tightening... in rare cases
         // FM may claim nonempty for an integer-empty set; it must NEVER
         // claim empty for a nonempty set.
-        if s.is_empty() {
+        if s.is_empty(cx) {
             prop_assert!(brute_empty, "FM says empty but {points:?} satisfy\n{s:?}");
         }
         if !brute_empty {
-            prop_assert!(!s.is_empty());
+            prop_assert!(!s.is_empty(cx));
         }
     }
 
@@ -58,7 +60,8 @@ proptest! {
     /// point of the projection extends to a full point.
     #[test]
     fn projection_shadow(s in boxed_system(3, 3)) {
-        let p = s.project_out(&[1]); // drop x1
+        let memo = PolyCaches::new();
+        let p = s.project_out(Cx::new(&memo), &[1]); // drop x1
         // Soundness.
         for pt in enumerate_box_points(&s, LO, HI) {
             let shadow = [pt[0], pt[2]];
@@ -93,7 +96,8 @@ proptest! {
         // rationals but conservative over the integers — e.g. a parity
         // equality like 2x0 + x1 = 2 can make a bound integrally implied
         // while a rational witness violates it.)
-        if s.implies(&con) {
+        let memo = PolyCaches::new();
+        if s.implies(Cx::new(&memo), &con) {
             prop_assert!(brute, "claimed implied but violated at some point\n{s:?}");
         }
     }
@@ -105,7 +109,8 @@ proptest! {
         e.add_scaled(&LinExpr::var(2, 0), c[0].into());
         e.add_scaled(&LinExpr::var(2, 1), c[1].into());
         let points = enumerate_box_points(&s, LO, HI);
-        if !points.is_empty() && s.forces_zero(&e) {
+        let memo = PolyCaches::new();
+        if !points.is_empty() && s.forces_zero(Cx::new(&memo), &e) {
             for p in &points {
                 prop_assert!(e.eval_int(p).is_zero());
             }
@@ -126,7 +131,8 @@ fn farkas_against_brute_force() {
     let u: Vec<String> = vec!["u0".into(), "u1".into(), "u2".into()];
     let coeff = vec![LinExpr::var(3, 0), LinExpr::var(3, 1)];
     let cst = LinExpr::var(3, 2);
-    let cond = farkas_nonneg_conditions(&p, &coeff, &cst, &u);
+    let memo = PolyCaches::new();
+    let cond = farkas_nonneg_conditions(Cx::new(&memo), &p, &coeff, &cst, &u);
     let pts = enumerate_box_points(&p, 0, 2);
     for u0 in -2..=2i128 {
         for u1 in -2..=2i128 {

@@ -209,7 +209,7 @@ fn spawn_worker(k: usize) -> Sender<Job> {
                 // `Drop` still releases its latch share and the other
                 // lanes drain the chunk counter; the next submission
                 // respawns us.
-                bernoulli_govern::faults::hit("pool.worker");
+                bernoulli_govern::faults::hit("pool.worker", None);
                 job.run_chunks();
             }
         })

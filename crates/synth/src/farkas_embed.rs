@@ -23,7 +23,7 @@
 //! space.
 
 use bernoulli_ir::DepClass;
-use bernoulli_polyhedra::{farkas_nonneg_conditions, LinExpr, System};
+use bernoulli_polyhedra::{farkas_nonneg_conditions, Cx, LinExpr, System};
 
 /// The legal space of `(u_s, u_d)` embedding coefficients for one
 /// dimension against one dependence class.
@@ -33,8 +33,9 @@ use bernoulli_polyhedra::{farkas_nonneg_conditions, LinExpr, System};
 /// where `m_s`/`m_d` are the numbers of source/destination loop
 /// variables of the class. Embeddings may not reference symbolic
 /// parameters (their coefficients are pinned to zero), matching the
-/// embeddings the search constructs.
-pub fn legal_embedding_space(class: &DepClass) -> System {
+/// embeddings the search constructs. The multipliers are projected out
+/// under `cx`.
+pub fn legal_embedding_space(cx: Cx, class: &DepClass) -> System {
     let m_s = class.src_vars.len();
     let m_d = class.dst_vars.len();
     let nu = m_s + 1 + m_d + 1;
@@ -60,7 +61,7 @@ pub fn legal_embedding_space(class: &DepClass) -> System {
     let mut cst_in_u = LinExpr::var(nu, m_s + 1 + m_d); // +udc
     cst_in_u.add_scaled(&LinExpr::var(nu, m_s), -bernoulli_numeric::Rational::ONE); // -usc
 
-    farkas_nonneg_conditions(&class.sys, &coeff_in_u, &cst_in_u, &u_names)
+    farkas_nonneg_conditions(cx, &class.sys, &coeff_in_u, &cst_in_u, &u_names)
 }
 
 /// Packs concrete embedding expressions into the `u` layout of
@@ -89,6 +90,7 @@ pub fn pack_u(
 mod tests {
     use super::*;
     use bernoulli_ir::{analyze, parse_program, AffineExpr};
+    use bernoulli_polyhedra::PolyCaches;
 
     const TS: &str = r#"
         program ts(N) {
@@ -111,13 +113,15 @@ mod tests {
     #[test]
     fn ts_row_embedding_lies_in_legal_space() {
         let p = parse_program(TS).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         // D2: src = S2 (index 1), dst = S1 (index 0), flow on b, carried.
         let d2 = deps
             .iter()
             .find(|c| c.src == 1 && c.dst == 0 && c.level == Some(0))
             .expect("D2 exists");
-        let space = legal_embedding_space(d2);
+        let space = legal_embedding_space(cx, d2);
 
         // Heuristic choice at the row dimension: F_s (S2) = i, F_d (S1) = j.
         let u = pack_u(
@@ -155,12 +159,14 @@ mod tests {
     #[test]
     fn ts_column_offsets() {
         let p = parse_program(TS).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         let d1 = deps
             .iter()
             .find(|c| c.src == 0 && c.dst == 1 && c.level.is_none())
             .expect("D1 exists");
-        let space = legal_embedding_space(d1);
+        let space = legal_embedding_space(cx, d1);
 
         let j = AffineExpr::var("j");
         let ok = pack_u(d1, &["j"], &j, &["j", "i"], &j);
@@ -199,7 +205,9 @@ mod tests {
         use std::collections::HashMap;
 
         let p = parse_program(TS).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         let mut views = HashMap::new();
         views.insert("L".to_string(), csr_format_view());
         let cfg = enumerate_configs(&p, &views).unwrap().remove(0);
@@ -214,7 +222,7 @@ mod tests {
         for class in &deps {
             let s_vars: Vec<&str> = cfg.stmts[class.src].info.loop_vars();
             let d_vars: Vec<&str> = cfg.stmts[class.dst].info.loop_vars();
-            let space_u = legal_embedding_space(class);
+            let space_u = legal_embedding_space(cx, class);
             let u = pack_u(
                 class,
                 &s_vars,

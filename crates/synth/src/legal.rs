@@ -25,7 +25,7 @@ use crate::config::Config;
 use crate::embed::Embedding;
 use crate::spaces::Space;
 use bernoulli_ir::{DepClass, LhsRef, Program, Statement, ValueExpr};
-use bernoulli_polyhedra::{Constraint, LinExpr};
+use bernoulli_polyhedra::{Constraint, Cx, LinExpr};
 use std::collections::HashMap;
 
 /// Result of legality checking for one candidate.
@@ -120,8 +120,10 @@ fn flatten_sum<'a>(e: &'a ValueExpr, neg: bool, out: &mut Vec<(&'a ValueExpr, bo
 }
 
 /// Checks legality of `(space, embedding)` against the program's
-/// dependence classes and infers required enumeration directions.
+/// dependence classes and infers required enumeration directions,
+/// deciding under `cx`.
 pub fn check_legality(
+    cx: Cx,
     cfg: &Config,
     space: &Space,
     emb: &Embedding,
@@ -145,7 +147,7 @@ pub fn check_legality(
                 if dcopy.orig != class.dst {
                     continue;
                 }
-                if let Some(v) = walk_class(cfg, space, emb, class, sk, dk, &mut must_increase) {
+                if let Some(v) = walk_class(cx, space, emb, class, sk, dk, &mut must_increase) {
                     return Legality {
                         ok: false,
                         must_increase,
@@ -165,7 +167,7 @@ pub fn check_legality(
 /// Walks one class for one copy pair. Returns `Some(reason)` on a
 /// violation; updates `must_increase` on success.
 fn walk_class(
-    _cfg: &Config,
+    cx: Cx,
     space: &Space,
     emb: &Embedding,
     class: &DepClass,
@@ -205,15 +207,15 @@ fn walk_class(
 
     let mut cur = sys0;
     for p in 0..space.len() {
-        if cur.is_empty() {
+        if cur.is_empty(cx) {
             return None; // satisfied
         }
         let d = delta(p);
-        if cur.forces_zero(&d) {
+        if cur.forces_zero(cx, &d) {
             continue;
         }
         // δ_p must be non-negative on the remaining class.
-        if !cur.implies(&Constraint::ge0(d.clone())) {
+        if !cur.implies(cx, &Constraint::ge0(d.clone())) {
             return Some(format!(
                 "dimension {} ({}) can run backwards for copies S{}/S{}",
                 p, space.dims[p].name, sk, dk
@@ -222,7 +224,7 @@ fn walk_class(
         must_increase[p] = true;
         cur.add(Constraint::eq0(d));
     }
-    if cur.is_empty() {
+    if cur.is_empty(cx) {
         return None;
     }
     // Identical embeddings on a non-empty residue: statement order must
@@ -245,6 +247,7 @@ mod tests {
     use bernoulli_formats::formats::csc::csc_format_view;
     use bernoulli_formats::formats::csr::csr_format_view;
     use bernoulli_ir::{analyze, parse_program};
+    use bernoulli_polyhedra::PolyCaches;
     use std::collections::HashMap;
 
     const TS: &str = r#"
@@ -276,14 +279,16 @@ mod tests {
     #[test]
     fn ts_csr_row_plan_is_legal_with_directions() {
         let p = parse_program(TS).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         let relax = relaxable_classes(&p, &deps);
         let mut views = HashMap::new();
         views.insert("L".to_string(), csr_format_view());
         let cfg = enumerate_configs(&p, &views).unwrap().remove(0);
         let space = candidate_spaces(&cfg, 4, false).remove(0);
         let emb = base_embedding(&cfg, &space);
-        let leg = check_legality(&cfg, &space, &emb, &deps, &relax, true);
+        let leg = check_legality(cx, &cfg, &space, &emb, &deps, &relax, true);
         assert!(leg.ok, "{:?}", leg.violation);
         // The row group (dims 0-1) and the column group (dims 2-3) must
         // run in increasing order — exactly the paper's conclusion that
@@ -298,21 +303,25 @@ mod tests {
     fn ts_csc_column_plan_is_legal() {
         // CSC enumerates columns first: the original (column) TS order.
         let p = parse_program(TS).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         let relax = relaxable_classes(&p, &deps);
         let mut views = HashMap::new();
         views.insert("L".to_string(), csc_format_view());
         let cfg = enumerate_configs(&p, &views).unwrap().remove(0);
         let space = candidate_spaces(&cfg, 4, false).remove(0);
         let emb = base_embedding(&cfg, &space);
-        let leg = check_legality(&cfg, &space, &emb, &deps, &relax, true);
+        let leg = check_legality(cx, &cfg, &space, &emb, &deps, &relax, true);
         assert!(leg.ok, "{:?}", leg.violation);
     }
 
     #[test]
     fn mvm_reductions_relax() {
         let p = parse_program(MVM).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         let relax = relaxable_classes(&p, &deps);
         assert!(!deps.is_empty());
         assert!(relax.iter().all(|&r| r), "all MVM deps are reductions");
@@ -322,12 +331,12 @@ mod tests {
         let space = candidate_spaces(&cfg, 4, false).remove(0);
         let emb = base_embedding(&cfg, &space);
         // With relaxation: no direction requirements at all.
-        let leg = check_legality(&cfg, &space, &emb, &deps, &relax, true);
+        let leg = check_legality(cx, &cfg, &space, &emb, &deps, &relax, true);
         assert!(leg.ok);
         assert!(leg.must_increase.iter().all(|&m| !m));
         // Without relaxation: still legal for CSR (increasing enumeration
         // required on the column group).
-        let leg2 = check_legality(&cfg, &space, &emb, &deps, &relax, false);
+        let leg2 = check_legality(cx, &cfg, &space, &emb, &deps, &relax, false);
         assert!(leg2.ok, "{:?}", leg2.violation);
         assert!(leg2.must_increase.iter().any(|&m| m));
     }
@@ -360,7 +369,9 @@ mod tests {
             }
         "#;
         let p = parse_program(src).unwrap();
-        let deps = analyze(&p);
+        let memo = PolyCaches::new();
+        let cx = Cx::new(&memo);
+        let deps = analyze(&p, cx);
         assert!(!deps.is_empty());
         let relax = relaxable_classes(&p, &deps);
         // s[i] += s[i-1] reads the lhs array in the term: not relaxable.
@@ -369,14 +380,14 @@ mod tests {
         let space = candidate_spaces(&cfg, 4, false).remove(0);
         // Legal with identity embedding:
         let emb = base_embedding(&cfg, &space);
-        let leg = check_legality(&cfg, &space, &emb, &deps, &relax, true);
+        let leg = check_legality(cx, &cfg, &space, &emb, &deps, &relax, true);
         assert!(leg.ok);
         assert!(leg.must_increase[0], "i must increase");
         // Reverse the embedding (i -> -i): illegal.
         let mut emb2 = emb.clone();
         emb2.maps[0][0] =
             &(-&bernoulli_ir::AffineExpr::var("i")) + &bernoulli_ir::AffineExpr::constant(0);
-        let leg2 = check_legality(&cfg, &space, &emb2, &deps, &relax, true);
+        let leg2 = check_legality(cx, &cfg, &space, &emb2, &deps, &relax, true);
         assert!(!leg2.ok);
     }
 }

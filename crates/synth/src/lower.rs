@@ -28,7 +28,7 @@ use crate::plan::{
 use crate::spaces::{DimKind, Space};
 use bernoulli_formats::view::{FormatView, Order, SearchKind};
 use bernoulli_ir::{AffineExpr, ArrayKind, Program};
-use bernoulli_polyhedra::{Constraint, LinExpr, System};
+use bernoulli_polyhedra::{Constraint, Cx, LinExpr, System};
 use std::collections::HashMap;
 
 /// How many source combinations to explore per candidate.
@@ -154,30 +154,30 @@ impl KnownSys {
     }
 
     /// Is `g` implied by the known context?
-    fn implies(&self, g: &Guard) -> bool {
+    fn implies(&self, cx: Cx, g: &Guard) -> bool {
         match g {
             Guard::Eq(e) => self
                 .pexpr_to_lin(e)
-                .is_some_and(|l| self.sys.implies(&Constraint::eq0(l))),
+                .is_some_and(|l| self.sys.implies(cx, &Constraint::eq0(l))),
             Guard::Ge(e) => self
                 .pexpr_to_lin(e)
-                .is_some_and(|l| self.sys.implies(&Constraint::ge0(l))),
+                .is_some_and(|l| self.sys.implies(cx, &Constraint::ge0(l))),
             Guard::Divides(..) => false,
         }
     }
 
     /// Is `g` unsatisfiable under the known context?
-    fn refutes(&self, g: &Guard) -> bool {
+    fn refutes(&self, cx: Cx, g: &Guard) -> bool {
         match g {
             Guard::Eq(e) => self.pexpr_to_lin(e).is_some_and(|l| {
                 let mut s = self.sys.clone();
                 s.add(Constraint::eq0(l));
-                s.is_empty()
+                s.is_empty(cx)
             }),
             Guard::Ge(e) => self.pexpr_to_lin(e).is_some_and(|l| {
                 let mut s = self.sys.clone();
                 s.add(Constraint::ge0(l));
-                s.is_empty()
+                s.is_empty(cx)
             }),
             Guard::Divides(..) => false,
         }
@@ -185,9 +185,11 @@ impl KnownSys {
 }
 
 /// Lowers a legal candidate into a bounded number of alternative plans
-/// (one per feasible enumeration-source combination).
+/// (one per feasible enumeration-source combination), deciding guards
+/// and execution order under `cx`.
 #[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
 pub fn lower_plans(
+    cx: Cx,
     p: &Program,
     cfg: &Config,
     space: &Space,
@@ -249,6 +251,7 @@ pub fn lower_plans(
     done.into_iter()
         .filter_map(|st| {
             finish_plan(
+                cx,
                 p,
                 cfg,
                 space,
@@ -1154,6 +1157,7 @@ fn solve_bindings(cfg: &Config, stmt: usize, eqs: &[EqItem]) -> HashMap<String, 
 /// Builds the final plan: execs with bindings, guards, sources.
 #[allow(clippy::too_many_arguments)]
 fn finish_plan(
+    cx: Cx,
     p: &Program,
     cfg: &Config,
     space: &Space,
@@ -1212,7 +1216,7 @@ fn finish_plan(
         // Prune copies whose domain (loop bounds ∧ chain constraints) is
         // empty — e.g. the diagonal-chain copy of a strictly-lower-
         // triangle statement.
-        if copy_domain_empty(p, cfg, k) {
+        if copy_domain(p, cfg, k).0.is_empty(cx) {
             st.notes
                 .push(format!("S{}.{k} pruned: empty domain", scopy.orig + 1));
             continue 'stmt;
@@ -1221,7 +1225,7 @@ fn finish_plan(
         // Completeness: demote real equations whose required values the
         // enumeration cannot be proven to visit (the statement hoists out
         // of those steps instead of silently losing instances).
-        demote_incomplete_eqs(p, cfg, &mut st, k);
+        demote_incomplete_eqs(cx, p, cfg, &mut st, k);
 
         // Hoisting depth: the leading run of steps that are *real* for
         // this copy. Real steps beyond a rider step cannot be expressed
@@ -1353,7 +1357,7 @@ fn finish_plan(
                 return None;
             }
             let guard = Guard::Eq(g);
-            if trivially_bound && exec_known.implies(&guard) {
+            if trivially_bound && exec_known.implies(cx, &guard) {
                 st.notes.push(format!(
                     "S{}.{k}: dropped implied guard {guard}",
                     scopy.orig + 1
@@ -1369,7 +1373,7 @@ fn finish_plan(
             let ge1 = bound_guard(p, &subst, v, lo, false);
             let ge2 = bound_guard(p, &subst, v, hi, true);
             for g in [ge1, ge2].into_iter().flatten() {
-                if exec_known.refutes(&g) {
+                if exec_known.refutes(cx, &g) {
                     // A refuted bound on a non-empty domain means lost
                     // instances: reject the candidate (for a required-ref
                     // context the refutation means the statement never
@@ -1379,7 +1383,7 @@ fn finish_plan(
                     // cases).
                     return None;
                 }
-                if exec_known.implies(&g) {
+                if exec_known.implies(cx, &g) {
                     st.notes.push(format!(
                         "S{}.{k}: dropped implied bound {g}",
                         scopy.orig + 1
@@ -1422,7 +1426,7 @@ fn finish_plan(
             execs[ei].after = (m >> bit) & 1 == 0; // all-after first
         }
         if verify_exec_order(
-            cfg,
+            cx,
             deps,
             relaxable,
             relax_reductions,
@@ -1449,7 +1453,7 @@ fn finish_plan(
             if execs[ei].after { "after" } else { "before" }
         ));
     }
-    let edge_bound = prove_edge_bound(&st.steps, &execs, &exec_contexts);
+    let edge_bound = prove_edge_bound(cx, &st.steps, &execs, &exec_contexts);
     if let (Some(bound), Some(last)) = (edge_bound, st.steps.last_mut()) {
         st.notes.push(format!(
             "innermost step: {} >= 0 at every position, > 0 at all but the {}",
@@ -1508,6 +1512,7 @@ fn finish_plan(
 /// locates nothing by search, so the bound holds at the edge position
 /// whenever the statement runs at any other.
 fn prove_edge_bound(
+    cx: Cx,
     steps: &[Step],
     execs: &[ExecStmt],
     contexts: &[KnownSys],
@@ -1555,7 +1560,7 @@ fn prove_edge_bound(
         .flat_map(|(e, _)| e.guards.iter().filter_map(candidate))
         .find(|bound| {
             inner().all(|(e, _)| e.guards.iter().any(|g| bound.off_edge(slot, g).is_some()))
-                && inner().all(|(_, known)| known.implies(&Guard::Ge(bound.margin(slot))))
+                && inner().all(|(_, known)| known.implies(cx, &Guard::Ge(bound.margin(slot))))
         })
 }
 
@@ -1768,20 +1773,14 @@ fn copy_domain(p: &Program, cfg: &Config, k: usize) -> (System, HashMap<String, 
     (sys, index)
 }
 
-/// Is the copy's iteration domain empty? Used to prune, e.g., the
-/// diagonal-chain copy of a strictly sub-diagonal statement.
-fn copy_domain_empty(p: &Program, cfg: &Config, k: usize) -> bool {
-    copy_domain(p, cfg, k).0.is_empty()
-}
-
 /// Completeness: a *real* equation at an all-values-visited step promises
 /// that every domain instance's required value is actually enumerated.
 /// Equations whose required values can escape the enumerated range are
 /// demoted to riders (the statement hoists out of that step instead);
 /// demotion cascades because interval bounds may reference other slots.
-fn demote_incomplete_eqs(p: &Program, cfg: &Config, st: &mut LState, k: usize) {
+fn demote_incomplete_eqs(cx: Cx, p: &Program, cfg: &Config, st: &mut LState, k: usize) {
     let (domain, index) = copy_domain(p, cfg, k);
-    if domain.is_empty() {
+    if domain.is_empty(cx) {
         return;
     }
     let nvars = domain.num_vars();
@@ -1849,7 +1848,7 @@ fn demote_incomplete_eqs(p: &Program, cfg: &Config, st: &mut LState, k: usize) {
             let one = LinExpr::constant(nvars, 1);
             let c1 = Constraint::ge0(&e - &lo_e);
             let c2 = Constraint::ge0(&(&hi_e - &e) - &one);
-            if !domain.implies(&c1) || !domain.implies(&c2) {
+            if !domain.implies(cx, &c1) || !domain.implies(cx, &c2) {
                 demote = Some(ei);
                 break 'eqs;
             }
@@ -1920,7 +1919,7 @@ enum Ext {
 /// rider equations dropped).
 #[allow(clippy::too_many_arguments)]
 fn verify_exec_order(
-    cfg: &Config,
+    cx: Cx,
     deps: &[bernoulli_ir::DepClass],
     relaxable: &[bool],
     relax_reductions: bool,
@@ -1941,7 +1940,7 @@ fn verify_exec_order(
                 if de.orig != class.dst {
                     continue;
                 }
-                verify_pair(cfg, class, se, de, sei, dei, eqs, steps, step_ordered)?;
+                verify_pair(cx, class, se, de, sei, dei, eqs, steps, step_ordered)?;
             }
         }
     }
@@ -1950,7 +1949,7 @@ fn verify_exec_order(
 
 #[allow(clippy::too_many_arguments)]
 fn verify_pair(
-    _cfg: &Config,
+    cx: Cx,
     class: &bernoulli_ir::DepClass,
     se: &ExecStmt,
     de: &ExecStmt,
@@ -1989,7 +1988,7 @@ fn verify_pair(
 
     for (si, step) in steps.iter().enumerate() {
         for s in 0..step.nslots {
-            if sys.is_empty() {
+            if sys.is_empty(cx) {
                 return Ok(());
             }
             let slot = step.first_slot + s;
@@ -1998,7 +1997,7 @@ fn verify_pair(
             match (sv, dv) {
                 (Ext::Fin(a), Ext::Fin(b)) => {
                     let d = &b - &a;
-                    if sys.forces_zero(&d) {
+                    if sys.forces_zero(cx, &d) {
                         continue;
                     }
                     if !step_ordered[si] {
@@ -2007,7 +2006,7 @@ fn verify_pair(
                             class.describe()
                         ));
                     }
-                    if !sys.implies(&Constraint::ge0(d.clone())) {
+                    if !sys.implies(cx, &Constraint::ge0(d.clone())) {
                         return Err(format!(
                             "step {si} can run destination before source for {}",
                             class.describe()
@@ -2030,7 +2029,7 @@ fn verify_pair(
             }
         }
     }
-    if sys.is_empty() {
+    if sys.is_empty(cx) {
         return Ok(());
     }
     // Identical points: emission order must put the source first.

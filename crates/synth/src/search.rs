@@ -44,6 +44,7 @@ use crate::zero::check_zero_safety;
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, BudgetError};
 use bernoulli_ir::{analyze, DepClass, Program};
+use bernoulli_polyhedra::{Cx, PolyCaches};
 use bernoulli_pool::{Pool, PoolError};
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -365,22 +366,33 @@ impl SearchOutcome {
     }
 }
 
-/// One compile request: a problem, the options it is searched under, and
-/// the structural fingerprint of the two that the in-memory plan cache
-/// is looked up by.
+/// One compile request: a problem, the options it is searched under, the
+/// structural fingerprint of the two that the in-memory plan cache is
+/// looked up by, and the budget a search of it charges.
 pub(crate) struct Request<'a> {
     pub(crate) problem: &'a BoundProblem,
     pub(crate) opts: &'a SynthOptions,
     fingerprint: u64,
+    budget: Option<&'a Budget>,
 }
 
 impl<'a> Request<'a> {
+    /// An unbudgeted request.
     pub(crate) fn new(problem: &'a BoundProblem, opts: &'a SynthOptions) -> Request<'a> {
         Request {
             problem,
             opts,
             fingerprint: fingerprint(problem, opts),
+            budget: None,
         }
+    }
+
+    /// The same request under `budget`.
+    pub(crate) fn under<'b>(&self, budget: Option<&'b Budget>) -> Request<'b>
+    where
+        'a: 'b,
+    {
+        Request { budget, ..*self }
     }
 
     /// A request under another problem's fingerprint.
@@ -394,6 +406,7 @@ impl<'a> Request<'a> {
             problem,
             opts,
             fingerprint: other.fingerprint,
+            budget: None,
         }
     }
 }
@@ -425,6 +438,10 @@ pub(crate) fn serve(
 /// The memory tier is looked up once more here — a request that waited
 /// to lead a single-flight finds what the previous leader stored — and
 /// this lookup is the one that counts a miss.
+///
+/// Every decision procedure of the search, on this thread and on every
+/// pool job it fans out, runs under one [`Cx`]: `cache`'s polyhedral
+/// memo and the request's budget.
 pub(crate) fn run_search(
     req: &Request<'_>,
     key: String,
@@ -453,17 +470,9 @@ pub(crate) fn run_search(
         }
     }
 
-    // The active budget, read once per search from the *calling*
-    // thread's slot, and the calling thread's polyhedral cache view.
-    // Both slots are thread-local (concurrent compiles are isolated),
-    // so `search_config` re-installs this captured context inside every
-    // pool job — worker threads must attribute fine-grained op charging
-    // and memo lookups to the compile they are working for.
-    let budget = bernoulli_govern::current();
-    let poly_ctx = bernoulli_polyhedra::cache_context();
-
+    let cx = Cx::new(&cache.memo).with_budget(req.budget);
     let view_map = problem.views();
-    let deps = cache.deps(p);
+    let deps = cache.deps(p, cx.budget);
     let relaxable = relaxable_classes(p, &deps);
     let configs = enumerate_configs(p, view_map).map_err(SynthError::Config)?;
 
@@ -483,14 +492,8 @@ pub(crate) fn run_search(
                          iteration_centric: bool,
                          max_emb: usize,
                          seed: &[f64],
-                         budget: Option<&Arc<Budget>>| {
-        // Re-establish the submitting compile's context on whichever
-        // thread runs this configuration: pool workers have no installed
-        // budget or cache view of their own, and with thread-local slots
-        // they must observe the session's, not a neighbor compile's.
-        let _poly = bernoulli_polyhedra::install_context_scoped(&poly_ctx);
-        let _gov = bernoulli_govern::install_scoped(budget.cloned());
-        bernoulli_govern::faults::hit("synth.config");
+                         cx: Cx| {
+        bernoulli_govern::faults::hit("synth.config", cx.budget);
         let mut o = ConfigOutcome::default();
         let mut bound: BinaryHeap<OrdF64> = seed.iter().map(|&c| OrdF64(c)).collect();
         let spaces = candidate_spaces_opt(
@@ -504,7 +507,7 @@ pub(crate) fn run_search(
             // lives inside the polyhedral layer; here we only bail out
             // between candidate spaces. Partial results stay merged —
             // every candidate already produced was fully verified.
-            if budget.is_some_and(|b| b.check().is_err()) {
+            if cx.budget.is_some_and(|b| b.check().is_err()) {
                 o.skipped = true;
                 break;
             }
@@ -514,8 +517,15 @@ pub(crate) fn run_search(
                 // The dimension walk is a direction-inference pre-pass;
                 // the lowered plan is re-verified authoritatively, so a
                 // "violation" here only means directions are partial.
-                let leg =
-                    check_legality(cfg, space, &emb, &deps, &relaxable, opts.relax_reductions);
+                let leg = check_legality(
+                    cx,
+                    cfg,
+                    space,
+                    &emb,
+                    &deps,
+                    &relaxable,
+                    opts.relax_reductions,
+                );
                 if let Some(v) = &leg.violation {
                     push_reason(&mut o.reasons, v);
                 }
@@ -533,6 +543,7 @@ pub(crate) fn run_search(
                     }
                 }
                 for plan in lower_plans(
+                    cx,
                     p,
                     cfg,
                     space,
@@ -544,7 +555,7 @@ pub(crate) fn run_search(
                     &relaxable,
                     opts.relax_reductions,
                 ) {
-                    match check_zero_safety(p, cfg, &plan, view_map) {
+                    match check_zero_safety(cx, p, cfg, &plan, view_map) {
                         Ok(notes) => {
                             let cost = estimate_cost(p, cfg, &plan, &opts.stats);
                             got_plan = true;
@@ -608,27 +619,13 @@ pub(crate) fn run_search(
         if opts.prune && opts.keep > 0 && configs.len() > 1 && opts.keep <= 2 * configs.len() {
             let probes: Vec<ConfigOutcome> = match pool {
                 Some(pl) => pl.try_par_map(&configs, |cfg| {
-                    search_config(
-                        cfg,
-                        unconstrained,
-                        iteration_centric,
-                        1,
-                        &[],
-                        budget.as_ref(),
-                    )
+                    search_config(cfg, unconstrained, iteration_centric, 1, &[], cx)
                 })?,
                 _ => configs
                     .iter()
                     .map(|cfg| {
                         catch_outcome(|| {
-                            search_config(
-                                cfg,
-                                unconstrained,
-                                iteration_centric,
-                                1,
-                                &[],
-                                budget.as_ref(),
-                            )
+                            search_config(cfg, unconstrained, iteration_centric, 1, &[], cx)
                         })
                     })
                     .collect::<Result<_, _>>()?,
@@ -652,7 +649,7 @@ pub(crate) fn run_search(
                     iteration_centric,
                     opts.max_embeddings,
                     &seed,
-                    budget.as_ref(),
+                    cx,
                 )
             })?,
             _ => configs
@@ -665,7 +662,7 @@ pub(crate) fn run_search(
                             iteration_centric,
                             opts.max_embeddings,
                             &seed,
-                            budget.as_ref(),
+                            cx,
                         )
                     })
                 })
@@ -682,7 +679,7 @@ pub(crate) fn run_search(
         }
         // A tripped budget is sticky: later passes would only burn clock
         // re-checking it, so stop fanning out and degrade below.
-        if budget.as_deref().is_some_and(|b| b.exceeded().is_some()) {
+        if cx.budget.is_some_and(|b| b.exceeded().is_some()) {
             break 'passes;
         }
         if !out.is_empty() {
@@ -701,17 +698,17 @@ pub(crate) fn run_search(
     // fresh ops-only budget so even adversarial inputs terminate.
     // Cancellation is the exception: the caller asked us to stop, so we
     // error out instead of burning more time on a fallback.
-    let budget_cause = budget.as_deref().and_then(|b| b.exceeded());
+    let budget_cause = cx.budget.and_then(|b| b.exceeded());
     let degraded = budget_cause.is_some();
     if let Some(cause) = budget_cause {
         if out.is_empty() {
             if matches!(cause, BudgetError::Cancelled) {
                 return Err(SynthError::Deadline { cause, examined });
             }
-            let fb = Arc::new(Budget::unlimited().with_max_ops(FALLBACK_MAX_OPS));
-            let _fallback = bernoulli_govern::install_scoped(Some(Arc::clone(&fb)));
+            let fb = Budget::unlimited().with_max_ops(FALLBACK_MAX_OPS);
+            let fb = cx.with_budget(Some(&fb));
             for cfg in &configs {
-                let o = catch_outcome(|| search_config(cfg, true, true, 1, &[], Some(&fb)))?;
+                let o = catch_outcome(|| search_config(cfg, true, true, 1, &[], fb))?;
                 examined += o.examined;
                 pruned += o.pruned;
                 skipped_configs += o.skipped as usize;
@@ -830,8 +827,9 @@ impl CachedSearch {
 /// wholesale when full.
 const PLAN_CACHE_CAP: usize = 128;
 
-/// One whole-search memo cache with hit/miss accounting, and the
-/// dependence classes of the programs searched or analysed through it.
+/// One whole-search memo cache with hit/miss accounting, the
+/// dependence classes of the programs searched or analysed through it,
+/// and the polyhedral memo their decisions consult.
 /// Every [`Session`](crate::session::Session) and
 /// [`Service`](crate::service::Service) owns its own, making warm/cold
 /// behavior explicit per owner. Both maps are keyed by a structural
@@ -841,6 +839,8 @@ const PLAN_CACHE_CAP: usize = 128;
 pub(crate) struct PlanCache {
     map: Mutex<HashMap<u64, Arc<CachedSearch>>>,
     deps: Mutex<HashMap<u64, (Program, Arc<[DepClass]>)>>,
+    /// A private memo, or the process-wide tier a service shares.
+    pub(crate) memo: Arc<PolyCaches>,
     hits: AtomicU64,
     misses: AtomicU64,
     analyses: AtomicU64,
@@ -854,10 +854,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl PlanCache {
+    /// An empty cache over a private polyhedral memo.
     pub(crate) fn new() -> PlanCache {
+        PlanCache::over(Arc::new(PolyCaches::new()))
+    }
+
+    /// An empty cache whose decisions consult `memo`.
+    pub(crate) fn over(memo: Arc<PolyCaches>) -> PlanCache {
         PlanCache {
             map: Mutex::new(HashMap::new()),
             deps: Mutex::new(HashMap::new()),
+            memo,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             analyses: AtomicU64::new(0),
@@ -905,9 +912,9 @@ impl PlanCache {
     }
 
     /// The dependence classes of `p` (paper §3), analysed once per
-    /// program value. Racing first requests may each analyse; the
-    /// classes are the same.
-    pub(crate) fn deps(&self, p: &Program) -> Arc<[DepClass]> {
+    /// program value, charging `budget`. Racing first requests may each
+    /// analyse; the classes are the same.
+    pub(crate) fn deps(&self, p: &Program, budget: Option<&Budget>) -> Arc<[DepClass]> {
         let fingerprint = fingerprint_of(p);
         let known = |deps: &HashMap<u64, (Program, Arc<[DepClass]>)>| {
             let (q, classes) = deps.get(&fingerprint)?;
@@ -917,11 +924,11 @@ impl PlanCache {
             return classes;
         }
         self.analyses.fetch_add(1, Ordering::Relaxed);
-        let classes: Arc<[DepClass]> = analyze(p).into();
+        let classes: Arc<[DepClass]> = analyze(p, Cx::new(&self.memo).with_budget(budget)).into();
         // Under a spent budget the emptiness tests answer "possibly
         // nonempty", so the classes may be a conservative superset:
         // good for the degraded search that asked, never kept.
-        let conservative = bernoulli_govern::current().is_some_and(|b| b.exceeded().is_some());
+        let conservative = budget.is_some_and(|b| b.exceeded().is_some());
         if !conservative {
             let mut deps = lock(&self.deps);
             if known(&deps).is_none() {
@@ -943,9 +950,11 @@ impl PlanCache {
         }
     }
 
+    /// Drops every entry, analysis and polyhedral memo.
     pub(crate) fn clear(&self) {
         lock(&self.map).clear();
         lock(&self.deps).clear();
+        self.memo.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.analyses.store(0, Ordering::Relaxed);

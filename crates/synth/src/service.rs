@@ -2,11 +2,11 @@
 //! calls from many threads multiplexed over one shared worker pool and
 //! shared caches (S38).
 //!
-//! Where a [`Session`](crate::session::Session) is a single-tenant
-//! driver — one caller, one cache lineage, compiles issued one at a
-//! time — a [`Service`] is built to be shared: it is `Send + Sync`,
-//! wrap it in an `Arc` and hand clones to as many client threads as
-//! you like. Three concerns separate it from a session:
+//! A [`Session`](crate::session::Session) is a single-client front
+//! over the same compile driver, without admission and with a private
+//! polyhedral memo; a [`Service`] is built to be shared: it is
+//! `Send + Sync`, wrap it in an `Arc` and hand clones to as many client
+//! threads as you like. Four concerns make up the service:
 //!
 //! 1. **Shared cache tiers.** All requests share the service's
 //!    whole-search plan cache and the process-wide polyhedral memo
@@ -26,7 +26,7 @@
 //!    FIFO tickets make admission fair: no request can starve behind
 //!    later arrivals.
 //! 3. **Per-request budgets.** Each admitted compile arms a fresh
-//!    [`Budget`](bernoulli_govern::Budget) from the *remaining*
+//!    [`Budget`] from the *remaining*
 //!    deadline (queue wait is charged against the request, not
 //!    forgiven) plus the configured op ceiling, so one adversarial
 //!    program degrades itself instead of the tenancy.
@@ -51,14 +51,49 @@ use crate::search::{
 };
 use crate::session::{self, bind_problem, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
-use bernoulli_govern::{Flight, SingleFlight};
+use bernoulli_govern::{Budget, CancelToken, Flight, SingleFlight};
 use bernoulli_ir::Program;
+use bernoulli_polyhedra::CacheStats;
 use bernoulli_pool::Pool;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// The pool a search of `opts` fans out over, if it is to run in
+/// parallel: the owner's own, or else the process-global one (sized by
+/// `BERNOULLI_THREADS`).
+fn search_pool<'a>(own: &'a Option<Arc<Pool>>, opts: &SynthOptions) -> Option<&'a Pool> {
+    opts.parallel.then(|| match own {
+        Some(pool) => pool,
+        None => Pool::global(),
+    })
+}
+
+/// A fresh [`Budget`] for one compile: deadlines re-arm, op counts
+/// reset. With no limit configured there is none, and the compile pays
+/// zero governance overhead.
+fn armed(
+    deadline: Option<Duration>,
+    max_ops: Option<u64>,
+    cancel: Option<&CancelToken>,
+) -> Option<Budget> {
+    if deadline.is_none() && max_ops.is_none() && cancel.is_none() {
+        return None;
+    }
+    let mut b = Budget::unlimited();
+    if let Some(limit) = deadline {
+        b = b.with_deadline(limit);
+    }
+    if let Some(ops) = max_ops {
+        b = b.with_max_ops(ops);
+    }
+    if let Some(tok) = cancel {
+        b = b.with_cancel(tok.clone());
+    }
+    Some(b)
+}
 
 /// Configuration for a [`Service`].
 #[derive(Clone, Debug)]
@@ -366,9 +401,9 @@ pub struct ServiceStats {
 /// threads, call [`compile`](Service::compile) concurrently. See the
 /// module docs for the tenancy model.
 pub struct Service {
-    cfg: ServiceConfig,
+    pub(crate) cfg: ServiceConfig,
     /// The service's own worker pool ([`ServiceConfig::threads`]).
-    pool: Option<Arc<Pool>>,
+    pub(crate) pool: Option<Arc<Pool>>,
     plan_cache: PlanCache,
     persist: Option<PersistentPlanCache>,
     admission: Admission,
@@ -378,15 +413,22 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service with the given configuration.
+    /// A service with the given configuration, consulting the
+    /// process-wide polyhedral memo tier.
     pub fn new(cfg: ServiceConfig) -> Service {
+        let memo = Arc::clone(bernoulli_polyhedra::shared_tier());
+        Service::with_plan_cache(cfg, PlanCache::over(memo))
+    }
+
+    /// A service over `plan_cache` (and the polyhedral memo it holds).
+    pub(crate) fn with_plan_cache(cfg: ServiceConfig, plan_cache: PlanCache) -> Service {
         let pool = cfg.threads.map(|n| Arc::new(Pool::new(n)));
         let persist = cfg.persist_dir.as_ref().map(PersistentPlanCache::new);
         let admission = Admission::new(cfg.max_inflight, cfg.max_queue);
         Service {
             cfg,
             pool,
-            plan_cache: PlanCache::new(),
+            plan_cache,
             persist,
             admission,
             counters: Counters::default(),
@@ -416,7 +458,7 @@ impl Service {
     /// kept classes.
     pub fn analyze(&self, p: &Program) -> DepReport {
         DepReport {
-            classes: self.plan_cache.deps(p),
+            classes: self.plan_cache.deps(p, None),
         }
     }
 
@@ -495,7 +537,9 @@ impl Service {
         self.counters
             .peak_inflight
             .fetch_max(self.admission.inflight() as u64, Ordering::Relaxed);
-        let result = self.run_admitted(problem, opts, absolute);
+        let result = self
+            .drive(problem, opts, absolute, self.cfg.op_budget, None)
+            .map_err(ServiceError::Synth);
         drop(permit);
         match &result {
             Ok(k) => {
@@ -511,37 +555,37 @@ impl Service {
         result
     }
 
-    /// The admitted portion of a compile: a request the plan cache
-    /// holds is answered from it; any other arms the per-request
-    /// budget, installs the request's cache view on this thread (the
-    /// search layer re-installs both on every pool worker), and
-    /// searches.
-    fn run_admitted(
+    /// The compile driver, behind admission (or a
+    /// [`Session`](crate::session::Session)): a request the plan cache
+    /// holds is answered from it; any other arms a budget from what is
+    /// left of `deadline`, `max_ops` and `cancel`, joins or leads the
+    /// single flight of its key, and searches under that budget and the
+    /// memo of this service's plan cache.
+    pub(crate) fn drive(
         &self,
         problem: &BoundProblem,
         opts: &SynthOptions,
-        absolute_deadline: Option<Instant>,
-    ) -> Result<CompiledKernel, ServiceError> {
+        deadline: Option<Instant>,
+        max_ops: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<CompiledKernel, SynthError> {
         let req = Request::new(problem, opts);
         let found = serve(&self.plan_cache, &req, |key| {
-            self.search_admitted(&req, key, absolute_deadline)
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let budget = armed(remaining, max_ops, cancel);
+            self.search(&req.under(budget.as_ref()), key, deadline)
         })?;
-        Ok(CompiledKernel::from_search(found)?)
+        CompiledKernel::from_search(found)
     }
 
     /// A request the plan cache's memory tier did not answer.
-    fn search_admitted(
+    fn search(
         &self,
         req: &Request<'_>,
         key: String,
-        absolute_deadline: Option<Instant>,
+        deadline: Option<Instant>,
     ) -> Result<SearchOutcome, SynthError> {
-        // Budget from whatever deadline remains after queueing, plus
-        // the configured op ceiling.
-        let remaining = absolute_deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let budget = session::armed(remaining, self.cfg.op_budget, None);
-        let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
-        let pool = session::search_pool(&self.pool, req.opts);
+        let pool = search_pool(&self.pool, req.opts);
         let search = |key: String| self.search_counted(req, key, pool);
         if !req.opts.cache_plans {
             // With plan caching off, requests for the same key are
@@ -557,7 +601,7 @@ impl Service {
             |r: &Result<SearchOutcome, SynthError>| !matches!(r, Ok(r) if r.entry.report.degraded);
         match self
             .flights
-            .run(&key, absolute_deadline, || search(key.clone()), share)
+            .run(&key, deadline, || search(key.clone()), share)
         {
             Flight::Led(result) => result,
             Flight::Followed(shared) => {
@@ -606,6 +650,18 @@ impl Service {
     /// and how many dependence analyses the service ran.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
+    }
+
+    /// Hit/miss totals of the polyhedral memo this service consults
+    /// (for a [`Service::new`] service, the process-wide tier, which
+    /// other services feed too).
+    pub fn poly_cache_stats(&self) -> CacheStats {
+        self.plan_cache.memo.stats()
+    }
+
+    /// Drops every cached search result and polyhedral memo.
+    pub(crate) fn clear_caches(&self) {
+        self.plan_cache.clear();
     }
 
     /// Hit/miss/write totals of the persistent plan cache, if one is

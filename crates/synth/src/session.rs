@@ -1,4 +1,4 @@
-//! The staged compiler driver: a long-lived [`Session`] owning every
+//! The staged compiler front: a long-lived [`Session`] owning every
 //! piece of shared state the synthesis pipeline accumulates — the
 //! worker pool, the polyhedral memo caches, the whole-search plan
 //! cache, and the search options — behind the four-stage API the
@@ -19,57 +19,27 @@
 //! a fresh session starts cold — no process-global state involved.
 //! Every failure a caller can trigger surfaces as a typed
 //! [`SynthError`]; nothing on these paths panics.
+//!
+//! A session is one client of the compile driver a
+//! [`Service`] runs behind admission: the session calls it directly,
+//! with a private polyhedral memo and its own cancel token.
 
 use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
 use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
 use crate::plan::Plan;
 use crate::search::{
-    run_search, serve, CachedSearch, Candidate, PlanCache, PlanCacheStats, Request, SearchOutcome,
-    SearchReport, SynthError, SynthOptions,
+    CachedSearch, Candidate, PlanCache, PlanCacheStats, SearchOutcome, SearchReport, SynthError,
+    SynthOptions,
 };
+use crate::service::{Service, ServiceConfig};
 use bernoulli_formats::view::FormatView;
-use bernoulli_govern::{Budget, CancelToken};
+use bernoulli_govern::CancelToken;
 use bernoulli_ir::{parse_program, ArrayKind, DepClass, Program};
-use bernoulli_polyhedra::PolyCaches;
 use bernoulli_pool::Pool;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-
-/// The pool a search of `opts` fans out over, if it is to run in
-/// parallel: the owner's own, or else the process-global one (sized by
-/// `BERNOULLI_THREADS`).
-pub(crate) fn search_pool<'a>(own: &'a Option<Arc<Pool>>, opts: &SynthOptions) -> Option<&'a Pool> {
-    opts.parallel.then(|| match own {
-        Some(pool) => pool,
-        None => Pool::global(),
-    })
-}
-
-/// A fresh [`Budget`] for one compile: deadlines re-arm, op counts
-/// reset. With no limit configured there is none — nothing is installed
-/// and the compile pays zero governance overhead.
-pub(crate) fn armed(
-    deadline: Option<Duration>,
-    max_ops: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> Option<Arc<Budget>> {
-    if deadline.is_none() && max_ops.is_none() && cancel.is_none() {
-        return None;
-    }
-    let mut b = Budget::unlimited();
-    if let Some(limit) = deadline {
-        b = b.with_deadline(limit);
-    }
-    if let Some(ops) = max_ops {
-        b = b.with_max_ops(ops);
-    }
-    if let Some(tok) = cancel {
-        b = b.with_cancel(tok.clone());
-    }
-    Some(Arc::new(b))
-}
+use std::time::{Duration, Instant};
 
 /// Stage 1 of [`Session`] and [`crate::service::Service`]: parse *and
 /// semantically validate* program text.
@@ -87,15 +57,9 @@ pub(crate) fn parse(text: &str) -> Result<Program, SynthError> {
 /// searches over structurally similar systems. Dropping the session
 /// drops all of that state.
 pub struct Session {
-    opts: SynthOptions,
-    /// The session's own worker pool; `None`: the process-global one.
-    pool: Option<Arc<Pool>>,
-    plan_cache: PlanCache,
-    poly_caches: Arc<PolyCaches>,
-    /// Per-compile wall-clock limit (armed afresh at each `compile`).
-    budget_deadline: Option<Duration>,
-    /// Per-compile ceiling on abstract polyhedral operations.
-    budget_ops: Option<u64>,
+    /// The compile driver, its options, pool, limits and caches; its
+    /// memo is the session's own.
+    driver: Service,
     /// Lazily created by [`Session::cancel_token`]; observed by every
     /// budget this session arms afterwards.
     cancel: OnceLock<CancelToken>,
@@ -110,13 +74,18 @@ impl Session {
 
     /// A session with explicit search options.
     pub fn with_options(opts: SynthOptions) -> Session {
-        Session {
+        let cfg = ServiceConfig {
+            // Never read: a session calls the driver without admission.
+            max_inflight: 1,
+            max_queue: 0,
+            default_deadline: None,
+            op_budget: None,
+            threads: None,
+            persist_dir: None,
             opts,
-            pool: None,
-            plan_cache: PlanCache::new(),
-            poly_caches: Arc::new(PolyCaches::new()),
-            budget_deadline: None,
-            budget_ops: None,
+        };
+        Session {
+            driver: Service::with_plan_cache(cfg, PlanCache::new()),
             cancel: OnceLock::new(),
         }
     }
@@ -124,7 +93,7 @@ impl Session {
     /// Gives the session its own worker pool of `nthreads` threads
     /// instead of the shared one.
     pub fn with_threads(mut self, nthreads: usize) -> Session {
-        self.pool = Some(Arc::new(Pool::new(nthreads)));
+        self.driver.pool = Some(Arc::new(Pool::new(nthreads)));
         self
     }
 
@@ -135,7 +104,7 @@ impl Session {
     /// [`SearchReport::degraded`] set — see the crate docs on resource
     /// governance. The clock is re-armed at the start of every compile.
     pub fn with_deadline(mut self, limit: Duration) -> Session {
-        self.budget_deadline = Some(limit);
+        self.driver.cfg.default_deadline = Some(limit);
         self
     }
 
@@ -144,7 +113,7 @@ impl Session {
     /// blowup of Fourier–Motzkin elimination on adversarial programs;
     /// exhaustion degrades the search the same way a deadline does.
     pub fn with_op_budget(mut self, max_ops: u64) -> Session {
-        self.budget_ops = Some(max_ops);
+        self.driver.cfg.op_budget = Some(max_ops);
         self
     }
 
@@ -160,13 +129,13 @@ impl Session {
 
     /// The session's search options.
     pub fn options(&self) -> &SynthOptions {
-        &self.opts
+        &self.driver.cfg.opts
     }
 
     /// Mutable access to the search options (takes effect on the next
     /// [`compile`](Session::compile)).
     pub fn options_mut(&mut self) -> &mut SynthOptions {
-        &mut self.opts
+        &mut self.driver.cfg.opts
     }
 
     /// Stage 1 — parse *and semantically validate* program text.
@@ -181,9 +150,7 @@ impl Session {
     /// analysed once per session: repeats, and the searches of
     /// [`compile`](Session::compile), read the kept classes.
     pub fn analyze(&self, p: &Program) -> DepReport {
-        DepReport {
-            classes: self.plan_cache.deps(p),
-        }
+        self.driver.analyze(p)
     }
 
     /// Stage 3 — bind a format view to each sparse matrix, checking the
@@ -202,7 +169,7 @@ impl Session {
     /// pool and caches, returning the ranked candidates as an
     /// executable/emit-able [`CompiledKernel`].
     pub fn compile(&self, problem: &BoundProblem) -> Result<CompiledKernel, SynthError> {
-        self.compile_with(problem, &self.opts)
+        self.compile_with(problem, self.options())
     }
 
     /// [`compile`](Session::compile) with per-call option overrides
@@ -213,18 +180,10 @@ impl Session {
         problem: &BoundProblem,
         opts: &SynthOptions,
     ) -> Result<CompiledKernel, SynthError> {
-        let req = Request::new(problem, opts);
-        let found = serve(&self.plan_cache, &req, |key| {
-            // Route the polyhedral decision procedures through this
-            // session's memo caches for the duration of the search (the
-            // guard restores the previous instance even on panic).
-            let _poly = bernoulli_polyhedra::install_scoped(Arc::clone(&self.poly_caches));
-            let budget = armed(self.budget_deadline, self.budget_ops, self.cancel.get());
-            let _budget = budget.map(|b| bernoulli_govern::install_scoped(Some(b)));
-            let pool = search_pool(&self.pool, opts);
-            run_search(&req, key, pool, &self.plan_cache, None)
-        })?;
-        CompiledKernel::from_search(found)
+        let cfg = &self.driver.cfg;
+        let deadline = cfg.default_deadline.map(|d| Instant::now() + d);
+        self.driver
+            .drive(problem, opts, deadline, cfg.op_budget, self.cancel.get())
     }
 
     /// Structure-aware selection: analyze the instance bound to
@@ -245,7 +204,7 @@ impl Session {
         formats: &[&str],
     ) -> Result<crate::advise::Advice, SynthError> {
         crate::advise::advise_core(p, matrix, t, formats, |bound, stats| {
-            let mut opts = self.opts.clone();
+            let mut opts = self.options().clone();
             opts.stats = stats.clone();
             Ok(self.compile_with(bound, &opts))
         })
@@ -254,19 +213,18 @@ impl Session {
     /// Hit/miss totals of this session's whole-search plan cache, and
     /// how many dependence analyses it ran.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
+        self.driver.plan_cache_stats()
     }
 
     /// Hit/miss totals of this session's polyhedral memo caches.
     pub fn poly_cache_stats(&self) -> bernoulli_polyhedra::CacheStats {
-        self.poly_caches.stats()
+        self.driver.poly_cache_stats()
     }
 
     /// Drops every cached search result and polyhedral memo this
     /// session accumulated (cold-start measurements).
     pub fn clear_caches(&self) {
-        self.plan_cache.clear();
-        self.poly_caches.clear();
+        self.driver.clear_caches();
     }
 }
 
@@ -621,6 +579,19 @@ mod tests {
         assert!(poly.empty_hits + poly.empty_misses > 0, "{poly:?}");
     }
 
+    /// Dependence analysis decides its emptiness tests under the
+    /// session's own memo, not the process-wide one.
+    #[test]
+    fn analysis_feeds_the_session_memo() -> Result<(), SynthError> {
+        let s = Session::new();
+        let p = s.parse(MVM)?;
+        assert_eq!(s.poly_cache_stats(), Default::default());
+        assert!(!s.analyze(&p).is_empty());
+        let poly = s.poly_cache_stats();
+        assert!(poly.empty_misses > 0, "{poly:?}");
+        Ok(())
+    }
+
     /// A budget-starved compile returns a plan of its own under the
     /// full search's key; what a native load derives from that plan
     /// must neither land in a plan-cache entry nor come from one.
@@ -632,11 +603,7 @@ mod tests {
         let store = bernoulli_kernel_cache::KernelStore::at(
             std::env::temp_dir().join(format!("bernoulli-session-degraded-{}", std::process::id())),
         );
-        let degraded = {
-            let starved = Arc::new(Budget::unlimited().with_max_ops(40));
-            let _budget = bernoulli_govern::install_scoped(Some(starved));
-            s.compile(&bound)?
-        };
+        let degraded = s.driver.drive(&bound, s.options(), None, Some(40), None)?;
         assert!(degraded.report().degraded);
         // Fills the degraded kernel's cell, with the source or (on a
         // host without rustc) the typed reason there is none.

@@ -21,7 +21,7 @@ use crate::config::Config;
 use crate::plan::Plan;
 use bernoulli_formats::view::FormatView;
 use bernoulli_ir::{AffineExpr, LhsRef, Program, Statement, ValueExpr};
-use bernoulli_polyhedra::{Constraint, LinExpr, System};
+use bernoulli_polyhedra::{Constraint, Cx, LinExpr, System};
 use std::collections::HashMap;
 
 /// Zero-safety failure: the restriction is not provably semantics-
@@ -35,8 +35,10 @@ impl std::fmt::Display for ZeroError {
     }
 }
 
-/// Checks every restricted (statement, reference) pair of a plan.
+/// Checks every restricted (statement, reference) pair of a plan,
+/// deciding coverage under `cx`.
 pub fn check_zero_safety(
+    cx: Cx,
     p: &Program,
     cfg: &Config,
     plan: &Plan,
@@ -52,7 +54,7 @@ pub fn check_zero_safety(
                 .ok_or_else(|| ZeroError(format!("no view for matrix {:?}", rinst.matrix)))?;
             if rinst.access_idx == 0 {
                 // Restricted sparse *write*: only coverage can justify it.
-                if covered_by_guarantee(p, scopy, rinst.access.as_slice(), view) {
+                if covered_by_guarantee(cx, p, scopy, rinst.access.as_slice(), view) {
                     notes.push(format!(
                         "S{}.{}: write to {:?} covered by storage guarantee",
                         e.orig + 1,
@@ -76,7 +78,7 @@ pub fn check_zero_safety(
                 ));
                 continue;
             }
-            if covered_by_guarantee(p, scopy, rinst.access.as_slice(), view) {
+            if covered_by_guarantee(cx, p, scopy, rinst.access.as_slice(), view) {
                 notes.push(format!(
                     "S{}.{}: domain covered by {:?} storage guarantee",
                     e.orig + 1,
@@ -204,6 +206,7 @@ fn flatten_sum<'a>(e: &'a ValueExpr, neg: bool, out: &mut Vec<(&'a ValueExpr, bo
 /// True iff the statement's whole execution domain lies within a region
 /// the view guarantees stored.
 fn covered_by_guarantee(
+    cx: Cx,
     p: &Program,
     scopy: &crate::config::StmtCopy,
     access: &[AffineExpr],
@@ -246,7 +249,7 @@ fn covered_by_guarantee(
         sys.add(Constraint::ge0(&(&hi_e - &vv) - &one));
     }
     let diff = &access[0] - &access[1];
-    sys.forces_zero(&diff.to_linexpr(n, &index))
+    sys.forces_zero(cx, &diff.to_linexpr(n, &index))
 }
 
 #[cfg(test)]
