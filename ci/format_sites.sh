@@ -21,10 +21,15 @@
 # - `view_for_features`' two constructors: `bsr` is advised at the
 #   instance's dominant block shape, `diagsplit` is a view without a
 #   layout.
-# `emit.rs`, `compiled.rs` and `interp.rs` must read 0, and so must the
-# grammar of a view (crates/formats/src/view.rs), its reader
-# (crates/formats/src/view_text.rs) and the checker and walk derived from
-# a format's levels (crates/formats/src/walk.rs): none names a format. Not counted,
+# `emit.rs`, `compiled.rs`, `interp.rs` and `codegen.rs` must read 0:
+# the printer, the kernel crate, the interpreter and the record of the
+# codegen decisions between them (promotion, edge split, tiling, the
+# row-band entry) name a level kind where they need one, never a format
+# — a tiling is `Blocks` or `Strips` because of the level under the
+# rows, whichever format declares it. So must the grammar of a view
+# (crates/formats/src/view.rs), its reader (crates/formats/src/view_text.rs)
+# and the checker and walk derived from a format's levels
+# (crates/formats/src/walk.rs): none names a format. Not counted,
 # because it is in `formats` itself: `AnyFormat::try_from_triplets`,
 # which builds the typed instance for any scalar `T` (a layout's
 # constructor is a plain fn pointer at `f64`).
@@ -49,7 +54,7 @@ for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src
         count=$((count + n))
     fi
     case "$file" in
-    */emit.rs | */compiled.rs | */interp.rs | */view.rs | */view_text.rs | */walk.rs)
+    */emit.rs | */compiled.rs | */interp.rs | */codegen.rs | */view.rs | */view_text.rs | */walk.rs)
         if [ "$n" -gt 0 ]; then
             echo "error: $file names a format ($n lines); it must name none." >&2
             exit 1

@@ -53,18 +53,22 @@
 //! read at positions its own index arrays produced: those go through
 //! the emitter's unchecked `ix`, so a kernel is memory-safe on valid
 //! instances of its formats (validating operands: ROADMAP item 4,
-//! open). Plans whose outermost step enumerates the rows of a row-major
-//! format additionally export `bernoulli_kernel_range_v2` with trailing
-//! `(int64_t row_lo, int64_t row_hi)` — the entry the parallel lane
-//! dispatches nnz-balanced row chunks through, and which the full-range
-//! entry itself uses to walk CSR rows in cache-sized blocks.
+//! open). Plans whose [`Codegen`] record has a row-band entry
+//! ([`Codegen::ranged`]) additionally export `bernoulli_kernel_range_v2`
+//! with trailing `(int64_t row_lo, int64_t row_hi)` — the entry the
+//! parallel lane dispatches nnz-balanced row chunks through, and which
+//! the full-range entry itself calls, in blocks of `CSR_ROW_BLOCK` rows
+//! where the record says the rows are stored compressed
+//! ([`Ranged::row_blocked`](crate::codegen::Ranged::row_blocked)).
+//! What the crate exports, and whether it can be built at all, is read
+//! from the record; nothing here decides it.
 
-use crate::emit::{emit_rust, emit_rust_ranged, EmitError};
+use crate::codegen::Codegen;
+use crate::emit::{print, EmitError};
 use crate::interp::{run_plan, ExecEnv, PlanError};
-use crate::plan::{Plan, StepKind, ValueSource};
+use crate::plan::Plan;
 use crate::search::SynthError;
-use bernoulli_formats::layout::{levels_of_view, Block, Elem, Layout, RawArray, Stored};
-use bernoulli_formats::level::Kind;
+use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored};
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Csc, Csr, Jad};
 use bernoulli_ir::{ArrayKind, Program, Role};
@@ -81,7 +85,7 @@ pub const KERNEL_ABI_VERSION: u32 = 2;
 pub const KERNEL_SYMBOL: &str = "bernoulli_kernel_v2";
 
 /// Exported symbol of the row-ranged entry point (present only for
-/// range-splittable plans).
+/// plans whose record has a row-band entry).
 pub const KERNEL_RANGE_SYMBOL: &str = "bernoulli_kernel_range_v2";
 
 /// Rows per block of the cache-blocked CSR traversal the full-range
@@ -405,14 +409,6 @@ fn operand_var(array: &str) -> String {
     format!("{}_", array.to_lowercase())
 }
 
-/// The matrix whose level the plan's outermost step enumerates, if any.
-fn outer_matrix(plan: &Plan) -> Option<&str> {
-    match &plan.steps.first()?.kind {
-        StepKind::Level { primary, .. } => Some(&primary.matrix),
-        _ => None,
-    }
-}
-
 /// The kernel crate's panic handler. The symbol it calls is defined
 /// nowhere, and the build refuses undefined symbols: the crate links
 /// only if the optimiser removed every path that reaches the handler.
@@ -420,22 +416,19 @@ const PANIC_PROOF: &str = "extern \"C\" {\n    fn bernoulli_kernel_has_a_panic_p
 
 /// Generates the complete, self-contained cdylib source for a plan:
 /// mirror structs, the specialized kernel body, and the `extern "C"`
-/// wrapper(s), for the signature `sig` of `(p, views)`. Returns the
-/// source and whether a ranged entry exists.
+/// wrapper(s), for the signature `sig` of `(p, views)`, as the plan's
+/// record `cg` says.
 pub(crate) fn cdylib_source(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
+    cg: &Codegen,
     sig: &KernelSig,
-) -> Result<(String, bool), LoadError> {
+) -> Result<String, LoadError> {
     // Random-access reads lower to the `SparseMatrix::get` trait, which
     // the mirror structs deliberately do not replicate (it would defeat
     // the data-centric ABI); such plans stay on the interpreter.
-    if plan.execs.iter().any(|e| {
-        e.sources
-            .iter()
-            .any(|s| matches!(s, Some(ValueSource::Random { .. })))
-    }) {
+    if cg.random_access() {
         return Err(LoadError::Emit(EmitError(
             "plan reads a sparse operand by random access; \
              not expressible over the kernel ABI"
@@ -443,12 +436,10 @@ pub(crate) fn cdylib_source(
         )));
     }
     // The specialized body; the ranged variant replaces the plain one
-    // when the plan's outermost step is a row enumeration.
-    let ranged_body = emit_rust_ranged(p, plan, views, "kernel_impl_range")?;
-    let plain_body = if ranged_body.is_none() {
-        Some(emit_rust(p, plan, views, "kernel_impl")?)
-    } else {
-        None
+    // when the record has a row-band entry.
+    let body = match cg.ranged() {
+        Some(_) => print(p, plan, views, cg, "kernel_impl_range", true)?,
+        None => print(p, plan, views, cg, "kernel_impl", false)?,
     };
 
     let mut out = String::new();
@@ -519,14 +510,8 @@ pub(crate) fn cdylib_source(
         "unsafe fn sl_mut(s: &RawSlice) -> &'static mut [f64] {\n    if s.len == 0 {\n        &mut []\n    } else {\n        core::slice::from_raw_parts_mut(s.ptr as *mut f64, s.len)\n    }\n}\n\n",
     );
 
-    if let Some(body) = &plain_body {
-        out.push_str(body);
-        out.push('\n');
-    }
-    if let Some(body) = &ranged_body {
-        out.push_str(body);
-        out.push('\n');
-    }
+    out.push_str(&body);
+    out.push('\n');
 
     // The arity check makes every `get` below succeed; they are `get`s
     // so that no index expression in the crate can panic.
@@ -544,15 +529,10 @@ pub(crate) fn cdylib_source(
     ));
     out.push_str(&preamble);
     out.push_str(&unpack);
-    // A ranged body exists only for a plan whose outermost step
-    // enumerates the rows of a matrix: the full range is its row count.
-    if let Some(outer) = ranged_body.as_ref().and(outer_matrix(plan)) {
-        let nrows = format!("{}.nrows", operand_var(outer));
-        let compressed_rows = views.get(outer).is_some_and(|v| {
-            let below = levels_of_view(&v.name).and_then(|(levels, _)| levels.level(0, 1));
-            below.is_some_and(|level| matches!(level.kind, Kind::Compressed { .. }))
-        });
-        if compressed_rows {
+    // The full range of a ranged body is its outer matrix's row count.
+    if let Some(ranged) = cg.ranged() {
+        let nrows = format!("{}.nrows", operand_var(ranged.outer()));
+        if ranged.row_blocked() {
             // Cache-blocked traversal of compressed rows (CSR): walk
             // the rows in fixed blocks through the ranged body.
             out.push_str(&format!(
@@ -575,7 +555,7 @@ pub(crate) fn cdylib_source(
     out.push_str("}\n");
 
     // Ranged entry.
-    if ranged_body.is_some() {
+    if cg.ranged().is_some() {
         out.push('\n');
         out.push_str(&format!(
             "#[no_mangle]\npub extern \"C\" fn {KERNEL_RANGE_SYMBOL}(\n    params: *const i64,\n    nparams: usize,\n    dims: *const usize,\n    ndims: usize,\n    slices: *const RawSlice,\n    nslices: usize,\n    row_lo: i64,\n    row_hi: i64,\n) -> i32 {{\n"
@@ -590,7 +570,17 @@ pub(crate) fn cdylib_source(
         out.push_str("}\n");
     }
 
-    Ok((out, ranged_body.is_some()))
+    Ok(out)
+}
+
+/// The source of the kernel crate a native load of `plan` builds.
+pub fn kernel_source(
+    p: &Program,
+    plan: &Plan,
+    views: &HashMap<String, FormatView>,
+) -> Result<String, LoadError> {
+    let sig = KernelSig::of(p, views)?;
+    cdylib_source(p, plan, views, &Codegen::of(p, plan, views), &sig)
 }
 
 /// Everything a native load derives from (program, plan, views) and the
@@ -603,9 +593,9 @@ pub(crate) struct NativeSource {
     /// file name the two hash to. The source (3–7 kB a kernel) is read
     /// again only on an artifact miss, and is kept for it.
     artifact: ArtifactSpec,
-    has_ranged: bool,
-    /// Matrix whose rows the ranged entry splits, when present.
-    outer_matrix: Option<String>,
+    /// The record has a row-band entry: the crate exports the ranged
+    /// entry point.
+    ranged: bool,
 }
 
 /// Where a [`NativeSource`] (or the typed reason there is none) is
@@ -619,17 +609,16 @@ impl NativeSource {
         p: &Program,
         plan: &Plan,
         views: &HashMap<String, FormatView>,
+        cg: &Codegen,
         logical_key: &str,
     ) -> Result<NativeSource, LoadError> {
         let sig = KernelSig::of(p, views)?;
-        let (source, has_ranged) = cdylib_source(p, plan, views, &sig)?;
+        let source = cdylib_source(p, plan, views, cg, &sig)?;
         let key = format!("abi{KERNEL_ABI_VERSION}|{logical_key}");
-        let outer_matrix = outer_matrix(plan).filter(|_| has_ranged);
         Ok(NativeSource {
             sig,
             artifact: ArtifactSpec::new(key, source)?,
-            has_ranged,
-            outer_matrix: outer_matrix.map(str::to_string),
+            ranged: cg.ranged().is_some(),
         })
     }
 }
@@ -686,16 +675,12 @@ impl LoadedKernel {
         self.lib.path()
     }
 
-    /// True when the kernel exports the row-ranged entry (its plan's
-    /// outermost step enumerates rows of a row-major format).
+    /// True when the kernel exports the row-ranged entry: its plan's
+    /// record has a row-band entry ([`Codegen::ranged`], which also
+    /// names the matrix whose rows [`run_range`](LoadedKernel::run_range)
+    /// splits).
     pub fn supports_ranged(&self) -> bool {
-        self.ranged.is_some()
-    }
-
-    /// The matrix whose rows [`run_range`](LoadedKernel::run_range)
-    /// splits, when the ranged entry exists.
-    pub fn outer_matrix(&self) -> Option<&str> {
-        self.native.outer_matrix.as_deref()
+        self.native.ranged
     }
 
     /// Runs the kernel over its full iteration space.
@@ -982,19 +967,20 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
 /// Loads (building if needed) the native kernel for a compiled plan,
 /// then differentially validates it against the interpreter (unless
 /// the store already holds a passing verdict for the artifact). What
-/// the load derives from the plan comes from `native`, filled here on
-/// the first load of any kernel sharing the cell.
+/// the load derives from the plan and its record `cg` comes from
+/// `native`, filled here on the first load of any kernel sharing the
+/// cell.
 pub(crate) fn load_kernel(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
+    cg: &Codegen,
     logical_key: &str,
     native: &NativeCell,
     store: &KernelStore,
 ) -> Result<LoadedKernel, LoadError> {
-    let native = native
-        .get_or_init(|| NativeSource::derive(p, plan, views, logical_key).map(Arc::new))
-        .clone()?;
+    let derive = || NativeSource::derive(p, plan, views, cg, logical_key).map(Arc::new);
+    let native = native.get_or_init(derive).clone()?;
     let opened = store.load(&native.artifact)?;
     let lib = opened.library;
     let entry_ptr = lib.symbol(KERNEL_SYMBOL)?;
@@ -1003,7 +989,7 @@ pub(crate) fn load_kernel(
     // (the cache key covers source + ABI version, so a stale artifact
     // cannot match).
     let entry: EntryV2 = unsafe { std::mem::transmute(entry_ptr) };
-    let ranged: Option<RangeV2> = if native.has_ranged {
+    let ranged: Option<RangeV2> = if native.ranged {
         let p = lib.symbol(KERNEL_RANGE_SYMBOL)?;
         // Safety: same as above, RangeV2 signature.
         Some(unsafe { std::mem::transmute::<*const (), RangeV2>(p) })
@@ -1126,8 +1112,11 @@ mod tests {
         let a = csr3();
         let k = compile(&a);
         let sig = KernelSig::of(k.program(), k.views())?;
-        let (src, ranged) = cdylib_source(k.program(), k.plan(), k.views(), &sig)?;
-        assert!(ranged, "csr mvm outer row loop must be range-splittable");
+        let src = cdylib_source(k.program(), k.plan(), k.views(), k.codegen(), &sig)?;
+        assert!(
+            k.codegen().ranged().is_some(),
+            "csr mvm outer row loop must be range-splittable"
+        );
         assert!(src.contains("#[no_mangle]"), "{src}");
         assert!(src.contains(KERNEL_SYMBOL));
         assert!(src.contains(KERNEL_RANGE_SYMBOL));
@@ -1161,7 +1150,7 @@ mod tests {
             for &shape in shapes {
                 let k = s.compile(&s.bind(&p, &[("A", (layout.view)(shape))])?)?;
                 let sig = KernelSig::of(k.program(), k.views())?;
-                let (src, _) = cdylib_source(k.program(), k.plan(), k.views(), &sig)?;
+                let src = cdylib_source(k.program(), k.plan(), k.views(), k.codegen(), &sig)?;
                 let what = format!("{} at {shape:?}", layout.name);
                 for &(array, elem) in layout.arrays {
                     let mirrored = match elem {
@@ -1192,8 +1181,9 @@ mod tests {
         }
         let a = csr3();
         let k = compile(&a);
-        let mut native = NativeSource::derive(k.program(), k.plan(), k.views(), k.cache_key())?;
-        let (source, _) = cdylib_source(k.program(), k.plan(), k.views(), &native.sig)?;
+        let (p, plan, views, cg) = (k.program(), k.plan(), k.views(), k.codegen());
+        let mut native = NativeSource::derive(p, plan, views, cg, k.cache_key())?;
+        let source = cdylib_source(p, plan, views, cg, &native.sig)?;
         let planted = source.replace("*x_.get((j_) as usize)?", "x_[(j_) as usize]");
         assert_ne!(planted, source, "nothing was planted in:\n{source}");
         native.artifact = ArtifactSpec::new("planted-panic".to_string(), planted)?;
@@ -1201,7 +1191,7 @@ mod tests {
         let store = KernelStore::at(
             std::env::temp_dir().join(format!("bernoulli-planted-{}", std::process::id())),
         );
-        let reason = load_kernel(k.program(), k.plan(), k.views(), "planted", &cell, &store)
+        let reason = load_kernel(p, plan, views, cg, "planted", &cell, &store)
             .expect_err("a panic path must not load as native code");
         assert!(
             matches!(&reason, LoadError::Cache(KernelCacheError::CompileFailed { stderr })
@@ -1312,8 +1302,7 @@ mod tests {
                     nslices: 0,
                 },
                 artifact: artifact.clone(),
-                has_ranged: false,
-                outer_matrix: None,
+                ranged: false,
             }),
             from_cache: false,
             validated: false,

@@ -8,6 +8,11 @@
 //! equivalent of the paper's Barton–Nackman compile-time dispatch — and
 //! are what the benchmark harness measures.
 //!
+//! The printer decides nothing: which transformations a plan gets —
+//! promotion, deferred division, edge split, tiling, the row-band entry,
+//! guard chaining — is its [`Codegen`] record, and the printer renders
+//! the plan as the record says.
+//!
 //! The one emitted dialect has no panic path: a function returns
 //! `Option<()>` and every checked index is `*a.get(i)?`, so an operand
 //! whose index arrays point outside another operand makes it return
@@ -18,16 +23,14 @@
 //! generated kernels can be committed (see `bernoulli-blas`'s `synth`
 //! module) and checked against regeneration in CI.
 
-use crate::plan::{
-    Atom, Dir, Edge, ExecStmt, Guard, LevelRef, OffEdge, PExpr, Plan, StepKind, ValueSource,
-};
+use crate::codegen::{level_searched, presence_levels, Codegen, EdgeSplit, Promotion, Tiling};
+use crate::plan::{Atom, Dir, Edge, ExecStmt, Guard, LevelRef, PExpr, Plan, StepKind, ValueSource};
 use bernoulli_formats::layout::{levels_of_view, Block, Elem};
 use bernoulli_formats::level::{Args, Arr, Base, Bound, Dim, Kind, Level, Levels, Locate, SlotAt};
 use bernoulli_formats::view::{FormatView, Order};
 use bernoulli_ir::{ArrayKind, LhsRef, Program, Role, ValueExpr};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Emission failure: the plan uses a runtime feature with no static
 /// template (fall back to the interpreter).
@@ -138,17 +141,11 @@ struct Emitter<'a> {
     p: &'a Program,
     plan: &'a Plan,
     views: &'a HashMap<String, FormatView>,
+    cg: &'a Codegen,
     /// matrix name -> local variable name in the generated fn
     mat_var: HashMap<String, String>,
     out: String,
     indent: usize,
-    /// Scalar replacement: a dense-vector element promoted to a register
-    /// across the innermost step (array, index expr, register name).
-    promotion: Option<Promotion>,
-    /// Edge splitting of the innermost enumeration, when proved.
-    split: Option<Rc<EdgeSplit>>,
-    /// Set while the split's main loop body is being emitted.
-    in_main: bool,
     /// Set when the body used the `ix` unchecked-read helper, so the
     /// helper definition is spliced into the function prologue.
     uses_ix: std::cell::Cell<bool>,
@@ -157,6 +154,20 @@ struct Emitter<'a> {
     /// parallel lane dispatches chunks through).
     ranged: bool,
 }
+
+/// Where a statement is printed: the register that holds the promoted
+/// element there, and whether it is the edge split's main loop.
+#[derive(Clone, Copy)]
+struct Place<'r> {
+    reg: &'r str,
+    main: bool,
+}
+
+/// Every body but the tiled nests' and the split's main loop.
+const BODY: Place<'static> = Place {
+    reg: "acc__",
+    main: false,
+};
 
 /// The unchecked-read helper spliced into functions that index
 /// format-owned arrays on the hot path: the indices are in bounds by
@@ -171,396 +182,6 @@ struct Emitter<'a> {
 /// where they enter, is ROADMAP item 4 and still open.
 const IX_HELPER: &str = "    /// Read of a format-owned array: in bounds by format validity\n    /// (debug-checked), branch-free in release so inner loops vectorize.\n    #[inline(always)]\n    fn ix<T: Copy>(s: &[T], i: usize) -> T {\n        debug_assert!(i < s.len());\n        unsafe { *s.get_unchecked(i) }\n    }\n";
 
-/// A proved-safe register promotion of `vec[idx]` across the innermost
-/// enumeration (the classical scalar replacement the hand-written NIST
-/// kernels perform with a temporary accumulator).
-#[derive(Clone, Debug)]
-struct Promotion {
-    array: String,
-    /// Index expression over outer-step slots and parameters.
-    idx: PExpr,
-    reg: String,
-    /// Deferred pivot division: the exec index whose `acc = acc / X` is
-    /// moved after the inner loop (capturing `X` in a register at its
-    /// original firing point). Sound because its `Eq` guard fires at most
-    /// once per inner enumeration (strictly increasing slot) and every
-    /// other statement is proved to fire strictly earlier.
-    deferred_div: Option<usize>,
-}
-
-/// Substitutes an exec's (divisor-free) bindings into an affine index,
-/// yielding a PExpr over slots and parameters, or `None` when a variable
-/// is unbound or divisor-bound.
-fn subst_index(e: &ExecStmt, idx: &bernoulli_ir::AffineExpr, params: &[String]) -> Option<PExpr> {
-    let mut out = PExpr::constant(idx.cst());
-    for (v, c) in idx.terms() {
-        if params.iter().any(|q| q == v) {
-            out.add_term(Atom::Var(v.to_string()), c);
-            continue;
-        }
-        let (pe, d) = e
-            .bindings
-            .iter()
-            .find(|(bv, _, _)| bv == v)
-            .map(|(_, pe, d)| (pe, d))?;
-        if *d != 1 {
-            return None;
-        }
-        for (a, cc) in &pe.terms {
-            out.add_term(a.clone(), c * cc);
-        }
-        out.cst += c * pe.cst;
-    }
-    Some(out)
-}
-
-/// Does one of the exec's guards prove `diff != 0`? True when a `Ge`
-/// guard states `diff - k >= 0` with `k >= 1`, or `-diff - k >= 0` with
-/// `k >= 1` (i.e. `diff <= -1` or `diff >= 1`).
-fn guards_prove_nonzero(e: &ExecStmt, diff: &PExpr) -> bool {
-    e.guards.iter().any(|g| {
-        let Guard::Ge(x) = g else { return false };
-        // x == diff + c with c <= -1  (diff >= -c >= 1)
-        let mut d1 = x.minus(diff);
-        d1.cst = 0;
-        let matches_pos = d1.terms.is_empty() && (x.cst - diff.cst) <= -1;
-        // x == -diff + c with c <= -1 (diff <= c <= -1)
-        let nd = diff.negated();
-        let mut d2 = x.minus(&nd);
-        d2.cst = 0;
-        let matches_neg = d2.terms.is_empty() && (x.cst - nd.cst) <= -1;
-        matches_pos || matches_neg
-    })
-}
-
-/// Are two guards provably disjoint (at most one can hold)?
-/// Recognizes the `Eq(a)` vs `Ge(-a-1)` / `Ge(a-1)` patterns and the
-/// `Ge(a)` vs `Ge(-a-1)` pattern produced by complementary regions.
-fn guards_disjoint(g1: &Guard, g2: &Guard) -> bool {
-    let neg_minus1 = |x: &PExpr| {
-        let mut n = x.negated();
-        n.cst -= 1;
-        n
-    };
-    let minus1 = |x: &PExpr| {
-        let mut n = x.clone();
-        n.cst -= 1;
-        n
-    };
-    match (g1, g2) {
-        (Guard::Eq(a), Guard::Ge(b)) | (Guard::Ge(b), Guard::Eq(a)) => {
-            b.same_as(&neg_minus1(a)) || b.same_as(&minus1(a))
-        }
-        (Guard::Ge(a), Guard::Ge(b)) => b.same_as(&neg_minus1(a)),
-        _ => false,
-    }
-}
-
-/// Looks for a safe promotion across the innermost step.
-fn find_promotion(p: &Program, plan: &Plan) -> Option<Promotion> {
-    let nsteps = plan.steps.len();
-    if nsteps == 0 {
-        return None;
-    }
-    let last = &plan.steps[nsteps - 1];
-    let last_slots: Vec<usize> = (last.first_slot..last.first_slot + last.nslots).collect();
-    let inner: Vec<&ExecStmt> = plan.execs.iter().filter(|e| e.depth == nsteps).collect();
-    if inner.is_empty() || inner.len() != plan.execs.len() {
-        // Hoisted statements might touch the same element; stay
-        // conservative.
-        return None;
-    }
-    // All inner execs must write the same dense vector at the same index.
-    let mut target: Option<(String, PExpr)> = None;
-    for e in &inner {
-        if e.sources[0].is_some() {
-            return None; // sparse write
-        }
-        if e.bindings.iter().any(|(_, _, d)| *d != 1)
-            || e.guards
-                .iter()
-                .find(|g| matches!(g, Guard::Divides(..)))
-                .is_some()
-        {
-            return None;
-        }
-        let idx = subst_index(e, &e.body.lhs.idxs[0], &p.params)?;
-        if idx
-            .terms
-            .iter()
-            .any(|(a, _)| matches!(a, Atom::Slot(sl) if last_slots.contains(sl)))
-        {
-            return None; // write target varies across the inner loop
-        }
-        match &target {
-            None => target = Some((e.body.lhs.array.clone(), idx)),
-            Some((arr, prev)) => {
-                if *arr != e.body.lhs.array || !prev.same_as(&idx) {
-                    return None;
-                }
-            }
-        }
-    }
-    let (array, idx) = target?;
-    // Every read of the target array must be the same element or provably
-    // different.
-    for e in &inner {
-        for r in e.body.rhs.reads() {
-            if r.array != array {
-                continue;
-            }
-            let ridx = subst_index(e, &r.idxs[0], &p.params)?;
-            if ridx.same_as(&idx) {
-                continue;
-            }
-            let diff = ridx.minus(&idx);
-            if !guards_prove_nonzero(e, &diff) {
-                return None;
-            }
-        }
-    }
-    let deferred_div = find_deferred_div(plan, &inner, &array, &idx, p);
-    Some(Promotion {
-        array,
-        idx,
-        reg: "acc__".to_string(),
-        deferred_div,
-    })
-}
-
-/// Finds a division statement `acc = acc / X` whose execution can be
-/// deferred past the inner loop (the pivot-capture transformation the
-/// hand-written triangular solves perform):
-///
-/// - its only guard is `Eq(g)` where `g` has a ±1 coefficient on exactly
-///   one slot of the innermost step (so, with increasing enumeration, it
-///   fires at most once per inner loop);
-/// - every other full-depth statement carries a `Ge` guard placing it
-///   strictly on the "earlier" side of that firing point;
-/// - `X` does not read the promoted element.
-fn find_deferred_div(
-    plan: &Plan,
-    inner: &[&ExecStmt],
-    array: &str,
-    idx: &PExpr,
-    p: &Program,
-) -> Option<usize> {
-    let nsteps = plan.steps.len();
-    let last = &plan.steps[nsteps - 1];
-    if !last.ordered {
-        return None;
-    }
-    let last_slots: Vec<usize> = (last.first_slot..last.first_slot + last.nslots).collect();
-
-    // Identify the division candidate.
-    let mut div_at: Option<(usize, PExpr)> = None; // (exec idx in plan order, normalized g)
-    for e in inner.iter() {
-        let is_div = matches!(&e.body.rhs, ValueExpr::Div(a, _)
-            if matches!(a.as_ref(), ValueExpr::Read(r)
-                if r.array == array
-                   && subst_index(e, &r.idxs[0], &p.params).is_some_and(|ri| ri.same_as(idx))));
-        if !is_div {
-            continue;
-        }
-        if e.guards.len() != 1 {
-            return None;
-        }
-        let Guard::Eq(g) = &e.guards[0] else {
-            return None;
-        };
-        // The divisor must not read the promoted element.
-        if let ValueExpr::Div(_, b) = &e.body.rhs {
-            for r in b.reads() {
-                if r.array == array {
-                    if let Some(ri) = subst_index(e, &r.idxs[0], &p.params) {
-                        if ri.same_as(idx) {
-                            return None;
-                        }
-                    } else {
-                        return None;
-                    }
-                }
-            }
-        }
-        // Exactly one inner slot with coefficient ±1; normalize to +1.
-        let inner_terms: Vec<(&Atom, i64)> = g
-            .terms
-            .iter()
-            .filter(|(a, _)| matches!(a, Atom::Slot(sl) if last_slots.contains(sl)))
-            .map(|(a, c)| (a, *c))
-            .collect();
-        if inner_terms.len() != 1 || inner_terms[0].1.abs() != 1 {
-            return None;
-        }
-        let gn = if inner_terms[0].1 == -1 {
-            g.negated()
-        } else {
-            g.clone()
-        };
-        if div_at.is_some() {
-            return None; // at most one division statement
-        }
-        let pos = plan
-            .execs
-            .iter()
-            .position(|x| x.stmt == e.stmt)
-            .unwrap_or(usize::MAX);
-        div_at = Some((pos, gn));
-    }
-    let (div_idx, gn) = div_at?;
-
-    // Every other inner exec fires strictly before the division's point:
-    // it must carry the guard `-g - 1 >= 0` (value < firing point).
-    let before = {
-        let mut b = gn.negated();
-        b.cst -= 1;
-        b
-    };
-    for (k, e) in plan.execs.iter().enumerate() {
-        if k == div_idx || e.depth != nsteps {
-            continue;
-        }
-        if !e
-            .guards
-            .iter()
-            .any(|g| matches!(g, Guard::Ge(h) if h.same_as(&before)))
-        {
-            return None;
-        }
-    }
-    Some(div_idx)
-}
-
-/// Edge splitting of an ordered innermost enumeration under a proved
-/// [`EdgeBound`](crate::plan::EdgeBound): every position but the edge
-/// one lies strictly beyond the pivot, so there the guards the bound
-/// decides need no evaluation. The enumeration is emitted as a *main*
-/// loop over all positions but the edge one — `slot == pivot` statements
-/// absent, strict guards dropped — plus the edge position with the
-/// unsplit body. Same statements on the same entries in the same order,
-/// so results are bitwise those of the unsplit loop (which the
-/// interpreter keeps executing).
-#[derive(Clone, Debug)]
-struct EdgeSplit {
-    edge: Edge,
-    /// The full-depth statements of the main loop, decided guards
-    /// removed.
-    main: Vec<ExecStmt>,
-    /// Reads of a vector the main loop writes, at an index the inner
-    /// slot does not move and the dropped guards prove different from
-    /// every write: bound once before the main loop.
-    invariants: Vec<InvariantRead>,
-}
-
-#[derive(Clone, Debug)]
-struct InvariantRead {
-    stmt: usize,
-    /// Access index of the read within its statement.
-    access: usize,
-    array: String,
-    idx: PExpr,
-}
-
-/// Was (ref, level) positioned by a search (may miss) rather than an
-/// enumeration?
-fn level_searched(plan: &Plan, rid: usize, lev: usize) -> bool {
-    plan.steps.iter().flat_map(|s| &s.searches).any(|sp| {
-        (sp.target.ref_id == rid && sp.target.level == lev) || sp.sharers.contains(&(rid, lev))
-    })
-}
-
-/// The searched levels of a statement's required refs: it executes only
-/// where all of them were found (enumerated levels cannot miss).
-fn presence_levels(plan: &Plan, e: &ExecStmt) -> Vec<(usize, usize)> {
-    e.required_refs
-        .iter()
-        .flat_map(|&rid| (0..plan.refs[rid].levels).map(move |lev| (rid, lev)))
-        .filter(|&(rid, lev)| level_searched(plan, rid, lev))
-        .collect()
-}
-
-/// Looks for an edge split of the innermost step: lowering proved the
-/// step's bound (`edge_bound`), and every full-depth statement carries a
-/// guard the bound decides.
-fn find_edge_split(p: &Program, plan: &Plan) -> Option<EdgeSplit> {
-    let nsteps = plan.steps.len();
-    let last = plan.steps.last()?;
-    let bound = last.edge_bound.as_ref()?;
-    let slot = last.first_slot;
-    // The main loop's statements: as emitted there, and as lowered.
-    let (mut main, mut lowered): (Vec<ExecStmt>, Vec<&ExecStmt>) = (Vec::new(), Vec::new());
-    for e in plan.execs.iter().filter(|e| e.depth == nsteps) {
-        let decided = |g: &Guard| bound.off_edge(slot, g);
-        if e.guards.iter().any(|g| decided(g) == Some(OffEdge::Fails)) {
-            continue;
-        }
-        let mut kept = e.clone();
-        kept.guards.retain(|g| decided(g).is_none());
-        if kept.guards.len() == e.guards.len() {
-            return None;
-        }
-        main.push(kept);
-        lowered.push(e);
-    }
-    if main.is_empty() {
-        return None;
-    }
-
-    // Invariant reads. Only in a statement the main loop runs at every
-    // position (no presence condition, no guard left, no divisor
-    // binding), so that the hoisted checked read fails exactly when the
-    // loop's first iteration would.
-    let write_idx = |e: &ExecStmt| subst_index(e, e.body.lhs.idxs.first()?, &p.params);
-    let mut invariants = Vec::new();
-    for e in &main {
-        if !e.guards.is_empty()
-            || e.bindings.iter().any(|(_, _, d)| *d != 1)
-            || !presence_levels(plan, e).is_empty()
-        {
-            continue;
-        }
-        for (k, r) in e.body.rhs.reads().into_iter().enumerate() {
-            let access = k + 1;
-            if e.sources.get(access).is_some_and(|s| s.is_some()) || r.idxs.len() != 1 {
-                continue;
-            }
-            let Some(idx) = subst_index(e, &r.idxs[0], &p.params) else {
-                continue;
-            };
-            if idx.terms.iter().any(|(a, _)| *a == Atom::Slot(slot)) {
-                continue;
-            }
-            // Every main-loop write to the array must be provably
-            // elsewhere — by the writer's guards as lowered, the dropped
-            // one included: it holds at every main position. (An array
-            // the loop does not write is the optimizer's to hoist.)
-            let mut writers = lowered
-                .iter()
-                .filter(|w| w.body.lhs.array == r.array)
-                .peekable();
-            let disjoint = writers.peek().is_some()
-                && writers.all(|w| {
-                    w.sources[0].is_none()
-                        && write_idx(w)
-                            .is_some_and(|widx| guards_prove_nonzero(w, &idx.minus(&widx)))
-                });
-            if disjoint {
-                invariants.push(InvariantRead {
-                    stmt: e.stmt,
-                    access,
-                    array: r.array.clone(),
-                    idx,
-                });
-            }
-        }
-    }
-    Some(EdgeSplit {
-        edge: bound.edge,
-        main,
-        invariants,
-    })
-}
-
 /// Emits a standalone Rust function implementing the plan.
 ///
 /// Signature: parameters (`i64`) in program order, then arrays in
@@ -572,75 +193,35 @@ pub fn emit_rust(
     views: &HashMap<String, FormatView>,
     fn_name: &str,
 ) -> Result<String, EmitError> {
-    emit_rust_inner(p, plan, views, fn_name, false)
+    print(p, plan, views, &Codegen::of(p, plan, views), fn_name, false)
 }
 
 /// Like [`emit_rust`], but the outermost row enumeration runs over two
 /// extra trailing parameters `row_lo__, row_hi__: i64` instead of
 /// `0..nrows`, so callers can restrict a call to a row band (the
 /// parallel lane dispatches nnz-balanced chunks through this entry).
-/// Returns `Ok(None)` when the plan's outermost step is not a
-/// row-primary level enumeration (no sound way to split it by rows).
+/// Returns `Ok(None)` when the plan's record has no row-band entry
+/// ([`Codegen::ranged`]).
 pub fn emit_rust_ranged(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
     fn_name: &str,
 ) -> Result<Option<String>, EmitError> {
-    if !range_splittable(p, plan, views) {
+    let cg = Codegen::of(p, plan, views);
+    if cg.ranged().is_none() {
         return Ok(None);
     }
-    emit_rust_inner(p, plan, views, fn_name, true).map(Some)
+    print(p, plan, views, &cg, fn_name, true).map(Some)
 }
 
-/// True when restricting the plan to a row band enumerates exactly that
-/// band's instances *and* bands are independent, so disjoint bands may
-/// run concurrently (the parallel lane's contract). Two conditions:
-///
-/// 1. the outermost step enumerates, forward, the outermost level of a
-///    view that opens with the dense interval over its rows
-///    ([`Levels::rows_outermost`]), and
-/// 2. no statement reads an output (`out`/`inout`) array anywhere but
-///    at the element its own write touches — a cross-row read (e.g. the
-///    triangular solve's `b[j]` with `j < i`) makes later rows depend
-///    on earlier ones, which a split into concurrently-run bands would
-///    violate even though the *sequential* blocked traversal is fine.
-pub fn range_splittable(p: &Program, plan: &Plan, views: &HashMap<String, FormatView>) -> bool {
-    let Some(step) = plan.steps.first() else {
-        return false;
-    };
-    let StepKind::Level { primary, .. } = &step.kind else {
-        return false;
-    };
-    let Some(view) = views.get(&primary.matrix) else {
-        return false;
-    };
-    if step.dir != Dir::Fwd
-        || primary.level != 0
-        || primary.chain != 0
-        || !levels_of_view(&view.name).is_some_and(|(levels, _)| levels.rows_outermost())
-    {
-        return false;
-    }
-    // Cross-row dependence check (condition 2): every read of a written
-    // array must be the accumulator self-read of its own statement.
-    for s in p.statements() {
-        for r in s.stmt.rhs.reads() {
-            let written = p
-                .array(&r.array)
-                .is_some_and(|a| matches!(a.role, Role::Out | Role::InOut));
-            if written && (r.array != s.stmt.lhs.array || r.idxs != s.stmt.lhs.idxs) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn emit_rust_inner(
+/// The one printer: `plan`'s function as its record `cg` says, with
+/// the row-band parameters when `ranged`.
+pub(crate) fn print(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
+    cg: &Codegen,
     fn_name: &str,
     ranged: bool,
 ) -> Result<String, EmitError> {
@@ -648,17 +229,14 @@ fn emit_rust_inner(
     for a in &p.arrays {
         mat_var.insert(a.name.clone(), format!("{}_", a.name.to_lowercase()));
     }
-    let promotion = find_promotion(p, plan);
     let mut e = Emitter {
         p,
         plan,
         views,
+        cg,
         mat_var,
         out: String::new(),
         indent: 0,
-        promotion,
-        split: find_edge_split(p, plan).map(Rc::new),
-        in_main: false,
         uses_ix: std::cell::Cell::new(false),
         ranged,
     };
@@ -699,7 +277,7 @@ impl LoopHead {
     }
 }
 
-impl Emitter<'_> {
+impl<'a> Emitter<'a> {
     fn line(&mut self, s: &str) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
@@ -764,8 +342,10 @@ impl Emitter<'_> {
             self.line(&format!("let _ = {}_;", q.to_lowercase()));
         }
 
-        if !self.bsr_tiled_nest()? && !self.vbr_tiled_nest()? {
-            self.nest(0)?;
+        match self.cg.tiling() {
+            Some(Tiling::Blocks { r, c }) => self.blocks_nest(r, c)?,
+            Some(Tiling::Strips) => self.strips_nest()?,
+            None => self.nest(0, BODY)?,
         }
 
         self.line("Some(())");
@@ -777,58 +357,73 @@ impl Emitter<'_> {
         Ok(())
     }
 
-    /// Register-tiled emission of the blocked gather pattern: a
-    /// two-step plan `rows (bsr level 0) → blocks (bsr level 1)` whose
-    /// single full-depth statement reduces into a promoted
-    /// row-invariant element (the MVM shape). The generic nest walks
-    /// each block row `R` times — once per logical row — with a single
-    /// serial accumulator chain; this template walks it once with `R`
-    /// independent accumulators, one per row of the block row. Each
-    /// row's reduction order is unchanged (blocks ascending, then
-    /// within-block columns ascending), so results stay bitwise
-    /// identical to the generic nest and the interpreter; the win is
-    /// that the `R` dependency chains now retire in parallel, which is
-    /// exactly where the hand-written micro-kernels get their
-    /// throughput. Rows outside the leading/trailing block boundary
-    /// (reachable only through the ranged entry) run the generic
-    /// scalar per-row body.
-    ///
-    /// Returns `Ok(false)` — emit nothing — when the plan is not this
-    /// shape.
-    fn bsr_tiled_nest(&mut self) -> Result<bool, EmitError> {
-        let Some((m, [v0, v1, pv0, pv1], e, pr, site)) = self.blocked_gather() else {
-            return Ok(false);
+    /// The lines both tiled nests open with, binding the band's rows
+    /// `r0__..rend__`; yields the two slot and the two position
+    /// variables, the statement, the promotion, and the description of
+    /// the level walked within a row.
+    fn open_band(&mut self) -> Result<([String; 4], &'a ExecStmt, &'a Promotion, Site), EmitError> {
+        let (plan, cg) = (self.plan, self.cg);
+        let (Some(pr), [s0, s1], [e]) = (cg.promotion(), &plan.steps[..], &plan.execs[..]) else {
+            return Err(EmitError(
+                "a tiled plan is two steps and one statement".into(),
+            ));
         };
-        let (Kind::Blocks { ptr, crd, .. }, Some((rb, cb))) = (site.level.kind, site.block) else {
-            return Ok(false);
+        let StepKind::Level { primary, .. } = &s1.kind else {
+            return Err(EmitError("a tiled plan walks a level within a row".into()));
         };
-        if rb < 2 {
-            return Ok(false);
-        }
-
+        let site = self.site(primary)?;
         if self.ranged {
             self.line("let mut r0__ = row_lo__;");
             self.line("let rend__ = row_hi__;");
         } else {
             self.line("let mut r0__ = 0i64;");
-            self.line(&format!("let rend__ = {m}.nrows as i64;"));
+            self.line(&format!("let rend__ = {}.nrows as i64;", site.m));
         }
-        // Scalar rows up to the first block-row boundary (a no-op from
-        // the full entry: row 0 is always aligned).
-        let scalar_row = |this: &mut Self| -> Result<(), EmitError> {
-            this.line(&format!("let {v0} = r0__;"));
-            this.line(&format!("let {pv0} = {v0} as usize;"));
-            this.nest(1)?;
-            this.line("r0__ += 1;");
-            Ok(())
-        };
-        self.line(&format!(
-            "while r0__ < rend__ && !(r0__ as usize).is_multiple_of({rb}) {{"
-        ));
+        let rid = primary.ref_id;
+        let names = [
+            slot_var(s0.first_slot),
+            slot_var(s1.first_slot),
+            pos_var(rid, 0),
+            pos_var(rid, 1),
+        ];
+        Ok((names, e, pr, site))
+    }
+
+    /// `head`, then the generic per-row body at row `r0__`, which it
+    /// advances, then `}`: the rows a tiled nest leaves untiled.
+    fn scalar_rows(&mut self, head: &str, v0: &str, pv0: &str) -> Result<(), EmitError> {
+        self.line(head);
         self.indent += 1;
-        scalar_row(self)?;
+        self.line(&format!("let {v0} = r0__;"));
+        self.line(&format!("let {pv0} = {v0} as usize;"));
+        self.nest(1, BODY)?;
+        self.line("r0__ += 1;");
         self.indent -= 1;
         self.line("}");
+        Ok(())
+    }
+
+    /// Register-tiled emission under [`Tiling::Blocks`]: the generic
+    /// nest walks each block row `r` times — once per logical row —
+    /// with a single serial accumulator chain; this template walks it
+    /// once with `r` independent accumulators, one per row of the block
+    /// row. Each row's reduction order is unchanged (blocks ascending,
+    /// then within-block columns ascending), so results stay bitwise
+    /// identical to the generic nest and the interpreter; the win is
+    /// that the `r` dependency chains now retire in parallel, which is
+    /// exactly where the hand-written micro-kernels get their
+    /// throughput. Rows outside the leading/trailing block boundary
+    /// (reachable only through the ranged entry) run the generic
+    /// scalar per-row body.
+    fn blocks_nest(&mut self, rb: usize, cb: usize) -> Result<(), EmitError> {
+        let ([v0, v1, pv0, pv1], e, pr, site) = self.open_band()?;
+        let Kind::Blocks { ptr, crd, .. } = site.level.kind else {
+            return Err(EmitError("a block tiling of a level without blocks".into()));
+        };
+        // Scalar rows up to the first block-row boundary (a no-op from
+        // the full entry: row 0 is always aligned).
+        let head = format!("while r0__ < rend__ && !(r0__ as usize).is_multiple_of({rb}) {{");
+        self.scalar_rows(&head, &v0, &pv0)?;
 
         // Full block rows, one walk, R register accumulators.
         let (blo, bhi, bcol) = (
@@ -858,12 +453,9 @@ impl Emitter<'_> {
             self.line(&format!("let _ = {v0};"));
             self.line(&format!("let {pv1} = base__ + {} + s__;", k * cb));
             self.line(&format!("let _ = {pv1};"));
-            if let Some(p) = self.promotion.as_mut() {
-                p.reg = format!("acc{k}t__");
-            }
-            self.exec(&e)?;
+            let reg = format!("acc{k}t__");
+            self.exec(e, Place { reg: &reg, ..BODY })?;
         }
-        self.promotion = Some(pr.clone());
         self.indent -= 1;
         self.line("}");
         self.indent -= 1;
@@ -880,47 +472,28 @@ impl Emitter<'_> {
 
         // Scalar rows after the last full block row (ranged entries
         // whose band ends mid-block).
-        self.line("while r0__ < rend__ {");
-        self.indent += 1;
-        scalar_row(self)?;
-        self.indent -= 1;
-        self.line("}");
-        Ok(true)
+        self.scalar_rows("while r0__ < rend__ {", &v0, &pv0)
     }
 
-    /// Strip-tiled emission of the VBR gather pattern: the same
-    /// two-step blocked-MVM shape as [`Self::bsr_tiled_nest`], but the
-    /// strip extents are runtime data (`rpntr`/`cpntr`), so the tile
-    /// height is the strip height read at run time instead of a
-    /// compile-time literal. Each full strip walks its stored blocks
-    /// once with one accumulator per strip row — the row's output
-    /// element itself between blocks (the emitted code allocates
-    /// nothing), a register inside each block — where the generic nest
-    /// walks the strip's blocks once per row.
+    /// Strip-tiled emission under [`Tiling::Strips`]: the same two-step
+    /// blocked-MVM shape as [`Self::blocks_nest`], but the strip extents
+    /// are runtime data, so the tile height is the strip height read at
+    /// run time instead of a compile-time literal. Each full strip walks
+    /// its stored blocks once with one accumulator per strip row — the
+    /// row's output element itself between blocks (the emitted code
+    /// allocates nothing), a register inside each block — where the
+    /// generic nest walks the strip's blocks once per row.
     /// Each row's reduction order (blocks ascending, then within-block
     /// columns ascending) is unchanged, so results stay bitwise
     /// identical to the generic nest and the interpreter. Rows whose
     /// strip extends outside the entry's row range (reachable only
     /// through the ranged entry; the partitioner is strip-aligned) run
     /// the generic scalar per-row body.
-    ///
-    /// Returns `Ok(false)` — emit nothing — when the plan is not this
-    /// shape.
-    fn vbr_tiled_nest(&mut self) -> Result<bool, EmitError> {
-        let Some((m, [v0, v1, pv0, pv1], e, pr, site)) = self.blocked_gather() else {
-            return Ok(false);
-        };
+    fn strips_nest(&mut self) -> Result<(), EmitError> {
+        let ([v0, v1, pv0, pv1], e, pr, site) = self.open_band()?;
         let Kind::Strips(t) = site.level.kind else {
-            return Ok(false);
+            return Err(EmitError("a strip tiling of a level without strips".into()));
         };
-
-        if self.ranged {
-            self.line("let mut r0__ = row_lo__;");
-            self.line("let rend__ = row_hi__;");
-        } else {
-            self.line("let mut r0__ = 0i64;");
-            self.line(&format!("let rend__ = {m}.nrows as i64;"));
-        }
         let rowblk = self.at(&site, t.strip_of, "r0__ as usize");
         let (rp0, rp1) = (
             self.read(&site, t.start, "br__"),
@@ -964,11 +537,13 @@ impl Emitter<'_> {
         self.line(&format!("let _ = {v1};"));
         self.line(&format!("let {pv1} = bbase__ + k__ * w__ + s__;"));
         self.line(&format!("let _ = {pv1};"));
-        if let Some(p) = self.promotion.as_mut() {
-            p.reg = "acct__".into();
-        }
-        self.exec(&e)?;
-        self.promotion = Some(pr.clone());
+        self.exec(
+            e,
+            Place {
+                reg: "acct__",
+                ..BODY
+            },
+        )?;
         self.indent -= 1;
         self.line("}");
         let y = self.elem("get_mut", &pr.array, &idx);
@@ -979,61 +554,11 @@ impl Emitter<'_> {
         self.line("}");
         self.line("r0__ = s1__;");
         self.indent -= 1;
-        self.line("} else {");
-        self.indent += 1;
         // A strip cut by the entry's row range: generic per-row body.
-        self.line(&format!("let {v0} = r0__;"));
-        self.line(&format!("let {pv0} = {v0} as usize;"));
-        self.nest(1)?;
-        self.line("r0__ += 1;");
+        self.scalar_rows("} else {", &v0, &pv0)?;
         self.indent -= 1;
         self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        Ok(true)
-    }
-
-    /// The shape both tiled nests specialize: a two-step plan `rows
-    /// (level 0) → row's entries (level 1)` of one reference's chain 0,
-    /// forward, without searches or sharers, whose single full-depth
-    /// statement reduces into a promoted row-invariant element (the MVM
-    /// shape). Yields the operand's local, the two slot and the two
-    /// position variables, the statement, the promotion, and the
-    /// description of level 1.
-    fn blocked_gather(&self) -> Option<(String, [String; 4], ExecStmt, Promotion, Site)> {
-        let [s0, s1] = self.plan.steps.as_slice() else {
-            return None;
-        };
-        let (StepKind::Level { primary: p0, .. }, StepKind::Level { primary: p1, .. }) =
-            (&s0.kind, &s1.kind)
-        else {
-            return None;
-        };
-        let [e] = self.plan.execs.as_slice() else {
-            return None;
-        };
-        let pr = self.promotion.clone()?;
-        let plain = |s: &crate::plan::Step| {
-            s.dir == Dir::Fwd && s.nslots == 1 && s.searches.is_empty() && s.sharers.is_empty()
-        };
-        if !plain(s0)
-            || !plain(s1)
-            || (p0.chain, p0.level) != (0, 0)
-            || (p1.chain, p1.level) != (0, 1)
-            || p0.ref_id != p1.ref_id
-            || e.depth != 2
-            || pr.deferred_div.is_some()
-        {
-            return None;
-        }
-        let site = self.site(p1).ok()?;
-        let names = [
-            slot_var(s0.first_slot),
-            slot_var(s1.first_slot),
-            pos_var(p0.ref_id, 0),
-            pos_var(p1.ref_id, 1),
-        ];
-        Some((site.m.clone(), names, e.clone(), pr, site))
+        Ok(())
     }
 
     /// The description of the level `l` names, as the templates read it.
@@ -1091,61 +616,35 @@ impl Emitter<'_> {
     }
 
     /// Emits step `si`'s loop and its subtree.
-    fn nest(&mut self, si: usize) -> Result<(), EmitError> {
-        let plan = self.plan;
+    fn nest(&mut self, si: usize, place: Place) -> Result<(), EmitError> {
+        let (plan, cg) = (self.plan, self.cg);
         if si == plan.steps.len() {
-            let split = self.split.clone().filter(|_| self.in_main);
-            let inner: Vec<&ExecStmt> = match &split {
-                Some(split) => split.main.iter().collect(),
-                None => plan.execs.iter().filter(|e| e.depth == si).collect(),
+            let (body, chain): (Vec<&ExecStmt>, _) = match cg.edge_split().filter(|_| place.main) {
+                Some(split) => (split.main.iter().collect(), split.chain),
+                None => (
+                    plan.execs.iter().filter(|e| e.depth == si).collect(),
+                    cg.chain,
+                ),
             };
-            // Provably-disjoint single guards fuse into an if/else-if
-            // chain (one comparison on the hot path), matching the
-            // hand-written kernels' structure. Put the Ge-guarded (dense)
-            // case first.
-            let slot_only = |g: &Guard| {
-                let e = match g {
-                    Guard::Eq(x) | Guard::Ge(x) | Guard::Divides(x, _) => x,
-                };
-                e.terms.iter().all(|(a, _)| matches!(a, Atom::Slot(_)))
-            };
-            if inner.len() == 2
-                && inner
-                    .iter()
-                    .all(|e| e.guards.len() == 1 && slot_only(&e.guards[0]))
-                && inner
-                    .iter()
-                    .all(|e| e.bindings.iter().all(|(_, _, d)| *d == 1))
-                && guards_disjoint(&inner[0].guards[0], &inner[1].guards[0])
-            {
-                let (first, second) = if matches!(inner[0].guards[0], Guard::Ge(_)) {
-                    (inner[0], inner[1])
-                } else {
-                    (inner[1], inner[0])
-                };
-                self.exec_chained(first, second)?;
-                return Ok(());
+            if let Some([first, second]) = chain {
+                return self.exec_chained(body[first], body[second], place);
             }
-            for e in inner {
-                self.exec(e)?;
+            for e in body {
+                self.exec(e, place)?;
             }
             return Ok(());
         }
         // Hoisted-before statements.
         for e in &plan.execs {
             if e.depth == si && !e.after {
-                self.exec(e)?;
+                self.exec(e, place)?;
             }
         }
-        let promotion_here = if si + 1 == plan.steps.len() {
-            self.promotion.clone()
-        } else {
-            None
-        };
-        if let Some(pr) = &promotion_here {
+        let promotion_here = cg.promotion().filter(|_| si + 1 == plan.steps.len());
+        if let Some(pr) = promotion_here {
             let y = self.elem("get", &pr.array, &self.pexpr(&pr.idx));
-            self.line(&format!("let mut {} = {y};", pr.reg));
-            if pr.deferred_div.is_some() {
+            self.line(&format!("let mut {} = {y};", place.reg));
+            if pr.deferred_division() {
                 self.line("let mut pivot__ = 0.0f64;");
                 self.line("let mut has_pivot__ = false;");
             }
@@ -1161,38 +660,41 @@ impl Emitter<'_> {
                     Dir::Rev => self.line(&format!("for {v} in (({lo})..({hi})).rev() {{")),
                 }
                 self.indent += 1;
-                self.step_tail(si, step)?;
+                self.step_tail(si, step, place)?;
                 self.indent -= 1;
                 self.line("}");
             }
             StepKind::Level { primary, perms } => {
-                self.level_loop(si, step, primary, perms)?;
+                self.level_loop(si, step, primary, perms, place)?;
             }
             StepKind::MergeJoin { a, b } => {
-                self.merge_join(si, step, a, b)?;
+                self.merge_join(si, step, a, b, place)?;
             }
         }
-        if let Some(pr) = &promotion_here {
-            if pr.deferred_div.is_some() {
-                self.line(&format!(
-                    "if has_pivot__ {{ {} = {} / pivot__; }}",
-                    pr.reg, pr.reg
-                ));
+        if let Some(pr) = promotion_here {
+            let reg = place.reg;
+            if pr.deferred_division() {
+                self.line(&format!("if has_pivot__ {{ {reg} = {reg} / pivot__; }}"));
             }
             let y = self.elem("get_mut", &pr.array, &self.pexpr(&pr.idx));
-            self.line(&format!("{y} = {};", pr.reg));
+            self.line(&format!("{y} = {reg};"));
         }
         // Hoisted-after statements.
         for e in &plan.execs {
             if e.depth == si && e.after {
-                self.exec(e)?;
+                self.exec(e, place)?;
             }
         }
         Ok(())
     }
 
     /// Sharer aliases, searches, then the deeper subtree.
-    fn step_tail(&mut self, si: usize, step: &crate::plan::Step) -> Result<(), EmitError> {
+    fn step_tail(
+        &mut self,
+        si: usize,
+        step: &crate::plan::Step,
+        place: Place,
+    ) -> Result<(), EmitError> {
         for &(rid, lev) in &step.sharers {
             let primary = match &step.kind {
                 StepKind::Level { primary, .. } => primary,
@@ -1208,7 +710,7 @@ impl Emitter<'_> {
         for sp in &step.searches {
             self.search(sp)?;
         }
-        self.nest(si + 1)
+        self.nest(si + 1, place)
     }
 
     /// The loop head of a level enumeration: the rendering of the level's
@@ -1371,12 +873,15 @@ impl Emitter<'_> {
         step: &crate::plan::Step,
         primary: &LevelRef,
         perms: &[Option<String>],
+        place: Place,
     ) -> Result<(), EmitError> {
         let head = self.level_head(si, step, primary, perms)?;
-        if si + 1 == self.plan.steps.len() {
-            if let (Some(split), Some(at)) = (self.split.clone(), head.only_loop()) {
-                return self.split_loop(si, step, &head, at, &split);
-            }
+        let split = self
+            .cg
+            .edge_split()
+            .filter(|_| si + 1 == self.plan.steps.len());
+        if let (Some(split), Some(at)) = (split, head.only_loop()) {
+            return self.split_loop(si, step, &head, at, split, place);
         }
         let mut opened = 0usize;
         for item in &head.0 {
@@ -1389,7 +894,7 @@ impl Emitter<'_> {
                 }
             }
         }
-        self.step_tail(si, step)?;
+        self.step_tail(si, step, place)?;
         for _ in 0..opened {
             self.indent -= 1;
             self.line("}");
@@ -1409,6 +914,7 @@ impl Emitter<'_> {
         head: &LoopHead,
         at: usize,
         split: &EdgeSplit,
+        place: Place,
     ) -> Result<(), EmitError> {
         let HeadItem::For { var, range } = &head.0[at] else {
             return Err(EmitError("split of a loop head without a loop".into()));
@@ -1433,7 +939,7 @@ impl Emitter<'_> {
             this.indent += 1;
             this.line(&format!("let {var} = {edge_at};"));
             lines(this, &head.0[at + 1..]);
-            this.step_tail(si, step)?;
+            this.step_tail(si, step, place)?;
             this.indent -= 1;
             this.line("}");
             Ok(())
@@ -1453,10 +959,14 @@ impl Emitter<'_> {
             this.line(&format!("for {var} in {main_range} {{"));
             this.indent += 1;
             lines(this, &head.0[at + 1..]);
-            this.in_main = true;
-            let tail = this.step_tail(si, step);
-            this.in_main = false;
-            tail?;
+            this.step_tail(
+                si,
+                step,
+                Place {
+                    main: true,
+                    ..place
+                },
+            )?;
             for _ in 0..1 + usize::from(hoisting) {
                 this.indent -= 1;
                 this.line("}");
@@ -1484,6 +994,7 @@ impl Emitter<'_> {
         step: &crate::plan::Step,
         a: &LevelRef,
         b: &LevelRef,
+        place: Place,
     ) -> Result<(), EmitError> {
         // Templated for two ordered coordinate lists: one key array each,
         // walked in step.
@@ -1524,7 +1035,7 @@ impl Emitter<'_> {
         self.indent += 1;
         self.line(&format!("let {v0} = ka__ as i64;"));
         self.line(&format!("let _ = {v0};"));
-        self.step_tail(si, step)?;
+        self.step_tail(si, step, place)?;
         self.line(&format!("{pa} += 1;"));
         self.line(&format!("{pb} += 1;"));
         self.indent -= 1;
@@ -1633,16 +1144,13 @@ impl Emitter<'_> {
         Ok(())
     }
 
-    fn exec(&mut self, e: &ExecStmt) -> Result<(), EmitError> {
-        // Deferred pivot division: capture the divisor at the firing
-        // point; the division itself runs after the inner loop.
-        if let Some(pr) = self.promotion.clone() {
-            if let Some(div_idx) = pr.deferred_div {
-                if self.plan.execs[div_idx].stmt == e.stmt {
-                    return self.exec_capture_pivot(e);
-                }
-            }
-        }
+    /// Is `e` the division the record defers past the inner loop?
+    fn deferred(&self, e: &ExecStmt) -> bool {
+        let div = self.cg.promotion().and_then(|pr| pr.deferred_div);
+        div.is_some_and(|di| self.plan.execs[di].stmt == e.stmt)
+    }
+
+    fn exec(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
         self.line("{");
         self.indent += 1;
         let conds = self.presence_conds(e);
@@ -1674,11 +1182,7 @@ impl Emitter<'_> {
             self.indent += 1;
             opened += 1;
         }
-        // The statement itself.
-        let mut next_access = 1usize;
-        let rhs = self.value_expr(e, &e.body.rhs, &mut next_access)?;
-        let lhs = self.lhs(e, &e.body.lhs)?;
-        self.line(&format!("{lhs} = {rhs};"));
+        self.statement(e, place)?;
         for _ in 0..opened {
             self.indent -= 1;
             self.line("}");
@@ -1689,20 +1193,24 @@ impl Emitter<'_> {
     }
 
     /// Emits two guard-disjoint statements as an if/else-if chain.
-    fn exec_chained(&mut self, first: &ExecStmt, second: &ExecStmt) -> Result<(), EmitError> {
-        self.exec_one(first, true)?;
+    fn exec_chained(
+        &mut self,
+        first: &ExecStmt,
+        second: &ExecStmt,
+        place: Place,
+    ) -> Result<(), EmitError> {
+        self.exec_one(first, place)?;
         self.line("else {");
         self.indent += 1;
-        self.exec(second)?;
+        self.exec(second, place)?;
         self.indent -= 1;
         self.line("}");
         Ok(())
     }
 
-    /// Emits one statement; with `open_chain` the trailing brace of its
-    /// guard `if` is left ready for an `else` continuation (guards are
-    /// emitted as the outermost condition).
-    fn exec_one(&mut self, e: &ExecStmt, open_chain: bool) -> Result<(), EmitError> {
+    /// Emits one statement with its guards as the outermost condition,
+    /// so that an `else` continuation may follow its closing brace.
+    fn exec_one(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
         // Guard first (single guard, no divisor bindings assumed checked
         // by the caller via guards_disjoint preconditions).
         let mut conds = self.presence_conds(e);
@@ -1719,73 +1227,33 @@ impl Emitter<'_> {
             self.line(&format!("let {}_ = {ex};", v.to_lowercase()));
             self.line(&format!("let _ = {}_;", v.to_lowercase()));
         }
-        let is_deferred = self
-            .promotion
-            .as_ref()
-            .and_then(|pr| pr.deferred_div)
-            .is_some_and(|di| self.plan.execs[di].stmt == e.stmt);
-        if is_deferred {
-            let ValueExpr::Div(_, divisor) = &e.body.rhs else {
-                return Err(EmitError("deferred division lost its shape".into()));
-            };
-            let mut next_access = 2usize;
-            let dsrc = self.value_expr(e, divisor, &mut next_access)?;
-            self.line(&format!("pivot__ = {dsrc};"));
-            self.line("has_pivot__ = true;");
-        } else {
-            let mut next_access = 1usize;
-            let rhs = self.value_expr(e, &e.body.rhs, &mut next_access)?;
-            let lhs = self.lhs(e, &e.body.lhs)?;
-            self.line(&format!("{lhs} = {rhs};"));
-        }
+        self.statement(e, place)?;
         self.indent -= 1;
-        // With `open_chain` the caller appends `else { ... }` right after
-        // this closing brace (`}` followed by `else` on the next line is
-        // valid Rust).
+        // The caller appends `else { ... }` right after this closing
+        // brace (`}` followed by `else` on the next line is valid Rust).
         self.line("}");
-        let _ = open_chain;
         Ok(())
     }
 
-    /// Emits the pivot-capture form of a deferred division statement:
-    /// same guards and bindings, but the body stores the divisor.
-    fn exec_capture_pivot(&mut self, e: &ExecStmt) -> Result<(), EmitError> {
-        self.line("{");
-        self.indent += 1;
-        let conds = self.presence_conds(e);
-        let mut opened = 0usize;
-        if !conds.is_empty() {
-            self.line(&format!("if {} {{", conds.join(" && ")));
-            self.indent += 1;
-            opened += 1;
-        }
-        for (v, expr, div) in &e.bindings {
-            let ex = self.pexpr(expr);
-            debug_assert_eq!(*div, 1);
-            self.line(&format!("let {}_ = {ex};", v.to_lowercase()));
-            self.line(&format!("let _ = {}_;", v.to_lowercase()));
-        }
-        let gs: Vec<String> = e.guards.iter().map(|g| self.guard_cond(g)).collect();
-        if !gs.is_empty() {
-            self.line(&format!("if {} {{", gs.join(" && ")));
-            self.indent += 1;
-            opened += 1;
+    /// The statement itself. A deferred pivot division captures its
+    /// divisor at the firing point instead; the division itself runs
+    /// after the inner loop.
+    fn statement(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
+        if !self.deferred(e) {
+            let mut next_access = 1usize;
+            let rhs = self.value_expr(e, &e.body.rhs, &mut next_access, place)?;
+            let lhs = self.lhs(e, &e.body.lhs, place)?;
+            self.line(&format!("{lhs} = {rhs};"));
+            return Ok(());
         }
         let ValueExpr::Div(_, divisor) = &e.body.rhs else {
             return Err(EmitError("deferred division lost its shape".into()));
         };
-        let mut next_access = 1usize;
         // Skip the accumulator read's access slot (it is the Div's lhs).
-        next_access += 1;
-        let dsrc = self.value_expr(e, divisor, &mut next_access)?;
+        let mut next_access = 2usize;
+        let dsrc = self.value_expr(e, divisor, &mut next_access, place)?;
         self.line(&format!("pivot__ = {dsrc};"));
         self.line("has_pivot__ = true;");
-        for _ in 0..opened {
-            self.indent -= 1;
-            self.line("}");
-        }
-        self.indent -= 1;
-        self.line("}");
         Ok(())
     }
 
@@ -1798,10 +1266,10 @@ impl Emitter<'_> {
             .collect()
     }
 
-    fn lhs(&mut self, e: &ExecStmt, r: &LhsRef) -> Result<String, EmitError> {
+    fn lhs(&mut self, e: &ExecStmt, r: &LhsRef, place: Place) -> Result<String, EmitError> {
         match &e.sources[0] {
             None => {
-                if let Some(reg) = self.promoted_elem(e, r) {
+                if let Some(reg) = self.promoted_elem(e, r, place) {
                     return Ok(reg);
                 }
                 Ok(self.elem("get_mut", &r.array, &self.affine(&r.idxs[0])))
@@ -1813,20 +1281,17 @@ impl Emitter<'_> {
     }
 
     /// If `r` is the promoted element for this (full-depth) exec, the
-    /// register name.
-    fn promoted_elem(&self, e: &ExecStmt, r: &LhsRef) -> Option<String> {
-        let pr = self.promotion.as_ref()?;
-        if e.depth != self.plan.steps.len() || r.array != pr.array {
-            return None;
-        }
-        let ridx = subst_index(e, &r.idxs[0], &self.p.params)?;
-        ridx.same_as(&pr.idx).then(|| pr.reg.clone())
+    /// register that holds it at `place`.
+    fn promoted_elem(&self, e: &ExecStmt, r: &LhsRef, place: Place) -> Option<String> {
+        let pr = self.cg.promotion()?;
+        let full = e.depth == self.plan.steps.len();
+        (full && pr.holds(self.p, e, &r.array, &r.idxs[0])).then(|| place.reg.to_string())
     }
 
     /// In the split's main loop: is access `access` of `e` one of the
     /// reads bound before the loop, and which?
-    fn invariant_read(&self, e: &ExecStmt, access: usize) -> Option<usize> {
-        let split = self.split.as_ref().filter(|_| self.in_main)?;
+    fn invariant_read(&self, e: &ExecStmt, access: usize, place: Place) -> Option<usize> {
+        let split = self.cg.edge_split().filter(|_| place.main)?;
         split
             .invariants
             .iter()
@@ -1838,6 +1303,7 @@ impl Emitter<'_> {
         e: &ExecStmt,
         v: &ValueExpr,
         next_access: &mut usize,
+        place: Place,
     ) -> Result<String, EmitError> {
         Ok(match v {
             ValueExpr::Const(c) => {
@@ -1868,9 +1334,9 @@ impl Emitter<'_> {
                         format!("{m}.get(({rr}) as usize, ({cc}) as usize)")
                     }
                     None => {
-                        if let Some(reg) = self.promoted_elem(e, r) {
+                        if let Some(reg) = self.promoted_elem(e, r, place) {
                             reg
-                        } else if let Some(k) = self.invariant_read(e, access) {
+                        } else if let Some(k) = self.invariant_read(e, access, place) {
                             invariant_var(k)
                         } else {
                             self.elem("get", &r.array, &self.affine(&r.idxs[0]))
@@ -1880,25 +1346,25 @@ impl Emitter<'_> {
             }
             ValueExpr::Add(a, b) => format!(
                 "({} + {})",
-                self.value_expr(e, a, next_access)?,
-                self.value_expr(e, b, next_access)?
+                self.value_expr(e, a, next_access, place)?,
+                self.value_expr(e, b, next_access, place)?
             ),
             ValueExpr::Sub(a, b) => format!(
                 "({} - {})",
-                self.value_expr(e, a, next_access)?,
-                self.value_expr(e, b, next_access)?
+                self.value_expr(e, a, next_access, place)?,
+                self.value_expr(e, b, next_access, place)?
             ),
             ValueExpr::Mul(a, b) => format!(
                 "({} * {})",
-                self.value_expr(e, a, next_access)?,
-                self.value_expr(e, b, next_access)?
+                self.value_expr(e, a, next_access, place)?,
+                self.value_expr(e, b, next_access, place)?
             ),
             ValueExpr::Div(a, b) => format!(
                 "({} / {})",
-                self.value_expr(e, a, next_access)?,
-                self.value_expr(e, b, next_access)?
+                self.value_expr(e, a, next_access, place)?,
+                self.value_expr(e, b, next_access, place)?
             ),
-            ValueExpr::Neg(a) => format!("(-{})", self.value_expr(e, a, next_access)?),
+            ValueExpr::Neg(a) => format!("(-{})", self.value_expr(e, a, next_access, place)?),
         })
     }
 
@@ -2036,31 +1502,18 @@ impl ModuleText {
     }
 }
 
-/// Emits a complete module: header comment, imports, and one function.
-pub fn emit_module(
-    p: &Program,
-    plan: &Plan,
-    views: &HashMap<String, FormatView>,
-    fn_name: &str,
-) -> Result<String, EmitError> {
-    Ok(emit_module_open(p, plan, views)?.named(fn_name))
-}
-
-/// [`emit_module`] for every name at once.
+/// Emits a complete module — header comment, imports, and one function
+/// — with the function's name left open, printing from `plan`'s record.
 pub(crate) fn emit_module_open(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
+    cg: &Codegen,
 ) -> Result<ModuleText, EmitError> {
-    let body = emit_rust(p, plan, views, "")?;
+    let body = print(p, plan, views, cg, "", false)?;
     let tail = body
         .strip_prefix(FN_OPEN)
         .ok_or_else(|| EmitError(format!("an emitted function opens with {FN_OPEN:?}")))?;
-    let needs_random = plan.execs.iter().any(|e| {
-        e.sources
-            .iter()
-            .any(|s| matches!(s, Some(ValueSource::Random { .. })))
-    });
     let mut used_types: Vec<String> = Vec::new();
     for a in &p.arrays {
         if let Some(v) = views.get(&a.name) {
@@ -2081,7 +1534,7 @@ pub(crate) fn emit_module_open(
             used_types.join(", ")
         );
     }
-    if needs_random {
+    if cg.random_access() {
         head.push_str("#[allow(unused_imports)]\nuse bernoulli_formats::SparseMatrix as _;\n");
     }
     head.push('\n');
@@ -2141,7 +1594,9 @@ mod tests {
         }
 
         fn split(&self) -> Option<EdgeSplit> {
-            find_edge_split(&self.p, &self.plan)
+            Codegen::of(&self.p, &self.plan, &self.views)
+                .edge_split()
+                .cloned()
         }
 
         /// No split, and the text of the same plan without a proof.

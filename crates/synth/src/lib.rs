@@ -40,6 +40,7 @@
 
 #![allow(clippy::needless_range_loop, clippy::type_complexity)]
 pub mod advise;
+pub mod codegen;
 pub mod compiled;
 pub mod config;
 pub mod cost;
@@ -59,12 +60,13 @@ pub mod spaces;
 pub mod zero;
 
 pub use advise::{view_for_features, Advice, AdviceEntry, DEFAULT_ADVISOR_FORMATS};
+pub use codegen::{Codegen, Tiling};
 pub use compiled::{
     KernelArg, KernelBackend, KernelCallError, KernelSig, LoadError, LoadedKernel, RawOut,
 };
 pub use config::{Config, ConfigError, RefInst, StmtCopy};
 pub use cost::{cost_floor, WorkloadStats};
-pub use emit::{emit_module, emit_rust, emit_rust_ranged, range_splittable, EmitError};
+pub use emit::{emit_rust, emit_rust_ranged, EmitError};
 pub use interp::{run_plan, ExecEnv, PlanError, RunStats};
 pub use persist::{PersistStats, PersistentPlanCache, DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES};
 pub use plan::{Plan, Step};

@@ -29,6 +29,7 @@
 //!   ([`bernoulli_polyhedra::cache`]), which also accelerate *cold*
 //!   searches that re-test structurally identical systems.
 
+use crate::codegen::Codegen;
 use crate::compiled::NativeCell;
 use crate::config::{enumerate_configs, Config};
 use crate::cost::{cost_floor, estimate_cost, WorkloadStats};
@@ -573,7 +574,7 @@ pub(crate) fn run_search(
                             });
                         }
                         Err(e) => {
-                            push_reason(&mut o.reasons, &e.to_string());
+                            push_reason(&mut o.reasons, &e);
                         }
                     }
                 }
@@ -782,6 +783,9 @@ pub(crate) struct CachedSearch {
     opts: SynthOptions,
     /// Filled by the first native load of a kernel this entry served.
     pub(crate) native: NativeCell,
+    /// The best plan's codegen record, derived at most once, by the
+    /// first emission or native load.
+    pub(crate) codegen: OnceLock<Codegen>,
     /// The best plan's module, rendered at most once.
     module: OnceLock<Result<ModuleText, EmitError>>,
     /// The owning cache's count of such renderings.
@@ -805,6 +809,16 @@ impl CachedSearch {
         self.problem == *req.problem && same_search(&self.opts, req.opts)
     }
 
+    /// The best plan's codegen record, derived on first use; the
+    /// record of no transformation when the search kept no plan.
+    pub(crate) fn codegen(&self) -> &Codegen {
+        self.codegen
+            .get_or_init(|| match self.report.candidates.first() {
+                Some(best) => Codegen::of(self.problem.program(), &best.plan, self.problem.views()),
+                None => Codegen::default(),
+            })
+    }
+
     /// The best plan's emitted module with the function name left
     /// open, rendered on first use.
     pub(crate) fn module(&self) -> Result<&ModuleText, EmitError> {
@@ -816,7 +830,8 @@ impl CachedSearch {
                     .candidates
                     .first()
                     .ok_or_else(|| EmitError("the search kept no plan to emit".to_string()))?;
-                emit_module_open(self.problem.program(), &best.plan, self.problem.views())
+                let (p, views) = (self.problem.program(), self.problem.views());
+                emit_module_open(p, &best.plan, views, self.codegen())
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -898,6 +913,7 @@ impl PlanCache {
             problem: req.problem.clone(),
             opts: req.opts.clone(),
             native: NativeCell::default(),
+            codegen: OnceLock::new(),
             module: OnceLock::new(),
             emissions: Arc::clone(&self.emissions),
         }

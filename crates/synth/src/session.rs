@@ -24,6 +24,7 @@
 //! [`Service`] runs behind admission: the session calls it directly,
 //! with a private polyhedral memo and its own cancel token.
 
+use crate::codegen::Codegen;
 use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
 use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
@@ -437,6 +438,7 @@ impl CompiledKernel {
             self.program(),
             self.plan(),
             self.views(),
+            self.codegen(),
             &self.entry.key,
             &self.entry.native,
             store,
@@ -479,6 +481,13 @@ impl CompiledKernel {
                 crate::compiled::interp_positional(self.program(), self.plan(), params, operands)
             }
         }
+    }
+
+    /// The best plan's codegen record: every transformation the emitter
+    /// and the kernel crate apply to it, derived once per plan-cache
+    /// entry and shared by every kernel the entry serves.
+    pub fn codegen(&self) -> &Codegen {
+        self.entry.codegen()
     }
 
     /// Specializes the best plan to a self-contained Rust module
@@ -626,6 +635,32 @@ mod tests {
         let _ = full.load_in(&store);
         assert!(hit.entry.native.get().is_some());
         let _ = std::fs::remove_dir_all(store.dir());
+        Ok(())
+    }
+
+    /// A plan-cache entry derives its best plan's codegen record at the
+    /// first emission or load, once, and every kernel it serves reads
+    /// that one record; a search alone derives none.
+    #[test]
+    fn the_codegen_record_is_derived_once_per_entry() -> Result<(), Box<dyn std::error::Error>> {
+        let s = Session::new();
+        let p = s.parse(MVM)?;
+        let bound = s.bind(&p, &[("A", csr().format_view())])?;
+        let k = s.compile(&bound)?;
+        assert!(
+            k.entry.codegen.get().is_none(),
+            "the search derived a record"
+        );
+        let module = k.emit("f")?;
+        let record = k
+            .entry
+            .codegen
+            .get()
+            .ok_or("the emission derived no record")?;
+        assert!(record.ranged().is_some() && module.contains("pub fn f("));
+        let hit = s.compile(&bound)?;
+        assert!(hit.from_cache());
+        assert!(std::ptr::eq(hit.codegen(), record));
         Ok(())
     }
 

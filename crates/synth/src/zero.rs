@@ -24,26 +24,18 @@ use bernoulli_ir::{AffineExpr, LhsRef, Program, Statement, ValueExpr};
 use bernoulli_polyhedra::{Constraint, Cx, LinExpr, System};
 use std::collections::HashMap;
 
-/// Zero-safety failure: the restriction is not provably semantics-
-/// preserving.
-#[derive(Debug, PartialEq)]
-pub struct ZeroError(pub String);
-
-impl std::fmt::Display for ZeroError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "zero-safety violation: {}", self.0)
-    }
-}
-
 /// Checks every restricted (statement, reference) pair of a plan,
-/// deciding coverage under `cx`.
+/// deciding coverage under `cx`: the safety notes of the pairs, or the
+/// `zero-safety violation: …` of the first pair the restriction is not
+/// provably semantics-preserving for.
 pub fn check_zero_safety(
     cx: Cx,
     p: &Program,
     cfg: &Config,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
-) -> Result<Vec<String>, ZeroError> {
+) -> Result<Vec<String>, String> {
+    let violation = |why: String| format!("zero-safety violation: {why}");
     let mut notes = Vec::new();
     for e in &plan.execs {
         let scopy = &cfg.stmts[e.stmt];
@@ -51,7 +43,7 @@ pub fn check_zero_safety(
             let rinst = &cfg.refs[rid];
             let view = views
                 .get(&rinst.matrix)
-                .ok_or_else(|| ZeroError(format!("no view for matrix {:?}", rinst.matrix)))?;
+                .ok_or_else(|| violation(format!("no view for matrix {:?}", rinst.matrix)))?;
             if rinst.access_idx == 0 {
                 // Restricted sparse *write*: only coverage can justify it.
                 if covered_by_guarantee(cx, p, scopy, rinst.access.as_slice(), view) {
@@ -63,7 +55,7 @@ pub fn check_zero_safety(
                     ));
                     continue;
                 }
-                return Err(ZeroError(format!(
+                return Err(violation(format!(
                     "statement S{} writes {:?} at possibly-unstored positions",
                     e.orig + 1,
                     rinst.matrix
@@ -87,7 +79,7 @@ pub fn check_zero_safety(
                 ));
                 continue;
             }
-            return Err(ZeroError(format!(
+            return Err(violation(format!(
                 "statement S{} is neither annihilated by nor covered for {:?}",
                 e.orig + 1,
                 rinst.matrix

@@ -1,6 +1,6 @@
 //! The emitted text, pinned: byte length and FNV-1a hash of what
-//! [`emit_rust`] (and, where the plan is [`range_splittable`],
-//! [`emit_rust_ranged`]) prints for
+//! [`emit_rust`] (and, where the plan's [`Codegen`] record has a
+//! row-band entry, [`emit_rust_ranged`]) prints for
 //!
 //! - the best plan of each of the nineteen `GENERATED_KERNELS` pairs and
 //!   of the two sparse dot products (merge join, hash join);
@@ -37,8 +37,10 @@ use bernoulli_formats::formats::sparsevec::{hashvec_format_view, sparsevec_forma
 use bernoulli_formats::view::{FormatView, SearchKind};
 use bernoulli_formats::{SparseView, LAYOUTS};
 use bernoulli_ir::Program;
+use bernoulli_synth::compiled::kernel_source;
+use bernoulli_synth::plan::Edge;
 use bernoulli_synth::{
-    emit_rust, emit_rust_ranged, range_splittable, CompiledKernel, Plan, Session, SynthOptions,
+    emit_rust, emit_rust_ranged, Codegen, CompiledKernel, Plan, Session, SynthOptions, Tiling,
 };
 
 /// `(what, bytes, FNV-1a 64 of the text)`.
@@ -56,7 +58,8 @@ fn rows_of(what: &str, k: &CompiledKernel, plan: &Plan, out: &mut Vec<Row>) {
     let text = emit_rust(p, plan, views, "k").unwrap_or_else(|e| format!("{e}"));
     out.push((what.to_string(), text.len(), fnv(&text)));
     let ranged = emit_rust_ranged(p, plan, views, "k").unwrap_or_else(|e| Some(format!("{e}")));
-    assert_eq!(ranged.is_some(), range_splittable(p, plan, views), "{what}");
+    let splittable = Codegen::of(p, plan, views).ranged().is_some();
+    assert_eq!(ranged.is_some(), splittable, "{what}");
     if let Some(text) = ranged {
         out.push((format!("{what} ranged"), text.len(), fnv(&text)));
     }
@@ -87,9 +90,13 @@ fn searchable_levels(view: &FormatView) -> usize {
         .unwrap_or(0)
 }
 
+/// What is done with each plan of the corpus: its name, its kernel and
+/// the plan.
+type Visit<'a> = &'a mut dyn FnMut(&str, &CompiledKernel, &Plan);
+
 /// Every candidate of a problem under the iteration-centric option.
 /// Some candidate must search every searchable level of `searched`.
-fn random_access(what: &str, p: &Program, views: &[(&str, FormatView)], out: &mut Vec<Row>) {
+fn random_access(what: &str, p: &Program, views: &[(&str, FormatView)], visit: Visit<'_>) {
     let session = Session::with_options(SynthOptions {
         include_iteration_centric: true,
         ..SynthOptions::default()
@@ -97,7 +104,7 @@ fn random_access(what: &str, p: &Program, views: &[(&str, FormatView)], out: &mu
     let k = compile(&session, p, views);
     let mut most = 0;
     for (i, c) in k.candidates().iter().enumerate() {
-        rows_of(&format!("ra/{what} #{i}"), &k, &c.plan, out);
+        visit(&format!("ra/{what} #{i}"), &k, &c.plan);
         let searches = c.plan.steps.iter().map(|s| s.searches.len()).sum();
         most = most.max(searches);
     }
@@ -118,11 +125,17 @@ fn matrix_views() -> Vec<FormatView> {
 
 fn observed() -> Vec<Row> {
     let mut out = Vec::new();
+    corpus(&mut |what, k, plan| rows_of(what, k, plan, &mut out));
+    out
+}
+
+/// The plans whose texts are pinned, in the order of the rows.
+fn corpus(visit: Visit<'_>) {
     let session = Session::new();
     for &(kernel, format) in GENERATED_KERNELS {
         let (p, matrix) = spec_for(kernel);
         let k = compile(&session, &p, &[(matrix, view_for(kernel, format))]);
-        rows_of(&format!("{kernel}/{format}"), &k, k.plan(), &mut out);
+        visit(&format!("{kernel}/{format}"), &k, k.plan());
     }
     let spdot = kernels::spdot();
     let joins = [
@@ -132,17 +145,16 @@ fn observed() -> Vec<Row> {
     for (what, y) in &joins {
         let views = [("x", sparsevec_format_view()), ("y", y.clone())];
         let k = compile(&session, &spdot, &views);
-        rows_of(what, &k, k.plan(), &mut out);
+        visit(what, &k, k.plan());
     }
     let mvm = kernels::mvm();
     for view in matrix_views() {
-        random_access(&view.name.clone(), &mvm, &[("A", view)], &mut out);
+        random_access(&view.name.clone(), &mvm, &[("A", view)], visit);
     }
     for (what, y) in joins {
         let views = [("x", sparsevec_format_view()), ("y", y)];
-        random_access(what, &spdot, &views, &mut out);
+        random_access(what, &spdot, &views, visit);
     }
-    out
 }
 
 #[test]
@@ -163,6 +175,109 @@ fn emitted_text_is_the_recorded_text() {
     }
     assert_eq!(observed.len(), recorded.len(), "rows");
 }
+
+/// Every fact of a plan's [`Codegen`] record, checked against the text
+/// printed from it, over the plans of [`corpus`]; and how many plans
+/// each fact fires on ([`FIRED`]).
+#[test]
+fn codegen_facts_are_in_the_text() {
+    let mut fired: Vec<(&str, usize)> = FIRED.iter().map(|&(fact, _)| (fact, 0)).collect();
+    corpus(&mut |what, k, plan| {
+        let (p, views) = (k.program(), k.views());
+        let cg = Codegen::of(p, plan, views);
+        let text = emit_rust(p, plan, views, "k").unwrap_or_else(|e| panic!("{what}: {e}"));
+        let ranged =
+            emit_rust_ranged(p, plan, views, "k").unwrap_or_else(|e| panic!("{what}: {e}"));
+        // The kernel crate, or why there is none.
+        let krate = kernel_source(p, plan, views).unwrap_or_else(|e| e.to_string());
+        let split = cg.edge_split().map(|s| match s.edge() {
+            Edge::First => (" in span__.start + 1..span__.end {", " = span__.start;"),
+            Edge::Last => (" in span__.start..span__.end - 1 {", " = span__.end - 1;"),
+        });
+        let blocks = match cg.tiling() {
+            Some(Tiling::Blocks { r, c }) => Some((format!("acc{}t__ = ", r - 1), r * c)),
+            _ => None,
+        };
+        let facts = [
+            (
+                "promotion",
+                cg.promotion().is_some(),
+                text.contains("let mut acc__"),
+            ),
+            (
+                "deferred division",
+                cg.promotion().is_some_and(|pr| pr.deferred_division()),
+                text.contains("pivot__"),
+            ),
+            ("blocks", blocks.is_some(), text.contains("acc0t__")),
+            (
+                "strips",
+                cg.tiling() == Some(Tiling::Strips),
+                text.contains("acct__"),
+            ),
+            ("ranged", cg.ranged().is_some(), ranged.is_some()),
+            (
+                "row-blocked",
+                cg.ranged().is_some_and(|r| r.row_blocked()),
+                krate.contains("while r0__ < nrows__"),
+            ),
+            ("random access", cg.random_access(), reads_by_get(&text)),
+            ("edge split", split.is_some(), text.contains("span__")),
+            (
+                "chained",
+                cg.chained(),
+                text.lines().any(|l| l.trim() == "else {"),
+            ),
+        ];
+        for (n, (fact, decided, printed)) in facts.into_iter().enumerate() {
+            assert_eq!(decided, printed, "{what}: {fact}\n{text}");
+            fired[n].1 += usize::from(decided);
+        }
+        if let Some((main_loop, edge)) = split {
+            assert!(
+                text.contains(main_loop) && text.contains(edge),
+                "{what}:\n{text}"
+            );
+        }
+        if let Some((last_register, tile)) = blocks {
+            let walk = format!("let base__ = b__ * {tile};");
+            assert!(
+                text.contains(&last_register) && text.contains(&walk),
+                "{what}:\n{text}"
+            );
+        }
+        // A plan that reads by `get` has no kernel crate.
+        assert!(
+            !cg.random_access() || !krate.contains("#![no_std]"),
+            "{what}"
+        );
+        if let Some(r) = cg.ranged() {
+            assert!(k.views().contains_key(r.outer()), "{what}");
+        }
+    });
+    assert_eq!(fired, FIRED);
+}
+
+/// Does the text read a matrix by `get(row, column)`?
+fn reads_by_get(text: &str) -> bool {
+    text.split(".get((").skip(1).any(|call| {
+        let arg = call.find(") as usize").unwrap_or(call.len());
+        call[arg..].starts_with(") as usize, (")
+    })
+}
+
+/// How many plans of [`corpus`] each fact of the record fires on.
+const FIRED: &[(&str, usize)] = &[
+    ("promotion", 75),
+    ("deferred division", 3),
+    ("blocks", 2),
+    ("strips", 2),
+    ("ranged", 17),
+    ("row-blocked", 4),
+    ("random access", 13),
+    ("edge split", 4),
+    ("chained", 4),
+];
 
 /// Recorded at the parent of the level-description PR; 43 rows
 /// re-recorded with the `u32` index arrays.
