@@ -1,7 +1,8 @@
 //! The fingerprint against the key string it stands in for: over the
 //! 21 problems of the benchmark's `service_mix`, each perturbed one way
-//! at a time, the two identify the same problems; and what the memory
-//! tier does with a match, a `NaN` and a collision.
+//! at a time, the two identify the same problems; what the memory tier
+//! does with a match, a `NaN` and a collision; and when the table of
+//! bound problems hands out a problem it bound before.
 
 use super::*;
 use crate::session::{bind_problem, Session};
@@ -197,5 +198,204 @@ fn a_fingerprint_collision_is_a_miss() -> Result<(), SynthError> {
     assert_eq!(again.tier, Tier::Search);
     assert_eq!(again.entry.problem, csr);
     assert_eq!(cache.stats().misses, 3);
+    Ok(())
+}
+
+/// True iff two bound problems are one: the same program and views in
+/// memory, not merely equal ones.
+fn shared(a: &BoundProblem, b: &BoundProblem) -> bool {
+    std::ptr::eq(a.program(), b.program()) && std::ptr::eq(a.views(), b.views())
+}
+
+#[test]
+fn binding_an_equal_problem_again_shares_it() -> Result<(), SynthError> {
+    let s = Session::new();
+    let bind = |p: &Program| s.bind(p, &[("A", csr_format_view())]);
+    let first = bind(&s.parse(MVM)?)?;
+    // Another parse of the text, and the view built again.
+    let again = bind(&s.parse(MVM)?)?;
+    assert!(shared(&first, &again));
+    // Another text of the program.
+    let reprinted = bind(&s.parse(&first.program().to_string())?)?;
+    assert!(shared(&first, &reprinted));
+
+    // The entry of its search holds it too, and so does every kernel.
+    let searched = s.compile(&first)?;
+    let hit = s.compile(&again)?;
+    assert!(!searched.from_cache() && hit.from_cache());
+    assert!(std::ptr::eq(hit.program(), first.program()));
+    assert!(std::ptr::eq(hit.views(), first.views()));
+    Ok(())
+}
+
+#[test]
+fn zero_and_negative_zero_are_bound_and_searched_apart() -> Result<(), SynthError> {
+    let s = Session::new();
+    let p = s.parse(MVM)?;
+    let views = [("A", csr_format_view())];
+    let plus = s.bind(&scaled(&p, 0.0), &views)?;
+    let minus = s.bind(&scaled(&p, -0.0), &views)?;
+    assert!(!shared(&plus, &minus) && plus != minus);
+    assert!(shared(&minus, &s.bind(&scaled(&p, -0.0), &views)?));
+
+    let (of_plus, of_minus) = (s.compile(&plus)?, s.compile(&minus)?);
+    assert!(!of_plus.from_cache() && !of_minus.from_cache());
+    assert_ne!(of_plus.cache_key(), of_minus.cache_key());
+    let hit = s.compile(&s.bind(&scaled(&p, -0.0), &views)?)?;
+    assert!(hit.from_cache());
+    assert_eq!(hit.cache_key(), of_minus.cache_key());
+    Ok(())
+}
+
+#[test]
+fn the_ts_view_is_bound_and_searched_apart_from_the_plain_view() -> Result<(), SynthError> {
+    let s = Session::new();
+    let (p, matrix) = spec_for("ts");
+    // The view a triangular solve binds: lower, with a full diagonal.
+    let lower = || {
+        let mut view = csr_format_view();
+        view.bounds.push(Bound::attr_ge("r", "c"));
+        view.guarantees.push(StoredGuarantee::FullDiagonal);
+        view
+    };
+    let ts = s.bind(&p, &[(matrix, lower())])?;
+    let plain = s.bind(&p, &[(matrix, csr_format_view())])?;
+    assert!(!shared(&ts, &plain) && ts != plain);
+    assert!(shared(&ts, &s.bind(&p, &[(matrix, lower())])?));
+
+    let (of_ts, of_plain) = (s.compile(&ts)?, s.compile(&plain)?);
+    assert!(!of_ts.from_cache() && !of_plain.from_cache());
+    assert_ne!(of_ts.cache_key(), of_plain.cache_key());
+    Ok(())
+}
+
+#[test]
+fn a_nan_constant_program_is_never_shared() -> Result<(), SynthError> {
+    let cache = PlanCache::new();
+    let p = scaled(&parse_program(MVM)?, f64::NAN);
+    let views = [("A", csr_format_view())];
+    let first = cache.bind(&p, &views)?;
+    assert!(!shared(&first, &cache.bind(&p, &views)?));
+    assert!(lock(&cache.bound).is_empty());
+    Ok(())
+}
+
+#[test]
+fn an_invalid_bind_errors_every_time_and_keeps_nothing() -> Result<(), SynthError> {
+    let cache = PlanCache::new();
+    let p = parse_program(MVM)?;
+    let csr = csr_format_view();
+    for _ in 0..3 {
+        let unknown = cache.bind(&p, &[("B", csr.clone())]);
+        assert!(matches!(unknown, Err(SynthError::UnknownMatrix { .. })));
+        let wrong_rank = cache.bind(&p, &[("x", csr.clone())]);
+        assert!(matches!(wrong_rank, Err(SynthError::Config(_))));
+    }
+    assert!(lock(&cache.bound).is_empty());
+
+    // With the valid binding kept, a wrong one it shadows still errors.
+    let valid = cache.bind(&p, &[("A", csr.clone())])?;
+    for _ in 0..3 {
+        let shadowed = cache.bind(&p, &[("A", sparsevec_format_view()), ("A", csr.clone())]);
+        assert!(matches!(shadowed, Err(SynthError::Config(_))));
+    }
+    assert_eq!(lock(&cache.bound).len(), 1);
+    assert!(shared(&valid, &cache.bind(&p, &[("A", csr)])?));
+    Ok(())
+}
+
+#[test]
+fn problems_under_one_bind_fingerprint_never_serve_each_other() -> Result<(), SynthError> {
+    let cache = PlanCache::new();
+    let p = parse_program(MVM)?;
+    let (csr, csc) = ([("A", csr_format_view())], [("A", csc_format_view())]);
+    let of_csr = cache.bind(&p, &csr)?;
+
+    // Another problem in the first one's slot is bound afresh, and
+    // takes the slot.
+    let of_csc = cache.bind_colliding_with(&p, &csc, &of_csr)?;
+    assert_eq!(of_csc, bind_problem(&p, &csc)?);
+    let kept = cache.bind_colliding_with(&p, &csc, &of_csr)?;
+    assert!(shared(&of_csc, &kept));
+    // The displaced problem is bound afresh, never handed the other.
+    let again = cache.bind(&p, &csr)?;
+    assert_eq!(again, of_csr);
+    assert!(!shared(&again, &of_csr));
+
+    // Each is searched as itself.
+    let opts = SynthOptions::default();
+    let search = |bound: &BoundProblem| {
+        let req = Request::new(bound, &opts);
+        serve(&cache, &req, |key| {
+            run_search(&req, key, None, &cache, None)
+        })
+    };
+    let (found_csr, found_csc) = (search(&again)?, search(&of_csc)?);
+    assert_eq!(found_csr.entry.problem, of_csr);
+    assert_eq!(found_csc.entry.problem, of_csc);
+    assert_ne!(found_csr.entry.key, found_csc.entry.key);
+
+    // Programs `==` calls equal, apart by the bits of a zero, too.
+    let views = [("A", csr_format_view())];
+    let plus = cache.bind(&scaled(&p, 0.0), &views)?;
+    let minus = cache.bind_colliding_with(&scaled(&p, -0.0), &views, &plus)?;
+    assert_ne!(minus, plus);
+    assert_eq!(minus, bind_problem(&scaled(&p, -0.0), &views)?);
+    Ok(())
+}
+
+#[test]
+fn a_name_bound_twice_is_bound_as_its_last_binding() -> Result<(), SynthError> {
+    let s = Session::new();
+    let p = s.parse(MVM)?;
+    let (csr, csc) = (csr_format_view(), csc_format_view());
+    let last_csr = s.bind(&p, &[("A", csc.clone()), ("A", csr.clone())])?;
+    let only_csr = s.bind(&p, &[("A", csr.clone())])?;
+    let last_csc = s.bind(&p, &[("A", csr), ("A", csc.clone())])?;
+    assert_eq!(last_csr, only_csr);
+    assert_eq!(last_csc, s.bind(&p, &[("A", csc)])?);
+    assert_ne!(last_csr, last_csc);
+
+    let opts = SynthOptions::default();
+    let fingerprint = |b: &BoundProblem| Request::new(b, &opts).fingerprint;
+    assert_eq!(fingerprint(&last_csr), fingerprint(&only_csr));
+    assert_ne!(fingerprint(&last_csr), fingerprint(&last_csc));
+    // One search answers the problem however its views were listed.
+    let searched = s.compile(&last_csr)?;
+    let hit = s.compile(&only_csr)?;
+    assert!(!searched.from_cache() && hit.from_cache());
+    assert_eq!(hit.cache_key(), searched.cache_key());
+    Ok(())
+}
+
+#[test]
+fn the_dependence_memo_keeps_the_bound_program() -> Result<(), SynthError> {
+    let cache = PlanCache::new();
+    let p = parse_program(MVM)?;
+    let bound = cache.bind(&p, &[("A", csr_format_view())])?;
+    let opts = SynthOptions::default();
+    let req = Request::new(&bound, &opts);
+    serve(&cache, &req, |key| {
+        run_search(&req, key, None, &cache, None)
+    })?;
+    {
+        let deps = lock(&cache.deps);
+        assert_eq!(deps.len(), 1);
+        assert!(deps
+            .values()
+            .all(|(kept, _)| Arc::ptr_eq(kept, bound.shared_program())));
+    }
+
+    // An unbound program is copied once, when the memo keeps it.
+    let other = scaled(&p, 2.0);
+    let copies = std::cell::Cell::new(0);
+    for _ in 0..3 {
+        let copy = || {
+            copies.set(copies.get() + 1);
+            Arc::new(other.clone())
+        };
+        assert!(!cache.deps(&other, copy, None).is_empty());
+    }
+    assert_eq!((copies.get(), cache.stats().analyses), (1, 2));
     Ok(())
 }

@@ -39,7 +39,7 @@ use crate::groups::compute_groups;
 use crate::legal::{check_legality, relaxable_classes};
 use crate::lower::lower_plans;
 use crate::plan::Plan;
-use crate::session::BoundProblem;
+use crate::session::{bind_problem, BoundProblem};
 use crate::spaces::candidate_spaces_opt;
 use crate::zero::check_zero_safety;
 use bernoulli_formats::view::FormatView;
@@ -473,7 +473,7 @@ pub(crate) fn run_search(
 
     let cx = Cx::new(&cache.memo).with_budget(req.budget);
     let view_map = problem.views();
-    let deps = cache.deps(p, cx.budget);
+    let deps = cache.deps(p, || Arc::clone(problem.shared_program()), cx.budget);
     let relaxable = relaxable_classes(p, &deps);
     let configs = enumerate_configs(p, view_map).map_err(SynthError::Config)?;
 
@@ -803,10 +803,14 @@ impl std::fmt::Debug for CachedSearch {
 
 impl CachedSearch {
     /// True iff this entry is the answer to `req`: `==` on everything
-    /// the fingerprint hashes. (A `NaN` anywhere equals nothing, so such
-    /// a problem is searched every time.)
+    /// the fingerprint hashes. A request whose problem shares the
+    /// entry's `Arc`s — as every bind of it after the first does — is
+    /// that problem, and the pointers stand in for `==`, but only for a
+    /// problem that equals itself: a `NaN` anywhere equals nothing, so
+    /// such a problem is searched every time, shared or not.
     fn answers(&self, req: &Request<'_>) -> bool {
-        self.problem == *req.problem && same_search(&self.opts, req.opts)
+        (self.problem.is_shared_with(req.problem) || self.problem == *req.problem)
+            && same_search(&self.opts, req.opts)
     }
 
     /// The best plan's codegen record, derived on first use; the
@@ -838,8 +842,8 @@ impl CachedSearch {
     }
 }
 
-/// Cached whole-search results, and analysed programs; each cleared
-/// wholesale when full.
+/// Cached whole-search results, analysed programs and bound problems;
+/// each cleared wholesale when full.
 const PLAN_CACHE_CAP: usize = 128;
 
 /// One whole-search memo cache with hit/miss accounting, the
@@ -847,13 +851,18 @@ const PLAN_CACHE_CAP: usize = 128;
 /// and the polyhedral memo their decisions consult.
 /// Every [`Session`](crate::session::Session) and
 /// [`Service`](crate::service::Service) owns its own, making warm/cold
-/// behavior explicit per owner. Both maps are keyed by a structural
-/// fingerprint and hold the value it was taken of, so that `==`
-/// confirms a match: two values under one fingerprint displace each
-/// other, and neither is ever served for the other.
+/// behavior explicit per owner. All three maps are keyed by a
+/// structural fingerprint and hold the value it was taken of, so that
+/// `==` confirms a match: two values under one fingerprint displace
+/// each other, and neither is ever served for the other.
 pub(crate) struct PlanCache {
     map: Mutex<HashMap<u64, Arc<CachedSearch>>>,
-    deps: Mutex<HashMap<u64, (Program, Arc<[DepClass]>)>>,
+    /// The program is the one a search's bound problem shares, or the
+    /// copy an `analyze` of an unbound program made.
+    deps: Mutex<HashMap<u64, (Arc<Program>, Arc<[DepClass]>)>>,
+    /// Every problem bound through this cache that equals itself, by its
+    /// fingerprint: a later bind of an equal problem is handed this one.
+    bound: Mutex<HashMap<u64, BoundProblem>>,
     /// A private memo, or the process-wide tier a service shares.
     pub(crate) memo: Arc<PolyCaches>,
     hits: AtomicU64,
@@ -879,6 +888,7 @@ impl PlanCache {
         PlanCache {
             map: Mutex::new(HashMap::new()),
             deps: Mutex::new(HashMap::new()),
+            bound: Mutex::new(HashMap::new()),
             memo,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -927,14 +937,79 @@ impl PlanCache {
         g.insert(fingerprint, entry);
     }
 
+    /// Stage 3 (see [`bind_problem`]) through the table of bound
+    /// problems: a problem `==` to one bound before is handed the kept
+    /// one, and nothing is validated or copied; any other is bound by
+    /// [`bind_problem`] and kept if it equals itself. A slice naming an
+    /// array twice is never looked up, so that every one of its
+    /// bindings is checked, the shadowed ones too.
+    pub(crate) fn bind(
+        &self,
+        p: &Program,
+        views: &[(&str, FormatView)],
+    ) -> Result<BoundProblem, SynthError> {
+        self.bind_in(None, p, views)
+    }
+
+    /// [`bind`](PlanCache::bind), with the table slot looked up and
+    /// filled under another problem's fingerprint.
+    #[cfg(test)]
+    pub(crate) fn bind_colliding_with(
+        &self,
+        p: &Program,
+        views: &[(&str, FormatView)],
+        other: &BoundProblem,
+    ) -> Result<BoundProblem, SynthError> {
+        self.bind_in(Some(other.fingerprint()), p, views)
+    }
+
+    /// [`bind`](PlanCache::bind) through the table slot of the
+    /// problem's fingerprint, or through `slot`.
+    fn bind_in(
+        &self,
+        slot: Option<u64>,
+        p: &Program,
+        views: &[(&str, FormatView)],
+    ) -> Result<BoundProblem, SynthError> {
+        let named = views_by_name(views);
+        let fingerprint = problem_fingerprint(p, &named);
+        let slot = slot.unwrap_or(fingerprint);
+        if named.len() == views.len() {
+            let kept = lock(&self.bound).get(&slot).cloned();
+            if let Some(kept) = kept.filter(|b| b.is(fingerprint, p, &named)) {
+                return Ok(kept);
+            }
+        }
+        let fresh = bind_problem(p, views)?;
+        if !fresh.reflexive() {
+            return Ok(fresh);
+        }
+        let mut table = lock(&self.bound);
+        // A racing first bind of the problem may have kept its copy.
+        if let Some(kept) = table.get(&slot).filter(|b| **b == fresh) {
+            return Ok(kept.clone());
+        }
+        if table.len() >= PLAN_CACHE_CAP {
+            table.clear();
+        }
+        table.insert(slot, fresh.clone());
+        Ok(fresh)
+    }
+
     /// The dependence classes of `p` (paper §3), analysed once per
-    /// program value, charging `budget`. Racing first requests may each
-    /// analyse; the classes are the same.
-    pub(crate) fn deps(&self, p: &Program, budget: Option<&Budget>) -> Arc<[DepClass]> {
+    /// program value, charging `budget`; `kept` gives the program the
+    /// memo keeps, called only when it keeps one. Racing first requests
+    /// may each analyse; the classes are the same.
+    pub(crate) fn deps(
+        &self,
+        p: &Program,
+        kept: impl FnOnce() -> Arc<Program>,
+        budget: Option<&Budget>,
+    ) -> Arc<[DepClass]> {
         let fingerprint = fingerprint_of(p);
-        let known = |deps: &HashMap<u64, (Program, Arc<[DepClass]>)>| {
+        let known = |deps: &HashMap<u64, (Arc<Program>, Arc<[DepClass]>)>| {
             let (q, classes) = deps.get(&fingerprint)?;
-            (q == p).then(|| Arc::clone(classes))
+            (**q == *p).then(|| Arc::clone(classes))
         };
         if let Some(classes) = known(&lock(&self.deps)) {
             return classes;
@@ -951,7 +1026,7 @@ impl PlanCache {
                 if deps.len() >= PLAN_CACHE_CAP {
                     deps.clear();
                 }
-                deps.insert(fingerprint, (p.clone(), Arc::clone(&classes)));
+                deps.insert(fingerprint, (kept(), Arc::clone(&classes)));
             }
         }
         classes
@@ -966,10 +1041,11 @@ impl PlanCache {
         }
     }
 
-    /// Drops every entry, analysis and polyhedral memo.
+    /// Drops every entry, analysis, bound problem and polyhedral memo.
     pub(crate) fn clear(&self) {
         lock(&self.map).clear();
         lock(&self.deps).clear();
+        lock(&self.bound).clear();
         self.memo.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -1053,15 +1129,34 @@ fn same_search(a: &SynthOptions, b: &SynthOptions) -> bool {
     knobs(a) == knobs(b) && a.stats == b.stats
 }
 
+/// A views slice as binding it resolves it: by name, and of two
+/// bindings of one name the later.
+pub(crate) fn views_by_name<'v>(views: &'v [(&str, FormatView)]) -> Vec<(&'v str, &'v FormatView)> {
+    let mut named: Vec<_> = views.iter().rev().map(|(n, v)| (*n, v)).collect();
+    // Stable: of equal names the later binding stays first, and stays.
+    named.sort_by_key(|&(name, _)| name);
+    named.dedup_by_key(|&mut (name, _)| name);
+    named
+}
+
+/// The structural fingerprint of a bound problem: a hash over the
+/// program and the views (listed by [`views_by_name`]), in the order
+/// [`plan_cache_key`] prints them. The table of bound problems is
+/// looked up by it, and a request's [`fingerprint`] continues from it.
+pub(crate) fn problem_fingerprint(p: &Program, views: &[(&str, &FormatView)]) -> u64 {
+    let mut h = Fingerprinter::default();
+    p.hash(&mut h);
+    views.hash(&mut h);
+    h.finish()
+}
+
 /// The structural fingerprint of a request: a hash over the values
 /// [`plan_cache_key`] prints, in the order it prints them, `f64`s by
-/// bit pattern. It is the identity the memory tier is looked up by; the
-/// string stays the identity on disk, in artifact names and for users.
+/// bit pattern — continued from the problem's, which binding took. It
+/// is the identity the memory tier is looked up by; the string stays
+/// the identity on disk, in artifact names and for users.
 fn fingerprint(problem: &BoundProblem, opts: &SynthOptions) -> u64 {
-    let mut h = Fingerprinter::default();
-    problem.program().hash(&mut h);
-    let views = by_name(problem.views());
-    views.hash(&mut h);
+    let mut h = Fingerprinter(problem.fingerprint());
     let s = &opts.stats;
     let params = by_name(&s.params);
     params.len().hash(&mut h);

@@ -49,7 +49,7 @@ use crate::search::{
     run_search, serve, PlanCache, PlanCacheStats, Request, SearchOutcome, SynthError, SynthOptions,
     Tier,
 };
-use crate::session::{self, bind_problem, BoundProblem, CompiledKernel, DepReport};
+use crate::session::{self, BoundProblem, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, CancelToken, Flight, SingleFlight};
 use bernoulli_ir::Program;
@@ -458,18 +458,23 @@ impl Service {
     /// kept classes.
     pub fn analyze(&self, p: &Program) -> DepReport {
         DepReport {
-            classes: self.plan_cache.deps(p, None),
+            classes: self.plan_cache.deps(p, || Arc::new(p.clone()), None),
         }
     }
 
     /// Stage 3 — bind format views to sparse arrays, validated against
-    /// the program's declarations.
+    /// the program's declarations. The first bind of a problem copies
+    /// it; every later bind of an equal problem (by `==`: the same
+    /// program and views, however parsed or built) validates and copies
+    /// nothing and returns a [`BoundProblem`] sharing that copy, whose
+    /// compile on a plan-cache hit compares pointers. A problem with a
+    /// `NaN` constant equals nothing and is copied every time.
     pub fn bind(
         &self,
         p: &Program,
         views: &[(&str, FormatView)],
     ) -> Result<BoundProblem, SynthError> {
-        bind_problem(p, views)
+        self.plan_cache.bind(p, views)
     }
 
     /// Structure-aware selection on the service: the multi-tenant

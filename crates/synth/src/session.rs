@@ -30,8 +30,8 @@ use crate::config::ConfigError;
 use crate::interp::{run_plan, ExecEnv, RunStats};
 use crate::plan::Plan;
 use crate::search::{
-    CachedSearch, Candidate, PlanCache, PlanCacheStats, SearchOutcome, SearchReport, SynthError,
-    SynthOptions,
+    problem_fingerprint, views_by_name, CachedSearch, Candidate, PlanCache, PlanCacheStats,
+    SearchOutcome, SearchReport, SynthError, SynthOptions,
 };
 use crate::service::{Service, ServiceConfig};
 use bernoulli_formats::view::FormatView;
@@ -158,12 +158,15 @@ impl Session {
     /// views against the program's declarations: every bound name must
     /// be a declared array, and the view's dense rank must match the
     /// array kind (2 for matrices, 1 for vectors).
+    ///
+    /// A problem the session bound before is handed out again, shared:
+    /// see [`Service::bind`].
     pub fn bind(
         &self,
         p: &Program,
         views: &[(&str, FormatView)],
     ) -> Result<BoundProblem, SynthError> {
-        bind_problem(p, views)
+        self.driver.bind(p, views)
     }
 
     /// Stage 4 — run the search (§4.2–4.3) with the session's options,
@@ -235,10 +238,11 @@ impl Default for Session {
     }
 }
 
-/// Stage-3 validation shared by [`Session::bind`] and
-/// [`crate::service::Service::bind`]: every bound name must be a
-/// declared array, and the view's dense rank must match the array kind
-/// (2 for matrices, 1 for vectors).
+/// Stage-3 validation and the copy a bound problem is made of, shared
+/// by a miss of [`Service::bind`]'s table and the advisor: every bound
+/// name must be a declared array, and the view's dense rank must match
+/// the array kind (2 for matrices, 1 for vectors). Of two bindings of
+/// one name the last is the one bound; both are checked.
 pub(crate) fn bind_problem(
     p: &Program,
     views: &[(&str, FormatView)],
@@ -261,7 +265,10 @@ pub(crate) fn bind_problem(
             ))));
         }
     }
-    Ok(BoundProblem {
+    let named = views_by_name(views);
+    let fingerprint = problem_fingerprint(p, &named);
+    let mut bound = BoundProblem {
+        fingerprint,
         program: Arc::new(p.clone()),
         views: Arc::new(
             views
@@ -269,7 +276,11 @@ pub(crate) fn bind_problem(
                 .map(|(n, v)| (n.to_string(), v.clone()))
                 .collect(),
         ),
-    })
+        reflexive: false,
+    };
+    // The copy is the input over again: only a `NaN` tells them apart.
+    bound.reflexive = bound.is(fingerprint, p, &named);
+    Ok(bound)
 }
 
 /// The dependence classes of a program (stage 2 output).
@@ -298,16 +309,56 @@ impl DepReport {
 
 /// A validated (program, format views) pair ready to compile (stage 3
 /// output). Binding is cheap; the expensive search happens in
-/// [`Session::compile`]. Binding makes the one copy of the program and
-/// the views a request ever makes: the plan-cache entry of a search and
-/// every kernel it serves share them.
+/// [`Session::compile`]. The session or service that binds a problem
+/// copies its program and views once, at the first bind, and hands the
+/// same `Arc`s to every later bind of an equal problem: the binds, the
+/// plan-cache entry of its search and every kernel that entry serves
+/// share one copy. A problem with a `NaN` constant equals nothing, so
+/// each bind of it makes a copy of its own.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BoundProblem {
+    /// The structural fingerprint of the program and the views by name;
+    /// a request's fingerprint continues from it.
+    fingerprint: u64,
     program: Arc<Program>,
     views: Arc<HashMap<String, FormatView>>,
+    /// True iff the problem equals itself (has no `NaN`): only then does
+    /// sharing its `Arc`s prove another problem equal to it.
+    reflexive: bool,
 }
 
 impl BoundProblem {
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    pub(crate) fn reflexive(&self) -> bool {
+        self.reflexive
+    }
+
+    /// The shared program, for memos that keep it.
+    pub(crate) fn shared_program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// True iff `other` is this very problem: a reflexive problem whose
+    /// `Arc`s it shares. Equal problems need not be; `==` decides them.
+    pub(crate) fn is_shared_with(&self, other: &BoundProblem) -> bool {
+        self.reflexive
+            && Arc::ptr_eq(&self.program, &other.program)
+            && Arc::ptr_eq(&self.views, &other.views)
+    }
+
+    /// True iff binding `views` (as [`views_by_name`] lists them) to
+    /// `p`, whose [`problem_fingerprint`] is `fingerprint`, makes a
+    /// problem `==` to this one.
+    pub(crate) fn is(&self, fingerprint: u64, p: &Program, views: &[(&str, &FormatView)]) -> bool {
+        self.fingerprint == fingerprint
+            && *self.program == *p
+            && self.views.len() == views.len()
+            && views.iter().all(|(n, v)| self.views.get(*n) == Some(*v))
+    }
+
     pub fn program(&self) -> &Program {
         &self.program
     }

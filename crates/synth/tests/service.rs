@@ -104,6 +104,92 @@ fn concurrent_clients_share_the_plan_cache() {
     assert_eq!(stats.shed_overloaded + stats.shed_deadline, 0);
 }
 
+/// Sixteen clients bind and compile four problems, interleaved, through
+/// one service; two of the problems are one program written in two
+/// texts. Each problem is searched once, every kernel of it matches a
+/// sequential compile, and once the first round is done every bind
+/// hands out the one copy the service keeps of the problem.
+#[test]
+fn concurrent_binds_share_the_problems_the_service_keeps() {
+    const TS: &str = "program ts(N) { in matrix L[N][N]; inout vector b[N];
+        for j in 0..N { b[j] = b[j] / L[j][j];
+          for i in j+1..N { b[i] = b[i] - L[i][j] * b[j]; } } }";
+    use bernoulli_formats::formats::csc::csc_format_view;
+    use bernoulli_formats::formats::csr::csr_format_view;
+    use bernoulli_formats::view::{Bound, FormatView, StoredGuarantee};
+    let lower = |mut view: FormatView| {
+        view.bounds.push(Bound::attr_ge("r", "c"));
+        view.guarantees.push(StoredGuarantee::FullDiagonal);
+        view
+    };
+    let reprinted = Session::new().parse(MVM).unwrap().to_string();
+    let problems: Arc<Vec<(String, &str, FormatView)>> = Arc::new(vec![
+        (MVM.to_string(), "A", csr_format_view()),
+        (reprinted, "A", csc_format_view()),
+        (TS.to_string(), "L", lower(csr_format_view())),
+        (TS.to_string(), "L", lower(csc_format_view())),
+    ]);
+    let sequential: Arc<Vec<(String, String)>> = problems
+        .iter()
+        .map(|(text, matrix, view)| {
+            let s = Session::new();
+            let bound = s.bind(&s.parse(text).unwrap(), &[(matrix, view.clone())]);
+            let k = s.compile(&bound.unwrap()).unwrap();
+            (k.cache_key().to_string(), k.emit("kernel").unwrap())
+        })
+        .collect::<Vec<_>>()
+        .into();
+
+    const CLIENTS: usize = 16;
+    let svc = Arc::new(Service::with_defaults());
+    let rounds = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (svc, rounds) = (svc.clone(), rounds.clone());
+            let (problems, sequential) = (problems.clone(), sequential.clone());
+            std::thread::spawn(move || {
+                // Per problem, the addresses of its program and views as
+                // the second round bound them.
+                let mut second = vec![(0, 0); problems.len()];
+                for round in 0..2 {
+                    for i in 0..problems.len() {
+                        let n = (t + i) % problems.len();
+                        let (text, matrix, view) = &problems[n];
+                        let p = svc.parse(text).unwrap();
+                        let bound = svc.bind(&p, &[(matrix, view.clone())]).unwrap();
+                        let k = svc.compile(&bound).unwrap();
+                        let got = (k.cache_key().to_string(), k.emit("kernel").unwrap());
+                        assert_eq!(got, sequential[n], "problem {n}");
+                        if round == 1 {
+                            second[n] = (
+                                bound.program() as *const _ as usize,
+                                bound.views() as *const _ as usize,
+                            );
+                        }
+                    }
+                    rounds.wait();
+                }
+                second
+            })
+        })
+        .collect();
+    let seconds: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+
+    assert_eq!(svc.stats().searches, 4, "{:?}", svc.stats());
+    for (n, (text, matrix, view)) in problems.iter().enumerate() {
+        let kept = svc
+            .bind(&svc.parse(text).unwrap(), &[(matrix, view.clone())])
+            .unwrap();
+        let kept = (
+            kept.program() as *const _ as usize,
+            kept.views() as *const _ as usize,
+        );
+        for second in &seconds {
+            assert_eq!(second[n], kept, "problem {n}");
+        }
+    }
+}
+
 /// The service decides over the process-wide polyhedral tier, a session
 /// over memos of its own: where a decision was cached never shows in
 /// the result.
