@@ -27,12 +27,13 @@
 # row-band entry) name a level kind where they need one, never a format
 # — a tiling is `Blocks` or `Strips` because of the level under the
 # rows, whichever format declares it. So must the grammar of a view
-# (crates/formats/src/view.rs), its reader (crates/formats/src/view_text.rs)
-# and the checker and walk derived from a format's levels
-# (crates/formats/src/walk.rs): none names a format. Not counted,
-# because it is in `formats` itself: `AnyFormat::try_from_triplets`,
-# which builds the typed instance for any scalar `T` (a layout's
-# constructor is a plain fn pointer at `f64`).
+# (crates/formats/src/view.rs), its reader (crates/formats/src/view_text.rs),
+# the checker and walk derived from a format's levels
+# (crates/formats/src/walk.rs), the assembler derived from them
+# (crates/formats/src/assemble.rs) and the registry with its one
+# by-name lookup, `Layout::named` (crates/formats/src/layout.rs): none
+# names a format. There is no second registry: a format is built by
+# name through `LAYOUTS`, and a host view by its own constructor.
 #
 # When you remove a site, ratchet ci/format_sites.txt down.
 set -eu
@@ -42,7 +43,8 @@ budget_file="ci/format_sites.txt"
 names='csr|csc|coo|dia|ell|jad|sky|bsr|vbr|dcsr|dense|diagsplit|spvec|hashvec'
 count=0
 for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
-    crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs; do
+    crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs \
+    crates/formats/src/assemble.rs crates/formats/src/layout.rs; do
     sites=$(awk -v names="\"($names)\"" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
@@ -54,7 +56,8 @@ for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src
         count=$((count + n))
     fi
     case "$file" in
-    */emit.rs | */compiled.rs | */interp.rs | */codegen.rs | */view.rs | */view_text.rs | */walk.rs)
+    */emit.rs | */compiled.rs | */interp.rs | */codegen.rs | */view.rs | */view_text.rs | */walk.rs | \
+        */assemble.rs | */layout.rs)
         if [ "$n" -gt 0 ]; then
             echo "error: $file names a format ($n lines); it must name none." >&2
             exit 1

@@ -558,12 +558,14 @@ fn advisor() {
             // Measure every scored candidate on its actual format.
             let mut measured: Vec<(String, f64, f64)> = Vec::new();
             for e in &advice.ranked {
-                let f = bernoulli_formats::AnyFormat::<f64>::try_from_triplets(&e.format, t)
+                let layout = bernoulli_formats::Layout::named(&e.format);
+                let f = layout
+                    .and_then(|l| (l.from_triplets)(t, None))
                     .unwrap_or_else(|err| panic!("{input}/{}: {err}", e.format));
                 let time = time_best_of(rounds, reps, || {
                     let mut env = ExecEnv::new();
                     env.set_param("M", nr as i64).set_param("N", nc as i64);
-                    env.bind_sparse("A", f.as_view());
+                    env.bind_sparse("A", &*f);
                     env.bind_vec("x", x.clone());
                     env.bind_vec("y", vec![0.0; nr]);
                     e.kernel.interpret(&mut env).unwrap();

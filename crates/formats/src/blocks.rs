@@ -31,22 +31,19 @@ pub struct BlockReport {
 
 /// The stored blocks of a blocked layout, CSR-style, as the `u32` index
 /// arrays of the format: block row `br` holds block columns
-/// `bcol[ptr[br]..ptr[br + 1]]`, increasing. `entries` are in normal
-/// form and `rowblk` is monotone, so the block rows arrive in order, and
-/// `seen[bc] == br` says block `(br, bc)` is listed. The caller has
-/// checked the matrix against the index limit; there are no more blocks
-/// than entries.
-pub(crate) fn block_pattern<T>(
-    entries: &[(usize, usize, T)],
+/// `bcol[ptr[br]..ptr[br + 1]]`, increasing. `touched` are the blocks
+/// `(br, bc)` the entries fall in, in normal-form order, so the block
+/// rows arrive in order, and `seen[bc] == br` says block `(br, bc)` is
+/// listed. The caller has checked the matrix against the index limit;
+/// there are no more blocks than entries.
+pub(crate) fn block_pattern(
+    touched: impl Iterator<Item = (usize, usize)>,
     (nbr, nbc): (usize, usize),
-    rowblk: impl Fn(usize) -> usize,
-    colblk: impl Fn(usize) -> usize,
 ) -> (Vec<u32>, Vec<u32>) {
     let mut ptr = vec![0u32; nbr + 1];
     let mut bcol = Vec::new();
     let mut seen = vec![usize::MAX; nbc];
-    for &(row, col, _) in entries {
-        let (br, bc) = (rowblk(row), colblk(col));
+    for (br, bc) in touched {
         if seen[bc] != br {
             seen[bc] = br;
             bcol.push(narrow(bc));

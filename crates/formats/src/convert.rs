@@ -1,7 +1,9 @@
-//! Any-to-any format conversion through [`Triplets`].
-
-use crate::scalar::Scalar;
-use crate::{Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, DiagSplit, Ell, Jad, Triplets, Vbr};
+//! What the format layer refuses, and why.
+//!
+//! Any-to-any conversion goes through [`Triplets`](crate::Triplets): a
+//! format's `to_triplets` is the walk of its levels, and every registered
+//! layout is assembled from the normal form by [`crate::assemble`],
+//! reached by name through [`Layout::named`](crate::Layout::named).
 
 /// Errors a caller can trigger through the format layer: asking for a
 /// format this build doesn't know, converting into a format whose
@@ -9,9 +11,9 @@ use crate::{Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, DiagSplit, Ell, Jad, Triplets,
 /// that fails runtime conformance checking.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FormatError {
-    /// No format with this name (see [`FORMAT_NAMES`]).
+    /// No registered layout of this name ([`LAYOUTS`](crate::LAYOUTS)).
     UnknownFormat { name: String },
-    /// The format requires a square matrix (e.g. `diagsplit`).
+    /// The format requires a square matrix (e.g. `sky`, `diagsplit`).
     NotSquare {
         format: &'static str,
         nrows: usize,
@@ -43,6 +45,13 @@ pub enum FormatError {
         ncols: usize,
         stored: usize,
     },
+    /// A matrix a layout cannot hold, whatever its size: entries outside
+    /// the profile it stores (a skyline's upper triangle), a block shape
+    /// that does not cut it, strips that are no partition of it.
+    Unfit {
+        format: &'static str,
+        reason: String,
+    },
     /// A view's text that does not read
     /// ([`FormatView::read`](crate::view::FormatView::read)): the byte
     /// at which the reader stopped, and what it expected there.
@@ -56,11 +65,8 @@ impl std::fmt::Display for FormatError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FormatError::UnknownFormat { name } => {
-                write!(
-                    f,
-                    "unknown format {name:?} (known: {})",
-                    FORMAT_NAMES.join(", ")
-                )
+                let known: Vec<&str> = crate::LAYOUTS.iter().map(|l| l.name).collect();
+                write!(f, "unknown format {name:?} (known: {})", known.join(", "))
             }
             FormatError::NotSquare {
                 format,
@@ -86,6 +92,9 @@ impl std::fmt::Display for FormatError {
                 "a {nrows}x{ncols} matrix storing {stored} entries exceeds the u32 index limit {}",
                 crate::layout::INDEX_LIMIT
             ),
+            FormatError::Unfit { format, reason } => {
+                write!(f, "a {format} matrix cannot hold this one: {reason}")
+            }
             FormatError::ViewText { offset, expected } => {
                 write!(f, "view text, byte {offset}: expected {expected}")
             }
@@ -95,233 +104,116 @@ impl std::fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-/// Names of all matrix formats with universal conversion support.
-pub const FORMAT_NAMES: &[&str] = &[
-    "dense",
-    "coo",
-    "csr",
-    "csc",
-    "dia",
-    "ell",
-    "jad",
-    "diagsplit",
-    "bsr",
-    "vbr",
-    "dcsr",
-];
-
-/// `$body` with `$m` bound to the instance `$any` wraps, whichever
-/// format it is.
-macro_rules! each_format {
-    ($any:expr, $m:ident => $body:expr) => {
-        match $any {
-            AnyFormat::Dense($m) => $body,
-            AnyFormat::Coo($m) => $body,
-            AnyFormat::Csr($m) => $body,
-            AnyFormat::Csc($m) => $body,
-            AnyFormat::Dia($m) => $body,
-            AnyFormat::Ell($m) => $body,
-            AnyFormat::Jad($m) => $body,
-            AnyFormat::DiagSplit($m) => $body,
-            AnyFormat::Bsr($m) => $body,
-            AnyFormat::Vbr($m) => $body,
-            AnyFormat::Dcsr($m) => $body,
-        }
-    };
-}
-
-/// A dynamically-chosen matrix format (conversion and experiment-harness
-/// convenience; kernels always work with the concrete types).
-#[derive(Clone, Debug)]
-pub enum AnyFormat<T: Scalar = f64> {
-    Dense(Dense<T>),
-    Coo(Coo<T>),
-    Csr(Csr<T>),
-    Csc(Csc<T>),
-    Dia(Dia<T>),
-    Ell(Ell<T>),
-    Jad(Jad<T>),
-    DiagSplit(DiagSplit<T>),
-    Bsr(Bsr<T>),
-    Vbr(Vbr<T>),
-    Dcsr(Dcsr<T>),
-}
-
-impl<T: Scalar> AnyFormat<T> {
-    /// Converts triplets into the named format.
-    ///
-    /// # Panics
-    /// Panics on an unknown format name, or if the format's constraints
-    /// are violated (e.g. `diagsplit` on a non-square matrix); use
-    /// [`AnyFormat::try_from_triplets`] to recover instead.
-    pub fn from_triplets(name: &str, t: &Triplets<T>) -> AnyFormat<T> {
-        match Self::try_from_triplets(name, t) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`AnyFormat::from_triplets`] with unknown names, violated format
-    /// constraints and a matrix above the index limit reported as a
-    /// [`FormatError`]. The limit is checked on the dimensions and the
-    /// entries; a format that stores fill (DIA's diagonals, VBR's
-    /// blocks) panics if the fill alone passes it.
-    pub fn try_from_triplets(name: &str, t: &Triplets<T>) -> Result<AnyFormat<T>, FormatError> {
-        crate::layout::check_index_limit(t.nrows(), t.ncols(), t.nnz())?;
-        // Sorted here at most once, for discovery and assembly both; not
-        // at all when `t` is another format's `to_triplets`.
-        let t = &*t.normalized();
-        Ok(match name {
-            "dense" => AnyFormat::Dense(Dense::from_triplets(t)),
-            "coo" => AnyFormat::Coo(Coo::from_triplets(t)),
-            "csr" => AnyFormat::Csr(Csr::from_triplets(t)),
-            "csc" => AnyFormat::Csc(Csc::from_triplets(t)),
-            "dia" => AnyFormat::Dia(Dia::from_triplets(t)),
-            "ell" => AnyFormat::Ell(Ell::from_triplets(t)),
-            "jad" => AnyFormat::Jad(Jad::from_triplets(t)),
-            "diagsplit" => {
-                if t.nrows() != t.ncols() {
-                    return Err(FormatError::NotSquare {
-                        format: "diagsplit",
-                        nrows: t.nrows(),
-                        ncols: t.ncols(),
-                    });
-                }
-                AnyFormat::DiagSplit(DiagSplit::from_triplets(t))
-            }
-            // Blocked formats pick their structure by discovery: the
-            // dominant near-dense block size for BSR (the shape
-            // `StructureFeatures` reports for the same matrix), the natural
-            // identical-support strips for VBR. Both fall back to 1x1
-            // blocking, so any matrix converts.
-            "bsr" => {
-                let rep = crate::blocks::discover_block_size(
-                    t,
-                    crate::features::BLOCK_PROBE_MAX,
-                    crate::features::BLOCK_PROBE_MIN_FILL,
-                );
-                AnyFormat::Bsr(Bsr::from_triplets(t, rep.r, rep.c))
-            }
-            "vbr" => {
-                let (rp, cp) = crate::blocks::discover_strips(t);
-                AnyFormat::Vbr(Vbr::from_triplets(t, &rp, &cp))
-            }
-            "dcsr" => AnyFormat::Dcsr(Dcsr::from_triplets(t)),
-            other => {
-                return Err(FormatError::UnknownFormat {
-                    name: other.to_string(),
-                })
-            }
-        })
-    }
-}
-
-impl AnyFormat<f64> {
-    /// Converts back to triplets, in normal form: the wrapped format's
-    /// `to_triplets`, the walk of its view's first alternative.
-    pub fn to_triplets(&self) -> Triplets<f64> {
-        each_format!(self, m => m.to_triplets())
-    }
-
-    /// Checks the structural invariants of the wrapped instance: the
-    /// wrapped format's `validate`, read off its levels and view.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        each_format!(self, m => m.validate())
-    }
-
-    /// The format name: its levels'.
-    pub fn name(&self) -> &'static str {
-        self.as_view().levels().name
-    }
-
-    /// Borrows the dynamic low-level API.
-    pub fn as_view(&self) -> &dyn crate::SparseView {
-        each_format!(self, m => m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dense, DiagSplit, Layout, SparseView, Triplets, LAYOUTS};
 
+    /// Lower triangular, full diagonal: every format holds it.
     fn sample() -> Triplets<f64> {
-        Triplets::from_entries(
-            4,
-            4,
-            &[
-                (0, 0, 2.0),
-                (1, 1, 3.0),
-                (2, 2, 4.0),
-                (3, 3, 5.0),
-                (1, 0, -1.0),
-                (3, 1, 6.0),
-                (0, 2, 7.0),
-            ],
-        )
+        let entries = [
+            (0, 0, 2.0),
+            (1, 1, 3.0),
+            (2, 2, 4.0),
+            (3, 3, 5.0),
+            (1, 0, -1.0),
+            (3, 1, 6.0),
+        ];
+        Triplets::from_entries(4, 4, &entries)
+    }
+
+    /// Every registered layout by name, at the shape discovery finds,
+    /// and the two host matrix views by their own constructors.
+    fn every_format(t: &Triplets<f64>) -> Result<Vec<Box<dyn SparseView>>, FormatError> {
+        let mut all = Vec::new();
+        for layout in LAYOUTS {
+            let m = (Layout::named(layout.name)?.from_triplets)(t, None)?;
+            assert_eq!(m.layout().name, layout.name);
+            all.push(m as Box<dyn SparseView>);
+        }
+        all.push(Box::new(Dense::from_triplets(t)));
+        all.push(Box::new(DiagSplit::from_triplets(t)));
+        Ok(all)
     }
 
     #[test]
-    fn all_formats_roundtrip_values() {
+    fn all_formats_roundtrip_values() -> Result<(), FormatError> {
         let t = sample();
-        for &name in FORMAT_NAMES {
-            let f = AnyFormat::from_triplets(name, &t);
-            assert_eq!(f.name(), name);
+        for f in every_format(&t)? {
+            let name = f.levels().name;
+            assert_eq!(f.validate(), Ok(()), "{name}");
+            // DIA, Sky and DiagSplit add structural zeros; compare by value.
             let back = f.to_triplets();
-            // DIA and DiagSplit add structural zeros; compare by value.
             for r in 0..4 {
                 for c in 0..4 {
                     assert_eq!(back.get(r, c), t.get(r, c), "{name} ({r},{c})");
                 }
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn cross_format_random_access_agrees() {
+    fn cross_format_random_access_agrees() -> Result<(), FormatError> {
         let t = sample();
-        let formats: Vec<AnyFormat<f64>> = FORMAT_NAMES
-            .iter()
-            .map(|&n| AnyFormat::from_triplets(n, &t))
-            .collect();
+        let formats = every_format(&t)?;
         for r in 0..4 {
             for c in 0..4 {
-                let expect = t.get(r, c);
                 for f in &formats {
-                    assert_eq!(f.as_view().get(r, c), expect, "{} ({r},{c})", f.name());
+                    let name = f.levels().name;
+                    assert_eq!(f.get(r, c), t.get(r, c), "{name} ({r},{c})");
                 }
             }
         }
+        Ok(())
     }
 
     #[test]
-    #[should_panic(expected = "unknown format")]
-    fn unknown_format_panics() {
-        let _ = AnyFormat::<f64>::from_triplets("bcrs", &sample());
-    }
-
-    #[test]
-    fn try_from_triplets_reports_typed_errors() {
-        let e = AnyFormat::<f64>::try_from_triplets("bcrs", &sample()).unwrap_err();
-        assert_eq!(
-            e,
-            FormatError::UnknownFormat {
-                name: "bcrs".to_string()
-            }
+    fn an_unknown_name_lists_the_registry() {
+        let e = Layout::named("bcrs").map(|l| l.name);
+        let name = "bcrs".to_string();
+        assert_eq!(e, Err(FormatError::UnknownFormat { name }));
+        let known: Vec<&str> = LAYOUTS.iter().map(|l| l.name).collect();
+        let message = e.map_or_else(|e| e.to_string(), str::to_string);
+        assert!(
+            message.ends_with(&format!("(known: {})", known.join(", "))),
+            "{message}"
         );
-        assert!(e.to_string().contains("csr"), "{e}"); // lists known names
-        let rect = Triplets::from_entries(2, 3, &[(0, 0, 1.0)]);
-        let e2 = AnyFormat::<f64>::try_from_triplets("diagsplit", &rect).unwrap_err();
-        assert_eq!(
-            e2,
-            FormatError::NotSquare {
-                format: "diagsplit",
-                nrows: 2,
-                ncols: 3
-            }
-        );
-        // Every known name still converts.
-        for &name in FORMAT_NAMES {
-            assert!(AnyFormat::<f64>::try_from_triplets(name, &sample()).is_ok());
+        for host in ["dense", "diagsplit"] {
+            assert!(Layout::named(host).is_err(), "{host}");
         }
+    }
+
+    /// What the registry refuses, it refuses typed: no panic.
+    #[test]
+    fn from_triplets_reports_typed_errors() -> Result<(), FormatError> {
+        let build = |name: &str, t: &Triplets<f64>, block| {
+            let m = (Layout::named(name)?.from_triplets)(t, block);
+            m.map(|m| m.layout().name)
+        };
+        let rect = Triplets::from_entries(2, 3, &[(0, 0, 1.0)]);
+        let (nrows, ncols) = (2, 3);
+        let format = "sky";
+        assert_eq!(
+            build("sky", &rect, None),
+            Err(FormatError::NotSquare {
+                format,
+                nrows,
+                ncols
+            })
+        );
+        let unfit = |name: &str, t: &Triplets<f64>, block, words: &str| {
+            let e = build(name, t, block);
+            let said = |format: &str, reason: &str| format == name && reason.contains(words);
+            let refused =
+                matches!(&e, Err(FormatError::Unfit { format, reason }) if said(format, reason));
+            assert!(refused, "{name}: {e:?}");
+        };
+        let upper = Triplets::from_entries(3, 3, &[(0, 2, 1.0)]);
+        unfit("sky", &upper, None, "above the diagonal");
+        unfit("bsr", &Triplets::new(3, 3), Some((2, 2)), "must divide");
+        unfit("vbr", &Triplets::new(0, 3), None, "partition");
+        unfit("vbr", &Triplets::new(3, 0), Some((2, 2)), "partition");
+        Ok(())
     }
 }

@@ -300,7 +300,8 @@ fn locate<V: Leveled + ?Sized>(
 
 /// The dynamic low-level API of every format (at `f64`): the generic
 /// walk of the format's [`Levels`](crate::level::Levels) over the fields
-/// it hands out as a [`Leveled`]. A format implements none of it.
+/// it hands out as a [`Leveled`]. A format implements none of it: its
+/// `leveled!` derives the two required methods.
 ///
 /// Chain and level numbering is that of [`FormatView::alternatives`].
 pub trait SparseView: SparseMatrix + Leveled {
@@ -364,6 +365,14 @@ pub trait SparseView: SparseMatrix + Leveled {
     fn value_at(&self, chain: usize, pos: Position) -> f64 {
         self.array(self.levels().chains[chain].values).values()[pos]
     }
+
+    /// Converts to triplets in normal form: the entries the view's first
+    /// alternative walks, as its levels describe them.
+    fn to_triplets(&self) -> crate::Triplets<f64>;
+
+    /// Checks an *untrusted* instance against its levels, its view and
+    /// its layout's residue (each format's `validate`).
+    fn validate(&self) -> Result<(), crate::FormatError>;
 
     /// Applies the view's permutation table: `table[x]`.
     ///

@@ -3,7 +3,7 @@
 //! SpComp-style structure-aware compilation (see PAPERS.md) picks storage
 //! and enumeration order from the *sparsity structure of the instance*,
 //! not from hand-written workload guesses. [`StructureFeatures`] distills
-//! a [`Triplets`] (or any [`AnyFormat`]) into the features that drive
+//! a [`Triplets`] (of any format, by its `to_triplets`) into the features that drive
 //! those choices: density, bandwidth and row profile, structural
 //! symmetry, diagonal fill, triangularity, the dominant block shape
 //! (via [`crate::blocks`]), and the level-schedule depth of the lower
@@ -11,7 +11,6 @@
 //! hash stably into plan-cache keys.
 
 use crate::blocks::{discover_block_size, BlockReport};
-use crate::convert::AnyFormat;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -145,11 +144,6 @@ impl StructureFeatures {
             block: discover_block_size(&t, BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL),
             level_depth: level.iter().copied().max().unwrap_or(0),
         }
-    }
-
-    /// Analyzes any concrete format by way of its triplet image.
-    pub fn of_format(f: &AnyFormat) -> StructureFeatures {
-        StructureFeatures::of_triplets(&f.to_triplets())
     }
 
     /// True when every diagonal position of a square instance is stored —

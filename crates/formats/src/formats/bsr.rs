@@ -8,7 +8,8 @@
 //! each block, so one logical row of a block is contiguous — the shape
 //! the register-tiled kernels and the emitted loops both exploit.
 
-use crate::layout::{index_limit, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -33,47 +34,21 @@ pub struct Bsr<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Bsr<T> {
-    /// Builds from triplets with the given block shape. Every block that
-    /// contains at least one entry is stored dense (fill-in).
+impl Bsr<f64> {
+    /// Builds from triplets with the given block shape, as the levels
+    /// describe ([`crate::assemble`]). Every block that contains at least
+    /// one entry is stored dense (fill-in).
     ///
     /// # Panics
     /// Panics if `r`/`c` are zero or do not divide the matrix shape, and
     /// before allocating on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>, r: usize, c: usize) -> Bsr<T> {
-        assert!(r > 0 && c > 0, "bsr block shape must be nonzero");
-        assert!(
-            t.nrows().is_multiple_of(r) && t.ncols().is_multiple_of(c),
-            "bsr block shape {r}x{c} must divide the matrix shape {}x{}",
-            t.nrows(),
-            t.ncols()
-        );
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let shape = (t.nrows() / r, t.ncols() / c);
-        let (browptr, bcolind) =
-            crate::blocks::block_pattern(t.entries(), shape, |row| row / r, |col| col / c);
-        let mut values = vec![T::ZERO; bcolind.len() * r * c];
-        let mut out = Bsr {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            r,
-            c,
-            browptr,
-            bcolind,
-            values: Vec::new(),
-        };
-        for &(row, col, v) in t.entries() {
-            let Some(i) = out.find(row, col) else {
-                unreachable!("entry block is stored by construction");
-            };
-            values[i] = v;
-        }
-        out.values = values;
-        out
+    pub fn from_triplets(t: &Triplets<f64>, r: usize, c: usize) -> Bsr<f64> {
+        built(Bsr::assembled(t, Cut::Block((r, c))))
     }
+}
 
+impl<T: Scalar> Bsr<T> {
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -144,7 +119,6 @@ stored_layout! {
     /// carried in the view name (`bsr{r}x{c}`), not in the text, so the
     /// emitter can unroll the within-block loop with literal bounds.
     view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
-    from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 }
 
 #[cfg(test)]

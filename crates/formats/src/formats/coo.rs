@@ -5,7 +5,8 @@
 //! *coupled* level binding both coordinates at once, with no order
 //! guarantee and only linear search.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -24,27 +25,21 @@ pub struct Coo<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Coo<T> {
-    /// Builds from triplets, preserving the (row-major) normalized order.
+impl Coo<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]), preserving the (row-major) normalized
+    /// order.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Coo<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        Coo {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            rows: t.entries().iter().map(|&(r, _, _)| narrow(r)).collect(),
-            cols: t.entries().iter().map(|&(_, c, _)| narrow(c)).collect(),
-            values: t.entries().iter().map(|&(_, _, v)| v).collect(),
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Coo<f64> {
+        built(Coo::assembled(t, Cut::Discover))
     }
 
     /// Builds with an explicitly scrambled entry order (for tests that
     /// must not rely on any ordering).
-    pub fn from_triplets_shuffled(t: &Triplets<T>, seed: u64) -> Coo<T> {
+    pub fn from_triplets_shuffled(t: &Triplets<f64>, seed: u64) -> Coo<f64> {
         let mut coo = Coo::from_triplets(t);
         // Fisher–Yates with a splitmix64 stream; deterministic for tests.
         let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -64,7 +59,9 @@ impl<T: Scalar> Coo<T> {
         }
         coo
     }
+}
 
+impl<T: Scalar> Coo<T> {
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -96,7 +93,6 @@ stored_layout! {
     /// The COO index structure: one coupled level, unordered, searched
     /// linearly.
     view: coo_format_view = "(r, c): <r, c>[linear] -> v";
-    from_triplets: |t, _| Coo::from_triplets(t);
 }
 
 #[cfg(test)]

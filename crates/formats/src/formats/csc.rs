@@ -3,7 +3,8 @@
 //! CSC is the transpose of CSR: indexed access to columns, ordered
 //! enumeration of the rows within each column.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -23,43 +24,21 @@ pub struct Csc<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Csc<T> {
-    /// Builds from triplets: count the columns, then scatter.
+impl Csc<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]): count the columns, then scatter. The normal
+    /// form is row-major and duplicate-free, so a stable scatter by
+    /// column leaves every column's rows increasing: no sort.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Csc<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let mut colptr = vec![0u32; t.ncols() + 1];
-        for &(_, c, _) in t.entries() {
-            colptr[c + 1] += 1;
-        }
-        for c in 0..t.ncols() {
-            colptr[c + 1] += colptr[c];
-        }
-        // Normal form is row-major and duplicate-free, so a stable
-        // counting scatter by column leaves every column's rows strictly
-        // increasing: no sort.
-        let mut next = colptr.clone();
-        let mut rowind = vec![0u32; t.nnz()];
-        let mut values = vec![T::ZERO; t.nnz()];
-        for &(r, c, v) in t.entries() {
-            let at = next[c] as usize;
-            rowind[at] = narrow(r);
-            values[at] = v;
-            next[c] += 1;
-        }
-        Csc {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            colptr,
-            rowind,
-            values,
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Csc<f64> {
+        built(Csc::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Csc<T> {
     /// The half-open storage range of column `c`.
     pub fn col_range(&self, c: usize) -> std::ops::Range<usize> {
         self.colptr[c] as usize..self.colptr[c + 1] as usize
@@ -98,7 +77,6 @@ stored_layout! {
     find: find;
     /// The CSC index structure: the columns, then the rows each stores.
     view: csc_format_view = "(r, c): c[interval] -> r[sorted] -> v";
-    from_triplets: |t, _| Csc::from_triplets(t);
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! row; columns of the whole matrix cannot be accessed directly (paper
 //! §1, Fig. 1).
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -25,37 +26,20 @@ pub struct Csr<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Csr<T> {
-    /// Builds from (normalized or not) triplets: the normal form is the
-    /// CSR order, so one pass counts the rows and splits the columns
-    /// from the values.
+impl Csr<f64> {
+    /// Builds from (normalized or not) triplets, as the levels describe
+    /// ([`crate::assemble`]): the normal form is the CSR order, so one
+    /// pass counts the rows and splits the columns from the values.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Csr<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let mut rowptr = vec![0u32; t.nrows() + 1];
-        let mut colind = vec![0u32; t.nnz()];
-        let mut values = vec![T::ZERO; t.nnz()];
-        for ((&(r, c, v), ci), vi) in t.entries().iter().zip(&mut colind).zip(&mut values) {
-            rowptr[r + 1] += 1;
-            *ci = narrow(c);
-            *vi = v;
-        }
-        for r in 0..t.nrows() {
-            rowptr[r + 1] += rowptr[r];
-        }
-        Csr {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            rowptr,
-            colind,
-            values,
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Csr<f64> {
+        built(Csr::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Csr<T> {
     /// The half-open storage range of row `r`.
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.rowptr[r] as usize..self.rowptr[r + 1] as usize
@@ -104,7 +88,6 @@ stored_layout! {
     /// The CSR index structure: the rows, by direct access, then the
     /// columns each stores, in order, by binary search.
     view: csr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
-    from_triplets: |t, _| Csr::from_triplets(t);
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! and searches the emitter prints, and the cursors the interpreter
 //! walks are derived from that description (README, "Adding a format").
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -38,40 +39,20 @@ pub struct Dcsr<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Dcsr<T> {
-    /// Builds from (normalized or not) triplets: the normal form is the
-    /// storage order, so one pass notes where each new row starts.
+impl Dcsr<f64> {
+    /// Builds from (normalized or not) triplets, as the levels describe
+    /// ([`crate::assemble`]): the normal form is the storage order, so
+    /// one pass lists the rows and another counts their entries.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Dcsr<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let mut rows = Vec::new();
-        let mut rowptr = Vec::new();
-        let mut colind = vec![0u32; t.nnz()];
-        let mut values = vec![T::ZERO; t.nnz()];
-        for (i, &(r, c, v)) in t.entries().iter().enumerate() {
-            let r = narrow(r);
-            if rows.last() != Some(&r) {
-                rows.push(r);
-                rowptr.push(narrow(i));
-            }
-            colind[i] = narrow(c);
-            values[i] = v;
-        }
-        rowptr.push(narrow(t.nnz()));
-        Dcsr {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            rows,
-            rowptr,
-            colind,
-            values,
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Dcsr<f64> {
+        built(Dcsr::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Dcsr<T> {
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -111,7 +92,6 @@ stored_layout! {
     /// The DCSR index structure: like CSR's, but only the rows that store
     /// something are enumerated, and found by binary search.
     view: dcsr_format_view = "(r, c): r[sorted] -> c[sorted] -> v";
-    from_triplets: |t, _| Dcsr::from_triplets(t);
 }
 
 #[cfg(test)]

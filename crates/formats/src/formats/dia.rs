@@ -5,7 +5,8 @@
 //! position along a stored diagonal that lies inside the matrix is
 //! structural — the padding zeros of a banded format are stored entries.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::{stored_layout, Residue};
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -29,62 +30,21 @@ pub struct Dia<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Dia<T> {
-    /// Builds from triplets: every diagonal containing at least one entry
-    /// is stored in full (its in-matrix extent), padded with zeros.
+impl Dia<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]): every diagonal containing at least one
+    /// entry is stored in full (its in-matrix extent), padded with zeros.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT), and before allocating
     /// its strips if their cells exceed it.
-    pub fn from_triplets(t: &Triplets<T>) -> Dia<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let (m, n) = (t.nrows(), t.ncols());
-        // slot[r + n - 1 - c]: is diagonal `r - c` stored, then which
-        // stored diagonal it is.
-        let mut slot = vec![0usize; (m + n).saturating_sub(1)];
-        for &(r, c, _) in t.entries() {
-            slot[r + n - 1 - c] = 1;
-        }
-        let mut diags = Vec::with_capacity(slot.iter().sum());
-        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s == 1) {
-            *s = diags.len();
-            diags.push(i as i64 - (n as i64 - 1));
-        }
-        let mut lo = Vec::with_capacity(diags.len());
-        let mut hi = Vec::with_capacity(diags.len());
-        for &d in &diags {
-            let l = 0i64.max(-d);
-            let h = (n as i64).min(m as i64 - d);
-            debug_assert!(l < h, "diagonal {d} has empty extent");
-            lo.push(l);
-            hi.push(h);
-        }
-        let extent = |k: usize| (hi[k] - lo[k]) as usize;
-        let cells = (0..diags.len()).map(extent).sum();
-        index_limit(m, n, cells);
-        let mut ptr = Vec::with_capacity(diags.len() + 1);
-        ptr.push(0u32);
-        for k in 0..diags.len() {
-            ptr.push(ptr[k] + narrow(extent(k)));
-        }
-        let mut values = vec![T::ZERO; cells];
-        for &(r, c, v) in t.entries() {
-            let k = slot[r + n - 1 - c];
-            values[ptr[k] as usize + (c as i64 - lo[k]) as usize] = v;
-        }
-        Dia {
-            nrows: m,
-            ncols: n,
-            diags,
-            lo,
-            hi,
-            ptr,
-            values,
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Dia<f64> {
+        built(Dia::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Dia<T> {
     /// Number of stored entries (including in-band padding zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -117,17 +77,34 @@ impl<T: Scalar> Dia<T> {
     // layout-find-end
 }
 
-impl Dia<f64> {
-    /// What no level says: a stored diagonal is stored in full, every
-    /// position of it inside the matrix.
-    fn full_diagonals(&self) -> Result<(), String> {
-        let (m, n) = (self.nrows as i64, self.ncols as i64);
-        for (k, &d) in self.diags.iter().enumerate() {
-            let (lo, hi) = (0i64.max(d.saturating_neg()), n.min(m.saturating_sub(d)));
+/// The extent of diagonal `d` of an `m × n` matrix: offsets `lo..hi`.
+fn extent(d: i64, (m, n): (i64, i64)) -> (i64, i64) {
+    (0i64.max(d.saturating_neg()), n.min(m.saturating_sub(d)))
+}
+
+/// What no level says of DIA: a stored diagonal is stored in full, every
+/// position of it inside the matrix.
+const FULL_DIAGONALS: Residue<Dia<f64>> = Residue {
+    before: 1,
+    assemble: |a| {
+        let shape = (a.t.nrows() as i64, a.t.ncols() as i64);
+        let diags = a.array(field::diags);
+        let (lo, hi): (Vec<i64>, Vec<i64>) = (0..diags.len())
+            .map(|k| extent(diags.key(k), shape))
+            .unzip();
+        a.set(field::lo, lo);
+        a.set(field::hi, hi);
+        Ok(())
+    },
+    check: |m| {
+        let shape = (m.nrows as i64, m.ncols as i64);
+        for (k, &d) in m.diags.iter().enumerate() {
+            let (lo, hi) = extent(d, shape);
             if lo >= hi {
+                let (m, n) = shape;
                 return Err(format!("diagonal {d} lies outside a {m}x{n} matrix"));
             }
-            let stored = (self.lo.get(k), self.hi.get(k));
+            let stored = (m.lo.get(k), m.hi.get(k));
             if stored != (Some(&lo), Some(&hi)) {
                 return Err(format!(
                     "diagonal {d} extent {stored:?} disagrees with the shape's [{lo}, {hi})"
@@ -135,8 +112,8 @@ impl Dia<f64> {
             }
         }
         Ok(())
-    }
-}
+    },
+};
 
 stored_layout! {
     Dia, "dia", include_str!("dia.rs");
@@ -148,11 +125,10 @@ stored_layout! {
             .unchecked()
     ] -> values;
     find: find;
-    residue: full_diagonals;
+    residue: FULL_DIAGONALS;
     /// The DIA index structure (paper §2): diagonals `d = r - c`, then
     /// offsets `o = c` along each.
     view: dia_format_view = "(r, c): map{d + o |-> r, o |-> c ; r - c |-> d, c |-> o : d[sorted] -> o[interval] -> v}";
-    from_triplets: |t, _| Dia::from_triplets(t);
 }
 
 #[cfg(test)]

@@ -24,15 +24,15 @@ pub struct DiagSplit<T: Scalar = f64> {
     pub off: Csr<T>,
 }
 
-impl<T: Scalar> DiagSplit<T> {
+impl DiagSplit<f64> {
     /// Builds from triplets.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
-    pub fn from_triplets(t: &Triplets<T>) -> DiagSplit<T> {
+    pub fn from_triplets(t: &Triplets<f64>) -> DiagSplit<f64> {
         assert_eq!(t.nrows(), t.ncols(), "diagsplit requires a square matrix");
         let n = t.nrows();
-        let mut diag = vec![T::ZERO; n];
+        let mut diag = vec![0.0; n];
         // What is left of a normal form is one: `off` is pushed in order.
         let mut off = Triplets::new(n, n);
         for &(r, c, v) in t.normalized().entries() {
@@ -48,7 +48,9 @@ impl<T: Scalar> DiagSplit<T> {
             off: Csr::from_triplets(&off),
         }
     }
+}
 
+impl<T: Scalar> DiagSplit<T> {
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.n + self.off.nnz()

@@ -5,7 +5,8 @@
 //! within each row, and the per-row fill `rowlen` makes binary search
 //! possible despite the padding.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::{stored_layout, Residue};
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -30,36 +31,20 @@ pub struct Ell<T: Scalar = f64> {
     pub rowlen: Vec<u32>,
 }
 
-impl<T: Scalar> Ell<T> {
-    /// Builds from triplets: count the rows, then fill the slots.
+impl Ell<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]): count the rows, then fill the slots.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
-    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Ell<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let counts = t.row_counts();
-        let width = counts.iter().copied().max().unwrap_or(0);
-        let mut colind = vec![ELL_PAD; t.nrows() * width];
-        let mut values = vec![T::ZERO; t.nrows() * width];
-        let mut fill = vec![0usize; t.nrows()];
-        for &(r, c, v) in t.entries() {
-            let s = fill[r];
-            colind[r * width + s] = c as i64;
-            values[r * width + s] = v;
-            fill[r] += 1;
-        }
-        Ell {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            width,
-            colind,
-            values,
-            rowlen: counts.into_iter().map(narrow).collect(),
-        }
+    /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT), and before allocating
+    /// its slots if they exceed it.
+    pub fn from_triplets(t: &Triplets<f64>) -> Ell<f64> {
+        built(Ell::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Ell<T> {
     /// Number of stored entries (padding excluded).
     pub fn nnz(&self) -> usize {
         self.rowlen.iter().map(|&l| l as usize).sum()
@@ -83,10 +68,22 @@ impl<T: Scalar> Ell<T> {
     // layout-find-end
 }
 
-impl Ell<f64> {
-    /// What no level says: every slot past a row's fill holds [`ELL_PAD`].
-    fn padding(&self) -> Result<(), String> {
-        let rows = self.colind.chunks(self.width.max(1)).zip(&self.rowlen);
+/// What no level says of ELL: every slot past a row's fill holds
+/// [`ELL_PAD`].
+const PADDING: Residue<Ell<f64>> = Residue {
+    before: 2,
+    assemble: |a| {
+        let (width, rowlen) = (a.dims[field::width.0], a.take::<u32>(field::rowlen));
+        let mut colind: Vec<i64> = a.take(field::colind);
+        for (row, &len) in colind.chunks_mut(width.max(1)).zip(&rowlen) {
+            row[len as usize..].fill(ELL_PAD);
+        }
+        a.set(field::rowlen, rowlen);
+        a.set(field::colind, colind);
+        Ok(())
+    },
+    check: |m| {
+        let rows = m.colind.chunks(m.width.max(1)).zip(&m.rowlen);
         for (r, (row, &len)) in rows.enumerate() {
             let mut pads = row.iter().enumerate().skip(len as usize);
             if let Some((s, c)) = pads.find(|&(_, &c)| c != ELL_PAD) {
@@ -96,8 +93,8 @@ impl Ell<f64> {
             }
         }
         Ok(())
-    }
-}
+    },
+};
 
 stored_layout! {
     Ell, "ell", include_str!("ell.rs");
@@ -110,11 +107,10 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
-    residue: padding;
+    residue: PADDING;
     /// The ELL index structure: CSR's, but the column level enumerates a
     /// fixed-width padded slot array.
     view: ell_format_view = "(r, c): r[interval] -> c[sorted] -> v";
-    from_triplets: |t, _| Ell::from_triplets(t);
 }
 
 #[cfg(test)]

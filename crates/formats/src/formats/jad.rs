@@ -19,7 +19,8 @@
 //! inverse permutation (`iperm_inv`) for O(1) un-mapping, which is what a
 //! production implementation would do.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::{narrow, stored_layout, Residue};
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -46,77 +47,21 @@ pub struct Jad<T: Scalar = f64> {
     pub rowlen: Vec<u32>,
 }
 
-impl<T: Scalar> Jad<T> {
-    /// Builds from triplets: the compressed rows are the row slices of
-    /// the normal form, and ordering them by fill is a counting sort.
+impl Jad<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]): the compressed rows are the row slices of
+    /// the normal form, ordered by fill (a counting sort), and each is
+    /// written down the diagonals at its rank.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Jad<T> {
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let (m, e) = (t.nrows(), t.entries());
-        // rowptr[r + 1] is the fill of row r until the prefix sum below.
-        let mut rowptr = vec![0usize; m + 1];
-        for &(r, _, _) in e {
-            rowptr[r + 1] += 1;
-        }
-        let nd = rowptr.iter().copied().max().unwrap_or(0);
-        // first[l]: how many rows are longer than l, which is where the
-        // rows of fill l start in the order of decreasing fill.
-        let mut first = vec![0usize; nd + 1];
-        for &l in &rowptr[1..] {
-            first[l] += 1;
-        }
-        let mut longer = 0;
-        for f in first.iter_mut().rev() {
-            longer += std::mem::replace(f, longer);
-        }
-        // dptr[d+1] - dptr[d] = number of rows with fill > d.
-        let mut dptr = Vec::with_capacity(nd + 1);
-        dptr.push(0u32);
-        for d in 0..nd {
-            dptr.push(dptr[d] + narrow(first[d]));
-        }
-        // Rows of equal fill keep their relative order (deterministic
-        // layout): rows are placed in increasing `r`.
-        let mut iperm = vec![0u32; m];
-        let mut iperm_inv = vec![0u32; m];
-        for (r, &l) in rowptr[1..].iter().enumerate() {
-            iperm[first[l]] = narrow(r);
-            iperm_inv[r] = narrow(first[l]);
-            first[l] += 1;
-        }
-        let rowlen: Vec<u32> = iperm
-            .iter()
-            .map(|&r| narrow(rowptr[r as usize + 1]))
-            .collect();
-        for r in 0..m {
-            rowptr[r + 1] += rowptr[r];
-        }
-        // In permuted row order every diagonal is written front to back.
-        let mut colind = vec![0u32; e.len()];
-        let mut values = vec![T::ZERO; e.len()];
-        for (rr, &r) in iperm.iter().enumerate() {
-            let row = &e[rowptr[r as usize]..rowptr[r as usize + 1]];
-            for (&(_, c, v), &start) in row.iter().zip(&dptr) {
-                colind[start as usize + rr] = narrow(c);
-                values[start as usize + rr] = v;
-            }
-        }
-        Jad {
-            nrows: m,
-            ncols: t.ncols(),
-            iperm,
-            iperm_inv,
-            dptr,
-            colind,
-            values,
-            rowlen,
-        }
+    pub fn from_triplets(t: &Triplets<f64>) -> Jad<f64> {
+        built(Jad::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Jad<T> {
     /// Number of jagged diagonals.
     pub fn ndiags(&self) -> usize {
         self.dptr.len() - 1
@@ -159,6 +104,38 @@ impl<T: Scalar> Jad<T> {
     // layout-find-end
 }
 
+/// What no level says of JAD: the rows are ranked by decreasing fill,
+/// rows of equal fill in increasing order (a deterministic layout), and
+/// `rowlen` is the fill of each rank.
+const RANKED_ROWS: Residue<Jad<f64>> = Residue {
+    before: 0,
+    assemble: |a| {
+        let counts = a.row_counts();
+        // first[l]: how many rows are longer than l, which is where the
+        // rows of fill l start in the order of decreasing fill.
+        let mut first = vec![0usize; counts.iter().max().map_or(0, |&l| l) + 1];
+        for &l in counts {
+            first[l] += 1;
+        }
+        let mut longer = 0;
+        for f in first.iter_mut().rev() {
+            longer += std::mem::replace(f, longer);
+        }
+        let (mut iperm, mut iperm_inv) = (vec![0u32; counts.len()], vec![0u32; counts.len()]);
+        for (r, &l) in counts.iter().enumerate() {
+            let rank = &mut first[l];
+            (iperm[*rank], iperm_inv[r]) = (narrow(r), narrow(*rank));
+            *rank += 1;
+        }
+        let rowlen: Vec<u32> = iperm.iter().map(|&r| narrow(counts[r as usize])).collect();
+        a.set(field::iperm, iperm);
+        a.set(field::iperm_inv, iperm_inv);
+        a.set(field::rowlen, rowlen);
+        Ok(())
+    },
+    check: |_| Ok(()),
+};
+
 stored_layout! {
     Jad, "jad", include_str!("jad.rs");
     dims: nrows, ncols;
@@ -174,13 +151,13 @@ stored_layout! {
         ] -> values;
     perm: iperm, iperm_inv;
     find: find_in_row;
+    residue: RANKED_ROWS;
     /// The JAD index structure (paper §2 / Appendix A.2): permuted rows
     /// `rr`, seen two ways.
     ///
     /// Chain 0 is the flat (diagonal-walking) perspective; chain 1 is the
     /// hierarchical (row-indexed) perspective.
     view: jad_format_view = "(r, c): perm{iperm[rr] |-> r : (<rr, c> -> v ⊕ rr[interval] -> c[sorted] -> v)}";
-    from_triplets: |t, _| Jad::from_triplets(t);
 }
 
 #[cfg(test)]

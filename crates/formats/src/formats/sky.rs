@@ -7,9 +7,10 @@
 //! interval level with *runtime* per-row bounds (like DIA's offset
 //! level).
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::{narrow, stored_layout, Residue};
 use crate::scalar::Scalar;
-use crate::Triplets;
+use crate::{FormatError, Triplets};
 
 /// Lower skyline matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,38 +26,21 @@ pub struct Sky<T: Scalar = f64> {
     pub values: Vec<T>,
 }
 
-impl<T: Scalar> Sky<T> {
-    /// Builds from triplets.
+impl Sky<f64> {
+    /// Builds from triplets, as the levels describe
+    /// ([`crate::assemble`]).
     ///
     /// # Panics
     /// Panics if the matrix is not square or has entries above the
     /// diagonal, and before allocating its strips if their cells, or
     /// before anything if its order, exceed
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
-    pub fn from_triplets(t: &Triplets<T>) -> Sky<T> {
-        assert_eq!(t.nrows(), t.ncols(), "skyline requires a square matrix");
-        let n = t.nrows();
-        index_limit(n, n, t.nnz());
-        let t = t.normalized();
-        let mut lo: Vec<u32> = (0..n).map(narrow).collect();
-        for &(r, c, _) in t.entries() {
-            assert!(c <= r, "skyline requires a lower-triangular matrix");
-            lo[r] = lo[r].min(narrow(c));
-        }
-        let cells = (0..n).map(|r| r - lo[r] as usize + 1).sum();
-        index_limit(n, n, cells);
-        let mut ptr = Vec::with_capacity(n + 1);
-        ptr.push(0u32);
-        for r in 0..n {
-            ptr.push(ptr[r] + (narrow(r + 1) - lo[r]));
-        }
-        let mut values = vec![T::ZERO; cells];
-        for &(r, c, v) in t.entries() {
-            values[ptr[r] as usize + (c - lo[r] as usize)] = v;
-        }
-        Sky { n, lo, ptr, values }
+    pub fn from_triplets(t: &Triplets<f64>) -> Sky<f64> {
+        built(Sky::assembled(t, Cut::Discover))
     }
+}
 
+impl<T: Scalar> Sky<T> {
     /// Number of stored entries (strip cells, including in-strip zeros).
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -81,6 +65,30 @@ impl<T: Scalar> Sky<T> {
     // layout-find-end
 }
 
+/// What no level says of a skyline: row `r` starts at its first entry,
+/// or at the diagonal, which is stored, if that comes first; it ends at
+/// the diagonal.
+const SKYLINE_START: Residue<Sky<f64>> = Residue {
+    before: 1,
+    assemble: |a| {
+        let mut lo: Vec<u32> = (0..a.t.nrows()).map(narrow).collect();
+        for &(r, c, _) in a.t.entries() {
+            if c > r {
+                return Err(FormatError::Unfit {
+                    format: LEVELS.name,
+                    reason: format!(
+                        "entry ({r}, {c}) is above the diagonal of a lower-triangular matrix"
+                    ),
+                });
+            }
+            lo[r] = lo[r].min(narrow(c));
+        }
+        a.set(field::lo, lo);
+        Ok(())
+    },
+    check: |_| Ok(()),
+};
+
 stored_layout! {
     Sky, "sky", include_str!("sky.rs");
     dims: n;
@@ -92,11 +100,11 @@ stored_layout! {
             .find(Args::ParentKey)
     ] -> values;
     find: find;
+    residue: SKYLINE_START;
     /// The skyline index structure: an interval column level with
     /// run-time per-row bounds, on and below the diagonal, which is
     /// stored.
     view: sky_format_view = "(r, c | r - c >= 0, stored diagonal): r[interval] -> c[interval] -> v";
-    from_triplets: |t, _| Sky::from_triplets(t);
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! [`SparseMatrix`]/[`SparseView`](crate::SparseView) machinery (dense
 //! attribute `i`).
 
-use crate::layout::{index_limit, narrow};
+use crate::assemble::built;
+use crate::layout::{check_index_limit, narrow};
 use crate::level::leveled;
 use crate::scalar::Scalar;
 use crate::{SparseMatrix, Triplets};
@@ -39,7 +40,7 @@ impl<T: Scalar> SparseVec<T> {
     /// length or pair count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_pairs(n: usize, pairs: &[(usize, T)]) -> SparseVec<T> {
-        index_limit(n, 1, pairs.len());
+        built(check_index_limit(n, 1, pairs.len()));
         let mut sorted: Vec<(usize, T)> = pairs.to_vec();
         sorted.sort_by_key(|&(i, _)| i);
         let mut ind = Vec::with_capacity(sorted.len());
@@ -129,7 +130,7 @@ impl<T: Scalar> HashVec<T> {
     /// length or pair count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT).
     pub fn from_pairs(n: usize, pairs: &[(usize, T)]) -> HashVec<T> {
-        index_limit(n, 1, pairs.len());
+        built(check_index_limit(n, 1, pairs.len()));
         let mut hv = HashVec {
             n,
             ind: Vec::new(),

@@ -12,7 +12,8 @@
 //! logical row's slice of a block is contiguous, matching the emitted
 //! loops and the register-tiled kernels.
 
-use crate::layout::{index_limit, narrow, stored_layout};
+use crate::assemble::{built, Cut};
+use crate::layout::stored_layout;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -45,86 +46,22 @@ pub struct Vbr<T: Scalar = f64> {
     pub rowblk: Vec<u32>,
 }
 
-impl<T: Scalar> Vbr<T> {
-    /// Builds from triplets with the given row/column strips. Every
-    /// block-strip intersection containing an entry is stored dense.
+impl Vbr<f64> {
+    /// Builds from triplets with the given row/column strips, as the
+    /// levels describe ([`crate::assemble`]). Every block-strip
+    /// intersection containing an entry is stored dense.
     ///
     /// # Panics
     /// Panics if `rpntr`/`cpntr` are not strictly-increasing partitions
     /// of `0..=nrows` / `0..=ncols`, before allocating on a dimension or
     /// entry count above [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT),
     /// and before allocating its blocks if their cells exceed it.
-    pub fn from_triplets(t: &Triplets<T>, rpntr: &[usize], cpntr: &[usize]) -> Vbr<T> {
-        let check = |p: &[usize], n: usize, what: &str| {
-            assert!(
-                p.len() >= 2
-                    && p[0] == 0
-                    && p[p.len() - 1] == n
-                    && p.windows(2).all(|w| w[0] < w[1]),
-                "{what} must be a strictly-increasing partition of 0..={n}, got {p:?}"
-            );
-        };
-        check(rpntr, t.nrows(), "rpntr");
-        check(cpntr, t.ncols(), "cpntr");
-        index_limit(t.nrows(), t.ncols(), t.nnz());
-        let t = t.normalized();
-        let nbr = rpntr.len() - 1;
-        let strip_map = |p: &[usize], n: usize| {
-            let mut m = vec![0u32; n];
-            for (b, w) in p.windows(2).enumerate() {
-                m[w[0]..w[1]].fill(narrow(b));
-            }
-            m
-        };
-        let rowblk = strip_map(rpntr, t.nrows());
-        let colblk = strip_map(cpntr, t.ncols());
-        let (bptr, bindx) = crate::blocks::block_pattern(
-            t.entries(),
-            (nbr, cpntr.len() - 1),
-            |row| rowblk[row] as usize,
-            |col| colblk[col] as usize,
-        );
-        let area = |br: usize, bc: u32| {
-            let bc = bc as usize;
-            (rpntr[br + 1] - rpntr[br]) * (cpntr[bc + 1] - cpntr[bc])
-        };
-        let blocks = |br: usize| &bindx[bptr[br] as usize..bptr[br + 1] as usize];
-        let cells = (0..nbr).map(|br| blocks(br).iter().map(|&bc| area(br, bc)).sum::<usize>());
-        let cells = cells.sum();
-        index_limit(t.nrows(), t.ncols(), cells);
-        let mut indx = Vec::with_capacity(bindx.len() + 1);
-        let mut next = 0u32;
-        indx.push(next);
-        for br in 0..nbr {
-            for &bc in blocks(br) {
-                next += narrow(area(br, bc));
-                indx.push(next);
-            }
-        }
-        let (bpntrb, bpntre) = (bptr[..nbr].to_vec(), bptr[1..].to_vec());
-        let mut out = Vbr {
-            nrows: t.nrows(),
-            ncols: t.ncols(),
-            val: Vec::new(),
-            indx,
-            bindx,
-            rpntr: rpntr.iter().map(|&p| narrow(p)).collect(),
-            cpntr: cpntr.iter().map(|&p| narrow(p)).collect(),
-            bpntrb,
-            bpntre,
-            rowblk,
-        };
-        let mut val = vec![T::ZERO; cells];
-        for &(row, col, v) in t.entries() {
-            let Some(i) = out.find(row, col) else {
-                unreachable!("entry block is stored by construction");
-            };
-            val[i] = v;
-        }
-        out.val = val;
-        out
+    pub fn from_triplets(t: &Triplets<f64>, rpntr: &[usize], cpntr: &[usize]) -> Vbr<f64> {
+        built(Vbr::assembled(t, Cut::Strips(rpntr, cpntr)))
     }
+}
 
+impl<T: Scalar> Vbr<T> {
     /// Number of stored entries (block cells, including in-block zeros).
     pub fn nnz(&self) -> usize {
         self.val.len()
@@ -226,10 +163,6 @@ stored_layout! {
     /// sorted and columns within a block ascend). Block extents are
     /// run-time data (`rpntr`/`cpntr`), so nothing is encoded in the name.
     view: vbr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
-    from_triplets: |t, (r, c)| {
-        let strips = |n: usize, size: usize| crate::partition::split_even(n, n.div_ceil(size));
-        Vbr::from_triplets(t, &strips(t.nrows(), r), &strips(t.ncols(), c))
-    };
 }
 
 #[cfg(test)]

@@ -17,11 +17,14 @@
 //!
 //! [`LAYOUTS`] is the registry: the formats whose instances can be taken
 //! apart into [`Stored::parts`] and put back together elsewhere (the
-//! loaded-kernel ABI of `bernoulli-synth` is derived from it), and the
-//! one table from view names to formats ([`Layout::of_view`],
-//! [`levels_of_view`], [`view_by_name`], [`format_name`]).
+//! loaded-kernel ABI of `bernoulli-synth` is derived from it), the
+//! formats assembled from triplets by name ([`Layout::named`], then
+//! [`Layout::from_triplets`]), and the one table from view names to
+//! formats ([`Layout::of_view`], [`levels_of_view`], [`view_by_name`],
+//! [`format_name`]).
 
-use crate::level::{Levels, Slice};
+use crate::assemble::{Column, ResidueStep};
+use crate::level::{Dim, Levels, Slice};
 use crate::view::FormatView;
 use crate::{formats, FormatError, SparseView, Triplets};
 
@@ -75,16 +78,8 @@ pub fn check_index_limit(nrows: usize, ncols: usize, stored: usize) -> Result<()
     Ok(())
 }
 
-/// [`check_index_limit`] as the panic of a `from_triplets` given a
-/// matrix the format cannot hold.
-pub(crate) fn index_limit(nrows: usize, ncols: usize, stored: usize) {
-    if let Err(e) = check_index_limit(nrows, ncols, stored) {
-        panic!("{e}");
-    }
-}
-
 /// `n` as an element of an index array. Exact: every caller stores a
-/// key or count of an instance that passed [`index_limit`].
+/// key or count of an instance that passed [`check_index_limit`].
 #[inline]
 pub(crate) fn narrow(n: usize) -> u32 {
     debug_assert!(n <= INDEX_LIMIT, "{n} exceeds the u32 index limit");
@@ -98,6 +93,12 @@ pub trait ElemType: Sized {
 
     /// An array of this type, as a level description reads it.
     fn slice(array: &[Self]) -> Slice<'_>;
+
+    /// An array of this type, under assembly.
+    fn column(array: Vec<Self>) -> Column;
+
+    /// The array assembly built, if it is of this type.
+    fn of_column(column: Option<Column>) -> Vec<Self>;
 }
 
 impl ElemType for u32 {
@@ -105,6 +106,17 @@ impl ElemType for u32 {
 
     fn slice(array: &[u32]) -> Slice<'_> {
         Slice::U32(array)
+    }
+
+    fn column(array: Vec<u32>) -> Column {
+        Column::U32(array)
+    }
+
+    fn of_column(column: Option<Column>) -> Vec<u32> {
+        match column {
+            Some(Column::U32(array)) => array,
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -114,6 +126,17 @@ impl ElemType for i64 {
     fn slice(array: &[i64]) -> Slice<'_> {
         Slice::I64(array)
     }
+
+    fn column(array: Vec<i64>) -> Column {
+        Column::I64(array)
+    }
+
+    fn of_column(column: Option<Column>) -> Vec<i64> {
+        match column {
+            Some(Column::I64(array)) => array,
+            _ => Vec::new(),
+        }
+    }
 }
 
 impl ElemType for f64 {
@@ -121,6 +144,17 @@ impl ElemType for f64 {
 
     fn slice(array: &[f64]) -> Slice<'_> {
         Slice::F64(array)
+    }
+
+    fn column(array: Vec<f64>) -> Column {
+        Column::F64(array)
+    }
+
+    fn of_column(column: Option<Column>) -> Vec<f64> {
+        match column {
+            Some(Column::F64(array)) => array,
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -153,13 +187,34 @@ pub struct Layout {
     /// True when view names carry a block shape after the format name
     /// (`bsr2x2`): instances of different shapes are different views.
     pub blocked: bool,
+    /// The dims that are the matrix's rows and columns: one dim twice
+    /// for a format that holds only square matrices.
+    pub shape: (Dim, Dim),
     /// The format's index structure ([`Levels::view`]). The block shape
     /// is ignored by formats that have none.
     pub view: fn(Block) -> FormatView,
-    /// Builds an instance cut to the given block shape (ignored by
-    /// formats that have none), panicking as the struct's own
-    /// `from_triplets` does on a matrix the format cannot hold.
-    pub from_triplets: fn(&Triplets<f64>, Block) -> Box<dyn Stored>,
+    /// Builds an instance, by the assembly its levels describe
+    /// ([`crate::assemble`]): a blocked one cut to the given shape (BSR's
+    /// blocks, VBR's strips of that height and width), or given none at
+    /// the one discovery finds; an error where the format cannot hold
+    /// the matrix.
+    pub from_triplets: FromTriplets,
+}
+
+/// [`Layout::from_triplets`]: an instance of the layout, or why it cannot
+/// hold the matrix.
+pub type FromTriplets = fn(&Triplets<f64>, Option<Block>) -> Result<Box<dyn Stored>, FormatError>;
+
+/// What no level of a layout states, on both paths: how assembly makes
+/// it true, and how `validate` checks it of an untrusted instance.
+pub struct Residue<M> {
+    /// The level of the first chain before which `assemble` runs (the
+    /// number of levels: after the last).
+    pub before: usize,
+    /// Makes it true of an instance under assembly.
+    pub assemble: ResidueStep,
+    /// Says where an untrusted instance breaks it (`validate`, last).
+    pub check: fn(&M) -> Result<(), String>,
 }
 
 impl std::ops::Deref for Layout {
@@ -221,6 +276,15 @@ fn parse_block(shape: &str) -> Option<Block> {
 }
 
 impl Layout {
+    /// The registered layout of this format name (a blocked one's
+    /// without its shape: `bsr`), or [`FormatError::UnknownFormat`].
+    pub fn named(name: &str) -> Result<&'static Layout, FormatError> {
+        let found = LAYOUTS.iter().find(|l| l.name == name);
+        found.copied().ok_or_else(|| FormatError::UnknownFormat {
+            name: name.to_string(),
+        })
+    }
+
     /// Resolves a view name: the layout it is a view of, and the block
     /// shape the name carries (`bsr2x2` → the `bsr` layout at 2×2). The
     /// shape rides in the name so that plans for distinct shapes never
@@ -337,10 +401,9 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///     ] -> values;
 ///     perm: iperm, iperm_inv;             // views with a `perm` only
 ///     find: find;
-///     residue: padding;                   // what no level says, if any
+///     residue: PADDING;                   // what no level says, if any
 ///     /// The BSR index structure, per logical row.
 ///     view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
-///     from_triplets: |t, (r, c)| Bsr::from_triplets(t, r, c);
 /// }
 /// ```
 ///
@@ -353,9 +416,14 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// is the index structure those chains walk, one line in the notation of
 /// [`crate::view`] (a blocked view's name, not its text, carries the
 /// shape: `bsr2x2`), and the function that reads it
-/// ([`leveled!`](crate::level::leveled)).
+/// ([`leveled!`](crate::level::leveled)). `residue` names the layout's
+/// [`Residue`]: what no level says, made true by assembly and checked by
+/// `validate`.
 ///
-/// The dense API is read off the same lines: `get(r, c)` is the
+/// Everything else is read off the same lines. Assembly from triplets
+/// is [`crate::assemble`] over the first chain's levels (the struct's
+/// `assembled`, which its own `from_triplets` calls, and
+/// [`Layout::from_triplets`]). The dense API: `get(r, c)` is the
 /// struct's `find(r, c)` — the dense lookup every format has between its
 /// `layout-find` markers — over the first chain's value array, `nnz` the
 /// struct's own, and `entries` its `to_triplets`.
@@ -372,8 +440,18 @@ macro_rules! stored_layout {
         $(residue: $residue:ident;)?
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
-        from_triplets: $build:expr;
     ) => {
+        /// Each field of this module's format as a [`Dim`](crate::level::Dim)
+        /// or [`Arr`](crate::level::Arr), its index in the lists of
+        /// `LEVELS`: how its residue names the fields under assembly.
+        #[allow(non_upper_case_globals, non_camel_case_types, dead_code)]
+        mod field {
+            enum DimIndex { $($dim),+ }
+            enum ArrIndex { $($arr),+ }
+            $(pub const $dim: $crate::level::Dim = $crate::level::Dim(DimIndex::$dim as usize);)+
+            $(pub const $arr: $crate::level::Arr = $crate::level::Arr(ArrIndex::$arr as usize);)+
+        }
+
         /// The storage description of this module's format.
         pub static LAYOUT: $crate::layout::Layout = $crate::layout::Layout {
             levels: &LEVELS,
@@ -388,12 +466,27 @@ macro_rules! stored_layout {
                 }
             },
             blocked: $crate::layout::stored_layout!(@blocked $($br)?),
+            shape: $crate::layout::stored_layout!(@dims $($nr $nc)?),
             view: |block| LEVELS.view(LEVELS.block.map(|_| block)),
-            from_triplets: |t, block| {
-                let build: fn(&$crate::Triplets<f64>, $crate::layout::Block) -> $ty<f64> = $build;
-                Box::new(build(t, block))
-            },
+            from_triplets: |t, block| Ok(Box::new($ty::assembled(t, block.into())?)),
         };
+
+        impl $ty<f64> {
+            /// Assembles `t` as the levels describe, cut as `cut` says.
+            fn assembled(
+                t: &$crate::Triplets<f64>,
+                cut: $crate::assemble::Cut<'_>,
+            ) -> Result<$ty<f64>, $crate::FormatError> {
+                let residue = $crate::layout::stored_layout!(@residue $($residue)?);
+                let (dims, arrays) = $crate::assemble::assemble(&LAYOUT, t, cut, residue)?;
+                let (mut dims, mut arrays) = (dims.into_iter(), arrays.into_iter());
+                // In the order of `dims` and `arrays`, as the levels list them.
+                Ok($ty {
+                    $($dim: dims.next().unwrap_or_default(),)+
+                    $($arr: <$elem as $crate::layout::ElemType>::of_column(arrays.next().flatten()),)+
+                })
+            }
+        }
 
         impl $crate::layout::Stored for $ty<f64> {
             fn layout(&self) -> &'static $crate::layout::Layout {
@@ -443,6 +536,10 @@ macro_rules! stored_layout {
     };
     (@blocked) => { false };
     (@blocked $br:ident) => { true };
+    (@dims) => { (field::nrows, field::ncols) };
+    (@dims $nr:ident $nc:ident) => { (field::$nr, field::$nc) };
+    (@residue) => { None };
+    (@residue $residue:ident) => { Some(($residue.before, $residue.assemble)) };
     (@shape) => { $crate::layout::stored_layout!(@shape nrows ncols); };
     (@shape $nr:ident $nc:ident) => {
         fn nrows(&self) -> usize {

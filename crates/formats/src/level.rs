@@ -463,7 +463,7 @@ pub trait Leveled {
 /// Declares how a struct's levels are walked, as the static `LEVELS` of
 /// the struct's module, implements [`Leveled`] and
 /// [`SparseView`](crate::SparseView) for the struct at `f64`, and derives
-/// its inherent `to_triplets` and `validate` from the levels and the view.
+/// its `to_triplets` and `validate` from the levels and the view.
 /// `stored_layout!` ends in this; a view that exists only on the host
 /// (no [`Layout`](crate::layout::Layout): it is never marshalled into a
 /// kernel) invokes it directly. Every field is listed as `alias =
@@ -479,7 +479,7 @@ pub trait Leveled {
 ///     chains: [Level::interval(n)] -> diag, [ … ] -> off_values;
 ///     perm: ;                           // or: (iperm, iperm_inv)
 ///     find: "off.find" => |m, r, c| m.off.find(r, c);
-///     residue: method;                  // only for what no level says
+///     residue: RESIDUE;                 // only for what no level says
 ///     /// The diag-split index structure.
 ///     view: diagsplit_format_view = "(r, c | stored diagonal): (map{…} ∪ …)";
 /// }
@@ -490,9 +490,9 @@ pub trait Leveled {
 /// `chains` walks ([`check_view`] holds them to that at the first read).
 /// It is read by the function it names ([`Levels::view`], at the block
 /// shape `(r, c)` it takes for a blocked view), documented as the
-/// attributes before it say. `residue` names a method `fn(&Self) ->
-/// Result<(), String>` that `validate` calls last, for an invariant no
-/// level states (ELL's pad sentinel).
+/// attributes before it say. `residue` names the layout's
+/// [`Residue`](crate::layout::Residue), whose `check` `validate` calls
+/// last, for an invariant no level states (ELL's pad sentinel).
 macro_rules! leveled {
     (
         $ty:ident, $name:literal;
@@ -561,7 +561,15 @@ macro_rules! leveled {
             }
         }
 
-        impl $crate::SparseView for $ty<f64> {}
+        impl $crate::SparseView for $ty<f64> {
+            fn to_triplets(&self) -> $crate::Triplets<f64> {
+                $crate::walk::to_triplets(self)
+            }
+
+            fn validate(&self) -> Result<(), $crate::FormatError> {
+                $crate::walk::validate(self, || $crate::level::leveled!(@residue self $($residue)?))
+            }
+        }
 
         impl $ty<f64> {
             /// Converts to triplets in normal form: the entries the view's
@@ -576,7 +584,7 @@ macro_rules! leveled {
             /// Data that passes cannot drive an accessor, a cursor or a
             /// kernel out of bounds.
             pub fn validate(&self) -> Result<(), $crate::FormatError> {
-                $crate::walk::validate(self, || $crate::level::leveled!(@residue self $($residue)?))
+                $crate::SparseView::validate(self)
             }
         }
 
@@ -588,7 +596,7 @@ macro_rules! leveled {
     (@block) => { None };
     (@block $br:ident $bc:ident) => { Some(($br, $bc)) };
     (@residue $m:ident) => { Ok(()) };
-    (@residue $m:ident $residue:ident) => { $m.$residue() };
+    (@residue $m:ident $residue:ident) => { ($residue.check)($m) };
     (@perm) => { None };
     (@perm $apply:ident $unapply:ident) => {
         Some($crate::level::Perm { apply: $apply, unapply: $unapply })

@@ -19,7 +19,9 @@
 //!   Corresponds to the paper's `term_nesting`/`term_perm2`/iterator class
 //!   hierarchy. How a level is walked is declared once per format
 //!   ([`level::Levels`], beside its [`layout::Layout`]); the one generic
-//!   cursor and the code emitter's loops are both read off it.
+//!   cursor, the code emitter's loops and the one assembler
+//!   ([`assemble`]) are all read off it, and [`LAYOUTS`] is the one
+//!   registry, by name too ([`Layout::named`]).
 //! - **Concrete formats**: [`Dense`], [`Coo`], [`Csr`], [`Csc`], [`Dcsr`], [`Dia`],
 //!   [`Ell`], [`Jad`], [`DiagSplit`] (a `∪` format storing the diagonal
 //!   separately), and sorted/hashed sparse vectors ([`SparseVec`],
@@ -28,6 +30,7 @@
 //!   and synthetic workload generators (including the `can_1072`-like
 //!   matrix substituting for the Harwell–Boeing input of the paper's §5).
 
+pub mod assemble;
 pub mod blocks;
 pub mod convert;
 pub mod cursor;
@@ -45,7 +48,7 @@ mod view_text;
 mod walk;
 
 pub use blocks::{block_fill, discover_block_size, discover_strips, BlockReport};
-pub use convert::{AnyFormat, FormatError, FORMAT_NAMES};
+pub use convert::FormatError;
 pub use cursor::{ChainCursor, Keys, Position, SparseView};
 pub use features::{vector_features, StructureFeatures};
 pub use formats::bsr::Bsr;

@@ -7,10 +7,11 @@ use std::borrow::Cow;
 
 /// A matrix under construction: explicit `(row, col, value)` entries.
 ///
-/// `Triplets` is the hub of all format conversions: every concrete format
-/// writes its `from_triplets`, and its `to_triplets` is derived from its
-/// levels (the walk of its view, then [`normalize`](Self::normalize)),
-/// making any-to-any conversion a two-step round trip.
+/// `Triplets` is the hub of all format conversions: a registered format's
+/// `from_triplets` is the assembly its levels describe
+/// ([`crate::assemble`]), and its `to_triplets` the walk of its view, then
+/// [`normalize`](Self::normalize): any-to-any conversion is a two-step
+/// round trip.
 ///
 /// **Normal form** is entries strictly increasing in `(row, col)`: sorted
 /// row-major, no position twice. A `Triplets` knows whether it is in

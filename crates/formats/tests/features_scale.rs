@@ -3,7 +3,7 @@
 //! analyzer against set-based references of what it computes.
 
 use bernoulli_formats::{
-    block_fill, discover_strips, gen, AnyFormat, BlockReport, StructureFeatures, Triplets,
+    block_fill, discover_strips, gen, BlockReport, Layout, StructureFeatures, Triplets,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,9 +96,9 @@ fn features_agree_across_formats() {
     let t = gen::structurally_symmetric(96, 700, 12, 21);
     let base = StructureFeatures::of_triplets(&t);
     for name in ["coo", "csr", "csc", "ell", "jad"] {
-        let f = AnyFormat::<f64>::try_from_triplets(name, &t).unwrap();
+        let m = (Layout::named(name).unwrap().from_triplets)(&t, None).unwrap();
         assert_eq!(
-            StructureFeatures::of_format(&f),
+            StructureFeatures::of_triplets(&m.to_triplets()),
             base,
             "features must not depend on the storage format ({name})"
         );

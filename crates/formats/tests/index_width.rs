@@ -6,8 +6,7 @@
 use bernoulli_formats::io::{read_matrix_market, MmError};
 use bernoulli_formats::layout::{Elem, INDEX_LIMIT};
 use bernoulli_formats::{
-    gen, AnyFormat, Csr, FormatError, SparseMatrix, Stored, Triplets, FORMAT_NAMES, HOST_LEVELS,
-    LAYOUTS,
+    gen, Csr, FormatError, Layout, SparseMatrix, Stored, Triplets, HOST_LEVELS, LAYOUTS,
 };
 use std::io::Cursor;
 
@@ -75,7 +74,7 @@ fn a_layout_says_what_it_weighs() {
     // The sum over the parts, whatever the layout.
     let lower = t.lower_triangle_full_diag(1.0);
     for layout in LAYOUTS {
-        let m = (layout.from_triplets)(&lower, (2, 2));
+        let m = (layout.from_triplets)(&lower, Some((2, 2))).unwrap();
         let (mut dims, mut arrays) = (Vec::new(), Vec::new());
         m.parts(&mut dims, &mut arrays);
         let widths = layout.arrays.iter().map(|&(_, e)| e.width());
@@ -95,16 +94,65 @@ fn a_matrix_past_the_limit_is_refused_before_it_is_allocated() {
 fn every_format_refuses_it_typed() {
     for (nrows, ncols) in [(PAST, 1), (1, PAST)] {
         let t = Triplets::<f64>::new(nrows, ncols);
-        for &name in FORMAT_NAMES {
-            let e = AnyFormat::try_from_triplets(name, &t).map(|_| ());
+        for layout in LAYOUTS {
+            let e = (layout.from_triplets)(&t, None).map(|_| ());
             let want = FormatError::IndexLimit {
                 nrows,
                 ncols,
                 stored: 0,
             };
-            assert_eq!(e, Err(want), "{name} at {nrows}x{ncols}");
+            assert_eq!(e, Err(want), "{} at {nrows}x{ncols}", layout.name);
         }
     }
+}
+
+/// Fill a layout stores beside the entries, past the limit: refused
+/// typed once it is counted, before the cells are allocated (80 GB and
+/// more of them here).
+#[test]
+fn fill_past_the_limit_is_refused_typed() -> Result<(), FormatError> {
+    // DIA: 30 000 entries down column 0, each on a diagonal of its own,
+    // every diagonal stored in full: about 10^10 cells.
+    let (n, k) = (400_000, 30_000);
+    let column: Vec<_> = (0..k).map(|i| (i, 0, 1.0)).collect();
+    let t = Triplets::from_entries(n, n, &column);
+    let stored = (0..k).map(|i| n - i).sum();
+    let e = (Layout::named("dia")?.from_triplets)(&t, None).map(|_| ());
+    assert_eq!(
+        e,
+        Err(FormatError::IndexLimit {
+            nrows: n,
+            ncols: n,
+            stored
+        })
+    );
+    // Skyline: every row of a 100 000-order matrix reaches column 0.
+    let n = 100_000;
+    let column: Vec<_> = (0..n).map(|i| (i, 0, 1.0)).collect();
+    let t = Triplets::from_entries(n, n, &column);
+    let e = (Layout::named("sky")?.from_triplets)(&t, None).map(|_| ());
+    let stored = n * (n + 1) / 2;
+    assert_eq!(
+        e,
+        Err(FormatError::IndexLimit {
+            nrows: n,
+            ncols: n,
+            stored
+        })
+    );
+    // VBR: two entries in one 70 000 × 70 000 block.
+    let n = 70_000;
+    let t = Triplets::from_entries(n, n, &[(0, 0, 1.0), (n - 1, n - 1, 2.0)]);
+    let e = (Layout::named("vbr")?.from_triplets)(&t, Some((n, n))).map(|_| ());
+    assert_eq!(
+        e,
+        Err(FormatError::IndexLimit {
+            nrows: n,
+            ncols: n,
+            stored: n * n
+        })
+    );
+    Ok(())
 }
 
 #[test]
@@ -142,7 +190,7 @@ fn a_key_past_u32_max_finds_nothing() {
         assert_eq!(a.get(r, PAST), 0.0, "row {r}");
     }
     for layout in LAYOUTS {
-        let m = (layout.from_triplets)(&t, (1, 1));
+        let m = (layout.from_triplets)(&t, Some((1, 1))).unwrap();
         for r in 0..3 {
             assert_eq!(m.get(r, 0), 1.0 + r as f64, "{}", layout.name);
             assert_eq!(m.get(r, PAST), 0.0, "{} ({r}, 2^32)", layout.name);

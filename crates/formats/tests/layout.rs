@@ -40,7 +40,7 @@ fn matrices() -> Vec<(Triplets<f64>, bool)> {
 }
 
 fn build(layout: &Layout, t: &Triplets<f64>) -> Option<Box<dyn Stored>> {
-    std::panic::catch_unwind(|| (layout.from_triplets)(t, BLOCK)).ok()
+    (layout.from_triplets)(t, Some(BLOCK)).ok()
 }
 
 fn parts(m: &dyn Stored) -> (Vec<usize>, Vec<RawArray>) {

@@ -1,16 +1,17 @@
 //! Property tests: every format round-trips through triplets, agrees with
 //! every other format on random access, and enumerates exactly its stored
 //! entries via its declared view (DESIGN.md property P2). Random access is
-//! held for every format `AnyFormat` names and for every registered
-//! layout, whose dense API `stored_layout!` derives; so are the derived
-//! `validate` (it accepts what `from_triplets` built) and `to_triplets`
-//! (`from_triplets` builds from it what it came from).
+//! held for every registered layout, whose dense API `stored_layout!`
+//! derives, built through the registry at a given block shape and at the
+//! one discovery finds, and for the two host matrix views; so are the
+//! derived `validate` (it accepts what `from_triplets` built) and
+//! `to_triplets` (`from_triplets` builds from it what it came from).
 
-use bernoulli_formats::convert::{AnyFormat, FORMAT_NAMES};
 use bernoulli_formats::cursor::check_view_conformance;
+use bernoulli_formats::layout::Block;
 use bernoulli_formats::{
-    Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, FormatError, Jad, Sky, SparseView, Stored, Triplets, Vbr,
-    LAYOUTS,
+    Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, DiagSplit, Ell, FormatError, Jad, Sky, SparseView,
+    Triplets, Vbr, LAYOUTS,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -27,10 +28,13 @@ fn arb_matrix(n: usize, max_nnz: usize) -> impl Strategy<Value = Triplets<f64>> 
     })
 }
 
-/// Every registered layout's instance of `t` at block shape 2×2, with
-/// the matrix it holds: `t`, or for Sky, which holds a lower triangle,
-/// `t`'s with its diagonal filled.
-fn layouts(t: &Triplets<f64>) -> Vec<(&'static str, Triplets<f64>, Box<dyn Stored>)> {
+/// Every registered layout's instance of `t` at `block` (at the shape
+/// discovery finds for `None`), with the matrix it holds: `t`, or for
+/// Sky, which holds a lower triangle, `t`'s with its diagonal filled.
+fn layouts(
+    t: &Triplets<f64>,
+    block: Option<Block>,
+) -> Vec<(&'static str, Triplets<f64>, Box<dyn SparseView>)> {
     LAYOUTS
         .iter()
         .map(|layout| {
@@ -38,10 +42,25 @@ fn layouts(t: &Triplets<f64>) -> Vec<(&'static str, Triplets<f64>, Box<dyn Store
                 "sky" => t.lower_triangle_full_diag(1.0),
                 _ => t.clone(),
             };
-            let m = (layout.from_triplets)(&held, (2, 2));
-            (layout.name, held, m)
+            let m = (layout.from_triplets)(&held, block);
+            let m = m.unwrap_or_else(|e| panic!("{}: {e}", layout.name));
+            (layout.name, held, m as Box<dyn SparseView>)
         })
         .collect()
+}
+
+/// The formats of `t` under every name: the registered layouts at the
+/// shapes discovery finds and at 2×2, and the two host matrix views.
+fn every_format(t: &Triplets<f64>) -> Vec<(&'static str, Triplets<f64>, Box<dyn SparseView>)> {
+    let mut all = layouts(t, None);
+    all.extend(layouts(t, Some((2, 2))));
+    all.push(("dense", t.clone(), Box::new(Dense::from_triplets(t))));
+    all.push((
+        "diagsplit",
+        t.clone(),
+        Box::new(DiagSplit::from_triplets(t)),
+    ));
+    all
 }
 
 /// The dense API of `m` against the matrix it holds: `get` reads `t` at
@@ -110,10 +129,7 @@ proptest! {
 
     #[test]
     fn formats_agree_on_random_access(t in arb_matrix(8, 24)) {
-        for &name in FORMAT_NAMES {
-            dense_api_agrees(name, AnyFormat::from_triplets(name, &t).as_view(), &t);
-        }
-        for (name, held, m) in layouts(&t) {
+        for (name, held, m) in every_format(&t) {
             dense_api_agrees(name, &*m, &held);
         }
     }
@@ -121,28 +137,23 @@ proptest! {
     // 8 × 8, so that 2 × 2 blocks cut it.
     #[test]
     fn all_views_conform(t in arb_matrix(8, 20)) {
-        for &name in FORMAT_NAMES {
-            let f = AnyFormat::from_triplets(name, &t);
-            conforms(name, f.as_view());
-            prop_assert_eq!(f.validate(), Ok(()), "{}", name);
+        for (name, _, m) in every_format(&t) {
+            conforms(name, &*m);
+            prop_assert_eq!(m.validate(), Ok(()), "{}", name);
         }
         for (name, valid, same) in derived(&t) {
             prop_assert_eq!(valid, Ok(()), "{}", name);
             prop_assert!(same, "{}: from_triplets(to_triplets(m)) != m", name);
         }
-        for (name, _, m) in layouts(&t) {
-            conforms(name, &*m);
-        }
     }
 
     #[test]
     fn triplet_roundtrip_preserves_values(t in arb_matrix(6, 18)) {
-        for &name in FORMAT_NAMES {
-            let f = AnyFormat::from_triplets(name, &t);
-            let back = f.to_triplets();
+        for (name, held, m) in every_format(&t) {
+            let back = m.to_triplets();
             for r in 0..6 {
                 for c in 0..6 {
-                    prop_assert_eq!(back.get(r, c), t.get(r, c), "{}", name);
+                    prop_assert_eq!(back.get(r, c), held.get(r, c), "{}", name);
                 }
             }
         }
@@ -183,9 +194,8 @@ fn generators_feed_all_formats() {
         gen::random_sparse(10, 10, 25, 5),
     ];
     for t in &inputs {
-        for &name in FORMAT_NAMES {
-            let f = AnyFormat::from_triplets(name, t);
-            assert_eq!(f.as_view().get(1, 1), t.get(1, 1), "{name}");
+        for (name, held, m) in every_format(t) {
+            assert_eq!(m.get(1, 1), held.get(1, 1), "{name}");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! could produce is caught with a typed [`FormatError`] instead of an
 //! out-of-bounds panic later.
 
-use bernoulli_formats::{AnyFormat, Csc, Csr, Dcsr, Dia, Ell, FormatError, Jad, Triplets};
+use bernoulli_formats::{Csc, Csr, Dcsr, Dense, Dia, Ell, FormatError, Jad, Triplets, LAYOUTS};
 
 fn sample() -> Triplets<f64> {
     Triplets::from_entries(
@@ -34,13 +34,19 @@ fn assert_invalid(r: Result<(), FormatError>, format: &str, needle: &str) {
 #[test]
 fn constructed_formats_validate() {
     let t = sample();
-    for &name in bernoulli_formats::FORMAT_NAMES {
-        if name == "diagsplit" {
-            continue; // square-only
+    for layout in LAYOUTS {
+        match (layout.from_triplets)(&t, None) {
+            Ok(f) => f
+                .validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", layout.name)),
+            // Skyline holds square matrices only.
+            Err(e) => assert!(
+                matches!(e, FormatError::NotSquare { format: "sky", .. }),
+                "{e}"
+            ),
         }
-        let f = AnyFormat::<f64>::from_triplets(name, &t);
-        f.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+    Dense::from_triplets(&t).validate().unwrap();
 }
 
 #[test]

@@ -70,7 +70,7 @@ use crate::plan::Plan;
 use crate::search::SynthError;
 use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored};
 use bernoulli_formats::view::FormatView;
-use bernoulli_formats::{Bsr, Csc, Csr, Jad};
+use bernoulli_formats::{Bsr, Csc, Csr, FormatError, Jad};
 use bernoulli_ir::{ArrayKind, Program, Role};
 use bernoulli_kernel_cache::{ArtifactSpec, KernelCacheError, KernelStore, Library};
 use std::collections::HashMap;
@@ -893,8 +893,8 @@ fn lcm(a: usize, b: usize) -> usize {
 /// for every format including skyline — with n sized to divide evenly
 /// into every block shape the signature's view names carry; a format
 /// that is cut into blocks but names no shape in its view (VBR) is cut
-/// in halves.
-fn probe_operands(sig: &KernelSig) -> (i64, Vec<ProbeOperand>) {
+/// in halves. An error only where a format cannot hold it.
+fn probe_operands(sig: &KernelSig) -> Result<(i64, Vec<ProbeOperand>), FormatError> {
     use bernoulli_formats::Triplets;
     let blocks = sig.args.iter().filter_map(|(_, spec)| match spec {
         ArgSpec::View { block, .. } => *block,
@@ -910,13 +910,16 @@ fn probe_operands(sig: &KernelSig) -> (i64, Vec<ProbeOperand>) {
     }
     let t = Triplets::<f64>::from_entries(n, n, &entries);
     let ops = sig.args.iter().map(|(_, spec)| match spec {
-        ArgSpec::VecIn => ProbeOperand::In((0..n).map(|k| 1.0 + 0.25 * k as f64).collect()),
-        ArgSpec::VecOut => ProbeOperand::Out((0..n).map(|k| 0.5 * k as f64).collect()),
         ArgSpec::View { layout, block, .. } => {
-            ProbeOperand::Matrix((layout.from_triplets)(&t, block.unwrap_or((n / 2, n / 2))))
+            let cut = block.unwrap_or((n / 2, n / 2));
+            Ok(ProbeOperand::Matrix((layout.from_triplets)(&t, Some(cut))?))
         }
+        ArgSpec::VecIn => Ok(ProbeOperand::In(
+            (0..n).map(|k| 1.0 + 0.25 * k as f64).collect(),
+        )),
+        ArgSpec::VecOut => Ok(ProbeOperand::Out((0..n).map(|k| 0.5 * k as f64).collect())),
     });
-    (n as i64, ops.collect())
+    Ok((n as i64, ops.collect::<Result<_, _>>()?))
 }
 
 /// Runs the freshly loaded kernel against the interpreter on the probe
@@ -924,17 +927,22 @@ fn probe_operands(sig: &KernelSig) -> (i64, Vec<ProbeOperand>) {
 /// store remembers the verdict and keeps the library open, so warm
 /// loads through the same store skip the probe and the `dlopen`.
 /// `Ok(false)`: validation skipped — the *interpreter* could not run
-/// the probe, so there is no reference to compare against.
+/// the probe (or a format could not hold it), so there is no reference
+/// to compare against.
 /// `Err`: the kernel disagreed or failed — the artifact is quarantined.
 fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bool, LoadError> {
     let sig = kernel.sig();
-    let (n, mut interp_ops) = probe_operands(sig);
+    let Ok((n, mut interp_ops)) = probe_operands(sig) else {
+        return Ok(false);
+    };
     let params = vec![n; sig.params.len()];
     let operands = interp_ops.iter_mut().map(ProbeOperand::operand);
     if interp_positional(p, plan, &params, operands).is_err() {
         return Ok(false);
     }
-    let (_, mut kernel_ops) = probe_operands(sig);
+    let Ok((_, mut kernel_ops)) = probe_operands(sig) else {
+        return Ok(false);
+    };
     let reject = |detail: String| {
         kernel.store.quarantine(kernel.lib.path());
         LoadError::ValidationFailed { detail }

@@ -1,7 +1,7 @@
 //! The structure-aware advisor: ranking, determinism, plan-cache reuse,
 //! instance-derived view annotations, and execution of advised kernels.
 
-use bernoulli_formats::{gen, AnyFormat, StructureFeatures};
+use bernoulli_formats::{gen, Layout, StructureFeatures};
 use bernoulli_ir::parse_program;
 use bernoulli_synth::{view_for_features, ExecEnv, Service, ServiceConfig, Session, SynthError};
 
@@ -44,11 +44,11 @@ fn advise_ranks_and_runs() {
     // The chosen kernel executes correctly on the chosen format.
     let n = t.nrows();
     let best = advice.best();
-    let f = AnyFormat::<f64>::try_from_triplets(&best.format, &t).unwrap();
+    let f = (Layout::named(&best.format).unwrap().from_triplets)(&t, None).unwrap();
     let x = gen::dense_vector(n, 5);
     let mut env = ExecEnv::new();
     env.set_param("M", n as i64).set_param("N", n as i64);
-    env.bind_sparse("A", f.as_view());
+    env.bind_sparse("A", &*f);
     env.bind_vec("x", x.clone());
     env.bind_vec("y", vec![0.0; n]);
     best.kernel.interpret(&mut env).unwrap();

@@ -2,11 +2,20 @@
 //! through the interpreter, and compare against the dense reference
 //! executor (DESIGN.md property P3).
 
-use bernoulli_formats::convert::AnyFormat;
 use bernoulli_formats::view::FormatView;
-use bernoulli_formats::{gen, Triplets};
+use bernoulli_formats::{gen, Dense, DiagSplit, Layout, SparseView, Triplets};
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
 use bernoulli_synth::{run_plan, CompiledKernel, ExecEnv, Session, SynthOptions};
+
+/// `t` in the format of this name: a registered layout, assembled at the
+/// shape discovery finds, or a host view by its own constructor.
+fn in_format(name: &str, t: &Triplets<f64>) -> Box<dyn SparseView> {
+    match name {
+        "dense" => Box::new(Dense::from_triplets(t)),
+        "diagsplit" => Box::new(DiagSplit::from_triplets(t)),
+        _ => (Layout::named(name).unwrap().from_triplets)(t, None).unwrap(),
+    }
+}
 
 const TS: &str = r#"
     program ts(N) {
@@ -56,8 +65,8 @@ fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
 fn check_ts(format: &str, t: &Triplets<f64>) {
     let n = t.nrows();
     let p: Program = parse_program(TS).unwrap();
-    let f = AnyFormat::from_triplets(format, t);
-    let view = f.as_view().format_view();
+    let f = in_format(format, t);
+    let view = f.format_view();
 
     let synth = compile(&p, "L", view, SynthOptions::default());
 
@@ -75,7 +84,7 @@ fn check_ts(format: &str, t: &Triplets<f64>) {
     let mut penv = ExecEnv::new();
     penv.set_param("N", n as i64);
     penv.bind_vec("b", b0);
-    penv.bind_sparse("L", f.as_view());
+    penv.bind_sparse("L", &*f);
     run_plan(synth.plan(), &mut penv)
         .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan()));
     let got = penv.take_vec("b");
@@ -92,8 +101,8 @@ fn check_ts(format: &str, t: &Triplets<f64>) {
 fn check_mvm(format: &str, t: &Triplets<f64>) {
     let (m, n) = (t.nrows(), t.ncols());
     let p: Program = parse_program(MVM).unwrap();
-    let f = AnyFormat::from_triplets(format, t);
-    let view = f.as_view().format_view();
+    let f = in_format(format, t);
+    let view = f.format_view();
 
     let synth = compile(&p, "A", view, SynthOptions::default());
 
@@ -114,7 +123,7 @@ fn check_mvm(format: &str, t: &Triplets<f64>) {
     penv.set_param("N", n as i64);
     penv.bind_vec("x", x);
     penv.bind_vec("y", y0);
-    penv.bind_sparse("A", f.as_view());
+    penv.bind_sparse("A", &*f);
     run_plan(synth.plan(), &mut penv)
         .unwrap_or_else(|e| panic!("{format}: plan failed: {e}\nplan:\n{}", synth.plan()));
     let got = penv.take_vec("y");
@@ -223,7 +232,7 @@ fn mvm_empty_matrix() {
 fn cost_model_prefers_data_centric() {
     let p = parse_program(MVM).unwrap();
     let t = gen::random_sparse(64, 64, 400, 7);
-    let f = AnyFormat::from_triplets("csr", &t);
+    let f = in_format("csr", &t);
     let opts = SynthOptions {
         include_iteration_centric: true,
         stats: bernoulli_synth::WorkloadStats::default()
@@ -232,7 +241,7 @@ fn cost_model_prefers_data_centric() {
             .with_matrix("A", 64.0, 64.0, 400.0),
         ..SynthOptions::default()
     };
-    let kernel = compile(&p, "A", f.as_view().format_view(), opts);
+    let kernel = compile(&p, "A", f.format_view(), opts);
     let cands = kernel.candidates();
     assert!(cands.len() >= 2, "need both plan families");
     use bernoulli_synth::plan::StepKind;

@@ -18,7 +18,7 @@ fn instances() -> Vec<Box<dyn Stored>> {
     let t: Triplets<f64> = gen::banded(8, 2, 5).lower_triangle_full_diag(1.0);
     LAYOUTS
         .iter()
-        .map(|l| (l.from_triplets)(&t, (2, 2)))
+        .map(|l| (l.from_triplets)(&t, Some((2, 2))).unwrap())
         .collect()
 }
 

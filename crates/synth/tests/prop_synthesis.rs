@@ -3,8 +3,7 @@
 //! TS across a representative set of formats (DESIGN.md P3/P4 as a
 //! randomized property).
 
-use bernoulli_formats::convert::AnyFormat;
-use bernoulli_formats::Triplets;
+use bernoulli_formats::{Layout, Stored, Triplets};
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
 use bernoulli_synth::{run_plan, ExecEnv, Plan, Session};
 use proptest::prelude::*;
@@ -13,14 +12,20 @@ use std::sync::OnceLock;
 /// The best plan for `spec` with `matrix` stored as `f`. One session
 /// serves the whole binary: format views repeat across cases, so after
 /// the first case every compile is a plan-cache hit.
-fn best_plan(spec: &Program, matrix: &str, f: &AnyFormat) -> Plan {
+/// `t` in the registered layout of this name, cut at the shape discovery
+/// finds.
+fn in_format(name: &str, t: &Triplets<f64>) -> Box<dyn Stored> {
+    (Layout::named(name).unwrap().from_triplets)(t, None).unwrap()
+}
+
+fn best_plan(spec: &Program, matrix: &str, f: &dyn Stored) -> Plan {
     static SESSION: OnceLock<Session> = OnceLock::new();
     let s = SESSION.get_or_init(Session::new);
     let bound = s
-        .bind(spec, &[(matrix, f.as_view().format_view())])
-        .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+        .bind(spec, &[(matrix, f.format_view())])
+        .unwrap_or_else(|e| panic!("{}: {e}", f.layout().name));
     s.compile(&bound)
-        .unwrap_or_else(|e| panic!("{}: {e}", f.name()))
+        .unwrap_or_else(|e| panic!("{}: {e}", f.layout().name))
         .plan()
         .clone()
 }
@@ -86,14 +91,14 @@ proptest! {
         let expect = env.take_vector("y");
 
         for fmt in ["csr", "coo", "dia", "jad", "ell"] {
-            let f = AnyFormat::from_triplets(fmt, &t);
-            let plan = best_plan(&spec, "A", &f);
+            let f = in_format(fmt, &t);
+            let plan = best_plan(&spec, "A", &*f);
             let mut penv = ExecEnv::new();
             penv.set_param("M", n as i64);
             penv.set_param("N", n as i64);
             penv.bind_vec("x", x.clone());
             penv.bind_vec("y", vec![0.0; n]);
-            penv.bind_sparse("A", f.as_view());
+            penv.bind_sparse("A", &*f);
             run_plan(&plan, &mut penv).unwrap();
             let got = penv.take_vec("y");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
@@ -119,12 +124,12 @@ proptest! {
         let expect = env.take_vector("b");
 
         for fmt in ["csr", "csc", "jad", "dia"] {
-            let f = AnyFormat::from_triplets(fmt, &l);
-            let plan = best_plan(&spec, "L", &f);
+            let f = in_format(fmt, &l);
+            let plan = best_plan(&spec, "L", &*f);
             let mut penv = ExecEnv::new();
             penv.set_param("N", n as i64);
             penv.bind_vec("b", b0.clone());
-            penv.bind_sparse("L", f.as_view());
+            penv.bind_sparse("L", &*f);
             run_plan(&plan, &mut penv).unwrap();
             let got = penv.take_vec("b");
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {

@@ -3,9 +3,8 @@
 //! second identical call entirely from memory, and rejection reasons
 //! must stay deduplicated and bounded.
 
-use bernoulli_formats::convert::AnyFormat;
 use bernoulli_formats::view::FormatView;
-use bernoulli_formats::{gen, Triplets};
+use bernoulli_formats::{gen, Layout, Stored, Triplets};
 use bernoulli_ir::{parse_program, Program};
 use bernoulli_synth::{SearchReport, Session, SynthOptions, WorkloadStats};
 
@@ -60,10 +59,16 @@ fn lower_triangular(n: usize) -> Triplets<f64> {
     t
 }
 
+/// `t` in the registered layout of this name, cut at the shape discovery
+/// finds.
+fn in_format(name: &str, t: &Triplets<f64>) -> Box<dyn Stored> {
+    (Layout::named(name).unwrap().from_triplets)(t, None).unwrap()
+}
+
 fn ts_on(format: &str) -> (Program, Vec<(&'static str, FormatView)>) {
     let p = parse_program(TS).unwrap();
     let t = lower_triangular(16);
-    let view = AnyFormat::from_triplets(format, &t).as_view().format_view();
+    let view = in_format(format, &t).format_view();
     (p, vec![("L", view)])
 }
 
@@ -75,7 +80,7 @@ fn ts_on(format: &str) -> (Program, Vec<(&'static str, FormatView)>) {
 fn degenerate_stats_do_not_panic() {
     let p = parse_program(MVM).unwrap();
     let t = gen::random_sparse(12, 12, 40, 3);
-    let view = AnyFormat::from_triplets("csr", &t).as_view().format_view();
+    let view = in_format("csr", &t).format_view();
 
     let mut stats = WorkloadStats {
         default_n: f64::NAN,

@@ -5,7 +5,6 @@
 //! cargo run --example format_tour
 //! ```
 
-use bernoulli::formats::convert::{AnyFormat, FORMAT_NAMES};
 use bernoulli::formats::cursor::check_view_conformance;
 use bernoulli::prelude::*;
 
@@ -45,9 +44,21 @@ fn main() -> Result<(), Error> {
     let session = Session::new();
     let spec = kernels::mvm();
 
-    for &name in FORMAT_NAMES {
-        let f = AnyFormat::try_from_triplets(name, &t)?;
-        let v = f.as_view().format_view();
+    // Every registered layout, assembled from its description (one the
+    // matrix does not fit refuses it, typed), and the two host views by
+    // their own constructors.
+    let mut formats: Vec<(&str, Box<dyn SparseView>)> = Vec::new();
+    for layout in LAYOUTS {
+        match (layout.from_triplets)(&t, None) {
+            Ok(m) => formats.push((layout.name, m as Box<dyn SparseView>)),
+            Err(e) => println!("— {} — {e}\n", layout.name),
+        }
+    }
+    formats.push(("dense", Box::new(Dense::from_triplets(&t))));
+    formats.push(("diagsplit", Box::new(DiagSplit::from_triplets(&t))));
+
+    for (name, f) in &formats {
+        let v = f.format_view();
         println!("— {name} —");
         println!("  index structure: {}", v.expr);
         let alts = v.alternatives();
@@ -57,12 +68,12 @@ fn main() -> Result<(), Error> {
             alts.iter().map(|a| a.len()).collect::<Vec<_>>()
         );
         for (ai, _) in alts.iter().enumerate() {
-            check_view_conformance(f.as_view(), ai)
+            check_view_conformance(&**f, ai)
                 .unwrap_or_else(|e| panic!("{name} alternative {ai}: {e}"));
         }
         println!(
             "  view conformance: every alternative enumerates exactly nnz={} entries",
-            f.as_view().nnz()
+            f.nnz()
         );
         let kernel = session.compile(&session.bind(&spec, &[("A", v)])?)?;
         let shape = kernel

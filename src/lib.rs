@@ -200,9 +200,9 @@ pub mod prelude {
     pub use crate::{Service, ServiceConfig, ServiceError, ServiceStats};
     pub use bernoulli_blas::kernels;
     pub use bernoulli_formats::{
-        block_fill, discover_block_size, discover_strips, AnyFormat, BlockReport, Bsr, Coo, Csc,
-        Csr, Dense, Dia, DiagSplit, Ell, HashVec, Jad, SparseMatrix, SparseVec, SparseView,
-        Triplets, Vbr,
+        block_fill, discover_block_size, discover_strips, BlockReport, Bsr, Coo, Csc, Csr, Dense,
+        Dia, DiagSplit, Ell, HashVec, Jad, Layout, SparseMatrix, SparseVec, SparseView, Stored,
+        Triplets, Vbr, LAYOUTS,
     };
     pub use bernoulli_ir::{parse_program, Program};
     pub use bernoulli_synth::{run_plan, ExecEnv, SearchReport, SynthOptions};

@@ -118,19 +118,19 @@ fn ts_results_are_exact_across_formats() {
     let t = gen::structurally_symmetric(24, 130, 9, 77).lower_triangle_full_diag(2.0);
     let b0 = gen::dense_vector(24, 5);
     let expect = ts_reference(&t, &b0);
-    use bernoulli::formats::convert::AnyFormat;
     for fmt in ["csr", "csc", "jad", "ell", "dia", "diagsplit"] {
-        let f = AnyFormat::from_triplets(fmt, &t);
+        // A registered layout by name, the diagonal split by its own
+        // constructor.
+        let f: Box<dyn SparseView> = match Layout::named(fmt) {
+            Ok(layout) => (layout.from_triplets)(&t, None).unwrap(),
+            Err(_) => Box::new(DiagSplit::from_triplets(&t)),
+        };
         let kernel = session
-            .compile(
-                &session
-                    .bind(&spec, &[("L", f.as_view().format_view())])
-                    .unwrap(),
-            )
+            .compile(&session.bind(&spec, &[("L", f.format_view())]).unwrap())
             .unwrap_or_else(|e| panic!("{fmt}: {e}"));
         let mut env = ExecEnv::new();
         env.set_param("N", 24);
-        env.bind_sparse("L", f.as_view());
+        env.bind_sparse("L", &*f);
         env.bind_vec("b", b0.clone());
         kernel.interpret(&mut env).unwrap();
         let got = env.take_vec("b");

@@ -166,10 +166,10 @@ fn advise() -> Result<(), bernoulli::Error> {
     // The winner is a compiled kernel, ready to pair with the winning
     // storage and execute.
     let best = advice.best();
-    let a = AnyFormat::<f64>::try_from_triplets(&best.format, &t)?;
+    let a = (Layout::named(&best.format)?.from_triplets)(&t, None)?;
     let mut env = ExecEnv::new();
     env.set_param("M", 1000).set_param("N", 1000);
-    env.bind_sparse("A", a.as_view());
+    env.bind_sparse("A", &*a);
     env.bind_vec("x", vec![1.0; 1000]);
     env.bind_vec("y", vec![0.0; 1000]);
     best.kernel.interpret(&mut env)?;
