@@ -6,11 +6,13 @@
 //! is one loop over the normal form of [`Triplets`]: where it must, a
 //! count pass and a prefix sum, then a fill, writing the level's arrays
 //! and, at the last level, the values. Which key of an entry a level
-//! stores is read once per assembly off the view's inverse maps (`Coord`:
-//! an affine form of the row and the column — the row itself, DIA's
-//! `r - c` — or the row through the view's permutation), and bound to a
-//! closure of its kind alone, so that every loop is monomorphic: no
-//! per-entry `dyn` call, no interpreted transform.
+//! stores is read once per assembly off the view's inverse maps (the row,
+//! the column, an affine form of both such as DIA's `r - c`, or the row
+//! through the view's permutation). Beneath another level a key is the
+//! row or the column, and an entry's parent is its row, its column or
+//! its position at the listing level above, bound to a closure of that
+//! kind alone: every loop is monomorphic, with no per-entry `dyn` call
+//! and no interpreted transform.
 //!
 //! What no level states is the layout's one named residue
 //! ([`Residue`](crate::layout::Residue)), run before the level it names:
@@ -21,35 +23,25 @@
 //! [`FormatError`], refused before the arrays it would fill are
 //! allocated.
 
-use crate::blocks::{block_pattern, discover_block_size, discover_strips};
+use crate::blocks::{block_pattern, discover_block_size, discover_strips, BlockReport};
 use crate::features::{BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL};
-use crate::layout::{check_index_limit, narrow, Block, Elem, ElemType, Layout};
-use crate::level::{Arr, Base, Bound, Dim, Kind, Levels, Slice, SlotAt, Strips};
+use crate::layout::{check_index_limit, narrow, Block, Elem, Layout};
+use crate::level::{Arr, Base, Bound, Bound::Extent, Kind, Level, Levels, Slice, SlotAt};
 use crate::partition::split_even;
 use crate::view::Transform;
 use crate::{FormatError, Triplets};
-use std::borrow::Cow;
+use std::any::Any;
 
 type Entry = (usize, usize, f64);
 /// A level's values, or why the layout cannot hold the matrix.
 type Cells = Result<Vec<f64>, FormatError>;
-/// Row and column strips.
-type Cuts = (Vec<usize>, Vec<usize>);
-/// A level's positions, or why the layout cannot hold the matrix.
-type Level = Result<Parents, FormatError>;
-
-/// A stored array under assembly, of the element type its layout
-/// declares.
-#[derive(Debug)]
-pub enum Column {
-    U32(Vec<u32>),
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-}
+/// The positions of a level another reads, or why the layout cannot
+/// hold the matrix.
+type Up = Result<Option<Parents>, FormatError>;
 
 /// Where a blocked level is cut.
 #[derive(Clone, Copy, Debug)]
-pub enum Cut<'a> {
+pub(crate) enum Cut<'a> {
     /// At the shape the matrix suggests: the dominant near-dense block
     /// (the one `StructureFeatures` reports), the strips of rows and of
     /// columns of identical support. Both fall back to one by one.
@@ -61,63 +53,47 @@ pub enum Cut<'a> {
     Strips(&'a [usize], &'a [usize]),
 }
 
-impl From<Option<Block>> for Cut<'_> {
-    fn from(block: Option<Block>) -> Self {
-        block.map_or(Cut::Discover, Cut::Block)
-    }
-}
-
-/// Which key of an entry `(r, c, v)` a level stores, or which position
-/// the entry reached at the level above.
+/// Which key of an entry a level stores, or which position the entry
+/// reached at the level above.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Coord {
-    Zero,
     /// `a * r + b * c + k`.
     Affine(i64, i64, i64),
     /// The row, through the inverse of the view's permutation.
     Permuted,
-    /// The rank of an affine key among those a listing level stores.
-    Ranked(i64, i64, i64),
+    /// Its position at the listing level above: [`Assembly::listed`]
+    /// holds each entry's.
+    Listed,
+    /// Its run at a listing level whose key the entries list in order:
+    /// [`Assembly::listed`] holds where each run starts.
+    Runs,
 }
 
 const ROW: Coord = Coord::Affine(1, 0, 0);
 const COL: Coord = Coord::Affine(0, 1, 0);
 
-/// `$body` with `$f` bound to `$coord` as a closure `&entry -> i64` of
-/// its kind alone (`$tables` hold the permutation and the ranks): the
-/// loops in `$body` are monomorphic, one copy per kind.
-macro_rules! with_coord {
-    ($coord:expr, $tables:expr, |$f:ident| $body:block) => {{
-        let (perm, (ranks, lo)): (&[u32], (&[u32], i64)) = $tables;
-        match $coord {
-            Coord::Zero => {
-                let $f = |_: &Entry| 0;
+/// `$body` with `$f` bound to the parent coord `$at` as a closure
+/// `(index, &entry) -> position` of its kind alone — the row, the
+/// column, or the position `$listed` holds — so the loops in `$body` are
+/// monomorphic, one copy per kind.
+macro_rules! bind {
+    ($at:expr, $listed:expr, |$f:ident| $body:expr) => {
+        match $at {
+            ROW => {
+                let $f = |_: usize, x: &Entry| x.0;
                 $body
             }
-            Coord::Affine(1, 0, 0) => {
-                let $f = |e: &Entry| e.0 as i64;
+            COL => {
+                let $f = |_: usize, x: &Entry| x.1;
                 $body
             }
-            Coord::Affine(0, 1, 0) => {
-                let $f = |e: &Entry| e.1 as i64;
-                $body
-            }
-            Coord::Affine(a, b, k) => {
-                let $f = move |e: &Entry| a * e.0 as i64 + b * e.1 as i64 + k;
-                $body
-            }
-            Coord::Permuted => {
-                let $f = move |e: &Entry| i64::from(perm[e.0]);
-                $body
-            }
-            Coord::Ranked(a, b, k) => {
-                let $f = move |e: &Entry| {
-                    i64::from(ranks[(a * e.0 as i64 + b * e.1 as i64 + k - lo) as usize])
-                };
+            _ => {
+                let listed: &[u32] = $listed;
+                let $f = |i: usize, _: &Entry| listed[i] as usize;
                 $body
             }
         }
-    }};
+    };
 }
 
 /// The positions of the level above: how many, each entry's, and
@@ -131,45 +107,46 @@ struct Parents {
 
 /// What a layout's residue does under assembly
 /// ([`Residue::assemble`](crate::layout::Residue)).
-pub type ResidueStep = fn(&mut Assembly<'_>) -> Result<(), FormatError>;
+pub(crate) type ResidueStep = fn(&mut Assembly<'_>) -> Result<(), FormatError>;
 
 /// A layout's instance under assembly: the normal form it is built from,
-/// and its dims and arrays by the indices of its [`Levels`].
-pub struct Assembly<'a> {
-    pub t: &'a Triplets<f64>,
-    pub dims: Vec<usize>,
+/// and its dims and arrays by the indices of its [`Levels`], each array
+/// a `Vec` of the element type its layout declares.
+pub(crate) struct Assembly<'a> {
+    pub(crate) t: &'a Triplets<f64>,
+    pub(crate) dims: Vec<usize>,
     levels: &'static Levels,
-    arrays: Vec<Option<Column>>,
-    /// The rank of each key a listing level stores, from key `.1` on.
-    ranks: (Vec<u32>, i64),
-    row_counts: Option<Vec<usize>>,
+    arrays: Vec<Option<Box<dyn Any>>>,
+    /// Each entry's position at the listing level, if one is above.
+    listed: Vec<u32>,
+    rowptr: Option<Vec<usize>>,
 }
 
 impl Assembly<'_> {
-    /// An array a level or the residue has built.
-    pub fn array(&self, a: Arr) -> Slice<'_> {
-        match &self.arrays[a.0] {
-            Some(Column::U32(v)) => Slice::U32(v),
-            Some(Column::I64(v)) => Slice::I64(v),
-            Some(Column::F64(v)) => Slice::F64(v),
-            None => Slice::U32(&[]),
-        }
-    }
-
     /// Gives array `a` its contents.
-    pub fn set<T: ElemType>(&mut self, a: Arr, array: Vec<T>) {
-        self.arrays[a.0] = Some(T::column(array));
+    pub(crate) fn set<T: 'static>(&mut self, a: Arr, array: Vec<T>) {
+        self.arrays[a.0] = Some(Box::new(array));
     }
 
-    /// Array `a`, moved out to be changed and [`set`](Self::set) again.
-    pub fn take<T: ElemType>(&mut self, a: Arr) -> Vec<T> {
-        T::of_column(self.arrays[a.0].take())
+    /// Array `a`, moved out; an error if no level or residue built it as
+    /// a `Vec<T>`.
+    pub(crate) fn take<T: 'static>(&mut self, a: Arr) -> Result<Vec<T>, FormatError> {
+        let array = self.arrays[a.0].take().and_then(|b| b.downcast().ok());
+        let unbuilt = || self.unfit(format!("no assembly builds {}", self.levels.array(a)));
+        array.map(|b| *b).ok_or_else(unbuilt)
     }
 
-    /// Entries in each row, counted once.
-    pub fn row_counts(&mut self) -> &[usize] {
+    /// Where each row of the normal form starts, counted once.
+    pub(crate) fn rowptr(&mut self) -> &[usize] {
         let t = self.t;
-        self.row_counts.get_or_insert_with(|| t.row_counts())
+        self.rowptr.get_or_insert_with(|| t.rowptr())
+    }
+
+    /// An index array a level or the residue has built.
+    fn array(&self, a: Arr) -> Option<Slice<'_>> {
+        let any = self.arrays[a.0].as_deref()?;
+        let u32s = any.downcast_ref().map(|v: &Vec<u32>| Slice::U32(v));
+        u32s.or_else(|| any.downcast_ref().map(|v: &Vec<i64>| Slice::I64(v)))
     }
 
     /// A refusal: the layout cannot hold the matrix.
@@ -184,88 +161,61 @@ impl Assembly<'_> {
         check_index_limit(self.t.nrows(), self.t.ncols(), cells).map(|()| cells)
     }
 
-    /// The keys the matrix can have under `coord`: `lo..hi`.
-    fn extent(&self, coord: Coord) -> (i64, i64) {
-        let (m, n) = (self.t.nrows() as i64, self.t.ncols() as i64);
-        let Coord::Affine(a, b, k) = coord else {
-            return (0, m);
-        };
-        if (a != 0 && m == 0) || (b != 0 && n == 0) {
-            return (0, 0);
+    /// The row or the column of an entry, as `key` says: the only keys
+    /// stored beneath another level.
+    fn key(&self, key: Coord) -> Result<impl Fn(&Entry) -> usize + Copy, FormatError> {
+        if key != ROW && key != COL {
+            return Err(self.unfit(format!("no assembly stores {key:?} beneath a level")));
         }
-        let (x, y) = (a * (m - 1).max(0), b * (n - 1).max(0));
-        (k + x.min(0) + y.min(0), k + x.max(0) + y.max(0) + 1)
-    }
-
-    /// The permutation's inverse table and the ranks, for
-    /// [`with_coord!`].
-    fn tables(&self) -> (&[u32], (&[u32], i64)) {
-        let perm = self.levels.perm.map(|p| self.array(p.unapply));
-        let perm = if let Some(Slice::U32(t)) = perm {
-            t
-        } else {
-            &[]
-        };
-        (perm, (&self.ranks.0, self.ranks.1))
-    }
-
-    /// Keys or positions as array `a`, of its declared type.
-    fn put(&mut self, a: Arr, array: Vec<u32>) {
-        self.arrays[a.0] = Some(match self.levels.elem(a) {
-            Elem::I64 => Column::I64(array.into_iter().map(i64::from).collect()),
-            _ => Column::U32(array),
-        });
+        let col = key == COL;
+        Ok(move |x: &Entry| if col { x.1 } else { x.0 })
     }
 }
 
 /// Builds `t` in `layout`, cut as `cut` says; `residue` runs before the
 /// level of the first chain it names (after the last for its number of
-/// levels). Returns the dims and the arrays in [`Levels`] order.
-pub(crate) fn assemble(
+/// levels), and `finish` takes the instance's dims and arrays.
+pub(crate) fn assemble<M>(
     layout: &Layout,
     t: &Triplets<f64>,
     cut: Cut<'_>,
     residue: Option<(usize, ResidueStep)>,
-) -> Result<(Vec<usize>, Vec<Option<Column>>), FormatError> {
-    let (levels, (m, n)) = (layout.levels, (t.nrows(), t.ncols()));
-    check_index_limit(m, n, t.nnz())?;
-    if layout.shape.0 == layout.shape.1 && m != n {
-        let (format, nrows, ncols) = (levels.name, m, n);
+    finish: impl FnOnce(&mut Assembly<'_>) -> Result<M, FormatError>,
+) -> Result<M, FormatError> {
+    let (levels, (nrows, ncols)) = (layout.levels, (t.nrows(), t.ncols()));
+    check_index_limit(nrows, ncols, t.nnz())?;
+    if layout.shape.0 == layout.shape.1 && nrows != ncols {
+        let format = levels.name;
         return Err(FormatError::NotSquare {
             format,
             nrows,
             ncols,
         });
     }
-    let t = t.normalized();
-    let (dims, arrays) = (
-        vec![0; levels.dims.len()],
-        levels.arrays.iter().map(|_| None),
-    );
-    let (arrays, ranks, row_counts) = (arrays.collect(), (Vec::new(), 0), None);
+    let (t, dims) = (t.normalized(), vec![0; levels.dims.len()]);
+    let (arrays, listed) = (levels.arrays.iter().map(|_| None).collect(), Vec::new());
+    let (t, rowptr) = (&t, None);
     let mut a = Assembly {
-        t: &t,
+        t,
         dims,
         levels,
         arrays,
-        ranks,
-        row_counts,
+        listed,
+        rowptr,
     };
-    (a.dims[layout.shape.0 .0], a.dims[layout.shape.1 .0]) = (m, n);
+    (a.dims[layout.shape.0 .0], a.dims[layout.shape.1 .0]) = (nrows, ncols);
     let keys = keys_of(levels).ok_or_else(|| a.unfit("a key no affine form gives".into()))?;
-    let (chain, (count, at, ordered)) = (&levels.chains[0], (1, Coord::Zero, true));
-    let mut up = Parents { count, at, ordered };
-    for (l, level) in chain.levels.iter().enumerate() {
+    let (chain, mut up) = (&levels.chains[0], None);
+    for l in 0..=chain.levels.len() {
         if let Some((_, run)) = residue.filter(|&(before, _)| before == l) {
             run(&mut a)?;
         }
-        let values = (l + 1 == chain.levels.len()).then_some(chain.values);
-        up = a.level(level.kind, &keys[l], up, values, cut)?;
+        if let (Some(level), Some(keys)) = (chain.levels.get(l), keys.get(l)) {
+            let values = (l + 1 == chain.levels.len()).then_some(chain.values);
+            up = a.level(level.kind, keys, up, values, cut)?;
+        }
     }
-    if let Some((_, run)) = residue.filter(|&(before, _)| before == chain.levels.len()) {
-        run(&mut a)?;
-    }
-    Ok((a.dims, a.arrays))
+    finish(&mut a)
 }
 
 /// The keys each level of the first chain stores, read off the view:
@@ -276,8 +226,7 @@ fn keys_of(levels: &'static Levels) -> Option<Vec<Vec<Coord>>> {
     let chain = view.alternatives().into_iter().flatten().next()?;
     let dense = view.dense_attrs.iter().map(String::as_str);
     let mut named: Vec<(&str, Coord)> = dense.zip([ROW, COL]).collect();
-    let find =
-        |named: &[(&str, Coord)], a: &str| named.iter().rev().find(|n| n.0 == a).map(|n| n.1);
+    let find = |named: &[(&str, Coord)], a| named.iter().rev().find(|n| n.0 == a).map(|n| n.1);
     for t in &chain.inv {
         let (out, coord) = match t {
             Transform::Affine { out, terms, cst } => {
@@ -297,382 +246,373 @@ fn keys_of(levels: &'static Levels) -> Option<Vec<Vec<Coord>>> {
         };
         named.push((out, coord));
     }
-    let keys = chain
-        .levels
-        .iter()
-        .map(|l| l.attrs.iter().map(|a| find(&named, a)).collect());
-    keys.collect()
+    let attrs = chain.levels.iter().map(|l| &l.attrs);
+    attrs
+        .map(|a| a.iter().map(|a| find(&named, a)).collect())
+        .collect()
 }
 
 impl Assembly<'_> {
-    /// Assembles one level beneath `up`, the last when it is given the
-    /// chain's `values`; returns its positions.
+    /// Assembles one level beneath `up` (none at the root), the last when
+    /// it is given the chain's `values`; returns the positions of a level
+    /// another reads.
     fn level(
         &mut self,
         kind: Kind,
         keys: &[Coord],
-        up: Parents,
-        vals: Option<Arr>,
+        mut up: Option<Parents>,
+        values: Option<Arr>,
         cut: Cut,
-    ) -> Level {
-        let (key, root) = (keys[0], up.at == Coord::Zero);
-        let cells = match (kind, vals) {
-            (Kind::Coords { crd, .. }, _) if root => return self.coords(crd, keys, vals),
-            (Kind::Interval { lo, hi, base }, None) => return self.interval((lo, hi, base), key),
-            (Kind::Interval { lo, hi, base }, Some(_)) => self.ranges((lo, hi, base), key, up)?,
-            (Kind::Compressed { ptr, crd }, Some(_)) => self.compressed((ptr, crd), key, up),
-            (Kind::Slots { count, at, crd }, Some(_)) => self.slots((count, at, crd), key, up)?,
-            (Kind::Jagged { ptr, crd }, Some(_)) if root => self.jagged((ptr, crd), keys)?,
-            (Kind::Blocks { ptr, crd, r, c }, Some(_)) if up.ordered => {
-                self.blocks((ptr, crd), (r, c), key, up, cut)?
+    ) -> Up {
+        let (key, extents) = (keys[0], [(ROW, self.t.nrows()), (COL, self.t.ncols())]);
+        if let Some(up) = up.as_mut().filter(|up| up.at == Coord::Runs) {
+            if !matches!(kind, Kind::Compressed { .. }) {
+                // Each entry's position, its run's.
+                let runs = self.listed.windows(2).zip(0..);
+                let each = runs.flat_map(|(w, p)| std::iter::repeat_n(p, (w[1] - w[0]) as usize));
+                (self.listed, up.at) = (each.collect(), Coord::Listed);
             }
-            (Kind::Strips(s), Some(_)) if up.ordered => self.strips(s, key, up, cut)?,
-            (kind, _) => return Err(self.no(kind)),
-        };
-        if let Some(values) = vals {
-            self.set(values, cells);
         }
-        Ok(up)
-    }
-
-    /// What no assembly builds: `what`, where it is.
-    fn no(&self, what: impl std::fmt::Debug) -> FormatError {
-        self.unfit(format!("no assembly builds {what:?} there"))
-    }
-
-    /// An interval whose keys are its positions, `0..dim`: what the level
-    /// below reads.
-    fn interval(&self, (lo, hi, base): (Bound, Bound, Base), key: Coord) -> Level {
-        match (lo, hi, base) {
-            (Bound::Zero, Bound::Extent(d), Base::Identity)
-                if self.extent(key) == (0, self.dims[d.0] as i64) =>
+        let cells = match (kind, up) {
+            (Kind::Coords { crd, .. }, None) => return self.coords(crd, keys, values),
+            (Kind::Interval { hi: Extent(d), .. }, None)
+                if Level::interval(d).kind == kind && extents.contains(&(key, self.dims[d.0])) =>
             {
                 let (count, at, ordered) = (self.dims[d.0], key, key == ROW);
-                Ok(Parents { count, at, ordered })
+                return Ok(Some(Parents { count, at, ordered }));
             }
-            _ => Err(self.no((lo, hi, base))),
-        }
+            (Kind::Jagged { ptr, crd }, None) => self.jagged(ptr, crd, keys)?,
+            (Kind::Interval { lo, hi, base }, Some(up)) => self.ranges((lo, hi, base), key, up)?,
+            (Kind::Compressed { ptr, crd }, Some(up)) => self.compressed(ptr, crd, key, up)?,
+            (Kind::Slots { count, at, crd }, Some(up)) => self.slots((count, at, crd), key, up)?,
+            (Kind::Blocks { .. } | Kind::Strips(_), Some(up)) if up.ordered && key == COL => {
+                self.blocked(kind, up, cut)?
+            }
+            _ => return Err(self.unfit(format!("no assembly builds {kind:?} there"))),
+        };
+        let values = values.ok_or_else(|| self.unfit(format!("{kind:?} above a level")))?;
+        self.set(values, cells);
+        Ok(None)
     }
 
-    /// An interval of run-time bounds beneath each parent, its cells from
-    /// `ptr[parent]` on: every cell stored, zero where no entry is.
-    fn ranges(&mut self, (lo, hi, base): (Bound, Bound, Base), key: Coord, up: Parents) -> Cells {
-        let Base::Ptr(ptr) = base else {
-            return Err(self.no(base));
-        };
-        let bounds = |b| match b {
-            Bound::Zero => vec![0; up.count],
-            Bound::Extent(d) => vec![self.dims[d.0] as i64; up.count],
-            Bound::Next => (1..=up.count as i64).collect(),
-            Bound::At(a) => {
-                let array = self.array(a);
-                (0..array.len()).map(|p| array.key(p)).collect()
+    /// The distinct keys, increasing, one position each. At the last
+    /// level, the row and the column of every entry, as the normal form
+    /// lists them. Above it, one affine key. Entries that list it in
+    /// order are runs of it, noted as they pass: no table spans the
+    /// key's extent, for a hypersparse matrix lists a few of its billions
+    /// of rows. Others are ranked through a table over the keys' span, as
+    /// DIA's diagonals `r - c` are.
+    fn coords(&mut self, crd: &[Arr], keys: &[Coord], values: Option<Arr>) -> Up {
+        let e = self.t.entries();
+        match (crd, keys, values) {
+            (&[rows, cols], [ROW, COL], Some(values)) => {
+                self.set(rows, e.iter().map(|x| narrow(x.0)).collect::<Vec<_>>());
+                self.set(cols, e.iter().map(|x| narrow(x.1)).collect::<Vec<_>>());
+                self.set(values, e.iter().map(|x| x.2).collect::<Vec<_>>());
+                Ok(None)
             }
-        };
-        let (lo, hi): (Vec<i64>, Vec<i64>) = (bounds(lo), bounds(hi));
-        if lo.len() != up.count || hi.len() != up.count {
-            return Err(self.unfit("no residue gives the bounds of its intervals".into()));
-        }
-        let extents = lo.iter().zip(&hi).map(|(l, h)| usize::try_from(h - l).ok());
-        let cells = self.limit(extents.clone().try_fold(0usize, |n, x| n.checked_add(x?)))?;
-        let mut starts = vec![0u32];
-        extents
-            .flatten()
-            .for_each(|x| starts.push(starts[starts.len() - 1] + narrow(x)));
-        let (mut cell, e) = (vec![0.0; cells], self.t.entries());
-        with_coord!(up.at, self.tables(), |parent| {
-            with_coord!(key, self.tables(), |key| {
-                for x in e {
-                    let (p, k) = (parent(x) as usize, key(x));
-                    if k < lo[p] || k >= hi[p] {
-                        let (r, c, lo, hi) = (x.0, x.1, lo[p], hi[p]);
-                        let outside = format!("entry ({r}, {c}) lies outside its cells {lo}..{hi}");
-                        return Err(self.unfit(outside));
+            (&[list], &[Coord::Affine(a, b, k)], None) => {
+                let key = |x: &Entry| a * x.0 as i64 + b * x.1 as i64 + k;
+                // Entries that list the key in order are runs of it,
+                // noted as they pass.
+                let (mut distinct, mut runs) = (Vec::new(), Vec::new());
+                let ordered = e.iter().enumerate().all(|(i, x)| {
+                    let (k, last) = (key(x), distinct.last().copied());
+                    if last != Some(k) {
+                        distinct.push(k);
+                        runs.push(narrow(i));
                     }
-                    cell[starts[p] as usize + (k - lo[p]) as usize] = x.2;
+                    last.is_none_or(|l| l <= k)
+                });
+                runs.push(narrow(e.len()));
+                self.listed = runs;
+                if !ordered {
+                    distinct.clear();
+                    let span = e
+                        .iter()
+                        .map(key)
+                        .fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+                    let mut rank = vec![u32::MAX; (span.1 - span.0 + 1) as usize];
+                    e.iter().for_each(|x| rank[(key(x) - span.0) as usize] = 0);
+                    for (r, k) in rank.iter_mut().zip(span.0..).filter(|(r, _)| **r == 0) {
+                        *r = narrow(distinct.len());
+                        distinct.push(k);
+                    }
+                    self.listed = e.iter().map(|x| rank[(key(x) - span.0) as usize]).collect();
                 }
-            })
-        });
-        self.put(ptr, starts);
-        Ok(cell)
+                let at = if ordered { Coord::Runs } else { Coord::Listed };
+                let count = distinct.len();
+                if self.levels.elem(list) != Elem::I64 {
+                    let u32s = distinct.into_iter().map(|k| narrow(k as usize));
+                    self.set(list, u32s.collect::<Vec<_>>());
+                } else {
+                    self.set(list, distinct);
+                }
+                Ok(Some(Parents { count, at, ordered }))
+            }
+            _ => Err(self.unfit(format!("no assembly lists the keys {keys:?}"))),
+        }
     }
 
     /// `ptr[parent]..ptr[parent + 1]`: one position per entry, its key in
     /// `crd`. Entries that reach their parents in order are stored in
     /// their own order, counted as they pass; others are counted, then
     /// scattered, each parent's in their order.
-    fn compressed(&mut self, (ptr, crd): (Arr, Arr), key: Coord, up: Parents) -> Vec<f64> {
-        let e = self.t.entries();
-        let mut starts = vec![0u32; up.count + 1];
-        let (mut keys, mut vals) = (vec![0; e.len()], vec![0.0; e.len()]);
-        with_coord!(up.at, self.tables(), |parent| {
-            with_coord!(key, self.tables(), |key| {
-                if up.ordered {
-                    for (x, (k, v)) in e.iter().zip(keys.iter_mut().zip(&mut vals)) {
-                        starts[parent(x) as usize + 1] += 1;
-                        (*k, *v) = (key(x) as u32, x.2);
-                    }
-                    prefix_sum(&mut starts);
-                } else {
-                    e.iter().for_each(|x| starts[parent(x) as usize + 1] += 1);
-                    prefix_sum(&mut starts);
-                    scatter(e, &starts, (&mut keys, &mut vals), (&parent, &key));
-                }
-            })
-        });
-        self.put(ptr, starts);
-        self.put(crd, keys);
-        vals
-    }
-
-    /// The distinct keys, increasing, one position each: the row and the
-    /// column of every entry, as the normal form lists them, at the last
-    /// level; above it one affine key, marked in a table over its extent
-    /// and ranked there, which the level below reads.
-    fn coords(&mut self, crd: &[Arr], keys: &[Coord], values: Option<Arr>) -> Level {
-        let e = self.t.entries();
-        match (keys, values) {
-            ([ROW, COL], Some(values)) => {
-                self.put(crd[0], e.iter().map(|x| narrow(x.0)).collect());
-                self.put(crd[1], e.iter().map(|x| narrow(x.1)).collect());
-                self.set(values, e.iter().map(|x| x.2).collect());
-                let (count, at, ordered) = (e.len(), Coord::Zero, true);
-                Ok(Parents { count, at, ordered })
-            }
-            (&[key @ Coord::Affine(a, b, k)], None) => {
-                let (lo, hi) = self.extent(key);
-                let mut ranks = vec![u32::MAX; (hi - lo) as usize];
-                with_coord!(key, self.tables(), |key| {
-                    e.iter().for_each(|x| ranks[(key(x) - lo) as usize] = 0);
-                });
-                let mut list = Vec::new();
-                for (s, k) in ranks.iter_mut().zip(lo..).filter(|(s, _)| **s == 0) {
-                    *s = narrow(list.len());
-                    list.push(k);
-                }
-                let count = list.len();
-                self.arrays[crd[0].0] = Some(match self.levels.elem(crd[0]) {
-                    Elem::I64 => Column::I64(list),
-                    _ => Column::U32(list.into_iter().map(|k| k as u32).collect()),
-                });
-                self.ranks = (ranks, lo);
-                let (at, ordered) = (Coord::Ranked(a, b, k), key == ROW);
-                Ok(Parents { count, at, ordered })
-            }
-            _ => Err(self.unfit(format!("no assembly lists the keys {keys:?}"))),
+    fn compressed(&mut self, ptr: Arr, crd: Arr, key: Coord, up: Parents) -> Cells {
+        let (e, key) = (self.t.entries(), self.key(key)?);
+        if up.at == Coord::Runs {
+            // An ordered listing's runs are its children's ranges.
+            let (keys, vals): (Vec<u32>, Vec<f64>) =
+                e.iter().map(|x| (narrow(key(x)), x.2)).unzip();
+            let starts = std::mem::take(&mut self.listed);
+            self.set(ptr, starts);
+            self.set(crd, keys);
+            return Ok(vals);
         }
+        let mut starts = vec![0u32; up.count + 1];
+        let (mut keys, mut vals) = (vec![0u32; e.len()], vec![0.0; e.len()]);
+        bind!(up.at, &self.listed, |parent| if up.ordered {
+            for ((i, x), (k, v)) in e.iter().enumerate().zip(keys.iter_mut().zip(&mut vals)) {
+                starts[parent(i, x) + 1] += 1;
+                (*k, *v) = (narrow(key(x)), x.2);
+            }
+            prefix_sum(&mut starts);
+        } else {
+            e.iter()
+                .enumerate()
+                .for_each(|(i, x)| starts[parent(i, x) + 1] += 1);
+            prefix_sum(&mut starts);
+            scatter(e, starts.clone(), (&mut keys, &mut vals), parent, key);
+        });
+        self.set(ptr, starts);
+        self.set(crd, keys);
+        Ok(vals)
     }
 
     /// `width` slots per parent, row-major, as many as the fullest
     /// parent holds: each parent's entries in its first `count[parent]`,
-    /// in their order.
+    /// in their order, their keys `i64`, as a pad sentinel below zero
+    /// needs.
     fn slots(&mut self, (count, at, crd): (Arr, SlotAt, Arr), key: Coord, up: Parents) -> Cells {
+        let (e, key, mut fill) = (self.t.entries(), self.key(key)?, vec![0u32; up.count]);
         let SlotAt::RowMajor(width) = at else {
-            return Err(self.no(at));
+            return Err(self.unfit(format!("no assembly lays slots out at {at:?}")));
         };
-        let (e, mut fill) = (self.t.entries(), vec![0u32; up.count]);
-        let (keys, vals, w) = with_coord!(up.at, self.tables(), |parent| {
-            with_coord!(key, self.tables(), |key| {
-                e.iter().for_each(|x| fill[parent(x) as usize] += 1);
-                let w = fill.iter().max().map_or(0, |&l| l as usize);
-                let cells = self.limit(up.count.checked_mul(w))?;
-                let starts: Vec<u32> = (0..=up.count).map(|p| narrow(p * w)).collect();
-                let (mut keys, mut vals) = (vec![0; cells], vec![0.0; cells]);
-                scatter(e, &starts, (&mut keys, &mut vals), (&parent, &key));
-                (keys, vals, w)
-            })
+        let (w, keys, vals) = bind!(up.at, &self.listed, |parent| {
+            e.iter()
+                .enumerate()
+                .for_each(|(i, x)| fill[parent(i, x)] += 1);
+            let w = fill.iter().max().map_or(0, |&l| l as usize);
+            let cells = self.limit(up.count.checked_mul(w))?;
+            let (mut keys, mut vals) = (vec![0i64; cells], vec![0.0; cells]);
+            let starts = (0..=up.count).map(|p| narrow(p * w)).collect();
+            scatter(e, starts, (&mut keys, &mut vals), parent, key);
+            (w, keys, vals)
         });
         self.dims[width.0] = w;
-        self.put(count, fill);
-        self.put(crd, keys);
+        self.set(count, fill);
+        self.set(crd, keys);
         Ok(vals)
+    }
+
+    /// An interval of run-time bounds beneath each parent, `lo[parent]`
+    /// (a residue's array) to `hi[parent]` (another, or the parent's
+    /// successor), its cells from `ptr[parent]` on: every cell stored,
+    /// zero where no entry is.
+    fn ranges(&mut self, (lo, hi, base): (Bound, Bound, Base), key: Coord, up: Parents) -> Cells {
+        let (e, key) = (self.t.entries(), self.key(key)?);
+        let Base::Ptr(ptr) = base else {
+            return Err(self.unfit(format!("no assembly bases intervals at {base:?}")));
+        };
+        let bound = |b| match b {
+            Bound::Next => Some((1..=up.count as i64).collect::<Vec<_>>()),
+            Bound::At(a) => self
+                .array(a)
+                .map(|s| (0..s.len()).map(|p| s.key(p)).collect()),
+            _ => None,
+        };
+        let bounds = [bound(lo), bound(hi)].map(|b| b.filter(|b| b.len() == up.count));
+        let [Some(lo), Some(hi)] = bounds else {
+            return Err(self.unfit("no residue gives the bounds of its intervals".into()));
+        };
+        let extents = lo.iter().zip(&hi).map(|(l, h)| usize::try_from(h - l).ok());
+        let cells = self.limit(extents.clone().try_fold(0usize, |n, x| n.checked_add(x?)))?;
+        let mut starts = vec![0u32];
+        extents
+            .flatten()
+            .for_each(|x| starts.push(starts[starts.len() - 1] + narrow(x)));
+        let mut cell = vec![0.0; cells];
+        bind!(
+            up.at,
+            &self.listed,
+            |parent| for (i, x) in e.iter().enumerate() {
+                let (p, k) = (parent(i, x), key(x) as i64);
+                if k < lo[p] || k >= hi[p] {
+                    let (r, c, lo, hi) = (x.0, x.1, lo[p], hi[p]);
+                    return Err(self.unfit(format!(
+                        "entry ({r}, {c}) lies outside its cells {lo}..{hi}"
+                    )));
+                }
+                cell[starts[p] as usize + (k - lo[p]) as usize] = x.2;
+            }
+        );
+        self.set(ptr, starts);
+        Ok(cell)
     }
 
     /// Runs by rank: run `d` holds the `d`-th entry of every row that has
-    /// one, at `ptr[d] + rank`. The first key is the row's rank — its
-    /// position in the view's permutation, which must order the rows by
-    /// decreasing fill — so each row is read off the normal form whole.
-    fn jagged(&mut self, (ptr, crd): (Arr, Arr), keys: &[Coord]) -> Cells {
-        if !matches!(keys[0], ROW | Coord::Permuted) {
-            return Err(self.no(keys));
-        }
-        self.row_counts();
-        let counts = self.row_counts.as_deref().unwrap_or_default();
-        let apply = match self.levels.perm.map(|p| self.array(p.apply)) {
-            Some(Slice::U32(table)) if keys[0] == Coord::Permuted => Cow::Borrowed(table),
-            _ => Cow::Owned((0..narrow(counts.len())).collect()),
+    /// one, at `ptr[d] + rank`. So that the rows holding a `d`-th entry
+    /// are the first ranks, the first key ranks the rows by decreasing
+    /// fill, rows of equal fill in increasing order (a counting sort),
+    /// and writes the view's permutation; each row is read off the normal
+    /// form whole, in rank order.
+    fn jagged(&mut self, ptr: Arr, crd: Arr, keys: &[Coord]) -> Cells {
+        let (Some(perm), [Coord::Permuted, COL]) = (self.levels.perm, keys) else {
+            return Err(self.unfit(format!("no assembly ranks rows by {keys:?}")));
         };
-        // longer[d]: how many rows hold more than `d` entries.
-        let mut longer = vec![0u32; counts.iter().max().map_or(0, |&l| l) + 1];
-        counts.iter().for_each(|&l| longer[l] += 1);
-        let mut above = 0;
-        for l in longer.iter_mut().rev() {
-            above += std::mem::replace(l, above);
+        let rows = self.rowptr.take().unwrap_or_else(|| self.t.rowptr());
+        let len = |r: usize| rows[r + 1] - rows[r];
+        // first[l]: how many rows hold more than `l` entries — run `l`'s
+        // length, and the first rank of the rows of fill `l`.
+        let mut first = vec![0usize; (0..rows.len() - 1).map(len).max().map_or(0, |l| l) + 1];
+        (0..rows.len() - 1).for_each(|r| first[len(r)] += 1);
+        let mut longer = 0;
+        for f in first.iter_mut().rev() {
+            longer += std::mem::replace(f, longer);
         }
         let mut starts = vec![0u32];
-        (0..longer.len() - 1).for_each(|d| starts.push(starts[d] + longer[d]));
-        let mut rows = vec![0usize];
-        counts
-            .iter()
-            .for_each(|&l| rows.push(rows[rows.len() - 1] + l));
-        let (e, mut longest) = (self.t.entries(), usize::MAX);
-        let (mut keys_out, mut vals) = (vec![0u32; e.len()], vec![0.0; e.len()]);
-        with_coord!(keys[1], self.tables(), |key| {
-            for (k, &r) in apply.iter().enumerate() {
-                let row = &e[rows[r as usize]..rows[r as usize + 1]];
-                if row.len() > std::mem::replace(&mut longest, row.len()) {
-                    return Err(self.unfit("rows not ranked by decreasing fill".into()));
-                }
-                for (x, &start) in row.iter().zip(&starts) {
-                    let at = start as usize + k;
-                    (keys_out[at], vals[at]) = (key(x) as u32, x.2);
-                }
+        (1..first.len()).for_each(|d| starts.push(starts[d - 1] + narrow(first[d - 1])));
+        let (mut apply, mut unapply) = (vec![0u32; rows.len() - 1], vec![0u32; rows.len() - 1]);
+        for r in 0..rows.len() - 1 {
+            let rank = &mut first[len(r)];
+            (apply[*rank], unapply[r]) = (narrow(r), narrow(*rank));
+            *rank += 1;
+        }
+        let e = self.t.entries();
+        let (mut cols, mut vals) = (vec![0u32; e.len()], vec![0.0; e.len()]);
+        for (k, &r) in apply.iter().enumerate() {
+            let row = &e[rows[r as usize]..rows[r as usize + 1]];
+            for (x, &start) in row.iter().zip(&starts) {
+                let at = start as usize + k;
+                (cols[at], vals[at]) = (narrow(x.1), x.2);
             }
-        });
-        self.put(ptr, starts);
-        self.put(crd, keys_out);
+        }
+        self.set(perm.apply, apply);
+        self.set(perm.unapply, unapply);
+        self.set(ptr, starts);
+        self.set(crd, cols);
+        self.rowptr = Some(rows);
         Ok(vals)
     }
 
-    /// Each parent's slice of the `r × c` blocks of its block row: the
-    /// blocks [`Assembly::cut`] makes of strips `r` rows and `c` columns
-    /// apiece.
-    fn blocks(
-        &mut self,
-        (ptr, crd): (Arr, Arr),
-        (r, c): (Dim, Dim),
-        key: Coord,
-        up: Parents,
-        cut: Cut,
-    ) -> Cells {
-        let found = || discover_block_size(self.t, BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL);
-        let (h, w) = if let Cut::Block(block) = cut {
-            block
-        } else {
-            (found().r, found().c)
-        };
-        let (rows, cols) = (up.count, self.extent(key).1 as usize);
-        if h == 0 || w == 0 || rows % h != 0 || cols % w != 0 {
-            let refused = format!("a {h}x{w} block must divide the {rows}x{cols} matrix");
-            return Err(self.unfit(refused));
-        }
-        let even = |n: usize, b: usize| (0..=n).step_by(b).collect();
-        let blocks = self.cut(key, up, &(even(rows, h), even(cols, w)))?;
-        (self.dims[r.0], self.dims[c.0]) = (h, w);
-        self.put(ptr, blocks.ptr);
-        self.put(crd, blocks.crd);
-        Ok(blocks.cells)
-    }
-
-    /// The blocks strips of rows and of columns cut ([`Assembly::cut`]).
-    fn strips(&mut self, s: Strips, key: Coord, up: Parents, cut: Cut) -> Cells {
-        let (rows, cols) = (up.count, self.extent(key).1 as usize);
+    /// A blocked level: the row strips `rp` and the column strips `cp`
+    /// cut the matrix, and every block an entry touches is stored dense,
+    /// row-major ([`block_pattern`]) — block row `br` holds blocks
+    /// `ptr[br]..ptr[br + 1]`, block `b` lies in column strip `crd[b]`
+    /// and its cells from `base[b]` on. BSR's strips are all `r × c`,
+    /// which must divide the matrix; VBR's have run-time extents.
+    fn blocked(&mut self, kind: Kind, up: Parents, cut: Cut) -> Cells {
+        let (rows, cols) = (up.count, self.t.ncols());
         let even = |n: usize, b: usize| split_even(n, n.div_ceil(b.max(1)));
-        let (rp, cp) = match cut {
-            Cut::Strips(rp, cp) => (rp.to_vec(), cp.to_vec()),
-            Cut::Block((h, w)) => (even(rows, h), even(cols, w)),
-            Cut::Discover => discover_strips(self.t),
+        let (rp, cp) = match (kind, cut) {
+            (Kind::Blocks { r, c, .. }, _) => {
+                let (h, w) = match cut {
+                    Cut::Block(block) => block,
+                    _ => {
+                        let BlockReport { r: h, c: w, .. } =
+                            discover_block_size(self.t, BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL);
+                        (h, w)
+                    }
+                };
+                if h == 0 || w == 0 || rows % h != 0 || cols % w != 0 {
+                    return Err(self.unfit(format!(
+                        "a {h}x{w} block must divide the {rows}x{cols} matrix"
+                    )));
+                }
+                (self.dims[r.0], self.dims[c.0]) = (h, w);
+                (
+                    (0..=rows).step_by(h).collect(),
+                    (0..=cols).step_by(w).collect(),
+                )
+            }
+            (_, Cut::Strips(rp, cp)) => (rp.to_vec(), cp.to_vec()),
+            (_, Cut::Block((h, w))) => (even(rows, h), even(cols, w)),
+            (_, Cut::Discover) => discover_strips(self.t),
         };
-        for (p, n, what) in [(&rp, rows, "row"), (&cp, cols, "column")] {
+        let strips = matches!(kind, Kind::Strips(_));
+        for (p, n, what) in [(&rp, rows, "row"), (&cp, cols, "column")]
+            .into_iter()
+            .filter(|_| strips)
+        {
             if p.len() < 2 || p[0] != 0 || p[p.len() - 1] != n || !p.is_sorted_by(|a, b| a < b) {
                 let want = format!("a strictly increasing partition of 0..={n}");
                 return Err(self.unfit(format!("the {what} strips {p:?} are not {want}")));
             }
         }
-        let strips = (rp, cp);
-        let blocks = self.cut(key, up, &strips)?;
-        let nbr = strips.0.len() - 1;
-        self.put(s.begin, blocks.ptr[..nbr].to_vec());
-        self.put(s.end, blocks.ptr[1..].to_vec());
-        self.put(s.strip_of, blocks.strip_of);
-        self.put(s.start, strips.0.into_iter().map(narrow).collect());
-        self.put(s.cuts, strips.1.into_iter().map(narrow).collect());
-        self.put(s.crd, blocks.crd);
-        self.put(s.base, blocks.base);
-        Ok(blocks.cells)
-    }
-
-    /// The blocks the row strips `rp` and the column strips `cp` cut,
-    /// every block an entry touches stored dense, row-major
-    /// ([`block_pattern`]): block row `br` holds blocks
-    /// `ptr[br]..ptr[br + 1]`, block `b` lies in column strip `crd[b]`
-    /// and its cells from `base[b]` on.
-    fn cut(&self, key: Coord, up: Parents, (rp, cp): &Cuts) -> Result<Blocks, FormatError> {
-        let strip_of = |p: &[usize]| {
-            let mut of = vec![0u32; p[p.len() - 1]];
-            p.windows(2)
-                .zip(0..)
-                .for_each(|(w, b)| of[w[0]..w[1]].fill(b));
-            of
+        let strip_of = |p: &[usize]| -> Vec<u32> {
+            (0..p.len() - 1)
+                .flat_map(|b| std::iter::repeat_n(narrow(b), p[b + 1] - p[b]))
+                .collect()
         };
-        let (row_strip, col_strip, e) = (strip_of(rp), strip_of(cp), self.t.entries());
-        with_coord!(up.at, self.tables(), |parent| {
-            with_coord!(key, self.tables(), |key| {
-                let cell = |x: &Entry| (parent(x) as usize, key(x) as usize);
-                let touched = e.iter().map(cell);
-                let touched = touched.map(|(p, k)| (row_strip[p] as usize, col_strip[k] as usize));
-                let (ptr, crd) = block_pattern(touched, (rp.len() - 1, cp.len() - 1));
-                let blocks = |br: usize| ptr[br] as usize..ptr[br + 1] as usize;
-                let area = |br: usize, b: usize| {
-                    let bc = crd[b] as usize;
-                    (rp[br + 1] - rp[br]) * (cp[bc + 1] - cp[bc])
-                };
-                let areas = (0..rp.len() - 1).flat_map(|br| blocks(br).map(move |b| (br, b)));
-                let cells = areas
-                    .clone()
-                    .try_fold(0usize, |n, (br, b)| n.checked_add(area(br, b)));
-                let (mut cells, mut base) = (vec![0.0; self.limit(cells)?], vec![0u32]);
-                areas.for_each(|(br, b)| base.push(base[b] + narrow(area(br, b))));
-                let (mut block_of, mut open) = (vec![0u32; cp.len() - 1], None);
-                for x in e {
-                    let (p, k) = cell(x);
-                    let br = row_strip[p] as usize;
-                    if open.replace(br) != Some(br) {
-                        blocks(br).for_each(|b| block_of[crd[b] as usize] = narrow(b));
-                    }
-                    let b = block_of[col_strip[k] as usize] as usize;
-                    let bc = crd[b] as usize;
-                    let width = cp[bc + 1] - cp[bc];
-                    cells[base[b] as usize + (p - rp[br]) * width + (k - cp[bc])] = x.2;
+        let (row_strip, col_strip, e) = (strip_of(&rp), strip_of(&cp), self.t.entries());
+        let (ptr, crd, base, cells) = bind!(up.at, &self.listed, |parent| {
+            let block = |i, x: &Entry| (row_strip[parent(i, x)] as usize, col_strip[x.1] as usize);
+            let touched = e.iter().enumerate().map(|(i, x)| block(i, x));
+            let (ptr, crd) = block_pattern(touched, (rp.len() - 1, cp.len() - 1));
+            // base[b]: where block `b`'s cells start, saturating past any limit.
+            let (mut base, mut br) = (vec![0usize], 0);
+            for (b, &bc) in crd.iter().enumerate() {
+                br += ptr[br + 1..]
+                    .iter()
+                    .take_while(|&&p| p as usize <= b)
+                    .count();
+                let area =
+                    (rp[br + 1] - rp[br]).saturating_mul(cp[bc as usize + 1] - cp[bc as usize]);
+                base.push(base[b].saturating_add(area));
+            }
+            let mut cells = vec![0.0; self.limit(base.last().copied())?];
+            // block_of[bc]: the block of column strip `bc` in the open block row.
+            let (mut block_of, mut open) = (vec![0; cp.len() - 1], None);
+            for (i, x) in e.iter().enumerate() {
+                let ((br, bc), row) = (block(i, x), parent(i, x));
+                if open.replace(br) != Some(br) {
+                    (ptr[br]..ptr[br + 1]).for_each(|b| block_of[crd[b as usize] as usize] = b);
                 }
-                Ok(Blocks {
-                    ptr,
-                    crd,
-                    base,
-                    cells,
-                    strip_of: row_strip,
-                })
-            })
-        })
+                let b = block_of[bc] as usize;
+                cells[base[b] + (row - rp[br]) * (cp[bc + 1] - cp[bc]) + (x.1 - cp[bc])] = x.2;
+            }
+            (ptr, crd, base, cells)
+        });
+        if let Kind::Blocks { ptr: p, crd: c, .. } = kind {
+            self.set(p, ptr);
+            self.set(c, crd);
+        } else if let Kind::Strips(s) = kind {
+            let nbr = rp.len() - 1;
+            self.set(s.begin, ptr[..nbr].to_vec());
+            self.set(s.end, ptr[1..].to_vec());
+            self.set(s.strip_of, row_strip);
+            self.set(s.start, rp.into_iter().map(narrow).collect::<Vec<_>>());
+            self.set(s.cuts, cp.into_iter().map(narrow).collect::<Vec<_>>());
+            self.set(s.crd, crd);
+            self.set(s.base, base.into_iter().map(narrow).collect::<Vec<_>>());
+        }
+        Ok(cells)
     }
 }
 
-/// What [`Assembly::cut`] builds.
-struct Blocks {
-    ptr: Vec<u32>,
-    crd: Vec<u32>,
-    base: Vec<u32>,
-    cells: Vec<f64>,
-    strip_of: Vec<u32>,
-}
-
-/// Each entry's key and value at `starts[p] + s`, the `s`-th entry of
+/// Each entry's key and value at `next[p]`, the next free position of
 /// its parent `p`, in their order.
-fn scatter<P, K>(
+fn scatter<K: From<u32>>(
     e: &[Entry],
-    starts: &[u32],
-    out: (&mut [u32], &mut [f64]),
-    (parent, key): (&P, &K),
-) where
-    P: Fn(&Entry) -> i64,
-    K: Fn(&Entry) -> i64,
-{
-    let ((keys, vals), mut next) = (out, starts.to_vec());
-    for x in e {
-        let p = parent(x) as usize;
-        let at = next[p] as usize;
-        next[p] += 1;
-        (keys[at], vals[at]) = (key(x) as u32, x.2);
+    mut next: Vec<u32>,
+    (keys, vals): (&mut [K], &mut [f64]),
+    parent: impl Fn(usize, &Entry) -> usize,
+    key: impl Fn(&Entry) -> usize,
+) {
+    for (i, x) in e.iter().enumerate() {
+        let at = &mut next[parent(i, x)];
+        (keys[*at as usize], vals[*at as usize]) = (K::from(narrow(key(x))), x.2);
+        *at += 1;
     }
 }
 

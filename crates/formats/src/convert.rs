@@ -2,7 +2,7 @@
 //!
 //! Any-to-any conversion goes through [`Triplets`](crate::Triplets): a
 //! format's `to_triplets` is the walk of its levels, and every registered
-//! layout is assembled from the normal form by [`crate::assemble`],
+//! layout is assembled from the normal form by the crate's one assembler,
 //! reached by name through [`Layout::named`](crate::Layout::named).
 
 /// Errors a caller can trigger through the format layer: asking for a
@@ -109,7 +109,8 @@ mod tests {
     use super::*;
     use crate::{Dense, DiagSplit, Layout, SparseView, Triplets, LAYOUTS};
 
-    /// Lower triangular, full diagonal: every format holds it.
+    /// One entry above the diagonal, which every format but the skyline
+    /// holds.
     fn sample() -> Triplets<f64> {
         let entries = [
             (0, 0, 2.0),
@@ -118,28 +119,38 @@ mod tests {
             (3, 3, 5.0),
             (1, 0, -1.0),
             (3, 1, 6.0),
+            (0, 2, 7.0),
         ];
         Triplets::from_entries(4, 4, &entries)
     }
 
+    /// A format's instance, and the matrix it was built from.
+    type Built = (Box<dyn SparseView>, Triplets<f64>);
+
     /// Every registered layout by name, at the shape discovery finds,
-    /// and the two host matrix views by their own constructors.
-    fn every_format(t: &Triplets<f64>) -> Result<Vec<Box<dyn SparseView>>, FormatError> {
-        let mut all = Vec::new();
+    /// and the two host matrix views by their own constructors, each
+    /// with the matrix it is built from: the skyline's is the lower
+    /// triangle, its diagonal full.
+    fn every_format(t: &Triplets<f64>) -> Result<Vec<Built>, FormatError> {
+        let mut all: Vec<Built> = Vec::new();
         for layout in LAYOUTS {
-            let m = (Layout::named(layout.name)?.from_triplets)(t, None)?;
+            let t = if layout.name == "sky" {
+                t.lower_triangle_full_diag(1.0)
+            } else {
+                t.clone()
+            };
+            let m = (Layout::named(layout.name)?.from_triplets)(&t, None)?;
             assert_eq!(m.layout().name, layout.name);
-            all.push(m as Box<dyn SparseView>);
+            all.push((m, t));
         }
-        all.push(Box::new(Dense::from_triplets(t)));
-        all.push(Box::new(DiagSplit::from_triplets(t)));
+        all.push((Box::new(Dense::from_triplets(t)), t.clone()));
+        all.push((Box::new(DiagSplit::from_triplets(t)), t.clone()));
         Ok(all)
     }
 
     #[test]
     fn all_formats_roundtrip_values() -> Result<(), FormatError> {
-        let t = sample();
-        for f in every_format(&t)? {
+        for (f, t) in every_format(&sample())? {
             let name = f.levels().name;
             assert_eq!(f.validate(), Ok(()), "{name}");
             // DIA, Sky and DiagSplit add structural zeros; compare by value.
@@ -155,11 +166,11 @@ mod tests {
 
     #[test]
     fn cross_format_random_access_agrees() -> Result<(), FormatError> {
-        let t = sample();
-        let formats = every_format(&t)?;
+        let formats = every_format(&sample())?;
+        assert!(formats.iter().filter(|(_, t)| t.get(0, 2) == 7.0).count() >= 10);
         for r in 0..4 {
             for c in 0..4 {
-                for f in &formats {
+                for (f, t) in &formats {
                     let name = f.levels().name;
                     assert_eq!(f.get(r, c), t.get(r, c), "{name} ({r},{c})");
                 }

@@ -36,7 +36,7 @@ pub struct Bsr<T: Scalar = f64> {
 
 impl Bsr<f64> {
     /// Builds from triplets with the given block shape, as the levels
-    /// describe ([`crate::assemble`]). Every block that contains at least
+    /// describe (the crate's one assembler). Every block that contains at least
     /// one entry is stored dense (fill-in).
     ///
     /// # Panics

@@ -27,7 +27,7 @@ pub struct Coo<T: Scalar = f64> {
 
 impl Coo<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]), preserving the (row-major) normalized
+    /// (the crate's one assembler), preserving the (row-major) normalized
     /// order.
     ///
     /// # Panics

@@ -26,7 +26,7 @@ pub struct Csc<T: Scalar = f64> {
 
 impl Csc<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]): count the columns, then scatter. The normal
+    /// (the crate's one assembler): count the columns, then scatter. The normal
     /// form is row-major and duplicate-free, so a stable scatter by
     /// column leaves every column's rows increasing: no sort.
     ///

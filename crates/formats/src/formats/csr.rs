@@ -28,7 +28,7 @@ pub struct Csr<T: Scalar = f64> {
 
 impl Csr<f64> {
     /// Builds from (normalized or not) triplets, as the levels describe
-    /// ([`crate::assemble`]): the normal form is the CSR order, so one
+    /// (the crate's one assembler): the normal form is the CSR order, so one
     /// pass counts the rows and splits the columns from the values.
     ///
     /// # Panics

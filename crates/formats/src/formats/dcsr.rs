@@ -41,7 +41,7 @@ pub struct Dcsr<T: Scalar = f64> {
 
 impl Dcsr<f64> {
     /// Builds from (normalized or not) triplets, as the levels describe
-    /// ([`crate::assemble`]): the normal form is the storage order, so
+    /// (the crate's one assembler): the normal form is the storage order, so
     /// one pass lists the rows and another counts their entries.
     ///
     /// # Panics

@@ -32,7 +32,7 @@ pub struct Dia<T: Scalar = f64> {
 
 impl Dia<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]): every diagonal containing at least one
+    /// (the crate's one assembler): every diagonal containing at least one
     /// entry is stored in full (its in-matrix extent), padded with zeros.
     ///
     /// # Panics
@@ -88,10 +88,9 @@ const FULL_DIAGONALS: Residue<Dia<f64>> = Residue {
     before: 1,
     assemble: |a| {
         let shape = (a.t.nrows() as i64, a.t.ncols() as i64);
-        let diags = a.array(field::diags);
-        let (lo, hi): (Vec<i64>, Vec<i64>) = (0..diags.len())
-            .map(|k| extent(diags.key(k), shape))
-            .unzip();
+        let diags: Vec<i64> = a.take(field::diags)?;
+        let (lo, hi): (Vec<i64>, Vec<i64>) = diags.iter().map(|&d| extent(d, shape)).unzip();
+        a.set(field::diags, diags);
         a.set(field::lo, lo);
         a.set(field::hi, hi);
         Ok(())

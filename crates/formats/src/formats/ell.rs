@@ -33,7 +33,7 @@ pub struct Ell<T: Scalar = f64> {
 
 impl Ell<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]): count the rows, then fill the slots.
+    /// (the crate's one assembler): count the rows, then fill the slots.
     ///
     /// # Panics
     /// Panics, before allocating, on a dimension or entry count above
@@ -73,8 +73,8 @@ impl<T: Scalar> Ell<T> {
 const PADDING: Residue<Ell<f64>> = Residue {
     before: 2,
     assemble: |a| {
-        let (width, rowlen) = (a.dims[field::width.0], a.take::<u32>(field::rowlen));
-        let mut colind: Vec<i64> = a.take(field::colind);
+        let (width, rowlen) = (a.dims[field::width.0], a.take::<u32>(field::rowlen)?);
+        let mut colind: Vec<i64> = a.take(field::colind)?;
         for (row, &len) in colind.chunks_mut(width.max(1)).zip(&rowlen) {
             row[len as usize..].fill(ELL_PAD);
         }

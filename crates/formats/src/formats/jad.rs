@@ -49,7 +49,7 @@ pub struct Jad<T: Scalar = f64> {
 
 impl Jad<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]): the compressed rows are the row slices of
+    /// (the crate's one assembler): the compressed rows are the row slices of
     /// the normal form, ordered by fill (a counting sort), and each is
     /// written down the diagonals at its rank.
     ///
@@ -104,32 +104,18 @@ impl<T: Scalar> Jad<T> {
     // layout-find-end
 }
 
-/// What no level says of JAD: the rows are ranked by decreasing fill,
-/// rows of equal fill in increasing order (a deterministic layout), and
-/// `rowlen` is the fill of each rank.
-const RANKED_ROWS: Residue<Jad<f64>> = Residue {
-    before: 0,
+/// What no level of chain 0 says of JAD: `rowlen` is the fill of each
+/// rank.
+const ROWLEN: Residue<Jad<f64>> = Residue {
+    before: 1,
     assemble: |a| {
-        let counts = a.row_counts();
-        // first[l]: how many rows are longer than l, which is where the
-        // rows of fill l start in the order of decreasing fill.
-        let mut first = vec![0usize; counts.iter().max().map_or(0, |&l| l) + 1];
-        for &l in counts {
-            first[l] += 1;
-        }
-        let mut longer = 0;
-        for f in first.iter_mut().rev() {
-            longer += std::mem::replace(f, longer);
-        }
-        let (mut iperm, mut iperm_inv) = (vec![0u32; counts.len()], vec![0u32; counts.len()]);
-        for (r, &l) in counts.iter().enumerate() {
-            let rank = &mut first[l];
-            (iperm[*rank], iperm_inv[r]) = (narrow(r), narrow(*rank));
-            *rank += 1;
-        }
-        let rowlen: Vec<u32> = iperm.iter().map(|&r| narrow(counts[r as usize])).collect();
+        let iperm: Vec<u32> = a.take(field::iperm)?;
+        let rows = a.rowptr();
+        let rowlen = iperm
+            .iter()
+            .map(|&r| narrow(rows[r as usize + 1] - rows[r as usize]));
+        let rowlen: Vec<u32> = rowlen.collect();
         a.set(field::iperm, iperm);
-        a.set(field::iperm_inv, iperm_inv);
         a.set(field::rowlen, rowlen);
         Ok(())
     },
@@ -151,7 +137,7 @@ stored_layout! {
         ] -> values;
     perm: iperm, iperm_inv;
     find: find_in_row;
-    residue: RANKED_ROWS;
+    residue: ROWLEN;
     /// The JAD index structure (paper §2 / Appendix A.2): permuted rows
     /// `rr`, seen two ways.
     ///

@@ -14,7 +14,7 @@
 //!   registered layout — only the four host views, whose `get` is not
 //!   one `find`, write it by hand — `to_triplets` and `validate` for
 //!   every format, and `from_triplets` for every registered layout: the
-//!   one assembler of [`crate::assemble`] over its levels, with the named
+//!   crate's one assembler (`assemble.rs`) over its levels, with the named
 //!   residue of what no level says, which the struct's own
 //!   `from_triplets` calls in one line (a host view builds itself).
 //!   [`dcsr`] is the worked example of a format added this way.

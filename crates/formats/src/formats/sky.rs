@@ -28,7 +28,7 @@ pub struct Sky<T: Scalar = f64> {
 
 impl Sky<f64> {
     /// Builds from triplets, as the levels describe
-    /// ([`crate::assemble`]).
+    /// (the crate's one assembler).
     ///
     /// # Panics
     /// Panics if the matrix is not square or has entries above the

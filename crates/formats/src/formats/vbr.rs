@@ -48,7 +48,7 @@ pub struct Vbr<T: Scalar = f64> {
 
 impl Vbr<f64> {
     /// Builds from triplets with the given row/column strips, as the
-    /// levels describe ([`crate::assemble`]). Every block-strip
+    /// levels describe (the crate's one assembler). Every block-strip
     /// intersection containing an entry is stored dense.
     ///
     /// # Panics

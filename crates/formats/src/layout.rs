@@ -23,7 +23,7 @@
 //! formats ([`Layout::of_view`], [`levels_of_view`], [`view_by_name`],
 //! [`format_name`]).
 
-use crate::assemble::{Column, ResidueStep};
+use crate::assemble::ResidueStep;
 use crate::level::{Dim, Levels, Slice};
 use crate::view::FormatView;
 use crate::{formats, FormatError, SparseView, Triplets};
@@ -93,12 +93,6 @@ pub trait ElemType: Sized {
 
     /// An array of this type, as a level description reads it.
     fn slice(array: &[Self]) -> Slice<'_>;
-
-    /// An array of this type, under assembly.
-    fn column(array: Vec<Self>) -> Column;
-
-    /// The array assembly built, if it is of this type.
-    fn of_column(column: Option<Column>) -> Vec<Self>;
 }
 
 impl ElemType for u32 {
@@ -106,17 +100,6 @@ impl ElemType for u32 {
 
     fn slice(array: &[u32]) -> Slice<'_> {
         Slice::U32(array)
-    }
-
-    fn column(array: Vec<u32>) -> Column {
-        Column::U32(array)
-    }
-
-    fn of_column(column: Option<Column>) -> Vec<u32> {
-        match column {
-            Some(Column::U32(array)) => array,
-            _ => Vec::new(),
-        }
     }
 }
 
@@ -126,17 +109,6 @@ impl ElemType for i64 {
     fn slice(array: &[i64]) -> Slice<'_> {
         Slice::I64(array)
     }
-
-    fn column(array: Vec<i64>) -> Column {
-        Column::I64(array)
-    }
-
-    fn of_column(column: Option<Column>) -> Vec<i64> {
-        match column {
-            Some(Column::I64(array)) => array,
-            _ => Vec::new(),
-        }
-    }
 }
 
 impl ElemType for f64 {
@@ -144,17 +116,6 @@ impl ElemType for f64 {
 
     fn slice(array: &[f64]) -> Slice<'_> {
         Slice::F64(array)
-    }
-
-    fn column(array: Vec<f64>) -> Column {
-        Column::F64(array)
-    }
-
-    fn of_column(column: Option<Column>) -> Vec<f64> {
-        match column {
-            Some(Column::F64(array)) => array,
-            _ => Vec::new(),
-        }
     }
 }
 
@@ -194,7 +155,7 @@ pub struct Layout {
     /// is ignored by formats that have none.
     pub view: fn(Block) -> FormatView,
     /// Builds an instance, by the assembly its levels describe
-    /// ([`crate::assemble`]): a blocked one cut to the given shape (BSR's
+    /// (the crate's one assembler): a blocked one cut to the given shape (BSR's
     /// blocks, VBR's strips of that height and width), or given none at
     /// the one discovery finds; an error where the format cannot hold
     /// the matrix.
@@ -207,14 +168,14 @@ pub type FromTriplets = fn(&Triplets<f64>, Option<Block>) -> Result<Box<dyn Stor
 
 /// What no level of a layout states, on both paths: how assembly makes
 /// it true, and how `validate` checks it of an untrusted instance.
-pub struct Residue<M> {
+pub(crate) struct Residue<M> {
     /// The level of the first chain before which `assemble` runs (the
     /// number of levels: after the last).
-    pub before: usize,
+    pub(crate) before: usize,
     /// Makes it true of an instance under assembly.
-    pub assemble: ResidueStep,
+    pub(crate) assemble: ResidueStep,
     /// Says where an untrusted instance breaks it (`validate`, last).
-    pub check: fn(&M) -> Result<(), String>,
+    pub(crate) check: fn(&M) -> Result<(), String>,
 }
 
 impl std::ops::Deref for Layout {
@@ -421,7 +382,7 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// `validate`.
 ///
 /// Everything else is read off the same lines. Assembly from triplets
-/// is [`crate::assemble`] over the first chain's levels (the struct's
+/// is the crate's one assembler over the first chain's levels (the struct's
 /// `assembled`, which its own `from_triplets` calls, and
 /// [`Layout::from_triplets`]). The dense API: `get(r, c)` is the
 /// struct's `find(r, c)` — the dense lookup every format has between its
@@ -468,7 +429,10 @@ macro_rules! stored_layout {
             blocked: $crate::layout::stored_layout!(@blocked $($br)?),
             shape: $crate::layout::stored_layout!(@dims $($nr $nc)?),
             view: |block| LEVELS.view(LEVELS.block.map(|_| block)),
-            from_triplets: |t, block| Ok(Box::new($ty::assembled(t, block.into())?)),
+            from_triplets: |t, block| {
+                let cut = block.map_or($crate::assemble::Cut::Discover, $crate::assemble::Cut::Block);
+                Ok(Box::new($ty::assembled(t, cut)?))
+            },
         };
 
         impl $ty<f64> {
@@ -478,13 +442,10 @@ macro_rules! stored_layout {
                 cut: $crate::assemble::Cut<'_>,
             ) -> Result<$ty<f64>, $crate::FormatError> {
                 let residue = $crate::layout::stored_layout!(@residue $($residue)?);
-                let (dims, arrays) = $crate::assemble::assemble(&LAYOUT, t, cut, residue)?;
-                let (mut dims, mut arrays) = (dims.into_iter(), arrays.into_iter());
-                // In the order of `dims` and `arrays`, as the levels list them.
-                Ok($ty {
-                    $($dim: dims.next().unwrap_or_default(),)+
-                    $($arr: <$elem as $crate::layout::ElemType>::of_column(arrays.next().flatten()),)+
-                })
+                $crate::assemble::assemble(&LAYOUT, t, cut, residue, |a| Ok($ty {
+                    $($dim: a.dims[field::$dim.0],)+
+                    $($arr: a.take(field::$arr)?,)+
+                }))
             }
         }
 

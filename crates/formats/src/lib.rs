@@ -20,7 +20,7 @@
 //!   hierarchy. How a level is walked is declared once per format
 //!   ([`level::Levels`], beside its [`layout::Layout`]); the one generic
 //!   cursor, the code emitter's loops and the one assembler
-//!   ([`assemble`]) are all read off it, and [`LAYOUTS`] is the one
+//!   (`assemble.rs`) are all read off it, and [`LAYOUTS`] is the one
 //!   registry, by name too ([`Layout::named`]).
 //! - **Concrete formats**: [`Dense`], [`Coo`], [`Csr`], [`Csc`], [`Dcsr`], [`Dia`],
 //!   [`Ell`], [`Jad`], [`DiagSplit`] (a `∪` format storing the diagonal
@@ -30,7 +30,7 @@
 //!   and synthetic workload generators (including the `can_1072`-like
 //!   matrix substituting for the Harwell–Boeing input of the paper's §5).
 
-pub mod assemble;
+mod assemble;
 pub mod blocks;
 pub mod convert;
 pub mod cursor;

@@ -9,7 +9,7 @@ use std::borrow::Cow;
 ///
 /// `Triplets` is the hub of all format conversions: a registered format's
 /// `from_triplets` is the assembly its levels describe
-/// ([`crate::assemble`]), and its `to_triplets` the walk of its view, then
+/// (the crate's one assembler), and its `to_triplets` the walk of its view, then
 /// [`normalize`](Self::normalize): any-to-any conversion is a two-step
 /// round trip.
 ///

@@ -6,7 +6,7 @@
 use bernoulli_formats::io::{read_matrix_market, MmError};
 use bernoulli_formats::layout::{Elem, INDEX_LIMIT};
 use bernoulli_formats::{
-    gen, Csr, FormatError, Layout, SparseMatrix, Stored, Triplets, HOST_LEVELS, LAYOUTS,
+    gen, Csr, Dcsr, FormatError, Layout, SparseMatrix, Stored, Triplets, HOST_LEVELS, LAYOUTS,
 };
 use std::io::Cursor;
 
@@ -152,6 +152,26 @@ fn fill_past_the_limit_is_refused_typed() -> Result<(), FormatError> {
             stored: n * n
         })
     );
+    Ok(())
+}
+
+/// A hypersparse matrix — a handful of entries among `u32::MAX` rows —
+/// costs DCSR what its entries cost: the rows it lists are noted as the
+/// entries pass, with no table over every row (16 GiB here, were it
+/// allocated).
+#[test]
+fn dcsr_of_a_hypersparse_matrix_costs_what_its_entries_cost() -> Result<(), FormatError> {
+    let keys = [0, 7, 1 << 31, u32::MAX as usize - 1];
+    let down: Vec<_> = keys.iter().map(|&r| (r, 0, r as f64 + 1.0)).collect();
+    let t = Triplets::from_entries(u32::MAX as usize, 1, &down);
+    let a = Dcsr::from_triplets(&t);
+    assert_eq!(a.rows, keys.map(|r| r as u32));
+    assert_eq!(a.rowptr, [0, 1, 2, 3, 4]);
+    let m = (Layout::named("dcsr")?.from_triplets)(&t, None)?;
+    for &(r, c, v) in &down {
+        assert_eq!(m.get(r, c), v);
+    }
+    assert_eq!(m.get(8, 0), 0.0);
     Ok(())
 }
 
