@@ -154,11 +154,11 @@ pub struct Layout {
     /// The format's index structure ([`Levels::view`]). The block shape
     /// is ignored by formats that have none.
     pub view: fn(Block) -> FormatView,
-    /// Builds an instance, by the assembly its levels describe
-    /// (the crate's one assembler): a blocked one cut to the given shape (BSR's
-    /// blocks, VBR's strips of that height and width), or given none at
-    /// the one discovery finds; an error where the format cannot hold
-    /// the matrix.
+    /// Builds an instance, by the assembly its levels describe (the
+    /// crate's one assembler): a blocked one cut to the given shape
+    /// (BSR's blocks, VBR's strips of that height and width), or given
+    /// none at the one discovery finds; an error where the format cannot
+    /// hold the matrix.
     pub from_triplets: FromTriplets,
 }
 
@@ -382,8 +382,8 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// `validate`.
 ///
 /// Everything else is read off the same lines. Assembly from triplets
-/// is the crate's one assembler over the first chain's levels (the struct's
-/// `assembled`, which its own `from_triplets` calls, and
+/// is the crate's one assembler over the first chain's levels (the
+/// struct's `assembled`, which its own `from_triplets` calls, and
 /// [`Layout::from_triplets`]). The dense API: `get(r, c)` is the
 /// struct's `find(r, c)` — the dense lookup every format has between its
 /// `layout-find` markers — over the first chain's value array, `nnz` the

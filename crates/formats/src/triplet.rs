@@ -8,8 +8,8 @@ use std::borrow::Cow;
 /// A matrix under construction: explicit `(row, col, value)` entries.
 ///
 /// `Triplets` is the hub of all format conversions: a registered format's
-/// `from_triplets` is the assembly its levels describe
-/// (the crate's one assembler), and its `to_triplets` the walk of its view, then
+/// `from_triplets` is the assembly its levels describe (the crate's one
+/// assembler), and its `to_triplets` the walk of its view, then
 /// [`normalize`](Self::normalize): any-to-any conversion is a two-step
 /// round trip.
 ///
