@@ -117,7 +117,9 @@ pub(crate) struct Assembly<'a> {
     pub(crate) dims: Vec<usize>,
     levels: &'static Levels,
     arrays: Vec<Option<Box<dyn Any>>>,
-    /// Each entry's position at the listing level, if one is above.
+    /// Beneath a listing level: each entry's position there
+    /// ([`Coord::Listed`]), or where each of its runs starts
+    /// ([`Coord::Runs`]).
     listed: Vec<u32>,
     rowptr: Option<Vec<usize>>,
 }
