@@ -32,7 +32,7 @@ use crate::view::Transform;
 use crate::{FormatError, Triplets};
 use std::any::Any;
 
-type Entry = (usize, usize, f64);
+type Entry = (u32, u32, f64);
 /// A level's values, or why the layout cannot hold the matrix.
 type Cells = Result<Vec<f64>, FormatError>;
 /// The positions of a level another reads, or why the layout cannot
@@ -80,11 +80,11 @@ macro_rules! bind {
     ($at:expr, $listed:expr, |$f:ident| $body:expr) => {
         match $at {
             ROW => {
-                let $f = |_: usize, x: &Entry| x.0;
+                let $f = |_: usize, x: &Entry| x.0 as usize;
                 $body
             }
             COL => {
-                let $f = |_: usize, x: &Entry| x.1;
+                let $f = |_: usize, x: &Entry| x.1 as usize;
                 $body
             }
             _ => {
@@ -165,7 +165,7 @@ impl Assembly<'_> {
 
     /// The row or the column of an entry, as `key` says: the only keys
     /// stored beneath another level.
-    fn key(&self, key: Coord) -> Result<impl Fn(&Entry) -> usize + Copy, FormatError> {
+    fn key(&self, key: Coord) -> Result<impl Fn(&Entry) -> u32 + Copy, FormatError> {
         if key != ROW && key != COL {
             return Err(self.unfit(format!("no assembly stores {key:?} beneath a level")));
         }
@@ -308,8 +308,8 @@ impl Assembly<'_> {
         let e = self.t.entries();
         match (crd, keys, values) {
             (&[rows, cols], [ROW, COL], Some(values)) => {
-                self.set(rows, e.iter().map(|x| narrow(x.0)).collect::<Vec<_>>());
-                self.set(cols, e.iter().map(|x| narrow(x.1)).collect::<Vec<_>>());
+                self.set(rows, e.iter().map(|x| x.0).collect::<Vec<_>>());
+                self.set(cols, e.iter().map(|x| x.1).collect::<Vec<_>>());
                 self.set(values, e.iter().map(|x| x.2).collect::<Vec<_>>());
                 Ok(None)
             }
@@ -364,8 +364,7 @@ impl Assembly<'_> {
         let (e, key) = (self.t.entries(), self.key(key)?);
         if up.at == Coord::Runs {
             // An ordered listing's runs are its children's ranges.
-            let (keys, vals): (Vec<u32>, Vec<f64>) =
-                e.iter().map(|x| (narrow(key(x)), x.2)).unzip();
+            let (keys, vals): (Vec<u32>, Vec<f64>) = e.iter().map(|x| (key(x), x.2)).unzip();
             let starts = std::mem::take(&mut self.listed);
             self.set(ptr, starts);
             self.set(crd, keys);
@@ -376,7 +375,7 @@ impl Assembly<'_> {
         bind!(up.at, &self.listed, |parent| if up.ordered {
             for ((i, x), (k, v)) in e.iter().enumerate().zip(keys.iter_mut().zip(&mut vals)) {
                 starts[parent(i, x) + 1] += 1;
-                (*k, *v) = (narrow(key(x)), x.2);
+                (*k, *v) = (key(x), x.2);
             }
             prefix_sum(&mut starts);
         } else {
@@ -496,7 +495,7 @@ impl Assembly<'_> {
             let row = &e[rows[r as usize]..rows[r as usize + 1]];
             for (x, &start) in row.iter().zip(&starts) {
                 let at = start as usize + k;
-                (cols[at], vals[at]) = (narrow(x.1), x.2);
+                (cols[at], vals[at]) = (x.1, x.2);
             }
         }
         self.set(perm.apply, apply);
@@ -558,7 +557,7 @@ impl Assembly<'_> {
         };
         let (row_strip, col_strip, e) = (strip_of(&rp), strip_of(&cp), self.t.entries());
         let (ptr, crd, base, cells) = bind!(up.at, &self.listed, |parent| {
-            let block = |i, x: &Entry| (row_strip[parent(i, x)] as usize, col_strip[x.1] as usize);
+            let block = |i, x: &Entry| (row_strip[parent(i, x)], col_strip[x.1 as usize]);
             let touched = e.iter().enumerate().map(|(i, x)| block(i, x));
             let (ptr, crd) = block_pattern(touched, (rp.len() - 1, cp.len() - 1));
             // base[b]: where block `b`'s cells start, saturating past any limit.
@@ -577,11 +576,12 @@ impl Assembly<'_> {
             let (mut block_of, mut open) = (vec![0; cp.len() - 1], None);
             for (i, x) in e.iter().enumerate() {
                 let ((br, bc), row) = (block(i, x), parent(i, x));
+                let (br, bc, col) = (br as usize, bc as usize, x.1 as usize);
                 if open.replace(br) != Some(br) {
                     (ptr[br]..ptr[br + 1]).for_each(|b| block_of[crd[b as usize] as usize] = b);
                 }
                 let b = block_of[bc] as usize;
-                cells[base[b] + (row - rp[br]) * (cp[bc + 1] - cp[bc]) + (x.1 - cp[bc])] = x.2;
+                cells[base[b] + (row - rp[br]) * (cp[bc + 1] - cp[bc]) + (col - cp[bc])] = x.2;
             }
             (ptr, crd, base, cells)
         });
@@ -609,11 +609,11 @@ fn scatter<K: From<u32>>(
     mut next: Vec<u32>,
     (keys, vals): (&mut [K], &mut [f64]),
     parent: impl Fn(usize, &Entry) -> usize,
-    key: impl Fn(&Entry) -> usize,
+    key: impl Fn(&Entry) -> u32,
 ) {
     for (i, x) in e.iter().enumerate() {
         let at = &mut next[parent(i, x)];
-        (keys[*at as usize], vals[*at as usize]) = (K::from(narrow(key(x))), x.2);
+        (keys[*at as usize], vals[*at as usize]) = (K::from(key(x)), x.2);
         *at += 1;
     }
 }

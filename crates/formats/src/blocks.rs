@@ -10,7 +10,6 @@
 //! threshold — the shape a FEM assembly with that element size would
 //! produce scores exactly 1.0.
 
-use crate::layout::narrow;
 use crate::scalar::Scalar;
 use crate::Triplets;
 
@@ -37,17 +36,17 @@ pub struct BlockReport {
 /// listed. The caller has checked the matrix against the index limit;
 /// there are no more blocks than entries.
 pub(crate) fn block_pattern(
-    touched: impl Iterator<Item = (usize, usize)>,
+    touched: impl Iterator<Item = (u32, u32)>,
     (nbr, nbc): (usize, usize),
 ) -> (Vec<u32>, Vec<u32>) {
     let mut ptr = vec![0u32; nbr + 1];
     let mut bcol = Vec::new();
-    let mut seen = vec![usize::MAX; nbc];
+    let mut seen = vec![u32::MAX; nbc];
     for (br, bc) in touched {
-        if seen[bc] != br {
-            seen[bc] = br;
-            bcol.push(narrow(bc));
-            ptr[br + 1] += 1;
+        if seen[bc as usize] != br {
+            seen[bc as usize] = br;
+            bcol.push(bc);
+            ptr[br as usize + 1] += 1;
         }
     }
     for br in 0..nbr {
@@ -57,12 +56,13 @@ pub(crate) fn block_pattern(
     (ptr, bcol)
 }
 
-/// Number of `r x c` blocks the normal-form `entries` touch; `seen` is
-/// [`block_pattern`]'s, all `usize::MAX` and at least `ncols / c` long.
-fn count_blocks<T>(entries: &[(usize, usize, T)], r: usize, c: usize, seen: &mut [usize]) -> usize {
+/// Number of `r x c` blocks the normal-form `entries` touch; `seen` is a
+/// stamp per block column as in [`block_pattern`], all `usize::MAX` and
+/// at least `ncols / c` long.
+fn count_blocks<T>(entries: &[(u32, u32, T)], r: usize, c: usize, seen: &mut [usize]) -> usize {
     let mut blocks = 0;
     for &(row, col, _) in entries {
-        let (br, bc) = (row / r, col / c);
+        let (br, bc) = (row as usize / r, col as usize / c);
         if seen[bc] != br {
             seen[bc] = br;
             blocks += 1;

@@ -39,7 +39,9 @@ pub enum FormatError {
     },
     /// A dimension or stored count above
     /// [`INDEX_LIMIT`](crate::layout::INDEX_LIMIT): more than the `u32`
-    /// index arrays of a format can address.
+    /// index arrays of a format can address. Also a coordinate past
+    /// `u32::MAX` pushed into such a [`Triplets`](crate::Triplets),
+    /// whose entries are `u32` too.
     IndexLimit {
         nrows: usize,
         ncols: usize,

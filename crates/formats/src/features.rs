@@ -85,13 +85,13 @@ impl StructureFeatures {
         let mut mirrored = 0usize;
         let mut lower = true;
         let mut upper = true;
-        for &(r, c, _) in e {
+        for (r, c) in e.iter().map(|x| (x.0 as usize, x.1 as usize)) {
             bandwidth = bandwidth.max(r.abs_diff(c));
             if r == c {
                 diag += 1;
             } else {
                 off_diag += 1;
-                if c < nrows && row(c).binary_search_by_key(&r, |m| m.1).is_ok() {
+                if c < nrows && row(c).binary_search_by_key(&r, |m| m.1 as usize).is_ok() {
                     mirrored += 1;
                 }
                 if r < c {
@@ -112,7 +112,7 @@ impl StructureFeatures {
         for r in 0..nrows {
             if let (Some(first), Some(last)) = (row(r).first(), row(r).last()) {
                 nonempty += 1;
-                profile_sum += (last.1 - first.1 + 1) as f64;
+                profile_sum += (last.1 - first.1) as f64 + 1.0;
             }
         }
 

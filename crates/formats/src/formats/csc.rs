@@ -118,14 +118,14 @@ mod tests {
         entries.sort_by_key(|&(r, c, _)| (c, r));
         let mut colptr = vec![0u32; t.ncols() + 1];
         for &(_, c, _) in &entries {
-            colptr[c + 1] += 1;
+            colptr[c as usize + 1] += 1;
         }
         for c in 0..t.ncols() {
             colptr[c + 1] += colptr[c];
         }
         (
             colptr,
-            entries.iter().map(|e| e.0 as u32).collect(),
+            entries.iter().map(|e| e.0).collect(),
             entries.iter().map(|e| e.2).collect(),
         )
     }

@@ -35,7 +35,7 @@ impl<T: Scalar> Dense<T> {
     pub fn from_triplets(t: &crate::Triplets<T>) -> Dense<T> {
         let mut d = Dense::zeros(t.nrows(), t.ncols());
         for &(r, c, v) in t.entries() {
-            d.data[r * d.ncols + c] += v;
+            d.data[r as usize * d.ncols + c as usize] += v;
         }
         d
     }

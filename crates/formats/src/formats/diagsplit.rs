@@ -32,16 +32,12 @@ impl DiagSplit<f64> {
     pub fn from_triplets(t: &Triplets<f64>) -> DiagSplit<f64> {
         assert_eq!(t.nrows(), t.ncols(), "diagsplit requires a square matrix");
         let n = t.nrows();
-        let mut diag = vec![0.0; n];
-        // What is left of a normal form is one: `off` is pushed in order.
-        let mut off = Triplets::new(n, n);
-        for &(r, c, v) in t.normalized().entries() {
-            if r == c {
-                diag[r] = v;
-            } else {
-                off.push(r, c, v);
-            }
-        }
+        let (t, mut diag) = (t.normalized(), vec![0.0; n]);
+        let on_diagonal = t.entries().iter().filter(|e| e.0 == e.1);
+        on_diagonal.for_each(|&(r, _, v)| diag[r as usize] = v);
+        // What is left of a normal form is one.
+        let mut off = t.into_owned();
+        off.retain_positions(|r, c| r != c);
         DiagSplit {
             n,
             diag,
@@ -75,7 +71,7 @@ impl SparseMatrix for DiagSplit<f64> {
         }
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        self.to_triplets().into_entries()
+        self.to_triplets().wide_entries()
     }
 }
 

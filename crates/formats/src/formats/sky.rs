@@ -81,7 +81,7 @@ const SKYLINE_START: Residue<Sky<f64>> = Residue {
                     ),
                 });
             }
-            lo[r] = lo[r].min(narrow(c));
+            lo[r as usize] = lo[r as usize].min(c);
         }
         a.set(field::lo, lo);
         Ok(())

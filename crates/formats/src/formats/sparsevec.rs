@@ -64,7 +64,7 @@ impl<T: Scalar> SparseVec<T> {
 
     /// Builds a vector holding the stored entries of column 0 of `t`.
     pub fn from_triplets(t: &Triplets<T>) -> SparseVec<T> {
-        let pairs: Vec<(usize, T)> = t.entries().iter().map(|&(r, _, v)| (r, v)).collect();
+        let pairs: Vec<(usize, T)> = t.entries().iter().map(|e| (e.0 as usize, e.2)).collect();
         SparseVec::from_pairs(t.nrows(), &pairs)
     }
 
@@ -94,7 +94,7 @@ impl SparseMatrix for SparseVec<f64> {
         self.find(r).map_or(0.0, |k| self.values[k])
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        self.to_triplets().into_entries()
+        self.to_triplets().wide_entries()
     }
 }
 
@@ -172,7 +172,7 @@ impl SparseMatrix for HashVec<f64> {
         self.index.get(&r).map_or(0.0, |&k| self.values[k])
     }
     fn entries(&self) -> Vec<(usize, usize, f64)> {
-        self.to_triplets().into_entries()
+        self.to_triplets().wide_entries()
     }
 }
 

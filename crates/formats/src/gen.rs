@@ -225,7 +225,7 @@ pub fn scale(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64> {
         let on_diagonal = |p: usize| {
             let at = (p % nr, p % nr);
             t.entries()
-                .binary_search_by_key(&at, |e| (e.0, e.1))
+                .binary_search_by_key(&at, |e| (e.0 as usize, e.1 as usize))
                 .is_ok()
         };
         // The seed's own strictly-lower / strictly-upper offsets: the
@@ -236,7 +236,7 @@ pub fn scale(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64> {
                 .entries()
                 .iter()
                 .filter(|&&(r, c, _)| if lower { r > c } else { c > r })
-                .map(|&(r, c, _)| r.abs_diff(c))
+                .map(|&(r, c, _)| r.abs_diff(c) as usize)
                 .collect();
             d.sort_unstable();
             d.dedup();
@@ -281,9 +281,10 @@ pub fn scale(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64> {
     coupling.sort_by_key(|&(r, c, _)| (r, c));
     let mut coupling = coupling.into_iter().peekable();
     let mut out = Triplets::new(nr * factor, nc * factor);
+    out.reserve(factor * t.nnz() + coupling.len());
     for k in 0..factor {
         for &(r, c, v) in t.entries() {
-            let at = (k * nr + r, k * nc + c);
+            let at = (k * nr + r as usize, k * nc + c as usize);
             while let Some((r, c, v)) = coupling.next_if(|e| (e.0, e.1) < at) {
                 out.push_or_sum(r, c, v);
             }
@@ -334,7 +335,7 @@ pub struct PatternStats {
 /// Computes [`PatternStats`] for a triplet matrix.
 pub fn pattern_stats(t: &Triplets<f64>) -> PatternStats {
     let counts = t.row_counts();
-    let positions: std::collections::HashSet<(usize, usize)> =
+    let positions: std::collections::HashSet<(u32, u32)> =
         t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
     PatternStats {
         nrows: t.nrows(),
@@ -346,7 +347,7 @@ pub fn pattern_stats(t: &Triplets<f64>) -> PatternStats {
         bandwidth: t
             .entries()
             .iter()
-            .map(|&(r, c, _)| r.abs_diff(c))
+            .map(|&(r, c, _)| r.abs_diff(c) as usize)
             .max()
             .unwrap_or(0),
         structurally_symmetric: t

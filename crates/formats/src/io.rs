@@ -144,7 +144,7 @@ pub fn write_matrix_market(t: &Triplets<f64>, mut w: impl Write) -> std::io::Res
     writeln!(w, "% generated by bernoulli-rs")?;
     writeln!(w, "{} {} {}", t.nrows(), t.ncols(), t.nnz())?;
     for &(r, c, v) in t.entries() {
-        writeln!(w, "{} {} {:.17e}", r + 1, c + 1, v)?;
+        writeln!(w, "{} {} {:.17e}", r as usize + 1, c as usize + 1, v)?;
     }
     Ok(())
 }

@@ -478,7 +478,7 @@ macro_rules! stored_layout {
             }
 
             fn entries(&self) -> Vec<(usize, usize, f64)> {
-                self.to_triplets().into_entries()
+                self.to_triplets().wide_entries()
             }
         }
 

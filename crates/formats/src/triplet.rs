@@ -17,19 +17,34 @@ use std::borrow::Cow;
 /// row-major, no position twice. A `Triplets` knows whether it is in
 /// normal form, so entries pushed in order need no sort, and no
 /// conversion copies or sorts an input that is in order already.
+///
+/// An entry's coordinates are `u32`, the width of every layout's index
+/// arrays: 16 B an entry at `f64`. The shape stays `usize`, so a matrix
+/// past the index limit can be described (and is refused where it is
+/// assembled); a coordinate is narrowed where it comes in, by
+/// [`try_push`](Self::try_push), and one past `u32::MAX` is refused there.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Triplets<T: Scalar = f64> {
     nrows: usize,
     ncols: usize,
-    entries: Vec<(usize, usize, T)>,
+    entries: Vec<(u32, u32, T)>,
     /// Whether `entries` is strictly row-major increasing. Kept exact by
     /// every method, so it is a function of `entries` alone and equal
     /// entry sequences compare equal whatever their history.
     normal: bool,
 }
 
-fn position<T>(e: &(usize, usize, T)) -> (usize, usize) {
-    (e.0, e.1)
+fn position<T>(e: &(u32, u32, T)) -> (usize, usize) {
+    (e.0 as usize, e.1 as usize)
+}
+
+/// Where the entries of each of `n` keys start, given each entry's key:
+/// key `k`'s are `starts[k]..starts[k + 1]` of a stable scatter by key.
+fn starts(keys: impl Iterator<Item = u32>, n: usize) -> Vec<usize> {
+    let mut starts = vec![0usize; n + 1];
+    keys.for_each(|k| starts[k as usize + 1] += 1);
+    (0..n).for_each(|k| starts[k + 1] += starts[k]);
+    starts
 }
 
 impl<T: Scalar> Triplets<T> {
@@ -46,7 +61,7 @@ impl<T: Scalar> Triplets<T> {
     /// Builds from a slice of entries. Duplicate positions are summed.
     ///
     /// # Panics
-    /// Panics if any coordinate is out of range; use
+    /// Panics if any coordinate is out of range or past `u32::MAX`; use
     /// [`try_from_entries`](Self::try_from_entries) for untrusted input.
     pub fn from_entries(nrows: usize, ncols: usize, entries: &[(usize, usize, T)]) -> Triplets<T> {
         match Triplets::try_from_entries(nrows, ncols, entries) {
@@ -74,7 +89,7 @@ impl<T: Scalar> Triplets<T> {
     /// Appends one entry (duplicates allowed until [`normalize`](Self::normalize)).
     ///
     /// # Panics
-    /// Panics if the coordinate is out of range; use
+    /// Panics if the coordinate is out of range or past `u32::MAX`; use
     /// [`try_push`](Self::try_push) for untrusted input.
     pub fn push(&mut self, r: usize, c: usize, v: T) {
         if let Err(e) = self.try_push(r, c, v) {
@@ -83,19 +98,28 @@ impl<T: Scalar> Triplets<T> {
     }
 
     /// [`push`](Self::push) with out-of-range coordinates reported as a
-    /// [`FormatError`] instead of a panic.
+    /// [`FormatError`] instead of a panic: the one place a coordinate is
+    /// narrowed to `u32`. In a matrix whose shape is past the index limit,
+    /// a coordinate past `u32::MAX` is [`FormatError::IndexLimit`].
     pub fn try_push(&mut self, r: usize, c: usize, v: T) -> Result<(), FormatError> {
-        if r >= self.nrows || c >= self.ncols {
-            return Err(FormatError::EntryOutOfRange {
-                r,
-                c,
-                nrows: self.nrows,
-                ncols: self.ncols,
-            });
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let out_of_range = FormatError::EntryOutOfRange { r, c, nrows, ncols };
+        let (Ok(row), Ok(col)) = (u32::try_from(r), u32::try_from(c)) else {
+            crate::layout::check_index_limit(nrows, ncols, self.nnz())?;
+            return Err(out_of_range);
+        };
+        if r >= nrows || c >= ncols {
+            return Err(out_of_range);
         }
         self.normal &= self.entries.last().is_none_or(|l| position(l) < (r, c));
-        self.entries.push((r, c, v));
+        self.entries.push((row, col, v));
         Ok(())
+    }
+
+    /// Room for `additional` more entries, so that pushing them moves
+    /// none.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
     }
 
     /// [`push`](Self::push), except that a value for the position of the
@@ -117,7 +141,7 @@ impl<T: Scalar> Triplets<T> {
             return;
         }
         self.entries.sort_by_key(position);
-        let mut out: Vec<(usize, usize, T)> = Vec::with_capacity(self.entries.len());
+        let mut out: Vec<(u32, u32, T)> = Vec::with_capacity(self.entries.len());
         for &(r, c, v) in &self.entries {
             match out.last_mut() {
                 Some(&mut (lr, lc, ref mut lv)) if lr == r && lc == c => *lv += v,
@@ -158,13 +182,21 @@ impl<T: Scalar> Triplets<T> {
     /// The entries: in normal form if every `push` since the last
     /// [`normalize`](Self::normalize) was in strictly increasing
     /// row-major order, in push order otherwise.
-    pub fn entries(&self) -> &[(usize, usize, T)] {
+    pub fn entries(&self) -> &[(u32, u32, T)] {
         &self.entries
     }
 
     /// The entries, moved out, in the order of [`entries`](Self::entries).
-    pub fn into_entries(self) -> Vec<(usize, usize, T)> {
+    pub fn into_entries(self) -> Vec<(u32, u32, T)> {
         self.entries
+    }
+
+    /// The entries at the width of the shape, in the order of
+    /// [`entries`](Self::entries): what the dense API
+    /// ([`SparseMatrix::entries`](crate::SparseMatrix::entries)) hands out.
+    pub(crate) fn wide_entries(&self) -> Vec<(usize, usize, T)> {
+        let wide = |&(r, c, v): &(u32, u32, T)| (r as usize, c as usize, v);
+        self.entries.iter().map(wide).collect()
     }
 
     /// Random-access read of the first entry pushed at `(r, c)`: a binary
@@ -182,7 +214,7 @@ impl<T: Scalar> Triplets<T> {
     pub fn to_dense_rows(&self) -> Vec<Vec<T>> {
         let mut d = vec![vec![T::ZERO; self.ncols]; self.nrows];
         for &(r, c, v) in &self.entries {
-            d[r][c] += v;
+            d[r as usize][c as usize] += v;
         }
         d
     }
@@ -197,7 +229,7 @@ impl<T: Scalar> Triplets<T> {
     /// Keeps only entries satisfying the position predicate (what is
     /// left of a normal form is one).
     pub fn retain_positions(&mut self, f: impl Fn(usize, usize) -> bool) {
-        self.entries.retain(|&(r, c, _)| f(r, c));
+        self.entries.retain(|&(r, c, _)| f(r as usize, c as usize));
         self.normal = self.normal || self.entries.is_sorted_by(|a, b| position(a) < position(b));
     }
 
@@ -205,17 +237,11 @@ impl<T: Scalar> Triplets<T> {
     /// column of the normal form, no sort.
     pub fn transposed(&self) -> Triplets<T> {
         let t = self.normalized();
-        let mut next = vec![0usize; t.ncols + 1];
-        for &(_, c, _) in t.entries() {
-            next[c + 1] += 1;
-        }
-        for c in 0..t.ncols {
-            next[c + 1] += next[c];
-        }
+        let mut next = starts(t.entries().iter().map(|e| e.1), t.ncols);
         let mut entries = vec![(0, 0, T::ZERO); t.nnz()];
         for &(r, c, v) in t.entries() {
-            entries[next[c]] = (c, r, v);
-            next[c] += 1;
+            entries[next[c as usize]] = (c, r, v);
+            next[c as usize] += 1;
         }
         Triplets {
             nrows: t.ncols,
@@ -232,11 +258,12 @@ impl<T: Scalar> Triplets<T> {
     pub fn lower_triangle_full_diag(&self, diag_fill: T) -> Triplets<T> {
         let n = self.nrows.min(self.ncols);
         let mut t = Triplets::new(self.nrows, self.ncols);
+        t.reserve(self.nnz() + n);
         // A diagonal entry is the last of its row in a lower triangle:
         // rows `..next` have theirs, and a missing one is pushed when
         // the first entry of a later row (or the end) shows it missing.
-        let mut next = 0;
-        for &(r, c, v) in self.normalized().entries() {
+        let (normal, mut next) = (self.normalized(), 0);
+        for ((r, c), v) in normal.entries().iter().map(|e| (position(e), e.2)) {
             if r >= c {
                 for i in next..r.min(n) {
                     t.push(i, i, diag_fill);
@@ -254,23 +281,12 @@ impl<T: Scalar> Triplets<T> {
     /// Where each row starts: row `r` of the normal form is
     /// `entries()[rowptr[r]..rowptr[r + 1]]`, columns increasing.
     pub(crate) fn rowptr(&self) -> Vec<usize> {
-        let mut rowptr = vec![0usize; self.nrows + 1];
-        for &(r, _, _) in &self.entries {
-            rowptr[r + 1] += 1;
-        }
-        for r in 0..self.nrows {
-            rowptr[r + 1] += rowptr[r];
-        }
-        rowptr
+        starts(self.entries.iter().map(|e| e.0), self.nrows)
     }
 
     /// Number of stored entries in each row.
     pub fn row_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nrows];
-        for &(r, _, _) in &self.entries {
-            counts[r] += 1;
-        }
-        counts
+        self.rowptr().windows(2).map(|w| w[1] - w[0]).collect()
     }
 }
 

@@ -323,6 +323,14 @@ fn holds(name: &str, nrows: usize, ncols: usize, normal: &[Entry]) -> bool {
     }
 }
 
+/// The entries of `t`, at the width of its shape.
+fn entries_of(t: &Triplets<f64>) -> Vec<Entry> {
+    t.entries()
+        .iter()
+        .map(|&(r, c, v)| (r as usize, c as usize, v))
+        .collect()
+}
+
 fn bits(entries: &[Entry]) -> Vec<(usize, usize, u64)> {
     entries
         .iter()
@@ -373,7 +381,7 @@ fn check(name: &str, case: &Case, t: &Triplets<f64>, normal: &[Entry]) {
     for (image, valid) in built.images() {
         assert_eq!(valid, Ok(()), "{what}");
         assert_eq!((image.nrows(), image.ncols()), (case.nrows, case.ncols));
-        let stored = image.entries();
+        let stored = entries_of(&image);
         assert!(
             stored
                 .windows(2)
@@ -383,7 +391,7 @@ fn check(name: &str, case: &Case, t: &Triplets<f64>, normal: &[Entry]) {
         if fills_in {
             // Every entry as assembled; whatever else is stored is zero.
             let mut want = normal.iter().peekable();
-            for &(r, c, v) in stored {
+            for &(r, c, v) in &stored {
                 match want.next_if(|w| (w.0, w.1) == (r, c)) {
                     Some(w) => assert_eq!(v.to_bits(), w.2.to_bits(), "{what} at ({r},{c})"),
                     None => assert_eq!(v, 0.0, "{what}: fill-in at ({r},{c})"),
@@ -391,7 +399,7 @@ fn check(name: &str, case: &Case, t: &Triplets<f64>, normal: &[Entry]) {
             }
             assert_eq!(want.next(), None, "{what}: entry not stored");
         } else {
-            assert_eq!(bits(stored), bits(normal), "{what}");
+            assert_eq!(bits(&stored), bits(normal), "{what}");
         }
     }
 }
@@ -406,7 +414,7 @@ fn triplet_conversions_keep_the_normal_form() {
 
         let transposed: Vec<Entry> = case.pushed.iter().map(|&(r, c, v)| (c, r, v)).collect();
         assert_eq!(
-            bits(t.transposed().entries()),
+            bits(&entries_of(&t.transposed())),
             bits(&normal_form(&transposed)),
             "transposed, {}",
             case.what
@@ -424,7 +432,7 @@ fn triplet_conversions_keep_the_normal_form() {
             }
         }
         assert_eq!(
-            bits(t.lower_triangle_full_diag(1.5).entries()),
+            bits(&entries_of(&t.lower_triangle_full_diag(1.5))),
             bits(&normal_form(&lower)),
             "lower triangle, {}",
             case.what
@@ -435,7 +443,12 @@ fn triplet_conversions_keep_the_normal_form() {
             assert_eq!(t.get(r, c).to_bits(), first.2.to_bits(), "{}", case.what);
         }
         t.normalize();
-        assert_eq!(bits(t.entries()), bits(&normal), "normalize, {}", case.what);
+        assert_eq!(
+            bits(&entries_of(&t)),
+            bits(&normal),
+            "normalize, {}",
+            case.what
+        );
         assert_eq!(
             t,
             Triplets::from_entries(case.nrows, case.ncols, &case.pushed),

@@ -168,16 +168,23 @@ fn scale_identity_and_determinism() {
     assert_eq!(gen::scale(&seed, 10, 77), gen::scale(&seed, 10, 77));
 }
 
+/// The entries of `t`, at the width of its shape.
+fn entries_of(t: &Triplets<f64>) -> Vec<(usize, usize, f64)> {
+    t.entries()
+        .iter()
+        .map(|&(r, c, v)| (r as usize, c as usize, v))
+        .collect()
+}
+
 /// The normal form, by sorting.
 fn sorted(t: &Triplets<f64>) -> Triplets<f64> {
-    Triplets::from_entries(t.nrows(), t.ncols(), t.entries())
+    Triplets::from_entries(t.nrows(), t.ncols(), &entries_of(t))
 }
 
 /// `block_fill` with the touched blocks in a set.
 fn naive_block_fill(t: &Triplets<f64>, r: usize, c: usize) -> BlockReport {
     let t = sorted(t);
-    let blocks: HashSet<(usize, usize)> = t
-        .entries()
+    let blocks: HashSet<(usize, usize)> = entries_of(&t)
         .iter()
         .map(|&(row, col, _)| (row / r, col / c))
         .collect();
@@ -218,7 +225,7 @@ fn naive_strips(t: &Triplets<f64>) -> (Vec<usize>, Vec<usize>) {
     let t = sorted(t);
     let mut row_support: Vec<Vec<usize>> = vec![Vec::new(); t.nrows()];
     let mut col_support: Vec<Vec<usize>> = vec![Vec::new(); t.ncols()];
-    for &(r, c, _) in t.entries() {
+    for &(r, c, _) in &entries_of(&t) {
         row_support[r].push(c);
         col_support[c].push(r);
     }
@@ -238,14 +245,15 @@ fn naive_features(t: &Triplets<f64>) -> StructureFeatures {
     let (nrows, ncols, nnz) = (t.nrows(), t.ncols(), t.nnz());
     let cells = nrows as f64 * ncols as f64;
     let min_dim = nrows.min(ncols);
-    let positions: HashSet<(usize, usize)> = t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+    let positions: HashSet<(usize, usize)> =
+        entries_of(&t).iter().map(|&(r, c, _)| (r, c)).collect();
     let mut row_nnz = vec![0usize; nrows];
     let mut row_first = vec![usize::MAX; nrows];
     let mut row_last = vec![0usize; nrows];
     let mut level = vec![0usize; nrows];
     let (mut bandwidth, mut diag, mut off_diag, mut mirrored) = (0usize, 0usize, 0usize, 0usize);
     let (mut lower, mut upper) = (true, true);
-    for &(r, c, _) in t.entries() {
+    for &(r, c, _) in &entries_of(&t) {
         row_nnz[r] += 1;
         row_first[r] = row_first[r].min(c);
         row_last[r] = row_last[r].max(c);
@@ -358,16 +366,15 @@ fn scale_by_sorting(t: &Triplets<f64>, factor: usize, seed: u64) -> Triplets<f64
     let (nr, nc) = (t.nrows(), t.ncols());
     let mut pushed: Vec<(usize, usize, f64)> = Vec::new();
     for k in 0..factor {
-        for &(r, c, v) in t.entries() {
+        for &(r, c, v) in &entries_of(t) {
             pushed.push((k * nr + r, k * nc + c, v));
         }
     }
     if factor > 1 && nr == nc && nr > 0 {
         let positions: HashSet<(usize, usize)> =
-            t.entries().iter().map(|&(r, c, _)| (r, c)).collect();
+            entries_of(t).iter().map(|&(r, c, _)| (r, c)).collect();
         let offsets = |lower: bool| {
-            let set: HashSet<usize> = t
-                .entries()
+            let set: HashSet<usize> = entries_of(t)
                 .iter()
                 .filter(|&&(r, c, _)| if lower { r > c } else { c > r })
                 .map(|&(r, c, _)| r.abs_diff(c))
@@ -438,7 +445,7 @@ fn scale_is_what_sorting_all_of_it_built() {
         ("empty", Triplets::new(4, 4)),
     ];
     let bits = |t: &Triplets<f64>| -> Vec<(usize, usize, u64)> {
-        t.entries()
+        entries_of(t)
             .iter()
             .map(|&(r, c, v)| (r, c, v.to_bits()))
             .collect()

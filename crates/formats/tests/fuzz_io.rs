@@ -69,7 +69,7 @@ proptest! {
     fn token_soup_never_panics(src in token_soup()) {
         if let Ok(t) = read_matrix_market(Cursor::new(src.into_bytes())) {
             for &(r, c, _) in t.entries() {
-                prop_assert!(r < t.nrows() && c < t.ncols());
+                prop_assert!((r as usize) < t.nrows() && (c as usize) < t.ncols());
             }
         }
     }

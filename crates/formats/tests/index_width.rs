@@ -64,6 +64,9 @@ fn a_layout_says_what_it_weighs() {
 
     let t = gen::can_1072_like();
     let (rows, nnz) = (t.nrows(), t.nnz());
+    // The normal form every layout is built from: two four-byte
+    // coordinates and a value.
+    assert_eq!(std::mem::size_of_val(t.entries()), 16 * t.nnz());
     let csr = Csr::from_triplets(&t);
     assert_eq!(csr.image_bytes(), 8 * nnz + 4 * (nnz + rows + 1));
     let jad = bernoulli_formats::Jad::from_triplets(&t);
@@ -88,6 +91,43 @@ fn a_layout_says_what_it_weighs() {
 fn a_matrix_past_the_limit_is_refused_before_it_is_allocated() {
     // 16 GiB of row pointers, were they allocated.
     let _ = Csr::from_triplets(&Triplets::<f64>::new(PAST, 1));
+}
+
+/// A coordinate is narrowed to `u32` where it comes in: one past
+/// `u32::MAX` is refused there, typed, not at a later assembly.
+#[test]
+fn a_coordinate_past_the_limit_is_refused_where_it_comes_in() {
+    let last = u32::MAX as usize;
+    for (nrows, ncols) in [(PAST, 1), (PAST + 1, 1), (1, PAST)] {
+        let at = |k: usize| if nrows == 1 { (0, k) } else { (k, 0) };
+        let ((r, c), (pr, pc)) = (at(last), at(PAST));
+        let refused = FormatError::IndexLimit {
+            nrows,
+            ncols,
+            stored: 1,
+        };
+        let mut t = Triplets::<f64>::new(nrows, ncols);
+        assert_eq!(t.try_push(r, c, 1.0), Ok(()), "{nrows}x{ncols}");
+        assert_eq!(
+            t.try_push(pr, pc, 1.0),
+            Err(refused.clone()),
+            "{nrows}x{ncols}"
+        );
+        assert_eq!(t.entries(), &[(r as u32, c as u32, 1.0)]);
+        let read = Triplets::try_from_entries(nrows, ncols, &[(r, c, 1.0)]);
+        assert_eq!(read.as_ref().map(Triplets::entries), Ok(t.entries()));
+        let read = Triplets::try_from_entries(nrows, ncols, &[(r, c, 1.0), (pr, pc, 1.0)]);
+        assert_eq!(read.err(), Some(refused), "{nrows}x{ncols}");
+    }
+    // Inside the limit such a coordinate is out of range, as any other.
+    let e = Triplets::<f64>::new(3, 3).try_push(PAST, 0, 1.0);
+    let want = FormatError::EntryOutOfRange {
+        r: PAST,
+        c: 0,
+        nrows: 3,
+        ncols: 3,
+    };
+    assert_eq!(e, Err(want));
 }
 
 #[test]

@@ -142,7 +142,11 @@ fn every_mutant_is_rejected_or_readable() {
         tally!(n, "dense", Dense::from_triplets(t); data);
         tally!(n, "diagsplit", DiagSplit::from_triplets(t); diag, off.rowptr, off.colind, off.values);
         // The entries as a vector, `r + c` their index.
-        let pairs: Vec<(usize, f64)> = t.entries().iter().map(|&(r, c, v)| (r + c, v)).collect();
+        let pairs: Vec<(usize, f64)> = t
+            .entries()
+            .iter()
+            .map(|&(r, c, v)| ((r + c) as usize, v))
+            .collect();
         tally!(n, "spvec", SparseVec::from_pairs(12, &pairs); ind, values);
         tally!(n, "hashvec", HashVec::from_pairs(12, &pairs); ind, values);
     }

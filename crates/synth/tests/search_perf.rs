@@ -50,7 +50,7 @@ fn lower_triangular(n: usize) -> Triplets<f64> {
     let mut t = Triplets::new(n, n);
     for &(i, j, v) in dense.entries() {
         if j < i {
-            t.push(i, j, v);
+            t.push(i as usize, j as usize, v);
         }
     }
     for i in 0..n {
