@@ -30,9 +30,13 @@
 # (crates/formats/src/view.rs), its reader (crates/formats/src/view_text.rs),
 # the checker and walk derived from a format's levels
 # (crates/formats/src/walk.rs), the assembler derived from them
-# (crates/formats/src/assemble.rs) and the registry with its one
-# by-name lookup, `Layout::named` (crates/formats/src/layout.rs): none
-# names a format. There is no second registry: a format is built by
+# (crates/formats/src/assemble.rs), the level descriptions themselves
+# (crates/formats/src/level.rs), the generic cursor and the dense lookup
+# derived from them (crates/formats/src/cursor.rs), the one search per
+# level kind that the cursor and every kernel crate run
+# (crates/formats/src/search.rs) and the registry with its one by-name
+# lookup, `Layout::named` (crates/formats/src/layout.rs): none names a
+# format. There is no second registry: a format is built by
 # name through `LAYOUTS`, and a host view by its own constructor.
 #
 # When you remove a site, ratchet ci/format_sites.txt down.
@@ -44,7 +48,8 @@ names='csr|csc|coo|dia|ell|jad|sky|bsr|vbr|dcsr|dense|diagsplit|spvec|hashvec'
 count=0
 for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
     crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs \
-    crates/formats/src/assemble.rs crates/formats/src/layout.rs; do
+    crates/formats/src/assemble.rs crates/formats/src/layout.rs crates/formats/src/level.rs \
+    crates/formats/src/cursor.rs crates/formats/src/search.rs; do
     sites=$(awk -v names="\"($names)\"" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
@@ -57,7 +62,7 @@ for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src
     fi
     case "$file" in
     */emit.rs | */compiled.rs | */interp.rs | */codegen.rs | */view.rs | */view_text.rs | */walk.rs | \
-        */assemble.rs | */layout.rs)
+        */assemble.rs | */layout.rs | */level.rs | */cursor.rs | */search.rs)
         if [ "$n" -gt 0 ]; then
             echo "error: $file names a format ($n lines); it must name none." >&2
             exit 1

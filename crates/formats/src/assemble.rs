@@ -28,7 +28,7 @@ use crate::features::{BLOCK_PROBE_MAX, BLOCK_PROBE_MIN_FILL};
 use crate::layout::{check_index_limit, narrow, Block, Elem, Layout};
 use crate::level::{Arr, Base, Bound, Bound::Extent, Kind, Level, Levels, Slice, SlotAt};
 use crate::partition::split_even;
-use crate::view::Transform;
+use crate::view::{FormatView, Transform};
 use crate::{FormatError, Triplets};
 use std::any::Any;
 
@@ -56,7 +56,7 @@ pub(crate) enum Cut<'a> {
 /// Which key of an entry a level stores, or which position the entry
 /// reached at the level above.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Coord {
+pub(crate) enum Coord {
     /// `a * r + b * c + k`.
     Affine(i64, i64, i64),
     /// The row, through the inverse of the view's permutation.
@@ -206,7 +206,8 @@ pub(crate) fn assemble<M>(
         rowptr,
     };
     (a.dims[layout.shape.0 .0], a.dims[layout.shape.1 .0]) = (nrows, ncols);
-    let keys = keys_of(levels).ok_or_else(|| a.unfit("a key no affine form gives".into()))?;
+    let keys = keys_of(&levels.read().view, 0)
+        .ok_or_else(|| a.unfit("a key no affine form gives".into()))?;
     let (chain, mut up) = (&levels.chains[0], None);
     for l in 0..=chain.levels.len() {
         if let Some((_, run)) = residue.filter(|&(before, _)| before == l) {
@@ -220,12 +221,12 @@ pub(crate) fn assemble<M>(
     finish(&mut a)
 }
 
-/// The keys each level of the first chain stores, read off the view:
-/// its dense attributes are the row and the column, and its inverse
-/// maps, in order, give the others.
-fn keys_of(levels: &'static Levels) -> Option<Vec<Vec<Coord>>> {
-    let view = levels.view(None);
-    let chain = view.alternatives().into_iter().flatten().next()?;
+/// The keys each level of `chain` stores, read off the view: its dense
+/// attributes are the row and the column, and its inverse maps, in
+/// order, give the others.
+pub(crate) fn keys_of(view: &FormatView, chain: usize) -> Option<Vec<Vec<Coord>>> {
+    let mut chains = view.alternatives().into_iter().flatten();
+    let chain = chains.find(|c| c.id == chain)?;
     let dense = view.dense_attrs.iter().map(String::as_str);
     let mut named: Vec<(&str, Coord)> = dense.zip([ROW, COL]).collect();
     let find = |named: &[(&str, Coord)], a| named.iter().rev().find(|n| n.0 == a).map(|n| n.1);

@@ -18,16 +18,24 @@
 //!
 //! - `cursor`/`advance`: enumerate the keys stored at this level beneath a
 //!   parent position, forward or (for interval levels) backward;
-//! - `search`: find the child position for a given key, per the level's
-//!   [`SearchKind`](crate::view::SearchKind);
+//! - `search`: find the child position for a given key, by the search of
+//!   the level's kind ([`crate::search`], the text every kernel crate
+//!   includes too);
 //! - at the innermost level, `value_at` reads the stored scalar (sparse
 //!   operands are read-only).
 //!
 //! Positions are opaque `usize` tokens whose meaning is format-private
 //! (e.g. for CSR, the level-0 position is a row number and the level-1
 //! position is an index into `colind`/`values`).
+//!
+//! The dense lookup of the high-level API is derived from the same
+//! searches: [`SparseView::find`] searches, level by level, the first
+//! chain whose levels all search, for the keys the view's inverse maps
+//! give the row and the column.
 
-use crate::level::{Args, Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
+use crate::assemble::Coord;
+use crate::level::{Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
+use crate::search;
 use crate::view::{detect_properties, Chain, FormatView, Order, StoredGuarantee};
 use crate::walk::{inside, Fwd};
 use crate::SparseMatrix;
@@ -120,6 +128,7 @@ fn level_of<V: Leveled + ?Sized>(view: &V, chain: usize, level: usize) -> &'stat
         .unwrap_or_else(|| panic!("{} has no level {level} of chain {chain}", levels.name))
 }
 
+#[inline(always)]
 pub(crate) fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -> i64 {
     match b {
         Bound::Zero => 0,
@@ -130,6 +139,7 @@ pub(crate) fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -
 }
 
 /// The position of key `lo`.
+#[inline(always)]
 fn base<V: Leveled + ?Sized>(view: &V, b: Base, parent: Position, lo: i64) -> usize {
     match b {
         Base::Identity => lo as usize,
@@ -262,40 +272,95 @@ impl ChainCursor<'_> {
     }
 }
 
-fn locate<V: Leveled + ?Sized>(
+/// Searches level `lv` beneath `parent` for `keys` by the search of its
+/// kind; `None` if the level does not search.
+#[inline(always)]
+pub(crate) fn search_at<V: Leveled + ?Sized>(
     view: &V,
-    chain: usize,
-    level: usize,
+    lv: &Level,
     parent: Position,
     keys: &[i64],
-) -> Option<Position> {
-    let lv = level_of(view, chain, level);
-    let k = keys[0];
-    match (lv.locate, lv.kind) {
-        (Locate::Bounds, Kind::Interval { lo, hi, base: b }) => {
+) -> Option<Option<Position>> {
+    let (k, at) = (keys[0], |a| view.array(a).u32s());
+    Some(match (lv.locate, lv.kind) {
+        (Locate::None, _) | (Locate::Search, Kind::Jagged { .. }) => return None,
+        (Locate::Hash(_), _) => usize::try_from(k).ok().and_then(|k| view.hashed(k)),
+        (Locate::Search, Kind::Interval { lo, hi, base: b }) => {
             let lo = bound(view, lo, parent);
-            (k >= lo && k < bound(view, hi, parent))
-                .then(|| base(view, b, parent, lo) + (k - lo) as usize)
+            search::interval(lo, bound(view, hi, parent), base(view, b, parent, lo), k)
         }
-        (Locate::BinarySearch, Kind::Coords { crd, .. }) => match view.array(crd[0]) {
-            Slice::I64(a) => a.binary_search(&k).ok(),
-            a => a.u32s().binary_search(&u32::try_from(k).ok()?).ok(),
+        (Locate::Search, Kind::Coords { crd: &[a], .. }) => match view.array(a) {
+            Slice::I64(crd) => search::sorted(crd, k),
+            crd => search::sorted(crd.u32s(), k),
         },
-        (Locate::Find(args), _) => {
-            let (a, b) = match args {
-                Args::ParentKey => (parent as i64, k),
-                Args::KeyParent => (k, parent as i64),
-                Args::Keys => (k, keys[1]),
-                Args::Key => (k, 0),
-            };
-            view.find_at(usize::try_from(a).ok()?, usize::try_from(b).ok()?)
+        (Locate::Search, Kind::Coords { len, crd }) => {
+            let crd = (view.array(crd[0]).u32s(), view.array(crd[1]).u32s());
+            search::listed(view.array(len).len(), crd, (k, keys[1]))
         }
-        (Locate::Hash(_), _) => view.find_at(usize::try_from(k).ok()?, 0),
-        (Locate::None | Locate::Bounds | Locate::BinarySearch, _) => panic!(
-            "{}: level {level} of chain {chain} does not support search",
-            view.levels().name
-        ),
+        (Locate::Search, Kind::Compressed { ptr, crd }) => {
+            search::compressed(view.array(ptr).u32s(), view.array(crd).u32s(), parent, k)
+        }
+        (Locate::Search, Kind::Slots { count, at, crd }) => match at {
+            SlotAt::RowMajor(w) => {
+                let row = (view.array(count).u32s(), view.dim(w));
+                match view.array(crd) {
+                    Slice::I64(crd) => search::slots(row, crd, parent, k),
+                    crd => search::slots(row, crd.u32s(), parent, k),
+                }
+            }
+            SlotAt::Table(t) => {
+                let row = (view.array(count).u32s(), view.array(t).u32s());
+                search::slot_table(row, view.array(crd).u32s(), parent, k)
+            }
+        },
+        (Locate::Search, Kind::Blocks { ptr, crd, r, c }) => {
+            let (ptr, crd) = (view.array(ptr).u32s(), view.array(crd).u32s());
+            search::blocks(ptr, crd, (view.dim(r), view.dim(c)), parent, k)
+        }
+        (Locate::Search, Kind::Strips(s)) => {
+            let mut arrays = [&[][..]; 7];
+            let of = [s.strip_of, s.start, s.begin, s.end, s.crd, s.cuts, s.base];
+            for (array, a) in arrays.iter_mut().zip(of) {
+                *array = at(a);
+            }
+            search::strips(arrays, parent, k)
+        }
+    })
+}
+
+/// Where the dense lookup ([`SparseView::find`]) of `(r, c)` starts:
+/// the chain it walks and the keys of each of its levels, read off the
+/// view; `None` outside the matrix, or where no chain searches.
+#[inline(always)]
+pub(crate) fn dense_keys<V: SparseView + ?Sized>(
+    view: &V,
+    (r, c): (usize, usize),
+) -> Option<(usize, &'static [Vec<Coord>])> {
+    let (chain, keys) = view.levels().read().lookup.as_ref()?;
+    (r < view.nrows() && c < view.ncols()).then_some((*chain, keys))
+}
+
+/// The keys of one level of the dense lookup: what the forms `coords`
+/// give `(r, c)`, the row through the view's permutation.
+#[inline(always)]
+pub(crate) fn keys_at<V: Leveled + ?Sized>(
+    view: &V,
+    coords: &[Coord],
+    (r, c): (usize, usize),
+) -> Option<[i64; 2]> {
+    // Inside the matrix, both fit an `i64` with room to spare.
+    let (r, c, mut at) = (r as i64, c as i64, [0; 2]);
+    for (k, coord) in at.iter_mut().zip(coords) {
+        *k = match *coord {
+            Coord::Affine(a, b, cst) => a * r + b * c + cst,
+            Coord::Permuted => {
+                let unapply = view.array(view.levels().perm?.unapply).u32s();
+                i64::from(*unapply.get(r as usize)?)
+            }
+            Coord::Listed | Coord::Runs => return None,
+        };
     }
+    Some(at)
 }
 
 /// The dynamic low-level API of every format (at `f64`): the generic
@@ -358,12 +423,29 @@ pub trait SparseView: SparseMatrix + Leveled {
         parent: Position,
         keys: &[i64],
     ) -> Option<Position> {
-        locate(self, chain, level, parent, keys)
+        let (name, lv) = (self.levels().name, level_of(self, chain, level));
+        let found = search_at(self, lv, parent, keys);
+        found.unwrap_or_else(|| panic!("{name}: level {level} of chain {chain} does not search"))
     }
 
     /// Reads the stored value at a leaf position of `chain`.
     fn value_at(&self, chain: usize, pos: Position) -> f64 {
         self.array(self.levels().chains[chain].values).values()[pos]
+    }
+
+    /// The position of the dense coordinate `(r, c)` in the first chain
+    /// whose levels all search and whose keys tell the coordinates apart
+    /// (JAD's hierarchical one, the off-diagonal part of a diagonal
+    /// split): each level searched, outermost first, for the keys the
+    /// view's inverse maps give `(r, c)`. `None` where it is not stored,
+    /// and for a coordinate outside the matrix.
+    fn find(&self, r: usize, c: usize) -> Option<Position> {
+        let ((chain, keys), levels) = (dense_keys(self, (r, c))?, self.levels());
+        let mut pos = 0;
+        for (lv, coords) in levels.chains[chain].levels.iter().zip(keys) {
+            pos = search_at(self, lv, pos, &keys_at(self, coords, (r, c))?)??;
+        }
+        Some(pos)
     }
 
     /// Converts to triplets in normal form: the entries the view's first
@@ -440,7 +522,7 @@ pub(crate) fn walk(
             let e = format!("keys not strictly increasing beneath {parent} ({p:?}, {k:?})");
             return Err(format!("level {level}: {e}"));
         }
-        if hashed && locate(view, chain, level, parent, &k) != Some(pos) {
+        if hashed && view.search(chain, level, parent, &k) != Some(pos) {
             let e = format!("does not find key {} at {pos}, where it is listed", k[0]);
             return Err(format!("the map {e}"));
         }

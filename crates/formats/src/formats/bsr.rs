@@ -85,35 +85,15 @@ impl<T: Scalar> Bsr<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Bsr<T> {
-    /// Storage index of `(row, col)`, if its block is stored.
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let (br, rr) = (row.checked_div(self.r)?, row.checked_rem(self.r)?);
-        let (bc, cc) = (col.checked_div(self.c)?, col.checked_rem(self.c)?);
-        let (lo, hi) = (*self.browptr.get(br)? as usize, *self.browptr.get(br + 1)? as usize);
-        let k = self.bcolind.get(lo..hi)?.binary_search(&u32::try_from(bc).ok()?).ok()?;
-        Some(((lo + k) * self.r + rr) * self.c + cc)
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Bsr, "bsr", include_str!("bsr.rs");
+    Bsr, "bsr";
     dims: nrows, ncols, r, c;
     arrays: browptr: u32, bcolind: u32, values: f64;
     block: r x c;
     chains: [
         Level::interval(nrows),
-        Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c })
-            .unchecked()
-            .find(Args::ParentKey)
+        Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c }).unchecked().search()
     ] -> values;
-    find: find;
     /// The BSR index structure seen *per logical row* (block columns are
     /// sorted, and columns within a block ascend). The block shape is
     /// carried in the view name (`bsr{r}x{c}`), not in the text, so the

@@ -68,28 +68,12 @@ impl<T: Scalar> Coo<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Coo<T> {
-    /// Linear search for `(r, c)`; `None` also for a coordinate past
-    /// `u32::MAX`.
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (r, c) = (u32::try_from(r).ok()?, u32::try_from(c).ok()?);
-        (0..self.values.len()).find(|&i| self.rows.get(i) == Some(&r) && self.cols.get(i) == Some(&c))
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Coo, "coo", include_str!("coo.rs");
+    Coo, "coo";
     dims: nrows, ncols;
     arrays: rows: u32, cols: u32, values: f64;
     chains:
-        [Level::of(Kind::Coords { len: values, crd: &[rows, cols] }).find(Args::Keys)] -> values;
-    find: find;
+        [Level::of(Kind::Coords { len: values, crd: &[rows, cols] }).search()] -> values;
     /// The COO index structure: one coupled level, unordered, searched
     /// linearly.
     view: coo_format_view = "(r, c): <r, c>[linear] -> v";

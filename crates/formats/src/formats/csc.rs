@@ -50,31 +50,14 @@ impl<T: Scalar> Csc<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Csc<T> {
-    /// Binary-searches column `c` for row `r`; `None` also for a
-    /// coordinate outside the matrix (a row past `u32::MAX` included).
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.colptr.get(c)? as usize, *self.colptr.get(c + 1)? as usize);
-        let r = u32::try_from(r).ok()?;
-        self.rowind.get(lo..hi)?.binary_search(&r).ok().map(|k| lo + k)
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Csc, "csc", include_str!("csc.rs");
+    Csc, "csc";
     dims: nrows, ncols;
     arrays: colptr: u32, rowind: u32, values: f64;
     chains: [
         Level::interval(ncols),
-        Level::of(Kind::Compressed { ptr: colptr, crd: rowind }).find(Args::KeyParent)
+        Level::of(Kind::Compressed { ptr: colptr, crd: rowind }).search()
     ] -> values;
-    find: find;
     /// The CSC index structure: the columns, then the rows each stores.
     view: csc_format_view = "(r, c): c[interval] -> r[sorted] -> v";
 }

@@ -59,32 +59,14 @@ impl<T: Scalar> Csr<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Csr<T> {
-    /// Binary-searches row `r` for column `c`; returns the storage
-    /// index, `None` also for a coordinate outside the matrix (a column
-    /// past `u32::MAX` included: it is no stored column).
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.rowptr.get(r)? as usize, *self.rowptr.get(r + 1)? as usize);
-        let c = u32::try_from(c).ok()?;
-        self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Csr, "csr", include_str!("csr.rs");
+    Csr, "csr";
     dims: nrows, ncols;
     arrays: rowptr: u32, colind: u32, values: f64;
     chains: [
         Level::interval(nrows),
-        Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
+        Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).search()
     ] -> values;
-    find: find;
     /// The CSR index structure: the rows, by direct access, then the
     /// columns each stores, in order, by binary search.
     view: csr_format_view = "(r, c): r[interval] -> c[sorted] -> v";

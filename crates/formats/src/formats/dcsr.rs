@@ -11,10 +11,11 @@
 //! row everything is CSR's.
 //!
 //! This file is all there is to the format: the struct with its
-//! conversions and `find`, and the one `stored_layout!` that names its
-//! fields and describes its two levels. The kernel ABI, the loop heads
-//! and searches the emitter prints, and the cursors the interpreter
-//! walks are derived from that description (README, "Adding a format").
+//! conversions, and the one `stored_layout!` that names its fields and
+//! describes its two levels. The kernel ABI, the loop heads and searches
+//! the emitter prints, the cursors the interpreter walks and the dense
+//! lookup are derived from that description (README, "Adding a
+//! format").
 
 use crate::assemble::{built, Cut};
 use crate::layout::stored_layout;
@@ -59,36 +60,14 @@ impl<T: Scalar> Dcsr<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Dcsr<T> {
-    /// Binary-searches the `p`-th listed row for column `c`; and the
-    /// row list for row `r` first. `None` also for a coordinate outside
-    /// the matrix (one past `u32::MAX` included).
-    // layout-find-begin
-    #[inline]
-    pub fn find_in_row(&self, p: usize, c: usize) -> Option<usize> {
-        let (lo, hi) = (*self.rowptr.get(p)? as usize, *self.rowptr.get(p + 1)? as usize);
-        let c = u32::try_from(c).ok()?;
-        self.colind.get(lo..hi)?.binary_search(&c).ok().map(|k| lo + k)
-    }
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(self.rows.binary_search(&u32::try_from(r).ok()?).ok()?, c)
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Dcsr, "dcsr", include_str!("dcsr.rs");
+    Dcsr, "dcsr";
     dims: nrows, ncols;
     arrays: rows: u32, rowptr: u32, colind: u32, values: f64;
     chains: [
-        Level::of(Kind::Coords { len: rows, crd: &[rows] }).binary_search(),
-        Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).find(Args::ParentKey)
+        Level::of(Kind::Coords { len: rows, crd: &[rows] }).search(),
+        Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).search()
     ] -> values;
-    find: find_in_row;
     /// The DCSR index structure: like CSR's, but only the rows that store
     /// something are enumerated, and found by binary search.
     view: dcsr_format_view = "(r, c): r[sorted] -> c[sorted] -> v";

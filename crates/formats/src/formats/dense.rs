@@ -86,7 +86,6 @@ leveled! {
         })
     ] -> data;
     perm: ;
-    find: "" => |_, _, _| None;
     /// The dense index structure: both levels intervals, every position
     /// stored.
     view: dense_format_view = "(r, c | stored all): r[interval] -> c[interval] -> v";

@@ -56,27 +56,6 @@ impl<T: Scalar> Dia<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Dia<T> {
-    /// Storage index of `(r, c)` if its diagonal is stored and reaches
-    /// the position.
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let d = r as i64 - c as i64;
-        let k = self.diags.binary_search(&d).ok()?;
-        let (o, lo) = (c as i64, *self.lo.get(k)?);
-        if o >= lo && o < *self.hi.get(k)? {
-            Some(*self.ptr.get(k)? as usize + (o - lo) as usize)
-        } else {
-            None
-        }
-    }
-    // layout-find-end
-}
-
 /// The extent of diagonal `d` of an `m × n` matrix: offsets `lo..hi`.
 fn extent(d: i64, (m, n): (i64, i64)) -> (i64, i64) {
     (0i64.max(d.saturating_neg()), n.min(m.saturating_sub(d)))
@@ -115,15 +94,14 @@ const FULL_DIAGONALS: Residue<Dia<f64>> = Residue {
 };
 
 stored_layout! {
-    Dia, "dia", include_str!("dia.rs");
+    Dia, "dia";
     dims: nrows, ncols;
     arrays: diags: i64, lo: i64, hi: i64, ptr: u32, values: f64;
     chains: [
-        Level::of(Kind::Coords { len: diags, crd: &[diags] }).binary_search(),
+        Level::of(Kind::Coords { len: diags, crd: &[diags] }).search(),
         Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::At(hi), base: Base::Ptr(ptr) })
             .unchecked()
     ] -> values;
-    find: find;
     residue: FULL_DIAGONALS;
     /// The DIA index structure (paper §2): diagonals `d = r - c`, then
     /// offsets `o = c` along each.

@@ -86,11 +86,9 @@ leveled! {
         // Chain 1: the off-diagonal CSR.
         [
             Level::interval(off_nrows),
-            Level::of(Kind::Compressed { ptr: off_rowptr, crd: off_colind })
-                .find(Args::ParentKey)
+            Level::of(Kind::Compressed { ptr: off_rowptr, crd: off_colind }).search()
         ] -> off_values;
     perm: ;
-    find: "off.find" => |m, r, c| m.off.find(r, c);
     /// The diag-split index structure: the diagonal `i` (`r = c = i`)
     /// aggregated with the off-diagonal CSR.
     view: diagsplit_format_view = "(r, c | stored diagonal): (map{i |-> r, i |-> c ; r |-> i : i[interval] -> v} ∪ r[interval] -> c[sorted] -> v)";

@@ -51,23 +51,6 @@ impl<T: Scalar> Ell<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Ell<T> {
-    /// Binary search for `(r, c)` within the sorted, filled prefix of
-    /// the row; `None` also for a row outside the matrix (a build that
-    /// checks arithmetic overflow panics on `r > usize::MAX / width`).
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let base = r * self.width;
-        let row = self.colind.get(base..base + *self.rowlen.get(r)? as usize)?;
-        row.binary_search(&(c as i64)).ok().map(|s| base + s)
-    }
-    // layout-find-end
-}
-
 /// What no level says of ELL: every slot past a row's fill holds
 /// [`ELL_PAD`].
 const PADDING: Residue<Ell<f64>> = Residue {
@@ -97,16 +80,14 @@ const PADDING: Residue<Ell<f64>> = Residue {
 };
 
 stored_layout! {
-    Ell, "ell", include_str!("ell.rs");
+    Ell, "ell";
     dims: nrows, ncols, width;
     arrays: colind: i64, values: f64, rowlen: u32;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Slots { count: rowlen, at: SlotAt::RowMajor(width), crd: colind })
-            .unchecked()
-            .find(Args::ParentKey)
+            .unchecked().search()
     ] -> values;
-    find: find;
     residue: PADDING;
     /// The ELL index structure: CSR's, but the column level enumerates a
     /// fixed-width padded slot array.

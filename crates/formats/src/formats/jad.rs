@@ -73,37 +73,6 @@ impl<T: Scalar> Jad<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Jad<T> {
-    /// `find_in_row`: storage index of column `c` in *permuted* row
-    /// `rr` (binary search over the row's diagonals, exploiting that
-    /// column indices increase along a row). `find`: the same for the
-    /// dense coordinate `(r, c)`.
-    // layout-find-begin
-    #[inline]
-    pub fn find_in_row(&self, rr: usize, c: usize) -> Option<usize> {
-        let c = u32::try_from(c).ok()?;
-        let (mut lo, mut hi) = (0usize, *self.rowlen.get(rr)? as usize);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let jj = *self.dptr.get(mid)? as usize + rr;
-            match self.colind.get(jj)?.cmp(&c) {
-                core::cmp::Ordering::Equal => return Some(jj),
-                core::cmp::Ordering::Less => lo = mid + 1,
-                core::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
-    }
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        self.find_in_row(*self.iperm_inv.get(r)? as usize, c)
-    }
-    // layout-find-end
-}
-
 /// What no level of chain 0 says of JAD: `rowlen` is the fill of each
 /// rank.
 const ROWLEN: Residue<Jad<f64>> = Residue {
@@ -123,7 +92,7 @@ const ROWLEN: Residue<Jad<f64>> = Residue {
 };
 
 stored_layout! {
-    Jad, "jad", include_str!("jad.rs");
+    Jad, "jad";
     dims: nrows, ncols;
     arrays: iperm: u32, iperm_inv: u32, dptr: u32, colind: u32, values: f64, rowlen: u32;
     chains:
@@ -133,10 +102,9 @@ stored_layout! {
         [
             Level::interval(nrows).permuted(),
             Level::of(Kind::Slots { count: rowlen, at: SlotAt::Table(dptr), crd: colind })
-                .find(Args::ParentKey)
+                .search()
         ] -> values;
     perm: iperm, iperm_inv;
-    find: find_in_row;
     residue: ROWLEN;
     /// The JAD index structure (paper §2 / Appendix A.2): permuted rows
     /// `rr`, seen two ways.

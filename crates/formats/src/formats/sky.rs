@@ -47,24 +47,6 @@ impl<T: Scalar> Sky<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Sky<T> {
-    /// Storage index of `(r, c)`, if within the row's strip.
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, r: usize, c: usize) -> Option<usize> {
-        let lo = *self.lo.get(r)? as usize;
-        if c >= lo && c <= r {
-            Some(*self.ptr.get(r)? as usize + (c - lo))
-        } else {
-            None
-        }
-    }
-    // layout-find-end
-}
-
 /// What no level says of a skyline: row `r` starts at its first entry,
 /// or at the diagonal, which is stored, if that comes first; it ends at
 /// the diagonal.
@@ -90,16 +72,14 @@ const SKYLINE_START: Residue<Sky<f64>> = Residue {
 };
 
 stored_layout! {
-    Sky, "sky", include_str!("sky.rs");
+    Sky, "sky";
     dims: n;
     shape: n, n;
     arrays: lo: u32, ptr: u32, values: f64;
     chains: [
         Level::interval(n),
         Level::of(Kind::Interval { lo: Bound::At(lo), hi: Bound::Next, base: Base::Ptr(ptr) })
-            .find(Args::ParentKey)
     ] -> values;
-    find: find;
     residue: SKYLINE_START;
     /// The skyline index structure: an interval column level with
     /// run-time per-row bounds, on and below the diagonal, which is

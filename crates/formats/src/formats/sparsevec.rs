@@ -102,9 +102,8 @@ leveled! {
     SparseVec, "spvec";
     dims: n = n;
     arrays: ind = ind: u32, values = values: f64;
-    chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).find(Args::Key)] -> values;
+    chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).search()] -> values;
     perm: ;
-    find: "find" => |m, i, _| m.find(i);
     /// The sorted sparse-vector view: increasing, binary search.
     view: sparsevec_format_view = "(i): i[sorted] -> v";
 }
@@ -189,7 +188,7 @@ mod hashed {
         arrays: ind = ind: u32, values = values: f64;
         chains: [Level::of(Kind::Coords { len: values, crd: &[ind] }).hash("index")] -> values;
         perm: ;
-        find: "" => |m, i, _| m.index.get(&i).copied();
+        hash: |m, k| m.index.get(&k).copied();
         /// The hashed sparse-vector view: unordered, hash search.
         view: hashvec_format_view = "(i): i[hash] -> v";
     }

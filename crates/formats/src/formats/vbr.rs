@@ -114,33 +114,8 @@ impl<T: Scalar> Vbr<T> {
     }
 }
 
-// This text is also the kernel crates' (`Layout::find`): its bytes are
-// part of every artifact name, so rustfmt keeps out.
-#[rustfmt::skip]
-impl<T: Scalar> Vbr<T> {
-    /// Storage index of `(row, col)`, if its block is stored.
-    // layout-find-begin
-    #[inline]
-    pub fn find(&self, row: usize, col: usize) -> Option<usize> {
-        let br = *self.rowblk.get(row)? as usize;
-        let rr = row - *self.rpntr.get(br)? as usize;
-        for b in *self.bpntrb.get(br)? as usize..*self.bpntre.get(br)? as usize {
-            let bc = *self.bindx.get(b)? as usize;
-            let (c0, c1) = (*self.cpntr.get(bc)? as usize, *self.cpntr.get(bc + 1)? as usize);
-            if col < c0 {
-                return None;
-            }
-            if col < c1 {
-                return Some(*self.indx.get(b)? as usize + rr * (c1 - c0) + (col - c0));
-            }
-        }
-        None
-    }
-    // layout-find-end
-}
-
 stored_layout! {
-    Vbr, "vbr", include_str!("vbr.rs");
+    Vbr, "vbr";
     dims: nrows, ncols;
     arrays: val: f64, indx: u32, bindx: u32, rpntr: u32, cpntr: u32, bpntrb: u32, bpntre: u32,
         rowblk: u32;
@@ -155,10 +130,8 @@ stored_layout! {
             cuts: cpntr,
             base: indx,
         }))
-        .unchecked()
-        .find(Args::ParentKey)
+        .unchecked().search()
     ] -> val;
-    find: find;
     /// The VBR index structure seen *per logical row* (block columns are
     /// sorted and columns within a block ascend). Block extents are
     /// run-time data (`rpntr`/`cpntr`), so nothing is encoded in the name.

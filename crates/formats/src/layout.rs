@@ -3,9 +3,8 @@
 //! The paper's premise (§2) is that a format is given to the compiler
 //! once, as a description, and everything else is derived from it. A
 //! [`Layout`] is the storage half of that description — the struct's
-//! scalar fields, its arrays with their element types, and the source
-//! of its `find` — next to the index-structure half (the [`FormatView`],
-//! one line of text in it). It is declared by one `stored_layout!`
+//! scalar fields and its arrays with their element types — next to the
+//! index-structure half (the [`FormatView`], one line of text in it). It is declared by one `stored_layout!`
 //! invocation beside each format struct, which names the struct's own
 //! fields: a renamed, retyped or forgotten field fails to compile here,
 //! not in whoever reads the layout.
@@ -139,12 +138,6 @@ pub struct RawArray {
 pub struct Layout {
     /// The format's fields, and how its levels are walked over them.
     pub levels: &'static Levels,
-    /// Source text of the struct's `find` method(s): the lines of the
-    /// format's own file between the two `layout-find` marker comments,
-    /// which use nothing but the fields above, `core`, and `?` on
-    /// `slice::get` — so the same text compiles over any struct with
-    /// these fields as slices, and cannot panic there either.
-    pub find: &'static str,
     /// True when view names carry a block shape after the format name
     /// (`bsr2x2`): instances of different shapes are different views.
     pub blocked: bool,
@@ -298,49 +291,10 @@ pub fn format_name(view: &str) -> &str {
     Layout::of_view(view).map_or(view, |(l, _)| l.name)
 }
 
-/// The lines of a format's source file between its two marker
-/// comments (see [`Layout::find`]). A file without them does not
-/// compile.
-pub const fn marked_find(src: &'static str) -> &'static str {
-    const BEGIN: &[u8] = b"// layout-find-begin\n";
-    const END: &[u8] = b"// layout-find-end";
-    const fn position(hay: &[u8], needle: &[u8], from: usize) -> usize {
-        let mut at = from;
-        loop {
-            assert!(
-                at + needle.len() <= hay.len(),
-                "a `layout-find` marker comment is missing"
-            );
-            let mut k = 0;
-            while k < needle.len() && hay[at + k] == needle[k] {
-                k += 1;
-            }
-            if k == needle.len() {
-                return at;
-            }
-            at += 1;
-        }
-    }
-    let bytes = src.as_bytes();
-    let start = position(bytes, BEGIN, 0) + BEGIN.len();
-    let mut end = position(bytes, END, start);
-    // Back to the start of the end marker's line.
-    while bytes[end - 1] != b'\n' {
-        end -= 1;
-    }
-    src.split_at(start).1.split_at(end - start).0
-}
-
-/// The bytes of `text`, as an array of their own.
-pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
-    let mut out = [0u8; N];
-    let mut i = 0;
-    while i < N {
-        out[i] = text.as_bytes()[i];
-        i += 1;
-    }
-    out
-}
+/// The source of [`crate::search`], the one search per level kind: what
+/// every kernel crate includes as its module `search`, so that a level
+/// is searched by one text in the interpreter and in the kernels.
+pub const SEARCH_SOURCE: &str = include_str!("search.rs");
 
 /// Declares the [`Layout`] of a format struct, as the static `LAYOUT` of
 /// the struct's module, and implements [`Stored`],
@@ -349,7 +303,7 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///
 /// ```ignore
 /// stored_layout! {
-///     Bsr, "bsr", include_str!("bsr.rs");
+///     Bsr, "bsr";
 ///     dims: nrows, ncols, r, c;
 ///     shape: n, n;                        // when not `nrows, ncols`
 ///     arrays: browptr: u32, bcolind: u32, values: f64;
@@ -358,10 +312,9 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 ///         Level::interval(nrows),
 ///         Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c })
 ///             .unchecked()
-///             .find(Args::ParentKey)
+///             .search()
 ///     ] -> values;
 ///     perm: iperm, iperm_inv;             // views with a `perm` only
-///     find: find;
 ///     residue: PADDING;                   // what no level says, if any
 ///     /// The BSR index structure, per logical row.
 ///     view: bsr_format_view = "(r, c): r[interval] -> c[sorted] -> v";
@@ -372,8 +325,8 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// its type; their order here is the order of [`Stored::parts`]. `shape`
 /// names the dims that are the matrix's rows and columns. Each
 /// chain lists its levels outermost first and then its value array (see
-/// [`crate::level`]); `find` names the method the levels' `.find(..)`
-/// call, which is one of those between the `layout-find` markers; `view`
+/// [`crate::level`]); a level that `.search()`es finds a key by the
+/// search of its kind ([`crate::search`]). `view`
 /// is the index structure those chains walk, one line in the notation of
 /// [`crate::view`] (a blocked view's name, not its text, carries the
 /// shape: `bsr2x2`), and the function that reads it
@@ -384,20 +337,19 @@ pub const fn bytes_of<const N: usize>(text: &str) -> [u8; N] {
 /// Everything else is read off the same lines. Assembly from triplets
 /// is the crate's one assembler over the first chain's levels (the
 /// struct's `assembled`, which its own `from_triplets` calls, and
-/// [`Layout::from_triplets`]). The dense API: `get(r, c)` is the
-/// struct's `find(r, c)` — the dense lookup every format has between its
-/// `layout-find` markers — over the first chain's value array, `nnz` the
-/// struct's own, and `entries` its `to_triplets`.
+/// [`Layout::from_triplets`]). The dense API: `get(r, c)` reads the
+/// value at [`SparseView::find`]`(r, c)` — the dense lookup derived from
+/// the levels that search — `nnz` is the struct's own, and `entries` its
+/// `to_triplets`.
 macro_rules! stored_layout {
     (
-        $ty:ident, $name:literal, $src:expr;
+        $ty:ident, $name:literal;
         dims: $($dim:ident),+;
         $(shape: $nr:ident, $nc:ident;)?
         arrays: $($arr:ident: $elem:ty),+;
         $(block: $br:ident x $bc:ident;)?
         chains: $([$($level:expr),+] -> $values:ident),+;
         $(perm: $apply:ident, $unapply:ident;)?
-        find: $finder:ident;
         $(residue: $residue:ident;)?
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
@@ -416,16 +368,6 @@ macro_rules! stored_layout {
         /// The storage description of this module's format.
         pub static LAYOUT: $crate::layout::Layout = $crate::layout::Layout {
             levels: &LEVELS,
-            find: {
-                // Copied out, so that the binary keeps these lines and
-                // not the whole source file around them.
-                const TEXT: &str = $crate::layout::marked_find($src);
-                const BYTES: [u8; TEXT.len()] = $crate::layout::bytes_of(TEXT);
-                match core::str::from_utf8(&BYTES) {
-                    Ok(text) => text,
-                    Err(_) => unreachable!(),
-                }
-            },
             blocked: $crate::layout::stored_layout!(@blocked $($br)?),
             shape: $crate::layout::stored_layout!(@dims $($nr $nc)?),
             view: |block| LEVELS.view(LEVELS.block.map(|_| block)),
@@ -470,7 +412,30 @@ macro_rules! stored_layout {
 
         impl $crate::SparseMatrix for $ty<f64> {
             $crate::layout::stored_layout!(@shape $($nr $nc)?);
-            $crate::layout::stored_layout!(@get $($values),+);
+
+            #[allow(unused_imports)]
+            fn get(&self, row: usize, col: usize) -> f64 {
+                // `find` with each level spelt out as a constant, so that its search
+                // folds to the search of its kind.
+                let found = || {
+                    let (chain, keys) = $crate::cursor::dense_keys(self, (row, col))?;
+                    let (mut ids, mut keys, mut pos) = (0.., keys.iter(), 0);
+                    $(if ids.next() == Some(chain) {
+                        $(
+                            let level = const {
+                                use $crate::level::{Base, Bound, Kind, Level, SlotAt, Strips};
+                                use field::*;
+                                $level
+                            };
+                            let at = $crate::cursor::keys_at(self, keys.next()?, (row, col))?;
+                            pos = $crate::cursor::search_at(self, &level, pos, &at)??;
+                        )+
+                        return Some(self.$values[pos]);
+                    })+
+                    None
+                };
+                found().unwrap_or(0.0)
+            }
 
             fn nnz(&self) -> usize {
                 // The inherent method: ELL's leaves its padding out.
@@ -489,7 +454,6 @@ macro_rules! stored_layout {
             $(block: $br x $bc;)?
             chains: $([$($level),+] -> $values),+;
             perm: $(($apply, $unapply))?;
-            find: stringify!($finder) => |m, a, b| m.$finder(a, b);
             $(residue: $residue;)?
             $(#[$doc])*
             view: $view_fn = $view;
@@ -509,11 +473,6 @@ macro_rules! stored_layout {
 
         fn ncols(&self) -> usize {
             self.$nc
-        }
-    };
-    (@get $values:ident $(, $more:ident)*) => {
-        fn get(&self, r: usize, c: usize) -> f64 {
-            self.find(r, c).map_or(0.0, |i| self.$values[i])
         }
     };
 }
@@ -564,15 +523,5 @@ mod tests {
         }
         assert_eq!(LAYOUTS.len() + HOST_LEVELS.len(), 14);
         Ok(())
-    }
-
-    #[test]
-    fn find_texts_are_whole_methods() {
-        for layout in LAYOUTS {
-            let find = layout.find;
-            assert!(find.starts_with("    #[inline]\n    pub fn find"), "{find}");
-            assert!(find.ends_with("    }\n"), "{find}");
-            assert!(!find.contains("layout-find"), "{find}");
-        }
     }
 }

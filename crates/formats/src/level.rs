@@ -13,8 +13,9 @@
 //! on the host), and has two renderings that therefore cannot disagree:
 //!
 //! - the code emitter of `bernoulli-synth` prints a level as a loop head
-//!   and a `locate` as a `find` expression — statically dispatched,
-//!   specialized text, the paper's Barton–Nackman instantiation;
+//!   and a `locate` as the search of its kind ([`crate::search`], which
+//!   every kernel crate includes) — statically dispatched, specialized
+//!   text, the paper's Barton–Nackman instantiation;
 //! - the one generic cursor of [`crate::cursor`] walks it at run time
 //!   for the plan interpreter, over the typed slices a [`Leveled`]
 //!   instance hands out.
@@ -24,6 +25,7 @@
 //! bind each field name to its index, so a level naming a field the
 //! struct does not have fails to compile.
 
+use crate::assemble::{keys_of, Coord};
 use crate::layout::{Block, Elem};
 use crate::view::{FormatView, SearchKind};
 use std::sync::OnceLock;
@@ -59,9 +61,6 @@ pub struct Levels {
     pub chains: &'static [ChainLevels],
     /// The view's permutation (`perm{table[in] |-> out}`), if it has one.
     pub perm: Option<Perm>,
-    /// The method [`Locate::Find`] levels call (`"find"`,
-    /// `"find_in_row"`, `"off.find"`).
-    pub finder: &'static str,
     /// The dims of the block shape, for a format whose instances are cut
     /// into blocks of a shape their view name carries (`bsr2x2`).
     pub block: Option<(Dim, Dim)>,
@@ -69,7 +68,19 @@ pub struct Levels {
     /// reasons about. Read and checked against the chains above once, at
     /// the first [`Levels::view`].
     pub view: &'static str,
-    pub(crate) read: OnceLock<FormatView>,
+    pub(crate) read: OnceLock<Read>,
+}
+
+/// What the first use of a description reads off it, once: the view,
+/// and the dense lookup ([`SparseView::find`](crate::SparseView::find)):
+/// the first chain whose levels all search, with as many keys, read off
+/// the view's inverse maps, as the view has dense coordinates (the
+/// diagonal of a diagonal split has one), with each of its levels'
+/// keys.
+#[derive(Debug)]
+pub(crate) struct Read {
+    pub(crate) view: FormatView,
+    pub(crate) lookup: Option<(usize, Vec<Vec<Coord>>)>,
 }
 
 /// One chain: its levels outermost first, and where its values live.
@@ -179,32 +190,20 @@ pub enum SlotAt {
 pub enum Locate {
     /// It cannot: the level only enumerates.
     None,
-    /// [`Kind::Interval`]: `lo <= k < hi`, then the position follows.
-    Bounds,
-    /// [`Kind::Coords`] with one sorted array: binary search in it.
-    BinarySearch,
-    /// The format's [`Levels::finder`] method, on non-negative keys.
-    Find(Args),
+    /// By the search of its kind ([`crate::search`]): an interval by its
+    /// bounds, one sorted list by binary search, coupled keys by a scan,
+    /// a compressed range, slots, blocks and strips each by its own.
+    Search,
     /// A hash map field from key to position.
     Hash(&'static str),
 }
 
-/// What a [`Locate::Find`] passes its method.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Args {
-    ParentKey,
-    KeyParent,
-    /// Both keys of a coupled level.
-    Keys,
-    Key,
-}
-
 impl Level {
-    /// A level of this kind; an interval locates by its bounds, any
+    /// A level of this kind; an interval searches by its bounds, any
     /// other kind not at all until it is given a way.
     pub const fn of(kind: Kind) -> Level {
         let locate = match kind {
-            Kind::Interval { .. } => Locate::Bounds,
+            Kind::Interval { .. } => Locate::Search,
             _ => Locate::None,
         };
         Level {
@@ -224,13 +223,9 @@ impl Level {
         })
     }
 
-    pub const fn find(mut self, args: Args) -> Level {
-        self.locate = Locate::Find(args);
-        self
-    }
-
-    pub const fn binary_search(mut self) -> Level {
-        self.locate = Locate::BinarySearch;
+    /// The level searches as its kind does.
+    pub const fn search(mut self) -> Level {
+        self.locate = Locate::Search;
         self
     }
 
@@ -314,17 +309,32 @@ impl Levels {
     /// agree with the levels ([`check_view`]): a built-in description
     /// that is wrong is a bug, refused before anything plans over it.
     pub fn view(&self, block: Option<Block>) -> FormatView {
-        let read = self.read.get_or_init(|| {
-            let view = FormatView::read(self.name, self.view);
-            let view = view.map_err(|e| format!("{}: {e}", self.name));
-            let checked = view.and_then(|v| check_view(&v, self).map(|()| v));
-            checked.unwrap_or_else(|e| panic!("a built-in view does not read: {e}"))
-        });
-        let mut view = read.clone();
+        let mut view = self.read().view.clone();
         if let Some((r, c)) = block {
             view.name = format!("{}{r}x{c}", self.name);
         }
         view
+    }
+
+    /// What the first use reads off the description ([`Levels::view`]).
+    pub(crate) fn read(&self) -> &Read {
+        self.read.get_or_init(|| {
+            let view = FormatView::read(self.name, self.view);
+            let view = view.map_err(|e| format!("{}: {e}", self.name));
+            let checked = view.and_then(|v| check_view(&v, self).map(|()| v));
+            let view = checked.unwrap_or_else(|e| panic!("a built-in view does not read: {e}"));
+            let lookup = self.chains.iter().enumerate().find_map(|(id, chain)| {
+                chain
+                    .levels
+                    .iter()
+                    .all(|l| l.locate != Locate::None)
+                    .then_some(())?;
+                let keys = keys_of(&view, id)?;
+                let dense = keys.iter().flatten().count() == view.dense_attrs.len();
+                dense.then_some((id, keys))
+            });
+            Read { view, lookup }
+        })
     }
 
     /// True when chain 0 opens with the dense interval over the
@@ -344,10 +354,8 @@ impl Levels {
 /// Checks a view against the levels that walk it: as many chains, in
 /// [`FormatView::alternatives`] order, as many levels in each, and at
 /// each level as many keys, an interval exactly where the level is
-/// [`Kind::Interval`] and a search exactly where it has a [`Locate`];
-/// [`Locate::Bounds`] only on an interval, [`Locate::BinarySearch`] only
-/// in one coordinate list that the view searches sorted. The message
-/// names the format, the chain and the level.
+/// [`Kind::Interval`] and a search exactly where it has a [`Locate`].
+/// The message names the format, the chain and the level.
 pub fn check_view(view: &FormatView, levels: &Levels) -> Result<(), String> {
     let name = levels.name;
     let chains: Vec<_> = view.alternatives().into_iter().flatten().collect();
@@ -362,20 +370,12 @@ pub fn check_view(view: &FormatView, levels: &Levels) -> Result<(), String> {
     }
     for (c, (chain, described)) in chains.iter().zip(levels.chains).enumerate() {
         for (l, (flat, level)) in chain.levels.iter().zip(described.levels).enumerate() {
-            let locate = level.locate;
-            let one_list = matches!(level.kind, Kind::Coords { crd: &[_], .. });
             let wrong = if flat.attrs.len() != level.nkeys() {
                 "a key per attribute"
             } else if flat.interval != level.is_interval() {
                 "an interval exactly where the level is one"
-            } else if (flat.search == SearchKind::None) != (locate == Locate::None) {
+            } else if (flat.search == SearchKind::None) != (level.locate == Locate::None) {
                 "a search exactly where the level locates"
-            } else if locate == Locate::Bounds && !level.is_interval() {
-                "bounds only on an interval"
-            } else if locate == Locate::BinarySearch
-                && !(one_list && flat.search == SearchKind::Sorted)
-            {
-                "binary search only in one list searched sorted"
             } else {
                 continue;
             };
@@ -399,7 +399,7 @@ pub enum Slice<'a> {
 
 impl<'a> Slice<'a> {
     /// Element `i` of an array of keys, of either integer type.
-    #[inline]
+    #[inline(always)]
     pub fn key(self, i: usize) -> i64 {
         match self {
             Slice::U32(a) => i64::from(a[i]),
@@ -409,6 +409,7 @@ impl<'a> Slice<'a> {
     }
 
     /// The array as positions or counts.
+    #[inline]
     pub fn u32s(self) -> &'a [u32] {
         match self {
             Slice::U32(a) => a,
@@ -417,6 +418,7 @@ impl<'a> Slice<'a> {
     }
 
     /// The array as values.
+    #[inline]
     pub fn values(self) -> &'a [f64] {
         match self {
             Slice::F64(a) => a,
@@ -444,8 +446,11 @@ pub trait Leveled {
 
     fn array(&self, a: Arr) -> Slice<'_>;
 
-    /// The [`Levels::finder`] method.
-    fn find_at(&self, a: usize, b: usize) -> Option<usize>;
+    /// The position of `key` in the map a [`Locate::Hash`] level names:
+    /// the one search no array holds.
+    fn hashed(&self, _key: usize) -> Option<usize> {
+        None
+    }
 
     /// The instance's block shape, for a blocked description.
     fn block(&self) -> Option<Block> {
@@ -478,7 +483,7 @@ pub trait Leveled {
 ///     block: r x c;                     // blocked views only
 ///     chains: [Level::interval(n)] -> diag, [ … ] -> off_values;
 ///     perm: ;                           // or: (iperm, iperm_inv)
-///     find: "off.find" => |m, r, c| m.off.find(r, c);
+///     hash: |m, k| m.index.get(&k).copied(); // a `Locate::Hash` level's map
 ///     residue: RESIDUE;                 // only for what no level says
 ///     /// The diag-split index structure.
 ///     view: diagsplit_format_view = "(r, c | stored diagonal): (map{…} ∪ …)";
@@ -490,7 +495,8 @@ pub trait Leveled {
 /// `chains` walks ([`check_view`] holds them to that at the first read).
 /// It is read by the function it names ([`Levels::view`], at the block
 /// shape `(r, c)` it takes for a blocked view), documented as the
-/// attributes before it say. `residue` names the layout's
+/// attributes before it say. `hash` looks a key up in the map a hashed
+/// level names ([`Leveled::hashed`]). `residue` names the layout's
 /// [`Residue`](crate::layout::Residue), whose `check` `validate` calls
 /// last, for an invariant no level states (ELL's pad sentinel).
 macro_rules! leveled {
@@ -501,7 +507,7 @@ macro_rules! leveled {
         $(block: $br:ident x $bc:ident;)?
         chains: $([$($level:expr),+] -> $values:ident),+;
         perm: $(($apply:ident, $unapply:ident))?;
-        find: $finder:expr => $find:expr;
+        $(hash: $hash:expr;)?
         $(residue: $residue:ident;)?
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
@@ -521,7 +527,7 @@ macro_rules! leveled {
                 const $arr: $crate::level::Arr = $crate::level::Arr(ArrIndex::$arr as usize);
             )+
             #[allow(unused_imports)]
-            use $crate::level::{Args, Base, Bound, Kind, Level, SlotAt, Strips};
+            use $crate::level::{Base, Bound, Kind, Level, SlotAt, Strips};
             $crate::level::Levels {
                 name: $name,
                 type_name: stringify!($ty),
@@ -535,7 +541,6 @@ macro_rules! leveled {
                     values: $values,
                 }),+],
                 perm: $crate::level::leveled!(@perm $($apply $unapply)?),
-                finder: $finder,
                 block: $crate::level::leveled!(@block $($br $bc)?),
                 view: $view,
                 read: std::sync::OnceLock::new(),
@@ -547,18 +552,22 @@ macro_rules! leveled {
                 &LEVELS
             }
 
+            #[inline(always)]
             fn dim(&self, d: $crate::level::Dim) -> usize {
                 [$(self.$($dpath).+),+][d.0]
             }
 
+            #[inline(always)]
             fn array(&self, a: $crate::level::Arr) -> $crate::level::Slice<'_> {
                 [$(<$elem as $crate::layout::ElemType>::slice(&self.$($apath).+)),+][a.0]
             }
 
-            fn find_at(&self, a: usize, b: usize) -> Option<usize> {
-                let find: fn(&Self, usize, usize) -> Option<usize> = $find;
-                find(self, a, b)
-            }
+            $(
+                fn hashed(&self, key: usize) -> Option<usize> {
+                    let hash: fn(&Self, usize) -> Option<usize> = $hash;
+                    hash(self, key)
+                }
+            )?
         }
 
         impl $crate::SparseView for $ty<f64> {
@@ -650,19 +659,12 @@ mod tests {
                 "coo, chain 0, level 0:",
                 "a key per attribute",
             ),
-            // No search where the level has one, one not sorted where it
-            // searches a sorted list.
+            // No search where the level has one.
             (
                 "(r, c): r -> c[sorted] -> v",
                 dcsr,
                 "dcsr, chain 0, level 0:",
                 "a search exactly",
-            ),
-            (
-                "(r, c): r[linear] -> c[sorted] -> v",
-                dcsr,
-                "dcsr, chain 0, level 0:",
-                "binary search",
             ),
             // A chain missing: the diagonal of the diagonal split alone.
             (
@@ -676,31 +678,5 @@ mod tests {
             refused(text, levels, at, want)?;
         }
         Ok(())
-    }
-
-    #[test]
-    fn bounds_locate_only_on_an_interval() -> Result<(), FormatError> {
-        const CHAINS: &[ChainLevels] = &[ChainLevels {
-            levels: &[Level {
-                locate: Locate::Bounds,
-                ..Level::of(Kind::Compressed {
-                    ptr: Arr(0),
-                    crd: Arr(1),
-                })
-            }],
-            values: Arr(2),
-        }];
-        let levels = Levels {
-            chains: CHAINS,
-            view: "",
-            read: OnceLock::new(),
-            ..csr::LEVELS
-        };
-        refused(
-            "(r): r[sorted] -> v",
-            &levels,
-            "csr, chain 0, level 0:",
-            "bounds only",
-        )
     }
 }

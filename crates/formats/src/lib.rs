@@ -42,6 +42,7 @@ pub mod layout;
 pub mod level;
 pub mod partition;
 pub mod scalar;
+pub mod search;
 pub mod triplet;
 pub mod view;
 mod view_text;

@@ -6,7 +6,8 @@
 use bernoulli_formats::io::{read_matrix_market, MmError};
 use bernoulli_formats::layout::{Elem, INDEX_LIMIT};
 use bernoulli_formats::{
-    gen, Csr, Dcsr, FormatError, Layout, SparseMatrix, Stored, Triplets, HOST_LEVELS, LAYOUTS,
+    gen, Csr, Dcsr, FormatError, Layout, SparseMatrix, SparseView, Stored, Triplets, HOST_LEVELS,
+    LAYOUTS,
 };
 use std::io::Cursor;
 

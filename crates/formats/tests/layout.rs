@@ -1,11 +1,12 @@
 //! Every registered [`Layout`]: instances come apart as declared, into
-//! slices that alias the struct's own vectors, and the one `find` per
-//! format answers every coordinate — outside the matrix with `None`,
-//! never with a panic.
+//! slices that alias the struct's own vectors, and the dense lookup
+//! derived from its levels answers every coordinate — outside the
+//! matrix with `None`, never with a panic.
 
 use bernoulli_formats::layout::{Block, RawArray};
 use bernoulli_formats::{
-    gen, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, Jad, Layout, Sky, Stored, Triplets, Vbr, LAYOUTS,
+    gen, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, Jad, Layout, Sky, SparseView, Stored, Triplets, Vbr,
+    LAYOUTS,
 };
 
 const BLOCK: Block = (2, 2);
@@ -49,25 +50,17 @@ fn parts(m: &dyn Stored) -> (Vec<usize>, Vec<RawArray>) {
     (dims, arrays)
 }
 
-/// Coordinates outside the matrix, `usize::MAX` among them.
-///
-/// `Ell::find` multiplies the row by the width before it looks anything
-/// up: a build that checks arithmetic overflow panics there on rows
-/// past `usize::MAX / width`. The kernel crates are not such builds;
-/// tests are, and stop at that row.
+/// Coordinates outside the matrix, `usize::MAX` among them, for every
+/// layout: every search is checked arithmetic, so no row is too large
+/// for a build that checks overflow.
 fn outside(m: &dyn Stored) -> [(usize, usize); 6] {
-    let huge = if m.layout().name == "ell" && cfg!(debug_assertions) {
-        usize::MAX / parts(m).0.into_iter().max().unwrap_or(1).max(1)
-    } else {
-        usize::MAX
-    };
     [
         (m.nrows(), 0),
         (0, m.ncols()),
         (m.nrows() + 7, m.ncols() + 7),
-        (huge, 0),
+        (usize::MAX, 0),
         (0, usize::MAX),
-        (huge, usize::MAX),
+        (usize::MAX, usize::MAX),
     ]
 }
 

@@ -5,7 +5,8 @@
 //! closes the paper's emit → run loop at runtime: the best plan is
 //! specialized into a **self-contained** kernel crate (no dependency on
 //! this workspace — the format structs are mirrored into the generated
-//! source as borrowed-slice views, with the formats' own `find` text),
+//! source as borrowed-slice views, beside the one search per level kind
+//! the host runs too, `bernoulli_formats::search`, as its module `search`),
 //! `rustc` builds it to a `cdylib`
 //! through the on-disk artifact cache of `bernoulli-kernel-cache`, and
 //! the resulting shared object is loaded behind a stable `extern "C"`
@@ -68,7 +69,7 @@ use crate::emit::{print, EmitError};
 use crate::interp::{run_plan, ExecEnv, PlanError};
 use crate::plan::Plan;
 use crate::search::SynthError;
-use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored};
+use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored, SEARCH_SOURCE};
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Csc, Csr, FormatError, Jad};
 use bernoulli_ir::{ArrayKind, Program, Role};
@@ -297,9 +298,7 @@ impl Operand<'_> {
 
 /// The mirror struct emitted into the self-contained kernel source for
 /// a layout, so the generated body compiles without this workspace:
-/// the format's fields as borrowed slices, and the format's own `find`
-/// text. Like the body, that text has no panic path: on arrays that are
-/// not a valid instance of the format a search finds nothing.
+/// the format's fields as borrowed slices.
 fn mirror_decl(layout: &Layout) -> String {
     let ty = layout.type_name;
     let mut out = format!("pub struct {ty}<T: 'static = f64> {{\n");
@@ -313,7 +312,7 @@ fn mirror_decl(layout: &Layout) -> String {
         };
         out.push_str(&format!("    pub {array}: &'static [{elem}],\n"));
     }
-    out.push_str(&format!("}}\nimpl<T> {ty}<T> {{\n{}}}\n", layout.find));
+    out.push_str("}\n");
     out
 }
 
@@ -449,6 +448,10 @@ pub(crate) fn cdylib_source(
     ));
     out.push_str("#![no_std]\n#![allow(unused_parens, unused_variables, clippy::all)]\n\n");
     out.push_str(PANIC_PROOF);
+    // The searches the body calls: the host's text, which like the body
+    // has no panic path (on arrays that are not a valid instance of a
+    // level a search finds nothing).
+    out.push_str(&format!("pub mod search {{\n{SEARCH_SOURCE}}}\n\n"));
 
     // One mirror struct per distinct layout used: two block shapes of
     // the same format share theirs.

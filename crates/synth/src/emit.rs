@@ -2,9 +2,10 @@
 //!
 //! This is the analogue of the paper's compiler-instantiated C++
 //! (Fig. 9): the plan's enumerations become loops over the format
-//! structs' public fields, searches become calls to the formats' `find`
-//! helpers or inline binary searches, and statement bodies become plain
-//! scalar Rust. The generated functions are monomorphic — the moral
+//! structs' public fields, searches become inline bounds checks and
+//! binary searches or calls to the search of the level's kind (the
+//! module `search` every kernel crate includes), and statement bodies
+//! become plain scalar Rust. The generated functions are monomorphic — the moral
 //! equivalent of the paper's Barton–Nackman compile-time dispatch — and
 //! are what the benchmark harness measures.
 //!
@@ -26,7 +27,7 @@
 use crate::codegen::{level_searched, presence_levels, Codegen, EdgeSplit, Promotion, Tiling};
 use crate::plan::{Atom, Dir, Edge, ExecStmt, Guard, LevelRef, PExpr, Plan, StepKind, ValueSource};
 use bernoulli_formats::layout::{levels_of_view, Block, Elem};
-use bernoulli_formats::level::{Args, Arr, Base, Bound, Dim, Kind, Level, Levels, Locate, SlotAt};
+use bernoulli_formats::level::{Arr, Base, Bound, Dim, Kind, Level, Levels, Locate, SlotAt};
 use bernoulli_formats::view::{FormatView, Order};
 use bernoulli_ir::{ArrayKind, LhsRef, Program, Role, ValueExpr};
 use std::collections::HashMap;
@@ -51,6 +52,21 @@ impl std::error::Error for EmitError {}
 fn described(view_name: &str) -> Result<(&'static Levels, Option<Block>), EmitError> {
     levels_of_view(view_name)
         .ok_or_else(|| EmitError(format!("no level description for view {view_name:?}")))
+}
+
+/// The search of `level` of `chain` of the view named `view`, as the
+/// emitter prints it: an `Option<usize>` expression over the operand
+/// `m` (its fields read as `m.field`, `?` returning `None`), the
+/// position `parent` above and the `i64` expressions `keys`, one per key
+/// of the level. `None` where that level does not search.
+pub fn locate_expr(
+    view: &str,
+    at: (usize, usize),
+    m: &str,
+    parent: &str,
+    keys: &[String],
+) -> Result<Option<String>, EmitError> {
+    Ok(Site::of(view, at, m.to_string(), parent.to_string())?.locate(keys))
 }
 
 /// The Rust type of a view's operand.
@@ -97,6 +113,77 @@ impl Site {
             Elem::U32 => format!("{read} as usize"),
             Elem::I64 | Elem::F64 => read,
         }
+    }
+
+    /// Level `level` of chain `chain` of the view named `view`, read for
+    /// the operand `m` beneath the position `parent`.
+    fn of(view: &str, at: (usize, usize), m: String, parent: String) -> Result<Site, EmitError> {
+        let ((levels, block), (chain, level)) = (described(view)?, at);
+        let unknown = || EmitError(format!("view {view} has no level {level} of chain {chain}"));
+        let level = levels.level(chain, level).ok_or_else(unknown)?;
+        Ok(Site {
+            m,
+            levels,
+            block,
+            level,
+            parent,
+        })
+    }
+
+    /// The level's `locate` for `keys`, an `Option<usize>` expression:
+    /// an interval's bounds and one sorted list's binary search inline,
+    /// a hashed level's map, any other kind's search a call to its
+    /// function of `bernoulli_formats::search`, which every kernel crate
+    /// includes as its module `search`. `None` where the level does not
+    /// search.
+    fn locate(&self, keys: &[String]) -> Option<String> {
+        let (m, parent, k0) = (&self.m, &self.parent, keys.first()?);
+        let (a, pair) = (
+            |x| format!("&{}", self.array(x)),
+            |x, y| format!("({x}, {y})"),
+        );
+        let call =
+            |f: &str, args: &[String]| format!("search::{f}({}, {parent}, {k0})", args.join(", "));
+        Some(match (self.level.locate, self.level.kind) {
+            (Locate::None, _) | (_, Kind::Jagged { .. }) => return None,
+            (Locate::Hash(map), _) => format!(
+                "if ({k0}) >= 0 {{ {m}.{map}.get(&(({k0}) as usize)).copied() }} else {{ None }}"
+            ),
+            (_, Kind::Interval { lo, hi, base }) => {
+                let key = format!("({k0})");
+                let (lo, hi, pos) =
+                    self.interval((lo, hi, base), &key, |_, a| self.get(a, parent))?;
+                format!("if {key} >= {lo} && {key} < {hi} {{ Some({pos}) }} else {{ None }}")
+            }
+            (_, Kind::Coords { crd: &[a], .. }) => {
+                let sorted = self.array(a);
+                // A key that does not fit the array's type is in no row.
+                match self.levels.elem(a) {
+                    Elem::I64 => format!("{sorted}.binary_search(&({k0})).ok()"),
+                    elem => format!(
+                        "if let Ok(k__) = {}::try_from({k0}) {{ {sorted}.binary_search(&k__).ok() }} else {{ None }}",
+                        elem.rust()
+                    ),
+                }
+            }
+            (_, Kind::Coords { len, crd }) => {
+                let crd = pair(a(*crd.first()?), a(*crd.get(1)?));
+                let key = pair(k0.clone(), keys.get(1)?.clone());
+                format!("search::listed({}.len(), {crd}, {key})", self.array(len))
+            }
+            (_, Kind::Compressed { ptr, crd }) => call("compressed", &[a(ptr), a(crd)]),
+            (_, Kind::Slots { count, at, crd }) => match at {
+                SlotAt::RowMajor(w) => call("slots", &[pair(a(count), self.dim(w)), a(crd)]),
+                SlotAt::Table(t) => call("slot_table", &[pair(a(count), a(t)), a(crd)]),
+            },
+            (_, Kind::Blocks { ptr, crd, r, c }) => {
+                call("blocks", &[a(ptr), a(crd), pair(self.dim(r), self.dim(c))])
+            }
+            (_, Kind::Strips(s)) => {
+                let arrays = [s.strip_of, s.start, s.begin, s.end, s.crd, s.cuts, s.base];
+                call("strips", &[format!("[{}]", arrays.map(a).join(", "))])
+            }
+        })
     }
 
     /// An interval level's two ends as `i64` expressions, and the
@@ -567,24 +654,16 @@ impl<'a> Emitter<'a> {
         let view = &view
             .ok_or_else(|| EmitError(format!("no view bound for {:?}", l.matrix)))?
             .name;
-        let (levels, block) = described(view)?;
-        let level = levels.level(l.chain, l.level).ok_or_else(|| {
-            EmitError(format!(
-                "view {view} has no level {} of chain {}",
-                l.level, l.chain
-            ))
-        })?;
         let parent = match l.level {
             0 => "0usize".to_string(),
             _ => pos_var(l.ref_id, l.level - 1),
         };
-        Ok(Site {
-            m: self.mat(&l.matrix).to_string(),
-            levels,
-            block,
-            level,
+        Site::of(
+            view,
+            (l.chain, l.level),
+            self.mat(&l.matrix).to_string(),
             parent,
-        })
+        )
     }
 
     /// A read of one of the format's own arrays in a level's loop head:
@@ -1047,7 +1126,6 @@ impl<'a> Emitter<'a> {
 
     fn search(&mut self, sp: &crate::plan::SearchPart) -> Result<(), EmitError> {
         let site = self.site(&sp.target)?;
-        let (m, parent) = (&site.m, &site.parent);
         let rid = sp.target.ref_id;
         let lev = sp.target.level;
         let pv = pos_var(rid, lev);
@@ -1081,49 +1159,8 @@ impl<'a> Emitter<'a> {
                 None => keys.push(raw),
             }
         }
-        let k0 = keys[0].clone();
-
-        // The rendering of the level's `locate`.
         let unsupported = || EmitError(format!("no search template for {}", sp.target));
-        let method = format!("{m}.{}", site.levels.finder);
-        let find = match (site.level.locate, site.level.kind) {
-            (Locate::Bounds, Kind::Interval { lo, hi, base }) => {
-                let key = format!("({k0})");
-                let ends = site.interval((lo, hi, base), &key, |_, a| site.get(a, parent));
-                let (lo, hi, pos) = ends.ok_or_else(unsupported)?;
-                format!("if {key} >= {lo} && {key} < {hi} {{ Some({pos}) }} else {{ None }}")
-            }
-            (Locate::BinarySearch, Kind::Coords { crd: &[a], .. }) => {
-                let sorted = site.array(a);
-                // A key that does not fit the array's type is in no row.
-                match site.levels.elem(a) {
-                    Elem::I64 => format!("{sorted}.binary_search(&({k0})).ok()"),
-                    elem => format!(
-                        "if let Ok(k__) = {}::try_from({k0}) {{ {sorted}.binary_search(&k__).ok() }} else {{ None }}",
-                        elem.rust()
-                    ),
-                }
-            }
-            (Locate::Find(Args::ParentKey), _) => {
-                format!("if ({k0}) >= 0 {{ {method}({parent}, ({k0}) as usize) }} else {{ None }}")
-            }
-            (Locate::Find(Args::KeyParent), _) => {
-                format!("if ({k0}) >= 0 {{ {method}(({k0}) as usize, {parent}) }} else {{ None }}")
-            }
-            (Locate::Find(Args::Keys), _) => {
-                let k1 = keys.get(1).ok_or_else(unsupported)?;
-                format!(
-                    "if ({k0}) >= 0 && ({k1}) >= 0 {{ {method}(({k0}) as usize, ({k1}) as usize) }} else {{ None }}"
-                )
-            }
-            (Locate::Find(Args::Key), _) => {
-                format!("if ({k0}) >= 0 {{ {method}(({k0}) as usize) }} else {{ None }}")
-            }
-            (Locate::Hash(map), _) => format!(
-                "if ({k0}) >= 0 {{ {m}.{map}.get(&(({k0}) as usize)).copied() }} else {{ None }}"
-            ),
-            (Locate::None | Locate::Bounds | Locate::BinarySearch, _) => return Err(unsupported()),
-        };
+        let find = site.locate(&keys).ok_or_else(unsupported)?;
 
         self.line(&format!(
             "let ({ok}, {pv}) = if {parent_ok} {{ match {find} {{ Some(p__) => (true, p__), None => (false, 0usize) }} }} else {{ (false, 0usize) }};"
