@@ -4,10 +4,11 @@
 //! once, as a description, and everything else is derived from it. A
 //! [`Layout`] is the storage half of that description — the struct's
 //! scalar fields and its arrays with their element types — next to the
-//! index-structure half (the [`FormatView`], one line of text in it). It is declared by one `stored_layout!`
-//! invocation beside each format struct, which names the struct's own
-//! fields: a renamed, retyped or forgotten field fails to compile here,
-//! not in whoever reads the layout.
+//! index-structure half (the [`FormatView`], one line of text in it).
+//! It is declared by one `stored_layout!` invocation beside each format
+//! struct, which names the struct's own fields: a renamed, retyped or
+//! forgotten field fails to compile here, not in whoever reads the
+//! layout.
 //!
 //! The same invocation declares how the format's levels are *walked*
 //! (its [`Levels`], see [`crate::level`]) and the view they walk: a
@@ -422,11 +423,7 @@ macro_rules! stored_layout {
                     let (mut ids, mut keys, mut pos) = (0.., keys.iter(), 0);
                     $(if ids.next() == Some(chain) {
                         $(
-                            let level = const {
-                                use $crate::level::{Base, Bound, Kind, Level, SlotAt, Strips};
-                                use field::*;
-                                $level
-                            };
+                            let level = const { use $crate::level::*; use field::*; $level };
                             let at = $crate::cursor::keys_at(self, keys.next()?, (row, col))?;
                             pos = $crate::cursor::search_at(self, &level, pos, &at)??;
                         )+

@@ -312,8 +312,7 @@ fn mirror_decl(layout: &Layout) -> String {
         };
         out.push_str(&format!("    pub {array}: &'static [{elem}],\n"));
     }
-    out.push_str("}\n");
-    out
+    out + "}\n"
 }
 
 /// One operand slot of the kernel signature.
@@ -448,10 +447,13 @@ pub(crate) fn cdylib_source(
     ));
     out.push_str("#![no_std]\n#![allow(unused_parens, unused_variables, clippy::all)]\n\n");
     out.push_str(PANIC_PROOF);
-    // The searches the body calls: the host's text, which like the body
-    // has no panic path (on arrays that are not a valid instance of a
-    // level a search finds nothing).
-    out.push_str(&format!("pub mod search {{\n{SEARCH_SOURCE}}}\n\n"));
+    // The searches the body calls, if it calls one (a crate without them
+    // builds faster): the host's text, which like the body has no panic
+    // path (on arrays that are not a valid instance of a level a search
+    // finds nothing).
+    if body.contains("search::") {
+        out.push_str(&format!("pub mod search {{\n{SEARCH_SOURCE}}}\n\n"));
+    }
 
     // One mirror struct per distinct layout used: two block shapes of
     // the same format share theirs.
