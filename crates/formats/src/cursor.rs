@@ -340,23 +340,28 @@ pub(crate) fn dense_keys<V: SparseView + ?Sized>(
     (r < view.nrows() && c < view.ncols()).then_some((*chain, keys))
 }
 
-/// The keys of one level of the dense lookup: what the forms `coords`
-/// give `(r, c)`, the row through the view's permutation.
+/// The keys of level `lv` of the dense lookup: what the forms `coords`
+/// give `(r, c)`, the row through the view's permutation where the level
+/// is permuted.
 #[inline(always)]
 pub(crate) fn keys_at<V: Leveled + ?Sized>(
     view: &V,
-    coords: &[Coord],
+    (lv, coords): (&Level, &[Coord]),
     (r, c): (usize, usize),
 ) -> Option<[i64; 2]> {
+    let unapply = || {
+        view.array(view.levels().perm?.unapply)
+            .u32s()
+            .get(r)
+            .copied()
+    };
+    let through = if lv.permuted { unapply() } else { None };
     // Inside the matrix, both fit an `i64` with room to spare.
     let (r, c, mut at) = (r as i64, c as i64, [0; 2]);
     for (k, coord) in at.iter_mut().zip(coords) {
         *k = match *coord {
             Coord::Affine(a, b, cst) => a * r + b * c + cst,
-            Coord::Permuted => {
-                let unapply = view.array(view.levels().perm?.unapply).u32s();
-                i64::from(*unapply.get(r as usize)?)
-            }
+            Coord::Permuted => i64::from(through?),
             Coord::Listed | Coord::Runs => return None,
         };
     }
@@ -439,14 +444,7 @@ pub trait SparseView: SparseMatrix + Leveled {
     /// split): each level searched, outermost first, for the keys the
     /// view's inverse maps give `(r, c)`. `None` where it is not stored,
     /// and for a coordinate outside the matrix.
-    fn find(&self, r: usize, c: usize) -> Option<Position> {
-        let ((chain, keys), levels) = (dense_keys(self, (r, c))?, self.levels());
-        let mut pos = 0;
-        for (lv, coords) in levels.chains[chain].levels.iter().zip(keys) {
-            pos = search_at(self, lv, pos, &keys_at(self, coords, (r, c))?)??;
-        }
-        Some(pos)
-    }
+    fn find(&self, r: usize, c: usize) -> Option<Position>;
 
     /// Converts to triplets in normal form: the entries the view's first
     /// alternative walks, as its levels describe them.

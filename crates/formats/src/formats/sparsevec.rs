@@ -180,7 +180,7 @@ impl SparseMatrix for HashVec<f64> {
 pub use hashed::{hashvec_format_view, LEVELS as HASH_LEVELS};
 
 mod hashed {
-    use super::*;
+    use super::{leveled, HashVec};
 
     leveled! {
         HashVec, "hashvec";

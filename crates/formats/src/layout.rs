@@ -339,9 +339,9 @@ pub const SEARCH_SOURCE: &str = include_str!("search.rs");
 /// is the crate's one assembler over the first chain's levels (the
 /// struct's `assembled`, which its own `from_triplets` calls, and
 /// [`Layout::from_triplets`]). The dense API: `get(r, c)` reads the
-/// value at [`SparseView::find`]`(r, c)` — the dense lookup derived from
-/// the levels that search — `nnz` is the struct's own, and `entries` its
-/// `to_triplets`.
+/// value at [`SparseView::find`]`(r, c)` — the dense lookup `leveled!`
+/// derives from the levels that search — `nnz` is the struct's own, and
+/// `entries` its `to_triplets`.
 macro_rules! stored_layout {
     (
         $ty:ident, $name:literal;
@@ -355,17 +355,6 @@ macro_rules! stored_layout {
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
     ) => {
-        /// Each field of this module's format as a [`Dim`](crate::level::Dim)
-        /// or [`Arr`](crate::level::Arr), its index in the lists of
-        /// `LEVELS`: how its residue names the fields under assembly.
-        #[allow(non_upper_case_globals, non_camel_case_types, dead_code)]
-        mod field {
-            enum DimIndex { $($dim),+ }
-            enum ArrIndex { $($arr),+ }
-            $(pub const $dim: $crate::level::Dim = $crate::level::Dim(DimIndex::$dim as usize);)+
-            $(pub const $arr: $crate::level::Arr = $crate::level::Arr(ArrIndex::$arr as usize);)+
-        }
-
         /// The storage description of this module's format.
         pub static LAYOUT: $crate::layout::Layout = $crate::layout::Layout {
             levels: &LEVELS,
@@ -414,24 +403,9 @@ macro_rules! stored_layout {
         impl $crate::SparseMatrix for $ty<f64> {
             $crate::layout::stored_layout!(@shape $($nr $nc)?);
 
-            #[allow(unused_imports)]
-            fn get(&self, row: usize, col: usize) -> f64 {
-                // `find` with each level spelt out as a constant, so that its search
-                // folds to the search of its kind.
-                let found = || {
-                    let (chain, keys) = $crate::cursor::dense_keys(self, (row, col))?;
-                    let (mut ids, mut keys, mut pos) = (0.., keys.iter(), 0);
-                    $(if ids.next() == Some(chain) {
-                        $(
-                            let level = const { use $crate::level::*; use field::*; $level };
-                            let at = $crate::cursor::keys_at(self, keys.next()?, (row, col))?;
-                            pos = $crate::cursor::search_at(self, &level, pos, &at)??;
-                        )+
-                        return Some(self.$values[pos]);
-                    })+
-                    None
-                };
-                found().unwrap_or(0.0)
+            fn get(&self, r: usize, c: usize) -> f64 {
+                let found = self.dense_lookup(r, c);
+                found.map_or(0.0, |(values, p)| $crate::level::Leveled::array(self, values).values()[p])
             }
 
             fn nnz(&self) -> usize {

@@ -495,7 +495,9 @@ pub trait Leveled {
 /// `chains` walks ([`check_view`] holds them to that at the first read).
 /// It is read by the function it names ([`Levels::view`], at the block
 /// shape `(r, c)` it takes for a blocked view), documented as the
-/// attributes before it say. `hash` looks a key up in the map a hashed
+/// attributes before it say. The dense lookup `find` (and a layout's
+/// `get`) walks the chain the first use picks ([`Levels::view`]) with
+/// every level a constant. `hash` looks a key up in the map a hashed
 /// level names ([`Leveled::hashed`]). `residue` names the layout's
 /// [`Residue`](crate::layout::Residue), whose `check` `validate` calls
 /// last, for an invariant no level states (ELL's pad sentinel).
@@ -512,22 +514,21 @@ macro_rules! leveled {
         $(#[$doc:meta])*
         view: $view_fn:ident = $view:literal;
     ) => {
+        /// Each field of this module's format as a [`Dim`](crate::level::Dim)
+        /// or [`Arr`](crate::level::Arr), its index in the lists of
+        /// `LEVELS`: how its levels and its residue name the fields.
+        #[allow(non_upper_case_globals, non_camel_case_types, dead_code)]
+        mod field {
+            enum DimIndex { $($dim),+ }
+            enum ArrIndex { $($arr),+ }
+            $(pub const $dim: $crate::level::Dim = $crate::level::Dim(DimIndex::$dim as usize);)+
+            $(pub const $arr: $crate::level::Arr = $crate::level::Arr(ArrIndex::$arr as usize);)+
+        }
+
         /// How this module's format is walked.
         pub static LEVELS: $crate::level::Levels = {
-            #[allow(non_camel_case_types, dead_code)]
-            enum DimIndex { $($dim),+ }
-            #[allow(non_camel_case_types, dead_code)]
-            enum ArrIndex { $($arr),+ }
-            $(
-                #[allow(non_upper_case_globals, dead_code)]
-                const $dim: $crate::level::Dim = $crate::level::Dim(DimIndex::$dim as usize);
-            )+
-            $(
-                #[allow(non_upper_case_globals, dead_code)]
-                const $arr: $crate::level::Arr = $crate::level::Arr(ArrIndex::$arr as usize);
-            )+
             #[allow(unused_imports)]
-            use $crate::level::{Base, Bound, Kind, Level, SlotAt, Strips};
+            use {field::*, $crate::level::{Base, Bound, Kind, Level, SlotAt, Strips}};
             $crate::level::Levels {
                 name: $name,
                 type_name: stringify!($ty),
@@ -571,6 +572,10 @@ macro_rules! leveled {
         }
 
         impl $crate::SparseView for $ty<f64> {
+            fn find(&self, r: usize, c: usize) -> Option<$crate::Position> {
+                self.dense_lookup(r, c).map(|(_, p)| p)
+            }
+
             fn to_triplets(&self) -> $crate::Triplets<f64> {
                 $crate::walk::to_triplets(self)
             }
@@ -581,6 +586,26 @@ macro_rules! leveled {
         }
 
         impl $ty<f64> {
+            /// The values array and the position of `(r, c)` in the dense
+            /// lookup ([`SparseView::find`](crate::SparseView::find)), each
+            /// level of each chain spelt out as a constant, so that its
+            /// search folds to the search of its kind.
+            #[allow(unused_imports)]
+            #[inline(always)]
+            fn dense_lookup(&self, r: usize, c: usize) -> Option<($crate::level::Arr, usize)> {
+                let (chain, keys) = $crate::cursor::dense_keys(self, (r, c))?;
+                let (mut ids, mut keys, mut pos) = (0.., keys.iter(), 0);
+                $(if ids.next() == Some(chain) {
+                    $(
+                        let level = const { use $crate::level::*; use field::*; $level };
+                        let at = $crate::cursor::keys_at(self, (&level, keys.next()?), (r, c))?;
+                        pos = $crate::cursor::search_at(self, &level, pos, &at)??;
+                    )+
+                    return Some((field::$values, pos));
+                })+
+                None
+            }
+
             /// Converts to triplets in normal form: the entries the view's
             /// first alternative walks, as its levels describe them.
             pub fn to_triplets(&self) -> $crate::Triplets<f64> {

@@ -45,7 +45,13 @@ pub fn interval(lo: i64, hi: i64, base: usize, key: i64) -> Option<usize> {
 /// A list of single keys, sorted: binary search in it.
 #[inline(always)]
 pub fn sorted<K: Key>(crd: &[K], key: i64) -> Option<usize> {
-    crd.binary_search(&K::try_from(key).ok()?).ok()
+    let (key, mut lo, mut len) = (K::try_from(key).ok()?, 0, crd.len());
+    while len > 1 {
+        let (half, mid) = (len / 2, lo + len / 2);
+        lo = core::hint::select_unpredictable(*crd.get(mid)? <= key, mid, lo);
+        len -= half;
+    }
+    (crd.get(lo)? == &key).then_some(lo)
 }
 
 /// A list of coupled keys, in no order: the first of its `len`
