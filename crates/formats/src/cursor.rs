@@ -31,7 +31,8 @@
 //! The dense lookup of the high-level API is derived from the same
 //! searches: [`SparseView::find`] searches, level by level, the first
 //! chain whose levels all search, for the keys the view's inverse maps
-//! give the row and the column.
+//! give the row and the column (`dense_keys`, `keys_at`, `search_at`,
+//! each level a constant in the walk `leveled!` spells out).
 
 use crate::assemble::Coord;
 use crate::level::{Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
@@ -371,7 +372,7 @@ pub(crate) fn keys_at<V: Leveled + ?Sized>(
 /// The dynamic low-level API of every format (at `f64`): the generic
 /// walk of the format's [`Levels`](crate::level::Levels) over the fields
 /// it hands out as a [`Leveled`]. A format implements none of it: its
-/// `leveled!` derives the two required methods.
+/// `leveled!` derives the three required methods.
 ///
 /// Chain and level numbering is that of [`FormatView::alternatives`].
 pub trait SparseView: SparseMatrix + Leveled {
@@ -439,11 +440,12 @@ pub trait SparseView: SparseMatrix + Leveled {
     }
 
     /// The position of the dense coordinate `(r, c)` in the first chain
-    /// whose levels all search and whose keys tell the coordinates apart
-    /// (JAD's hierarchical one, the off-diagonal part of a diagonal
-    /// split): each level searched, outermost first, for the keys the
-    /// view's inverse maps give `(r, c)`. `None` where it is not stored,
-    /// and for a coordinate outside the matrix.
+    /// whose levels all search and whose keys are as many as the dense
+    /// coordinates (JAD's hierarchical one, the off-diagonal part of a
+    /// diagonal split): each level searched, outermost first, for the
+    /// keys the view's inverse maps give `(r, c)`. `None` where it is not
+    /// stored, and for a coordinate outside the matrix. Derived by
+    /// `leveled!`, with each level a constant.
     fn find(&self, r: usize, c: usize) -> Option<Position>;
 
     /// Converts to triplets in normal form: the entries the view's first
