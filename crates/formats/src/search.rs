@@ -11,8 +11,9 @@
 //!
 //! The text is therefore written in the kernel crates' dialect: `core`
 //! alone, over plain slices, with no panic path. Every read is
-//! `.get(..)?` and every sum and product is checked, so on arrays that
-//! are not a valid instance of their level a search finds nothing; the
+//! `.get(..)?` and every sum and product that could overflow is
+//! checked, so on arrays that are not a valid instance of their level a
+//! search finds nothing; the
 //! text holds no indexing expression, its comments included (`a at i`
 //! reads entry `i` of `a`). A key is an `i64`; one that no element of an
 //! array can equal (negative, or past `u32::MAX` for a `u32` array) is

@@ -54,8 +54,9 @@ fn described(view_name: &str) -> Result<(&'static Levels, Option<Block>), EmitEr
         .ok_or_else(|| EmitError(format!("no level description for view {view_name:?}")))
 }
 
-/// The search of `level` of `chain` of the view named `view`, as the
-/// emitter prints it: an `Option<usize>` expression over the operand
+/// The search of the level at `(chain, level)` of the view named `view`,
+/// as the emitter prints it (what the index-width probe compiles into a
+/// kernel crate): an `Option<usize>` expression over the operand
 /// `m` (its fields read as `m.field`, `?` returning `None`), the
 /// position `parent` above and the `i64` expressions `keys`, one per key
 /// of the level. `None` where that level does not search.
@@ -115,8 +116,8 @@ impl Site {
         }
     }
 
-    /// Level `level` of chain `chain` of the view named `view`, read for
-    /// the operand `m` beneath the position `parent`.
+    /// The level at `at`, `(chain, level)`, of the view named `view`,
+    /// read for the operand `m` beneath the position `parent`.
     fn of(view: &str, at: (usize, usize), m: String, parent: String) -> Result<Site, EmitError> {
         let ((levels, block), (chain, level)) = (described(view)?, at);
         let unknown = || EmitError(format!("view {view} has no level {level} of chain {chain}"));
