@@ -282,7 +282,7 @@ pub(crate) fn search_at<V: Leveled + ?Sized>(
     parent: Position,
     keys: &[i64],
 ) -> Option<Option<Position>> {
-    let (k, at) = (keys[0], |a| view.array(a).u32s());
+    let k = keys[0];
     Some(match (lv.locate, lv.kind) {
         (Locate::None, _) | (Locate::Search, Kind::Jagged { .. }) => return None,
         (Locate::Hash(_), _) => usize::try_from(k).ok().and_then(|k| view.hashed(k)),
@@ -322,7 +322,7 @@ pub(crate) fn search_at<V: Leveled + ?Sized>(
             let mut arrays = [&[][..]; 7];
             let of = [s.strip_of, s.start, s.begin, s.end, s.crd, s.cuts, s.base];
             for (array, a) in arrays.iter_mut().zip(of) {
-                *array = at(a);
+                *array = view.array(a).u32s();
             }
             search::strips(arrays, parent, k)
         }
