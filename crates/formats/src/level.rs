@@ -324,12 +324,8 @@ impl Levels {
             let checked = view.and_then(|v| check_view(&v, self).map(|()| v));
             let view = checked.unwrap_or_else(|e| panic!("a built-in view does not read: {e}"));
             let lookup = self.chains.iter().enumerate().find_map(|(id, chain)| {
-                chain
-                    .levels
-                    .iter()
-                    .all(|l| l.locate != Locate::None)
-                    .then_some(())?;
-                let keys = keys_of(&view, id)?;
+                let searched = chain.levels.iter().all(|l| l.locate != Locate::None);
+                let keys = keys_of(&view, id).filter(|_| searched)?;
                 let dense = keys.iter().flatten().count() == view.dense_attrs.len();
                 dense.then_some((id, keys))
             });
