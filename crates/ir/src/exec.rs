@@ -4,11 +4,23 @@
 //! high-level (random-access) API. This is the semantics the synthesized
 //! sparse code must reproduce — every integration test compares a plan's
 //! output against this executor.
+//!
+//! A run lowers the program once, before anything executes: names
+//! become frame slots and table indices, each index expression the
+//! cheapest [`SlotExpr`] form that states it, each matrix's extents are
+//! read once, and each right-hand side becomes a tree of closures that
+//! returns a plain `f64`. A read that faults (out of range, or index
+//! arithmetic past `i64`) records the first fault of its statement in
+//! one slot, which the statement checks before it writes; so the error
+//! and what earlier iterations wrote are those of an evaluator that
+//! stopped at the fault.
 
 use crate::ast::*;
 use crate::expr::{AffineExpr, SlotExpr};
 use bernoulli_formats::SparseMatrix;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Execution environment: parameter values, dense vectors, and matrices
 /// (any [`SparseMatrix`] implementor — including genuinely dense ones).
@@ -87,8 +99,9 @@ impl std::error::Error for ExecError {}
 /// its matrix or its vector's index in a table of the bound ones. So
 /// an unbound name, a reference of the wrong arity or a write to a
 /// matrix is an error even when the statement would never execute; an
-/// index out of range is an error from the iteration that computes it,
-/// and what earlier iterations wrote stays written.
+/// index out of range, or one whose arithmetic overflows `i64`, is an
+/// error from the iteration that computes it, and what earlier
+/// iterations wrote stays written.
 pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
     let (scope, mut frame): (Vec<&str>, Vec<i64>) =
         env.params.iter().map(|(n, v)| (n.as_str(), *v)).unzip();
@@ -106,7 +119,11 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
 
     // Check all declared arrays are bound and sized consistently.
     for a in &p.arrays {
-        let extent = |k: usize| Ok(names.expr(&a.dims[k])?.eval(&frame));
+        let extent = |k: usize| {
+            let e = &a.dims[k];
+            let overflow = || ExecError(format!("extent {e} of {:?} overflows", a.name));
+            names.expr(e)?.eval(&frame).ok_or_else(overflow)
+        };
         match a.kind {
             ArrayKind::Vector => {
                 let k = position(&names.vectors, &a.name)
@@ -141,7 +158,14 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
 
     let ops = names.nodes(&p.body)?;
     frame.resize(names.depth, 0);
-    Machine { frame, vectors }.run(&ops)
+    let mut state = State {
+        frame,
+        vectors,
+        fault: Cell::new(None),
+    };
+    // A run that stops leaves its error in the fault slot.
+    let _ = ops.iter().try_for_each(|op| op.run(&mut state));
+    state.fault.into_inner().map_or(Ok(()), Err)
 }
 
 /// The last binding of a name wins.
@@ -149,21 +173,27 @@ fn position(names: &[&str], name: &str) -> Option<usize> {
     names.iter().rposition(|n| *n == name)
 }
 
-/// A loop or a statement with every name in it resolved.
+/// A right-hand side, lowered: a tree of closures, one per node, that
+/// returns the value without a `Result` per node. A read that faults
+/// records its error in the state's fault slot and reads 0.
+type Value<'a> = Box<dyn Fn(&State<'_>) -> f64 + 'a>;
+
+/// A loop or a statement with every name in it resolved and its
+/// right-hand side lowered.
 enum Op<'a> {
     Loop {
+        l: &'a Loop,
         slot: usize,
         lo: SlotExpr,
         hi: SlotExpr,
         body: Vec<Op<'a>>,
     },
-    /// `vectors[to][at] = stmt.rhs`, the reads of `stmt.rhs` being
-    /// `reads` in evaluation order; `stmt` words the error messages.
+    /// `vectors[to][at] = value`; `lhs` words the error messages.
     Assign {
-        stmt: &'a Statement,
+        lhs: &'a LhsRef,
         to: usize,
         at: SlotExpr,
-        reads: Vec<Access<'a>>,
+        value: Value<'a>,
     },
 }
 
@@ -217,17 +247,22 @@ impl<'a> Names<'a> {
                 self.depth = self.depth.max(self.scope.len());
                 let body = self.nodes(&l.body)?;
                 self.scope.pop();
-                Ok(Op::Loop { slot, lo, hi, body })
+                Ok(Op::Loop {
+                    l,
+                    slot,
+                    lo,
+                    hi,
+                    body,
+                })
             }
             Node::Stmt(stmt) => {
-                let reads = stmt.rhs.reads().into_iter().map(|r| self.access(r));
-                let reads = reads.collect::<Result<_, _>>()?;
+                let value = self.value(&stmt.rhs)?;
                 match self.access(&stmt.lhs)? {
                     Access::Vector(to, at) => Ok(Op::Assign {
-                        stmt,
+                        lhs: &stmt.lhs,
                         to,
                         at,
-                        reads,
+                        value,
                     }),
                     Access::Matrix(..) => Err(ExecError(format!(
                         "matrix {:?} is read-only in the reference executor",
@@ -237,66 +272,123 @@ impl<'a> Names<'a> {
             }
         }
     }
-}
 
-/// The state of a run: the frame, and the vectors by table index.
-struct Machine<'a> {
-    frame: Vec<i64>,
-    vectors: Vec<&'a mut [f64]>,
-}
-
-impl Machine<'_> {
-    fn run(&mut self, ops: &[Op]) -> Result<(), ExecError> {
-        for op in ops {
-            match op {
-                Op::Loop { slot, lo, hi, body } => {
-                    for v in lo.eval(&self.frame)..hi.eval(&self.frame) {
-                        self.frame[*slot] = v;
-                        self.run(body)?;
-                    }
-                }
-                Op::Assign {
-                    stmt,
-                    to,
-                    at,
-                    reads,
-                } => {
-                    let mut next = 0;
-                    let value = stmt.rhs.eval_with(&mut |r| {
-                        next += 1;
-                        self.read(r, &reads[next - 1])
-                    })?;
-                    let (i, v) = (at.eval(&self.frame), &mut self.vectors[*to]);
-                    if i < 0 || i as usize >= v.len() {
-                        let lhs = &stmt.lhs;
-                        return Err(ExecError(format!("bad vector write {lhs} at [{i}]")));
-                    }
-                    v[i as usize] = value;
-                }
-            }
+    /// Lowers a right-hand side, resolving its reads left operand first:
+    /// the order in which they run.
+    fn value(&self, e: &'a ValueExpr) -> Result<Value<'a>, ExecError> {
+        fn binary<'a>(a: Value<'a>, b: Value<'a>, op: impl Fn(f64, f64) -> f64 + 'a) -> Value<'a> {
+            Box::new(move |s| op(a(s), b(s)))
         }
-        Ok(())
+        Ok(match e {
+            ValueExpr::Const(c) => {
+                let c = *c;
+                Box::new(move |_| c)
+            }
+            ValueExpr::Read(r) => self.read(r)?,
+            ValueExpr::Add(a, b) => binary(self.value(a)?, self.value(b)?, |x, y| x + y),
+            ValueExpr::Sub(a, b) => binary(self.value(a)?, self.value(b)?, |x, y| x - y),
+            ValueExpr::Mul(a, b) => binary(self.value(a)?, self.value(b)?, |x, y| x * y),
+            ValueExpr::Div(a, b) => binary(self.value(a)?, self.value(b)?, |x, y| x / y),
+            ValueExpr::Neg(a) => {
+                let a = self.value(a)?;
+                Box::new(move |s| -a(s))
+            }
+        })
     }
 
-    fn read(&self, r: &LhsRef, read: &Access) -> Result<f64, ExecError> {
-        match read {
-            Access::Vector(k, i) => {
-                let (i, v) = (i.eval(&self.frame), &self.vectors[*k]);
-                if i < 0 || i as usize >= v.len() {
-                    return Err(ExecError(format!("bad vector access {r} at [{i}]")));
+    /// A read, its bounds checked against the operand's extents as they
+    /// were when the run began.
+    fn read(&self, r: &'a LhsRef) -> Result<Value<'a>, ExecError> {
+        Ok(match self.access(r)? {
+            Access::Vector(k, i) => Box::new(move |s| {
+                let v = &*s.vectors[k];
+                match i.eval(&s.frame) {
+                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize],
+                    Some(i) => s.fault(|| format!("bad vector access {r} at [{i}]")),
+                    None => s.fault(|| format!("vector access {r} overflows")),
                 }
-                Ok(v[i as usize])
-            }
+            }),
             Access::Matrix(m, i, j) => {
-                let (i, j) = (i.eval(&self.frame), j.eval(&self.frame));
-                if i < 0 || j < 0 || i as usize >= m.nrows() || j as usize >= m.ncols() {
-                    return Err(ExecError(format!(
-                        "matrix access {r} out of range at ({i},{j})"
-                    )));
+                let (rows, cols) = (m.nrows() as u64, m.ncols() as u64);
+                Box::new(move |s| match (i.eval(&s.frame), j.eval(&s.frame)) {
+                    (Some(i), Some(j)) if (i as u64) < rows && (j as u64) < cols => {
+                        m.get(i as usize, j as usize)
+                    }
+                    (Some(i), Some(j)) => {
+                        s.fault(|| format!("matrix access {r} out of range at ({i},{j})"))
+                    }
+                    _ => s.fault(|| format!("matrix access {r} overflows")),
+                })
+            }
+        })
+    }
+}
+
+/// The state of a run: the frame, the vectors by table index, and the
+/// fault slot: the first fault of the statement being evaluated, which
+/// is the error the run stops with.
+struct State<'v> {
+    frame: Vec<i64>,
+    vectors: Vec<&'v mut [f64]>,
+    fault: Cell<Option<ExecError>>,
+}
+
+impl State<'_> {
+    /// Records the error unless a read before this one in the statement
+    /// faulted already; the faulting read reads 0.
+    #[cold]
+    fn fault(&self, error: impl FnOnce() -> String) -> f64 {
+        let first = self.fault.take().unwrap_or_else(|| ExecError(error()));
+        self.fault.set(Some(first));
+        0.0
+    }
+
+    /// Stops the run with `error`.
+    #[cold]
+    fn halt(&mut self, error: String) -> ControlFlow<()> {
+        *self.fault.get_mut() = Some(ExecError(error));
+        ControlFlow::Break(())
+    }
+}
+
+impl Op<'_> {
+    /// Runs the op; `Break` when it stopped at the error it left in the
+    /// fault slot.
+    fn run(&self, s: &mut State) -> ControlFlow<()> {
+        match self {
+            Op::Loop {
+                l,
+                slot,
+                lo,
+                hi,
+                body,
+            } => {
+                let bound = |e: &SlotExpr, text| e.eval(&s.frame).ok_or(text);
+                let range = match (bound(lo, &l.lo), bound(hi, &l.hi)) {
+                    (Ok(lo), Ok(hi)) => lo..hi,
+                    (Err(text), _) | (_, Err(text)) => {
+                        return s.halt(format!("bound {text} of loop {} overflows", l.var))
+                    }
+                };
+                for v in range {
+                    s.frame[*slot] = v;
+                    body.iter().try_for_each(|op| op.run(s))?;
                 }
-                Ok(m.get(i as usize, j as usize))
+            }
+            Op::Assign { lhs, to, at, value } => {
+                let x = value(s);
+                if s.fault.get_mut().is_some() {
+                    return ControlFlow::Break(());
+                }
+                let v = &mut s.vectors[*to];
+                match at.eval(&s.frame) {
+                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize] = x,
+                    Some(i) => return s.halt(format!("bad vector write {lhs} at [{i}]")),
+                    None => return s.halt(format!("vector write {lhs} overflows")),
+                }
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -385,6 +477,33 @@ mod tests {
             .matrix("L", &l);
         let e = run_dense(&p, &mut env).unwrap_err();
         assert!(e.0.contains("declared 2x2"));
+    }
+
+    /// Affine index arithmetic is checked: past `i64::MAX` it is an
+    /// error, not a wrapped (here: empty) loop or a debug-build panic.
+    #[test]
+    fn index_arithmetic_that_overflows_is_an_error() -> Result<(), crate::ParseError> {
+        let run = |src: &str, m: i64| {
+            let p = parse_program(src)?;
+            let mut env = DenseEnv::new()
+                .param("N", i64::MAX - 1)
+                .param("M", m)
+                .vector("s", vec![0.0]);
+            let result = run_dense(&p, &mut env).map_err(|e| e.0);
+            Ok::<_, crate::ParseError>((result, env.take_vector("s")))
+        };
+        let count = "program p(N, M) { inout vector s[1]; for i in N..N + M { s[0] = s[0] + 1; } }";
+        let error = |words: &str| Err(words.to_string());
+        assert_eq!(run(count, 1)?, (Ok(()), vec![1.0]));
+        let m = run(count, 5)?;
+        assert_eq!(m, (error("bound M + N of loop i overflows"), vec![0.0]));
+        let read = count.replace("s[0] + 1", "s[i - N] + s[i + 2]");
+        let m = run(&read, 1)?;
+        assert_eq!(m, (error("vector access s[i + 2] overflows"), vec![0.0]));
+        let write = count.replace("s[0] =", "s[i + 2] =");
+        let m = run(&write, 1)?;
+        assert_eq!(m, (error("vector write s[i + 2] overflows"), vec![0.0]));
+        Ok(())
     }
 
     #[test]

@@ -146,11 +146,24 @@ impl AffineExpr {
 /// `cst + Σ coeff · frame[slot]`. The executors resolve each expression
 /// once, before they run, and evaluate this in their loops — no name is
 /// looked up per iteration, and an unbound one is the resolver's error
-/// instead of a panic.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct SlotExpr {
-    cst: i64,
-    terms: Vec<(usize, i64)>,
+/// instead of a panic. Resolving picks the cheapest form that states
+/// the expression: a constant, `frame[slot] + cst`, or the general sum.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SlotExpr(Form);
+
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Form {
+    Const(i64),
+    /// `frame[slot] + cst`.
+    Slot(usize, i64),
+    /// `cst + Σ coeff · frame[slot]`.
+    Sum(i64, Vec<(usize, i64)>),
+}
+
+impl Default for SlotExpr {
+    fn default() -> SlotExpr {
+        SlotExpr(Form::Const(0))
+    }
 }
 
 impl SlotExpr {
@@ -164,19 +177,28 @@ impl SlotExpr {
         let terms = terms
             .into_iter()
             .map(|(a, c)| Ok((slot_of(a)?, c)))
-            .collect::<Result<_, E>>()?;
-        Ok(SlotExpr { cst, terms })
+            .collect::<Result<Vec<_>, E>>()?;
+        Ok(SlotExpr(match terms[..] {
+            [] => Form::Const(cst),
+            [(slot, 1)] => Form::Slot(slot, cst),
+            _ => Form::Sum(cst, terms),
+        }))
     }
 
-    /// Evaluates against the frame the expression was resolved for.
+    /// Evaluates against the frame the expression was resolved for;
+    /// `None` if the arithmetic overflows `i64`.
     ///
     /// # Panics
     /// Panics if `frame` is shorter than that one.
     #[inline]
-    pub fn eval(&self, frame: &[i64]) -> i64 {
-        self.terms
-            .iter()
-            .fold(self.cst, |acc, &(slot, c)| acc + c * frame[slot])
+    pub fn eval(&self, frame: &[i64]) -> Option<i64> {
+        match &self.0 {
+            Form::Const(c) => Some(*c),
+            Form::Slot(slot, c) => frame[*slot].checked_add(*c),
+            Form::Sum(cst, terms) => terms.iter().try_fold(*cst, |acc, &(slot, c)| {
+                acc.checked_add(c.checked_mul(frame[slot])?)
+            }),
+        }
     }
 }
 
@@ -291,9 +313,27 @@ mod tests {
     fn eval() {
         let e = AffineExpr::from_terms(&[("i", 2), ("N", 1)], -1);
         let slot_of = |v: &str| ["N", "i"].iter().position(|n| *n == v).ok_or(());
-        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[10, 3])), Ok(15));
+        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[10, 3])), Ok(Some(15)));
         let seven = AffineExpr::constant(7).resolve(slot_of);
-        assert_eq!(seven.map(|e| e.eval(&[])), Ok(7));
+        assert_eq!(seven.map(|e| e.eval(&[])), Ok(Some(7)));
+        let i_plus_2 = AffineExpr::from_terms(&[("i", 1)], 2).resolve(slot_of);
+        assert_eq!(i_plus_2.map(|e| e.eval(&[0, 5])), Ok(Some(7)));
+    }
+
+    #[test]
+    fn eval_reports_overflow() {
+        let slot_of = |v: &str| ["N", "i"].iter().position(|n| *n == v).ok_or(());
+        let big = [i64::MAX - 1, 6];
+        let n_plus_5 = AffineExpr::from_terms(&[("N", 1)], 5).resolve(slot_of);
+        assert_eq!(n_plus_5.map(|e| e.eval(&big)), Ok(None));
+        let twice_n = AffineExpr::from_terms(&[("N", 2)], 0).resolve(slot_of);
+        assert_eq!(twice_n.map(|e| e.eval(&big)), Ok(None));
+        let n_plus_i = AffineExpr::from_terms(&[("N", 1), ("i", 1)], -4).resolve(slot_of);
+        assert_eq!(n_plus_i.as_ref().map(|e| e.eval(&big)), Ok(None));
+        assert_eq!(
+            n_plus_i.map(|e| e.eval(&[i64::MAX - 1, 1])),
+            Ok(Some(i64::MAX - 4))
+        );
     }
 
     #[test]

@@ -427,12 +427,18 @@ fn env<'m>(a: &'m dyn SparseMatrix, seed: u64) -> DenseEnv<'m> {
         .vector("s", vector(1))
 }
 
-/// Every vector of the environment, by name, as bits.
+/// Every vector of the environment, by name, as bits; every NaN as one
+/// pattern. Rust leaves the sign and payload of a NaN that arithmetic
+/// makes from NaN operands unspecified, and which operand's NaN an
+/// `a + b` or `a * b` of two NaNs returns is the compiler's choice of
+/// register order: two evaluators that compute the same operations
+/// may differ there and nowhere else.
 fn bits(env: &DenseEnv) -> Vec<(String, Vec<u64>)> {
+    let bits = |x: &f64| if x.is_nan() { f64::NAN } else { *x }.to_bits();
     let mut all: Vec<(String, Vec<u64>)> = env
         .vectors
         .iter()
-        .map(|(n, v)| (n.clone(), v.iter().map(|x| x.to_bits()).collect()))
+        .map(|(n, v)| (n.clone(), v.iter().map(bits).collect()))
         .collect();
     all.sort();
     all

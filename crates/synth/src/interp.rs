@@ -408,11 +408,12 @@ impl Runtime<'_> {
         match &step.kind {
             StepKind::Interval { .. } => {
                 let (lo, hi) = &code.steps[si].bounds;
-                let mut range = lo.eval(&self.frame)..hi.eval(&self.frame);
+                let bound = |e| self.eval(e, || format!("a bound of step {si}"));
+                let mut range = bound(lo)?..bound(hi)?;
                 while let Some(v) = if rev { range.next_back() } else { range.next() } {
                     self.stats.iterations += 1;
                     self.bind(step.first_slot, v);
-                    self.do_searches(code, si);
+                    self.do_searches(code, si)?;
                     self.run_step(code, si + 1)?;
                 }
             }
@@ -443,7 +444,7 @@ impl Runtime<'_> {
                     for &sharer in &step.sharers {
                         self.track(sharer, cur.pos);
                     }
-                    self.do_searches(code, si);
+                    self.do_searches(code, si)?;
                     self.run_step(code, si + 1)?;
                 }
             }
@@ -467,7 +468,7 @@ impl Runtime<'_> {
                             self.bind(step.first_slot, ka);
                             self.track((a.ref_id, a.level), ca.pos);
                             self.track((b.ref_id, b.level), cb.pos);
-                            self.do_searches(code, si);
+                            self.do_searches(code, si)?;
                             self.run_step(code, si + 1)?;
                             have_a = va.advance(&mut ca);
                             have_b = vb.advance(&mut cb);
@@ -480,7 +481,7 @@ impl Runtime<'_> {
         self.run_execs_at(code, si, true)
     }
 
-    fn do_searches(&mut self, code: &Code, si: usize) {
+    fn do_searches(&mut self, code: &Code, si: usize) -> Result<(), PlanError> {
         let plan = self.plan;
         for (sp, keys) in plan.steps[si].searches.iter().zip(&code.steps[si].keys) {
             let rid = sp.target.ref_id;
@@ -504,7 +505,7 @@ impl Runtime<'_> {
             let view = self.views[rid];
             self.keys.clear();
             for (e, (_, perm)) in keys.iter().zip(&sp.keys) {
-                let v = e.eval(&self.frame);
+                let v = self.eval(e, || format!("a search key of step {si}"))?;
                 self.keys.push(match perm {
                     Some(_) => {
                         if v < 0 || v >= view.nrows() as i64 {
@@ -538,6 +539,7 @@ impl Runtime<'_> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Runs the statements placed at `depth` with the given after-flag
@@ -562,8 +564,10 @@ impl Runtime<'_> {
             return Ok(());
         }
         // Bindings.
-        for (k, ((_, _, div), expr)) in e.bindings.iter().zip(&code.bindings).enumerate() {
-            let raw = expr.eval(&self.frame);
+        for (k, ((v, _, div), expr)) in e.bindings.iter().zip(&code.bindings).enumerate() {
+            let raw = self.eval(expr, || {
+                format!("binding {v} of the write to {}", e.body.lhs)
+            })?;
             if raw % div != 0 {
                 return Ok(());
             }
@@ -571,7 +575,7 @@ impl Runtime<'_> {
         }
         // Guards.
         for (g, x) in e.guards.iter().zip(&code.guards) {
-            let x = x.eval(&self.frame);
+            let x = self.eval(x, || format!("a guard of the write to {}", e.body.lhs))?;
             let pass = match g {
                 Guard::Eq(_) => x == 0,
                 Guard::Ge(_) => x >= 0,
@@ -589,13 +593,21 @@ impl Runtime<'_> {
             next += 1;
             self.read(r, &code.reads[next - 1])
         })?;
-        let (i, v) = (code.at.eval(&self.frame), &mut self.vectors[code.to]);
+        let lhs = &e.body.lhs;
+        let i = self.eval(&code.at, || format!("lhs write {lhs}"))?;
+        let v = &mut self.vectors[code.to];
         if i < 0 || i as usize >= v.len() {
-            let lhs = &e.body.lhs;
             return Err(PlanError(format!("lhs write {lhs} out of range at [{i}]")));
         }
         v[i as usize] = value;
         Ok(())
+    }
+
+    /// `e` at the current frame; arithmetic that overflows `i64` is an
+    /// error of `what`.
+    fn eval(&self, e: &SlotExpr, what: impl FnOnce() -> String) -> Result<i64, PlanError> {
+        let overflow = || PlanError(format!("{} overflows", what()));
+        e.eval(&self.frame).ok_or_else(overflow)
     }
 
     fn read(&self, r: &LhsRef, read: &Read) -> Result<f64, PlanError> {
@@ -608,19 +620,55 @@ impl Runtime<'_> {
                 ))),
             },
             Read::Matrix(m, row, col, what) => {
-                let (rr, cc) = (row.eval(&self.frame), col.eval(&self.frame));
+                let index = |e| self.eval(e, || format!("{what} {r}"));
+                let (rr, cc) = (index(row)?, index(col)?);
                 if rr < 0 || cc < 0 || rr as usize >= m.nrows() || cc as usize >= m.ncols() {
                     return Err(PlanError(format!("{what} {r} out of range at ({rr},{cc})")));
                 }
                 Ok(m.get(rr as usize, cc as usize))
             }
             Read::Vector(k, i) => {
-                let (i, v) = (i.eval(&self.frame), &self.vectors[*k]);
+                let i = self.eval(i, || format!("vector read {r}"))?;
+                let v = &self.vectors[*k];
                 if i < 0 || i as usize >= v.len() {
                     return Err(PlanError(format!("vector read {r} out of range at [{i}]")));
                 }
                 Ok(v[i as usize])
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Session;
+
+    /// Affine index arithmetic is checked: past `i64::MAX` it is an
+    /// error, not a wrapped (here: empty) loop or a debug-build panic.
+    #[test]
+    fn index_arithmetic_that_overflows_is_an_error() -> Result<(), crate::SynthError> {
+        let session = Session::new();
+        let run = |src: &str, m: i64| {
+            let spec = session.parse(src)?;
+            let k = session.compile(&session.bind(&spec, &[])?)?;
+            let mut env = ExecEnv::new();
+            env.set_param("N", i64::MAX - 1).set_param("M", m);
+            env.bind_vec("s", vec![0.0]);
+            let result = run_plan(k.plan(), &mut env).map(|_| ()).map_err(|e| e.0);
+            Ok::<_, crate::SynthError>((result, env.take_vec("s")))
+        };
+        let count = "program p(N, M) { inout vector s[1]; for i in N..N + M { s[0] = s[0] + 1; } }";
+        let error = |words: &str| Err(words.to_string());
+        assert_eq!(run(count, 1)?, (Ok(()), vec![1.0]));
+        let m = run(count, 5)?;
+        assert_eq!(m, (error("a bound of step 0 overflows"), vec![0.0]));
+        let read = count.replace("s[0] + 1", "s[i - N] + s[i + 2]");
+        let m = run(&read, 1)?;
+        assert_eq!(m, (error("vector read s[i + 2] overflows"), vec![0.0]));
+        let write = count.replace("s[0] =", "s[i + 2] =");
+        let m = run(&write, 1)?;
+        assert_eq!(m, (error("lhs write s[i + 2] overflows"), vec![0.0]));
+        Ok(())
     }
 }

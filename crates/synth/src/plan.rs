@@ -493,7 +493,7 @@ mod tests {
             Atom::Var(v) if v == "N" => Ok(1),
             Atom::Var(v) => Err(v.clone()),
         };
-        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[7, 10])), Ok(0));
+        assert_eq!(e.resolve(slot_of).map(|e| e.eval(&[7, 10])), Ok(Some(0)));
         assert_eq!(PExpr::var("K").resolve(slot_of), Err("K".to_string()));
         assert_eq!(e.to_string(), "v0 - N + 3");
         assert!(!e.is_constant());
