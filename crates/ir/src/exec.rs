@@ -1,9 +1,9 @@
 //! The reference dense executor.
 //!
-//! Runs a [`Program`] literally, with every matrix accessed through the
-//! high-level (random-access) API. This is the semantics the synthesized
-//! sparse code must reproduce — every integration test compares a plan's
-//! output against this executor.
+//! Runs a [`Program`] literally, every matrix read as the dense matrix
+//! its [`SparseMatrix::get`] describes. This is the semantics the
+//! synthesized sparse code must reproduce — every integration test
+//! compares a plan's output against this executor.
 //!
 //! A run lowers the program once, before anything executes: names
 //! become frame slots and table indices, each index expression the
@@ -14,6 +14,17 @@
 //! one slot, which the statement checks before it writes; so the error
 //! and what earlier iterations wrote are those of an evaluator that
 //! stopped at the fault.
+//!
+//! A matrix is not asked for its cells. The run copies each matrix it
+//! reads once, from [`SparseMatrix::entries`], into a row order
+//! (columns ascending in a row) and a column order, and each read site
+//! reads that copy in the way its loop nest sweeps it: through a dense
+//! row line when only its column index moves with the innermost loop
+//! around it (or neither index does), through a dense column line when
+//! only its row index moves, and by a binary search in the row order
+//! when both move. A line is refilled when its row or column changes.
+//! A read returns the bits `get` returns: stored `-0.0` and NaN as
+//! stored, `+0.0` where nothing is.
 
 use crate::ast::*;
 use crate::expr::{AffineExpr, SlotExpr};
@@ -21,6 +32,7 @@ use bernoulli_formats::SparseMatrix;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::rc::Rc;
 
 /// Execution environment: parameter values, dense vectors, and matrices
 /// (any [`SparseMatrix`] implementor — including genuinely dense ones).
@@ -111,10 +123,12 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
         .map(|(n, v)| (n.as_str(), v.as_mut_slice()))
         .unzip();
     let mut names = Names {
+        params: scope.len(),
         depth: scope.len(),
         scope,
         vectors: vector_names,
         matrices: &env.matrices,
+        copies: HashMap::new(),
     };
 
     // Check all declared arrays are bound and sized consistently.
@@ -209,10 +223,15 @@ struct Names<'a> {
     /// Frame slot → name: the parameters, then the loop variables in
     /// scope.
     scope: Vec<&'a str>,
+    /// How many parameters open the scope.
+    params: usize,
     /// The deepest the scope got: the frame's length.
     depth: usize,
     vectors: Vec<&'a str>,
     matrices: &'a HashMap<String, &'a dyn SparseMatrix>,
+    /// The copy of each matrix read so far, by name: its row order and
+    /// its column order.
+    copies: HashMap<&'a str, (Rc<Order>, Rc<Order>)>,
 }
 
 impl<'a> Names<'a> {
@@ -275,7 +294,7 @@ impl<'a> Names<'a> {
 
     /// Lowers a right-hand side, resolving its reads left operand first:
     /// the order in which they run.
-    fn value(&self, e: &'a ValueExpr) -> Result<Value<'a>, ExecError> {
+    fn value(&mut self, e: &'a ValueExpr) -> Result<Value<'a>, ExecError> {
         fn binary<'a>(a: Value<'a>, b: Value<'a>, op: impl Fn(f64, f64) -> f64 + 'a) -> Value<'a> {
             Box::new(move |s| op(a(s), b(s)))
         }
@@ -298,29 +317,190 @@ impl<'a> Names<'a> {
 
     /// A read, its bounds checked against the operand's extents as they
     /// were when the run began.
-    fn read(&self, r: &'a LhsRef) -> Result<Value<'a>, ExecError> {
-        Ok(match self.access(r)? {
-            Access::Vector(k, i) => Box::new(move |s| {
-                let v = &*s.vectors[k];
-                match i.eval(&s.frame) {
-                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize],
-                    Some(i) => s.fault(|| format!("bad vector access {r} at [{i}]")),
-                    None => s.fault(|| format!("vector access {r} overflows")),
-                }
-            }),
-            Access::Matrix(m, i, j) => {
-                let (rows, cols) = (m.nrows() as u64, m.ncols() as u64);
-                Box::new(move |s| match (i.eval(&s.frame), j.eval(&s.frame)) {
-                    (Some(i), Some(j)) if (i as u64) < rows && (j as u64) < cols => {
-                        m.get(i as usize, j as usize)
+    fn read(&mut self, r: &'a LhsRef) -> Result<Value<'a>, ExecError> {
+        let (m, i, j) = match self.access(r)? {
+            Access::Vector(k, i) => {
+                return Ok(Box::new(move |s| {
+                    let v = &*s.vectors[k];
+                    match i.eval(&s.frame) {
+                        Some(i) if (i as u64) < v.len() as u64 => v[i as usize],
+                        Some(i) => s.fault(|| format!("bad vector access {r} at [{i}]")),
+                        None => s.fault(|| format!("vector access {r} overflows")),
                     }
-                    (Some(i), Some(j)) => {
-                        s.fault(|| format!("matrix access {r} out of range at ({i},{j})"))
-                    }
-                    _ => s.fault(|| format!("matrix access {r} overflows")),
-                })
+                }))
             }
+            Access::Matrix(m, i, j) => (m, i, j),
+        };
+        let (rows, cols) = self
+            .copies
+            .entry(&r.array)
+            .or_insert_with(|| Order::copy(m))
+            .clone();
+        let extents = (rows.lines(), cols.lines());
+        let sweep = Sweep::of(r, self.scope[self.params..].last().copied());
+        Ok(match sweep {
+            Sweep::Row => {
+                let line = Line::new(rows, extents.1);
+                cell(r, (i, j), extents, move |i, j| line.read(i, j))
+            }
+            Sweep::Column => {
+                let line = Line::new(cols, extents.0);
+                cell(r, (i, j), extents, move |i, j| line.read(j, i))
+            }
+            Sweep::Search => cell(r, (i, j), extents, move |i, j| rows.find(i, j)),
         })
+    }
+}
+
+/// How a matrix read sweeps its copy, by which of its indices move with
+/// the innermost loop around it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Sweep {
+    /// Only the column index moves, or neither: a dense row line.
+    Row,
+    /// Only the row index moves: a dense column line.
+    Column,
+    /// Both move: a binary search in the row order.
+    Search,
+}
+
+impl Sweep {
+    /// The sweep of `r` under the loop variable `inner` (`None` outside
+    /// every loop).
+    fn of(r: &LhsRef, inner: Option<&str>) -> Sweep {
+        let moves = |k: usize| inner.is_some_and(|v| r.idxs[k].coeff(v) != 0);
+        match (moves(0), moves(1)) {
+            (true, true) => Sweep::Search,
+            (true, false) => Sweep::Column,
+            _ => Sweep::Row,
+        }
+    }
+}
+
+/// The read `r` of a matrix cell: `at(i, j)` where the indices are in
+/// range of the matrix's `(rows, cols)`, a fault otherwise.
+fn cell<'a>(
+    r: &'a LhsRef,
+    (i, j): (SlotExpr, SlotExpr),
+    (rows, cols): (usize, usize),
+    at: impl Fn(usize, usize) -> f64 + 'a,
+) -> Value<'a> {
+    Box::new(move |s| match (i.eval(&s.frame), j.eval(&s.frame)) {
+        (Some(i), Some(j)) if (i as u64) < rows as u64 && (j as u64) < cols as u64 => {
+            at(i as usize, j as usize)
+        }
+        (Some(i), Some(j)) => s.fault(|| format!("matrix access {r} out of range at ({i},{j})")),
+        _ => s.fault(|| format!("matrix access {r} overflows")),
+    })
+}
+
+/// A matrix's stored entries grouped by line (by row, or by column):
+/// line `l`'s are `at[start[l]..start[l + 1]]`, each an index across
+/// the line, with their values beside them.
+struct Order {
+    start: Vec<usize>,
+    at: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Order {
+    /// The copy of `m` a run reads: its row order, each row's columns
+    /// ascending, and its column order. Two counting passes: the
+    /// entries by column, then that by row.
+    fn copy(m: &dyn SparseMatrix) -> (Rc<Order>, Rc<Order>) {
+        let cols = {
+            let entries = m.entries();
+            Order::of(m.ncols(), entries.iter().map(|&(r, c, v)| (c, r, v)))
+        };
+        let rows = Order::of(m.nrows(), cols.iter().map(|(c, r, v)| (r, c, v)));
+        (Rc::new(rows), Rc::new(cols))
+    }
+
+    /// Groups `(line, at, value)` entries by line, keeping their order
+    /// within a line.
+    fn of(lines: usize, entries: impl Iterator<Item = (usize, usize, f64)> + Clone) -> Order {
+        let mut start = vec![0; lines + 1];
+        for (l, ..) in entries.clone() {
+            start[l + 1] += 1;
+        }
+        for l in 0..lines {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let (mut at, mut values) = (vec![0; start[lines]], vec![0.0; start[lines]]);
+        for (l, a, v) in entries {
+            (at[next[l]], values[next[l]]) = (a, v);
+            next[l] += 1;
+        }
+        Order { start, at, values }
+    }
+
+    fn lines(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Line `l`'s indices across it and values.
+    fn line(&self, l: usize) -> (&[usize], &[f64]) {
+        let span = self.start[l]..self.start[l + 1];
+        (&self.at[span.clone()], &self.values[span])
+    }
+
+    /// Every entry as `(line, at, value)`, line by line.
+    fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + Clone + '_ {
+        (0..self.lines()).flat_map(move |l| {
+            let (at, values) = self.line(l);
+            at.iter().zip(values).map(move |(&a, &v)| (l, a, v))
+        })
+    }
+
+    /// The value at `at` on line `l`, found by a binary search: the
+    /// indices of a row order ascend.
+    fn find(&self, l: usize, at: usize) -> f64 {
+        let (ats, values) = self.line(l);
+        ats.binary_search(&at).map_or(0.0, |k| values[k])
+    }
+}
+
+/// One line of an [`Order`], dense: the cells of the line it last
+/// read, `+0.0` where nothing is stored.
+struct Line {
+    order: Rc<Order>,
+    /// The line the cells hold; `usize::MAX` before the first read.
+    current: Cell<usize>,
+    cells: Box<[Cell<f64>]>,
+}
+
+impl Line {
+    fn new(order: Rc<Order>, len: usize) -> Line {
+        Line {
+            order,
+            current: Cell::new(usize::MAX),
+            cells: (0..len).map(|_| Cell::new(0.0)).collect(),
+        }
+    }
+
+    /// The cell at `at` on line `l`: the line is refilled first when it
+    /// is another one than the cells hold.
+    #[inline]
+    fn read(&self, l: usize, at: usize) -> f64 {
+        if self.current.get() != l {
+            self.refill(l);
+        }
+        self.cells[at].get()
+    }
+
+    /// Clears the old line's entries and scatters line `l`'s.
+    fn refill(&self, l: usize) {
+        if self.current.get() != usize::MAX {
+            for &a in self.order.line(self.current.get()).0 {
+                self.cells[a].set(0.0);
+            }
+        }
+        let (at, values) = self.order.line(l);
+        for (&a, &v) in at.iter().zip(values) {
+            self.cells[a].set(v);
+        }
+        self.current.set(l);
     }
 }
 
@@ -396,7 +576,20 @@ impl Op<'_> {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use bernoulli_formats::{Dense, Triplets};
+    use bernoulli_formats::{Csr, Dense, Triplets};
+
+    const MVM: &str = "
+        program mvm(M, N) {
+          in matrix A[M][N];
+          in vector x[N];
+          inout vector y[M];
+          for i in 0..M {
+            for j in 0..N {
+              y[i] = y[i] + A[i][j] * x[j];
+            }
+          }
+        }
+    ";
 
     const TS: &str = r#"
         program ts(N) {
@@ -503,6 +696,161 @@ mod tests {
         let write = count.replace("s[0] =", "s[i + 2] =");
         let m = run(&write, 1)?;
         assert_eq!(m, (error("vector write s[i + 2] overflows"), vec![0.0]));
+        Ok(())
+    }
+
+    /// A 4×4 lower triangle with a stored `-0.0`, a stored `0.0`, a NaN
+    /// off the diagonal, an empty row and no entry at `(2, 2)`.
+    fn odd_lower() -> Csr {
+        Csr::from_triplets(&Triplets::from_entries(
+            4,
+            4,
+            &[
+                (0, 0, 2.0),
+                (2, 0, -0.0),
+                (2, 1, f64::NAN),
+                (3, 0, 1.5),
+                (3, 2, 0.0),
+                (3, 3, -4.0),
+            ],
+        ))
+    }
+
+    /// The sweep of a read `A[i][j]` under the loop variable `inner`.
+    fn sweep(i: AffineExpr, j: AffineExpr, inner: Option<&str>) -> Sweep {
+        let idxs = vec![i, j];
+        Sweep::of(
+            &LhsRef {
+                array: "A".into(),
+                idxs,
+            },
+            inner,
+        )
+    }
+
+    fn var(name: &str) -> AffineExpr {
+        AffineExpr::var(name)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `A[i][j]` under `for j` sweeps a row line; the result is that of
+    /// `get`, bit for bit.
+    #[test]
+    fn the_mvm_nest_reads_row_lines() -> Result<(), crate::IrError> {
+        assert_eq!(sweep(var("i"), var("j"), Some("j")), Sweep::Row);
+        assert_eq!(
+            sweep(var("i"), AffineExpr::constant(0), Some("j")),
+            Sweep::Row
+        );
+        assert_eq!(sweep(var("i"), var("j"), None), Sweep::Row);
+        let a = odd_lower();
+        let x = [1.0, -2.0, 0.5, 3.0];
+        let mut want = vec![0.0; 4];
+        for (i, y) in want.iter_mut().enumerate() {
+            for (j, x) in x.iter().enumerate() {
+                *y += a.get(i, j) * x;
+            }
+        }
+        let p = parse_program(MVM)?;
+        let mut env = DenseEnv::new()
+            .param("M", 4)
+            .param("N", 4)
+            .vector("x", x.to_vec())
+            .vector("y", vec![0.0; 4])
+            .matrix("A", &a);
+        run_dense(&p, &mut env)?;
+        assert_eq!(bits(&env.take_vector("y")), bits(&want));
+        Ok(())
+    }
+
+    /// `L[i][j]` under `for i` sweeps a column line, `L[j][j]` under
+    /// `for j` searches; the solve is that of `get`, bit for bit.
+    #[test]
+    fn the_ts_nest_reads_column_lines() -> Result<(), crate::IrError> {
+        assert_eq!(sweep(var("i"), var("j"), Some("i")), Sweep::Column);
+        let a = odd_lower();
+        let mut want = vec![1.0, 2.0, 3.0, 4.0];
+        for j in 0..4 {
+            want[j] /= a.get(j, j);
+            for i in j + 1..4 {
+                want[i] -= a.get(i, j) * want[j];
+            }
+        }
+        let p = parse_program(TS)?;
+        let mut env = DenseEnv::new()
+            .param("N", 4)
+            .vector("b", vec![1.0, 2.0, 3.0, 4.0])
+            .matrix("L", &a);
+        run_dense(&p, &mut env)?;
+        assert_eq!(bits(&env.take_vector("b")), bits(&want));
+        Ok(())
+    }
+
+    /// `A[i][i]` under `for i` searches the row order: a stored value
+    /// keeps its bits, an unstored one reads `+0.0`.
+    #[test]
+    fn a_diagonal_read_searches() -> Result<(), crate::IrError> {
+        assert_eq!(sweep(var("i"), var("i"), Some("i")), Sweep::Search);
+        let diagonal = Csr::from_triplets(&Triplets::from_entries(
+            4,
+            4,
+            &[(0, 0, -0.0), (0, 3, 5.0), (1, 1, f64::NAN), (3, 3, 0.0)],
+        ));
+        let src = "program d(N) { in matrix A[N][N]; inout vector d[N]; \
+                   for i in 0..N { d[i] = A[i][i]; } }";
+        let p = parse_program(src)?;
+        let mut env = DenseEnv::new()
+            .param("N", 4)
+            .vector("d", vec![9.0; 4])
+            .matrix("A", &diagonal);
+        run_dense(&p, &mut env)?;
+        let want: Vec<f64> = (0..4).map(|i| diagonal.get(i, i)).collect();
+        assert_eq!(bits(&env.take_vector("d")), bits(&want));
+        assert_eq!(bits(&want[2..]), bits(&[0.0, 0.0]));
+        Ok(())
+    }
+
+    /// A read out of range faults with the same words in every sweep,
+    /// and what earlier iterations wrote stays written.
+    #[test]
+    fn a_read_out_of_range_keeps_its_fault_text() -> Result<(), crate::IrError> {
+        let a = odd_lower();
+        let nests = [
+            (
+                "for i in 0..N { for j in 0..N { s[i] = A[i][j + 1]; } }",
+                "A[i][j + 1]",
+                "(0,4)",
+            ),
+            (
+                "for j in 0..N { for i in 0..N { s[i] = A[i + 1][j]; } }",
+                "A[i + 1][j]",
+                "(4,0)",
+            ),
+            (
+                "for i in 0..N { s[i] = A[i][i + 1]; }",
+                "A[i][i + 1]",
+                "(3,4)",
+            ),
+        ];
+        let mut written = Vec::new();
+        for (nest, read, at) in nests {
+            let src = format!("program f(N) {{ in matrix A[N][N]; inout vector s[N]; {nest} }}");
+            let p = parse_program(&src)?;
+            let mut env = DenseEnv::new()
+                .param("N", 4)
+                .vector("s", vec![7.0; 4])
+                .matrix("A", &a);
+            let e = run_dense(&p, &mut env).unwrap_err();
+            assert_eq!(e.0, format!("matrix access {read} out of range at {at}"));
+            written.push(env.take_vector("s"));
+        }
+        let row = vec![0.0, 7.0, 7.0, 7.0];
+        assert_eq!(bits(&written[0]), bits(&row));
+        assert_eq!(bits(&written[1]), bits(&[0.0, -0.0, 1.5, 7.0]));
+        assert_eq!(bits(&written[2]), bits(&[0.0, 0.0, 0.0, 7.0]));
         Ok(())
     }
 

@@ -5,13 +5,16 @@
 //! iteration. That walker is kept here, verbatim but for one line (it
 //! evaluates affine expressions through [`eval`] below, the method it
 //! called being gone), as the reference for the one in the library:
-//! seeded random programs × matrices in four formats × the edge shapes
-//! must produce the same bits, and the failing cases the same message.
+//! seeded random programs × the edge shapes, each matrix in every layout
+//! that holds it and dense, must produce the same bits, and the failing
+//! cases the same message. The walker reads a matrix through its `get`,
+//! the executor through its own copy, so this also checks the
+//! executor's reads against every layout's lookup.
 //!
 //! `cargo test --release -p bernoulli-ir --test exec_reference -- --nocapture`
 //! also prints what each costs per loop iteration.
 
-use bernoulli_formats::{Bsr, Csr, Dense, Jad, SparseMatrix, Triplets};
+use bernoulli_formats::{Csr, Dense, SparseMatrix, Triplets, LAYOUTS};
 use bernoulli_ir::{
     parse_program, run_dense, AffineExpr, ArrayDecl, ArrayKind, DenseEnv, ExecError, LhsRef, Loop,
     Node, Program, Role, Statement, ValueExpr,
@@ -390,6 +393,10 @@ fn matrix(shape: (usize, usize, usize), seed: u64) -> Triplets<f64> {
     t
 }
 
+/// The case's matrix in every layout that holds it (a typed refusal,
+/// such as a skyline's of a matrix that is no lower triangle, is
+/// skipped), and dense. The walker reads each through its `get`, the
+/// executor through its own copy.
 fn formats(t: &Triplets<f64>) -> Vec<(&'static str, Box<dyn SparseMatrix>)> {
     let block = |extent: usize| {
         if extent > 0 && extent.is_multiple_of(2) {
@@ -398,15 +405,13 @@ fn formats(t: &Triplets<f64>) -> Vec<(&'static str, Box<dyn SparseMatrix>)> {
             1
         }
     };
-    vec![
-        ("dense", Box::new(Dense::from_triplets(t))),
-        ("csr", Box::new(Csr::from_triplets(t))),
-        ("jad", Box::new(Jad::from_triplets(t))),
-        (
-            "bsr",
-            Box::new(Bsr::from_triplets(t, block(t.nrows()), block(t.ncols()))),
-        ),
-    ]
+    let shape = (block(t.nrows()), block(t.ncols()));
+    let layouts = LAYOUTS.iter().filter_map(|layout| {
+        let a = (layout.from_triplets)(t, Some(shape)).ok()?;
+        Some((layout.name, a as Box<dyn SparseMatrix>))
+    });
+    let dense: Box<dyn SparseMatrix> = Box::new(Dense::from_triplets(t));
+    std::iter::once(("dense", dense)).chain(layouts).collect()
 }
 
 fn env<'m>(a: &'m dyn SparseMatrix, seed: u64) -> DenseEnv<'m> {
@@ -638,7 +643,12 @@ fn unbound_parameters_and_bad_arity_are_typed_errors() {
 }
 
 /// Not an assertion on speed: prints what an iteration of the mvm nest
-/// costs in each executor, next to the cost of the `get` calls alone.
+/// costs in each executor, next to the cost of the `get` calls alone,
+/// and the median over rounds of `run_dense` ÷ `get alone` (CI's gate
+/// on the dense oracle reads it). The three are timed in turn within
+/// each round, so a change of the host's speed between rounds moves
+/// every ratio alike, and `get` is called through `&dyn SparseMatrix`,
+/// as an executor reading a bound matrix would call it.
 #[test]
 fn cost_per_iteration() {
     let n = 300;
@@ -649,38 +659,50 @@ fn cost_per_iteration() {
     }
     let a = Csr::from_triplets(&t);
     let p = parse_program(MVM).unwrap();
-    // The fastest of five runs: one takes a few milliseconds.
-    let per_iteration = |run: &dyn Fn() -> f64| {
-        let once = || {
-            let t0 = std::time::Instant::now();
-            let y0 = run();
-            (t0.elapsed().as_secs_f64() * 1e9 / (n * n) as f64, y0)
-        };
-        let runs = (0..5).map(|_| once());
-        runs.min_by(|a, b| a.0.total_cmp(&b.0)).expect("five runs")
+    let ns_per_iteration = |run: &dyn Fn() -> f64| {
+        let t0 = std::time::Instant::now();
+        let y0 = run();
+        (t0.elapsed().as_secs_f64() * 1e9 / (n * n) as f64, y0)
     };
-    let (new_ns, new_y0) = per_iteration(&|| {
+    let dense = || {
         let mut e = mvm_env(&a);
         run_dense(&p, &mut e).unwrap();
         e.take_vector("y")[0]
-    });
-    let (old_ns, old_y0) = per_iteration(&|| {
+    };
+    let walk = || {
         let mut e = mvm_env(&a);
         walker::run_dense(&p, &mut e).unwrap();
         e.take_vector("y")[0]
-    });
-    let (get_ns, _) = per_iteration(&|| {
+    };
+    let stored: &dyn SparseMatrix = std::hint::black_box(&a);
+    let get = || {
         let mut sum = 0.0;
         for i in 0..n {
             for j in 0..n {
-                sum += a.get(i, j);
+                sum += stored.get(i, j);
             }
         }
         std::hint::black_box(sum)
-    });
-    assert_eq!(new_y0.to_bits(), old_y0.to_bits());
+    };
+    // One round takes a few milliseconds a side in a release build.
+    let rounds: Vec<[f64; 3]> = (0..11)
+        .map(|_| {
+            let (new_ns, new_y0) = ns_per_iteration(&dense);
+            let (old_ns, old_y0) = ns_per_iteration(&walk);
+            assert_eq!(new_y0.to_bits(), old_y0.to_bits());
+            [new_ns, old_ns, ns_per_iteration(&get).0]
+        })
+        .collect();
+    let fastest = |k: usize| rounds.iter().map(|r| r[k]).fold(f64::INFINITY, f64::min);
+    let mut ratios: Vec<f64> = rounds.iter().map(|r| r[0] / r[2]).collect();
+    ratios.sort_by(f64::total_cmp);
     println!(
-        "mvm {n}x{n} csr, ns per loop iteration: run_dense {new_ns:.1}, \
-         tree walker {old_ns:.1}, get alone {get_ns:.1}"
+        "mvm {n}x{n} csr, ns per loop iteration: run_dense {:.1}, tree walker {:.1}, \
+         get alone {:.1}; run_dense / get alone, median of {} rounds {:.2}",
+        fastest(0),
+        fastest(1),
+        fastest(2),
+        ratios.len(),
+        ratios[ratios.len() / 2]
     );
 }
