@@ -25,6 +25,20 @@
 //! when both move. A line is refilled when its row or column changes.
 //! A read returns the bits `get` returns: stored `-0.0` and NaN as
 //! stored, `+0.0` where nothing is.
+//!
+//! An innermost loop whose body is one update `v[a] = r0 ± r1 * r2`,
+//! `r0` a vector read and `r1`, `r2` each a vector or a matrix read (the
+//! inner loops of mvm, mvmᵀ, the triangular solve and a dot product),
+//! runs its whole range as one plain loop. Before it starts, each index
+//! is evaluated at both ends of the range. An affine index that is in
+//! range and free of overflow at both ends is so at every iteration
+//! between them, and so is every partial sum of its arithmetic. Where
+//! every index passes, the loop steps each one by its coefficient of the
+//! loop variable, fills each line it reads once (its line index does not
+//! move with the loop), and reads every vector afresh in every iteration,
+//! since a written vector may be read in the same loop. Where one fails,
+//! the loop runs iteration by iteration through the tree, so its fault
+//! and what it wrote before are the tree's.
 
 use crate::ast::*;
 use crate::expr::{AffineExpr, SlotExpr};
@@ -117,10 +131,10 @@ impl std::error::Error for ExecError {}
 pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
     let (scope, mut frame): (Vec<&str>, Vec<i64>) =
         env.params.iter().map(|(n, v)| (n.as_str(), *v)).unzip();
-    let (vector_names, vectors): (Vec<&str>, Vec<&mut [f64]>) = env
+    let (vector_names, vectors): (Vec<&str>, Vec<&[Cell<f64>]>) = env
         .vectors
         .iter_mut()
-        .map(|(n, v)| (n.as_str(), v.as_mut_slice()))
+        .map(|(n, v)| (n.as_str(), Cell::from_mut(&mut v[..]).as_slice_of_cells()))
         .unzip();
     let mut names = Names {
         params: scope.len(),
@@ -201,6 +215,8 @@ enum Op<'a> {
         lo: SlotExpr,
         hi: SlotExpr,
         body: Vec<Op<'a>>,
+        /// The loop lowered whole, where its body is one update.
+        whole: Option<Box<Whole>>,
     },
     /// `vectors[to][at] = value`; `lhs` words the error messages.
     Assign {
@@ -265,6 +281,10 @@ impl<'a> Names<'a> {
                 self.scope.push(&l.var);
                 self.depth = self.depth.max(self.scope.len());
                 let body = self.nodes(&l.body)?;
+                let whole = match &l.body[..] {
+                    [Node::Stmt(stmt)] => self.whole(stmt)?.map(Box::new),
+                    _ => None,
+                };
                 self.scope.pop();
                 Ok(Op::Loop {
                     l,
@@ -272,6 +292,7 @@ impl<'a> Names<'a> {
                     lo,
                     hi,
                     body,
+                    whole,
                 })
             }
             Node::Stmt(stmt) => {
@@ -318,17 +339,35 @@ impl<'a> Names<'a> {
     /// A read, its bounds checked against the operand's extents as they
     /// were when the run began.
     fn read(&mut self, r: &'a LhsRef) -> Result<Value<'a>, ExecError> {
-        let (m, i, j) = match self.access(r)? {
-            Access::Vector(k, i) => {
-                return Ok(Box::new(move |s| {
-                    let v = &*s.vectors[k];
-                    match i.eval(&s.frame) {
-                        Some(i) if (i as u64) < v.len() as u64 => v[i as usize],
-                        Some(i) => s.fault(|| format!("bad vector access {r} at [{i}]")),
-                        None => s.fault(|| format!("vector access {r} overflows")),
-                    }
-                }))
+        let inner = self.scope[self.params..].last().copied();
+        Ok(match self.reach(r)? {
+            Read::Vector(k, i) => Box::new(move |s| {
+                let v = s.vectors[k];
+                match i.eval(&s.frame) {
+                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize].get(),
+                    Some(i) => s.fault(|| format!("bad vector access {r} at [{i}]")),
+                    None => s.fault(|| format!("vector access {r} overflows")),
+                }
+            }),
+            Read::Line(line, l, a) if Sweep::of(r, inner) == Sweep::Column => {
+                let extents = (line.cells.len(), line.order.lines());
+                cell(r, (a, l), extents, move |i, j| line.read(j, i))
             }
+            Read::Line(line, l, a) => {
+                let extents = (line.order.lines(), line.cells.len());
+                cell(r, (l, a), extents, move |i, j| line.read(i, j))
+            }
+            Read::Search(rows, cols, i, j) => {
+                cell(r, (i, j), (rows.lines(), cols), move |i, j| rows.find(i, j))
+            }
+        })
+    }
+
+    /// How the read `r` reaches its operand: a matrix read through the
+    /// run's copy of the matrix, in the way its loop nest sweeps it.
+    fn reach(&mut self, r: &'a LhsRef) -> Result<Read, ExecError> {
+        let (m, i, j) = match self.access(r)? {
+            Access::Vector(k, i) => return Ok(Read::Vector(k, i)),
             Access::Matrix(m, i, j) => (m, i, j),
         };
         let (rows, cols) = self
@@ -336,20 +375,54 @@ impl<'a> Names<'a> {
             .entry(&r.array)
             .or_insert_with(|| Order::copy(m))
             .clone();
-        let extents = (rows.lines(), cols.lines());
+        let (nrows, ncols) = (rows.lines(), cols.lines());
         let sweep = Sweep::of(r, self.scope[self.params..].last().copied());
         Ok(match sweep {
-            Sweep::Row => {
-                let line = Line::new(rows, extents.1);
-                cell(r, (i, j), extents, move |i, j| line.read(i, j))
-            }
-            Sweep::Column => {
-                let line = Line::new(cols, extents.0);
-                cell(r, (i, j), extents, move |i, j| line.read(j, i))
-            }
-            Sweep::Search => cell(r, (i, j), extents, move |i, j| rows.find(i, j)),
+            Sweep::Row => Read::Line(Rc::new(Line::new(rows, ncols)), i, j),
+            Sweep::Column => Read::Line(Rc::new(Line::new(cols, nrows)), j, i),
+            Sweep::Search => Read::Search(rows, ncols, i, j),
         })
     }
+
+    /// The innermost loop around `stmt` lowered whole, where `stmt` is
+    /// an update `v[a] = r0 ± r1 * r2`, `r0` a vector read. Its reads
+    /// get lines of their own: the tree's stay as the tree left them.
+    fn whole(&mut self, stmt: &'a Statement) -> Result<Option<Whole>, ExecError> {
+        let (sub, a, p) = match &stmt.rhs {
+            ValueExpr::Add(a, p) => (false, a, p),
+            ValueExpr::Sub(a, p) => (true, a, p),
+            _ => return Ok(None),
+        };
+        let (ValueExpr::Read(r0), ValueExpr::Mul(b, c)) = (&**a, &**p) else {
+            return Ok(None);
+        };
+        let (ValueExpr::Read(r1), ValueExpr::Read(r2)) = (&**b, &**c) else {
+            return Ok(None);
+        };
+        let (Access::Vector(to, at), Access::Vector(k0, i0)) =
+            (self.access(&stmt.lhs)?, self.access(r0)?)
+        else {
+            return Ok(None);
+        };
+        Ok(Some(Whole {
+            sub,
+            to: (to, at),
+            r0: (k0, i0),
+            reads: [self.reach(r1)?, self.reach(r2)?],
+        }))
+    }
+}
+
+/// How a read reaches its operand.
+enum Read {
+    /// `vectors[k][i]`.
+    Vector(usize, SlotExpr),
+    /// Cell `a` of line `l` of a dense line: `(l, a)` is the read's
+    /// `(i, j)` through a row line, its `(j, i)` through a column line.
+    Line(Rc<Line>, SlotExpr, SlotExpr),
+    /// `(i, j)` searched in a row order of a matrix with so many
+    /// columns.
+    Search(Rc<Order>, usize, SlotExpr, SlotExpr),
 }
 
 /// How a matrix read sweeps its copy, by which of its indices move with
@@ -479,14 +552,20 @@ impl Line {
         }
     }
 
-    /// The cell at `at` on line `l`: the line is refilled first when it
-    /// is another one than the cells hold.
+    /// The cell at `at` on line `l`.
     #[inline]
     fn read(&self, l: usize, at: usize) -> f64 {
+        self.fill(l);
+        self.cells[at].get()
+    }
+
+    /// Makes the cells hold line `l`: refills them when they hold
+    /// another one.
+    #[inline]
+    fn fill(&self, l: usize) {
         if self.current.get() != l {
             self.refill(l);
         }
-        self.cells[at].get()
     }
 
     /// Clears the old line's entries and scatters line `l`'s.
@@ -504,12 +583,13 @@ impl Line {
     }
 }
 
-/// The state of a run: the frame, the vectors by table index, and the
-/// fault slot: the first fault of the statement being evaluated, which
-/// is the error the run stops with.
+/// The state of a run: the frame, the vectors by table index (as cells,
+/// so that a whole loop may read the vector it writes), and the fault
+/// slot: the first fault of the statement being evaluated, which is the
+/// error the run stops with.
 struct State<'v> {
     frame: Vec<i64>,
-    vectors: Vec<&'v mut [f64]>,
+    vectors: Vec<&'v [Cell<f64>]>,
     fault: Cell<Option<ExecError>>,
 }
 
@@ -542,6 +622,7 @@ impl Op<'_> {
                 lo,
                 hi,
                 body,
+                whole,
             } => {
                 let bound = |e: &SlotExpr, text| e.eval(&s.frame).ok_or(text);
                 let range = match (bound(lo, &l.lo), bound(hi, &l.hi)) {
@@ -550,6 +631,10 @@ impl Op<'_> {
                         return s.halt(format!("bound {text} of loop {} overflows", l.var))
                     }
                 };
+                let ran = |w: &Whole| w.run(s, *slot, range.clone()).is_some();
+                if !range.is_empty() && whole.as_deref().is_some_and(ran) {
+                    return ControlFlow::Continue(());
+                }
                 for v in range {
                     s.frame[*slot] = v;
                     body.iter().try_for_each(|op| op.run(s))?;
@@ -560,15 +645,140 @@ impl Op<'_> {
                 if s.fault.get_mut().is_some() {
                     return ControlFlow::Break(());
                 }
-                let v = &mut s.vectors[*to];
+                let v = s.vectors[*to];
                 match at.eval(&s.frame) {
-                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize] = x,
+                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize].set(x),
                     Some(i) => return s.halt(format!("bad vector write {lhs} at [{i}]")),
                     None => return s.halt(format!("vector write {lhs} overflows")),
                 }
             }
         }
         ControlFlow::Continue(())
+    }
+}
+
+/// An innermost loop whose body is one update `v[a] = r0 ± r1 * r2`,
+/// lowered to run its whole range as one plain loop.
+struct Whole {
+    sub: bool,
+    /// The written vector and its index, then `r0`'s.
+    to: (usize, SlotExpr),
+    r0: (usize, SlotExpr),
+    /// `r1` and `r2`.
+    reads: [Read; 2],
+}
+
+impl Whole {
+    /// Runs the loop over `range` (not empty) whole; `None`, with
+    /// nothing written, where some index is out of range or overflows
+    /// at either end of it. An affine index that passes at both ends
+    /// passes everywhere between them, and so does every partial sum
+    /// of its arithmetic, so the loop then does what the tree would,
+    /// without a check per iteration.
+    fn run(&self, s: &mut State, slot: usize, range: std::ops::Range<i64>) -> Option<()> {
+        let frame = &mut s.frame;
+        let span = &mut |e: &SlotExpr, len: usize| {
+            frame[slot] = range.end - 1;
+            let last = e.eval(frame)?;
+            frame[slot] = range.start;
+            let first = e.eval(frame)?;
+            let fits = |x: i64| (x as u64) < len as u64;
+            (fits(first) && fits(last)).then_some(Pos(first as usize, e.coeff(slot) as usize))
+        };
+        let to = Strided::of(s.vectors[self.to.0], &self.to.1, span)?;
+        let r0 = Strided::of(s.vectors[self.r0.0], &self.r0.1, span)?;
+        let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span));
+        let (n, reads) = (range.end.abs_diff(range.start), [r1?, r2?]);
+        match self.sub {
+            true => fused::<true>(n, to, r0, reads),
+            false => fused::<false>(n, to, r0, reads),
+        }
+        Some(())
+    }
+}
+
+/// An index over a [`Whole`] loop's range, known to stay in range: its
+/// value in the iteration to come and its step, both wrapping.
+#[derive(Clone, Copy)]
+struct Pos(usize, usize);
+
+impl Pos {
+    #[inline]
+    fn next(&mut self) -> usize {
+        let at = self.0;
+        self.0 = at.wrapping_add(self.1);
+        at
+    }
+}
+
+/// Where an index over the whole range starts and how it moves, if it
+/// stays below the length given.
+type Span<'f> = dyn FnMut(&SlotExpr, usize) -> Option<Pos> + 'f;
+
+impl Read {
+    /// The read as a [`Stream`]: a line is filled here, once for the
+    /// whole range, since its line index does not move with the loop.
+    fn stream<'s>(&'s self, vectors: &[&'s [Cell<f64>]], span: &mut Span) -> Option<Stream<'s>> {
+        Some(match self {
+            Read::Vector(k, i) => Stream::Strided(Strided::of(vectors[*k], i, span)?),
+            Read::Line(line, l, a) => {
+                let Pos(l, 0) = span(l, line.order.lines())? else {
+                    return None;
+                };
+                let a = Strided::of(&line.cells, a, span)?;
+                line.fill(l);
+                Stream::Strided(a)
+            }
+            Read::Search(rows, cols, i, j) => {
+                Stream::Searched(rows, span(i, rows.lines())?, span(j, *cols)?)
+            }
+        })
+    }
+}
+
+/// A read of a [`Whole`] loop: cells at a [`Pos`], or a row order
+/// searched at two.
+enum Stream<'s> {
+    Strided(Strided<'s>),
+    Searched(&'s Order, Pos, Pos),
+}
+
+impl Stream<'_> {
+    #[inline]
+    fn next(&mut self) -> f64 {
+        match self {
+            Stream::Strided(a) => a.next(),
+            Stream::Searched(rows, i, j) => rows.find(i.next(), j.next()),
+        }
+    }
+}
+
+/// `n` iterations of `to = r0 ± r1 * r2`, each read in turn before the
+/// write, as the tree reads them. The operator is a constant: one loop
+/// that chose between `-` and `+` per iteration may be compiled to a
+/// negation and an addition, which flips the sign of a NaN.
+fn fused<const SUB: bool>(n: u64, mut to: Strided, mut r0: Strided, [mut r1, mut r2]: [Stream; 2]) {
+    for _ in 0..n {
+        let (a, b, c) = (r0.next(), r1.next(), r2.next());
+        to.cells[to.at.next()].set(if SUB { a - b * c } else { a + b * c });
+    }
+}
+
+/// Cells at a moving [`Pos`]: a read, or the loop's written vector.
+struct Strided<'s> {
+    cells: &'s [Cell<f64>],
+    at: Pos,
+}
+
+impl<'s> Strided<'s> {
+    fn of(cells: &'s [Cell<f64>], i: &SlotExpr, span: &mut Span) -> Option<Strided<'s>> {
+        let at = span(i, cells.len())?;
+        Some(Strided { cells, at })
+    }
+
+    #[inline]
+    fn next(&mut self) -> f64 {
+        self.cells[self.at.next()].get()
     }
 }
 
@@ -851,6 +1061,126 @@ mod tests {
         assert_eq!(bits(&written[0]), bits(&row));
         assert_eq!(bits(&written[1]), bits(&[0.0, -0.0, 1.5, 7.0]));
         assert_eq!(bits(&written[2]), bits(&[0.0, 0.0, 0.0, 7.0]));
+        Ok(())
+    }
+
+    /// Runs `nest` against `A`, `x` and `s`: the run's error text (empty
+    /// when it ran to completion) and `s` afterwards, as bits.
+    fn run_nest(
+        nest: &str,
+        a: &Csr,
+        x: &[f64],
+        s: [f64; 4],
+    ) -> Result<(String, Vec<u64>), crate::IrError> {
+        let src = format!(
+            "program f(N) {{ in matrix A[N][N]; in vector x[N]; inout vector s[N]; {nest} }}"
+        );
+        let p = parse_program(&src)?;
+        let mut env = DenseEnv::new()
+            .param("N", 4)
+            .vector("x", x.to_vec())
+            .vector("s", s.to_vec())
+            .matrix("A", a);
+        let e = run_dense(&p, &mut env).map_or_else(|e| e.0, |()| String::new());
+        Ok((e, bits(&env.take_vector("s"))))
+    }
+
+    /// Each update loop runs whole in the first outer iteration; in the
+    /// second an index leaves its range in the last iteration, so the
+    /// loop runs iteration by iteration: the fault text is the tree's,
+    /// and what the iterations before the fault wrote stays written.
+    #[test]
+    fn a_whole_loop_out_of_range_at_its_end_keeps_its_fault_text() -> Result<(), crate::IrError> {
+        let (a, x) = (odd_lower(), [1.0, -2.0, 0.5, 3.0]);
+        let mut want = [[7.0; 4]; 3];
+        'fault: for j in 0..4 {
+            for i in 0..4 {
+                if i + j == 4 {
+                    break 'fault;
+                }
+                want[0][i] += a.get(i, j) * x[i + j];
+                want[1][i] -= a.get(i + j, j) * x[i];
+                want[2][i + j] = want[2][i] + a.get(i, j) * x[i];
+            }
+        }
+        let nests = [
+            (
+                "s[i] = s[i] + A[i][j] * x[i + j]",
+                "bad vector access x[i + j] at [4]",
+            ),
+            (
+                "s[i] = s[i] - A[i + j][j] * x[i]",
+                "matrix access A[i + j][j] out of range at (4,1)",
+            ),
+            (
+                "s[i + j] = s[i] + A[i][j] * x[i]",
+                "bad vector write s[i + j] at [4]",
+            ),
+        ];
+        for ((update, fault), want) in nests.into_iter().zip(want) {
+            let nest = format!("for j in 0..N {{ for i in 0..N {{ {update}; }} }}");
+            let got = run_nest(&nest, &a, &x, [7.0; 4])?;
+            assert_eq!(got, (fault.to_string(), bits(&want)), "{nest}");
+        }
+        Ok(())
+    }
+
+    /// `b[2]` is written in the third iteration and read in every one:
+    /// a loop that read it once, before the first, would differ.
+    #[test]
+    fn a_vector_written_in_the_loop_is_read_afresh() -> Result<(), crate::IrError> {
+        let cells: Vec<_> = (0..16)
+            .map(|k| (k / 4, k % 4, 0.25 * (k + 1) as f64))
+            .collect();
+        let l = Csr::from_triplets(&Triplets::from_entries(4, 4, &cells));
+        let mut want = [1.0, -2.0, 0.5, 3.0];
+        for j in 0..4 {
+            for i in 0..4 {
+                want[i] -= l.get(i, j) * want[2];
+            }
+        }
+        let nest = "for j in 0..N { for i in 0..N { x[i] = x[i] - A[i][j] * x[2]; } }";
+        let src = format!("program f(N) {{ in matrix A[N][N]; inout vector x[N]; {nest} }}");
+        let mut env = DenseEnv::new()
+            .param("N", 4)
+            .vector("x", vec![1.0, -2.0, 0.5, 3.0])
+            .matrix("A", &l);
+        run_dense(&parse_program(&src)?, &mut env)?;
+        assert_eq!(bits(&env.take_vector("x")), bits(&want));
+        Ok(())
+    }
+
+    /// A stored `-0.0` and a NaN through `+` and `-`, a row line and a
+    /// column line, the matrix on either side of the product: the bits
+    /// of the same loops over `get`, `+` and `-` written apart.
+    #[test]
+    fn signed_zeros_and_nans_keep_their_bits_in_a_whole_loop() -> Result<(), crate::IrError> {
+        let (a, x, s) = (odd_lower(), [1.0, -2.0, -0.0, 3.0], [7.0, -0.0, -0.0, 0.0]);
+        let plus: fn(f64, f64) -> f64 = |p, q| p + q;
+        let minus: fn(f64, f64) -> f64 = |p, q| p - q;
+        for (sign, op) in [("+", plus), ("-", minus)] {
+            let (mut rows, mut cols) = (s, s);
+            for i in 0..4 {
+                for j in 0..4 {
+                    rows[i] = op(rows[i], a.get(i, j) * x[j]);
+                    cols[j] = op(cols[j], x[i] * a.get(j, i));
+                }
+            }
+            let nests = [
+                (
+                    "for i in 0..N { for j in 0..N { s[i] = s[i] # A[i][j] * x[j]; } }",
+                    rows,
+                ),
+                (
+                    "for i in 0..N { for j in 0..N { s[j] = s[j] # x[i] * A[j][i]; } }",
+                    cols,
+                ),
+            ];
+            for (nest, want) in nests {
+                let got = run_nest(&nest.replace('#', sign), &a, &x, s)?;
+                assert_eq!(got, (String::new(), bits(&want)), "{sign} {nest}");
+            }
+        }
         Ok(())
     }
 

@@ -200,6 +200,21 @@ impl SlotExpr {
             }),
         }
     }
+
+    /// The coefficient of `frame[slot]`, 0 where the slot is absent:
+    /// the expression is `base + coeff(slot) · frame[slot]`, `base` not
+    /// depending on that slot. Wraps where the coefficient would
+    /// overflow `i64`.
+    pub fn coeff(&self, slot: usize) -> i64 {
+        match &self.0 {
+            Form::Const(_) => 0,
+            Form::Slot(s, _) => i64::from(*s == slot),
+            Form::Sum(_, terms) => terms
+                .iter()
+                .filter(|&&(s, _)| s == slot)
+                .fold(0, |k, &(_, c)| k.wrapping_add(c)),
+        }
+    }
 }
 
 impl fmt::Display for AffineExpr {
@@ -334,6 +349,18 @@ mod tests {
             n_plus_i.map(|e| e.eval(&[i64::MAX - 1, 1])),
             Ok(Some(i64::MAX - 4))
         );
+    }
+
+    #[test]
+    fn coeff_splits_off_one_slot() {
+        let slot_of = |v: &str| ["N", "i"].iter().position(|n| *n == v).ok_or(());
+        let e = AffineExpr::from_terms(&[("i", 3), ("N", 1)], -2).resolve(slot_of);
+        assert_eq!(e.as_ref().map(|e| (e.coeff(1), e.coeff(0))), Ok((3, 1)));
+        let i_plus_2 = AffineExpr::from_terms(&[("i", 1)], 2).resolve(slot_of);
+        assert_eq!(i_plus_2.map(|e| (e.coeff(1), e.coeff(0))), Ok((1, 0)));
+        assert_eq!(SlotExpr::default().coeff(0), 0);
+        let twice = SlotExpr::resolve(0, [(1, i64::MAX), (1, 2)], Ok::<_, ()>);
+        assert_eq!(twice.map(|e| e.coeff(1)), Ok(i64::MIN + 1));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! that holds it and dense, must produce the same bits, and the failing
 //! cases the same message. The walker reads a matrix through its `get`,
 //! the executor through its own copy, so this also checks the
-//! executor's reads against every layout's lookup.
+//! executor's reads against every layout's lookup. Square programs,
+//! every loop below one extent, also reach the read whose two indices
+//! move with one loop, and the update loops the executor runs whole.
 //!
 //! `cargo test --release -p bernoulli-ir --test exec_reference -- --nocapture`
 //! also prints what each costs per loop iteration.
@@ -189,6 +191,9 @@ struct Gen {
     scope: Vec<(String, Below)>,
     /// One time in `1 / stray`, an index is pushed off by one.
     stray: u32,
+    /// `A` is `M`×`M` and every loop stays below `M`; half of the
+    /// innermost loops are one update statement.
+    square: bool,
 }
 
 fn var(name: &str) -> AffineExpr {
@@ -220,7 +225,10 @@ impl Gen {
 
     fn reference(&mut self) -> LhsRef {
         let (array, idxs) = match self.pick(5) {
-            0 => ("A", vec![self.index(Below::M), self.index(Below::N)]),
+            0 => {
+                let column = if self.square { Below::M } else { Below::N };
+                ("A", vec![self.index(Below::M), self.index(column)])
+            }
             1 => ("u", vec![self.index(Below::M)]),
             2 => ("v", vec![self.index(Below::N)]),
             3 => ("w", vec![&self.index(Below::M) + &self.index(Below::N)]),
@@ -253,24 +261,49 @@ impl Gen {
         }
     }
 
-    fn statement(&mut self) -> Node {
-        let lhs = loop {
+    fn vector_reference(&mut self) -> LhsRef {
+        loop {
             let r = self.reference();
             if r.array != "A" {
                 break r;
             }
-        };
+        }
+    }
+
+    fn statement(&mut self) -> Node {
         Node::Stmt(Statement {
-            lhs,
+            lhs: self.vector_reference(),
             rhs: self.value(3),
         })
+    }
+
+    /// `v[a] = r0 ± r1 * r2`, `r0` a vector read (half the time the
+    /// written one): the update that a loop around it alone runs whole.
+    fn update(&mut self) -> Node {
+        let lhs = self.vector_reference();
+        let r0 = if self.rng.gen_bool(0.5) {
+            lhs.clone()
+        } else {
+            self.vector_reference()
+        };
+        let read = |r| Box::new(ValueExpr::Read(r));
+        let product = Box::new(ValueExpr::Mul(
+            read(self.reference()),
+            read(self.reference()),
+        ));
+        let rhs = if self.rng.gen_bool(0.5) {
+            ValueExpr::Add(read(r0), product)
+        } else {
+            ValueExpr::Sub(read(r0), product)
+        };
+        Node::Stmt(Statement { lhs, rhs })
     }
 
     /// `for var in lo..hi`, the bounds drawn from whole extents, ranges
     /// that depend on an outer variable, empty ranges and inverted ones.
     fn a_loop(&mut self, depth: usize) -> Node {
         let name = format!("i{}", self.scope.len());
-        let extent = if self.rng.gen_bool(0.5) {
+        let extent = if self.square || self.rng.gen_bool(0.5) {
             Below::M
         } else {
             Below::N
@@ -304,6 +337,9 @@ impl Gen {
 
     /// An imperfect nest: statements before, between and after loops.
     fn body(&mut self, depth: usize) -> Vec<Node> {
+        if self.square && depth == 0 && self.rng.gen_bool(0.5) {
+            return vec![self.update()];
+        }
         let mut nodes = Vec::new();
         for _ in 0..self.pick(3) {
             nodes.push(self.statement());
@@ -333,10 +369,17 @@ fn declare(name: &str, kind: ArrayKind, role: Role, dims: Vec<AffineExpr>) -> Ar
 
 /// A random program over `A[M][N]`, `u[M]`, `v[N]`, `w[M+N+1]`, `s[1]`.
 fn program(seed: u64, stray: u32) -> Program {
+    program_over(seed, stray, false)
+}
+
+/// [`program`], or with `square` one over `A[M][M]` whose loops all stay
+/// below `M`, half of its innermost loops one update statement.
+fn program_over(seed: u64, stray: u32, square: bool) -> Program {
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
         scope: Vec::new(),
         stray,
+        square,
     };
     let depth = 1 + g.pick(3);
     let body = vec![g.a_loop(depth)];
@@ -345,7 +388,12 @@ fn program(seed: u64, stray: u32) -> Program {
         name: format!("p{seed}"),
         params: vec!["M".into(), "N".into()],
         arrays: vec![
-            declare("A", ArrayKind::Matrix, Role::In, vec![m.clone(), n.clone()]),
+            declare(
+                "A",
+                ArrayKind::Matrix,
+                Role::In,
+                vec![m.clone(), if square { m.clone() } else { n.clone() }],
+            ),
             declare("u", ArrayKind::Vector, Role::InOut, vec![m.clone()]),
             declare("v", ArrayKind::Vector, Role::InOut, vec![n.clone()]),
             declare(
@@ -498,6 +546,47 @@ fn random_programs_agree_bitwise_with_the_tree_walker() {
         }
     }
     println!("{ok} programs ran to completion, {failed} to the same error");
+    assert!(ok > 300 && failed > 100, "{ok} / {failed}");
+}
+
+/// Square operands for [`program_over`]'s square programs.
+const SQUARE: &[(usize, usize, usize)] = &[
+    (0, 0, 0),
+    (1, 1, 1),
+    (6, 6, 3),  // empty rows
+    (5, 5, 25), // full
+    (8, 8, 20),
+];
+
+/// Square matrices and every loop below `M`: a matrix read may have both
+/// indices move with the innermost loop (the searched read), as well as
+/// one (a row or a column line). About half of the innermost loops are
+/// one update `v[a] = r0 ± r1 * r2`, which `run_dense` runs whole unless
+/// an index leaves its range at an end of the loop's range; the written
+/// vector is read in the same update half the time.
+#[test]
+fn square_programs_with_update_loops_agree_bitwise_with_the_tree_walker() {
+    let (mut ok, mut failed) = (0, 0);
+    for (k, &shape) in SQUARE.iter().enumerate() {
+        let t = matrix(shape, 100 + k as u64);
+        for (format, a) in formats(&t) {
+            for seed in 0..30u64 {
+                let p = program_over(seed * 37 + k as u64, 12, true);
+                let what = format!("square {format} {shape:?} seed {seed}");
+                match agree(&what, &p, || env(a.as_ref(), seed), true) {
+                    Ok(()) => ok += 1,
+                    Err(e) => {
+                        assert!(
+                            e.0.contains("out of range") || e.0.contains("bad vector"),
+                            "{what}: {e}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{ok} square programs ran to completion, {failed} to the same error");
     assert!(ok > 300 && failed > 100, "{ok} / {failed}");
 }
 
