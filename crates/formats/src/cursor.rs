@@ -514,6 +514,8 @@ pub(crate) fn walk(
     let flat = checks.and_then(|c| c.levels.get(level));
     let sorted = flat.is_some_and(|l| l.order == Order::Increasing);
     let hashed = flat.is_some() && matches!(lv.locate, Locate::Hash(_));
+    // Beneath the innermost level, each entry goes to the leaf at once.
+    let innermost = view.levels().level(chain, level + 1).is_none();
     let (mut cur, mut prev) = (open(view, chain, level, parent, false), None);
     while cur.advance() {
         let (k, pos) = (cur.keys, cur.pos);
@@ -529,7 +531,10 @@ pub(crate) fn walk(
         prev = Some(k);
         let depth = keys.len();
         keys.extend_from_slice(&k);
-        walk(view, (chain, level + 1, pos), keys, checks, leaf)?;
+        match innermost {
+            true => leaf(keys, pos)?,
+            false => walk(view, (chain, level + 1, pos), keys, checks, leaf)?,
+        }
         keys.truncate(depth);
     }
     Ok(())

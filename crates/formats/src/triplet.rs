@@ -47,6 +47,22 @@ fn starts(keys: impl Iterator<Item = u32>, n: usize) -> Vec<usize> {
     starts
 }
 
+/// The entries in a stable scatter by key, keys below `n`; the input is
+/// freed as soon as the output is made.
+fn scatter<T: Copy>(
+    entries: Vec<(u32, u32, T)>,
+    key: fn(&(u32, u32, T)) -> u32,
+    n: usize,
+) -> Vec<(u32, u32, T)> {
+    let mut next = starts(entries.iter().map(key), n);
+    let mut out = entries.clone();
+    for e in &entries {
+        out[next[key(e) as usize]] = *e;
+        next[key(e) as usize] += 1;
+    }
+    out
+}
+
 impl<T: Scalar> Triplets<T> {
     /// An empty matrix of the given shape.
     pub fn new(nrows: usize, ncols: usize) -> Triplets<T> {
@@ -135,12 +151,19 @@ impl<T: Scalar> Triplets<T> {
     /// Sorts entries row-major and sums duplicates (in the order they
     /// were pushed). Zero values are kept: a stored zero is a
     /// *structural* nonzero, as in all classic sparse packages. Returns
-    /// at once in normal form.
+    /// at once in normal form. The sort is stable: two counting
+    /// scatters, by column and then by row, where the extents are not
+    /// far past the number of entries, a comparison sort otherwise.
     pub fn normalize(&mut self) {
         if self.normal {
             return;
         }
-        self.entries.sort_by_key(position);
+        if self.nrows.max(self.ncols) <= 4 * self.entries.len() {
+            let by_column = scatter(std::mem::take(&mut self.entries), |e| e.1, self.ncols);
+            self.entries = scatter(by_column, |e| e.0, self.nrows);
+        } else {
+            self.entries.sort_by_key(position);
+        }
         let mut out: Vec<(u32, u32, T)> = Vec::with_capacity(self.entries.len());
         for &(r, c, v) in &self.entries {
             match out.last_mut() {
@@ -338,6 +361,43 @@ mod tests {
         assert_eq!(l.get(0, 0), 1.0); // missing diagonal filled
         assert_eq!(l.get(1, 1), 1.0);
         assert_eq!(l.nnz(), 5);
+    }
+
+    /// Both sorts of `normalize` (the counting scatters, and the
+    /// comparison sort where an extent is far past the entries) make
+    /// the entries of a stable sort by position, duplicates summed in
+    /// push order, bit for bit: a `-0.0`, a NaN and sums whose order
+    /// shows in their last bit.
+    #[test]
+    fn normalize_is_a_stable_sort_by_position() {
+        use rand::{Rng, SeedableRng};
+        let values = [-0.0, 0.0, f64::NAN, 0.1, 0.2, 0.3, -7.5, 1e16];
+        for (seed, (rows, cols, n)) in [(6, 5, 40), (40, 3, 25), (2, 1000, 30), (0, 0, 0)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+            let mut t = Triplets::new(rows, cols);
+            for _ in 0..n {
+                let v = values[rng.gen_range(0..values.len())];
+                t.push(rng.gen_range(0..rows), rng.gen_range(0..cols), v);
+            }
+            let mut want: Vec<(u32, u32, f64)> = t.entries().to_vec();
+            want.sort_by_key(position);
+            want.dedup_by(|e, kept| {
+                let same = position(e) == position(kept);
+                if same {
+                    kept.2 += e.2;
+                }
+                same
+            });
+            t.normalize();
+            let bits = |es: &[(u32, u32, f64)]| -> Vec<_> {
+                es.iter().map(|&(r, c, v)| (r, c, v.to_bits())).collect()
+            };
+            assert_eq!(bits(t.entries()), bits(&want), "{rows}x{cols}, {n} entries");
+            assert!(t.normal);
+        }
     }
 
     #[test]

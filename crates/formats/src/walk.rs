@@ -403,6 +403,12 @@ pub(crate) fn to_triplets(m: &dyn SparseView) -> Triplets<f64> {
     let mut t = Triplets::new(m.nrows(), m.ncols());
     for chain in view.alternatives().into_iter().next().unwrap_or_default() {
         let fwd = Fwd::new(levels, &view, &chain).ok();
+        // Each value the chain stores is one entry, unless zeros drop.
+        let stored = levels
+            .chains
+            .get(chain.id)
+            .map_or(0, |c| m.array(c.values).len());
+        t.reserve(if all { 0 } else { stored });
         walk_chain(m, chain.id, &mut |keys, v| {
             // Where no transform gives coordinates, ones no matrix has:
             // the push refuses them.

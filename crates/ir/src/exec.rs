@@ -16,9 +16,12 @@
 //! stopped at the fault.
 //!
 //! A matrix is not asked for its cells. The run copies each matrix it
-//! reads once, from [`SparseMatrix::entries`], into a row order
-//! (columns ascending in a row) and a column order, and each read site
-//! reads that copy in the way its loop nest sweeps it: through a dense
+//! reads once, from [`SparseMatrix::entries`], into the orders its reads
+//! need: a row order (columns ascending in a row) where one sweeps rows
+//! or searches, a column order where one sweeps columns. Entries that
+//! ascend by row and then column, as every stored layout's do, make the
+//! row order in one counting pass. Each read site reads that copy in
+//! the way its loop nest sweeps it: through a dense
 //! row line when only its column index moves with the innermost loop
 //! around it (or neither index does), through a dense column line when
 //! only its row index moves, and by a binary search in the row order
@@ -33,10 +36,24 @@
 //! is evaluated at both ends of the range. An affine index that is in
 //! range and free of overflow at both ends is so at every iteration
 //! between them, and so is every partial sum of its arithmetic. Where
-//! every index passes, the loop steps each one by its coefficient of the
-//! loop variable, fills each line it reads once (its line index does not
-//! move with the loop), and reads every vector afresh in every iteration,
-//! since a written vector may be read in the same loop. Where one fails,
+//! every index passes, each line the loop reads is filled once (its line
+//! index does not move with the loop), each index steps by its
+//! coefficient of the loop variable, and the loop takes the shape of its
+//! streams, once per loop:
+//!
+//! - it holds the accumulator where the write and `r0` are one cell that
+//!   does not move and neither `r1` nor `r2` reads the written vector
+//!   (mvm, spdot): the cell's value stays in a local, written once at
+//!   the end;
+//! - it hoists a read whose index does not move, reading it once before
+//!   the loop, unless the loop writes that cell (ts's `b[j]` under
+//!   `i in j+1..N` lies outside the cells it writes, and is hoisted);
+//! - it zips a step-1 index, written or read, as a run of cells, with no
+//!   check per iteration (mvmᵀ's scatter, ts);
+//! - any other index moves by its step, and a vector the loop writes is
+//!   read afresh in every iteration.
+//!
+//! The operations and their order are the tree's. Where an index fails,
 //! the loop runs iteration by iteration through the tree, so its fault
 //! and what it wrote before are the tree's.
 
@@ -186,6 +203,8 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
 
     let ops = names.nodes(&p.body)?;
     frame.resize(names.depth, 0);
+    // Free the copies' entries: the run reads only their orders.
+    drop(names);
     let mut state = State {
         frame,
         vectors,
@@ -245,9 +264,8 @@ struct Names<'a> {
     depth: usize,
     vectors: Vec<&'a str>,
     matrices: &'a HashMap<String, &'a dyn SparseMatrix>,
-    /// The copy of each matrix read so far, by name: its row order and
-    /// its column order.
-    copies: HashMap<&'a str, (Rc<Order>, Rc<Order>)>,
+    /// The copy of each matrix read so far, by name.
+    copies: HashMap<&'a str, Copied>,
 }
 
 impl<'a> Names<'a> {
@@ -370,17 +388,17 @@ impl<'a> Names<'a> {
             Access::Vector(k, i) => return Ok(Read::Vector(k, i)),
             Access::Matrix(m, i, j) => (m, i, j),
         };
-        let (rows, cols) = self
-            .copies
-            .entry(&r.array)
-            .or_insert_with(|| Order::copy(m))
-            .clone();
-        let (nrows, ncols) = (rows.lines(), cols.lines());
+        let copy = self.copies.entry(&r.array).or_insert_with(|| Copied {
+            entries: m.entries(),
+            rows: None,
+            cols: None,
+        });
+        let (nrows, ncols) = (m.nrows(), m.ncols());
         let sweep = Sweep::of(r, self.scope[self.params..].last().copied());
         Ok(match sweep {
-            Sweep::Row => Read::Line(Rc::new(Line::new(rows, ncols)), i, j),
-            Sweep::Column => Read::Line(Rc::new(Line::new(cols, nrows)), j, i),
-            Sweep::Search => Read::Search(rows, ncols, i, j),
+            Sweep::Row => Read::Line(Rc::new(Line::new(copy.rows(nrows, ncols), ncols)), i, j),
+            Sweep::Column => Read::Line(Rc::new(Line::new(copy.cols(ncols), nrows)), j, i),
+            Sweep::Search => Read::Search(copy.rows(nrows, ncols), ncols, i, j),
         })
     }
 
@@ -404,11 +422,16 @@ impl<'a> Names<'a> {
         else {
             return Ok(None);
         };
+        let reads = [self.reach(r1)?, self.reach(r2)?];
+        let aliased = reads
+            .iter()
+            .any(|r| matches!(r, Read::Vector(k, _) if *k == to));
         Ok(Some(Whole {
             sub,
             to: (to, at),
             r0: (k0, i0),
-            reads: [self.reach(r1)?, self.reach(r2)?],
+            reads,
+            holds: k0 == to && !aliased,
         }))
     }
 }
@@ -476,19 +499,39 @@ struct Order {
     values: Vec<f64>,
 }
 
-impl Order {
-    /// The copy of `m` a run reads: its row order, each row's columns
-    /// ascending, and its column order. Two counting passes: the
-    /// entries by column, then that by row.
-    fn copy(m: &dyn SparseMatrix) -> (Rc<Order>, Rc<Order>) {
-        let cols = {
-            let entries = m.entries();
-            Order::of(m.ncols(), entries.iter().map(|&(r, c, v)| (c, r, v)))
+/// The copy of a matrix a run reads: its entries, and the orders its
+/// reads sweep, each made when a read first needs it.
+struct Copied {
+    entries: Vec<(usize, usize, f64)>,
+    rows: Option<Rc<Order>>,
+    cols: Option<Rc<Order>>,
+}
+
+impl Copied {
+    /// The row order, each row's columns ascending: one counting pass
+    /// where the entries ascend by row, then by column (as those of
+    /// every stored layout do), else one by row over the column order.
+    fn rows(&mut self, nrows: usize, ncols: usize) -> Rc<Order> {
+        if let Some(rows) = &self.rows {
+            return rows.clone();
+        }
+        let ascend = |w: &[(usize, usize, f64)]| (w[0].0, w[0].1) < (w[1].0, w[1].1);
+        let rows = match self.entries.windows(2).all(ascend) {
+            true => Order::of(nrows, self.entries.iter().copied()),
+            false => Order::of(nrows, self.cols(ncols).iter().map(|(c, r, v)| (r, c, v))),
         };
-        let rows = Order::of(m.nrows(), cols.iter().map(|(c, r, v)| (r, c, v)));
-        (Rc::new(rows), Rc::new(cols))
+        self.rows.insert(Rc::new(rows)).clone()
     }
 
+    /// The column order: the entries by column, in their order.
+    fn cols(&mut self, ncols: usize) -> Rc<Order> {
+        let entries = &self.entries;
+        let of = || Rc::new(Order::of(ncols, entries.iter().map(|&(r, c, v)| (c, r, v))));
+        self.cols.get_or_insert_with(of).clone()
+    }
+}
+
+impl Order {
     /// Groups `(line, at, value)` entries by line, keeping their order
     /// within a line.
     fn of(lines: usize, entries: impl Iterator<Item = (usize, usize, f64)> + Clone) -> Order {
@@ -666,6 +709,8 @@ struct Whole {
     r0: (usize, SlotExpr),
     /// `r1` and `r2`.
     reads: [Read; 2],
+    /// `r0` reads the written vector and neither `r1` nor `r2` does.
+    holds: bool,
 }
 
 impl Whole {
@@ -676,6 +721,7 @@ impl Whole {
     /// of its arithmetic, so the loop then does what the tree would,
     /// without a check per iteration.
     fn run(&self, s: &mut State, slot: usize, range: std::ops::Range<i64>) -> Option<()> {
+        let n = usize::try_from(range.end.abs_diff(range.start)).ok()?;
         let frame = &mut s.frame;
         let span = &mut |e: &SlotExpr, len: usize| {
             frame[slot] = range.end - 1;
@@ -685,29 +731,36 @@ impl Whole {
             let fits = |x: i64| (x as u64) < len as u64;
             (fits(first) && fits(last)).then_some(Pos(first as usize, e.coeff(slot) as usize))
         };
-        let to = Strided::of(s.vectors[self.to.0], &self.to.1, span)?;
-        let r0 = Strided::of(s.vectors[self.r0.0], &self.r0.1, span)?;
-        let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span));
-        let (n, reads) = (range.end.abs_diff(range.start), [r1?, r2?]);
+        let (to, r0) = (s.vectors[self.to.0], s.vectors[self.r0.0]);
+        let (at, p0) = (span(&self.to.1, to.len())?, span(&self.r0.1, r0.len())?);
+        // The cells the loop writes: one, a run, or (any other step) all.
+        let writes = match at {
+            Pos(t, 0) => t..t + 1,
+            Pos(t, 1) => t..t + n,
+            _ => 0..usize::MAX,
+        };
+        let fixed = |k: usize, p: Pos| k != self.to.0 || !writes.contains(&p.0);
+        let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span, n, &fixed));
+        let reads = [stream(r0, p0, n, fixed(self.r0.0, p0)), r1?, r2?];
+        let held = self.holds && at.1 == 0 && p0 == at;
         match self.sub {
-            true => fused::<true>(n, to, r0, reads),
-            false => fused::<false>(n, to, r0, reads),
+            true => fused::<true>(n, (to, at), held, reads),
+            false => fused::<false>(n, (to, at), held, reads),
         }
         Some(())
     }
 }
 
 /// An index over a [`Whole`] loop's range, known to stay in range: its
-/// value in the iteration to come and its step, both wrapping.
-#[derive(Clone, Copy)]
+/// value in the first iteration and its step, both wrapping.
+#[derive(Clone, Copy, PartialEq)]
 struct Pos(usize, usize);
 
 impl Pos {
+    /// The index in iteration `k`.
     #[inline]
-    fn next(&mut self) -> usize {
-        let at = self.0;
-        self.0 = at.wrapping_add(self.1);
-        at
+    fn at(self, k: usize) -> usize {
+        self.0.wrapping_add(k.wrapping_mul(self.1))
     }
 }
 
@@ -716,18 +769,29 @@ impl Pos {
 type Span<'f> = dyn FnMut(&SlotExpr, usize) -> Option<Pos> + 'f;
 
 impl Read {
-    /// The read as a [`Stream`]: a line is filled here, once for the
-    /// whole range, since its line index does not move with the loop.
-    fn stream<'s>(&'s self, vectors: &[&'s [Cell<f64>]], span: &mut Span) -> Option<Stream<'s>> {
+    /// The read as a [`Stream`] over `n` iterations: a line is filled
+    /// here, once for the whole range, since its line index does not
+    /// move with the loop. `fixed` says whether a vector's cell at a
+    /// position is one the loop leaves as it is.
+    fn stream<'s>(
+        &'s self,
+        vectors: &[&'s [Cell<f64>]],
+        span: &mut Span,
+        n: usize,
+        fixed: &dyn Fn(usize, Pos) -> bool,
+    ) -> Option<Stream<'s>> {
         Some(match self {
-            Read::Vector(k, i) => Stream::Strided(Strided::of(vectors[*k], i, span)?),
+            Read::Vector(k, i) => {
+                let at = span(i, vectors[*k].len())?;
+                stream(vectors[*k], at, n, fixed(*k, at))
+            }
             Read::Line(line, l, a) => {
                 let Pos(l, 0) = span(l, line.order.lines())? else {
                     return None;
                 };
-                let a = Strided::of(&line.cells, a, span)?;
+                let a = span(a, line.cells.len())?;
                 line.fill(l);
-                Stream::Strided(a)
+                stream(&line.cells, a, n, true)
             }
             Read::Search(rows, cols, i, j) => {
                 Stream::Searched(rows, span(i, rows.lines())?, span(j, *cols)?)
@@ -736,49 +800,124 @@ impl Read {
     }
 }
 
-/// A read of a [`Whole`] loop: cells at a [`Pos`], or a row order
-/// searched at two.
+/// A read of a [`Whole`] loop, by how its index moves.
+#[derive(Clone, Copy)]
 enum Stream<'s> {
-    Strided(Strided<'s>),
+    /// A cell that does not move and that the loop leaves as it is:
+    /// read once, before the loop.
+    Held(f64),
+    /// Step 1: the cells of the iterations, in turn.
+    Run(&'s [Cell<f64>]),
+    /// Any other step.
+    Strided(&'s [Cell<f64>], Pos),
+    /// A row order searched at two.
     Searched(&'s Order, Pos, Pos),
 }
 
-impl Stream<'_> {
-    #[inline]
-    fn next(&mut self) -> f64 {
-        match self {
-            Stream::Strided(a) => a.next(),
-            Stream::Searched(rows, i, j) => rows.find(i.next(), j.next()),
-        }
+/// How a loop of `n` iterations reads `cells` at `at`: once where the
+/// cell does not move and is `fixed`, as a run where it steps by 1.
+fn stream(cells: &[Cell<f64>], at: Pos, n: usize, fixed: bool) -> Stream<'_> {
+    match at {
+        Pos(a, 0) if fixed => Stream::Held(cells[a].get()),
+        Pos(a, 1) => Stream::Run(&cells[a..a + n]),
+        _ => Stream::Strided(cells, at),
     }
+}
+
+/// `$go` with `$x` the stream `$s` as a [`Src`] of its shape.
+macro_rules! src {
+    ($s:expr, $x:ident => $go:expr) => {
+        match $s {
+            Stream::Held($x) => $go,
+            Stream::Run($x) => $go,
+            $x => $go,
+        }
+    };
 }
 
 /// `n` iterations of `to = r0 ± r1 * r2`, each read in turn before the
-/// write, as the tree reads them. The operator is a constant: one loop
-/// that chose between `-` and `+` per iteration may be compiled to a
-/// negation and an addition, which flips the sign of a NaN.
-fn fused<const SUB: bool>(n: u64, mut to: Strided, mut r0: Strided, [mut r1, mut r2]: [Stream; 2]) {
-    for _ in 0..n {
-        let (a, b, c) = (r0.next(), r1.next(), r2.next());
-        to.cells[to.at.next()].set(if SUB { a - b * c } else { a + b * c });
+/// write, as the tree reads them. Where `held`, `r0` is the written
+/// cell, which does not move and which no other read reads: the loop
+/// holds its value and writes it once, at the end. A run of written
+/// cells is zipped with the reads. Either loop is an instance for the
+/// shape of each of its reads, with no check per iteration.
+fn fused<const SUB: bool>(n: usize, (to, at): (&[Cell<f64>], Pos), held: bool, reads: [Stream; 3]) {
+    let [r0, r1, r2] = reads;
+    match at {
+        Pos(t, 0) if held => {
+            src!(r1, b => src!(r2, c => to[t].set(hold::<SUB>(n, to[t].get(), b, c))))
+        }
+        Pos(t, 1) => {
+            src!(r0, a => src!(r1, b => src!(r2, c => zip::<SUB>(&to[t..t + n], a, b, c))))
+        }
+        _ => (0..n).for_each(|k| to[at.at(k)].set(op::<SUB>(r0.at(k), r1.at(k), r2.at(k)))),
     }
 }
 
-/// Cells at a moving [`Pos`]: a read, or the loop's written vector.
-struct Strided<'s> {
-    cells: &'s [Cell<f64>],
-    at: Pos,
+/// `a ± b * c`. The operator is a constant: one loop that chose between
+/// `-` and `+` per iteration may be compiled to a negation and an
+/// addition, which flips the sign of a NaN.
+#[inline]
+fn op<const SUB: bool>(a: f64, b: f64, c: f64) -> f64 {
+    if SUB {
+        a - b * c
+    } else {
+        a + b * c
+    }
 }
 
-impl<'s> Strided<'s> {
-    fn of(cells: &'s [Cell<f64>], i: &SlotExpr, span: &mut Span) -> Option<Strided<'s>> {
-        let at = span(i, cells.len())?;
-        Some(Strided { cells, at })
-    }
+/// `n` iterations of `acc = acc ± b * c`; the last `acc`.
+fn hold<const SUB: bool>(n: usize, acc: f64, b: impl Src, c: impl Src) -> f64 {
+    let (b, c) = (b.first(n), c.first(n));
+    (0..n).fold(acc, |acc, k| op::<SUB>(acc, b.at(k), c.at(k)))
+}
 
+/// `to[k] = a ± b * c` for every cell `k` of `to`, in turn.
+fn zip<const SUB: bool>(to: &[Cell<f64>], a: impl Src, b: impl Src, c: impl Src) {
+    let (a, b, c) = (a.first(to.len()), b.first(to.len()), c.first(to.len()));
+    for (k, to) in to.iter().enumerate() {
+        to.set(op::<SUB>(a.at(k), b.at(k), c.at(k)));
+    }
+}
+
+/// A [`Stream`] in the form its shape allows: a value read once, a
+/// run, or the stream itself.
+trait Src: Copy {
+    /// The value in iteration `k`.
+    fn at(self, k: usize) -> f64;
+    /// The first `n` iterations: a run cut to its length, so that
+    /// reading it at `k < n` needs no check.
+    fn first(self, _: usize) -> Self {
+        self
+    }
+}
+
+impl Src for f64 {
     #[inline]
-    fn next(&mut self) -> f64 {
-        self.cells[self.at.next()].get()
+    fn at(self, _: usize) -> f64 {
+        self
+    }
+}
+
+impl Src for &[Cell<f64>] {
+    #[inline]
+    fn at(self, k: usize) -> f64 {
+        self[k].get()
+    }
+    fn first(self, n: usize) -> Self {
+        &self[..n]
+    }
+}
+
+impl Src for Stream<'_> {
+    #[inline]
+    fn at(self, k: usize) -> f64 {
+        match self {
+            Stream::Held(x) => x,
+            Stream::Run(cells) => cells[k].get(),
+            Stream::Strided(cells, at) => cells[at.at(k)].get(),
+            Stream::Searched(rows, i, j) => rows.find(i.at(k), j.at(k)),
+        }
     }
 }
 
@@ -1068,7 +1207,7 @@ mod tests {
     /// when it ran to completion) and `s` afterwards, as bits.
     fn run_nest(
         nest: &str,
-        a: &Csr,
+        a: &dyn SparseMatrix,
         x: &[f64],
         s: [f64; 4],
     ) -> Result<(String, Vec<u64>), crate::IrError> {
@@ -1181,6 +1320,209 @@ mod tests {
                 assert_eq!(got, (String::new(), bits(&want)), "{sign} {nest}");
             }
         }
+        Ok(())
+    }
+
+    /// A full 4×4 with a stored `-0.0` at `(1, 2)` and a NaN at `nan`.
+    fn odd_full(nan: (usize, usize)) -> Csr {
+        let cells: Vec<_> = (0..16)
+            .map(|k| (k / 4, k % 4, 0.25 * (k + 1) as f64))
+            .map(|(i, j, v)| match (i, j) {
+                (1, 2) => (i, j, -0.0),
+                at if at == nan => (i, j, f64::NAN),
+                _ => (i, j, v),
+            })
+            .collect();
+        Csr::from_triplets(&Triplets::from_entries(4, 4, &cells))
+    }
+
+    /// Runs `nest`, `#` in it standing for `+` and then for `-`, over
+    /// `a`, an `x` and an `s` with `-0.0` in them; `s` afterwards must
+    /// be, bit for bit, what `reference` leaves in it with the same
+    /// operator, reading the matrix through `get`.
+    fn agrees_with_get(
+        a: &Csr,
+        nest: &str,
+        reference: impl Fn(fn(f64, f64) -> f64, &Csr, &[f64; 4], &mut [f64; 4]),
+    ) -> Result<(), crate::IrError> {
+        let (x, s) = ([1.0, -2.0, -0.0, 3.0], [7.0, -0.0, 1.5, 0.5]);
+        let plus: fn(f64, f64) -> f64 = |p, q| p + q;
+        let minus: fn(f64, f64) -> f64 = |p, q| p - q;
+        for (sign, op) in [("+", plus), ("-", minus)] {
+            let mut want = s;
+            reference(op, a, &x, &mut want);
+            let got = run_nest(&nest.replace('#', sign), a, &x, s)?;
+            assert_eq!(got, (String::new(), bits(&want)), "{sign} {nest}");
+        }
+        Ok(())
+    }
+
+    /// The write and `r0` are one cell that does not move, and neither
+    /// `r1` nor `r2` reads `s`: the loop holds the cell, through a row
+    /// line, a column line beside a hoisted read, and two vector runs.
+    #[test]
+    fn a_held_accumulator_keeps_the_bits_of_get() -> Result<(), crate::IrError> {
+        let nest = "for i in 0..N { for j in 0..N { s[i] = s[i] # A[i][j] * x[j]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for (i, s) in s.iter_mut().enumerate() {
+                for (j, x) in x.iter().enumerate() {
+                    *s = op(*s, a.get(i, j) * x);
+                }
+            }
+        })?;
+        let nest = "for i in 0..N { for j in 0..N { s[i] = s[i] # A[j][i] * x[i]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for i in 0..4 {
+                for j in 0..4 {
+                    s[i] = op(s[i], a.get(j, i) * x[i]);
+                }
+            }
+        })?;
+        let nest = "for i in 0..N { for j in 0..N { s[1] = s[1] # x[j] * A[2][j]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for _ in 0..4 {
+                for (j, x) in x.iter().enumerate() {
+                    s[1] = op(s[1], x * a.get(2, j));
+                }
+            }
+        })
+    }
+
+    /// A read that does not move is read once: `x[i]` of another
+    /// vector, and ts's `s[j]`, outside the run `j+1..N` the loop writes.
+    #[test]
+    fn a_hoisted_read_keeps_the_bits_of_get() -> Result<(), crate::IrError> {
+        let nest = "for i in 0..N { for j in 0..N { s[j] = s[j] # A[i][j] * x[i]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for (i, x) in x.iter().enumerate() {
+                for (j, s) in s.iter_mut().enumerate() {
+                    *s = op(*s, a.get(i, j) * x);
+                }
+            }
+        })?;
+        let nest = "for j in 0..N { for i in j+1..N { s[i] = s[i] # A[i][j] * s[j]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, _, s| {
+            for j in 0..4 {
+                for i in j + 1..4 {
+                    s[i] = op(s[i], a.get(i, j) * s[j]);
+                }
+            }
+        })
+    }
+
+    /// Step-1 indices zipped: mvmᵀ's scatter, and a loop whose `r0`
+    /// reads the cell the iteration before wrote.
+    #[test]
+    fn a_zipped_scatter_keeps_the_bits_of_get() -> Result<(), crate::IrError> {
+        let nest = "for i in 0..N { for j in 0..N { s[j] = s[j] # x[i] * A[i][j]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for (i, x) in x.iter().enumerate() {
+                for (j, s) in s.iter_mut().enumerate() {
+                    *s = op(*s, x * a.get(i, j));
+                }
+            }
+        })?;
+        let nest = "for i in 0..N { for j in 0..N - 1 { s[j + 1] = s[j] # A[i][j] * x[j]; } }";
+        agrees_with_get(&odd_lower(), nest, |op, a, x, s| {
+            for i in 0..4 {
+                for j in 0..3 {
+                    s[j + 1] = op(s[j], a.get(i, j) * x[j]);
+                }
+            }
+        })
+    }
+
+    /// `s[i]` is one cell under `for j`, but `s[j]` reads it when `j`
+    /// passes `i`, after the iterations before wrote it: the loop must
+    /// not hold it. Over a full matrix, whose rows add to `s[i]` before
+    /// `j` reaches `i`, with its NaN in the last row, which no other row
+    /// reads.
+    #[test]
+    fn an_accumulator_its_loop_reads_is_not_held() -> Result<(), crate::IrError> {
+        let nest = "for i in 0..N { for j in 0..N { s[i] = s[i] # A[i][j] * s[j]; } }";
+        agrees_with_get(&odd_full((3, 2)), nest, |op, a, _, s| {
+            for i in 0..4 {
+                for j in 0..4 {
+                    s[i] = op(s[i], a.get(i, j) * s[j]);
+                }
+            }
+        })
+    }
+
+    /// `s[2]` does not move under `for i`, but the loop writes it in its
+    /// third iteration and reads it in the fourth: as `r2` and as `r0`,
+    /// it must not be hoisted. Over a full matrix, whose third row moves
+    /// `s[2]` in every column, with its NaN where only `s[0]` and `s[1]`
+    /// read it: `s[3]`, the one that reads `s[2]` after it is written,
+    /// stays a number.
+    #[test]
+    fn a_read_of_a_cell_its_loop_writes_is_not_hoisted() -> Result<(), crate::IrError> {
+        let nest = "for j in 0..N { for i in 0..N { s[i] = s[i] # A[i][j] * s[2]; } }";
+        agrees_with_get(&odd_full((0, 1)), nest, |op, a, _, s| {
+            for j in 0..4 {
+                for i in 0..4 {
+                    s[i] = op(s[i], a.get(i, j) * s[2]);
+                }
+            }
+        })?;
+        let nest = "for j in 0..N { for i in 0..N { s[i] = s[2] # A[i][j] * A[j][i]; } }";
+        agrees_with_get(&odd_full((0, 1)), nest, |op, a, _, s| {
+            for j in 0..4 {
+                for i in 0..4 {
+                    s[i] = op(s[2], a.get(i, j) * a.get(j, i));
+                }
+            }
+        })
+    }
+
+    /// A matrix whose `entries()` come last to first.
+    struct Reversed(Csr);
+
+    impl SparseMatrix for Reversed {
+        fn nrows(&self) -> usize {
+            self.0.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.0.ncols()
+        }
+        fn nnz(&self) -> usize {
+            self.0.nnz()
+        }
+        fn get(&self, r: usize, c: usize) -> f64 {
+            self.0.get(r, c)
+        }
+        fn entries(&self) -> Vec<(usize, usize, f64)> {
+            self.0.entries().into_iter().rev().collect()
+        }
+    }
+
+    /// Entries out of order make the row order through the column
+    /// order: a search, in the tree and in a whole loop, a row line and
+    /// a column line still read `get`'s bits.
+    #[test]
+    fn entries_out_of_order_keep_the_bits_of_get() -> Result<(), crate::IrError> {
+        let (a, x, s) = (
+            Reversed(odd_full((0, 1))),
+            [1.0, -2.0, -0.0, 3.0],
+            [7.0, -0.0, 1.5, 0.5],
+        );
+        let mut want = s;
+        for (i, x) in x.iter().enumerate() {
+            want[i] -= a.get(i, i) * x;
+        }
+        let got = run_nest("for i in 0..N { s[i] = s[i] - A[i][i] * x[i]; }", &a, &x, s)?;
+        assert_eq!(got, (String::new(), bits(&want)));
+        let mut want = s;
+        for (i, s) in want.iter_mut().enumerate() {
+            *s = a.get(i, i);
+            for j in 0..4 {
+                *s += a.get(i, j) * a.get(j, i);
+            }
+        }
+        let nest =
+            "for i in 0..N { s[i] = A[i][i]; for j in 0..N { s[i] = s[i] + A[i][j] * A[j][i]; } }";
+        let got = run_nest(nest, &a, &x, s)?;
+        assert_eq!(got, (String::new(), bits(&want)));
         Ok(())
     }
 

@@ -11,7 +11,10 @@
 //! the executor through its own copy, so this also checks the
 //! executor's reads against every layout's lookup. Square programs,
 //! every loop below one extent, also reach the read whose two indices
-//! move with one loop, and the update loops the executor runs whole.
+//! move with one loop, and the update loops the executor runs whole;
+//! some of them write a cell that does not move and read the vector
+//! they write, which decides whether such a loop holds the cell in a
+//! local and whether it reads a cell once.
 //!
 //! `cargo test --release -p bernoulli-ir --test exec_reference -- --nocapture`
 //! also prints what each costs per loop iteration.
@@ -194,6 +197,10 @@ struct Gen {
     /// `A` is `M`×`M` and every loop stays below `M`; half of the
     /// innermost loops are one update statement.
     square: bool,
+    /// An update writes `u`, half the time at a cell that does not move
+    /// with its loop, and each read of its product is, half the time, a
+    /// read of `u`.
+    fixed: bool,
 }
 
 fn var(name: &str) -> AffineExpr {
@@ -277,20 +284,56 @@ impl Gen {
         })
     }
 
+    /// A read of `array`, its index as [`Gen::reference`] makes them.
+    fn reference_to(&mut self, array: &str) -> LhsRef {
+        loop {
+            let r = self.reference();
+            if r.array == array {
+                break r;
+            }
+        }
+    }
+
+    /// What a `fixed` update writes: `u` at the innermost variable, or
+    /// at an index free of it (an outer variable or a constant).
+    fn written(&mut self) -> LhsRef {
+        let inner = self.scope.pop().expect("an update is inside a loop");
+        let lhs = match self.rng.gen_bool(0.5) {
+            true => self.reference_to("u"),
+            false => LhsRef {
+                array: "u".into(),
+                idxs: vec![var(&inner.0)],
+            },
+        };
+        self.scope.push(inner);
+        lhs
+    }
+
+    /// A read of a product: with `fixed`, half the time one of `u`, at
+    /// the innermost variable, an outer one or a constant.
+    fn factor(&mut self) -> LhsRef {
+        if self.fixed && self.rng.gen_bool(0.5) {
+            self.reference_to("u")
+        } else {
+            self.reference()
+        }
+    }
+
     /// `v[a] = r0 ± r1 * r2`, `r0` a vector read (half the time the
     /// written one): the update that a loop around it alone runs whole.
     fn update(&mut self) -> Node {
-        let lhs = self.vector_reference();
+        let lhs = if self.fixed {
+            self.written()
+        } else {
+            self.vector_reference()
+        };
         let r0 = if self.rng.gen_bool(0.5) {
             lhs.clone()
         } else {
             self.vector_reference()
         };
         let read = |r| Box::new(ValueExpr::Read(r));
-        let product = Box::new(ValueExpr::Mul(
-            read(self.reference()),
-            read(self.reference()),
-        ));
+        let product = Box::new(ValueExpr::Mul(read(self.factor()), read(self.factor())));
         let rhs = if self.rng.gen_bool(0.5) {
             ValueExpr::Add(read(r0), product)
         } else {
@@ -375,11 +418,18 @@ fn program(seed: u64, stray: u32) -> Program {
 /// [`program`], or with `square` one over `A[M][M]` whose loops all stay
 /// below `M`, half of its innermost loops one update statement.
 fn program_over(seed: u64, stray: u32, square: bool) -> Program {
+    program_with(seed, stray, square, false)
+}
+
+/// [`program_over`], with `fixed` updates that write a cell which does
+/// not move with their loop and read the vector they write.
+fn program_with(seed: u64, stray: u32, square: bool, fixed: bool) -> Program {
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
         scope: Vec::new(),
         stray,
         square,
+        fixed,
     };
     let depth = 1 + g.pick(3);
     let body = vec![g.a_loop(depth)];
@@ -587,6 +637,38 @@ fn square_programs_with_update_loops_agree_bitwise_with_the_tree_walker() {
         }
     }
     println!("{ok} square programs ran to completion, {failed} to the same error");
+    assert!(ok > 300 && failed > 100, "{ok} / {failed}");
+}
+
+/// Square programs whose update loops write, half the time, a cell
+/// that does not move with the loop (which a loop may hold in a local),
+/// and read the vector they write at the moving variable, at the written
+/// cell, or at a cell outside what the loop writes (which a loop may read
+/// once): each of those reads must keep the loop from holding or from
+/// hoisting exactly where the tree's result would differ.
+#[test]
+fn updates_that_read_the_vector_they_write_agree_bitwise_with_the_tree_walker() {
+    let (mut ok, mut failed) = (0, 0);
+    for (k, &shape) in SQUARE.iter().enumerate() {
+        let t = matrix(shape, 200 + k as u64);
+        for (format, a) in formats(&t) {
+            for seed in 0..30u64 {
+                let p = program_with(seed * 43 + k as u64, 12, true, true);
+                let what = format!("fixed {format} {shape:?} seed {seed}");
+                match agree(&what, &p, || env(a.as_ref(), seed), true) {
+                    Ok(()) => ok += 1,
+                    Err(e) => {
+                        assert!(
+                            e.0.contains("out of range") || e.0.contains("bad vector"),
+                            "{what}: {e}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{ok} programs with fixed writes ran to completion, {failed} to the same error");
     assert!(ok > 300 && failed > 100, "{ok} / {failed}");
 }
 
