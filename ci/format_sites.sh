@@ -34,7 +34,9 @@
 # (crates/formats/src/level.rs), the generic cursor and the dense lookup
 # derived from them (crates/formats/src/cursor.rs), the one search per
 # level kind that the cursor and every kernel crate run
-# (crates/formats/src/search.rs) and the registry with its one by-name
+# (crates/formats/src/search.rs), the one iteration per level kind that
+# the cursor and every derived walk run (crates/formats/src/iterate.rs)
+# and the registry with its one by-name
 # lookup, `Layout::named` (crates/formats/src/layout.rs): none names a
 # format. There is no second registry: a format is built by
 # name through `LAYOUTS`, and a host view by its own constructor.
@@ -49,7 +51,7 @@ count=0
 for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
     crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs \
     crates/formats/src/assemble.rs crates/formats/src/layout.rs crates/formats/src/level.rs \
-    crates/formats/src/cursor.rs crates/formats/src/search.rs; do
+    crates/formats/src/cursor.rs crates/formats/src/search.rs crates/formats/src/iterate.rs; do
     sites=$(awk -v names="\"($names)\"" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }

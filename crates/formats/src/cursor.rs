@@ -11,9 +11,12 @@
 //! paper's Fig. 9), and the plan *interpreter* walks the same level
 //! through the one generic cursor of this module (the dynamic
 //! interface). No format implements a cursor of its own, so the two
-//! cannot disagree about a level.
+//! cannot disagree about a level. The cursor enumerates a level by the
+//! one iteration of its kind (`iterate.rs`), the same two
+//! functions the walk `leveled!` derives for each view calls with every
+//! level a constant ([`SparseView::walk`], [`walk_chain`]).
 //!
-//! A format exposes one or more [`Chain`]s (linearized access paths).
+//! A format exposes one or more [`Chain`](crate::view::Chain)s (linearized access paths).
 //! Within a chain, every nesting level supports:
 //!
 //! - `cursor`/`advance`: enumerate the keys stored at this level beneath a
@@ -35,9 +38,11 @@
 //! each level a constant in the walk `leveled!` spells out).
 
 use crate::assemble::Coord;
-use crate::level::{Base, Bound, Kind, Level, Leveled, Locate, Slice, SlotAt};
+pub use crate::iterate::ChainCursor;
+use crate::iterate::{base, bound};
+use crate::level::{Kind, Level, Leveled, Locate, Slice, SlotAt};
 use crate::search;
-use crate::view::{detect_properties, Chain, FormatView, Order, StoredGuarantee};
+use crate::view::{detect_properties, FormatView, StoredGuarantee};
 use crate::walk::{inside, Fwd};
 use crate::SparseMatrix;
 use std::collections::HashSet;
@@ -45,78 +50,21 @@ use std::collections::HashSet;
 /// Opaque per-format position token.
 pub type Position = usize;
 
+/// What a walk does at an entry, given its keys and its position
+/// ([`SparseView::walk`]); its first error ends the walk.
+pub type OnEntry<'a> = dyn FnMut(&[i64], Position) -> Result<(), String> + 'a;
+
 /// The keys bound by one cursor step, one per attribute of the level,
 /// held inline (two at most, and how many): reads as a `[i64]`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Keys([i64; 2], usize);
+pub struct Keys(pub(crate) [i64; 2], pub(crate) usize);
 
 impl std::ops::Deref for Keys {
     type Target = [i64];
 
+    #[inline(always)]
     fn deref(&self) -> &[i64] {
         &self.0[..self.1]
-    }
-}
-
-/// Enumeration state for one level of one chain.
-///
-/// The generic walk is: `let mut cur = view.cursor(chain, level, pos, rev);`
-/// then `while view.advance(&mut cur) { use cur.keys / cur.pos }`.
-#[derive(Clone, Debug)]
-pub struct ChainCursor<'a> {
-    /// Chain id (as assigned by [`FormatView::alternatives`]).
-    pub chain: usize,
-    /// Level within the chain.
-    pub level: usize,
-    /// Parent position this cursor enumerates under.
-    pub parent: Position,
-    /// Traverse in decreasing key order (supported on interval levels).
-    pub reverse: bool,
-    /// Keys of the current entry (valid after a successful `advance`).
-    pub keys: Keys,
-    /// Child position of the current entry (valid after `advance`).
-    pub pos: Position,
-    /// The raw index steps over `lo..hi`, by `walk`'s meaning of it.
-    idx: i64,
-    lo: i64,
-    hi: i64,
-    walk: Walk<'a>,
-}
-
-/// What a raw index means, with the level's arrays at hand.
-#[derive(Clone, Debug)]
-enum Walk<'a> {
-    /// The key itself; `pos = base + (key - lo)`.
-    Interval { base: usize },
-    /// A position; its keys are `crd[pos]` and, coupled, `more[pos]`.
-    Stored(Slice<'a>, Option<Slice<'a>>),
-    /// A slot; `pos = table[slot] + parent`.
-    Table(&'a [u32], Slice<'a>),
-    /// A position of run `d` of `ptr`.
-    Jagged(&'a [u32], Slice<'a>, usize),
-    /// A block; `s` counts the columns taken of it, `rr` is the row.
-    Blocks(&'a [u32], Shape<'a>, usize, usize),
-}
-
-/// The extents of a level's blocks: one shape for all, or cut by `cuts`
-/// with each block's values at its `base`.
-#[derive(Clone, Copy, Debug)]
-enum Shape<'a> {
-    Fixed(usize, usize),
-    Cut(&'a [u32], &'a [u32]),
-}
-
-impl Shape<'_> {
-    /// Block `b` in block column `bc`, for row `rr` of its rows: the
-    /// first column, how many, and the position of the first.
-    fn block(&self, b: usize, bc: usize, rr: usize) -> (usize, usize, usize) {
-        match *self {
-            Shape::Fixed(r, c) => (bc * c, c, (b * r + rr) * c),
-            Shape::Cut(cuts, base) => {
-                let (first, width) = (cuts[bc] as usize, (cuts[bc + 1] - cuts[bc]) as usize);
-                (first, width, base[b] as usize + rr * width)
-            }
-        }
     }
 }
 
@@ -127,150 +75,6 @@ fn level_of<V: Leveled + ?Sized>(view: &V, chain: usize, level: usize) -> &'stat
     levels
         .level(chain, level)
         .unwrap_or_else(|| panic!("{} has no level {level} of chain {chain}", levels.name))
-}
-
-#[inline(always)]
-pub(crate) fn bound<V: Leveled + ?Sized>(view: &V, b: Bound, parent: Position) -> i64 {
-    match b {
-        Bound::Zero => 0,
-        Bound::Extent(d) => view.dim(d) as i64,
-        Bound::At(a) => view.array(a).key(parent),
-        Bound::Next => parent as i64 + 1,
-    }
-}
-
-/// The position of key `lo`.
-#[inline(always)]
-fn base<V: Leveled + ?Sized>(view: &V, b: Base, parent: Position, lo: i64) -> usize {
-    match b {
-        Base::Identity => lo as usize,
-        Base::Stride(d) => parent * view.dim(d),
-        Base::Ptr(a) => view.array(a).u32s()[parent] as usize,
-    }
-}
-
-fn open<V: Leveled + ?Sized>(
-    view: &V,
-    chain: usize,
-    level: usize,
-    parent: Position,
-    reverse: bool,
-) -> ChainCursor<'_> {
-    let lv = level_of(view, chain, level);
-    assert!(
-        !reverse || lv.is_interval(),
-        "{}: level {level} of chain {chain} enumerates forward only",
-        view.levels().name
-    );
-    let at = |a, i: usize| i64::from(view.array(a).u32s()[i]);
-    let (lo, hi, walk) = match lv.kind {
-        Kind::Interval { lo, hi, base: b } => {
-            let lo = bound(view, lo, parent);
-            let base = base(view, b, parent, lo);
-            (lo, bound(view, hi, parent), Walk::Interval { base })
-        }
-        Kind::Compressed { ptr, crd } => {
-            let walk = Walk::Stored(view.array(crd), None);
-            (at(ptr, parent), at(ptr, parent + 1), walk)
-        }
-        Kind::Coords { len, crd } => {
-            let walk = Walk::Stored(view.array(crd[0]), crd.get(1).map(|&a| view.array(a)));
-            (0, view.array(len).len() as i64, walk)
-        }
-        Kind::Slots {
-            count,
-            at: slot,
-            crd,
-        } => match slot {
-            SlotAt::RowMajor(width) => {
-                let first = (parent * view.dim(width)) as i64;
-                let walk = Walk::Stored(view.array(crd), None);
-                (first, first + at(count, parent), walk)
-            }
-            SlotAt::Table(table) => {
-                let walk = Walk::Table(view.array(table).u32s(), view.array(crd));
-                (0, at(count, parent), walk)
-            }
-        },
-        Kind::Jagged { ptr, crd } => {
-            let len = view.array(view.levels().chains[chain].values).len();
-            let walk = Walk::Jagged(view.array(ptr).u32s(), view.array(crd), 0);
-            (0, len as i64, walk)
-        }
-        Kind::Blocks { ptr, crd, r, c } => {
-            let (r, c) = (view.dim(r), view.dim(c));
-            let walk = Walk::Blocks(view.array(crd).u32s(), Shape::Fixed(r, c), 0, parent % r);
-            (at(ptr, parent / r), at(ptr, parent / r + 1), walk)
-        }
-        Kind::Strips(s) => {
-            let br = at(s.strip_of, parent) as usize;
-            let shape = Shape::Cut(view.array(s.cuts).u32s(), view.array(s.base).u32s());
-            let rr = parent - at(s.start, br) as usize;
-            let walk = Walk::Blocks(view.array(s.crd).u32s(), shape, 0, rr);
-            (at(s.begin, br), at(s.end, br), walk)
-        }
-    };
-    ChainCursor {
-        chain,
-        level,
-        parent,
-        reverse,
-        keys: Keys::default(),
-        pos: 0,
-        idx: if reverse { hi } else { lo - 1 },
-        lo,
-        hi,
-        walk,
-    }
-}
-
-impl ChainCursor<'_> {
-    fn advance(&mut self) -> bool {
-        // Blocks step within a block first; every other walk steps the
-        // raw index.
-        if !matches!(self.walk, Walk::Blocks(..)) {
-            self.idx += if self.reverse { -1 } else { 1 };
-            if !(self.lo..self.hi).contains(&self.idx) {
-                return false;
-            }
-        }
-        let i = self.idx as usize;
-        (self.keys, self.pos) = match &mut self.walk {
-            Walk::Interval { base } => {
-                let pos = *base + (self.idx - self.lo) as usize;
-                (Keys([self.idx, 0], 1), pos)
-            }
-            Walk::Stored(crd, None) => (Keys([crd.key(i), 0], 1), i),
-            Walk::Stored(crd, Some(more)) => (Keys([crd.key(i), more.key(i)], 2), i),
-            Walk::Table(table, crd) => {
-                let pos = table[i] as usize + self.parent;
-                (Keys([crd.key(pos), 0], 1), pos)
-            }
-            Walk::Jagged(ptr, crd, d) => {
-                while i >= ptr[*d + 1] as usize {
-                    *d += 1;
-                }
-                (Keys([(i - ptr[*d] as usize) as i64, crd.key(i)], 2), i)
-            }
-            // The next column of block `idx`, or else the first of the
-            // next block that has any.
-            Walk::Blocks(crd, shape, s, rr) => loop {
-                *s += 1;
-                if self.idx >= self.hi {
-                    return false;
-                }
-                if self.idx >= self.lo {
-                    let b = self.idx as usize;
-                    let (first, width, at) = shape.block(b, crd[b] as usize, *rr);
-                    if *s <= width {
-                        break (Keys([(first + *s - 1) as i64, 0], 1), at + *s - 1);
-                    }
-                }
-                (self.idx, *s) = (self.idx + 1, 0);
-            },
-        };
-        true
-    }
 }
 
 /// Searches level `lv` beneath `parent` for `keys` by the search of its
@@ -408,13 +212,19 @@ pub trait SparseView: SparseMatrix + Leveled {
         parent: Position,
         reverse: bool,
     ) -> ChainCursor<'_> {
-        open(self, chain, level, parent, reverse)
+        let (lv, levels) = (level_of(self, chain, level), self.levels());
+        let name = levels.name;
+        assert!(
+            !reverse || lv.is_interval(),
+            "{name}: level {level} of chain {chain} enumerates forward only"
+        );
+        ChainCursor::open(self, (lv, levels.chains[chain].values), parent, reverse)
     }
 
     /// Advances the cursor, filling `keys` and `pos`. Returns `false` at
     /// the end of the level.
     fn advance(&self, cur: &mut ChainCursor<'_>) -> bool {
-        cur.advance()
+        cur.next()
     }
 
     /// Searches `level` of `chain` beneath `parent` for `keys`; returns
@@ -448,8 +258,16 @@ pub trait SparseView: SparseMatrix + Leveled {
     /// `leveled!`, with each level a constant.
     fn find(&self, r: usize, c: usize) -> Option<Position>;
 
+    /// Walks `chain`, calling `leaf` with the keys of every entry,
+    /// outermost level first, and its position; the first error of
+    /// `leaf` ends the walk. A chain the view does not have has no
+    /// entries. Derived by `leveled!`, each level a constant that folds
+    /// to the iteration of its kind (`iterate.rs`).
+    fn walk(&self, chain: usize, leaf: &mut OnEntry<'_>) -> Result<(), String>;
+
     /// Converts to triplets in normal form: the entries the view's first
-    /// alternative walks, as its levels describe them.
+    /// alternative walks, as its levels describe them, by the walk
+    /// [`walk`](SparseView::walk) names, each chain's `fwd` compiled once.
     fn to_triplets(&self) -> crate::Triplets<f64>;
 
     /// Checks an *untrusted* instance against its levels, its view and
@@ -476,68 +294,18 @@ fn permutation(levels: &crate::level::Levels) -> crate::level::Perm {
         .unwrap_or_else(|| panic!("{} has no permutation table", levels.name))
 }
 
-/// Walks an entire chain recursively, invoking `f` with the stored
-/// attribute keys (outermost-level first) and the value. Utility for
-/// tests, for the view-conformance checker and for `to_triplets`. A
-/// chain id the view does not declare has no entries, so the walk visits
-/// nothing.
+/// Walks an entire chain, invoking `f` with the stored attribute keys
+/// (outermost-level first) and the value of every entry: the walk
+/// `leveled!` derives ([`SparseView::walk`]). A chain id the view does
+/// not declare has no entries, so the walk visits nothing.
 pub fn walk_chain(view: &dyn SparseView, chain: usize, f: &mut dyn FnMut(&[i64], f64)) {
     if let Some(described) = view.levels().chains.get(chain) {
         let values = view.array(described.values).values();
-        let mut leaf = |keys: &[i64], pos: Position| {
+        let _ = view.walk(chain, &mut |keys, pos| {
             f(keys, values[pos]);
             Ok(())
-        };
-        let _ = walk(view, (chain, 0, 0), &mut Vec::new(), None, &mut leaf);
+        });
     }
-}
-
-/// What a [`walk`] does at an entry, given its keys and its position.
-pub(crate) type Leaf<'a> = dyn FnMut(&[i64], Position) -> Result<(), String> + 'a;
-
-/// Walks `level` of `chain` and the levels below it beneath `parent`,
-/// with the keys of the levels above in `keys`, calling `leaf` with the
-/// keys and the position of every entry. Held to `view`, the chain as
-/// its view says it, keys strictly increase beneath one parent where it
-/// says `sorted`, and a hashed level finds every key where it lists it.
-/// The first error of `leaf` or of a check ends the walk.
-pub(crate) fn walk(
-    view: &dyn SparseView,
-    (chain, level, parent): (usize, usize, Position),
-    keys: &mut Vec<i64>,
-    checks: Option<&Chain>,
-    leaf: &mut Leaf<'_>,
-) -> Result<(), String> {
-    let Some(lv) = view.levels().level(chain, level) else {
-        return leaf(keys, parent);
-    };
-    let flat = checks.and_then(|c| c.levels.get(level));
-    let sorted = flat.is_some_and(|l| l.order == Order::Increasing);
-    let hashed = flat.is_some() && matches!(lv.locate, Locate::Hash(_));
-    // Beneath the innermost level, each entry goes to the leaf at once.
-    let innermost = view.levels().level(chain, level + 1).is_none();
-    let (mut cur, mut prev) = (open(view, chain, level, parent, false), None);
-    while cur.advance() {
-        let (k, pos) = (cur.keys, cur.pos);
-        if let Some(p) = prev.filter(|p: &Keys| sorted && **p >= *k) {
-            let (p, k) = (&*p, &*k);
-            let e = format!("keys not strictly increasing beneath {parent} ({p:?}, {k:?})");
-            return Err(format!("level {level}: {e}"));
-        }
-        if hashed && view.search(chain, level, parent, &k) != Some(pos) {
-            let e = format!("does not find key {} at {pos}, where it is listed", k[0]);
-            return Err(format!("the map {e}"));
-        }
-        prev = Some(k);
-        let depth = keys.len();
-        keys.extend_from_slice(&k);
-        match innermost {
-            true => leaf(keys, pos)?,
-            false => walk(view, (chain, level + 1, pos), keys, checks, leaf)?,
-        }
-        keys.truncate(depth);
-    }
-    Ok(())
 }
 
 /// Checks that a format's view description is *faithful*: enumerating
@@ -556,12 +324,12 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
     let alt = alt.ok_or_else(|| format!("alternative {alternative} out of range"))?;
     let mut seen = HashSet::new();
     for chain in &alt {
-        let fwd = Fwd::new(view.levels(), &fv, chain)?;
+        let fwd = Fwd::new(view, &fv, chain)?;
         // Each entry, through the chain's `fwd` transforms, names a
         // position inside the matrix, seen once, that random access reads
         // as the same value.
         let mut entry = |keys: &[i64], pos| {
-            let ((r, c), v) = (fwd.eval(view, keys)?, view.value_at(chain.id, pos));
+            let ((r, c), v) = (fwd.eval(keys)?, view.value_at(chain.id, pos));
             inside(r, c, view.nrows(), view.ncols())?;
             let expect = view.get(r as usize, c as usize);
             if expect != v {
@@ -573,8 +341,8 @@ pub fn check_view_conformance(view: &dyn SparseView, alternative: usize) -> Resu
                 true => Ok(()),
             }
         };
-        let walked = walk(view, (chain.id, 0, 0), &mut vec![], None, &mut entry);
-        walked.map_err(|e| format!("chain {}: {e}", chain.id))?;
+        view.walk(chain.id, &mut entry)
+            .map_err(|e| format!("chain {}: {e}", chain.id))?;
     }
     let (n, nnz) = (seen.len(), view.nnz());
     if n != nnz {

@@ -341,7 +341,7 @@ pub const SEARCH_SOURCE: &str = include_str!("search.rs");
 /// [`Layout::from_triplets`]). The dense API: `get(r, c)` reads the
 /// value at [`SparseView::find`]`(r, c)` — the dense lookup `leveled!`
 /// derives from the levels that search — `nnz` is the struct's own, and
-/// `entries` its `to_triplets`.
+/// `entries` its `to_triplets` at `usize` width.
 macro_rules! stored_layout {
     (
         $ty:ident, $name:literal;
@@ -414,7 +414,7 @@ macro_rules! stored_layout {
             }
 
             fn entries(&self) -> Vec<(usize, usize, f64)> {
-                self.to_triplets().wide_entries()
+                $crate::walk::entries(self)
             }
         }
 

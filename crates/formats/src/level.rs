@@ -18,7 +18,9 @@
 //!   text, the paper's Barton–Nackman instantiation;
 //! - the one generic cursor of [`crate::cursor`] walks it at run time
 //!   for the plan interpreter, over the typed slices a [`Leveled`]
-//!   instance hands out.
+//!   instance hands out, and the walk `leveled!` derives nests the
+//!   levels of each chain as constants; both enumerate a level by the
+//!   one iteration of its kind (`iterate.rs`).
 //!
 //! Dims and arrays are referred to by their index in the description's
 //! own `dims` / `arrays` lists ([`Dim`], [`Arr`]); the declaring macros
@@ -422,6 +424,7 @@ impl<'a> Slice<'a> {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn len(self) -> usize {
         match self {
             Slice::U32(a) => a.len(),
@@ -464,7 +467,10 @@ pub trait Leveled {
 /// Declares how a struct's levels are walked, as the static `LEVELS` of
 /// the struct's module, implements [`Leveled`] and
 /// [`SparseView`](crate::SparseView) for the struct at `f64`, and derives
-/// its `to_triplets` and `validate` from the levels and the view.
+/// its walk ([`SparseView::walk`](crate::SparseView::walk): each
+/// chain's levels nested, each a constant that folds to the iteration
+/// of its kind), and through it `to_triplets` and `validate`, from the
+/// levels and the view.
 /// `stored_layout!` ends in this; a view that exists only on the host
 /// (no [`Layout`](crate::layout::Layout): it is never marshalled into a
 /// kernel) invokes it directly. Every field is listed as `alias =
@@ -572,12 +578,40 @@ macro_rules! leveled {
                 self.dense_lookup(r, c).map(|(_, p)| p)
             }
 
+            fn walk(
+                &self,
+                chain: usize,
+                leaf: &mut $crate::cursor::OnEntry<'_>,
+            ) -> Result<(), String> {
+                $crate::walk::Walked::walk_with(self, chain, $crate::walk::no_step, leaf)
+            }
+
             fn to_triplets(&self) -> $crate::Triplets<f64> {
                 $crate::walk::to_triplets(self)
             }
 
             fn validate(&self) -> Result<(), $crate::FormatError> {
                 $crate::walk::validate(self, || $crate::level::leveled!(@residue self $($residue)?))
+            }
+        }
+
+        impl $crate::walk::Walked for $ty<f64> {
+            /// Each chain's levels nested, outermost first, each a
+            /// constant, so that it folds to the iteration of its kind.
+            #[inline(always)]
+            fn walk_with<S: $crate::walk::Step, L: $crate::walk::Leaf>(
+                &self,
+                chain: usize,
+                mut step: S,
+                mut leaf: L,
+            ) -> Result<(), String> {
+                let (mut ids, mut keys) = (0.., [0i64; $crate::walk::SLOTS]);
+                $(if ids.next() == Some(chain) {
+                    let values = field::$values;
+                    $crate::level::leveled!(@walk (self, step, leaf, values, keys), (0, 0, 0), [$($level),+]);
+                    return Ok(());
+                })+
+                Ok(())
             }
         }
 
@@ -603,7 +637,8 @@ macro_rules! leveled {
             }
 
             /// Converts to triplets in normal form: the entries the view's
-            /// first alternative walks, as its levels describe them.
+            /// first alternative walks, as its levels describe them, by
+            /// the walk derived here, each chain's `fwd` compiled once.
             pub fn to_triplets(&self) -> $crate::Triplets<f64> {
                 $crate::walk::to_triplets(self)
             }
@@ -622,6 +657,27 @@ macro_rules! leveled {
         pub fn $view_fn($($br: usize, $bc: usize)?) -> $crate::view::FormatView {
             LEVELS.view($crate::level::leveled!(@block $($br $bc)?))
         }
+    };
+    // Level `depth` beneath `parent`, its keys from `keys[n..]`, then
+    // the levels below; at the bottom, the entry.
+    (@walk ($m:ident, $step:ident, $leaf:ident, $values:ident, $keys:ident),
+        ($depth:expr, $n:expr, $parent:expr), [$level:expr $(, $rest:expr)*]) => {
+        #[allow(unused_imports)]
+        let level = const { use $crate::level::*; use field::*; $level };
+        let mut cur = $crate::ChainCursor::open($m, (&level, $values), $parent, false);
+        let mut first = true;
+        while cur.next() {
+            let (k, pos) = (cur.keys, cur.pos);
+            $step(($depth, first, $parent), &k, pos)?;
+            let n = $n + k.len();
+            $keys[$n..n].copy_from_slice(&k);
+            first = false;
+            $crate::level::leveled!(@walk ($m, $step, $leaf, $values, $keys), ($depth + 1, n, pos), [$($rest),*]);
+        }
+    };
+    (@walk ($m:ident, $step:ident, $leaf:ident, $values:ident, $keys:ident),
+        ($depth:expr, $n:expr, $parent:expr), []) => {
+        $leaf(&$keys[..$n], $parent)?;
     };
     (@block) => { None };
     (@block $br:ident $bc:ident) => { Some(($br, $bc)) };

@@ -21,7 +21,15 @@
 //!   ([`level::Levels`], beside its [`layout::Layout`]); the one generic
 //!   cursor, the code emitter's loops and the one assembler
 //!   (`assemble.rs`) are all read off it, and [`LAYOUTS`] is the one
-//!   registry, by name too ([`Layout::named`]).
+//!   registry, by name too ([`Layout::named`]). Iteration is one
+//!   function pair per level kind, as search is one function per kind
+//!   ([`search`]): the positions beneath a parent and the keys at each
+//!   (`iterate.rs`). The interpreter's cursor calls them with the level
+//!   read at run time; every other walk of an instance — `to_triplets`
+//!   and so `SparseMatrix::entries` and every conversion,
+//!   [`cursor::walk_chain`], `validate`, the view-conformance check — is
+//!   the walk `leveled!` derives for the view, every level a constant,
+//!   so that each folds to the loop of its kind.
 //! - **Concrete formats**: [`Dense`], [`Coo`], [`Csr`], [`Csc`], [`Dcsr`], [`Dia`],
 //!   [`Ell`], [`Jad`], [`DiagSplit`] (a `∪` format storing the diagonal
 //!   separately), and sorted/hashed sparse vectors ([`SparseVec`],
@@ -38,6 +46,7 @@ pub mod features;
 pub mod formats;
 pub mod gen;
 pub mod io;
+mod iterate;
 pub mod layout;
 pub mod level;
 pub mod partition;

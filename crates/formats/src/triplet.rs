@@ -51,7 +51,7 @@ fn starts(keys: impl Iterator<Item = u32>, n: usize) -> Vec<usize> {
 /// freed as soon as the output is made.
 fn scatter<T: Copy>(
     entries: Vec<(u32, u32, T)>,
-    key: fn(&(u32, u32, T)) -> u32,
+    key: impl Fn(&(u32, u32, T)) -> u32 + Copy,
     n: usize,
 ) -> Vec<(u32, u32, T)> {
     let mut next = starts(entries.iter().map(key), n);
@@ -61,6 +61,19 @@ fn scatter<T: Copy>(
         next[key(e) as usize] += 1;
     }
     out
+}
+
+/// True when the columns of each of the `nrows` rows come strictly
+/// increasing: a stable scatter by row alone puts them in normal form.
+fn rows_ascend<T>(entries: &[(u32, u32, T)], nrows: usize) -> bool {
+    // One past the last column seen in each row.
+    let mut next = vec![0u64; nrows];
+    entries.iter().all(|&(r, c, _)| {
+        let (seen, c) = (&mut next[r as usize], u64::from(c));
+        let ascends = c >= *seen;
+        *seen = c + 1;
+        ascends
+    })
 }
 
 impl<T: Scalar> Triplets<T> {
@@ -132,6 +145,17 @@ impl<T: Scalar> Triplets<T> {
         Ok(())
     }
 
+    /// The entries a walk reached, in its order, each inside the shape
+    /// and its index limit.
+    pub(crate) fn walked(nrows: usize, ncols: usize, entries: Vec<(u32, u32, T)>) -> Triplets<T> {
+        let normal = entries
+            .windows(2)
+            .all(|w| position(&w[0]) < position(&w[1]));
+        let mut t = Triplets::new(nrows, ncols);
+        (t.entries, t.normal) = (entries, normal);
+        t
+    }
+
     /// Room for `additional` more entries, so that pushing them moves
     /// none.
     pub(crate) fn reserve(&mut self, additional: usize) {
@@ -151,15 +175,23 @@ impl<T: Scalar> Triplets<T> {
     /// Sorts entries row-major and sums duplicates (in the order they
     /// were pushed). Zero values are kept: a stored zero is a
     /// *structural* nonzero, as in all classic sparse packages. Returns
-    /// at once in normal form. The sort is stable: two counting
-    /// scatters, by column and then by row, where the extents are not
-    /// far past the number of entries, a comparison sort otherwise.
+    /// at once in normal form. The sort is stable: where the extents are
+    /// not far past the number of entries, one counting scatter by row
+    /// when each row's columns come strictly increasing (a column-major
+    /// or diagonal walk), else two, by column and then by row; a
+    /// comparison sort otherwise.
     pub fn normalize(&mut self) {
         if self.normal {
             return;
         }
         if self.nrows.max(self.ncols) <= 4 * self.entries.len() {
-            let by_column = scatter(std::mem::take(&mut self.entries), |e| e.1, self.ncols);
+            let entries = std::mem::take(&mut self.entries);
+            if rows_ascend(&entries, self.nrows) {
+                // No two entries share a position: none is summed.
+                (self.entries, self.normal) = (scatter(entries, |e| e.0, self.nrows), true);
+                return;
+            }
+            let by_column = scatter(entries, |e| e.1, self.ncols);
             self.entries = scatter(by_column, |e| e.0, self.nrows);
         } else {
             self.entries.sort_by_key(position);

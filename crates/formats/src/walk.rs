@@ -11,17 +11,21 @@
 //! ends at the length of what it points into, a run is as long as the
 //! extent, the parents or the block it holds, and a permutation and its
 //! inverse undo each other. On an instance that passes, every read of the
-//! cursor is in bounds, and one cursor walk of every chain
-//! ([`crate::cursor::walk`]) does the rest: each entry, through its
-//! chain's `fwd` transforms ([`Fwd`]), lies inside the matrix and within
+//! iteration of each kind ([`crate::iterate`]) is in bounds, and one walk
+//! of every chain, the one `leveled!` derives for the view ([`Walked`]),
+//! does the rest: each entry, through its chain's `fwd` transforms,
+//! compiled once per chain ([`Fwd`]), lies inside the matrix and within
 //! the view's bounds, keys strictly increase beneath a parent where the
 //! view says `sorted`, a hashed level finds every key where it lists it,
 //! and each alternative enumerates `nnz` entries, its `stored` facts, and
 //! no entry twice.
 
-use crate::cursor::{bound, walk, walk_chain};
-use crate::level::{Arr, Base, Bound, Dim, Kind, Level, Levels, SlotAt};
-use crate::view::{Chain, FlatLevel, FormatView, Order, SearchKind, StoredGuarantee, Transform};
+use crate::cursor::{Keys, Position};
+use crate::iterate::bound;
+use crate::layout::INDEX_LIMIT;
+use crate::level::{Arr, Base, Bound, Dim, Kind, Level, Leveled, Locate, SlotAt};
+use crate::view::Transform;
+use crate::view::{Chain, FlatLevel, FormatView, Order, SearchKind, StoredGuarantee};
 use crate::{FormatError, SparseView, Triplets};
 
 /// `return Err(format!(..))`.
@@ -29,79 +33,128 @@ macro_rules! bail {
     ($($fmt:tt)+) => { return Err(format!($($fmt)+)) };
 }
 
-/// A chain's `fwd` transforms, compiled once: slot `i` of the first
-/// `keys` holds the chain's stored key `i`, slot `keys + j` what
-/// transform `j` assigns; `rc` are the slots of the dense attributes.
-pub(crate) struct Fwd {
-    keys: usize,
-    ops: Vec<Op>,
-    rc: (usize, Option<usize>),
+/// A chain's `fwd` transforms, compiled once per chain over one
+/// instance: the row and the column each a form of the chain's stored
+/// keys, its permutation table at hand.
+pub(crate) struct Fwd<'a> {
+    rc: [Form<'a>; 2],
 }
 
-/// `Σ coeff · slot + cst`, then through a table if there is one.
-type Op = (Vec<(usize, i64)>, i64, Option<Arr>);
+/// A dense coordinate: a key, as it is or through a table, or
+/// `Σ coeff · key + cst` (none for the column of a vector).
+#[derive(Clone)]
+enum Form<'a> {
+    Key(usize, Option<&'a [u32]>),
+    Affine(Vec<(usize, i64)>, i64),
+}
 
-/// The slots one evaluation holds: a chain's keys and transforms.
-const SLOTS: usize = 8;
+/// The keys one walk holds, and the keys and transforms a chain names.
+pub(crate) const SLOTS: usize = 8;
 
-impl Fwd {
-    /// Compiles `chain`'s transforms; an error where one reads a name
-    /// nothing assigns, or where keys and transforms need more than
-    /// [`SLOTS`] slots.
-    pub(crate) fn new(levels: &Levels, view: &FormatView, chain: &Chain) -> Result<Fwd, String> {
-        let (mut names, mut ops) = (chain.stored_attrs(), Vec::new());
-        let keys = names.len();
-        // The latest assignment of a name is the one read.
-        let slot = |names: &[&str], a: &str| names.iter().rposition(|&n| n == a);
-        let perm = levels.perm.ok_or("a permutation without a table");
-        let one = |a: &String| vec![(a.clone(), 1)];
+impl<'a> Fwd<'a> {
+    /// Compiles `chain`'s transforms over `m`; an error where one reads
+    /// a name nothing assigns, or one another transform assigns, or
+    /// where keys and transforms are more than [`SLOTS`].
+    pub(crate) fn new<M: Leveled + ?Sized>(
+        m: &'a M,
+        view: &FormatView,
+        chain: &Chain,
+    ) -> Result<Fwd<'a>, String> {
+        let keys = chain.stored_attrs();
+        let mut forms: Vec<(&str, Form)> = (keys.iter().enumerate())
+            .map(|(i, &a)| (a, Form::Key(i, None)))
+            .collect();
+        let perm = m.levels().perm.ok_or("a permutation without a table");
+        // The latest assignment of a name is the one read: a key.
+        let key = |forms: &[(&str, Form)], a: &str| match forms.iter().rposition(|f| f.0 == a) {
+            Some(i) if i < keys.len() => Ok(i),
+            Some(_) => Err("a transform reads what another assigns"),
+            None => Err("an attribute unbound"),
+        };
         for t in &chain.fwd {
-            let (terms, cst, table, out) = match t {
-                Transform::Affine { out, terms, cst } => (terms.clone(), *cst, None, out),
-                Transform::PermApply { input, out, .. } => (one(input), 0, Some(perm?.apply), out),
+            let (form, out) = match t {
+                Transform::Affine { out, terms, cst } => {
+                    let terms: Result<Vec<_>, _> = terms
+                        .iter()
+                        .map(|(a, k)| Ok::<_, &str>((key(&forms, a)?, *k)))
+                        .collect();
+                    let form = match (terms?, *cst) {
+                        (terms, 0) if matches!(terms[..], [(_, 1)]) => Form::Key(terms[0].0, None),
+                        (terms, cst) => Form::Affine(terms, cst),
+                    };
+                    (form, out)
+                }
+                Transform::PermApply { input, out, .. } => {
+                    let table = m.array(perm?.apply).u32s();
+                    (Form::Key(key(&forms, input)?, Some(table)), out)
+                }
                 Transform::PermUnapply { input, out, .. } => {
-                    (one(input), 0, Some(perm?.unapply), out)
+                    let table = m.array(perm?.unapply).u32s();
+                    (Form::Key(key(&forms, input)?, Some(table)), out)
                 }
             };
-            let terms: Option<_> = terms
-                .iter()
-                .map(|(a, k)| Some((slot(&names, a)?, *k)))
-                .collect();
-            ops.push((terms.ok_or("an attribute unbound")?, cst, table));
-            names.push(out);
+            forms.push((out, form));
         }
-        if names.len() > SLOTS {
-            bail!("{} keys and transforms, more than {SLOTS}", names.len());
+        if forms.len() > SLOTS {
+            bail!("{} keys and transforms, more than {SLOTS}", forms.len());
         }
-        let at = |a: Option<&String>| a.map(|a| slot(&names, a).ok_or(format!("{a} unbound")));
-        let rc = (
-            at(view.dense_attrs.first()).ok_or("no dense attribute")??,
-            at(view.dense_attrs.get(1)).transpose()?,
-        );
-        Ok(Fwd { keys, ops, rc })
+        let at = |a: &String| match forms.iter().rev().find(|f| f.0 == a) {
+            Some(f) => Ok(f.1.clone()),
+            None => Err(format!("{a} unbound")),
+        };
+        let r = at(view.dense_attrs.first().ok_or("no dense attribute")?)?;
+        let c = view.dense_attrs.get(1).map(at).transpose()?;
+        Ok(Fwd {
+            rc: [r, c.unwrap_or(Form::Affine(Vec::new(), 0))],
+        })
     }
 
-    /// The dense coordinates of the entry `m` stores under `keys`; an
-    /// error where a table has no such entry or the arithmetic overflows.
-    pub(crate) fn eval(&self, m: &dyn SparseView, keys: &[i64]) -> Result<(i64, i64), String> {
-        let mut s = [0i64; SLOTS];
-        s[..self.keys].copy_from_slice(keys);
-        let lookup =
-            |t: Arr, x: i64| Some(i64::from(*m.array(t).u32s().get(usize::try_from(x).ok()?)?));
-        for (j, (terms, cst, table)) in self.ops.iter().enumerate() {
-            let x = terms
-                .iter()
-                .try_fold(*cst, |x, &(i, k)| k.checked_mul(s[i])?.checked_add(x));
-            s[self.keys + j] = match (x, table) {
-                (None, _) => bail!("an affine map overflows"),
-                (Some(x), None) => x,
-                (Some(x), Some(t)) => {
-                    lookup(*t, x).ok_or_else(|| format!("the permutation has no entry {x}"))?
-                }
-            };
-        }
-        Ok((s[self.rc.0], self.rc.1.map_or(0, |c| s[c])))
+    /// The dense coordinates of the entry stored under `keys`; an error
+    /// where a table has no such entry or the arithmetic overflows.
+    #[inline(always)]
+    pub(crate) fn eval(&self, keys: &[i64]) -> Result<(i64, i64), String> {
+        let at = |form: &Form| match *form {
+            Form::Key(i, None) => Ok(keys[i]),
+            Form::Key(i, Some(t)) => match usize::try_from(keys[i]).ok().and_then(|i| t.get(i)) {
+                Some(&y) => Ok(i64::from(y)),
+                None => bail!("the permutation has no entry {}", keys[i]),
+            },
+            Form::Affine(ref terms, cst) => {
+                let x = (terms.iter())
+                    .try_fold(cst, |x, &(i, k)| k.checked_mul(keys[i])?.checked_add(x));
+                x.ok_or_else(|| "an affine map overflows".to_string())
+            }
+        };
+        Ok((at(&self.rc[0])?, at(&self.rc[1])?))
     }
+}
+
+/// The walk `leveled!` derives for each view: each chain's levels
+/// nested, every level a constant, so that each folds to the iteration
+/// of its kind (`ChainCursor`). `step` sees each position of each level, its
+/// depth, whether it is the first beneath its parent, the parent, its
+/// keys and itself; `leaf` each entry, the keys of all its levels and
+/// its position. The first error of either ends the walk.
+pub(crate) trait Walked: SparseView {
+    fn walk_with<S: Step, L: Leaf>(&self, chain: usize, step: S, leaf: L) -> Res;
+}
+
+pub(crate) type Res = Result<(), String>;
+
+/// What a walk does at each position of a level.
+pub(crate) trait Step: FnMut((usize, bool, Position), &Keys, Position) -> Res {}
+
+impl<S: FnMut((usize, bool, Position), &Keys, Position) -> Res> Step for S {}
+
+/// What a walk does at each entry.
+pub(crate) trait Leaf: FnMut(&[i64], Position) -> Res {}
+
+impl<L: FnMut(&[i64], Position) -> Res> Leaf for L {}
+
+/// A step that checks nothing.
+#[inline(always)]
+pub(crate) fn no_step(_: (usize, bool, Position), _: &Keys, _: Position) -> Res {
+    Ok(())
 }
 
 /// Every array of every level of every chain, as long as the levels
@@ -329,8 +382,8 @@ pub(crate) fn inside(r: i64, c: i64, nrows: usize, ncols: usize) -> Result<(), S
 /// typed verdict for data that would otherwise surface as an
 /// out-of-bounds read deep inside a kernel. `residue` checks, last, what
 /// no level says.
-pub(crate) fn validate(
-    m: &dyn SparseView,
+pub(crate) fn validate<M: Walked>(
+    m: &M,
     residue: impl FnOnce() -> Result<(), String>,
 ) -> Result<(), FormatError> {
     let levels = m.levels();
@@ -351,26 +404,53 @@ pub(crate) fn validate(
     for (a, alt) in alts.iter().enumerate() {
         let (mut count, mut diagonal, mut seen) = (0, 0, Vec::new());
         for chain in alt {
-            let fwd = Fwd::new(levels, &view, chain).map_err(invalid)?;
-            let mut entry = |keys: &[i64], _| {
-                let (r, c) = fwd.eval(m, keys)?;
-                inside(r, c, nrows, ncols)?;
-                for b in &view.bounds {
-                    let v = b.terms.iter().try_fold(b.cst, |v, (a, k)| {
-                        let x = *[r, c].get(view.dense_attrs.iter().position(|d| d == a)?)?;
-                        k.checked_mul(x)?.checked_add(v)
-                    });
-                    if v.is_none_or(|v| v < 0) {
-                        bail!("entry ({r}, {c}) breaks the view's bound {b:?}");
+            let fwd = Fwd::new(m, &view, chain).map_err(invalid)?;
+            // Beneath one parent, keys strictly increase at a level the
+            // view says `sorted`, and a hashed level finds every key where
+            // it lists it.
+            let described = levels.chains.get(chain.id).map_or(&[][..], |c| c.levels);
+            let mut prev = [Keys::default(); SLOTS];
+            let walked = m.walk_with(
+                chain.id,
+                #[inline(always)]
+                |(level, first, parent): (usize, bool, Position), k: &Keys, pos| {
+                    let flat = chain.levels.get(level);
+                    let sorted = flat.is_some_and(|l| l.order == Order::Increasing);
+                    if sorted && !first && *prev[level] >= **k {
+                        let (p, k) = (&*prev[level], &**k);
+                        let e =
+                            format!("keys not strictly increasing beneath {parent} ({p:?}, {k:?})");
+                        bail!("level {level}: {e}");
                     }
-                }
-                (count, diagonal) = (count + 1, diagonal + usize::from(r == c));
-                if !any_ordered {
-                    seen.push((r, c));
-                }
-                Ok(())
-            };
-            let walked = walk(m, (chain.id, 0, 0), &mut vec![], Some(chain), &mut entry);
+                    let hashed =
+                        flat.is_some() && matches!(described[level].locate, Locate::Hash(_));
+                    if hashed && m.search(chain.id, level, parent, k) != Some(pos) {
+                        let e = format!("does not find key {} at {pos}, where it is listed", k[0]);
+                        bail!("the map {e}");
+                    }
+                    prev[level] = *k;
+                    Ok(())
+                },
+                #[inline(always)]
+                |keys: &[i64], _| {
+                    let (r, c) = fwd.eval(keys)?;
+                    inside(r, c, nrows, ncols)?;
+                    for b in &view.bounds {
+                        let v = b.terms.iter().try_fold(b.cst, |v, (a, k)| {
+                            let x = *[r, c].get(view.dense_attrs.iter().position(|d| d == a)?)?;
+                            k.checked_mul(x)?.checked_add(v)
+                        });
+                        if v.is_none_or(|v| v < 0) {
+                            bail!("entry ({r}, {c}) breaks the view's bound {b:?}");
+                        }
+                    }
+                    (count, diagonal) = (count + 1, diagonal + usize::from(r == c));
+                    if !any_ordered {
+                        seen.push((r, c));
+                    }
+                    Ok(())
+                },
+            );
             walked.map_err(|e| invalid(format!("chain {}: {e}", chain.id)))?;
         }
         seen.sort_unstable();
@@ -396,29 +476,114 @@ pub(crate) fn validate(
 /// through its `fwd` transforms, in normal form: a walk that is row-major
 /// already (CSR, DCSR, ELL, BSR, VBR, Sky) sorts nothing. A view that
 /// stores every position hands out its nonzeros only. An instance
-/// `validate` refuses may panic here.
-pub(crate) fn to_triplets(m: &dyn SparseView) -> Triplets<f64> {
-    let (levels, view) = (m.levels(), m.static_view());
-    let all = view.guarantees.contains(&StoredGuarantee::AllPositions);
-    let mut t = Triplets::new(m.nrows(), m.ncols());
-    for chain in view.alternatives().into_iter().next().unwrap_or_default() {
-        let fwd = Fwd::new(levels, &view, &chain).ok();
-        // Each value the chain stores is one entry, unless zeros drop.
-        let stored = levels
-            .chains
-            .get(chain.id)
-            .map_or(0, |c| m.array(c.values).len());
-        t.reserve(if all { 0 } else { stored });
-        walk_chain(m, chain.id, &mut |keys, v| {
-            // Where no transform gives coordinates, ones no matrix has:
-            // the push refuses them.
-            let rc = fwd.as_ref().and_then(|f| f.eval(m, keys).ok());
-            let (r, c) = rc.unwrap_or((-1, -1));
-            if !(all && v == 0.0) {
-                t.push(r as usize, c as usize, v);
-            }
-        });
+/// `validate` refuses may panic here: the first entry outside the
+/// matrix is refused as `Triplets::push` refuses it.
+pub(crate) fn to_triplets<M: Walked>(m: &M) -> Triplets<f64> {
+    let (mut entries, refused) = collect(m, |r, c, v| (r, c, v));
+    // The entry `push` refuses, after those it takes.
+    if let Some((n, ..)) = refused {
+        entries.truncate(n);
+    }
+    let mut t = Triplets::walked(m.nrows(), m.ncols(), entries);
+    if let Some((_, r, c, v)) = refused {
+        t.push(r as usize, c as usize, v);
     }
     t.normalize();
     t
+}
+
+/// `SparseMatrix::entries`: `to_triplets` at the width of the dense
+/// API. A view whose rows are its outermost level is collected at that
+/// width as it is walked, kept where its entries come strictly
+/// row-major inside the matrix (they do on every instance `validate`
+/// accepts), as `to_triplets` would hand them out.
+pub(crate) fn entries<M: Walked>(m: &M) -> Vec<(usize, usize, f64)> {
+    if m.levels().rows_outermost() {
+        let (wide, refused) = collect(m, |r, c, v| (r as usize, c as usize, v));
+        let ascends = wide.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+        if refused.is_none() && ascends {
+            return wide;
+        }
+    }
+    to_triplets(m).wide_entries()
+}
+
+/// The entries of the view's first alternative in walk order, each
+/// made by `make` of its coordinates and its value, and the first one
+/// `Triplets::push` refuses.
+fn collect<M: Walked, E>(m: &M, make: impl Fn(u32, u32, f64) -> E + Copy) -> Pushed<E> {
+    let (levels, view) = (m.levels(), m.static_view());
+    let all = view.guarantees.contains(&StoredGuarantee::AllPositions);
+    let (nrows, ncols) = (m.nrows(), m.ncols());
+    let mut pushed = (Vec::new(), None);
+    for chain in view.alternatives().into_iter().next().unwrap_or_default() {
+        let fwd = Fwd::new(m, &view, &chain).ok();
+        // Each value the chain stores is one entry, unless zeros drop.
+        let described = levels.chains.get(chain.id);
+        let Some(values) = described.map(|c| m.array(c.values).values()) else {
+            continue;
+        };
+        pushed.0.reserve_exact(if all { 0 } else { values.len() });
+        let walked = (chain.id, fwd.as_ref(), values, all);
+        pushed = push_chain(m, walked, (nrows, ncols), pushed, make);
+    }
+    pushed
+}
+
+/// Entries in walk order, and the first `Triplets::push` refuses, with
+/// how many came before it.
+type Pushed<E> = (Vec<E>, Option<(usize, i64, i64, f64)>);
+
+/// Pushes the entries of a chain, each value of `values` at the
+/// coordinates `fwd` gives its keys (`(-1, -1)` where it gives none), a
+/// stored zero left out where `all` positions are stored; notes in
+/// `refused` the first whose coordinates `Triplets::push` refuses, and
+/// how many came before it. A function of its own, so that each
+/// view's loop is compiled apart from what its callers do.
+#[inline(never)]
+fn push_chain<M: Walked, E>(
+    m: &M,
+    (chain, fwd, values, all): (usize, Option<&Fwd>, &[f64], bool),
+    (nrows, ncols): (usize, usize),
+    (mut entries, mut refused): Pushed<E>,
+    make: impl Fn(u32, u32, f64) -> E,
+) -> Pushed<E> {
+    // Inside the shape and the index limit, as `u64`s.
+    let fits = |n: usize| n.min(INDEX_LIMIT + 1) as u64;
+    let (rows, cols) = (fits(nrows), fits(ncols));
+    // Keys the loop holds in place of the forms; a key through a table
+    // that has no entry for it is refused as `eval` refuses it.
+    let keyed = match fwd.map(|f| &f.rc) {
+        Some([Form::Key(i, t), Form::Key(j, u)]) => Some([(*i, *t), (*j, *u)]),
+        _ => None,
+    };
+    let at = |keys: &[i64], (i, t): (usize, Option<&[u32]>)| match t {
+        None => Some(keys[i]),
+        Some(t) => usize::try_from(keys[i])
+            .ok()
+            .and_then(|k| t.get(k))
+            .map(|&y| i64::from(y)),
+    };
+    let _ = m.walk_with(
+        chain,
+        no_step,
+        #[inline(always)]
+        |keys: &[i64], pos| {
+            let rc = match (keyed, fwd) {
+                (Some([r, c]), _) => at(keys, r).zip(at(keys, c)),
+                (None, Some(fwd)) => fwd.eval(keys).ok(),
+                (None, None) => None,
+            };
+            let (r, c) = rc.unwrap_or((-1, -1));
+            let v = values[pos];
+            if !(all && v == 0.0) {
+                if refused.is_none() & ((r as u64 >= rows) | (c as u64 >= cols)) {
+                    refused = Some((entries.len(), r, c, v));
+                }
+                entries.push(make(r as u32, c as u32, v));
+            }
+            Ok(())
+        },
+    );
+    (entries, refused)
 }
