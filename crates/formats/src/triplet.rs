@@ -131,18 +131,26 @@ impl<T: Scalar> Triplets<T> {
     /// narrowed to `u32`. In a matrix whose shape is past the index limit,
     /// a coordinate past `u32::MAX` is [`FormatError::IndexLimit`].
     pub fn try_push(&mut self, r: usize, c: usize, v: T) -> Result<(), FormatError> {
-        let (nrows, ncols) = (self.nrows, self.ncols);
-        let out_of_range = FormatError::EntryOutOfRange { r, c, nrows, ncols };
-        let (Ok(row), Ok(col)) = (u32::try_from(r), u32::try_from(c)) else {
-            crate::layout::check_index_limit(nrows, ncols, self.nnz())?;
-            return Err(out_of_range);
-        };
-        if r >= nrows || c >= ncols {
-            return Err(out_of_range);
+        match (u32::try_from(r), u32::try_from(c)) {
+            (Ok(row), Ok(col)) if r < self.nrows && c < self.ncols => {
+                self.normal &= self.entries.last().is_none_or(|l| position(l) < (r, c));
+                self.entries.push((row, col, v));
+                Ok(())
+            }
+            _ => Err(self.refusal(r, c)),
         }
-        self.normal &= self.entries.last().is_none_or(|l| position(l) < (r, c));
-        self.entries.push((row, col, v));
-        Ok(())
+    }
+
+    /// Why [`try_push`](Self::try_push) refuses `(r, c)`: built only on
+    /// refusal, out of the way of every push that is taken.
+    #[cold]
+    fn refusal(&self, r: usize, c: usize) -> FormatError {
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let narrow = u32::try_from(r).is_ok() && u32::try_from(c).is_ok();
+        match crate::layout::check_index_limit(nrows, ncols, self.nnz()) {
+            Err(limit) if !narrow => limit,
+            _ => FormatError::EntryOutOfRange { r, c, nrows, ncols },
+        }
     }
 
     /// The entries a walk reached, in its order, each inside the shape

@@ -401,30 +401,49 @@ pub(crate) fn validate<M: Walked>(
     let ordered = |l: &FlatLevel| l.order == Order::Increasing || l.search == SearchKind::Hash;
     let one_ordered = |a: &Vec<Chain>| matches!(&a[..], [c] if c.levels.iter().all(ordered));
     let any_ordered = alts.iter().any(one_ordered);
+    // Each of the view's bounds over the entry's `[r, c]`: a term whose
+    // attribute is neither breaks it.
+    let bounds: Vec<_> = (view.bounds.iter())
+        .map(|b| {
+            let at = |a: &String| {
+                view.dense_attrs
+                    .iter()
+                    .position(|d| d == a)
+                    .filter(|&i| i < 2)
+            };
+            let terms: Vec<_> = b.terms.iter().map(|(a, k)| (at(a), *k)).collect();
+            (b, terms)
+        })
+        .collect();
     for (a, alt) in alts.iter().enumerate() {
         let (mut count, mut diagonal, mut seen) = (0, 0, Vec::new());
         for chain in alt {
             let fwd = Fwd::new(m, &view, chain).map_err(invalid)?;
             // Beneath one parent, keys strictly increase at a level the
             // view says `sorted`, and a hashed level finds every key where
-            // it lists it.
+            // it lists it: each a flag per level, read once per chain.
             let described = levels.chains.get(chain.id).map_or(&[][..], |c| c.levels);
+            let flat = |l: usize| chain.levels.get(l);
+            let sorted: [bool; SLOTS] =
+                std::array::from_fn(|l| flat(l).is_some_and(|f| f.order == Order::Increasing));
+            let hashed: [bool; SLOTS] = std::array::from_fn(|l| {
+                flat(l).is_some()
+                    && described
+                        .get(l)
+                        .is_some_and(|d| matches!(d.locate, Locate::Hash(_)))
+            });
             let mut prev = [Keys::default(); SLOTS];
             let walked = m.walk_with(
                 chain.id,
                 #[inline(always)]
                 |(level, first, parent): (usize, bool, Position), k: &Keys, pos| {
-                    let flat = chain.levels.get(level);
-                    let sorted = flat.is_some_and(|l| l.order == Order::Increasing);
-                    if sorted && !first && *prev[level] >= **k {
+                    if sorted[level] && !first && *prev[level] >= **k {
                         let (p, k) = (&*prev[level], &**k);
                         let e =
                             format!("keys not strictly increasing beneath {parent} ({p:?}, {k:?})");
                         bail!("level {level}: {e}");
                     }
-                    let hashed =
-                        flat.is_some() && matches!(described[level].locate, Locate::Hash(_));
-                    if hashed && m.search(chain.id, level, parent, k) != Some(pos) {
+                    if hashed[level] && m.search(chain.id, level, parent, k) != Some(pos) {
                         let e = format!("does not find key {} at {pos}, where it is listed", k[0]);
                         bail!("the map {e}");
                     }
@@ -435,10 +454,9 @@ pub(crate) fn validate<M: Walked>(
                 |keys: &[i64], _| {
                     let (r, c) = fwd.eval(keys)?;
                     inside(r, c, nrows, ncols)?;
-                    for b in &view.bounds {
-                        let v = b.terms.iter().try_fold(b.cst, |v, (a, k)| {
-                            let x = *[r, c].get(view.dense_attrs.iter().position(|d| d == a)?)?;
-                            k.checked_mul(x)?.checked_add(v)
+                    for (b, terms) in &bounds {
+                        let v = terms.iter().try_fold(b.cst, |v, &(at, k)| {
+                            k.checked_mul([r, c][at?])?.checked_add(v)
                         });
                         if v.is_none_or(|v| v < 0) {
                             bail!("entry ({r}, {c}) breaks the view's bound {b:?}");

@@ -56,6 +56,22 @@
 //! The operations and their order are the tree's. Where an index fails,
 //! the loop runs iteration by iteration through the tree, so its fault
 //! and what it wrote before are the tree's.
+//!
+//! Such a loop whose write and `r0` are one cell in each iteration (held
+//! or zipped: mvm, mvmᵀ, ts, spdot), and one of whose factors is a dense
+//! line read at step 1, visits only the line's stored cells where that
+//! is exact. Between two stored cells lies a *zero run*: iterations in
+//! which the line reads `+0.0`, so each computes `w ± (+0.0 × c)` into
+//! the cell `w` it reads, `c` the other factor. Where `c` is finite the
+//! product is a zero, and adding a zero of either sign, or taking one
+//! away, leaves every `w` as it is but `-0.0`, which `+0.0` turns into
+//! `+0.0`; a NaN or an infinite `c` makes a NaN. So a zero run is
+//! skipped where every `c` the loop reads is finite (a value read once,
+//! or a vector the loop does not write and that holds no NaN or
+//! infinity) and no cell it would write holds `-0.0` (the held value,
+//! or the written vector's count, which every write of the run keeps);
+//! otherwise it runs as before. A stored cell, a stored zero too, is
+//! always visited.
 
 use crate::ast::*;
 use crate::expr::{AffineExpr, SlotExpr};
@@ -207,6 +223,7 @@ pub fn run_dense(p: &Program, env: &mut DenseEnv) -> Result<(), ExecError> {
     drop(names);
     let mut state = State {
         frame,
+        tallies: vectors.iter().map(|v| Tally::of(v)).collect(),
         vectors,
         fault: Cell::new(None),
     };
@@ -497,6 +514,8 @@ struct Order {
     start: Vec<usize>,
     at: Vec<usize>,
     values: Vec<f64>,
+    /// Each line's indices strictly ascend.
+    sorted: bool,
 }
 
 /// The copy of a matrix a run reads: its entries, and the orders its
@@ -548,7 +567,13 @@ impl Order {
             (at[next[l]], values[next[l]]) = (a, v);
             next[l] += 1;
         }
-        Order { start, at, values }
+        let sorted = (0..lines).all(|l| at[start[l]..start[l + 1]].is_sorted_by(|p, q| p < q));
+        Order {
+            start,
+            at,
+            values,
+            sorted,
+        }
     }
 
     fn lines(&self) -> usize {
@@ -633,8 +658,53 @@ impl Line {
 struct State<'v> {
     frame: Vec<i64>,
     vectors: Vec<&'v [Cell<f64>]>,
+    /// Each vector's [`Tally`].
+    tallies: Vec<Tally>,
     fault: Cell<Option<ExecError>>,
 }
+
+/// How many cells of a vector hold `-0.0`, and how many a NaN or an
+/// infinity, kept by every write of the run: what a whole loop asks, in
+/// O(1), before it skips a zero run.
+#[derive(Default)]
+struct Tally(Cell<[usize; 2]>);
+
+impl Tally {
+    fn of(cells: &[Cell<f64>]) -> Tally {
+        let tally = Tally::default();
+        cells.iter().for_each(|x| tally.count(0.0, x.get()));
+        tally
+    }
+
+    /// `cell = x`, counted.
+    #[inline]
+    fn set(&self, cell: &Cell<f64>, x: f64) {
+        self.count(cell.replace(x), x);
+    }
+
+    #[inline]
+    fn count(&self, old: f64, new: f64) {
+        let odd = |x: f64| {
+            [
+                usize::from(x.to_bits() == NEGATIVE_ZERO),
+                usize::from(!x.is_finite()),
+            ]
+        };
+        let ([z, f], [dz, df], [oz, of]) = (self.0.get(), odd(new), odd(old));
+        self.0.set([z + dz - oz, f + df - of]);
+    }
+
+    fn no_negative_zero(&self) -> bool {
+        self.0.get()[0] == 0
+    }
+
+    fn finite(&self) -> bool {
+        self.0.get()[1] == 0
+    }
+}
+
+/// The bits of `-0.0`.
+const NEGATIVE_ZERO: u64 = (-0.0f64).to_bits();
 
 impl State<'_> {
     /// Records the error unless a read before this one in the statement
@@ -690,7 +760,7 @@ impl Op<'_> {
                 }
                 let v = s.vectors[*to];
                 match at.eval(&s.frame) {
-                    Some(i) if (i as u64) < v.len() as u64 => v[i as usize].set(x),
+                    Some(i) if (i as u64) < v.len() as u64 => s.tallies[*to].set(&v[i as usize], x),
                     Some(i) => return s.halt(format!("bad vector write {lhs} at [{i}]")),
                     None => return s.halt(format!("vector write {lhs} overflows")),
                 }
@@ -741,15 +811,35 @@ impl Whole {
         };
         let fixed = |k: usize, p: Pos| k != self.to.0 || !writes.contains(&p.0);
         let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span, n, &fixed));
-        let reads = [stream(r0, p0, n, fixed(self.r0.0, p0)), r1?, r2?];
+        let ((r1, z1), (r2, z2)) = (r1?, r2?);
+        let reads = [stream(r0, p0, n, fixed(self.r0.0, p0)), r1, r2];
         let held = self.holds && at.1 == 0 && p0 == at;
+        let zipped = at.1 == 1 && self.r0.0 == self.to.0 && p0 == at;
+        // Every value the other factor reads is finite: one read once,
+        // or a vector the loop does not write and that holds no NaN or
+        // infinity.
+        let finite = |other: &Read, stream| match (other, stream) {
+            (_, Stream::Held(x)) => x.is_finite(),
+            (Read::Vector(v, _), _) => *v != self.to.0 && s.tallies[*v].finite(),
+            _ => false,
+        };
+        let zeros = match (z1, z2) {
+            (Some(z), _) if finite(&self.reads[1], r2) => Some(z),
+            (_, Some(z)) if finite(&self.reads[0], r1) => Some(z),
+            _ => None,
+        };
+        let (tally, zeros) = (&s.tallies[self.to.0], zeros.filter(|_| held || zipped));
         match self.sub {
-            true => fused::<true>(n, (to, at), held, reads),
-            false => fused::<false>(n, (to, at), held, reads),
+            true => fused::<true>(n, (to, at, tally), held, reads, zeros),
+            false => fused::<false>(n, (to, at, tally), held, reads, zeros),
         }
         Some(())
     }
 }
+
+/// The stored cells a [`Whole`] loop's line reads, as indices across the
+/// line, ascending, and the index it reads in the first iteration.
+type Zeros<'s> = (&'s [usize], usize);
 
 /// An index over a [`Whole`] loop's range, known to stay in range: its
 /// value in the first iteration and its step, both wrapping.
@@ -764,26 +854,25 @@ impl Pos {
     }
 }
 
-/// Where an index over the whole range starts and how it moves, if it
-/// stays below the length given.
-type Span<'f> = dyn FnMut(&SlotExpr, usize) -> Option<Pos> + 'f;
-
 impl Read {
     /// The read as a [`Stream`] over `n` iterations: a line is filled
     /// here, once for the whole range, since its line index does not
-    /// move with the loop. `fixed` says whether a vector's cell at a
-    /// position is one the loop leaves as it is.
+    /// move with the loop. `span` says where an index starts and how it
+    /// moves, if it stays below the length given; `fixed`, whether a
+    /// vector's cell at a position is one the loop leaves as it is.
+    /// Beside it, where the read is a line at step 1 of an order whose
+    /// lines ascend, the stored cells it reads.
     fn stream<'s>(
         &'s self,
         vectors: &[&'s [Cell<f64>]],
-        span: &mut Span,
+        span: &mut impl FnMut(&SlotExpr, usize) -> Option<Pos>,
         n: usize,
-        fixed: &dyn Fn(usize, Pos) -> bool,
-    ) -> Option<Stream<'s>> {
+        fixed: &impl Fn(usize, Pos) -> bool,
+    ) -> Option<(Stream<'s>, Option<Zeros<'s>>)> {
         Some(match self {
             Read::Vector(k, i) => {
                 let at = span(i, vectors[*k].len())?;
-                stream(vectors[*k], at, n, fixed(*k, at))
+                (stream(vectors[*k], at, n, fixed(*k, at)), None)
             }
             Read::Line(line, l, a) => {
                 let Pos(l, 0) = span(l, line.order.lines())? else {
@@ -791,11 +880,17 @@ impl Read {
                 };
                 let a = span(a, line.cells.len())?;
                 line.fill(l);
-                stream(&line.cells, a, n, true)
+                let stored = line.order.line(l).0;
+                let run = || {
+                    stored.partition_point(|&p| p < a.0)..stored.partition_point(|&p| p < a.0 + n)
+                };
+                let zeros = (a.1 == 1 && line.order.sorted).then(|| (&stored[run()], a.0));
+                (stream(&line.cells, a, n, true), zeros)
             }
-            Read::Search(rows, cols, i, j) => {
-                Stream::Searched(rows, span(i, rows.lines())?, span(j, *cols)?)
-            }
+            Read::Search(rows, cols, i, j) => (
+                Stream::Searched(rows, span(i, rows.lines())?, span(j, *cols)?),
+                None,
+            ),
         })
     }
 }
@@ -840,17 +935,25 @@ macro_rules! src {
 /// cell, which does not move and which no other read reads: the loop
 /// holds its value and writes it once, at the end. A run of written
 /// cells is zipped with the reads. Either loop is an instance for the
-/// shape of each of its reads, with no check per iteration.
-fn fused<const SUB: bool>(n: usize, (to, at): (&[Cell<f64>], Pos), held: bool, reads: [Stream; 3]) {
+/// shape of each of its reads, with no check per iteration. Either
+/// skips the zero runs between the `zeros` where that is exact. Every
+/// write is counted in the written vector's tally.
+fn fused<const SUB: bool>(
+    n: usize,
+    (to, at, tally): (&[Cell<f64>], Pos, &Tally),
+    held: bool,
+    reads: [Stream; 3],
+    zeros: Option<Zeros>,
+) {
     let [r0, r1, r2] = reads;
     match at {
-        Pos(t, 0) if held => {
-            src!(r1, b => src!(r2, c => to[t].set(hold::<SUB>(n, to[t].get(), b, c))))
-        }
-        Pos(t, 1) => {
-            src!(r0, a => src!(r1, b => src!(r2, c => zip::<SUB>(&to[t..t + n], a, b, c))))
-        }
-        _ => (0..n).for_each(|k| to[at.at(k)].set(op::<SUB>(r0.at(k), r1.at(k), r2.at(k)))),
+        Pos(t, 0) if held => src!(r1, b => src!(r2, c => {
+            tally.set(&to[t], hold::<SUB>(n, to[t].get(), b, c, zeros))
+        })),
+        Pos(t, 1) => src!(r0, a => src!(r1, b => src!(r2, c => {
+            zip::<SUB>((&to[t..t + n], tally), a, b, c, zeros)
+        }))),
+        _ => (0..n).for_each(|k| tally.set(&to[at.at(k)], op::<SUB>(r0.at(k), r1.at(k), r2.at(k)))),
     }
 }
 
@@ -866,18 +969,61 @@ fn op<const SUB: bool>(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// `n` iterations of `acc = acc ± b * c`; the last `acc`.
-fn hold<const SUB: bool>(n: usize, acc: f64, b: impl Src, c: impl Src) -> f64 {
+/// `n` iterations of `acc = acc ± b * c`; the last `acc`. A zero run
+/// leaves an `acc` that is not `-0.0` as it is.
+fn hold<const SUB: bool>(
+    n: usize,
+    acc: f64,
+    b: impl Src,
+    c: impl Src,
+    zeros: Option<Zeros>,
+) -> f64 {
     let (b, c) = (b.first(n), c.first(n));
-    (0..n).fold(acc, |acc, k| op::<SUB>(acc, b.at(k), c.at(k)))
+    let same = |acc: &f64| acc.to_bits() != NEGATIVE_ZERO;
+    sweep(n, zeros, acc, same, |acc, k| {
+        op::<SUB>(acc, b.at(k), c.at(k))
+    })
 }
 
-/// `to[k] = a ± b * c` for every cell `k` of `to`, in turn.
-fn zip<const SUB: bool>(to: &[Cell<f64>], a: impl Src, b: impl Src, c: impl Src) {
+/// `to[k] = a ± b * c` for every cell `k` of `to`, in turn, `a` reading
+/// `to[k]`. A zero run leaves every cell of a vector that holds no
+/// `-0.0` as it is.
+fn zip<const SUB: bool>(
+    (to, tally): (&[Cell<f64>], &Tally),
+    a: impl Src,
+    b: impl Src,
+    c: impl Src,
+    zeros: Option<Zeros>,
+) {
     let (a, b, c) = (a.first(to.len()), b.first(to.len()), c.first(to.len()));
-    for (k, to) in to.iter().enumerate() {
-        to.set(op::<SUB>(a.at(k), b.at(k), c.at(k)));
+    let step = |(), k: usize| tally.set(&to[k], op::<SUB>(a.at(k), b.at(k), c.at(k)));
+    sweep(to.len(), zeros, (), |()| tally.no_negative_zero(), step)
+}
+
+/// `step` over the iterations `0..n` in turn, from `init`. With `zeros`,
+/// each zero run between the stored cells is skipped where `same` says,
+/// at its start, that the run leaves what it writes as it is.
+#[inline(always)]
+fn sweep<A>(
+    n: usize,
+    zeros: Option<Zeros>,
+    init: A,
+    same: impl Fn(&A) -> bool,
+    step: impl Fn(A, usize) -> A,
+) -> A {
+    let Some((stored, first)) = zeros else {
+        return (0..n).fold(init, step);
+    };
+    let run = |acc: A, run: std::ops::Range<usize>| match same(&acc) {
+        true => acc,
+        false => run.fold(acc, &step),
+    };
+    let (mut acc, mut k) = (init, 0);
+    for q in stored.iter().map(|&p| p - first) {
+        acc = step(run(acc, k..q), q);
+        k = q + 1;
     }
+    run(acc, k..n)
 }
 
 /// A [`Stream`] in the form its shape allows: a value read once, a
@@ -1473,6 +1619,82 @@ mod tests {
                 }
             }
         })
+    }
+
+    const ROWS: &str = "for i in 0..N { for j in 0..N { s[i] = s[i] # A[i][j] * x[j]; } }";
+
+    /// `ROWS` with `#` as `sign` over a 4×4 CSR of `entries`: `s`
+    /// afterwards, as bits, which must be what the same loops leave in
+    /// it over `get`.
+    fn rows(
+        sign: char,
+        entries: &[(usize, usize, f64)],
+        x: [f64; 4],
+        s: [f64; 4],
+    ) -> Result<Vec<u64>, crate::IrError> {
+        let a = Csr::from_triplets(&Triplets::from_entries(4, 4, entries));
+        let mut want = s;
+        for (i, s) in want.iter_mut().enumerate() {
+            for (j, x) in x.iter().enumerate() {
+                let p = a.get(i, j) * x;
+                *s = if sign == '+' { *s + p } else { *s - p };
+            }
+        }
+        let got = run_nest(&ROWS.replace('#', &sign.to_string()), &a, &x, s)?;
+        assert_eq!(
+            got,
+            (String::new(), bits(&want)),
+            "{sign} {entries:?} {x:?} {s:?}"
+        );
+        Ok(got.1)
+    }
+
+    /// `+0.0 × ∞` and `+0.0 × NaN` are NaN: a zero run whose other
+    /// factor is not finite is not skipped.
+    #[test]
+    fn a_non_finite_factor_under_an_unstored_cell_makes_a_nan() -> Result<(), crate::IrError> {
+        let stored = [(0, 0, 1.0), (1, 3, 2.0)];
+        for odd in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let s = rows('+', &stored, [1.0, odd, 2.0, 3.0], [0.5; 4])?;
+            assert!(s.iter().all(|&x| f64::from_bits(x).is_nan()), "{odd}");
+        }
+        Ok(())
+    }
+
+    /// `-0.0 + (+0.0 × 3.0)` is `+0.0`, and so is `-0.0 - (+0.0 × -3.0)`:
+    /// a held `-0.0` is not carried over a zero run.
+    #[test]
+    fn a_negative_zero_accumulator_meets_an_unstored_cell() -> Result<(), crate::IrError> {
+        let s = [-0.0, -0.0, 1.0, -0.0];
+        let plus = rows('+', &[(1, 1, 2.0)], [3.0, 1.0, 2.0, 4.0], s)?;
+        assert_eq!(plus[0], 0.0f64.to_bits());
+        let minus = rows('-', &[(1, 1, 2.0)], [-3.0, -1.0, -2.0, -4.0], s)?;
+        assert_eq!(minus[0], 0.0f64.to_bits());
+        Ok(())
+    }
+
+    /// ts's scatter: `b[1] = -0.0 - (+0.0 × -2.0)` is `+0.0`, so a zero
+    /// run over a vector that holds `-0.0` runs.
+    #[test]
+    fn a_scatter_over_a_negative_zero_keeps_the_bits_of_get() -> Result<(), crate::IrError> {
+        let a = Csr::from_triplets(&Triplets::from_entries(4, 4, &[(3, 0, 1.0)]));
+        let nest = "for j in 0..N { for i in j+1..N { s[i] = s[i] - A[i][j] * s[j]; } }";
+        let got = run_nest(nest, &a, &[0.0; 4], [-2.0, -0.0, 5.0, 1.0])?;
+        assert_eq!(got, (String::new(), bits(&[-2.0, 0.0, 5.0, 3.0])));
+        Ok(())
+    }
+
+    /// A stored `+0.0` and a stored `-0.0` are visited as stored: each
+    /// turns a held `-0.0` into `+0.0` where its product is `+0.0`, and
+    /// the unstored cells after it, under negative `x`, would not.
+    #[test]
+    fn stored_zeros_are_processed_as_stored() -> Result<(), crate::IrError> {
+        let (stored, s) = ([(0, 0, 0.0), (1, 0, -0.0)], [-0.0, -0.0, 1.0, 1.0]);
+        let positive = rows('+', &stored, [2.0, -1.0, -1.0, -1.0], s)?;
+        assert_eq!(positive[..2], [0.0f64.to_bits(), (-0.0f64).to_bits()]);
+        let negative = rows('+', &stored, [-2.0, -1.0, -1.0, -1.0], s)?;
+        assert_eq!(negative[..2], [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
+        Ok(())
     }
 
     /// A matrix whose `entries()` come last to first.

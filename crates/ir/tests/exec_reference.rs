@@ -201,6 +201,10 @@ struct Gen {
     /// with its loop, and each read of its product is, half the time, a
     /// read of `u`.
     fixed: bool,
+    /// A constant is, one time in eight, `-0.0`, and one in eleven `±∞`
+    /// or NaN, and a read
+    /// of a product is, half the time, one of `A`.
+    odd: bool,
 }
 
 fn var(name: &str) -> AffineExpr {
@@ -250,7 +254,7 @@ impl Gen {
     fn value(&mut self, depth: usize) -> ValueExpr {
         if depth == 0 || self.pick(4) == 0 {
             return match self.pick(3) {
-                0 => ValueExpr::Const(self.rng.gen_range(-4..=4) as f64 * 0.5),
+                0 => ValueExpr::Const(self.constant()),
                 _ => ValueExpr::Read(self.reference()),
             };
         }
@@ -265,6 +269,17 @@ impl Gen {
             1 => ValueExpr::Sub(a, b),
             2 => ValueExpr::Mul(a, b),
             _ => ValueExpr::Div(a, b),
+        }
+    }
+
+    fn constant(&mut self) -> f64 {
+        let c = self.rng.gen_range(-4..=4) as f64 * 0.5;
+        match self.odd.then(|| self.pick(32)) {
+            Some(0..=3) => -0.0,
+            Some(4) => f64::INFINITY,
+            Some(5) => f64::NEG_INFINITY,
+            Some(6) => f64::NAN,
+            _ => c,
         }
     }
 
@@ -312,7 +327,9 @@ impl Gen {
     /// A read of a product: with `fixed`, half the time one of `u`, at
     /// the innermost variable, an outer one or a constant.
     fn factor(&mut self) -> LhsRef {
-        if self.fixed && self.rng.gen_bool(0.5) {
+        if self.odd && self.rng.gen_bool(0.5) {
+            self.reference_to("A")
+        } else if self.fixed && self.rng.gen_bool(0.5) {
             self.reference_to("u")
         } else {
             self.reference()
@@ -380,7 +397,7 @@ impl Gen {
 
     /// An imperfect nest: statements before, between and after loops.
     fn body(&mut self, depth: usize) -> Vec<Node> {
-        if self.square && depth == 0 && self.rng.gen_bool(0.5) {
+        if self.square && depth == 0 && (self.odd || self.rng.gen_bool(0.5)) {
             return vec![self.update()];
         }
         let mut nodes = Vec::new();
@@ -424,12 +441,18 @@ fn program_over(seed: u64, stray: u32, square: bool) -> Program {
 /// [`program_over`], with `fixed` updates that write a cell which does
 /// not move with their loop and read the vector they write.
 fn program_with(seed: u64, stray: u32, square: bool, fixed: bool) -> Program {
+    program_of(seed, stray, square, fixed, false)
+}
+
+/// [`program_with`], with `odd` constants.
+fn program_of(seed: u64, stray: u32, square: bool, fixed: bool, odd: bool) -> Program {
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
         scope: Vec::new(),
         stray,
         square,
         fixed,
+        odd,
     };
     let depth = 1 + g.pick(3);
     let body = vec![g.a_loop(depth)];
@@ -512,6 +535,25 @@ fn formats(t: &Triplets<f64>) -> Vec<(&'static str, Box<dyn SparseMatrix>)> {
     std::iter::once(("dense", dense)).chain(layouts).collect()
 }
 
+/// [`matrix`] whose entries are, half the time, a zero of either sign,
+/// and where `infinite`, one time in eight, `∞` or NaN.
+fn odd_matrix(shape: (usize, usize, usize), seed: u64, infinite: bool) -> Triplets<f64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd);
+    let t = matrix(shape, seed);
+    let mut odd = Triplets::new(t.nrows(), t.ncols());
+    for &(r, c, v) in t.entries() {
+        let v = match rng.gen_range(0..16) {
+            0..=3 => 0.0,
+            4..=7 => -0.0,
+            8 if infinite => f64::INFINITY,
+            9 if infinite => f64::NAN,
+            _ => v,
+        };
+        odd.push(r as usize, c as usize, v);
+    }
+    odd
+}
+
 fn env<'m>(a: &'m dyn SparseMatrix, seed: u64) -> DenseEnv<'m> {
     let (m, n) = (a.nrows(), a.ncols());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -528,6 +570,28 @@ fn env<'m>(a: &'m dyn SparseMatrix, seed: u64) -> DenseEnv<'m> {
         .vector("v", vector(n))
         .vector("w", vector(m + n + 1))
         .vector("s", vector(1))
+}
+
+/// [`env`] whose vectors also hold, each by its own draw, `-0.0` in a
+/// half of their cells, or one `∞`, `-∞` or NaN, or both, or neither.
+fn odd_env<'m>(a: &'m dyn SparseMatrix, seed: u64) -> DenseEnv<'m> {
+    let mut env = env(a, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd);
+    let mut names: Vec<String> = env.vectors.keys().cloned().collect();
+    names.sort();
+    for name in names {
+        let v = env.vectors.get_mut(&name).expect("a bound vector");
+        if rng.gen_bool(0.5) {
+            v.iter_mut()
+                .filter(|_| rng.gen_bool(0.5))
+                .for_each(|x| *x = -0.0);
+        }
+        let odd = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+        if let Some(x) = rng.gen_bool(0.5).then(|| rng.gen_range(0..v.len().max(1))) {
+            v.get_mut(x).into_iter().for_each(|x| *x = odd);
+        }
+    }
+    env
 }
 
 /// Every vector of the environment, by name, as bits; every NaN as one
@@ -669,6 +733,38 @@ fn updates_that_read_the_vector_they_write_agree_bitwise_with_the_tree_walker() 
         }
     }
     println!("{ok} programs with fixed writes ran to completion, {failed} to the same error");
+    assert!(ok > 300 && failed > 100, "{ok} / {failed}");
+}
+
+/// The same programs as above, `-0.0`, `±∞` and NaN in their constants,
+/// their vectors and their matrices: a whole loop that skips the zero
+/// runs of a line must do so exactly where the tree's arithmetic leaves
+/// the written cells as they are, and an update may start from a
+/// `-0.0` it holds.
+#[test]
+fn signed_zeros_infinities_and_nans_agree_bitwise_with_the_tree_walker() {
+    let (mut ok, mut failed) = (0, 0);
+    let shapes = SQUARE.iter().chain(&[(12, 12, 30), (10, 10, 4)]);
+    for (k, (&shape, infinite)) in shapes.flat_map(|s| [(s, false), (s, true)]).enumerate() {
+        let t = odd_matrix(shape, 300 + k as u64, infinite);
+        for (format, a) in formats(&t) {
+            for seed in 0..30u64 {
+                let p = program_of(seed * 47 + k as u64, 12, true, true, true);
+                let what = format!("odd {format} {shape:?} seed {seed}");
+                match agree(&what, &p, || odd_env(a.as_ref(), seed), true) {
+                    Ok(()) => ok += 1,
+                    Err(e) => {
+                        assert!(
+                            e.0.contains("out of range") || e.0.contains("bad vector"),
+                            "{what}: {e}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{ok} programs over odd values ran to completion, {failed} to the same error");
     assert!(ok > 300 && failed > 100, "{ok} / {failed}");
 }
 
