@@ -33,7 +33,7 @@
 use bernoulli_bench::report::{obj, Json};
 use bernoulli_bench::*;
 use bernoulli_blas::handwritten::{spdot_hash, spdot_merge};
-use bernoulli_blas::{generic_rhs, handwritten as hw, kernels, par, synth};
+use bernoulli_blas::{generic_rhs, handwritten as hw, kernels, synth};
 use bernoulli_formats::{
     block_fill, discover_strips, gen, Bsr, Coo, Csc, Csr, Dia, Ell, HashVec, Jad, SparseMatrix,
     SparseVec, SparseView, Vbr,
@@ -698,11 +698,11 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
 /// FEM matrices across a dense-block fill sweep. For each input and
 /// format the lane times the sequential hand-written kernel, the
 /// runtime-loaded synthesized kernel, and (on a host with more than one
-/// core) the same loaded kernel through `par_run_rows` over the format's
+/// core) the same loaded kernel through `run_in_bands` over the format's
 /// `partition_rows(8)` bands, and records the blocking's fill-in
 /// overhead (stored cells vs source nnz). Writes `BENCH_blocked.json`.
 fn blocked() {
-    use bernoulli_synth::{KernelArg, KernelStore, RawOut};
+    use bernoulli_synth::{KernelArg, KernelStore};
     println!("== S39: blocked formats (BSR | VBR | CSR), MFLOP/s ==");
     if let Err(e) = bernoulli_synth::rustc_info() {
         println!("  NOTICE: skipping blocked lane: {e}");
@@ -787,18 +787,12 @@ fn blocked() {
                 let par8 = parallel.then(|| {
                     let tpl = timeit(|| {
                         let mut y = vec![0.0; n];
-                        let bounds = $mat.partition_rows(8);
-                        // SAFETY: the bands are disjoint and each ranged
-                        // call writes only its own rows of y.
-                        let yo = unsafe { RawOut::new(y.as_mut_ptr(), y.len()) };
-                        par::par_run_rows(&loaded, &params, &bounds, &|| {
-                            vec![
-                                KernelArg::Matrix(black_box(&$mat)),
-                                KernelArg::In(&x),
-                                KernelArg::OutShared(yo),
-                            ]
-                        })
-                        .expect("par");
+                        let mut args = [
+                            KernelArg::Matrix(black_box(&$mat)),
+                            KernelArg::In(&x),
+                            KernelArg::Out(&mut y),
+                        ];
+                        loaded.run_in_bands(&params, &mut args, 8).expect("par");
                         black_box(y);
                     });
                     mflops(flops, tpl)

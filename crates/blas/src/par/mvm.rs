@@ -4,7 +4,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::par::loaded::tests::{sequential, try_load};
+    use crate::par::loaded::tests::{banded, try_load};
     use crate::par::par_loaded_mvm_csr;
     use bernoulli_formats::{gen, Csr, SparseView, Triplets};
     use bernoulli_synth::KernelCallError;
@@ -18,7 +18,7 @@ mod tests {
             return;
         };
         let x = vec![1.0, 0.0, 1.0];
-        let y_seq = sequential(&k, &a, (3, 3), &x, &[0.0; 3]);
+        let y_seq = banded(&k, &a, (3, 3), 1, &x, &[0.0; 3]);
         for threads in [4, 64] {
             let mut y = vec![0.0; 3];
             par_loaded_mvm_csr(&k, &a, &x, &mut y, threads).expect("parallel run");

@@ -90,6 +90,7 @@ stored_layout! {
     dims: nrows, ncols, r, c;
     arrays: browptr: u32, bcolind: u32, values: f64;
     block: r x c;
+    bands: partition_rows;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c }).unchecked().search()

@@ -63,6 +63,7 @@ stored_layout! {
     Csr, "csr";
     dims: nrows, ncols;
     arrays: rowptr: u32, colind: u32, values: f64;
+    bands: partition_rows;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Compressed { ptr: rowptr, crd: colind }).search()

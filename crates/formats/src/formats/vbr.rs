@@ -119,6 +119,7 @@ stored_layout! {
     dims: nrows, ncols;
     arrays: val: f64, indx: u32, bindx: u32, rpntr: u32, cpntr: u32, bpntrb: u32, bpntre: u32,
         rowblk: u32;
+    bands: partition_rows;
     chains: [
         Level::interval(nrows),
         Level::of(Kind::Strips(Strips {

@@ -202,6 +202,14 @@ pub trait Stored: SparseView {
             .map(|(a, width)| a.len * width)
             .sum()
     }
+
+    /// Cuts the rows into at most `nbands` contiguous bands for a
+    /// kernel run split by rows, `b[k]..b[k + 1]` being band `k`: the
+    /// layout's own stored-entry-balanced partition where its
+    /// `stored_layout!` names one (`bands:`), even cuts otherwise.
+    fn row_bands(&self, nbands: usize) -> Vec<usize> {
+        crate::partition::split_even(self.nrows(), nbands)
+    }
 }
 
 /// Every format with a layout.
@@ -309,6 +317,7 @@ pub const SEARCH_SOURCE: &str = include_str!("search.rs");
 ///     shape: n, n;                        // when not `nrows, ncols`
 ///     arrays: browptr: u32, bcolind: u32, values: f64;
 ///     block: r x c;                       // blocked layouts only
+///     bands: partition_rows;              // a balanced row partition
 ///     chains: [
 ///         Level::interval(nrows),
 ///         Level::of(Kind::Blocks { ptr: browptr, crd: bcolind, r, c })
@@ -333,7 +342,8 @@ pub const SEARCH_SOURCE: &str = include_str!("search.rs");
 /// shape: `bsr2x2`), and the function that reads it
 /// ([`leveled!`](crate::level::leveled)). `residue` names the layout's
 /// [`Residue`]: what no level says, made true by assembly and checked by
-/// `validate`.
+/// `validate`. `bands` names the struct's method that cuts its rows
+/// into stored-entry-balanced bands ([`Stored::row_bands`]).
 ///
 /// Everything else is read off the same lines. Assembly from triplets
 /// is the crate's one assembler over the first chain's levels (the
@@ -349,6 +359,7 @@ macro_rules! stored_layout {
         $(shape: $nr:ident, $nc:ident;)?
         arrays: $($arr:ident: $elem:ty),+;
         $(block: $br:ident x $bc:ident;)?
+        $(bands: $bands:ident;)?
         chains: $([$($level:expr),+] -> $values:ident),+;
         $(perm: $apply:ident, $unapply:ident;)?
         $(residue: $residue:ident;)?
@@ -398,6 +409,12 @@ macro_rules! stored_layout {
                     });
                 )+
             }
+
+            $(
+                fn row_bands(&self, nbands: usize) -> Vec<usize> {
+                    self.$bands(nbands)
+                }
+            )?
         }
 
         impl $crate::SparseMatrix for $ty<f64> {

@@ -28,12 +28,19 @@
 //! submission.
 //!
 //! Borrowed data is safe for the same reason `std::thread::scope` is:
-//! [`Pool::run`] does not return until every worker has finished the
-//! job (a latch counts them down), so the erased-lifetime closure and
-//! everything it borrows strictly outlive its use. Determinism is *not*
-//! scheduling-dependent: every consumer built on the pool writes either
-//! to chunk-disjoint output slots or to per-chunk partial buffers that
-//! the caller reduces in fixed chunk order.
+//! [`Pool::run`] does not return until every chunk of the job has
+//! completed (a latch counts the chunks, not the workers), and a lane
+//! touches the erased-lifetime closure only while it holds a claimed,
+//! uncompleted chunk, so the closure and everything it borrows strictly
+//! outlive its use. A worker that picks the job up late finds no chunk
+//! left and returns without touching it. The submitter therefore never
+//! waits on a worker that is busy elsewhere — behind another job's long
+//! chunk, or inside this very job's chunk that nests a `run` of its own
+//! (it then drains the nested job itself) — only on chunks in flight.
+//! Determinism is *not* scheduling-dependent: every consumer built on
+//! the pool writes either to chunk-disjoint output slots or to
+//! per-chunk partial buffers that the caller reduces in fixed chunk
+//! order.
 //!
 //! The pool size comes from `BERNOULLI_THREADS`, falling back to
 //! [`std::thread::available_parallelism`].
@@ -81,38 +88,64 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Counts outstanding workers for one job; the submitting thread blocks
-/// on it until the count reaches zero. Also carries the job's failure
-/// state: the `poisoned` flag plus the first captured panic payload.
-struct Latch {
-    remaining: Mutex<usize>,
+/// One broadcast unit of work: chunks `0..nchunks` of a borrowed
+/// `Fn(usize)`, claimed through a shared counter, and the count of
+/// chunks completed, which the submitting thread waits on (not the
+/// workers the job was posted to; see the module docs). Also carries
+/// the job's failure state: the `poisoned` flag plus the first captured
+/// panic payload.
+struct Job {
+    /// Borrowed closure with its lifetime erased; dereferenced only by
+    /// a lane that has claimed a chunk, while the submitter still waits
+    /// for that chunk (see module docs for the soundness argument).
+    func: *const (dyn Fn(usize) + Sync),
+    next_chunk: AtomicUsize,
+    nchunks: usize,
+    completed: Mutex<usize>,
     all_done: Condvar,
     poisoned: AtomicBool,
     payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-impl Latch {
-    fn new(count: usize) -> Latch {
-        Latch {
-            remaining: Mutex::new(count),
-            all_done: Condvar::new(),
-            poisoned: AtomicBool::new(false),
-            payload: Mutex::new(None),
+// SAFETY: `func` points at a `Sync` closure that the submitting thread
+// keeps alive until every chunk has completed, and a lane dereferences
+// it only between claiming a chunk and completing it.
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
+
+impl Job {
+    /// Claims and runs chunks until the shared counter is exhausted,
+    /// then counts the chunks this lane ran as completed. A panicking
+    /// chunk is recorded and completed like any other.
+    fn run_chunks(&self) {
+        let mut ran = 0;
+        loop {
+            let chunk = self.next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= self.nchunks {
+                break;
+            }
+            // SAFETY: `chunk` is claimed and not yet completed, so the
+            // submitter is still inside `run` and `func` is live.
+            let func = unsafe { &*self.func };
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| func(chunk))) {
+                self.record_panic(p);
+            }
+            ran += 1;
+        }
+        if ran > 0 {
+            let mut done = self.completed.lock().unwrap_or_else(|e| e.into_inner());
+            *done += ran;
+            if *done == self.nchunks {
+                self.all_done.notify_all();
+            }
         }
     }
 
-    fn count_down(&self) {
-        let mut left = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        *left -= 1;
-        if *left == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
+    /// Blocks until every chunk has completed.
     fn wait(&self) {
-        let mut left = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *left > 0 {
-            left = self.all_done.wait(left).unwrap_or_else(|e| e.into_inner());
+        let mut done = self.completed.lock().unwrap_or_else(|e| e.into_inner());
+        while *done < self.nchunks {
+            done = self.all_done.wait(done).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -126,7 +159,7 @@ impl Latch {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Takes the failure payload after [`Latch::wait`] returned.
+    /// Takes the failure payload after [`Job::wait`] returned.
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         if !self.poisoned.load(Ordering::Acquire) {
             return None;
@@ -140,75 +173,24 @@ impl Latch {
     }
 }
 
-/// One broadcast unit of work: chunks `0..nchunks` of a borrowed
-/// `Fn(usize)`, claimed through a shared counter.
-struct Job {
-    /// Borrowed closure with its lifetime erased; valid until `latch`
-    /// releases the submitter (see module docs for the soundness
-    /// argument).
-    func: *const (dyn Fn(usize) + Sync),
-    next_chunk: Arc<AtomicUsize>,
-    nchunks: usize,
-    latch: Arc<Latch>,
-    /// Whether dropping this job releases one latch share. True for the
-    /// copies sent to workers, false for the submitter's own lane.
-    counts_down: bool,
-}
-
-/// The latch share is released by `Drop`, not by the worker loop, so
-/// every way a worker-bound job can end — chunks drained, the worker
-/// thread unwinding mid-job, or the job sitting unconsumed in a dead
-/// worker's channel when the receiver is dropped — counts down exactly
-/// once and the submitter can never deadlock.
-impl Drop for Job {
-    fn drop(&mut self) {
-        if self.counts_down {
-            self.latch.count_down();
-        }
-    }
-}
-
-// SAFETY: `func` points at a `Sync` closure that the submitting thread
-// keeps alive until every worker has counted down `latch`, which happens
-// strictly after the last dereference.
-unsafe impl Send for Job {}
-
-impl Job {
-    /// Claims and runs chunks until the shared counter is exhausted.
-    fn run_chunks(&self) {
-        let func = unsafe { &*self.func };
-        let result = catch_unwind(AssertUnwindSafe(|| loop {
-            let chunk = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if chunk >= self.nchunks {
-                break;
-            }
-            func(chunk);
-        }));
-        if let Err(p) = result {
-            self.latch.record_panic(p);
-        }
-    }
-}
-
 /// One worker thread's submission endpoint. The sender sits behind a
 /// mutex so a submitter that finds the worker dead (its receiver
 /// dropped) can respawn it in place.
 struct WorkerSlot {
     id: usize,
-    tx: Mutex<Sender<Job>>,
+    tx: Mutex<Sender<Arc<Job>>>,
 }
 
 /// Spawns worker `k`'s thread and returns its job channel.
-fn spawn_worker(k: usize) -> Sender<Job> {
-    let (tx, rx) = channel::<Job>();
+fn spawn_worker(k: usize) -> Sender<Arc<Job>> {
+    let (tx, rx) = channel::<Arc<Job>>();
     std::thread::Builder::new()
         .name(format!("bernoulli-par-{k}"))
         .spawn(move || {
             while let Ok(job) = rx.recv() {
-                // If the injected fault kills this thread, the job's
-                // `Drop` still releases its latch share and the other
-                // lanes drain the chunk counter; the next submission
-                // respawns us.
+                // If the injected fault kills this thread, it has claimed
+                // no chunk: the other lanes drain the chunk counter, and
+                // the next submission respawns us.
                 bernoulli_govern::faults::hit("pool.worker", None);
                 job.run_chunks();
             }
@@ -290,26 +272,26 @@ impl Pool {
                 }
             }));
         }
-        // Erase the borrow lifetime; `latch.wait()` below restores the
+        // Erase the borrow lifetime; `job.wait()` below restores the
         // invariant that `f` outlives all uses.
         let func = unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 f as *const _,
             )
         };
+        let job = Arc::new(Job {
+            func,
+            next_chunk: AtomicUsize::new(0),
+            nchunks,
+            completed: Mutex::new(0),
+            all_done: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            payload: Mutex::new(None),
+        });
         let fanout = self.workers.len().min(nchunks - 1);
-        let latch = Arc::new(Latch::new(fanout));
-        let next_chunk = Arc::new(AtomicUsize::new(0));
         for slot in &self.workers[..fanout] {
-            let job = Job {
-                func,
-                next_chunk: Arc::clone(&next_chunk),
-                nchunks,
-                latch: Arc::clone(&latch),
-                counts_down: true,
-            };
             let mut tx = slot.tx.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(SendError(job)) = tx.send(job) {
+            if let Err(SendError(job)) = tx.send(Arc::clone(&job)) {
                 // The worker died (its receiver is gone) — this only
                 // happens when a fault killed the thread mid-loop.
                 // Respawn it in place and hand it the job.
@@ -317,17 +299,11 @@ impl Pool {
                 tx.send(job).expect("freshly spawned pool worker");
             }
         }
-        // The submitting thread is a lane too.
-        let own = Job {
-            func,
-            next_chunk,
-            nchunks,
-            latch: Arc::clone(&latch),
-            counts_down: false,
-        };
-        own.run_chunks();
-        latch.wait();
-        match latch.take_panic() {
+        // The submitting thread is a lane too, and drains every chunk
+        // no other lane has claimed.
+        job.run_chunks();
+        job.wait();
+        match job.take_panic() {
             Some(p) => Err(p),
             None => Ok(()),
         }

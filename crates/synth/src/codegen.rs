@@ -5,13 +5,15 @@
 //! replacement of the innermost step's accumulator, with the triangular
 //! solves' pivot division deferred past the loop; edge splitting of an
 //! ordered innermost enumeration whose bound lowering proved; register
-//! tiling of blocked row walks; a row-band entry the parallel lane and
-//! the cache-blocked CSR walk call; and the fusion of two guard-disjoint
-//! statements into one `if`/`else`. [`Codegen::of`] makes each of these
-//! decisions once, from the plan, the program and the views, and never
-//! fails: a transformation that does not apply is absent from the
-//! record. [`crate::emit`] prints from the record and decides nothing;
-//! [`crate::compiled`] reads its kernel crate's entry points from it.
+//! tiling of blocked row walks; a row-band entry, through which a
+//! loaded kernel's `run` splits a large operand's rows over the worker
+//! pool and the cache-blocked CSR walk steps; and the fusion of two
+//! guard-disjoint statements into one `if`/`else`. [`Codegen::of`]
+//! makes each of these decisions once, from the plan, the program and
+//! the views, and never fails: a transformation that does not apply is
+//! absent from the record. [`crate::emit`] prints from the record and
+//! decides nothing; [`crate::compiled`] reads its kernel crate's entry
+//! points from it.
 //!
 //! The record is derived: nothing persists it, and the interpreter does
 //! not read it. A plan-cache entry derives its best plan's record at
@@ -75,7 +77,8 @@ impl Codegen {
         self.tiling
     }
 
-    /// The row-band entry, when bands of rows may run independently.
+    /// The row-band entry, when bands of rows may run independently:
+    /// each statement writes only the row its band enumerates.
     pub fn ranged(&self) -> Option<&Ranged> {
         self.ranged.as_ref()
     }
@@ -174,7 +177,8 @@ pub enum Tiling {
 }
 
 /// The row-band entry of a plan: `row_lo__..row_hi__` replaces the
-/// outermost row enumeration's bounds.
+/// outermost row enumeration's bounds, and every write stays in the
+/// band, so disjoint bands may run at once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ranged {
     pub(crate) outer: String,
@@ -570,19 +574,20 @@ fn tiling(plan: &Plan, views: &HashMap<String, FormatView>, pr: &Promotion) -> O
 }
 
 /// The row-band entry, when restricting the plan to a row band
-/// enumerates exactly that band's instances *and* bands are
-/// independent, so disjoint bands may run concurrently (the parallel
-/// lane's contract). Two conditions:
+/// enumerates exactly that band's instances *and* writes stay in the
+/// band, so the outer row loop carries no dependence (flow, anti or
+/// output) and disjoint bands may run concurrently. Three conditions:
 ///
 /// 1. the outermost step enumerates, forward, the outermost level of a
 ///    view that opens with the dense interval over its rows
 ///    ([`Levels::rows_outermost`](bernoulli_formats::level::Levels::rows_outermost)),
-///    and
-/// 2. no statement reads an output (`out`/`inout`) array anywhere but
+/// 2. every statement runs inside that step and writes a dense vector
+///    at the row it enumerates — mvmᵀ's `y[j]` lands in every band, so
+///    two bands would write one element (an output dependence), and
+/// 3. no statement reads an output (`out`/`inout`) array anywhere but
 ///    at the element its own write touches — a cross-row read (e.g. the
 ///    triangular solve's `b[j]` with `j < i`) makes later rows depend
-///    on earlier ones, which a split into concurrently-run bands would
-///    violate even though the *sequential* blocked traversal is fine.
+///    on earlier ones (a flow or anti dependence between bands).
 fn ranged(p: &Program, plan: &Plan, views: &HashMap<String, FormatView>) -> Option<Ranged> {
     let step = plan.steps.first()?;
     let StepKind::Level { primary, .. } = &step.kind else {
@@ -593,7 +598,18 @@ fn ranged(p: &Program, plan: &Plan, views: &HashMap<String, FormatView>) -> Opti
     {
         return None;
     }
-    // Condition 2: every read of a written array must be the
+    // Condition 2: each write is at the band's own row.
+    let row = PExpr::slot(step.first_slot);
+    let in_band = |e: &ExecStmt| {
+        e.depth >= 1
+            && e.sources.first().is_some_and(Option::is_none)
+            && matches!(&e.body.lhs.idxs[..], [idx]
+                if subst_index(e, idx, &p.params).is_some_and(|w| w.same_as(&row)))
+    };
+    if !plan.execs.iter().all(in_band) {
+        return None;
+    }
+    // Condition 3: every read of a written array must be the
     // accumulator self-read of its own statement.
     for s in p.statements() {
         for r in s.stmt.rhs.reads() {

@@ -56,13 +56,30 @@
 //! instances of its formats (validating operands: ROADMAP item 4,
 //! open). Plans whose [`Codegen`] record has a row-band entry
 //! ([`Codegen::ranged`]) additionally export `bernoulli_kernel_range_v2`
-//! with trailing `(int64_t row_lo, int64_t row_hi)` — the entry the
-//! parallel lane dispatches nnz-balanced row chunks through, and which
-//! the full-range entry itself calls, in blocks of `CSR_ROW_BLOCK` rows
+//! with trailing `(int64_t row_lo, int64_t row_hi)`, which the
+//! full-range entry itself calls, in blocks of `CSR_ROW_BLOCK` rows
 //! where the record says the rows are stored compressed
 //! ([`Ranged::row_blocked`](crate::codegen::Ranged::row_blocked)).
 //! What the crate exports, and whether it can be built at all, is read
 //! from the record; nothing here decides it.
+//!
+//! # Row bands
+//!
+//! The row-band contract is that *writes stay in the band*: a call of
+//! the ranged entry over rows `lo..hi` writes no output element outside
+//! those rows and reads none another band writes, so the outer row loop
+//! carries no dependence. [`LoadedKernel::run`] relies on it: when the
+//! plan has a row-band entry, [`Pool::global`] has more than one lane and
+//! the outer operand stores at least [`SPLIT_MIN_ENTRIES`] entries, it
+//! marshals the operands once and calls the ranged entry once per band
+//! of the operand's [`Stored::row_bands`] (stored-entry balanced where
+//! the layout has a partition, even cuts otherwise), four bands per
+//! lane, which the pool's lanes take in turn. Each output row has one writer and is accumulated in
+//! the order the full-range entry uses, so the result is bitwise the
+//! sequential one; a band's error is reported as the first failing
+//! band's (status 1 already allows partly written outputs).
+//! [`LoadedKernel::run_in_bands`] is the same call with the band count
+//! given.
 
 use crate::codegen::Codegen;
 use crate::emit::{print, EmitError};
@@ -72,9 +89,12 @@ use crate::search::SynthError;
 use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored, SEARCH_SOURCE};
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Csc, Csr, FormatError, Jad};
+use bernoulli_ir::expr::SlotExpr;
 use bernoulli_ir::{ArrayKind, Program, Role};
 use bernoulli_kernel_cache::{ArtifactSpec, KernelCacheError, KernelStore, Library};
+use bernoulli_pool::Pool;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Version of the `extern "C"` kernel ABI described in the module docs.
@@ -93,6 +113,21 @@ pub const KERNEL_RANGE_SYMBOL: &str = "bernoulli_kernel_range_v2";
 /// entry performs (bounds the live band of `y` and of the row pointers per call while
 /// keeping the per-block dispatch overhead negligible).
 const CSR_ROW_BLOCK: i64 = 2048;
+
+/// Stored entries of the outer operand from which [`LoadedKernel::run`]
+/// splits a kernel with a row-band entry over the pool's lanes. Waking
+/// a parked worker costs what several thousand entries do: in the sweep
+/// of EXPERIMENTS.md, PR 46 (CSR MVM on two lanes), the split loses at
+/// the 12 444 entries of the evaluation matrix, is even at twice that,
+/// gains 1.1–1.3× at 50 000 and 1.45× or more from 100 000.
+pub const SPLIT_MIN_ENTRIES: usize = 1 << 16;
+
+/// Row bands per pool lane in a split [`LoadedKernel::run`]. With more
+/// bands than lanes a lane that finishes early, or a worker that wakes
+/// late, takes the next band instead of leaving the others to wait for
+/// the slowest: on two lanes 4 per lane beat 1 at every size of the
+/// sweep (EXPERIMENTS.md, PR 46) and 8 gained nothing more.
+const BANDS_PER_LANE: usize = 4;
 
 // The ABI's array argument (`RawSlice` in the kernel crate: one base
 // pointer plus a length, in elements of the field's declared type) is
@@ -181,9 +216,11 @@ pub enum KernelCallError {
     Mismatch { detail: String },
     /// An operand index was out of bounds (a column past the end of
     /// `x`, a pointer array or an output vector too short). The kernel
-    /// returned early; outputs may be partly written.
+    /// returned early (in a run split into bands, some band did);
+    /// outputs may be partly written.
     OutOfBounds,
-    /// The plan has no row-ranged entry point.
+    /// The plan has no row-band entry, so its rows cannot be run as
+    /// bands.
     NoRangedEntry,
     /// The library returned an unknown status code.
     Abi { code: i32 },
@@ -210,34 +247,6 @@ impl From<KernelCallError> for SynthError {
     }
 }
 
-/// A writable output region passed to a *ranged* kernel call by raw
-/// pointer, so several concurrent calls over disjoint row ranges can
-/// target the same vector without materializing aliasing `&mut`
-/// references on the host side.
-#[derive(Clone, Copy, Debug)]
-pub struct RawOut {
-    ptr: *mut f64,
-    len: usize,
-}
-
-// Safety: a RawOut is only a (pointer, len) pair; the unsafe contract
-// about concurrent disjoint writes is taken on at construction.
-unsafe impl Send for RawOut {}
-unsafe impl Sync for RawOut {}
-
-impl RawOut {
-    /// Wraps a raw output region.
-    ///
-    /// # Safety
-    /// `ptr..ptr+len` must be valid writable `f64` storage for the
-    /// duration of every kernel call using it, and concurrent calls
-    /// sharing the region must write disjoint elements (e.g. ranged
-    /// calls over disjoint row bands of a row-major kernel).
-    pub unsafe fn new(ptr: *mut f64, len: usize) -> RawOut {
-        RawOut { ptr, len }
-    }
-}
-
 /// One operand of a loaded-kernel call, in program declaration order.
 ///
 /// A matrix of any layout is a [`KernelArg::Matrix`]. The four typed
@@ -255,9 +264,6 @@ pub enum KernelArg<'a> {
     In(&'a [f64]),
     /// Writable dense vector.
     Out(&'a mut [f64]),
-    /// Writable dense vector shared across concurrent ranged calls
-    /// (see [`RawOut`]).
-    OutShared(RawOut),
 }
 
 impl KernelArg<'_> {
@@ -273,7 +279,6 @@ impl KernelArg<'_> {
             KernelArg::Bsr(m) => Operand::Matrix(*m),
             KernelArg::In(x) => Operand::In(x),
             KernelArg::Out(y) => Operand::Out(y),
-            KernelArg::OutShared(r) => Operand::OutShared(*r),
         }
     }
 }
@@ -283,7 +288,6 @@ pub(crate) enum Operand<'a> {
     Matrix(&'a dyn Stored),
     In(&'a [f64]),
     Out(&'a mut [f64]),
-    OutShared(RawOut),
 }
 
 impl Operand<'_> {
@@ -291,7 +295,7 @@ impl Operand<'_> {
         match self {
             Operand::Matrix(m) => m.layout().name,
             Operand::In(_) => "vec-in",
-            Operand::Out(_) | Operand::OutShared(_) => "vec-out",
+            Operand::Out(_) => "vec-out",
         }
     }
 }
@@ -349,6 +353,9 @@ pub struct KernelSig {
     pub args: Vec<(String, ArgSpec)>,
     ndims: usize,
     nslices: usize,
+    /// Each operand's declared extents over the parameters, or none
+    /// where one does not resolve to them.
+    extents: Vec<Option<Vec<SlotExpr>>>,
 }
 
 impl KernelSig {
@@ -360,6 +367,12 @@ impl KernelSig {
     ) -> Result<KernelSig, LoadError> {
         let mut args = Vec::new();
         let (mut ndims, mut nslices) = (0usize, 0usize);
+        let param = |v: &str| p.params.iter().position(|q| q == v).ok_or(());
+        let extents = p.arrays.iter().map(|a| {
+            let resolved = a.dims.iter().map(|d| d.resolve(param));
+            resolved.collect::<Result<Vec<_>, ()>>().ok()
+        });
+        let extents = extents.collect();
         for a in &p.arrays {
             let spec = match (views.get(&a.name), a.kind) {
                 (Some(v), _) => {
@@ -398,6 +411,7 @@ impl KernelSig {
             args,
             ndims,
             nslices,
+            extents,
         })
     }
 }
@@ -598,9 +612,10 @@ pub(crate) struct NativeSource {
     /// file name the two hash to. The source (3–7 kB a kernel) is read
     /// again only on an artifact miss, and is kept for it.
     artifact: ArtifactSpec,
-    /// The record has a row-band entry: the crate exports the ranged
-    /// entry point.
-    ranged: bool,
+    /// Where the record has a row-band entry (the crate exports the
+    /// ranged entry point): the position, among the operands, of the
+    /// matrix whose rows it cuts.
+    outer: Option<usize>,
 }
 
 /// Where a [`NativeSource`] (or the typed reason there is none) is
@@ -620,10 +635,13 @@ impl NativeSource {
         let sig = KernelSig::of(p, views)?;
         let source = cdylib_source(p, plan, views, cg, &sig)?;
         let key = format!("abi{KERNEL_ABI_VERSION}|{logical_key}");
+        let outer = cg
+            .ranged()
+            .and_then(|r| sig.args.iter().position(|(name, _)| name == r.outer()));
         Ok(NativeSource {
+            outer,
             sig,
             artifact: ArtifactSpec::new(key, source)?,
-            ranged: cg.ranged().is_some(),
         })
     }
 }
@@ -683,20 +701,46 @@ impl LoadedKernel {
     /// True when the kernel exports the row-ranged entry: its plan's
     /// record has a row-band entry ([`Codegen::ranged`], which also
     /// names the matrix whose rows [`run_range`](LoadedKernel::run_range)
-    /// splits).
+    /// and a split [`run`](LoadedKernel::run) cut).
     pub fn supports_ranged(&self) -> bool {
-        self.native.ranged
+        self.native.outer.is_some()
     }
 
-    /// Runs the kernel over its full iteration space.
+    /// Runs the kernel over its full iteration space. Where the plan
+    /// has a row-band entry, [`Pool::global`] has more than one lane and
+    /// the outer operand stores at least [`SPLIT_MIN_ENTRIES`] entries,
+    /// the rows run as four bands per lane, the lanes taking them in
+    /// turn (see the module docs); otherwise as one call. The result is
+    /// bitwise the same.
     pub fn run(&self, params: &[i64], args: &mut [KernelArg<'_>]) -> Result<(), KernelCallError> {
-        self.call(params, args.iter_mut().map(KernelArg::operand), None)
+        let call = self.marshal(params, args)?;
+        let large = call.outer.is_some_and(|a| a.nnz() >= SPLIT_MIN_ENTRIES);
+        let lanes = if large { Pool::global().nthreads() } else { 1 };
+        let bands = if lanes > 1 { lanes * BANDS_PER_LANE } else { 1 };
+        self.run_marshalled(params, &call, bands)
+    }
+
+    /// [`run`](LoadedKernel::run) over at most `bands` bands of the
+    /// outer operand's rows, whatever its size: `bands <= 1` is one
+    /// call of the full-range entry, more is
+    /// [`KernelCallError::NoRangedEntry`] where the plan has no
+    /// row-band entry. Bitwise the sequential result at every count.
+    pub fn run_in_bands(
+        &self,
+        params: &[i64],
+        args: &mut [KernelArg<'_>],
+        bands: usize,
+    ) -> Result<(), KernelCallError> {
+        if bands > 1 && !self.supports_ranged() {
+            return Err(KernelCallError::NoRangedEntry);
+        }
+        let call = self.marshal(params, args)?;
+        self.run_marshalled(params, &call, bands)
     }
 
     /// Runs the kernel restricted to outer rows `row_lo..row_hi`
     /// (clamping is the caller's job; the entry enumerates exactly this
-    /// band). Concurrent calls over disjoint bands may share output
-    /// vectors via [`KernelArg::OutShared`].
+    /// band).
     pub fn run_range(
         &self,
         params: &[i64],
@@ -704,19 +748,29 @@ impl LoadedKernel {
         row_lo: i64,
         row_hi: i64,
     ) -> Result<(), KernelCallError> {
-        let Some(ranged) = self.ranged else {
+        if !self.supports_ranged() {
             return Err(KernelCallError::NoRangedEntry);
-        };
-        let operands = args.iter_mut().map(KernelArg::operand);
-        self.call(params, operands, Some((ranged, row_lo, row_hi)))
+        }
+        let call = self.marshal(params, args)?;
+        self.status(self.invoke(params, &call, Some((row_lo, row_hi))))
     }
 
-    fn call<'a>(
+    /// Flattens the operands into the arguments of the ABI, in the
+    /// order the kernel crate unpacks them, after checking their number
+    /// against the signature.
+    fn marshal<'a>(
+        &self,
+        params: &[i64],
+        args: &'a mut [KernelArg<'_>],
+    ) -> Result<Marshalled<'a>, KernelCallError> {
+        self.marshal_operands(params, args.iter_mut().map(KernelArg::operand))
+    }
+
+    fn marshal_operands<'a>(
         &self,
         params: &[i64],
         operands: impl ExactSizeIterator<Item = Operand<'a>>,
-        range: Option<(RangeV2, i64, i64)>,
-    ) -> Result<(), KernelCallError> {
+    ) -> Result<Marshalled<'a>, KernelCallError> {
         let sig = self.sig();
         if params.len() != sig.params.len() {
             return Err(KernelCallError::Mismatch {
@@ -737,23 +791,98 @@ impl LoadedKernel {
                 ),
             });
         }
-        let mut dims: Vec<usize> = Vec::with_capacity(sig.ndims);
-        let mut slices: Vec<RawArray> = Vec::with_capacity(sig.nslices);
-        for ((name, spec), operand) in sig.args.iter().zip(operands) {
-            marshal(name, spec, operand, &mut dims, &mut slices)?;
+        let mut call = Marshalled {
+            dims: Vec::with_capacity(sig.ndims),
+            slices: Vec::with_capacity(sig.nslices),
+            outer: None,
+        };
+        for (at, ((name, spec), operand)) in sig.args.iter().zip(operands).enumerate() {
+            match &operand {
+                Operand::Matrix(m) if self.native.outer == Some(at) => call.outer = Some(*m),
+                _ => {}
+            }
+            marshal(name, spec, operand, &mut call.dims, &mut call.slices)?;
         }
-        let code = match range {
-            None => unsafe {
-                (self.entry)(
-                    params.as_ptr(),
-                    params.len(),
-                    dims.as_ptr(),
-                    dims.len(),
-                    slices.as_ptr(),
-                    slices.len(),
-                )
-            },
-            Some((ranged, lo, hi)) => unsafe {
+        Ok(call)
+    }
+
+    /// Runs marshalled operands as at most `bands` row bands at once on
+    /// [`Pool::global`], or as one call of the full-range entry.
+    fn run_marshalled(
+        &self,
+        params: &[i64],
+        call: &Marshalled<'_>,
+        bands: usize,
+    ) -> Result<(), KernelCallError> {
+        let cuts = match call.outer {
+            Some(outer) if bands > 1 => outer.row_bands(bands),
+            _ => Vec::new(),
+        };
+        if cuts.len() <= 2 {
+            return self.status(self.invoke(params, call, None));
+        }
+        // A band must not fail half way for a reason that is no band's:
+        // an operand that disagrees with the parameters is refused
+        // before any band runs.
+        self.check_extents(params, call)?;
+        let codes: Vec<AtomicI32> = cuts[1..].iter().map(|_| AtomicI32::new(0)).collect();
+        Pool::global().run(codes.len(), &|band| {
+            let rows = (cuts[band] as i64, cuts[band + 1] as i64);
+            codes[band].store(self.invoke(params, call, Some(rows)), Ordering::Relaxed);
+        });
+        let failed = codes
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .find(|&c| c != 0);
+        self.status(failed.unwrap_or(0))
+    }
+
+    /// Every vector operand is as long, and the outer matrix as large,
+    /// as the program's declared extents say at `params`.
+    fn check_extents(&self, params: &[i64], call: &Marshalled<'_>) -> Result<(), KernelCallError> {
+        let sig = self.sig();
+        let mut slice = 0;
+        for (at, ((name, spec), extents)) in sig.args.iter().zip(&sig.extents).enumerate() {
+            let seen: Vec<usize> = match spec {
+                ArgSpec::View { layout, .. } => {
+                    slice += layout.arrays.len();
+                    match call.outer {
+                        Some(m) if self.native.outer == Some(at) => vec![m.nrows(), m.ncols()],
+                        _ => continue,
+                    }
+                }
+                ArgSpec::VecIn | ArgSpec::VecOut => {
+                    slice += 1;
+                    vec![call.slices[slice - 1].len]
+                }
+            };
+            let Some(extents) = extents else { continue };
+            // An extent that overflows `i64` is no length: -1 matches none.
+            let want: Vec<i64> = extents
+                .iter()
+                .map(|e| e.eval(params).unwrap_or(-1))
+                .collect();
+            if !seen
+                .iter()
+                .zip(&want)
+                .all(|(&n, &w)| i64::try_from(n) == Ok(w))
+            {
+                return Err(KernelCallError::Mismatch {
+                    detail: format!(
+                        "operand {name:?} has extents {seen:?} where the parameters declare {want:?}"
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Calls the full-range entry, or the ranged one over `range`, and
+    /// returns the ABI status.
+    fn invoke(&self, params: &[i64], call: &Marshalled<'_>, range: Option<(i64, i64)>) -> i32 {
+        let (dims, slices) = (&call.dims, &call.slices);
+        match (range, self.ranged) {
+            (Some((lo, hi)), Some(ranged)) => unsafe {
                 ranged(
                     params.as_ptr(),
                     params.len(),
@@ -765,7 +894,21 @@ impl LoadedKernel {
                     hi,
                 )
             },
-        };
+            _ => unsafe {
+                (self.entry)(
+                    params.as_ptr(),
+                    params.len(),
+                    dims.as_ptr(),
+                    dims.len(),
+                    slices.as_ptr(),
+                    slices.len(),
+                )
+            },
+        }
+    }
+
+    /// The typed outcome of an ABI status.
+    fn status(&self, code: i32) -> Result<(), KernelCallError> {
         match code {
             0 => Ok(()),
             1 => Err(KernelCallError::OutOfBounds),
@@ -784,6 +927,24 @@ impl LoadedKernel {
         }
     }
 }
+
+/// The flattened arguments of one call: the operands' scalar fields and
+/// arrays in the order the kernel crate unpacks them, borrowed from the
+/// operands for as long as the call lasts.
+struct Marshalled<'a> {
+    dims: Vec<usize>,
+    slices: Vec<RawArray>,
+    /// The matrix whose rows the row-band entry cuts, where the kernel
+    /// has one.
+    outer: Option<&'a dyn Stored>,
+}
+
+// SAFETY: the arrays are borrowed from the operands for the lifetime
+// `'a`; concurrent band calls only read this list, and write through
+// it only the rows of their own band (the row-band contract of the
+// module docs), so no element is written by two threads or read by one
+// while another writes it.
+unsafe impl Sync for Marshalled<'_> {}
 
 /// Appends one operand to the flattened call arguments, in the order
 /// the kernel crate unpacks them.
@@ -809,7 +970,6 @@ fn marshal(
         }
         (ArgSpec::VecIn, Operand::In(x)) => slices.push(vector(x.as_ptr(), x.len())),
         (ArgSpec::VecOut, Operand::Out(y)) => slices.push(vector(y.as_mut_ptr(), y.len())),
-        (ArgSpec::VecOut, Operand::OutShared(r)) => slices.push(vector(r.ptr, r.len)),
         (spec, operand) => {
             return Err(KernelCallError::Mismatch {
                 detail: format!(
@@ -953,7 +1113,8 @@ fn validate_kernel(p: &Program, plan: &Plan, kernel: &LoadedKernel) -> Result<bo
         LoadError::ValidationFailed { detail }
     };
     let operands = kernel_ops.iter_mut().map(ProbeOperand::operand);
-    if let Err(e) = kernel.call(&params, operands, None) {
+    let ran = kernel.marshal_operands(&params, operands);
+    if let Err(e) = ran.and_then(|call| kernel.run_marshalled(&params, &call, 1)) {
         return Err(reject(format!("probe call failed: {e}")));
     }
     for (i, (expect, got)) in interp_ops.iter().zip(kernel_ops.iter()).enumerate() {
@@ -1002,7 +1163,7 @@ pub(crate) fn load_kernel(
     // (the cache key covers source + ABI version, so a stale artifact
     // cannot match).
     let entry: EntryV2 = unsafe { std::mem::transmute(entry_ptr) };
-    let ranged: Option<RangeV2> = if native.ranged {
+    let ranged: Option<RangeV2> = if native.outer.is_some() {
         let p = lib.symbol(KERNEL_RANGE_SYMBOL)?;
         // Safety: same as above, RangeV2 signature.
         Some(unsafe { std::mem::transmute::<*const (), RangeV2>(p) })
@@ -1059,13 +1220,6 @@ pub(crate) fn interp_positional<'a>(
             Operand::Matrix(m) => env.bind_sparse(&decl.name, *m),
             Operand::In(x) => env.bind_vec(&decl.name, x.to_vec()),
             Operand::Out(y) => env.bind_vec(&decl.name, y.to_vec()),
-            Operand::OutShared(_) => {
-                return Err(SynthError::Plan(PlanError(format!(
-                    "operand {:?}: raw shared outputs are only usable on the \
-                     compiled backend",
-                    decl.name
-                ))));
-            }
         };
     }
     run_plan(plan, &mut env)?;
@@ -1313,9 +1467,10 @@ mod tests {
                     args: Vec::new(),
                     ndims: 0,
                     nslices: 0,
+                    extents: Vec::new(),
                 },
                 artifact: artifact.clone(),
-                ranged: false,
+                outer: None,
             }),
             from_cache: false,
             validated: false,

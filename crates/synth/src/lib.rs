@@ -62,7 +62,8 @@ pub mod zero;
 pub use advise::{view_for_features, Advice, AdviceEntry, DEFAULT_ADVISOR_FORMATS};
 pub use codegen::{Codegen, Tiling};
 pub use compiled::{
-    KernelArg, KernelBackend, KernelCallError, KernelSig, LoadError, LoadedKernel, RawOut,
+    KernelArg, KernelBackend, KernelCallError, KernelSig, LoadError, LoadedKernel,
+    SPLIT_MIN_ENTRIES,
 };
 pub use config::{Config, ConfigError, RefInst, StmtCopy};
 pub use cost::{cost_floor, WorkloadStats};
