@@ -37,41 +37,48 @@
 //! range and free of overflow at both ends is so at every iteration
 //! between them, and so is every partial sum of its arithmetic. Where
 //! every index passes, each line the loop reads is filled once (its line
-//! index does not move with the loop), each index steps by its
-//! coefficient of the loop variable, and the loop takes the shape of its
-//! streams, once per loop:
-//!
-//! - it holds the accumulator where the write and `r0` are one cell that
-//!   does not move and neither `r1` nor `r2` reads the written vector
-//!   (mvm, spdot): the cell's value stays in a local, written once at
-//!   the end;
-//! - it hoists a read whose index does not move, reading it once before
-//!   the loop, unless the loop writes that cell (ts's `b[j]` under
-//!   `i in j+1..N` lies outside the cells it writes, and is hoisted);
-//! - it zips a step-1 index, written or read, as a run of cells, with no
-//!   check per iteration (mvmᵀ's scatter, ts);
-//! - any other index moves by its step, and a vector the loop writes is
-//!   read afresh in every iteration.
-//!
-//! The operations and their order are the tree's. Where an index fails,
+//! index does not move with the loop), each index becomes a position and
+//! a step, its coefficient of the loop variable, and one loop reads each
+//! operand at its position in every iteration, a searched read by a
+//! search. Where the write and `r0` are one cell that does not move and
+//! neither `r1` nor `r2` reads the written vector (mvm, spdot), the
+//! cell's value is held in a local, written once at the end. The
+//! operations and their order are the tree's. Where an index fails,
 //! the loop runs iteration by iteration through the tree, so its fault
 //! and what it wrote before are the tree's.
 //!
-//! Such a loop whose write and `r0` are one cell in each iteration (held
-//! or zipped: mvm, mvmᵀ, ts, spdot), and one of whose factors is a dense
-//! line read at step 1, visits only the line's stored cells where that
-//! is exact. Between two stored cells lies a *zero run*: iterations in
-//! which the line reads `+0.0`, so each computes `w ± (+0.0 × c)` into
+//! Such a loop whose write and `r0` are one cell in each iteration (held,
+//! or stepping by 1: mvm, mvmᵀ, ts, spdot), and one of whose factors is
+//! a dense line read at step 1, visits only the line's stored cells where
+//! that is exact. Between two stored cells lies a *zero run*: iterations
+//! in which the line reads `+0.0`, so each computes `w ± (+0.0 × c)` into
 //! the cell `w` it reads, `c` the other factor. Where `c` is finite the
 //! product is a zero, and adding a zero of either sign, or taking one
 //! away, leaves every `w` as it is but `-0.0`, which `+0.0` turns into
 //! `+0.0`; a NaN or an infinite `c` makes a NaN. So a zero run is
-//! skipped where every `c` the loop reads is finite (a value read once,
-//! or a vector the loop does not write and that holds no NaN or
-//! infinity) and no cell it would write holds `-0.0` (the held value,
-//! or the written vector's count, which every write of the run keeps);
-//! otherwise it runs as before. A stored cell, a stored zero too, is
-//! always visited.
+//! skipped where every `c` the loop reads is finite (one cell that does
+//! not move and that the loop does not write, as ts's `b[j]` under
+//! `i in j+1..N`, or a vector the loop does not write and that holds no
+//! NaN or infinity) and no cell it would write holds `-0.0` (the held
+//! value, or the written vector's count, which every write of the run
+//! keeps); otherwise it runs as before. A stored cell, a stored zero too, is
+//! always visited. This is what makes the oracle's cost follow the
+//! stored entries rather than the M × N cells.
+//!
+//! What the oracle shares with the code it checks: its copy of a matrix
+//! comes from [`SparseMatrix::entries`], which for every stored layout is
+//! the walk `leveled!` derives over `bernoulli_formats`' one iteration
+//! per level kind (`iterate.rs`), the iteration the plan interpreter's
+//! cursor runs too. A wrong iteration there would reach the oracle and
+//! the interpreter alike. So some witnesses read a matrix another way,
+//! and stay independent of the oracle: the tree walker of
+//! `tests/exec_reference.rs`, which reads every cell through `get` (the
+//! dense lookup over `search.rs`); `tests/dense_reads.rs`, which holds
+//! every read of the oracle to `get`, bit for bit;
+//! `formats/tests/walk_hash.rs`, whose hashes of every walk were recorded
+//! before the walk was derived; and the hand-written CSR kernels of
+//! `blas::handwritten`, which `tests/oracle_scale.rs` (at the workspace
+//! root) holds the oracle to, bit for bit.
 
 use crate::ast::*;
 use crate::expr::{AffineExpr, SlotExpr};
@@ -809,17 +816,21 @@ impl Whole {
             Pos(t, 1) => t..t + n,
             _ => 0..usize::MAX,
         };
-        let fixed = |k: usize, p: Pos| k != self.to.0 || !writes.contains(&p.0);
-        let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span, n, &fixed));
+        let [r1, r2] = [0, 1].map(|k| self.reads[k].stream(&s.vectors, span, n));
         let ((r1, z1), (r2, z2)) = (r1?, r2?);
-        let reads = [stream(r0, p0, n, fixed(self.r0.0, p0)), r1, r2];
+        let reads = [Stream::Cells(r0, p0), r1, r2];
         let held = self.holds && at.1 == 0 && p0 == at;
-        let zipped = at.1 == 1 && self.r0.0 == self.to.0 && p0 == at;
-        // Every value the other factor reads is finite: one read once,
+        let stepped = at.1 == 1 && self.r0.0 == self.to.0 && p0 == at;
+        // Every value the other factor reads is finite: one cell that
+        // does not move and that the loop does not write (ts's `b[j]`),
         // or a vector the loop does not write and that holds no NaN or
         // infinity.
         let finite = |other: &Read, stream| match (other, stream) {
-            (_, Stream::Held(x)) => x.is_finite(),
+            (Read::Vector(v, _), Stream::Cells(cells, Pos(a, 0)))
+                if *v != self.to.0 || !writes.contains(&a) =>
+            {
+                cells[a].get().is_finite()
+            }
             (Read::Vector(v, _), _) => *v != self.to.0 && s.tallies[*v].finite(),
             _ => false,
         };
@@ -828,7 +839,7 @@ impl Whole {
             (_, Some(z)) if finite(&self.reads[0], r1) => Some(z),
             _ => None,
         };
-        let (tally, zeros) = (&s.tallies[self.to.0], zeros.filter(|_| held || zipped));
+        let (tally, zeros) = (&s.tallies[self.to.0], zeros.filter(|_| held || stepped));
         match self.sub {
             true => fused::<true>(n, (to, at, tally), held, reads, zeros),
             false => fused::<false>(n, (to, at, tally), held, reads, zeros),
@@ -858,21 +869,19 @@ impl Read {
     /// The read as a [`Stream`] over `n` iterations: a line is filled
     /// here, once for the whole range, since its line index does not
     /// move with the loop. `span` says where an index starts and how it
-    /// moves, if it stays below the length given; `fixed`, whether a
-    /// vector's cell at a position is one the loop leaves as it is.
-    /// Beside it, where the read is a line at step 1 of an order whose
-    /// lines ascend, the stored cells it reads.
+    /// moves, if it stays below the length given. Beside it, where the
+    /// read is a line at step 1 of an order whose lines ascend, the
+    /// stored cells it reads.
     fn stream<'s>(
         &'s self,
         vectors: &[&'s [Cell<f64>]],
         span: &mut impl FnMut(&SlotExpr, usize) -> Option<Pos>,
         n: usize,
-        fixed: &impl Fn(usize, Pos) -> bool,
     ) -> Option<(Stream<'s>, Option<Zeros<'s>>)> {
         Some(match self {
             Read::Vector(k, i) => {
-                let at = span(i, vectors[*k].len())?;
-                (stream(vectors[*k], at, n, fixed(*k, at)), None)
+                let cells = vectors[*k];
+                (Stream::Cells(cells, span(i, cells.len())?), None)
             }
             Read::Line(line, l, a) => {
                 let Pos(l, 0) = span(l, line.order.lines())? else {
@@ -885,7 +894,7 @@ impl Read {
                     stored.partition_point(|&p| p < a.0)..stored.partition_point(|&p| p < a.0 + n)
                 };
                 let zeros = (a.1 == 1 && line.order.sorted).then(|| (&stored[run()], a.0));
-                (stream(&line.cells, a, n, true), zeros)
+                (Stream::Cells(&line.cells, a), zeros)
             }
             Read::Search(rows, cols, i, j) => (
                 Stream::Searched(rows, span(i, rows.lines())?, span(j, *cols)?),
@@ -898,62 +907,49 @@ impl Read {
 /// A read of a [`Whole`] loop, by how its index moves.
 #[derive(Clone, Copy)]
 enum Stream<'s> {
-    /// A cell that does not move and that the loop leaves as it is:
-    /// read once, before the loop.
-    Held(f64),
-    /// Step 1: the cells of the iterations, in turn.
-    Run(&'s [Cell<f64>]),
-    /// Any other step.
-    Strided(&'s [Cell<f64>], Pos),
+    /// The cells at a position that moves by its step, 0 included.
+    Cells(&'s [Cell<f64>], Pos),
     /// A row order searched at two.
     Searched(&'s Order, Pos, Pos),
 }
 
-/// How a loop of `n` iterations reads `cells` at `at`: once where the
-/// cell does not move and is `fixed`, as a run where it steps by 1.
-fn stream(cells: &[Cell<f64>], at: Pos, n: usize, fixed: bool) -> Stream<'_> {
-    match at {
-        Pos(a, 0) if fixed => Stream::Held(cells[a].get()),
-        Pos(a, 1) => Stream::Run(&cells[a..a + n]),
-        _ => Stream::Strided(cells, at),
-    }
-}
-
-/// `$go` with `$x` the stream `$s` as a [`Src`] of its shape.
-macro_rules! src {
-    ($s:expr, $x:ident => $go:expr) => {
-        match $s {
-            Stream::Held($x) => $go,
-            Stream::Run($x) => $go,
-            $x => $go,
+impl Stream<'_> {
+    /// The value in iteration `k`.
+    #[inline]
+    fn at(self, k: usize) -> f64 {
+        match self {
+            Stream::Cells(cells, at) => cells[at.at(k)].get(),
+            Stream::Searched(rows, i, j) => rows.find(i.at(k), j.at(k)),
         }
-    };
+    }
 }
 
 /// `n` iterations of `to = r0 ± r1 * r2`, each read in turn before the
 /// write, as the tree reads them. Where `held`, `r0` is the written
 /// cell, which does not move and which no other read reads: the loop
-/// holds its value and writes it once, at the end. A run of written
-/// cells is zipped with the reads. Either loop is an instance for the
-/// shape of each of its reads, with no check per iteration. Either
-/// skips the zero runs between the `zeros` where that is exact. Every
-/// write is counted in the written vector's tally.
+/// holds its value and writes it once, at the end. Either skips the
+/// zero runs between the `zeros` where that is exact. Every write is
+/// counted in the written vector's tally.
 fn fused<const SUB: bool>(
     n: usize,
     (to, at, tally): (&[Cell<f64>], Pos, &Tally),
     held: bool,
-    reads: [Stream; 3],
+    [r0, r1, r2]: [Stream; 3],
     zeros: Option<Zeros>,
 ) {
-    let [r0, r1, r2] = reads;
     match at {
-        Pos(t, 0) if held => src!(r1, b => src!(r2, c => {
-            tally.set(&to[t], hold::<SUB>(n, to[t].get(), b, c, zeros))
-        })),
-        Pos(t, 1) => src!(r0, a => src!(r1, b => src!(r2, c => {
-            zip::<SUB>((&to[t..t + n], tally), a, b, c, zeros)
-        }))),
-        _ => (0..n).for_each(|k| tally.set(&to[at.at(k)], op::<SUB>(r0.at(k), r1.at(k), r2.at(k)))),
+        // A zero run leaves an accumulator that is not `-0.0` as it is.
+        Pos(t, 0) if held => {
+            let same = |acc: &f64| acc.to_bits() != NEGATIVE_ZERO;
+            let step = |acc, k| op::<SUB>(acc, r1.at(k), r2.at(k));
+            tally.set(&to[t], sweep(n, zeros, to[t].get(), same, step))
+        }
+        // A zero run leaves every cell of a vector that holds no `-0.0`
+        // as it is.
+        _ => {
+            let step = |(), k| tally.set(&to[at.at(k)], op::<SUB>(r0.at(k), r1.at(k), r2.at(k)));
+            sweep(n, zeros, (), |()| tally.no_negative_zero(), step)
+        }
     }
 }
 
@@ -967,37 +963,6 @@ fn op<const SUB: bool>(a: f64, b: f64, c: f64) -> f64 {
     } else {
         a + b * c
     }
-}
-
-/// `n` iterations of `acc = acc ± b * c`; the last `acc`. A zero run
-/// leaves an `acc` that is not `-0.0` as it is.
-fn hold<const SUB: bool>(
-    n: usize,
-    acc: f64,
-    b: impl Src,
-    c: impl Src,
-    zeros: Option<Zeros>,
-) -> f64 {
-    let (b, c) = (b.first(n), c.first(n));
-    let same = |acc: &f64| acc.to_bits() != NEGATIVE_ZERO;
-    sweep(n, zeros, acc, same, |acc, k| {
-        op::<SUB>(acc, b.at(k), c.at(k))
-    })
-}
-
-/// `to[k] = a ± b * c` for every cell `k` of `to`, in turn, `a` reading
-/// `to[k]`. A zero run leaves every cell of a vector that holds no
-/// `-0.0` as it is.
-fn zip<const SUB: bool>(
-    (to, tally): (&[Cell<f64>], &Tally),
-    a: impl Src,
-    b: impl Src,
-    c: impl Src,
-    zeros: Option<Zeros>,
-) {
-    let (a, b, c) = (a.first(to.len()), b.first(to.len()), c.first(to.len()));
-    let step = |(), k: usize| tally.set(&to[k], op::<SUB>(a.at(k), b.at(k), c.at(k)));
-    sweep(to.len(), zeros, (), |()| tally.no_negative_zero(), step)
 }
 
 /// `step` over the iterations `0..n` in turn, from `init`. With `zeros`,
@@ -1024,47 +989,6 @@ fn sweep<A>(
         k = q + 1;
     }
     run(acc, k..n)
-}
-
-/// A [`Stream`] in the form its shape allows: a value read once, a
-/// run, or the stream itself.
-trait Src: Copy {
-    /// The value in iteration `k`.
-    fn at(self, k: usize) -> f64;
-    /// The first `n` iterations: a run cut to its length, so that
-    /// reading it at `k < n` needs no check.
-    fn first(self, _: usize) -> Self {
-        self
-    }
-}
-
-impl Src for f64 {
-    #[inline]
-    fn at(self, _: usize) -> f64 {
-        self
-    }
-}
-
-impl Src for &[Cell<f64>] {
-    #[inline]
-    fn at(self, k: usize) -> f64 {
-        self[k].get()
-    }
-    fn first(self, n: usize) -> Self {
-        &self[..n]
-    }
-}
-
-impl Src for Stream<'_> {
-    #[inline]
-    fn at(self, k: usize) -> f64 {
-        match self {
-            Stream::Held(x) => x,
-            Stream::Run(cells) => cells[k].get(),
-            Stream::Strided(cells, at) => cells[at.at(k)].get(),
-            Stream::Searched(rows, i, j) => rows.find(i.at(k), j.at(k)),
-        }
-    }
 }
 
 #[cfg(test)]

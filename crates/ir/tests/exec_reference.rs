@@ -205,6 +205,13 @@ struct Gen {
     /// or NaN, and a read
     /// of a product is, half the time, one of `A`.
     odd: bool,
+    /// An index's variable has, one time in three, the coefficient −1
+    /// and one in three 2 ([`Gen::stride`]), the written one too.
+    strides: bool,
+    /// An update reads the cell it writes, and its product is a line of
+    /// `A` at step 1 ([`Gen::line`]) and a vector read: the shape whose
+    /// zero runs a whole loop skips.
+    lines: bool,
 }
 
 fn var(name: &str) -> AffineExpr {
@@ -212,6 +219,20 @@ fn var(name: &str) -> AffineExpr {
 }
 
 impl Gen {
+    /// A generator seeded with `seed`, every flag off.
+    fn new(seed: u64, stray: u32) -> Gen {
+        Gen {
+            rng: StdRng::seed_from_u64(seed),
+            scope: Vec::new(),
+            stray,
+            square: false,
+            fixed: false,
+            odd: false,
+            strides: false,
+            lines: false,
+        }
+    }
+
     fn pick(&mut self, n: usize) -> usize {
         self.rng.gen_range(0..n)
     }
@@ -228,10 +249,28 @@ impl Gen {
             0 => AffineExpr::constant(0),
             n => var(fits[self.rng.gen_range(0..n)]),
         };
+        if !fits.is_empty() {
+            e = self.stride(e, extent);
+        }
         if self.rng.gen_range(0..self.stray) == 0 {
             e.set_cst(if self.rng.gen_bool(0.5) { 1 } else { -1 });
         }
         e
+    }
+
+    /// `v`, a variable below `extent`, and with `strides` one time in
+    /// three `M - 1 - v` or `N - 1 - v` (which stays in range), one in
+    /// three `2v`.
+    fn stride(&mut self, v: AffineExpr, extent: Below) -> AffineExpr {
+        if !self.strides {
+            return v;
+        }
+        let top = var(if extent == Below::M { "M" } else { "N" });
+        match self.pick(3) {
+            0 => &(&top - &AffineExpr::constant(1)) - &v,
+            1 => &v + &v,
+            _ => v,
+        }
     }
 
     fn reference(&mut self) -> LhsRef {
@@ -309,15 +348,16 @@ impl Gen {
         }
     }
 
-    /// What a `fixed` update writes: `u` at the innermost variable, or
-    /// at an index free of it (an outer variable or a constant).
+    /// What a `fixed` update writes: `u` at the innermost variable (with
+    /// `strides`, at a step [`Gen::stride`] draws), or at an index free
+    /// of it (an outer variable or a constant).
     fn written(&mut self) -> LhsRef {
         let inner = self.scope.pop().expect("an update is inside a loop");
         let lhs = match self.rng.gen_bool(0.5) {
             true => self.reference_to("u"),
             false => LhsRef {
                 array: "u".into(),
-                idxs: vec![var(&inner.0)],
+                idxs: vec![self.stride(var(&inner.0), inner.1)],
             },
         };
         self.scope.push(inner);
@@ -336,21 +376,47 @@ impl Gen {
         }
     }
 
+    /// A read of `A` whose row or column index is the innermost variable
+    /// and whose other index is free of it.
+    fn line(&mut self) -> LhsRef {
+        let inner = self.scope.pop().expect("an update is inside a loop");
+        let other = self.index(Below::M);
+        let idxs = match self.rng.gen_bool(0.5) {
+            true => vec![other, var(&inner.0)],
+            false => vec![var(&inner.0), other],
+        };
+        self.scope.push(inner);
+        LhsRef {
+            array: "A".into(),
+            idxs,
+        }
+    }
+
     /// `v[a] = r0 ± r1 * r2`, `r0` a vector read (half the time the
-    /// written one): the update that a loop around it alone runs whole.
+    /// written one, always with `lines`): the update that a loop around
+    /// it alone runs whole.
     fn update(&mut self) -> Node {
         let lhs = if self.fixed {
             self.written()
         } else {
             self.vector_reference()
         };
-        let r0 = if self.rng.gen_bool(0.5) {
+        let r0 = if self.lines || self.rng.gen_bool(0.5) {
             lhs.clone()
         } else {
             self.vector_reference()
         };
+        let (r1, r2) = if self.lines {
+            let (line, other) = (self.line(), self.vector_reference());
+            match self.rng.gen_bool(0.5) {
+                true => (line, other),
+                false => (other, line),
+            }
+        } else {
+            (self.factor(), self.factor())
+        };
         let read = |r| Box::new(ValueExpr::Read(r));
-        let product = Box::new(ValueExpr::Mul(read(self.factor()), read(self.factor())));
+        let product = Box::new(ValueExpr::Mul(read(r1), read(r2)));
         let rhs = if self.rng.gen_bool(0.5) {
             ValueExpr::Add(read(r0), product)
         } else {
@@ -446,14 +512,18 @@ fn program_with(seed: u64, stray: u32, square: bool, fixed: bool) -> Program {
 
 /// [`program_with`], with `odd` constants.
 fn program_of(seed: u64, stray: u32, square: bool, fixed: bool, odd: bool) -> Program {
-    let mut g = Gen {
-        rng: StdRng::seed_from_u64(seed),
-        scope: Vec::new(),
-        stray,
+    let g = Gen {
         square,
         fixed,
         odd,
+        ..Gen::new(seed, stray)
     };
+    program_by(seed, g)
+}
+
+/// A random program as `g` draws it, named after `seed`.
+fn program_by(seed: u64, mut g: Gen) -> Program {
+    let square = g.square;
     let depth = 1 + g.pick(3);
     let body = vec![g.a_loop(depth)];
     let (m, n) = (var("M"), var("N"));
@@ -765,6 +835,85 @@ fn signed_zeros_infinities_and_nans_agree_bitwise_with_the_tree_walker() {
         }
     }
     println!("{ok} programs over odd values ran to completion, {failed} to the same error");
+    assert!(ok > 300 && failed > 100, "{ok} / {failed}");
+}
+
+/// Odd-valued square programs whose every update is one a whole loop
+/// may skip the zero runs of: `u[a] = u[a] ± A-line * vector` or the
+/// factors the other way round, the written cell one that does not
+/// move or one that steps with the line. Each guard of the skip (a
+/// non-finite other factor, a `-0.0` in the written cell or the
+/// written vector) and the visit of every stored zero decides cases
+/// here that the tree walker computes cell by cell.
+#[test]
+fn skipped_zero_runs_agree_bitwise_with_the_tree_walker() {
+    let (mut ok, mut failed) = (0, 0);
+    let shapes = SQUARE.iter().chain(&[(12, 12, 30), (10, 10, 4)]);
+    for (k, (&shape, infinite)) in shapes.flat_map(|s| [(s, false), (s, true)]).enumerate() {
+        let t = odd_matrix(shape, 500 + k as u64, infinite);
+        for (format, a) in formats(&t) {
+            for seed in 0..30u64 {
+                let s = seed * 59 + k as u64;
+                let g = Gen {
+                    square: true,
+                    fixed: true,
+                    odd: true,
+                    lines: true,
+                    ..Gen::new(s, 12)
+                };
+                let p = program_by(s, g);
+                let what = format!("lines {format} {shape:?} seed {seed}");
+                match agree(&what, &p, || odd_env(a.as_ref(), seed), true) {
+                    Ok(()) => ok += 1,
+                    Err(e) => {
+                        assert!(
+                            e.0.contains("out of range") || e.0.contains("bad vector"),
+                            "{what}: {e}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{ok} programs of skippable updates ran to completion, {failed} to the same error");
+    assert!(ok > 300 && failed > 100, "{ok} / {failed}");
+}
+
+/// Square programs with fixed writes whose indices step by −1 and by 2
+/// as well as by 0 and 1: a whole loop's index that wraps as it steps
+/// down, a read that strides, and a write whose cells are neither one
+/// nor a run, each against the tree walker.
+#[test]
+fn strided_indices_agree_bitwise_with_the_tree_walker() {
+    let (mut ok, mut failed) = (0, 0);
+    for (k, &shape) in SQUARE.iter().enumerate() {
+        let t = matrix(shape, 400 + k as u64);
+        for (format, a) in formats(&t) {
+            for seed in 0..30u64 {
+                let s = seed * 53 + k as u64;
+                let g = Gen {
+                    square: true,
+                    fixed: true,
+                    strides: true,
+                    ..Gen::new(s, 12)
+                };
+                let p = program_by(s, g);
+                let what = format!("strided {format} {shape:?} seed {seed}");
+                match agree(&what, &p, || env(a.as_ref(), seed), true) {
+                    Ok(()) => ok += 1,
+                    Err(e) => {
+                        assert!(
+                            e.0.contains("out of range") || e.0.contains("bad vector"),
+                            "{what}: {e}"
+                        );
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{ok} programs with strided indices ran to completion, {failed} to the same error");
     assert!(ok > 300 && failed > 100, "{ok} / {failed}");
 }
 
