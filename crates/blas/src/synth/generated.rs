@@ -235,8 +235,6 @@ pub mod ts_csr_mod {
             let p1_0 = p0_0;
             let _ = p1_0;
             let mut acc__ = *b_.get((v0) as usize)?;
-            let mut pivot__ = 0.0f64;
-            let mut has_pivot__ = false;
             let span__ = *l_.rowptr.get(p0_0)? as usize..*l_.rowptr.get(p0_0 + 1)? as usize;
             if span__.start < span__.end {
                 for p0_1 in span__.start..span__.end - 1 {
@@ -256,26 +254,24 @@ pub mod ts_csr_mod {
                     let v1 = *l_.colind.get(p0_1)? as i64;
                     let p1_1 = p0_1;
                     let _ = p1_1;
-                    if v0 > v1 {
+                    {
+                        let j_ = v0;
+                        let _ = j_;
+                        if v1 == v0 {
+                            acc__ = (acc__ / ix(&l_.values, p0_1));
+                        }
+                    }
+                    {
                         let j_ = v1;
                         let _ = j_;
                         let i_ = v0;
                         let _ = i_;
-                        acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
-                    }
-                    else {
-                        {
-                            let j_ = v0;
-                            let _ = j_;
-                            if v1 == v0 {
-                                pivot__ = ix(&l_.values, p0_1);
-                                has_pivot__ = true;
-                            }
+                        if v0 > v1 {
+                            acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
                         }
                     }
                 }
             }
-            if has_pivot__ { acc__ = acc__ / pivot__; }
             *b_.get_mut((v0) as usize)? = acc__;
         }
         Some(())
@@ -309,20 +305,20 @@ pub mod ts_csc_mod {
                     let v1 = *l_.rowind.get(p0_1)? as i64;
                     let p1_1 = p0_1;
                     let _ = p1_1;
-                    if v1 > v0 {
+                    {
+                        let j_ = v0;
+                        let _ = j_;
+                        if v1 == v0 {
+                            *b_.get_mut((j_) as usize)? = (*b_.get((j_) as usize)? / ix(&l_.values, p0_1));
+                        }
+                    }
+                    {
                         let j_ = v0;
                         let _ = j_;
                         let i_ = v1;
                         let _ = i_;
-                        *b_.get_mut((i_) as usize)? = (*b_.get((i_) as usize)? - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
-                    }
-                    else {
-                        {
-                            let j_ = v0;
-                            let _ = j_;
-                            if v1 == v0 {
-                                *b_.get_mut((j_) as usize)? = (*b_.get((j_) as usize)? / ix(&l_.values, p0_1));
-                            }
+                        if v1 > v0 {
+                            *b_.get_mut((i_) as usize)? = (*b_.get((i_) as usize)? - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
                         }
                     }
                 }
@@ -370,8 +366,6 @@ pub mod ts_jad_mod {
             let (ok1_0, p1_0) = (ok0_0, p0_0);
             let _ = (ok1_0, p1_0);
             let mut acc__ = *b_.get((v0) as usize)?;
-            let mut pivot__ = 0.0f64;
-            let mut has_pivot__ = false;
             let span__ = 0..*l_.rowlen.get(p0_0)? as usize;
             if span__.start < span__.end {
                 for d__ in span__.start..span__.end - 1 {
@@ -395,28 +389,28 @@ pub mod ts_jad_mod {
                     let v1 = *l_.colind.get(p0_1)? as i64;
                     let p1_1 = p0_1;
                     let _ = p1_1;
-                    if ok1_0 && v0 > v1 {
-                        let j_ = v1;
-                        let _ = j_;
-                        let i_ = v0;
-                        let _ = i_;
-                        acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
+                    {
+                        if ok0_0 {
+                            let j_ = v0;
+                            let _ = j_;
+                            if v1 == v0 {
+                                acc__ = (acc__ / ix(&l_.values, p0_1));
+                            }
+                        }
                     }
-                    else {
-                        {
-                            if ok0_0 {
-                                let j_ = v0;
-                                let _ = j_;
-                                if v1 == v0 {
-                                    pivot__ = ix(&l_.values, p0_1);
-                                    has_pivot__ = true;
-                                }
+                    {
+                        if ok1_0 {
+                            let j_ = v1;
+                            let _ = j_;
+                            let i_ = v0;
+                            let _ = i_;
+                            if v0 > v1 {
+                                acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
                             }
                         }
                     }
                 }
             }
-            if has_pivot__ { acc__ = acc__ / pivot__; }
             *b_.get_mut((v0) as usize)? = acc__;
         }
         Some(())
@@ -495,8 +489,6 @@ pub mod ts_sky_mod {
             let p1_0 = p0_0;
             let _ = p1_0;
             let mut acc__ = *b_.get((v0) as usize)?;
-            let mut pivot__ = 0.0f64;
-            let mut has_pivot__ = false;
             let span__ = *l_.lo.get(p0_0)? as i64..p0_0 as i64 + 1;
             if span__.start < span__.end {
                 for v1 in span__.start..span__.end - 1 {
@@ -516,26 +508,24 @@ pub mod ts_sky_mod {
                     let p0_1 = *l_.ptr.get(p0_0)? as usize + (v1 as usize - *l_.lo.get(p0_0)? as usize);
                     let p1_1 = p0_1;
                     let _ = p1_1;
-                    if v0 > v1 {
+                    {
+                        let j_ = v0;
+                        let _ = j_;
+                        if v1 == v0 {
+                            acc__ = (acc__ / ix(&l_.values, p0_1));
+                        }
+                    }
+                    {
                         let j_ = v1;
                         let _ = j_;
                         let i_ = v0;
                         let _ = i_;
-                        acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
-                    }
-                    else {
-                        {
-                            let j_ = v0;
-                            let _ = j_;
-                            if v1 == v0 {
-                                pivot__ = ix(&l_.values, p0_1);
-                                has_pivot__ = true;
-                            }
+                        if v0 > v1 {
+                            acc__ = (acc__ - (ix(&l_.values, p1_1) * *b_.get((j_) as usize)?));
                         }
                     }
                 }
             }
-            if has_pivot__ { acc__ = acc__ / pivot__; }
             *b_.get_mut((v0) as usize)? = acc__;
         }
         Some(())

@@ -2,12 +2,13 @@
 //! to stress the split: rows with no off-diagonal entry (an empty main
 //! loop), `n = 1`, a dense last row, every bandwidth.
 //!
-//! For CSR, CSC and JAD: the runtime-loaded kernel ≡ the interpreter
-//! (which executes the *unsplit* plan) ≡ the committed kernel, bitwise,
-//! and all within 1e-9 of the dense reference executor.
+//! For CSR, CSC, JAD and SKY: the runtime-loaded kernel ≡ the
+//! interpreter (which executes the *unsplit* plan) ≡ the committed
+//! kernel, bitwise, and all within 1e-9 of the dense reference
+//! executor.
 
 use bernoulli_blas::synth;
-use bernoulli_formats::{Csc, Csr, Dense, Jad, Triplets};
+use bernoulli_formats::{Csc, Csr, Dense, Jad, Sky, Triplets};
 use bernoulli_ir::{run_dense, DenseEnv};
 use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
 use proptest::prelude::*;
@@ -48,6 +49,7 @@ enum Mat {
     Csr(Csr<f64>),
     Csc(Csc<f64>),
     Jad(Jad<f64>),
+    Sky(Sky<f64>),
 }
 
 impl Mat {
@@ -56,6 +58,7 @@ impl Mat {
             Mat::Csr(l) => KernelArg::Csr(l),
             Mat::Csc(l) => KernelArg::Csc(l),
             Mat::Jad(l) => KernelArg::Jad(l),
+            Mat::Sky(l) => KernelArg::Matrix(l),
         }
     }
 }
@@ -86,11 +89,12 @@ fn check(shape: &Shape, b0: &[f64]) {
     let reference = env.take_vector("b");
 
     let (session, store) = shared();
-    for format in ["csr", "csc", "jad"] {
+    for format in ["csr", "csc", "jad", "sky"] {
         let l = match format {
             "csr" => Mat::Csr(Csr::from_triplets(&t)),
             "csc" => Mat::Csc(Csc::from_triplets(&t)),
-            _ => Mat::Jad(Jad::from_triplets(&t)),
+            "jad" => Mat::Jad(Jad::from_triplets(&t)),
+            _ => Mat::Sky(Sky::from_triplets(&t)),
         };
         let bound = session
             .bind(&spec, &[(matrix, synth::view_for("ts", format))])
@@ -114,6 +118,7 @@ fn check(shape: &Shape, b0: &[f64]) {
             Mat::Csr(l) => synth::ts_csr(n as i64, l, &mut committed),
             Mat::Csc(l) => synth::ts_csc(n as i64, l, &mut committed),
             Mat::Jad(l) => synth::ts_jad(n as i64, l, &mut committed),
+            Mat::Sky(l) => synth::ts_sky(n as i64, l, &mut committed),
         }
         assert_eq!(interpreted, committed, "ts/{format} committed, n = {n}");
 

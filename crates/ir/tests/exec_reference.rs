@@ -350,15 +350,22 @@ impl Gen {
 
     /// What a `fixed` update writes: `u` at the innermost variable (with
     /// `strides`, at a step [`Gen::stride`] draws), or at an index free
-    /// of it (an outer variable or a constant).
+    /// of it (an outer variable or a constant). At step 2 it writes `w`
+    /// instead: `w` holds `M + N + 1` cells, so a loop below `M` of a
+    /// square program (`N = M`) never leaves it, where `u[2v]` leaves
+    /// `u` before the end of every range that starts at 0.
     fn written(&mut self) -> LhsRef {
         let inner = self.scope.pop().expect("an update is inside a loop");
         let lhs = match self.rng.gen_bool(0.5) {
             true => self.reference_to("u"),
-            false => LhsRef {
-                array: "u".into(),
-                idxs: vec![self.stride(var(&inner.0), inner.1)],
-            },
+            false => {
+                let idx = self.stride(var(&inner.0), inner.1);
+                let doubled = idx.terms().any(|(_, c)| c == 2);
+                LhsRef {
+                    array: if doubled { "w" } else { "u" }.into(),
+                    idxs: vec![idx],
+                }
+            }
         };
         self.scope.push(inner);
         lhs

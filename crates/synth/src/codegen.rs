@@ -2,18 +2,25 @@
 //!
 //! The paper's §4 code reaches the hand-written NIST kernels (Fig. 9,
 //! Fig. 12) through a few transformations of the plan's loops: scalar
-//! replacement of the innermost step's accumulator, with the triangular
-//! solves' pivot division deferred past the loop; edge splitting of an
-//! ordered innermost enumeration whose bound lowering proved; register
-//! tiling of blocked row walks; a row-band entry, through which a
-//! loaded kernel's `run` splits a large operand's rows over the worker
-//! pool and the cache-blocked CSR walk steps; and the fusion of two
-//! guard-disjoint statements into one `if`/`else`. [`Codegen::of`]
+//! replacement of the innermost step's accumulator; edge splitting of
+//! an ordered innermost enumeration whose bound lowering proved;
+//! register tiling of blocked row walks; and a row-band entry, through
+//! which a loaded kernel's `run` splits a large operand's rows over the
+//! worker pool and the cache-blocked CSR walk steps. [`Codegen::of`]
 //! makes each of these decisions once, from the plan, the program and
 //! the views, and never fails: a transformation that does not apply is
 //! absent from the record. [`crate::emit`] prints from the record and
 //! decides nothing; [`crate::compiled`] reads its kernel crate's entry
 //! points from it.
+//!
+//! A transformation stays only while turning it off alone shows an
+//! effect (EXPERIMENTS.md, PR 48, has the number of each; the strip
+//! tiling's is mixed, a gain on full strips and a loss at partial
+//! fill). Two showed none there and went: the triangular solves' pivot
+//! division deferred past the inner loop, and the fusion of two
+//! guard-disjoint statements into one `if`/`else`. Each acts only at
+//! the edge split's one position per row, where the statements are the
+//! same and run in the same order either way.
 //!
 //! The record is derived: nothing persists it, and the interpreter does
 //! not read it. A plan-cache entry derives its best plan's record at
@@ -24,7 +31,7 @@ use crate::plan::{Atom, Dir, Edge, ExecStmt, Guard, OffEdge, PExpr, Plan, StepKi
 use bernoulli_formats::layout::levels_of_view;
 use bernoulli_formats::level::Kind;
 use bernoulli_formats::view::FormatView;
-use bernoulli_ir::{AffineExpr, Program, Role, ValueExpr};
+use bernoulli_ir::{AffineExpr, Program, Role};
 use std::collections::HashMap;
 
 /// Every codegen decision for one plan (see the module docs).
@@ -35,21 +42,14 @@ pub struct Codegen {
     tiling: Option<Tiling>,
     ranged: Option<Ranged>,
     random_access: bool,
-    /// The chained pair of the innermost body, as [`chain_of`] picks it.
-    pub(crate) chain: Option<[usize; 2]>,
 }
 
 impl Codegen {
     /// The decisions for `plan`, a plan of `p` over `views`.
     pub fn of(p: &Program, plan: &Plan, views: &HashMap<String, FormatView>) -> Codegen {
         let promotion = find_promotion(p, plan);
-        let inner: Vec<&ExecStmt> = plan
-            .execs
-            .iter()
-            .filter(|e| e.depth == plan.steps.len())
-            .collect();
         Codegen {
-            tiling: promotion.as_ref().and_then(|pr| tiling(plan, views, pr)),
+            tiling: promotion.as_ref().and_then(|_| tiling(plan, views)),
             promotion,
             split: find_edge_split(p, plan),
             ranged: ranged(p, plan, views),
@@ -58,7 +58,6 @@ impl Codegen {
                 .iter()
                 .flat_map(|e| &e.sources)
                 .any(|s| matches!(s, Some(ValueSource::Random { .. }))),
-            chain: chain_of(&inner),
         }
     }
 
@@ -88,13 +87,6 @@ impl Codegen {
     pub fn random_access(&self) -> bool {
         self.random_access
     }
-
-    /// True when an innermost body — the unsplit one, or the edge
-    /// split's main loop — prints two guard-disjoint statements as one
-    /// `if`/`else` chain.
-    pub fn chained(&self) -> bool {
-        self.chain.is_some() || self.split.as_ref().is_some_and(|s| s.chain.is_some())
-    }
 }
 
 /// A proved-safe register promotion of `vec[idx]` across the innermost
@@ -105,20 +97,9 @@ pub struct Promotion {
     pub(crate) array: String,
     /// Index expression over outer-step slots and parameters.
     pub(crate) idx: PExpr,
-    /// Deferred pivot division: the exec index whose `acc = acc / X` is
-    /// moved after the inner loop (capturing `X` in a register at its
-    /// original firing point). Sound because its `Eq` guard fires at most
-    /// once per inner enumeration (strictly increasing slot) and every
-    /// other statement is proved to fire strictly earlier.
-    pub(crate) deferred_div: Option<usize>,
 }
 
 impl Promotion {
-    /// True when the pivot division is deferred past the inner loop.
-    pub fn deferred_division(&self) -> bool {
-        self.deferred_div.is_some()
-    }
-
     /// Is `array[idx]`, read or written by `e`, the promoted element?
     pub(crate) fn holds(&self, p: &Program, e: &ExecStmt, array: &str, idx: &AffineExpr) -> bool {
         array == self.array && subst_index(e, idx, &p.params).is_some_and(|i| i.same_as(&self.idx))
@@ -144,8 +125,6 @@ pub struct EdgeSplit {
     /// slot does not move and the dropped guards prove different from
     /// every write: bound once before the main loop.
     pub(crate) invariants: Vec<InvariantRead>,
-    /// The chained pair of `main`, as [`chain_of`] picks it.
-    pub(crate) chain: Option<[usize; 2]>,
 }
 
 impl EdgeSplit {
@@ -244,52 +223,6 @@ fn guards_prove_nonzero(e: &ExecStmt, diff: &PExpr) -> bool {
     })
 }
 
-/// Are two guards provably disjoint (at most one can hold)?
-/// Recognizes the `Eq(a)` vs `Ge(-a-1)` / `Ge(a-1)` patterns and the
-/// `Ge(a)` vs `Ge(-a-1)` pattern produced by complementary regions.
-fn guards_disjoint(g1: &Guard, g2: &Guard) -> bool {
-    let neg_minus1 = |x: &PExpr| {
-        let mut n = x.negated();
-        n.cst -= 1;
-        n
-    };
-    let minus1 = |x: &PExpr| {
-        let mut n = x.clone();
-        n.cst -= 1;
-        n
-    };
-    match (g1, g2) {
-        (Guard::Eq(a), Guard::Ge(b)) | (Guard::Ge(b), Guard::Eq(a)) => {
-            b.same_as(&neg_minus1(a)) || b.same_as(&minus1(a))
-        }
-        (Guard::Ge(a), Guard::Ge(b)) => b.same_as(&neg_minus1(a)),
-        _ => false,
-    }
-}
-
-/// Provably-disjoint single guards fuse into an if/else-if chain (one
-/// comparison on the hot path), matching the hand-written kernels'
-/// structure: the indices in `body` of the two statements, the
-/// Ge-guarded (dense) case first.
-fn chain_of(body: &[&ExecStmt]) -> Option<[usize; 2]> {
-    let slot_only = |g: &Guard| {
-        let (Guard::Eq(x) | Guard::Ge(x) | Guard::Divides(x, _)) = g;
-        x.terms.iter().all(|(a, _)| matches!(a, Atom::Slot(_)))
-    };
-    let [a, b] = body else { return None };
-    let single = |e: &ExecStmt| {
-        e.guards.len() == 1 && slot_only(&e.guards[0]) && e.bindings.iter().all(|(_, _, d)| *d == 1)
-    };
-    if !(single(a) && single(b) && guards_disjoint(&a.guards[0], &b.guards[0])) {
-        return None;
-    }
-    Some(if matches!(a.guards[0], Guard::Ge(_)) {
-        [0, 1]
-    } else {
-        [1, 0]
-    })
-}
-
 /// Looks for a safe promotion across the innermost step.
 fn find_promotion(p: &Program, plan: &Plan) -> Option<Promotion> {
     let nsteps = plan.steps.len();
@@ -343,99 +276,7 @@ fn find_promotion(p: &Program, plan: &Plan) -> Option<Promotion> {
             }
         }
     }
-    let mut promotion = Promotion {
-        array,
-        idx,
-        deferred_div: None,
-    };
-    promotion.deferred_div = find_deferred_div(p, plan, &inner, &promotion);
-    Some(promotion)
-}
-
-/// Finds a division statement `acc = acc / X` whose execution can be
-/// deferred past the inner loop (the pivot-capture transformation the
-/// hand-written triangular solves perform):
-///
-/// - its only guard is `Eq(g)` where `g` has a ±1 coefficient on exactly
-///   one slot of the innermost step (so, with increasing enumeration, it
-///   fires at most once per inner loop);
-/// - every other full-depth statement carries a `Ge` guard placing it
-///   strictly on the "earlier" side of that firing point;
-/// - `X` does not read the promoted element.
-fn find_deferred_div(
-    p: &Program,
-    plan: &Plan,
-    inner: &[&ExecStmt],
-    pr: &Promotion,
-) -> Option<usize> {
-    let nsteps = plan.steps.len();
-    let last = &plan.steps[nsteps - 1];
-    if !last.ordered {
-        return None;
-    }
-    let last_slots = last.first_slot..last.first_slot + last.nslots;
-
-    // Identify the division candidate.
-    let mut div_at: Option<(usize, PExpr)> = None; // (exec idx in plan order, normalized g)
-    for e in inner.iter() {
-        let ValueExpr::Div(a, b) = &e.body.rhs else {
-            continue;
-        };
-        if !matches!(a.as_ref(), ValueExpr::Read(r) if pr.holds(p, e, &r.array, &r.idxs[0])) {
-            continue;
-        }
-        if e.guards.len() != 1 {
-            return None;
-        }
-        let Guard::Eq(g) = &e.guards[0] else {
-            return None;
-        };
-        // The divisor must not read the promoted element.
-        for r in b.reads() {
-            if r.array == pr.array
-                && subst_index(e, &r.idxs[0], &p.params).is_none_or(|ri| ri.same_as(&pr.idx))
-            {
-                return None;
-            }
-        }
-        // Exactly one inner slot with coefficient ±1; normalize to +1.
-        let mut inner_terms = g
-            .terms
-            .iter()
-            .filter(|(a, _)| matches!(a, Atom::Slot(sl) if last_slots.contains(sl)));
-        let (Some(&(_, c @ (1 | -1))), None) = (inner_terms.next(), inner_terms.next()) else {
-            return None;
-        };
-        let gn = if c == -1 { g.negated() } else { g.clone() };
-        if div_at.is_some() {
-            return None; // at most one division statement
-        }
-        let pos = plan
-            .execs
-            .iter()
-            .position(|x| x.stmt == e.stmt)
-            .unwrap_or(usize::MAX);
-        div_at = Some((pos, gn));
-    }
-    let (div_idx, gn) = div_at?;
-
-    // Every other inner exec fires strictly before the division's point:
-    // it must carry the guard `-g - 1 >= 0` (value < firing point).
-    let mut before = gn.negated();
-    before.cst -= 1;
-    for (k, e) in plan.execs.iter().enumerate() {
-        if k == div_idx || e.depth != nsteps {
-            continue;
-        }
-        if !e
-            .guards
-            .iter()
-            .any(|g| matches!(g, Guard::Ge(h) if h.same_as(&before)))
-        {
-            return None;
-        }
-    }
-    Some(div_idx)
+    Some(Promotion { array, idx })
 }
 
 /// Was (ref, level) positioned by a search (may miss) rather than an
@@ -533,7 +374,6 @@ fn find_edge_split(p: &Program, plan: &Plan) -> Option<EdgeSplit> {
     }
     Some(EdgeSplit {
         edge: bound.edge,
-        chain: chain_of(&main.iter().collect::<Vec<_>>()),
         main,
         invariants,
     })
@@ -542,8 +382,8 @@ fn find_edge_split(p: &Program, plan: &Plan) -> Option<EdgeSplit> {
 /// The tiling of a two-step plan `rows (level 0) → row's entries (level
 /// 1)` of one reference's chain 0, forward, without searches or sharers,
 /// whose single full-depth statement reduces into a promoted
-/// row-invariant element with no deferred division (the MVM shape).
-fn tiling(plan: &Plan, views: &HashMap<String, FormatView>, pr: &Promotion) -> Option<Tiling> {
+/// row-invariant element (the MVM shape).
+fn tiling(plan: &Plan, views: &HashMap<String, FormatView>) -> Option<Tiling> {
     let ([s0, s1], [e]) = (plan.steps.as_slice(), plan.execs.as_slice()) else {
         return None;
     };
@@ -561,7 +401,6 @@ fn tiling(plan: &Plan, views: &HashMap<String, FormatView>, pr: &Promotion) -> O
         || (p1.chain, p1.level) != (0, 1)
         || p0.ref_id != p1.ref_id
         || e.depth != 2
-        || pr.deferred_div.is_some()
     {
         return None;
     }

@@ -60,6 +60,11 @@
 //! full-range entry itself calls, in blocks of `CSR_ROW_BLOCK` rows
 //! where the record says the rows are stored compressed
 //! ([`Ranged::row_blocked`](crate::codegen::Ranged::row_blocked)).
+//! The ranged body is handed each output vector's rows `row_lo..row_hi`
+//! alone, after a check that they lie in it (status 1 where they do
+//! not), so that bands running at once never hold overlapping `&mut`
+//! slices; the full-range entry of an unblocked plan hands it the whole
+//! vectors with `row_lo` 0.
 //! What the crate exports, and whether it can be built at all, is read
 //! from the record; nothing here decides it.
 //!
@@ -472,8 +477,10 @@ pub(crate) fn cdylib_source(
     // One mirror struct per distinct layout used: two block shapes of
     // the same format share theirs.
     let mut mirrored: Vec<&str> = Vec::new();
-    // Shared operand-unpacking text (used by every entry point).
-    let mut unpack = String::new();
+    // Operand-unpacking text of the full-range entry; the same without
+    // the output vectors, which a ranged call takes as a band of rows
+    // (`band`).
+    let (mut unpack, mut inputs, mut outputs) = (String::new(), String::new(), Vec::new());
     let (mut di, mut si) = (0usize, 0usize);
     let mut call_args: Vec<String> = Vec::new();
     for i in 0..sig.params.len() {
@@ -497,27 +504,37 @@ pub(crate) fn cdylib_source(
                     fields.push(format!("{f}: sl::<{}>(slices.get({si})?)", t.rust()));
                     si += 1;
                 }
-                unpack.push_str(&format!(
+                let line = format!(
                     "        let {var} = {}::<f64> {{ {} }};\n",
                     layout.type_name,
                     fields.join(", ")
-                ));
+                );
+                unpack.push_str(&line);
+                inputs.push_str(&line);
                 call_args.push(format!("&{var}"));
             }
             ArgSpec::VecIn => {
-                unpack.push_str(&format!(
-                    "        let {var} = sl::<f64>(slices.get({si})?);\n"
-                ));
+                let line = format!("        let {var} = sl::<f64>(slices.get({si})?);\n");
+                unpack.push_str(&line);
+                inputs.push_str(&line);
                 si += 1;
                 call_args.push(var);
             }
             ArgSpec::VecOut => {
                 unpack.push_str(&format!("        let {var} = sl_mut(slices.get({si})?);\n"));
+                outputs.push((var.clone(), si));
                 si += 1;
                 call_args.push(var);
             }
         }
     }
+    // The output vectors' rows `lo..hi`, unpacked at `indent`.
+    let band = |indent: &str, lo: &str, hi: &str| -> String {
+        let line = |(var, si): &(String, usize)| {
+            format!("{indent}let {var} = sl_band(slices.get({si})?, {lo}, {hi})?;\n")
+        };
+        outputs.iter().map(line).collect()
+    };
 
     out.push_str(
         "#[repr(C)]\npub struct RawSlice {\n    pub ptr: *const u8,\n    pub len: usize,\n}\n\n",
@@ -525,9 +542,18 @@ pub(crate) fn cdylib_source(
     out.push_str(
         "unsafe fn sl<T>(s: &RawSlice) -> &'static [T] {\n    if s.len == 0 {\n        &[]\n    } else {\n        core::slice::from_raw_parts(s.ptr as *const T, s.len)\n    }\n}\n\n",
     );
-    out.push_str(
+    // A row-blocked full-range entry takes each block's band of the
+    // outputs too, and so leaves the whole-vector unpacking unused.
+    if !cg.ranged().is_some_and(|r| r.row_blocked()) {
+        out.push_str(
         "unsafe fn sl_mut(s: &RawSlice) -> &'static mut [f64] {\n    if s.len == 0 {\n        &mut []\n    } else {\n        core::slice::from_raw_parts_mut(s.ptr as *mut f64, s.len)\n    }\n}\n\n",
     );
+    }
+    if cg.ranged().is_some() {
+        out.push_str(
+            "/// The rows `lo..hi` of an output vector, `None` unless they lie in\n/// it; an empty band is an empty slice.\n///\n/// # Safety\n/// `s` is a writable vector of `s.len` elements, and no other reference\n/// to the band's elements lives while the returned one does.\nunsafe fn sl_band(s: &RawSlice, lo: i64, hi: i64) -> Option<&'static mut [f64]> {\n    if hi <= lo {\n        return Some(&mut []);\n    }\n    let lo = usize::try_from(lo).ok()?;\n    let hi = usize::try_from(hi).ok()?;\n    if hi > s.len {\n        return None;\n    }\n    Some(core::slice::from_raw_parts_mut((s.ptr as *mut f64).add(lo), hi - lo))\n}\n\n",
+        );
+    }
 
     out.push_str(&body);
     out.push('\n');
@@ -547,28 +573,32 @@ pub(crate) fn cdylib_source(
         "#[no_mangle]\npub extern \"C\" fn {KERNEL_SYMBOL}(\n    params: *const i64,\n    nparams: usize,\n    dims: *const usize,\n    ndims: usize,\n    slices: *const RawSlice,\n    nslices: usize,\n) -> i32 {{\n"
     ));
     out.push_str(&preamble);
-    out.push_str(&unpack);
+    let args = call_args.join(", ");
     // The full range of a ranged body is its outer matrix's row count.
-    if let Some(ranged) = cg.ranged() {
-        let nrows = format!("{}.nrows", operand_var(ranged.outer()));
-        if ranged.row_blocked() {
+    match cg.ranged() {
+        Some(ranged) if ranged.row_blocked() => {
             // Cache-blocked traversal of compressed rows (CSR): walk
-            // the rows in fixed blocks through the ranged body.
+            // the rows in fixed blocks through the ranged body, each
+            // block with its band of the output vectors.
+            out.push_str(&inputs);
             out.push_str(&format!(
-                "        let nrows__ = {nrows} as i64;\n        let mut r0__ = 0i64;\n        while r0__ < nrows__ {{\n            let r1__ = if r0__ + {CSR_ROW_BLOCK} < nrows__ {{ r0__ + {CSR_ROW_BLOCK} }} else {{ nrows__ }};\n            kernel_impl_range({args}, r0__, r1__)?;\n            r0__ = r1__;\n        }}\n        Some(())\n",
-                args = call_args.join(", ")
-            ));
-        } else {
-            out.push_str(&format!(
-                "        kernel_impl_range({args}, 0, {nrows} as i64)\n",
-                args = call_args.join(", ")
+                "        let nrows__ = {}.nrows as i64;\n        let mut r0__ = 0i64;\n        while r0__ < nrows__ {{\n            let r1__ = if r0__ + {CSR_ROW_BLOCK} < nrows__ {{ r0__ + {CSR_ROW_BLOCK} }} else {{ nrows__ }};\n{}            kernel_impl_range({args}, r0__, r1__)?;\n            r0__ = r1__;\n        }}\n        Some(())\n",
+                operand_var(ranged.outer()),
+                band("            ", "r0__", "r1__"),
             ));
         }
-    } else {
-        out.push_str(&format!(
-            "        kernel_impl({args})\n",
-            args = call_args.join(", ")
-        ));
+        // The whole output vectors are the band of rows from 0.
+        Some(ranged) => {
+            out.push_str(&unpack);
+            out.push_str(&format!(
+                "        kernel_impl_range({args}, 0, {}.nrows as i64)\n",
+                operand_var(ranged.outer())
+            ));
+        }
+        None => {
+            out.push_str(&unpack);
+            out.push_str(&format!("        kernel_impl({args})\n"));
+        }
     }
     out.push_str(postamble);
     out.push_str("}\n");
@@ -580,10 +610,10 @@ pub(crate) fn cdylib_source(
             "#[no_mangle]\npub extern \"C\" fn {KERNEL_RANGE_SYMBOL}(\n    params: *const i64,\n    nparams: usize,\n    dims: *const usize,\n    ndims: usize,\n    slices: *const RawSlice,\n    nslices: usize,\n    row_lo: i64,\n    row_hi: i64,\n) -> i32 {{\n"
         ));
         out.push_str(&preamble);
-        out.push_str(&unpack);
+        out.push_str(&inputs);
+        out.push_str(&band("        ", "row_lo", "row_hi"));
         out.push_str(&format!(
-            "        kernel_impl_range({args}, row_lo, row_hi)\n",
-            args = call_args.join(", ")
+            "        kernel_impl_range({args}, row_lo, row_hi)\n"
         ));
         out.push_str(postamble);
         out.push_str("}\n");
@@ -941,9 +971,9 @@ struct Marshalled<'a> {
 
 // SAFETY: the arrays are borrowed from the operands for the lifetime
 // `'a`; concurrent band calls only read this list, and write through
-// it only the rows of their own band (the row-band contract of the
-// module docs), so no element is written by two threads or read by one
-// while another writes it.
+// it only the rows of their own band, each through a slice of those
+// rows alone (the row-band contract of the module docs), so no element
+// is written by two threads or read by one while another writes it.
 unsafe impl Sync for Marshalled<'_> {}
 
 /// Appends one operand to the flattened call arguments, in the order
@@ -1295,8 +1325,13 @@ mod tests {
             !src.contains("bernoulli_formats") && src.contains("#![no_std]"),
             "kernel crate must depend on neither the workspace nor std:\n{src}"
         );
-        // Cache-blocked CSR traversal in the full entry.
+        // Cache-blocked CSR traversal in the full entry, each block
+        // and the ranged entry with the output's band of rows alone.
         assert!(src.contains("r0__"), "blocked row walk missing:\n{src}");
+        for band in ["(4)?, r0__, r1__)?;", "(4)?, row_lo, row_hi)?;"] {
+            let unpacked = format!("let y_ = sl_band(slices.get{band}");
+            assert!(src.contains(&unpacked), "{unpacked} missing:\n{src}");
+        }
         Ok(())
     }
 

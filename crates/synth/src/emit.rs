@@ -10,9 +10,9 @@
 //! are what the benchmark harness measures.
 //!
 //! The printer decides nothing: which transformations a plan gets —
-//! promotion, deferred division, edge split, tiling, the row-band entry,
-//! guard chaining — is its [`Codegen`] record, and the printer renders
-//! the plan as the record says.
+//! promotion, edge split, tiling, the row-band entry — is its
+//! [`Codegen`] record, and the printer renders the plan as the record
+//! says.
 //!
 //! The one emitted dialect has no panic path: a function returns
 //! `Option<()>` and every checked index is `*a.get(i)?`, so an operand
@@ -239,7 +239,8 @@ struct Emitter<'a> {
     uses_ix: std::cell::Cell<bool>,
     /// Emit the outermost row enumeration over `row_lo__..row_hi__`
     /// parameters instead of `0..nrows` (the range-splittable entry the
-    /// parallel lane dispatches chunks through).
+    /// parallel lane dispatches chunks through), each output vector
+    /// being the band's rows only.
     ranged: bool,
 }
 
@@ -288,6 +289,8 @@ pub fn emit_rust(
 /// extra trailing parameters `row_lo__, row_hi__: i64` instead of
 /// `0..nrows`, so callers can restrict a call to a row band (the
 /// parallel lane dispatches nnz-balanced chunks through this entry).
+/// Each output vector is then the band's rows only: element `i` of the
+/// program's vector is element `i - row_lo__` of the slice passed.
 /// Returns `Ok(None)` when the plan's record has no row-band entry
 /// ([`Codegen::ranged`]).
 pub fn emit_rust_ranged(
@@ -690,25 +693,32 @@ impl<'a> Emitter<'a> {
     }
 
     /// A dense-vector element as a place: `get` to read it, `get_mut`
-    /// to assign it.
+    /// to assign it. In the ranged body an output vector holds the
+    /// band's rows only, so its index is rebased by `row_lo__`: the
+    /// record's row-band entry puts every access to an output at the
+    /// band's row.
     fn elem(&self, get: &str, array: &str, idx: &str) -> String {
-        format!("*{}.{get}(({idx}) as usize)?", self.mat(array))
+        let output = self.p.array(array).is_some_and(|a| {
+            a.kind == ArrayKind::Vector
+                && matches!(a.role, Role::Out | Role::InOut)
+                && !self.views.contains_key(array)
+        });
+        let rebase = if self.ranged && output {
+            " - row_lo__"
+        } else {
+            ""
+        };
+        format!("*{}.{get}(({idx}{rebase}) as usize)?", self.mat(array))
     }
 
     /// Emits step `si`'s loop and its subtree.
     fn nest(&mut self, si: usize, place: Place) -> Result<(), EmitError> {
         let (plan, cg) = (self.plan, self.cg);
         if si == plan.steps.len() {
-            let (body, chain): (Vec<&ExecStmt>, _) = match cg.edge_split().filter(|_| place.main) {
-                Some(split) => (split.main.iter().collect(), split.chain),
-                None => (
-                    plan.execs.iter().filter(|e| e.depth == si).collect(),
-                    cg.chain,
-                ),
+            let body: Vec<&ExecStmt> = match cg.edge_split().filter(|_| place.main) {
+                Some(split) => split.main.iter().collect(),
+                None => plan.execs.iter().filter(|e| e.depth == si).collect(),
             };
-            if let Some([first, second]) = chain {
-                return self.exec_chained(body[first], body[second], place);
-            }
             for e in body {
                 self.exec(e, place)?;
             }
@@ -724,10 +734,6 @@ impl<'a> Emitter<'a> {
         if let Some(pr) = promotion_here {
             let y = self.elem("get", &pr.array, &self.pexpr(&pr.idx));
             self.line(&format!("let mut {} = {y};", place.reg));
-            if pr.deferred_division() {
-                self.line("let mut pivot__ = 0.0f64;");
-                self.line("let mut has_pivot__ = false;");
-            }
         }
         let step = &plan.steps[si];
         match &step.kind {
@@ -752,12 +758,8 @@ impl<'a> Emitter<'a> {
             }
         }
         if let Some(pr) = promotion_here {
-            let reg = place.reg;
-            if pr.deferred_division() {
-                self.line(&format!("if has_pivot__ {{ {reg} = {reg} / pivot__; }}"));
-            }
             let y = self.elem("get_mut", &pr.array, &self.pexpr(&pr.idx));
-            self.line(&format!("{y} = {reg};"));
+            self.line(&format!("{y} = {};", place.reg));
         }
         // Hoisted-after statements.
         for e in &plan.execs {
@@ -1182,12 +1184,6 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
-    /// Is `e` the division the record defers past the inner loop?
-    fn deferred(&self, e: &ExecStmt) -> bool {
-        let div = self.cg.promotion().and_then(|pr| pr.deferred_div);
-        div.is_some_and(|di| self.plan.execs[di].stmt == e.stmt)
-    }
-
     fn exec(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
         self.line("{");
         self.indent += 1;
@@ -1220,78 +1216,16 @@ impl<'a> Emitter<'a> {
             self.indent += 1;
             opened += 1;
         }
-        self.statement(e, place)?;
+        let mut next_access = 1usize;
+        let rhs = self.value_expr(e, &e.body.rhs, &mut next_access, place)?;
+        let lhs = self.lhs(e, &e.body.lhs, place)?;
+        self.line(&format!("{lhs} = {rhs};"));
         for _ in 0..opened {
             self.indent -= 1;
             self.line("}");
         }
         self.indent -= 1;
         self.line("}");
-        Ok(())
-    }
-
-    /// Emits two guard-disjoint statements as an if/else-if chain.
-    fn exec_chained(
-        &mut self,
-        first: &ExecStmt,
-        second: &ExecStmt,
-        place: Place,
-    ) -> Result<(), EmitError> {
-        self.exec_one(first, place)?;
-        self.line("else {");
-        self.indent += 1;
-        self.exec(second, place)?;
-        self.indent -= 1;
-        self.line("}");
-        Ok(())
-    }
-
-    /// Emits one statement with its guards as the outermost condition,
-    /// so that an `else` continuation may follow its closing brace.
-    fn exec_one(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
-        // Guard first (single guard, no divisor bindings assumed checked
-        // by the caller via guards_disjoint preconditions).
-        let mut conds = self.presence_conds(e);
-        for g in &e.guards {
-            conds.push(self.guard_cond(g));
-        }
-        self.line(&format!("if {} {{", conds.join(" && ")));
-        self.indent += 1;
-        for (v, expr, div) in &e.bindings {
-            let ex = self.pexpr(expr);
-            if *div != 1 {
-                return Err(EmitError("divisor binding in chained exec".into()));
-            }
-            self.line(&format!("let {}_ = {ex};", v.to_lowercase()));
-            self.line(&format!("let _ = {}_;", v.to_lowercase()));
-        }
-        self.statement(e, place)?;
-        self.indent -= 1;
-        // The caller appends `else { ... }` right after this closing
-        // brace (`}` followed by `else` on the next line is valid Rust).
-        self.line("}");
-        Ok(())
-    }
-
-    /// The statement itself. A deferred pivot division captures its
-    /// divisor at the firing point instead; the division itself runs
-    /// after the inner loop.
-    fn statement(&mut self, e: &ExecStmt, place: Place) -> Result<(), EmitError> {
-        if !self.deferred(e) {
-            let mut next_access = 1usize;
-            let rhs = self.value_expr(e, &e.body.rhs, &mut next_access, place)?;
-            let lhs = self.lhs(e, &e.body.lhs, place)?;
-            self.line(&format!("{lhs} = {rhs};"));
-            return Ok(());
-        }
-        let ValueExpr::Div(_, divisor) = &e.body.rhs else {
-            return Err(EmitError("deferred division lost its shape".into()));
-        };
-        // Skip the accumulator read's access slot (it is the Div's lhs).
-        let mut next_access = 2usize;
-        let dsrc = self.value_expr(e, divisor, &mut next_access, place)?;
-        self.line(&format!("pivot__ = {dsrc};"));
-        self.line("has_pivot__ = true;");
         Ok(())
     }
 

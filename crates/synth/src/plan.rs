@@ -266,8 +266,8 @@ pub struct Step {
     pub kind: StepKind,
     pub dir: Dir,
     /// Does the step enumerate its slot values in increasing order? Set
-    /// by lowering; used by emitter transformations that need firing-
-    /// order proofs (e.g. deferred pivot division).
+    /// by lowering; used where a proof needs the firing order (the
+    /// edge bound below).
     pub ordered: bool,
     /// Set by lowering on an ordered innermost step whose full-depth
     /// statements are all guarded against one pivot, when the known
