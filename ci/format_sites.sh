@@ -8,14 +8,14 @@
 # `format_name`) and reads the description, instead of keeping a name
 # table of its own that a tenth format would have to be added to.
 #
-# Counted: every line of crates/synth/src/*.rs, crates/kernel-cache/src
-# and crates/blas/src/par, outside comments and outside the file's
+# Counted: every line of crates/synth/src/*.rs, crates/service/src/*.rs,
+# crates/kernel-cache/src and crates/blas/src/par, outside comments and outside the file's
 # `#[cfg(test)]` modules (which close every file that has them), that
 # contains the quoted name of a `LAYOUTS` entry or of a host view —
 # in any position: match arms, tuple arms, or-patterns, `matches!`,
 # `==` / `!=`.
 #
-# The lines left, all in crates/synth/src/advise.rs:
+# The lines left, all in crates/service/src/advise.rs:
 # - `DEFAULT_ADVISOR_FORMATS`, the advisor's default roster (a choice,
 #   not a description);
 # - `view_for_features`' two constructors: `bsr` is advised at the
@@ -48,7 +48,7 @@ cd "$(dirname "$0")/.."
 budget_file="ci/format_sites.txt"
 names='csr|csc|coo|dia|ell|jad|sky|bsr|vbr|dcsr|dense|diagsplit|spvec|hashvec'
 count=0
-for file in crates/synth/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
+for file in crates/synth/src/*.rs crates/service/src/*.rs $(find crates/kernel-cache/src crates/blas/src/par -name '*.rs' | sort) \
     crates/formats/src/view.rs crates/formats/src/view_text.rs crates/formats/src/walk.rs \
     crates/formats/src/assemble.rs crates/formats/src/layout.rs crates/formats/src/level.rs \
     crates/formats/src/cursor.rs crates/formats/src/search.rs crates/formats/src/iterate.rs; do

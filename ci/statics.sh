@@ -20,7 +20,7 @@
 #   directory so that its build flights and loaded libraries are shared;
 # - crates/govern/src/lib.rs `TABLE`: the fault-injection table, read
 #   from BERNOULLI_FAULTS (compiled only with the `faults` feature);
-# - crates/synth/src/persist.rs `TMP_SEQ`: a counter that makes the
+# - crates/service/src/persist.rs `TMP_SEQ`: a counter that makes the
 #   temporary file names of concurrent persistent-cache writes unique;
 # - crates/polyhedra/src/cache.rs `TIER` (`shared_tier`): the memo every
 #   `Service` shares. It leaves with ROADMAP item 1(a), once the

@@ -38,7 +38,8 @@ use bernoulli_formats::{
     block_fill, discover_strips, gen, Bsr, Coo, Csc, Csr, Dia, Ell, HashVec, Jad, SparseMatrix,
     SparseVec, SparseView, Vbr,
 };
-use bernoulli_synth::{ExecEnv, Session, SynthOptions};
+use bernoulli_service::Session;
+use bernoulli_synth::{ExecEnv, SynthOptions};
 use std::hint::black_box;
 
 const REPS: usize = 12;
@@ -702,9 +703,9 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
 /// `partition_rows(8)` bands, and records the blocking's fill-in
 /// overhead (stored cells vs source nnz). Writes `BENCH_blocked.json`.
 fn blocked() {
-    use bernoulli_synth::{KernelArg, KernelStore};
+    use bernoulli_service::{KernelArg, KernelStore};
     println!("== S39: blocked formats (BSR | VBR | CSR), MFLOP/s ==");
-    if let Err(e) = bernoulli_synth::rustc_info() {
+    if let Err(e) = bernoulli_service::rustc_info() {
         println!("  NOTICE: skipping blocked lane: {e}");
         report::write(
             "BENCH_blocked.json",

@@ -9,7 +9,7 @@
 //! sequential `run` of the same kernel at every band count.
 
 use bernoulli_formats::Csr;
-use bernoulli_synth::{KernelArg, KernelCallError, LoadedKernel};
+use bernoulli_service::{KernelArg, KernelCallError, LoadedKernel};
 
 /// `y += A·x` through a loaded CSR MVM kernel over at most `nthreads`
 /// nnz-balanced row bands ([`LoadedKernel::run_in_bands`]), bitwise
@@ -43,7 +43,7 @@ pub(super) mod tests {
     use super::*;
     use bernoulli_formats::layout::Stored;
     use bernoulli_formats::{gen, Bsr, Ell, SparseView, Triplets, Vbr};
-    use bernoulli_synth::{KernelStore, Session};
+    use bernoulli_service::{KernelStore, Session};
 
     /// The MVM kernel loaded for `a_view`, or `None` (after saying so)
     /// on a host without `rustc`.
@@ -54,7 +54,7 @@ pub(super) mod tests {
     /// builds of one crate side by side.
     pub(crate) fn try_load(a_view: bernoulli_formats::FormatView) -> Option<LoadedKernel> {
         static STORE: std::sync::OnceLock<KernelStore> = std::sync::OnceLock::new();
-        if bernoulli_synth::rustc_info().is_err() {
+        if bernoulli_service::rustc_info().is_err() {
             eprintln!("SKIP par loaded test: no rustc on host");
             return None;
         }

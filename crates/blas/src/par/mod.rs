@@ -2,7 +2,7 @@
 //! worker pool.
 //!
 //! There is one parallel path, and it is inside
-//! [`LoadedKernel::run`](bernoulli_synth::LoadedKernel::run): a kernel
+//! [`LoadedKernel::run`](bernoulli_service::LoadedKernel::run): a kernel
 //! whose plan has a row-band entry (each band writes only its own rows)
 //! runs a large operand's rows as nnz-balanced bands at once on the
 //! [`Pool`] (re-exported from `bernoulli-pool`, shared with the

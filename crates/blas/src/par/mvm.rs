@@ -7,7 +7,7 @@ mod tests {
     use crate::par::loaded::tests::{banded, try_load};
     use crate::par::par_loaded_mvm_csr;
     use bernoulli_formats::{gen, Csr, SparseView, Triplets};
-    use bernoulli_synth::KernelCallError;
+    use bernoulli_service::KernelCallError;
 
     /// Three rows cut into up to 64 bands: most bands are empty, and the
     /// result is still bitwise the sequential `run`.

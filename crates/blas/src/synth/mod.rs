@@ -18,7 +18,7 @@ pub use generated::*;
 use bernoulli_formats::view::{Bound, FormatView, StoredGuarantee};
 use bernoulli_formats::view_by_name;
 use bernoulli_ir::Program;
-use bernoulli_synth::Session;
+use bernoulli_service::Session;
 
 /// The (kernel, format) pairs whose synthesized kernels are committed.
 pub const GENERATED_KERNELS: &[(&str, &str)] = &[

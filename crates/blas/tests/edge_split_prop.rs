@@ -10,7 +10,7 @@
 use bernoulli_blas::synth;
 use bernoulli_formats::{Csc, Csr, Dense, Jad, Sky, Triplets};
 use bernoulli_ir::{run_dense, DenseEnv};
-use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
+use bernoulli_service::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -123,7 +123,7 @@ fn check(shape: &Shape, b0: &[f64]) {
         assert_eq!(interpreted, committed, "ts/{format} committed, n = {n}");
 
         // Without a compiler there is no loaded path to compare.
-        if bernoulli_synth::rustc_info().is_ok() {
+        if bernoulli_service::rustc_info().is_ok() {
             let loaded = k.load_in(store).expect("loads natively");
             let mut native = b0.to_vec();
             loaded

@@ -10,7 +10,7 @@
 use bernoulli_blas::handwritten as hw;
 use bernoulli_blas::synth;
 use bernoulli_formats::{gen, Csr};
-use bernoulli_synth::{
+use bernoulli_service::{
     KernelArg, KernelBackend, KernelCacheError, KernelStore, LoadError, Session,
 };
 
@@ -20,7 +20,7 @@ fn no_rustc_degrades_to_interpreter_with_typed_reason() {
     // probe in this process, so the memoized result is the failure.
     std::env::set_var("BERNOULLI_RUSTC", "/nonexistent/bernoulli-no-rustc");
     assert!(
-        bernoulli_synth::rustc_info().is_err(),
+        bernoulli_service::rustc_info().is_err(),
         "the override must make the compiler probe fail"
     );
 

@@ -18,7 +18,7 @@ use bernoulli_formats::{
     discover_strips, gen, Bsr, Coo, Csc, Csr, Dcsr, Dense, Dia, Ell, Jad, Sky, Triplets, Vbr,
 };
 use bernoulli_ir::{run_dense, DenseEnv};
-use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
+use bernoulli_service::{KernelArg, KernelBackend, KernelStore, LoadError, Session};
 
 enum Mat {
     Csr(Csr<f64>),
@@ -224,7 +224,7 @@ fn loaded_interpreter_and_committed_agree_bitwise_on_every_pair() {
                     matches!(
                         reason,
                         LoadError::Cache(
-                            bernoulli_synth::KernelCacheError::CompilerUnavailable { .. }
+                            bernoulli_service::KernelCacheError::CompilerUnavailable { .. }
                         ) | LoadError::Emit(_)
                     ),
                     "{kernel}/{format}: unexpected fallback reason {reason:?}"
@@ -233,7 +233,7 @@ fn loaded_interpreter_and_committed_agree_bitwise_on_every_pair() {
         }
     }
 
-    if bernoulli_synth::rustc_info().is_ok() {
+    if bernoulli_service::rustc_info().is_ok() {
         assert_eq!(
             native_runs,
             2 * synth::GENERATED_KERNELS.len(),
@@ -321,7 +321,7 @@ fn dcsr_three_paths_agree_bitwise() {
             assert_eq!(interpreted, reference, "{case}: interpreter vs run_dense");
             match k.backend_in(&store) {
                 KernelBackend::Interpreted { reason } => {
-                    assert!(bernoulli_synth::rustc_info().is_err(), "{case}: {reason}");
+                    assert!(bernoulli_service::rustc_info().is_err(), "{case}: {reason}");
                     eprintln!("SKIP native path for {case}: {reason}");
                 }
                 native => {
@@ -332,7 +332,7 @@ fn dcsr_three_paths_agree_bitwise() {
             }
         }
     }
-    if bernoulli_synth::rustc_info().is_ok() {
+    if bernoulli_service::rustc_info().is_ok() {
         assert_eq!(native_runs, 2 * matrices.len());
     }
     let _ = std::fs::remove_dir_all(&dir);

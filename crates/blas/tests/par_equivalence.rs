@@ -7,11 +7,11 @@
 
 use bernoulli_blas::{par, synth};
 use bernoulli_formats::{gen, Csr, Triplets};
-use bernoulli_synth::{KernelArg, KernelStore, Session};
+use bernoulli_service::{KernelArg, KernelStore, Session};
 
 #[test]
 fn degenerate_shapes() {
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         eprintln!("SKIP degenerate_shapes: no rustc on host");
         return;
     }

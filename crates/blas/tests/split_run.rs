@@ -12,10 +12,11 @@
 use bernoulli_blas::synth::{spec_for, view_for, GENERATED_KERNELS};
 use bernoulli_formats::layout::{Layout, Stored};
 use bernoulli_formats::{gen, Triplets};
-use bernoulli_synth::{
-    CompiledKernel, EmitError, KernelArg, KernelBackend, KernelCallError, KernelStore, LoadError,
+use bernoulli_service::{
+    CompiledKernel, KernelArg, KernelBackend, KernelCallError, KernelStore, LoadError,
     LoadedKernel, Session, SPLIT_MIN_ENTRIES,
 };
+use bernoulli_synth::EmitError;
 use std::sync::OnceLock;
 
 /// The pairs whose plan has a row-band entry.
@@ -41,7 +42,7 @@ const SEQUENTIAL: [(&str, &str); 8] = [
 ];
 
 fn rustc_missing(test: &str) -> bool {
-    let missing = bernoulli_synth::rustc_info().is_err();
+    let missing = bernoulli_service::rustc_info().is_err();
     if missing {
         eprintln!("SKIP {test}: no rustc on host");
     }

@@ -8,7 +8,8 @@ use bernoulli_blas::{kernels, synth};
 use bernoulli_formats::formats::sparsevec::{hashvec_format_view, sparsevec_format_view};
 use bernoulli_formats::view::FormatView;
 use bernoulli_ir::Program;
-use bernoulli_synth::{SearchReport, Session, SynthOptions, WorkloadStats};
+use bernoulli_service::Session;
+use bernoulli_synth::{SearchReport, SynthOptions, WorkloadStats};
 
 /// One full search on a dedicated session: `threads = None` runs
 /// sequentially, `Some(n)` on a session-owned pool of `n` lanes. A

@@ -17,7 +17,7 @@
 //!
 //! [`LAYOUTS`] is the registry: the formats whose instances can be taken
 //! apart into [`Stored::parts`] and put back together elsewhere (the
-//! loaded-kernel ABI of `bernoulli-synth` is derived from it), the
+//! loaded-kernel ABI of `bernoulli-service` is derived from it), the
 //! formats assembled from triplets by name ([`Layout::named`], then
 //! [`Layout::from_triplets`]), and the one table from view names to
 //! formats ([`Layout::of_view`], [`levels_of_view`], [`view_by_name`],

@@ -271,14 +271,39 @@ pub mod faults {
         action: Action,
         /// How many more hits fire (`u64::MAX` = unlimited).
         remaining: u64,
+        /// Whether any hit fired.
+        fired: bool,
     }
 
-    fn table() -> &'static Mutex<HashMap<String, Fault>> {
-        static TABLE: OnceLock<Mutex<HashMap<String, Fault>>> = OnceLock::new();
-        TABLE.get_or_init(|| {
+    /// The armed sites, and the sites armed with a count (`#n`) whose
+    /// arming was replaced before any hit fired.
+    struct Table {
+        armed: HashMap<String, Fault>,
+        missed: Vec<String>,
+    }
+
+    impl Table {
+        /// Disarms every site, keeping the counted armings that never
+        /// fired in `missed`.
+        fn retire(&mut self) {
+            let armed = std::mem::take(&mut self.armed);
+            let unfired = armed
+                .into_iter()
+                .filter(|(_, f)| f.remaining != u64::MAX && !f.fired);
+            self.missed.extend(unfired.map(|(site, _)| site));
+        }
+    }
+
+    fn table() -> std::sync::MutexGuard<'static, Table> {
+        static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
             let spec = std::env::var("BERNOULLI_FAULTS").unwrap_or_default();
-            Mutex::new(parse(&spec))
-        })
+            Mutex::new(Table {
+                armed: parse(&spec),
+                missed: Vec::new(),
+            })
+        });
+        table.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Parses a fault spec: comma-separated `site=action` entries where
@@ -306,7 +331,12 @@ pub mod faults {
             } else {
                 continue;
             };
-            out.insert(site.trim().to_string(), Fault { action, remaining });
+            let fault = Fault {
+                action,
+                remaining,
+                fired: false,
+            };
+            out.insert(site.trim().to_string(), fault);
         }
         out
     }
@@ -314,7 +344,9 @@ pub mod faults {
     /// Replaces the fault table with the given spec (see the grammar on
     /// the parser). Tests use this to arm and disarm sites.
     pub fn configure(spec: &str) {
-        *table().lock().unwrap_or_else(|e| e.into_inner()) = parse(spec);
+        let mut table = table();
+        table.retire();
+        table.armed = parse(spec);
     }
 
     /// Disarms every site.
@@ -322,14 +354,26 @@ pub mod faults {
         configure("");
     }
 
+    /// Disarms every site, as [`clear`] does, and returns the sites
+    /// armed with a count (`#n`) since the last call that no hit fired,
+    /// also where [`configure`] or [`clear`] replaced the arming since:
+    /// a test that armed such a site proved nothing about it.
+    pub fn disarm() -> Vec<String> {
+        let mut table = table();
+        table.retire();
+        let mut sites = std::mem::take(&mut table.missed);
+        sites.sort();
+        sites
+    }
+
     /// Consumes one hit of the site's armed fault, if any.
     fn take(site: &str) -> Option<Action> {
-        let mut map = table().lock().unwrap_or_else(|e| e.into_inner());
-        match map.get_mut(site) {
+        match table().armed.get_mut(site) {
             Some(f) if f.remaining > 0 => {
                 if f.remaining != u64::MAX {
                     f.remaining -= 1;
                 }
+                f.fired = true;
                 Some(f.action)
             }
             _ => None,

@@ -92,11 +92,3 @@ impl From<ExecError> for IrError {
         IrError::Exec(e)
     }
 }
-
-/// Parses *and validates* a program: the one-call front end a compiler
-/// session uses, returning a typed [`IrError`] either way.
-pub fn parse_valid_program(src: &str) -> Result<Program, IrError> {
-    let p = parse_program(src)?;
-    p.validate()?;
-    Ok(p)
-}

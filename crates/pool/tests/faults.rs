@@ -29,6 +29,8 @@ fn dead_workers_are_respawned() {
         let got = pool.par_map(&items, |&x| x + 1);
         assert_eq!(got, want);
     }
+    // Both armed deaths happened: the test proved what it claims.
+    assert_eq!(faults::disarm(), Vec::<String>::new());
 }
 
 #[test]

@@ -15,14 +15,14 @@
 //! second `advise` on the same instance is all cache hits), and the
 //! returned [`CompiledKernel`]s interpret/load/emit like any other.
 
-use crate::cost::WorkloadStats;
-use crate::search::SynthError;
-use crate::session::{bind_problem, BoundProblem, CompiledKernel};
+use crate::session::CompiledKernel;
 use bernoulli_formats::formats::bsr::bsr_format_view;
 use bernoulli_formats::formats::diagsplit::diagsplit_format_view;
 use bernoulli_formats::view::{Bound, FormatView, StoredGuarantee};
 use bernoulli_formats::{view_by_name, StructureFeatures, Triplets};
 use bernoulli_ir::Program;
+use bernoulli_synth::bind::bind_problem;
+use bernoulli_synth::{BoundProblem, SynthError, WorkloadStats};
 
 /// Candidate formats `advise` scores when the caller passes none:
 /// the scalar general-purpose tier (every format here accepts any
@@ -87,7 +87,7 @@ pub fn view_for_features(format: &str, f: &StructureFeatures) -> Result<FormatVi
         named => view_by_name(named),
     };
     let Some(mut v) = view else {
-        return Err(SynthError::Config(crate::config::ConfigError(format!(
+        return Err(SynthError::Config(bernoulli_synth::ConfigError(format!(
             "unknown advisor candidate format {format:?}"
         ))));
     };

@@ -24,7 +24,7 @@
 //!
 //! The generated crate is `#![no_std]`, built with `-C panic=abort`,
 //! and has no panic path: every checked index is `*a.get(i)?` (see
-//! [`crate::emit`]). The linker proves it: the crate's panic handler
+//! [`bernoulli_synth::emit`]). The linker proves it: the crate's panic handler
 //! calls `bernoulli_kernel_has_a_panic_path`, a symbol defined nowhere,
 //! and the build refuses undefined symbols, so a kernel in which a
 //! panic survives optimisation fails to *link* — a typed
@@ -59,7 +59,7 @@
 //! with trailing `(int64_t row_lo, int64_t row_hi)`, which the
 //! full-range entry itself calls, in blocks of `CSR_ROW_BLOCK` rows
 //! where the record says the rows are stored compressed
-//! ([`Ranged::row_blocked`](crate::codegen::Ranged::row_blocked)).
+//! ([`Ranged::row_blocked`](bernoulli_synth::codegen::Ranged::row_blocked)).
 //! The ranged body is handed each output vector's rows `row_lo..row_hi`
 //! alone, after a check that they lie in it (status 1 where they do
 //! not), so that bands running at once never hold overlapping `&mut`
@@ -86,11 +86,6 @@
 //! [`LoadedKernel::run_in_bands`] is the same call with the band count
 //! given.
 
-use crate::codegen::Codegen;
-use crate::emit::{print, EmitError};
-use crate::interp::{run_plan, ExecEnv, PlanError};
-use crate::plan::Plan;
-use crate::search::SynthError;
 use bernoulli_formats::layout::{Block, Elem, Layout, RawArray, Stored, SEARCH_SOURCE};
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{Bsr, Csc, Csr, FormatError, Jad};
@@ -98,6 +93,8 @@ use bernoulli_ir::expr::SlotExpr;
 use bernoulli_ir::{ArrayKind, Program, Role};
 use bernoulli_kernel_cache::{ArtifactSpec, KernelCacheError, KernelStore, Library};
 use bernoulli_pool::Pool;
+use bernoulli_synth::emit::{print, EmitError};
+use bernoulli_synth::{run_plan, Codegen, ExecEnv, Plan, PlanError, SynthError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -459,6 +456,8 @@ pub(crate) fn cdylib_source(
         None => print(p, plan, views, cg, "kernel_impl", false)?,
     };
 
+    // The header still names the crate this module was written in: the
+    // text is hashed into every artifact name, so it moves only on purpose.
     let mut out = String::new();
     out.push_str("// GENERATED by bernoulli-synth (runtime kernel crate) — do not edit.\n");
     out.push_str(&format!(

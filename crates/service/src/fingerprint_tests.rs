@@ -5,7 +5,7 @@
 //! bound problems hands out a problem it bound before.
 
 use super::*;
-use crate::session::{bind_problem, Session};
+use crate::session::Session;
 use bernoulli_blas::kernels;
 use bernoulli_blas::synth::{spec_for, view_for, GENERATED_KERNELS};
 use bernoulli_formats::formats::csc::csc_format_view;

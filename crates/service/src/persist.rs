@@ -35,10 +35,11 @@
 //! into place, so concurrent services sharing one directory only ever
 //! observe complete entries.
 
-use crate::plan::{Atom, Dir, Edge, EdgeBound, ExecStmt, Guard, LevelRef, PExpr, Plan, PlanRef};
-use crate::plan::{SearchPart, Step, StepKind, ValueSource};
-use crate::search::{CachedSearch, Candidate, SearchReport};
+use crate::search::CachedSearch;
 use bernoulli_ir::{AffineExpr, LhsRef, Statement, ValueExpr};
+use bernoulli_synth::plan::{Atom, Dir, Edge, EdgeBound, ExecStmt, Guard, LevelRef, PExpr, Plan};
+use bernoulli_synth::plan::{PlanRef, SearchPart, Step, StepKind, ValueSource};
+use bernoulli_synth::{Candidate, SearchReport};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

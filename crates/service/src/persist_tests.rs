@@ -11,14 +11,12 @@
 //! descriptions (this file, copied into a checkout of that parent,
 //! passes there), so it is the proof that the descriptions write the
 //! parent's bytes. To re-record after a *deliberate* change to the plan
-//! IR or to what lowering produces: `cargo test -p bernoulli-synth --lib
+//! IR or to what lowering produces: `cargo test -p bernoulli-service --lib
 //! persist_tests -- --nocapture` prints every row in the table's
 //! syntax; paste them over the table and bump `FORMAT_VERSION`.
 
 use super::*;
-use crate::emit::emit_rust;
-use crate::search::{run_search, serve, PlanCache, Request, SynthOptions};
-use crate::session::bind_problem;
+use crate::search::{run_search, serve, PlanCache, Request};
 use bernoulli_blas::kernels;
 use bernoulli_blas::synth::{spec_for, view_for, GENERATED_KERNELS};
 use bernoulli_formats::formats::dcsr::dcsr_format_view;
@@ -26,6 +24,8 @@ use bernoulli_formats::formats::sparsevec::{hashvec_format_view, sparsevec_forma
 use bernoulli_formats::view::{Bound, FormatView, StoredGuarantee};
 use bernoulli_formats::{discover_strips, gen, Bsr, Csr, SparseView, Triplets, Vbr};
 use bernoulli_ir::{parse_program, Program};
+use bernoulli_synth::bind::bind_problem;
+use bernoulli_synth::{emit_rust, SynthOptions};
 use std::sync::Arc;
 
 type Outcome = Result<(), Box<dyn std::error::Error>>;

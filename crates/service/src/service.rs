@@ -45,16 +45,14 @@
 //! suite in `tests/` holds this). Nothing on these paths panics.
 
 use crate::persist::{PersistStats, PersistentPlanCache};
-use crate::search::{
-    run_search, serve, PlanCache, PlanCacheStats, Request, SearchOutcome, SynthError, SynthOptions,
-    Tier,
-};
-use crate::session::{self, BoundProblem, CompiledKernel, DepReport};
+use crate::search::{run_search, serve, PlanCache, PlanCacheStats, Request, SearchOutcome, Tier};
+use crate::session::{self, CompiledKernel, DepReport};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::{Budget, CancelToken, Flight, SingleFlight};
 use bernoulli_ir::Program;
 use bernoulli_polyhedra::CacheStats;
 use bernoulli_pool::Pool;
+use bernoulli_synth::{BoundProblem, SynthError, SynthOptions};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -521,23 +519,14 @@ impl Service {
     ) -> Result<CompiledKernel, ServiceError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let absolute = deadline.map(|d| Instant::now() + d);
-        let permit = match self.admission.acquire(absolute) {
-            Ok(p) => p,
-            Err(e) => {
-                match &e {
-                    ServiceError::Overloaded { .. } => {
-                        self.counters
-                            .shed_overloaded
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    ServiceError::QueueDeadline { .. } => {
-                        self.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ServiceError::Synth(_) => {}
-                }
-                return Err(e);
-            }
-        };
+        let permit = self.admission.acquire(absolute).inspect_err(|e| {
+            let shed = match e {
+                ServiceError::Overloaded { .. } => &self.counters.shed_overloaded,
+                ServiceError::QueueDeadline { .. } => &self.counters.shed_deadline,
+                ServiceError::Synth(_) => return,
+            };
+            shed.fetch_add(1, Ordering::Relaxed);
+        })?;
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         self.counters
             .peak_inflight
@@ -591,7 +580,15 @@ impl Service {
         deadline: Option<Instant>,
     ) -> Result<SearchOutcome, SynthError> {
         let pool = search_pool(&self.pool, req.opts);
-        let search = |key: String| self.search_counted(req, key, pool);
+        // A genuine search (not served by a plan-cache tier) counts in
+        // `ServiceStats::searches`.
+        let search = |key: String| {
+            let found = run_search(req, key, pool, &self.plan_cache, self.persist.as_ref())?;
+            if found.tier == Tier::Search {
+                self.counters.searches.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(found)
+        };
         if !req.opts.cache_plans {
             // With plan caching off, requests for the same key are
             // deliberately independent (load generators rely on this
@@ -618,21 +615,6 @@ impl Service {
             // the sequential path.
             Flight::TimedOut => search(key),
         }
-    }
-
-    /// Runs a search and counts it in [`ServiceStats::searches`] when
-    /// it was a genuine search (not served by a plan-cache tier).
-    fn search_counted(
-        &self,
-        req: &Request<'_>,
-        key: String,
-        pool: Option<&Pool>,
-    ) -> Result<SearchOutcome, SynthError> {
-        let found = run_search(req, key, pool, &self.plan_cache, self.persist.as_ref())?;
-        if found.tier == Tier::Search {
-            self.counters.searches.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(found)
     }
 
     /// A point-in-time snapshot of the request accounting.

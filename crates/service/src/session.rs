@@ -24,20 +24,17 @@
 //! [`Service`] runs behind admission: the session calls it directly,
 //! with a private polyhedral memo and its own cancel token.
 
-use crate::codegen::Codegen;
 use crate::compiled::{KernelArg, KernelBackend, LoadError, LoadedKernel};
-use crate::config::ConfigError;
-use crate::interp::{run_plan, ExecEnv, RunStats};
-use crate::plan::Plan;
-use crate::search::{
-    problem_fingerprint, views_by_name, CachedSearch, Candidate, PlanCache, PlanCacheStats,
-    SearchOutcome, SearchReport, SynthError, SynthOptions,
-};
+use crate::search::{CachedSearch, PlanCache, PlanCacheStats, SearchOutcome};
 use crate::service::{Service, ServiceConfig};
 use bernoulli_formats::view::FormatView;
 use bernoulli_govern::CancelToken;
-use bernoulli_ir::{parse_program, ArrayKind, DepClass, Program};
+use bernoulli_ir::{parse_program, DepClass, Program};
 use bernoulli_pool::Pool;
+use bernoulli_synth::{
+    run_plan, BoundProblem, Candidate, Codegen, ExecEnv, Plan, PlanError, RunStats, SearchReport,
+    SynthError, SynthOptions,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -238,51 +235,6 @@ impl Default for Session {
     }
 }
 
-/// Stage-3 validation and the copy a bound problem is made of, shared
-/// by a miss of [`Service::bind`]'s table and the advisor: every bound
-/// name must be a declared array, and the view's dense rank must match
-/// the array kind (2 for matrices, 1 for vectors). Of two bindings of
-/// one name the last is the one bound; both are checked.
-pub(crate) fn bind_problem(
-    p: &Program,
-    views: &[(&str, FormatView)],
-) -> Result<BoundProblem, SynthError> {
-    p.validate()?;
-    for (name, view) in views {
-        let decl = p.array(name).ok_or_else(|| SynthError::UnknownMatrix {
-            name: name.to_string(),
-        })?;
-        let need = match decl.kind {
-            ArrayKind::Matrix => 2,
-            ArrayKind::Vector => 1,
-        };
-        if view.dense_attrs.len() != need {
-            return Err(SynthError::Config(ConfigError(format!(
-                "view {:?} for array {name:?} has {} dense attrs, \
-                 but the array is declared with {need} dimension(s)",
-                view.name,
-                view.dense_attrs.len()
-            ))));
-        }
-    }
-    let named = views_by_name(views);
-    let fingerprint = problem_fingerprint(p, &named);
-    let mut bound = BoundProblem {
-        fingerprint,
-        program: Arc::new(p.clone()),
-        views: Arc::new(
-            views
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.clone()))
-                .collect(),
-        ),
-        reflexive: false,
-    };
-    // The copy is the input over again: only a `NaN` tells them apart.
-    bound.reflexive = bound.is(fingerprint, p, &named);
-    Ok(bound)
-}
-
 /// The dependence classes of a program (stage 2 output).
 #[derive(Clone, Debug)]
 pub struct DepReport {
@@ -304,68 +256,6 @@ impl DepReport {
 
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
-    }
-}
-
-/// A validated (program, format views) pair ready to compile (stage 3
-/// output). Binding is cheap; the expensive search happens in
-/// [`Session::compile`]. The session or service that binds a problem
-/// copies its program and views once, at the first bind, and hands the
-/// same `Arc`s to every later bind of an equal problem: the binds, the
-/// plan-cache entry of its search and every kernel that entry serves
-/// share one copy. A problem with a `NaN` constant equals nothing, so
-/// each bind of it makes a copy of its own.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BoundProblem {
-    /// The structural fingerprint of the program and the views by name;
-    /// a request's fingerprint continues from it.
-    fingerprint: u64,
-    program: Arc<Program>,
-    views: Arc<HashMap<String, FormatView>>,
-    /// True iff the problem equals itself (has no `NaN`): only then does
-    /// sharing its `Arc`s prove another problem equal to it.
-    reflexive: bool,
-}
-
-impl BoundProblem {
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    pub(crate) fn reflexive(&self) -> bool {
-        self.reflexive
-    }
-
-    /// The shared program, for memos that keep it.
-    pub(crate) fn shared_program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// True iff `other` is this very problem: a reflexive problem whose
-    /// `Arc`s it shares. Equal problems need not be; `==` decides them.
-    pub(crate) fn is_shared_with(&self, other: &BoundProblem) -> bool {
-        self.reflexive
-            && Arc::ptr_eq(&self.program, &other.program)
-            && Arc::ptr_eq(&self.views, &other.views)
-    }
-
-    /// True iff binding `views` (as [`views_by_name`] lists them) to
-    /// `p`, whose [`problem_fingerprint`] is `fingerprint`, makes a
-    /// problem `==` to this one.
-    pub(crate) fn is(&self, fingerprint: u64, p: &Program, views: &[(&str, &FormatView)]) -> bool {
-        self.fingerprint == fingerprint
-            && *self.program == *p
-            && self.views.len() == views.len()
-            && views.iter().all(|(n, v)| self.views.get(*n) == Some(*v))
-    }
-
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The bound views by array name.
-    pub fn views(&self) -> &HashMap<String, FormatView> {
-        &self.views
     }
 }
 
@@ -455,7 +345,7 @@ impl CompiledKernel {
     /// validation sweeps every candidate, not just the best).
     pub fn interpret_candidate(&self, i: usize, env: &mut ExecEnv) -> Result<RunStats, SynthError> {
         let c = self.report.candidates.get(i).ok_or_else(|| {
-            SynthError::Plan(crate::interp::PlanError(format!(
+            SynthError::Plan(PlanError(format!(
                 "candidate index {i} out of range ({} candidates)",
                 self.report.candidates.len()
             )))
@@ -547,23 +437,6 @@ impl CompiledKernel {
     /// `fn_name` into a copy of it.
     pub fn emit(&self, fn_name: &str) -> Result<String, SynthError> {
         Ok(self.entry.module()?.named(fn_name))
-    }
-
-    /// Specializes the `i`-th ranked candidate's plan to a bare Rust
-    /// function (no module wrapper).
-    pub fn emit_candidate(&self, i: usize, fn_name: &str) -> Result<String, SynthError> {
-        let c = self.report.candidates.get(i).ok_or_else(|| {
-            SynthError::Emit(crate::emit::EmitError(format!(
-                "candidate index {i} out of range ({} candidates)",
-                self.report.candidates.len()
-            )))
-        })?;
-        Ok(crate::emit::emit_rust(
-            self.program(),
-            &c.plan,
-            self.views(),
-            fn_name,
-        )?)
     }
 }
 

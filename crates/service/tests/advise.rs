@@ -3,7 +3,8 @@
 
 use bernoulli_formats::{gen, Layout, StructureFeatures};
 use bernoulli_ir::parse_program;
-use bernoulli_synth::{view_for_features, ExecEnv, Service, ServiceConfig, Session, SynthError};
+use bernoulli_service::{view_for_features, Service, ServiceConfig, Session};
+use bernoulli_synth::{ExecEnv, SynthError};
 
 const MVM: &str = r#"
     program mvm(M, N) {

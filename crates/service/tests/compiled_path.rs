@@ -8,8 +8,8 @@
 //! the whole surface.
 
 use bernoulli_formats::{Csr, Ell, SparseView, Triplets};
-use bernoulli_synth::compiled::{KernelArg, KernelBackend};
-use bernoulli_synth::{KernelStore, Session};
+use bernoulli_service::compiled::{KernelArg, KernelBackend};
+use bernoulli_service::{KernelStore, Session};
 
 const MVM: &str = "
     program mvm(M, N) {
@@ -47,7 +47,7 @@ fn triplets(n: usize) -> Triplets<f64> {
     Triplets::from_entries(n, n, &entries)
 }
 
-fn compile_mvm(view: bernoulli_formats::FormatView) -> bernoulli_synth::CompiledKernel {
+fn compile_mvm(view: bernoulli_formats::FormatView) -> bernoulli_service::CompiledKernel {
     let s = Session::new();
     let p = s.parse(MVM).expect("spec parses");
     let bound = s.bind(&p, &[("A", view)]).expect("binds");
@@ -86,7 +86,7 @@ fn loaded_csr_mvm_matches_interpreter_bitwise() {
         KernelArg::Out(&mut y_interp),
     ];
     let backend = KernelBackend::Interpreted {
-        reason: bernoulli_synth::LoadError::Emit(bernoulli_synth::EmitError("forced".into())),
+        reason: bernoulli_service::LoadError::Emit(bernoulli_synth::EmitError("forced".into())),
     };
     k.run_with(&backend, &[n as i64, n as i64], &mut args)
         .expect("interp run");
@@ -205,7 +205,7 @@ fn call_arity_is_checked() {
     let mut args = [KernelArg::Csr(&a), KernelArg::In(&x)];
     let err = loaded.run(&[8, 8], &mut args).expect_err("missing output");
     assert!(
-        matches!(err, bernoulli_synth::KernelCallError::Mismatch { .. }),
+        matches!(err, bernoulli_service::KernelCallError::Mismatch { .. }),
         "{err:?}"
     );
 }
@@ -253,7 +253,7 @@ fn quarantined_artifact_is_refused_and_reserved_by_interpreter() {
     match &backend {
         KernelBackend::Interpreted {
             reason:
-                bernoulli_synth::LoadError::Cache(bernoulli_synth::KernelCacheError::Quarantined {
+                bernoulli_service::LoadError::Cache(bernoulli_service::KernelCacheError::Quarantined {
                     ..
                 }),
         } => {}
@@ -276,7 +276,7 @@ fn quarantined_artifact_is_refused_and_reserved_by_interpreter() {
         KernelArg::Out(&mut y_ref),
     ];
     let interp = KernelBackend::Interpreted {
-        reason: bernoulli_synth::LoadError::Emit(bernoulli_synth::EmitError("forced".into())),
+        reason: bernoulli_service::LoadError::Emit(bernoulli_synth::EmitError("forced".into())),
     };
     k.run_with(&interp, &[n as i64, n as i64], &mut args)
         .expect("reference interpreter run");

@@ -4,8 +4,9 @@
 //! budget changes nothing.
 
 use bernoulli_formats::{Csr, SparseView, Triplets};
+use bernoulli_service::{BudgetError, Session};
 use bernoulli_synth::interp::ExecEnv;
-use bernoulli_synth::{BudgetError, Session, SynthError};
+use bernoulli_synth::SynthError;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -44,7 +45,7 @@ fn reference() -> Vec<f64> {
         .collect()
 }
 
-fn run_kernel(kernel: &bernoulli_synth::CompiledKernel, a: &Csr) -> Vec<f64> {
+fn run_kernel(kernel: &bernoulli_service::CompiledKernel, a: &Csr) -> Vec<f64> {
     let mut env = ExecEnv::new();
     env.set_param("M", 3).set_param("N", 3);
     env.bind_sparse("A", a);

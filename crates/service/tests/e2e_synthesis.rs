@@ -5,7 +5,8 @@
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{gen, Dense, DiagSplit, Layout, SparseView, Triplets};
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
-use bernoulli_synth::{run_plan, CompiledKernel, ExecEnv, Session, SynthOptions};
+use bernoulli_service::{CompiledKernel, Session};
+use bernoulli_synth::{run_plan, ExecEnv, SynthOptions};
 
 /// `t` in the format of this name: a registered layout, assembled at the
 /// shape discovery finds, or a host view by its own constructor.

@@ -31,7 +31,7 @@
 //! among them; the nineteen `GENERATED_KERNELS` rows did not.
 //!
 //! To re-record after a *deliberate* change to the emitted text:
-//! `cargo test -p bernoulli-synth --test emit_golden -- --nocapture`
+//! `cargo test -p bernoulli-service --test emit_golden -- --nocapture`
 //! prints every row in the table's syntax; paste them over the table.
 //! `persist::FORMAT_VERSION` and `generated.rs` need the same attention
 //! (`.claude/skills/verify/SKILL.md`, Gotchas).
@@ -44,11 +44,10 @@ use bernoulli_formats::formats::sparsevec::{hashvec_format_view, sparsevec_forma
 use bernoulli_formats::view::{FormatView, SearchKind};
 use bernoulli_formats::{SparseView, LAYOUTS};
 use bernoulli_ir::Program;
-use bernoulli_synth::compiled::kernel_source;
+use bernoulli_service::compiled::kernel_source;
+use bernoulli_service::{CompiledKernel, Session};
 use bernoulli_synth::plan::Edge;
-use bernoulli_synth::{
-    emit_rust, emit_rust_ranged, Codegen, CompiledKernel, Plan, Session, SynthOptions, Tiling,
-};
+use bernoulli_synth::{emit_rust, emit_rust_ranged, Codegen, Plan, SynthOptions, Tiling};
 
 /// `(what, bytes, FNV-1a 64 of the text)`.
 type Row = (String, usize, u64);

@@ -20,7 +20,8 @@ use bernoulli_formats::{
     SparseVec, SparseView, Triplets, Vbr,
 };
 use bernoulli_ir::{run_dense, DenseEnv};
-use bernoulli_synth::{run_plan, ExecEnv, RunStats, Session, SynthOptions, WorkloadStats};
+use bernoulli_service::Session;
+use bernoulli_synth::{run_plan, ExecEnv, RunStats, SynthOptions, WorkloadStats};
 
 /// `(problem, iterations, searches, executions, guard_misses)` from the
 /// parent commit's interpreter.

@@ -11,7 +11,7 @@ use bernoulli_formats::{
     gen, Bsr, Coo, Csc, Csr, Dcsr, Dia, Ell, Jad, Sky, Triplets, Vbr, LAYOUTS,
 };
 use bernoulli_kernel_cache::ArtifactSpec;
-use bernoulli_synth::{
+use bernoulli_service::{
     CompiledKernel, KernelArg, KernelBackend, KernelCacheError, KernelCallError, KernelStore,
     LoadError, Session,
 };
@@ -498,7 +498,7 @@ fn validated_libraries_stay_open_until_their_record_goes() {
     let a = Csr::from_triplets(&matrix());
     let n = a.nrows;
     let x = gen::dense_vector(n, 8);
-    let run = |loaded: &bernoulli_synth::LoadedKernel| {
+    let run = |loaded: &bernoulli_service::LoadedKernel| {
         let mut y = vec![0.0; n];
         let mut args = [
             KernelArg::Csr(&a),

@@ -5,7 +5,8 @@
 
 use bernoulli_formats::{Layout, Stored, Triplets};
 use bernoulli_ir::{parse_program, run_dense, DenseEnv, Program};
-use bernoulli_synth::{run_plan, ExecEnv, Plan, Session};
+use bernoulli_service::Session;
+use bernoulli_synth::{run_plan, ExecEnv, Plan};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 

@@ -6,7 +6,8 @@
 use bernoulli_formats::view::FormatView;
 use bernoulli_formats::{gen, Layout, Stored, Triplets};
 use bernoulli_ir::{parse_program, Program};
-use bernoulli_synth::{SearchReport, Session, SynthOptions, WorkloadStats};
+use bernoulli_service::Session;
+use bernoulli_synth::{SearchReport, SynthOptions, WorkloadStats};
 
 const TS: &str = r#"
     program ts(N) {

@@ -5,9 +5,8 @@
 //! over the same directory).
 
 use bernoulli_formats::{Csr, SparseView, Triplets};
-use bernoulli_synth::{
-    ExecEnv, PersistentPlanCache, Service, ServiceConfig, ServiceError, Session, SynthOptions,
-};
+use bernoulli_service::{PersistentPlanCache, Service, ServiceConfig, ServiceError, Session};
+use bernoulli_synth::{ExecEnv, SynthOptions};
 use std::sync::Arc;
 use std::time::Duration;
 

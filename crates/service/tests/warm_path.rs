@@ -8,7 +8,7 @@ use bernoulli_formats::formats::{
 };
 use bernoulli_formats::view::Bound;
 use bernoulli_formats::{FormatView, StoredGuarantee};
-use bernoulli_synth::{KernelCacheError, KernelStore, LoadError, Service, Session};
+use bernoulli_service::{KernelCacheError, KernelStore, LoadError, Service, Session};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -155,7 +155,7 @@ fn the_advisor_analyses_its_program_once() {
     assert_eq!(plans.analyses, 1, "{plans:?}");
 }
 
-fn refused_as_quarantined(outcome: Result<bernoulli_synth::LoadedKernel, LoadError>) -> bool {
+fn refused_as_quarantined(outcome: Result<bernoulli_service::LoadedKernel, LoadError>) -> bool {
     matches!(
         outcome,
         Err(LoadError::Cache(KernelCacheError::Quarantined { .. }))

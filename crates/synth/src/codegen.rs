@@ -10,8 +10,8 @@
 //! makes each of these decisions once, from the plan, the program and
 //! the views, and never fails: a transformation that does not apply is
 //! absent from the record. [`crate::emit`] prints from the record and
-//! decides nothing; [`crate::compiled`] reads its kernel crate's entry
-//! points from it.
+//! decides nothing; the driver's `compiled` module reads its kernel
+//! crate's entry points from it.
 //!
 //! A transformation stays only while turning it off alone shows an
 //! effect (EXPERIMENTS.md, PR 48, has the number of each; the strip

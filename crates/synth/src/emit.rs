@@ -17,8 +17,8 @@
 //! The one emitted dialect has no panic path: a function returns
 //! `Option<()>` and every checked index is `*a.get(i)?`, so an operand
 //! whose index arrays point outside another operand makes it return
-//! `None` early — which is what lets the kernel crate of
-//! [`crate::compiled`] be `#![no_std]` and link no panic runtime.
+//! `None` early — which is what lets the kernel crate of the driver's
+//! `compiled` module be `#![no_std]` and link no panic runtime.
 //!
 //! The emitted text depends only on the plan and the program, so
 //! generated kernels can be committed (see `bernoulli-blas`'s `synth`
@@ -308,7 +308,7 @@ pub fn emit_rust_ranged(
 
 /// The one printer: `plan`'s function as its record `cg` says, with
 /// the row-band parameters when `ranged`.
-pub(crate) fn print(
+pub fn print(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
@@ -1458,14 +1458,14 @@ const FN_OPEN: &str = "pub fn ";
 /// An emitted module with the function's name left open: the text up to
 /// the name and the text after it.
 #[derive(Clone, Debug)]
-pub(crate) struct ModuleText {
+pub struct ModuleText {
     head: String,
     tail: String,
 }
 
 impl ModuleText {
     /// The module with its function called `fn_name`.
-    pub(crate) fn named(&self, fn_name: &str) -> String {
+    pub fn named(&self, fn_name: &str) -> String {
         let mut out = String::with_capacity(self.head.len() + fn_name.len() + self.tail.len());
         out.push_str(&self.head);
         out.push_str(fn_name);
@@ -1476,7 +1476,7 @@ impl ModuleText {
 
 /// Emits a complete module — header comment, imports, and one function
 /// — with the function's name left open, printing from `plan`'s record.
-pub(crate) fn emit_module_open(
+pub fn emit_module_open(
     p: &Program,
     plan: &Plan,
     views: &HashMap<String, FormatView>,
@@ -1520,7 +1520,7 @@ pub(crate) fn emit_module_open(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
+    use crate::search::best_plan;
     use bernoulli_formats::formats::{bsr, coo, csc, csr, dia, ell, jad, sky, vbr};
     use bernoulli_formats::view::{Bound, StoredGuarantee};
     use bernoulli_ir::parse_program;
@@ -1554,9 +1554,7 @@ mod tests {
     impl Case {
         fn of(src: &str, matrix: &str, view: FormatView) -> Outcome<Case> {
             let p = parse_program(src)?;
-            let session = Session::new();
-            let bound = session.bind(&p, &[(matrix, view.clone())])?;
-            let plan = session.compile(&bound)?.plan().clone();
+            let plan = best_plan(&p, &[(matrix, view.clone())])?;
             let views = HashMap::from([(matrix.to_string(), view)]);
             Ok(Case { p, plan, views })
         }

@@ -642,20 +642,19 @@ impl Runtime<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
+    use crate::search::best_plan;
+    use bernoulli_ir::parse_program;
 
     /// Affine index arithmetic is checked: past `i64::MAX` it is an
     /// error, not a wrapped (here: empty) loop or a debug-build panic.
     #[test]
     fn index_arithmetic_that_overflows_is_an_error() -> Result<(), crate::SynthError> {
-        let session = Session::new();
         let run = |src: &str, m: i64| {
-            let spec = session.parse(src)?;
-            let k = session.compile(&session.bind(&spec, &[])?)?;
+            let plan = best_plan(&parse_program(src)?, &[])?;
             let mut env = ExecEnv::new();
             env.set_param("N", i64::MAX - 1).set_param("M", m);
             env.bind_vec("s", vec![0.0]);
-            let result = run_plan(k.plan(), &mut env).map(|_| ()).map_err(|e| e.0);
+            let result = run_plan(&plan, &mut env).map(|_| ()).map_err(|e| e.0);
             Ok::<_, crate::SynthError>((result, env.take_vec("s")))
         };
         let count = "program p(N, M) { inout vector s[1]; for i in N..N + M { s[0] = s[0] + 1; } }";

@@ -57,28 +57,36 @@ pub use bernoulli_formats as formats;
 pub use bernoulli_ir as ir;
 pub use bernoulli_numeric as numeric;
 pub use bernoulli_polyhedra as polyhedra;
-pub use bernoulli_synth as synth;
 
-pub use bernoulli_synth::{
-    BoundProblem, Budget, BudgetError, CancelToken, CompiledKernel, DepReport, Session,
-};
+/// The paper's synthesizer (`bernoulli-synth`, §3–§4) and the compile
+/// driver around it (`bernoulli-service`) under one path.
+pub mod synth {
+    pub use bernoulli_service::*;
+    pub use bernoulli_synth::*;
+    // Both crates have a `search` module; this path names the paper's.
+    pub use bernoulli_synth::search;
+}
+
+pub use bernoulli_service::{Budget, BudgetError, CancelToken, CompiledKernel, DepReport, Session};
+pub use bernoulli_synth::BoundProblem;
 
 // Structure-aware selection (S40): instance features drive the cost
 // model and the format/plan advisor.
 pub use bernoulli_formats::{vector_features, StructureFeatures};
-pub use bernoulli_synth::{Advice, AdviceEntry, WorkloadStats, DEFAULT_ADVISOR_FORMATS};
+pub use bernoulli_service::{Advice, AdviceEntry, DEFAULT_ADVISOR_FORMATS};
+pub use bernoulli_synth::WorkloadStats;
 
 // The multi-tenant compile service (S38): concurrent `compile` calls
 // over shared cache tiers, with admission control and an optional
 // persistent plan cache for warm-start across restarts.
-pub use bernoulli_synth::{
+pub use bernoulli_service::{
     PersistStats, PersistentPlanCache, Service, ServiceConfig, ServiceError, ServiceStats,
 };
 
 // The compiled-kernel execution path (S37): `CompiledKernel::load` and
 // the unified compiled-or-interpreted runner, plus the on-disk artifact
 // cache behind it.
-pub use bernoulli_synth::{
+pub use bernoulli_service::{
     rustc_info, KernelArg, KernelBackend, KernelCacheError, KernelCacheStats, KernelCallError,
     KernelStore, LoadError, LoadedKernel,
 };
@@ -99,7 +107,7 @@ pub enum Error {
     /// Service-layer rejection: shed load or an expired queue deadline
     /// (the compile never ran). Admitted-compile failures unwrap to
     /// [`Error::Synth`] instead.
-    Service(bernoulli_synth::ServiceError),
+    Service(bernoulli_service::ServiceError),
 }
 
 impl std::fmt::Display for Error {
@@ -162,12 +170,12 @@ impl From<bernoulli_synth::SynthError> for Error {
     }
 }
 
-impl From<bernoulli_synth::ServiceError> for Error {
-    fn from(e: bernoulli_synth::ServiceError) -> Error {
+impl From<bernoulli_service::ServiceError> for Error {
+    fn from(e: bernoulli_service::ServiceError) -> Error {
         // An admitted compile that failed is a synthesis error; only
         // genuine service-layer rejections keep the `Service` tag.
         match e {
-            bernoulli_synth::ServiceError::Synth(inner) => Error::Synth(inner),
+            bernoulli_service::ServiceError::Synth(inner) => Error::Synth(inner),
             other => Error::Service(other),
         }
     }
@@ -205,6 +213,6 @@ pub mod prelude {
         Triplets, Vbr, LAYOUTS,
     };
     pub use bernoulli_ir::{parse_program, Program};
+    pub use bernoulli_service::{KernelArg, KernelBackend, KernelStore, LoadError, LoadedKernel};
     pub use bernoulli_synth::{run_plan, ExecEnv, SearchReport, SynthOptions};
-    pub use bernoulli_synth::{KernelArg, KernelBackend, KernelStore, LoadError, LoadedKernel};
 }

@@ -8,7 +8,7 @@
 
 use bernoulli::prelude::*;
 use bernoulli_govern::faults;
-use bernoulli_synth::KernelCacheError;
+use bernoulli_service::KernelCacheError;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -64,11 +64,16 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bernoulli-chaos-{tag}-{}", std::process::id()))
 }
 
-/// Guard restoring a clean fault table even when an assertion fails.
+/// Guard restoring a clean fault table even when an assertion fails,
+/// and failing the test when a counted fault it armed never fired: the
+/// test would then have proved nothing about that site.
 struct ClearFaults;
 impl Drop for ClearFaults {
     fn drop(&mut self) {
-        faults::clear();
+        let unfired = faults::disarm();
+        if !std::thread::panicking() {
+            assert!(unfired.is_empty(), "armed but never fired: {unfired:?}");
+        }
     }
 }
 
@@ -76,7 +81,7 @@ impl Drop for ClearFaults {
 fn rustc_fault_is_typed_with_identical_interpreter_fallback() {
     let _lock = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     let _clear = ClearFaults;
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         return;
     }
     let a = csr();
@@ -131,7 +136,7 @@ fn rustc_fault_is_typed_with_identical_interpreter_fallback() {
 fn transient_rustc_fault_is_retried_to_success() {
     let _lock = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     let _clear = ClearFaults;
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         return;
     }
     let a = csr();
@@ -156,7 +161,7 @@ fn transient_rustc_fault_is_retried_to_success() {
 fn repeated_rustc_faults_trip_the_circuit_breaker() {
     let _lock = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     let _clear = ClearFaults;
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         return;
     }
     let a = csr();
@@ -198,7 +203,7 @@ fn repeated_rustc_faults_trip_the_circuit_breaker() {
 fn dlopen_fault_is_typed_with_identical_interpreter_fallback() {
     let _lock = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     let _clear = ClearFaults;
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         return;
     }
     let a = csr();
@@ -290,7 +295,7 @@ fn persist_read_fault_degrades_to_a_full_search() {
 fn quarantined_artifact_reserves_through_the_interpreter() {
     let _lock = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     let _clear = ClearFaults;
-    if bernoulli_synth::rustc_info().is_err() {
+    if bernoulli_service::rustc_info().is_err() {
         return;
     }
     let a = csr();
